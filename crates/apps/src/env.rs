@@ -827,8 +827,22 @@ impl AppEnv {
                     let cycles = (self.machine.now() - t0).get();
                     self.ctl_observe(api, Transport::Hot, cycles);
                 }
-                // ...then the trusted body.
-                body(self)
+                // ...then the trusted body. Under the Auto transport the
+                // router may send one of the body's API calls down the SDK
+                // ocall path, which exits and re-enters on a current TCS:
+                // hold one for the body unless the caller already did
+                // (`enter_main`).
+                let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
+                let enter = self.ctl.is_some() && !ctx.in_enclave();
+                if enter {
+                    ctx.enter_main(&mut self.machine)?;
+                }
+                let r = body(self);
+                if enter {
+                    let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
+                    ctx.leave_main(&mut self.machine)?;
+                }
+                r
             }
         }
     }

@@ -247,8 +247,8 @@ impl SimHotCalls {
     {
         let start = m.now();
         let plan = match kind {
-            Kind::Ecall => ctx.proxies().ecall(name)?.clone(),
-            Kind::Ocall => ctx.proxies().ocall(name)?.clone(),
+            Kind::Ecall => ctx.proxies().ecall(name)?,
+            Kind::Ocall => ctx.proxies().ocall(name)?,
         };
 
         self.wake_if_sleeping(m);
@@ -270,14 +270,8 @@ impl SimHotCalls {
                 let mut area = StagingArea::untrusted(m, self.shared_area, SHARED_BYTES);
                 area.reserve(plan.struct_bytes);
                 m.write(self.shared_area, plan.struct_bytes)?;
-                let (args, staged) = stage(
-                    m,
-                    &plan,
-                    bufs,
-                    &mut area,
-                    CallerSide::Trusted,
-                    ctx.options(),
-                )?;
+                let (args, staged) =
+                    stage(m, plan, bufs, &mut area, CallerSide::Trusted, ctx.options())?;
                 self.publish(m)?;
                 self.responder_pickup(m)?;
                 let r = body(ctx, m, &args);
@@ -296,7 +290,7 @@ impl SimHotCalls {
                 let mut area = StagingArea::secure(m, self.secure_area, SECURE_BYTES);
                 let (args, staged) = stage(
                     m,
-                    &plan,
+                    plan,
                     bufs,
                     &mut area,
                     CallerSide::Untrusted,

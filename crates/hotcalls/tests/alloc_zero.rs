@@ -1,4 +1,4 @@
-//! Allocation proof for the byte-payload hot path.
+//! Allocation proof for the byte-payload hot path and for the simulator.
 //!
 //! The slab arena and inline fast path exist so that steady-state calls
 //! touch no heap: inline payloads ride inside the ring slot, slab payloads
@@ -6,6 +6,11 @@
 //! global allocator and asserts the delta across thousands of calls is
 //! exactly zero — any per-call `Box`/`Vec` sneaking back into the
 //! requester, ring, dispatch, or arena path fails it.
+//!
+//! The simulator section holds `sgx-sim`'s access path and the simulated
+//! edge calls to the same standard: its cache, TLB, EPC and MEE state is
+//! flat and dense, so once the tables have grown to cover the addresses in
+//! use, a simulated access or transition touches no heap either.
 //!
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently and muddy the counter.
@@ -16,7 +21,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hotcalls::rt::{
     ByteCallTable, ByteRing, CallTable, RingServer, SgCallTable, SgRing, INLINE_CAPACITY,
 };
+use hotcalls::sim::SimHotCalls;
 use hotcalls::{block_on, FusedMode, HotCallConfig};
+use sgx_sdk::edl::parse_edl;
+use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
+use sgx_sim::{EnclaveBuildOptions, Machine, SimConfig};
 
 struct CountingAlloc;
 
@@ -40,6 +49,88 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations made by `f`.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// The simulator: memory accesses, enclave transitions and edge calls over
+/// a 16 MiB enclave region (twice the modelled LLC, so most lines miss all
+/// the way to the MEE walk) and 4 MiB of untrusted memory.
+fn simulator_steady_state() {
+    const ENC: u64 = 16 << 20;
+    const PLAIN: u64 = 4 << 20;
+    let mut m = Machine::new(SimConfig::builder().seed(5).build());
+    let eid = m
+        .build_enclave(EnclaveBuildOptions {
+            heap_bytes: ENC + (4 << 20), // + the SDK's and HotCalls' scratch
+            ..EnclaveBuildOptions::default()
+        })
+        .unwrap();
+    let edl = parse_edl(
+        "enclave { untrusted {
+            void nop();
+            void io([in, out, size=n] uint8_t* b, size_t n);
+        }; };",
+    )
+    .unwrap();
+    let mut ctx = EnclaveCtx::new(&mut m, eid, &edl, MarshalOptions::default()).unwrap();
+    let mut hot = SimHotCalls::new(&mut m, &ctx, HotCallConfig::default()).unwrap();
+    let enc = m.alloc_enclave_heap(eid, ENC, 64).unwrap();
+    let plain = m.alloc_untrusted(PLAIN, 64);
+    let buf = BufArg::new(enc, 64);
+
+    // One pass of everything the measured loop does, over the same
+    // addresses: the dense tables grow to their final size here, and the
+    // per-name call ledgers meet every name.
+    let mut round = |m: &mut Machine, ctx: &mut EnclaveCtx, i: u64| {
+        let r = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        m.read(enc.offset((r >> 16) % (ENC - 2048)), 2048).unwrap();
+        m.write(enc.offset((r >> 24) % (ENC - 2048)), 2048).unwrap();
+        m.write(plain.offset((r >> 32) % (PLAIN - 512)), 512)
+            .unwrap();
+        if i.is_multiple_of(64) {
+            m.clflush_span(enc.offset((r >> 24) % (ENC - 2048)), 2048);
+        }
+        m.eenter(eid, 0).unwrap();
+        m.eexit(eid, 0).unwrap();
+        ctx.enter_main(m).unwrap();
+        ctx.ocall(m, "nop", &[], |_, _, _| Ok(())).unwrap();
+        hot.hot_ocall(m, ctx, "nop", &[], |_, _, _| Ok(())).unwrap();
+        ctx.leave_main(m).unwrap();
+    };
+    for i in 0..4_000 {
+        round(&mut m, &mut ctx, i);
+    }
+    let delta = allocs_in(|| {
+        for i in 0..4_000 {
+            round(&mut m, &mut ctx, i);
+        }
+    });
+    assert_eq!(delta, 0, "simulator steady state allocated {delta} times");
+
+    // A call that carries a buffer returns its callee-visible addresses
+    // and copy-back records in two fresh vectors (`marshal::stage`'s public
+    // result); nothing else on the path may allocate.
+    ctx.enter_main(&mut m).unwrap();
+    let mut buffered_calls = |n| {
+        for _ in 0..n {
+            ctx.ocall(&mut m, "io", &[buf], |_, _, _| Ok(())).unwrap();
+            hot.hot_ocall(&mut m, &mut ctx, "io", &[buf], |_, _, _| Ok(()))
+                .unwrap();
+        }
+    };
+    buffered_calls(1);
+    let delta = allocs_in(|| buffered_calls(1_000));
+    assert_eq!(
+        delta,
+        2 * 2_000,
+        "buffered edge calls allocated {delta} times"
+    );
+}
 
 /// Spin-only config: an idle responder dozing on a condvar is fine in
 /// production but would tangle OS wakeup bookkeeping into the counter.
@@ -176,4 +267,5 @@ fn hot_path_makes_zero_heap_allocations() {
     assert_eq!(delta, 0, "streamed chunks allocated {delta} times");
     assert_eq!(caller.arena_stats().allocs, arena_allocs);
     ring.shutdown();
+    simulator_steady_state();
 }

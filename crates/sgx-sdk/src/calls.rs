@@ -222,13 +222,13 @@ impl EnclaveCtx {
             return Err(SdkError::AlreadyInEnclave);
         }
         let start = m.now();
-        let plan = self.proxies.ecall(name)?.clone();
-        check_arg_count(&plan, bufs)?;
+        let plan = self.proxies.ecall(name)?;
+        check_arg_count(plan, bufs)?;
 
         // Untrusted software prologue: enclave lookup, rwlock, TCS
         // selection, AVX save, FP-exception check.
         m.charge(Cycles::new(m.config().sdk.ecall_untrusted_sw));
-        for line in self.untrusted_meta.clone() {
+        for &line in &self.untrusted_meta {
             m.read(line, 8)?;
         }
         // Marshal the parameter struct into untrusted memory.
@@ -241,7 +241,7 @@ impl EnclaveCtx {
         // Trusted dispatch: index check + call-table jump + reading the
         // parameter struct from untrusted memory.
         m.charge(Cycles::new(m.config().sdk.ecall_trusted_dispatch));
-        for line in self.trusted_meta.clone() {
+        for &line in &self.trusted_meta {
             m.read(line, 8)?;
         }
         m.read(self.marshal_area, plan.struct_bytes)?;
@@ -251,7 +251,7 @@ impl EnclaveCtx {
         let mut area = StagingArea::secure(m, self.secure_area, SCRATCH_BYTES);
         let result = stage(
             m,
-            &plan,
+            plan,
             bufs,
             &mut area,
             CallerSide::Untrusted,
@@ -295,13 +295,13 @@ impl EnclaveCtx {
     {
         let tcs = self.current_tcs.ok_or(SdkError::NotInEnclave)?;
         let start = m.now();
-        let plan = self.proxies.ocall(name)?.clone();
-        check_arg_count(&plan, bufs)?;
+        let plan = self.proxies.ocall(name)?;
+        check_arg_count(plan, bufs)?;
 
         // Trusted prologue: marshalling setup, pointer checks, writing the
         // ocall frame (struct + index) to untrusted memory.
         m.charge(Cycles::new(m.config().sdk.ocall_trusted_sw));
-        for line in self.trusted_meta.clone() {
+        for &line in &self.trusted_meta {
             m.read(line, 8)?;
         }
         m.write(self.marshal_area, plan.struct_bytes)?;
@@ -312,12 +312,12 @@ impl EnclaveCtx {
         let mut area = StagingArea::untrusted(m, self.marshal_area, SCRATCH_BYTES);
         area.reserve(plan.struct_bytes);
         let (args, staged_bufs) =
-            stage(m, &plan, bufs, &mut area, CallerSide::Trusted, self.options)?;
+            stage(m, plan, bufs, &mut area, CallerSide::Trusted, self.options)?;
 
         m.eexit(self.eid, tcs)?;
         // Untrusted dispatch: ocall-table jump + reading the frame.
         m.charge(Cycles::new(m.config().sdk.ocall_untrusted_dispatch));
-        for line in self.untrusted_meta.clone() {
+        for &line in &self.untrusted_meta {
             m.read(line, 8)?;
         }
         m.read(self.marshal_area, plan.struct_bytes)?;

@@ -26,6 +26,17 @@ pub struct CallStats {
     ocalls: BTreeMap<String, CallStat>,
 }
 
+/// Adds one call to `name`'s entry, copying the name only on first sight.
+fn record(calls: &mut BTreeMap<String, CallStat>, name: &str, cycles: Cycles) {
+    match calls.get_mut(name) {
+        Some(s) => {
+            s.count += 1;
+            s.cycles += cycles;
+        }
+        None => drop(calls.insert(name.to_owned(), CallStat { count: 1, cycles })),
+    }
+}
+
 impl CallStats {
     /// Creates empty statistics.
     pub fn new() -> Self {
@@ -34,16 +45,12 @@ impl CallStats {
 
     /// Records one ecall.
     pub fn record_ecall(&mut self, name: &str, cycles: Cycles) {
-        let s = self.ecalls.entry(name.to_owned()).or_default();
-        s.count += 1;
-        s.cycles += cycles;
+        record(&mut self.ecalls, name, cycles);
     }
 
     /// Records one ocall.
     pub fn record_ocall(&mut self, name: &str, cycles: Cycles) {
-        let s = self.ocalls.entry(name.to_owned()).or_default();
-        s.count += 1;
-        s.cycles += cycles;
+        record(&mut self.ocalls, name, cycles);
     }
 
     /// Per-name ecall statistics.

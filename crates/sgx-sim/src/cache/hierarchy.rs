@@ -5,11 +5,10 @@
 //! here — the memory engine combines the hierarchy outcome with the DRAM/MEE
 //! model — so the hierarchy stays a pure state machine that is easy to test.
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
+use crate::mem::BlockSet;
 
 use super::set_assoc::SetAssocCache;
 
@@ -32,7 +31,7 @@ pub struct Hierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
     llc: SetAssocCache,
-    dirty: HashSet<u64>,
+    dirty: BlockSet,
     line_size: u64,
     l1_hit: u64,
     l2_hit: u64,
@@ -46,7 +45,7 @@ impl Hierarchy {
             l1: SetAssocCache::new(&config.l1),
             l2: SetAssocCache::new(&config.l2),
             llc: SetAssocCache::new(&config.llc),
-            dirty: HashSet::new(),
+            dirty: BlockSet::new(config.l1.line),
             line_size: config.l1.line,
             l1_hit: config.l1.hit_latency,
             l2_hit: config.l2.hit_latency,
@@ -63,12 +62,12 @@ impl Hierarchy {
 
     /// Clears a line's dirty bit, reporting whether it was set.
     pub fn clear_dirty(&mut self, line: u64) -> bool {
-        self.dirty.remove(&line)
+        self.dirty.remove(line)
     }
 
     /// Is the line dirty?
     pub fn is_dirty(&self, line: u64) -> bool {
-        self.dirty.contains(&line)
+        self.dirty.contains(line)
     }
 
     /// Cache line size in bytes.
@@ -84,22 +83,15 @@ impl Hierarchy {
     /// Performs one line-granular access: returns the serving level and
     /// installs the line in every level above it.
     pub fn access_line(&mut self, line: u64) -> ServedBy {
-        if self.l1.probe(line) {
-            return ServedBy::L1;
+        if self.l1.access(line) {
+            ServedBy::L1
+        } else if self.l2.access(line) {
+            ServedBy::L2
+        } else if self.llc.access(line) {
+            ServedBy::Llc
+        } else {
+            ServedBy::Memory
         }
-        if self.l2.probe(line) {
-            self.l1.insert(line);
-            return ServedBy::L2;
-        }
-        if self.llc.probe(line) {
-            self.l2.insert(line);
-            self.l1.insert(line);
-            return ServedBy::Llc;
-        }
-        self.llc.insert(line);
-        self.l2.insert(line);
-        self.l1.insert(line);
-        ServedBy::Memory
     }
 
     /// Is the line resident anywhere in the hierarchy? Does not disturb LRU

@@ -1,4 +1,5 @@
-//! A generic set-associative cache tag store with true-LRU replacement.
+//! A generic set-associative cache tag store with true-LRU replacement
+//! (or, for the MEE's one-set node cache, seeded random replacement).
 //!
 //! The simulator caches only *tags* (line identity), never data: the cost
 //! model needs hit/miss behaviour, while payload bytes live in ordinary Rust
@@ -6,24 +7,27 @@
 
 use crate::config::CacheGeometry;
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    last_used: u64,
-    valid: bool,
-}
-
 /// One cache level: a set-associative array of line tags with LRU eviction.
 ///
 /// Addresses supplied to the cache are *line numbers* (byte address divided
 /// by the line size), which keeps the arithmetic uniform across levels.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Way>>,
+    /// Tag of every way, at `set * ways + way`.
+    tags: Vec<u64>,
+    /// Tick of every way's last use, same indexing. Ticks start at 1, so 0
+    /// marks an invalid way — and the least `last_used` of a set is its
+    /// first invalid way if it has one, its LRU way otherwise.
+    last_used: Vec<u64>,
+    ways: usize,
     set_mask: u64,
+    set_bits: u32,
     tick: u64,
     hits: u64,
     misses: u64,
+    /// SplitMix64 state, if the victim in a full set is drawn at random
+    /// rather than being the LRU way (the MEE's node cache).
+    random_victims: Option<u64>,
 }
 
 impl SetAssocCache {
@@ -36,110 +40,134 @@ impl SetAssocCache {
     pub fn new(geometry: &CacheGeometry) -> Self {
         let sets = geometry.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        Self::with_shape(sets, geometry.ways as usize, None)
+    }
+
+    /// A single set of `ways` ways, replacing at random from the given
+    /// SplitMix64 state, or the LRU way if there is none.
+    pub(crate) fn fully_associative(ways: usize, random_victims: Option<u64>) -> Self {
+        Self::with_shape(1, ways, random_victims)
+    }
+
+    fn with_shape(sets: u64, ways: usize, random_victims: Option<u64>) -> Self {
         SetAssocCache {
-            sets: (0..sets)
-                .map(|_| {
-                    Vec::with_capacity(geometry.ways as usize).tap_fill(geometry.ways as usize)
-                })
-                .collect(),
+            tags: vec![0; sets as usize * ways],
+            last_used: vec![0; sets as usize * ways],
+            ways,
             set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
+            random_victims,
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    /// Index of the first way of `line`'s set.
+    fn set_start(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize * self.ways
     }
 
-    fn tag_of(&self, line: u64) -> u64 {
-        line >> self.set_mask.trailing_ones()
+    /// Index of the valid way holding `line`, if any.
+    fn find(&self, line: u64) -> Option<usize> {
+        let tag = line >> self.set_bits;
+        let start = self.set_start(line);
+        let tags = &self.tags[start..start + self.ways];
+        let last_used = &self.last_used[start..start + self.ways];
+        (0..self.ways)
+            .find(|&way| tags[way] == tag && last_used[way] != 0)
+            .map(|way| start + way)
+    }
+
+    /// Puts `line`, which must be absent, into the first invalid way of its
+    /// set or else over the LRU (or a random) way, stamped with the current
+    /// tick. Returns the evicted line number, if any.
+    fn install(&mut self, line: u64) -> Option<u64> {
+        let start = self.set_start(line);
+        let last_used = &self.last_used[start..start + self.ways];
+        let victim = match &mut self.random_victims {
+            Some(state) if last_used.iter().all(|&tick| tick != 0) => {
+                // SplitMix64 step.
+                *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = *state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as usize % self.ways
+            }
+            // The first of the least-recently-used ways.
+            _ => (0..self.ways)
+                .min_by_key(|&way| last_used[way])
+                .expect("a set has at least one way"),
+        };
+        let victim = start + victim;
+        let evicted = (self.last_used[victim] != 0)
+            .then(|| (self.tags[victim] << self.set_bits) | (line & self.set_mask));
+        self.tags[victim] = line >> self.set_bits;
+        self.last_used[victim] = self.tick;
+        evicted
     }
 
     /// Looks up a line; on hit, refreshes its LRU position. Returns `true`
     /// on hit.
     pub fn probe(&mut self, line: u64) -> bool {
         self.tick += 1;
-        let tag = self.tag_of(line);
-        let set_idx = self.set_of(line);
-        let tick = self.tick;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = tick;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+        match self.find(line) {
+            Some(way) => {
+                self.last_used[way] = self.tick;
+                self.hits += 1;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
         }
     }
 
     /// Inspects whether a line is present without touching LRU state or
     /// statistics.
     pub fn contains(&self, line: u64) -> bool {
-        let tag = self.tag_of(line);
-        self.sets[self.set_of(line)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.find(line).is_some()
     }
 
     /// Installs a line, evicting the LRU way if the set is full. Returns the
     /// evicted line number, if any.
     pub fn insert(&mut self, line: u64) -> Option<u64> {
         self.tick += 1;
-        let tag = self.tag_of(line);
-        let set_idx = self.set_of(line);
-        let shift = self.set_mask.trailing_ones();
-        let tick = self.tick;
-        let set = &mut self.sets[set_idx];
+        match self.find(line) {
+            Some(way) => {
+                self.last_used[way] = self.tick;
+                None
+            }
+            None => self.install(line),
+        }
+    }
 
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = tick;
-            return None;
+    /// [`probe`](Self::probe) and, on a miss, [`insert`](Self::insert) —
+    /// same ticks, statistics and victim — without searching the set a
+    /// second time for the line that just missed. Returns `true` on hit.
+    pub(crate) fn access(&mut self, line: u64) -> bool {
+        let hit = self.probe(line);
+        if !hit {
+            self.tick += 1;
+            self.install(line);
         }
-        if let Some(way) = set.iter_mut().find(|w| !w.valid) {
-            *way = Way {
-                tag,
-                last_used: tick,
-                valid: true,
-            };
-            return None;
-        }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| w.last_used)
-            .expect("non-empty set");
-        let evicted_line = (victim.tag << shift) | set_idx as u64;
-        *victim = Way {
-            tag,
-            last_used: tick,
-            valid: true,
-        };
-        Some(evicted_line)
+        hit
     }
 
     /// Invalidates a single line (the `clflush` path). Returns `true` if it
     /// was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let tag = self.tag_of(line);
-        let set_idx = self.set_of(line);
-        for way in &mut self.sets[set_idx] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return true;
-            }
+        let way = self.find(line);
+        if let Some(way) = way {
+            self.last_used[way] = 0;
         }
-        false
+        way.is_some()
     }
 
     /// Invalidates everything (the cold-cache experiment setup).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                way.valid = false;
-            }
-        }
+        self.last_used.fill(0);
     }
 
     /// (hits, misses) since construction.
@@ -149,29 +177,7 @@ impl SetAssocCache {
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.valid).count())
-            .sum()
-    }
-}
-
-// Small private helper to pre-fill the way vectors.
-trait TapFill {
-    fn tap_fill(self, ways: usize) -> Self;
-}
-
-impl TapFill for Vec<Way> {
-    fn tap_fill(mut self, ways: usize) -> Self {
-        self.resize(
-            ways,
-            Way {
-                tag: 0,
-                last_used: 0,
-                valid: false,
-            },
-        );
-        self
+        self.last_used.iter().filter(|&&tick| tick != 0).count()
     }
 }
 

@@ -198,10 +198,11 @@ impl CycleLedger {
 
     /// Adds `amount` to the named account, creating it at zero first.
     pub fn credit(&mut self, account: &str, amount: Cycles) {
-        *self
-            .accounts
-            .entry(account.to_string())
-            .or_insert(Cycles::ZERO) += amount;
+        // The name is copied only the first time an account is seen.
+        match self.accounts.get_mut(account) {
+            Some(balance) => *balance += amount,
+            None => drop(self.accounts.insert(account.to_string(), amount)),
+        }
     }
 
     /// The balance of one account (zero if it was never credited).

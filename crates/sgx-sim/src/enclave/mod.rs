@@ -169,12 +169,12 @@ impl Enclave {
     /// SECS (2 lines), TCS (1), SSA frame (2), trusted stack top (2), entry
     /// trampoline code (1). These all live in the EPC, which is why a cold
     /// cache makes enclave transitions so much more expensive (Fig. 2).
-    pub fn entry_footprint(&self, tcs_index: usize) -> Result<Vec<Addr>> {
+    pub fn entry_footprint(&self, tcs_index: usize) -> Result<[Addr; 8]> {
         let t = self
             .tcs
             .get(tcs_index)
             .ok_or(SgxError::NoSuchTcs(tcs_index))?;
-        Ok(vec![
+        Ok([
             self.secs.addr,
             self.secs.addr.offset(64),
             t.addr,
@@ -254,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_footprint_is_ten_distinct_epc_lines() {
+    fn entry_footprint_is_eight_distinct_epc_lines() {
         let e = enclave();
         let fp = e.entry_footprint(0).unwrap();
         assert_eq!(fp.len(), 8);

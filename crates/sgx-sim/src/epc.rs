@@ -7,7 +7,7 @@
 //! than the 93 MB EPC (libquantum's 96 MB) therefore thrashes, reproducing
 //! the paper's 5.2× slowdown.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::config::PagingConfig;
 use crate::crypto::{hmac_sha256, verify_tag, DIGEST_LEN};
@@ -32,6 +32,21 @@ struct SwappedPage {
     mac: [u8; DIGEST_LEN],
 }
 
+/// What the EPC holds of one committed page.
+#[derive(Debug, Clone, Default)]
+struct PageState {
+    resident: bool,
+    /// The image EWB left in regular RAM, until ELDU consumes it.
+    swapped: Option<SwappedPage>,
+}
+
+/// Index of `page` in the table of committed pages: the window is
+/// bump-allocated in whole pages, so they count up from its first page. A
+/// page below the window wraps to an index the table never reaches.
+fn index(page: u64) -> usize {
+    page.wrapping_sub(PRM_BASE / PAGE_SIZE) as usize
+}
+
 /// Counters for paging activity.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EpcStats {
@@ -52,10 +67,10 @@ pub struct EpcStats {
 #[derive(Debug, Clone)]
 pub struct Epc {
     allocator: BumpAllocator,
-    committed: HashMap<u64, u64>, // page number -> owning enclave id
-    resident: HashSet<u64>,
+    /// Every committed page, by [`index`].
+    pages: Vec<PageState>,
+    /// The resident pages, oldest first.
     fifo: VecDeque<u64>,
-    swapped: HashMap<u64, SwappedPage>,
     next_version: u64,
     capacity_pages: u64,
     paging_key: [u8; DIGEST_LEN],
@@ -71,10 +86,8 @@ impl Epc {
                 Addr::new(PRM_BASE),
                 Addr::new(PRM_BASE + EPC_WINDOW),
             )),
-            committed: HashMap::new(),
-            resident: HashSet::new(),
+            pages: Vec::new(),
             fifo: VecDeque::new(),
-            swapped: HashMap::new(),
             next_version: 1,
             capacity_pages: config.epc_bytes / PAGE_SIZE,
             paging_key: [0xA5; DIGEST_LEN],
@@ -90,7 +103,7 @@ impl Epc {
 
     /// Currently resident pages.
     pub fn resident_pages(&self) -> u64 {
-        self.resident.len() as u64
+        self.fifo.len() as u64
     }
 
     /// Paging statistics so far.
@@ -98,10 +111,11 @@ impl Epc {
         self.stats
     }
 
-    /// Commits `pages` contiguous pages for enclave `enclave_id` (the EADD
-    /// path). The pages start resident; committing may evict other pages.
-    /// Returns the base address and the paging cost incurred.
-    pub fn commit(&mut self, enclave_id: u64, pages: u64) -> Result<(Addr, Cycles)> {
+    /// Commits `pages` contiguous pages for an enclave (the EADD path; the
+    /// model never asks which enclave owns a page, so the id is not kept).
+    /// The pages start resident; committing may evict other pages. Returns
+    /// the base address and the paging cost incurred.
+    pub fn commit(&mut self, _enclave_id: u64, pages: u64) -> Result<(Addr, Cycles)> {
         let base = self
             .allocator
             .alloc(pages * PAGE_SIZE, PAGE_SIZE)
@@ -109,7 +123,8 @@ impl Epc {
         let mut cost = Cycles::ZERO;
         for i in 0..pages {
             let page = base.offset(i * PAGE_SIZE).page();
-            self.committed.insert(page, enclave_id);
+            debug_assert_eq!(index(page), self.pages.len());
+            self.pages.push(PageState::default());
             let (c, _victim) = self.make_resident(page)?;
             cost += c;
         }
@@ -119,7 +134,7 @@ impl Epc {
 
     /// Is this page committed to an enclave?
     pub fn is_committed(&self, page: u64) -> bool {
-        self.committed.contains_key(&page)
+        index(page) < self.pages.len()
     }
 
     /// Touches a committed page: pages it in if swapped out, evicting a
@@ -131,10 +146,10 @@ impl Epc {
     /// [`SgxError::ReportMacMismatch`] if a swapped page's MAC fails (which
     /// would mean the untrusted OS tampered with the evicted image).
     pub fn touch(&mut self, page: u64) -> Result<PageTouch> {
-        if !self.committed.contains_key(&page) {
+        let Some(state) = self.pages.get_mut(index(page)) else {
             return Err(SgxError::NotEnclaveMemory(Addr::new(page * PAGE_SIZE)));
-        }
-        if self.resident.contains(&page) {
+        };
+        if state.resident {
             self.stats.resident_hits += 1;
             return Ok(PageTouch {
                 cost: Cycles::ZERO,
@@ -145,7 +160,7 @@ impl Epc {
         // Page fault path: kernel overhead + ELDU (+ EWB for the victim).
         let mut cost = Cycles::new(self.config.fault_overhead);
 
-        if let Some(swapped) = self.swapped.remove(&page) {
+        if let Some(swapped) = state.swapped.take() {
             let expected = self.page_mac(page, swapped.version);
             if !verify_tag(&expected, &swapped.mac) {
                 return Err(SgxError::ReportMacMismatch);
@@ -170,23 +185,20 @@ impl Epc {
     fn make_resident(&mut self, page: u64) -> Result<(Cycles, Option<u64>)> {
         let mut cost = Cycles::ZERO;
         let mut evicted = None;
-        if self.resident.len() as u64 >= self.capacity_pages {
-            let victim = loop {
-                let candidate = self.fifo.pop_front().ok_or(SgxError::EpcExhausted)?;
-                if self.resident.contains(&candidate) {
-                    break candidate;
-                }
-            };
-            self.resident.remove(&victim);
+        if self.fifo.len() as u64 >= self.capacity_pages {
+            let victim = self.fifo.pop_front().ok_or(SgxError::EpcExhausted)?;
             let version = self.next_version;
             self.next_version += 1;
             let mac = self.page_mac(victim, version);
-            self.swapped.insert(victim, SwappedPage { version, mac });
+            self.pages[index(victim)] = PageState {
+                resident: false,
+                swapped: Some(SwappedPage { version, mac }),
+            };
             self.stats.ewb += 1;
             cost += Cycles::new(self.config.ewb);
             evicted = Some(victim);
         }
-        self.resident.insert(page);
+        self.pages[index(page)].resident = true;
         self.fifo.push_back(page);
         Ok((cost, evicted))
     }
@@ -202,7 +214,11 @@ impl Epc {
     /// OS that tampers with the evicted image.
     #[doc(hidden)]
     pub fn corrupt_swapped_page(&mut self, page: u64) -> bool {
-        if let Some(s) = self.swapped.get_mut(&page) {
+        let image = self
+            .pages
+            .get_mut(index(page))
+            .and_then(|p| p.swapped.as_mut());
+        if let Some(s) = image {
             s.mac[0] ^= 0xFF;
             true
         } else {
@@ -294,8 +310,8 @@ mod tests {
         let first = base.page();
         // Touch page 0 -> evicts page 2 (FIFO), creating a swap image.
         epc.touch(first).unwrap();
-        let swapped: Vec<u64> = epc.swapped.keys().copied().collect();
-        let victim = swapped[0];
+        let slot = epc.pages.iter().position(|p| p.swapped.is_some()).unwrap();
+        let victim = first + slot as u64;
         assert!(epc.corrupt_swapped_page(victim));
         assert_eq!(epc.touch(victim), Err(SgxError::ReportMacMismatch));
     }

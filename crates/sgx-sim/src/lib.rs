@@ -57,6 +57,8 @@ pub mod eventloop;
 mod machine;
 pub mod mee;
 pub mod mem;
+#[cfg(test)]
+mod reference;
 pub mod seal;
 pub mod tlb;
 pub mod topology;

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::attest::{Report, REPORT_DATA_LEN};
-use crate::cache::{Hierarchy, ServedBy};
+use crate::cache::Hierarchy;
 use crate::config::SimConfig;
 use crate::crypto::DIGEST_LEN;
 use crate::cycles::{Clock, Cycles};
@@ -16,7 +16,7 @@ use crate::enclave::{Enclave, EnclaveId, EnclaveState, Measurement, PageType, Se
 use crate::epc::{Epc, EpcStats};
 use crate::error::{Result, SgxError};
 use crate::mee::{AccessPattern, Mee};
-use crate::mem::{Addr, AddrRange, AddressSpace, PAGE_SIZE, PRM_BASE};
+use crate::mem::{Addr, AddrRange, AddressSpace, BlockSet, PAGE_SIZE, PRM_BASE};
 use crate::seal::{self, SealError, SealPolicy, SealedBlob};
 use crate::tlb::Tlb;
 
@@ -142,7 +142,7 @@ pub struct Machine {
     aex_events: u64,
     seal_nonce: u64,
     /// Pages added with EAUG but not yet EACCEPTed (SGX2 dynamic memory).
-    pending_pages: std::collections::HashSet<u64>,
+    pending_pages: BlockSet,
 }
 
 impl Machine {
@@ -175,7 +175,7 @@ impl Machine {
             untrusted_entry_lines,
             aex_events: 0,
             seal_nonce: 0,
-            pending_pages: std::collections::HashSet::new(),
+            pending_pages: BlockSet::new(PAGE_SIZE),
             rng: StdRng::from_seed(seed_bytes),
             clock: Clock::new(),
             config,
@@ -303,29 +303,23 @@ impl Machine {
         let last = (addr.get() + len - 1) / line_size;
         let mut total = Cycles::ZERO;
         for line in first..=last {
-            total += self.access_line(Addr::new(line * line_size), kind)?;
+            total += self.access_line(line, kind)?;
         }
         Ok(total)
     }
 
-    /// One line-granular access through the full model.
-    fn access_line(&mut self, line_addr: Addr, kind: AccessKind) -> Result<Cycles> {
-        let line = line_addr.get() / self.caches.line_size();
+    /// One access to cache line number `line` through the full model.
+    fn access_line(&mut self, line: u64, kind: AccessKind) -> Result<Cycles> {
+        let line_addr = Addr::new(line * self.caches.line_size());
         let mut tlb_cost = Cycles::ZERO;
         if !self.tlb.touch(line_addr.page()) {
             tlb_cost = Cycles::new(self.config.tlb_miss);
         }
         let served = self.caches.access_line(line);
         let cost = tlb_cost
-            + match served {
-                ServedBy::L1 | ServedBy::L2 | ServedBy::Llc => {
-                    let latency = self
-                        .caches
-                        .hit_latency(served)
-                        .expect("hit levels have latencies");
-                    Cycles::new(latency)
-                }
-                ServedBy::Memory => self.miss_cost(line_addr, line, kind)?,
+            + match self.caches.hit_latency(served) {
+                Some(latency) => Cycles::new(latency),
+                None => self.miss_cost(line_addr, line, kind)?,
             };
         if kind == AccessKind::Store {
             self.caches.mark_dirty(line);
@@ -353,7 +347,7 @@ impl Machine {
         let in_epc = self.space.is_epc(line_addr);
         if in_epc {
             // SGX2: an EAUGed page is unusable until the enclave accepts it.
-            if self.pending_pages.contains(&line_addr.page()) {
+            if self.pending_pages.contains(line_addr.page()) {
                 return Err(SgxError::PageNotAccepted(line_addr));
             }
             // Residency first: a paged-out page costs a fault + ELDU (+EWB).
@@ -666,18 +660,15 @@ impl Machine {
         let start = self.now();
         // Validate state and collect the EPC footprint.
         let footprint = {
-            let enclave = self.enclave(eid)?;
+            let enclave = self.enclave_mut(eid)?;
             if enclave.state != EnclaveState::Initialized {
                 return Err(SgxError::InvalidState {
                     op: t.name(),
                     state: enclave.state.name(),
                 });
             }
-            enclave.entry_footprint(tcs)?
-        };
-        {
-            let enclave = self.enclave_mut(eid)?;
-            let slot = enclave.tcs.get_mut(tcs).ok_or(SgxError::NoSuchTcs(tcs))?;
+            let footprint = enclave.entry_footprint(tcs)?;
+            let slot = &mut enclave.tcs[tcs]; // the footprint vouches for `tcs`
             match t {
                 Transition::Eenter => {
                     if slot.busy {
@@ -705,7 +696,8 @@ impl Machine {
                     slot.interrupted = true;
                 }
             }
-        }
+            footprint
+        };
 
         let base = match t {
             Transition::Eenter => self.config.entry.eenter_base,
@@ -719,22 +711,23 @@ impl Machine {
         // footprint; EEXIT/AEX rewrite the SSA-and-stack half of it. All
         // accesses expose full latency: the serializing microcode cannot
         // hide its stores in the store buffer.
-        let (epc_share, kind) = match t {
-            Transition::Eenter | Transition::Eresume => (footprint.len(), AccessKind::Load),
-            Transition::Eexit | Transition::Aex => (footprint.len() / 2, AccessKind::Load),
+        let epc_share = match t {
+            Transition::Eenter | Transition::Eresume => footprint.len(),
+            Transition::Eexit | Transition::Aex => footprint.len() / 2,
         };
         // The structure lines are demand accesses, not a stream.
         self.reset_stream_detector();
-        for addr in footprint.iter().take(epc_share) {
-            self.access_line(*addr, kind)?;
+        for addr in &footprint[..epc_share] {
+            self.access_line(self.caches.line_of(addr.get()), AccessKind::Load)?;
             self.reset_stream_detector();
         }
-        let untrusted: Vec<Addr> = match t {
-            Transition::Eenter | Transition::Eexit => self.untrusted_entry_lines.clone(),
-            _ => self.untrusted_entry_lines.iter().take(2).copied().collect(),
+        let untrusted_share = match t {
+            Transition::Eenter | Transition::Eexit => self.untrusted_entry_lines.len(),
+            _ => self.untrusted_entry_lines.len().min(2),
         };
-        for addr in untrusted {
-            self.access_line(addr, AccessKind::Load)?;
+        for i in 0..untrusted_share {
+            let line = self.caches.line_of(self.untrusted_entry_lines[i].get());
+            self.access_line(line, AccessKind::Load)?;
             self.reset_stream_detector();
         }
         Ok(self.now() - start)
@@ -834,7 +827,7 @@ impl Machine {
     ///
     /// Fails if the page was not pending.
     pub fn eaccept(&mut self, _eid: EnclaveId, page_addr: Addr) -> Result<()> {
-        if !self.pending_pages.remove(&page_addr.page()) {
+        if !self.pending_pages.remove(page_addr.page()) {
             return Err(SgxError::NotEnclaveMemory(page_addr));
         }
         self.charge(Cycles::new(EACCEPT_COST));
@@ -1268,5 +1261,343 @@ mod rdtscp_tests {
             m.rdtscp_in_enclave(eid, 0),
             Err(SgxError::NotEntered)
         ));
+    }
+}
+
+/// `Machine` against the access path of commit e06e1df rebuilt from the
+/// [`crate::reference`] structures: same virtual time and same counters
+/// after any stream of operations.
+#[cfg(test)]
+mod reference_tests {
+    use std::collections::HashSet;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::mee::{NodeId, Replacement};
+    use crate::reference::{epc, mee_cache, set_assoc, tlb};
+
+    /// The memory model and EENTER/EEXIT of the old `Machine`, verbatim but
+    /// for the enclave bookkeeping, which the mirrored machine supplies.
+    struct RefMachine {
+        config: SimConfig,
+        now: Cycles,
+        rng: StdRng,
+        levels: [set_assoc::SetAssocCache; 3],
+        dirty: HashSet<u64>,
+        tlb: tlb::Tlb,
+        mee_cache: mee_cache::MeeCache,
+        mee_levels: u8,
+        epc: epc::Epc,
+        last_miss_line: Option<u64>,
+        footprint: Vec<Addr>,
+        untrusted_entry_lines: Vec<Addr>,
+    }
+
+    impl RefMachine {
+        /// Mirrors a machine that has built enclave `eid` and done nothing
+        /// else (building draws no random numbers and touches no cache).
+        fn mirror(m: &Machine, eid: EnclaveId) -> Self {
+            let config = m.config.clone();
+            let mut seed_bytes = [0u8; 32];
+            seed_bytes[..8].copy_from_slice(&config.seed.to_le_bytes());
+            let first_page = PRM_BASE / PAGE_SIZE;
+            let committed = (first_page..)
+                .take_while(|&p| m.epc.is_committed(p))
+                .count();
+            let mut epc = epc::Epc::new(config.paging);
+            epc.commit(eid.0, committed as u64).unwrap();
+            RefMachine {
+                now: m.now(),
+                rng: StdRng::from_seed(seed_bytes),
+                levels: [&config.l1, &config.l2, &config.llc].map(set_assoc::SetAssocCache::new),
+                dirty: HashSet::new(),
+                tlb: tlb::Tlb::new(config.tlb_entries),
+                mee_cache: mee_cache::MeeCache::with_policy(
+                    config.mee.cache_entries,
+                    Replacement::Random(0x4D45_4531),
+                ),
+                mee_levels: m.mee.tree().levels(),
+                epc,
+                last_miss_line: None,
+                footprint: m.enclave(eid).unwrap().entry_footprint(0).unwrap().to_vec(),
+                untrusted_entry_lines: m.untrusted_entry_lines.clone(),
+                config,
+            }
+        }
+
+        fn access_span(&mut self, addr: Addr, len: u64, kind: AccessKind) -> Result<Cycles> {
+            let first = addr.get() / 64;
+            let last = (addr.get() + len - 1) / 64;
+            let mut total = Cycles::ZERO;
+            for line in first..=last {
+                total += self.access_line(Addr::new(line * 64), kind)?;
+            }
+            Ok(total)
+        }
+
+        fn access_line(&mut self, line_addr: Addr, kind: AccessKind) -> Result<Cycles> {
+            let line = line_addr.get() / 64;
+            let mut cost = Cycles::ZERO;
+            if !self.tlb.touch(line_addr.page()) {
+                cost = Cycles::new(self.config.tlb_miss);
+            }
+            let [l1, l2, llc] = &mut self.levels;
+            cost += if l1.probe(line) {
+                Cycles::new(self.config.l1.hit_latency)
+            } else if l2.probe(line) {
+                l1.insert(line);
+                Cycles::new(self.config.l2.hit_latency)
+            } else if llc.probe(line) {
+                l2.insert(line);
+                l1.insert(line);
+                Cycles::new(self.config.llc.hit_latency)
+            } else {
+                llc.insert(line);
+                l2.insert(line);
+                l1.insert(line);
+                self.miss_cost(line_addr, line, kind)?
+            };
+            if kind == AccessKind::Store {
+                self.dirty.insert(line);
+            }
+            self.now += cost;
+            Ok(cost)
+        }
+
+        fn in_epc(addr: Addr) -> bool {
+            (PRM_BASE..PRM_BASE + crate::mem::EPC_WINDOW).contains(&addr.get())
+        }
+
+        fn jitter(&mut self) -> Cycles {
+            if self.config.noise.per_miss_jitter > 0 {
+                Cycles::new(self.rng.gen_range(0..=self.config.noise.per_miss_jitter))
+            } else {
+                Cycles::ZERO
+            }
+        }
+
+        /// Old `Mee::walk`: the path collected, then probed bottom-up.
+        fn walk(&mut self, line: u64) -> u64 {
+            let arity = self.config.mee.arity;
+            let path: Vec<NodeId> = (0..self.mee_levels)
+                .map(|level| NodeId {
+                    level,
+                    index: line / arity.pow(u32::from(level) + 1),
+                })
+                .collect();
+            let mut fetched = 0;
+            for node in path {
+                if self.mee_cache.probe(node) {
+                    break;
+                }
+                self.mee_cache.insert(node);
+                fetched += 1;
+            }
+            fetched
+        }
+
+        fn miss_cost(&mut self, line_addr: Addr, line: u64, kind: AccessKind) -> Result<Cycles> {
+            let streamed = self.last_miss_line == Some(line.wrapping_sub(1));
+            self.last_miss_line = Some(line);
+            let mut cost = Cycles::ZERO;
+            let in_epc = Self::in_epc(line_addr);
+            if in_epc {
+                cost += self.epc.touch(line_addr.page())?.cost;
+            }
+            match kind {
+                AccessKind::Load => {
+                    cost += Cycles::new(if streamed {
+                        self.config.dram_stream
+                    } else {
+                        self.config.dram_random
+                    });
+                    if in_epc {
+                        let fetched = self.walk((line_addr.get() - PRM_BASE) / 64);
+                        let crypto = if streamed {
+                            self.config.mee.crypto_stream
+                        } else {
+                            self.config.mee.crypto_load
+                        };
+                        cost += Cycles::new(crypto + fetched * self.config.mee.node_fetch);
+                    }
+                    if !streamed {
+                        cost += self.jitter();
+                    }
+                }
+                AccessKind::Store => cost += Cycles::new(self.config.store_buffer),
+            }
+            Ok(cost)
+        }
+
+        fn writeback_cost(&mut self, line_addr: Addr, streamed: bool) -> Cycles {
+            let mee = self.config.mee;
+            let mut cost = Cycles::new(if streamed {
+                self.config.writeback_stream
+            } else {
+                self.config.writeback_demand
+            });
+            if Self::in_epc(line_addr) {
+                let l0 = NodeId {
+                    level: 0,
+                    index: (line_addr.get() - PRM_BASE) / 64 / mee.arity,
+                };
+                let refresh = if self.mee_cache.probe(l0) {
+                    0
+                } else {
+                    self.mee_cache.insert(l0);
+                    mee.node_fetch
+                };
+                let extra = if streamed { 0 } else { mee.store_extra };
+                cost += Cycles::new(mee.crypto_writeback + extra + refresh);
+            }
+            if !streamed {
+                cost += self.jitter();
+            }
+            cost
+        }
+
+        fn clflush_span(&mut self, addr: Addr, len: u64, streamed: bool) {
+            let first = addr.get() / 64;
+            let last = (addr.get() + len.max(1) - 1) / 64;
+            for line in first..=last {
+                for level in &mut self.levels {
+                    level.invalidate(line);
+                }
+                if self.dirty.remove(&line) {
+                    let wb = self.writeback_cost(Addr::new(line * 64), streamed);
+                    self.now += wb;
+                }
+            }
+            self.now += Cycles::new(5 * (last - first + 1));
+        }
+
+        fn flush_all_caches(&mut self) {
+            for level in &mut self.levels {
+                level.clear();
+            }
+            self.dirty.clear();
+            self.mee_cache.clear();
+            self.tlb.flush();
+            self.last_miss_line = None;
+        }
+
+        fn transition(&mut self, enter: bool) -> Result<Cycles> {
+            let start = self.now;
+            let entry = self.config.entry;
+            let (base, epc_share) = if enter {
+                (entry.eenter_base, self.footprint.len())
+            } else {
+                (entry.eexit_base, self.footprint.len() / 2)
+            };
+            self.now += Cycles::new(base);
+            let lines: Vec<Addr> = self.footprint[..epc_share]
+                .iter()
+                .chain(&self.untrusted_entry_lines)
+                .copied()
+                .collect();
+            for addr in lines {
+                self.last_miss_line = None;
+                self.access_line(addr, AccessKind::Load)?;
+            }
+            self.last_miss_line = None;
+            Ok(self.now - start)
+        }
+
+        fn telemetry(&self) -> Telemetry {
+            let [l1, l2, llc] = &self.levels;
+            Telemetry {
+                l1: l1.stats(),
+                l2: l2.stats(),
+                llc: llc.stats(),
+                tlb: self.tlb.stats(),
+                mee_cache: self.mee_cache.stats(),
+                epc: self.epc.stats(),
+                aex_events: 0,
+            }
+        }
+    }
+
+    /// Runs `ops` on a machine with `epc_pages` of EPC and on its mirror,
+    /// comparing after every operation.
+    fn run(seed: u64, epc_pages: u64, ops: &[(u8, bool, u64, u64)]) {
+        const REGION: u64 = 96 * PAGE_SIZE;
+        let mut m = Machine::new(
+            SimConfig::builder()
+                .seed(seed)
+                .epc_bytes(epc_pages * PAGE_SIZE)
+                .build(),
+        );
+        let eid = m
+            .build_enclave(EnclaveBuildOptions {
+                code_bytes: PAGE_SIZE,
+                heap_bytes: REGION,
+                stack_bytes_per_tcs: PAGE_SIZE,
+                tcs_count: 1,
+            })
+            .unwrap();
+        let mut r = RefMachine::mirror(&m, eid);
+        let enc = m.alloc_enclave_heap(eid, REGION, PAGE_SIZE).unwrap();
+        let plain = m.alloc_untrusted(REGION, PAGE_SIZE);
+        let mut inside = false;
+        for &(op, in_enclave, offset, len) in ops {
+            let addr = if in_enclave { enc } else { plain }.offset(offset % (REGION - 600));
+            match op {
+                0..=5 => assert_eq!(
+                    m.read(addr, len),
+                    r.access_span(addr, len, AccessKind::Load)
+                ),
+                6..=9 => assert_eq!(
+                    m.write(addr, len),
+                    r.access_span(addr, len, AccessKind::Store)
+                ),
+                10 => {
+                    m.clflush(addr);
+                    r.clflush_span(addr, 1, false);
+                }
+                11 => {
+                    m.clflush_span(addr, len);
+                    r.clflush_span(addr, len, true);
+                }
+                12 if len < 40 => {
+                    m.flush_all_caches();
+                    r.flush_all_caches();
+                }
+                _ => {
+                    inside = !inside;
+                    let cycles = if inside {
+                        m.eenter(eid, 0)
+                    } else {
+                        m.eexit(eid, 0)
+                    };
+                    assert_eq!(cycles, r.transition(inside));
+                }
+            }
+            assert_eq!(m.now(), r.now);
+        }
+        assert_eq!(m.telemetry(), r.telemetry());
+        assert_eq!(m.epc_stats(), r.epc.stats());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn machine_matches_reference(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..14, any::<bool>(), any::<u64>(), 1u64..600), 1..400),
+        ) {
+            run(seed, 4096, &ops);
+        }
+
+        /// 96 + 8 pages committed to 48 of EPC: the stream pages in and
+        /// out throughout.
+        #[test]
+        fn overcommitted_machine_matches_reference(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..14, any::<bool>(), any::<u64>(), 1u64..600), 1..400),
+        ) {
+            run(seed, 48, &ops);
+        }
     }
 }

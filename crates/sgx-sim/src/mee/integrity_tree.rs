@@ -9,8 +9,6 @@
 //! reads increasingly expensive as footprints outgrow the MEE cache (Fig. 6
 //! of the paper).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 /// Identity of one integrity-tree node.
@@ -30,7 +28,9 @@ pub struct IntegrityTree {
     arity: u64,
     levels: u8,
     lines: u64,
-    versions: HashMap<u64, u64>,
+    /// Version of every line up to the highest one ever written back
+    /// (lines are EPC-relative, and the EPC is allocated from its base up).
+    versions: Vec<u64>,
 }
 
 impl IntegrityTree {
@@ -52,7 +52,7 @@ impl IntegrityTree {
             arity,
             levels: levels + 1,
             lines,
-            versions: HashMap::new(),
+            versions: Vec::new(),
         }
     }
 
@@ -73,20 +73,29 @@ impl IntegrityTree {
 
     /// The bottom-to-top path of nodes covering `line`.
     pub fn path(&self, line: u64) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.levels).map(move |lvl| self.node_for(line, lvl))
+        (0..self.levels).scan(line, move |index, level| {
+            *index /= self.arity;
+            Some(NodeId {
+                level,
+                index: *index,
+            })
+        })
     }
 
     /// Current anti-rollback version of a line (0 if never written back).
     pub fn version(&self, line: u64) -> u64 {
-        self.versions.get(&line).copied().unwrap_or(0)
+        self.versions.get(line as usize).copied().unwrap_or(0)
     }
 
     /// Records a write-back of `line`: bumps its counter, as hardware does
     /// when an EPC line leaves the LLC.
     pub fn record_writeback(&mut self, line: u64) -> u64 {
-        let v = self.versions.entry(line).or_insert(0);
-        *v += 1;
-        *v
+        let line = line as usize;
+        if line >= self.versions.len() {
+            self.versions.resize(line + 1, 0);
+        }
+        self.versions[line] += 1;
+        self.versions[line]
     }
 
     /// Verifies that a claimed version matches the tree (the rollback

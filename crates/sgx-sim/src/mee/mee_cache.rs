@@ -6,6 +6,7 @@
 //! sets thrash the cache and force multi-level walks on every miss.
 
 use super::integrity_tree::NodeId;
+use crate::cache::SetAssocCache;
 
 /// Victim selection policy for the MEE node cache.
 ///
@@ -21,16 +22,17 @@ pub enum Replacement {
     Random(u64),
 }
 
-/// Fully-associative cache of tree-node identities.
+/// Fully-associative cache of tree-node identities: one set of the
+/// hierarchy's tag store, with nodes packed into line numbers by [`key`].
 #[derive(Debug, Clone)]
 pub struct MeeCache {
-    entries: Vec<(NodeId, u64)>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    policy: Replacement,
-    rng_state: u64,
+    nodes: SetAssocCache,
+}
+
+/// A node identity in one word: the level above bit 56, the index below
+/// (a 4 GB window holds 2^26 lines, so an index never reaches bit 56).
+fn key(node: NodeId) -> u64 {
+    (u64::from(node.level) << 56) | node.index
 }
 
 impl MeeCache {
@@ -51,89 +53,49 @@ impl MeeCache {
     /// Panics if `capacity` is zero.
     pub fn with_policy(capacity: usize, policy: Replacement) -> Self {
         assert!(capacity > 0, "MEE cache capacity must be positive");
-        let seed = match policy {
-            Replacement::Random(s) => s | 1,
-            Replacement::Lru => 1,
+        let random_victims = match policy {
+            Replacement::Random(seed) => Some(seed | 1),
+            Replacement::Lru => None,
         };
         MeeCache {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            policy,
-            rng_state: seed,
+            nodes: SetAssocCache::fully_associative(capacity, random_victims),
         }
-    }
-
-    /// SplitMix64 step for deterministic random victim selection.
-    fn next_rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     /// Probes for a node; refreshes its LRU position on hit.
     pub fn probe(&mut self, node: NodeId) -> bool {
-        self.tick += 1;
-        if let Some(entry) = self.entries.iter_mut().find(|(n, _)| *n == node) {
-            entry.1 = self.tick;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
+        self.nodes.probe(key(node))
     }
 
-    /// Installs a node, evicting the LRU entry if full.
+    /// Installs a node, evicting the policy's victim if full.
     pub fn insert(&mut self, node: NodeId) {
-        self.tick += 1;
-        if let Some(entry) = self.entries.iter_mut().find(|(n, _)| *n == node) {
-            entry.1 = self.tick;
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push((node, self.tick));
-            return;
-        }
-        let tick = self.tick;
-        match self.policy {
-            Replacement::Lru => {
-                let lru = self
-                    .entries
-                    .iter_mut()
-                    .min_by_key(|(_, t)| *t)
-                    .expect("cache is full, hence non-empty");
-                *lru = (node, tick);
-            }
-            Replacement::Random(_) => {
-                let victim = (self.next_rand() as usize) % self.entries.len();
-                self.entries[victim] = (node, tick);
-            }
-        }
+        self.nodes.insert(key(node));
+    }
+
+    /// [`probe`](Self::probe) and, on a miss, [`insert`](Self::insert).
+    /// Returns `true` on hit.
+    pub(crate) fn access(&mut self, node: NodeId) -> bool {
+        self.nodes.access(key(node))
     }
 
     /// Drops everything (machine reset).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.nodes.clear();
     }
 
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        self.nodes.stats()
     }
 
     /// Number of cached nodes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.occupancy()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 

@@ -50,16 +50,10 @@ impl Mee {
     /// hits the MEE cache; installs missed nodes. Returns the number of
     /// node fetches performed.
     fn walk(&mut self, line: u64) -> u64 {
-        let mut fetched = 0;
-        let path: Vec<NodeId> = self.tree.path(line).collect();
-        for node in path {
-            if self.cache.probe(node) {
-                break;
-            }
-            self.cache.insert(node);
-            fetched += 1;
-        }
-        fetched
+        let Mee { tree, cache, .. } = self;
+        tree.path(line)
+            .take_while(|&node| !cache.access(node))
+            .count() as u64
     }
 
     /// Cost the MEE adds to a *load* of an EPC line that missed the LLC.
@@ -83,10 +77,9 @@ impl Mee {
         };
         // Counter updates hit the just-walked nodes; charge at most one
         // refresh fetch if the L0 node fell out meanwhile.
-        let refresh = if self.cache.probe(self.tree.node_for(line, 0)) {
+        let refresh = if self.cache.access(self.tree.node_for(line, 0)) {
             0
         } else {
-            self.cache.insert(self.tree.node_for(line, 0));
             self.config.node_fetch
         };
         Cycles::new(cost + refresh)

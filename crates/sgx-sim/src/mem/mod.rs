@@ -1,7 +1,9 @@
 //! Address space and allocation for the simulated machine.
 
+mod block_set;
 mod layout;
 
+pub(crate) use block_set::BlockSet;
 pub use layout::{Addr, AddrRange, BumpAllocator, PAGE_SIZE, PRM_BASE, REGULAR_BASE};
 
 use serde::{Deserialize, Serialize};

@@ -6,12 +6,14 @@
 //! page-walk penalty; this is a visible share of the cold-call cost in
 //! Fig. 2.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+
+use crate::mem::{BlockSet, PAGE_SIZE};
 
 /// A FIFO TLB of fixed capacity (Skylake's L2 STLB holds 1536 entries).
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    present: HashSet<u64>,
+    present: BlockSet,
     fifo: VecDeque<u64>,
     capacity: usize,
     hits: u64,
@@ -27,7 +29,7 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         Tlb {
-            present: HashSet::with_capacity(capacity),
+            present: BlockSet::new(PAGE_SIZE),
             fifo: VecDeque::with_capacity(capacity),
             capacity,
             hits: 0,
@@ -38,14 +40,14 @@ impl Tlb {
     /// Touches a page; returns `true` on hit, installing the translation
     /// (and evicting the oldest) on miss.
     pub fn touch(&mut self, page: u64) -> bool {
-        if self.present.contains(&page) {
+        if self.present.contains(page) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
         if self.fifo.len() >= self.capacity {
             if let Some(old) = self.fifo.pop_front() {
-                self.present.remove(&old);
+                self.present.remove(old);
             }
         }
         self.fifo.push_back(page);
@@ -55,8 +57,9 @@ impl Tlb {
 
     /// Drops every translation (the cold-cache experiment's side effect).
     pub fn flush(&mut self) {
-        self.present.clear();
-        self.fifo.clear();
+        for page in self.fifo.drain(..) {
+            self.present.remove(page);
+        }
     }
 
     /// (hits, misses) so far.

@@ -31,9 +31,10 @@ cargo clippy -p bench --features telemetry-off --all-targets -- -D warnings
 echo "==> cargo test -p hotcalls --test prop_ctl --features telemetry-off"
 cargo test -p hotcalls --test prop_ctl --features telemetry-off -q
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q (+ the benchmark package's own tests)"
 cargo build --release
 cargo test -q
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # The load-curve harness self-checks its own claims (100k-connection
 # multiplexing witnessed, HotCalls knee >= 2x SDK per app, open-loop
