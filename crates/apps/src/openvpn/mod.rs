@@ -8,9 +8,7 @@
 //! invokes `getpid` whenever a cryptographic context is used — is
 //! reproduced through the call mix.
 
-mod chacha20;
-
-pub use chacha20::{chacha20_xor, chacha20_xor_at, chacha20_xor_offset, KEY_LEN, NONCE_LEN};
+pub use sgx_sim::crypto::{chacha20_xor, chacha20_xor_at, chacha20_xor_offset, KEY_LEN, NONCE_LEN};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use sgx_sdk::BufArg;

@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 
 use hotcalls::rt::{SgCallTable, SgList, SgRing, StreamCaller, StreamReport};
 use hotcalls::HotCallConfig;
-use sgx_sim::crypto::{hmac_sha256, verify_tag};
+use sgx_sim::crypto::{hmac_sha256, verify_tag, HmacSha256};
 
 use crate::error::{AppError, Result};
 use crate::openvpn::{chacha20_xor_offset, KEY_LEN, NONCE_LEN};
@@ -109,73 +109,89 @@ pub struct PutReceipt {
     pub object_tag: [u8; 32],
 }
 
-/// Streaming ciphertext authenticator: accumulates bytes into
-/// [`BLOCK_LEN`] blocks as chunks arrive in object order and emits one
-/// tag per block plus a chained object tag. Because it only ever sees a
-/// byte sequence, chunk boundaries — aligned, odd, or straddling a block
-/// — cannot change its output.
+/// Streaming ciphertext authenticator: feeds bytes into the MAC of the
+/// current [`BLOCK_LEN`] block as chunks arrive in object order and emits
+/// one tag per block plus a chained object tag. Because it only ever sees
+/// a byte sequence, chunk boundaries — aligned, odd, or straddling a block
+/// — cannot change its output. Nothing is buffered: a block's bytes go
+/// straight from the caller's slice into its running MAC.
 #[derive(Debug)]
 struct BlockAuth {
-    mac_key: [u8; 32],
-    partial: Vec<u8>,
+    /// The MAC key's absorbed state; every block and chain link clones it.
+    keyed: HmacSha256,
+    /// MAC of the block in progress (`block_index`, then its bytes so far).
+    block: HmacSha256,
+    filled: usize,
     block_index: u64,
     tags: Vec<[u8; TAG_LEN]>,
     chain: [u8; 32],
 }
 
 impl BlockAuth {
-    fn new(mac_key: [u8; 32]) -> Self {
+    /// An authenticator under `keyed` for an object of `blocks` blocks
+    /// (the tag vector is reserved once, up front).
+    fn new(keyed: &HmacSha256, blocks: usize) -> Self {
         BlockAuth {
-            mac_key,
-            partial: Vec::with_capacity(BLOCK_LEN),
+            keyed: keyed.clone(),
+            block: Self::open_block(keyed, 0),
+            filled: 0,
             block_index: 0,
-            tags: Vec::new(),
+            tags: Vec::with_capacity(blocks),
             chain: [0u8; 32],
         }
     }
 
-    fn tag_block(&mut self, bytes: &[u8]) {
-        let mut msg = Vec::with_capacity(8 + bytes.len());
-        msg.extend_from_slice(&self.block_index.to_le_bytes());
-        msg.extend_from_slice(bytes);
-        let full = hmac_sha256(&self.mac_key, &msg);
+    fn open_block(keyed: &HmacSha256, index: u64) -> HmacSha256 {
+        let mut mac = keyed.clone();
+        mac.update(&index.to_le_bytes());
+        mac
+    }
+
+    /// Closes the block in progress: its tag, the next chain link, and a
+    /// fresh MAC for the block after it.
+    fn seal_block(&mut self) {
+        self.block_index += 1;
+        let next = Self::open_block(&self.keyed, self.block_index);
+        let full = core::mem::replace(&mut self.block, next).finalize();
         let mut tag = [0u8; TAG_LEN];
         tag.copy_from_slice(&full[..TAG_LEN]);
         self.tags.push(tag);
-        let mut link = [0u8; 32 + TAG_LEN];
-        link[..32].copy_from_slice(&self.chain);
-        link[32..].copy_from_slice(&tag);
-        self.chain = hmac_sha256(&self.mac_key, &link);
-        self.block_index += 1;
+        let mut link = self.keyed.clone();
+        link.update(&self.chain);
+        link.update(&tag);
+        self.chain = link.finalize();
+        self.filled = 0;
     }
 
     fn absorb(&mut self, mut bytes: &[u8]) {
-        if !self.partial.is_empty() {
-            let need = BLOCK_LEN - self.partial.len();
-            let take = need.min(bytes.len());
-            self.partial.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            if self.partial.len() == BLOCK_LEN {
-                let block = core::mem::take(&mut self.partial);
-                self.tag_block(&block);
-                self.partial = block;
-                self.partial.clear();
+        while !bytes.is_empty() {
+            let (now, later) = bytes.split_at((BLOCK_LEN - self.filled).min(bytes.len()));
+            self.block.update(now);
+            self.filled += now.len();
+            if self.filled == BLOCK_LEN {
+                self.seal_block();
             }
+            bytes = later;
         }
-        let mut chunks = bytes.chunks_exact(BLOCK_LEN);
-        for block in &mut chunks {
-            self.tag_block(block);
-        }
-        self.partial.extend_from_slice(chunks.remainder());
     }
 
     fn finish(mut self) -> (Vec<[u8; TAG_LEN]>, [u8; 32]) {
-        if !self.partial.is_empty() {
-            let block = core::mem::take(&mut self.partial);
-            self.tag_block(&block);
+        if self.filled > 0 {
+            self.seal_block();
         }
         (self.tags, self.chain)
     }
+}
+
+/// ORs together the differences of two tag lists — the [`verify_tag`]
+/// comparison shape, over every block instead of stopping at the first
+/// mismatch.
+fn block_tags_match(expected: &[[u8; TAG_LEN]], actual: &[[u8; TAG_LEN]]) -> bool {
+    let mut diff = u8::from(expected.len() != actual.len());
+    for (a, b) in expected.iter().flatten().zip(actual.iter().flatten()) {
+        diff |= a ^ b;
+    }
+    diff == 0
 }
 
 /// The secure object store: an [`SgRing`] whose handler holds the data
@@ -185,11 +201,11 @@ pub struct SecureStore {
     ring: SgRing,
     caller: StreamCaller,
     crypt_id: u32,
-    mac_key: [u8; 32],
-    dedup_key: [u8; 32],
+    /// Keyed once at construction; every block MAC clones these.
+    mac: HmacSha256,
+    dedup_mac: HmacSha256,
     objects: HashMap<String, StoredObject>,
     dedup: HashSet<[u8; 32]>,
-    scratch: Vec<u8>,
     stats: StoreStats,
 }
 
@@ -209,8 +225,8 @@ impl SecureStore {
         config: HotCallConfig,
     ) -> Result<Self> {
         let key: [u8; KEY_LEN] = hmac_sha256(secret, b"storage data key");
-        let mac_key = hmac_sha256(secret, b"storage mac key");
-        let dedup_key = hmac_sha256(secret, b"storage dedup key");
+        let mac = HmacSha256::new(&hmac_sha256(secret, b"storage mac key"));
+        let dedup_mac = HmacSha256::new(&hmac_sha256(secret, b"storage dedup key"));
         let nonce: [u8; NONCE_LEN] = hmac_sha256(secret, b"storage nonce")[..NONCE_LEN]
             .try_into()
             .expect("nonce length");
@@ -235,11 +251,10 @@ impl SecureStore {
             ring,
             caller,
             crypt_id,
-            mac_key,
-            dedup_key,
+            mac,
+            dedup_mac,
             objects: HashMap::new(),
             dedup: HashSet::new(),
-            scratch: Vec::new(),
             stats: StoreStats::default(),
         })
     }
@@ -266,25 +281,26 @@ impl SecureStore {
         let mut blocks = 0u64;
         for block in data.chunks(BLOCK_LEN) {
             blocks += 1;
-            if !self.dedup.insert(hmac_sha256(&self.dedup_key, block)) {
+            let mut mac = self.dedup_mac.clone();
+            mac.update(block);
+            if !self.dedup.insert(mac.finalize()) {
                 dedup_hits += 1;
             }
         }
 
         // Stream plaintext → ciphertext; authenticate as chunks land.
         let mut cipher = Vec::with_capacity(data.len());
-        let mut auth = BlockAuth::new(self.mac_key);
-        let scratch = &mut self.scratch;
+        let mut auth = BlockAuth::new(&self.mac, data.len().div_ceil(BLOCK_LEN));
         let report = self.caller.stream(
             self.crypt_id,
             data,
             window,
             chunk_bytes,
             |_offset, sg: &SgList| {
-                scratch.clear();
-                sg.gather_into(scratch);
-                auth.absorb(scratch);
-                cipher.extend_from_slice(scratch);
+                for seg in sg.segments() {
+                    auth.absorb(seg.as_slice());
+                    cipher.extend_from_slice(seg.as_slice());
+                }
             },
         )?;
         let (block_tags, object_tag) = auth.finish();
@@ -329,26 +345,25 @@ impl SecureStore {
         let obj = self.objects.get(name).ok_or(AppError::NotFound)?;
 
         // Authenticate before decrypting.
-        let mut auth = BlockAuth::new(self.mac_key);
+        let mut auth = BlockAuth::new(&self.mac, obj.cipher.len().div_ceil(BLOCK_LEN));
         auth.absorb(&obj.cipher);
         let (tags, chain) = auth.finish();
-        if tags != obj.block_tags || !verify_tag(&chain, &obj.object_tag) {
+        if !block_tags_match(&obj.block_tags, &tags) || !verify_tag(&chain, &obj.object_tag) {
             return Err(AppError::Protocol(format!(
                 "object {name:?} failed authentication"
             )));
         }
 
         let mut plain = Vec::with_capacity(obj.cipher.len());
-        let scratch = &mut self.scratch;
         let report = self.caller.stream(
             self.crypt_id,
             &obj.cipher,
             window,
             chunk_bytes,
             |_offset, sg: &SgList| {
-                scratch.clear();
-                sg.gather_into(scratch);
-                plain.extend_from_slice(scratch);
+                for seg in sg.segments() {
+                    plain.extend_from_slice(seg.as_slice());
+                }
             },
         )?;
         self.stats.gets += 1;
@@ -400,13 +415,13 @@ impl SecureStore {
     /// against this.
     pub fn seal_reference(secret: &[u8; 32], data: &[u8]) -> (Vec<u8>, Vec<[u8; TAG_LEN]>) {
         let key: [u8; KEY_LEN] = hmac_sha256(secret, b"storage data key");
-        let mac_key = hmac_sha256(secret, b"storage mac key");
+        let mac = HmacSha256::new(&hmac_sha256(secret, b"storage mac key"));
         let nonce: [u8; NONCE_LEN] = hmac_sha256(secret, b"storage nonce")[..NONCE_LEN]
             .try_into()
             .expect("nonce length");
         let mut cipher = data.to_vec();
         chacha20_xor_offset(&key, &nonce, 0, &mut cipher);
-        let mut auth = BlockAuth::new(mac_key);
+        let mut auth = BlockAuth::new(&mac, cipher.len().div_ceil(BLOCK_LEN));
         auth.absorb(&cipher);
         let (tags, _) = auth.finish();
         (cipher, tags)

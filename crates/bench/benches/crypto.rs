@@ -1,30 +1,76 @@
 //! Criterion: throughput of the from-scratch crypto used by the substrate
-//! (SHA-256 for measurements/MACs, ChaCha20 for the tunnel).
+//! (SHA-256 for measurements/MACs, ChaCha20 for the tunnel and the storage
+//! data path). The `sizes` rows time each primitive at 4 KiB and 1 MiB on
+//! the portable kernel and on the kernel the dispatcher picks for this CPU
+//! (DESIGN.md §16) — on a host without SHA-NI / AVX2 the two rows of a pair
+//! run the same code.
 
+use std::hint::black_box;
 use std::time::Duration;
 
 use apps::openvpn::chacha20_xor;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sgx_sim::crypto::{hmac_sha256, Sha256};
+use sgx_sim::crypto::{
+    chacha20_xor_offset, chacha20_xor_offset_portable, hmac_sha256, HmacSha256, Sha256,
+};
+
+/// The storage path's authentication block.
+const BLOCK: usize = 4096;
+const SIZES: [(&str, usize); 2] = [("4k", 4096), ("1m", 1 << 20)];
+
+type FreshSha256 = fn() -> Sha256;
+type XorOffset = fn(&[u8; 32], &[u8; 12], u64, &mut [u8]);
 
 fn bench_sha256(c: &mut Criterion) {
-    let data = vec![0xABu8; 4096];
+    let data = vec![0xABu8; 1 << 20];
     let mut g = c.benchmark_group("sha256");
-    g.throughput(Throughput::Bytes(4096));
-    g.bench_function("digest_4k", |b| {
-        b.iter(|| Sha256::digest(std::hint::black_box(&data)))
-    });
+    for (label, len) in SIZES {
+        g.throughput(Throughput::Bytes(len as u64));
+        let kernels: [(&str, FreshSha256); 2] =
+            [("portable", Sha256::portable), ("dispatched", Sha256::new)];
+        for (kernel, fresh) in kernels {
+            g.bench_function(&format!("digest_{label}_{kernel}"), |b| {
+                b.iter(|| {
+                    let mut h = fresh();
+                    h.update(black_box(&data[..len]));
+                    h.finalize()
+                })
+            });
+        }
+    }
     g.finish();
 }
 
 fn bench_hmac(c: &mut Criterion) {
-    let data = vec![0x5Au8; 1500];
+    let data = vec![0x5Au8; 1 << 20];
     let key = [7u8; 32];
     let mut g = c.benchmark_group("hmac");
     g.throughput(Throughput::Bytes(1500));
     g.bench_function("hmac_1500", |b| {
-        b.iter(|| hmac_sha256(std::hint::black_box(&key), std::hint::black_box(&data)))
+        b.iter(|| hmac_sha256(black_box(&key), black_box(&data[..1500])))
     });
+    // One keyed state, one tag per 4 KiB block: the shape of the storage
+    // path's block authentication and dedup index.
+    for (label, len) in SIZES {
+        g.throughput(Throughput::Bytes(len as u64));
+        let kernels = [
+            ("portable", HmacSha256::portable(&key)),
+            ("dispatched", HmacSha256::new(&key)),
+        ];
+        for (kernel, keyed) in kernels {
+            g.bench_function(&format!("keyed_per_block_{label}_{kernel}"), |b| {
+                b.iter(|| {
+                    let mut last = [0u8; 32];
+                    for block in black_box(&data[..len]).chunks(BLOCK) {
+                        let mut mac = keyed.clone();
+                        mac.update(block);
+                        last = mac.finalize();
+                    }
+                    last
+                })
+            });
+        }
+    }
     g.finish();
 }
 
@@ -40,6 +86,19 @@ fn bench_chacha(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+    let mut buf = vec![0u8; 1 << 20];
+    for (label, len) in SIZES {
+        g.throughput(Throughput::Bytes(len as u64));
+        let kernels: [(&str, XorOffset); 2] = [
+            ("portable", chacha20_xor_offset_portable),
+            ("dispatched", chacha20_xor_offset),
+        ];
+        for (kernel, xor) in kernels {
+            g.bench_function(&format!("xor_offset_{label}_{kernel}"), |b| {
+                b.iter(|| xor(&key, &nonce, 0, black_box(&mut buf[..len])))
+            });
+        }
+    }
     g.finish();
 }
 

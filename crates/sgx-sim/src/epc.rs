@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use crate::config::PagingConfig;
-use crate::crypto::{hmac_sha256, verify_tag, DIGEST_LEN};
+use crate::crypto::{verify_tag, HmacSha256, DIGEST_LEN};
 use crate::cycles::Cycles;
 use crate::error::{Result, SgxError};
 use crate::mem::{Addr, AddrRange, BumpAllocator, EPC_WINDOW, PAGE_SIZE, PRM_BASE};
@@ -73,7 +73,8 @@ pub struct Epc {
     fifo: VecDeque<u64>,
     next_version: u64,
     capacity_pages: u64,
-    paging_key: [u8; DIGEST_LEN],
+    /// The paging key's absorbed HMAC state; each page MAC clones it.
+    paging_mac: HmacSha256,
     config: PagingConfig,
     stats: EpcStats,
 }
@@ -90,7 +91,7 @@ impl Epc {
             fifo: VecDeque::new(),
             next_version: 1,
             capacity_pages: config.epc_bytes / PAGE_SIZE,
-            paging_key: [0xA5; DIGEST_LEN],
+            paging_mac: HmacSha256::new(&[0xA5; DIGEST_LEN]),
             config,
             stats: EpcStats::default(),
         }
@@ -204,10 +205,10 @@ impl Epc {
     }
 
     fn page_mac(&self, page: u64, version: u64) -> [u8; DIGEST_LEN] {
-        let mut msg = [0u8; 16];
-        msg[..8].copy_from_slice(&page.to_le_bytes());
-        msg[8..].copy_from_slice(&version.to_le_bytes());
-        hmac_sha256(&self.paging_key, &msg)
+        let mut mac = self.paging_mac.clone();
+        mac.update(&page.to_le_bytes());
+        mac.update(&version.to_le_bytes());
+        mac.finalize()
     }
 
     /// Test hook: corrupt the stored MAC of a swapped-out page, modelling an

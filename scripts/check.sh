@@ -34,6 +34,7 @@ cargo test -p hotcalls --test prop_ctl --features telemetry-off -q
 echo "==> tier-1: cargo build --release && cargo test -q (+ the benchmark package's own tests)"
 cargo build --release
 cargo test -q
+cargo test --release -q -p sgx-sim crypto
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # The load-curve harness self-checks its own claims (100k-connection
