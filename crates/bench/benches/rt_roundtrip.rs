@@ -14,14 +14,22 @@
 //! * `ring_pool/...` — the pooled MPMC ring across a requesters ×
 //!   responders matrix (1/2/4/8 × 1/2/4), each sample pushing a fixed
 //!   batch of calls through scoped requester threads.
+//! * `pipe_1k_w16/...` — the repo benchmark's `rt_pipe` shape (1 KiB
+//!   copied in, XORed in place by the other thread, word-summed on the
+//!   way back, 16 calls in flight over 64 slots) on the `ByteRing` and on
+//!   `pipe_floor`, a bare single-producer ring that moves one control
+//!   line per hand-off and nothing else. `byte_ring` ÷ `pipe_floor` is
+//!   what the plane costs on top of the work.
 
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bench::rt_baseline::MutexMailbox;
 use criterion::{criterion_group, criterion_main, Criterion};
-use hotcalls::rt::{CallTable, HotCallServer, RingServer};
+use hotcalls::rt::{ByteCallTable, ByteRing, CallTable, HotCallServer, RingServer};
 use hotcalls::HotCallConfig;
 use parking_lot::{Condvar, Mutex};
 
@@ -148,6 +156,124 @@ fn bench_ring(c: &mut Criterion) {
     server.shutdown();
 }
 
+// ---- Pipelined 1 KiB calls: the byte plane vs the bare-ring floor ------------
+
+const PIPE_LEN: usize = 1024;
+const PIPE_WINDOW: usize = 16;
+const PIPE_SLOTS: usize = 64;
+const PIPE_MASK: u8 = 0x5A;
+
+fn pipe_xor(buf: &mut [u8]) {
+    for b in buf {
+        *b ^= PIPE_MASK;
+    }
+}
+
+fn word_sum(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+        .fold(0, u64::wrapping_add)
+}
+
+#[repr(align(64))]
+struct Line<T>(T);
+
+const FREE: u8 = 0;
+const SUBMITTED: u8 = 1;
+const DONE: u8 = 2;
+
+/// One slot of the floor ring: a state word alone on its line, and the
+/// payload the two threads transform in place.
+struct FloorSlot {
+    state: Line<AtomicU8>,
+    buf: Line<UnsafeCell<[u8; PIPE_LEN]>>,
+}
+
+// SAFETY: `buf` is only touched by the thread `state` designates — the
+// requester while FREE or DONE, the worker while SUBMITTED — and every
+// hand-off is a Release store read with Acquire.
+unsafe impl Sync for FloorSlot {}
+
+fn bench_pipe(c: &mut Criterion) {
+    let payload: Vec<u8> = (0..PIPE_LEN).map(|i| (i * 131 % 251) as u8).collect();
+    let mut reply = payload.clone();
+    pipe_xor(&mut reply);
+    let reply_sum = word_sum(&reply);
+
+    let mut table = ByteCallTable::new();
+    let xor = table.register(|n, buf| {
+        pipe_xor(&mut buf[..n]);
+        n
+    });
+    let ring = ByteRing::spawn_pool(table, PIPE_SLOTS, 1, spin_config()).expect("valid shape");
+    let mut caller = ring.caller();
+    let mut tickets = Vec::with_capacity(PIPE_WINDOW);
+    let check = |_seq: u64, reply: &[u8]| assert_eq!(word_sum(reply), reply_sum);
+    c.bench_function("pipe_1k_w16/byte_ring", |b| {
+        b.iter(|| {
+            tickets.push(caller.submit(xor, &payload, PIPE_LEN).unwrap());
+            if tickets.len() == PIPE_WINDOW {
+                caller.wait_any_with(&mut tickets, check).unwrap();
+            }
+        })
+    });
+    while !tickets.is_empty() {
+        caller.wait_any_with(&mut tickets, check).unwrap();
+    }
+    ring.shutdown();
+
+    let slots: Arc<Vec<FloorSlot>> = Arc::new(
+        (0..PIPE_SLOTS)
+            .map(|_| FloorSlot {
+                state: Line(AtomicU8::new(FREE)),
+                buf: Line(UnsafeCell::new([0; PIPE_LEN])),
+            })
+            .collect(),
+    );
+    let stop = Arc::new(AtomicBool::new(false));
+    let (worker_slots, worker_stop) = (Arc::clone(&slots), Arc::clone(&stop));
+    let worker = std::thread::spawn(move || {
+        for tail in 0usize.. {
+            let slot = &worker_slots[tail % PIPE_SLOTS];
+            while slot.state.0.load(Ordering::Acquire) != SUBMITTED {
+                if worker_stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            // SAFETY: SUBMITTED read with Acquire hands the buffer to this
+            // thread until the DONE store below.
+            pipe_xor(unsafe { &mut *slot.buf.0.get() });
+            slot.state.0.store(DONE, Ordering::Release);
+        }
+    });
+    let (mut head, mut reaped) = (0usize, 0usize);
+    c.bench_function("pipe_1k_w16/pipe_floor", |b| {
+        b.iter(|| {
+            // In flight < PIPE_WINDOW <= PIPE_SLOTS and slots are freed in
+            // order, so the slot at `head` is FREE: this thread's.
+            let slot = &slots[head % PIPE_SLOTS];
+            // SAFETY: FREE slots belong to the requester (see above).
+            unsafe { &mut *slot.buf.0.get() }.copy_from_slice(&payload);
+            slot.state.0.store(SUBMITTED, Ordering::Release);
+            head += 1;
+            if head - reaped == PIPE_WINDOW {
+                let slot = &slots[reaped % PIPE_SLOTS];
+                while slot.state.0.load(Ordering::Acquire) != DONE {
+                    std::hint::spin_loop();
+                }
+                // SAFETY: DONE read with Acquire hands the buffer back.
+                assert_eq!(word_sum(unsafe { &*slot.buf.0.get() }), reply_sum);
+                slot.state.0.store(FREE, Ordering::Relaxed);
+                reaped += 1;
+            }
+        })
+    });
+    stop.store(true, Ordering::Relaxed);
+    worker.join().unwrap();
+}
+
 // ---- Pooled ring matrix ------------------------------------------------------
 
 /// Calls pushed per requester thread per criterion sample. Small enough to
@@ -203,6 +329,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_mailbox, bench_mpsc, bench_condvar, bench_ring, bench_ring_pool
+    targets = bench_mailbox, bench_mpsc, bench_condvar, bench_ring, bench_pipe, bench_ring_pool
 }
 criterion_main!(benches);

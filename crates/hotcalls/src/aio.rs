@@ -451,7 +451,10 @@ mod tests {
     #[test]
     fn dropped_future_abandons_not_wedges() {
         let (t, inc) = inc_table();
-        let server = RingServer::spawn(t, 4, HotCallConfig::default());
+        // Patient: this is about abandonment, not timeouts. Sixteen laps
+        // of a 4-slot ring outlast the default 10x16 claim budget whenever
+        // the responder is descheduled for a moment.
+        let server = RingServer::spawn(t, 4, HotCallConfig::patient());
         let r = server.requester();
         // Drop more futures than the ring holds; the slots must recycle.
         for i in 0..64u64 {

@@ -468,7 +468,7 @@ impl<Req, Resp> Requester<Req, Resp> {
         // SAFETY: the caller won `claim_mailbox`'s EMPTY→CLAIMED CAS,
         // which grants this thread exclusive write access to the request
         // cell.
-        unsafe { self.shared.slot.publish(id, req) };
+        unsafe { self.shared.slot.publish(0, id, req) };
         // Wake a sleeping responder (ordered after the SUBMITTED store).
         if self.shared.doze.wake() {
             self.shared.wakeups.fetch_add(1, Ordering::Relaxed);

@@ -8,7 +8,9 @@
 //! unchanged proves no other responder touched those slots (`tail` is
 //! monotonic, so there is no ABA), and requesters cannot recycle a slot
 //! until it is serviced *and* redeemed, which itself requires `tail` to
-//! advance. Batching amortizes both the CAS and the wake/schedule cost of
+//! advance. The scan accepts a slot only if its `SUBMITTED` word names the
+//! sequence scanned for ([`submitted_run`]): a slot a sibling has claimed
+//! but not yet taken still reads `SUBMITTED`, one lap behind. Batching amortizes both the CAS and the wake/schedule cost of
 //! the drain, which is where switchless designs win under IO-heavy load.
 //!
 //! With an adaptive policy the loop grows two extra branches:
@@ -40,7 +42,7 @@ use crate::error::HotCallError;
 use crate::telemetry::{now_cycles, TELEMETRY_ENABLED};
 
 use super::ring::{ReqEnvelope, RespEnvelope, RingShared, RingSlot};
-use super::slot::{Backoff, LocalStats, StatCell, SUBMITTED};
+use super::slot::{Backoff, LocalStats, StatCell};
 use super::CallTable;
 
 use std::sync::atomic::Ordering;
@@ -166,6 +168,20 @@ pub(super) unsafe fn service_slot_inline<Req, Resp>(
     n
 }
 
+/// Length (at most `batch`) of the contiguous run of published, untaken
+/// submissions at the ring front `tail`, for the single tail CAS that
+/// claims it. Each slot must hold the submission of *its own* sequence
+/// (see [`super::slot::CallSlot::submitted_as`]); Acquire on each, so a
+/// claimed run's payloads are visible.
+pub(super) fn submitted_run<Req, Resp>(
+    slots: &[RingSlot<Req, Resp>],
+    tail: usize,
+    batch: usize,
+) -> usize {
+    let at = |seq: usize| slots[seq % slots.len()].submitted_as(seq);
+    (0..batch).take_while(|&i| at(tail.wrapping_add(i))).count()
+}
+
 pub(super) fn responder_loop<Req, Resp>(
     shared: Arc<RingShared<Req, Resp>>,
     table: Arc<CallTable<Req, Resp>>,
@@ -214,11 +230,7 @@ pub(super) fn responder_loop<Req, Resp>(
             backoff.reset();
         }
         let tail = shared.tail.load(Ordering::Acquire);
-        // Scan a contiguous run of submitted slots (bounded by `batch`).
-        let mut run = 0usize;
-        while run < batch && shared.slots[tail.wrapping_add(run) % cap].state() == SUBMITTED {
-            run += 1;
-        }
+        let run = submitted_run(&shared.slots, tail, batch);
         if run == 0 {
             // Drain-then-exit: responders keep servicing submitted work
             // after the shutdown flag rises and leave only once the ring
@@ -247,8 +259,8 @@ pub(super) fn responder_loop<Req, Resp>(
                     local.flush(cell);
                     shared.doze.sleep_unless(|| {
                         shared.shutdown.load(Ordering::Acquire)
-                            || shared.slots[shared.tail.load(Ordering::Acquire) % cap].state()
-                                == SUBMITTED
+                            || submitted_run(&shared.slots, shared.tail.load(Ordering::Acquire), 1)
+                                > 0
                     });
                     // `idle_streak` restarts (we just slept; spin a full
                     // streak before sleeping again) but `polls_since_work`

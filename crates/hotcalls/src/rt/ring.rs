@@ -47,11 +47,12 @@ use crate::config::{FusedMode, GovernorStats, HotCallConfig, HotCallStats, Respo
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
     now_cycles, trace, AtomicHist, LaneTelemetry, PlaneProvider, PlaneTelemetry, RingStats,
-    TELEMETRY_ENABLED,
 };
 
 use super::pool;
-use super::slot::{AbandonBoard, Backoff, CachePadded, CallSlot, Doze, StatCell, DONE, EMPTY};
+use super::slot::{
+    AbandonBoard, Backoff, CachePadded, CallSlot, Doze, ReapCells, StatCell, DONE, EMPTY,
+};
 use super::CallTable;
 
 /// Grace polls a waiter grants the shutdown sweep before giving up on a
@@ -64,7 +65,7 @@ const AGE_POLLS_PER_RAISE: u32 = 4_096;
 
 /// Poll interval at which a deadline-bounded wait re-reads the clock.
 /// `Instant::now` is a vDSO call — cheap, but not spin-loop cheap.
-pub(super) const DEADLINE_CHECK_POLLS: u32 = 64;
+const DEADLINE_CHECK_POLLS: u32 = 64;
 
 /// What one ring slot carries callee-bound: a single call's request (the
 /// call id rides in the slot's id word) or a bundle of `(id, request)`
@@ -220,10 +221,9 @@ pub(super) struct RingShared<Req, Resp> {
     /// One padded statistics cell per responder; each responder writes
     /// only its own (plain stores, no shared RMW on the hot path).
     pub(super) responders: Box<[CachePadded<StatCell>]>,
-    /// Completion → redeem latency (reap stage), recorded by whichever
-    /// requester reaps — shared `fetch_add` cell, but strictly *after*
-    /// the call completed, so it never touches the service critical path.
-    pub(super) reap_hist: CachePadded<AtomicHist>,
+    /// Completion → redeem latency (reap stage), one single-writer cell
+    /// per requester handle.
+    pub(super) reaps: ReapCells,
     /// Dropped-unredeemed ticket registry (see [`AbandonBoard`]): tickets
     /// hold a clone, claimants lapping onto a marked slot reap it.
     pub(super) abandon: Arc<AbandonBoard>,
@@ -293,39 +293,6 @@ impl<Req, Resp> RingShared<Req, Resp> {
         }
     }
 
-    /// Reaps the slot a claimant at sequence `head` is lapping onto, if
-    /// (and only if) its occupant is a completed call whose ticket was
-    /// dropped unredeemed. The occupant of slot `head % cap` at claim
-    /// sequence `head` is exactly `head - cap`, so the board's
-    /// exact-sequence CAS can neither match a live call nor hand the
-    /// reap to two racing claimants.
-    pub(super) fn try_reap_abandoned(&self, head: usize) {
-        let cap = self.slots.len();
-        let slot = &self.slots[head % cap];
-        if slot.state() != DONE {
-            // Not completed yet (or still live mid-service): the mark, if
-            // any, stays on the board for a later lap.
-            return;
-        }
-        let seq = head.wrapping_sub(cap);
-        if self.abandon.try_take(seq) {
-            // SAFETY: winning the exact-sequence CAS transferred the
-            // dropping submitter's redeem ownership to this thread, and
-            // DONE was observed with Acquire above.
-            drop(unsafe { slot.redeem() });
-        }
-    }
-
-    /// Records the reap-stage latency for a call whose completion stamp
-    /// was read before redeeming its slot.
-    #[inline]
-    pub(super) fn record_reap(&self, completed_at: u64) {
-        if TELEMETRY_ENABLED {
-            self.reap_hist
-                .record_shared(now_cycles().saturating_sub(completed_at));
-        }
-    }
-
     /// One [`LaneTelemetry`] row per responder cell.
     pub(super) fn lane_telemetry(&self) -> Vec<LaneTelemetry> {
         self.responders
@@ -347,7 +314,7 @@ impl<Req, Resp> RingShared<Req, Resp> {
             kind,
             stats: RingStats::from_single(self.snapshot(), self.governor_snapshot()),
             lanes: self.lane_telemetry(),
-            reap: self.reap_hist.snapshot(),
+            reap: self.reaps.snapshot(),
         }
     }
 }
@@ -464,7 +431,7 @@ where
             responders: (0..n_responders)
                 .map(|_| CachePadded::new(StatCell::default()))
                 .collect(),
-            reap_hist: CachePadded::new(AtomicHist::new()),
+            reaps: ReapCells::default(),
             abandon: AbandonBoard::new(capacity),
             fallbacks: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
@@ -490,10 +457,7 @@ where
 
     /// Creates a requester handle.
     pub fn requester(&self) -> RingRequester<Req, Resp> {
-        RingRequester {
-            shared: Arc::clone(&self.shared),
-            config: self.config,
-        }
+        RingRequester::new(Arc::clone(&self.shared), self.config)
     }
 
     /// Number of responder threads in the pool (active and parked).
@@ -574,18 +538,33 @@ impl<Req, Resp> Drop for RingServer<Req, Resp> {
 }
 
 /// A handle submitting calls into the ring.
+///
+/// Give each thread its own clone. The handle is `Sync` and every method
+/// takes `&self`, so sharing one by reference works and loses no call, but
+/// the handle's reap-latency cell is single-writer: threads redeeming
+/// through the same handle at once may drop reap *samples* from
+/// `telemetry().reap` (never a call, never another counter).
 #[derive(Debug)]
 pub struct RingRequester<Req, Resp> {
     shared: Arc<RingShared<Req, Resp>>,
     config: HotCallConfig,
+    /// This handle's reap-stage cell; only this handle records into it.
+    reap: Arc<AtomicHist>,
+}
+
+impl<Req, Resp> RingRequester<Req, Resp> {
+    fn new(shared: Arc<RingShared<Req, Resp>>, config: HotCallConfig) -> Self {
+        RingRequester {
+            reap: shared.reaps.register(),
+            shared,
+            config,
+        }
+    }
 }
 
 impl<Req, Resp> Clone for RingRequester<Req, Resp> {
     fn clone(&self) -> Self {
-        RingRequester {
-            shared: Arc::clone(&self.shared),
-            config: self.config,
-        }
+        Self::new(Arc::clone(&self.shared), self.config)
     }
 }
 
@@ -737,6 +716,165 @@ impl<Req> Bundle<Req> {
     }
 }
 
+/// One attempt at the claim step of a submission, shared by the ring and
+/// by every shard of the sharded plane: `Some(seq)` once this caller owns
+/// slot `seq % capacity` (state `EMPTY`, ready for `publish`), `None` when
+/// the ring is full, the target slot is still occupied, or another
+/// requester won the head CAS — the caller retries.
+///
+/// **Who guards a lap.** Slot `seq % capacity` was last used by call
+/// `seq - capacity`. The full check admits `seq` only after `tail` passed
+/// `seq - capacity`, i.e. after a responder took that call — which it only
+/// does once the call was published. A claimed but still unpublished slot
+/// (state `EMPTY`: rings have no `CLAIMED` mark) is therefore never lapped
+/// onto. The `EMPTY` check below then waits out the rest of that call's
+/// life (`SERVICING`, un-redeemed `DONE`).
+///
+/// **Happens-before.** The Acquire `tail` load pairs with the AcqRel tail
+/// CAS of the responder that took call `seq - capacity` after reading its
+/// slot `SUBMITTED`; by coherence the state load below sees that
+/// `SUBMITTED` or a later value, so an `EMPTY` read is the one `redeem`
+/// stored with Release and the previous call's payload accesses are over
+/// before this caller writes the cells.
+pub(super) fn claim_slot<Req, Resp>(
+    slots: &[RingSlot<Req, Resp>],
+    head: &AtomicUsize,
+    tail: &AtomicUsize,
+    abandon: &AbandonBoard,
+    gov: &GovernorState,
+) -> Option<usize> {
+    let cap = slots.len();
+    // Tail before head: a tail snapshot taken first cannot exceed the head
+    // snapshot, so the subtraction cannot underflow.
+    let tail = tail.load(Ordering::Acquire);
+    // Acquire: pairs with the AcqRel head CAS of the previous claimant.
+    let seq = head.load(Ordering::Acquire);
+    let occupancy = RingShared::<Req, Resp>::occupancy(seq, tail);
+    // Backlog deeper than the policy threshold (or a full ring) means the
+    // active responders are outpaced: admit another.
+    if gov.adaptive() && occupancy > gov.policy.target_occupancy_clamped() {
+        gov.try_raise();
+    }
+    if occupancy >= cap {
+        return None;
+    }
+    let slot = &slots[seq % cap];
+    // Acquire (inside `state`): pairs with the Release `EMPTY` store of
+    // the previous call's `redeem`.
+    match slot.state() {
+        EMPTY => {}
+        // A completed call whose ticket was dropped unredeemed: reap it so
+        // the lap proceeds instead of wedging. The occupant is exactly call
+        // `seq - cap`, so the board's exact-sequence CAS can neither match
+        // a live call nor hand the reap to two racing claimants.
+        DONE if abandon.try_take(seq.wrapping_sub(cap)) => {
+            // SAFETY: winning the CAS transferred the dropping submitter's
+            // redeem ownership to this thread; DONE was read with Acquire.
+            drop(unsafe { slot.redeem() });
+            return None;
+        }
+        // Mid-service, or a live un-redeemed response: wait for its owner.
+        _ => return None,
+    }
+    // AcqRel: the claim. Release publishes nothing by itself (the payload
+    // travels with `publish`'s store); Acquire orders this claimant after
+    // the previous one. Winning makes the slot ours: any other claimant of
+    // this physical slot needs `head` to advance a full lap, which the
+    // full check forbids until this submission was published and taken.
+    head.compare_exchange(seq, seq + 1, Ordering::AcqRel, Ordering::Relaxed)
+        .ok()
+}
+
+/// The reap pick shared by both planes' `wait_any*`: the position in
+/// `tickets` of the *oldest* completed call, or `None` if none completed.
+///
+/// Oldest, never first-found: with instantly-completing submissions (the
+/// fused path) a first-found scan keeps redeeming whichever ticket
+/// `swap_remove` rotated to the front — always the youngest — while older
+/// DONE slots sit un-redeemed until the head laps onto one and `submit`
+/// spins on a slot only this very caller could free. Oldest-first bounds
+/// an un-redeemed completion's age by the caller's in-flight window.
+///
+/// The minimum-sequence ticket is found in the caller's own memory and
+/// its slot is tested first: if it is DONE it *is* the oldest completed
+/// call, for one shared state line read instead of one per ticket (lines
+/// the responder is about to write). Only when it is not are the others
+/// scanned, which still returns a younger completion stuck behind a slow
+/// older one. A younger hit is not trusted over the oldest, though: the
+/// oldest may have completed while the scan ran (behind a single in-order
+/// responder a younger DONE proves it has), and a caller whose window
+/// equals the capacity submits next onto exactly the oldest ticket's slot —
+/// handed the younger one it would spin on a DONE only it can redeem. So
+/// the oldest is looked at once more before a younger one is returned; an
+/// empty scan, the spinning case, costs no extra read.
+pub(super) fn oldest_done<Req, Resp>(
+    slots: &[RingSlot<Req, Resp>],
+    tickets: &[Ticket],
+) -> Option<usize> {
+    // Acquire (inside `state`): pairs with `finish`'s Release DONE store,
+    // making the response visible to the redeem that follows.
+    let done = |t: &Ticket| slots[t.index % slots.len()].state() == DONE;
+    let by_age = |(_, t): &(usize, &Ticket)| t.index;
+    let (first, oldest) = tickets.iter().enumerate().min_by_key(by_age)?;
+    if done(oldest) {
+        return Some(first);
+    }
+    let younger_done = |(i, t): &(usize, &Ticket)| *i != first && done(t);
+    let completed = tickets.iter().enumerate().filter(younger_done);
+    let (younger, _) = completed.min_by_key(by_age)?;
+    Some(if done(oldest) { first } else { younger })
+}
+
+/// The wait loop shared by every blocking redeem path of both planes:
+/// polls `ready` until it yields, `deadline` passes (`Ok(None)`), or the
+/// plane shut down and the grace ran out.
+pub(super) fn poll_until<T>(
+    shutdown: &AtomicBool,
+    gov: &GovernorState,
+    deadline: Option<Instant>,
+    mut ready: impl FnMut() -> Option<T>,
+) -> Result<Option<T>> {
+    let mut backoff = Backoff::new();
+    let mut grace: u32 = 0;
+    let mut polls: u32 = 0;
+    loop {
+        if let Some(hit) = ready() {
+            return Ok(Some(hit));
+        }
+        // Deadline check on a stride: `Instant::now` per spin would
+        // dominate the wait loop. The first iteration checks too, so an
+        // already-expired deadline still gets exactly one scan. Once the
+        // backoff has escalated to yielding, every poll already costs a
+        // scheduler quantum, so the stride no longer buys anything —
+        // check every poll instead (64 yields between deadline reads
+        // overshoot small timeouts by milliseconds).
+        if polls.is_multiple_of(DEADLINE_CHECK_POLLS) || backoff.yields() {
+            if let Some(d) = deadline {
+                if Instant::now() >= d {
+                    return Ok(None);
+                }
+            }
+        }
+        // The pool drains submitted work before exiting, but a submission
+        // that raced the shutdown flag (or sits behind a neighbour stuck
+        // mid-publish) may never be serviced; give up after a bounded
+        // grace. The slot stays occupied and its payload is freed by Drop.
+        if shutdown.load(Ordering::Acquire) {
+            grace += 1;
+            if grace > SHUTDOWN_GRACE_POLLS {
+                return Err(HotCallError::ResponderGone);
+            }
+        }
+        // In-flight age: a call that spins this long without completing
+        // is stuck behind busy responders — ask the governor for another.
+        polls = polls.wrapping_add(1);
+        if gov.adaptive() && polls.is_multiple_of(AGE_POLLS_PER_RAISE) {
+            gov.try_raise();
+        }
+        backoff.snooze();
+    }
+}
+
 impl<Req, Resp> RingRequester<Req, Resp> {
     /// Is the fused run-to-completion path worth attempting right now?
     /// `occupancy` is the requester's latest coherent tail-before-head
@@ -804,59 +942,24 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         allow_fuse: bool,
         arm: bool,
     ) -> core::result::Result<usize, (HotCallError, ReqEnvelope<Req>)> {
-        let cap = self.shared.slots.len();
-        let gov = &self.shared.governor;
+        let shared = &*self.shared;
         let mut backoff = Backoff::new();
         for _retry in 0..self.config.timeout_retries {
             for _ in 0..self.config.spins_per_retry {
-                if self.shared.shutdown.load(Ordering::Acquire) {
+                if shared.shutdown.load(Ordering::Acquire) {
                     return Err((HotCallError::ResponderGone, env));
                 }
-                // Load `tail` before `head`: both only grow, so the head
-                // snapshot cannot lag the tail snapshot and the occupancy
-                // subtraction cannot go negative. (The old head-then-tail
-                // order let a responder advance `tail` past the stale head
-                // snapshot in between, underflowing `head - tail`.)
-                let tail = self.shared.tail.load(Ordering::Acquire);
-                let head = self.shared.head.load(Ordering::Acquire);
-                let occupancy = RingShared::<Req, Resp>::occupancy(head, tail);
-                // Backlog deeper than the policy threshold (or a full
-                // ring) means the active responders are outpaced: admit
-                // another before spinning on.
-                if gov.adaptive() && occupancy > gov.policy.target_occupancy_clamped() {
-                    gov.try_raise();
-                }
-                // Full ring: wait for the responders to drain.
-                if occupancy >= cap {
+                let Some(head) = claim_slot(
+                    &shared.slots,
+                    &shared.head,
+                    &shared.tail,
+                    &shared.abandon,
+                    &shared.governor,
+                ) else {
                     core::hint::spin_loop();
                     continue;
-                }
-                // The target slot may still hold an un-redeemed DONE
-                // response from the previous lap (a responder advanced
-                // `tail` before that requester called `wait`); it only
-                // becomes EMPTY when redeemed. Never claim a non-empty
-                // slot — but if its occupant was *abandoned* (ticket
-                // dropped unredeemed), reap it here so the lap can
-                // proceed instead of wedging.
-                if self.shared.slots[head % cap].state() != EMPTY {
-                    self.shared.try_reap_abandoned(head);
-                    core::hint::spin_loop();
-                    continue;
-                }
-                if self
-                    .shared
-                    .head
-                    .compare_exchange(head, head + 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_err()
-                {
-                    continue;
-                }
-                // Winning the CAS on `head` makes the (empty) slot ours:
-                // any other claimant of this physical slot would need
-                // `head` to advance a full lap first, which requires this
-                // very submission to be serviced and redeemed.
-                let slot = &self.shared.slots[head % cap];
-                slot.mark_claimed();
+                };
+                let slot = &shared.slots[head % shared.slots.len()];
                 if arm {
                     // Before publish: the SUBMITTED Release store carries
                     // the armed flag to whichever thread completes the
@@ -873,9 +976,9 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 // synchronous `call` path, where the requester would have
                 // blocked anyway.
                 let fuse = allow_fuse && self.config.fused_mode == FusedMode::Always;
-                // SAFETY: the head CAS above granted exclusive claim
-                // ownership of this slot (see comment); publish once.
-                unsafe { slot.publish(id, env) };
+                // SAFETY: `claim_slot` won the head CAS, which grants
+                // exclusive claim ownership of this slot; publish once.
+                unsafe { slot.publish(head, id, env) };
                 if fuse {
                     if self.try_self_service(head) {
                         // Serviced on this core: no handoff, no wake. The
@@ -1012,38 +1115,10 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// Spins until the slot behind `index` is DONE. Returns `Err` only on
     /// shutdown-with-grace-expired.
     fn wait_done(&self, index: usize) -> Result<()> {
-        let cap = self.shared.slots.len();
-        let slot = &self.shared.slots[index % cap];
-        let gov = &self.shared.governor;
-        let mut backoff = Backoff::new();
-        let mut grace: u32 = 0;
-        let mut age_polls: u32 = 0;
-        loop {
-            match slot.state() {
-                DONE => return Ok(()),
-                _ => {
-                    // The pool drains submitted work before exiting, but a
-                    // submission that raced the shutdown flag (or sits
-                    // behind a neighbour stuck mid-publish) may never be
-                    // serviced; give up after a bounded grace. The slot
-                    // stays occupied and its payload is freed by Drop.
-                    if self.shared.shutdown.load(Ordering::Acquire) {
-                        grace += 1;
-                        if grace > SHUTDOWN_GRACE_POLLS {
-                            return Err(HotCallError::ResponderGone);
-                        }
-                    }
-                    // In-flight age: a call that spins this long without
-                    // completing is stuck behind busy responders — ask the
-                    // governor for another.
-                    age_polls += 1;
-                    if gov.adaptive() && age_polls.is_multiple_of(AGE_POLLS_PER_RAISE) {
-                        gov.try_raise();
-                    }
-                    backoff.snooze();
-                }
-            }
-        }
+        let shared = &*self.shared;
+        let slot = &shared.slots[index % shared.slots.len()];
+        let done = || (slot.state() == DONE).then_some(());
+        poll_until(&shared.shutdown, &shared.governor, None, done).map(drop)
     }
 
     /// Redeems the single-call response sitting DONE at `index`. The
@@ -1066,7 +1141,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             }
             Err(e) => Err(e),
         };
-        self.shared.record_reap(completed_at);
+        self.reap.record(now_cycles().saturating_sub(completed_at));
         result
     }
 
@@ -1165,63 +1240,15 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         tickets: &mut Vec<Ticket>,
         deadline: Option<Instant>,
     ) -> Result<Option<(u64, Resp)>> {
-        let cap = self.shared.slots.len();
-        let gov = &self.shared.governor;
-        let mut backoff = Backoff::new();
-        let mut grace: u32 = 0;
-        let mut polls: u32 = 0;
-        loop {
-            // Redeem the *oldest* completed ticket (ring indices are
-            // monotonic), never just the first one found. With
-            // instantly-completing submissions (the fused path), a
-            // first-found scan keeps redeeming whichever ticket
-            // `swap_remove` rotated to the front — always the youngest —
-            // while older DONE slots sit un-redeemed until the head laps
-            // onto one; `submit` then spins on a slot only this very
-            // caller could free. Oldest-first bounds an un-redeemed
-            // completion's age by the caller's in-flight window.
-            let mut oldest: Option<usize> = None;
-            for i in 0..tickets.len() {
-                if self.shared.slots[tickets[i].index % cap].state() == DONE
-                    && oldest.is_none_or(|o| tickets[i].index < tickets[o].index)
-                {
-                    oldest = Some(i);
-                }
-            }
-            if let Some(i) = oldest {
-                let mut ticket = tickets.swap_remove(i);
-                let seq = ticket.seq();
-                let index = ticket.defuse();
-                return self.redeem_one(index).map(|resp| Some((seq, resp)));
-            }
-            // Deadline check on a stride: `Instant::now` per spin would
-            // dominate the wait loop. The first iteration checks too, so
-            // an already-expired deadline still gets exactly one scan.
-            // Once the backoff has escalated to yielding, every poll
-            // already costs a scheduler quantum, so the stride no longer
-            // buys anything — check every poll instead. On a quiescent
-            // plane the old stride let up to 64 yields (milliseconds of
-            // quanta) pass between deadline reads, overshooting small
-            // timeouts and delaying streaming credit refills.
-            if polls.is_multiple_of(DEADLINE_CHECK_POLLS) || backoff.yields() {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Ok(None);
-                    }
-                }
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                grace += 1;
-                if grace > SHUTDOWN_GRACE_POLLS {
-                    return Err(HotCallError::ResponderGone);
-                }
-            }
-            polls = polls.wrapping_add(1);
-            if gov.adaptive() && polls.is_multiple_of(AGE_POLLS_PER_RAISE) {
-                gov.try_raise();
-            }
-            backoff.snooze();
-        }
+        let shared = &*self.shared;
+        let pick = || oldest_done(&shared.slots, tickets);
+        let Some(i) = poll_until(&shared.shutdown, &shared.governor, deadline, pick)? else {
+            return Ok(None);
+        };
+        let mut ticket = tickets.swap_remove(i);
+        let seq = ticket.seq();
+        self.redeem_one(ticket.defuse())
+            .map(|resp| Some((seq, resp)))
     }
 
     /// Waits for a bundle and returns one result per call, in submission
@@ -1247,7 +1274,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             }
             Err(e) => Err(e),
         };
-        self.shared.record_reap(completed_at);
+        self.reap.record(now_cycles().saturating_sub(completed_at));
         result
     }
 

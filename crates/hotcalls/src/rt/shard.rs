@@ -40,27 +40,17 @@ use crate::config::{
 };
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
-    now_cycles, trace, AtomicHist, LaneTelemetry, PlaneProvider, PlaneTelemetry, TELEMETRY_ENABLED,
+    now_cycles, trace, AtomicHist, LaneTelemetry, PlaneProvider, PlaneTelemetry,
 };
 use sgx_sim::{Placement, Topology};
 
-use super::pool::{service_slot, service_slot_inline, WIN_CREDIT_POLLS};
+use super::pool::{service_slot, service_slot_inline, submitted_run, WIN_CREDIT_POLLS};
 use super::ring::{
-    Bundle, BundleTicket, GovernorState, ReqEnvelope, RespEnvelope, RingShared, RingSlot, Ticket,
-    DEADLINE_CHECK_POLLS,
+    claim_slot, oldest_done, poll_until, Bundle, BundleTicket, GovernorState, ReqEnvelope,
+    RespEnvelope, RingShared, RingSlot, Ticket,
 };
-use super::slot::{
-    AbandonBoard, Backoff, CachePadded, CallSlot, Doze, StatCell, DONE, EMPTY, SUBMITTED,
-};
+use super::slot::{AbandonBoard, Backoff, CachePadded, CallSlot, Doze, ReapCells, StatCell, DONE};
 use super::CallTable;
-
-/// Grace polls a waiter grants the shutdown sweep before giving up on a
-/// slot that will never complete (its payload is freed by the slot Drop).
-const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
-
-/// Poll interval at which a waiter treats its in-flight call as "aging"
-/// and nudges the governor to raise the active-shard target.
-const AGE_POLLS_PER_RAISE: u32 = 4_096;
 
 /// One shard: a full ring with its own head, tail and doze line, owned by
 /// exactly one home responder (`shard index == responder index`).
@@ -96,25 +86,6 @@ impl<Req, Resp> Shard<Req, Resp> {
         }
     }
 
-    /// Reaps the slot a claimant at sequence `head` is lapping onto, if
-    /// its occupant is a completed call whose ticket was dropped
-    /// unredeemed (see [`RingShared::try_reap_abandoned`] — same
-    /// exact-sequence discipline, scoped to this shard's board).
-    fn try_reap_abandoned(&self, head: usize) {
-        let cap = self.slots.len();
-        let slot = &self.slots[head % cap];
-        if slot.state() != DONE {
-            return;
-        }
-        let seq = head.wrapping_sub(cap);
-        if self.abandon.try_take(seq) {
-            // SAFETY: winning the exact-sequence CAS transferred the
-            // dropping submitter's redeem ownership to this thread, and
-            // DONE was observed with Acquire above.
-            drop(unsafe { slot.redeem() });
-        }
-    }
-
     /// Occupancy from a tail-before-head snapshot (wrap-proof; see
     /// [`RingShared::occupancy`]).
     fn occupancy_snapshot(&self) -> usize {
@@ -127,7 +98,7 @@ impl<Req, Resp> Shard<Req, Resp> {
     /// claim right now)?
     fn front_submitted(&self) -> bool {
         let tail = self.tail.load(Ordering::Acquire);
-        self.slots[tail % self.slots.len()].state() == SUBMITTED
+        submitted_run(&self.slots, tail, 1) > 0
     }
 }
 
@@ -221,9 +192,9 @@ struct ShardedShared<Req, Resp> {
     /// One padded cell per responder (= per shard); each responder writes
     /// only its own.
     responders: Box<[CachePadded<ShardStatCell>]>,
-    /// Completion → redeem latency (reap stage), shared `fetch_add` cell
-    /// written by requesters strictly after their call completed.
-    reap_hist: CachePadded<AtomicHist>,
+    /// Completion → redeem latency (reap stage), one single-writer cell
+    /// per requester handle.
+    reaps: ReapCells,
     // Requester-side event counters; rare, so shared RMWs are fine.
     fallbacks: AtomicU64,
     wakeups: AtomicU64,
@@ -300,16 +271,6 @@ impl<Req, Resp> ShardedShared<Req, Resp> {
         }
     }
 
-    /// Records the reap-stage latency for a call whose completion stamp
-    /// was read before redeeming its slot.
-    #[inline]
-    fn record_reap(&self, completed_at: u64) {
-        if TELEMETRY_ENABLED {
-            self.reap_hist
-                .record_shared(now_cycles().saturating_sub(completed_at));
-        }
-    }
-
     /// The plane's full telemetry view. Lane index == responder index ==
     /// shard index (one home responder per shard); work a responder stole
     /// from a sibling shard is attributed to the *stealing* responder's
@@ -329,7 +290,7 @@ impl<Req, Resp> ShardedShared<Req, Resp> {
                     service: cell.base.stages.service.snapshot(),
                 })
                 .collect(),
-            reap: self.reap_hist.snapshot(),
+            reap: self.reaps.snapshot(),
         }
     }
 
@@ -474,7 +435,7 @@ where
             responders: (0..n_shards)
                 .map(|_| CachePadded::new(ShardStatCell::default()))
                 .collect(),
-            reap_hist: CachePadded::new(AtomicHist::new()),
+            reaps: ReapCells::default(),
             fallbacks: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             fused_runs: AtomicU64::new(0),
@@ -502,11 +463,7 @@ where
     pub fn requester(&self) -> ShardedRequester<Req, Resp> {
         let active = self.shared.governor.active_target.load(Ordering::Relaxed);
         let home = self.shared.router.assign(active, self.shared.shards.len());
-        ShardedRequester {
-            shared: Arc::clone(&self.shared),
-            config: self.config,
-            home,
-        }
+        ShardedRequester::new(Arc::clone(&self.shared), self.config, home)
     }
 
     /// Creates a requester placed on logical core `core`: the home shard
@@ -527,11 +484,7 @@ where
             self.shared.shards.len(),
             topology,
         );
-        ShardedRequester {
-            shared: Arc::clone(&self.shared),
-            config: self.config,
-            home,
-        }
+        ShardedRequester::new(Arc::clone(&self.shared), self.config, home)
     }
 
     /// Creates a requester pinned to an explicit home shard — the
@@ -546,11 +499,11 @@ where
                 "shard affinity index out of range",
             ));
         }
-        Ok(ShardedRequester {
-            shared: Arc::clone(&self.shared),
-            config: self.config,
-            home: shard,
-        })
+        Ok(ShardedRequester::new(
+            Arc::clone(&self.shared),
+            self.config,
+            shard,
+        ))
     }
 
     /// Number of shards (= responder threads) in the plane.
@@ -781,10 +734,7 @@ fn drain_shard<Req, Resp>(
     let cap = shard.slots.len();
     let batch = config.drain_batch_clamped().min(cap);
     let tail = shard.tail.load(Ordering::Acquire);
-    let mut run = 0usize;
-    while run < batch && shard.slots[tail.wrapping_add(run) % cap].state() == SUBMITTED {
-        run += 1;
-    }
+    let run = submitted_run(&shard.slots, tail, batch);
     if run == 0 {
         return 0;
     }
@@ -819,24 +769,37 @@ fn drain_shard<Req, Resp>(
 /// submission goes to the home shard's ring, so two requesters on
 /// different shards never contend on a head CAS; completions may still be
 /// produced by *any* responder (home or stealer).
+///
+/// Give each thread its own clone. The handle is `Sync` and every method
+/// takes `&self`, so sharing one by reference works and loses no call, but
+/// the handle's reap-latency cell is single-writer: threads redeeming
+/// through the same handle at once may drop reap *samples* from
+/// `telemetry().reap` (never a call, never another counter).
 #[derive(Debug)]
 pub struct ShardedRequester<Req, Resp> {
     shared: Arc<ShardedShared<Req, Resp>>,
     config: HotCallConfig,
     home: usize,
+    /// This handle's reap-stage cell; only this handle records into it.
+    reap: Arc<AtomicHist>,
 }
 
 impl<Req, Resp> Clone for ShardedRequester<Req, Resp> {
     fn clone(&self) -> Self {
-        ShardedRequester {
-            shared: Arc::clone(&self.shared),
-            config: self.config,
-            home: self.home,
-        }
+        Self::new(Arc::clone(&self.shared), self.config, self.home)
     }
 }
 
 impl<Req, Resp> ShardedRequester<Req, Resp> {
+    fn new(shared: Arc<ShardedShared<Req, Resp>>, config: HotCallConfig, home: usize) -> Self {
+        ShardedRequester {
+            reap: shared.reaps.register(),
+            shared,
+            config,
+            home,
+        }
+    }
+
     /// The home shard this requester submits to.
     pub fn home(&self) -> usize {
         self.home
@@ -925,50 +888,25 @@ impl<Req, Resp> ShardedRequester<Req, Resp> {
         arm: bool,
     ) -> core::result::Result<usize, (HotCallError, ReqEnvelope<Req>)> {
         let shard = &self.shared.shards[self.home];
-        let cap = shard.slots.len();
-        let gov = &self.shared.governor;
         let mut backoff = Backoff::new();
         for _retry in 0..self.config.timeout_retries {
             for _ in 0..self.config.spins_per_retry {
                 if self.shared.shutdown.load(Ordering::Acquire) {
                     return Err((HotCallError::ResponderGone, env));
                 }
-                // Tail before head, as everywhere (occupancy cannot
-                // underflow; see RingShared::occupancy).
-                let tail = shard.tail.load(Ordering::Acquire);
-                let head = shard.head.load(Ordering::Acquire);
-                let occupancy = RingShared::<Req, Resp>::occupancy(head, tail);
-                // Backlog deeper than the policy threshold means the
-                // active shards are outpaced: un-park another whole shard
-                // (its responder doubles as one more stealer).
-                if gov.adaptive() && occupancy > gov.policy.target_occupancy_clamped() {
-                    gov.try_raise();
-                }
-                if occupancy >= cap {
+                // Under an adaptive policy a deep backlog un-parks another
+                // whole shard (its responder doubles as one more stealer).
+                let Some(head) = claim_slot(
+                    &shard.slots,
+                    &shard.head,
+                    &shard.tail,
+                    &shard.abandon,
+                    &self.shared.governor,
+                ) else {
                     core::hint::spin_loop();
                     continue;
-                }
-                // The target slot may still hold an un-redeemed DONE
-                // response from the previous lap; never claim a non-empty
-                // slot — but if its occupant was *abandoned* (ticket
-                // dropped unredeemed), reap it here so the lap can
-                // proceed instead of wedging.
-                if shard.slots[head % cap].state() != EMPTY {
-                    shard.try_reap_abandoned(head);
-                    core::hint::spin_loop();
-                    continue;
-                }
-                if shard
-                    .head
-                    .compare_exchange(head, head + 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_err()
-                {
-                    continue;
-                }
-                // Winning the head CAS makes the (empty) slot ours, as in
-                // the single-ring plane.
-                let slot = &shard.slots[head % cap];
-                slot.mark_claimed();
+                };
+                let slot = &shard.slots[head % shard.slots.len()];
                 if arm {
                     // Before publish: the SUBMITTED Release store carries
                     // the armed flag to whichever thread completes the
@@ -985,9 +923,9 @@ impl<Req, Resp> ShardedRequester<Req, Resp> {
                 // synchronous `call` path, where the requester would have
                 // blocked anyway.
                 let fuse = allow_fuse && self.config.fused_mode == FusedMode::Always;
-                // SAFETY: the head CAS above granted exclusive claim
-                // ownership of this slot; publish once.
-                unsafe { slot.publish(id, env) };
+                // SAFETY: `claim_slot` won the head CAS, which grants
+                // exclusive claim ownership of this slot; publish once.
+                unsafe { slot.publish(head, id, env) };
                 if fuse {
                     if self.try_self_service(head) {
                         // Ran inline: the slot is DONE and redeems through
@@ -1107,34 +1045,14 @@ impl<Req, Resp> ShardedRequester<Req, Resp> {
         }
     }
 
-    /// Spins until the home-shard slot behind `index` is DONE.
+    /// Spins until the home-shard slot behind `index` is DONE. While it
+    /// ages, the governor is asked to un-park another shard's responder —
+    /// one more stealer that can reach this shard.
     fn wait_done(&self, index: usize) -> Result<()> {
         let shard = &self.shared.shards[self.home];
-        let cap = shard.slots.len();
-        let slot = &shard.slots[index % cap];
-        let gov = &self.shared.governor;
-        let mut backoff = Backoff::new();
-        let mut grace: u32 = 0;
-        let mut age_polls: u32 = 0;
-        loop {
-            if slot.state() == DONE {
-                return Ok(());
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                grace += 1;
-                if grace > SHUTDOWN_GRACE_POLLS {
-                    return Err(HotCallError::ResponderGone);
-                }
-            }
-            // In-flight age: stuck behind busy responders — ask the
-            // governor to un-park another shard's responder (one more
-            // stealer that can reach this shard).
-            age_polls += 1;
-            if gov.adaptive() && age_polls.is_multiple_of(AGE_POLLS_PER_RAISE) {
-                gov.try_raise();
-            }
-            backoff.snooze();
-        }
+        let slot = &shard.slots[index % shard.slots.len()];
+        let done = || (slot.state() == DONE).then_some(());
+        poll_until(&self.shared.shutdown, &self.shared.governor, None, done).map(drop)
     }
 
     /// Redeems the single-call response sitting DONE at `index` on the
@@ -1155,7 +1073,7 @@ impl<Req, Resp> ShardedRequester<Req, Resp> {
             }
             Err(e) => Err(e),
         };
-        self.shared.record_reap(completed_at);
+        self.reap.record(now_cycles().saturating_sub(completed_at));
         result
     }
 
@@ -1245,64 +1163,15 @@ impl<Req, Resp> ShardedRequester<Req, Resp> {
         tickets: &mut Vec<Ticket>,
         deadline: Option<Instant>,
     ) -> Result<Option<(u64, Resp)>> {
-        let shard = &self.shared.shards[self.home];
-        let cap = shard.slots.len();
-        let gov = &self.shared.governor;
-        let mut backoff = Backoff::new();
-        let mut grace: u32 = 0;
-        let mut polls: u32 = 0;
-        loop {
-            // Redeem the *oldest* completed ticket (ring indices are
-            // monotonic), never just the first one found. With
-            // instantly-completing submissions (the fused path), a
-            // first-found scan keeps redeeming whichever ticket
-            // `swap_remove` rotated to the front — always the youngest —
-            // while older DONE slots sit un-redeemed until the head laps
-            // onto one; `submit` then spins on a slot only this very
-            // caller could free. Oldest-first bounds an un-redeemed
-            // completion's age by the caller's in-flight window.
-            let mut oldest: Option<usize> = None;
-            for i in 0..tickets.len() {
-                if shard.slots[tickets[i].index % cap].state() == DONE
-                    && oldest.is_none_or(|o| tickets[i].index < tickets[o].index)
-                {
-                    oldest = Some(i);
-                }
-            }
-            if let Some(i) = oldest {
-                let mut ticket = tickets.swap_remove(i);
-                let seq = ticket.seq();
-                let index = ticket.defuse();
-                return self.redeem_one(index).map(|resp| Some((seq, resp)));
-            }
-            // Deadline check on a stride: `Instant::now` per spin would
-            // dominate the wait loop. The first iteration checks too, so
-            // an already-expired deadline still gets exactly one scan.
-            // Once the backoff has escalated to yielding, every poll
-            // already costs a scheduler quantum, so the stride no longer
-            // buys anything — check every poll instead. On a quiescent
-            // plane the old stride let up to 64 yields (milliseconds of
-            // quanta) pass between deadline reads, overshooting small
-            // timeouts and delaying streaming credit refills.
-            if polls.is_multiple_of(DEADLINE_CHECK_POLLS) || backoff.yields() {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Ok(None);
-                    }
-                }
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                grace += 1;
-                if grace > SHUTDOWN_GRACE_POLLS {
-                    return Err(HotCallError::ResponderGone);
-                }
-            }
-            polls = polls.wrapping_add(1);
-            if gov.adaptive() && polls.is_multiple_of(AGE_POLLS_PER_RAISE) {
-                gov.try_raise();
-            }
-            backoff.snooze();
-        }
+        let shared = &*self.shared;
+        let pick = || oldest_done(&shared.shards[self.home].slots, tickets);
+        let Some(i) = poll_until(&shared.shutdown, &shared.governor, deadline, pick)? else {
+            return Ok(None);
+        };
+        let mut ticket = tickets.swap_remove(i);
+        let seq = ticket.seq();
+        self.redeem_one(ticket.defuse())
+            .map(|resp| Some((seq, resp)))
     }
 
     /// Waits for a bundle and returns one result per call, in submission
@@ -1326,7 +1195,7 @@ impl<Req, Resp> ShardedRequester<Req, Resp> {
             }
             Err(e) => Err(e),
         };
-        self.shared.record_reap(completed_at);
+        self.reap.record(now_cycles().saturating_sub(completed_at));
         result
     }
 
@@ -1558,10 +1427,43 @@ mod tests {
     fn stealers_reap_a_skewed_shard() {
         // Every submission lands on shard 0 while shard 1's responder has
         // nothing of its own: the completions must still arrive, and the
-        // plane must record sibling probes.
-        let (t, sq) = table();
-        let server = ShardedServer::spawn(t, 16, ShardPolicy::fixed(2), generous()).unwrap();
+        // plane must record the steals. One responder is held inside a
+        // gated handler for the whole run, so a steal is forced whichever
+        // of the two took the gated call: either shard 1's responder stole
+        // it, or it steals everything queued behind the blocked home
+        // responder. No scheduling luck involved.
+        const GATED: u64 = u64::MAX;
+        struct OpenOnDrop(Arc<AtomicBool>);
+        impl Drop for OpenOnDrop {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let entered = Arc::new(AtomicBool::new(false));
+        let open = Arc::new(AtomicBool::new(false));
+        let (e, o) = (Arc::clone(&entered), Arc::clone(&open));
+        let mut t: CallTable<u64, u64> = CallTable::new();
+        let sq = t.register(move |x| {
+            if x == GATED {
+                e.store(true, Ordering::SeqCst);
+                while !o.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                return 0;
+            }
+            x * x
+        });
+        // 512 slots: the gated call pins its slot until the gate opens, so
+        // the 400 calls behind it must fit in one lap.
+        let server = ShardedServer::spawn(t, 512, ShardPolicy::fixed(2), generous()).unwrap();
+        // Declared after the server, so dropped before it: a failed
+        // assertion opens the gate instead of hanging the server's join.
+        let gate = OpenOnDrop(open);
         let r = server.requester_on(0).unwrap();
+        let gated = r.submit(sq, GATED).unwrap();
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
         for round in 0..50u64 {
             let tickets: Vec<Ticket> = (0..8u64)
                 .map(|i| r.submit(sq, round * 10 + i).unwrap())
@@ -1571,17 +1473,25 @@ mod tests {
                 assert_eq!(r.wait(ticket).unwrap(), x * x);
             }
         }
-        assert_eq!(server.stats().calls, 400);
+        // The free responder serviced all of it alone (call counts are
+        // flushed before each DONE hand-off, so this is exact).
         let rs = server.ring_stats();
-        // Shard 1's responder had an empty home shard the whole run: its
-        // probes of shard 0 are the steals.
-        assert!(rs.shards[1].steals > 0, "{rs:?}");
-        assert_eq!(rs.shards[0].shard, 0);
-        assert_eq!(
-            rs.shards.iter().map(|s| s.serviced).sum::<u64>(),
-            400,
-            "{rs:?}"
-        );
+        let serviced: Vec<u64> = rs.shards.iter().map(|s| s.serviced).collect();
+        assert!(serviced == [400, 0] || serviced == [0, 400], "{rs:?}");
+        drop(gate);
+        assert_eq!(r.wait(gated).unwrap(), 0);
+        assert_eq!(server.stats().calls, 401);
+        // Probe counters are flushed right *after* the hand-off of a win.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let rs = server.ring_stats();
+            assert_eq!(rs.shards[0].shard, 0);
+            if rs.shards[1].steal_hits > 0 && rs.shards[1].steals >= rs.shards[1].steal_hits {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no steal recorded: {rs:?}");
+            std::thread::yield_now();
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::task::Waker;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::Result;
-use crate::telemetry::{now_cycles, AtomicHist, TELEMETRY_ENABLED};
+use crate::telemetry::{now_cycles, AtomicHist, CycleHist, TELEMETRY_ENABLED};
 
 /// Pads and aligns a value to a cache line so neighbouring values never
 /// share one (the classic crossbeam `CachePadded`). 64 bytes covers x86-64
@@ -53,15 +53,23 @@ impl<T> core::ops::DerefMut for CachePadded<T> {
 }
 
 /// Slot has no call in it and may be claimed by a requester.
-pub(crate) const EMPTY: u8 = 0;
-/// A requester won the claim and is writing the request payload.
-pub(crate) const CLAIMED: u8 = 1;
+pub(crate) const EMPTY: usize = 0;
+/// A mailbox requester won the claim and is writing the request payload.
+/// Ring slots never take this value: their claim is the head-counter CAS,
+/// and they go straight from `EMPTY` to `SUBMITTED`.
+pub(crate) const CLAIMED: usize = 1;
 /// Request payload is published; a responder may take the slot.
-pub(crate) const SUBMITTED: u8 = 2;
+pub(crate) const SUBMITTED: usize = 2;
 /// A responder took the request and is executing the handler.
-pub(crate) const SERVICING: u8 = 3;
+pub(crate) const SERVICING: usize = 3;
 /// Response payload is published; the submitting requester may redeem it.
-pub(crate) const DONE: u8 = 4;
+pub(crate) const DONE: usize = 4;
+
+/// The state word keeps the phase (`EMPTY` … `DONE`) in its low bits. A
+/// `SUBMITTED` word carries, above them, the ring sequence the request was
+/// published for (0 on the mailbox): see [`CallSlot::submitted_as`].
+const PHASE_BITS: u32 = 3;
+const PHASE_MASK: usize = (1 << PHASE_BITS) - 1;
 
 /// Waker-cell states for the async completion protocol (`wake_state`).
 /// Sync calls never leave `W_IDLE`, so the only cost they pay is one
@@ -99,8 +107,9 @@ const W_FIRED: u8 = 4;
 /// The payload cells carry no synchronization of their own. Exclusive
 /// access is granted by state-machine transitions:
 ///
-/// * `EMPTY → CLAIMED` (requester CAS, or the ring's head-counter CAS)
-///   grants the winning requester exclusive write access to `req`.
+/// * The claim — the mailbox's `EMPTY → CLAIMED` CAS, or on a ring the
+///   head-counter CAS, which leaves the word `EMPTY` — grants the winning
+///   requester exclusive write access to `req`.
 /// * `SUBMITTED` observed with `Acquire` *plus* service ownership (single
 ///   responder, or winning the ring's tail CAS) grants a responder
 ///   exclusive access to take `req` and write `resp`.
@@ -112,7 +121,7 @@ pub(crate) struct CallSlot<Req, Resp> {
     /// Isolated on its own line: requesters and responders spin on this
     /// word, and sharing it with payload bytes would ping-pong the line on
     /// every payload write.
-    state: CachePadded<AtomicU8>,
+    state: CachePadded<AtomicUsize>,
     /// Cycle stamp taken in [`Self::publish`], read by the servicing
     /// responder to separate queueing delay from service time. Written
     /// under the claim's exclusivity, read under service ownership — the
@@ -142,7 +151,7 @@ unsafe impl<Req: Send, Resp: Send> Send for CallSlot<Req, Resp> {}
 impl<Req, Resp> CallSlot<Req, Resp> {
     pub(crate) fn new() -> Self {
         CallSlot {
-            state: CachePadded::new(AtomicU8::new(EMPTY)),
+            state: CachePadded::new(AtomicUsize::new(EMPTY)),
             t_submit: AtomicU64::new(0),
             t_complete: AtomicU64::new(0),
             wake_state: AtomicU8::new(W_IDLE),
@@ -166,11 +175,24 @@ impl<Req, Resp> CallSlot<Req, Resp> {
         self.t_complete.load(Ordering::Relaxed)
     }
 
-    /// Current state (`Acquire`: pairs with the release transition that
+    /// Current phase (`Acquire`: pairs with the release transition that
     /// published it, so payload written before that transition is visible).
     #[inline]
-    pub(crate) fn state(&self) -> u8 {
-        self.state.load(Ordering::Acquire)
+    pub(crate) fn state(&self) -> usize {
+        self.state.load(Ordering::Acquire) & PHASE_MASK
+    }
+
+    /// Is the request of ring sequence `seq` published here and not yet
+    /// taken? This, not `state() == SUBMITTED`, is what a responder scans
+    /// for: the winner of a tail CAS owns its slots *before* it moves them
+    /// to `SERVICING`, and in that window a second scanner reaching the
+    /// same physical slot one lap later (`seq + capacity`) would take the
+    /// still-`SUBMITTED` word for a fresh submission, claim it as well,
+    /// service the call twice and push `tail` past `head`. The sequence in
+    /// the word tells the laps apart. `Acquire` as in [`Self::state`].
+    #[inline]
+    pub(crate) fn submitted_as(&self, seq: usize) -> bool {
+        self.state.load(Ordering::Acquire) == (seq << PHASE_BITS | SUBMITTED)
     }
 
     /// Tries the `EMPTY → CLAIMED` edge (mailbox claim).
@@ -181,33 +203,32 @@ impl<Req, Resp> CallSlot<Req, Resp> {
             .is_ok()
     }
 
-    /// Marks the slot claimed when ownership was won elsewhere (the ring's
-    /// head-counter CAS). Relaxed is enough: claimability of this physical
-    /// slot by any later requester is ordered through the head/tail
-    /// counters, not through this word.
-    #[inline]
-    pub(crate) fn mark_claimed(&self) {
-        self.state.store(CLAIMED, Ordering::Relaxed);
-    }
-
-    /// Publishes the request: `CLAIMED → SUBMITTED`.
+    /// Publishes the request as ring sequence `seq` (0 on the mailbox):
+    /// `CLAIMED → SUBMITTED` on the mailbox, `EMPTY → SUBMITTED` on a ring.
+    /// A ring slot's state line is therefore written once per submission,
+    /// and the line an idle responder spins on is not invalidated by an
+    /// advisory mark first. Nothing needs the mark: a second claimant
+    /// reaches this physical slot only one lap later, and the tail-based
+    /// full check in `ring::claim_slot` refuses that lap until this very
+    /// submission has been published and taken.
     ///
     /// # Safety
     ///
     /// Caller must hold the claim (won [`Self::try_claim`] or the ring's
-    /// head CAS followed by [`Self::mark_claimed`]) and call this at most
-    /// once per claim. That claim is exclusive, so no other thread reads
-    /// or writes `req` until the Release store below hands the slot over.
+    /// head CAS) and call this at most once per claim. That claim is
+    /// exclusive, so no other thread reads or writes `req` until the
+    /// Release store below hands the slot over.
     #[inline]
-    pub(crate) unsafe fn publish(&self, id: u32, req: Req) {
-        debug_assert_eq!(self.state.load(Ordering::Relaxed), CLAIMED);
+    pub(crate) unsafe fn publish(&self, seq: usize, id: u32, req: Req) {
+        debug_assert!(self.state.load(Ordering::Relaxed) <= CLAIMED);
         (*self.req.get()).write((id, req));
         if TELEMETRY_ENABLED {
             // Stamp before the Release store so the responder's Acquire of
             // SUBMITTED makes the stamp visible along with the payload.
             self.t_submit.store(now_cycles(), Ordering::Relaxed);
         }
-        self.state.store(SUBMITTED, Ordering::Release);
+        self.state
+            .store(seq << PHASE_BITS | SUBMITTED, Ordering::Release);
     }
 
     /// Takes the request out: `SUBMITTED → SERVICING`.
@@ -221,7 +242,7 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     /// makes the payload read exclusive and unrepeatable.
     #[inline]
     pub(crate) unsafe fn take_request(&self) -> (u32, Req) {
-        debug_assert_eq!(self.state.load(Ordering::Relaxed), SUBMITTED);
+        debug_assert_eq!(self.state.load(Ordering::Relaxed) & PHASE_MASK, SUBMITTED);
         let payload = (*self.req.get()).assume_init_read();
         // Relaxed: only this thread advances the slot until `finish`, and
         // `Drop` (which keys payload cleanup on this word) holds `&mut`.
@@ -282,7 +303,7 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     /// completes the call, so its [`Self::wake_async`] cannot miss it.
     #[inline]
     pub(crate) fn arm_async(&self) {
-        debug_assert_eq!(self.state.load(Ordering::Relaxed), CLAIMED);
+        debug_assert!(self.state.load(Ordering::Relaxed) <= CLAIMED);
         self.wake_state.store(W_ARMED, Ordering::Relaxed);
     }
 
@@ -399,7 +420,7 @@ impl<Req, Resp> Drop for CallSlot<Req, Resp> {
         // live is exactly what the state word records: a request that was
         // published but never serviced, or a response that was published
         // but never redeemed (both happen when shutdown strands a call).
-        match *self.state.get_mut() {
+        match *self.state.get_mut() & PHASE_MASK {
             // SAFETY: SUBMITTED means `publish` ran and `take_request`
             // did not; the request payload is initialized and unowned.
             SUBMITTED => unsafe {
@@ -621,6 +642,50 @@ pub(crate) struct StageCells {
     pub(crate) service: AtomicHist,
 }
 
+/// The reap-stage histogram (completion → redeem) of one plane: one cell
+/// per requester handle, recorded **single-writer** by that handle exactly
+/// like the responders' [`StageCells`], so redeeming a call does no shared
+/// read-modify-write. [`ReapCells::snapshot`] merges the cells.
+#[derive(Debug, Default)]
+pub(crate) struct ReapCells {
+    /// `.0` holds the samples of handles that are gone, `.1` the cells of
+    /// the live ones. Locked only when a handle is minted or a snapshot
+    /// is taken — never on the call path.
+    cells: Mutex<(CycleHist, Vec<Arc<AtomicHist>>)>,
+}
+
+impl ReapCells {
+    /// Mints the cell of a new requester handle. Cells whose handle was
+    /// dropped are folded into the retired histogram here, so the registry
+    /// stays as large as the set of live handles. `Arc::get_mut` is the
+    /// uniqueness test because it acquires the dropped handle's last
+    /// (Relaxed) records along with the reference count.
+    pub(crate) fn register(&self) -> Arc<AtomicHist> {
+        let mut cells = self.cells.lock();
+        let (retired, live) = &mut *cells;
+        live.retain_mut(|cell| match Arc::get_mut(cell) {
+            Some(orphan) => {
+                retired.merge(&orphan.snapshot());
+                false
+            }
+            None => true,
+        });
+        let cell = Arc::new(AtomicHist::new());
+        live.push(Arc::clone(&cell));
+        cell
+    }
+
+    /// Every reap recorded on the plane so far, over all handles.
+    pub(crate) fn snapshot(&self) -> CycleHist {
+        let cells = self.cells.lock();
+        let mut merged = cells.0.clone();
+        for cell in &cells.1 {
+            merged.merge(&cell.snapshot());
+        }
+        merged
+    }
+}
+
 /// A responder-owned statistics cell. Only its responder writes it (plain
 /// stores of running totals), anyone may read it; padded wherever it is
 /// embedded so readers never dirty the responder's line.
@@ -674,7 +739,7 @@ mod tests {
         assert!(slot.try_claim());
         assert!(!slot.try_claim(), "claim is exclusive");
         // SAFETY: we hold the claim won above.
-        unsafe { slot.publish(7, "ping".to_string()) };
+        unsafe { slot.publish(0, 7, "ping".to_string()) };
         assert_eq!(slot.state(), SUBMITTED);
         // SAFETY: single thread; SUBMITTED observed; sole responder.
         let (id, req) = unsafe { slot.take_request() };
@@ -697,7 +762,7 @@ mod tests {
             let slot: CallSlot<Arc<()>, Arc<()>> = CallSlot::new();
             assert!(slot.try_claim());
             // SAFETY: claim held.
-            unsafe { slot.publish(0, Arc::clone(&marker)) };
+            unsafe { slot.publish(0, 0, Arc::clone(&marker)) };
         }
         assert_eq!(Arc::strong_count(&marker), 1, "request payload leaked");
         // A finished-but-never-redeemed response must be dropped.
@@ -705,7 +770,7 @@ mod tests {
             let slot: CallSlot<Arc<()>, Arc<()>> = CallSlot::new();
             assert!(slot.try_claim());
             // SAFETY: claim held.
-            unsafe { slot.publish(0, Arc::clone(&marker)) };
+            unsafe { slot.publish(0, 0, Arc::clone(&marker)) };
             // SAFETY: single thread, SUBMITTED observed.
             let _ = unsafe { slot.take_request() };
             // SAFETY: request taken above.
@@ -732,7 +797,7 @@ mod tests {
         assert!(slot.try_claim());
         slot.arm_async();
         // SAFETY: claim held.
-        unsafe { slot.publish(0, 1) };
+        unsafe { slot.publish(0, 0, 1) };
         assert!(!slot.register_waker(&waker), "not complete yet");
         // SAFETY: single thread; SUBMITTED observed; sole responder.
         let (_, req) = unsafe { slot.take_request() };
@@ -750,7 +815,7 @@ mod tests {
         assert!(slot.try_claim());
         slot.arm_async();
         // SAFETY: claim held.
-        unsafe { slot.publish(0, 5) };
+        unsafe { slot.publish(0, 0, 5) };
         // SAFETY: as above — single thread walks the whole state machine.
         let (_, req) = unsafe { slot.take_request() };
         unsafe { slot.finish(Ok(req + 1)) };

@@ -26,8 +26,8 @@
 //! the data plane: histogram cells are single-writer (stolen work is
 //! attributed to the *stealing* responder's cell) and updated with plain
 //! `Relaxed` load/store pairs — no shared read-modify-write on the call
-//! path. Only the reap-stage histogram, written by arbitrary requester
-//! threads after the call has already completed, uses `fetch_add`.
+//! path. The reap-stage histogram follows the same rule from the other
+//! side: one cell per requester handle, merged when a snapshot is taken.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -280,15 +280,14 @@ pub struct HistSummary {
 
 /// The shared-memory histogram cell the data planes record into.
 ///
-/// Bucket updates come in two flavors matching the plane's ownership
-/// discipline: [`AtomicHist::record`] is **single-writer** (plain
-/// `Relaxed` load + store, no RMW — the responder owns its cell, exactly
-/// like `LocalStats` counter flushes), and [`AtomicHist::record_shared`]
-/// uses `fetch_add` for the reap stage, where arbitrary requester threads
-/// record after their call already completed (off the critical path).
+/// Bucket updates match the plane's ownership discipline:
+/// [`AtomicHist::record`] is **single-writer** (plain `Relaxed` load +
+/// store, no RMW — a responder owns its stage cells and a requester handle
+/// its reap cell, exactly like `LocalStats` counter flushes). Readers on
+/// other threads take a [`AtomicHist::snapshot`].
 ///
 /// Under the `telemetry-off` feature the cell allocates no buckets and
-/// both record paths are empty.
+/// `record` is empty.
 #[derive(Debug)]
 pub struct AtomicHist {
     counts: Box<[AtomicU64]>,
@@ -333,19 +332,6 @@ impl AtomicHist {
         if v > self.max.load(Ordering::Relaxed) {
             self.max.store(v, Ordering::Relaxed);
         }
-    }
-
-    /// Records one sample from any thread (`fetch_add`; reap stage only —
-    /// never on the submit/service critical path).
-    #[inline]
-    pub fn record_shared(&self, v: u64) {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
-        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Copies the cell into a plain mergeable histogram.
@@ -812,8 +798,9 @@ pub struct PlaneTelemetry {
     pub stats: RingStats,
     /// Per-lane queue/service histograms.
     pub lanes: Vec<LaneTelemetry>,
-    /// Cycles from completion to the requester reaping the response,
-    /// recorded by requester threads (shared cell, off the hot path).
+    /// Cycles from completion to the requester reaping the response: one
+    /// single-writer cell per requester handle, merged here. Exact when
+    /// every thread redeems through its own handle (see `RingRequester`).
     pub reap: CycleHist,
 }
 
@@ -1372,8 +1359,6 @@ mod tests {
         let mut p = CycleHist::new();
         for v in [0u64, 1, 63, 64, 65, 4_095, 1 << 40] {
             a.record(v);
-            a.record_shared(v);
-            p.record(v);
             p.record(v);
         }
         if TELEMETRY_ENABLED {

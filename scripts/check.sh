@@ -37,6 +37,20 @@ cargo test -q
 cargo test --release -q -p sgx-sim crypto
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
+# The live data plane, in both profiles: the slot `debug_assert!`s only
+# exist in debug, the race windows only open under optimisation. Then the
+# tests that used to fail on scheduling luck, 20 times over, so a
+# regression in any is a red check here and not folklore (`prop_ctl`
+# pipelines a window as deep as its ring: the `wait_any` oldest-first race).
+echo "==> hotcalls lib + integration suites (debug, release); de-flaked tests x20"
+cargo test -q -p hotcalls --lib --tests
+cargo test --release -q -p hotcalls --lib --tests
+for _ in $(seq 20); do
+    cargo test --release -q -p hotcalls --lib -- \
+        dropped_future_abandons_not_wedges stealers_reap_a_skewed_shard
+    cargo test --release -q -p hotcalls --test prop_ctl
+done
+
 # The load-curve harness self-checks its own claims (100k-connection
 # multiplexing witnessed, HotCalls knee >= 2x SDK per app, open-loop
 # tickets conserved) and exits non-zero on any miss.
