@@ -182,7 +182,7 @@ fn grid_cell(
                         if let Some(ctl) = ctl {
                             let d = ctl.tick(&server.telemetry("grid").stats);
                             if let Some(n) = d.responders {
-                                server.set_active_responders(n);
+                                server.set_active(n);
                             }
                         }
                     }
@@ -294,7 +294,7 @@ fn phase_arm(
             if let Some(ctl) = ctl {
                 let d = ctl.tick(&server.telemetry("phase").stats);
                 if let Some(target) = d.responders {
-                    server.set_active_responders(target);
+                    server.set_active(target);
                 }
             }
         }

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use bench::artifact::ArtifactSink;
 use bench::report::{banner, Json};
 use bench::telemetry::append_snapshot;
-use hotcalls::rt::{CallTable, RingServer, ShardedServer, Ticket};
+use hotcalls::rt::{CallTable, RingServer, Ticket};
 use hotcalls::{
     FusedMode, HotCallConfig, HotCallStats, ResponderPolicy, ShardPolicy, Snapshot,
     TelemetryRegistry,
@@ -159,7 +159,7 @@ fn phase_workload(
         std::thread::sleep(IO_HANDLER_SLEEP);
         x + 1
     });
-    let server = ShardedServer::spawn(
+    let server = RingServer::spawn_sharded(
         table,
         RING_CAPACITY,
         ShardPolicy::elastic(1, SHARDS),

@@ -57,7 +57,7 @@ use bench::artifact::ArtifactSink;
 use bench::report::{banner, Json};
 use bench::rt_baseline::{scaling_throughput, MutexMailbox};
 use bench::telemetry::append_snapshot;
-use hotcalls::rt::{CallTable, RingServer, ShardedServer};
+use hotcalls::rt::{CallTable, RingServer};
 use hotcalls::{
     HotCallConfig, ResponderPolicy, RingStats, ShardPolicy, Snapshot, TelemetryRegistry,
 };
@@ -103,8 +103,8 @@ fn io_table() -> CallTable<u64, u64> {
     table
 }
 
-fn io_sharded(policy: ShardPolicy) -> ShardedServer<u64, u64> {
-    ShardedServer::spawn(io_table(), RING_CAPACITY, policy, pool_config())
+fn io_sharded(policy: ShardPolicy) -> RingServer<u64, u64> {
+    RingServer::spawn_sharded(io_table(), RING_CAPACITY, policy, pool_config())
         .expect("plane shape is valid")
 }
 

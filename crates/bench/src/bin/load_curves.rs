@@ -399,7 +399,7 @@ fn check_point(measure: Duration) -> f64 {
                         if done.is_multiple_of(GRID_TICK_EVERY) {
                             let d = ctl.tick(&server.telemetry("check").stats);
                             if let Some(n) = d.responders {
-                                server.set_active_responders(n);
+                                server.set_active(n);
                             }
                         }
                     }

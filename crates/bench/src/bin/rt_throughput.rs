@@ -70,7 +70,7 @@ use bench::artifact::ArtifactSink;
 use bench::report::Json;
 use bench::rt_baseline::{scaling_throughput, MutexMailbox};
 use bench::telemetry::append_snapshot;
-use hotcalls::rt::{ByteCallTable, ByteRing, CallTable, HotCallServer, RingServer, ShardedServer};
+use hotcalls::rt::{ByteCallTable, ByteRing, CallTable, HotCallServer, RingServer};
 use hotcalls::{
     Controller, FusedMode, HotCallConfig, ResponderPolicy, ShardPolicy, Snapshot, TelemetryRegistry,
 };
@@ -336,7 +336,7 @@ fn shard_cell(
         }),
         _ => unreachable!("unknown workload"),
     };
-    let server = ShardedServer::spawn(
+    let server = RingServer::spawn_sharded(
         table,
         RING_CAPACITY,
         ShardPolicy::fixed(shards),
@@ -527,7 +527,7 @@ fn zero_config_cell(
                     if t == 0 && done.is_multiple_of(ZERO_CONFIG_TICK_EVERY) {
                         let d = ctl.tick(&server.telemetry("zero-config").stats);
                         if let Some(n) = d.responders {
-                            server.set_active_responders(n);
+                            server.set_active(n);
                         }
                     }
                 }

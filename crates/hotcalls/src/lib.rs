@@ -18,15 +18,22 @@
 //!   timeout-fallback and idle-sleep mechanisms. The data plane is
 //!   lock-free (payloads in `UnsafeCell` slots guarded by the atomic state
 //!   machine, cache-line-padded hot words), and [`rt::RingServer`] scales
-//!   it out: a multi-slot submission ring served by a pool of responders
-//!   ([`rt::RingServer::spawn_pool`]) that drain submitted slots in
-//!   batches. The ring is *pipelined*: [`rt::RingRequester::submit`] /
+//!   it out from one plane core: `S` shards — each a multi-slot submission
+//!   ring — served by `R ≥ S` responders that drain submitted slots in
+//!   batches, home shard first, siblings by stealing. A ring is the
+//!   one-shard shape ([`rt::RingServer::spawn_pool`]: every requester
+//!   shares one head word), the sharded plane the one-responder-per-shard
+//!   shape ([`rt::RingServer::spawn_sharded`]: requesters pinned to home
+//!   shards never share a head CAS); both are the same server and
+//!   requester types and the same protocol code. The plane is
+//!   *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester, [`rt::Bundle`] packs N small calls into one submission,
 //!   and [`rt::RingServer::spawn_adaptive`] replaces the static pool size
 //!   with a [`ResponderPolicy`] governor that parks idle responders and
-//!   wakes them on backlog. This is usable as a general low-latency
-//!   inter-thread call primitive.
+//!   wakes them on backlog. [`rt::ByteRing`] and [`rt::SgRing`] are that
+//!   plane over arena-backed byte and scatter-gather payloads. This is
+//!   usable as a general low-latency inter-thread call primitive.
 //! * [`ctl`] — the **configless control plane**: a per-API break-even
 //!   router and an online worker-efficiency sizer that close the loop
 //!   from [`telemetry`] back into the data plane's knobs, so the three
@@ -57,7 +64,7 @@ pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
-pub use aio::{block_on, Reactor, ReapPlane};
+pub use aio::{block_on, Reactor};
 pub use config::{
     FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
     ShardStats,

@@ -1,8 +1,8 @@
 //! The byte-payload hot path: arena-backed buffers over the submission
 //! ring.
 //!
-//! [`ByteRing`] specializes [`super::RingServer`] to `HotBuf` payloads and
-//! pairs every caller with its own [`SlabArena`]: a request buffer is
+//! [`ByteRing`] specializes [`super::RingServer`] — ring or sharded, it is
+//! one type — to `HotBuf` payloads and pairs every caller with its own [`SlabArena`]: a request buffer is
 //! acquired from the arena (inline for cache-line-sized payloads, a
 //! recycled slab otherwise), travels through the ring *by value*, is
 //! transformed **in place** by the handler — the same buffer carries the
@@ -23,7 +23,6 @@ use crate::telemetry::{PlaneProvider, PlaneTelemetry};
 
 use super::arena::{ArenaStats, HotBuf, SlabArena};
 use super::ring::{Bundle, RingRequester, RingServer, Ticket};
-use super::shard::{ShardedRequester, ShardedServer};
 use super::CallTable;
 
 /// A call table whose handlers transform byte payloads in place.
@@ -85,15 +84,7 @@ impl ByteCallTable {
 /// ```
 #[derive(Debug)]
 pub struct ByteRing {
-    plane: BytePlane,
-}
-
-/// The transport behind a [`ByteRing`]: one shared ring, or the sharded
-/// multi-ring plane.
-#[derive(Debug)]
-enum BytePlane {
-    Single(RingServer<HotBuf, HotBuf>),
-    Sharded(ShardedServer<HotBuf, HotBuf>),
+    server: RingServer<HotBuf, HotBuf>,
 }
 
 impl ByteRing {
@@ -108,14 +99,8 @@ impl ByteRing {
         n_responders: usize,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(ByteRing {
-            plane: BytePlane::Single(RingServer::spawn_pool(
-                table.inner,
-                capacity,
-                n_responders,
-                config,
-            )?),
-        })
+        RingServer::spawn_pool(table.inner, capacity, n_responders, config)
+            .map(|server| ByteRing { server })
     }
 
     /// Spawns an adaptive pool governed by `policy` (see
@@ -132,68 +117,34 @@ impl ByteRing {
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(ByteRing {
-            plane: BytePlane::Single(RingServer::spawn_adaptive(
-                table.inner,
-                capacity,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_adaptive(table.inner, capacity, policy, config)
+            .map(|server| ByteRing { server })
     }
 
-    /// Spawns the sharded plane (see [`ShardedServer::spawn`]):
+    /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]):
     /// `policy.resolved_shards()` independent rings of
     /// `capacity_per_shard` slots each, one work-stealing responder per
     /// shard, callers pinned to home shards by the router.
     ///
     /// # Errors
     ///
-    /// As [`ShardedServer::spawn`].
+    /// As [`RingServer::spawn_sharded`].
     pub fn spawn_sharded(
         table: ByteCallTable,
         capacity_per_shard: usize,
         policy: ShardPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(ByteRing {
-            plane: BytePlane::Sharded(ShardedServer::spawn(
-                table.inner,
-                capacity_per_shard,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_sharded(table.inner, capacity_per_shard, policy, config)
+            .map(|server| ByteRing { server })
     }
 
     /// A caller handle with its own private arena (no cross-thread
-    /// coordination on the buffer path). On a sharded plane the caller is
-    /// pinned to a router-chosen home shard.
+    /// coordination on the buffer path), pinned to a router-chosen home
+    /// shard (always shard 0 on a single-ring plane).
     pub fn caller(&self) -> ByteCaller {
-        let requester = match &self.plane {
-            BytePlane::Single(server) => ByteRequester::Single(server.requester()),
-            BytePlane::Sharded(server) => ByteRequester::Sharded(server.requester()),
-        };
         ByteCaller {
-            requester,
-            arena: SlabArena::new(),
-        }
-    }
-
-    /// A caller placed on logical core `core`: on a sharded plane the
-    /// home shard is chosen placement-aware (see
-    /// [`ShardedServer::requester_near`]) so the handoff stays same-core
-    /// or at least same-node when an on-node shard is active; on a
-    /// single-ring plane there is nothing to choose.
-    pub fn caller_near(&self, core: usize, topology: &sgx_sim::Topology) -> ByteCaller {
-        let requester = match &self.plane {
-            BytePlane::Single(server) => ByteRequester::Single(server.requester()),
-            BytePlane::Sharded(server) => {
-                ByteRequester::Sharded(server.requester_near(core, topology))
-            }
-        };
-        ByteCaller {
-            requester,
+            requester: self.server.requester(),
             arena: SlabArena::new(),
         }
     }
@@ -206,85 +157,50 @@ impl ByteRing {
     ///
     /// [`crate::HotCallError::InvalidConfig`] if `shard` is out of range.
     pub fn caller_on(&self, shard: usize) -> Result<ByteCaller> {
-        let requester = match &self.plane {
-            BytePlane::Single(server) => {
-                if shard != 0 {
-                    return Err(crate::error::HotCallError::InvalidConfig(
-                        "shard affinity index out of range",
-                    ));
-                }
-                ByteRequester::Single(server.requester())
-            }
-            BytePlane::Sharded(server) => ByteRequester::Sharded(server.requester_on(shard)?),
-        };
         Ok(ByteCaller {
-            requester,
+            requester: self.server.requester_on(shard)?,
             arena: SlabArena::new(),
         })
     }
 
     /// Number of responder threads in the pool (active and parked).
     pub fn responders(&self) -> usize {
-        match &self.plane {
-            BytePlane::Single(server) => server.responders(),
-            BytePlane::Sharded(server) => server.shards(),
-        }
+        self.server.responders()
     }
 
     /// Number of ring shards (1 for the single-ring plane).
     pub fn shards(&self) -> usize {
-        match &self.plane {
-            BytePlane::Single(_) => 1,
-            BytePlane::Sharded(server) => server.shards(),
-        }
+        self.server.shards()
     }
 
     /// Transport statistics, aggregated over the responder pool.
     pub fn stats(&self) -> HotCallStats {
-        match &self.plane {
-            BytePlane::Single(server) => server.stats(),
-            BytePlane::Sharded(server) => server.stats(),
-        }
+        self.server.stats()
     }
 
     /// The governor's current shape and decision counters.
     pub fn governor_stats(&self) -> GovernorStats {
-        match &self.plane {
-            BytePlane::Single(server) => server.governor_stats(),
-            BytePlane::Sharded(server) => server.governor_stats(),
-        }
+        self.server.governor_stats()
     }
 
-    /// Sets the plane's active responder/shard target (the `ctl` sizer's
+    /// Sets the plane's active responder target (the `ctl` sizer's
     /// control surface), clamped into the policy's bounds, and returns
-    /// the value installed. See [`RingServer::set_active_responders`] and
-    /// [`ShardedServer::set_active_shards`].
+    /// the value installed. See [`RingServer::set_active`].
     pub fn set_active(&self, n: usize) -> usize {
-        match &self.plane {
-            BytePlane::Single(server) => server.set_active_responders(n),
-            BytePlane::Sharded(server) => server.set_active_shards(n),
-        }
+        self.server.set_active(n)
     }
 
     /// The full per-shard snapshot. A single-ring plane reports itself as
-    /// one degenerate shard (no probes, no steals).
+    /// one shard (no steals, no cross-shard wakes).
     pub fn ring_stats(&self) -> RingStats {
-        match &self.plane {
-            BytePlane::Single(server) => {
-                RingStats::from_single(server.stats(), server.governor_stats())
-            }
-            BytePlane::Sharded(server) => server.ring_stats(),
-        }
+        self.server.ring_stats()
     }
 
     /// A full telemetry view of the byte plane: per-lane stage histograms,
     /// reap latency, and the shard-schema stats, tagged with a byte-plane
     /// kind so dashboards can tell payload lanes from typed rings.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        let mut t = match &self.plane {
-            BytePlane::Single(server) => server.telemetry(name),
-            BytePlane::Sharded(server) => server.telemetry(name),
-        };
+        let mut t = self.server.telemetry(name);
         t.kind = self.plane_kind();
         t
     }
@@ -293,105 +209,28 @@ impl ByteRing {
     /// capturing the plane's shared state so snapshots stay live after
     /// this handle is dropped.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        let kind = self.plane_kind();
-        let inner = match &self.plane {
-            BytePlane::Single(server) => server.telemetry_provider(name),
-            BytePlane::Sharded(server) => server.telemetry_provider(name),
-        };
-        Box::new(move || {
-            let mut t = inner();
-            t.kind = kind;
-            t
-        })
+        self.server.telemetry_provider_as(name, self.plane_kind())
     }
 
     fn plane_kind(&self) -> &'static str {
-        match &self.plane {
-            BytePlane::Single(_) => "byte-single",
-            BytePlane::Sharded(_) => "byte-sharded",
+        if self.shards() > 1 {
+            "byte-sharded"
+        } else {
+            "byte-single"
         }
     }
 
     /// Stops the responders and joins them.
     pub fn shutdown(self) {
-        match self.plane {
-            BytePlane::Single(server) => server.shutdown(),
-            BytePlane::Sharded(server) => server.shutdown(),
-        }
+        self.server.shutdown()
     }
 }
 
 /// A byte-call handle owning the arena its payloads cycle through.
 #[derive(Debug)]
 pub struct ByteCaller {
-    requester: ByteRequester,
+    requester: RingRequester<HotBuf, HotBuf>,
     arena: SlabArena,
-}
-
-/// The requester half matching [`BytePlane`]: shared-ring or pinned to a
-/// home shard of the sharded plane.
-#[derive(Debug)]
-enum ByteRequester {
-    Single(RingRequester<HotBuf, HotBuf>),
-    Sharded(ShardedRequester<HotBuf, HotBuf>),
-}
-
-impl ByteRequester {
-    fn call(&self, id: u32, buf: HotBuf) -> Result<HotBuf> {
-        match self {
-            ByteRequester::Single(r) => r.call(id, buf),
-            ByteRequester::Sharded(r) => r.call(id, buf),
-        }
-    }
-
-    fn submit(&self, id: u32, buf: HotBuf) -> Result<Ticket> {
-        match self {
-            ByteRequester::Single(r) => r.submit(id, buf),
-            ByteRequester::Sharded(r) => r.submit(id, buf),
-        }
-    }
-
-    fn wait(&self, ticket: Ticket) -> Result<HotBuf> {
-        match self {
-            ByteRequester::Single(r) => r.wait(ticket),
-            ByteRequester::Sharded(r) => r.wait(ticket),
-        }
-    }
-
-    fn wait_any(&self, tickets: &mut Vec<Ticket>) -> Result<(u64, HotBuf)> {
-        match self {
-            ByteRequester::Single(r) => r.wait_any(tickets),
-            ByteRequester::Sharded(r) => r.wait_any(tickets),
-        }
-    }
-
-    fn call_bundle(&self, bundle: Bundle<HotBuf>) -> Result<Vec<Result<HotBuf>>> {
-        match self {
-            ByteRequester::Single(r) => r.call_bundle(bundle),
-            ByteRequester::Sharded(r) => r.call_bundle(bundle),
-        }
-    }
-
-    fn stats(&self) -> HotCallStats {
-        match self {
-            ByteRequester::Single(r) => r.stats(),
-            ByteRequester::Sharded(r) => r.stats(),
-        }
-    }
-
-    fn governor_stats(&self) -> GovernorStats {
-        match self {
-            ByteRequester::Single(r) => r.governor_stats(),
-            ByteRequester::Sharded(r) => r.governor_stats(),
-        }
-    }
-
-    fn home(&self) -> usize {
-        match self {
-            ByteRequester::Single(_) => 0,
-            ByteRequester::Sharded(r) => r.home(),
-        }
-    }
 }
 
 impl ByteCaller {
@@ -705,34 +544,43 @@ mod tests {
     #[test]
     fn byte_bundle_roundtrips_inline_payloads() {
         let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
-        let mut caller = ring.caller();
-        let mut bundle = ByteBundle::with_capacity(3);
-        bundle
-            .push(&mut caller, rev, b"ab", 0)
-            .push(&mut caller, rev, b"xyz", 0)
-            .push(&mut caller, rev, b"hotcalls", 0);
-        assert_eq!(bundle.len(), 3);
-        let mut seen = Vec::new();
-        let results = caller
-            .call_bundle_with(bundle, |i, resp| {
-                seen.push((i, resp.to_vec()));
-                resp.len()
-            })
-            .unwrap();
-        assert!(results.into_iter().all(|r| r.is_ok()));
-        assert_eq!(
-            seen,
-            [
-                (0, b"ba".to_vec()),
-                (1, b"zyx".to_vec()),
-                (2, b"sllactoh".to_vec())
-            ]
-        );
-        // All three payloads fit a cache line: the bundle stays heap-free
-        // on the buffer side.
-        assert_eq!(caller.arena_stats().inline_hits, 3);
-        assert_eq!(ring.stats().calls, 3);
+        let single = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
+        let (t, _, _) = echo_table();
+        let sharded =
+            ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+        // The affinity override reaches every shard and nothing past them.
+        for (ring, top_shard) in [(single, 0), (sharded, 1)] {
+            assert!(ring.caller_on(top_shard + 1).is_err());
+            let mut caller = ring.caller_on(top_shard).unwrap();
+            assert_eq!(caller.home_shard(), top_shard);
+            let mut bundle = ByteBundle::with_capacity(3);
+            bundle
+                .push(&mut caller, rev, b"ab", 0)
+                .push(&mut caller, rev, b"xyz", 0)
+                .push(&mut caller, rev, b"hotcalls", 0);
+            assert_eq!(bundle.len(), 3);
+            let mut seen = Vec::new();
+            let results = caller
+                .call_bundle_with(bundle, |i, resp| {
+                    seen.push((i, resp.to_vec()));
+                    resp.len()
+                })
+                .unwrap();
+            let lens: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(lens, [2, 3, 8]);
+            assert_eq!(
+                seen,
+                [
+                    (0, b"ba".to_vec()),
+                    (1, b"zyx".to_vec()),
+                    (2, b"sllactoh".to_vec())
+                ]
+            );
+            // All three payloads fit a cache line: the bundle stays
+            // heap-free on the buffer side.
+            assert_eq!(caller.arena_stats().inline_hits, 3);
+            assert_eq!(ring.stats().calls, 3);
+        }
     }
 
     #[test]
@@ -781,29 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_byte_bundle_and_affinity_override() {
-        let (t, rev, _) = echo_table();
-        let ring =
-            ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
-        let mut caller = ring.caller_on(1).unwrap();
-        assert_eq!(caller.home_shard(), 1);
-        assert!(ring.caller_on(2).is_err());
-        let mut bundle = ByteBundle::with_capacity(2);
-        bundle
-            .push(&mut caller, rev, b"hot", 0)
-            .push(&mut caller, rev, b"calls", 0);
-        let lens: Vec<usize> = caller
-            .call_bundle(bundle)
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(lens, [3, 5]);
-        assert_eq!(ring.stats().calls, 2);
-    }
-
-    #[test]
-    fn single_ring_reports_one_degenerate_shard() {
+    fn single_ring_reports_one_shard() {
         let (t, rev, _) = echo_table();
         let ring = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
         assert_eq!(ring.shards(), 1);
@@ -818,45 +644,31 @@ mod tests {
 
     #[test]
     fn fused_byte_calls_run_inline_and_recycle() {
-        use crate::config::FusedMode;
+        let fused = HotCallConfig::fused(crate::config::FusedMode::Always);
         let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::fused(FusedMode::Always)).unwrap();
-        let mut caller = ring.caller();
-        for _ in 0..100 {
-            caller
-                .call_with(rev, b"abcdef", 0, |resp| assert_eq!(resp, b"fedcba"))
-                .unwrap();
+        let single = ByteRing::spawn_pool(t, 4, 1, fused).unwrap();
+        let (t, _, _) = echo_table();
+        let sharded = ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), fused).unwrap();
+        for ring in [single, sharded] {
+            // Two callers: on the sharded plane the router homes them on
+            // different shards.
+            let mut callers = [ring.caller(), ring.caller()];
+            for _ in 0..50 {
+                for caller in &mut callers {
+                    caller
+                        .call_with(rev, b"abcdef", 0, |resp| assert_eq!(resp, b"fedcba"))
+                        .unwrap();
+                }
+            }
+            for caller in &callers {
+                let stats = caller.arena_stats();
+                assert_eq!(stats.inline_hits, 50);
+                assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
+            }
+            let s = ring.stats();
+            assert_eq!(s.calls, 100);
+            assert_eq!(s.fused_runs, 100, "{s:?}");
         }
-        let stats = caller.arena_stats();
-        assert_eq!(stats.inline_hits, 100);
-        assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
-        let s = ring.stats();
-        assert_eq!(s.calls, 100);
-        assert_eq!(s.fused_runs, 100, "{s:?}");
-    }
-
-    #[test]
-    fn fused_sharded_byte_calls_count_and_conserve() {
-        use crate::config::FusedMode;
-        let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_sharded(
-            t,
-            8,
-            ShardPolicy::fixed(2),
-            HotCallConfig::fused(FusedMode::Always),
-        )
-        .unwrap();
-        let mut a = ring.caller();
-        let mut b = ring.caller();
-        for _ in 0..50 {
-            a.call_with(rev, b"abc", 0, |resp| assert_eq!(resp, b"cba"))
-                .unwrap();
-            b.call_with(rev, b"wxyz", 0, |resp| assert_eq!(resp, b"zyxw"))
-                .unwrap();
-        }
-        let s = ring.stats();
-        assert_eq!(s.calls, 100);
-        assert_eq!(s.fused_runs, 100, "{s:?}");
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //! exclusive access is granted by the state machine's acquire/release
 //! edges (see [`slot`]’s `CallSlot`), the state word sits on its own cache
 //! line, and hot-path statistics are responder-local counters flushed with
-//! plain stores. For a queued, multi-responder variant see [`RingServer`].
+//! plain stores. For the queued, multi-responder, optionally sharded plane
+//! see [`RingServer`].
 
 pub mod arena;
 mod bytes;
 mod calltable;
 mod pool;
 mod ring;
-mod shard;
 mod slot;
 mod stream;
 
@@ -30,7 +30,6 @@ pub use arena::{ArenaStats, HotBuf, SgList, SlabArena, INLINE_CAPACITY};
 pub use bytes::{ByteBundle, ByteCallTable, ByteCaller, ByteRing};
 pub use calltable::CallTable;
 pub use ring::{Bundle, BundleTicket, RingRequester, RingServer, Ticket};
-pub use shard::{ShardedRequester, ShardedServer};
 pub use stream::{
     SgCallTable, SgRing, StreamCaller, StreamReport, DEFAULT_SEGMENT_BYTES, DEFAULT_STREAM_WINDOW,
 };

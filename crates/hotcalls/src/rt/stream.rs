@@ -30,7 +30,6 @@ use crate::telemetry::{PlaneProvider, PlaneTelemetry};
 
 use super::arena::{ArenaStats, SgList, SlabArena};
 use super::ring::{RingRequester, RingServer, Ticket};
-use super::shard::{ShardedRequester, ShardedServer};
 use super::CallTable;
 
 /// Default arena segment size for scatter-gather transfers: big enough
@@ -106,15 +105,7 @@ impl SgCallTable {
 /// ```
 #[derive(Debug)]
 pub struct SgRing {
-    plane: SgPlane,
-}
-
-/// The transport behind an [`SgRing`]: one shared ring, or the sharded
-/// multi-ring plane.
-#[derive(Debug)]
-enum SgPlane {
-    Single(RingServer<SgList, SgList>),
-    Sharded(ShardedServer<SgList, SgList>),
+    server: RingServer<SgList, SgList>,
 }
 
 impl SgRing {
@@ -129,14 +120,8 @@ impl SgRing {
         n_responders: usize,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(SgRing {
-            plane: SgPlane::Single(RingServer::spawn_pool(
-                table.inner,
-                capacity,
-                n_responders,
-                config,
-            )?),
-        })
+        RingServer::spawn_pool(table.inner, capacity, n_responders, config)
+            .map(|server| SgRing { server })
     }
 
     /// Spawns an adaptive pool governed by `policy` (see
@@ -151,57 +136,30 @@ impl SgRing {
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(SgRing {
-            plane: SgPlane::Single(RingServer::spawn_adaptive(
-                table.inner,
-                capacity,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_adaptive(table.inner, capacity, policy, config)
+            .map(|server| SgRing { server })
     }
 
-    /// Spawns the sharded plane (see [`ShardedServer::spawn`]).
+    /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]).
     ///
     /// # Errors
     ///
-    /// As [`ShardedServer::spawn`].
+    /// As [`RingServer::spawn_sharded`].
     pub fn spawn_sharded(
         table: SgCallTable,
         capacity_per_shard: usize,
         policy: ShardPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Ok(SgRing {
-            plane: SgPlane::Sharded(ShardedServer::spawn(
-                table.inner,
-                capacity_per_shard,
-                policy,
-                config,
-            )?),
-        })
+        RingServer::spawn_sharded(table.inner, capacity_per_shard, policy, config)
+            .map(|server| SgRing { server })
     }
 
     /// A caller handle with its own private arena and reusable stream
-    /// state. On a sharded plane the caller is pinned to a router-chosen
-    /// home shard.
+    /// state, pinned to a router-chosen home shard (always shard 0 on a
+    /// single-ring plane).
     pub fn caller(&self) -> StreamCaller {
-        let requester = match &self.plane {
-            SgPlane::Single(server) => SgRequester::Single(server.requester()),
-            SgPlane::Sharded(server) => SgRequester::Sharded(server.requester()),
-        };
-        StreamCaller::new(requester)
-    }
-
-    /// A caller placed on logical core `core` (see
-    /// [`ShardedServer::requester_near`]); on a single-ring plane there
-    /// is nothing to choose.
-    pub fn caller_near(&self, core: usize, topology: &sgx_sim::Topology) -> StreamCaller {
-        let requester = match &self.plane {
-            SgPlane::Single(server) => SgRequester::Single(server.requester()),
-            SgPlane::Sharded(server) => SgRequester::Sharded(server.requester_near(core, topology)),
-        };
-        StreamCaller::new(requester)
+        StreamCaller::new(self.server.requester())
     }
 
     /// A caller pinned to an explicit home shard. On a single-ring plane
@@ -211,79 +169,45 @@ impl SgRing {
     ///
     /// [`crate::HotCallError::InvalidConfig`] if `shard` is out of range.
     pub fn caller_on(&self, shard: usize) -> Result<StreamCaller> {
-        let requester = match &self.plane {
-            SgPlane::Single(server) => {
-                if shard != 0 {
-                    return Err(crate::error::HotCallError::InvalidConfig(
-                        "shard affinity index out of range",
-                    ));
-                }
-                SgRequester::Single(server.requester())
-            }
-            SgPlane::Sharded(server) => SgRequester::Sharded(server.requester_on(shard)?),
-        };
-        Ok(StreamCaller::new(requester))
+        self.server.requester_on(shard).map(StreamCaller::new)
     }
 
     /// Number of responder threads in the pool (active and parked).
     pub fn responders(&self) -> usize {
-        match &self.plane {
-            SgPlane::Single(server) => server.responders(),
-            SgPlane::Sharded(server) => server.shards(),
-        }
+        self.server.responders()
     }
 
     /// Number of ring shards (1 for the single-ring plane).
     pub fn shards(&self) -> usize {
-        match &self.plane {
-            SgPlane::Single(_) => 1,
-            SgPlane::Sharded(server) => server.shards(),
-        }
+        self.server.shards()
     }
 
     /// Transport statistics, aggregated over the responder pool.
     pub fn stats(&self) -> HotCallStats {
-        match &self.plane {
-            SgPlane::Single(server) => server.stats(),
-            SgPlane::Sharded(server) => server.stats(),
-        }
+        self.server.stats()
     }
 
     /// The governor's current shape and decision counters.
     pub fn governor_stats(&self) -> GovernorStats {
-        match &self.plane {
-            SgPlane::Single(server) => server.governor_stats(),
-            SgPlane::Sharded(server) => server.governor_stats(),
-        }
+        self.server.governor_stats()
     }
 
-    /// Sets the plane's active responder/shard target (the `ctl` sizer's
+    /// Sets the plane's active responder target (the `ctl` sizer's
     /// control surface), clamped into the policy's bounds.
     pub fn set_active(&self, n: usize) -> usize {
-        match &self.plane {
-            SgPlane::Single(server) => server.set_active_responders(n),
-            SgPlane::Sharded(server) => server.set_active_shards(n),
-        }
+        self.server.set_active(n)
     }
 
     /// The full per-shard snapshot. A single-ring plane reports itself as
-    /// one degenerate shard.
+    /// one shard.
     pub fn ring_stats(&self) -> RingStats {
-        match &self.plane {
-            SgPlane::Single(server) => {
-                RingStats::from_single(server.stats(), server.governor_stats())
-            }
-            SgPlane::Sharded(server) => server.ring_stats(),
-        }
+        self.server.ring_stats()
     }
 
     /// A full telemetry view of the plane, tagged with the sg-plane kind
     /// so dashboards can tell bandwidth lanes from byte and typed rings.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        let mut t = match &self.plane {
-            SgPlane::Single(server) => server.telemetry(name),
-            SgPlane::Sharded(server) => server.telemetry(name),
-        };
+        let mut t = self.server.telemetry(name);
         t.kind = self.plane_kind();
         t
     }
@@ -292,82 +216,20 @@ impl SgRing {
     /// capturing the plane's shared state so snapshots stay live after
     /// this handle is dropped.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        let kind = self.plane_kind();
-        let inner = match &self.plane {
-            SgPlane::Single(server) => server.telemetry_provider(name),
-            SgPlane::Sharded(server) => server.telemetry_provider(name),
-        };
-        Box::new(move || {
-            let mut t = inner();
-            t.kind = kind;
-            t
-        })
+        self.server.telemetry_provider_as(name, self.plane_kind())
     }
 
     fn plane_kind(&self) -> &'static str {
-        match &self.plane {
-            SgPlane::Single(_) => "sg-single",
-            SgPlane::Sharded(_) => "sg-sharded",
+        if self.shards() > 1 {
+            "sg-sharded"
+        } else {
+            "sg-single"
         }
     }
 
     /// Stops the responders and joins them.
     pub fn shutdown(self) {
-        match self.plane {
-            SgPlane::Single(server) => server.shutdown(),
-            SgPlane::Sharded(server) => server.shutdown(),
-        }
-    }
-}
-
-/// The requester half matching [`SgPlane`].
-#[derive(Debug)]
-enum SgRequester {
-    Single(RingRequester<SgList, SgList>),
-    Sharded(ShardedRequester<SgList, SgList>),
-}
-
-impl SgRequester {
-    fn call(&self, id: u32, sg: SgList) -> Result<SgList> {
-        match self {
-            SgRequester::Single(r) => r.call(id, sg),
-            SgRequester::Sharded(r) => r.call(id, sg),
-        }
-    }
-
-    fn submit(&self, id: u32, sg: SgList) -> Result<Ticket> {
-        match self {
-            SgRequester::Single(r) => r.submit(id, sg),
-            SgRequester::Sharded(r) => r.submit(id, sg),
-        }
-    }
-
-    fn wait(&self, ticket: Ticket) -> Result<SgList> {
-        match self {
-            SgRequester::Single(r) => r.wait(ticket),
-            SgRequester::Sharded(r) => r.wait(ticket),
-        }
-    }
-
-    fn stats(&self) -> HotCallStats {
-        match self {
-            SgRequester::Single(r) => r.stats(),
-            SgRequester::Sharded(r) => r.stats(),
-        }
-    }
-
-    fn governor_stats(&self) -> GovernorStats {
-        match self {
-            SgRequester::Single(r) => r.governor_stats(),
-            SgRequester::Sharded(r) => r.governor_stats(),
-        }
-    }
-
-    fn home(&self) -> usize {
-        match self {
-            SgRequester::Single(_) => 0,
-            SgRequester::Sharded(r) => r.home(),
-        }
+        self.server.shutdown()
     }
 }
 
@@ -394,7 +256,7 @@ pub struct StreamReport {
 /// nothing per chunk.
 #[derive(Debug)]
 pub struct StreamCaller {
-    requester: SgRequester,
+    requester: RingRequester<SgList, SgList>,
     arena: SlabArena,
     segment_bytes: usize,
     /// In-flight chunks in submission order; redeemed FIFO so responses
@@ -404,7 +266,7 @@ pub struct StreamCaller {
 }
 
 impl StreamCaller {
-    fn new(requester: SgRequester) -> Self {
+    fn new(requester: RingRequester<SgList, SgList>) -> Self {
         StreamCaller {
             requester,
             arena: SlabArena::new(),
@@ -623,32 +485,41 @@ mod tests {
     #[test]
     fn stream_reassembles_in_order_and_conserves_tickets() {
         let (t, xor, _) = xor_table();
-        let ring = SgRing::spawn_pool(t, 16, 2, HotCallConfig::patient()).unwrap();
-        let mut caller = ring.caller();
-        caller.set_segment_bytes(8 << 10);
-        let data = pattern(1 << 20);
-        let mut out = vec![0u8; data.len()];
-        let report = caller
-            .stream(
-                xor,
-                &data,
-                DEFAULT_STREAM_WINDOW,
-                || 64 << 10,
-                |off, sg| {
-                    let mut piece = Vec::new();
-                    sg.gather_into(&mut piece);
-                    out[off as usize..off as usize + piece.len()].copy_from_slice(&piece);
-                },
-            )
-            .unwrap();
-        let expect: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
-        assert_eq!(out, expect);
-        assert_eq!(report.chunks, 16);
-        assert_eq!(report.submitted, report.redeemed);
-        assert_eq!(report.bytes_in, 1 << 20);
-        assert_eq!(report.bytes_out, 1 << 20);
-        assert_eq!(report.resizes, 0);
-        assert_eq!(ring.stats().calls, 16);
+        let pool = SgRing::spawn_pool(t, 16, 2, HotCallConfig::patient()).unwrap();
+        let (t, _, _) = xor_table();
+        let sharded =
+            SgRing::spawn_sharded(t, 16, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+        for (ring, shards) in [(pool, 1), (sharded, 2)] {
+            assert_eq!(ring.shards(), shards);
+            let mut caller = ring.caller();
+            caller.set_segment_bytes(8 << 10);
+            let data = pattern(1 << 20);
+            let mut out = vec![0u8; data.len()];
+            let report = caller
+                .stream(
+                    xor,
+                    &data,
+                    DEFAULT_STREAM_WINDOW,
+                    || 64 << 10,
+                    |off, sg| {
+                        let mut piece = Vec::new();
+                        sg.gather_into(&mut piece);
+                        out[off as usize..off as usize + piece.len()].copy_from_slice(&piece);
+                    },
+                )
+                .unwrap();
+            let expect: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
+            assert_eq!(out, expect);
+            assert_eq!(report.chunks, 16);
+            assert_eq!(report.submitted, report.redeemed);
+            assert_eq!(report.bytes_in, 1 << 20);
+            assert_eq!(report.bytes_out, 1 << 20);
+            assert_eq!(report.resizes, 0);
+            assert_eq!(ring.stats().calls, 16);
+            let rs = ring.ring_stats();
+            assert_eq!(rs.shards.len(), shards);
+            assert_eq!(rs.shards.iter().map(|s| s.serviced).sum::<u64>(), 16);
+        }
     }
 
     #[test]
@@ -749,36 +620,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report, StreamReport::default());
-    }
-
-    #[test]
-    fn sharded_sg_plane_streams_and_reports() {
-        let (t, xor, _) = xor_table();
-        let ring =
-            SgRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
-        assert_eq!(ring.shards(), 2);
-        let mut caller = ring.caller();
-        let data = pattern(256 << 10);
-        let mut out = vec![0u8; data.len()];
-        let report = caller
-            .stream(
-                xor,
-                &data,
-                2,
-                || 32 << 10,
-                |off, sg| {
-                    let mut piece = Vec::new();
-                    sg.gather_into(&mut piece);
-                    out[off as usize..off as usize + piece.len()].copy_from_slice(&piece);
-                },
-            )
-            .unwrap();
-        let expect: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
-        assert_eq!(out, expect);
-        assert_eq!(report.chunks, 8);
-        let rs = ring.ring_stats();
-        assert_eq!(rs.shards.len(), 2);
-        assert_eq!(rs.shards.iter().map(|s| s.serviced).sum::<u64>(), 8);
     }
 
     #[test]

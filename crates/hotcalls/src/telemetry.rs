@@ -413,10 +413,10 @@ pub struct GovernorStats {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// Calls serviced by this shard's home responder (including stolen
-    /// work it drained from siblings).
+    /// Calls serviced by this shard's home responders (including stolen
+    /// work they drained from siblings).
     pub serviced: u64,
-    /// Polls the home responder spent on its own ring.
+    /// Polls the home responders spent on their own ring.
     pub home_polls: u64,
     /// Steal probes into sibling shards.
     pub steals: u64,
@@ -439,7 +439,7 @@ pub struct RingStats {
     pub totals: HotCallStats,
     /// Governor snapshot.
     pub governor: GovernorStats,
-    /// Per-shard rows (a single-ring plane reports one degenerate row).
+    /// Per-shard rows (a single-ring plane reports one row, no steals).
     pub shards: Vec<ShardStats>,
 }
 
@@ -457,26 +457,6 @@ impl RingStats {
     /// Total cross-shard wake redirects.
     pub fn cross_shard_wakes(&self) -> u64 {
         self.shards.iter().map(|s| s.cross_shard_wakes).sum()
-    }
-
-    /// The degenerate snapshot of a single-ring plane: one shard row
-    /// carrying the whole plane's totals (no stealing, no cross-shard
-    /// wakes by construction).
-    pub fn from_single(totals: HotCallStats, governor: GovernorStats) -> Self {
-        RingStats {
-            totals,
-            governor,
-            shards: vec![ShardStats {
-                shard: 0,
-                serviced: totals.calls,
-                home_polls: totals.busy_polls + totals.idle_polls,
-                steals: 0,
-                steal_hits: 0,
-                cross_shard_wakes: 0,
-                parked: false,
-                occupancy: 0,
-            }],
-        }
     }
 }
 
@@ -791,8 +771,11 @@ pub struct LaneTelemetry {
 pub struct PlaneTelemetry {
     /// Registered plane name.
     pub name: String,
-    /// Plane kind: `"single"`, `"pool"`, `"sharded"`, `"byte-single"`,
-    /// or `"byte-sharded"`.
+    /// Plane kind, derived from the shape of the one plane core:
+    /// `"sharded"` with more than one shard, else `"pool"` with more than
+    /// one responder, else `"single"`. The byte and sg planes tag their
+    /// payload type instead: `"byte-single"` / `"byte-sharded"`,
+    /// `"sg-single"` / `"sg-sharded"` (more than one shard or not).
     pub kind: &'static str,
     /// Counter snapshot (totals, governor, per-shard rows).
     pub stats: RingStats,
@@ -1198,7 +1181,7 @@ impl TelemetryRegistry {
     }
 
     /// Registers a plane provider (see `telemetry_provider` on
-    /// `RingServer`, `ShardedServer`, and `ByteRing`).
+    /// `RingServer`, `ByteRing` and `SgRing`).
     pub fn register_plane(&self, provider: PlaneProvider) {
         self.inner
             .lock()
@@ -1469,19 +1452,5 @@ mod tests {
                 cycles: 60_000,
             }
         );
-    }
-
-    #[test]
-    fn ring_stats_from_single_is_one_degenerate_shard() {
-        let totals = HotCallStats {
-            calls: 5,
-            busy_polls: 5,
-            idle_polls: 3,
-            ..Default::default()
-        };
-        let rs = RingStats::from_single(totals, GovernorStats::default());
-        assert_eq!(rs.shards.len(), 1);
-        assert_eq!(rs.shards[0].serviced, 5);
-        assert_eq!(rs.steals(), 0);
     }
 }

@@ -3,14 +3,14 @@
 //! in between, `wait_any` tests the oldest ticket before it scans the
 //! rest, and each handle records reap latency into a cell of its own.
 //!
-//! Every test runs on both planes (single ring and sharded), which share
-//! the claim step and the oldest-done pick.
+//! Every test runs on both shapes of the plane (a pool on one ring, and
+//! one shard per responder), which are one server type and one protocol.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hotcalls::rt::{CallTable, RingRequester, RingServer, ShardedRequester, ShardedServer, Ticket};
+use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
 use hotcalls::{HotCallConfig, ShardPolicy, TELEMETRY_ENABLED};
 
 /// A handler argument that parks its responder until the gate is opened.
@@ -68,137 +68,97 @@ fn gated_table(gates: [Arc<Gate>; 2]) -> (CallTable<u64, u64>, u32) {
     (table, inc)
 }
 
-/// One test per plane, each with `$responders` responder threads.
-macro_rules! both_planes {
-    ($ring:ident, $sharded:ident, $responders:expr, $body:ident $(, $arg:expr)*) => {
-        #[test]
-        fn $ring() {
-            $body!(
-                |table, capacity| RingServer::spawn_pool(
-                    table,
-                    capacity,
-                    $responders,
-                    HotCallConfig::patient()
-                )
-                .unwrap()
-                $(, $arg)*
-            );
-        }
+type Server = RingServer<u64, u64>;
 
-        #[test]
-        fn $sharded() {
-            // One shard per responder, every requester pinned to shard 0:
-            // the other responders reach the calls by stealing.
-            $body!(
-                |table, capacity| ShardedServer::spawn(
-                    table,
-                    capacity,
-                    ShardPolicy::fixed($responders),
-                    HotCallConfig::patient()
-                )
-                .unwrap()
-                $(, $arg)*
-            );
-        }
-    };
+/// A plane shape: builds the one server type with `responders` responder
+/// threads over rings of `capacity` slots.
+type Plane = fn(CallTable<u64, u64>, usize, usize) -> Server;
+
+/// The shapes every scenario below runs on: a pool on one ring, and one
+/// shard per responder. All traffic is pinned to shard 0 ([`pinned`]), so
+/// on `SHARDED` the other responders reach the calls by stealing.
+const POOL: Plane = |table, responders, capacity| {
+    RingServer::spawn_pool(table, capacity, responders, HotCallConfig::patient()).unwrap()
+};
+const SHARDED: Plane = |table, responders, capacity| {
+    let policy = ShardPolicy::fixed(responders);
+    RingServer::spawn_sharded(table, capacity, policy, HotCallConfig::patient()).unwrap()
+};
+
+/// A requester handle for traffic on one ring of the plane.
+fn pinned(server: &Server) -> RingRequester<u64, u64> {
+    server.requester_on(0).unwrap()
 }
 
-/// The requester handle each plane hands out for traffic on one ring.
-trait Pinned {
-    type Requester: Sync;
-    fn pinned(&self) -> Self::Requester;
-    /// One submit + wait through `r`.
-    fn round_trip(r: &Self::Requester, id: u32, x: u64) -> u64;
-}
-
-impl Pinned for RingServer<u64, u64> {
-    type Requester = RingRequester<u64, u64>;
-    fn pinned(&self) -> Self::Requester {
-        self.requester()
-    }
-    fn round_trip(r: &Self::Requester, id: u32, x: u64) -> u64 {
-        r.wait(r.submit(id, x).unwrap()).unwrap()
-    }
-}
-
-impl Pinned for ShardedServer<u64, u64> {
-    type Requester = ShardedRequester<u64, u64>;
-    fn pinned(&self) -> Self::Requester {
-        self.requester_on(0).unwrap()
-    }
-    fn round_trip(r: &Self::Requester, id: u32, x: u64) -> u64 {
-        r.wait(r.submit(id, x).unwrap()).unwrap()
-    }
-}
-
-/// Four requester handles hammer a ring of `$capacity`
-/// slots drained by two responders. A lap admitted onto a
-/// claimed-but-unpublished slot, or a slot claimed twice, shows up as a
-/// duplicated sequence number, a wrong value, or a call that never
-/// completes. So does the responder-side twin: a responder that takes a
-/// submission its sibling owns but has not moved to `SERVICING` yet for
-/// the next lap's (every slot is its own next lap at capacity 1) services
-/// it twice and pushes `tail` past `head`, and the ring reads as full for
-/// good.
-macro_rules! tiny_ring_stress {
-    ($spawn:expr, $capacity:expr) => {{
-        const REQUESTERS: u64 = 4;
-        const CALLS: u64 = 3_000;
-        let (table, inc) = gated_table(Default::default());
-        let server = ($spawn)(table, $capacity);
-        let seqs: Vec<Vec<u64>> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..REQUESTERS)
-                .map(|who| {
-                    let r = server.pinned();
-                    s.spawn(move || {
-                        (0..CALLS)
-                            .map(|i| {
-                                // One ticket at a time: a requester holding
-                                // an un-redeemed ticket must not submit on a
-                                // ring this small (it could lap onto itself).
-                                let x = who * CALLS + i;
-                                let ticket = r.submit(inc, x).unwrap();
-                                let seq = ticket.seq();
-                                assert_eq!(r.wait(ticket).unwrap(), x + 1, "seq {seq}");
-                                seq
-                            })
-                            .collect::<Vec<u64>>()
-                    })
+/// Four requester handles hammer a ring of `capacity` slots drained by two
+/// responders. A lap admitted onto a claimed-but-unpublished slot, or a
+/// slot claimed twice, shows up as a duplicated sequence number, a wrong
+/// value, or a call that never completes. So does the responder-side twin:
+/// a responder that takes a submission its sibling owns but has not moved
+/// to `SERVICING` yet for the next lap's (every slot is its own next lap
+/// at capacity 1) services it twice and pushes `tail` past `head`, and the
+/// ring reads as full for good.
+fn tiny_ring_stress(plane: Plane, capacity: usize) {
+    const REQUESTERS: u64 = 4;
+    const CALLS: u64 = 3_000;
+    let (table, inc) = gated_table(Default::default());
+    let server = plane(table, 2, capacity);
+    let seqs: Vec<Vec<u64>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..REQUESTERS)
+            .map(|who| {
+                let r = pinned(&server);
+                s.spawn(move || {
+                    (0..CALLS)
+                        .map(|i| {
+                            // One ticket at a time: a requester holding an
+                            // un-redeemed ticket must not submit on a ring
+                            // this small (it could lap onto itself).
+                            let x = who * CALLS + i;
+                            let ticket = r.submit(inc, x).unwrap();
+                            let seq = ticket.seq();
+                            assert_eq!(r.wait(ticket).unwrap(), x + 1, "seq {seq}");
+                            seq
+                        })
+                        .collect::<Vec<u64>>()
                 })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        let total = REQUESTERS * CALLS;
-        let distinct: BTreeSet<u64> = seqs.iter().flatten().copied().collect();
-        assert_eq!(
-            distinct.len() as u64,
-            total,
-            "a sequence was handed out twice"
-        );
-        assert_eq!(
-            distinct.last().copied(),
-            Some(total - 1),
-            "a sequence was skipped"
-        );
-        assert_eq!(server.stats().calls, total);
-    }};
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let total = REQUESTERS * CALLS;
+    let distinct: BTreeSet<u64> = seqs.iter().flatten().copied().collect();
+    assert_eq!(
+        distinct.len() as u64,
+        total,
+        "a sequence was handed out twice"
+    );
+    assert_eq!(
+        distinct.last().copied(),
+        Some(total - 1),
+        "a sequence was skipped"
+    );
+    assert_eq!(server.stats().calls, total);
 }
 
-both_planes!(
-    ring_four_requesters_on_two_slots_never_double_claim,
-    sharded_four_requesters_on_two_slots_never_double_claim,
-    2,
-    tiny_ring_stress,
-    2usize
-);
+#[test]
+fn ring_four_requesters_on_two_slots_never_double_claim() {
+    tiny_ring_stress(POOL, 2);
+}
 
-both_planes!(
-    ring_two_responders_on_one_slot_never_double_service,
-    sharded_two_responders_on_one_slot_never_double_service,
-    2,
-    tiny_ring_stress,
-    1usize
-);
+#[test]
+fn sharded_four_requesters_on_two_slots_never_double_claim() {
+    tiny_ring_stress(SHARDED, 2);
+}
+
+#[test]
+fn ring_two_responders_on_one_slot_never_double_service() {
+    tiny_ring_stress(POOL, 1);
+}
+
+#[test]
+fn sharded_two_responders_on_one_slot_never_double_service() {
+    tiny_ring_stress(SHARDED, 1);
+}
 
 /// `wait_any` must hand back a younger completion while the oldest ticket
 /// is stuck (the fallback scan), and the oldest completed one whenever it
@@ -215,136 +175,145 @@ both_planes!(
 ///                                        wait_any -> t3   (t2 not done)
 /// open B                                 wait_any -> t2
 /// ```
-macro_rules! oldest_first_with_fallback {
-    ($spawn:expr) => {{
-        let gates: [Arc<Gate>; 2] = Default::default();
-        let (table, inc) = gated_table(gates.clone());
-        let server = ($spawn)(table, 8usize);
-        // Declared after the server, so dropped (opened) before its join.
-        let guard = OpenOnDrop(gates.clone());
-        let r = server.pinned();
-        let mut tickets: Vec<Ticket> = Vec::new();
-        let reap = |tickets: &mut Vec<Ticket>| r.wait_any(tickets).unwrap();
+fn oldest_first_with_fallback(plane: Plane) {
+    let gates: [Arc<Gate>; 2] = Default::default();
+    let (table, inc) = gated_table(gates.clone());
+    let server = plane(table, 2, 8);
+    // Declared after the server, so dropped (opened) before its join.
+    let guard = OpenOnDrop(gates.clone());
+    let r = pinned(&server);
+    let mut tickets: Vec<Ticket> = Vec::new();
+    let reap = |tickets: &mut Vec<Ticket>| r.wait_any(tickets).unwrap();
 
-        tickets.push(r.submit(inc, GATE_A).unwrap());
-        gates[0].await_entered();
-        tickets.push(r.submit(inc, 10).unwrap());
-        let (t0, t1) = (tickets[0].seq(), tickets[1].seq());
-        assert_eq!(
-            reap(&mut tickets),
-            (t1, 11),
-            "younger completion not returned"
-        );
+    tickets.push(r.submit(inc, GATE_A).unwrap());
+    gates[0].await_entered();
+    tickets.push(r.submit(inc, 10).unwrap());
+    let (t0, t1) = (tickets[0].seq(), tickets[1].seq());
+    assert_eq!(
+        reap(&mut tickets),
+        (t1, 11),
+        "younger completion not returned"
+    );
 
-        tickets.push(r.submit(inc, GATE_B).unwrap());
-        gates[1].await_entered();
-        gates[0].open();
-        tickets.push(r.submit(inc, 30).unwrap());
-        let (t2, t3) = (tickets[1].seq(), tickets[2].seq());
-        let t4 = r.submit(inc, 40).unwrap();
-        assert_eq!(r.wait(t4).unwrap(), 41);
-        assert!(t0 < t2 && t2 < t3);
-        assert_eq!(reap(&mut tickets), (t0, GATE_A + 1), "oldest-first broken");
-        assert_eq!(reap(&mut tickets), (t3, 31), "fallback scan broken");
+    tickets.push(r.submit(inc, GATE_B).unwrap());
+    gates[1].await_entered();
+    gates[0].open();
+    tickets.push(r.submit(inc, 30).unwrap());
+    let (t2, t3) = (tickets[1].seq(), tickets[2].seq());
+    let t4 = r.submit(inc, 40).unwrap();
+    assert_eq!(r.wait(t4).unwrap(), 41);
+    assert!(t0 < t2 && t2 < t3);
+    assert_eq!(reap(&mut tickets), (t0, GATE_A + 1), "oldest-first broken");
+    assert_eq!(reap(&mut tickets), (t3, 31), "fallback scan broken");
 
-        gates[1].open();
-        assert_eq!(reap(&mut tickets), (t2, GATE_B + 1));
-        assert!(tickets.is_empty());
-        assert_eq!(server.stats().calls, 5);
-        drop(guard);
-    }};
+    gates[1].open();
+    assert_eq!(reap(&mut tickets), (t2, GATE_B + 1));
+    assert!(tickets.is_empty());
+    assert_eq!(server.stats().calls, 5);
+    drop(guard);
 }
 
-both_planes!(
-    ring_wait_any_prefers_oldest_and_falls_back,
-    sharded_wait_any_prefers_oldest_and_falls_back,
-    2,
-    oldest_first_with_fallback
-);
+#[test]
+fn ring_wait_any_prefers_oldest_and_falls_back() {
+    oldest_first_with_fallback(POOL);
+}
 
-/// A pipeline whose window equals the ring's capacity, behind one in-order
-/// responder: every submission laps onto the slot of the oldest ticket in
-/// flight, so `wait_any` must hand that one back whenever it is DONE. The
-/// oldest can complete between the first probe and the fallback scan; a
-/// pick that then returns a younger completion leaves the next `submit`
+#[test]
+fn sharded_wait_any_prefers_oldest_and_falls_back() {
+    oldest_first_with_fallback(SHARDED);
+}
+
+/// A pipeline whose window equals the ring's capacity: every submission
+/// laps onto the slot of the oldest ticket in flight, so `wait_any` must
+/// hand that one back whenever it is DONE. Behind one in-order responder
+/// the oldest can complete between the first probe and the fallback scan;
+/// a pick that then returns a younger completion leaves the next `submit`
 /// spinning on a DONE slot only this thread can redeem, until it times
 /// out.
-macro_rules! window_equal_to_capacity {
-    ($spawn:expr) => {{
-        const WINDOW: usize = 2;
-        let (table, inc) = gated_table(Default::default());
-        let server = ($spawn)(table, WINDOW);
-        let r = server.pinned();
-        let mut tickets: Vec<Ticket> = Vec::new();
-        for x in 0..100_000u64 {
-            if tickets.len() == WINDOW {
-                let (seq, resp) = r.wait_any(&mut tickets).unwrap();
-                assert_eq!(resp, seq + 1);
-            }
-            // The value is the sequence the call is about to get.
-            let ticket = r.submit(inc, x).expect("lapped onto an un-redeemed slot");
-            assert_eq!(ticket.seq(), x);
-            tickets.push(ticket);
+fn window_equal_to_capacity(plane: Plane, responders: usize, window: usize) {
+    let (table, inc) = gated_table(Default::default());
+    let server = plane(table, responders, window);
+    let r = pinned(&server);
+    let mut tickets: Vec<Ticket> = Vec::new();
+    for x in 0..100_000u64 {
+        if tickets.len() == window {
+            let (seq, resp) = r.wait_any(&mut tickets).unwrap();
+            assert_eq!(resp, seq + 1);
         }
-    }};
+        // The value is the sequence the call is about to get.
+        let ticket = r.submit(inc, x).expect("lapped onto an un-redeemed slot");
+        assert_eq!(ticket.seq(), x);
+        tickets.push(ticket);
+    }
 }
 
-both_planes!(
-    ring_window_equal_to_capacity_never_wedges,
-    sharded_window_equal_to_capacity_never_wedges,
-    1,
-    window_equal_to_capacity
-);
+#[test]
+fn ring_window_equal_to_capacity_never_wedges() {
+    window_equal_to_capacity(POOL, 1, 2);
+}
+
+#[test]
+fn sharded_window_equal_to_capacity_never_wedges() {
+    window_equal_to_capacity(SHARDED, 1, 2);
+}
+
+/// The smallest plane that still has a race in it: one slot, a window of
+/// one, two responders contending for every submission over 100k wraps.
+#[test]
+fn one_slot_two_responders_survive_100k_wraps_at_window_one() {
+    window_equal_to_capacity(POOL, 2, 1);
+}
 
 /// The reap histogram is one single-writer cell per requester handle.
 /// Threads that each redeem through their own clone get an exact count.
 /// Threads sharing one handle by reference (it is `Sync`) race on its cell:
 /// no call is lost or miscounted, but reap *samples* may be — the count
 /// can fall short of the calls made, never exceed them.
-macro_rules! reap_samples_are_per_handle {
-    ($spawn:expr) => {{
-        const THREADS: u64 = 2;
-        const CALLS: u64 = 5_000;
-        let (table, inc) = gated_table(Default::default());
-        let server = &($spawn)(table, 8usize);
-        fn drive<S: Pinned>(_: &S, r: &S::Requester, inc: u32) {
-            (0..CALLS).for_each(|x| assert_eq!(S::round_trip(r, inc, x), x + 1));
-        }
-        let reaps = || server.telemetry("t").reap.count();
+fn reap_samples_are_per_handle(plane: Plane) {
+    const THREADS: u64 = 2;
+    const CALLS: u64 = 5_000;
+    let (table, inc) = gated_table(Default::default());
+    let server = &plane(table, 2, 8);
+    let drive = |r: &RingRequester<u64, u64>| {
+        (0..CALLS).for_each(|x| assert_eq!(r.wait(r.submit(inc, x).unwrap()).unwrap(), x + 1));
+    };
+    let reaps = || server.telemetry("t").reap.count();
 
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let own = server.pinned();
-                s.spawn(move || drive(server, &own, inc));
-            }
-        });
-        let exact = THREADS * CALLS;
-        assert_eq!(server.stats().calls, exact);
-        if TELEMETRY_ENABLED {
-            assert_eq!(reaps(), exact, "own handles must not lose samples");
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            let own = pinned(server);
+            s.spawn(move || drive(&own));
         }
+    });
+    let exact = THREADS * CALLS;
+    assert_eq!(server.stats().calls, exact);
+    if TELEMETRY_ENABLED {
+        assert_eq!(reaps(), exact, "own handles must not lose samples");
+    }
 
-        let shared = server.pinned();
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| drive(server, &shared, inc));
-            }
-        });
-        assert_eq!(
-            server.stats().calls,
-            2 * exact,
-            "a shared handle lost calls"
-        );
-        if TELEMETRY_ENABLED {
-            let sampled = reaps() - exact;
-            assert!((1..=exact).contains(&sampled), "{sampled} of {exact}");
+    let shared = pinned(server);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| drive(&shared));
         }
-    }};
+    });
+    assert_eq!(
+        server.stats().calls,
+        2 * exact,
+        "a shared handle lost calls"
+    );
+    if TELEMETRY_ENABLED {
+        let sampled = reaps() - exact;
+        assert!((1..=exact).contains(&sampled), "{sampled} of {exact}");
+    }
 }
 
-both_planes!(
-    ring_reap_samples_are_per_handle,
-    sharded_reap_samples_are_per_handle,
-    2,
-    reap_samples_are_per_handle
-);
+#[test]
+fn ring_reap_samples_are_per_handle() {
+    reap_samples_are_per_handle(POOL);
+}
+
+#[test]
+fn sharded_reap_samples_are_per_handle() {
+    reap_samples_are_per_handle(SHARDED);
+}

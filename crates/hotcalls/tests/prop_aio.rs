@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use hotcalls::rt::{CallTable, HotCallServer, RingServer, ShardedServer};
+use hotcalls::rt::{CallTable, HotCallServer, RingServer};
 use hotcalls::{block_on, FusedMode, HotCallConfig, Reactor, ResponderPolicy, ShardPolicy};
 
 /// Runs `f` on a helper thread and panics if it has not finished within
@@ -111,7 +111,7 @@ proptest! {
         with_watchdog(WATCHDOG, move || {
             let mut table: CallTable<u64, u64> = CallTable::new();
             let id = table.register(|x| x.wrapping_mul(3));
-            let server = ShardedServer::spawn(
+            let server = RingServer::spawn_sharded(
                 table,
                 capacity,
                 ShardPolicy::fixed(shards),
@@ -188,7 +188,7 @@ proptest! {
             for i in 0..calls {
                 if i % flip_every == 0 {
                     // Flip the active target both ways over the run.
-                    server.set_active_responders(1 + (i / flip_every) % 2);
+                    server.set_active(1 + (i / flip_every) % 2);
                 }
                 while reactor.inflight() > capacity / 2 {
                     reactor

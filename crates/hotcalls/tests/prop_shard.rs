@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use hotcalls::rt::{CallTable, ShardedServer};
+use hotcalls::rt::{CallTable, RingServer};
 use hotcalls::{FusedMode, HotCallConfig, ShardPolicy};
 
 const MAGIC: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -73,7 +73,7 @@ proptest! {
             timeout_retries: 5_000,
             ..HotCallConfig::patient()
         };
-        let server = ShardedServer::spawn(
+        let server = RingServer::spawn_sharded(
             shard_table(),
             capacity,
             ShardPolicy::fixed(shards),
@@ -198,7 +198,7 @@ proptest! {
             fused_mode: FusedMode::Auto,
             ..HotCallConfig::patient()
         };
-        let server = ShardedServer::spawn(
+        let server = RingServer::spawn_sharded(
             shard_table(),
             capacity,
             ShardPolicy::fixed(shards),
@@ -312,7 +312,7 @@ fn busy_neighbor_shard_does_not_starve_home_calls() {
         idle_polls_before_sleep: Some(256),
         ..HotCallConfig::patient()
     };
-    let server = ShardedServer::spawn(table, 8, ShardPolicy::fixed(2), config).unwrap();
+    let server = RingServer::spawn_sharded(table, 8, ShardPolicy::fixed(2), config).unwrap();
 
     let home = server.requester_on(0).unwrap();
     let neighbor = server.requester_on(1).unwrap();

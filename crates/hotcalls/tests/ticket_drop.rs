@@ -9,7 +9,7 @@
 //! — under the old behaviour every one of them deadlocks — and then proves
 //! the plane still serves sync traffic at full capacity.
 
-use hotcalls::rt::{CallTable, HotCallServer, RingServer, ShardedServer};
+use hotcalls::rt::{CallTable, HotCallServer, RingServer};
 use hotcalls::{HotCallConfig, ShardPolicy};
 
 /// Spin-only config so a test failure is a fast spin, not a parked doze.
@@ -65,7 +65,7 @@ fn ring_interleaved_drops_and_waits_stay_correct() {
 fn shard_dropped_ticket_releases_its_slot() {
     let (table, id) = table();
     let server =
-        ShardedServer::spawn(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
+        RingServer::spawn_sharded(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
     let r = server.requester();
     for i in 0..DROPS as u64 {
         let ticket = r.submit(id, i).unwrap();
@@ -81,7 +81,7 @@ fn shard_dropped_ticket_releases_its_slot() {
 fn shard_interleaved_drops_and_waits_stay_correct() {
     let (table, id) = table();
     let server =
-        ShardedServer::spawn(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
+        RingServer::spawn_sharded(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
     let r = server.requester();
     for round in 0..DROPS as u64 {
         let dropped = r.submit(id, 1_000 + round).unwrap();

@@ -10,13 +10,6 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets --workspace -- -D warnings"
 cargo clippy --all-targets --workspace -- -D warnings
 
-# The crates a data-plane or telemetry PR touches get a dedicated pass:
-# the workspace run above already denies warnings, but naming the crates
-# makes a local `check.sh` failure point straight at them (and it is
-# nearly free — the artifacts are already cached).
-echo "==> cargo clippy -p hotcalls -p bench -p sgx-sim -p apps --all-targets -- -D warnings"
-cargo clippy -p hotcalls -p bench -p sgx-sim -p apps --all-targets -- -D warnings
-
 # The telemetry-off feature must keep lint-clean, not just building: the
 # overhead gate's baseline is a `--features telemetry-off` bench build,
 # and the ctl module compiles to a frozen static-default router there —
@@ -45,9 +38,17 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> hotcalls lib + integration suites (debug, release); de-flaked tests x20"
 cargo test -q -p hotcalls --lib --tests
 cargo test --release -q -p hotcalls --lib --tests
+# A filter that matches no test passes silently, so the two named tests
+# are addressed by full path and the run must report exactly two passes.
+deflaked=(
+    aio::tests::dropped_future_abandons_not_wedges
+    rt::ring::tests::stealers_reap_a_skewed_shard
+)
 for _ in $(seq 20); do
-    cargo test --release -q -p hotcalls --lib -- \
-        dropped_future_abandons_not_wedges stealers_reap_a_skewed_shard
+    out=$(cargo test --release -q -p hotcalls --lib -- --exact "${deflaked[@]}" 2>&1) \
+        || { echo "$out"; exit 1; }
+    grep -q "test result: ok. ${#deflaked[@]} passed" <<<"$out" \
+        || { echo "expected ${#deflaked[@]} de-flaked tests to run:"; echo "$out"; exit 1; }
     cargo test --release -q -p hotcalls --test prop_ctl
 done
 
