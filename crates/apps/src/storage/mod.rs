@@ -20,8 +20,29 @@
 //! Deduplication indexes plaintext content block-wise (HMAC over each
 //! 4 KiB block), so re-ingesting repeated content is detected regardless
 //! of which object or offset it first appeared at.
+//!
+//! **No serial pass.** Neither direction walks the whole object before
+//! its stream starts. Both per-block MAC passes that must run *ahead* of
+//! the cipher — tag verification on [`SecureStore::get`], dedup
+//! fingerprinting on [`SecureStore::put`] — ride the stream's pre-submit
+//! gate ([`StreamCaller::stream_gated`]): before a chunk is submitted the
+//! caller's thread MACs up to the end of the last 4 KiB block that chunk
+//! touches, while the responder runs the cipher over the chunks already
+//! in flight. What that means for `get`, precisely:
+//!
+//! * *authenticate before decrypting* holds **per block** — no ciphertext
+//!   byte is submitted to the cipher before the tag of its block has been
+//!   recomputed and found equal to the stored one;
+//! * *release of plaintext* is gated on the **whole object** — the last
+//!   block's chunk is not submitted before every block tag, the tag count
+//!   and the chained object tag verified, and the plaintext leaves `get`
+//!   only if the stream then ran to its end;
+//! * so chunks verified earlier **are** decrypted before a later block
+//!   is looked at; when that later block fails, their plaintext sits in a
+//!   buffer that is dropped, never returned.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 use hotcalls::rt::{SgCallTable, SgList, SgRing, StreamCaller, StreamReport};
 use hotcalls::HotCallConfig;
@@ -110,11 +131,13 @@ pub struct PutReceipt {
 }
 
 /// Streaming ciphertext authenticator: feeds bytes into the MAC of the
-/// current [`BLOCK_LEN`] block as chunks arrive in object order and emits
-/// one tag per block plus a chained object tag. Because it only ever sees
-/// a byte sequence, chunk boundaries — aligned, odd, or straddling a block
-/// — cannot change its output. Nothing is buffered: a block's bytes go
-/// straight from the caller's slice into its running MAC.
+/// current [`BLOCK_LEN`] block as they arrive in object order and hands
+/// one tag per sealed block to the caller's `on_tag`, chaining them into
+/// the object tag. Because it only ever sees a byte sequence, chunk
+/// boundaries — aligned, odd, or straddling a block — cannot change its
+/// output. Nothing is buffered: a block's bytes go straight from the
+/// caller's slice into its running MAC, and a tag goes straight to
+/// whoever stores (`put`) or compares (`get`) it.
 #[derive(Debug)]
 struct BlockAuth {
     /// The MAC key's absorbed state; every block and chain link clones it.
@@ -123,20 +146,16 @@ struct BlockAuth {
     block: HmacSha256,
     filled: usize,
     block_index: u64,
-    tags: Vec<[u8; TAG_LEN]>,
     chain: [u8; 32],
 }
 
 impl BlockAuth {
-    /// An authenticator under `keyed` for an object of `blocks` blocks
-    /// (the tag vector is reserved once, up front).
-    fn new(keyed: &HmacSha256, blocks: usize) -> Self {
+    fn new(keyed: &HmacSha256) -> Self {
         BlockAuth {
             keyed: keyed.clone(),
             block: Self::open_block(keyed, 0),
             filled: 0,
             block_index: 0,
-            tags: Vec::with_capacity(blocks),
             chain: [0u8; 32],
         }
     }
@@ -147,51 +166,108 @@ impl BlockAuth {
         mac
     }
 
-    /// Closes the block in progress: its tag, the next chain link, and a
-    /// fresh MAC for the block after it.
-    fn seal_block(&mut self) {
+    /// Closes the block in progress: the next chain link, a fresh MAC for
+    /// the block after it, and the closed block's tag.
+    fn seal_block(&mut self) -> [u8; TAG_LEN] {
         self.block_index += 1;
         let next = Self::open_block(&self.keyed, self.block_index);
         let full = core::mem::replace(&mut self.block, next).finalize();
         let mut tag = [0u8; TAG_LEN];
         tag.copy_from_slice(&full[..TAG_LEN]);
-        self.tags.push(tag);
         let mut link = self.keyed.clone();
         link.update(&self.chain);
         link.update(&tag);
         self.chain = link.finalize();
         self.filled = 0;
+        tag
     }
 
-    fn absorb(&mut self, mut bytes: &[u8]) {
+    fn absorb(&mut self, mut bytes: &[u8], mut on_tag: impl FnMut([u8; TAG_LEN])) {
         while !bytes.is_empty() {
             let (now, later) = bytes.split_at((BLOCK_LEN - self.filled).min(bytes.len()));
             self.block.update(now);
             self.filled += now.len();
             if self.filled == BLOCK_LEN {
-                self.seal_block();
+                on_tag(self.seal_block());
             }
             bytes = later;
         }
     }
 
-    fn finish(mut self) -> (Vec<[u8; TAG_LEN]>, [u8; 32]) {
+    /// Seals the partial tail block, if there is one, and returns the
+    /// chained object tag.
+    fn finish(&mut self, mut on_tag: impl FnMut([u8; TAG_LEN])) -> [u8; 32] {
         if self.filled > 0 {
-            self.seal_block();
+            on_tag(self.seal_block());
         }
-        (self.tags, self.chain)
+        self.chain
     }
 }
 
-/// ORs together the differences of two tag lists — the [`verify_tag`]
-/// comparison shape, over every block instead of stopping at the first
-/// mismatch.
-fn block_tags_match(expected: &[[u8; TAG_LEN]], actual: &[[u8; TAG_LEN]]) -> bool {
-    let mut diff = u8::from(expected.len() != actual.len());
-    for (a, b) in expected.iter().flatten().zip(actual.iter().flatten()) {
-        diff |= a ^ b;
+/// How far the gate MACs before it admits a chunk ending at `chunk_end`:
+/// to the end of the last [`BLOCK_LEN`] block the chunk touches, or the
+/// object's end. Monotone in `chunk_end`, so a schedule of chunks smaller
+/// than a block walks each block once.
+fn run_ahead(chunk_end: usize, object_len: usize) -> usize {
+    chunk_end.next_multiple_of(BLOCK_LEN).min(object_len)
+}
+
+/// Run-ahead verifier of one stored object: [`Verifier::admit`] is
+/// `get`'s pre-submit gate.
+#[derive(Debug)]
+struct Verifier<'a> {
+    obj: &'a StoredObject,
+    auth: BlockAuth,
+    /// Stored tags not yet compared with a recomputed one.
+    expected: core::slice::Iter<'a, [u8; TAG_LEN]>,
+    /// Ciphertext bytes authenticated so far.
+    absorbed: usize,
+    /// Tag count and object tag have been checked.
+    complete: bool,
+    /// Every difference seen so far, ORed together — the [`verify_tag`]
+    /// comparison shape, over all the tags of a gate step instead of
+    /// stopping at the first mismatch.
+    diff: u8,
+}
+
+impl<'a> Verifier<'a> {
+    fn new(keyed: &HmacSha256, obj: &'a StoredObject) -> Self {
+        Verifier {
+            obj,
+            auth: BlockAuth::new(keyed),
+            expected: obj.block_tags.iter(),
+            absorbed: 0,
+            complete: false,
+            diff: 0,
+        }
     }
-    diff == 0
+
+    /// Authenticates the stored ciphertext up to [`run_ahead`] of
+    /// `chunk_end`, comparing each block tag with the stored one as it is
+    /// sealed; once that reaches the object's end, also requires the tag
+    /// count and the chained object tag. Returns whether everything
+    /// checked so far — by this call or an earlier one — is genuine.
+    fn admit(&mut self, chunk_end: usize) -> bool {
+        let cipher = &self.obj.cipher;
+        let (expected, diff) = (&mut self.expected, &mut self.diff);
+        let mut compare = |tag: [u8; TAG_LEN]| match expected.next() {
+            Some(stored) => stored.iter().zip(&tag).for_each(|(a, b)| *diff |= a ^ b),
+            None => *diff |= 1,
+        };
+        let target = run_ahead(chunk_end, cipher.len());
+        if target > self.absorbed {
+            self.auth
+                .absorb(&cipher[self.absorbed..target], &mut compare);
+            self.absorbed = target;
+        }
+        if self.absorbed == cipher.len() && !self.complete {
+            let chain = self.auth.finish(&mut compare);
+            let surplus_tags = self.expected.next().is_some();
+            self.diff |= u8::from(surplus_tags | !verify_tag(&chain, &self.obj.object_tag));
+            self.complete = true;
+        }
+        self.diff == 0
+    }
 }
 
 /// The secure object store: an [`SgRing`] whose handler holds the data
@@ -206,6 +282,9 @@ pub struct SecureStore {
     dedup_mac: HmacSha256,
     objects: HashMap<String, StoredObject>,
     dedup: HashSet<[u8; 32]>,
+    /// Fingerprints the `put` in progress added to `dedup` — what a
+    /// failed stream takes back out. Reused across puts.
+    fresh: Vec<[u8; 32]>,
     stats: StoreStats,
 }
 
@@ -255,20 +334,25 @@ impl SecureStore {
             dedup_mac,
             objects: HashMap::new(),
             dedup: HashSet::new(),
+            fresh: Vec::new(),
             stats: StoreStats::default(),
         })
     }
 
-    /// Ingests `data` as object `name`: dedup-indexes its content blocks,
-    /// streams it through the enclave cipher in pipelined chunks of
-    /// `chunk_bytes()` bytes (re-read per chunk — wire it to
-    /// [`hotcalls::Controller::chunk_bytes`] for EPC-aware sizing) under
-    /// a credit window of `window`, and authenticates the ciphertext
-    /// block-wise as it lands.
+    /// Ingests `data` as object `name`: streams it through the enclave
+    /// cipher in pipelined chunks of `chunk_bytes()` bytes (re-read per
+    /// chunk — wire it to [`hotcalls::Controller::chunk_bytes`] for
+    /// EPC-aware sizing) under a credit window of `window`, dedup-indexes
+    /// its content blocks in the stream's pre-submit gate — each chunk's
+    /// blocks are fingerprinted while the responder encrypts the chunks
+    /// before it — and authenticates the ciphertext block-wise as it
+    /// lands.
     ///
     /// # Errors
     ///
-    /// Propagates interface errors; a failed stream stores nothing.
+    /// Propagates interface errors. A failed stream stores nothing: the
+    /// object map, the dedup index and [`SecureStore::stats`] are what
+    /// they were before the call.
     pub fn put(
         &mut self,
         name: &str,
@@ -276,34 +360,51 @@ impl SecureStore {
         window: usize,
         chunk_bytes: impl FnMut() -> usize,
     ) -> Result<PutReceipt> {
-        // Dedup pass over the plaintext content blocks.
-        let mut dedup_hits = 0u64;
-        let mut blocks = 0u64;
-        for block in data.chunks(BLOCK_LEN) {
-            blocks += 1;
-            let mut mac = self.dedup_mac.clone();
-            mac.update(block);
-            if !self.dedup.insert(mac.finalize()) {
-                dedup_hits += 1;
-            }
-        }
-
-        // Stream plaintext → ciphertext; authenticate as chunks land.
+        let blocks = data.len().div_ceil(BLOCK_LEN) as u64;
         let mut cipher = Vec::with_capacity(data.len());
-        let mut auth = BlockAuth::new(&self.mac, data.len().div_ceil(BLOCK_LEN));
-        let report = self.caller.stream(
+        let mut block_tags = Vec::with_capacity(blocks as usize);
+        let mut auth = BlockAuth::new(&self.mac);
+        let mut dedup_hits = 0u64;
+        let mut fingerprinted = 0usize;
+        self.fresh.clear();
+        let streamed = self.caller.stream_gated(
             self.crypt_id,
             data,
             window,
             chunk_bytes,
+            |chunk| {
+                let target = run_ahead(chunk.end, data.len());
+                for block in data[fingerprinted..target].chunks(BLOCK_LEN) {
+                    let mut mac = self.dedup_mac.clone();
+                    mac.update(block);
+                    let fingerprint = mac.finalize();
+                    if self.dedup.insert(fingerprint) {
+                        self.fresh.push(fingerprint);
+                    } else {
+                        dedup_hits += 1;
+                    }
+                }
+                fingerprinted = target;
+                ControlFlow::Continue(())
+            },
+            // Plaintext → ciphertext; authenticate as chunks land.
             |_offset, sg: &SgList| {
                 for seg in sg.segments() {
-                    auth.absorb(seg.as_slice());
+                    auth.absorb(seg.as_slice(), |tag| block_tags.push(tag));
                     cipher.extend_from_slice(seg.as_slice());
                 }
             },
-        )?;
-        let (block_tags, object_tag) = auth.finish();
+        );
+        let report = match streamed {
+            Ok(report) => report,
+            Err(e) => {
+                for fingerprint in &self.fresh {
+                    self.dedup.remove(fingerprint);
+                }
+                return Err(e.into());
+            }
+        };
+        let object_tag = auth.finish(|tag| block_tags.push(tag));
 
         self.stats.puts += 1;
         self.stats.bytes_in += data.len() as u64;
@@ -327,15 +428,23 @@ impl SecureStore {
         })
     }
 
-    /// Reads object `name` back: verifies every block tag and the chained
-    /// object tag over the stored ciphertext, then streams it through the
-    /// enclave cipher (its own inverse) to recover the plaintext.
+    /// Reads object `name` back: streams the stored ciphertext through
+    /// the enclave cipher (its own inverse) with tag verification running
+    /// ahead of it in the stream's pre-submit gate. Before a chunk is
+    /// submitted, every 4 KiB block it touches has had its tag recomputed
+    /// and compared with the stored one; before the chunk that touches
+    /// the last block is submitted, the tag count and the chained object
+    /// tag have verified too. Chunks admitted earlier are decrypted while
+    /// later blocks are still unverified — into a buffer that is returned
+    /// only if the whole object verified and the stream ran to its end,
+    /// and dropped otherwise.
     ///
     /// # Errors
     ///
     /// [`AppError::NotFound`] for unknown names, [`AppError::Protocol`]
     /// if any tag fails verification (the object is served only if
-    /// authentic), plus interface errors.
+    /// authentic; nothing overlapping the offending block is submitted to
+    /// the cipher), plus interface errors.
     pub fn get(
         &mut self,
         name: &str,
@@ -343,29 +452,34 @@ impl SecureStore {
         chunk_bytes: impl FnMut() -> usize,
     ) -> Result<Vec<u8>> {
         let obj = self.objects.get(name).ok_or(AppError::NotFound)?;
-
-        // Authenticate before decrypting.
-        let mut auth = BlockAuth::new(&self.mac, obj.cipher.len().div_ceil(BLOCK_LEN));
-        auth.absorb(&obj.cipher);
-        let (tags, chain) = auth.finish();
-        if !block_tags_match(&obj.block_tags, &tags) || !verify_tag(&chain, &obj.object_tag) {
-            return Err(AppError::Protocol(format!(
-                "object {name:?} failed authentication"
-            )));
-        }
-
+        let mut verifier = Verifier::new(&self.mac, obj);
         let mut plain = Vec::with_capacity(obj.cipher.len());
-        let report = self.caller.stream(
+        let report = self.caller.stream_gated(
             self.crypt_id,
             &obj.cipher,
             window,
             chunk_bytes,
+            |chunk| {
+                if verifier.admit(chunk.end) {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            },
             |_offset, sg: &SgList| {
                 for seg in sg.segments() {
                     plain.extend_from_slice(seg.as_slice());
                 }
             },
         )?;
+        // A zero-length object passed no gate: its empty chain is checked
+        // here. For any other unrefused stream this re-reads the verdict
+        // the last block's gate already reached.
+        if report.refused_at.is_some() || !verifier.admit(obj.cipher.len()) {
+            return Err(AppError::Protocol(format!(
+                "object {name:?} failed authentication"
+            )));
+        }
         self.stats.gets += 1;
         self.stats.bytes_out += plain.len() as u64;
         self.stats.chunks += report.chunks;
@@ -376,6 +490,22 @@ impl SecureStore {
     /// The stored (encrypted) form of object `name`.
     pub fn object(&self, name: &str) -> Option<&StoredObject> {
         self.objects.get(name)
+    }
+
+    /// The adversary's hand: the stored form of an object lives on a
+    /// medium the enclave does not trust, so whoever holds the store may
+    /// rewrite its ciphertext, block tags and object tag at will — `edit`
+    /// gets all three — and [`SecureStore::get`] must refuse the result.
+    /// Returns whether `name` exists.
+    pub fn tamper(
+        &mut self,
+        name: &str,
+        edit: impl FnOnce(&mut Vec<u8>, &mut Vec<[u8; TAG_LEN]>, &mut [u8; 32]),
+    ) -> bool {
+        self.objects
+            .get_mut(name)
+            .map(|obj| edit(&mut obj.cipher, &mut obj.block_tags, &mut obj.object_tag))
+            .is_some()
     }
 
     /// Objects currently stored.
@@ -421,9 +551,10 @@ impl SecureStore {
             .expect("nonce length");
         let mut cipher = data.to_vec();
         chacha20_xor_offset(&key, &nonce, 0, &mut cipher);
-        let mut auth = BlockAuth::new(&mac, cipher.len().div_ceil(BLOCK_LEN));
-        auth.absorb(&cipher);
-        let (tags, _) = auth.finish();
+        let mut tags = Vec::with_capacity(cipher.len().div_ceil(BLOCK_LEN));
+        let mut auth = BlockAuth::new(&mac);
+        auth.absorb(&cipher, |tag| tags.push(tag));
+        auth.finish(|tag| tags.push(tag));
         (cipher, tags)
     }
 }
@@ -498,6 +629,209 @@ mod tests {
         let err = s.get("x", 2, || 32 << 10).unwrap_err();
         assert!(matches!(err, AppError::Protocol(_)));
         assert!(s.get("missing", 2, || 32 << 10).is_err());
+    }
+
+    /// Index of the first chunk, under `schedule` cycled from its start,
+    /// that touches block `block` of an object of `len` bytes — and so the
+    /// number of chunks submitted before the gate looks at that block.
+    fn first_chunk_touching(schedule: &[usize], len: usize, block: usize) -> u64 {
+        let mut end = 0;
+        for (j, chunk) in schedule.iter().cycle().enumerate() {
+            end += chunk;
+            if end >= len || end > block * BLOCK_LEN {
+                return j as u64;
+            }
+        }
+        unreachable!("the schedule cycles forever")
+    }
+
+    type Edit = fn(&mut Vec<u8>, &mut Vec<[u8; TAG_LEN]>, &mut [u8; 32]);
+
+    fn append_forged_block(cipher: &mut Vec<u8>, tags: &mut Vec<[u8; TAG_LEN]>, _: &mut [u8; 32]) {
+        cipher.extend_from_slice(&[0xA5; BLOCK_LEN]);
+        tags.push([0xA5; TAG_LEN]);
+    }
+
+    /// The tamper matrix: every way of rewriting a stored object is
+    /// refused with `Protocol`, exactly the chunks *before* the first one
+    /// that touches the offending block reach the cipher, and the plane
+    /// comes out of the refusal whole — an intact object is then served
+    /// from the segments the arena already owns.
+    #[test]
+    fn every_tamper_is_refused_before_its_block_reaches_the_cipher() {
+        // Chunks smaller and larger than a block, none aligned to one.
+        const SCHEDULE: [usize; 4] = [5000, 3000, 9000, 1000];
+        const WINDOW: usize = 3;
+        // Ten whole blocks and a partial tail; less than a block; nothing.
+        const MULTI: usize = 10 * BLOCK_LEN + 1234;
+        const SUB: usize = 1000;
+
+        // (object length, case, the edit, the offending block of the
+        // edited object — for a tag-count or object-tag failure, its
+        // last block).
+        let cases: &[(usize, &str, Edit, usize)] = &[
+            (MULTI, "byte in the first block", |c, _, _| c[7] ^= 1, 0),
+            (
+                MULTI,
+                "byte in a middle block",
+                |c, _, _| c[5 * BLOCK_LEN + 100] ^= 0x80,
+                5,
+            ),
+            (
+                MULTI,
+                "byte in the partial tail block",
+                |c, _, _| c[MULTI - 1] ^= 1,
+                10,
+            ),
+            (
+                MULTI,
+                "stored block tag",
+                |_, t, _| t[6][TAG_LEN - 1] ^= 1,
+                6,
+            ),
+            (MULTI, "object tag alone", |_, _, o| o[31] ^= 1, 10),
+            (
+                MULTI,
+                "last block and its tag cut off",
+                |c, t, _| {
+                    c.truncate(10 * BLOCK_LEN);
+                    t.pop();
+                },
+                9,
+            ),
+            (
+                MULTI,
+                "two blocks swapped with their tags",
+                |c, t, _| {
+                    let (low, high) = c.split_at_mut(7 * BLOCK_LEN);
+                    low[2 * BLOCK_LEN..3 * BLOCK_LEN].swap_with_slice(&mut high[..BLOCK_LEN]);
+                    t.swap(2, 7);
+                },
+                2,
+            ),
+            (
+                MULTI,
+                "block appended with a forged tag",
+                append_forged_block,
+                // The old partial tail is now a whole, different block.
+                10,
+            ),
+            (MULTI, "surplus tag", |_, t, _| t.push([0; TAG_LEN]), 10),
+            (SUB, "byte in the only block", |c, _, _| c[SUB / 2] ^= 1, 0),
+            (SUB, "stored block tag", |_, t, _| t[0][0] ^= 1, 0),
+            (SUB, "object tag alone", |_, _, o| o[0] ^= 1, 0),
+            (
+                SUB,
+                "only block and its tag cut off",
+                |c, t, _| {
+                    c.clear();
+                    t.clear();
+                },
+                0,
+            ),
+            (
+                SUB,
+                "block appended with a forged tag",
+                append_forged_block,
+                0,
+            ),
+            (0, "object tag alone", |_, _, o| o[0] ^= 1, 0),
+            (0, "surplus tag", |_, t, _| t.push([0; TAG_LEN]), 0),
+            (
+                0,
+                "block appended with a forged tag",
+                append_forged_block,
+                0,
+            ),
+        ];
+
+        let mut s = store();
+        let schedule = || {
+            let mut it = SCHEDULE.iter().cycle();
+            move || *it.next().unwrap()
+        };
+        let intact = pattern(MULTI);
+        s.put("intact", &intact, WINDOW, schedule()).unwrap();
+        for &(len, case, edit, block) in cases {
+            let what = format!("{len}-byte object, {case}");
+            let data = pattern(len);
+            s.put("victim", &data, WINDOW, schedule()).unwrap();
+            assert_eq!(s.get("victim", WINDOW, schedule()).unwrap(), data, "{what}");
+            assert_eq!(
+                s.get("intact", WINDOW, schedule()).unwrap(),
+                intact,
+                "{what}"
+            );
+            assert!(s.tamper("victim", edit));
+
+            let before = (s.stats(), s.ring_stats().calls, s.arena_stats().allocs);
+            let err = s.get("victim", WINDOW, schedule()).unwrap_err();
+            assert!(matches!(err, AppError::Protocol(_)), "{what}: {err:?}");
+            let reached_cipher = s.ring_stats().calls - before.1;
+            let edited_len = s.object("victim").unwrap().len();
+            assert_eq!(
+                reached_cipher,
+                first_chunk_touching(&SCHEDULE, edited_len, block),
+                "{what}: chunks submitted before the refusal"
+            );
+            assert_eq!(s.stats(), before.0, "{what}: a refused get counts nothing");
+
+            // Everything submitted was redeemed (`calls` above is exact)
+            // and its segments came back: the arena serves the next
+            // stream without growing.
+            assert_eq!(
+                s.get("intact", WINDOW, schedule()).unwrap(),
+                intact,
+                "{what}"
+            );
+            assert_eq!(s.arena_stats().allocs, before.2, "{what}");
+        }
+    }
+
+    /// A chunk schedule of single bytes walks every block once: the
+    /// run-ahead is monotone, so the verifier must neither re-absorb a
+    /// block it already authenticated nor close the chain twice.
+    #[test]
+    fn byte_sized_chunks_verify_each_block_once() {
+        let mut s = store();
+        let data = pattern(2 * BLOCK_LEN + 17);
+        s.put("tiny-chunks", &data, 4, || 1).unwrap();
+        let (cipher, tags) = SecureStore::seal_reference(&[0x33u8; 32], &data);
+        let obj = s.object("tiny-chunks").unwrap();
+        assert_eq!((obj.cipher(), obj.block_tags()), (&cipher[..], &tags[..]));
+        assert_eq!(s.get("tiny-chunks", 4, || 1).unwrap(), data);
+        assert_eq!(s.stats().blocks, 3);
+        assert_eq!(s.stats().chunks, 2 * data.len() as u64);
+    }
+
+    /// `put`'s "a failed stream stores nothing" covers the dedup index:
+    /// the fingerprints a failed put had taken by the time its stream
+    /// broke are taken back out, and only those.
+    #[test]
+    fn failed_put_leaves_no_fingerprints_behind() {
+        let shared = pattern(4 * BLOCK_LEN);
+        let mut data = shared.clone();
+        data.extend((0..20 * BLOCK_LEN).map(|i| (i * 7 % 253) as u8));
+        let ingest = |s: &mut SecureStore| s.put("x", &data, 2, || 3 * BLOCK_LEN + 5);
+
+        let mut s = store();
+        s.put("earlier", &shared, 2, || 16 << 10).unwrap();
+        let before = (s.stats(), s.dedup.clone(), s.object_count());
+        let good_id = core::mem::replace(&mut s.crypt_id, u32::MAX);
+        // The first redeemed chunk comes back `UnknownCallId`; by then the
+        // gate has fingerprinted the whole window.
+        assert!(ingest(&mut s).is_err());
+        assert_eq!((s.stats(), s.dedup.clone(), s.object_count()), before);
+        s.crypt_id = good_id;
+        let retried = ingest(&mut s).unwrap();
+
+        let mut fresh = store();
+        fresh.put("earlier", &shared, 2, || 16 << 10).unwrap();
+        let expected = ingest(&mut fresh).unwrap();
+        assert_eq!(expected.dedup_hits, 4, "only the shared prefix dedups");
+        assert_eq!(retried.dedup_hits, expected.dedup_hits);
+        assert_eq!(s.stats(), fresh.stats());
+        assert_eq!(s.dedup, fresh.dedup);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //!
 //! A warm `put` + `get` allocates what it hands back or stores and nothing
 //! else: the ciphertext, its block tags and the object's name on `put`; the
-//! recomputed block tags and the plaintext on `get`. That count must not
-//! grow with the object — no allocation per 4 KiB block (the block
-//! authenticator and the dedup index MAC from the caller's slice through a
-//! cloned keyed state) and none per streamed chunk (segments are absorbed
-//! in place; the arena recycles them).
+//! plaintext on `get`, which compares each recomputed block tag with the
+//! stored one as it is sealed and keeps none. That count must not grow with
+//! the object — no allocation per 4 KiB block (the block authenticator and
+//! the dedup index MAC from the caller's slice through a cloned keyed
+//! state; the log of fingerprints a failed `put` would take back is a
+//! buffer the store reuses) and none per streamed chunk (segments are
+//! absorbed in place; the arena recycles them).
 //!
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently and muddy the counter.
@@ -50,8 +52,9 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
 }
 
 /// Heap allocations of one warm `put` + `get`, whatever the object's size:
-/// ciphertext, block tags, name (`put`); block tags, plaintext (`get`).
-const ALLOCS_PER_PUT_GET: u64 = 5;
+/// ciphertext, block tags, name (`put`); plaintext (`get` — it allocates
+/// only what it returns).
+const ALLOCS_PER_PUT_GET: u64 = 4;
 
 const CHUNK: usize = 64 << 10;
 

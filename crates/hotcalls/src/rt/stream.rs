@@ -7,7 +7,12 @@
 //! the path), and [`StreamCaller::stream`] pipelines a large object
 //! through the plane as a sequence of chunks under a credit window, so
 //! the responder processes chunk *k* while the caller marshals chunk
-//! *k + 1*.
+//! *k + 1*. [`StreamCaller::stream_gated`] puts a caller-supplied
+//! **pre-submit gate** in front of every chunk: per-chunk work the caller
+//! must finish before a chunk may cross (authenticate it, fingerprint it)
+//! runs there, on the requester thread, overlapped with the responder's
+//! work on the chunks already in flight — and the gate may refuse, which
+//! ends the stream before the chunk it was shown is marshalled.
 //!
 //! The chunk size is re-read from a caller-supplied closure between
 //! chunks — wire it to [`crate::ctl::ChunkSizer`] (via
@@ -21,6 +26,7 @@
 //! the response is unspecified garbage and nobody pays to zero it.
 
 use std::collections::VecDeque;
+use std::ops::{ControlFlow, Range};
 
 use crate::config::{
     GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
@@ -237,18 +243,23 @@ impl SgRing {
 /// caller, conservation invariants for the tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StreamReport {
-    /// Chunks the object was split into.
+    /// Chunks marshalled (all of the object's, unless the gate refused).
     pub chunks: u64,
     /// Tickets submitted to the ring (equals `chunks`).
     pub submitted: u64,
-    /// Tickets redeemed (equals `submitted` on success — conservation).
+    /// Tickets redeemed — handed to the sink, or drained after a refusal
+    /// (equals `submitted`: conservation).
     pub redeemed: u64,
-    /// Request bytes marshalled (the object's length).
+    /// Request bytes marshalled (the object's length, unless the gate
+    /// refused).
     pub bytes_in: u64,
     /// Response bytes handed to the chunk sink.
     pub bytes_out: u64,
     /// Times the chunk size changed mid-stream.
     pub resizes: u64,
+    /// Object offset of the chunk the gate refused; `None` when the
+    /// stream ran to the object's end.
+    pub refused_at: Option<u64>,
 }
 
 /// A streaming handle owning the arena its chunks cycle through plus the
@@ -330,24 +341,58 @@ impl StreamCaller {
     /// object order: the chunk's absolute offset and the response list
     /// (also carrying that offset in [`SgList::meta`]).
     ///
+    /// This is [`StreamCaller::stream_gated`] with a gate that admits
+    /// every chunk.
+    ///
     /// # Errors
     ///
-    /// As [`RingRequester::submit`] / [`RingRequester::wait`]. In-flight
-    /// chunks at the failure point are lost to their slots (freed on
-    /// shutdown), not recycled.
+    /// As [`StreamCaller::stream_gated`].
     pub fn stream(
         &mut self,
         id: u32,
         data: &[u8],
         window: usize,
+        chunk_bytes: impl FnMut() -> usize,
+        on_chunk: impl FnMut(u64, &SgList),
+    ) -> Result<StreamReport> {
+        let admit_all = |_: Range<usize>| ControlFlow::Continue(());
+        self.stream_gated(id, data, window, chunk_bytes, admit_all, on_chunk)
+    }
+
+    /// [`StreamCaller::stream`] behind a **pre-submit gate**: `gate` is
+    /// called on this thread with the byte range `[offset, end)` of each
+    /// chunk, once per chunk and in object order, immediately before the
+    /// chunk is marshalled and submitted — so whatever the gate does for
+    /// chunk *k + 1* overlaps the responder's work on chunk *k* (with a
+    /// window of 1 nothing is in flight when the gate runs, and the two
+    /// sides alternate).
+    ///
+    /// When the gate returns [`ControlFlow::Break`] the chunk it was
+    /// shown is not marshalled and nothing after it is: the chunks
+    /// already in flight are redeemed and their segments recycled, but
+    /// not handed to `on_chunk`, and the report comes back with
+    /// [`StreamReport::refused_at`] set to the refused chunk's offset and
+    /// `chunks`, `submitted`, `redeemed` and `bytes_in` counting what
+    /// crossed before it.
+    ///
+    /// # Errors
+    ///
+    /// As [`RingRequester::submit`] / [`RingRequester::wait`]. The chunks
+    /// in flight at the failure point are drained like a refusal drains
+    /// them — each is waited for, and the segments of those that complete
+    /// go back to the arena; only a chunk whose own wait fails is dropped
+    /// instead of recycled.
+    pub fn stream_gated(
+        &mut self,
+        id: u32,
+        data: &[u8],
+        window: usize,
         mut chunk_bytes: impl FnMut() -> usize,
+        mut gate: impl FnMut(Range<usize>) -> ControlFlow<()>,
         mut on_chunk: impl FnMut(u64, &SgList),
     ) -> Result<StreamReport> {
         let window = window.max(1);
-        let mut report = StreamReport {
-            bytes_in: data.len() as u64,
-            ..StreamReport::default()
-        };
+        let mut report = StreamReport::default();
         let mut offset = 0usize;
         let mut last_chunk = 0usize;
         debug_assert!(self.inflight.is_empty());
@@ -358,11 +403,16 @@ impl StreamCaller {
             // window.
             if offset < data.len() && self.inflight.len() < window {
                 let chunk = chunk_bytes().max(1);
+                let end = offset.saturating_add(chunk).min(data.len());
+                if gate(offset..end).is_break() {
+                    report.refused_at = Some(offset as u64);
+                    report.redeemed += self.abandon_inflight();
+                    break;
+                }
                 if report.chunks > 0 && chunk != last_chunk {
                     report.resizes += 1;
                 }
                 last_chunk = chunk;
-                let end = offset.saturating_add(chunk).min(data.len());
                 let mut sg = self
                     .arena
                     .acquire_sg(&data[offset..end], self.segment_bytes);
@@ -377,6 +427,7 @@ impl StreamCaller {
                 self.inflight.push_back((offset as u64, ticket));
                 report.chunks += 1;
                 report.submitted += 1;
+                report.bytes_in += (end - offset) as u64;
                 offset = end;
                 continue;
             }
@@ -396,14 +447,18 @@ impl StreamCaller {
         Ok(report)
     }
 
-    /// Drains the window after a mid-stream error: redeem what completes
-    /// so the arena gets its segments back, drop what doesn't.
-    fn abandon_inflight(&mut self) {
+    /// Drains the window after a refusal or a mid-stream error: redeem
+    /// what completes so the arena gets its segments back, drop what
+    /// doesn't. Returns the number redeemed.
+    fn abandon_inflight(&mut self) -> u64 {
+        let mut redeemed = 0;
         while let Some((_, ticket)) = self.inflight.pop_front() {
             if let Ok(resp) = self.requester.wait(ticket) {
                 self.arena.recycle_sg(resp);
+                redeemed += 1;
             }
         }
+        redeemed
     }
 
     /// Counters of this caller's private arena.

@@ -1,6 +1,12 @@
 //! Property tests of the streaming scatter-gather path: chunked
 //! reassembly equivalence and ticket conservation under arbitrary chunk
-//! schedules, window depths, and segment sizes.
+//! schedules, window depths, and segment sizes — and the pre-submit
+//! gate's contract: once per chunk, in order, before the chunk's handler,
+//! and a refusal that leaves the plane whole.
+
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -130,6 +136,112 @@ proptest! {
         prop_assert_eq!(report.resizes, resizes);
         prop_assert_eq!(report.bytes_in, len as u64);
         prop_assert_eq!(report.bytes_out, len as u64);
+        ring.shutdown();
+    }
+
+    /// The pre-submit gate sees every chunk exactly once, in object
+    /// order, with the byte range the chunk then carries, and before
+    /// that chunk's handler runs. A gate that refuses chunk *k* ends the
+    /// stream there: exactly *k* calls crossed, all redeemed, and their
+    /// segments are back in the arena — a following stream of the same
+    /// shape allocates nothing.
+    #[test]
+    fn gate_runs_once_per_chunk_before_its_handler_and_may_refuse(
+        len in 0usize..40_000,
+        schedule in proptest::collection::vec(1usize..9000, 1..10),
+        window in 1usize..5,
+        refuse in any::<usize>(),
+    ) {
+        // One flag per object offset, set by the gate for the offset its
+        // chunk starts at; the handler trips `ungated` if it runs for a
+        // chunk whose flag is still down.
+        let gated: Arc<Vec<AtomicBool>> = Arc::new((0..len).map(|_| AtomicBool::new(false)).collect());
+        let ungated = Arc::new(AtomicBool::new(false));
+        let mut table = SgCallTable::new();
+        let echo = table.register({
+            let (gated, ungated) = (Arc::clone(&gated), Arc::clone(&ungated));
+            move |sg| {
+                if !gated[sg.meta() as usize].load(Ordering::SeqCst) {
+                    ungated.store(true, Ordering::SeqCst);
+                }
+                sg.len()
+            }
+        });
+        let ring = SgRing::spawn_pool(table, 8, 1, HotCallConfig::patient()).unwrap();
+        let mut caller = ring.caller();
+        let data = vec![0x6Bu8; len];
+
+        let mut seen = Vec::new();
+        let mut carried = Vec::new();
+        let mut it = schedule.iter().cycle();
+        let report = caller
+            .stream_gated(
+                echo,
+                &data,
+                window,
+                || *it.next().unwrap(),
+                |chunk| {
+                    gated[chunk.start].store(true, Ordering::SeqCst);
+                    seen.push(chunk);
+                    ControlFlow::Continue(())
+                },
+                |offset, resp| carried.push(offset as usize..offset as usize + resp.len()),
+            )
+            .unwrap();
+        prop_assert!(!ungated.load(Ordering::SeqCst), "a handler ran before its chunk's gate");
+        prop_assert_eq!(&seen, &carried);
+        prop_assert_eq!(seen.len() as u64, report.chunks);
+        prop_assert_eq!(report.refused_at, None);
+        let mut next = 0;
+        for chunk in &seen {
+            prop_assert_eq!(chunk.start, next);
+            prop_assert!(chunk.end > chunk.start);
+            next = chunk.end;
+        }
+        prop_assert_eq!(next, len);
+
+        if !seen.is_empty() {
+            for flag in gated.iter() {
+                flag.store(false, Ordering::SeqCst);
+            }
+            let k = refuse % seen.len();
+            let calls = caller.stats().calls;
+            let (mut asked, mut sunk) = (0usize, 0u64);
+            let mut it = schedule.iter().cycle();
+            let report = caller
+                .stream_gated(
+                    echo,
+                    &data,
+                    window,
+                    || *it.next().unwrap(),
+                    |chunk| {
+                        asked += 1;
+                        if chunk == seen[k] {
+                            return ControlFlow::Break(());
+                        }
+                        gated[chunk.start].store(true, Ordering::SeqCst);
+                        ControlFlow::Continue(())
+                    },
+                    |_, _| sunk += 1,
+                )
+                .unwrap();
+            prop_assert!(!ungated.load(Ordering::SeqCst), "the refused chunk reached a handler");
+            prop_assert_eq!(asked, k + 1);
+            prop_assert_eq!(report.refused_at, Some(seen[k].start as u64));
+            prop_assert_eq!((report.chunks, report.submitted, report.redeemed), (k as u64, k as u64, k as u64));
+            prop_assert_eq!(report.bytes_in, seen[k].start as u64);
+            prop_assert!(sunk <= k as u64);
+            prop_assert_eq!(caller.stats().calls - calls, k as u64);
+
+            let allocs = caller.arena_stats().allocs;
+            let mut it = schedule.iter().cycle();
+            let report = caller
+                .stream(echo, &data, window, || *it.next().unwrap(), |_, _| {})
+                .unwrap();
+            prop_assert_eq!(report.submitted, report.redeemed);
+            prop_assert_eq!(report.chunks, seen.len() as u64);
+            prop_assert_eq!(caller.arena_stats().allocs, allocs, "the refused stream's segments came back");
+        }
         ring.shutdown();
     }
 }

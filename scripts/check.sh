@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The pairs protocol is a seven-minute series per workload: it does not
+# belong in the gate, but a script nobody can parse does not either.
+echo "==> bash -n scripts/pairs.sh"
+bash -n scripts/pairs.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
