@@ -1,16 +1,12 @@
-//! Criterion: the lock-free HotCalls runtime vs its mutex-slot ancestor
-//! and OS-assisted alternatives.
+//! Criterion: the lock-free HotCalls runtime vs OS-assisted alternatives.
 //!
 //! The analogue of the paper's core claim on real hardware: a polling
 //! shared-memory channel beats blocking hand-off primitives for call-style
 //! round trips. (On the paper's machine the comparison is spin-mailbox vs
 //! EENTER/EEXIT; here it is spin-mailbox vs mpsc/condvar round trips.)
 //!
-//! Two extra axes this file covers since the data-plane rewrite:
+//! Beyond the single round trips:
 //!
-//! * `mailbox/...` — the live lock-free `UnsafeCell` mailbox against the
-//!   preserved mutex-slot baseline ([`bench::rt_baseline::MutexMailbox`]),
-//!   i.e. new vs old on identical work.
 //! * `ring_pool/...` — the pooled MPMC ring across a requesters ×
 //!   responders matrix (1/2/4/8 × 1/2/4), each sample pushing a fixed
 //!   batch of calls through scoped requester threads.
@@ -27,7 +23,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench::rt_baseline::MutexMailbox;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hotcalls::rt::{ByteCallTable, ByteRing, CallTable, HotCallServer, RingServer};
 use hotcalls::HotCallConfig;
@@ -47,16 +42,9 @@ fn inc_table() -> (CallTable<u64, u64>, u32) {
     (table, inc)
 }
 
-// ---- Single mailbox: lock-free (live) vs mutex-slot (baseline) -------------
+// ---- Single mailbox ---------------------------------------------------------
 
 fn bench_mailbox(c: &mut Criterion) {
-    let (table, inc) = inc_table();
-    let baseline = MutexMailbox::spawn(table, spin_config());
-    c.bench_function("mailbox/mutex_slot_baseline", |b| {
-        b.iter(|| baseline.call(inc, std::hint::black_box(41)).unwrap())
-    });
-    baseline.shutdown();
-
     let (table, inc) = inc_table();
     let server = HotCallServer::spawn(table, spin_config());
     let requester = server.requester();

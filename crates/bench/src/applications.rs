@@ -16,7 +16,7 @@ const TABLE2_CYCLES_PER_CALL: f64 = 8_300.0;
 /// runs so the full harness finishes quickly; rates are insensitive to
 /// duration).
 #[derive(Debug, Clone, Copy)]
-pub struct Scale {
+pub struct AppScale {
     /// memtier requests.
     pub memcached_requests: u64,
     /// http_load fetches.
@@ -27,9 +27,20 @@ pub struct Scale {
     pub ping_count: u64,
 }
 
-impl Default for Scale {
+impl AppScale {
+    /// The `--smoke` scale: enough requests for every rate and ordering
+    /// to settle, few enough for tier-1.
+    pub const SMOKE: AppScale = AppScale {
+        memcached_requests: 400,
+        lighttpd_fetches: 200,
+        openvpn_packets: 200,
+        ping_count: 200,
+    };
+}
+
+impl Default for AppScale {
     fn default() -> Self {
-        Scale {
+        AppScale {
             memcached_requests: 3_000,
             lighttpd_fetches: 1_500,
             openvpn_packets: 1_500,
@@ -169,7 +180,7 @@ fn table2_row(app: &'static str, env: &AppEnv, elapsed_secs: f64, top: usize) ->
 
 /// Reproduces Table 2: API-call frequencies of the three *unoptimized*
 /// SGX ports at peak load.
-pub fn table2(scale: Scale) -> Vec<Table2Row> {
+pub fn table2(scale: AppScale) -> Vec<Table2Row> {
     let mut rows = Vec::new();
 
     {
@@ -343,7 +354,7 @@ pub fn census_openvpn(mode: IfaceMode, transport: RtTransport, packets: u64) -> 
 
 /// The full API census: all three applications under each of
 /// [`CENSUS_MODES`] — twelve Table-2-style reports.
-pub fn api_census_all(scale: Scale) -> Vec<ApiCensus> {
+pub fn api_census_all(scale: AppScale) -> Vec<ApiCensus> {
     let mut out = Vec::with_capacity(CENSUS_MODES.len() * 3);
     for (mode, transport) in CENSUS_MODES {
         out.push(census_memcached(mode, transport, scale.memcached_requests));
@@ -424,7 +435,7 @@ mod tests {
 
     #[test]
     fn table2_totals_and_core_time_in_band() {
-        let rows = table2(Scale {
+        let rows = table2(AppScale {
             memcached_requests: 1_000,
             lighttpd_fetches: 600,
             openvpn_packets: 600,

@@ -236,7 +236,13 @@ fn region_buffer(m: &mut Machine, region: Region, bytes: u64) -> Addr {
 /// (outside the timed window), and an `mfence` precedes the closing
 /// RDTSCP, as in §3.4.
 pub fn memory_read_windowed(region: Region, bytes: u64, n: usize, seed: u64) -> Samples {
-    let mut m = Machine::new(SimConfig::builder().seed(seed).build());
+    memory_read_windowed_on(SimConfig::builder().seed(seed).build(), region, bytes, n)
+}
+
+/// [`memory_read_windowed`] on a machine built from `config` (the MEE
+/// ablation overrides the node-cache capacity).
+pub fn memory_read_windowed_on(config: SimConfig, region: Region, bytes: u64, n: usize) -> Samples {
+    let mut m = Machine::new(config);
     let buf = region_buffer(&mut m, region, bytes);
     m.read(buf, bytes).expect("warm");
     let mut samples = Samples::default();

@@ -1,5 +1,7 @@
 //! Output formatting and the paper's reference numbers.
 
+use crate::experiments::{say, Outcome};
+
 /// Reference values from the paper, for side-by-side reporting.
 pub mod paper {
     /// Table 1 row 1: ecall, warm cache (median cycles).
@@ -50,21 +52,14 @@ pub mod paper {
     pub const TABLE2_CORE_TIME: [f64; 3] = [0.42, 0.57, 0.56];
 }
 
-/// Prints a section banner.
-pub fn banner(title: &str) {
-    println!();
-    println!("=== {title} ===");
-}
-
-/// Prints one paper-vs-measured row with the ratio.
-pub fn compare_row(label: &str, paper: f64, measured: f64, unit: &str) {
+/// Appends one paper-vs-measured row of cycle counts with the ratio.
+pub fn compare_cycles(out: &mut Outcome, label: &str, paper: u64, measured: u64) {
+    let (paper, measured) = (paper as f64, measured as f64);
     let ratio = if paper != 0.0 { measured / paper } else { 0.0 };
-    println!("{label:<42} paper {paper:>12.1} {unit:<8} measured {measured:>12.1} {unit:<8} (x{ratio:.2})");
-}
-
-/// Prints one paper-vs-measured row for integer cycle counts.
-pub fn compare_cycles(label: &str, paper: u64, measured: u64) {
-    compare_row(label, paper as f64, measured as f64, "cycles");
+    say!(
+        out,
+        "{label:<42} paper {paper:>12.1} cycles   measured {measured:>12.1} cycles   (x{ratio:.2})"
+    );
 }
 
 /// Formats a throughput series normalized to its first (native) entry —
@@ -77,172 +72,6 @@ pub fn normalized(series: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Schema version stamped into every `BENCH_*.json` artifact. Bump when a
-/// field is renamed or its meaning changes; downstream trajectory tooling
-/// keys its parsers on this.
-///
-/// Version 2 added the `telemetry` section (stage histograms, censuses,
-/// tracer counters) that every bench artifact now carries.
-pub const SCHEMA_VERSION: u32 = 2;
-
-/// The shared `BENCH_*.json` serializer: a tiny hand-rolled JSON writer
-/// (the workspace takes no serde dependency for the bench binaries) that
-/// every bench artifact goes through, so they all open with the same
-/// `schema_version` / `bench` envelope and agree on formatting.
-///
-/// Strings are written verbatim between quotes — bench names and labels
-/// are ASCII identifiers by construction, never text needing escapes.
-///
-/// # Examples
-///
-/// ```
-/// use bench::report::Json;
-///
-/// let mut j = Json::bench("example");
-/// j.field_u64("calls", 3).field_f64("ns", 1.25, 2);
-/// j.begin_array("rows");
-/// j.begin_item();
-/// j.field_str("mode", "hot").field_bool("ok", true);
-/// j.end_item();
-/// j.end_array();
-/// let text = j.finish();
-/// assert!(text.starts_with("{\n  \"schema_version\": 2,\n  \"bench\": \"example\""));
-/// assert!(text.ends_with("}\n"));
-/// ```
-#[derive(Debug)]
-pub struct Json {
-    out: String,
-    indent: usize,
-    /// Does the current aggregate already hold an entry (so the next one
-    /// needs a comma)?
-    needs_comma: bool,
-}
-
-impl Json {
-    /// Opens the envelope every bench artifact shares:
-    /// `{"schema_version": …, "bench": "<name>", …}`.
-    pub fn bench(name: &str) -> Self {
-        let mut j = Json {
-            out: String::from("{\n"),
-            indent: 1,
-            needs_comma: false,
-        };
-        j.field_u64("schema_version", SCHEMA_VERSION as u64);
-        j.field_str("bench", name);
-        j
-    }
-
-    fn pad(&mut self) {
-        if self.needs_comma {
-            self.out.push_str(",\n");
-        }
-        self.needs_comma = true;
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-    }
-
-    fn key(&mut self, name: &str) {
-        self.pad();
-        self.out.push('"');
-        self.out.push_str(name);
-        self.out.push_str("\": ");
-    }
-
-    /// Writes an integer field.
-    pub fn field_u64(&mut self, name: &str, value: u64) -> &mut Self {
-        self.key(name);
-        self.out.push_str(&value.to_string());
-        self
-    }
-
-    /// Writes a float field with `prec` decimal places.
-    pub fn field_f64(&mut self, name: &str, value: f64, prec: usize) -> &mut Self {
-        self.key(name);
-        self.out.push_str(&format!("{value:.prec$}"));
-        self
-    }
-
-    /// Writes a boolean field.
-    pub fn field_bool(&mut self, name: &str, value: bool) -> &mut Self {
-        self.key(name);
-        self.out.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Writes a string field (the value is emitted verbatim — callers pass
-    /// ASCII identifiers, not user text).
-    pub fn field_str(&mut self, name: &str, value: &str) -> &mut Self {
-        self.key(name);
-        self.out.push('"');
-        self.out.push_str(value);
-        self.out.push('"');
-        self
-    }
-
-    /// Opens a named array of objects; close with [`Json::end_array`].
-    pub fn begin_array(&mut self, name: &str) -> &mut Self {
-        self.key(name);
-        self.out.push_str("[\n");
-        self.indent += 1;
-        self.needs_comma = false;
-        self
-    }
-
-    /// Closes the innermost array.
-    pub fn end_array(&mut self) -> &mut Self {
-        self.out.push('\n');
-        self.indent -= 1;
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-        self.out.push(']');
-        self.needs_comma = true;
-        self
-    }
-
-    /// Opens one object inside an array; close with [`Json::end_item`].
-    pub fn begin_item(&mut self) -> &mut Self {
-        self.pad();
-        self.out.push_str("{\n");
-        self.indent += 1;
-        self.needs_comma = false;
-        self
-    }
-
-    /// Closes the innermost array item.
-    pub fn end_item(&mut self) -> &mut Self {
-        self.out.push('\n');
-        self.indent -= 1;
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-        self.out.push('}');
-        self.needs_comma = true;
-        self
-    }
-
-    /// Opens a named nested object; close with [`Json::end_object`].
-    pub fn begin_object(&mut self, name: &str) -> &mut Self {
-        self.key(name);
-        self.out.push_str("{\n");
-        self.indent += 1;
-        self.needs_comma = false;
-        self
-    }
-
-    /// Closes the innermost named object.
-    pub fn end_object(&mut self) -> &mut Self {
-        self.end_item()
-    }
-
-    /// Closes the envelope and returns the document.
-    pub fn finish(mut self) -> String {
-        self.out.push_str("\n}\n");
-        self.out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,30 +81,6 @@ mod tests {
         let n = normalized(&[200.0, 50.0, 100.0]);
         assert!((n[0] - 1.0).abs() < 1e-12);
         assert!((n[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_envelope_and_nesting_are_well_formed() {
-        let mut j = Json::bench("t");
-        j.field_u64("n", 7).field_bool("flag", false);
-        j.begin_object("inner");
-        j.field_f64("x", 0.5, 3);
-        j.end_object();
-        j.begin_array("rows");
-        for i in 0..2u64 {
-            j.begin_item();
-            j.field_u64("i", i).field_str("tag", "a");
-            j.end_item();
-        }
-        j.end_array();
-        let text = j.finish();
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        assert!(text.contains("\"schema_version\": 2"));
-        assert!(text.contains("\"bench\": \"t\""));
-        assert!(text.contains("\"x\": 0.500"));
-        assert!(!text.contains(",\n}"), "no trailing commas:\n{text}");
-        assert!(!text.contains(",\n]"), "no trailing commas:\n{text}");
     }
 
     #[test]

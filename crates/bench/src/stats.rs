@@ -11,6 +11,16 @@ pub struct Samples {
     pub discarded_aex: usize,
 }
 
+/// Raw cycle counts with nothing discarded.
+impl FromIterator<u64> for Samples {
+    fn from_iter<I: IntoIterator<Item = u64>>(values: I) -> Self {
+        Samples {
+            values: values.into_iter().collect(),
+            discarded_aex: 0,
+        }
+    }
+}
+
 impl Samples {
     /// Number of clean samples.
     pub fn len(&self) -> usize {
@@ -41,25 +51,6 @@ impl Samples {
         sorted[rank]
     }
 
-    /// Arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<u64>() as f64 / self.values.len() as f64
-        }
-    }
-
-    /// Minimum.
-    pub fn min(&self) -> u64 {
-        self.values.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Maximum.
-    pub fn max(&self) -> u64 {
-        self.values.iter().copied().max().unwrap_or(0)
-    }
-
     /// CDF points at the canonical probe percentiles the paper's Fig. 2/3
     /// discussion references.
     pub fn cdf_summary(&self) -> Vec<(f64, u64)> {
@@ -79,8 +70,7 @@ impl Samples {
 }
 
 /// One row of a latency-vs-load curve: an offered rate and the latency
-/// percentiles observed at it. Shared by `load_curves` and
-/// `ablation_storage` so a "knee" means the same thing in every artifact.
+/// percentiles observed at it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Offered load at this row, events per second.
@@ -156,14 +146,6 @@ mod tests {
         assert!((s.fraction_below(20) - 0.5).abs() < 1e-12);
         assert_eq!(s.fraction_below(5), 0.0);
         assert_eq!(s.fraction_below(100), 1.0);
-    }
-
-    #[test]
-    fn mean_min_max() {
-        let s = samples(vec![2, 4, 6]);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2);
-        assert_eq!(s.max(), 6);
     }
 
     #[test]

@@ -69,8 +69,7 @@ impl Wake for ThreadWaker {
 
 /// Drives `future` to completion on the current thread, parking between
 /// polls. The minimal executor: enough to await HotCall futures from
-/// synchronous code (tests, benches, the load harness) without pulling in
-/// a runtime.
+/// synchronous code (tests, benches) without pulling in a runtime.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
     let waker_state = Arc::new(ThreadWaker {

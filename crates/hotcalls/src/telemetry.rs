@@ -624,7 +624,7 @@ struct TracerInner {
 }
 
 /// Default event capacity used by [`Tracer::enable`] callers that take
-/// the default (e.g. the bench `--trace-out` flag).
+/// the default (e.g. `paper ablation_ctl`).
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 static TRACER: Tracer = Tracer {

@@ -1,9 +1,9 @@
 //! Regression guard for the CPU oversubscription cliff.
 //!
-//! `BENCH_rt.json` once showed the 1-requester × 4-responder CPU cell
-//! running 2.6× *slower* than 1 × 1: on a shared-core host every per-call
-//! doze wake dragged three useless responders through the scheduler, and
-//! they churned the core the one useful responder needed. The adaptive
+//! The PR 1 throughput matrix once showed the 1-requester × 4-responder
+//! CPU cell running 2.6× *slower* than 1 × 1: on a shared-core host every
+//! per-call doze wake dragged three useless responders through the
+//! scheduler, and they churned the core the one useful responder needed. The adaptive
 //! governor exists to close that cliff — surplus responders park on a
 //! separate doze that per-call wakes never touch — so a pool with
 //! `max = 4` must stay within noise of the best static shape instead of

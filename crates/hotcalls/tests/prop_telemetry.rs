@@ -3,8 +3,8 @@
 //! The snapshot pipeline leans on one identity everywhere: merging the
 //! per-lane histograms of a plane must give the same distribution as one
 //! histogram fed every sample directly. If that breaks, every aggregated
-//! percentile in `Snapshot::to_prometheus` and `BENCH_*.json` silently
-//! reports the wrong tail. These tests pin the identity down — merge is
+//! percentile in `Snapshot::to_prometheus` and in the benchmark's
+//! `hotcalls.telemetry.*` metrics silently reports the wrong tail. These tests pin the identity down — merge is
 //! exact on bucket counts (not approximate), associative, and preserves
 //! the count/max/percentile invariants — over arbitrary sample sets.
 

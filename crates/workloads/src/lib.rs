@@ -11,13 +11,10 @@
 //! * [`spec`] — `mcf` / `libquantum` / `astar` analogues run in plaintext
 //!   vs encrypted memory (Fig. 8), including the EPC-overflow cliff;
 //! * [`link`] — the 1 Gbit/s link model (935 Mbit/s measured ceiling);
-//! * [`phases`] — deterministic phase-shifting arrival plans (bursty →
-//!   idle → saturated) for the control-plane benches;
-//! * [`stress`] — Stress-SGX-style object workloads for the storage app:
-//!   EPC-cliff-crossing size ramps, cold-cache storms, mixed size
-//!   distributions;
-//! * [`openloop`] — seeded Poisson open-loop arrival schedules with
-//!   late-arrival accounting, for latency-vs-offered-load curves.
+//! * [`stress`] — Stress-SGX-style object workloads for the streaming
+//!   data path: EPC-cliff-crossing size ramps;
+//! * [`openloop`] — seeded Poisson open-loop arrival schedules, for
+//!   latency-vs-offered-load curves.
 //!
 //! All drivers run in *virtual time*: throughput and latency come from the
 //! machine model's cycle accounting, with latency derived through Little's
@@ -32,12 +29,11 @@ pub mod iperf;
 pub mod link;
 pub mod memtier;
 pub mod openloop;
-pub mod phases;
 pub mod ping;
 mod result;
 pub mod spec;
 pub mod stress;
 
 pub use link::LinkModel;
-pub use openloop::{Lateness, OpenLoopPlan, PoissonArrivals};
+pub use openloop::{OpenLoopPlan, PoissonArrivals};
 pub use result::{KernelResult, RunResult};

@@ -6,18 +6,15 @@
 //! latency looks flat right up to the cliff. An open-loop generator keeps
 //! arriving at the offered rate regardless of how the system is coping —
 //! the methodology the SGX benchmarking literature prescribes for tail
-//! studies — and any arrival the harness could not issue on schedule is
-//! charged as *lateness* (the coordinated-omission correction: latency is
-//! measured from the scheduled arrival instant, not from when the
-//! overloaded loop got around to issuing).
+//! studies. Latency is measured from the *scheduled* arrival instant (the
+//! coordinated-omission correction), not from when an overloaded loop got
+//! around to issuing.
 //!
 //! Arrival schedules are seeded and fully deterministic: the same
 //! [`OpenLoopPlan`] yields the same arrival instants on every host.
 
-use core::fmt;
-
-/// The xorshift64* step — the same tiny seedable generator the phase
-/// plans use, private to each iterator so streams never interleave.
+/// The xorshift64* step — a tiny seedable generator, private to each
+/// iterator so streams never interleave.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -118,76 +115,6 @@ impl Iterator for PoissonArrivals {
 
 impl ExactSizeIterator for PoissonArrivals {}
 
-/// Late-arrival accounting: the open-loop harness's own health meter.
-///
-/// An arrival is *late* when the generator issued it after its scheduled
-/// instant (the loop was busy draining completions, or the submit path
-/// itself blocked). Lateness is generator overload, distinct from the
-/// system-under-test's latency — a run whose lateness dominates its
-/// measured tail is reporting on the harness, not the plane, and must be
-/// flagged rather than averaged away.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Lateness {
-    /// Arrivals observed.
-    pub events: u64,
-    /// Arrivals issued after their scheduled instant.
-    pub late: u64,
-    /// Worst issue delay, nanoseconds.
-    pub max_late_ns: u64,
-    /// Sum of issue delays, nanoseconds.
-    pub total_late_ns: u64,
-}
-
-impl Lateness {
-    /// A zeroed meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one arrival: `scheduled_ns` from the plan, `actual_ns`
-    /// when the generator really issued it (same time base).
-    pub fn observe(&mut self, scheduled_ns: u64, actual_ns: u64) {
-        self.events += 1;
-        if actual_ns > scheduled_ns {
-            let d = actual_ns - scheduled_ns;
-            self.late += 1;
-            self.max_late_ns = self.max_late_ns.max(d);
-            self.total_late_ns += d;
-        }
-    }
-
-    /// Fraction of arrivals issued late.
-    pub fn late_fraction(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.late as f64 / self.events as f64
-        }
-    }
-
-    /// Mean issue delay over *all* events, nanoseconds.
-    pub fn mean_late_ns(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.total_late_ns as f64 / self.events as f64
-        }
-    }
-}
-
-impl fmt::Display for Lateness {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} late (max {} ns, mean {:.1} ns)",
-            self.late,
-            self.events,
-            self.max_late_ns,
-            self.mean_late_ns()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,21 +154,6 @@ mod tests {
         assert_eq!(plan.conn_of(0), 0);
         assert_eq!(plan.conn_of(5), 1);
         assert_eq!(plan.conn_of(7), 3);
-    }
-
-    #[test]
-    fn lateness_counts_only_late_events() {
-        let mut l = Lateness::new();
-        l.observe(100, 90); // early: on time
-        l.observe(100, 100); // exactly on time
-        l.observe(100, 250); // 150 ns late
-        l.observe(200, 300); // 100 ns late
-        assert_eq!(l.events, 4);
-        assert_eq!(l.late, 2);
-        assert_eq!(l.max_late_ns, 150);
-        assert_eq!(l.total_late_ns, 250);
-        assert!((l.late_fraction() - 0.5).abs() < 1e-12);
-        assert!(!l.to_string().is_empty());
     }
 
     #[test]

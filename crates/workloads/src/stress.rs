@@ -1,23 +1,15 @@
-//! Stress-SGX-style object workload generators for the storage app.
+//! Stress-SGX-style object workload generators for the streaming data
+//! path.
 //!
 //! Stress-ng's SGX descendant drives enclaves with working sets chosen to
-//! sit on either side of the EPC paging cliff; these generators do the
-//! same for the streaming storage path. Each generator emits a
-//! deterministic list of [`ObjectSpec`]s — name, size, content seed,
+//! sit on either side of the EPC paging cliff; [`cliff_ramp`] does the
+//! same for the streaming storage path: sizes double from well under the
+//! EPC capacity to several times over it, so a single run *crosses the
+//! paging cliff mid-run* (the adaptive chunker's raison d'être). It emits
+//! a deterministic list of [`ObjectSpec`]s — name, size, content seed,
 //! dedup ratio — and [`ObjectSpec::fill`] materializes the bytes, so a
 //! bench can replay the exact same object stream across interface modes
 //! and chunking policies.
-//!
-//! Three shapes matter for the bandwidth story:
-//!
-//! * [`cliff_ramp`] — sizes double from well under the EPC capacity to
-//!   several times over it, so a single run *crosses the paging cliff
-//!   mid-run* (the adaptive chunker's raison d'être);
-//! * [`cold_storm`] — many distinct objects, each ingested exactly once:
-//!   no cache or EPC residency to exploit, every byte cold;
-//! * [`mixed_sizes`] — a log-uniform size distribution, the "real
-//!   object-store traffic" mix of small-dominated counts with
-//!   large-dominated bytes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,14 +39,6 @@ impl ObjectSpec {
     /// spec-seeded pseudorandom bytes.
     pub fn fill(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.bytes];
-        self.fill_into(&mut out);
-        out
-    }
-
-    /// [`ObjectSpec::fill`] into a caller-provided buffer (resized to the
-    /// spec's length) so a bench loop can reuse one allocation.
-    pub fn fill_into(&self, out: &mut Vec<u8>) {
-        out.resize(self.bytes, 0);
         let mut rng = StdRng::seed_from_u64(self.seed);
         for block in out.chunks_mut(STRESS_BLOCK) {
             if rng.gen::<f64>() < self.dedup_fraction {
@@ -64,6 +48,7 @@ impl ObjectSpec {
                 rng.fill(block);
             }
         }
+        out
     }
 }
 
@@ -98,41 +83,6 @@ pub fn cliff_ramp(epc_bytes: usize, seed: u64) -> Vec<ObjectSpec> {
     specs
 }
 
-/// A cold-cache storm: `count` distinct objects of `bytes` each, every
-/// one unique content ingested exactly once — no residency, no reuse,
-/// nothing warm.
-pub fn cold_storm(count: usize, bytes: usize, seed: u64) -> Vec<ObjectSpec> {
-    (0..count)
-        .map(|i| ObjectSpec {
-            name: format!("storm-{i}"),
-            bytes,
-            seed: seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64),
-            dedup_fraction: 0.0,
-        })
-        .collect()
-}
-
-/// A mixed size distribution: `count` objects with sizes log-uniform in
-/// `[min_bytes, max_bytes]` and a moderate 25% dedupable-block fraction —
-/// the small-objects-dominate-counts, large-objects-dominate-bytes shape
-/// of real object-store traffic.
-pub fn mixed_sizes(count: usize, min_bytes: usize, max_bytes: usize, seed: u64) -> Vec<ObjectSpec> {
-    assert!(min_bytes > 0 && max_bytes >= min_bytes);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let span = (max_bytes as f64 / min_bytes as f64).ln();
-    (0..count)
-        .map(|i| {
-            let bytes = (min_bytes as f64 * (rng.gen::<f64>() * span).exp()) as usize;
-            ObjectSpec {
-                name: format!("mix-{i}"),
-                bytes: bytes.clamp(min_bytes, max_bytes),
-                seed: rng.gen(),
-                dedup_fraction: 0.25,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,28 +113,6 @@ mod tests {
         for w in specs.windows(2) {
             assert_eq!(w[1].bytes, w[0].bytes * 2);
         }
-    }
-
-    #[test]
-    fn cold_storm_objects_are_all_distinct() {
-        let specs = cold_storm(16, 64 << 10, 1);
-        let first = specs[0].fill();
-        for s in &specs[1..] {
-            assert_eq!(s.bytes, 64 << 10);
-            assert_ne!(s.fill(), first, "storm objects must be unique");
-        }
-    }
-
-    #[test]
-    fn mixed_sizes_stay_in_bounds_and_vary() {
-        let specs = mixed_sizes(64, 4 << 10, 4 << 20, 9);
-        assert_eq!(specs.len(), 64);
-        let mut sizes: Vec<usize> = specs.iter().map(|s| s.bytes).collect();
-        for &b in &sizes {
-            assert!((4 << 10..=4 << 20).contains(&b));
-        }
-        sizes.dedup();
-        assert!(sizes.len() > 16, "log-uniform draw must vary");
     }
 
     #[test]

@@ -16,12 +16,10 @@ echo "==> cargo clippy --all-targets --workspace -- -D warnings"
 cargo clippy --all-targets --workspace -- -D warnings
 
 # The telemetry-off feature must keep lint-clean, not just building: the
-# overhead gate's baseline is a `--features telemetry-off` bench build,
-# and the ctl module compiles to a frozen static-default router there —
-# a cfg'd-out branch only this pass ever lints.
-echo "==> cargo clippy -p hotcalls -p bench --features telemetry-off --all-targets -- -D warnings"
+# ctl module compiles to a frozen static-default router there — a cfg'd-out
+# branch only this pass ever lints.
+echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings"
 cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings
-cargo clippy -p bench --features telemetry-off --all-targets -- -D warnings
 
 # The ctl property tests assert router dynamics that telemetry-off
 # deliberately removes; this run proves they degrade to a clean no-op
@@ -29,19 +27,22 @@ cargo clippy -p bench --features telemetry-off --all-targets -- -D warnings
 echo "==> cargo test -p hotcalls --test prop_ctl --features telemetry-off"
 cargo test -p hotcalls --test prop_ctl --features telemetry-off -q
 
-echo "==> tier-1: cargo build --release && cargo test -q (+ the benchmark package's own tests)"
+# Tier-1 is the root package (`cargo build --release && cargo test -q`,
+# which runs every `paper` experiment's claims at smoke scale through
+# tests/paper_claims.rs); the gate runs every crate's suites.
+echo "==> cargo build --release && cargo test -q --workspace (+ the benchmark package's own tests)"
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo test --release -q -p sgx-sim crypto
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-# The live data plane, in both profiles: the slot `debug_assert!`s only
-# exist in debug, the race windows only open under optimisation. Then the
-# tests that used to fail on scheduling luck, 20 times over, so a
-# regression in any is a red check here and not folklore (`prop_ctl`
-# pipelines a window as deep as its ring: the `wait_any` oldest-first race).
-echo "==> hotcalls lib + integration suites (debug, release); de-flaked tests x20"
-cargo test -q -p hotcalls --lib --tests
+# The live data plane again under optimisation: the slot `debug_assert!`s
+# only exist in debug (the pass above), the race windows only open in
+# release. Then the tests that used to fail on scheduling luck, 20 times
+# over, so a regression in any is a red check here and not folklore
+# (`prop_ctl` pipelines a window as deep as its ring: the `wait_any`
+# oldest-first race).
+echo "==> hotcalls lib + integration suites (release); de-flaked tests x20"
 cargo test --release -q -p hotcalls --lib --tests
 # A filter that matches no test passes silently, so the two named tests
 # are addressed by full path and the run must report exactly two passes.
@@ -56,19 +57,5 @@ for _ in $(seq 20); do
         || { echo "expected ${#deflaked[@]} de-flaked tests to run:"; echo "$out"; exit 1; }
     cargo test --release -q -p hotcalls --test prop_ctl
 done
-
-# The load-curve harness self-checks its own claims (100k-connection
-# multiplexing witnessed, HotCalls knee >= 2x SDK per app, open-loop
-# tickets conserved) and exits non-zero on any miss.
-echo "==> load_curves --smoke"
-cargo run --release -p bench --bin load_curves -- /tmp/BENCH_load_check.json --smoke
-
-# The streaming data-path harness self-checks its claims too (hot+sg
-# bandwidth >= 2x the SDK port at every size including one working set
-# over the EPC, adaptive chunker >= 0.9x the best static on the cliff,
-# storage smoke tickets conserved + roundtrips) and exits non-zero on
-# any miss.
-echo "==> ablation_storage --smoke"
-cargo run --release -p bench --bin ablation_storage -- /tmp/BENCH_storage_check.json --smoke
 
 echo "==> all checks passed"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seconds=20] [first-seed]
+# scripts/pairs.sh <parent-rev>|telemetry-off <workload> [pairs=10] [seconds=20] [first-seed]
 #
 # The ROADMAP pairs protocol (choosing-metrics §8) for one workload of the
 # repo benchmark: builds `hotbench` once from a clean export of <parent-rev>
@@ -22,10 +22,16 @@
 # The parent is exported with `git archive` into a temporary directory
 # (under $TMPDIR) that is removed on exit; nothing is registered in `.git`
 # and nothing under `benchmark/` is written except its own `target/`.
+#
+# The telemetry-overhead reading (ROADMAP aim 4): pass the literal
+# `telemetry-off` as <parent-rev> and the "parent" side is the working tree
+# built with `--features hotcalls/telemetry-off` — same source, the
+# telemetry plane compiled out — so `delta median` is what the
+# instrumentation costs and the verdict reads the same way.
 # PAIRS_RAW=file keeps every run's result line (pair, seed, side, JSON).
 set -euo pipefail
 
-usage="usage: scripts/pairs.sh <parent-rev> <workload> [pairs=10] [seconds=20] [first-seed]"
+usage="usage: scripts/pairs.sh <parent-rev>|telemetry-off <workload> [pairs=10] [seconds=20] [first-seed]"
 parent="${1:?$usage}"
 workload="${2:?$usage}"
 pairs="${3:-10}"
@@ -33,18 +39,24 @@ seconds="${4:-20}"
 first_seed="${5:-$(($(date +%s) % 1000000))}"
 cd "$(dirname "$0")/.."
 repo="$PWD"
-parent_sha="$(git rev-parse --short "$parent^{commit}")"
-
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 lines="${PAIRS_RAW:-$tmp/lines}"
 : >"$lines"
 
-echo "building parent $parent_sha" >&2
-mkdir "$tmp/parent"
-git archive "$parent_sha" | tar -x -C "$tmp/parent"
-cargo build --release --offline --quiet \
-    --manifest-path "$tmp/parent/benchmark/Cargo.toml" --target-dir "$tmp/parent-target" >&2
+if [[ "$parent" == telemetry-off ]]; then
+    parent_sha=telemetry-off
+    echo "building the working tree with hotcalls/telemetry-off" >&2
+    cargo build --release --offline --quiet --features hotcalls/telemetry-off \
+        --manifest-path "$repo/benchmark/Cargo.toml" --target-dir "$tmp/parent-target" >&2
+else
+    parent_sha="$(git rev-parse --short "$parent^{commit}")"
+    echo "building parent $parent_sha" >&2
+    mkdir "$tmp/parent"
+    git archive "$parent_sha" | tar -x -C "$tmp/parent"
+    cargo build --release --offline --quiet \
+        --manifest-path "$tmp/parent/benchmark/Cargo.toml" --target-dir "$tmp/parent-target" >&2
+fi
 cp "$tmp/parent-target/release/hotbench" "$tmp/hotbench.parent"
 rm -rf "$tmp/parent" "$tmp/parent-target"
 echo "building the working tree" >&2
