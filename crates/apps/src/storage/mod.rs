@@ -21,6 +21,22 @@
 //! 4 KiB block), so re-ingesting repeated content is detected regardless
 //! of which object or offset it first appeared at.
 //!
+//! **Blocks are MACed in runs, not one by one.** Every 4 KiB block's tag
+//! and fingerprint is an independent message under one key, so all three
+//! MAC passes hand each run of whole blocks to
+//! [`HmacSha256::tag_each`], which hashes sixteen of them side by side
+//! where the CPU can and defines the result as one MAC per block
+//! everywhere: the block authenticator does so for every run that arrives
+//! while no block is open (a block that arrives in pieces still streams
+//! through its own running MAC), `put`'s gate fingerprints its whole
+//! run-ahead span in one call, and `put`'s sink first appends a redeemed
+//! chunk's segments to the stored ciphertext and then authenticates those
+//! bytes where they now lie — a 16 KiB segment would cut the run at four
+//! blocks, the chunk's contiguous bytes do not. `get`'s verifier and
+//! [`SecureStore::seal_reference`] read contiguous ciphertext already.
+//! Only the chain link per tag is serial. No stored byte depends on any
+//! of this (the golden object in `tests/prop_storage.rs`).
+//!
 //! **No serial pass.** Neither direction walks the whole object before
 //! its stream starts. Both per-block MAC passes that must run *ahead* of
 //! the cipher — tag verification on [`SecureStore::get`], dedup
@@ -130,20 +146,24 @@ pub struct PutReceipt {
     pub object_tag: [u8; 32],
 }
 
-/// Streaming ciphertext authenticator: feeds bytes into the MAC of the
-/// current [`BLOCK_LEN`] block as they arrive in object order and hands
-/// one tag per sealed block to the caller's `on_tag`, chaining them into
-/// the object tag. Because it only ever sees a byte sequence, chunk
-/// boundaries — aligned, odd, or straddling a block — cannot change its
-/// output. Nothing is buffered: a block's bytes go straight from the
-/// caller's slice into its running MAC, and a tag goes straight to
-/// whoever stores (`put`) or compares (`get`) it.
+/// Streaming ciphertext authenticator: takes bytes as they arrive in
+/// object order and hands one tag per sealed [`BLOCK_LEN`] block to the
+/// caller's `on_tag`, chaining them into the object tag. Because it only
+/// ever sees a byte sequence, chunk boundaries — aligned, odd, or
+/// straddling a block — cannot change its output. Nothing is buffered:
+/// every run of whole blocks that arrives while no block is open is
+/// tagged where it lies by one [`HmacSha256::tag_each`] (sixteen blocks at
+/// a time where the CPU can), the bytes of a block that arrives in pieces
+/// go straight from the caller's slice into its running MAC, and a tag
+/// goes straight to whoever stores (`put`) or compares (`get`) it.
 #[derive(Debug)]
 struct BlockAuth {
-    /// The MAC key's absorbed state; every block and chain link clones it.
+    /// The MAC key's absorbed state; every block and chain link starts
+    /// from it.
     keyed: HmacSha256,
-    /// MAC of the block in progress (`block_index`, then its bytes so far).
-    block: HmacSha256,
+    /// MAC of a block only part of which has arrived (`block_index`, then
+    /// its `filled` bytes so far); `None` between blocks.
+    open: Option<HmacSha256>,
     filled: usize,
     block_index: u64,
     chain: [u8; 32],
@@ -153,55 +173,105 @@ impl BlockAuth {
     fn new(keyed: &HmacSha256) -> Self {
         BlockAuth {
             keyed: keyed.clone(),
-            block: Self::open_block(keyed, 0),
+            open: None,
             filled: 0,
             block_index: 0,
             chain: [0u8; 32],
         }
     }
 
-    fn open_block(keyed: &HmacSha256, index: u64) -> HmacSha256 {
-        let mut mac = keyed.clone();
-        mac.update(&index.to_le_bytes());
-        mac
-    }
-
-    /// Closes the block in progress: the next chain link, a fresh MAC for
-    /// the block after it, and the closed block's tag.
-    fn seal_block(&mut self) -> [u8; TAG_LEN] {
-        self.block_index += 1;
-        let next = Self::open_block(&self.keyed, self.block_index);
-        let full = core::mem::replace(&mut self.block, next).finalize();
+    /// Truncates a block's MAC to its tag and extends the chain by it.
+    fn link(keyed: &HmacSha256, chain: &mut [u8; 32], full: [u8; 32]) -> [u8; TAG_LEN] {
         let mut tag = [0u8; TAG_LEN];
         tag.copy_from_slice(&full[..TAG_LEN]);
-        let mut link = self.keyed.clone();
-        link.update(&self.chain);
+        let mut link = keyed.clone();
+        link.update(chain);
         link.update(&tag);
-        self.chain = link.finalize();
-        self.filled = 0;
+        *chain = link.finalize();
         tag
     }
 
+    /// Closes the block in progress and returns its tag.
+    fn seal_open_block(&mut self) -> [u8; TAG_LEN] {
+        let full = self.open.take().expect("a block is open").finalize();
+        self.filled = 0;
+        self.block_index += 1;
+        Self::link(&self.keyed, &mut self.chain, full)
+    }
+
+    /// Feeds `piece` — no more than the block in progress still takes —
+    /// into that block's MAC, opening it if this is its first byte and
+    /// sealing it if this is its last.
+    fn fill(&mut self, piece: &[u8], mut on_tag: impl FnMut([u8; TAG_LEN])) {
+        let block = self.open.get_or_insert_with(|| {
+            let mut mac = self.keyed.clone();
+            mac.update(&self.block_index.to_le_bytes());
+            mac
+        });
+        block.update(piece);
+        self.filled += piece.len();
+        if self.filled == BLOCK_LEN {
+            on_tag(self.seal_open_block());
+        }
+    }
+
     fn absorb(&mut self, mut bytes: &[u8], mut on_tag: impl FnMut([u8; TAG_LEN])) {
-        while !bytes.is_empty() {
-            let (now, later) = bytes.split_at((BLOCK_LEN - self.filled).min(bytes.len()));
-            self.block.update(now);
-            self.filled += now.len();
-            if self.filled == BLOCK_LEN {
-                on_tag(self.seal_block());
-            }
-            bytes = later;
+        // What completes (or just extends) a block left open earlier ...
+        if self.open.is_some() {
+            let (head, rest) = bytes.split_at((BLOCK_LEN - self.filled).min(bytes.len()));
+            self.fill(head, &mut on_tag);
+            bytes = rest;
+        }
+        // ... then, with no block open, every whole block in one call ...
+        let (whole, tail) = bytes.split_at(bytes.len() - bytes.len() % BLOCK_LEN);
+        let (keyed, chain, first) = (&self.keyed, &mut self.chain, self.block_index);
+        keyed.tag_each(
+            |i| (first + i as u64).to_le_bytes(),
+            whole,
+            BLOCK_LEN,
+            |full| on_tag(Self::link(keyed, chain, full)),
+        );
+        self.block_index += (whole.len() / BLOCK_LEN) as u64;
+        // ... and what opens the next one.
+        if !tail.is_empty() {
+            self.fill(tail, &mut on_tag);
         }
     }
 
     /// Seals the partial tail block, if there is one, and returns the
     /// chained object tag.
     fn finish(&mut self, mut on_tag: impl FnMut([u8; TAG_LEN])) -> [u8; 32] {
-        if self.filled > 0 {
-            on_tag(self.seal_block());
+        if self.open.is_some() {
+            on_tag(self.seal_open_block());
         }
         self.chain
     }
+}
+
+/// Dedup-indexes the content blocks of `span` — whole [`BLOCK_LEN`] blocks
+/// and, where an object ends, its partial tail — under their keyed
+/// fingerprints, logging in `fresh` the ones `seen` did not hold yet.
+/// Returns how many it did hold. (A plain function, not a closure body:
+/// the MAC loops are compiled once, in this crate, not into every caller
+/// of the generic `put`.)
+fn index_span(
+    mac: &HmacSha256,
+    seen: &mut HashSet<[u8; 32]>,
+    fresh: &mut Vec<[u8; 32]>,
+    span: &[u8],
+) -> u64 {
+    let mut hits = 0;
+    let (whole, tail) = span.split_at(span.len() - span.len() % BLOCK_LEN);
+    let mut index = |fingerprint| {
+        if seen.insert(fingerprint) {
+            fresh.push(fingerprint);
+        } else {
+            hits += 1;
+        }
+    };
+    mac.tag_each(|_| [], whole, BLOCK_LEN, &mut index);
+    mac.tag_each(|_| [], tail, tail.len(), &mut index);
+    hits
 }
 
 /// How far the gate MACs before it admits a chunk ending at `chunk_end`:
@@ -373,26 +443,27 @@ impl SecureStore {
             window,
             chunk_bytes,
             |chunk| {
+                // `fingerprinted` is block-aligned until it reaches the
+                // object's end.
                 let target = run_ahead(chunk.end, data.len());
-                for block in data[fingerprinted..target].chunks(BLOCK_LEN) {
-                    let mut mac = self.dedup_mac.clone();
-                    mac.update(block);
-                    let fingerprint = mac.finalize();
-                    if self.dedup.insert(fingerprint) {
-                        self.fresh.push(fingerprint);
-                    } else {
-                        dedup_hits += 1;
-                    }
-                }
+                dedup_hits += index_span(
+                    &self.dedup_mac,
+                    &mut self.dedup,
+                    &mut self.fresh,
+                    &data[fingerprinted..target],
+                );
                 fingerprinted = target;
                 ControlFlow::Continue(())
             },
-            // Plaintext → ciphertext; authenticate as chunks land.
+            // Plaintext → ciphertext: land the whole chunk, then
+            // authenticate it where it now lies — a chunk holds runs of
+            // blocks its 16 KiB segments would cut short.
             |_offset, sg: &SgList| {
+                let landed = cipher.len();
                 for seg in sg.segments() {
-                    auth.absorb(seg.as_slice(), |tag| block_tags.push(tag));
                     cipher.extend_from_slice(seg.as_slice());
                 }
+                auth.absorb(&cipher[landed..], |tag| block_tags.push(tag));
             },
         );
         let report = match streamed {
@@ -802,6 +873,35 @@ mod tests {
         assert_eq!(s.get("tiny-chunks", 4, || 1).unwrap(), data);
         assert_eq!(s.stats().blocks, 3);
         assert_eq!(s.stats().chunks, 2 * data.len() as u64);
+    }
+
+    /// The dedup index's keys are frozen bytes too, and nothing outside
+    /// this crate can read them: the golden object of
+    /// `tests/prop_storage.rs` (same secret, same bytes) must index block 3
+    /// under the key that file's independent reference computes for it —
+    /// the hex is what the parent of PR 20 (commit 1417b50) indexed it
+    /// under — and 42 distinct keys in all (44 blocks, two repeats).
+    #[test]
+    fn golden_object_dedup_keys_are_frozen() {
+        const LEN: usize = 43 * BLOCK_LEN + 1234;
+        let mut data = pattern(LEN);
+        data.copy_within(3 * BLOCK_LEN..4 * BLOCK_LEN, 20 * BLOCK_LEN);
+        data.copy_within(3 * BLOCK_LEN..4 * BLOCK_LEN, 41 * BLOCK_LEN);
+
+        let mut s = SecureStore::new(&[0x5C; 32], 16, 1, HotCallConfig::patient()).unwrap();
+        let receipt = s.put("golden", &data, 3, || 70_001).unwrap();
+        assert_eq!((receipt.blocks, receipt.dedup_hits), (44, 2));
+        assert_eq!(s.dedup.len(), 42);
+        const BLOCK_3: &str = "d56c986301ea6d4d008c7702cf54486c540060bf6b6e5d8dadea41fc031c3e25";
+        let golden: [u8; 32] =
+            core::array::from_fn(|i| u8::from_str_radix(&BLOCK_3[2 * i..2 * i + 2], 16).unwrap());
+        assert!(s.dedup.contains(&golden));
+        // Every block is indexed under its one-message-at-a-time MAC.
+        for block in data.chunks(BLOCK_LEN) {
+            let mut mac = s.dedup_mac.clone();
+            mac.update(block);
+            assert!(s.dedup.contains(&mac.finalize()));
+        }
     }
 
     /// `put`'s "a failed stream stores nothing" covers the dedup index:

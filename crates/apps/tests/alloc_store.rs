@@ -6,11 +6,14 @@
 //! else: the ciphertext, its block tags and the object's name on `put`; the
 //! plaintext on `get`, which compares each recomputed block tag with the
 //! stored one as it is sealed and keeps none. That count must not grow with
-//! the object — no allocation per 4 KiB block (the block authenticator and
-//! the dedup index MAC from the caller's slice through a cloned keyed
-//! state; the log of fingerprints a failed `put` would take back is a
-//! buffer the store reuses) and none per streamed chunk (segments are
-//! absorbed in place; the arena recycles them).
+//! the object — no allocation per 4 KiB block or per batch of them (the
+//! block authenticator and the dedup index MAC from the caller's slice,
+//! through a cloned keyed state or sixteen lanes staged on the stack; the
+//! log of fingerprints a failed `put` would take back is a buffer the
+//! store reuses) and none per streamed chunk (`put` appends a chunk's
+//! segments to the ciphertext it allocated up front and authenticates
+//! them there, `get` appends them to the plaintext; the arena recycles
+//! the segments).
 //!
 //! The whole file is a single `#[test]` so no sibling test can allocate
 //! concurrently and muddy the counter.

@@ -2,8 +2,13 @@
 //! (SHA-256 for measurements/MACs, ChaCha20 for the tunnel and the storage
 //! data path). The `sizes` rows time each primitive at 4 KiB and 1 MiB on
 //! the portable kernel and on the kernel the dispatcher picks for this CPU
-//! (DESIGN.md §16) — on a host without SHA-NI / AVX2 the two rows of a pair
-//! run the same code.
+//! (DESIGN.md §16) — on a host without SHA-NI / AVX2 / AVX-512 the two rows
+//! of a pair run the same code. The third SHA-256 kernel, the 16-lane
+//! AVX-512 multi-buffer one, hashes sixteen messages side by side and so
+//! has no `digest_*` row: it shows in `keyed_batch_*_dispatched` (one call
+//! for all the 4 KiB blocks) against `keyed_per_block_*_dispatched` (one
+//! SHA-NI pass per block); a `4k` batch is a single block and a `portable`
+//! batch never has the kernel, so those rows run the per-block code.
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -50,7 +55,8 @@ fn bench_hmac(c: &mut Criterion) {
         b.iter(|| hmac_sha256(black_box(&key), black_box(&data[..1500])))
     });
     // One keyed state, one tag per 4 KiB block: the shape of the storage
-    // path's block authentication and dedup index.
+    // path's block authentication and dedup index — one message at a time,
+    // then all the blocks in one `tag_each`.
     for (label, len) in SIZES {
         g.throughput(Throughput::Bytes(len as u64));
         let kernels = [
@@ -66,6 +72,13 @@ fn bench_hmac(c: &mut Criterion) {
                         mac.update(block);
                         last = mac.finalize();
                     }
+                    last
+                })
+            });
+            g.bench_function(&format!("keyed_batch_{label}_{kernel}"), |b| {
+                b.iter(|| {
+                    let mut last = [0u8; 32];
+                    keyed.tag_each(|_| [], black_box(&data[..len]), BLOCK, |tag| last = tag);
                     last
                 })
             });

@@ -8,12 +8,15 @@
 //! semantics.
 //!
 //! The twenty rounds are written once, generically over a [`Word`]: a
-//! `u32` gives the single-block function, a `[u32; 8]` gives eight blocks
+//! `u32` gives the single-block function, a `[u32; N]` gives `N` blocks
 //! with consecutive counters side by side, in a shape the compiler turns
-//! into vector code. Whole 512-byte groups of a request go through the
-//! 8-lane body — built once for the baseline target and once with AVX2,
-//! chosen by what the CPU reports — and the partial head and tail through
-//! the single-block function. The bytes are the same on every path.
+//! into vector code. That wide body is built three times — 8 lanes for the
+//! baseline target, 8 lanes with AVX2, 16 lanes with AVX-512 — and a
+//! request goes down a cascade chosen by what the CPU reports: whole
+//! 1 KiB groups through the 16-lane build where there is one, a remaining
+//! 512-byte group through an 8-lane build, and the partial head and the
+//! tail (always under 512 bytes) through the single-block function. The
+//! bytes are the same on every path.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -21,11 +24,12 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 
 const BLOCK_LEN: usize = 64;
-/// Blocks the wide body produces per iteration.
-const LANES: usize = 8;
-const GROUP_LEN: usize = LANES * BLOCK_LEN;
+/// Bytes an `N`-lane body produces per iteration.
+const fn group_len(lanes: usize) -> usize {
+    lanes * BLOCK_LEN
+}
 
-/// One word of the ChaCha state: a `u32`, or the same word of [`LANES`]
+/// One word of the ChaCha state: a `u32`, or the same word of `LANES`
 /// independent blocks.
 trait Word: Copy {
     fn add(self, other: Self) -> Self;
@@ -45,7 +49,7 @@ impl Word for u32 {
     }
 }
 
-impl Word for [u32; LANES] {
+impl<const LANES: usize> Word for [u32; LANES] {
     #[inline(always)]
     fn add(self, other: Self) -> Self {
         core::array::from_fn(|l| self[l].wrapping_add(other[l]))
@@ -116,17 +120,17 @@ fn xor_block(initial: &[u32; 16], counter: u32, skip: usize, bytes: &mut [u8]) {
     }
 }
 
-/// An 8-lane kernel: XORs `groups` — a whole number of 512-byte groups —
-/// with the keystream from block `counter` on.
+/// A wide kernel: XORs `groups` — a whole number of its groups — with the
+/// keystream from block `counter` on.
 type GroupsFn = fn(&[u32; 16], u32, &mut [u8]);
 
-/// The 8-lane body every wide kernel is an instantiation of.
+/// The `N`-lane body every wide kernel is an instantiation of.
 #[inline(always)]
-fn xor_groups_body(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
-    debug_assert_eq!(groups.len() % GROUP_LEN, 0);
+fn xor_groups_body<const N: usize>(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
+    debug_assert_eq!(groups.len() % group_len(N), 0);
     let mut first = counter;
-    for group in groups.chunks_exact_mut(GROUP_LEN) {
-        let mut state: [[u32; LANES]; 16] = initial.map(|w| [w; LANES]);
+    for group in groups.chunks_exact_mut(group_len(N)) {
+        let mut state: [[u32; N]; 16] = initial.map(|w| [w; N]);
         state[12] = core::array::from_fn(|lane| first.wrapping_add(lane as u32));
         let words = keystream(state);
         for (lane, block) in group.chunks_exact_mut(BLOCK_LEN).enumerate() {
@@ -135,21 +139,31 @@ fn xor_groups_body(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
                 bytes.copy_from_slice(&(plain ^ words[i][lane]).to_le_bytes());
             }
         }
-        first = first.wrapping_add(LANES as u32);
+        first = first.wrapping_add(N as u32);
     }
 }
 
-/// The body built for the baseline target: the fallback on CPUs without
-/// AVX2 and on other architectures.
+/// The 8-lane body built for the baseline target: the fallback on CPUs
+/// without AVX2 and on other architectures. (It stays at 8 lanes: wider
+/// bodies spill where there are no wide registers, EXPERIMENTS.md "Crypto
+/// host speed".)
 fn xor_groups_portable(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
-    xor_groups_body(initial, counter, groups);
+    xor_groups_body::<8>(initial, counter, groups);
 }
 
 /// The same body built with AVX2, where one `[u32; 8]` is one register.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 fn xor_groups_avx2(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
-    xor_groups_body(initial, counter, groups);
+    xor_groups_body::<8>(initial, counter, groups);
+}
+
+/// The same body at 16 lanes built with AVX-512, where one `[u32; 16]` is
+/// one register and a rotation one instruction.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+fn xor_groups_avx512(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
+    xor_groups_body::<16>(initial, counter, groups);
 }
 
 /// The AVX2 kernel, if this CPU can run it.
@@ -166,24 +180,51 @@ fn avx2_kernel() -> Option<GroupsFn> {
     None
 }
 
-/// The one place a ChaCha20 kernel is chosen.
-fn xor_groups(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
-    match avx2_kernel() {
-        Some(kernel) => kernel(initial, counter, groups),
-        None => xor_groups_portable(initial, counter, groups),
+/// The 16-lane AVX-512 kernel, if this CPU can run it.
+fn avx512_kernel() -> Option<GroupsFn> {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if super::cpu::has_avx512f() {
+        return Some(|initial, counter, groups| {
+            // SAFETY: this function pointer is only handed out after
+            // `cpu::has_avx512f()` saw `avx512f` on the running CPU, the
+            // one feature the kernel is compiled with; its body is safe
+            // code.
+            unsafe { xor_groups_avx512(initial, counter, groups) }
+        });
     }
+    None
 }
 
+/// Wide kernels to try in turn, widest first, each with the bytes of one
+/// of its groups; what none of them takes is the single-block function's.
+type Cascade = [Option<(usize, GroupsFn)>; 2];
+
+/// The one place the ChaCha20 kernels are chosen: the 16-lane build where
+/// the CPU has AVX-512, then the AVX2 or else the baseline 8-lane build.
+fn dispatched() -> Cascade {
+    [
+        avx512_kernel().map(|kernel| (group_len(16), kernel)),
+        Some((
+            group_len(8),
+            avx2_kernel().unwrap_or(xor_groups_portable as GroupsFn),
+        )),
+    ]
+}
+
+/// The baseline 8-lane build alone, whatever the CPU offers.
+const PORTABLE: Cascade = [Some((group_len(8), xor_groups_portable)), None];
+
 /// XORs `data` with the keystream from `skip` bytes into block `counter`
-/// on; the counter wraps modulo 2^32. Whole groups go to `wide`, the
-/// partial head and the tail to the single-block function.
+/// on; the counter wraps modulo 2^32. Each kernel of `wide` takes the
+/// whole groups of what the one before it left, the partial head and the
+/// tail go to the single-block function.
 fn xor_stream(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     mut counter: u32,
     skip: usize,
     mut data: &mut [u8],
-    wide: GroupsFn,
+    wide: Cascade,
 ) {
     let initial = initial_state(key, nonce);
     if skip > 0 {
@@ -192,12 +233,15 @@ fn xor_stream(
         counter = counter.wrapping_add(1);
         data = rest;
     }
-    let (groups, tail) = data.split_at_mut(data.len() - data.len() % GROUP_LEN);
-    if !groups.is_empty() {
-        wide(&initial, counter, groups);
-        counter = counter.wrapping_add((groups.len() / BLOCK_LEN) as u32);
+    for (group_len, kernel) in wide.into_iter().flatten() {
+        let (groups, rest) = data.split_at_mut(data.len() - data.len() % group_len);
+        if !groups.is_empty() {
+            kernel(&initial, counter, groups);
+            counter = counter.wrapping_add((groups.len() / BLOCK_LEN) as u32);
+        }
+        data = rest;
     }
-    for block in tail.chunks_mut(BLOCK_LEN) {
+    for block in data.chunks_mut(BLOCK_LEN) {
         xor_block(&initial, counter, 0, block);
         counter = counter.wrapping_add(1);
     }
@@ -217,7 +261,7 @@ pub fn chacha20_xor_at(
     initial_counter: u32,
     data: &mut [u8],
 ) {
-    xor_stream(key, nonce, initial_counter, 0, data, xor_groups);
+    xor_stream(key, nonce, initial_counter, 0, data, dispatched());
 }
 
 /// Bytes of keystream one (key, nonce) pair has: 2^32 blocks.
@@ -238,7 +282,7 @@ pub fn chacha20_xor_offset(
     offset: u64,
     data: &mut [u8],
 ) {
-    xor_offset_with(key, nonce, offset, data, xor_groups);
+    xor_offset_with(key, nonce, offset, data, dispatched());
 }
 
 /// [`chacha20_xor_offset`] pinned to the baseline build of the 8-lane
@@ -251,7 +295,7 @@ pub fn chacha20_xor_offset_portable(
     offset: u64,
     data: &mut [u8],
 ) {
-    xor_offset_with(key, nonce, offset, data, xor_groups_portable);
+    xor_offset_with(key, nonce, offset, data, PORTABLE);
 }
 
 fn xor_offset_with(
@@ -259,7 +303,7 @@ fn xor_offset_with(
     nonce: &[u8; NONCE_LEN],
     offset: u64,
     data: &mut [u8],
-    wide: GroupsFn,
+    wide: Cascade,
 ) {
     debug_assert!(
         offset.saturating_add(data.len() as u64) <= KEYSTREAM_LEN,
@@ -280,33 +324,41 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The single-block function as a "wide" kernel: the reference the
-    /// 8-lane kernels are held to.
+    /// The single-block function as a "wide" kernel of one-block groups:
+    /// the reference the wide kernels are held to.
     fn xor_groups_single_block(initial: &[u32; 16], counter: u32, groups: &mut [u8]) {
         for (i, block) in groups.chunks_mut(BLOCK_LEN).enumerate() {
             xor_block(initial, counter.wrapping_add(i as u32), 0, block);
         }
     }
 
-    /// Every way of producing whole groups, by name: the single-block
-    /// function and the baseline 8-lane build on every host, the AVX2
-    /// build where the CPU has it (a skip note where it does not).
-    fn kernels() -> Vec<(&'static str, GroupsFn)> {
-        let mut named: Vec<(&'static str, GroupsFn)> = vec![
-            ("single-block", xor_groups_single_block),
-            ("8-lane portable", xor_groups_portable),
+    const SINGLE_BLOCK: Cascade = [Some((BLOCK_LEN, xor_groups_single_block)), None];
+
+    /// Every way of producing whole groups, by name, each as a cascade of
+    /// its own: the single-block function and the baseline 8-lane build on
+    /// every host, the AVX2 and AVX-512 builds where the CPU has them (a
+    /// skip note where it does not).
+    fn kernels() -> Vec<(&'static str, Cascade)> {
+        let accelerated = [
+            ("8-lane avx2", group_len(8), avx2_kernel()),
+            ("16-lane avx512", group_len(16), avx512_kernel()),
         ];
-        match avx2_kernel() {
-            Some(kernel) => named.push(("8-lane avx2", kernel)),
-            None => {
-                static NOTE: std::sync::Once = std::sync::Once::new();
-                NOTE.call_once(|| {
-                    eprintln!("skip: this CPU has no AVX2; checked the portable 8-lane kernel only")
-                });
+        let mut named = vec![
+            ("single-block", SINGLE_BLOCK),
+            ("8-lane portable", PORTABLE),
+        ];
+        for (name, group_len, kernel) in accelerated {
+            match kernel {
+                Some(kernel) => named.push((name, [Some((group_len, kernel)), None])),
+                None => super::super::tests::note_missing_kernel(name),
             }
         }
         named
     }
+
+    /// The widest group any kernel takes, a multiple of every narrower
+    /// one: an input of this length is all wide path on every kernel.
+    const WIDEST_GROUP: usize = group_len(16);
 
     // RFC 8439 §2.3.2 block function test vector, through every kernel:
     // the block with counter 1 is the first of a group starting there.
@@ -314,10 +366,9 @@ mod tests {
     fn rfc8439_block_vector() {
         let key: [u8; 32] = core::array::from_fn(|i| i as u8);
         let nonce: [u8; 12] = [0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0];
-        let initial = initial_state(&key, &nonce);
         for (name, kernel) in kernels() {
-            let mut group = [0u8; GROUP_LEN];
-            kernel(&initial, 1, &mut group);
+            let mut group = [0u8; WIDEST_GROUP];
+            xor_stream(&key, &nonce, 1, 0, &mut group, kernel);
             assert_eq!(
                 hex(&group[..16]),
                 "10f1e7e4d13b5915500fdd1fa32071c4",
@@ -339,7 +390,7 @@ mod tests {
         let nonce: [u8; 12] = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
         let text = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
         for (name, kernel) in kernels() {
-            let mut data = [0u8; GROUP_LEN];
+            let mut data = [0u8; WIDEST_GROUP];
             data[..text.len()].copy_from_slice(text);
             xor_stream(&key, &nonce, 1, 0, &mut data, kernel);
             assert_eq!(
@@ -387,7 +438,9 @@ mod tests {
         // Piecewise with odd, block-straddling boundaries matches too.
         let mut pieces = original.clone();
         let mut off = 0usize;
-        for take in [1usize, 63, 64, 65, 1000, 4096, 127] {
+        // The block-aligned 2048- and 1536-byte pieces end in a 1 KiB and
+        // in a 512-byte group; most of the others in a ragged tail.
+        for take in [1usize, 63, 2048, 1536, 64, 65, 1000, 4096, 127] {
             let end = (off + take).min(pieces.len());
             chacha20_xor_offset(&key, &nonce, off as u64, &mut pieces[off..end]);
             off = end;
@@ -418,9 +471,13 @@ mod tests {
             xor_stream(&key, &nonce, start, 0, &mut wide, kernel);
             assert_eq!(wide, single, "{name}");
         }
-        let mut at = original.clone();
-        chacha20_xor_at(&key, &nonce, start, &mut at);
-        assert_eq!(at, single);
+        // The dispatched cascade, on inputs that end in a 1 KiB group, in
+        // a 512-byte group and in a ragged tail.
+        for len in [16 * BLOCK_LEN, 24 * BLOCK_LEN, original.len()] {
+            let mut at = original[..len].to_vec();
+            chacha20_xor_at(&key, &nonce, start, &mut at);
+            assert_eq!(at, single[..len], "{len} bytes");
+        }
 
         // `_offset` reaches counter `start` at offset (start - 1) * 64 and
         // its keystream ends five blocks later, at 256 GiB (counter 0 is
@@ -444,7 +501,7 @@ mod tests {
             first,
             BLOCK_LEN - 5,
             &mut expected,
-            xor_groups_single_block,
+            SINGLE_BLOCK,
         );
         assert_eq!(by_offset, expected);
     }
@@ -462,28 +519,29 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The 8-lane kernels against the single-block function at any
+        /// The wide kernels against the single-block function at any
         /// (offset, length): offsets that start on a block boundary, one
         /// byte in and one byte short of the next, lengths on both sides
-        /// of one, two and three 512-byte groups.
+        /// of one to five 512-byte groups (so of one and two 1 KiB groups,
+        /// with and without a 512-byte group behind them).
         #[test]
         fn every_kernel_matches_the_single_block_function(
             key in proptest::array::uniform32(any::<u8>()),
             block in 0u64..1 << 20,
             within in 0usize..3,
-            groups in 0usize..4,
+            groups in 0usize..6,
             slack in 0usize..130,
             seed in any::<u8>(),
         ) {
             let nonce = [seed; NONCE_LEN];
             let offset = block * BLOCK_LEN as u64 + [0, 1, 63][within];
-            let len = (groups * GROUP_LEN + slack).saturating_sub(65);
+            let len = (groups * group_len(8) + slack).saturating_sub(65);
             let original: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(seed)).collect();
             let counter = 1u32.wrapping_add(block as u32);
             let skip = (offset % BLOCK_LEN as u64) as usize;
 
             let mut expected = original.clone();
-            xor_stream(&key, &nonce, counter, skip, &mut expected, xor_groups_single_block);
+            xor_stream(&key, &nonce, counter, skip, &mut expected, SINGLE_BLOCK);
             for (name, kernel) in kernels() {
                 let mut data = original.clone();
                 xor_stream(&key, &nonce, counter, skip, &mut data, kernel);

@@ -8,11 +8,15 @@
 //! paging and storage protocols can be executed faithfully without external
 //! crypto dependencies.
 //!
-//! Each primitive has a portable kernel and, on `x86_64`, an accelerated
-//! one (SHA-NI for SHA-256, an AVX2 build of the 8-lane ChaCha20 body).
-//! Which one runs is decided from what the processor reports (`cpu`), at
-//! one dispatch point per primitive; both produce the same bytes
-//! (DESIGN.md §16). All `unsafe` in this crate lives in this module.
+//! Each primitive has a portable kernel and, on `x86_64`, accelerated
+//! ones: SHA-NI for one SHA-256 message, a 16-lane AVX-512 multi-buffer
+//! kernel for sixteen equal-length messages side by side (reached through
+//! [`HmacSha256::tag_each`], which is defined as — and elsewhere runs as —
+//! one MAC per message), and the wide ChaCha20 body built at 8 lanes with
+//! AVX2 and at 16 lanes with AVX-512. Which ones run is decided from what
+//! the processor reports (`cpu`), at one dispatch point per primitive; all
+//! produce the same bytes (DESIGN.md §16). All `unsafe` in this crate
+//! lives in this module.
 
 mod chacha20;
 mod hmac;
@@ -45,5 +49,33 @@ mod cpu {
     #[inline]
     pub(super) fn has_avx2() -> bool {
         is_x86_feature_detected!("avx2")
+    }
+
+    /// AVX-512 F, for the 16-lane build of the ChaCha20 body.
+    #[inline]
+    pub(super) fn has_avx512f() -> bool {
+        is_x86_feature_detected!("avx512f")
+    }
+
+    /// AVX-512 F plus BW (the byte shuffle that turns big-endian message
+    /// words around), for the 16-lane multi-buffer SHA-256 kernel.
+    #[inline]
+    pub(super) fn has_avx512bw() -> bool {
+        has_avx512f() && is_x86_feature_detected!("avx512bw")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The skip note of the per-kernel test tables: says once per kernel
+    /// that this CPU cannot run it, so a green run that checked fewer
+    /// kernels says so.
+    pub(super) fn note_missing_kernel(name: &'static str) {
+        static NOTED: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
+        let mut noted = NOTED.lock().expect("no test panics holding this lock");
+        if !noted.contains(&name) {
+            noted.push(name);
+            eprintln!("skip: this CPU lacks the {name} kernel");
+        }
     }
 }

@@ -27,6 +27,17 @@ const H0: [u32; 8] = [
 /// blocks — into `state`.
 type CompressFn = fn(&mut [u32; 8], &[u8]);
 
+/// Messages the multi-buffer kernel hashes side by side.
+pub(super) const WIDE_LANES: usize = 16;
+
+/// [`WIDE_LANES`] hash states side by side, word-major: `state[j][l]` is
+/// word `j` of message `l`'s state.
+pub(super) type WideState = [[u32; WIDE_LANES]; 8];
+
+/// A multi-buffer compression kernel: folds `lanes[l]` — the same whole
+/// number of 64-byte blocks in every lane — into lane `l` of the state.
+pub(super) type WideCompressFn = fn(&mut WideState, &[&[u8]; WIDE_LANES]);
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -48,7 +59,11 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     total_len: u64,
-    compress: CompressFn,
+    /// The kernel a test or bench pinned this hasher to; `None`, the
+    /// normal case, is whatever [`compress_blocks`] dispatches to. (An
+    /// `Option` of a pointer, not a second field: the hasher's size is
+    /// part of every struct that embeds a keyed MAC state.)
+    pinned: Option<CompressFn>,
 }
 
 impl Default for Sha256 {
@@ -60,7 +75,7 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Self::with_kernel(compress_blocks)
+        Self::with_kernel(None)
     }
 
     /// A hasher pinned to the portable kernel whatever the CPU offers: the
@@ -69,17 +84,21 @@ impl Sha256 {
     /// has a reason to call it.
     #[doc(hidden)]
     pub fn portable() -> Self {
-        Self::with_kernel(compress_blocks_portable)
+        Self::with_kernel(Some(compress_blocks_portable))
     }
 
-    fn with_kernel(compress: CompressFn) -> Self {
+    fn with_kernel(pinned: Option<CompressFn>) -> Self {
         Sha256 {
             state: H0,
             buffer: [0u8; 64],
             buffered: 0,
             total_len: 0,
-            compress,
+            pinned,
         }
+    }
+
+    fn compress(&self) -> CompressFn {
+        self.pinned.unwrap_or(compress_blocks)
     }
 
     /// Convenience one-shot digest.
@@ -103,15 +122,23 @@ impl Sha256 {
             if self.buffered < 64 {
                 return;
             }
-            (self.compress)(&mut self.state, &self.buffer);
+            (self.compress())(&mut self.state, &self.buffer);
             self.buffered = 0;
         }
         let (whole, tail) = rest.split_at(rest.len() & !63);
         if !whole.is_empty() {
-            (self.compress)(&mut self.state, whole);
+            (self.compress())(&mut self.state, whole);
         }
         self.buffer[..tail.len()].copy_from_slice(tail);
         self.buffered = tail.len();
+    }
+
+    /// The chaining value and the byte count so far — where a multi-buffer
+    /// caller continues from — unless a partial block is buffered or the
+    /// hasher is pinned to one kernel (a pinned hasher's digests come from
+    /// that kernel and no other).
+    pub(super) fn midstate(&self) -> Option<([u32; 8], u64)> {
+        (self.buffered == 0 && self.pinned.is_none()).then_some((self.state, self.total_len))
     }
 
     /// Finishes the hash and returns the digest.
@@ -124,7 +151,7 @@ impl Sha256 {
         tail[self.buffered] = 0x80;
         let end = if self.buffered < 56 { 64 } else { 128 };
         tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
-        (self.compress)(&mut self.state, &tail[..end]);
+        (self.compress())(&mut self.state, &tail[..end]);
 
         let mut out = [0u8; DIGEST_LEN];
         for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -132,6 +159,15 @@ impl Sha256 {
         }
         out
     }
+}
+
+/// The same padding for a multi-buffer caller's staged last block, whose
+/// first `used < 56` bytes are message: unlike `finalize`'s fresh tail the
+/// block is reused, so the zeros are written too.
+pub(super) fn pad_last_block(block: &mut [u8; 64], used: usize, total_len: u64) {
+    block[used] = 0x80;
+    block[used + 1..56].fill(0);
+    block[56..].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
 }
 
 /// The one place a SHA-256 kernel is chosen: SHA-NI when the CPU reports
@@ -154,6 +190,24 @@ fn sha_ni_kernel() -> Option<CompressFn> {
             // with; it has no other precondition (a partial trailing
             // block is ignored, not read past).
             unsafe { x86::compress_blocks_sha_ni(state, blocks) }
+        });
+    }
+    None
+}
+
+/// The 16-lane AVX-512 multi-buffer kernel, if this CPU can run it. There
+/// is no portable build of it: a caller without it hashes its messages
+/// one at a time through [`Sha256`].
+pub(super) fn avx512_kernel() -> Option<WideCompressFn> {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if super::cpu::has_avx512bw() {
+        return Some(|state, lanes| {
+            // SAFETY: this function pointer is only handed out after
+            // `cpu::has_avx512bw()` saw `avx512f` and `avx512bw` on the
+            // running CPU, which are the features the kernel is compiled
+            // with; it has no other precondition (lanes of unequal or
+            // ragged length panic, they are not read past).
+            unsafe { x86::compress_lanes_avx512(state, lanes) }
         });
     }
     None
@@ -209,7 +263,7 @@ fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::K;
+    use super::{WideState, K, WIDE_LANES};
 
     /// SHA-256 compression on the SHA extensions: `sha256rnds2` runs two
     /// rounds on the state split as (ABEF, CDGH), `sha256msg1`/`msg2`
@@ -270,6 +324,175 @@ mod x86 {
             _mm_extract_epi32::<3>(hgfe) as u32,
         ];
     }
+
+    /// Loads block `at / 64` of all sixteen lanes and turns the rows
+    /// around: register `t` of the result holds message word `t` —
+    /// big-endian bytes swapped to native order — of lanes 0..16.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn load_transposed(lanes: &[&[u8]; WIDE_LANES], at: usize) -> [__m512i; 16] {
+        let byte_swap =
+            _mm512_broadcast_i32x4(_mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203));
+        let rows: [__m512i; 16] = core::array::from_fn(|l| {
+            let block: &[u8; 64] = lanes[l][at..at + 64].try_into().expect("64-byte slice");
+            // SAFETY: `block` is 64 readable bytes and `loadu` accepts any
+            // alignment.
+            let raw = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
+            _mm512_shuffle_epi8(raw, byte_swap)
+        });
+        // A 16x16 dword transpose in four butterfly stages: 32-bit and
+        // 64-bit unpacks gather, within each 128-bit quarter `q`, column
+        // `4q + c` of four consecutive rows; two rounds of quarter
+        // shuffles then bring the four row groups of one column together.
+        let mut pairs = [_mm512_setzero_si512(); 16];
+        for i in 0..8 {
+            pairs[2 * i] = _mm512_unpacklo_epi32(rows[2 * i], rows[2 * i + 1]);
+            pairs[2 * i + 1] = _mm512_unpackhi_epi32(rows[2 * i], rows[2 * i + 1]);
+        }
+        let mut quads = [_mm512_setzero_si512(); 16];
+        for i in 0..4 {
+            quads[4 * i] = _mm512_unpacklo_epi64(pairs[4 * i], pairs[4 * i + 2]);
+            quads[4 * i + 1] = _mm512_unpackhi_epi64(pairs[4 * i], pairs[4 * i + 2]);
+            quads[4 * i + 2] = _mm512_unpacklo_epi64(pairs[4 * i + 1], pairs[4 * i + 3]);
+            quads[4 * i + 3] = _mm512_unpackhi_epi64(pairs[4 * i + 1], pairs[4 * i + 3]);
+        }
+        let mut words = [_mm512_setzero_si512(); 16];
+        for c in 0..4 {
+            let even_low = _mm512_shuffle_i32x4::<0x88>(quads[c], quads[4 + c]);
+            let odd_low = _mm512_shuffle_i32x4::<0xDD>(quads[c], quads[4 + c]);
+            let even_high = _mm512_shuffle_i32x4::<0x88>(quads[8 + c], quads[12 + c]);
+            let odd_high = _mm512_shuffle_i32x4::<0xDD>(quads[8 + c], quads[12 + c]);
+            words[c] = _mm512_shuffle_i32x4::<0x88>(even_low, even_high);
+            words[4 + c] = _mm512_shuffle_i32x4::<0x88>(odd_low, odd_high);
+            words[8 + c] = _mm512_shuffle_i32x4::<0xDD>(even_low, even_high);
+            words[12 + c] = _mm512_shuffle_i32x4::<0xDD>(odd_low, odd_high);
+        }
+        words
+    }
+
+    /// SHA-256 compression of sixteen independent messages at once — the
+    /// multi-buffer shape: lane `l` of every register belongs to message
+    /// `l`, so the FIPS 180-4 rounds run unchanged on sixteen-wide words
+    /// (`vprord` for the rotations, `vpternlogd` for the three-input
+    /// functions). Callable only where `avx512f` and `avx512bw` are known
+    /// to be present. Panics if the lanes differ in length or hold a
+    /// partial block.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) fn compress_lanes_avx512(state: &mut WideState, lanes: &[&[u8]; WIDE_LANES]) {
+        let len = lanes[0].len();
+        assert!(
+            len.is_multiple_of(64) && lanes.iter().all(|lane| lane.len() == len),
+            "every lane takes the same whole number of blocks"
+        );
+        // vpternlogd truth tables over its operands (a, b, c).
+        const XOR3: i32 = 0x96; // a ^ b ^ c
+        const CH: i32 = 0xCA; // a ? b : c
+        const MAJ: i32 = 0xE8;
+
+        // W[t] for t >= 16, in place over W[t - 16]; `$i` is `t % 16`.
+        macro_rules! extend {
+            ($w:ident, $i:literal) => {{
+                let w15 = $w[($i + 1) % 16];
+                let w2 = $w[($i + 14) % 16];
+                let s0 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<7>(w15),
+                    _mm512_ror_epi32::<18>(w15),
+                    _mm512_srli_epi32::<3>(w15),
+                );
+                let s1 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<17>(w2),
+                    _mm512_ror_epi32::<19>(w2),
+                    _mm512_srli_epi32::<10>(w2),
+                );
+                $w[$i] = _mm512_add_epi32(
+                    _mm512_add_epi32($w[$i], s0),
+                    _mm512_add_epi32($w[($i + 9) % 16], s1),
+                );
+            }};
+        }
+        // One round; the caller rotates the eight names instead of moving
+        // the eight values.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+             $w:ident, $k:ident, $i:literal) => {{
+                let s1 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<6>($e),
+                    _mm512_ror_epi32::<11>($e),
+                    _mm512_ror_epi32::<25>($e),
+                );
+                let t1 = _mm512_add_epi32(
+                    _mm512_add_epi32($h, s1),
+                    _mm512_add_epi32(
+                        _mm512_ternarylogic_epi32::<CH>($e, $f, $g),
+                        _mm512_add_epi32($w[$i], _mm512_set1_epi32($k[$i] as i32)),
+                    ),
+                );
+                let s0 = _mm512_ternarylogic_epi32::<XOR3>(
+                    _mm512_ror_epi32::<2>($a),
+                    _mm512_ror_epi32::<13>($a),
+                    _mm512_ror_epi32::<22>($a),
+                );
+                $d = _mm512_add_epi32($d, t1);
+                $h = _mm512_add_epi32(
+                    t1,
+                    _mm512_add_epi32(s0, _mm512_ternarylogic_epi32::<MAJ>($a, $b, $c)),
+                );
+            }};
+        }
+        // SAFETY: a row of `state` is a `[u32; 16]` — 64 readable bytes —
+        // and `loadu` accepts any alignment.
+        let mut chain: [__m512i; 8] =
+            core::array::from_fn(|j| unsafe { _mm512_loadu_si512(state[j].as_ptr().cast()) });
+        for at in (0..len).step_by(64) {
+            let mut w = load_transposed(lanes, at);
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = chain;
+            for (group, k) in K.chunks_exact(16).enumerate() {
+                let k: &[u32; 16] = k.try_into().expect("16 round constants");
+                if group > 0 {
+                    extend!(w, 0);
+                    extend!(w, 1);
+                    extend!(w, 2);
+                    extend!(w, 3);
+                    extend!(w, 4);
+                    extend!(w, 5);
+                    extend!(w, 6);
+                    extend!(w, 7);
+                    extend!(w, 8);
+                    extend!(w, 9);
+                    extend!(w, 10);
+                    extend!(w, 11);
+                    extend!(w, 12);
+                    extend!(w, 13);
+                    extend!(w, 14);
+                    extend!(w, 15);
+                }
+                round!(a, b, c, d, e, f, g, h, w, k, 0);
+                round!(h, a, b, c, d, e, f, g, w, k, 1);
+                round!(g, h, a, b, c, d, e, f, w, k, 2);
+                round!(f, g, h, a, b, c, d, e, w, k, 3);
+                round!(e, f, g, h, a, b, c, d, w, k, 4);
+                round!(d, e, f, g, h, a, b, c, w, k, 5);
+                round!(c, d, e, f, g, h, a, b, w, k, 6);
+                round!(b, c, d, e, f, g, h, a, w, k, 7);
+                round!(a, b, c, d, e, f, g, h, w, k, 8);
+                round!(h, a, b, c, d, e, f, g, w, k, 9);
+                round!(g, h, a, b, c, d, e, f, w, k, 10);
+                round!(f, g, h, a, b, c, d, e, w, k, 11);
+                round!(e, f, g, h, a, b, c, d, w, k, 12);
+                round!(d, e, f, g, h, a, b, c, w, k, 13);
+                round!(c, d, e, f, g, h, a, b, w, k, 14);
+                round!(b, c, d, e, f, g, h, a, w, k, 15);
+            }
+            for (link, worked) in chain.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *link = _mm512_add_epi32(*link, worked);
+            }
+        }
+        for (row, link) in state.iter_mut().zip(chain) {
+            // SAFETY: `row` is a `[u32; 16]` — 64 writable bytes — and
+            // `storeu` accepts any alignment.
+            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), link) };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -282,26 +505,52 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Every kernel by name: the portable one on every host, SHA-NI where
-    /// the CPU has it (a skip note where it does not).
+    /// Every kernel by name: the portable one on every host, SHA-NI and
+    /// the 16-lane AVX-512 one where the CPU has them (a skip note where
+    /// it does not).
     fn kernels() -> Vec<(&'static str, CompressFn)> {
         let mut named: Vec<(&'static str, CompressFn)> =
             vec![("portable", compress_blocks_portable)];
-        match sha_ni_kernel() {
-            Some(kernel) => named.push(("sha-ni", kernel)),
-            None => {
-                static NOTE: std::sync::Once = std::sync::Once::new();
-                NOTE.call_once(|| {
-                    eprintln!("skip: this CPU has no SHA-NI; checked the portable kernel only")
-                });
+        let accelerated: [(&'static str, Option<CompressFn>); 2] = [
+            ("sha-ni", sha_ni_kernel()),
+            (
+                "16-lane avx512bw",
+                avx512_kernel().map(|_| sixteen_lanes_as_one as CompressFn),
+            ),
+        ];
+        for (name, kernel) in accelerated {
+            match kernel {
+                Some(kernel) => named.push((name, kernel)),
+                None => super::super::tests::note_missing_kernel(name),
             }
         }
         named
     }
 
+    /// The multi-buffer kernel as a one-message kernel, so every test of
+    /// this module runs on it. The message rides in one lane (which one
+    /// depends on its length); the other fifteen start from different
+    /// states and carry different bytes, and every lane is held to the
+    /// portable kernel — a lane that leaked into its neighbour fails here.
+    fn sixteen_lanes_as_one(state: &mut [u32; 8], blocks: &[u8]) {
+        let kernel = avx512_kernel().expect("listed only where detected");
+        let home = blocks.len() / 64 % WIDE_LANES;
+        let messages: [Vec<u8>; WIDE_LANES] =
+            core::array::from_fn(|l| blocks.iter().map(|b| b ^ (l ^ home) as u8).collect());
+        let starts: [[u32; 8]; WIDE_LANES] =
+            core::array::from_fn(|l| state.map(|word| word.rotate_left((l ^ home) as u32)));
+        let mut wide: WideState = core::array::from_fn(|j| core::array::from_fn(|l| starts[l][j]));
+        kernel(&mut wide, &core::array::from_fn(|l| &messages[l][..]));
+        for (l, (mut expected, message)) in starts.into_iter().zip(&messages).enumerate() {
+            compress_blocks_portable(&mut expected, message);
+            assert_eq!(wide.map(|row| row[l]), expected, "lane {l}, home {home}");
+        }
+        *state = wide.map(|row| row[home]);
+    }
+
     /// Digest of `pieces` fed one `update` each through `kernel`.
     fn digest_with(kernel: CompressFn, pieces: &[&[u8]]) -> [u8; DIGEST_LEN] {
-        let mut h = Sha256::with_kernel(kernel);
+        let mut h = Sha256::with_kernel(Some(kernel));
         for piece in pieces {
             h.update(piece);
         }

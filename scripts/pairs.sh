@@ -5,8 +5,11 @@
 # repo benchmark: builds `hotbench` once from a clean export of <parent-rev>
 # and once from the working tree, then runs <pairs> parent/change pairs —
 # pair i on seed first-seed + i, alternating which side goes first — and
-# prints, per end-to-end metric of BENCHMARK.json, both medians, both
-# inter-quartile ranges, the pairs the change won and a verdict:
+# prints, after a header line naming the revision, the seeds and which of
+# the CPU flags `sha_ni avx2 avx512f avx512bw` the host reports (they decide
+# which crypto kernels both sides ran), per end-to-end metric of
+# BENCHMARK.json both medians, both inter-quartile ranges, the pairs the
+# change won and a verdict:
 #
 #   gain        the change won >= 9/10 of the pairs (ties count for neither)
 #               and the medians differ by more than the parent's IQR
@@ -75,10 +78,18 @@ for i in $(seq 0 $((pairs - 1))); do
     done
 done
 
-python3 - "$lines" "$repo/BENCHMARK.json" "$parent_sha" "$workload" "$seconds" <<'PY'
+# Which crypto kernels this host can run (`sgx_sim::crypto` picks them from
+# the same CPU flags): a series recorded without one of them measured the
+# portable path there, so it reads "identical by construction", not "no gain".
+kernels=""
+for flag in sha_ni avx2 avx512f avx512bw; do
+    if grep -qsw "$flag" /proc/cpuinfo; then kernels+=" $flag"; else kernels+=" no-$flag"; fi
+done
+
+python3 - "$lines" "$repo/BENCHMARK.json" "$parent_sha" "$workload" "$seconds" "${kernels# }" <<'PY'
 import json, statistics, sys
 
-lines, manifest, parent, workload, seconds = sys.argv[1:6]
+lines, manifest, parent, workload, seconds, kernels = sys.argv[1:7]
 metrics = json.load(open(manifest))["end_to_end"]
 runs, seeds, bad_runs = {}, [], 0
 failed = {"parent": [0, 0], "change": [0, 0]}
@@ -100,7 +111,8 @@ def quartiles(values):
     return q[0], q[2]
 
 print(f"`scripts/pairs.sh {parent} {workload}`: {len(seeds)} interleaved parent/change pairs, "
-      f"`--seconds {seconds}`, seeds {seeds[0]}..{seeds[-1]}, alternating which side runs first.")
+      f"`--seconds {seconds}`, seeds {seeds[0]}..{seeds[-1]}, alternating which side runs first; "
+      f"`/proc/cpuinfo`: {kernels}.")
 print("Median [lower quartile, upper quartile]; `won` = pairs in which the change read better.\n")
 print("| metric | parent | change | delta median | parent IQR | bound | won | verdict |")
 print("|---|---|---|---|---|---|---|---|")
