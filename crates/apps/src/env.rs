@@ -922,34 +922,6 @@ impl AppEnv {
         self.rt.as_ref().map_or(1, |rt| rt.lanes.len().max(1))
     }
 
-    /// Measures the mean *host* cost of one `api_call` to `name` in
-    /// nanoseconds: `warmup` discarded calls, then the wall-clock mean
-    /// over `samples` calls. This is the per-event service cost the
-    /// open-loop load harness feeds its latency-vs-offered-load model —
-    /// real end-to-end time through whichever transport this environment
-    /// routes `name` over (ring handoff and responder included in the hot
-    /// modes, simulated-crossing bookkeeping included in all of them).
-    ///
-    /// # Errors
-    ///
-    /// As [`AppEnv::api_call`].
-    pub fn sample_call_cost(
-        &mut self,
-        name: &'static str,
-        warmup: u32,
-        samples: u32,
-    ) -> Result<f64> {
-        for _ in 0..warmup {
-            self.api_call(name, &[])?;
-        }
-        let samples = samples.max(1);
-        let start = std::time::Instant::now();
-        for _ in 0..samples {
-            self.api_call(name, &[])?;
-        }
-        Ok(start.elapsed().as_nanos() as f64 / f64::from(samples))
-    }
-
     /// Cycles spent inside the call interface so far (enclave modes only;
     /// zero natively). Drives Table 2's "Core Time" column.
     pub fn interface_cycles(&self) -> Cycles {

@@ -21,7 +21,7 @@ pub enum FusedMode {
     /// (parked or dozing) and the ring occupancy is below
     /// [`HotCallConfig::fused_below_occupancy`]; fall back to the pooled
     /// path the moment responders are active. Pipelined `submit`s never
-    /// fuse under `Auto` — the caller chose the async API to overlap
+    /// fuse under `Auto` — the caller chose the pipelined API to overlap
     /// work, which inline execution would forfeit.
     Auto,
     /// Always attempt the fused path (benchmarks and the zero-alloc gate;

@@ -28,7 +28,8 @@
 //!   requester types and the same protocol code. The plane is
 //!   *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
-//!   requester, [`rt::Bundle`] packs N small calls into one submission,
+//!   requester (a call returns through `call`, `wait` or `wait_any` and
+//!   nothing else), [`rt::Bundle`] packs N small calls into one submission,
 //!   and [`rt::RingServer::spawn_adaptive`] replaces the static pool size
 //!   with a [`ResponderPolicy`] governor that parks idle responders and
 //!   wakes them on backlog. [`rt::ByteRing`] and [`rt::SgRing`] are that
@@ -56,7 +57,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod aio;
 mod config;
 pub mod ctl;
 mod error;
@@ -64,7 +64,6 @@ pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
-pub use aio::{block_on, Reactor};
 pub use config::{
     FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
     ShardStats,

@@ -29,14 +29,13 @@ mod stream;
 pub use arena::{ArenaStats, HotBuf, SgList, SlabArena, INLINE_CAPACITY};
 pub use bytes::{ByteBundle, ByteCallTable, ByteCaller, ByteRing};
 pub use calltable::CallTable;
-pub use ring::{Bundle, BundleTicket, RingRequester, RingServer, Ticket};
+pub use ring::{Bundle, RingRequester, RingServer, Ticket};
 pub use stream::{
     SgCallTable, SgRing, StreamCaller, StreamReport, DEFAULT_SEGMENT_BYTES, DEFAULT_STREAM_WINDOW,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 
 use crate::config::{HotCallConfig, HotCallStats};
@@ -64,13 +63,6 @@ struct Shared<Req, Resp> {
     // Requester-side event counters; rare, so shared RMWs are fine.
     wakeups: AtomicU64,
     fallbacks: AtomicU64,
-    /// Set by a [`MailTicket`] dropped unredeemed: the mailbox holds one
-    /// call, so the flag always refers to the current occupant. The next
-    /// claimant that finds the slot DONE with this flag set reaps the
-    /// stale response instead of spinning forever (the single-slot analog
-    /// of the ring planes' `AbandonBoard`). `Arc`ed so the non-generic
-    /// ticket can carry a handle without the plane's type parameters.
-    abandoned: Arc<AtomicBool>,
 }
 
 impl<Req, Resp> Shared<Req, Resp> {
@@ -136,7 +128,6 @@ where
             stats: CachePadded::new(StatCell::default()),
             wakeups: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
-            abandoned: Arc::new(AtomicBool::new(false)),
         });
         let responder_shared = Arc::clone(&shared);
         let responder_config = config;
@@ -252,38 +243,6 @@ fn responder_loop<Req, Resp>(
     }
 }
 
-/// The mailbox's in-flight call: redeem with [`Requester::wait`] or
-/// [`Requester::try_wait`], or await the future minted by the async
-/// submit path (`hotcalls::aio`). Non-clonable: holding it is the proof
-/// of submission ownership the redeem path relies on.
-///
-/// Dropping the ticket unredeemed *abandons* the call: the next claimant
-/// that finds the completed response reaps (and discards) it, so a
-/// dropped ticket no longer wedges the mailbox.
-#[derive(Debug)]
-#[must_use = "redeem the response by waiting, or drop to abandon the call"]
-pub struct MailTicket {
-    /// The plane's abandonment flag; `None` once the ticket has been
-    /// defused (redeemed through a wait path, so drop must not mark).
-    abandon: Option<Arc<AtomicBool>>,
-}
-
-impl MailTicket {
-    /// Takes over the redeem obligation from the drop guard: after this,
-    /// dropping the ticket is inert.
-    fn defuse(&mut self) {
-        self.abandon = None;
-    }
-}
-
-impl Drop for MailTicket {
-    fn drop(&mut self) {
-        if let Some(flag) = self.abandon.take() {
-            flag.store(true, Ordering::Release);
-        }
-    }
-}
-
 /// A handle for issuing HotCalls.
 #[derive(Debug)]
 pub struct Requester<Req, Resp> {
@@ -310,112 +269,8 @@ impl<Req, Resp> Requester<Req, Resp> {
     /// paper prescribes); [`HotCallError::ResponderGone`] if it shut down;
     /// [`HotCallError::UnknownCallId`] for unregistered ids.
     pub fn call(&self, id: u32, req: Req) -> Result<Resp> {
-        let t = self.submit(id, req)?;
-        self.wait(t)
-    }
-
-    /// Publishes a call into the mailbox without waiting, returning a
-    /// [`MailTicket`] to redeem the response later. The mailbox holds one
-    /// call, so pipelining depth is 1 — but the requester is free to do
-    /// useful work (or issue calls on *other* channels) while the
-    /// responder executes. For deep pipelines use
-    /// [`RingRequester::submit`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Requester::call`]'s claim phase.
-    pub fn submit(&self, id: u32, req: Req) -> Result<MailTicket> {
         self.claim_mailbox()?;
-        Ok(self.exchange(id, req, false))
-    }
-
-    /// [`Requester::submit`] with the mailbox's waker cell armed: the
-    /// responder (or the shutdown sweep) fires a waker registered against
-    /// the returned ticket — the `hotcalls::aio` completion hook on the
-    /// single-slot plane.
-    pub(crate) fn submit_async(&self, id: u32, req: Req) -> Result<MailTicket> {
-        self.claim_mailbox()?;
-        Ok(self.exchange(id, req, true))
-    }
-
-    /// The future-side poll: redeem if complete, otherwise register
-    /// `cx`'s waker with the mailbox slot and stay pending. Takes the
-    /// ticket out of `ticket` exactly when it returns `Ready`.
-    pub(crate) fn poll_mail(
-        &self,
-        ticket: &mut Option<MailTicket>,
-        cx: &mut Context<'_>,
-    ) -> Poll<Result<Resp>> {
-        assert!(ticket.is_some(), "future polled after completion");
-        let slot = &self.shared.slot;
-        if slot.state() == DONE || slot.register_waker(cx.waker()) {
-            ticket.take().expect("present above").defuse();
-            // SAFETY: holding the (non-clonable) ticket proves this caller
-            // submitted the in-flight call; DONE observed with Acquire.
-            return Poll::Ready(unsafe { slot.redeem() });
-        }
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            // The responder's final sweep may have completed the call
-            // between the registration above and the flag load.
-            if slot.state() == DONE {
-                ticket.take().expect("present above").defuse();
-                // SAFETY: as above.
-                return Poll::Ready(unsafe { slot.redeem() });
-            }
-            // Abandon the call (the drop marks it reapable) and surface
-            // the shutdown.
-            drop(ticket.take());
-            return Poll::Ready(Err(HotCallError::ResponderGone));
-        }
-        Poll::Pending
-    }
-
-    /// Waits for the in-flight call and returns its response.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::ResponderGone`] if the server shut down first, or
-    /// the handler's own error.
-    pub fn wait(&self, mut ticket: MailTicket) -> Result<Resp> {
-        ticket.defuse();
-        // Spin for completion with escalating backoff.
-        let mut backoff = Backoff::new();
-        let mut grace: u32 = 0;
-        loop {
-            match self.shared.slot.state() {
-                DONE => break,
-                _ => {
-                    if self.shared.shutdown.load(Ordering::Acquire) {
-                        // The responder's final sweep fails SUBMITTED
-                        // calls; if ours raced past the sweep, give up
-                        // after a bounded grace and strand the slot
-                        // (Drop frees the payload with the server).
-                        grace += 1;
-                        if grace > SHUTDOWN_GRACE_POLLS {
-                            return Err(HotCallError::ResponderGone);
-                        }
-                    }
-                    backoff.snooze();
-                }
-            }
-        }
-        // SAFETY: holding the (non-clonable) ticket proves this caller
-        // submitted the in-flight call; DONE observed with Acquire grants
-        // exclusive access to take the response.
-        unsafe { self.shared.slot.redeem() }
-    }
-
-    /// Redeems the response if the call already completed, or hands the
-    /// ticket back untouched.
-    pub fn try_wait(&self, ticket: MailTicket) -> core::result::Result<Result<Resp>, MailTicket> {
-        if self.shared.slot.state() != DONE {
-            return Err(ticket);
-        }
-        let mut ticket = ticket;
-        ticket.defuse();
-        // SAFETY: as in `wait` — the ticket proves submission ownership
-        // and DONE was observed with Acquire.
-        Ok(unsafe { self.shared.slot.redeem() })
+        self.exchange(id, req)
     }
 
     /// Claims the mailbox with bounded retries ("Preventing starvation").
@@ -427,20 +282,6 @@ impl<Req, Resp> Requester<Req, Resp> {
             for _ in 0..self.config.spins_per_retry {
                 if self.shared.slot.try_claim() {
                     return Ok(());
-                }
-                // A completed call whose ticket was dropped unredeemed
-                // blocks the claim forever — reap it on the dropper's
-                // behalf. DONE is checked before the flag swap, and only
-                // one racing claimant wins the swap, so a live call is
-                // never redeemed out from under its waiter.
-                if self.shared.slot.state() == DONE
-                    && self.shared.abandoned.swap(false, Ordering::AcqRel)
-                {
-                    // SAFETY: the swap transferred the dropping
-                    // submitter's redeem ownership to this thread, and
-                    // DONE was observed with Acquire above.
-                    drop(unsafe { self.shared.slot.redeem() });
-                    continue;
                 }
                 if self.shared.shutdown.load(Ordering::Acquire) {
                     return Err(HotCallError::ResponderGone);
@@ -455,26 +296,43 @@ impl<Req, Resp> Requester<Req, Resp> {
         })
     }
 
-    /// Publishes a request into the already-claimed mailbox and returns
-    /// the in-flight ticket. With `arm`, the slot's waker cell is armed
-    /// before publish so the responder fires the future's waker.
-    fn exchange(&self, id: u32, req: Req, arm: bool) -> MailTicket {
-        if arm {
-            // Before publish: the SUBMITTED Release store carries the
-            // armed flag to the responder, so its wake cannot be missed.
-            self.shared.slot.arm_async();
-        }
+    /// Publishes a request into the already-claimed mailbox, spins until
+    /// the response is DONE and redeems it.
+    ///
+    /// # Errors
+    ///
+    /// [`HotCallError::ResponderGone`] if the server shut down first, or
+    /// the handler's own error.
+    fn exchange(&self, id: u32, req: Req) -> Result<Resp> {
+        let slot = &self.shared.slot;
         // SAFETY: the caller won `claim_mailbox`'s EMPTY→CLAIMED CAS,
         // which grants this thread exclusive write access to the request
         // cell.
-        unsafe { self.shared.slot.publish(0, id, req) };
+        unsafe { slot.publish(0, id, req) };
         // Wake a sleeping responder (ordered after the SUBMITTED store).
         if self.shared.doze.wake() {
             self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
         }
-        MailTicket {
-            abandon: Some(Arc::clone(&self.shared.abandoned)),
+        // Spin for completion with escalating backoff.
+        let mut backoff = Backoff::new();
+        let mut grace: u32 = 0;
+        while slot.state() != DONE {
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                // The responder's final sweep fails SUBMITTED calls; if
+                // ours raced past the sweep, give up after a bounded grace
+                // and strand the slot (Drop frees the payload with the
+                // server).
+                grace += 1;
+                if grace > SHUTDOWN_GRACE_POLLS {
+                    return Err(HotCallError::ResponderGone);
+                }
+            }
+            backoff.snooze();
         }
+        // SAFETY: this thread published the in-flight call — the mailbox
+        // admits no other claimant until it is redeemed — and observed
+        // DONE with Acquire, which grants exclusive access to the response.
+        unsafe { slot.redeem() }
     }
 
     /// Issues a call, running `fallback` locally if the fast path times
@@ -488,10 +346,7 @@ impl<Req, Resp> Requester<Req, Resp> {
         F: FnOnce(Req) -> Resp,
     {
         match self.claim_mailbox() {
-            Ok(()) => {
-                let t = self.exchange(id, req, false);
-                self.wait(t)
-            }
+            Ok(()) => self.exchange(id, req),
             Err(HotCallError::ResponderTimeout { .. }) => Ok(fallback(req)),
             Err(e) => Err(e),
         }
@@ -523,43 +378,6 @@ mod tests {
         assert_eq!(r.call(inc, 41).unwrap(), 42);
         assert_eq!(r.call(dbl, 21).unwrap(), 42);
         assert_eq!(server.stats().calls, 2);
-    }
-
-    #[test]
-    fn submit_wait_split_roundtrips() {
-        let (t, inc, _) = arith_table();
-        let server = HotCallServer::spawn(t, HotCallConfig::default());
-        let r = server.requester();
-        let ticket = r.submit(inc, 41).unwrap();
-        // The requester is free to do local work here while the responder
-        // executes; the ticket redeems the response later.
-        assert_eq!(r.wait(ticket).unwrap(), 42);
-        assert_eq!(server.stats().calls, 1);
-    }
-
-    #[test]
-    fn try_wait_returns_ticket_until_done() {
-        let mut t: CallTable<u64, u64> = CallTable::new();
-        let slow = t.register(|x| {
-            std::thread::sleep(Duration::from_millis(30));
-            x + 1
-        });
-        let server = HotCallServer::spawn(t, HotCallConfig::default());
-        let r = server.requester();
-        let mut ticket = r.submit(slow, 1).unwrap();
-        let mut polls = 0u32;
-        let resp = loop {
-            match r.try_wait(ticket) {
-                Ok(resp) => break resp.unwrap(),
-                Err(t) => {
-                    ticket = t;
-                    polls += 1;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        assert_eq!(resp, 2);
-        assert!(polls > 0, "a 30ms handler cannot complete instantly");
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //! Three mechanisms pipeline the plane beyond the paper's synchronous
 //! protocol:
 //!
-//! * **Async completions** — [`RingRequester::submit`] returns a
-//!   [`Ticket`] immediately; [`RingRequester::wait`],
-//!   [`RingRequester::try_wait`] and [`RingRequester::wait_any`] reap
-//!   completions in any order, so one requester keeps many slots in
-//!   flight and a blocked handler no longer serializes the ring.
+//! * **Pipelined completions** — [`RingRequester::submit`] returns a
+//!   [`Ticket`] immediately; [`RingRequester::wait`] and
+//!   [`RingRequester::wait_any`] reap completions in any order, so one
+//!   requester keeps many slots in flight and a blocked handler no longer
+//!   serializes the ring.
 //! * **Call bundles** — a [`Bundle`] packs N small calls into *one* ring
 //!   submission serviced by *one* responder dispatch: one slot claim, one
 //!   head CAS, at most one doze wakeup for the whole bundle.
@@ -66,9 +66,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use crate::config::{
     FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
@@ -92,10 +90,6 @@ const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
 /// Poll interval at which a waiter treats its in-flight call as "aging"
 /// and nudges the governor to raise the active-responder target.
 const AGE_POLLS_PER_RAISE: u32 = 4_096;
-
-/// Poll interval at which a deadline-bounded wait re-reads the clock.
-/// `Instant::now` is a vDSO call — cheap, but not spin-loop cheap.
-const DEADLINE_CHECK_POLLS: u32 = 64;
 
 /// What one ring slot carries callee-bound: a single call's request (the
 /// call id rides in the slot's id word) or a bundle of `(id, request)`
@@ -891,9 +885,8 @@ impl<Req, Resp> Clone for RingRequester<Req, Resp> {
     }
 }
 
-/// An in-flight call: redeem with [`RingRequester::wait`],
-/// [`RingRequester::try_wait`] or [`RingRequester::wait_any`], or await
-/// the future minted by the async submit paths (`hotcalls::aio`).
+/// An in-flight call: redeem with [`RingRequester::wait`] or
+/// [`RingRequester::wait_any`].
 ///
 /// A ticket redeems only through the requester that issued it or a clone
 /// of it (same plane, same home shard); any other handle refuses it with
@@ -932,45 +925,6 @@ impl Ticket {
 }
 
 impl Drop for Ticket {
-    fn drop(&mut self) {
-        if let Some(board) = self.board.take() {
-            board.mark(self.index);
-        }
-    }
-}
-
-/// An in-flight bundle: redeem with [`RingRequester::wait_bundle`].
-/// Dropping it unredeemed abandons the bundle the same way dropping a
-/// [`Ticket`] abandons a single call.
-#[derive(Debug)]
-#[must_use = "redeem the results by waiting, or drop to abandon the bundle"]
-pub struct BundleTicket {
-    index: usize,
-    len: usize,
-    /// See [`Ticket::board`].
-    board: Option<Arc<AbandonBoard>>,
-}
-
-impl BundleTicket {
-    /// Number of calls packed in the bundle.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// A bundle ticket never covers zero calls, but clippy likes the
-    /// pair.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// See [`Ticket::defuse`].
-    fn defuse(&mut self) -> usize {
-        self.board = None;
-        self.index
-    }
-}
-
-impl Drop for BundleTicket {
     fn drop(&mut self) {
         if let Some(board) = self.board.take() {
             board.mark(self.index);
@@ -1111,7 +1065,7 @@ fn claim_slot<Req, Resp>(shard: &Shard<Req, Resp>, gov: &GovernorState) -> Optio
         .ok()
 }
 
-/// The reap pick of `wait_any*`: the position in
+/// The reap pick of `wait_any`: the position in
 /// `tickets` of the *oldest* completed call, or `None` if none completed.
 ///
 /// Oldest, never first-found: with instantly-completing submissions (the
@@ -1149,34 +1103,18 @@ fn oldest_done<Req, Resp>(slots: &[RingSlot<Req, Resp>], tickets: &[Ticket]) -> 
 }
 
 /// The wait loop shared by every blocking redeem path: polls `ready` until
-/// it yields, `deadline` passes (`Ok(None)`), or the plane shut down and the
-/// grace ran out.
+/// it yields, or the plane shut down and the grace ran out.
 fn poll_until<T>(
     shutdown: &AtomicBool,
     gov: &GovernorState,
-    deadline: Option<Instant>,
     mut ready: impl FnMut() -> Option<T>,
-) -> Result<Option<T>> {
+) -> Result<T> {
     let mut backoff = Backoff::new();
     let mut grace: u32 = 0;
     let mut polls: u32 = 0;
     loop {
         if let Some(hit) = ready() {
-            return Ok(Some(hit));
-        }
-        // Deadline check on a stride: `Instant::now` per spin would
-        // dominate the wait loop. The first iteration checks too, so an
-        // already-expired deadline still gets exactly one scan. Once the
-        // backoff has escalated to yielding, every poll already costs a
-        // scheduler quantum, so the stride no longer buys anything —
-        // check every poll instead (64 yields between deadline reads
-        // overshoot small timeouts by milliseconds).
-        if polls.is_multiple_of(DEADLINE_CHECK_POLLS) || backoff.yields() {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Ok(None);
-                }
-            }
+            return Ok(hit);
         }
         // The pool drains submitted work before exiting, but a submission
         // that raced the shutdown flag (or sits behind a neighbour stuck
@@ -1275,16 +1213,13 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// handed back so the caller can recover the request payloads (the
     /// fallback path). With `allow_fuse` (and [`FusedMode::Always`]), the
     /// requester services its own submission inline instead of waking a
-    /// responder. With `arm`, the slot's waker cell is armed before
-    /// publish so the completing side fires the future's waker (the async
-    /// submit paths).
+    /// responder.
     fn submit_envelope(
         &self,
         shard: &Shard<Req, Resp>,
         id: u32,
         env: ReqEnvelope<Req>,
         allow_fuse: bool,
-        arm: bool,
     ) -> core::result::Result<usize, (HotCallError, ReqEnvelope<Req>)> {
         let shared = &*self.shared;
         let mut backoff = Backoff::new();
@@ -1298,13 +1233,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                     continue;
                 };
                 let slot = shard.slot(head);
-                if arm {
-                    // Before publish: the SUBMITTED Release store carries
-                    // the armed flag to whichever thread completes the
-                    // call, so its wake cannot be missed.
-                    slot.arm_async();
-                }
-                // Async submissions fuse only under an explicit `Always`.
+                // Pipelined submissions fuse only under an explicit `Always`.
                 // The caller chose the pipelined API to overlap work, and
                 // under `Auto` an inline completion would collapse
                 // occupancy back to zero before the next submission's gate
@@ -1349,19 +1278,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         ))
     }
 
-    /// Submits one call and mints its ticket (`arm` as in
-    /// `submit_envelope`).
-    fn submit_ticket(&self, id: u32, req: Req, arm: bool) -> Result<Ticket> {
-        let shard = self.shard();
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req), true, arm) {
-            Ok(index) => Ok(Ticket {
-                index,
-                board: Some(Arc::clone(&shard.abandon)),
-            }),
-            Err((e, _)) => Err(e),
-        }
-    }
-
     /// Claims a home-shard slot and submits a request without waiting.
     /// Returns a [`Ticket`] to redeem the response — against this
     /// requester or a clone of it (the shard is implicit in the pinning).
@@ -1379,92 +1295,14 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// [`HotCallError::ResponderTimeout`] if no slot frees up within the
     /// retry budget; [`HotCallError::ResponderGone`] after shutdown.
     pub fn submit(&self, id: u32, req: Req) -> Result<Ticket> {
-        self.submit_ticket(id, req, false)
-    }
-
-    /// [`RingRequester::submit`] with the slot's waker cell armed: the
-    /// completing side (home responder, stealer, fused-inline service, or
-    /// the shutdown sweep) fires a waker registered against the returned
-    /// ticket, which is what gives the `hotcalls::aio` futures completion
-    /// wakes without any busy polling.
-    pub(crate) fn submit_async(&self, id: u32, req: Req) -> Result<Ticket> {
-        self.submit_ticket(id, req, true)
-    }
-
-    /// The future-side poll: redeem if complete, otherwise register
-    /// `cx`'s waker with the slot and stay pending. Takes the ticket out
-    /// of `ticket` exactly when it returns `Ready`.
-    pub(crate) fn poll_ticket(
-        &self,
-        ticket: &mut Option<Ticket>,
-        cx: &mut Context<'_>,
-    ) -> Poll<Result<Resp>> {
         let shard = self.shard();
-        let pending = ticket.as_ref().expect("future polled after completion");
-        let (index, issuer) = (pending.index, shard.check_issuer(&pending.board));
-        if let Err(e) = issuer {
-            // The drop abandons the call on the board that issued it.
-            drop(ticket.take());
-            return Poll::Ready(Err(e));
-        }
-        let slot = shard.slot(index);
-        if slot.state() == DONE || slot.register_waker(cx.waker()) {
-            ticket.take().expect("present above").defuse();
-            return Poll::Ready(self.redeem_one(shard, index));
-        }
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            // The drain sweep may have completed the call between the
-            // registration above and the flag load; deliver if so.
-            if slot.state() == DONE {
-                ticket.take().expect("present above").defuse();
-                return Poll::Ready(self.redeem_one(shard, index));
-            }
-            // A submission that raced the flag may never be serviced; a
-            // future cannot grace-spin the way the sync waiters do, so
-            // abandon the call (the drop marks the slot reapable) and
-            // surface the shutdown.
-            drop(ticket.take());
-            return Poll::Ready(Err(HotCallError::ResponderGone));
-        }
-        Poll::Pending
-    }
-
-    /// Validates, traces and submits `bundle` as one envelope, returning
-    /// the slot sequence and the bundle length.
-    fn submit_bundle_envelope(
-        &self,
-        shard: &Shard<Req, Resp>,
-        bundle: Bundle<Req>,
-    ) -> Result<(usize, usize)> {
-        if bundle.is_empty() {
-            return Err(HotCallError::InvalidConfig(
-                "a bundle must pack at least one call",
-            ));
-        }
-        let len = bundle.len();
-        trace("bundle_submit", len as u64, self.home as u64);
-        match self.submit_envelope(shard, 0, ReqEnvelope::Bundle(bundle.calls), true, false) {
-            Ok(index) => Ok((index, len)),
+        match self.submit_envelope(shard, id, ReqEnvelope::One(req), true) {
+            Ok(index) => Ok(Ticket {
+                index,
+                board: Some(Arc::clone(&shard.abandon)),
+            }),
             Err((e, _)) => Err(e),
         }
-    }
-
-    /// Packs `bundle` into one home-shard submission: one slot claim, one
-    /// responder dispatch, at most one wakeup for all of its calls.
-    /// Returns a [`BundleTicket`] to redeem the per-call results.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] for an empty bundle, otherwise as
-    /// [`RingRequester::submit`].
-    pub fn submit_bundle(&self, bundle: Bundle<Req>) -> Result<BundleTicket> {
-        let shard = self.shard();
-        let (index, len) = self.submit_bundle_envelope(shard, bundle)?;
-        Ok(BundleTicket {
-            index,
-            len,
-            board: Some(Arc::clone(&shard.abandon)),
-        })
     }
 
     /// Spins until the home-shard slot behind `index` is DONE. While it
@@ -1474,7 +1312,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     fn wait_done(&self, shard: &Shard<Req, Resp>, index: usize) -> Result<()> {
         let slot = shard.slot(index);
         let done = || (slot.state() == DONE).then_some(());
-        poll_until(&self.shared.shutdown, &self.shared.governor, None, done).map(drop)
+        poll_until(&self.shared.shutdown, &self.shared.governor, done)
     }
 
     /// Redeems the envelope sitting DONE at `index` on the home shard.
@@ -1513,21 +1351,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         self.redeem_one(shard, index)
     }
 
-    /// [`RingRequester::wait_index`] for a bundle submission.
-    fn wait_bundle_index(
-        &self,
-        shard: &Shard<Req, Resp>,
-        index: usize,
-    ) -> Result<Vec<Result<Resp>>> {
-        self.wait_done(shard, index)?;
-        match self.redeem(shard, index)? {
-            RespEnvelope::Bundle(results) => Ok(results),
-            RespEnvelope::One(_) => {
-                unreachable!("a BundleTicket is only minted for bundle submissions")
-            }
-        }
-    }
-
     /// Waits for a submitted call to complete and returns its response.
     ///
     /// # Errors
@@ -1540,21 +1363,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         let shard = self.shard();
         shard.check_issuer(&ticket.board)?;
         self.wait_index(shard, ticket.defuse())
-    }
-
-    /// Redeems the response if the call already completed, or hands the
-    /// ticket back untouched — the non-blocking reap primitive for
-    /// poll-style event loops. A ticket this requester's home shard did
-    /// not issue is consumed with [`HotCallError::InvalidConfig`].
-    pub fn try_wait(&self, mut ticket: Ticket) -> core::result::Result<Result<Resp>, Ticket> {
-        let shard = self.shard();
-        if let Err(e) = shard.check_issuer(&ticket.board) {
-            return Ok(Err(e));
-        }
-        if shard.slot(ticket.index).state() != DONE {
-            return Err(ticket);
-        }
-        Ok(self.redeem_one(shard, ticket.defuse()))
     }
 
     /// Waits until *any* of `tickets` (all issued by this requester's home
@@ -1576,49 +1384,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 "wait_any needs at least one ticket",
             ));
         }
-        let reaped = self.wait_any_inner(tickets, None)?;
-        Ok(reaped.expect("a deadline-free wait_any only returns on a completion"))
-    }
-
-    /// [`RingRequester::wait_any`] bounded by a deadline: returns
-    /// `Ok(None)` — with every ticket left in the set — if nothing
-    /// completes by `deadline` (or the set is empty). The primitive that
-    /// lets async reapers and graceful shutdown stop parking forever on
-    /// an idle plane.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingRequester::wait_any`], except that an empty set is
-    /// `Ok(None)` instead of an error.
-    pub fn wait_any_until(
-        &self,
-        tickets: &mut Vec<Ticket>,
-        deadline: Instant,
-    ) -> Result<Option<(u64, Resp)>> {
-        if tickets.is_empty() {
-            return Ok(None);
-        }
-        self.wait_any_inner(tickets, Some(deadline))
-    }
-
-    /// [`RingRequester::wait_any_until`] with a relative timeout.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingRequester::wait_any_until`].
-    pub fn wait_any_timeout(
-        &self,
-        tickets: &mut Vec<Ticket>,
-        timeout: Duration,
-    ) -> Result<Option<(u64, Resp)>> {
-        self.wait_any_until(tickets, Instant::now() + timeout)
-    }
-
-    fn wait_any_inner(
-        &self,
-        tickets: &mut Vec<Ticket>,
-        deadline: Option<Instant>,
-    ) -> Result<Option<(u64, Resp)>> {
         let shared = &*self.shared;
         let shard = self.shard();
         // Once per call, in the caller's own memory: a foreign ticket
@@ -1627,28 +1392,11 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             .iter()
             .try_for_each(|t| shard.check_issuer(&t.board))?;
         let pick = || oldest_done(&shard.slots, tickets);
-        let Some(i) = poll_until(&shared.shutdown, &shared.governor, deadline, pick)? else {
-            return Ok(None);
-        };
+        let i = poll_until(&shared.shutdown, &shared.governor, pick)?;
         let mut ticket = tickets.swap_remove(i);
         let seq = ticket.seq();
         self.redeem_one(shard, ticket.defuse())
-            .map(|resp| Some((seq, resp)))
-    }
-
-    /// Waits for a bundle and returns one result per call, in submission
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::ResponderGone`] if the server shut down before the
-    /// bundle was serviced, or [`HotCallError::InvalidConfig`] for a
-    /// ticket this requester's home shard did not issue. Per-call failures
-    /// stay *inside* the returned vector.
-    pub fn wait_bundle(&self, mut ticket: BundleTicket) -> Result<Vec<Result<Resp>>> {
-        let shard = self.shard();
-        shard.check_issuer(&ticket.board)?;
-        self.wait_bundle_index(shard, ticket.defuse())
+            .map(|resp| (seq, resp))
     }
 
     /// Submit + wait in one step.
@@ -1682,22 +1430,38 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             self.note_fused_fallback(id as u64);
         }
         // Fusing was declined here; don't re-attempt it inside submit.
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req), false, false) {
+        match self.submit_envelope(shard, id, ReqEnvelope::One(req), false) {
             Ok(index) => self.wait_index(shard, index),
             Err((e, _)) => Err(e),
         }
     }
 
-    /// Submits a bundle and waits for all of its results.
+    /// Packs `bundle` into one home-shard submission — one slot claim, one
+    /// responder dispatch, at most one wakeup for all of its calls — and
+    /// waits for one result per call, in submission order.
     ///
     /// # Errors
     ///
-    /// As [`RingRequester::submit_bundle`] and
-    /// [`RingRequester::wait_bundle`].
+    /// [`HotCallError::InvalidConfig`] for an empty bundle, otherwise as
+    /// [`RingRequester::call`]. Per-call failures stay *inside* the
+    /// returned vector.
     pub fn call_bundle(&self, bundle: Bundle<Req>) -> Result<Vec<Result<Resp>>> {
+        if bundle.is_empty() {
+            return Err(HotCallError::InvalidConfig(
+                "a bundle must pack at least one call",
+            ));
+        }
         let shard = self.shard();
-        let (index, _) = self.submit_bundle_envelope(shard, bundle)?;
-        self.wait_bundle_index(shard, index)
+        trace("bundle_submit", bundle.len() as u64, self.home as u64);
+        let env = ReqEnvelope::Bundle(bundle.calls);
+        let index = self
+            .submit_envelope(shard, 0, env, true)
+            .map_err(|(e, _)| e)?;
+        self.wait_done(shard, index)?;
+        match self.redeem(shard, index)? {
+            RespEnvelope::Bundle(results) => Ok(results),
+            RespEnvelope::One(_) => unreachable!("a bundle submission completes as a bundle"),
+        }
     }
 
     /// Issues a call, running `fallback` locally if the fast path times
@@ -1711,7 +1475,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         F: FnOnce(Req) -> Resp,
     {
         let shard = self.shard();
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req), true, false) {
+        match self.submit_envelope(shard, id, ReqEnvelope::One(req), true) {
             Ok(index) => self.wait_index(shard, index),
             Err((HotCallError::ResponderTimeout { .. }, ReqEnvelope::One(req))) => {
                 Ok(fallback(req))
@@ -1739,6 +1503,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn table() -> (CallTable<u64, u64>, u32) {
         let mut t = CallTable::new();
@@ -1819,59 +1584,6 @@ mod tests {
     }
 
     #[test]
-    fn try_wait_returns_ticket_until_done() {
-        let mut t: CallTable<u64, u64> = CallTable::new();
-        let slow = t.register(|x| {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            x + 1
-        });
-        let server = RingServer::spawn(t, 4, generous());
-        let r = server.requester();
-        let mut ticket = r.submit(slow, 1).unwrap();
-        let mut polls = 0u32;
-        let resp = loop {
-            match r.try_wait(ticket) {
-                Ok(resp) => break resp.unwrap(),
-                Err(t) => {
-                    ticket = t;
-                    polls += 1;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        assert_eq!(resp, 2);
-        assert!(polls > 0, "a 30ms handler cannot complete instantly");
-    }
-
-    #[test]
-    fn wait_any_timeout_returns_promptly_on_quiescent_plane() {
-        let mut t: CallTable<u64, u64> = CallTable::new();
-        let slow = t.register(|x| {
-            std::thread::sleep(std::time::Duration::from_millis(400));
-            x
-        });
-        let server = RingServer::spawn(t, 4, generous());
-        let r = server.requester();
-        let mut tickets = vec![r.submit(slow, 7).unwrap()];
-        let start = Instant::now();
-        let timeout = Duration::from_millis(5);
-        // The ticket cannot complete within the timeout, so this must
-        // come back `Ok(None)` near the deadline — not after the old
-        // 64-yield deadline stride let scheduler quanta pile up.
-        let reaped = r.wait_any_timeout(&mut tickets, timeout).unwrap();
-        let elapsed = start.elapsed();
-        assert!(reaped.is_none(), "a 400ms handler beat a 5ms timeout");
-        assert_eq!(tickets.len(), 1, "timeout must leave the ticket in place");
-        assert!(
-            elapsed < Duration::from_millis(200),
-            "timeout overshot: {elapsed:?}"
-        );
-        // Drain the ticket so shutdown doesn't race the in-flight call.
-        let (_, resp) = r.wait_any(&mut tickets).unwrap();
-        assert_eq!(resp, 7);
-    }
-
-    #[test]
     fn bundle_roundtrip_preserves_order_and_ids() {
         for (shape, spawn) in SHAPES {
             let mut t: CallTable<u64, u64> = CallTable::new();
@@ -1915,7 +1627,7 @@ mod tests {
         let server = RingServer::spawn(t, 4, generous());
         let r = server.requester();
         assert!(matches!(
-            r.submit_bundle(Bundle::new()),
+            r.call_bundle(Bundle::new()),
             Err(HotCallError::InvalidConfig(_))
         ));
     }
@@ -1931,8 +1643,7 @@ mod tests {
             for i in 0..4u64 {
                 bundle.push(sq, round * 10 + i);
             }
-            let bt = r.submit_bundle(bundle).unwrap();
-            let results = r.wait_bundle(bt).unwrap();
+            let results = r.call_bundle(bundle).unwrap();
             for (i, got) in results.into_iter().enumerate() {
                 let x = round * 10 + i as u64;
                 assert_eq!(got.unwrap(), x * x);
@@ -2112,62 +1823,12 @@ mod tests {
     }
 
     #[test]
-    fn try_wait_refuses_a_foreign_ticket() {
-        let (_servers, _, cases) = foreign_tickets();
-        for (wrong, ticket) in cases {
-            let refused = wrong
-                .try_wait(ticket)
-                .expect("a foreign ticket is consumed");
-            assert!(is_foreign(&refused));
-        }
-    }
-
-    #[test]
     fn wait_any_refuses_a_foreign_ticket_and_keeps_the_set() {
         let (_servers, _, cases) = foreign_tickets();
         for (wrong, ticket) in cases {
             let mut set = vec![ticket];
             assert!(is_foreign(&wrong.wait_any(&mut set)));
-            let soon = Duration::from_millis(50);
-            assert!(is_foreign(&wrong.wait_any_timeout(&mut set, soon)));
-            assert!(is_foreign(
-                &wrong.wait_any_until(&mut set, Instant::now() + soon)
-            ));
             assert_eq!(set.len(), 1, "a refused set stays with its owner");
-        }
-    }
-
-    #[test]
-    fn wait_bundle_refuses_a_foreign_ticket() {
-        let (t, sq) = table();
-        let server = RingServer::spawn_sharded(t, 4, ShardPolicy::fixed(2), generous()).unwrap();
-        let handles = [0, 1].map(|s| server.requester_on(s).unwrap());
-        // One completed bundle per shard, so the foreign ticket finds a
-        // DONE bundle — the other shard's — at its sequence.
-        let [t0, t1] = [0, 1].map(|s| {
-            let mut bundle = Bundle::new();
-            bundle.push(sq, 3).push(sq, 4);
-            let ticket = handles[s].submit_bundle(bundle).unwrap();
-            while handles[s].shard().slot(ticket.index).state() != DONE {
-                std::thread::yield_now();
-            }
-            ticket
-        });
-        assert!(is_foreign(&handles[0].wait_bundle(t1)));
-        assert!(is_foreign(&handles[1].wait_bundle(t0)));
-    }
-
-    #[test]
-    fn poll_ticket_refuses_a_foreign_ticket() {
-        let (_servers, _, cases) = foreign_tickets();
-        let mut cx = Context::from_waker(std::task::Waker::noop());
-        for (wrong, ticket) in cases {
-            let mut ticket = Some(ticket);
-            let Poll::Ready(refused) = wrong.poll_ticket(&mut ticket, &mut cx) else {
-                panic!("a foreign ticket must not stay pending");
-            };
-            assert!(is_foreign(&refused));
-            assert!(ticket.is_none(), "the refused ticket is consumed");
         }
     }
 
@@ -2732,7 +2393,7 @@ mod tests {
     fn fused_auto_submissions_ride_the_pool() {
         // Pipelined submissions never fuse under `Auto`, even with the
         // break-even gate wide open (dozing responders, empty ring): the
-        // async caller asked for overlap, and an inline completion would
+        // pipelined caller asked for overlap, and an inline completion would
         // keep occupancy at zero so the plane never hands a burst to the
         // pool at all.
         each_shape(8, fused_auto(Some(64)), |shape, server, sq| {

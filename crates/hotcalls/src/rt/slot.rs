@@ -16,9 +16,8 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::Waker;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -71,36 +70,6 @@ pub(crate) const DONE: usize = 4;
 const PHASE_BITS: u32 = 3;
 const PHASE_MASK: usize = (1 << PHASE_BITS) - 1;
 
-/// Waker-cell states for the async completion protocol (`wake_state`).
-/// Sync calls never leave `W_IDLE`, so the only cost they pay is one
-/// relaxed-ish load in [`CallSlot::finish`] and one in
-/// [`CallSlot::redeem`].
-///
-/// Transitions (all RMWs on one atomic, hence totally ordered):
-///
-/// ```text
-///   submit_async:            IDLE  -> ARMED          (plain store, pre-publish)
-///   future poll (register):  ARMED -> BUSY -> SET    (CAS, write waker, store)
-///   re-register:             SET   -> BUSY -> SET
-///   completer (no waker):    ARMED -> FIRED          (CAS)
-///   completer (waker set):   SET   -> BUSY -> FIRED  (CAS, take+wake, store)
-///   redeem (clear):          FIRED -> IDLE           (after spinning for FIRED)
-/// ```
-///
-/// `FIRED` is terminal for a call: the redeemer spins until the completer
-/// reaches it before releasing the slot, so a descheduled completer can
-/// never touch the *next* call's arming through a recycled slot.
-const W_IDLE: u8 = 0;
-/// An async submitter armed the slot; no waker stored yet.
-const W_ARMED: u8 = 1;
-/// One side holds exclusive access to the waker cell (short critical
-/// section: a clone-store or a take).
-const W_BUSY: u8 = 2;
-/// A waker is stored and will be fired on completion.
-const W_SET: u8 = 3;
-/// Completion ran its half of the protocol; terminal until redeem.
-const W_FIRED: u8 = 4;
-
 /// One call slot: the state word on its own cache line, then the request
 /// and response payload cells.
 ///
@@ -132,12 +101,6 @@ pub(crate) struct CallSlot<Req, Resp> {
     /// requester to measure reap latency. Same ownership argument as
     /// `t_submit`.
     t_complete: AtomicU64,
-    /// Async completion protocol state (`W_*` constants). Guards `waker`.
-    wake_state: AtomicU8,
-    /// The waker a pending future registered, fired exactly once by the
-    /// completing side. Access is granted by holding `W_BUSY` (or by the
-    /// terminal `W_FIRED`/`Drop` exclusivity).
-    waker: UnsafeCell<Option<Waker>>,
     req: UnsafeCell<MaybeUninit<(u32, Req)>>,
     resp: UnsafeCell<MaybeUninit<Result<Resp>>>,
 }
@@ -154,8 +117,6 @@ impl<Req, Resp> CallSlot<Req, Resp> {
             state: CachePadded::new(AtomicUsize::new(EMPTY)),
             t_submit: AtomicU64::new(0),
             t_complete: AtomicU64::new(0),
-            wake_state: AtomicU8::new(W_IDLE),
-            waker: UnsafeCell::new(None),
             req: UnsafeCell::new(MaybeUninit::uninit()),
             resp: UnsafeCell::new(MaybeUninit::uninit()),
         }
@@ -267,11 +228,6 @@ impl<Req, Resp> CallSlot<Req, Resp> {
             self.t_complete.store(now_cycles(), Ordering::Relaxed);
         }
         self.state.store(DONE, Ordering::Release);
-        // Fire any waker an async submitter armed. This single hook covers
-        // every completion path — pooled responder, fused inline service,
-        // mailbox responder, and the shutdown sweep — because they all
-        // publish through `finish`.
-        self.wake_async();
     }
 
     /// Takes the response out and frees the slot: `DONE → EMPTY`.
@@ -285,132 +241,10 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     #[inline]
     pub(crate) unsafe fn redeem(&self) -> Result<Resp> {
         let payload = (*self.resp.get()).assume_init_read();
-        // Quiesce the async protocol *before* releasing the slot: a
-        // completer descheduled between its DONE store and its wake-state
-        // transition must not be left able to fire the next call's arming.
-        self.clear_async();
         // Release: the next claimant's Acquire (CAS or counter chain) must
         // see the payload as consumed before it rewrites the cells.
         self.state.store(EMPTY, Ordering::Release);
         payload
-    }
-
-    // ------------------------------------------------ async completion --
-
-    /// Arms the waker cell for an async submission. Must be called while
-    /// holding the claim, *before* [`Self::publish`]: the `SUBMITTED`
-    /// Release store then carries the armed state to whichever thread
-    /// completes the call, so its [`Self::wake_async`] cannot miss it.
-    #[inline]
-    pub(crate) fn arm_async(&self) {
-        debug_assert!(self.state.load(Ordering::Relaxed) <= CLAIMED);
-        self.wake_state.store(W_ARMED, Ordering::Relaxed);
-    }
-
-    /// Whether this slot's call was submitted with [`Self::arm_async`].
-    #[inline]
-    pub(crate) fn is_armed(&self) -> bool {
-        self.wake_state.load(Ordering::Relaxed) != W_IDLE
-    }
-
-    /// Stores (or replaces) the waker a pending future should be woken
-    /// with. Returns `true` when the completion already fired — the caller
-    /// must not wait for a wake and should poll the slot state directly
-    /// (the `Acquire` load of `W_FIRED` makes the `DONE` store visible).
-    ///
-    /// Only the submitting future's task calls this (one registrant); the
-    /// only contender for `W_BUSY` is the completer taking `SET -> FIRED`.
-    pub(crate) fn register_waker(&self, waker: &Waker) -> bool {
-        debug_assert!(self.is_armed(), "register_waker on an unarmed slot");
-        loop {
-            match self.wake_state.load(Ordering::Acquire) {
-                W_FIRED => return true,
-                cur @ (W_ARMED | W_SET) => {
-                    if self
-                        .wake_state
-                        .compare_exchange(cur, W_BUSY, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    // SAFETY: winning the CAS to W_BUSY grants exclusive
-                    // access to the waker cell.
-                    unsafe { *self.waker.get() = Some(waker.clone()) };
-                    self.wake_state.store(W_SET, Ordering::Release);
-                    return false;
-                }
-                // W_BUSY: the completer is mid-take; it finishes in a few
-                // instructions and lands on W_FIRED.
-                _ => core::hint::spin_loop(),
-            }
-        }
-    }
-
-    /// The completer's half of the protocol, run by [`Self::finish`] after
-    /// the `DONE` Release store: fire the registered waker (if any) and
-    /// land on the terminal `W_FIRED` so the redeemer can quiesce.
-    #[inline]
-    fn wake_async(&self) {
-        // Sync fast path: one load, nothing armed.
-        if self.wake_state.load(Ordering::Acquire) == W_IDLE {
-            return;
-        }
-        let mut backoff = Backoff::new();
-        loop {
-            match self.wake_state.load(Ordering::Acquire) {
-                W_ARMED => {
-                    if self
-                        .wake_state
-                        .compare_exchange(W_ARMED, W_FIRED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                W_SET => {
-                    if self
-                        .wake_state
-                        .compare_exchange(W_SET, W_BUSY, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        // SAFETY: winning the CAS to W_BUSY grants
-                        // exclusive access to the waker cell.
-                        let w = unsafe { (*self.waker.get()).take() };
-                        // FIRED before waking: the woken poll must observe
-                        // the terminal state (and, through it, DONE).
-                        self.wake_state.store(W_FIRED, Ordering::Release);
-                        if let Some(w) = w {
-                            w.wake();
-                        }
-                        return;
-                    }
-                }
-                // W_BUSY: a registrant is mid-store; it reaches W_SET in a
-                // few instructions.
-                _ => backoff.snooze(),
-            }
-        }
-    }
-
-    /// The redeemer's half: wait for the completer to reach `W_FIRED`,
-    /// then reset to `W_IDLE`. Called by [`Self::redeem`] before the
-    /// `EMPTY` release so a recycled slot always starts quiesced.
-    #[inline]
-    fn clear_async(&self) {
-        // Sync fast path: one load, nothing armed.
-        if self.wake_state.load(Ordering::Acquire) == W_IDLE {
-            return;
-        }
-        let mut backoff = Backoff::new();
-        while self.wake_state.load(Ordering::Acquire) != W_FIRED {
-            // The completer is between its DONE store and its wake-state
-            // transition (or a registrant holds W_BUSY); both are bounded.
-            backoff.snooze();
-        }
-        // SAFETY: W_FIRED is terminal — no other thread touches the cell
-        // again this call, and `redeem`'s submitter-exclusivity covers us.
-        unsafe { (*self.waker.get()).take() };
-        self.wake_state.store(W_IDLE, Ordering::Release);
     }
 }
 
@@ -435,9 +269,6 @@ impl<Req, Resp> Drop for CallSlot<Req, Resp> {
             // was already moved out and the response not yet written.
             _ => {}
         }
-        // A waker registered for a call that never completed (shutdown
-        // stranding an armed submission) must be released too.
-        drop(self.waker.get_mut().take());
     }
 }
 
@@ -549,17 +380,6 @@ impl Backoff {
         } else {
             std::thread::yield_now();
         }
-    }
-
-    /// `true` once [`Backoff::snooze`] has escalated past the `PAUSE`
-    /// ladder and each call costs a scheduler yield. Wait loops that
-    /// amortize an expensive check (e.g. a deadline read) over a poll
-    /// stride use this to drop the stride once polls stop being cheap —
-    /// 64 yields between deadline reads overshoots a small timeout by
-    /// scheduler quanta, not nanoseconds.
-    #[inline]
-    pub(crate) fn yields(&self) -> bool {
-        single_core() || self.step > SPIN_LIMIT
     }
 }
 
@@ -734,6 +554,18 @@ mod tests {
     }
 
     #[test]
+    fn slot_sizes_are_pinned() {
+        use crate::rt::ring::RingSlot;
+        use crate::rt::HotBuf;
+        // Whole lines per slot: the state line, then stamps and payload
+        // cells (a `HotBuf` ring slot: 16 B of stamps, an 80 B request and
+        // a 72 B response cell). A layout change that moves a call onto a
+        // different number of lines must edit this test on purpose.
+        assert_eq!(core::mem::size_of::<CallSlot<u64, u64>>(), 192);
+        assert_eq!(core::mem::size_of::<RingSlot<HotBuf, HotBuf>>(), 256);
+    }
+
+    #[test]
     fn slot_roundtrip_moves_payloads() {
         let slot: CallSlot<String, String> = CallSlot::new();
         assert!(slot.try_claim());
@@ -780,52 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn armed_slot_fires_registered_waker() {
-        use std::sync::atomic::AtomicUsize;
-        use std::task::Wake;
-        struct Counter(AtomicUsize);
-        impl Wake for Counter {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let counter = Arc::new(Counter(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&counter));
-
-        // Waker registered before completion: fired exactly once.
-        let slot: CallSlot<u64, u64> = CallSlot::new();
-        assert!(slot.try_claim());
-        slot.arm_async();
-        // SAFETY: claim held.
-        unsafe { slot.publish(0, 0, 1) };
-        assert!(!slot.register_waker(&waker), "not complete yet");
-        // SAFETY: single thread; SUBMITTED observed; sole responder.
-        let (_, req) = unsafe { slot.take_request() };
-        // SAFETY: request taken above.
-        unsafe { slot.finish(Ok(req + 1)) };
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "waker fired once");
-        // Registration after the fire reports completion.
-        assert!(slot.register_waker(&waker));
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        // SAFETY: submitter observed DONE.
-        assert_eq!(unsafe { slot.redeem() }.unwrap(), 2);
-        assert!(!slot.is_armed(), "redeem quiesces the waker cell");
-
-        // Completion before any registration: no wake, FIRED reported.
-        assert!(slot.try_claim());
-        slot.arm_async();
-        // SAFETY: claim held.
-        unsafe { slot.publish(0, 0, 5) };
-        // SAFETY: as above — single thread walks the whole state machine.
-        let (_, req) = unsafe { slot.take_request() };
-        unsafe { slot.finish(Ok(req + 1)) };
-        assert!(slot.register_waker(&waker), "already fired");
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "no spurious wake");
-        // SAFETY: submitter observed DONE.
-        assert_eq!(unsafe { slot.redeem() }.unwrap(), 6);
-    }
-
-    #[test]
     fn abandon_board_matches_exact_sequence_only() {
         let board = AbandonBoard::new(4);
         board.mark(6); // occupies cell 6 % 4 == 2
@@ -842,23 +628,6 @@ mod tests {
         }
         b.reset();
         assert_eq!(b.step, 0);
-    }
-
-    #[test]
-    fn backoff_reports_yield_phase() {
-        let mut b = Backoff::new();
-        if single_core() {
-            assert!(b.yields(), "single-core yields from the first snooze");
-            return;
-        }
-        // The full PAUSE ladder (steps 0..=SPIN_LIMIT) is still cheap.
-        for _ in 0..=SPIN_LIMIT {
-            assert!(!b.yields(), "ladder step {} must not report yield", b.step);
-            b.snooze();
-        }
-        assert!(b.yields(), "past the ladder every snooze is a yield");
-        b.reset();
-        assert!(!b.yields(), "reset re-arms the ladder");
     }
 
     #[test]

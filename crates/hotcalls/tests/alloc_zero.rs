@@ -18,11 +18,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hotcalls::rt::{
-    ByteCallTable, ByteRing, CallTable, RingServer, SgCallTable, SgRing, INLINE_CAPACITY,
-};
+use hotcalls::rt::{ByteCallTable, ByteRing, SgCallTable, SgRing, INLINE_CAPACITY};
 use hotcalls::sim::SimHotCalls;
-use hotcalls::{block_on, FusedMode, HotCallConfig};
+use hotcalls::{FusedMode, HotCallConfig};
 use sgx_sdk::edl::parse_edl;
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
 use sgx_sim::{EnclaveBuildOptions, Machine, SimConfig};
@@ -221,29 +219,6 @@ fn hot_path_makes_zero_heap_allocations() {
     assert!(s.fused_runs >= 5_000, "fused runs: {}", s.fused_runs);
 
     ring.shutdown();
-
-    // Async front end: every measured call is submitted eagerly, parks
-    // its waker, is woken by the responder, and redeems — all inside one
-    // `block_on` (the executor allocates its thread-waker once, at
-    // entry). Steady state must be exactly as heap-free as the sync
-    // path: waker registration is an `Arc` refcount bump into a
-    // pre-existing slot cell, never a fresh allocation.
-    let mut table: CallTable<u64, u64> = CallTable::new();
-    let id = table.register(|x| x.wrapping_add(1));
-    let server = RingServer::spawn_pool(table, 8, 1, spin_config()).unwrap();
-    let r = server.requester();
-    block_on(async {
-        for i in 0..100u64 {
-            assert_eq!(r.call_async(id, i).unwrap().await.unwrap(), i + 1);
-        }
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for i in 0..5_000u64 {
-            assert_eq!(r.call_async(id, i).unwrap().await.unwrap(), i + 1);
-        }
-        let delta = ALLOCS.load(Ordering::Relaxed) - before;
-        assert_eq!(delta, 0, "async hot path allocated {delta} times");
-    });
-    server.shutdown();
 
     // Streaming scatter-gather: after warmup, chunks cycle through the
     // caller's arena (segments AND list shells recycle) and the in-flight

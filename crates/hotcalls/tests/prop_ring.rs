@@ -1,15 +1,17 @@
 //! Property tests of the lock-free ring data plane: exactly-once
 //! delivery and untorn payload handoff through the `UnsafeCell` slots,
 //! over arbitrary ring shapes, pool sizes, drain batches, and thread
-//! interleavings — including shutdown racing in-flight submissions.
+//! interleavings — including shutdown racing in-flight submissions and
+//! the active-responder count flipping under a pipelined requester.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hotcalls::rt::{CallTable, RingServer};
-use hotcalls::{HotCallConfig, HotCallError};
+use hotcalls::rt::{CallTable, RingServer, Ticket};
+use hotcalls::{HotCallConfig, HotCallError, ResponderPolicy};
 
 /// A payload with internal redundancy: `check` must always equal
 /// `value ^ MAGIC`. A torn read or write through the slot's payload cells
@@ -128,5 +130,53 @@ proptest! {
             let _ = total;
         })
         .unwrap();
+    }
+
+    /// Ticket conservation across governor flips: a pipelined requester
+    /// on an adaptive pool whose active-responder target flips between
+    /// one and two every `flip_every` submissions (the `ctl` sizer's
+    /// control surface) reaps every submission exactly once, each with
+    /// its own response. At most `capacity / 2` calls are in flight, so
+    /// the requester never laps the ring onto a ticket it still holds.
+    #[test]
+    fn wait_any_conserves_across_responder_flips(
+        capacity in 2usize..8,
+        calls in 1usize..160,
+        flip_every in 1usize..24,
+    ) {
+        let mut table: CallTable<u64, u64> = CallTable::new();
+        let id = table.register(|x| x.wrapping_mul(3));
+        let config = HotCallConfig { idle_polls_before_sleep: None, ..HotCallConfig::patient() };
+        let server =
+            RingServer::spawn_adaptive(table, capacity, ResponderPolicy::elastic(1, 2), config)
+                .unwrap();
+        let r = server.requester();
+        let mut inflight: Vec<Ticket> = Vec::new();
+        let mut expected: HashMap<u64, u64> = HashMap::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut reap = |inflight: &mut Vec<Ticket>, expected: &mut HashMap<u64, u64>| {
+            let (seq, resp) = r.wait_any(inflight).unwrap();
+            assert!(seen.insert(seq), "seq {seq} reaped twice");
+            assert_eq!(Some(resp), expected.remove(&seq), "crossed wires at seq {seq}");
+        };
+        for i in 0..calls {
+            if i % flip_every == 0 {
+                server.set_active(1 + (i / flip_every) % 2);
+            }
+            while inflight.len() >= capacity / 2 {
+                reap(&mut inflight, &mut expected);
+            }
+            let x = i as u64;
+            let ticket = r.submit(id, x).unwrap();
+            expected.insert(ticket.seq(), x.wrapping_mul(3));
+            inflight.push(ticket);
+        }
+        while !inflight.is_empty() {
+            reap(&mut inflight, &mut expected);
+        }
+        prop_assert_eq!(seen.len(), calls, "reaped != submitted");
+        prop_assert!(expected.is_empty(), "tickets not conserved: {expected:?}");
+        prop_assert_eq!(server.stats().calls, calls as u64);
+        server.shutdown();
     }
 }

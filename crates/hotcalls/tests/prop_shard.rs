@@ -240,7 +240,7 @@ proptest! {
                                         Err(e) => panic!("call failed: {e:?}"),
                                     }
                                 }
-                                // An async submit: never fuses under
+                                // A pipelined submit: never fuses under
                                 // Auto, so this keeps the pooled path
                                 // and the ring occupancy alive.
                                 1 if pending.len() < depth => {

@@ -1,15 +1,15 @@
 //! Regression: a dropped, never-redeemed ticket must not wedge its slot.
 //!
-//! Before the abandonment protocol, dropping a `Ticket` (or `MailTicket`)
-//! leaked its ring slot: the responder marked the call `DONE`, nobody ever
-//! redeemed it back to `EMPTY`, and the next submission to wrap onto that
-//! position spun forever. The drop path now marks the slot's sequence on
+//! Before the abandonment protocol, dropping a `Ticket` leaked its ring
+//! slot: the responder marked the call `DONE`, nobody ever redeemed it
+//! back to `EMPTY`, and the next submission to wrap onto that position
+//! spun forever. The drop path now marks the slot's sequence on
 //! the plane's abandon board and the next claimer (or the redeeming sweep)
 //! reaps it. Each test here drops *more tickets than the plane has slots*
 //! — under the old behaviour every one of them deadlocks — and then proves
 //! the plane still serves sync traffic at full capacity.
 
-use hotcalls::rt::{CallTable, HotCallServer, RingServer};
+use hotcalls::rt::{CallTable, RingServer};
 use hotcalls::{HotCallConfig, ShardPolicy};
 
 /// Spin-only config so a test failure is a fast spin, not a parked doze.
@@ -88,20 +88,6 @@ fn shard_interleaved_drops_and_waits_stay_correct() {
         let kept = r.submit(id, round).unwrap();
         drop(dropped);
         assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
-    }
-    server.shutdown();
-}
-
-#[test]
-fn mailbox_dropped_ticket_releases_the_slot() {
-    let (table, id) = table();
-    let server = HotCallServer::spawn(table, spin_config());
-    let r = server.requester();
-    // The mailbox holds exactly one call; every drop would wedge it.
-    for i in 0..DROPS as u64 {
-        let ticket = r.submit(id, i).unwrap();
-        drop(ticket);
-        assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
     }
     server.shutdown();
 }

@@ -74,12 +74,6 @@ impl OpenLoopPlan {
             next_ns: 0.0,
         }
     }
-
-    /// The connection an event index maps to.
-    #[inline]
-    pub fn conn_of(&self, event: usize) -> u64 {
-        (event % self.conns.max(1)) as u64
-    }
 }
 
 /// Iterator over a plan's arrival instants (nanoseconds): exponential
@@ -146,14 +140,6 @@ mod tests {
         let a: Vec<u64> = OpenLoopPlan::new(1, 1e6, 100, 1).arrivals().collect();
         let b: Vec<u64> = OpenLoopPlan::new(2, 1e6, 100, 1).arrivals().collect();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn conn_mapping_round_robins() {
-        let plan = OpenLoopPlan::new(3, 1e6, 10, 4);
-        assert_eq!(plan.conn_of(0), 0);
-        assert_eq!(plan.conn_of(5), 1);
-        assert_eq!(plan.conn_of(7), 3);
     }
 
     #[test]

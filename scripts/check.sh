@@ -40,14 +40,15 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # only exist in debug (the pass above), the race windows only open in
 # release. Then the tests that used to fail on scheduling luck, 20 times
 # over, so a regression in any is a red check here and not folklore
-# (`prop_ctl` pipelines a window as deep as its ring: the `wait_any`
-# oldest-first race).
+# (`ticket_drop` abandons tickets on a ring and on a sharded plane: the
+# dropped-ticket wedge; `prop_ctl` pipelines a window as deep as its ring:
+# the `wait_any` oldest-first race).
 echo "==> hotcalls lib + integration suites (release); de-flaked tests x20"
 cargo test --release -q -p hotcalls --lib --tests
-# A filter that matches no test passes silently, so the two named tests
-# are addressed by full path and the run must report exactly two passes.
+# A filter that matches no test passes silently, so the named lib tests
+# are addressed by full path and the run must report exactly that many
+# passes.
 deflaked=(
-    aio::tests::dropped_future_abandons_not_wedges
     rt::ring::tests::stealers_reap_a_skewed_shard
 )
 for _ in $(seq 20); do
@@ -55,6 +56,7 @@ for _ in $(seq 20); do
         || { echo "$out"; exit 1; }
     grep -q "test result: ok. ${#deflaked[@]} passed" <<<"$out" \
         || { echo "expected ${#deflaked[@]} de-flaked tests to run:"; echo "$out"; exit 1; }
+    cargo test --release -q -p hotcalls --test ticket_drop
     cargo test --release -q -p hotcalls --test prop_ctl
 done
 
