@@ -18,8 +18,7 @@ use hotcalls::rt::{ArenaStats, ByteBundle, ByteCallTable, ByteCaller, ByteRing};
 use hotcalls::sim::SimHotCalls;
 use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneProvider, PlaneTelemetry};
 use hotcalls::{
-    Controller, CtlStats, FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy,
-    RingStats, ShardPolicy,
+    Controller, CtlStats, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats,
 };
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
@@ -37,9 +36,9 @@ pub const SYSCALL_TRAP: u64 = 150;
 /// HotCalls modes.
 const RT_RING_CAPACITY: usize = 32;
 /// Shards of the transport's data plane (= ceiling of its responder
-/// pool: one "On Call" responder per shard). The shard governor parks
-/// down to one active shard when the application's call rate doesn't
-/// justify more.
+/// pool: one "On Call" responder per shard). The governor parks down to
+/// one active shard when the application's call rate doesn't justify
+/// more.
 const RT_SHARDS: usize = 2;
 /// Empty polls before a pool responder parks; applications build many
 /// environments and single-core hosts cannot afford spinning responders.
@@ -88,22 +87,14 @@ fn os_responder(req_len: usize, buf: &mut [u8]) -> usize {
     want
 }
 
-/// Which data plane the real transport rides in the HotCalls modes — the
-/// "hot vs sharded" axis of the Table-2 census.
+/// How the real transport is configured in the HotCalls modes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RtTransport {
-    /// One adaptive submission ring shared by every connection — the
-    /// paper's plain HotCalls shape.
-    Single,
-    /// The sharded multi-ring plane with work-stealing responders
-    /// (the default; what `AppEnv::new` always used before the knob).
+    /// The sharded multi-ring plane with work-stealing responders, one
+    /// connection lane per shard (the default; what `AppEnv::new`
+    /// builds).
     #[default]
     Sharded,
-    /// One adaptive ring whose callers run break-even-eligible calls
-    /// inline — the fused run-to-completion fast path. Quiet call tails
-    /// (a lone connection between bursts) skip the handoff entirely;
-    /// bursts spill to the pooled responders automatically.
-    Fused,
     /// Zero-config: the plane spawns with [`HotCallConfig::auto`] /
     /// [`ResponderPolicy::auto`] and a [`Controller`] closes the loop —
     /// each API is routed to its measured break-even transport (SDK for
@@ -114,13 +105,10 @@ pub enum RtTransport {
 }
 
 impl RtTransport {
-    /// Census label for this transport ("hot" / "sharded" / "fused" /
-    /// "auto").
+    /// Census label for this transport ("hot" / "auto").
     pub fn label(&self) -> &'static str {
         match self {
-            RtTransport::Single => "hot",
-            RtTransport::Sharded => "sharded",
-            RtTransport::Fused => "fused",
+            RtTransport::Sharded => "hot",
             RtTransport::Auto => "auto",
         }
     }
@@ -181,19 +169,7 @@ impl RtPool {
             ids.insert(api.name, table.register(os_responder));
         }
         let run_fn = table.register(os_responder);
-        let config = HotCallConfig {
-            idle_polls_before_sleep: Some(RT_IDLE_POLLS_BEFORE_SLEEP),
-            ..HotCallConfig::patient()
-        };
         let server = match transport {
-            // One adaptive ring: the governor may park down to a single
-            // responder, the classic HotCalls topology.
-            RtTransport::Single => ByteRing::spawn_adaptive(
-                table,
-                RT_RING_CAPACITY,
-                ResponderPolicy::elastic(1, RT_SHARDS),
-                config,
-            )?,
             // Sharded adaptive plane: RT_SHARDS independent rings with one
             // work-stealing responder each, parked down to one active shard
             // when the application's call rate is low — the oversubscription
@@ -202,20 +178,10 @@ impl RtPool {
             RtTransport::Sharded => ByteRing::spawn_sharded(
                 table,
                 RT_RING_CAPACITY,
-                ShardPolicy::elastic(1, RT_SHARDS),
-                config,
-            )?,
-            // The single-ring shape with Auto fusing: a quiet application
-            // call tail runs its ocall inline on the requester core; the
-            // pooled responders only engage once the backlog crosses the
-            // break-even occupancy.
-            RtTransport::Fused => ByteRing::spawn_adaptive(
-                table,
-                RT_RING_CAPACITY,
                 ResponderPolicy::elastic(1, RT_SHARDS),
                 HotCallConfig {
-                    fused_mode: FusedMode::Auto,
-                    ..config
+                    idle_polls_before_sleep: Some(RT_IDLE_POLLS_BEFORE_SLEEP),
+                    ..HotCallConfig::patient()
                 },
             )?,
             // Zero-config: the auto policies size the pool to the host
@@ -406,7 +372,7 @@ pub struct AppEnv {
     rt: Option<RtPool>,
     /// Break-even router + sizer loop ([`RtTransport::Auto`] only).
     ctl: Option<AutoCtl>,
-    /// Which plane shape the transport uses (census "hot" vs "sharded").
+    /// How the transport is configured (its census label).
     transport: RtTransport,
     api_costs: BTreeMap<&'static str, u64>,
     api_counts: BTreeMap<&'static str, u64>,
@@ -432,9 +398,9 @@ impl AppEnv {
         Self::with_transport(config, mode, apis, heap_bytes, RtTransport::default())
     }
 
-    /// As [`AppEnv::new`], but choosing the real transport's plane shape
-    /// explicitly — the census needs the same application driven over the
-    /// single-ring ("hot") and sharded planes side by side.
+    /// As [`AppEnv::new`], but choosing how the real transport is
+    /// configured — [`RtTransport::Auto`] adds the zero-config control
+    /// loop.
     ///
     /// # Errors
     ///
@@ -932,8 +898,8 @@ impl AppEnv {
     }
 
     /// The label this environment's census rows file under: `native`,
-    /// `sdk`, or — in the HotCalls modes — the transport's shape
-    /// (`hot` for the single ring, `sharded` for the multi-ring plane).
+    /// `sdk`, or — in the HotCalls modes — the transport's label (`hot`,
+    /// or `auto` under the zero-config transport).
     pub fn census_mode(&self) -> &'static str {
         match self.mode {
             IfaceMode::Native => "native",
@@ -1200,6 +1166,27 @@ mod tests {
     }
 
     #[test]
+    fn new_builds_the_two_shard_elastic_byte_plane() {
+        // The plane `AppEnv::new` carries HotCalls-mode calls on (the one
+        // the memcached benchmarks measure): two shards, an elastic
+        // one-to-two responder governor, and no call fused inline.
+        let mut hot = env(IfaceMode::HotCalls);
+        hot.enter_main().unwrap();
+        for _ in 0..8 {
+            hot.api_call("getpid", &[]).unwrap();
+        }
+        let t = hot.rt_telemetry("plane").unwrap();
+        assert_eq!(
+            (t.kind, t.stats.shards.len(), hot.lanes()),
+            ("byte-sharded", 2, 2)
+        );
+        let g = hot.governor_stats().unwrap();
+        assert_eq!((g.min, g.max), (1, 2));
+        let s = hot.rt_stats().unwrap();
+        assert_eq!((s.calls, s.fused_runs, s.fused_fallbacks), (8, 0, 0));
+    }
+
+    #[test]
     fn api_call_batch_falls_back_per_call_in_other_modes() {
         for mode in [IfaceMode::Native, IfaceMode::Sdk] {
             let mut e = env(mode);
@@ -1210,63 +1197,6 @@ mod tests {
             assert_eq!(e.api_counts()["getpid"], 1, "{mode:?}");
             assert_eq!(e.api_counts()["read"], 1, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn single_transport_is_one_ring_and_censuses_as_hot() {
-        let mut hot = AppEnv::with_transport(
-            SimConfig::builder().deterministic().build(),
-            IfaceMode::HotCalls,
-            &apis(),
-            1 << 20,
-            RtTransport::Single,
-        )
-        .unwrap();
-        hot.enter_main().unwrap();
-        for _ in 0..4 {
-            hot.api_call("getpid", &[]).unwrap();
-        }
-        assert_eq!(hot.census_mode(), "hot");
-        let rs = hot.rt_ring_stats().unwrap();
-        assert_eq!(rs.shards.len(), 1, "single plane is one degenerate shard");
-        assert_eq!(rs.totals.calls, 4);
-        // The default transport censuses as "sharded"; sdk/native keep
-        // their own labels regardless of transport.
-        assert_eq!(env(IfaceMode::HotCalls).census_mode(), "sharded");
-        assert_eq!(env(IfaceMode::Sdk).census_mode(), "sdk");
-        assert_eq!(env(IfaceMode::Native).census_mode(), "native");
-    }
-
-    #[test]
-    fn fused_transport_runs_call_tails_inline_and_censuses_as_fused() {
-        let mut hot = AppEnv::with_transport(
-            SimConfig::builder().deterministic().build(),
-            IfaceMode::HotCalls,
-            &apis(),
-            1 << 20,
-            RtTransport::Fused,
-        )
-        .unwrap();
-        let data = hot.alloc_data(2048).unwrap();
-        hot.enter_main().unwrap();
-        for _ in 0..4 {
-            hot.api_call("getpid", &[]).unwrap();
-        }
-        hot.api_call("read", &[BufArg::new(data, 1024)]).unwrap();
-        hot.run_enclave_function(|e| {
-            e.api_call("sendmsg", &[BufArg::new(data, 64)])?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(hot.census_mode(), "fused");
-        let stats = hot.rt_stats().unwrap();
-        // 4 getpid + read + the RunEnclaveFunction shell + nested sendmsg.
-        assert_eq!(stats.calls, 7);
-        // With Auto fusing, every `call` either ran inline or was declined
-        // with an accounted fallback — the two must partition the total.
-        assert_eq!(stats.fused_runs + stats.fused_fallbacks, 7, "{stats:?}");
-        let rs = hot.rt_ring_stats().unwrap();
-        assert_eq!(rs.shards.len(), 1, "fused transport is one ring");
     }
 
     #[test]
@@ -1291,6 +1221,11 @@ mod tests {
         })
         .unwrap();
         assert_eq!(auto.census_mode(), "auto");
+        // The default transport censuses as "hot"; sdk/native keep their
+        // own labels regardless of transport.
+        assert_eq!(env(IfaceMode::HotCalls).census_mode(), "hot");
+        assert_eq!(env(IfaceMode::Sdk).census_mode(), "sdk");
+        assert_eq!(env(IfaceMode::Native).census_mode(), "native");
         assert_eq!(auto.api_counts()["getpid"], 80);
         // Modes/transports without a controller expose no ctl surface.
         assert!(env(IfaceMode::HotCalls).ctl_stats().is_none());

@@ -3,7 +3,7 @@
 use apps::lighttpd::{self, Lighttpd};
 use apps::memcached::{self, Memcached};
 use apps::openvpn::{self, OpenVpn};
-use apps::{AppEnv, IfaceMode, RtTransport};
+use apps::{AppEnv, IfaceMode};
 use hotcalls::telemetry::ApiCensus;
 use sgx_sim::SimConfig;
 use workloads::{http_load, iperf, memtier, ping, RunResult};
@@ -256,28 +256,15 @@ pub fn table2(scale: AppScale) -> Vec<Table2Row> {
     rows
 }
 
-/// The interface configurations the census compares, as
-/// `(IfaceMode, RtTransport)` pairs: the plain SDK port, HotCalls over
-/// the single ring ("hot"), HotCalls over the sharded plane, and HotCalls
-/// with the fused run-to-completion fast path ("fused").
-pub const CENSUS_MODES: [(IfaceMode, RtTransport); 4] = [
-    (IfaceMode::Sdk, RtTransport::Sharded), // transport unused in sdk mode
-    (IfaceMode::HotCalls, RtTransport::Single),
-    (IfaceMode::HotCalls, RtTransport::Sharded),
-    (IfaceMode::HotCalls, RtTransport::Fused),
-];
+/// The interface configurations the census compares: the plain SDK port
+/// and HotCalls over the plane [`AppEnv::new`] builds ("hot").
+pub const CENSUS_MODES: [IfaceMode; 2] = [IfaceMode::Sdk, IfaceMode::HotCalls];
 
-/// Drives memtier against memcached under one (mode, transport) pair and
-/// returns the environment's Table-2-style census.
-pub fn census_memcached(mode: IfaceMode, transport: RtTransport, requests: u64) -> ApiCensus {
-    let mut env = AppEnv::with_transport(
-        sim_config(301),
-        mode,
-        &memcached::api_table(),
-        64 << 20,
-        transport,
-    )
-    .expect("memcached env");
+/// Drives memtier against memcached under one mode and returns the
+/// environment's Table-2-style census.
+pub fn census_memcached(mode: IfaceMode, requests: u64) -> ApiCensus {
+    let mut env = AppEnv::new(sim_config(301), mode, &memcached::api_table(), 64 << 20)
+        .expect("memcached env");
     let mut server = Memcached::new(&mut env, 8_192, 2_048).expect("server");
     memtier::run(
         &mut env,
@@ -292,16 +279,10 @@ pub fn census_memcached(mode: IfaceMode, transport: RtTransport, requests: u64) 
     env.api_census(memcached::NAME)
 }
 
-/// Drives http_load against lighttpd under one (mode, transport) pair.
-pub fn census_lighttpd(mode: IfaceMode, transport: RtTransport, fetches: u64) -> ApiCensus {
-    let mut env = AppEnv::with_transport(
-        sim_config(302),
-        mode,
-        &lighttpd::api_table(),
-        64 << 20,
-        transport,
-    )
-    .expect("lighttpd env");
+/// Drives http_load against lighttpd under one mode.
+pub fn census_lighttpd(mode: IfaceMode, fetches: u64) -> ApiCensus {
+    let mut env =
+        AppEnv::new(sim_config(302), mode, &lighttpd::api_table(), 64 << 20).expect("lighttpd env");
     env.enter_main().expect("enter");
     let mut server = Lighttpd::new(&mut env).expect("server");
     http_load::run(
@@ -317,18 +298,11 @@ pub fn census_lighttpd(mode: IfaceMode, transport: RtTransport, fetches: u64) ->
     env.api_census(lighttpd::NAME)
 }
 
-/// Drives iperf through the openVPN tunnel under one (mode, transport)
-/// pair.
-pub fn census_openvpn(mode: IfaceMode, transport: RtTransport, packets: u64) -> ApiCensus {
+/// Drives iperf through the openVPN tunnel under one mode.
+pub fn census_openvpn(mode: IfaceMode, packets: u64) -> ApiCensus {
     let secret = [0x5Au8; 32];
-    let mut env = AppEnv::with_transport(
-        sim_config(303),
-        mode,
-        &openvpn::api_table(),
-        16 << 20,
-        transport,
-    )
-    .expect("vpn env");
+    let mut env =
+        AppEnv::new(sim_config(303), mode, &openvpn::api_table(), 16 << 20).expect("vpn env");
     env.enter_main().expect("enter");
     let mut endpoint = OpenVpn::new(&mut env, &secret).expect("endpoint");
     let mut peer_env = AppEnv::new(
@@ -353,13 +327,13 @@ pub fn census_openvpn(mode: IfaceMode, transport: RtTransport, packets: u64) -> 
 }
 
 /// The full API census: all three applications under each of
-/// [`CENSUS_MODES`] — twelve Table-2-style reports.
+/// [`CENSUS_MODES`] — six Table-2-style reports.
 pub fn api_census_all(scale: AppScale) -> Vec<ApiCensus> {
     let mut out = Vec::with_capacity(CENSUS_MODES.len() * 3);
-    for (mode, transport) in CENSUS_MODES {
-        out.push(census_memcached(mode, transport, scale.memcached_requests));
-        out.push(census_openvpn(mode, transport, scale.openvpn_packets));
-        out.push(census_lighttpd(mode, transport, scale.lighttpd_fetches));
+    for mode in CENSUS_MODES {
+        out.push(census_memcached(mode, scale.memcached_requests));
+        out.push(census_openvpn(mode, scale.openvpn_packets));
+        out.push(census_lighttpd(mode, scale.lighttpd_fetches));
     }
     out
 }
@@ -393,14 +367,14 @@ mod tests {
     }
 
     #[test]
-    fn census_covers_three_modes_with_separable_interface_cost() {
+    fn census_covers_both_modes_with_separable_interface_cost() {
         let censuses: Vec<ApiCensus> = CENSUS_MODES
             .iter()
-            .map(|&(mode, transport)| census_memcached(mode, transport, 400))
+            .map(|&mode| census_memcached(mode, 400))
             .collect();
         assert_eq!(
             censuses.iter().map(|c| c.mode.as_str()).collect::<Vec<_>>(),
-            ["sdk", "hot", "sharded", "fused"]
+            ["sdk", "hot"]
         );
         for c in &censuses {
             assert_eq!(c.app, "memcached");
@@ -411,25 +385,13 @@ mod tests {
             assert!(c.rows.windows(2).all(|w| w[0].calls >= w[1].calls));
         }
         // The same workload pays far more interface cycles per call under
-        // the SDK than over either HotCalls plane — Table 2's point.
+        // the SDK than over HotCalls — Table 2's point.
         let per_call = |c: &ApiCensus| c.interface_cycles as f64 / c.total_calls as f64;
         assert!(
             per_call(&censuses[0]) > 3.0 * per_call(&censuses[1]),
             "sdk {} vs hot {}",
             per_call(&censuses[0]),
             per_call(&censuses[1])
-        );
-        assert!(
-            per_call(&censuses[0]) > 3.0 * per_call(&censuses[2]),
-            "sdk {} vs sharded {}",
-            per_call(&censuses[0]),
-            per_call(&censuses[2])
-        );
-        assert!(
-            per_call(&censuses[0]) > 3.0 * per_call(&censuses[3]),
-            "sdk {} vs fused {}",
-            per_call(&censuses[0]),
-            per_call(&censuses[3])
         );
     }
 

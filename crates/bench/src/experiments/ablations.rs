@@ -431,8 +431,7 @@ const MIN_SDK_RATIO: f64 = 2.0;
 /// The Table-2-style API census of all three ported applications under
 /// each of [`CENSUS_MODES`]: which API, how often, and how much core time
 /// the interface burns. Per application the SDK port must pay at least
-/// 2× the per-call interface cycles of either HotCalls plane (the single
-/// ring and the sharded one).
+/// 2× the per-call interface cycles of HotCalls.
 pub fn api_census(scale: Scale) -> Outcome {
     let censuses = api_census_all(scale.pick(AppScale::default(), AppScale::SMOKE));
     let mut out = Outcome::titled(&format!(
@@ -481,17 +480,14 @@ pub fn api_census(scale: Scale) -> Outcome {
         c.interface_cycles as f64 / c.total_calls.max(1) as f64
     };
     for app in ["memcached", "openvpn", "lighttpd"] {
-        let sdk = per_call(app, "sdk");
-        for mode in ["hot", "sharded"] {
-            let hot = per_call(app, mode);
-            out.check(
-                sdk >= MIN_SDK_RATIO * hot,
-                format!(
-                    "{app}: sdk pays >= {MIN_SDK_RATIO:.0}x the interface cycles/call of \
-                     `{mode}` ({sdk:.0} vs {hot:.0})"
-                ),
-            );
-        }
+        let (sdk, hot) = (per_call(app, "sdk"), per_call(app, "hot"));
+        out.check(
+            sdk >= MIN_SDK_RATIO * hot,
+            format!(
+                "{app}: sdk pays >= {MIN_SDK_RATIO:.0}x the interface cycles/call of \
+                 `hot` ({sdk:.0} vs {hot:.0})"
+            ),
+        );
     }
     out
 }

@@ -17,7 +17,7 @@
 //!   adaptive chunker must hold at least 0.9× the best static chunk.
 //!
 //! Under smoke the modelled EPC shrinks and every size of the experiment
-//! shrinks with it (see [`Geometry`]), so both sections still cross it.
+//! shrinks with it (see `Geometry`), so both sections still cross it.
 
 use hotcalls::sim::SimHotCalls;
 use hotcalls::{ChunkPolicy, Controller, HotCallConfig};

@@ -1,9 +1,9 @@
 //! The configless control plane: per-API break-even routing and online
 //! responder/shard/bundle autosizing.
 //!
-//! After PRs 1–6 every lever that decides where a call's break-even point
-//! falls — responder pool bounds, shard counts, bundle sizes,
-//! `fused_below_occupancy`, hot-vs-SDK routing — is a hand-set constant.
+//! Without this module, every lever that decides where a call's break-even
+//! point falls — responder pool bounds, shard counts, bundle sizes,
+//! hot-vs-SDK routing — is a hand-set constant.
 //! This module closes the loop the way *SGX Switchless Calls Made
 //! Configless* does: the telemetry the data plane already produces (per-API
 //! cycles/call, useful-work poll ratios, steal rates, doze wake counts)
@@ -21,9 +21,8 @@
 //!   core it keeps busy.
 //! * [`AutoSizer`] — resizes the responder pool / active-shard target and
 //!   the bundle flush threshold from a worker-efficiency metric (the
-//!   useful-work poll ratio the governor already exports), replacing the
-//!   static `ResponderPolicy` / `ShardPolicy` numbers with
-//!   [`crate::ResponderPolicy::auto`]-style bounds.
+//!   useful-work poll ratio the governor already exports), moving the
+//!   active target inside [`crate::ResponderPolicy::auto`]-style bounds.
 //!
 //! Both halves are **hysteretic** — flips require a margin, a minimum
 //! sample count, and a cooldown, so a stationary workload converges to a
@@ -43,9 +42,8 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::RingStats;
 use crate::error::{HotCallError, Result};
-use crate::telemetry::{trace, TELEMETRY_ENABLED};
+use crate::telemetry::{trace, RingStats, TELEMETRY_ENABLED};
 
 /// The transports a call site can ride, in break-even order of the
 /// paper's Table 1: the SDK fallback costs thousands of cycles but keeps
@@ -671,62 +669,19 @@ impl ApiRouter {
     }
 }
 
-/// Tuning of the online sizer's worker-efficiency rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SizerPolicy {
-    /// Useful-work poll ratio above which the active set grows (the
-    /// workers are all earning their keep and backlog is building).
-    pub eff_high: f64,
-    /// Ratio below which the active set shrinks (workers mostly poll
-    /// empty — the Configless paper's "worker not efficient" rule).
-    pub eff_low: f64,
-    /// Ticks to hold still after a resize (hysteresis: the plane needs a
-    /// window at the new size before its efficiency means anything).
-    pub cooldown_ticks: u32,
-    /// Bundle flush threshold floor (1 = unbundled).
-    pub bundle_min: usize,
-    /// Bundle flush threshold ceiling.
-    pub bundle_max: usize,
-}
-
-impl Default for SizerPolicy {
-    fn default() -> Self {
-        SizerPolicy {
-            eff_high: 0.75,
-            eff_low: 0.20,
-            cooldown_ticks: 2,
-            bundle_min: 1,
-            bundle_max: 32,
-        }
-    }
-}
-
-impl SizerPolicy {
-    /// The zero-config policy (the defaults).
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// Rejects contradictory knob combinations.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] when the watermarks cross or the
-    /// bundle bounds are empty.
-    pub fn validate(&self) -> Result<()> {
-        if self.eff_low >= self.eff_high {
-            return Err(HotCallError::InvalidConfig(
-                "sizer low watermark must sit below the high watermark",
-            ));
-        }
-        if self.bundle_min == 0 || self.bundle_max < self.bundle_min {
-            return Err(HotCallError::InvalidConfig(
-                "sizer bundle bounds must satisfy 1 <= min <= max",
-            ));
-        }
-        Ok(())
-    }
-}
+/// Useful-work poll ratio above which the sizer grows the active set (the
+/// workers are all earning their keep and backlog is building).
+const SIZER_EFF_HIGH: f64 = 0.75;
+/// Ratio below which the sizer shrinks the active set (workers mostly poll
+/// empty — the Configless paper's "worker not efficient" rule).
+const SIZER_EFF_LOW: f64 = 0.20;
+/// Ticks to hold still after a resize (hysteresis: the plane needs a
+/// window at the new size before its efficiency means anything).
+const SIZER_COOLDOWN_TICKS: u32 = 2;
+/// Bundle flush threshold floor (1 = unbundled).
+const BUNDLE_MIN: usize = 1;
+/// Bundle flush threshold ceiling.
+const BUNDLE_MAX: usize = 32;
 
 /// What one sizer tick asks the plane to change. `None` means "hold".
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -751,7 +706,6 @@ struct SizerWindow {
 /// [`Controller`] wraps it in a mutex for shared use.
 #[derive(Debug)]
 pub struct AutoSizer {
-    policy: SizerPolicy,
     prev: Option<SizerWindow>,
     cooldown: u32,
     bundle_flush: usize,
@@ -761,24 +715,24 @@ pub struct AutoSizer {
     bundle_resizes: u64,
 }
 
+impl Default for AutoSizer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AutoSizer {
-    /// A sizer under `policy`, starting unbundled.
-    ///
-    /// # Errors
-    ///
-    /// As [`SizerPolicy::validate`].
-    pub fn new(policy: SizerPolicy) -> Result<Self> {
-        policy.validate()?;
-        Ok(AutoSizer {
-            policy,
+    /// A sizer starting unbundled.
+    pub fn new() -> Self {
+        AutoSizer {
             prev: None,
             cooldown: 0,
-            bundle_flush: policy.bundle_min,
+            bundle_flush: BUNDLE_MIN,
             ticks: 0,
             grows: 0,
             shrinks: 0,
             bundle_resizes: 0,
-        })
+        }
     }
 
     /// The current bundle flush threshold.
@@ -810,18 +764,18 @@ impl AutoSizer {
             self.cooldown -= 1;
         } else if polls > 0 {
             let efficiency = busy as f64 / polls as f64;
-            if efficiency > self.policy.eff_high && backlog > active && active < rs.governor.max {
+            if efficiency > SIZER_EFF_HIGH && backlog > active && active < rs.governor.max {
                 decision.responders = Some(active + 1);
                 self.grows += 1;
-                self.cooldown = self.policy.cooldown_ticks;
-            } else if efficiency < self.policy.eff_low && backlog == 0 && active > rs.governor.min {
+                self.cooldown = SIZER_COOLDOWN_TICKS;
+            } else if efficiency < SIZER_EFF_LOW && backlog == 0 && active > rs.governor.min {
                 // Low poll efficiency alone is not idleness: responders
                 // blocked inside io-bound handlers poll nothing while the
                 // ring holds work, and shrinking then thrashes against the
                 // governor's raise path. Only a drained plane shrinks.
                 decision.responders = Some(active - 1);
                 self.shrinks += 1;
-                self.cooldown = self.policy.cooldown_ticks;
+                self.cooldown = SIZER_COOLDOWN_TICKS;
             }
         }
 
@@ -831,9 +785,9 @@ impl AutoSizer {
         // back toward unbundled.
         let flush = self.bundle_flush;
         let target = if calls > 0 && backlog > flush {
-            (flush * 2).min(self.policy.bundle_max)
+            (flush * 2).min(BUNDLE_MAX)
         } else if backlog == 0 && idle > busy {
-            (flush / 2).max(self.policy.bundle_min)
+            (flush / 2).max(BUNDLE_MIN)
         } else {
             flush
         };
@@ -849,7 +803,7 @@ impl AutoSizer {
 /// The control plane: one [`ApiRouter`] plus one [`AutoSizer`], sharable
 /// across threads, exporting a [`CtlTelemetry`] section.
 ///
-/// Build it at setup time ([`Controller::new`] + [`Controller::register`]),
+/// Build it at setup time ([`Controller::auto`] + [`Controller::register`]),
 /// then share it (`Arc`) with the call sites: `route`/`observe` per call,
 /// [`Controller::tick`] periodically from whichever thread drives the
 /// plane, with the returned [`SizeDecision`] pushed into the server's
@@ -862,19 +816,14 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// A controller under the given routing and pool-sizing policies,
-    /// with the zero-config chunk policy (see
-    /// [`Controller::with_chunker`] to override it).
-    ///
-    /// # Errors
-    ///
-    /// As [`CtlPolicy::validate`] / [`SizerPolicy::validate`].
-    pub fn new(router: CtlPolicy, sizer: SizerPolicy) -> Result<Self> {
-        Ok(Controller {
-            router: ApiRouter::new(router)?,
-            sizer: Mutex::new(AutoSizer::new(sizer)?),
+    /// A controller under the zero-config policies (see
+    /// [`Controller::with_chunker`] to override the chunk policy).
+    pub fn auto() -> Self {
+        Controller {
+            router: ApiRouter::new(CtlPolicy::auto()).expect("auto routing policy is valid"),
+            sizer: Mutex::new(AutoSizer::new()),
             chunker: Mutex::new(ChunkSizer::new(ChunkPolicy::auto()).expect("auto chunks valid")),
-        })
+        }
     }
 
     /// Replaces the chunk-sizing policy (builder style, setup time).
@@ -885,11 +834,6 @@ impl Controller {
     pub fn with_chunker(mut self, policy: ChunkPolicy) -> Result<Self> {
         self.chunker = Mutex::new(ChunkSizer::new(policy)?);
         Ok(self)
-    }
-
-    /// A controller under the zero-config policies.
-    pub fn auto() -> Self {
-        Self::new(CtlPolicy::auto(), SizerPolicy::auto()).expect("auto policies are valid")
     }
 
     /// Registers an API (setup time — see [`ApiRouter::register`]).
@@ -1048,21 +992,6 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
-        assert!(SizerPolicy::auto().validate().is_ok());
-        assert!(SizerPolicy {
-            eff_low: 0.9,
-            eff_high: 0.5,
-            ..SizerPolicy::auto()
-        }
-        .validate()
-        .is_err());
-        assert!(SizerPolicy {
-            bundle_min: 4,
-            bundle_max: 2,
-            ..SizerPolicy::auto()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -1162,7 +1091,7 @@ mod tests {
 
     #[test]
     fn sizer_grows_on_saturation_and_shrinks_on_idle() {
-        let mut sizer = AutoSizer::new(SizerPolicy::auto()).unwrap();
+        let mut sizer = AutoSizer::new();
         // First tick is the baseline.
         assert_eq!(sizer.tick(&stats_with(0, 0, 0, 2)), SizeDecision::default());
         // Saturated window: all polls busy, backlog beyond the active set.
@@ -1178,7 +1107,7 @@ mod tests {
 
     #[test]
     fn sizer_bundle_flush_tracks_backlog() {
-        let mut sizer = AutoSizer::new(SizerPolicy::auto()).unwrap();
+        let mut sizer = AutoSizer::new();
         sizer.tick(&stats_with(0, 0, 0, 1));
         // Backlog beyond the current flush doubles it...
         let d = sizer.tick(&stats_with(100, 0, 6, 1));

@@ -30,8 +30,9 @@
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester (a call returns through `call`, `wait` or `wait_any` and
 //!   nothing else), [`rt::Bundle`] packs N small calls into one submission,
-//!   and [`rt::RingServer::spawn_adaptive`] replaces the static pool size
-//!   with a [`ResponderPolicy`] governor that parks idle responders and
+//!   and one [`ResponderPolicy`] — the same `{min, max}` for both shapes
+//!   ([`rt::RingServer::spawn_adaptive`], `spawn_sharded`) — replaces the
+//!   static pool size with a governor that parks idle responders and
 //!   wakes them on backlog. [`rt::ByteRing`] and [`rt::SgRing`] are that
 //!   plane over arena-backed byte and scatter-gather payloads. This is
 //!   usable as a general low-latency inter-thread call primitive.
@@ -64,12 +65,10 @@ pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
-pub use config::{
-    FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-    ShardStats,
-};
-pub use ctl::{
-    ApiRouter, ChunkPolicy, ChunkSizer, Controller, CtlPolicy, CtlStats, SizerPolicy, Transport,
-};
+pub use config::{FusedMode, HotCallConfig, ResponderPolicy};
+pub use ctl::{ApiRouter, ChunkPolicy, ChunkSizer, Controller, CtlPolicy, CtlStats, Transport};
 pub use error::{HotCallError, Result};
-pub use telemetry::{PagingStats, Snapshot, TelemetryRegistry, TELEMETRY_ENABLED};
+pub use telemetry::{
+    GovernorStats, HotCallStats, PagingStats, RingStats, ShardStats, Snapshot, TelemetryRegistry,
+    TELEMETRY_ENABLED,
+};

@@ -7,7 +7,7 @@
 //! security-irrelevant gets taken off the per-call path.
 //!
 //! * **Inline fast path** — payloads at or below [`INLINE_CAPACITY`] (one
-//!   cache line, matching the slot layout in [`super::slot`]) are stored
+//!   cache line, matching the slot layout of the `slot` module) are stored
 //!   directly in the message and move through the ring with **zero heap
 //!   traffic**.
 //! * **Slab recycling** — larger payloads draw from per-size-class free

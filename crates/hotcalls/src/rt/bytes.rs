@@ -15,11 +15,9 @@
 //! whatever the previous call left there — the NRZ discipline: write your
 //! response, report its length, and nobody pays for zeroing in between.
 
-use crate::config::{
-    GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-};
+use crate::config::{HotCallConfig, ResponderPolicy};
 use crate::error::Result;
-use crate::telemetry::{PlaneProvider, PlaneTelemetry};
+use crate::telemetry::{GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry, RingStats};
 
 use super::arena::{ArenaStats, HotBuf, SlabArena};
 use super::ring::{Bundle, RingRequester, RingServer, Ticket};
@@ -122,9 +120,10 @@ impl ByteRing {
     }
 
     /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]):
-    /// `policy.resolved_shards()` independent rings of
-    /// `capacity_per_shard` slots each, one work-stealing responder per
-    /// shard, callers pinned to home shards by the router.
+    /// `policy.max` independent rings of `capacity_per_shard` slots each,
+    /// one work-stealing responder per shard, callers pinned to home
+    /// shards by the router, between `policy.min` and `policy.max` shards
+    /// active.
     ///
     /// # Errors
     ///
@@ -132,7 +131,7 @@ impl ByteRing {
     pub fn spawn_sharded(
         table: ByteCallTable,
         capacity_per_shard: usize,
-        policy: ShardPolicy,
+        policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
         RingServer::spawn_sharded(table.inner, capacity_per_shard, policy, config)
@@ -547,7 +546,8 @@ mod tests {
         let single = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
         let (t, _, _) = echo_table();
         let sharded =
-            ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+            ByteRing::spawn_sharded(t, 8, ResponderPolicy::fixed(2), HotCallConfig::patient())
+                .unwrap();
         // The affinity override reaches every shard and nothing past them.
         for (ring, top_shard) in [(single, 0), (sharded, 1)] {
             assert!(ring.caller_on(top_shard + 1).is_err());
@@ -610,7 +610,8 @@ mod tests {
     fn sharded_byte_ring_roundtrips_and_reports_shards() {
         let (t, rev, _) = echo_table();
         let ring =
-            ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
+            ByteRing::spawn_sharded(t, 8, ResponderPolicy::fixed(2), HotCallConfig::patient())
+                .unwrap();
         assert_eq!(ring.shards(), 2);
         assert_eq!(ring.responders(), 2);
         let mut a = ring.caller();
@@ -644,11 +645,14 @@ mod tests {
 
     #[test]
     fn fused_byte_calls_run_inline_and_recycle() {
-        let fused = HotCallConfig::fused(crate::config::FusedMode::Always);
+        let fused = HotCallConfig {
+            fused_mode: crate::config::FusedMode::Always,
+            ..HotCallConfig::patient()
+        };
         let (t, rev, _) = echo_table();
         let single = ByteRing::spawn_pool(t, 4, 1, fused).unwrap();
         let (t, _, _) = echo_table();
-        let sharded = ByteRing::spawn_sharded(t, 8, ShardPolicy::fixed(2), fused).unwrap();
+        let sharded = ByteRing::spawn_sharded(t, 8, ResponderPolicy::fixed(2), fused).unwrap();
         for ring in [single, sharded] {
             // Two callers: on the sharded plane the router homes them on
             // different shards.

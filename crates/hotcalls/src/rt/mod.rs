@@ -13,7 +13,7 @@
 //!
 //! The data plane is lock-free: payloads live in `UnsafeCell`s whose
 //! exclusive access is granted by the state machine's acquire/release
-//! edges (see [`slot`]’s `CallSlot`), the state word sits on its own cache
+//! edges (see `slot::CallSlot`), the state word sits on its own cache
 //! line, and hot-path statistics are responder-local counters flushed with
 //! plain stores. For the queued, multi-responder, optionally sharded plane
 //! see [`RingServer`].
@@ -38,8 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::config::{HotCallConfig, HotCallStats};
+use crate::config::HotCallConfig;
 use crate::error::{HotCallError, Result};
+use crate::telemetry::HotCallStats;
 
 use slot::{Backoff, CachePadded, CallSlot, Doze, LocalStats, StatCell, DONE, SUBMITTED};
 

@@ -36,7 +36,7 @@
 //!   responder wins scraps every few calls, and a plain drought counter
 //!   never ripens — which is exactly how the 1×4 oversubscription
 //!   regression survived idleness detection. Once the deficit passes
-//!   `policy.park_after_idle_polls`, the top active responder lowers the
+//!   the governor's park threshold, the top active responder lowers the
 //!   target by one and parks itself on the next iteration. Lower indices
 //!   inherit "top" status with their counters already ripe, so an
 //!   overprovisioned pool cascades down to its demand point quickly (the
@@ -204,7 +204,7 @@ pub(super) fn responder_loop<Req, Resp>(
     let home = index % n;
     let home_shard = &shared.shards[home];
     // A batch longer than the ring would scan the same slot twice.
-    let batch = config.drain_batch_clamped().min(home_shard.slots.len());
+    let batch = (config.drain_batch as usize).min(home_shard.slots.len());
     let gov = &shared.governor;
     let table = &shared.table;
     let mut tally = Tally {
@@ -322,7 +322,7 @@ pub(super) fn responder_loop<Req, Resp>(
         // Useful-work drought: the top active responder bows out. The
         // park branch above catches the lowered target next iteration.
         if gov.adaptive()
-            && polls_since_work >= gov.policy.park_after_idle_polls
+            && polls_since_work >= gov.tuning.park_after_idle_polls
             && gov.try_demote(index)
         {
             continue;

@@ -16,10 +16,10 @@
 //! (slots, head, tail, doze line, abandon board, all cache-padded) — and
 //! `R ≥ S` responders, responder `i` homing on shard `i % S`. A *ring*
 //! ([`RingServer::spawn`], [`RingServer::spawn_pool`],
-//! [`RingServer::spawn_adaptive`]) is the `S = 1, R = n` shape: every
+//! [`RingServer::spawn_adaptive`]) is the `S = 1, R = max` shape: every
 //! requester shares one head word and every responder drains the one
 //! ring. A *sharded plane* ([`RingServer::spawn_sharded`]) is the
-//! `S = R = n` shape: at scale the shared head CAS becomes the new
+//! `S = R = max` shape: at scale the shared head CAS becomes the new
 //! 620-cycle-class bottleneck, so each shard gets exactly one home
 //! responder and each requester is pinned to a home shard — uncontended
 //! requesters never share a head CAS with anyone. Both shapes run the same
@@ -37,11 +37,11 @@
 //! * **Call bundles** — a [`Bundle`] packs N small calls into *one* ring
 //!   submission serviced by *one* responder dispatch: one slot claim, one
 //!   head CAS, at most one doze wakeup for the whole bundle.
-//! * **Adaptive governor** — a [`ResponderPolicy`]`{min, max,
-//!   target_occupancy}` (or the [`ShardPolicy`] equivalent) replaces the
-//!   static pool size: requesters raise the active-responder target when
-//!   a ring backs up (or their in-flight calls age), and the top active
-//!   responder demotes itself and *parks* after a useful-work drought.
+//! * **Adaptive governor** — a [`ResponderPolicy`]`{min, max}` replaces
+//!   the static pool size on either shape: requesters raise the
+//!   active-responder target when a ring backs up (or their in-flight
+//!   calls age), and the top active responder demotes itself and *parks*
+//!   after a useful-work drought.
 //!   Parked responders sleep on a doze that per-call wakeups never touch,
 //!   so surplus pollers stop burning the cores the requesters need.
 //!
@@ -68,13 +68,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::config::{
-    FusedMode, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-    ShardStats,
-};
+use crate::config::{FusedMode, HotCallConfig, ResponderPolicy, FUSED_BELOW_OCCUPANCY};
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
-    now_cycles, trace, AtomicHist, LaneTelemetry, PlaneProvider, PlaneTelemetry,
+    now_cycles, trace, AtomicHist, GovernorStats, HotCallStats, LaneTelemetry, PlaneProvider,
+    PlaneTelemetry, RingStats, ShardStats,
 };
 
 use super::pool;
@@ -109,11 +107,37 @@ pub(super) enum RespEnvelope<Resp> {
 
 pub(super) type RingSlot<Req, Resp> = CallSlot<ReqEnvelope<Req>, RespEnvelope<Resp>>;
 
+/// The governor's two thresholds. Not public: every public constructor
+/// builds the plane with [`GovernorTuning::DEFAULT`]; unit tests lower
+/// them to make parking and raising observable within milliseconds.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct GovernorTuning {
+    /// Queued-submission count above which a requester raises the active
+    /// target (at least 1). The paper's responder has no queue; this is
+    /// the ring generalization: backlog deeper than this means the active
+    /// responders are not keeping up.
+    pub(super) target_occupancy: usize,
+    /// Consecutive polls without useful work after which the top active
+    /// responder demotes itself and parks (at least 1). Counted across
+    /// idle-doze wakeups, so a responder that is woken per-call but never
+    /// wins work (the oversubscription churn) still accumulates toward
+    /// parking.
+    pub(super) park_after_idle_polls: u64,
+}
+
+impl GovernorTuning {
+    pub(super) const DEFAULT: GovernorTuning = GovernorTuning {
+        target_occupancy: 2,
+        park_after_idle_polls: 2_048,
+    };
+}
+
 /// The adaptive pool's control block, shared by every shard of a plane.
 /// For static pools (`min == max`) the governor is inert: no requester or
 /// responder ever branches into it.
 pub(super) struct GovernorState {
     pub(super) policy: ResponderPolicy,
+    pub(super) tuning: GovernorTuning,
     /// Responders with index below this are active; the rest park. Only
     /// moves inside `[min, max]`.
     pub(super) active_target: CachePadded<AtomicUsize>,
@@ -131,13 +155,14 @@ pub(super) struct GovernorState {
 }
 
 impl GovernorState {
-    pub(super) fn new(policy: ResponderPolicy) -> Self {
+    pub(super) fn new(policy: ResponderPolicy, tuning: GovernorTuning) -> Self {
         // Start wide: all `max` responders active, and let idleness park
         // the surplus. Cold-start backlog never waits on a governor
         // decision this way; quiet periods converge to `min` within one
         // park threshold per surplus responder.
         GovernorState {
             policy,
+            tuning,
             active_target: CachePadded::new(AtomicUsize::new(policy.max)),
             park_doze: Doze::new(),
             parked_now: AtomicUsize::new(0),
@@ -149,7 +174,7 @@ impl GovernorState {
     /// Is there anything to govern?
     #[inline]
     pub(super) fn adaptive(&self) -> bool {
-        self.policy.is_adaptive()
+        self.policy.max > self.policy.min
     }
 
     /// Raises the active target by one (up to `max`) and wakes the parked
@@ -539,13 +564,13 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 
 /// A running plane: a pool of responder threads draining one or more
 /// multi-slot submission rings in batches, stealing across them, governed
-/// by a [`ResponderPolicy`] or [`ShardPolicy`].
+/// by a [`ResponderPolicy`].
 ///
 /// # Examples
 ///
 /// ```
 /// use hotcalls::rt::{CallTable, RingServer};
-/// use hotcalls::{HotCallConfig, ShardPolicy};
+/// use hotcalls::{HotCallConfig, ResponderPolicy};
 ///
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
@@ -557,7 +582,7 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
 /// let server =
-///     RingServer::spawn_sharded(table, 8, ShardPolicy::fixed(2), HotCallConfig::patient())
+///     RingServer::spawn_sharded(table, 8, ResponderPolicy::fixed(2), HotCallConfig::patient())
 ///         .unwrap();
 /// assert_eq!(server.requester().call(inc, 41).unwrap(), 42);
 /// assert_eq!(server.shards(), 2);
@@ -610,11 +635,9 @@ where
 
     /// Spawns an adaptive pool on one ring: `policy.max` responder threads
     /// of which between `policy.min` and `policy.max` are active at any
-    /// moment. Requesters raise the active target when ring occupancy
-    /// exceeds `policy.target_occupancy` (or their in-flight calls age
-    /// without completing); the top active responder demotes itself and
-    /// parks after `policy.park_after_idle_polls` polls without useful
-    /// work.
+    /// moment. Requesters raise the active target when the ring backs up
+    /// (or their in-flight calls age without completing); the top active
+    /// responder demotes itself and parks after a useful-work drought.
     ///
     /// # Errors
     ///
@@ -627,39 +650,35 @@ where
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        policy.validate()?;
-        Self::spawn_plane(table, capacity, 1, policy, config)
+        Self::spawn_plane(table, capacity, 1, policy, GovernorTuning::DEFAULT, config)
     }
 
-    /// Spawns the sharded shape: `policy.resolved_shards()` shards of
+    /// Spawns the sharded shape: `policy.max` shards of
     /// `capacity_per_shard` slots each, one work-stealing responder thread
     /// per shard, requesters pinned to home shards by the router. The unit
-    /// of elasticity is a whole shard: parking a shard's responder stops
-    /// the router from assigning new requesters to it and leaves its
+    /// of elasticity is a whole shard: between `policy.min` and
+    /// `policy.max` shards are active, and parking a shard's responder
+    /// stops the router from assigning new requesters to it and leaves its
     /// residual submissions to the stealers.
     ///
     /// # Errors
     ///
-    /// [`HotCallError::InvalidConfig`] if `capacity_per_shard` is zero or
-    /// the policy or config fail their [`ShardPolicy::validate`] /
-    /// [`HotCallConfig::validate`] checks.
+    /// As [`RingServer::spawn_adaptive`].
     pub fn spawn_sharded(
         table: CallTable<Req, Resp>,
         capacity_per_shard: usize,
-        policy: ShardPolicy,
+        policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        policy.validate()?;
-        let n_shards = policy.resolved_shards();
-        // The governor with a shard as the unit: active responders are
-        // exactly the responders of active shards.
-        let governor = ResponderPolicy {
-            min: policy.min_active,
-            max: n_shards,
-            target_occupancy: policy.target_occupancy,
-            park_after_idle_polls: policy.park_after_idle_polls,
-        };
-        Self::spawn_plane(table, capacity_per_shard, n_shards, governor, config)
+        let tuning = GovernorTuning::DEFAULT;
+        Self::spawn_plane(
+            table,
+            capacity_per_shard,
+            policy.max,
+            policy,
+            tuning,
+            config,
+        )
     }
 
     /// Builds `n_shards` rings of `capacity` slots and spawns
@@ -669,6 +688,7 @@ where
         capacity: usize,
         n_shards: usize,
         policy: ResponderPolicy,
+        tuning: GovernorTuning,
         config: HotCallConfig,
     ) -> Result<Self> {
         if capacity == 0 {
@@ -676,13 +696,14 @@ where
                 "ring capacity must be positive",
             ));
         }
+        policy.validate()?;
         config.validate()?;
         let n_responders = policy.max;
         let shared = Arc::new(RingShared {
             shards: (0..n_shards).map(|_| Shard::new(capacity)).collect(),
             table,
             shutdown: AtomicBool::new(false),
-            governor: GovernorState::new(policy),
+            governor: GovernorState::new(policy, tuning),
             next_home: AtomicUsize::new(0),
             wake_cursor: AtomicUsize::new(0),
             responders: (0..n_responders)
@@ -893,7 +914,7 @@ impl<Req, Resp> Clone for RingRequester<Req, Resp> {
 /// [`HotCallError::InvalidConfig`].
 ///
 /// Dropping a ticket unredeemed *abandons* the call: the drop marks the
-/// slot on the issuing shard's [`AbandonBoard`], and the next claimant
+/// slot on the issuing shard's abandon board, and the next claimant
 /// that laps onto the completed slot reaps the stale response. The
 /// response value is discarded, but the slot is released — a dropped
 /// ticket no longer wedges the ring.
@@ -1029,7 +1050,7 @@ fn claim_slot<Req, Resp>(shard: &Shard<Req, Resp>, gov: &GovernorState) -> Optio
     // active responders are outpaced: admit another (on the sharded shape
     // that un-parks a whole shard, whose responder doubles as one more
     // stealer).
-    if gov.adaptive() && occupancy > gov.policy.target_occupancy_clamped() {
+    if gov.adaptive() && occupancy > gov.tuning.target_occupancy {
         gov.try_raise();
     }
     if occupancy >= cap {
@@ -1161,8 +1182,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             FusedMode::Off => false,
             FusedMode::Always => true,
             FusedMode::Auto => {
-                occupancy < self.config.fused_below_occupancy
-                    && self.shared.home_quiescent(self.home, shard)
+                occupancy < FUSED_BELOW_OCCUPANCY && self.shared.home_quiescent(self.home, shard)
             }
         }
     }
@@ -1529,7 +1549,7 @@ mod tests {
             RingServer::spawn_pool(t, cap, 4, config).unwrap()
         }),
         ("4 shards", |t, cap, config| {
-            RingServer::spawn_sharded(t, cap, ShardPolicy::fixed(4), config).unwrap()
+            RingServer::spawn_sharded(t, cap, ResponderPolicy::fixed(4), config).unwrap()
         }),
     ];
 
@@ -1722,10 +1742,10 @@ mod tests {
         rejected(RingServer::spawn_pool(t(), 8, 0, generous()));
         let inverted = ResponderPolicy::elastic(2, 1);
         rejected(RingServer::spawn_adaptive(t(), 8, inverted, generous()));
-        let two = ShardPolicy::fixed(2);
+        let two = ResponderPolicy::fixed(2);
         rejected(RingServer::spawn_sharded(t(), 0, two, generous()));
         for (min, shards) in [(0, 2), (3, 2)] {
-            let policy = ShardPolicy::elastic(min, shards);
+            let policy = ResponderPolicy::elastic(min, shards);
             rejected(RingServer::spawn_sharded(t(), 8, policy, generous()));
         }
     }
@@ -1759,7 +1779,7 @@ mod tests {
         let (t, sq) = table();
         let pool = drive(RingServer::spawn_pool(t, 8, 1, generous()).unwrap(), sq);
         let (t, sq) = table();
-        let sharded = RingServer::spawn_sharded(t, 8, ShardPolicy::fixed(1), generous());
+        let sharded = RingServer::spawn_sharded(t, 8, ResponderPolicy::fixed(1), generous());
         assert_eq!(drive(sharded.unwrap(), sq), pool);
         let (rs, kind, ..) = pool;
         assert_eq!((rs.totals.calls, rs.totals.busy_polls), (107, 105));
@@ -1776,7 +1796,8 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn foreign_tickets() -> (Vec<Server>, u32, Vec<(RingRequester<u64, u64>, Ticket)>) {
         let (t, sq) = table();
-        let sharded = RingServer::spawn_sharded(t, 4, ShardPolicy::fixed(2), generous()).unwrap();
+        let sharded =
+            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(2), generous()).unwrap();
         let (t, _) = table();
         let other = RingServer::spawn(t, 4, generous());
         let mut handles = vec![
@@ -1944,6 +1965,15 @@ mod tests {
         assert_eq!((g.min, g.max), (3, 3));
     }
 
+    /// The default governor with a park threshold low enough to watch it
+    /// work within milliseconds.
+    fn eager(park_after_idle_polls: u64) -> GovernorTuning {
+        GovernorTuning {
+            park_after_idle_polls,
+            ..GovernorTuning::DEFAULT
+        }
+    }
+
     /// Spins until the governor's snapshot satisfies `settled`.
     fn await_governor(server: &Server, settled: impl Fn(&GovernorStats) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1963,18 +1993,11 @@ mod tests {
             idle_polls_before_sleep: Some(1_000_000),
             ..generous()
         };
-        let pool = ResponderPolicy {
-            park_after_idle_polls: 64,
-            ..ResponderPolicy::elastic(1, 4)
-        };
-        let shards = ShardPolicy {
-            park_after_idle_polls: 64,
-            ..ShardPolicy::elastic(1, 4)
-        };
+        let policy = ResponderPolicy::elastic(1, 4);
         let (t, sq) = table();
-        let on_one_ring = RingServer::spawn_adaptive(t, 16, pool, config).unwrap();
+        let on_one_ring = RingServer::spawn_plane(t, 16, 1, policy, eager(64), config).unwrap();
         let (t, _) = table();
-        let sharded = RingServer::spawn_sharded(t, 8, shards, config).unwrap();
+        let sharded = RingServer::spawn_plane(t, 8, 4, policy, eager(64), config).unwrap();
         for server in [on_one_ring, sharded] {
             assert_eq!(server.responders(), 4);
             let r = server.requester();
@@ -1996,12 +2019,12 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
             x + 1
         });
-        let policy = ResponderPolicy {
-            park_after_idle_polls: 64,
+        let policy = ResponderPolicy::elastic(1, 4);
+        let tuning = GovernorTuning {
             target_occupancy: 1,
-            ..ResponderPolicy::elastic(1, 4)
+            park_after_idle_polls: 64,
         };
-        let server = RingServer::spawn_adaptive(t, 32, policy, generous()).unwrap();
+        let server = RingServer::spawn_plane(t, 32, 1, policy, tuning, generous()).unwrap();
         let r = server.requester();
         // Let the pool park down to the minimum first.
         await_governor(&server, |g| g.active == 1);
@@ -2021,7 +2044,8 @@ mod tests {
     #[test]
     fn router_round_robins_over_active_shards() {
         let (t, _) = table();
-        let server = RingServer::spawn_sharded(t, 4, ShardPolicy::fixed(3), generous()).unwrap();
+        let server =
+            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(3), generous()).unwrap();
         let homes: Vec<usize> = (0..6).map(|_| server.requester().home()).collect();
         assert_eq!(homes, [0, 1, 2, 0, 1, 2]);
     }
@@ -2029,7 +2053,8 @@ mod tests {
     #[test]
     fn affinity_override_pins_and_validates() {
         let (t, sq) = table();
-        let server = RingServer::spawn_sharded(t, 4, ShardPolicy::fixed(2), generous()).unwrap();
+        let server =
+            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(2), generous()).unwrap();
         assert_eq!(server.shards(), 2);
         let r1 = server.requester_on(1).unwrap();
         assert_eq!(r1.home(), 1);
@@ -2104,7 +2129,8 @@ mod tests {
         });
         // 512 slots: the gated call pins its slot until the gate opens, so
         // the 400 calls behind it must fit in one lap.
-        let server = RingServer::spawn_sharded(t, 512, ShardPolicy::fixed(2), generous()).unwrap();
+        let server =
+            RingServer::spawn_sharded(t, 512, ResponderPolicy::fixed(2), generous()).unwrap();
         // Declared after the server, so dropped before it: a failed
         // assertion opens the gate instead of hanging the server's join.
         let gate = OpenOnDrop(open);
@@ -2146,15 +2172,12 @@ mod tests {
     #[test]
     fn parked_shard_residue_is_reaped_by_stealers() {
         let (t, sq) = table();
-        let policy = ShardPolicy {
-            park_after_idle_polls: 64,
-            ..ShardPolicy::elastic(1, 3)
-        };
+        let policy = ResponderPolicy::elastic(1, 3);
         let config = HotCallConfig {
             idle_polls_before_sleep: Some(1_000_000),
             ..generous()
         };
-        let server = RingServer::spawn_sharded(t, 8, policy, config).unwrap();
+        let server = RingServer::spawn_plane(t, 8, 3, policy, eager(64), config).unwrap();
         // Pin to the top shard, then let the governor park it down to one
         // active shard.
         let r = server.requester_on(2).unwrap();
@@ -2177,7 +2200,7 @@ mod tests {
     #[test]
     fn auto_policy_resolves_and_serves() {
         let (t, sq) = table();
-        let server = RingServer::spawn_sharded(t, 4, ShardPolicy::auto(), generous()).unwrap();
+        let server = RingServer::spawn_sharded(t, 4, ResponderPolicy::auto(), generous()).unwrap();
         assert!(server.shards() >= 1);
         let r = server.requester();
         for i in 0..100u64 {
@@ -2194,15 +2217,12 @@ mod tests {
         // top shard against an aggressive governor; every call must
         // complete well inside the deadline.
         let (t, sq) = table();
-        let policy = ShardPolicy {
-            park_after_idle_polls: 16,
-            ..ShardPolicy::elastic(1, 3)
-        };
+        let policy = ResponderPolicy::elastic(1, 3);
         let config = HotCallConfig {
             idle_polls_before_sleep: Some(32),
             ..generous()
         };
-        let server = RingServer::spawn_sharded(t, 4, policy, config).unwrap();
+        let server = RingServer::spawn_plane(t, 4, 3, policy, eager(16), config).unwrap();
         let r = server.requester_on(2).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for i in 0..3_000u64 {
@@ -2222,7 +2242,10 @@ mod tests {
     }
 
     fn fused_always() -> HotCallConfig {
-        HotCallConfig::fused(FusedMode::Always)
+        HotCallConfig {
+            fused_mode: FusedMode::Always,
+            ..HotCallConfig::patient()
+        }
     }
 
     /// `Auto` fusing over responders that doze after `idle` empty polls
@@ -2356,7 +2379,8 @@ mod tests {
         // may still be spinning.
         let (t, sq) = table();
         let server =
-            RingServer::spawn_sharded(t, 4, ShardPolicy::fixed(2), fused_auto(Some(64))).unwrap();
+            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(2), fused_auto(Some(64)))
+                .unwrap();
         let r = server.requester_on(0).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while server.shared.shards[0].doze.sleepers.load(Ordering::SeqCst) == 0 {

@@ -28,11 +28,9 @@
 use std::collections::VecDeque;
 use std::ops::{ControlFlow, Range};
 
-use crate::config::{
-    GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats, ShardPolicy,
-};
+use crate::config::HotCallConfig;
 use crate::error::Result;
-use crate::telemetry::{PlaneProvider, PlaneTelemetry};
+use crate::telemetry::{HotCallStats, PlaneProvider, PlaneTelemetry, RingStats};
 
 use super::arena::{ArenaStats, SgList, SlabArena};
 use super::ring::{RingRequester, RingServer, Ticket};
@@ -80,6 +78,10 @@ impl SgCallTable {
         })
     }
 }
+
+/// Telemetry kind of every [`SgRing`] (a scatter-gather plane is one
+/// ring).
+const PLANE_KIND: &str = "sg-single";
 
 /// A running scatter-gather ring: responder pool + chunk handlers.
 ///
@@ -130,62 +132,15 @@ impl SgRing {
             .map(|server| SgRing { server })
     }
 
-    /// Spawns an adaptive pool governed by `policy` (see
-    /// [`RingServer::spawn_adaptive`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_adaptive`].
-    pub fn spawn_adaptive(
-        table: SgCallTable,
-        capacity: usize,
-        policy: ResponderPolicy,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        RingServer::spawn_adaptive(table.inner, capacity, policy, config)
-            .map(|server| SgRing { server })
-    }
-
-    /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_sharded`].
-    pub fn spawn_sharded(
-        table: SgCallTable,
-        capacity_per_shard: usize,
-        policy: ShardPolicy,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        RingServer::spawn_sharded(table.inner, capacity_per_shard, policy, config)
-            .map(|server| SgRing { server })
-    }
-
     /// A caller handle with its own private arena and reusable stream
-    /// state, pinned to a router-chosen home shard (always shard 0 on a
-    /// single-ring plane).
+    /// state.
     pub fn caller(&self) -> StreamCaller {
         StreamCaller::new(self.server.requester())
     }
 
-    /// A caller pinned to an explicit home shard. On a single-ring plane
-    /// only shard 0 exists.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::HotCallError::InvalidConfig`] if `shard` is out of range.
-    pub fn caller_on(&self, shard: usize) -> Result<StreamCaller> {
-        self.server.requester_on(shard).map(StreamCaller::new)
-    }
-
-    /// Number of responder threads in the pool (active and parked).
+    /// Number of responder threads in the pool.
     pub fn responders(&self) -> usize {
         self.server.responders()
-    }
-
-    /// Number of ring shards (1 for the single-ring plane).
-    pub fn shards(&self) -> usize {
-        self.server.shards()
     }
 
     /// Transport statistics, aggregated over the responder pool.
@@ -193,19 +148,7 @@ impl SgRing {
         self.server.stats()
     }
 
-    /// The governor's current shape and decision counters.
-    pub fn governor_stats(&self) -> GovernorStats {
-        self.server.governor_stats()
-    }
-
-    /// Sets the plane's active responder target (the `ctl` sizer's
-    /// control surface), clamped into the policy's bounds.
-    pub fn set_active(&self, n: usize) -> usize {
-        self.server.set_active(n)
-    }
-
-    /// The full per-shard snapshot. A single-ring plane reports itself as
-    /// one shard.
+    /// The full snapshot: the ring reports itself as one shard.
     pub fn ring_stats(&self) -> RingStats {
         self.server.ring_stats()
     }
@@ -214,7 +157,7 @@ impl SgRing {
     /// so dashboards can tell bandwidth lanes from byte and typed rings.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
         let mut t = self.server.telemetry(name);
-        t.kind = self.plane_kind();
+        t.kind = PLANE_KIND;
         t
     }
 
@@ -222,15 +165,7 @@ impl SgRing {
     /// capturing the plane's shared state so snapshots stay live after
     /// this handle is dropped.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        self.server.telemetry_provider_as(name, self.plane_kind())
-    }
-
-    fn plane_kind(&self) -> &'static str {
-        if self.shards() > 1 {
-            "sg-sharded"
-        } else {
-            "sg-single"
-        }
+        self.server.telemetry_provider_as(name, PLANE_KIND)
     }
 
     /// Stops the responders and joins them.
@@ -470,17 +405,6 @@ impl StreamCaller {
     pub fn stats(&self) -> HotCallStats {
         self.requester.stats()
     }
-
-    /// The governor's current shape and decision counters.
-    pub fn governor_stats(&self) -> GovernorStats {
-        self.requester.governor_stats()
-    }
-
-    /// The home shard this caller's submissions land on (always 0 on a
-    /// single-ring plane).
-    pub fn home_shard(&self) -> usize {
-        self.requester.home()
-    }
 }
 
 #[cfg(test)]
@@ -540,41 +464,35 @@ mod tests {
     #[test]
     fn stream_reassembles_in_order_and_conserves_tickets() {
         let (t, xor, _) = xor_table();
-        let pool = SgRing::spawn_pool(t, 16, 2, HotCallConfig::patient()).unwrap();
-        let (t, _, _) = xor_table();
-        let sharded =
-            SgRing::spawn_sharded(t, 16, ShardPolicy::fixed(2), HotCallConfig::patient()).unwrap();
-        for (ring, shards) in [(pool, 1), (sharded, 2)] {
-            assert_eq!(ring.shards(), shards);
-            let mut caller = ring.caller();
-            caller.set_segment_bytes(8 << 10);
-            let data = pattern(1 << 20);
-            let mut out = vec![0u8; data.len()];
-            let report = caller
-                .stream(
-                    xor,
-                    &data,
-                    DEFAULT_STREAM_WINDOW,
-                    || 64 << 10,
-                    |off, sg| {
-                        let mut piece = Vec::new();
-                        sg.gather_into(&mut piece);
-                        out[off as usize..off as usize + piece.len()].copy_from_slice(&piece);
-                    },
-                )
-                .unwrap();
-            let expect: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
-            assert_eq!(out, expect);
-            assert_eq!(report.chunks, 16);
-            assert_eq!(report.submitted, report.redeemed);
-            assert_eq!(report.bytes_in, 1 << 20);
-            assert_eq!(report.bytes_out, 1 << 20);
-            assert_eq!(report.resizes, 0);
-            assert_eq!(ring.stats().calls, 16);
-            let rs = ring.ring_stats();
-            assert_eq!(rs.shards.len(), shards);
-            assert_eq!(rs.shards.iter().map(|s| s.serviced).sum::<u64>(), 16);
-        }
+        let ring = SgRing::spawn_pool(t, 16, 2, HotCallConfig::patient()).unwrap();
+        let mut caller = ring.caller();
+        caller.set_segment_bytes(8 << 10);
+        let data = pattern(1 << 20);
+        let mut out = vec![0u8; data.len()];
+        let report = caller
+            .stream(
+                xor,
+                &data,
+                DEFAULT_STREAM_WINDOW,
+                || 64 << 10,
+                |off, sg| {
+                    let mut piece = Vec::new();
+                    sg.gather_into(&mut piece);
+                    out[off as usize..off as usize + piece.len()].copy_from_slice(&piece);
+                },
+            )
+            .unwrap();
+        let expect: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
+        assert_eq!(out, expect);
+        assert_eq!(report.chunks, 16);
+        assert_eq!(report.submitted, report.redeemed);
+        assert_eq!(report.bytes_in, 1 << 20);
+        assert_eq!(report.bytes_out, 1 << 20);
+        assert_eq!(report.resizes, 0);
+        assert_eq!(ring.stats().calls, 16);
+        let rs = ring.ring_stats();
+        assert_eq!(rs.shards.len(), 1);
+        assert_eq!(rs.shards[0].serviced, 16);
     }
 
     #[test]
@@ -684,7 +602,5 @@ mod tests {
         assert_eq!(ring.telemetry("bw").kind, "sg-single");
         let provider = ring.telemetry_provider("bw");
         assert_eq!(provider().kind, "sg-single");
-        assert!(ring.caller_on(1).is_err());
-        assert_eq!(ring.caller_on(0).unwrap().home_shard(), 0);
     }
 }

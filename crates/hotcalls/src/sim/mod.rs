@@ -17,9 +17,9 @@ use sgx_sdk::sync::{sim_spin_acquire, sim_spin_release};
 use sgx_sdk::{BufArg, CallArgs, EnclaveCtx};
 use sgx_sim::{Addr, CycleLedger, Cycles, Machine, Placement, Topology};
 
-use crate::config::{HotCallConfig, HotCallStats};
+use crate::config::HotCallConfig;
 use crate::error::Result;
-use crate::telemetry::trace;
+use crate::telemetry::{trace, HotCallStats};
 
 /// Bytes of shared (un-encrypted) memory reserved for marshalled data.
 const SHARED_BYTES: u64 = 1 << 20;

@@ -774,8 +774,8 @@ pub struct PlaneTelemetry {
     /// Plane kind, derived from the shape of the one plane core:
     /// `"sharded"` with more than one shard, else `"pool"` with more than
     /// one responder, else `"single"`. The byte and sg planes tag their
-    /// payload type instead: `"byte-single"` / `"byte-sharded"`,
-    /// `"sg-single"` / `"sg-sharded"` (more than one shard or not).
+    /// payload type instead: `"byte-single"` / `"byte-sharded"` (more
+    /// than one shard or not) and `"sg-single"` (always one shard).
     pub kind: &'static str,
     /// Counter snapshot (totals, governor, per-shard rows).
     pub stats: RingStats,
@@ -1452,5 +1452,39 @@ mod tests {
                 cycles: 60_000,
             }
         );
+    }
+
+    #[test]
+    fn ring_stats_aggregates_over_shards() {
+        let stats = RingStats {
+            shards: vec![
+                ShardStats {
+                    shard: 0,
+                    steals: 3,
+                    steal_hits: 1,
+                    cross_shard_wakes: 2,
+                    ..ShardStats::default()
+                },
+                ShardStats {
+                    shard: 1,
+                    steals: 4,
+                    steal_hits: 2,
+                    ..ShardStats::default()
+                },
+            ],
+            ..RingStats::default()
+        };
+        assert_eq!(stats.steals(), 7);
+        assert_eq!(stats.steal_hits(), 3);
+        assert_eq!(stats.cross_shard_wakes(), 2);
+    }
+
+    #[test]
+    fn utilization_bounds() {
+        let mut s = HotCallStats::default();
+        assert_eq!(s.utilization(), 0.0);
+        s.busy_polls = 25;
+        s.idle_polls = 75;
+        assert!((s.utilization() - 0.25).abs() < 1e-12);
     }
 }

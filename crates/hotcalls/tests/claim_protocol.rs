@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
-use hotcalls::{HotCallConfig, ShardPolicy, TELEMETRY_ENABLED};
+use hotcalls::{HotCallConfig, ResponderPolicy, TELEMETRY_ENABLED};
 
 /// A handler argument that parks its responder until the gate is opened.
 /// `entered` tells the test the responder is inside, which is what forces
@@ -81,7 +81,7 @@ const POOL: Plane = |table, responders, capacity| {
     RingServer::spawn_pool(table, capacity, responders, HotCallConfig::patient()).unwrap()
 };
 const SHARDED: Plane = |table, responders, capacity| {
-    let policy = ShardPolicy::fixed(responders);
+    let policy = ResponderPolicy::fixed(responders);
     RingServer::spawn_sharded(table, capacity, policy, HotCallConfig::patient()).unwrap()
 };
 

@@ -23,7 +23,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
-use hotcalls::{FusedMode, HotCallConfig, ResponderPolicy, ShardPolicy, TelemetryRegistry};
+use hotcalls::{FusedMode, HotCallConfig, ResponderPolicy, TelemetryRegistry};
 
 type Server = RingServer<u64, u64>;
 type Requester = RingRequester<u64, u64>;
@@ -186,7 +186,7 @@ fn four_shards_outrun_one_ring_at_four_requesters() {
         let server = RingServer::spawn_sharded(
             table(Duration::from_micros(200)),
             RING_CAPACITY,
-            ShardPolicy::fixed(shards),
+            ResponderPolicy::fixed(shards),
             pool_config(FusedMode::Off),
         )
         .unwrap();
@@ -254,7 +254,7 @@ fn phase_workload(fused: FusedMode) -> Phases {
     let server = RingServer::spawn_sharded(
         table(Duration::from_micros(100)),
         RING_CAPACITY,
-        ShardPolicy::elastic(1, 4),
+        ResponderPolicy::elastic(1, 4),
         pool_config(fused),
     )
     .unwrap();

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use hotcalls::rt::{CallTable, RingServer};
-use hotcalls::{FusedMode, HotCallConfig, ShardPolicy};
+use hotcalls::{FusedMode, HotCallConfig, ResponderPolicy};
 
 const MAGIC: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -76,7 +76,7 @@ proptest! {
         let server = RingServer::spawn_sharded(
             shard_table(),
             capacity,
-            ShardPolicy::fixed(shards),
+            ResponderPolicy::fixed(shards),
             config,
         )
         .unwrap();
@@ -201,7 +201,7 @@ proptest! {
         let server = RingServer::spawn_sharded(
             shard_table(),
             capacity,
-            ShardPolicy::fixed(shards),
+            ResponderPolicy::fixed(shards),
             config,
         )
         .unwrap();
@@ -312,7 +312,7 @@ fn busy_neighbor_shard_does_not_starve_home_calls() {
         idle_polls_before_sleep: Some(256),
         ..HotCallConfig::patient()
     };
-    let server = RingServer::spawn_sharded(table, 8, ShardPolicy::fixed(2), config).unwrap();
+    let server = RingServer::spawn_sharded(table, 8, ResponderPolicy::fixed(2), config).unwrap();
 
     let home = server.requester_on(0).unwrap();
     let neighbor = server.requester_on(1).unwrap();

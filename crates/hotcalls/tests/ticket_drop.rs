@@ -10,7 +10,7 @@
 //! the plane still serves sync traffic at full capacity.
 
 use hotcalls::rt::{CallTable, RingServer};
-use hotcalls::{HotCallConfig, ShardPolicy};
+use hotcalls::{HotCallConfig, ResponderPolicy};
 
 /// Spin-only config so a test failure is a fast spin, not a parked doze.
 fn spin_config() -> HotCallConfig {
@@ -65,7 +65,8 @@ fn ring_interleaved_drops_and_waits_stay_correct() {
 fn shard_dropped_ticket_releases_its_slot() {
     let (table, id) = table();
     let server =
-        RingServer::spawn_sharded(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
+        RingServer::spawn_sharded(table, CAPACITY, ResponderPolicy::fixed(2), spin_config())
+            .unwrap();
     let r = server.requester();
     for i in 0..DROPS as u64 {
         let ticket = r.submit(id, i).unwrap();
@@ -81,7 +82,8 @@ fn shard_dropped_ticket_releases_its_slot() {
 fn shard_interleaved_drops_and_waits_stay_correct() {
     let (table, id) = table();
     let server =
-        RingServer::spawn_sharded(table, CAPACITY, ShardPolicy::fixed(2), spin_config()).unwrap();
+        RingServer::spawn_sharded(table, CAPACITY, ResponderPolicy::fixed(2), spin_config())
+            .unwrap();
     let r = server.requester();
     for round in 0..DROPS as u64 {
         let dropped = r.submit(id, 1_000 + round).unwrap();

@@ -23,7 +23,7 @@ pub enum Replacement {
 }
 
 /// Fully-associative cache of tree-node identities: one set of the
-/// hierarchy's tag store, with nodes packed into line numbers by [`key`].
+/// hierarchy's tag store, with nodes packed into line numbers by `key`.
 #[derive(Debug, Clone)]
 pub struct MeeCache {
     nodes: SetAssocCache,

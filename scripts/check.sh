@@ -21,6 +21,12 @@ cargo clippy --all-targets --workspace -- -D warnings
 echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings"
 cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings
 
+# Rustdoc over the first-party packages (the vendored stand-ins are not
+# ours to lint): a doc link to a deleted or private item fails the gate.
+echo "==> cargo doc --no-deps (first-party packages) with -D warnings"
+RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
+    -p hotcalls-repro -p sgx-sim -p sgx-sdk -p hotcalls -p apps -p workloads -p bench
+
 # The ctl property tests assert router dynamics that telemetry-off
 # deliberately removes; this run proves they degrade to a clean no-op
 # instead of failing the frozen router.
