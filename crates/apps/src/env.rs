@@ -16,7 +16,7 @@ use std::sync::Arc;
 use hotcalls::ctl::{ApiId, CtlTelemetry, Transport};
 use hotcalls::rt::{ArenaStats, ByteBundle, ByteCallTable, ByteCaller, ByteRing};
 use hotcalls::sim::SimHotCalls;
-use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneProvider, PlaneTelemetry};
+use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneTelemetry};
 use hotcalls::{
     Controller, CtlStats, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats,
 };
@@ -261,10 +261,6 @@ impl RtPool {
         Ok(produced)
     }
 
-    fn stats(&self) -> HotCallStats {
-        self.server.stats()
-    }
-
     /// Arena counters summed over every lane (each lane owns a private
     /// arena).
     fn arena_stats(&self) -> ArenaStats {
@@ -277,14 +273,6 @@ impl RtPool {
             total.stale_recycles += s.stale_recycles;
         }
         total
-    }
-
-    fn governor_stats(&self) -> GovernorStats {
-        self.server.governor_stats()
-    }
-
-    fn ring_stats(&self) -> RingStats {
-        self.server.ring_stats()
     }
 }
 
@@ -536,76 +524,68 @@ impl AppEnv {
                 }
                 Ok(())
             }
-            IfaceMode::Sdk => {
-                let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-                ctx.ocall(&mut self.machine, name, bufs, |_, m, _| {
-                    m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
-                    Ok(())
-                })?;
-                Ok(())
-            }
+            IfaceMode::Sdk => self.sdk_ocall(name, bufs, os_cost),
             IfaceMode::HotCalls | IfaceMode::HotCallsNrz => {
-                // Zero-config transport: ask the break-even router where
-                // this call goes before touching the plane.
-                if let Some(ctl) = &self.ctl {
+                // Under the Auto transport the break-even router picks the
+                // road: `Sdk` takes the plain ocall (no ring traffic, no
+                // responder standby — the loss side for rare calls), and
+                // the call's measured cost feeds back into the router.
+                let routed = self.ctl.as_ref().map(|ctl| {
                     let api = ctl.id_of(name);
-                    let route = ctl.controller.route(api);
-                    return self.api_call_routed(name, bufs, os_cost, api, route);
+                    (api, ctl.controller.route(api))
+                });
+                let route = routed.map_or(Transport::Hot, |(_, route)| route);
+                let t0 = self.machine.now();
+                if route == Transport::Sdk {
+                    self.sdk_ocall(name, bufs, os_cost)?;
+                } else {
+                    self.hot_ocall(name, bufs, os_cost)?;
                 }
-                // The real data plane: stage the callee-bound bytes into an
-                // arena-backed buffer, submit it into the pooled ring, and
-                // let an "On Call" responder write the caller-bound bytes
-                // back into the same buffer.
-                let (in_bytes, out_bytes) = self.payload_bytes(name, bufs)?;
-                let rt = self.rt.as_mut().expect("hot mode has rt pool");
-                let produced = rt.call(name, in_bytes, out_bytes)?;
-                debug_assert_eq!(produced, out_bytes, "responder fills the out request");
-                // The cycle model: charge the paper's HotCall cost.
-                let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-                let hot = self.hot.as_mut().expect("hot mode has channel");
-                hot.hot_ocall(&mut self.machine, ctx, name, bufs, |_, m, _| {
-                    m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
-                    Ok(())
-                })?;
+                if let Some((api, _)) = routed {
+                    let cycles = (self.machine.now() - t0).get();
+                    self.ctl_observe(api, route, cycles);
+                }
                 Ok(())
             }
         }
     }
 
-    /// One call under the Auto transport, on the transport the router
-    /// chose: `Sdk` takes the plain ocall path (no ring traffic, no
-    /// responder standby — the break-even loss side for rare calls),
-    /// anything else rides the switchless plane. Either way the call's
-    /// measured virtual-cycle cost feeds back into the router.
-    fn api_call_routed(
+    /// One full SDK ocall around the OS work.
+    fn sdk_ocall(&mut self, name: &'static str, bufs: &[BufArg], os_cost: u64) -> Result<()> {
+        let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
+        ctx.ocall(&mut self.machine, name, bufs, |_, m, _| {
+            m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
+            Ok(())
+        })?;
+        Ok(())
+    }
+
+    /// One switchless call. The real data plane first: stage the
+    /// callee-bound bytes into an arena-backed buffer, submit it into the
+    /// pooled ring, and let an "On Call" responder write the caller-bound
+    /// bytes back into the same buffer. Then the cycle model.
+    fn hot_ocall(&mut self, name: &'static str, bufs: &[BufArg], os_cost: u64) -> Result<()> {
+        let (in_bytes, out_bytes) = self.payload_bytes(name, bufs)?;
+        let rt = self.rt.as_mut().expect("hot mode has rt pool");
+        let produced = rt.call(name, in_bytes, out_bytes)?;
+        debug_assert_eq!(produced, out_bytes, "responder fills the out request");
+        self.charge_hot_ocall(name, bufs, os_cost)
+    }
+
+    /// The cycle model of one switchless call: the paper's HotCall cost
+    /// around the OS work.
+    fn charge_hot_ocall(
         &mut self,
         name: &'static str,
         bufs: &[BufArg],
         os_cost: u64,
-        api: ApiId,
-        route: Transport,
     ) -> Result<()> {
-        let t0 = self.machine.now();
-        if route == Transport::Sdk {
-            let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-            ctx.ocall(&mut self.machine, name, bufs, |_, m, _| {
-                m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
-                Ok(())
-            })?;
-        } else {
-            let (in_bytes, out_bytes) = self.payload_bytes(name, bufs)?;
-            let rt = self.rt.as_mut().expect("hot mode has rt pool");
-            let produced = rt.call(name, in_bytes, out_bytes)?;
-            debug_assert_eq!(produced, out_bytes, "responder fills the out request");
-            let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-            let hot = self.hot.as_mut().expect("hot mode has channel");
-            hot.hot_ocall(&mut self.machine, ctx, name, bufs, |_, m, _| {
-                m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
-                Ok(())
-            })?;
-        }
-        let cycles = (self.machine.now() - t0).get();
-        self.ctl_observe(api, route, cycles);
+        let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
+        let hot = self.hot.as_mut().expect("hot mode has channel");
+        hot.hot_ocall(&mut self.machine, ctx, name, bufs, |_, m, _| {
+            m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
+            Ok(())
+        })?;
         Ok(())
     }
 
@@ -619,7 +599,7 @@ impl AppEnv {
         ctl.observed += 1;
         if ctl.observed.is_multiple_of(CTL_TICK_EVERY) {
             if let Some(rt) = &self.rt {
-                let decision = ctl.controller.tick(&rt.ring_stats());
+                let decision = ctl.controller.tick(&rt.server.ring_stats());
                 if let Some(n) = decision.responders {
                     rt.server.set_active(n);
                 }
@@ -670,11 +650,7 @@ impl AppEnv {
         }
         if !matches!(self.mode, IfaceMode::HotCalls | IfaceMode::HotCallsNrz) {
             for (name, buf) in calls {
-                let bufs: &[BufArg] = match buf {
-                    Some(b) => core::slice::from_ref(b),
-                    None => &[],
-                };
-                self.api_call(name, bufs)?;
+                self.api_call(name, buf.as_slice())?;
             }
             return Ok(());
         }
@@ -683,11 +659,7 @@ impl AppEnv {
         let mut staged = Vec::with_capacity(calls.len());
         for (name, buf) in calls {
             *self.api_counts.entry(name).or_insert(0) += 1;
-            let bufs: &[BufArg] = match buf {
-                Some(b) => core::slice::from_ref(b),
-                None => &[],
-            };
-            let (in_bytes, out_bytes) = self.payload_bytes(name, bufs)?;
+            let (in_bytes, out_bytes) = self.payload_bytes(name, buf.as_slice())?;
             staged.push((*name, in_bytes, out_bytes));
         }
         let t0 = self.machine.now();
@@ -707,16 +679,7 @@ impl AppEnv {
         // bundling amortizes the transport, not the simulated OS work.
         for (name, buf) in calls {
             let os_cost = self.api_costs.get(name).copied().unwrap_or(300);
-            let bufs: &[BufArg] = match buf {
-                Some(b) => core::slice::from_ref(b),
-                None => &[],
-            };
-            let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-            let hot = self.hot.as_mut().expect("hot mode has channel");
-            hot.hot_ocall(&mut self.machine, ctx, name, bufs, |_, m, _| {
-                m.charge(Cycles::new(SYSCALL_TRAP + os_cost));
-                Ok(())
-            })?;
+            self.charge_hot_ocall(name, buf.as_slice(), os_cost)?;
         }
         // Feed the batch back as per-call Bundled costs so the router's
         // telemetry covers the bundled transport too (the amortized share
@@ -844,7 +807,7 @@ impl AppEnv {
     /// calls carried, responder wakeups, utilization. `None` for modes
     /// that have no switchless channel.
     pub fn rt_stats(&self) -> Option<HotCallStats> {
-        self.rt.as_ref().map(RtPool::stats)
+        self.rt.as_ref().map(|rt| rt.server.stats())
     }
 
     /// Buffer-arena counters of the real transport (HotCalls modes only):
@@ -858,7 +821,7 @@ impl AppEnv {
     /// only): active/parked responders and park/wake decisions. `None`
     /// for modes that have no switchless channel.
     pub fn governor_stats(&self) -> Option<GovernorStats> {
-        self.rt.as_ref().map(RtPool::governor_stats)
+        self.rt.as_ref().map(|rt| rt.server.governor_stats())
     }
 
     /// Per-shard statistics of the real transport's sharded data plane
@@ -866,7 +829,7 @@ impl AppEnv {
     /// cross-shard wakes, park state. `None` for modes that have no
     /// switchless channel.
     pub fn rt_ring_stats(&self) -> Option<RingStats> {
-        self.rt.as_ref().map(RtPool::ring_stats)
+        self.rt.as_ref().map(|rt| rt.server.ring_stats())
     }
 
     /// Routes the calls that follow onto `conn`'s home lane of the
@@ -975,14 +938,6 @@ impl AppEnv {
     /// per-lane queue/service histograms, reap latency, shard counters.
     pub fn rt_telemetry(&self, name: &str) -> Option<PlaneTelemetry> {
         self.rt.as_ref().map(|rt| rt.server.telemetry(name))
-    }
-
-    /// A provider for [`hotcalls::TelemetryRegistry::register_plane`]
-    /// backed by the transport's live shared state (HotCalls modes only).
-    pub fn rt_telemetry_provider(&self, name: impl Into<String>) -> Option<PlaneProvider> {
-        self.rt
-            .as_ref()
-            .map(|rt| rt.server.telemetry_provider(name))
     }
 
     /// Decision counters of the zero-config control loop — route flips,
@@ -1328,7 +1283,6 @@ mod tests {
             assert_eq!(t.reap.count(), 8);
         }
         assert!(env(IfaceMode::Native).rt_telemetry("x").is_none());
-        assert!(env(IfaceMode::Sdk).rt_telemetry_provider("x").is_none());
     }
 
     #[test]

@@ -411,7 +411,7 @@ impl SecureStore {
 
     /// Ingests `data` as object `name`: streams it through the enclave
     /// cipher in pipelined chunks of `chunk_bytes()` bytes (re-read per
-    /// chunk — wire it to [`hotcalls::Controller::chunk_bytes`] for
+    /// chunk — wire it to [`hotcalls::ChunkSizer::chunk_bytes`] for
     /// EPC-aware sizing) under a credit window of `window`, dedup-indexes
     /// its content blocks in the stream's pre-submit gate — each chunk's
     /// blocks are fingerprinted while the responder encrypts the chunks

@@ -5,7 +5,8 @@
 //! 8,200+-cycle SDK crossing vs a ~620-cycle HotCall); the Configless line
 //! of work (PAPERS.md) argues the choice should be made per call site from
 //! the runtime's own telemetry. An [`AppEnv`] on the Auto transport runs a
-//! dense API next to a rare one: the router must demote the rare call to
+//! dense API next to a rare one, on the router's built-in constants
+//! (nothing here configures it): the router must demote the rare call to
 //! the SDK path (its standby tax outweighs the switchless saving), keep
 //! the dense call switchless, and promote the rare call back when it turns
 //! dense — and every decision must be visible where operators look, in
@@ -33,7 +34,8 @@ fn route_of(t: &CtlTelemetry, api: &str) -> String {
 /// standby tax dwarfs the SDK crossing. Then `clock_gettime` turns dense.
 /// The walk is the same at every scale: the rare arm's SDK side accrues
 /// samples only through exploration probes (~every 128 of its own
-/// routings), so the loop count is what buys it past `min_samples`.
+/// routings), so the loop count is what buys it past the eight samples a
+/// transport needs before the router trusts it.
 pub fn ablation_ctl(_scale: Scale) -> Outcome {
     let apis = vec![
         ApiDecl::plain("getpid", 80),

@@ -11,16 +11,18 @@
 //!   hold at least 2× the SDK bandwidth at every size.
 //! * **Cliff chunking** — a `workloads::stress::cliff_ramp` object stream
 //!   is ingested under static chunk sizes and under the EPC-aware
-//!   [`hotcalls::Controller`] chunker, whose watermark on paging cycles
-//!   per streamed byte shrinks the chunk when the enclave-side footprint
+//!   [`hotcalls::ChunkSizer`], whose watermark on paging cycles per
+//!   streamed byte shrinks the chunk when the enclave-side footprint
 //!   (windowed staging + resident dedup index) crosses the EPC. The
 //!   adaptive chunker must hold at least 0.9× the best static chunk.
 //!
 //! Under smoke the modelled EPC shrinks and every size of the experiment
 //! shrinks with it (see `Geometry`), so both sections still cross it.
 
+use std::cell::RefCell;
+
 use hotcalls::sim::SimHotCalls;
-use hotcalls::{ChunkPolicy, Controller, HotCallConfig};
+use hotcalls::{ChunkSizer, HotCallConfig};
 use sgx_sdk::edl::{parse_edl, Direction};
 use sgx_sdk::marshal::{stage_sg, unstage, CallerSide, StagingArea};
 use sgx_sdk::memops::sdk_memcpy;
@@ -64,7 +66,8 @@ struct Geometry {
     /// 8 × 256 KiB does not.
     cliff_index: u64,
     /// The largest chunk the cliff experiment issues (static grid top and
-    /// the adaptive policy's bound); the smallest is a sixteenth of it.
+    /// where the adaptive sizer starts); the smallest is a sixteenth of
+    /// it.
     cliff_max_chunk: u64,
 }
 
@@ -246,8 +249,7 @@ impl CliffRun {
 /// the given chunk policy: every chunk is staged vectored into secure
 /// memory (windowed slots), handed off switchlessly, and dedup-probed
 /// once per 4 KiB content block. `observe` sees each chunk's paging-cycle
-/// bill, which is what the adaptive policy feeds to
-/// [`Controller::observe_paging`].
+/// bill, which is what the adaptive run feeds to [`ChunkSizer::observe`].
 fn cliff_run(
     g: Geometry,
     rounds: usize,
@@ -398,40 +400,30 @@ pub fn ablation_storage(scale: Scale) -> Outcome {
         );
         statics.push(run.mib_s());
     }
-    // The EPC-aware policy: start greedy at the bound, ratchet down when
-    // paging cost per byte crosses the watermark, and hold whatever the
-    // EPC tolerates (no grow-back, so a probed cliff is never re-entered).
-    // The cooldown lets the post-shrink refault transient drain instead
-    // of reading it as a still-too-big chunk.
-    let ctl = Controller::auto()
-        .with_chunker(ChunkPolicy {
-            min_chunk: (g.cliff_max_chunk / 16) as usize,
-            max_chunk: g.cliff_max_chunk as usize,
-            start_chunk: g.cliff_max_chunk as usize,
-            shrink_above: 0.5,
-            grow_below: 0.0,
-            cooldown_ticks: 2,
-        })
-        .expect("valid chunk policy");
+    // The EPC-aware sizer: start greedy at the bound, ratchet down while
+    // paging cost per byte stays over its watermark, and hold whatever
+    // the EPC tolerates (no grow-back, so a probed cliff is never
+    // re-entered).
+    let sizer =
+        RefCell::new(ChunkSizer::new(g.cliff_max_chunk as usize).expect("positive max chunk"));
     let adaptive = cliff_run(
         g,
         rounds,
-        || ctl.chunk_bytes() as u64,
+        || sizer.borrow().chunk_bytes() as u64,
         |paging, bytes| {
-            ctl.observe_paging(paging, bytes);
+            sizer.borrow_mut().observe(paging, bytes);
         },
     );
-    let ctl_stats = ctl.stats();
+    let sizer = sizer.into_inner();
     say!(
         out,
-        "{:>14} {:>12.1} {:>12.1} {:>10.0}   ({} shrinks, {} grows, settled at {} KiB)",
+        "{:>14} {:>12.1} {:>12.1} {:>10.0}   ({} shrinks, settled at {} KiB)",
         "adaptive",
         adaptive.bytes as f64 / (1 << 20) as f64,
         adaptive.cycles as f64 / 1e6,
         adaptive.mib_s(),
-        ctl_stats.chunk_shrinks,
-        ctl_stats.chunk_grows,
-        ctl.chunk_bytes() >> 10,
+        sizer.shrinks(),
+        sizer.chunk_bytes() >> 10,
     );
     let best = statics.iter().copied().fold(0.0f64, f64::max);
     let worst = statics.iter().copied().fold(f64::INFINITY, f64::min);
@@ -443,10 +435,10 @@ pub fn ablation_storage(scale: Scale) -> Outcome {
         ),
     );
     out.check(
-        ctl_stats.chunk_shrinks > 0,
+        sizer.shrinks() > 0,
         format!(
             "the adaptive chunker shrank across the cliff ({} shrinks)",
-            ctl_stats.chunk_shrinks
+            sizer.shrinks()
         ),
     );
     out.check(

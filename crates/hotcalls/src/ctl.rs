@@ -11,7 +11,7 @@
 //!
 //! * [`ApiRouter`] — measures each API's observed cycles/call under the
 //!   transports it may ride ([`Transport::Sdk`], [`Transport::Hot`],
-//!   [`Transport::Bundled`], [`Transport::Fused`]) and routes each call
+//!   [`Transport::Bundled`]) and routes each call
 //!   site to whichever side of its measured break-even it sits on. The
 //!   paper's break-even argument is priced directly into the score: every
 //!   switchless transport pays a *standby tax* proportional to the API's
@@ -29,7 +29,13 @@
 //! stable routing table with a bounded number of flips — and **observable**:
 //! every decision bumps a [`CtlStats`] counter, emits a `ctl_*` trace
 //! event, and is exported as `hotcalls_ctl_*` Prometheus lines through the
-//! telemetry snapshot's `ctl` section.
+//! telemetry snapshot's `ctl` section. Nothing configures either half:
+//! their time constants are the private constants below.
+//!
+//! [`ChunkSizer`] stands apart from the [`Controller`]: a one-way ratchet
+//! that halves a streaming chunk while the EPC's paging bill per streamed
+//! byte stays high. Its input is the enclave's paging counters, not this
+//! crate's telemetry, so it adapts in every build.
 //!
 //! Under the `telemetry-off` feature the cycle feeds the router needs are
 //! compiled out; the controller still compiles and [`ApiRouter::route`]
@@ -59,18 +65,11 @@ pub enum Transport {
     /// Calls packed into bundles of the sizer's flush threshold — one
     /// slot claim and one dispatch per bundle.
     Bundled = 2,
-    /// Requester-inline run-to-completion (the fused fast path).
-    Fused = 3,
 }
 
 impl Transport {
     /// Every transport, in enum order.
-    pub const ALL: [Transport; 4] = [
-        Transport::Sdk,
-        Transport::Hot,
-        Transport::Bundled,
-        Transport::Fused,
-    ];
+    pub const ALL: [Transport; 3] = [Transport::Sdk, Transport::Hot, Transport::Bundled];
 
     /// Census/Prometheus label.
     pub fn label(&self) -> &'static str {
@@ -78,203 +77,84 @@ impl Transport {
             Transport::Sdk => "sdk",
             Transport::Hot => "hot",
             Transport::Bundled => "bundled",
-            Transport::Fused => "fused",
         }
     }
 
+    /// Inverse of `as u8`; the slot stores nothing else.
     fn from_u8(v: u8) -> Transport {
-        Transport::ALL[v as usize & 3]
+        Transport::ALL[usize::from(v)]
     }
 }
 
-/// Tuning of the per-API router's decision rule. [`CtlPolicy::auto`] is
-/// the zero-config shape; every field exists so tests can compress the
-/// controller's time constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CtlPolicy {
-    /// Observations a transport needs before its estimate is trusted in a
-    /// routing decision.
-    pub min_samples: u64,
-    /// A challenger transport must beat the incumbent's score by this
-    /// factor to win a flip (hysteresis: 1.0 flips on any delta and
-    /// oscillates on noise).
-    pub flip_margin: f64,
-    /// Routing decisions are evaluated every this many observations of an
-    /// API (decisions off the hot path).
-    pub decide_every: u64,
-    /// Minimum observations between two flips of the same API — the
-    /// bounded-flip-rate guarantee.
-    pub cooldown: u64,
-    /// Every this many calls, one call is routed over a non-current
-    /// transport so estimates of the roads not taken stay fresh. Zero
-    /// disables exploration (estimates freeze at their priors).
-    pub explore_every: u64,
-    /// EWMA smoothing factor for cycles/call and inter-arrival estimates,
-    /// in `(0, 1]` (1.0 = last sample wins).
-    pub ewma_alpha: f64,
-    /// The standby tax: the fraction of an API's inter-arrival gap charged
-    /// to every switchless transport's score, pricing the responder core
-    /// the transport keeps on call. The break-even this induces is the
-    /// paper's: switchless wins iff `sdk - hot > standby_fraction x
-    /// inter-arrival`, i.e. iff the call rate is high enough to pay for
-    /// the standing core.
-    pub standby_fraction: f64,
-}
+/// Observations a transport needs before its estimate is trusted in a
+/// routing decision.
+const MIN_SAMPLES: u64 = 8;
+/// A challenger transport must beat the incumbent's score by this factor
+/// to win a flip (hysteresis: 1.0 flips on any delta and oscillates on
+/// noise).
+const FLIP_MARGIN: f64 = 1.15;
+/// Routing decisions are evaluated every this many observations of an API
+/// (decisions off the hot path).
+const DECIDE_EVERY: u64 = 32;
+/// Minimum observations between two flips of the same API — the
+/// bounded-flip-rate guarantee.
+const COOLDOWN: u64 = 128;
+/// Every this many calls, one call is routed over a non-current transport
+/// so estimates of the roads not taken stay fresh.
+const EXPLORE_EVERY: u64 = 64;
+/// EWMA smoothing factor for cycles/call and inter-arrival estimates.
+const EWMA_ALPHA: f64 = 0.125;
+/// The standby tax: the fraction of an API's inter-arrival gap charged to
+/// every switchless transport's score, pricing the responder core the
+/// transport keeps on call. The break-even this induces is the paper's:
+/// switchless wins iff `sdk - hot > STANDBY_FRACTION x inter-arrival`,
+/// i.e. iff the call rate is high enough to pay for the standing core.
+const STANDBY_FRACTION: f64 = 0.05;
 
-impl Default for CtlPolicy {
-    fn default() -> Self {
-        CtlPolicy {
-            min_samples: 8,
-            flip_margin: 1.15,
-            decide_every: 32,
-            cooldown: 128,
-            explore_every: 64,
-            ewma_alpha: 0.125,
-            standby_fraction: 0.05,
-        }
-    }
-}
+/// Paging cycles per streamed byte above which the chunk sizer halves the
+/// chunk.
+const CHUNK_SHRINK_ABOVE: f64 = 0.5;
+/// The chunk sizer's floor is the max chunk divided by this.
+const CHUNK_FLOOR_DIVISOR: usize = 16;
+/// Windows the chunk sizer holds still after a move: the paging counters
+/// need a window at the new size (the post-shrink refault transient has
+/// to drain) before they mean anything.
+const CHUNK_HOLD_WINDOWS: u32 = 2;
 
-impl CtlPolicy {
-    /// The zero-config policy (the defaults).
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// Rejects contradictory knob combinations before a controller starts
-    /// acting on them.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] on a non-positive margin or alpha,
-    /// an alpha above 1, or a zero decision period.
-    pub fn validate(&self) -> Result<()> {
-        if self.flip_margin < 1.0 {
-            return Err(HotCallError::InvalidConfig(
-                "ctl flip margin below 1.0 would flip toward worse transports",
-            ));
-        }
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(HotCallError::InvalidConfig(
-                "ctl ewma alpha must be in (0, 1]",
-            ));
-        }
-        if self.decide_every == 0 {
-            return Err(HotCallError::InvalidConfig(
-                "ctl decide_every must be positive",
-            ));
-        }
-        if self.standby_fraction < 0.0 {
-            return Err(HotCallError::InvalidConfig(
-                "ctl standby fraction must not be negative",
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Tuning of the EPC-aware streaming chunk sizer. The rule is the
-/// bandwidth analog of the router's break-even: a streamed chunk that
+/// The EPC-aware streaming chunk sizer, a one-way ratchet. The rule is
+/// the bandwidth analog of the router's break-even: a streamed chunk that
 /// fits the resident EPC costs only its marshalling, while one that
 /// pushes the enclave's working set past the paging cliff pays EWB/ELDU
-/// per byte. The sizer watches *paging cycles per streamed byte* and
-/// halves the chunk when the rate crosses [`ChunkPolicy::shrink_above`]
-/// (smaller chunks keep the enclave-side working set resident), doubling
-/// back once the rate falls under [`ChunkPolicy::grow_below`] (bigger
-/// chunks amortize per-chunk call overhead).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChunkPolicy {
-    /// Smallest chunk the sizer will issue — one EPC page, the paging
-    /// granularity below which shrinking cannot help.
-    pub min_chunk: usize,
-    /// Largest chunk (per-chunk call overhead is fully amortized well
-    /// before this).
-    pub max_chunk: usize,
-    /// Where a stream starts before any paging feedback exists.
-    pub start_chunk: usize,
-    /// Paging cycles per streamed byte above which the chunk halves.
-    pub shrink_above: f64,
-    /// Paging cycles per streamed byte below which the chunk doubles.
-    pub grow_below: f64,
-    /// Observations to hold still after a resize (the paging counters
-    /// need a window at the new size before they mean anything).
-    pub cooldown_ticks: u32,
-}
-
-impl Default for ChunkPolicy {
-    fn default() -> Self {
-        ChunkPolicy {
-            min_chunk: 4 << 10,
-            max_chunk: 4 << 20,
-            start_chunk: 256 << 10,
-            shrink_above: 1.0,
-            grow_below: 0.125,
-            cooldown_ticks: 1,
-        }
-    }
-}
-
-impl ChunkPolicy {
-    /// The zero-config policy (the defaults).
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// Rejects contradictory knob combinations.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] when the bounds are empty, the
-    /// start chunk falls outside them, or the watermarks cross.
-    pub fn validate(&self) -> Result<()> {
-        if self.min_chunk == 0 || self.max_chunk < self.min_chunk {
-            return Err(HotCallError::InvalidConfig(
-                "chunk bounds must satisfy 1 <= min <= max",
-            ));
-        }
-        if self.start_chunk < self.min_chunk || self.start_chunk > self.max_chunk {
-            return Err(HotCallError::InvalidConfig(
-                "chunk start must sit inside the bounds",
-            ));
-        }
-        if self.grow_below >= self.shrink_above {
-            return Err(HotCallError::InvalidConfig(
-                "chunk grow watermark must sit below the shrink watermark",
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The online chunk sizer: fed each chunk's paging-cycle delta and byte
-/// count, it moves the next chunk size by powers of two inside the
-/// policy bounds. Single-owner by design; the [`Controller`] wraps it in
-/// a mutex for shared use.
+/// per byte. Fed each window's paging-cycle bill and byte count, the
+/// sizer starts at the max chunk and halves it while the bill exceeds
+/// 0.5 cycles per streamed byte, down to a floor of a sixteenth of the
+/// max, holding two windows after each move. It never grows: a probed
+/// cliff is never re-entered.
 #[derive(Debug)]
 pub struct ChunkSizer {
-    policy: ChunkPolicy,
     chunk: usize,
-    cooldown: u32,
-    observes: u64,
+    floor: usize,
+    hold: u32,
     shrinks: u64,
-    grows: u64,
 }
 
 impl ChunkSizer {
-    /// A sizer under `policy`, starting at [`ChunkPolicy::start_chunk`].
+    /// A sizer starting at `max_chunk` bytes.
     ///
     /// # Errors
     ///
-    /// As [`ChunkPolicy::validate`].
-    pub fn new(policy: ChunkPolicy) -> Result<Self> {
-        policy.validate()?;
+    /// [`HotCallError::InvalidConfig`] for a zero `max_chunk`.
+    pub fn new(max_chunk: usize) -> Result<Self> {
+        if max_chunk == 0 {
+            return Err(HotCallError::InvalidConfig(
+                "chunk sizer needs a positive max chunk",
+            ));
+        }
         Ok(ChunkSizer {
-            policy,
-            chunk: policy.start_chunk,
-            cooldown: 0,
-            observes: 0,
+            chunk: max_chunk,
+            floor: (max_chunk / CHUNK_FLOOR_DIVISOR).max(1),
+            hold: 0,
             shrinks: 0,
-            grows: 0,
         })
     }
 
@@ -283,33 +163,31 @@ impl ChunkSizer {
         self.chunk
     }
 
+    /// Halvings so far.
+    pub fn shrinks(&self) -> u64 {
+        self.shrinks
+    }
+
     /// Reports one streamed window: `paging_cycles` charged by the EPC
-    /// while `bytes` moved. Returns the new chunk size if the observation
-    /// crossed a watermark, `None` on hold. Zero-byte windows are
-    /// ignored (no rate to read).
+    /// while `bytes` moved. Returns the new chunk size if the window
+    /// halved it, `None` otherwise. Zero-byte windows are ignored (no
+    /// rate to read) and do not count toward a hold.
     pub fn observe(&mut self, paging_cycles: u64, bytes: u64) -> Option<usize> {
         if bytes == 0 {
             return None;
         }
-        self.observes += 1;
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
+        if self.hold > 0 {
+            self.hold -= 1;
             return None;
         }
-        let rate = paging_cycles as f64 / bytes as f64;
-        if rate > self.policy.shrink_above && self.chunk > self.policy.min_chunk {
-            self.chunk = (self.chunk / 2).max(self.policy.min_chunk);
-            self.shrinks += 1;
-            self.cooldown = self.policy.cooldown_ticks;
-            Some(self.chunk)
-        } else if rate < self.policy.grow_below && self.chunk < self.policy.max_chunk {
-            self.chunk = (self.chunk * 2).min(self.policy.max_chunk);
-            self.grows += 1;
-            self.cooldown = self.policy.cooldown_ticks;
-            Some(self.chunk)
-        } else {
-            None
+        if paging_cycles as f64 / bytes as f64 <= CHUNK_SHRINK_ABOVE || self.chunk == self.floor {
+            return None;
         }
+        self.chunk = (self.chunk / 2).max(self.floor);
+        self.shrinks += 1;
+        self.hold = CHUNK_HOLD_WINDOWS;
+        trace("ctl_chunk_resize", self.chunk as u64, paging_cycles);
+        Some(self.chunk)
     }
 }
 
@@ -349,8 +227,8 @@ struct ApiSlot {
     last_flip_at: AtomicU64,
     flips: AtomicU64,
     /// EWMA cycles/call per transport, indexed by `Transport as u8`.
-    ewma: [AtomicF64; 4],
-    samples: [AtomicU64; 4],
+    ewma: [AtomicF64; 3],
+    samples: [AtomicU64; 3],
     /// EWMA of the cycle gap between consecutive observations — the
     /// inverse call rate the standby tax prices.
     interarrival: AtomicF64,
@@ -387,13 +265,6 @@ pub struct CtlStats {
     pub shrinks: u64,
     /// Bundle flush-threshold changes issued by the sizer.
     pub bundle_resizes: u64,
-    /// Streaming-chunk halvings issued by the chunk sizer (paging cost
-    /// per byte crossed the shrink watermark).
-    #[serde(default)]
-    pub chunk_shrinks: u64,
-    /// Streaming-chunk doublings issued by the chunk sizer.
-    #[serde(default)]
-    pub chunk_grows: u64,
 }
 
 /// One API's row in the control plane's telemetry export.
@@ -422,9 +293,6 @@ pub struct CtlTelemetry {
     pub routes: Vec<CtlRoute>,
     /// The sizer's current bundle flush threshold.
     pub bundle_flush: usize,
-    /// The chunk sizer's current streaming chunk size, bytes.
-    #[serde(default)]
-    pub chunk_bytes: usize,
 }
 
 /// The per-API break-even router.
@@ -432,14 +300,14 @@ pub struct CtlTelemetry {
 /// Register each API once with its default transport and the set it may
 /// ride; on the hot path, ask [`ApiRouter::route`] where this call goes
 /// and report what it cost with [`ApiRouter::observe`]. Decisions run
-/// every [`CtlPolicy::decide_every`] observations, off the per-call path.
+/// every 32nd observation of an API, off the per-call path.
 ///
 /// # Examples
 ///
 /// ```
-/// use hotcalls::ctl::{ApiRouter, CtlPolicy, Transport};
+/// use hotcalls::ctl::{ApiRouter, Transport};
 ///
-/// let mut router = ApiRouter::new(CtlPolicy::auto()).unwrap();
+/// let mut router = ApiRouter::new();
 /// let read = router.register("read", Transport::Hot, &[Transport::Sdk, Transport::Hot]);
 /// let t = router.route(read);
 /// router.observe(read, t, 620, 1_000);
@@ -447,7 +315,6 @@ pub struct CtlTelemetry {
 /// ```
 #[derive(Debug)]
 pub struct ApiRouter {
-    policy: CtlPolicy,
     slots: Vec<ApiSlot>,
     decisions: AtomicU64,
     flips: AtomicU64,
@@ -456,23 +323,23 @@ pub struct ApiRouter {
     explore_probes: AtomicU64,
 }
 
+impl Default for ApiRouter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ApiRouter {
-    /// An empty router under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`CtlPolicy::validate`].
-    pub fn new(policy: CtlPolicy) -> Result<Self> {
-        policy.validate()?;
-        Ok(ApiRouter {
-            policy,
+    /// An empty router.
+    pub fn new() -> Self {
+        ApiRouter {
             slots: Vec::new(),
             decisions: AtomicU64::new(0),
             flips: AtomicU64::new(0),
             sdk_demotions: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             explore_probes: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Registers an API with its starting transport and the transports the
@@ -505,16 +372,6 @@ impl ApiRouter {
         ApiId(self.slots.len() - 1)
     }
 
-    /// Number of registered APIs.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Where this call goes: the API's current transport, except for the
     /// periodic exploration probe that keeps the other transports'
     /// estimates fresh. Uninstrumented builds always answer the registered
@@ -525,11 +382,10 @@ impl ApiRouter {
             return slot.default;
         }
         let cur = slot.current();
-        if slot.allowed.len() > 1 && self.policy.explore_every > 0 {
+        if slot.allowed.len() > 1 {
             let n = slot.observes.load(Ordering::Relaxed);
-            if n % self.policy.explore_every == self.policy.explore_every - 1 {
-                let probe =
-                    slot.allowed[(n / self.policy.explore_every) as usize % slot.allowed.len()];
+            if n % EXPLORE_EVERY == EXPLORE_EVERY - 1 {
+                let probe = slot.allowed[(n / EXPLORE_EVERY) as usize % slot.allowed.len()];
                 if probe != cur {
                     self.explore_probes.fetch_add(1, Ordering::Relaxed);
                     return probe;
@@ -542,21 +398,19 @@ impl ApiRouter {
     /// Reports one completed call: it rode `transport`, cost `cycles`, and
     /// finished at monotonic stamp `now` (any cycle base works — RDTSC or
     /// a simulator clock — as long as one caller is consistent). Every
-    /// [`CtlPolicy::decide_every`]-th observation re-evaluates the API's
-    /// route.
+    /// 32nd observation re-evaluates the API's route.
     pub fn observe(&self, api: ApiId, transport: Transport, cycles: u64, now: u64) {
         if !TELEMETRY_ENABLED {
             return;
         }
         let slot = &self.slots[api.0];
-        let alpha = self.policy.ewma_alpha;
         let t = transport as usize;
         let prev = slot.ewma[t].get();
         let n = slot.samples[t].fetch_add(1, Ordering::Relaxed);
         slot.ewma[t].set(if n == 0 {
             cycles as f64
         } else {
-            prev + alpha * (cycles as f64 - prev)
+            prev + EWMA_ALPHA * (cycles as f64 - prev)
         });
         let last = slot.last_stamp.swap(now, Ordering::Relaxed);
         if last != 0 && now > last {
@@ -565,11 +419,11 @@ impl ApiRouter {
             slot.interarrival.set(if prev_ia == 0.0 {
                 gap
             } else {
-                prev_ia + alpha * (gap - prev_ia)
+                prev_ia + EWMA_ALPHA * (gap - prev_ia)
             });
         }
         let observes = slot.observes.fetch_add(1, Ordering::Relaxed) + 1;
-        if observes.is_multiple_of(self.policy.decide_every) {
+        if observes.is_multiple_of(DECIDE_EVERY) {
             self.decide(api.0, observes);
         }
     }
@@ -577,14 +431,14 @@ impl ApiRouter {
     /// A transport's routing score: EWMA cycles/call, plus the standby tax
     /// on switchless transports. Lower is better; `None` until the
     /// transport has enough samples to be trusted.
-    fn score(&self, slot: &ApiSlot, t: Transport) -> Option<f64> {
-        if slot.samples[t as usize].load(Ordering::Relaxed) < self.policy.min_samples {
+    fn score(slot: &ApiSlot, t: Transport) -> Option<f64> {
+        if slot.samples[t as usize].load(Ordering::Relaxed) < MIN_SAMPLES {
             return None;
         }
         let standby = if t == Transport::Sdk {
             0.0
         } else {
-            self.policy.standby_fraction * slot.interarrival.get()
+            STANDBY_FRACTION * slot.interarrival.get()
         };
         Some(slot.ewma[t as usize].get() + standby)
     }
@@ -596,7 +450,7 @@ impl ApiRouter {
         let best = slot
             .allowed
             .iter()
-            .filter_map(|&t| self.score(slot, t).map(|s| (t, s)))
+            .filter_map(|&t| Self::score(slot, t).map(|s| (t, s)))
             .min_by(|a, b| a.1.total_cmp(&b.1));
         let Some((best, best_score)) = best else {
             return;
@@ -604,14 +458,13 @@ impl ApiRouter {
         if best == cur {
             return;
         }
-        if observes.saturating_sub(slot.last_flip_at.load(Ordering::Relaxed)) < self.policy.cooldown
-        {
+        if observes.saturating_sub(slot.last_flip_at.load(Ordering::Relaxed)) < COOLDOWN {
             return;
         }
         // An unmeasured incumbent loses to any measured challenger; a
         // measured one must be beaten by the margin.
-        if let Some(cur_score) = self.score(slot, cur) {
-            if cur_score <= best_score * self.policy.flip_margin {
+        if let Some(cur_score) = Self::score(slot, cur) {
+            if cur_score <= best_score * FLIP_MARGIN {
                 return;
             }
         }
@@ -812,28 +665,15 @@ impl AutoSizer {
 pub struct Controller {
     router: ApiRouter,
     sizer: Mutex<AutoSizer>,
-    chunker: Mutex<ChunkSizer>,
 }
 
 impl Controller {
-    /// A controller under the zero-config policies (see
-    /// [`Controller::with_chunker`] to override the chunk policy).
+    /// A controller with an empty routing table and an unbundled sizer.
     pub fn auto() -> Self {
         Controller {
-            router: ApiRouter::new(CtlPolicy::auto()).expect("auto routing policy is valid"),
+            router: ApiRouter::new(),
             sizer: Mutex::new(AutoSizer::new()),
-            chunker: Mutex::new(ChunkSizer::new(ChunkPolicy::auto()).expect("auto chunks valid")),
         }
-    }
-
-    /// Replaces the chunk-sizing policy (builder style, setup time).
-    ///
-    /// # Errors
-    ///
-    /// As [`ChunkPolicy::validate`].
-    pub fn with_chunker(mut self, policy: ChunkPolicy) -> Result<Self> {
-        self.chunker = Mutex::new(ChunkSizer::new(policy)?);
-        Ok(self)
     }
 
     /// Registers an API (setup time — see [`ApiRouter::register`]).
@@ -844,11 +684,6 @@ impl Controller {
         allowed: &[Transport],
     ) -> ApiId {
         self.router.register(name, default, allowed)
-    }
-
-    /// The router half, for per-call `route`/`observe`.
-    pub fn router(&self) -> &ApiRouter {
-        &self.router
     }
 
     /// Routes one call (see [`ApiRouter::route`]).
@@ -882,33 +717,9 @@ impl Controller {
         self.sizer.lock().expect("sizer lock").bundle_flush()
     }
 
-    /// The streaming chunk size the next submission should use.
-    pub fn chunk_bytes(&self) -> usize {
-        self.chunker.lock().expect("chunker lock").chunk_bytes()
-    }
-
-    /// Reports one streamed window's paging bill (see
-    /// [`ChunkSizer::observe`]). Uninstrumented builds hold the chunk
-    /// still — the static-policy fallback, same as [`Controller::tick`].
-    pub fn observe_paging(&self, paging_cycles: u64, bytes: u64) -> Option<usize> {
-        if !TELEMETRY_ENABLED {
-            return None;
-        }
-        let resized = self
-            .chunker
-            .lock()
-            .expect("chunker lock")
-            .observe(paging_cycles, bytes);
-        if let Some(n) = resized {
-            trace("ctl_chunk_resize", n as u64, paging_cycles);
-        }
-        resized
-    }
-
     /// Decision counters so far.
     pub fn stats(&self) -> CtlStats {
         let sizer = self.sizer.lock().expect("sizer lock");
-        let chunker = self.chunker.lock().expect("chunker lock");
         CtlStats {
             decisions: self.router.decisions.load(Ordering::Relaxed),
             flips: self.router.flips.load(Ordering::Relaxed),
@@ -919,8 +730,6 @@ impl Controller {
             grows: sizer.grows,
             shrinks: sizer.shrinks,
             bundle_resizes: sizer.bundle_resizes,
-            chunk_shrinks: chunker.shrinks,
-            chunk_grows: chunker.grows,
         }
     }
 
@@ -931,7 +740,6 @@ impl Controller {
             stats: self.stats(),
             routes: self.router.routes(),
             bundle_flush: self.bundle_flush(),
-            chunk_bytes: self.chunk_bytes(),
         }
     }
 
@@ -948,8 +756,8 @@ impl Controller {
 mod tests {
     use super::*;
 
-    fn two_way_router(policy: CtlPolicy) -> (ApiRouter, ApiId) {
-        let mut r = ApiRouter::new(policy).unwrap();
+    fn two_way_router() -> (ApiRouter, ApiId) {
+        let mut r = ApiRouter::new();
         let id = r.register("read", Transport::Hot, &[Transport::Sdk, Transport::Hot]);
         (r, id)
     }
@@ -966,40 +774,11 @@ mod tests {
     }
 
     #[test]
-    fn policy_validation_rejects_contradictions() {
-        assert!(CtlPolicy::auto().validate().is_ok());
-        for bad in [
-            CtlPolicy {
-                flip_margin: 0.5,
-                ..CtlPolicy::auto()
-            },
-            CtlPolicy {
-                ewma_alpha: 0.0,
-                ..CtlPolicy::auto()
-            },
-            CtlPolicy {
-                ewma_alpha: 1.5,
-                ..CtlPolicy::auto()
-            },
-            CtlPolicy {
-                decide_every: 0,
-                ..CtlPolicy::auto()
-            },
-            CtlPolicy {
-                standby_fraction: -0.1,
-                ..CtlPolicy::auto()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
     fn fast_transport_wins_and_stays() {
         if !TELEMETRY_ENABLED {
             return;
         }
-        let (r, id) = two_way_router(CtlPolicy::auto());
+        let (r, id) = two_way_router();
         // Hot is 600 cycles, SDK 8_200, calls arrive every 2_000 cycles:
         // the standby tax (5% of 2_000 = 100) nowhere near closes the gap.
         drive(&r, id, 2_000, 2_000, |t| match t {
@@ -1015,7 +794,7 @@ mod tests {
         if !TELEMETRY_ENABLED {
             return;
         }
-        let (r, id) = two_way_router(CtlPolicy::auto());
+        let (r, id) = two_way_router();
         // Sparse calls: one every 400_000 cycles. The standby tax is
         // 20_000 cycles/call — far more than the 7_600 the hot path saves,
         // so the router prices this API back onto the SDK. (Exploration
@@ -1042,7 +821,7 @@ mod tests {
         if !TELEMETRY_ENABLED {
             return;
         }
-        let (r, id) = two_way_router(CtlPolicy::auto());
+        let (r, id) = two_way_router();
         drive(&r, id, 50_000, 3_000, |t| match t {
             Transport::Sdk => 8_200,
             Transport::Hot => 620,
@@ -1058,7 +837,7 @@ mod tests {
         if !TELEMETRY_ENABLED {
             return;
         }
-        let (r, id) = two_way_router(CtlPolicy::auto());
+        let (r, id) = two_way_router();
         drive(&r, id, 1_000, 2_000, |_| 600);
         let stats_probes = r.explore_probes.load(Ordering::Relaxed);
         assert!(stats_probes > 0, "exploration must sample the other road");
@@ -1121,88 +900,43 @@ mod tests {
     }
 
     #[test]
-    fn chunk_policy_validation_rejects_contradictions() {
-        assert!(ChunkPolicy::auto().validate().is_ok());
-        for bad in [
-            ChunkPolicy {
-                min_chunk: 0,
-                ..ChunkPolicy::auto()
-            },
-            ChunkPolicy {
-                min_chunk: 1 << 20,
-                max_chunk: 1 << 16,
-                start_chunk: 1 << 18,
-                ..ChunkPolicy::auto()
-            },
-            ChunkPolicy {
-                start_chunk: 1 << 30,
-                ..ChunkPolicy::auto()
-            },
-            ChunkPolicy {
-                grow_below: 2.0,
-                shrink_above: 1.0,
-                ..ChunkPolicy::auto()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
+    fn chunk_sizer_is_a_one_way_ratchet() {
+        const MAX: usize = 1 << 20;
+        // 600 paging cycles per 1 000 bytes: over the 0.5 watermark.
+        const THRASH: u64 = 600;
+        let mut sizer = ChunkSizer::new(MAX).unwrap();
+        assert_eq!(sizer.chunk_bytes(), MAX, "starts at max");
+        // One window per row: its paging cycles and bytes, the chunk after
+        // it, and the rule the row pins. `observe` must answer the new
+        // chunk exactly when it moved.
+        let table: &[(u64, u64, usize, &str)] = &[
+            (THRASH, 1_000, MAX / 2, "a window above 0.5 halves"),
+            (THRASH, 1_000, MAX / 2, "hold 1 of 2"),
+            (10_000, 0, MAX / 2, "a zero-byte window is no hold"),
+            (THRASH, 1_000, MAX / 2, "hold 2 of 2"),
+            (THRASH, 1_000, MAX / 4, "halves right after the hold"),
+            (0, 1_000, MAX / 4, "hold 1 of 2"),
+            (0, 1_000, MAX / 4, "hold 2 of 2"),
+            (0, 1_000, MAX / 4, "a zero-paging window never grows"),
+            (500, 1_000, MAX / 4, "exactly 0.5 is not above it"),
+            (THRASH, 1_000, MAX / 8, "halves"),
+            (THRASH, 1_000, MAX / 8, "hold 1 of 2"),
+            (THRASH, 1_000, MAX / 8, "hold 2 of 2"),
+            (THRASH, 1_000, MAX / 16, "halves onto the floor"),
+            (THRASH, 1_000, MAX / 16, "hold 1 of 2"),
+            (THRASH, 1_000, MAX / 16, "hold 2 of 2"),
+            (5_000_000, 1_000, MAX / 16, "the floor holds"),
+            (5_000_000, 1_000, MAX / 16, "and stays"),
+        ];
+        for (i, &(paging, bytes, chunk, rule)) in table.iter().enumerate() {
+            let moved = (chunk != sizer.chunk_bytes()).then_some(chunk);
+            assert_eq!(sizer.observe(paging, bytes), moved, "row {i}: {rule}");
+            assert_eq!(sizer.chunk_bytes(), chunk, "row {i}: {rule}");
         }
-    }
-
-    #[test]
-    fn chunk_sizer_shrinks_past_cliff_and_grows_back() {
-        let policy = ChunkPolicy {
-            cooldown_ticks: 0,
-            ..ChunkPolicy::auto()
-        };
-        let mut sizer = ChunkSizer::new(policy).unwrap();
-        let start = sizer.chunk_bytes();
-        // Thrashing: 5 paging cycles per byte, far over the watermark.
-        let shrunk = sizer.observe(5 * 1_000_000, 1_000_000).unwrap();
-        assert_eq!(shrunk, start / 2);
-        // Keep thrashing: halves to the floor and then holds.
-        for _ in 0..32 {
-            sizer.observe(5 * 1_000_000, 1_000_000);
-        }
-        assert_eq!(sizer.chunk_bytes(), policy.min_chunk);
-        assert!(sizer.observe(5 * 4096, 4096).is_none(), "floor holds");
-        // Resident again: zero paging cycles per byte, grows to the cap.
-        for _ in 0..32 {
-            sizer.observe(0, 1_000_000);
-        }
-        assert_eq!(sizer.chunk_bytes(), policy.max_chunk);
-        // Zero-byte windows are ignored entirely.
-        assert!(sizer.observe(10_000, 0).is_none());
-    }
-
-    #[test]
-    fn chunk_sizer_cooldown_bounds_resize_rate() {
-        let mut sizer = ChunkSizer::new(ChunkPolicy {
-            cooldown_ticks: 2,
-            ..ChunkPolicy::auto()
-        })
-        .unwrap();
-        assert!(sizer.observe(5_000_000, 1_000_000).is_some());
-        assert!(sizer.observe(5_000_000, 1_000_000).is_none(), "cooldown 1");
-        assert!(sizer.observe(5_000_000, 1_000_000).is_none(), "cooldown 2");
-        assert!(sizer.observe(5_000_000, 1_000_000).is_some());
-    }
-
-    #[test]
-    fn controller_exports_chunk_decisions() {
-        let ctl = Controller::auto();
-        let start = ctl.chunk_bytes();
-        assert_eq!(start, ChunkPolicy::auto().start_chunk);
-        let resized = ctl.observe_paging(10 * (1 << 20), 1 << 20);
-        let tel = ctl.telemetry("unit");
-        if TELEMETRY_ENABLED {
-            assert_eq!(resized, Some(start / 2));
-            assert_eq!(tel.stats.chunk_shrinks, 1);
-            assert_eq!(tel.chunk_bytes, start / 2);
-        } else {
-            // Static fallback: the chunk never moves.
-            assert_eq!(resized, None);
-            assert_eq!(tel.chunk_bytes, start);
-        }
+        assert_eq!(sizer.shrinks(), 4);
+        let mut tiny = ChunkSizer::new(2).unwrap();
+        assert_eq!(tiny.observe(THRASH, 1_000), Some(1), "floor of 1, not 0");
+        assert!(ChunkSizer::new(0).is_err(), "a zero max is refused");
     }
 
     #[test]

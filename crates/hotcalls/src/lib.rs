@@ -38,8 +38,11 @@
 //!   usable as a general low-latency inter-thread call primitive.
 //! * [`ctl`] — the **configless control plane**: a per-API break-even
 //!   router and an online worker-efficiency sizer that close the loop
-//!   from [`telemetry`] back into the data plane's knobs, so the three
-//!   demo apps run with zero explicit configuration.
+//!   from [`telemetry`] back into the data plane's knobs, with time
+//!   constants nobody sets. It is opt-in: the demo apps' default plane
+//!   runs without a [`Controller`]; `apps`' `RtTransport::Auto` attaches
+//!   one. Beside it, [`ChunkSizer`] ratchets a streaming chunk down the
+//!   EPC paging cliff.
 //!
 //! ## Threaded quick start
 //!
@@ -66,7 +69,7 @@ pub mod sim;
 pub mod telemetry;
 
 pub use config::{FusedMode, HotCallConfig, ResponderPolicy};
-pub use ctl::{ApiRouter, ChunkPolicy, ChunkSizer, Controller, CtlPolicy, CtlStats, Transport};
+pub use ctl::{ApiRouter, ChunkSizer, Controller, CtlStats, Transport};
 pub use error::{HotCallError, Result};
 pub use telemetry::{
     GovernorStats, HotCallStats, PagingStats, RingStats, ShardStats, Snapshot, TelemetryRegistry,

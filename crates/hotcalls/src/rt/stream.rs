@@ -15,9 +15,8 @@
 //! ends the stream before the chunk it was shown is marshalled.
 //!
 //! The chunk size is re-read from a caller-supplied closure between
-//! chunks — wire it to [`crate::ctl::ChunkSizer`] (via
-//! [`crate::Controller::chunk_bytes`]) and the stream resizes itself
-//! mid-flight as EPC paging pressure shifts.
+//! chunks — wire it to [`crate::ChunkSizer::chunk_bytes`] and the stream
+//! resizes itself mid-flight as EPC paging pressure shifts.
 //!
 //! Handlers see the whole chunk as an `&mut SgList` — request bytes in
 //! the segments, the chunk's absolute object offset in
@@ -271,7 +270,7 @@ impl StreamCaller {
     ///
     /// `chunk_bytes` is re-read before each chunk is marshalled — return
     /// a constant for static chunking, or wire it to
-    /// [`crate::Controller::chunk_bytes`] so EPC paging pressure resizes
+    /// [`crate::ChunkSizer::chunk_bytes`] so EPC paging pressure resizes
     /// the stream mid-flight. `on_chunk` receives each response in
     /// object order: the chunk's absolute offset and the response list
     /// (also carrying that offset in [`SgList::meta`]).

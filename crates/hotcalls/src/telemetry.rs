@@ -848,7 +848,7 @@ pub struct ApiCensusRow {
 pub struct ApiCensus {
     /// Application name (`memcached`, `lighttpd`, `openvpn`).
     pub app: String,
-    /// Interface mode label (`sdk`, `hot`, `sharded`).
+    /// Interface mode label (`native`, `sdk`, `hot`, `auto`).
     pub mode: String,
     /// Virtual seconds the measured window spanned.
     pub elapsed_secs: f64,
@@ -1068,18 +1068,6 @@ impl Snapshot {
             out.push_str(&format!(
                 "hotcalls_ctl_bundle_flush{{{cl}}} {}\n",
                 c.bundle_flush
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_chunk_bytes{{{cl}}} {}\n",
-                c.chunk_bytes
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_chunk_resizes_total{{{cl},direction=\"shrink\"}} {}\n",
-                c.stats.chunk_shrinks
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_chunk_resizes_total{{{cl},direction=\"grow\"}} {}\n",
-                c.stats.chunk_grows
             ));
             for r in &c.routes {
                 out.push_str(&format!(

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use hotcalls::ctl::{ApiRouter, CtlPolicy, Transport};
+use hotcalls::ctl::{ApiRouter, Transport};
 use hotcalls::rt::{CallTable, RingServer, Ticket};
 use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
@@ -54,12 +54,15 @@ impl Jitter {
 }
 
 /// The router's own break-even arithmetic: what each transport's
-/// converged score should be under a stationary workload.
-fn expected_score(policy: &CtlPolicy, transport: Transport, cost: u64, interarrival: u64) -> f64 {
+/// converged score should be under a stationary workload. Every
+/// switchless transport pays the router's standby tax of 5 % of the
+/// inter-arrival gap (a private constant of `hotcalls::ctl`, restated
+/// here).
+fn expected_score(transport: Transport, cost: u64, interarrival: u64) -> f64 {
     let standby = if transport == Transport::Sdk {
         0.0
     } else {
-        policy.standby_fraction * interarrival as f64
+        0.05 * interarrival as f64
     };
     cost as f64 + standby
 }
@@ -79,8 +82,7 @@ proptest! {
         if !TELEMETRY_ENABLED {
             return;
         }
-        let policy = CtlPolicy::default();
-        let mut router = ApiRouter::new(policy).unwrap();
+        let mut router = ApiRouter::new();
         let api = router.register("api", Transport::Hot, &[Transport::Sdk, Transport::Hot]);
         let mut jitter = Jitter::new(seed);
 
@@ -112,8 +114,8 @@ proptest! {
             flips
         );
 
-        let hot = expected_score(&policy, Transport::Hot, hot_cost, interarrival);
-        let sdk = expected_score(&policy, Transport::Sdk, sdk_cost, interarrival);
+        let hot = expected_score(Transport::Hot, hot_cost, interarrival);
+        let sdk = expected_score(Transport::Sdk, sdk_cost, interarrival);
         let ratio = hot.max(sdk) / hot.min(sdk).max(1.0);
         // Within the hysteresis band either side is a legitimate resting
         // place; outside it the verdict — and the tail — must be settled.
@@ -140,10 +142,13 @@ proptest! {
         capacity in 2usize..8,
         depth in 1usize..6,
         // Cost regimes alternate per phase: hot-favored, then sdk-favored,
-        // then back — each phase long enough (>= cooldown + decide stride)
-        // to actually move the route.
+        // then back. The router samples the SDK arm only through one
+        // exploration probe per 128 calls and needs eight samples before
+        // it trusts one, so a phase of 600 observations or more moves the
+        // route at the router's own constants; at 200-400, some runs
+        // never flip.
         phases in 2usize..5,
-        phase_len in 200u64..400,
+        phase_len in 1_000u64..2_000,
         seed in any::<u64>(),
     ) {
         if !TELEMETRY_ENABLED {
@@ -157,16 +162,7 @@ proptest! {
         let server = RingServer::spawn_pool(table, capacity, 1, HotCallConfig::patient()).unwrap();
         let r = server.requester();
 
-        let mut router = ApiRouter::new(CtlPolicy {
-            // Tight strides so a few hundred observations per phase can
-            // flip the route back and forth.
-            min_samples: 4,
-            decide_every: 8,
-            cooldown: 16,
-            explore_every: 8,
-            ..CtlPolicy::default()
-        })
-        .unwrap();
+        let mut router = ApiRouter::new();
         let api = router.register("api", Transport::Hot, &[Transport::Sdk, Transport::Hot]);
         let mut jitter = Jitter::new(seed);
 

@@ -29,9 +29,15 @@ RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
 
 # The ctl property tests assert router dynamics that telemetry-off
 # deliberately removes; this run proves they degrade to a clean no-op
-# instead of failing the frozen router.
+# instead of failing the frozen router. The two lib suites run the
+# static-fallback arms of `ctl::tests` and the `TELEMETRY_ENABLED` guards
+# of `apps::env`'s tests, which the clippy pass only lints.
 echo "==> cargo test -p hotcalls --test prop_ctl --features telemetry-off"
 cargo test -p hotcalls --test prop_ctl --features telemetry-off -q
+echo "==> cargo test -p hotcalls --lib --features telemetry-off"
+cargo test -q -p hotcalls --lib --features telemetry-off
+echo "==> cargo test -p apps --lib --features hotcalls/telemetry-off"
+cargo test -q -p apps --lib --features hotcalls/telemetry-off
 
 # Tier-1 is the root package (`cargo build --release && cargo test -q`,
 # which runs every `paper` experiment's claims at smoke scale through
