@@ -7,16 +7,16 @@
 //! condition variable, utilization accounting — are all implemented.
 //!
 //! The protocol matches Fig. 9 of the paper: requester acquires the
-//! (logical) lock by CASing the state word, writes the request, signals
+//! (logical) lock by CASing the claim word, writes the request, signals
 //! "go", and spins for completion; the responder polls, executes via the
 //! call table, and signals "done".
 //!
 //! The data plane is lock-free: payloads live in `UnsafeCell`s whose
-//! exclusive access is granted by the state machine's acquire/release
-//! edges (see `slot::CallSlot`), the state word sits on its own cache
-//! line, and hot-path statistics are responder-local counters flushed with
-//! plain stores. For the queued, multi-responder, optionally sharded plane
-//! see [`RingServer`].
+//! exclusive access is granted by acquire/release edges on three words —
+//! claim, request, response — each written by one side only and on lines
+//! no other writer touches (see `slot::MailSlot`), and hot-path statistics
+//! are responder-local counters flushed with plain stores. For the queued,
+//! multi-responder, optionally sharded plane see [`RingServer`].
 
 pub mod arena;
 mod bytes;
@@ -42,7 +42,7 @@ use crate::config::HotCallConfig;
 use crate::error::{HotCallError, Result};
 use crate::telemetry::HotCallStats;
 
-use slot::{Backoff, CachePadded, CallSlot, Doze, LocalStats, StatCell, DONE, SUBMITTED};
+use slot::{Backoff, CachePadded, Doze, LocalStats, MailSlot, StatCell};
 
 /// How long (in poll iterations) a requester keeps waiting for `DONE`
 /// after it has observed shutdown, in case the responder's final sweep is
@@ -50,12 +50,12 @@ use slot::{Backoff, CachePadded, CallSlot, Doze, LocalStats, StatCell, DONE, SUB
 const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
 
 struct Shared<Req, Resp> {
-    /// The mailbox: state word on its own cache line, then the payload
-    /// cells (the paper's lock + go/busy flags collapse into the slot's
-    /// atomic state machine).
-    slot: CallSlot<Req, Resp>,
-    /// Shutdown lives outside the slot state so an in-flight call's phase
-    /// is never clobbered (the phase tells `Drop` which payload to free).
+    /// The mailbox (the paper's lock + go/busy flags become the slot's
+    /// claim, request and response words).
+    slot: MailSlot<Req, Resp>,
+    /// Shutdown lives outside the slot's words so an in-flight call's
+    /// state is never clobbered (the words tell `Drop` which payload to
+    /// free).
     shutdown: AtomicBool,
     doze: Doze,
     /// Responder-owned running totals (padded: readers never dirty the
@@ -123,7 +123,7 @@ where
     /// Spawns the responder ("On Call") thread over `table`.
     pub fn spawn(table: CallTable<Req, Resp>, config: HotCallConfig) -> Self {
         let shared = Arc::new(Shared {
-            slot: CallSlot::new(),
+            slot: MailSlot::new(),
             shutdown: AtomicBool::new(false),
             doze: Doze::new(),
             stats: CachePadded::new(StatCell::default()),
@@ -186,30 +186,36 @@ fn responder_loop<Req, Resp>(
     table: CallTable<Req, Resp>,
     config: HotCallConfig,
 ) {
+    let slot = &shared.slot;
     let mut local = LocalStats::default();
     let mut backoff = Backoff::new();
     let mut idle_streak: u64 = 0;
+    // The call this responder services next. Only it advances the count, so
+    // the request word of the call it serviced last, which stays in place
+    // after redeem, never reads as new.
+    let mut next_seq = MailSlot::<Req, Resp>::FIRST_SEQ;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             // Final sweep: fail an in-flight request so its requester
             // unblocks instead of spinning on a dead mailbox.
-            if shared.slot.state() == SUBMITTED {
-                // SAFETY: SUBMITTED observed with Acquire and this thread
-                // is the mailbox's only responder, so it owns servicing.
-                let (_, stranded) = unsafe { shared.slot.take_request() };
+            if slot.submitted_as(next_seq) {
+                // SAFETY: SUBMITTED(next_seq) read with Acquire just above,
+                // this thread is the mailbox's only responder, and it has
+                // not taken `next_seq` yet.
+                let (servicing, (_, stranded)) = unsafe { slot.take_request(next_seq) };
                 drop(stranded);
-                // SAFETY: the request was taken by this thread just above.
-                unsafe { shared.slot.finish(Err(HotCallError::ResponderGone)) };
+                servicing.finish(Err(HotCallError::ResponderGone));
             }
             local.flush(&shared.stats);
             return;
         }
-        if shared.slot.state() == SUBMITTED {
+        if slot.submitted_as(next_seq) {
             idle_streak = 0;
             backoff.reset();
-            // SAFETY: SUBMITTED observed with Acquire and this thread is
-            // the mailbox's only responder, so it owns servicing.
-            let (id, req) = unsafe { shared.slot.take_request() };
+            // SAFETY: SUBMITTED(next_seq) read with Acquire just above,
+            // this thread is the mailbox's only responder, and it has not
+            // taken `next_seq` yet.
+            let (servicing, (id, req)) = unsafe { slot.take_request(next_seq) };
             let result = table
                 .dispatch(id, req)
                 .ok_or(HotCallError::UnknownCallId(id));
@@ -218,8 +224,8 @@ fn responder_loop<Req, Resp>(
             // Flush before DONE: the Release below orders these stores, so
             // `stats().calls` is exact the moment the call returns.
             local.flush(&shared.stats);
-            // SAFETY: this thread took the request for this call above.
-            unsafe { shared.slot.finish(result) };
+            servicing.finish(result);
+            next_seq += 1;
         } else {
             idle_streak += 1;
             local.idle_polls += 1;
@@ -232,7 +238,7 @@ fn responder_loop<Req, Resp>(
                     // requester signals (paper §4.2).
                     local.flush(&shared.stats);
                     shared.doze.sleep_unless(|| {
-                        shared.slot.state() == SUBMITTED || shared.shutdown.load(Ordering::Acquire)
+                        slot.submitted_as(next_seq) || shared.shutdown.load(Ordering::Acquire)
                     });
                     idle_streak = 0;
                     backoff.reset();
@@ -270,19 +276,20 @@ impl<Req, Resp> Requester<Req, Resp> {
     /// paper prescribes); [`HotCallError::ResponderGone`] if it shut down;
     /// [`HotCallError::UnknownCallId`] for unregistered ids.
     pub fn call(&self, id: u32, req: Req) -> Result<Resp> {
-        self.claim_mailbox()?;
-        self.exchange(id, req)
+        let seq = self.claim_mailbox()?;
+        self.exchange(seq, id, req)
     }
 
-    /// Claims the mailbox with bounded retries ("Preventing starvation").
-    /// On success the caller owns the request cell and **must** follow up
-    /// with [`Requester::exchange`].
-    fn claim_mailbox(&self) -> Result<()> {
+    /// Claims the mailbox with bounded retries ("Preventing starvation")
+    /// and returns the claimed call's sequence. On success the caller owns
+    /// the request cell and **must** follow up with
+    /// [`Requester::exchange`].
+    fn claim_mailbox(&self) -> Result<usize> {
         let mut backoff = Backoff::new();
         for _ in 0..self.config.timeout_retries {
             for _ in 0..self.config.spins_per_retry {
-                if self.shared.slot.try_claim() {
-                    return Ok(());
+                if let Some(seq) = self.shared.slot.try_claim() {
+                    return Ok(seq);
                 }
                 if self.shared.shutdown.load(Ordering::Acquire) {
                     return Err(HotCallError::ResponderGone);
@@ -297,19 +304,19 @@ impl<Req, Resp> Requester<Req, Resp> {
         })
     }
 
-    /// Publishes a request into the already-claimed mailbox, spins until
-    /// the response is DONE and redeems it.
+    /// Publishes a request into the mailbox claimed for call `seq`, spins
+    /// until the response is DONE and redeems it.
     ///
     /// # Errors
     ///
     /// [`HotCallError::ResponderGone`] if the server shut down first, or
     /// the handler's own error.
-    fn exchange(&self, id: u32, req: Req) -> Result<Resp> {
+    fn exchange(&self, seq: usize, id: u32, req: Req) -> Result<Resp> {
         let slot = &self.shared.slot;
-        // SAFETY: the caller won `claim_mailbox`'s EMPTY→CLAIMED CAS,
-        // which grants this thread exclusive write access to the request
-        // cell.
-        unsafe { slot.publish(0, id, req) };
+        // SAFETY: `claim_mailbox` won the claim for `seq`, which grants
+        // this thread exclusive write access to the request half; this is
+        // the claim's one publish.
+        unsafe { slot.publish(seq, id, req) };
         // Wake a sleeping responder (ordered after the SUBMITTED store).
         if self.shared.doze.wake() {
             self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
@@ -317,7 +324,7 @@ impl<Req, Resp> Requester<Req, Resp> {
         // Spin for completion with escalating backoff.
         let mut backoff = Backoff::new();
         let mut grace: u32 = 0;
-        while slot.state() != DONE {
+        while !slot.done_as(seq) {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 // The responder's final sweep fails SUBMITTED calls; if
                 // ours raced past the sweep, give up after a bounded grace
@@ -330,10 +337,11 @@ impl<Req, Resp> Requester<Req, Resp> {
             }
             backoff.snooze();
         }
-        // SAFETY: this thread published the in-flight call — the mailbox
-        // admits no other claimant until it is redeemed — and observed
-        // DONE with Acquire, which grants exclusive access to the response.
-        unsafe { slot.redeem() }
+        // SAFETY: this thread holds the claim for `seq` — the mailbox
+        // admits no other claimant until it is redeemed — and read
+        // DONE(seq) with Acquire, which grants exclusive access to the
+        // response.
+        unsafe { slot.redeem(seq) }
     }
 
     /// Issues a call, running `fallback` locally if the fast path times
@@ -347,7 +355,7 @@ impl<Req, Resp> Requester<Req, Resp> {
         F: FnOnce(Req) -> Resp,
     {
         match self.claim_mailbox() {
-            Ok(()) => self.exchange(id, req),
+            Ok(seq) => self.exchange(seq, id, req),
             Err(HotCallError::ResponderTimeout { .. }) => Ok(fallback(req)),
             Err(e) => Err(e),
         }
@@ -362,6 +370,7 @@ impl<Req, Resp> Requester<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 
     fn arith_table() -> (CallTable<u64, u64>, u32, u32) {
@@ -504,15 +513,39 @@ mod tests {
         assert!(stats.utilization() > 0.0 && stats.utilization() <= 1.0);
     }
 
+    /// A heap payload that counts its drops into a per-test static.
+    struct Counted {
+        bytes: Vec<u8>,
+        drops: &'static AtomicUsize,
+    }
+
+    impl Counted {
+        fn new(len: usize, drops: &'static AtomicUsize) -> Self {
+            Counted {
+                bytes: vec![7u8; len],
+                drops,
+            }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn shutdown_with_inflight_call_frees_payloads() {
         // A request that is stranded mid-flight at shutdown must be failed
-        // (or completed), and its heap payload freed by the slot's Drop.
-        for _ in 0..8 {
-            let mut t: CallTable<Vec<u8>, u64> = CallTable::new();
-            let slow = t.register(|v: Vec<u8>| {
+        // (or completed), and its payload dropped exactly once: by the
+        // handler, by the final sweep, or by the slot's Drop — whichever
+        // state the race left it in.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        for race in 1..=8 {
+            let mut t: CallTable<Counted, u64> = CallTable::new();
+            let slow = t.register(|c: Counted| {
                 std::thread::sleep(Duration::from_millis(20));
-                v.len() as u64
+                c.bytes.len() as u64
             });
             let server = HotCallServer::spawn(
                 t,
@@ -523,7 +556,7 @@ mod tests {
                 },
             );
             let r = server.requester();
-            let h = std::thread::spawn(move || r.call(slow, vec![7u8; 4096]));
+            let h = std::thread::spawn(move || r.call(slow, Counted::new(4096, &DROPS)));
             // Race shutdown against the in-flight call.
             server.shutdown();
             match h.join().unwrap() {
@@ -531,6 +564,39 @@ mod tests {
                 Err(HotCallError::ResponderGone) => {}
                 Err(e) => panic!("unexpected error: {e}"),
             }
+            // Every handle is gone, so the slot has been dropped too.
+            assert_eq!(DROPS.load(Ordering::SeqCst), race, "race {race}");
         }
+    }
+
+    #[test]
+    fn handler_panic_strands_its_call_and_drops_each_request_once() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        let mut t: CallTable<Counted, u64> = CallTable::new();
+        let len = t.register(|c: Counted| {
+            if c.bytes.len() == 13 {
+                panic!("injected handler fault");
+            }
+            c.bytes.len() as u64
+        });
+        let server = HotCallServer::spawn(t, HotCallConfig::default());
+        let r = server.requester();
+        for n in 0..4 {
+            assert_eq!(r.call(len, Counted::new(n, &DROPS)).unwrap(), n as u64);
+        }
+        let h = std::thread::spawn(move || r.call(len, Counted::new(13, &DROPS)));
+        // The unwind ends the responder thread; wait for it, so shutdown
+        // meets a call whose request went down with the handler.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !server.join.as_ref().is_some_and(|j| j.is_finished()) {
+            assert!(Instant::now() < deadline, "the handler never ran");
+            std::thread::yield_now();
+        }
+        server.shutdown();
+        assert!(matches!(
+            h.join().unwrap(),
+            Err(HotCallError::ResponderGone)
+        ));
+        assert_eq!(DROPS.load(Ordering::SeqCst), 5, "one drop per call made");
     }
 }

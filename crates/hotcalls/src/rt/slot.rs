@@ -53,32 +53,38 @@ impl<T> core::ops::DerefMut for CachePadded<T> {
 
 /// Slot has no call in it and may be claimed by a requester.
 pub(crate) const EMPTY: usize = 0;
-/// A mailbox requester won the claim and is writing the request payload.
-/// Ring slots never take this value: their claim is the head-counter CAS,
-/// and they go straight from `EMPTY` to `SUBMITTED`.
-pub(crate) const CLAIMED: usize = 1;
 /// Request payload is published; a responder may take the slot.
 pub(crate) const SUBMITTED: usize = 2;
 /// A responder took the request and is executing the handler.
 pub(crate) const SERVICING: usize = 3;
 /// Response payload is published; the submitting requester may redeem it.
 pub(crate) const DONE: usize = 4;
+/// Mailbox response word only: the responder took the request of this
+/// sequence and its handler unwound, so no response will be published and
+/// the request payload is already gone (see [`Servicing`]).
+const TAKEN: usize = 5;
 
-/// The state word keeps the phase (`EMPTY` … `DONE`) in its low bits. A
-/// `SUBMITTED` word carries, above them, the ring sequence the request was
-/// published for (0 on the mailbox): see [`CallSlot::submitted_as`].
+/// A state word keeps the phase (`EMPTY` … `TAKEN`) in its low bits and,
+/// above them, the sequence of the call it speaks for: a ring's
+/// `SUBMITTED` word (see [`CallSlot::submitted_as`]) and every word of a
+/// [`MailSlot`] half.
 const PHASE_BITS: u32 = 3;
 const PHASE_MASK: usize = (1 << PHASE_BITS) - 1;
 
-/// One call slot: the state word on its own cache line, then the request
+#[inline]
+const fn word(seq: usize, phase: usize) -> usize {
+    seq << PHASE_BITS | phase
+}
+
+/// One ring slot: the state word on its own cache line, then the request
 /// and response payload cells.
 ///
 /// The payload cells carry no synchronization of their own. Exclusive
 /// access is granted by state-machine transitions:
 ///
-/// * The claim — the mailbox's `EMPTY → CLAIMED` CAS, or on a ring the
-///   head-counter CAS, which leaves the word `EMPTY` — grants the winning
-///   requester exclusive write access to `req`.
+/// * The claim — the ring's head-counter CAS, which leaves the word
+///   `EMPTY` — grants the winning requester exclusive write access to
+///   `req`.
 /// * `SUBMITTED` observed with `Acquire` *plus* service ownership (single
 ///   responder, or winning the ring's tail CAS) grants a responder
 ///   exclusive access to take `req` and write `resp`.
@@ -153,19 +159,10 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     /// the word tells the laps apart. `Acquire` as in [`Self::state`].
     #[inline]
     pub(crate) fn submitted_as(&self, seq: usize) -> bool {
-        self.state.load(Ordering::Acquire) == (seq << PHASE_BITS | SUBMITTED)
+        self.state.load(Ordering::Acquire) == word(seq, SUBMITTED)
     }
 
-    /// Tries the `EMPTY → CLAIMED` edge (mailbox claim).
-    #[inline]
-    pub(crate) fn try_claim(&self) -> bool {
-        self.state
-            .compare_exchange(EMPTY, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Publishes the request as ring sequence `seq` (0 on the mailbox):
-    /// `CLAIMED → SUBMITTED` on the mailbox, `EMPTY → SUBMITTED` on a ring.
+    /// Publishes the request as ring sequence `seq`: `EMPTY → SUBMITTED`.
     /// A ring slot's state line is therefore written once per submission,
     /// and the line an idle responder spins on is not invalidated by an
     /// advisory mark first. Nothing needs the mark: a second claimant
@@ -175,21 +172,20 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     ///
     /// # Safety
     ///
-    /// Caller must hold the claim (won [`Self::try_claim`] or the ring's
-    /// head CAS) and call this at most once per claim. That claim is
-    /// exclusive, so no other thread reads or writes `req` until the
-    /// Release store below hands the slot over.
+    /// Caller must hold the claim (won the ring's head CAS) and call this
+    /// at most once per claim. That claim is exclusive, so no other thread
+    /// reads or writes `req` until the Release store below hands the slot
+    /// over.
     #[inline]
     pub(crate) unsafe fn publish(&self, seq: usize, id: u32, req: Req) {
-        debug_assert!(self.state.load(Ordering::Relaxed) <= CLAIMED);
+        debug_assert_eq!(self.state.load(Ordering::Relaxed), EMPTY);
         (*self.req.get()).write((id, req));
         if TELEMETRY_ENABLED {
             // Stamp before the Release store so the responder's Acquire of
             // SUBMITTED makes the stamp visible along with the payload.
             self.t_submit.store(now_cycles(), Ordering::Relaxed);
         }
-        self.state
-            .store(seq << PHASE_BITS | SUBMITTED, Ordering::Release);
+        self.state.store(word(seq, SUBMITTED), Ordering::Release);
     }
 
     /// Takes the request out: `SUBMITTED → SERVICING`.
@@ -241,8 +237,8 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     #[inline]
     pub(crate) unsafe fn redeem(&self) -> Result<Resp> {
         let payload = (*self.resp.get()).assume_init_read();
-        // Release: the next claimant's Acquire (CAS or counter chain) must
-        // see the payload as consumed before it rewrites the cells.
+        // Release: the next claimant's Acquire (counter chain) must see the
+        // payload as consumed before it rewrites the cells.
         self.state.store(EMPTY, Ordering::Release);
         payload
     }
@@ -265,8 +261,9 @@ impl<Req, Resp> Drop for CallSlot<Req, Resp> {
             DONE => unsafe {
                 drop(self.resp.get_mut().assume_init_read());
             },
-            // EMPTY/CLAIMED: no payload written. SERVICING: the request
-            // was already moved out and the response not yet written.
+            // EMPTY: no payload written (a claimed slot stays EMPTY until
+            // published). SERVICING: the request was already moved out and
+            // the response not yet written.
             _ => {}
         }
     }
@@ -276,6 +273,231 @@ impl<Req, Resp> core::fmt::Debug for CallSlot<Req, Resp> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("CallSlot")
             .field("state", &self.state.load(Ordering::Relaxed))
+            .finish()
+    }
+}
+
+/// A state word and the payload cell it publishes, on lines of their own:
+/// one half of a [`MailSlot`].
+struct Half<T> {
+    state: AtomicUsize,
+    payload: UnsafeCell<MaybeUninit<T>>,
+}
+
+impl<T> Half<T> {
+    fn new() -> Self {
+        Half {
+            state: AtomicUsize::new(word(0, EMPTY)),
+            payload: UnsafeCell::new(MaybeUninit::uninit()),
+        }
+    }
+}
+
+/// The mailbox's slot: one call at a time, split so that every cache line
+/// it spans has exactly one writer.
+///
+/// A [`CallSlot`] moves its one state word through five stores per call,
+/// from both sides, so the line each side spins on is taken from it
+/// several times per call. Here each side writes only its own words:
+///
+/// * **claim** (`last_seq << 1 | HELD`, one line) — requesters only: the
+///   claim CAS, and the plain Release store of [`Self::redeem`] that frees
+///   it. The responder never reads it. Winning the claim for `seq` grants
+///   exclusive write access to the request half.
+/// * **request** (`word(seq, SUBMITTED)` + the `(id, Req)` cell) — the
+///   claim holder only. Redeem does not reset it: the responder keeps the
+///   next sequence it expects in a local, so the word of a call it already
+///   serviced never reads as a new one. `SUBMITTED(seq)` read with Acquire
+///   by the (single) responder grants it the request payload.
+/// * **response** (`word(seq, DONE)` + the `Result<Resp>` cell) — the
+///   responder only. `DONE(seq)` read with Acquire by the claim holder
+///   grants it the response payload.
+///
+/// Nothing on the mailbox reads submit/complete cycle stamps, so the slot
+/// carries none. Each `unsafe fn` below names the edge that makes it sound.
+pub(crate) struct MailSlot<Req, Resp> {
+    claim: CachePadded<AtomicUsize>,
+    request: CachePadded<Half<(u32, Req)>>,
+    response: CachePadded<Half<Result<Resp>>>,
+}
+
+/// Low bit of the mailbox claim word: a requester holds the mailbox.
+const HELD: usize = 1;
+
+// SAFETY: each payload cell is only ever accessed by the single thread the
+// three words designate (see the struct docs): `request` by the claim
+// holder until `SUBMITTED(seq)`, then by the responder; `response` by the
+// responder until `DONE(seq)`, then by the claim holder. Sending payloads
+// across threads is what the slot is for, hence `Req: Send`/`Resp: Send`.
+unsafe impl<Req: Send, Resp: Send> Sync for MailSlot<Req, Resp> {}
+// SAFETY: as for `Sync`; the slot owns at most one live payload of each
+// type, and dropping it on another thread needs only `Send`.
+unsafe impl<Req: Send, Resp: Send> Send for MailSlot<Req, Resp> {}
+
+impl<Req, Resp> MailSlot<Req, Resp> {
+    /// The sequence of the first call ever claimed; the responder starts
+    /// expecting it.
+    pub(crate) const FIRST_SEQ: usize = 1;
+
+    pub(crate) fn new() -> Self {
+        MailSlot {
+            claim: CachePadded::new(AtomicUsize::new((Self::FIRST_SEQ - 1) << 1)),
+            request: CachePadded::new(Half::new()),
+            response: CachePadded::new(Half::new()),
+        }
+    }
+
+    /// Tries to claim the mailbox; `Some(seq)` names the claimed call.
+    /// Acquire pairs with the previous holder's [`Self::redeem`], which
+    /// orders that call's payload reads before this holder rewrites the
+    /// cells.
+    pub(crate) fn try_claim(&self) -> Option<usize> {
+        let claim = self.claim.load(Ordering::Relaxed);
+        if claim & HELD != 0 {
+            return None;
+        }
+        let seq = (claim >> 1) + 1;
+        self.claim
+            .compare_exchange(claim, seq << 1 | HELD, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| seq)
+    }
+
+    /// Publishes the request of call `seq`: `SUBMITTED(seq)`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold the claim [`Self::try_claim`] returned `seq` for,
+    /// and call this at most once per claim. The claim is exclusive, so no
+    /// other thread touches the request half until the Release store below
+    /// hands the payload to the responder.
+    pub(crate) unsafe fn publish(&self, seq: usize, id: u32, req: Req) {
+        (*self.request.payload.get()).write((id, req));
+        self.request
+            .state
+            .store(word(seq, SUBMITTED), Ordering::Release);
+    }
+
+    /// Is the request of call `seq` published? The responder polls for the
+    /// sequence it expects next, never for the phase alone. Acquire pairs
+    /// with [`Self::publish`]'s Release.
+    pub(crate) fn submitted_as(&self, seq: usize) -> bool {
+        self.request.state.load(Ordering::Acquire) == word(seq, SUBMITTED)
+    }
+
+    /// Takes the request of call `seq` out for servicing. The returned
+    /// guard publishes the response ([`Servicing::finish`]); dropped
+    /// instead — the handler unwound — it marks the call `TAKEN(seq)`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must be the mailbox's only responder, must have observed
+    /// [`Self::submitted_as`]`(seq)` (Acquire: the payload is visible) and
+    /// must not have taken `seq` before.
+    pub(crate) unsafe fn take_request(&self, seq: usize) -> (Servicing<'_, Req, Resp>, (u32, Req)) {
+        let payload = (*self.request.payload.get()).assume_init_read();
+        (Servicing { slot: self, seq }, payload)
+    }
+
+    /// Is the response of call `seq` published? Acquire pairs with
+    /// [`Servicing::finish`]'s Release.
+    pub(crate) fn done_as(&self, seq: usize) -> bool {
+        self.response.state.load(Ordering::Acquire) == word(seq, DONE)
+    }
+
+    /// Takes the response of call `seq` out and frees the claim.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold the claim for `seq` and have observed
+    /// [`Self::done_as`]`(seq)` with Acquire (the response is visible, and
+    /// the responder is done with both cells).
+    pub(crate) unsafe fn redeem(&self, seq: usize) -> Result<Resp> {
+        let payload = (*self.response.payload.get()).assume_init_read();
+        // Release: the next claimant's Acquire CAS must see both cells as
+        // consumed before it rewrites them.
+        self.claim.store(seq << 1, Ordering::Release);
+        payload
+    }
+}
+
+/// Service ownership of one mailbox call, from
+/// [`MailSlot::take_request`] to [`Servicing::finish`].
+///
+/// If the handler unwinds, the guard is dropped unfinished and stores
+/// `TAKEN(seq)` into the response word: the request payload went down
+/// with the handler, and `MailSlot`'s `Drop` must not free it again.
+#[must_use = "dropping the guard marks the call as never answered"]
+pub(crate) struct Servicing<'a, Req, Resp> {
+    slot: &'a MailSlot<Req, Resp>,
+    seq: usize,
+}
+
+impl<Req, Resp> Servicing<'_, Req, Resp> {
+    /// Publishes the call's response: `DONE(seq)`.
+    pub(crate) fn finish(self, resp: Result<Resp>) {
+        let response = &self.slot.response;
+        // SAFETY: the guard exists only because the responder read
+        // SUBMITTED(seq) with Acquire and took the request; the claim
+        // holder reads the response cell only after the DONE(seq) Release
+        // below, and the previous response was redeemed before `seq` could
+        // be claimed. So this thread is the cell's only user.
+        unsafe { (*response.payload.get()).write(resp) };
+        response
+            .state
+            .store(word(self.seq, DONE), Ordering::Release);
+        core::mem::forget(self);
+    }
+}
+
+impl<Req, Resp> Drop for Servicing<'_, Req, Resp> {
+    fn drop(&mut self) {
+        // Reached only on unwind: `finish` forgets the guard.
+        self.slot
+            .response
+            .state
+            .store(word(self.seq, TAKEN), Ordering::Release);
+    }
+}
+
+impl<Req, Resp> Drop for MailSlot<Req, Resp> {
+    fn drop(&mut self) {
+        // `&mut self`: requesters and responder are gone. A payload can be
+        // live only under a claim that was never redeemed (shutdown
+        // stranded the call); the three words say which one.
+        let claim = *self.claim.get_mut();
+        if claim & HELD == 0 {
+            return;
+        }
+        let seq = claim >> 1;
+        if *self.request.state.get_mut() != word(seq, SUBMITTED) {
+            return; // claimed, never published
+        }
+        match *self.response.state.get_mut() {
+            // SAFETY: DONE(seq) under a held claim: `finish` ran for this
+            // call and `redeem` did not, so the response is initialized
+            // and unowned.
+            r if r == word(seq, DONE) => unsafe {
+                self.response.payload.get_mut().assume_init_drop();
+            },
+            // The handler unwound with the request: nothing is live.
+            r if r == word(seq, TAKEN) => {}
+            // SAFETY: SUBMITTED(seq) and the response word still names an
+            // earlier call: published, never taken, so the request is
+            // initialized and unowned.
+            _ => unsafe {
+                self.request.payload.get_mut().assume_init_drop();
+            },
+        }
+    }
+}
+
+impl<Req, Resp> core::fmt::Debug for MailSlot<Req, Resp> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("MailSlot")
+            .field("claim", &self.claim.load(Ordering::Relaxed))
+            .field("request", &self.request.state.load(Ordering::Relaxed))
+            .field("response", &self.response.state.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -563,14 +785,23 @@ mod tests {
         // different number of lines must edit this test on purpose.
         assert_eq!(core::mem::size_of::<CallSlot<u64, u64>>(), 192);
         assert_eq!(core::mem::size_of::<RingSlot<HotBuf, HotBuf>>(), 256);
+        // The mailbox slot in `rt_call`'s shape: a claim line, a request
+        // half of two lines (word + a 68 B `(u32, [u8; 64])` cell) and a
+        // response half of one (word + a 48 B `Result<u64>` cell).
+        type Shape = MailSlot<[u8; 64], u64>;
+        assert_eq!(core::mem::size_of::<CachePadded<AtomicUsize>>(), 64);
+        assert_eq!(
+            core::mem::size_of::<CachePadded<Half<(u32, [u8; 64])>>>(),
+            128
+        );
+        assert_eq!(core::mem::size_of::<CachePadded<Half<Result<u64>>>>(), 64);
+        assert_eq!(core::mem::size_of::<Shape>(), 256);
     }
 
     #[test]
     fn slot_roundtrip_moves_payloads() {
         let slot: CallSlot<String, String> = CallSlot::new();
-        assert!(slot.try_claim());
-        assert!(!slot.try_claim(), "claim is exclusive");
-        // SAFETY: we hold the claim won above.
+        // SAFETY: single thread: the (implicit) claim is ours.
         unsafe { slot.publish(0, 7, "ping".to_string()) };
         assert_eq!(slot.state(), SUBMITTED);
         // SAFETY: single thread; SUBMITTED observed; sole responder.
@@ -583,6 +814,28 @@ mod tests {
         let resp = unsafe { slot.redeem() };
         assert_eq!(resp.unwrap(), "pong");
         assert_eq!(slot.state(), EMPTY);
+
+        let mail: MailSlot<String, String> = MailSlot::new();
+        for round in 0..2 {
+            let seq = mail.try_claim().expect("mailbox is free");
+            assert_eq!(seq, MailSlot::<String, String>::FIRST_SEQ + round);
+            assert_eq!(mail.try_claim(), None, "claim is exclusive");
+            assert!(!mail.submitted_as(seq));
+            // SAFETY: we hold the claim for `seq`.
+            unsafe { mail.publish(seq, 7, "ping".to_string()) };
+            assert!(mail.submitted_as(seq) && !mail.done_as(seq));
+            // SAFETY: single thread; SUBMITTED(seq) observed; sole responder.
+            let (servicing, (id, req)) = unsafe { mail.take_request(seq) };
+            assert_eq!((id, req.as_str()), (7, "ping"));
+            servicing.finish(Ok("pong".to_string()));
+            assert!(mail.done_as(seq));
+            // SAFETY: we hold the claim and observed DONE(seq).
+            let resp = unsafe { mail.redeem(seq) };
+            assert_eq!(resp.unwrap(), "pong");
+            // Redeem leaves the request word alone: the responder's next
+            // sequence, not the word, tells the serviced call from a new one.
+            assert!(mail.submitted_as(seq) && !mail.submitted_as(seq + 1));
+        }
     }
 
     #[test]
@@ -592,16 +845,14 @@ mod tests {
         let marker = Arc::new(());
         {
             let slot: CallSlot<Arc<()>, Arc<()>> = CallSlot::new();
-            assert!(slot.try_claim());
-            // SAFETY: claim held.
+            // SAFETY: single thread: the claim is ours.
             unsafe { slot.publish(0, 0, Arc::clone(&marker)) };
         }
         assert_eq!(Arc::strong_count(&marker), 1, "request payload leaked");
         // A finished-but-never-redeemed response must be dropped.
         {
             let slot: CallSlot<Arc<()>, Arc<()>> = CallSlot::new();
-            assert!(slot.try_claim());
-            // SAFETY: claim held.
+            // SAFETY: single thread: the claim is ours.
             unsafe { slot.publish(0, 0, Arc::clone(&marker)) };
             // SAFETY: single thread, SUBMITTED observed.
             let _ = unsafe { slot.take_request() };
@@ -609,6 +860,66 @@ mod tests {
             unsafe { slot.finish(Ok(Arc::clone(&marker))) };
         }
         assert_eq!(Arc::strong_count(&marker), 1, "response payload leaked");
+    }
+
+    #[test]
+    fn mail_slot_drop_frees_each_payload_exactly_once() {
+        use std::sync::Arc;
+        type Mail = MailSlot<Arc<()>, Arc<()>>;
+        type Strand = fn(&Mail, &Arc<()>) -> usize;
+        let marker = Arc::new(());
+        // Each case leaves the slot where shutdown can strand a call, with
+        // one completed call before it (so a stale request word is in
+        // place), and returns how many references the slot should hold.
+        let cases: [(&str, Strand); 5] = [
+            ("redeemed", |_, _| 0),
+            ("claimed, unpublished", |mail, _| {
+                mail.try_claim().expect("free");
+                0
+            }),
+            ("published, untaken", |mail, m| {
+                let seq = mail.try_claim().expect("free");
+                // SAFETY: claim for `seq` held.
+                unsafe { mail.publish(seq, 0, Arc::clone(m)) };
+                1
+            }),
+            ("taken, handler unwound", |mail, m| {
+                let seq = mail.try_claim().expect("free");
+                // SAFETY: claim for `seq` held.
+                unsafe { mail.publish(seq, 0, Arc::clone(m)) };
+                // SAFETY: single thread; SUBMITTED(seq) observed.
+                let (servicing, (_, req)) = unsafe { mail.take_request(seq) };
+                // What an unwinding handler does: the request goes down
+                // with it, then the guard drops unfinished.
+                drop(req);
+                drop(servicing);
+                0
+            }),
+            ("done, unredeemed", |mail, m| {
+                let seq = mail.try_claim().expect("free");
+                // SAFETY: claim for `seq` held.
+                unsafe { mail.publish(seq, 0, Arc::clone(m)) };
+                // SAFETY: single thread; SUBMITTED(seq) observed.
+                let (servicing, _) = unsafe { mail.take_request(seq) };
+                servicing.finish(Ok(Arc::clone(m)));
+                1
+            }),
+        ];
+        for (name, strand) in cases {
+            let mail = Mail::new();
+            let seq = mail.try_claim().expect("free");
+            // SAFETY: claim for `seq` held; then single thread throughout.
+            unsafe { mail.publish(seq, 0, Arc::clone(&marker)) };
+            // SAFETY: single thread; SUBMITTED(seq) observed.
+            let (servicing, _) = unsafe { mail.take_request(seq) };
+            servicing.finish(Ok(Arc::clone(&marker)));
+            // SAFETY: claim held, DONE(seq) observed.
+            drop(unsafe { mail.redeem(seq) });
+            let held = strand(&mail, &marker);
+            assert_eq!(Arc::strong_count(&marker), 1 + held, "{name}: before drop");
+            drop(mail);
+            assert_eq!(Arc::strong_count(&marker), 1, "{name}: after drop");
+        }
     }
 
     #[test]

@@ -48,6 +48,11 @@ cargo test -q --workspace
 cargo test --release -q -p sgx-sim crypto
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
+# The mailbox end to end as a user drives it: round trips, a second call
+# id, `call_with_fallback` and the stats. Clippy only compiles examples.
+echo "==> cargo run --release --example switchless_rt"
+cargo run --release -q --example switchless_rt
+
 # The live data plane again under optimisation: the slot `debug_assert!`s
 # only exist in debug (the pass above), the race windows only open in
 # release. Then the tests that used to fail on scheduling luck, 20 times
