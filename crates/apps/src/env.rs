@@ -1191,14 +1191,12 @@ mod tests {
         // Every declared API plus the ecall shell has a route row, each on
         // an allowed transport.
         assert_eq!(t.routes.len(), 4);
-        if hotcalls::TELEMETRY_ENABLED {
-            // 83 routed calls crossed several decide windows and at least
-            // one sizer tick.
-            assert!(stats.decisions >= 1, "{stats:?}");
-            assert!(stats.ticks >= 1, "{stats:?}");
-            let getpid = t.routes.iter().find(|r| r.api == "getpid").unwrap();
-            assert!(getpid.observes >= 80, "{getpid:?}");
-        }
+        // 83 routed calls crossed several decide windows and at least one
+        // sizer tick.
+        assert!(stats.decisions >= 1, "{stats:?}");
+        assert!(stats.ticks >= 1, "{stats:?}");
+        let getpid = t.routes.iter().find(|r| r.api == "getpid").unwrap();
+        assert!(getpid.observes >= 80, "{getpid:?}");
         // The provider snapshot matches the live controller.
         let provider = auto.ctl_provider("prov").unwrap();
         assert_eq!(provider().routes.len(), 4);
@@ -1226,12 +1224,10 @@ mod tests {
         // the sizer's flush threshold picked.
         assert_eq!(auto.api_counts()["getpid"], 1);
         assert_eq!(auto.rt_stats().unwrap().calls, 3);
-        if hotcalls::TELEMETRY_ENABLED {
-            // Each bundled call fed a Bundled-cost observation back.
-            let t = auto.ctl_telemetry("b").unwrap();
-            let observed: u64 = t.routes.iter().map(|r| r.observes).sum();
-            assert!(observed >= 3, "{t:?}");
-        }
+        // Each bundled call fed a Bundled-cost observation back.
+        let t = auto.ctl_telemetry("b").unwrap();
+        let observed: u64 = t.routes.iter().map(|r| r.observes).sum();
+        assert!(observed >= 3, "{t:?}");
     }
 
     #[test]

@@ -2,15 +2,16 @@
 
 use serde::{Deserialize, Serialize};
 
-/// When a requester may run a handler inline (run-to-completion) instead
-/// of publishing the call to the responder pool.
+/// When a synchronous `call` may run its handler inline on the
+/// requester's thread instead of publishing it to the responder pool.
 ///
-/// The fused path skips the slot-publish handoff, the doze wake, and the
-/// cross-core cache-line transfer entirely — the requester's core executes
-/// the handler and keeps the data hot. That wins exactly when no second
-/// core is already spinning on the ring; the moment responders are active,
-/// handing off and pipelining wins instead. `Auto` makes that break-even
-/// decision per call.
+/// A fused call is a plain dispatch through the call table: it claims no
+/// ring slot, so it skips the publish, the doze wake and the cross-core
+/// cache-line transfer, and the handler keeps the requester's data hot.
+/// That wins exactly when no second core is already spinning on the ring;
+/// the moment responders are active, handing off and pipelining wins
+/// instead. `Auto` makes that break-even decision per call. Ring slots
+/// are only ever serviced by responders, in every mode.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FusedMode {
     /// Never fuse: every call goes through the responder pool (the
@@ -20,13 +21,10 @@ pub enum FusedMode {
     /// Fuse synchronous `call`s when the home responder set is quiescent
     /// (parked or dozing) and the ring holds fewer than two in-flight
     /// submissions; fall back to the pooled path the moment responders
-    /// are active. Pipelined `submit`s never fuse under `Auto` — the
-    /// caller chose the pipelined API to overlap work, which inline
-    /// execution would forfeit.
+    /// are active. Pipelined `submit`s and bundles never fuse — the
+    /// caller chose them to overlap work, which inline execution would
+    /// forfeit.
     Auto,
-    /// Always attempt the fused path (benchmarks and the zero-alloc gate;
-    /// `submit` still falls back when it loses the service race).
-    Always,
 }
 
 /// Break-even occupancy for [`FusedMode::Auto`]: the fused path is only

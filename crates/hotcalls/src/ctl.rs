@@ -34,14 +34,12 @@
 //!
 //! [`ChunkSizer`] stands apart from the [`Controller`]: a one-way ratchet
 //! that halves a streaming chunk while the EPC's paging bill per streamed
-//! byte stays high. Its input is the enclave's paging counters, not this
-//! crate's telemetry, so it adapts in every build.
+//! byte stays high.
 //!
-//! Under the `telemetry-off` feature the cycle feeds the router needs are
-//! compiled out; the controller still compiles and [`ApiRouter::route`]
-//! falls back to each API's registered default transport while
-//! [`Controller::tick`] stops issuing resize decisions — static policies,
-//! zero overhead.
+//! Every input here is handed in by the caller — cycles per call (RDTSC
+//! or a simulator clock), a [`RingStats`] snapshot, paging counters — so
+//! the decisions run the same in every build: the `telemetry-off` feature
+//! compiles out the trace events, not the routing and sizing.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{HotCallError, Result};
-use crate::telemetry::{trace, RingStats, TELEMETRY_ENABLED};
+use crate::telemetry::{trace, RingStats};
 
 /// The transports a call site can ride, in break-even order of the
 /// paper's Table 1: the SDK fallback costs thousands of cycles but keeps
@@ -216,9 +214,6 @@ impl AtomicF64 {
 #[derive(Debug)]
 struct ApiSlot {
     name: String,
-    /// Where calls go before any measurement exists (and always, under
-    /// `telemetry-off`).
-    default: Transport,
     allowed: Vec<Transport>,
     current: AtomicU8,
     /// Observations so far (drives the decide/explore cadences).
@@ -358,7 +353,6 @@ impl ApiRouter {
         }
         self.slots.push(ApiSlot {
             name: name.into(),
-            default,
             allowed,
             current: AtomicU8::new(default as u8),
             observes: AtomicU64::new(0),
@@ -374,13 +368,9 @@ impl ApiRouter {
 
     /// Where this call goes: the API's current transport, except for the
     /// periodic exploration probe that keeps the other transports'
-    /// estimates fresh. Uninstrumented builds always answer the registered
-    /// default — the static-policy fallback.
+    /// estimates fresh.
     pub fn route(&self, api: ApiId) -> Transport {
         let slot = &self.slots[api.0];
-        if !TELEMETRY_ENABLED {
-            return slot.default;
-        }
         let cur = slot.current();
         if slot.allowed.len() > 1 {
             let n = slot.observes.load(Ordering::Relaxed);
@@ -400,9 +390,6 @@ impl ApiRouter {
     /// a simulator clock — as long as one caller is consistent). Every
     /// 32nd observation re-evaluates the API's route.
     pub fn observe(&self, api: ApiId, transport: Transport, cycles: u64, now: u64) {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         let slot = &self.slots[api.0];
         let t = transport as usize;
         let prev = slot.ewma[t].get();
@@ -489,9 +476,6 @@ impl ApiRouter {
 
     /// The API's current transport (no exploration).
     pub fn current(&self, api: ApiId) -> Transport {
-        if !TELEMETRY_ENABLED {
-            return self.slots[api.0].default;
-        }
         self.slots[api.0].current()
     }
 
@@ -505,11 +489,7 @@ impl ApiRouter {
         self.slots
             .iter()
             .map(|slot| {
-                let cur = if TELEMETRY_ENABLED {
-                    slot.current()
-                } else {
-                    slot.default
-                };
+                let cur = slot.current();
                 CtlRoute {
                     api: slot.name.clone(),
                     transport: cur.label().to_string(),
@@ -696,12 +676,8 @@ impl Controller {
         self.router.observe(api, transport, cycles, now);
     }
 
-    /// One sizer tick over the plane's stats. Uninstrumented builds hold
-    /// every knob still — the static-policy fallback.
+    /// One sizer tick over the plane's stats.
     pub fn tick(&self, rs: &RingStats) -> SizeDecision {
-        if !TELEMETRY_ENABLED {
-            return SizeDecision::default();
-        }
         let decision = self.sizer.lock().expect("sizer lock").tick(rs);
         if let Some(n) = decision.responders {
             trace("ctl_resize", n as u64, rs.governor.active as u64);
@@ -775,9 +751,6 @@ mod tests {
 
     #[test]
     fn fast_transport_wins_and_stays() {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         let (r, id) = two_way_router();
         // Hot is 600 cycles, SDK 8_200, calls arrive every 2_000 cycles:
         // the standby tax (5% of 2_000 = 100) nowhere near closes the gap.
@@ -791,9 +764,6 @@ mod tests {
 
     #[test]
     fn low_rate_api_demotes_to_sdk_and_promotes_back() {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         let (r, id) = two_way_router();
         // Sparse calls: one every 400_000 cycles. The standby tax is
         // 20_000 cycles/call — far more than the 7_600 the hot path saves,
@@ -818,9 +788,6 @@ mod tests {
 
     #[test]
     fn flip_count_is_bounded_under_stationary_load() {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         let (r, id) = two_way_router();
         drive(&r, id, 50_000, 3_000, |t| match t {
             Transport::Sdk => 8_200,
@@ -834,9 +801,6 @@ mod tests {
 
     #[test]
     fn exploration_probes_are_periodic_and_counted() {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         let (r, id) = two_way_router();
         drive(&r, id, 1_000, 2_000, |_| 600);
         let stats_probes = r.explore_probes.load(Ordering::Relaxed);
@@ -950,13 +914,7 @@ mod tests {
         assert_eq!(tel.name, "unit");
         assert_eq!(tel.routes.len(), 1);
         assert_eq!(tel.routes[0].api, "read");
-        if TELEMETRY_ENABLED {
-            assert_eq!(tel.stats.ticks, 1);
-            assert_eq!(tel.routes[0].observes, 1);
-        } else {
-            // The static fallback: no ticks counted, default transport.
-            assert_eq!(tel.stats.ticks, 0);
-            assert_eq!(tel.routes[0].transport, "hot");
-        }
+        assert_eq!(tel.stats.ticks, 1);
+        assert_eq!(tel.routes[0].observes, 1);
     }
 }

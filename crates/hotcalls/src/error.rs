@@ -19,8 +19,9 @@ pub enum HotCallError {
     ResponderGone,
     /// No function is registered at the requested call id.
     UnknownCallId(u32),
-    /// A server constructor was given an unusable parameter (zero ring
-    /// capacity, empty responder pool).
+    /// A constructor was given an unusable parameter (zero ring capacity,
+    /// empty responder pool, a config [`crate::HotCallConfig::validate`]
+    /// rejects).
     InvalidConfig(&'static str),
     /// The underlying SDK layer failed (simulated variant only).
     Sdk(sgx_sdk::SdkError),

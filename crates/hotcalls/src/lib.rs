@@ -33,7 +33,9 @@
 //!   and one [`ResponderPolicy`] — the same `{min, max}` for both shapes
 //!   ([`rt::RingServer::spawn_adaptive`], `spawn_sharded`) — replaces the
 //!   static pool size with a governor that parks idle responders and
-//!   wakes them on backlog. [`rt::ByteRing`] and [`rt::SgRing`] are that
+//!   wakes them on backlog. Only responders service ring slots; under
+//!   [`FusedMode::Auto`] a synchronous call on a quiet plane skips the
+//!   ring and runs its handler inline. [`rt::ByteRing`] and [`rt::SgRing`] are that
 //!   plane over arena-backed byte and scatter-gather payloads. This is
 //!   usable as a general low-latency inter-thread call primitive.
 //! * [`ctl`] — the **configless control plane**: a per-API break-even

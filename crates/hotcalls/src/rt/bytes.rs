@@ -643,10 +643,28 @@ mod tests {
         assert_eq!(rs.steals(), 0);
     }
 
+    /// Calls through every caller until one whole round ran inline: each
+    /// caller's home responders then doze, and a fused call wakes nobody.
+    fn await_fusing(ring: &ByteRing, callers: &mut [ByteCaller], id: u32) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let before = ring.stats().fused_runs;
+            for caller in callers.iter_mut() {
+                caller.call(id, b"ab", 0).unwrap();
+            }
+            if ring.stats().fused_runs - before == callers.len() as u64 {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "never fused");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn fused_byte_calls_run_inline_and_recycle() {
         let fused = HotCallConfig {
-            fused_mode: crate::config::FusedMode::Always,
+            fused_mode: crate::config::FusedMode::Auto,
+            idle_polls_before_sleep: Some(64),
             ..HotCallConfig::patient()
         };
         let (t, rev, _) = echo_table();
@@ -657,6 +675,9 @@ mod tests {
             // Two callers: on the sharded plane the router homes them on
             // different shards.
             let mut callers = [ring.caller(), ring.caller()];
+            await_fusing(&ring, &mut callers, rev);
+            let before = ring.stats();
+            let hits_before = callers.each_ref().map(|c| c.arena_stats().inline_hits);
             for _ in 0..50 {
                 for caller in &mut callers {
                     caller
@@ -664,14 +685,14 @@ mod tests {
                         .unwrap();
                 }
             }
-            for caller in &callers {
+            for (caller, hits_before) in callers.iter().zip(hits_before) {
                 let stats = caller.arena_stats();
-                assert_eq!(stats.inline_hits, 50);
+                assert_eq!(stats.inline_hits - hits_before, 50);
                 assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
             }
             let s = ring.stats();
-            assert_eq!(s.calls, 100);
-            assert_eq!(s.fused_runs, 100, "{s:?}");
+            assert_eq!(s.calls - before.calls, 100);
+            assert_eq!(s.fused_runs - before.fused_runs, 100, "{s:?}");
         }
     }
 

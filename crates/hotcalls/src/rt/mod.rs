@@ -121,7 +121,16 @@ where
     Resp: Send + 'static,
 {
     /// Spawns the responder ("On Call") thread over `table`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`HotCallConfig::validate`]'s message when it rejects
+    /// `config` (a zero retry, spin or drain budget, or a zero idle-poll
+    /// budget), and if the responder thread cannot be spawned.
     pub fn spawn(table: CallTable<Req, Resp>, config: HotCallConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let shared = Arc::new(Shared {
             slot: MailSlot::new(),
             shutdown: AtomicBool::new(false),
@@ -378,6 +387,46 @@ mod tests {
         let inc = t.register(|x| x + 1);
         let dbl = t.register(|x| x * 2);
         (t, inc, dbl)
+    }
+
+    fn spawn_with(config: HotCallConfig) {
+        HotCallServer::spawn(arith_table().0, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "timeout_retries must be positive")]
+    fn spawn_rejects_zero_timeout_retries() {
+        spawn_with(HotCallConfig {
+            timeout_retries: 0,
+            ..HotCallConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "spins_per_retry must be positive")]
+    fn spawn_rejects_zero_spins_per_retry() {
+        spawn_with(HotCallConfig {
+            spins_per_retry: 0,
+            ..HotCallConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "drain_batch must be positive")]
+    fn spawn_rejects_zero_drain_batch() {
+        spawn_with(HotCallConfig {
+            drain_batch: 0,
+            ..HotCallConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "idle_polls_before_sleep of zero")]
+    fn spawn_rejects_zero_idle_polls_before_sleep() {
+        spawn_with(HotCallConfig {
+            idle_polls_before_sleep: Some(0),
+            ..HotCallConfig::default()
+        });
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! Every responder runs [`responder_loop`]: scan up to `drain_batch`
 //! contiguous `SUBMITTED` slots starting at a shard's `tail`, claim the
 //! whole run with a single CAS on `tail`, then service the claimed slots
-//! privately. The CAS is the ownership transfer — winning it while `tail`
-//! is unchanged proves no other responder touched those slots (`tail` is
-//! monotonic, so there is no ABA), and requesters cannot recycle a slot
-//! until it is serviced *and* redeemed, which itself requires `tail` to
-//! advance. The scan accepts a slot only if its `SUBMITTED` word names the
+//! privately. Responders are the only writers of `tail` (a requester's
+//! fused call claims no slot), and the CAS is the ownership transfer —
+//! winning it while `tail` is unchanged proves no other responder touched
+//! those slots (`tail` is monotonic, so there is no ABA), and requesters
+//! cannot recycle a slot until it is serviced *and* redeemed, which itself
+//! requires `tail` to advance. The scan accepts a slot only if its `SUBMITTED` word names the
 //! sequence scanned for ([`submitted_run`]): a slot a sibling has claimed
 //! but not yet taken still reads `SUBMITTED`, one lap behind. Batching
 //! amortizes both the CAS and the wake/schedule cost of the drain, which
@@ -94,8 +95,8 @@ fn dispatch_envelope<Req, Resp>(
 /// # Safety
 ///
 /// The caller must own servicing of `slot`: it observed `SUBMITTED` with
-/// `Acquire` and won the tail CAS (or equivalent exclusive claim) covering
-/// this slot, and calls this at most once per claim.
+/// `Acquire` and won the tail CAS covering this slot, and calls this at
+/// most once per claim.
 unsafe fn service_slot<Req, Resp>(
     slot: &RingSlot<Req, Resp>,
     table: &CallTable<Req, Resp>,
@@ -130,31 +131,6 @@ unsafe fn service_slot<Req, Resp>(
     local.flush(cell);
     // SAFETY: this thread took the request for this slot above.
     unsafe { slot.finish(result) };
-}
-
-/// Services one claimed slot on a *requester* thread — the fused
-/// run-to-completion path. [`service_slot`] minus the responder
-/// bookkeeping: requesters own no single-writer stat cell or stage
-/// histograms, so the caller accounts the returned call count into the
-/// plane's shared `fused_runs` counter instead. Returns how many calls
-/// the envelope carried (1, or the bundle length).
-///
-/// # Safety
-///
-/// As [`service_slot`]: the caller must hold exclusive service ownership
-/// of `slot` (it won the tail CAS covering it after observing/having
-/// published `SUBMITTED`), and calls this at most once per claim.
-pub(super) unsafe fn service_slot_inline<Req, Resp>(
-    slot: &RingSlot<Req, Resp>,
-    table: &CallTable<Req, Resp>,
-) -> u64 {
-    // SAFETY: forwarded from the caller's contract — exclusive service
-    // ownership of this slot.
-    let (id, env) = unsafe { slot.take_request() };
-    let (result, n) = dispatch_envelope(table, id, env);
-    // SAFETY: this thread took the request for this slot above.
-    unsafe { slot.finish(result) };
-    n
 }
 
 /// Length (at most `batch`) of the contiguous run of published, untaken

@@ -484,8 +484,9 @@ impl<Req, Resp> RingShared<Req, Resp> {
     /// shard above the active target has no home responder at all; an
     /// active one counts once each of its `⌈(active − shard) / S⌉` active
     /// home responders dozes. Stealers may still visit either way. The
-    /// check is a heuristic — the service-ownership CAS is what keeps the
-    /// fused path correct when a responder wakes mid-decision.
+    /// check is a heuristic: a fused call claims no slot, so a responder
+    /// waking mid-decision costs the call its break-even, never its
+    /// correctness.
     fn home_quiescent(&self, home: usize, shard: &Shard<Req, Resp>) -> bool {
         let active = self.governor.active_target.load(Ordering::Relaxed);
         let homes = active.saturating_sub(home).div_ceil(self.shards.len());
@@ -1089,12 +1090,14 @@ fn claim_slot<Req, Resp>(shard: &Shard<Req, Resp>, gov: &GovernorState) -> Optio
 /// The reap pick of `wait_any`: the position in
 /// `tickets` of the *oldest* completed call, or `None` if none completed.
 ///
-/// Oldest, never first-found: with instantly-completing submissions (the
-/// fused path) a first-found scan keeps redeeming whichever ticket
-/// `swap_remove` rotated to the front — always the youngest — while older
-/// DONE slots sit un-redeemed until the head laps onto one and `submit`
-/// spins on a slot only this very caller could free. Oldest-first bounds
-/// an un-redeemed completion's age by the caller's in-flight window.
+/// Oldest, never first-found: when the responders complete calls faster
+/// than the caller redeems them (a cheap handler, a batched drain), every
+/// ticket of the set is DONE at scan time, and a first-found scan keeps
+/// redeeming whichever ticket `swap_remove` rotated to the front — always
+/// the youngest — while older DONE slots sit un-redeemed until the head
+/// laps onto one and `submit` spins on a slot only this very caller could
+/// free. Oldest-first bounds an un-redeemed completion's age by the
+/// caller's in-flight window.
 ///
 /// The minimum-sequence ticket is found in the caller's own memory and
 /// its slot is tested first: if it is DONE it *is* the oldest completed
@@ -1170,76 +1173,25 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         &self.shared.shards[self.home]
     }
 
-    /// Is the fused run-to-completion path worth attempting right now?
+    /// Is the fused run-to-completion path worth taking right now?
     /// `occupancy` is the requester's latest coherent tail-before-head
-    /// snapshot of its home shard: under `Auto`, the shard's backlog must
-    /// be below the break-even threshold and the shard must look
-    /// unattended. Never true after shutdown (the caller checks the flag
-    /// first), so fused configs keep the pooled `ResponderGone`
-    /// semantics.
+    /// snapshot of its home shard: the shard's backlog must be below the
+    /// break-even threshold and the shard must look unattended. The
+    /// caller checks the shutdown flag first, so fused configs keep the
+    /// pooled `ResponderGone` semantics.
     fn fused_eligible(&self, shard: &Shard<Req, Resp>, occupancy: usize) -> bool {
-        match self.config.fused_mode {
-            FusedMode::Off => false,
-            FusedMode::Always => true,
-            FusedMode::Auto => {
-                occupancy < FUSED_BELOW_OCCUPANCY && self.shared.home_quiescent(self.home, shard)
-            }
-        }
+        occupancy < FUSED_BELOW_OCCUPANCY && self.shared.home_quiescent(self.home, shard)
     }
 
-    /// Counts (and traces) a call that was fused-eligible in principle but
-    /// rode the pooled path — the break-even gate said no, or the service
-    /// race was lost to a responder.
-    #[inline]
-    fn note_fused_fallback(&self, seq: u64) {
-        if self.config.fused_mode != FusedMode::Off {
-            self.shared.fused_fallbacks.fetch_add(1, Ordering::Relaxed);
-            trace("fused_fallback", seq, self.home as u64);
-        }
-    }
-
-    /// Tries to service the just-published slot at `index` on *this*
-    /// thread. Winning the tail CAS for exactly `[index, index + 1)` is
-    /// the same service-ownership edge the responder drain uses, so the
-    /// requester and any awake responder or stealer can race for the slot
-    /// and exactly one of them executes it. Returns `true` if the slot was
-    /// serviced inline (it is DONE, awaits its normal redeem, and no
-    /// wakeup is needed).
-    fn try_self_service(&self, shard: &Shard<Req, Resp>, index: usize) -> bool {
-        let next = index.wrapping_add(1);
-        if shard
-            .tail
-            .compare_exchange(index, next, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            // Older submissions sit ahead of ours (or a responder already
-            // claimed a run covering this slot): pipelining wins, hand
-            // off.
-            return false;
-        }
-        // SAFETY: the tail CAS granted exclusive service ownership of
-        // exactly this slot (tail is monotonic, so success rules out any
-        // concurrent home or stealing claim), and this requester published
-        // it SUBMITTED (with Release) just above, so the Acquire side of
-        // the CAS sees the payload — which is its own.
-        let n = unsafe { pool::service_slot_inline(shard.slot(index), &self.shared.table) };
-        self.shared.fused_runs.fetch_add(n, Ordering::Relaxed);
-        trace("fused_run", index as u64, n);
-        true
-    }
-
-    /// Claims a slot on the home shard and publishes `env` into it,
-    /// returning the absolute slot sequence. On failure the envelope is
-    /// handed back so the caller can recover the request payloads (the
-    /// fallback path). With `allow_fuse` (and [`FusedMode::Always`]), the
-    /// requester services its own submission inline instead of waking a
-    /// responder.
+    /// Claims a slot on the home shard, publishes `env` into it and wakes
+    /// a responder, returning the absolute slot sequence. On failure the
+    /// envelope is handed back so the caller can recover the request
+    /// payloads (the fallback path).
     fn submit_envelope(
         &self,
         shard: &Shard<Req, Resp>,
         id: u32,
         env: ReqEnvelope<Req>,
-        allow_fuse: bool,
     ) -> core::result::Result<usize, (HotCallError, ReqEnvelope<Req>)> {
         let shared = &*self.shared;
         let mut backoff = Backoff::new();
@@ -1253,34 +1205,9 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                     continue;
                 };
                 let slot = shard.slot(head);
-                // Pipelined submissions fuse only under an explicit `Always`.
-                // The caller chose the pipelined API to overlap work, and
-                // under `Auto` an inline completion would collapse
-                // occupancy back to zero before the next submission's gate
-                // reads it — the plane would run whole bursts inline,
-                // never wake a responder, and never hand the backlog to
-                // the pool. `Auto`'s break-even gate lives on the
-                // synchronous `call` path, where the requester would have
-                // blocked anyway.
-                let fuse = allow_fuse && self.config.fused_mode == FusedMode::Always;
                 // SAFETY: `claim_slot` won the head CAS, which grants
                 // exclusive claim ownership of this slot; publish once.
                 unsafe { slot.publish(head, id, env) };
-                if fuse {
-                    if self.try_self_service(shard, head) {
-                        // Serviced on this core: no handoff, no wake. The
-                        // slot is DONE and redeems through the normal
-                        // wait path.
-                        return Ok(head);
-                    }
-                    // Lost the service race — a responder or stealer beat
-                    // us to the tail, or older submissions are queued
-                    // ahead. The call rides the pooled path, which still
-                    // needs its wakeup: skipping it can strand this
-                    // submission if every responder dozes after draining
-                    // past the front.
-                    self.note_fused_fallback(head as u64);
-                }
                 // Wake a sleeping responder (after the SUBMITTED store).
                 // One wake per submission — a bundle of N calls pays this
                 // at most once.
@@ -1316,7 +1243,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// retry budget; [`HotCallError::ResponderGone`] after shutdown.
     pub fn submit(&self, id: u32, req: Req) -> Result<Ticket> {
         let shard = self.shard();
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req), true) {
+        match self.submit_envelope(shard, id, ReqEnvelope::One(req)) {
             Ok(index) => Ok(Ticket {
                 index,
                 board: Some(Arc::clone(&shard.abandon)),
@@ -1447,10 +1374,11 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 trace("fused_run", id as u64, 1);
                 return result;
             }
-            self.note_fused_fallback(id as u64);
+            // The break-even gate said no: the call rides the pool.
+            self.shared.fused_fallbacks.fetch_add(1, Ordering::Relaxed);
+            trace("fused_fallback", id as u64, self.home as u64);
         }
-        // Fusing was declined here; don't re-attempt it inside submit.
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req), false) {
+        match self.submit_envelope(shard, id, ReqEnvelope::One(req)) {
             Ok(index) => self.wait_index(shard, index),
             Err((e, _)) => Err(e),
         }
@@ -1474,9 +1402,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         let shard = self.shard();
         trace("bundle_submit", bundle.len() as u64, self.home as u64);
         let env = ReqEnvelope::Bundle(bundle.calls);
-        let index = self
-            .submit_envelope(shard, 0, env, true)
-            .map_err(|(e, _)| e)?;
+        let index = self.submit_envelope(shard, 0, env).map_err(|(e, _)| e)?;
         self.wait_done(shard, index)?;
         match self.redeem(shard, index)? {
             RespEnvelope::Bundle(results) => Ok(results),
@@ -1495,7 +1421,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         F: FnOnce(Req) -> Resp,
     {
         let shard = self.shard();
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req), true) {
+        match self.submit_envelope(shard, id, ReqEnvelope::One(req)) {
             Ok(index) => self.wait_index(shard, index),
             Err((HotCallError::ResponderTimeout { .. }, ReqEnvelope::One(req))) => {
                 Ok(fallback(req))
@@ -2241,13 +2167,6 @@ mod tests {
         assert_eq!(server.stats().calls, 3_000);
     }
 
-    fn fused_always() -> HotCallConfig {
-        HotCallConfig {
-            fused_mode: FusedMode::Always,
-            ..HotCallConfig::patient()
-        }
-    }
-
     /// `Auto` fusing over responders that doze after `idle` empty polls
     /// (`None`: they spin forever).
     fn fused_auto(idle: Option<u64>) -> HotCallConfig {
@@ -2259,74 +2178,55 @@ mod tests {
     }
 
     #[test]
-    fn fused_always_runs_calls_inline() {
-        each_shape(4, fused_always(), |shape, server, sq| {
-            let r = server.requester();
-            for i in 0..100u64 {
-                assert_eq!(r.call(sq, i).unwrap(), i * i, "{shape}");
-            }
-            let s = server.stats();
-            assert_eq!(s.calls, 100, "{shape}");
-            // `call` with Always never touches the ring at all.
-            assert_eq!(s.fused_runs, 100, "{shape}: {s:?}");
-        });
-    }
-
-    #[test]
     fn unknown_id_propagates_pooled_and_fused() {
-        for config in [generous(), fused_always()] {
+        for (config, fused) in [(generous(), 0), (fused_auto(Some(64)), 1)] {
             each_shape(4, config, |shape, server, _| {
                 let r = server.requester();
+                if fused == 1 {
+                    await_all_dozing(&server);
+                }
                 assert!(
                     matches!(r.call(42, 1), Err(HotCallError::UnknownCallId(42))),
                     "{shape}"
                 );
+                let s = server.stats();
+                assert_eq!(s.fused_runs, fused, "{shape}: {s:?}");
             });
         }
     }
 
     #[test]
-    fn fused_submit_self_services_and_redeems() {
-        each_shape(8, fused_always(), |shape, server, sq| {
-            let r = server.requester();
-            let ticket = r.submit(sq, 6).unwrap();
-            assert_eq!(r.wait(ticket).unwrap(), 36, "{shape}");
-            let s = server.stats();
-            // The submission either self-serviced or lost the race to a
-            // responder (counted as a fallback) — never both, never
-            // neither.
-            assert_eq!(s.fused_runs + s.fused_fallbacks, 1, "{shape}: {s:?}");
-            let mut bundle = Bundle::new();
-            bundle.push(sq, 2).push(sq, 3);
-            let results = r.call_bundle(bundle).unwrap();
-            let values: Vec<u64> = results.into_iter().map(|x| x.unwrap()).collect();
-            assert_eq!(values, [4, 9], "{shape}");
-            // Each envelope either self-serviced (its calls count as fused
-            // runs) or lost its race (one counted fallback) — conservation
-            // must be exact either way.
-            let s = server.stats();
-            assert_eq!(s.calls, 3, "{shape}: {s:?}");
-        });
-    }
-
-    #[test]
-    fn fused_pipelining_redeems_oldest_and_never_wedges_on_wrap() {
-        // Regression: with instantly-completing fused submissions every
-        // outstanding ticket is DONE at scan time, and a first-found
-        // `wait_any` kept redeeming whichever ticket `swap_remove` had
-        // rotated to the front — always the youngest — while older DONE
-        // slots sat un-redeemed until the head lapped onto one and
-        // `submit` spun forever on a slot only this very thread could
-        // free. Oldest-first redemption keeps the lap ahead of the
-        // in-flight window; this loop wraps the 8-slot ring dozens of
-        // times.
-        each_shape(8, fused_always(), |shape, server, sq| {
+    fn wait_any_redeems_oldest_and_never_wedges_on_wrap() {
+        // Regression: when the responders complete a window faster than
+        // the caller redeems it, every outstanding ticket is DONE at scan
+        // time, and a first-found `wait_any` kept redeeming whichever
+        // ticket `swap_remove` had rotated to the front — always the
+        // youngest — while older DONE slots sat un-redeemed until the head
+        // lapped onto one and `submit` spun forever on a slot only this
+        // very thread could free. This loop wraps the 8-slot ring dozens
+        // of times.
+        //
+        // On a pool or a sharded plane a responder descheduled mid-service
+        // can still hold the oldest call while others complete younger
+        // ones around it, so the loop keeps `submit`'s lap rule: a ticket
+        // a full lap behind is redeemed by name before submitting past it.
+        // Behind one in-order responder that rule never has to fire —
+        // oldest-first hands back the oldest ticket whenever any is done —
+        // while a first-found pick strands older DONE tickets until it
+        // must.
+        const CAPACITY: u64 = 8;
+        let in_order = SHAPES[0].0;
+        each_shape(CAPACITY as usize, generous(), |shape, server, sq| {
             let r = server.requester();
             let mut tickets: Vec<Ticket> = Vec::new();
-            let mut submitted = 0u64;
-            let mut redeemed = 0u64;
+            let (mut submitted, mut redeemed, mut lapped) = (0u64, 0u64, 0u64);
             while redeemed < 500 {
                 while tickets.len() < 4 {
+                    let behind = |t: &Ticket| t.seq() + CAPACITY <= submitted;
+                    if let Some(at) = tickets.iter().position(behind) {
+                        r.wait(tickets.swap_remove(at)).unwrap();
+                        (redeemed, lapped) = (redeemed + 1, lapped + 1);
+                    }
                     tickets.push(r.submit(sq, submitted).unwrap());
                     submitted += 1;
                 }
@@ -2340,6 +2240,9 @@ mod tests {
             }
             assert_eq!(redeemed, submitted, "{shape}");
             assert_eq!(server.stats().calls, submitted, "{shape}");
+            if shape == in_order {
+                assert_eq!(lapped, 0, "{shape}: wait_any skipped the oldest");
+            }
         });
     }
 

@@ -15,7 +15,7 @@
 use sgx_sdk::marshal::{stage, unstage, CallerSide, StagingArea};
 use sgx_sdk::sync::{sim_spin_acquire, sim_spin_release};
 use sgx_sdk::{BufArg, CallArgs, EnclaveCtx};
-use sgx_sim::{Addr, CycleLedger, Cycles, Machine, Placement, Topology};
+use sgx_sim::{Addr, Cycles, Machine};
 
 use crate::config::HotCallConfig;
 use crate::error::Result;
@@ -31,6 +31,12 @@ const SECURE_BYTES: u64 = 1 << 19;
 /// Cost of signalling the sleeping responder's condition variable before a
 /// request (a futex wake issued from the requester's side).
 const WAKE_COST: u64 = 1_500;
+
+/// Cost of one cache-line handoff between the requester's and the
+/// responder's core: the paper's deployment runs them on sibling cores of
+/// one socket, so each handoff is the 60-cycle LLC coherence transfer the
+/// ~620-cycle round trip was fitted with.
+const HANDOFF_CYCLES: u64 = 60;
 
 /// Core cost of the responder noticing + dispatching a request once the
 /// mailbox is read (call-table index check and jump).
@@ -86,15 +92,6 @@ pub struct SimHotCalls {
     /// Probability a retry finds the responder busy (models contention from
     /// other requesters sharing the responder; 0 for a dedicated pair).
     contention: f64,
-    /// Core layout + handoff cost table the channel is placed on.
-    topology: Topology,
-    /// Where the requester thread runs.
-    requester: Placement,
-    /// Where the polling responder thread runs.
-    responder: Placement,
-    /// Cycles burned on mailbox handoffs, filed per placement regime
-    /// (`handoff-same-core` / `handoff-cross-core` / `handoff-cross-node`).
-    placement_ledger: CycleLedger,
 }
 
 impl SimHotCalls {
@@ -103,16 +100,15 @@ impl SimHotCalls {
     ///
     /// # Errors
     ///
-    /// Fails if the enclave heap cannot hold the secure scratch.
+    /// [`crate::HotCallError::InvalidConfig`] for a config
+    /// [`HotCallConfig::validate`] rejects; otherwise fails if the enclave
+    /// heap cannot hold the secure scratch.
     pub fn new(m: &mut Machine, ctx: &EnclaveCtx, config: HotCallConfig) -> Result<Self> {
+        config.validate()?;
         let lock_line = m.alloc_untrusted(64, 64);
         let mailbox_line = m.alloc_untrusted(64, 64);
         let shared_area = m.alloc_untrusted(SHARED_BYTES, 4096);
         let secure_area = m.alloc_enclave_heap(ctx.eid, SECURE_BYTES, 4096)?;
-        // The paper's deployment: requester and responder are sibling
-        // cores on one socket, so every handoff is the 60-cycle LLC
-        // coherence transfer the ~620-cycle round trip was fitted with.
-        let topology = Topology::default();
         Ok(SimHotCalls {
             lock_line,
             mailbox_line,
@@ -122,21 +118,12 @@ impl SimHotCalls {
             stats: HotCallStats::default(),
             last_call_end: Cycles::ZERO,
             contention: 0.0,
-            requester: topology.place(0),
-            responder: topology.place(1),
-            topology,
-            placement_ledger: CycleLedger::new(),
         })
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> HotCallStats {
         self.stats
-    }
-
-    /// Replaces the configuration (e.g. enabling idle sleep between runs).
-    pub fn set_config(&mut self, config: HotCallConfig) {
-        self.config = config;
     }
 
     /// Sets the probability that an availability check finds the responder
@@ -148,48 +135,6 @@ impl SimHotCalls {
     pub fn set_contention(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.contention = p;
-    }
-
-    /// Replaces the machine layout the channel's endpoints are placed on.
-    /// Existing placements are re-derived on the new layout.
-    pub fn set_topology(&mut self, topology: Topology) {
-        self.topology = topology;
-        self.requester = topology.place(self.requester.core);
-        self.responder = topology.place(self.responder.core);
-    }
-
-    /// Pins the requester and responder to logical cores; the NUMA node of
-    /// each follows from the topology. The next call is charged under the
-    /// new regime — same-core handoffs are free, cross-node ones ride the
-    /// interconnect.
-    pub fn set_placement(&mut self, requester_core: usize, responder_core: usize) {
-        self.requester = self.topology.place(requester_core);
-        self.responder = self.topology.place(responder_core);
-    }
-
-    /// The current (requester, responder) placements.
-    pub fn placements(&self) -> (Placement, Placement) {
-        (self.requester, self.responder)
-    }
-
-    /// Cycles burned moving the mailbox and data lines between the two
-    /// endpoints, filed per placement regime. Zero-cost same-core handoffs
-    /// still appear (at zero), so the account names double as a census of
-    /// which regime the channel ran in.
-    pub fn placement_ledger(&self) -> &CycleLedger {
-        &self.placement_ledger
-    }
-
-    /// Charges `hops` cache-line handoffs between the endpoints and files
-    /// them in the placement ledger.
-    fn charge_handoff(&mut self, m: &mut Machine, hops: u64) {
-        let cost = self.topology.transfer_cost(self.requester, self.responder) * hops;
-        self.placement_ledger.credit(
-            self.topology
-                .transfer_account(self.requester, self.responder),
-            cost,
-        );
-        m.charge(cost);
     }
 
     /// A HotOcall: the enclave requests untrusted work without leaving the
@@ -360,12 +305,11 @@ impl SimHotCalls {
 
     /// The responder polls the mailbox, sees the flag after at most one
     /// poll interval, pulls the mailbox and data lines over from the
-    /// requester's cache (two handoffs, costed by placement), and
-    /// dispatches.
+    /// requester's cache (two handoffs), and dispatches.
     fn responder_pickup(&mut self, m: &mut Machine) -> Result<()> {
         let poll_delay = m.sample_uniform(self.poll_interval(m));
         m.charge(Cycles::new(poll_delay + DISPATCH_COST));
-        self.charge_handoff(m, 2);
+        m.charge(Cycles::new(2 * HANDOFF_CYCLES));
         self.stats.busy_polls += 1;
         Ok(())
     }
@@ -376,7 +320,7 @@ impl SimHotCalls {
         m.write(self.mailbox_line, 8)?;
         let notice = m.sample_uniform(m.config().pause + 30);
         m.charge(Cycles::new(notice));
-        self.charge_handoff(m, 1);
+        m.charge(Cycles::new(HANDOFF_CYCLES));
         // Occasional long tail: scheduler interference on the responder
         // core (bounded near the paper's 1,400-cycle p99.97).
         if m.sample_bool(0.004) {
@@ -411,13 +355,58 @@ mod tests {
         };
     };";
 
-    fn setup() -> (Machine, EnclaveCtx, SimHotCalls) {
+    fn setup_with(config: HotCallConfig) -> (Machine, EnclaveCtx, Result<SimHotCalls>) {
         let mut m = Machine::new(SimConfig::builder().deterministic().build());
         let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
         let edl = parse_edl(EDL).unwrap();
         let ctx = EnclaveCtx::new(&mut m, eid, &edl, MarshalOptions::default()).unwrap();
-        let hot = SimHotCalls::new(&mut m, &ctx, HotCallConfig::default()).unwrap();
+        let hot = SimHotCalls::new(&mut m, &ctx, config);
         (m, ctx, hot)
+    }
+
+    fn setup() -> (Machine, EnclaveCtx, SimHotCalls) {
+        let (m, ctx, hot) = setup_with(HotCallConfig::default());
+        (m, ctx, hot.unwrap())
+    }
+
+    fn assert_rejected(config: HotCallConfig) {
+        let err = setup_with(config).2.unwrap_err();
+        assert!(
+            matches!(err, crate::error::HotCallError::InvalidConfig(_)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn new_rejects_zero_timeout_retries() {
+        assert_rejected(HotCallConfig {
+            timeout_retries: 0,
+            ..HotCallConfig::default()
+        });
+    }
+
+    #[test]
+    fn new_rejects_zero_spins_per_retry() {
+        assert_rejected(HotCallConfig {
+            spins_per_retry: 0,
+            ..HotCallConfig::default()
+        });
+    }
+
+    #[test]
+    fn new_rejects_zero_drain_batch() {
+        assert_rejected(HotCallConfig {
+            drain_batch: 0,
+            ..HotCallConfig::default()
+        });
+    }
+
+    #[test]
+    fn new_rejects_zero_idle_polls_before_sleep() {
+        assert_rejected(HotCallConfig {
+            idle_polls_before_sleep: Some(0),
+            ..HotCallConfig::default()
+        });
     }
 
     #[test]
@@ -495,8 +484,8 @@ mod tests {
 
     #[test]
     fn idle_sleep_wakes_on_next_call() {
-        let (mut m, mut ctx, mut hot) = setup();
-        hot.set_config(HotCallConfig::with_idle_sleep(100));
+        let (mut m, mut ctx, hot) = setup_with(HotCallConfig::with_idle_sleep(100));
+        let mut hot = hot.unwrap();
         ctx.enter_main(&mut m).unwrap();
         hot.hot_ocall(&mut m, &mut ctx, "ocall_empty", &[], |_, _, _| Ok(()))
             .unwrap();
@@ -547,84 +536,6 @@ mod tests {
             },
         )
         .unwrap();
-    }
-
-    #[test]
-    fn placement_ledger_files_handoffs_per_regime() {
-        let (mut m, mut ctx, mut hot) = setup();
-        ctx.enter_main(&mut m).unwrap();
-
-        // Default placement: sibling cores on one socket. Each hot call is
-        // three handoffs (mailbox + data over, completion back) at the
-        // 60-cycle coherence cost.
-        hot.hot_ocall(&mut m, &mut ctx, "ocall_empty", &[], |_, _, _| Ok(()))
-            .unwrap();
-        assert_eq!(
-            hot.placement_ledger().get("handoff-cross-core"),
-            Cycles::new(3 * 60)
-        );
-
-        // Fused regime: both endpoints on one core — handoffs are free but
-        // still censused, so the ledger shows which regime ran.
-        hot.set_placement(2, 2);
-        hot.hot_ocall(&mut m, &mut ctx, "ocall_empty", &[], |_, _, _| Ok(()))
-            .unwrap();
-        assert_eq!(
-            hot.placement_ledger().get("handoff-same-core"),
-            Cycles::ZERO
-        );
-        assert!(hot
-            .placement_ledger()
-            .entries()
-            .any(|(name, _)| name == "handoff-same-core"));
-
-        // Worst case: the responder lives on the other socket.
-        hot.set_placement(0, 4);
-        assert_ne!(hot.placements().0.node, hot.placements().1.node);
-        hot.hot_ocall(&mut m, &mut ctx, "ocall_empty", &[], |_, _, _| Ok(()))
-            .unwrap();
-        assert_eq!(
-            hot.placement_ledger().get("handoff-cross-node"),
-            Cycles::new(3 * 180)
-        );
-    }
-
-    #[test]
-    fn same_core_placement_beats_cross_node() {
-        let (mut m, mut ctx, mut hot) = setup();
-        ctx.enter_main(&mut m).unwrap();
-        let run = |m: &mut Machine, ctx: &mut EnclaveCtx, hot: &mut SimHotCalls| {
-            let s = m.now();
-            for _ in 0..20 {
-                hot.hot_ocall(m, ctx, "ocall_empty", &[], |_, _, _| Ok(()))
-                    .unwrap();
-            }
-            (m.now() - s).get()
-        };
-        hot.set_placement(3, 3);
-        let fused = run(&mut m, &mut ctx, &mut hot);
-        hot.set_placement(0, 4);
-        let remote = run(&mut m, &mut ctx, &mut hot);
-        // 20 calls × 3 handoffs × 180 cycles of deterministic gap dwarfs
-        // the sampled poll/notice jitter.
-        assert!(
-            remote > fused + 5_000,
-            "cross-node should cost more: fused={fused} remote={remote}"
-        );
-    }
-
-    #[test]
-    fn set_topology_rederives_existing_placements() {
-        let (_m, _ctx, mut hot) = setup();
-        hot.set_placement(0, 5); // node 1 under the default layout
-        hot.set_topology(Topology {
-            cores_per_node: 8,
-            nodes: 1,
-            costs: sgx_sim::TransferCosts::default(),
-        });
-        let (req, resp) = hot.placements();
-        assert_eq!((req.node, resp.node), (0, 0), "one-node layout");
-        assert_eq!(resp.core, 5);
     }
 
     #[test]

@@ -367,13 +367,13 @@ pub struct HotCallStats {
     pub idle_polls: u64,
     /// Responder poll iterations that serviced a call.
     pub busy_polls: u64,
-    /// Calls the requester executed inline on its own core (the fused
-    /// run-to-completion path — no handoff, no wake). Included in
-    /// [`HotCallStats::calls`].
+    /// Synchronous calls the requester executed inline on its own core
+    /// under [`crate::FusedMode::Auto`] (no slot, no handoff, no wake).
+    /// Included in [`HotCallStats::calls`].
     pub fused_runs: u64,
-    /// Calls that were eligible for the fused path but went through the
-    /// responder pool instead (responders active, backlog over the
-    /// break-even occupancy, or a lost service race).
+    /// Synchronous calls `Auto` sent through the responder pool instead:
+    /// the break-even gate found the home responders active or the
+    /// backlog at the break-even occupancy.
     pub fused_fallbacks: u64,
 }
 

@@ -17,6 +17,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use hotcalls::rt::{ByteCallTable, ByteRing, SgCallTable, SgRing, INLINE_CAPACITY};
 use hotcalls::sim::SimHotCalls;
@@ -180,17 +181,18 @@ fn hot_path_makes_zero_heap_allocations() {
 
     ring.shutdown();
 
-    // Fused run-to-completion: the requester executes the handler inline
-    // on its own core, so the path is shorter still — and must be just as
-    // heap-free. `Always` forces every call through the fused branch.
+    // Fused run-to-completion: once the responder dozes, `Auto` runs each
+    // call's handler inline on the requester's core, so the path is
+    // shorter still — and must be just as heap-free.
     let mut table = ByteCallTable::new();
     let id = table.register(|n, buf| {
         buf[..n].reverse();
         n
     });
     let fused_config = HotCallConfig {
-        fused_mode: FusedMode::Always,
-        ..spin_config()
+        fused_mode: FusedMode::Auto,
+        idle_polls_before_sleep: Some(64),
+        ..HotCallConfig::patient()
     };
     let ring = ByteRing::spawn_pool(table, 8, 1, fused_config).unwrap();
     let mut caller = ring.caller();
@@ -198,13 +200,20 @@ fn hot_path_makes_zero_heap_allocations() {
     for _ in 0..100 {
         caller.call(id, &data, 0).unwrap();
     }
-    // Under `Always` the warmup never needs the responder, so the freshly
-    // spawned responder thread may still be mid-startup — and its one-time
-    // startup allocations (thread-name bookkeeping) would land inside the
-    // measured window. Wait until it is demonstrably inside its poll loop.
-    while ring.stats().idle_polls == 0 {
-        std::thread::yield_now();
+    // Wait until a call runs inline: the responder is then dozing (so
+    // past its one-time startup allocations, which would otherwise land
+    // inside the measured window), and a fused call wakes nobody.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let fused = ring.stats().fused_runs;
+        caller.call(id, &data, 0).unwrap();
+        if ring.stats().fused_runs > fused {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the responder never dozed");
+        std::thread::sleep(Duration::from_millis(1));
     }
+    let fused = ring.stats().fused_runs;
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..5_000 {
         let n = caller.call(id, &data, 0).unwrap();
@@ -213,10 +222,9 @@ fn hot_path_makes_zero_heap_allocations() {
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(delta, 0, "fused inline path allocated {delta} times");
     assert_eq!(caller.arena_stats().allocs, 0);
-    // The inline branch actually ran: the warmup + measured calls were
-    // overwhelmingly fused (a lost service race may pool a few).
+    // The inline branch actually ran, every measured call of it.
     let s = ring.stats();
-    assert!(s.fused_runs >= 5_000, "fused runs: {}", s.fused_runs);
+    assert_eq!(s.fused_runs - fused, 5_000, "{s:?}");
 
     ring.shutdown();
 

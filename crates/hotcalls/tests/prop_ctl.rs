@@ -17,8 +17,8 @@
 //!   switchless — no ticket is dropped or double-run at a transport
 //!   boundary.
 //!
-//! Both tests no-op under `telemetry-off` builds, where the router
-//! deliberately freezes every API on its registered default.
+//! The router decides from the cycles its caller hands it, so both tests
+//! run the same under `telemetry-off` builds.
 
 use std::collections::HashMap;
 
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 
 use hotcalls::ctl::{ApiRouter, Transport};
 use hotcalls::rt::{CallTable, RingServer, Ticket};
-use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
+use hotcalls::HotCallConfig;
 
 const MAGIC: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -79,9 +79,6 @@ proptest! {
         interarrival in 1_000u64..400_000,
         seed in any::<u64>(),
     ) {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         let mut router = ApiRouter::new();
         let api = router.register("api", Transport::Hot, &[Transport::Sdk, Transport::Hot]);
         let mut jitter = Jitter::new(seed);
@@ -151,9 +148,6 @@ proptest! {
         phase_len in 1_000u64..2_000,
         seed in any::<u64>(),
     ) {
-        if !TELEMETRY_ENABLED {
-            return;
-        }
         // An unreaped ticket still owns its ring slot, so a pipeline
         // deeper than the ring deadlocks by construction.
         let depth = depth.min(capacity);

@@ -61,7 +61,6 @@ pub mod mem;
 mod reference;
 pub mod seal;
 pub mod tlb;
-pub mod topology;
 
 pub use attest::{Report, REPORT_DATA_LEN};
 pub use config::{
@@ -76,4 +75,3 @@ pub use eventloop::{VirtualEpoll, VirtualEvent};
 pub use machine::{AccessKind, EnclaveBuildOptions, Machine, Measured, Telemetry};
 pub use mem::Addr;
 pub use seal::{SealError, SealPolicy, SealedBlob};
-pub use topology::{Placement, Topology, TransferCosts};
