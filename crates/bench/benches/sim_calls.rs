@@ -57,6 +57,48 @@ fn bench_sim_memory_sweep(c: &mut Criterion) {
     });
 }
 
+/// `kv_memtier`'s two shapes of memory traffic, on a machine with
+/// memcached's heap: an 8-B load of a line scattered over 48 MiB (one of
+/// the 32 metadata lines a request touches), and a 2 KiB value read or
+/// written back at a random slab of 16 MiB.
+fn bench_sim_kv_shapes(c: &mut Criterion) {
+    let mut m = Machine::new(SimConfig::builder().seed(7).build());
+    let eid = m
+        .build_enclave(EnclaveBuildOptions {
+            heap_bytes: 68 << 20,
+            ..EnclaveBuildOptions::default()
+        })
+        .unwrap();
+    let meta = m.alloc_enclave_heap(eid, 48 << 20, 64).unwrap();
+    let slabs = m.alloc_enclave_heap(eid, 16 << 20, 64).unwrap();
+    let mut lcg = 7u64;
+    let mut below = move |bound: u64| {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (lcg >> 17) % bound
+    };
+    c.bench_function("sim_scattered_load_48m", |b| {
+        b.iter(|| {
+            let line = below((48 << 20) / 64);
+            m.read(meta.offset(line * 64), 8).unwrap();
+            m.reset_stream_detector();
+        })
+    });
+    let mut store = false;
+    c.bench_function("sim_value_2k_rw", |b| {
+        b.iter(|| {
+            let value = slabs.offset(below(8192) * 2048);
+            store = !store;
+            if store {
+                m.write(value, 2048).unwrap()
+            } else {
+                m.read(value, 2048).unwrap()
+            }
+        })
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -67,6 +109,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_sim_ecall, bench_sim_hot_ocall, bench_sim_memory_sweep
+    targets = bench_sim_ecall, bench_sim_hot_ocall, bench_sim_memory_sweep, bench_sim_kv_shapes
 }
 criterion_main!(benches);

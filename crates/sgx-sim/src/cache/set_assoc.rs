@@ -7,27 +7,36 @@
 
 use crate::config::CacheGeometry;
 
+/// Ways a block of the tag store holds at most: one 4 KiB host page.
+const BLOCK_WAYS: usize = 512;
+
 /// One cache level: a set-associative array of line tags with LRU eviction.
 ///
 /// Addresses supplied to the cache are *line numbers* (byte address divided
 /// by the line size), which keeps the arithmetic uniform across levels.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Tag of every way, at `set * ways + way`.
-    tags: Vec<u64>,
-    /// Tick of every way's last use, same indexing. Ticks start at 1, so 0
-    /// marks an invalid way — and the least `last_used` of a set is its
-    /// first invalid way if it has one, its LRU way otherwise.
-    last_used: Vec<u64>,
+    /// The key of every way (the line's tag plus one, 0 if invalid; no line
+    /// is `u64::MAX`) in blocks of `2^block_bits` sets, each set one run. A
+    /// block is allocated by the first install into it, so a program that
+    /// touches a few sets holds a few pages. Under LRU a set is kept most
+    /// recent first, invalid ways last: its victim is its last way.
+    blocks: Vec<Vec<u64>>,
+    block_bits: u32,
     ways: usize,
+    /// Number of valid ways in the whole cache.
+    valid: usize,
     set_mask: u64,
     set_bits: u32,
-    tick: u64,
     hits: u64,
     misses: u64,
     /// SplitMix64 state, if the victim in a full set is drawn at random
-    /// rather than being the LRU way (the MEE's node cache).
+    /// rather than being the LRU way (the MEE's node cache). The draw names
+    /// a place, so ways then keep their places. Only a cache of one set has
+    /// one, so `valid` tells whether its set is full.
     random_victims: Option<u64>,
+    /// `ceil(2^128 / ways)`, wrapped to 0 for one way: see [`rem`].
+    ways_reciprocal: u128,
 }
 
 impl SetAssocCache {
@@ -50,106 +59,127 @@ impl SetAssocCache {
     }
 
     fn with_shape(sets: u64, ways: usize, random_victims: Option<u64>) -> Self {
+        let set_bits = sets.trailing_zeros();
+        let block_bits = (BLOCK_WAYS / ways).max(1).ilog2().min(set_bits);
         SetAssocCache {
-            tags: vec![0; sets as usize * ways],
-            last_used: vec![0; sets as usize * ways],
+            blocks: vec![Vec::new(); (sets >> block_bits) as usize],
+            block_bits,
             ways,
+            valid: 0,
             set_mask: sets - 1,
-            set_bits: sets.trailing_zeros(),
-            tick: 0,
+            set_bits,
             hits: 0,
             misses: 0,
             random_victims,
+            ways_reciprocal: (u128::MAX / ways as u128).wrapping_add(1),
         }
     }
 
-    /// Index of the first way of `line`'s set.
-    fn set_start(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize * self.ways
+    /// The block of `line`'s set, the index of the set's first way in that
+    /// block, and `line`'s key.
+    fn locate(&self, line: u64) -> (usize, usize, u64) {
+        let set = (line & self.set_mask) as usize;
+        let first = (set & ((1 << self.block_bits) - 1)) * self.ways;
+        (set >> self.block_bits, first, (line >> self.set_bits) + 1)
     }
 
-    /// Index of the valid way holding `line`, if any.
-    fn find(&self, line: u64) -> Option<usize> {
-        let tag = line >> self.set_bits;
-        let start = self.set_start(line);
-        let tags = &self.tags[start..start + self.ways];
-        let last_used = &self.last_used[start..start + self.ways];
-        (0..self.ways)
-            .find(|&way| tags[way] == tag && last_used[way] != 0)
-            .map(|way| start + way)
+    /// The way of the set at `first` in `block` that holds `key`, if any (a
+    /// block not yet allocated holds none).
+    fn find(&self, block: usize, first: usize, key: u64) -> Option<usize> {
+        let set = self.blocks[block].get(first..first + self.ways)?;
+        set.iter().position(|&k| k == key)
+    }
+
+    /// Whether `line` is held; if it is, records the use: under LRU its way
+    /// becomes the most recent of its set.
+    fn lookup(&mut self, line: u64) -> bool {
+        let (block, first, key) = self.locate(line);
+        let lru = self.random_victims.is_none();
+        let Some(set) = self.blocks[block].get_mut(first..first + self.ways) else {
+            return false;
+        };
+        let Some(way) = set.iter().position(|&k| k == key) else {
+            return false;
+        };
+        if lru && way > 0 {
+            push_front(&mut set[..=way], key);
+        }
+        true
     }
 
     /// Puts `line`, which must be absent, into the first invalid way of its
-    /// set or else over the LRU (or a random) way, stamped with the current
-    /// tick. Returns the evicted line number, if any.
+    /// set or else over the LRU (or a random) way. Returns the evicted line
+    /// number, if any.
     fn install(&mut self, line: u64) -> Option<u64> {
-        let start = self.set_start(line);
-        let last_used = &self.last_used[start..start + self.ways];
-        let victim = match &mut self.random_victims {
-            Some(state) if last_used.iter().all(|&tick| tick != 0) => {
-                // SplitMix64 step.
-                *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = *state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as usize % self.ways
+        let (block, first, key) = self.locate(line);
+        let (ways, block_ways) = (self.ways, self.ways << self.block_bits);
+        let block = &mut self.blocks[block];
+        if block.is_empty() {
+            *block = vec![0; block_ways];
+        }
+        let set = &mut block[first..first + ways];
+        let evicted = match &mut self.random_victims {
+            // The last way — invalid, if any is — makes room.
+            None => push_front(set, key),
+            Some(state) => {
+                let way = if self.valid == ways {
+                    // SplitMix64 step.
+                    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = *state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    rem(z ^ (z >> 31), ways, self.ways_reciprocal)
+                } else {
+                    set.iter()
+                        .position(|&k| k == 0)
+                        .expect("a set that is not full has an invalid way")
+                };
+                std::mem::replace(&mut set[way], key)
             }
-            // The first of the least-recently-used ways.
-            _ => (0..self.ways)
-                .min_by_key(|&way| last_used[way])
-                .expect("a set has at least one way"),
         };
-        let victim = start + victim;
-        let evicted = (self.last_used[victim] != 0)
-            .then(|| (self.tags[victim] << self.set_bits) | (line & self.set_mask));
-        self.tags[victim] = line >> self.set_bits;
-        self.last_used[victim] = self.tick;
-        evicted
+        if evicted == 0 {
+            self.valid += 1;
+            None
+        } else {
+            Some(((evicted - 1) << self.set_bits) | (line & self.set_mask))
+        }
     }
 
     /// Looks up a line; on hit, refreshes its LRU position. Returns `true`
     /// on hit.
     pub fn probe(&mut self, line: u64) -> bool {
-        self.tick += 1;
-        match self.find(line) {
-            Some(way) => {
-                self.last_used[way] = self.tick;
-                self.hits += 1;
-                true
-            }
-            None => {
-                self.misses += 1;
-                false
-            }
+        let hit = self.lookup(line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        hit
     }
 
     /// Inspects whether a line is present without touching LRU state or
     /// statistics.
     pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
+        let (block, first, key) = self.locate(line);
+        self.find(block, first, key).is_some()
     }
 
     /// Installs a line, evicting the LRU way if the set is full. Returns the
     /// evicted line number, if any.
     pub fn insert(&mut self, line: u64) -> Option<u64> {
-        self.tick += 1;
-        match self.find(line) {
-            Some(way) => {
-                self.last_used[way] = self.tick;
-                None
-            }
-            None => self.install(line),
+        if self.lookup(line) {
+            None
+        } else {
+            self.install(line)
         }
     }
 
     /// [`probe`](Self::probe) and, on a miss, [`insert`](Self::insert) —
-    /// same ticks, statistics and victim — without searching the set a
-    /// second time for the line that just missed. Returns `true` on hit.
+    /// same statistics and victim — without searching the set a second
+    /// time for the line that just missed. Returns `true` on hit.
     pub(crate) fn access(&mut self, line: u64) -> bool {
         let hit = self.probe(line);
         if !hit {
-            self.tick += 1;
             self.install(line);
         }
         hit
@@ -158,16 +188,26 @@ impl SetAssocCache {
     /// Invalidates a single line (the `clflush` path). Returns `true` if it
     /// was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let way = self.find(line);
-        if let Some(way) = way {
-            self.last_used[way] = 0;
+        let (block, first, key) = self.locate(line);
+        let Some(way) = self.find(block, first, key) else {
+            return false;
+        };
+        let set = &mut self.blocks[block][first..first + self.ways];
+        set[way] = 0;
+        if self.random_victims.is_none() {
+            // Invalid ways stay last.
+            set[way..].rotate_left(1);
         }
-        way.is_some()
+        self.valid -= 1;
+        true
     }
 
     /// Invalidates everything (the cold-cache experiment setup).
     pub fn clear(&mut self) {
-        self.last_used.fill(0);
+        for block in &mut self.blocks {
+            block.fill(0);
+        }
+        self.valid = 0;
     }
 
     /// (hits, misses) since construction.
@@ -177,8 +217,26 @@ impl SetAssocCache {
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.last_used.iter().filter(|&&tick| tick != 0).count()
+        self.valid
     }
+}
+
+/// `x % ways` without a division, given `ceil(2^128 / ways)` (0 for one
+/// way): Lemire, Kaser and Kurz's direct remainder ("Faster Remainder by
+/// Direct Computation", 2019), exact for every 64-bit `x`.
+fn rem(x: u64, ways: usize, reciprocal: u128) -> usize {
+    let low = reciprocal.wrapping_mul(u128::from(x));
+    let ways = ways as u128;
+    let high = (low >> 64) * ways + ((low as u64 as u128 * ways) >> 64);
+    (high >> 64) as usize
+}
+
+/// Puts `key` first in `ways`, moving each of the others one place back,
+/// and returns the key that falls off the end. (Carried through a register:
+/// `rotate_right` read slower on 4–16 ways.)
+fn push_front(ways: &mut [u64], key: u64) -> u64 {
+    ways.iter_mut()
+        .fold(key, |carry, way| std::mem::replace(way, carry))
 }
 
 #[cfg(test)]
@@ -256,6 +314,25 @@ mod tests {
         }
         for l in 0..4 {
             assert!(c.contains(l));
+        }
+    }
+
+    #[test]
+    fn rem_is_the_remainder() {
+        let edges = [0, 1, 2, 63, 64, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        let mut z = 0x4D45_4531u64;
+        for ways in (1..=300).chain([1 << 12, 3 << 12]) {
+            let reciprocal = SetAssocCache::fully_associative(ways, None).ways_reciprocal;
+            for x in edges.into_iter().chain((0..200).map(|_| {
+                z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                z
+            })) {
+                assert_eq!(
+                    rem(x, ways, reciprocal),
+                    (x % ways as u64) as usize,
+                    "{x} % {ways}"
+                );
+            }
         }
     }
 

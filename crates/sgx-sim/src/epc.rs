@@ -13,7 +13,7 @@ use crate::config::PagingConfig;
 use crate::crypto::{verify_tag, HmacSha256, DIGEST_LEN};
 use crate::cycles::Cycles;
 use crate::error::{Result, SgxError};
-use crate::mem::{Addr, AddrRange, BumpAllocator, EPC_WINDOW, PAGE_SIZE, PRM_BASE};
+use crate::mem::{Addr, AddrRange, BlockSet, BumpAllocator, EPC_WINDOW, PAGE_SIZE, PRM_BASE};
 
 /// Outcome of touching an EPC page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,18 +26,11 @@ pub struct PageTouch {
     pub evicted: Option<u64>,
 }
 
+/// The image EWB left in regular RAM, until ELDU consumes it.
 #[derive(Debug, Clone)]
 struct SwappedPage {
     version: u64,
     mac: [u8; DIGEST_LEN],
-}
-
-/// What the EPC holds of one committed page.
-#[derive(Debug, Clone, Default)]
-struct PageState {
-    resident: bool,
-    /// The image EWB left in regular RAM, until ELDU consumes it.
-    swapped: Option<SwappedPage>,
 }
 
 /// Index of `page` in the table of committed pages: the window is
@@ -67,8 +60,10 @@ pub struct EpcStats {
 #[derive(Debug, Clone)]
 pub struct Epc {
     allocator: BumpAllocator,
-    /// Every committed page, by [`index`].
-    pages: Vec<PageState>,
+    /// Every committed page's swap image, if it has one, by [`index`].
+    images: Vec<Option<SwappedPage>>,
+    /// The resident pages: a touch that hits reads this bitmap alone.
+    resident: BlockSet,
     /// The resident pages, oldest first.
     fifo: VecDeque<u64>,
     next_version: u64,
@@ -87,7 +82,8 @@ impl Epc {
                 Addr::new(PRM_BASE),
                 Addr::new(PRM_BASE + EPC_WINDOW),
             )),
-            pages: Vec::new(),
+            images: Vec::new(),
+            resident: BlockSet::new(PAGE_SIZE),
             fifo: VecDeque::new(),
             next_version: 1,
             capacity_pages: config.epc_bytes / PAGE_SIZE,
@@ -124,8 +120,8 @@ impl Epc {
         let mut cost = Cycles::ZERO;
         for i in 0..pages {
             let page = base.offset(i * PAGE_SIZE).page();
-            debug_assert_eq!(index(page), self.pages.len());
-            self.pages.push(PageState::default());
+            debug_assert_eq!(index(page), self.images.len());
+            self.images.push(None);
             let (c, _victim) = self.make_resident(page)?;
             cost += c;
         }
@@ -135,7 +131,7 @@ impl Epc {
 
     /// Is this page committed to an enclave?
     pub fn is_committed(&self, page: u64) -> bool {
-        index(page) < self.pages.len()
+        index(page) < self.images.len()
     }
 
     /// Touches a committed page: pages it in if swapped out, evicting a
@@ -147,10 +143,7 @@ impl Epc {
     /// [`SgxError::ReportMacMismatch`] if a swapped page's MAC fails (which
     /// would mean the untrusted OS tampered with the evicted image).
     pub fn touch(&mut self, page: u64) -> Result<PageTouch> {
-        let Some(state) = self.pages.get_mut(index(page)) else {
-            return Err(SgxError::NotEnclaveMemory(Addr::new(page * PAGE_SIZE)));
-        };
-        if state.resident {
+        if self.resident.contains(page) {
             self.stats.resident_hits += 1;
             return Ok(PageTouch {
                 cost: Cycles::ZERO,
@@ -158,10 +151,13 @@ impl Epc {
                 evicted: None,
             });
         }
+        let Some(image) = self.images.get_mut(index(page)) else {
+            return Err(SgxError::NotEnclaveMemory(Addr::new(page * PAGE_SIZE)));
+        };
         // Page fault path: kernel overhead + ELDU (+ EWB for the victim).
         let mut cost = Cycles::new(self.config.fault_overhead);
 
-        if let Some(swapped) = state.swapped.take() {
+        if let Some(swapped) = image.take() {
             let expected = self.page_mac(page, swapped.version);
             if !verify_tag(&expected, &swapped.mac) {
                 return Err(SgxError::ReportMacMismatch);
@@ -191,15 +187,13 @@ impl Epc {
             let version = self.next_version;
             self.next_version += 1;
             let mac = self.page_mac(victim, version);
-            self.pages[index(victim)] = PageState {
-                resident: false,
-                swapped: Some(SwappedPage { version, mac }),
-            };
+            self.images[index(victim)] = Some(SwappedPage { version, mac });
+            self.resident.remove(victim);
             self.stats.ewb += 1;
             cost += Cycles::new(self.config.ewb);
             evicted = Some(victim);
         }
-        self.pages[index(page)].resident = true;
+        self.resident.insert(page);
         self.fifo.push_back(page);
         Ok((cost, evicted))
     }
@@ -215,10 +209,7 @@ impl Epc {
     /// OS that tampers with the evicted image.
     #[doc(hidden)]
     pub fn corrupt_swapped_page(&mut self, page: u64) -> bool {
-        let image = self
-            .pages
-            .get_mut(index(page))
-            .and_then(|p| p.swapped.as_mut());
+        let image = self.images.get_mut(index(page)).and_then(Option::as_mut);
         if let Some(s) = image {
             s.mac[0] ^= 0xFF;
             true
@@ -311,7 +302,7 @@ mod tests {
         let first = base.page();
         // Touch page 0 -> evicts page 2 (FIFO), creating a swap image.
         epc.touch(first).unwrap();
-        let slot = epc.pages.iter().position(|p| p.swapped.is_some()).unwrap();
+        let slot = epc.images.iter().position(Option::is_some).unwrap();
         let victim = first + slot as u64;
         assert!(epc.corrupt_swapped_page(victim));
         assert_eq!(epc.touch(victim), Err(SgxError::ReportMacMismatch));

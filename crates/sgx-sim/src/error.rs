@@ -32,9 +32,6 @@ pub enum SgxError {
     NotUntrustedMemory(Addr),
     /// Attestation report verification failed.
     ReportMacMismatch,
-    /// An EAUGed page was touched before the enclave EACCEPTed it (SGX2
-    /// dynamic memory).
-    PageNotAccepted(Addr),
     /// Entering an enclave that is already executing on this TCS.
     AlreadyEntered,
     /// Exiting an enclave that is not currently executing.
@@ -59,9 +56,6 @@ impl fmt::Display for SgxError {
                 write!(f, "address {a} is not outside enclave memory")
             }
             SgxError::ReportMacMismatch => write!(f, "report MAC verification failed"),
-            SgxError::PageNotAccepted(a) => {
-                write!(f, "page at {a} was EAUGed but not yet EACCEPTed")
-            }
             SgxError::AlreadyEntered => write!(f, "enclave already entered on this TCS"),
             SgxError::NotEntered => write!(f, "enclave is not currently entered"),
         }

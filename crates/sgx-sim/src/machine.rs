@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::attest::{Report, REPORT_DATA_LEN};
 use crate::cache::Hierarchy;
@@ -16,7 +16,7 @@ use crate::enclave::{Enclave, EnclaveId, EnclaveState, Measurement, PageType, Se
 use crate::epc::{Epc, EpcStats};
 use crate::error::{Result, SgxError};
 use crate::mee::{AccessPattern, Mee};
-use crate::mem::{Addr, AddrRange, AddressSpace, BlockSet, PAGE_SIZE, PRM_BASE};
+use crate::mem::{Addr, AddrRange, AddressSpace, PAGE_SIZE, PRM_BASE};
 use crate::seal::{self, SealError, SealPolicy, SealedBlob};
 use crate::tlb::Tlb;
 
@@ -103,8 +103,6 @@ const EADD_COST_PER_PAGE: u64 = 1_500;
 const EEXTEND_COST_PER_CHUNK: u64 = 90;
 const EINIT_COST: u64 = 50_000;
 const EREPORT_COST: u64 = 4_000;
-const EAUG_COST_PER_PAGE: u64 = 1_900;
-const EACCEPT_COST: u64 = 2_400;
 
 /// The simulated machine.
 ///
@@ -141,8 +139,8 @@ pub struct Machine {
     tlb: Tlb,
     aex_events: u64,
     seal_nonce: u64,
-    /// Pages added with EAUG but not yet EACCEPTed (SGX2 dynamic memory).
-    pending_pages: BlockSet,
+    /// `2^64 mod (per_miss_jitter + 1)`: see [`Machine::miss_jitter`].
+    miss_jitter_threshold: u64,
 }
 
 impl Machine {
@@ -175,7 +173,10 @@ impl Machine {
             untrusted_entry_lines,
             aex_events: 0,
             seal_nonce: 0,
-            pending_pages: BlockSet::new(PAGE_SIZE),
+            miss_jitter_threshold: {
+                let outcomes = config.noise.per_miss_jitter + 1;
+                outcomes.wrapping_neg() % outcomes
+            },
             rng: StdRng::from_seed(seed_bytes),
             clock: Clock::new(),
             config,
@@ -346,10 +347,6 @@ impl Machine {
         let mut cost = Cycles::ZERO;
         let in_epc = self.space.is_epc(line_addr);
         if in_epc {
-            // SGX2: an EAUGed page is unusable until the enclave accepts it.
-            if self.pending_pages.contains(line_addr.page()) {
-                return Err(SgxError::PageNotAccepted(line_addr));
-            }
             // Residency first: a paged-out page costs a fault + ELDU (+EWB).
             // Page faults cannot be hidden by the store buffer.
             let touch = self.epc.touch(line_addr.page())?;
@@ -366,10 +363,8 @@ impl Machine {
                     let epc_line = (line_addr.get() - PRM_BASE) / 64;
                     cost += self.mee.load_cost(epc_line, pattern);
                 }
-                // Per-miss jitter (row buffer, scheduling).
-                if self.config.noise.per_miss_jitter > 0 && pattern == AccessPattern::Demand {
-                    let j = self.rng.gen_range(0..=self.config.noise.per_miss_jitter);
-                    cost += Cycles::new(j);
+                if pattern == AccessPattern::Demand {
+                    cost += self.miss_jitter();
                 }
             }
             AccessKind::Store => {
@@ -391,11 +386,28 @@ impl Machine {
             // `Mee::writeback_cost`.
             cost += self.mee.writeback_cost(epc_line, pattern);
         }
-        if self.config.noise.per_miss_jitter > 0 && pattern == AccessPattern::Demand {
-            let j = self.rng.gen_range(0..=self.config.noise.per_miss_jitter);
-            cost += Cycles::new(j);
+        if pattern == AccessPattern::Demand {
+            cost += self.miss_jitter();
         }
         cost
+    }
+
+    /// Per-miss jitter (row buffer, scheduling): the draw of
+    /// `gen_range(0..=per_miss_jitter)`, none if that is 0. The vendored
+    /// `gen_range` rejects a widened multiply whose low word is below
+    /// `miss_jitter_threshold`, which it recomputes with a division on every
+    /// call; the same loop over the stored threshold draws the same values.
+    fn miss_jitter(&mut self) -> Cycles {
+        let jitter = self.config.noise.per_miss_jitter;
+        if jitter == 0 {
+            return Cycles::ZERO;
+        }
+        loop {
+            let m = u128::from(self.rng.next_u64()) * u128::from(jitter + 1);
+            if m as u64 >= self.miss_jitter_threshold {
+                return Cycles::new((m >> 64) as u64);
+            }
+        }
     }
 
     /// Flushes the line containing `addr` from the whole hierarchy, paying
@@ -795,59 +807,6 @@ impl Machine {
         report.verify(&self.master_secret)
     }
 
-    // ----- SGX2 dynamic memory ---------------------------------------------------
-
-    /// EAUG: adds `pages` fresh EPC pages to an *initialized* enclave
-    /// (SGX2 dynamic memory). The pages are PENDING — unusable until the
-    /// enclave runs [`Machine::eaccept`] on each.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the enclave does not exist, is still building (use EADD),
-    /// or the EPC window is exhausted.
-    pub fn eaug(&mut self, eid: EnclaveId, pages: u64) -> Result<Addr> {
-        let enclave = self.enclave(eid)?;
-        if enclave.state != EnclaveState::Initialized {
-            return Err(SgxError::InvalidState {
-                op: "EAUG",
-                state: enclave.state.name(),
-            });
-        }
-        let (base, paging_cost) = self.epc.commit(eid.0, pages)?;
-        self.charge(paging_cost + Cycles::new(EAUG_COST_PER_PAGE * pages));
-        for p in 0..pages {
-            self.pending_pages.insert(base.offset(p * PAGE_SIZE).page());
-        }
-        Ok(base)
-    }
-
-    /// EACCEPT: the enclave accepts one EAUGed page, making it usable.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the page was not pending.
-    pub fn eaccept(&mut self, _eid: EnclaveId, page_addr: Addr) -> Result<()> {
-        if !self.pending_pages.remove(page_addr.page()) {
-            return Err(SgxError::NotEnclaveMemory(page_addr));
-        }
-        self.charge(Cycles::new(EACCEPT_COST));
-        Ok(())
-    }
-
-    /// Convenience: EAUG + EACCEPT a whole region, returning its base —
-    /// dynamic heap growth as the SGX2 SDK's `sgx_alloc_rsrv_mem` exposes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::eaug`] / [`Machine::eaccept`].
-    pub fn eaug_accept(&mut self, eid: EnclaveId, pages: u64) -> Result<Addr> {
-        let base = self.eaug(eid, pages)?;
-        for p in 0..pages {
-            self.eaccept(eid, base.offset(p * PAGE_SIZE))?;
-        }
-        Ok(base)
-    }
-
     // ----- Sealing ---------------------------------------------------------------
 
     /// Seals `plaintext` for enclave `eid` under `policy` (the SDK's
@@ -925,11 +884,6 @@ impl Machine {
             epc: self.epc.stats(),
             aex_events: self.aex_events,
         }
-    }
-
-    /// MEE cache statistics: (hits, misses).
-    pub fn mee_stats(&self) -> (u64, u64) {
-        self.mee.cache_stats()
     }
 
     /// Samples the per-measurement jitter distribution (exposed for layered
@@ -1158,79 +1112,6 @@ mod telemetry_tests {
             m.unseal_data(building, &blob),
             Err(SgxError::InvalidState { .. })
         ));
-    }
-}
-
-#[cfg(test)]
-mod sgx2_tests {
-    use super::*;
-
-    fn machine() -> Machine {
-        Machine::new(SimConfig::builder().deterministic().build())
-    }
-
-    #[test]
-    fn eaug_requires_initialized_enclave() {
-        let mut m = machine();
-        let building = m.ecreate(16).unwrap();
-        assert!(matches!(
-            m.eaug(building, 4),
-            Err(SgxError::InvalidState { op: "EAUG", .. })
-        ));
-    }
-
-    #[test]
-    fn pending_pages_fault_until_accepted() {
-        let mut m = machine();
-        let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
-        let grown = m.eaug(eid, 2).unwrap();
-        assert!(matches!(
-            m.read(grown, 8),
-            Err(SgxError::PageNotAccepted(_))
-        ));
-        m.eaccept(eid, grown).unwrap();
-        m.read(grown, 8).unwrap();
-        // Second page still pending.
-        assert!(matches!(
-            m.write(grown.offset(PAGE_SIZE), 8),
-            Err(SgxError::PageNotAccepted(_))
-        ));
-        m.eaccept(eid, grown.offset(PAGE_SIZE)).unwrap();
-        m.write(grown.offset(PAGE_SIZE), 8).unwrap();
-    }
-
-    #[test]
-    fn eaccept_of_unaugmented_page_fails() {
-        let mut m = machine();
-        let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
-        let heap = m.alloc_enclave_heap(eid, 4096, 4096).unwrap();
-        assert!(m.eaccept(eid, heap).is_err());
-    }
-
-    #[test]
-    fn dynamic_growth_integrates_with_paging() {
-        use crate::mem::PAGE_SIZE as PS;
-        let mut m = Machine::new(
-            SimConfig::builder()
-                .deterministic()
-                .epc_bytes(64 * PS)
-                .build(),
-        );
-        let eid = m
-            .build_enclave(EnclaveBuildOptions {
-                code_bytes: PS,
-                heap_bytes: 8 * PS,
-                stack_bytes_per_tcs: PS,
-                tcs_count: 1,
-            })
-            .unwrap();
-        // Grow well past physical capacity; the new pages page like any
-        // others.
-        let grown = m.eaug_accept(eid, 80).unwrap();
-        for p in 0..80 {
-            m.read(grown.offset(p * PS), 8).unwrap();
-        }
-        assert!(m.epc_stats().ewb > 0, "overgrowth must page");
     }
 }
 

@@ -25,7 +25,8 @@ pub struct NodeId {
 /// anti-rollback protection.
 #[derive(Debug, Clone)]
 pub struct IntegrityTree {
-    arity: u64,
+    /// log2 of the arity: a level up is a shift, not a division.
+    arity_bits: u32,
     levels: u8,
     lines: u64,
     /// Version of every line up to the highest one ever written back
@@ -38,9 +39,10 @@ impl IntegrityTree {
     ///
     /// # Panics
     ///
-    /// Panics if `arity < 2`.
+    /// Panics if `arity` is not a power of two of at least 2 (the walk steps
+    /// up a level by a shift).
     pub fn new(epc_bytes: u64, arity: u64) -> Self {
-        assert!(arity >= 2, "tree arity must be at least 2");
+        assert!(arity > 1 && arity.is_power_of_two());
         let lines = epc_bytes / 64;
         let mut levels = 0u8;
         let mut covered = arity;
@@ -49,7 +51,7 @@ impl IntegrityTree {
             levels += 1;
         }
         IntegrityTree {
-            arity,
+            arity_bits: arity.trailing_zeros(),
             levels: levels + 1,
             lines,
             versions: Vec::new(),
@@ -64,17 +66,16 @@ impl IntegrityTree {
     /// The node at `level` covering data line `line` (line index within the
     /// EPC, not a global address).
     pub fn node_for(&self, line: u64, level: u8) -> NodeId {
-        let divisor = self.arity.pow(u32::from(level) + 1);
         NodeId {
             level,
-            index: line / divisor,
+            index: line >> (self.arity_bits * (u32::from(level) + 1)),
         }
     }
 
     /// The bottom-to-top path of nodes covering `line`.
     pub fn path(&self, line: u64) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.levels).scan(line, move |index, level| {
-            *index /= self.arity;
+            *index >>= self.arity_bits;
             Some(NodeId {
                 level,
                 index: *index,

@@ -25,11 +25,15 @@ fn block(unit: u64) -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Every associativity up to 16, and the hierarchy's 4, 8 and 16 ways
+    /// in a third of the cases, on up to 256 sets (so up to eight of the
+    /// store's 4 KiB blocks); the lines span twice the capacity, so sets
+    /// fill, hit and evict at every geometry.
     #[test]
     fn set_assoc_cache_matches_reference(
-        set_bits in 0u32..4,
-        ways in 1u32..6,
-        ops in proptest::collection::vec((0u8..12, 0u64..96), 1..400),
+        set_bits in 0u32..9,
+        ways in prop_oneof![1u32..=16, Just(4u32), Just(8u32), Just(16u32)],
+        ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..400),
     ) {
         let geometry = CacheGeometry {
             capacity: (1 << set_bits) * u64::from(ways) * 64,
@@ -37,9 +41,11 @@ proptest! {
             line: 64,
             hit_latency: 1,
         };
+        let span = 2 * (1 << set_bits) * u64::from(ways);
         let mut new = crate::cache::SetAssocCache::new(&geometry);
         let mut old = set_assoc::SetAssocCache::new(&geometry);
         for (op, line) in ops {
+            let line = line % span;
             match op {
                 0..=2 => prop_assert_eq!(new.probe(line), old.probe(line)),
                 3..=5 => prop_assert_eq!(new.insert(line), old.insert(line)),
@@ -53,7 +59,7 @@ proptest! {
                 }
                 9 => prop_assert_eq!(new.invalidate(line), old.invalidate(line)),
                 10 => prop_assert_eq!(new.contains(line), old.contains(line)),
-                _ if line < 8 => {
+                _ if line < span / 12 => {
                     new.clear();
                     old.clear();
                 }
@@ -62,18 +68,21 @@ proptest! {
             prop_assert_eq!(new.stats(), old.stats());
             prop_assert_eq!(new.occupancy(), old.occupancy());
         }
-        for line in 0..96 {
+        for line in 0..span {
             prop_assert_eq!(new.contains(line), old.contains(line), "line {}", line);
         }
     }
 
+    /// Capacities up to 9, the machine's 24 and `ablation_mee`'s sweep up
+    /// to 256; three levels of nodes number about twice the capacity.
     #[test]
     fn mee_cache_matches_reference(
-        capacity in 1usize..10,
+        capacity in prop_oneof![1usize..10, Just(24usize), 4usize..=256],
         lru in any::<bool>(),
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..10, 0u8..3, 0u64..16), 1..400),
+        ops in proptest::collection::vec((0u8..10, 0u8..3, any::<u64>()), 1..1200),
     ) {
+        let indexes = capacity as u64 * 2 / 3 + 2;
         let (mut new, mut old) = if lru {
             (
                 crate::mee::MeeCache::new(capacity),
@@ -87,6 +96,7 @@ proptest! {
             )
         };
         for (op, level, index) in ops {
+            let index = index % indexes;
             let node = NodeId { level, index };
             match op {
                 0..=2 => prop_assert_eq!(new.probe(node), old.probe(node)),
@@ -113,7 +123,7 @@ proptest! {
         }
         // Same victims all along means the same nodes are cached now.
         for level in 0..3 {
-            for index in 0..16 {
+            for index in 0..indexes {
                 let node = NodeId { level, index };
                 prop_assert_eq!(new.probe(node), old.probe(node), "{:?}", node);
             }
