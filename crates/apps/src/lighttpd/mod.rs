@@ -215,11 +215,6 @@ impl Lighttpd {
     pub fn requests_served(&self) -> u64 {
         self.requests
     }
-
-    /// Number of published files.
-    pub fn file_count(&self) -> usize {
-        self.docroot.len()
-    }
 }
 
 #[cfg(test)]

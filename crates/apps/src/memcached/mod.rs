@@ -252,11 +252,6 @@ impl Memcached {
     pub fn requests_served(&self) -> u64 {
         self.requests
     }
-
-    /// Store statistics: (hits, misses, evictions).
-    pub fn store_stats(&self) -> (u64, u64, u64) {
-        self.store.stats()
-    }
 }
 
 #[cfg(test)]

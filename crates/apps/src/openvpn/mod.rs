@@ -124,7 +124,6 @@ pub struct OpenVpn {
     tun_buf: Addr,
     sock_buf: Addr,
     mix: ApiMix,
-    packets: u64,
     rekeys: u64,
 }
 
@@ -146,7 +145,6 @@ impl OpenVpn {
             tun_buf: env.alloc_data(4 * 1024)?,
             sock_buf: env.alloc_data(4 * 1024)?,
             mix: table2_mix(),
-            packets: 0,
             rekeys: 0,
         })
     }
@@ -242,7 +240,6 @@ impl OpenVpn {
     ///
     /// Propagates interface errors.
     pub fn egress(&mut self, env: &mut AppEnv, plaintext: &[u8]) -> Result<Bytes> {
-        self.packets += 1;
         // The tunnel's two flows are its two "connections": egress rides
         // shard lane 0, ingress lane 1, so the directions never contend
         // on a submission ring.
@@ -269,7 +266,6 @@ impl OpenVpn {
     ///
     /// Propagates interface and authentication errors.
     pub fn ingress(&mut self, env: &mut AppEnv, wire: &[u8]) -> Result<Bytes> {
-        self.packets += 1;
         // The return flow's home lane (see `egress`).
         env.route_connection(1);
         self.issue_mix(env)?;
@@ -296,11 +292,6 @@ impl OpenVpn {
             .map(|name| (name, None))
             .collect();
         env.api_call_batch(&tail)
-    }
-
-    /// Packet events processed.
-    pub fn packets_processed(&self) -> u64 {
-        self.packets
     }
 }
 

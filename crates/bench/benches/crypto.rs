@@ -1,5 +1,5 @@
 //! Criterion: throughput of the from-scratch crypto used by the substrate
-//! (SHA-256 for measurements/MACs, ChaCha20 for the tunnel and the storage
+//! (SHA-256 for digests/MACs, ChaCha20 for the tunnel and the storage
 //! data path). The `sizes` rows time each primitive at 4 KiB and 1 MiB on
 //! the portable kernel and on the kernel the dispatcher picks for this CPU
 //! (DESIGN.md §16) — on a host without SHA-NI / AVX2 / AVX-512 the two rows

@@ -74,6 +74,6 @@ pub use config::{FusedMode, HotCallConfig, ResponderPolicy};
 pub use ctl::{ApiRouter, ChunkSizer, Controller, CtlStats, Transport};
 pub use error::{HotCallError, Result};
 pub use telemetry::{
-    GovernorStats, HotCallStats, PagingStats, RingStats, ShardStats, Snapshot, TelemetryRegistry,
+    GovernorStats, HotCallStats, RingStats, ShardStats, Snapshot, TelemetryRegistry,
     TELEMETRY_ENABLED,
 };

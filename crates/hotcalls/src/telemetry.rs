@@ -18,9 +18,10 @@
 //!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
 //!   feature.
 //! * [`TelemetryRegistry`] — merges every plane (single ring, pool,
-//!   sharded, byte lanes), arena counters, the simulator's cycle ledger,
-//!   and per-application [`ApiCensus`] tables into one serializable
+//!   sharded, byte lanes) and every control plane into one
 //!   [`Snapshot`], exposed as Prometheus-style text.
+//! * [`ApiCensus`] — the Table-2-style per-application census the apps
+//!   build from their call ledgers.
 //!
 //! Everything on the hot path follows the responder-local discipline of
 //! the data plane: histogram cells are single-writer (stolen work is
@@ -46,9 +47,10 @@ use serde::{Deserialize, Serialize};
 pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 
 /// Schema version of the serialized telemetry [`Snapshot`]. Bumped when a
-/// field is renamed or its meaning changes. v4 added the `paging` section
-/// (EPC eviction/reload counters and cycles).
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 4;
+/// field is added, removed, renamed or changes meaning. v5 removed the
+/// `arenas`, `censuses`, `sim` and `paging` sections and their series,
+/// which nothing fed: a section returns together with its producer.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 5;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -807,25 +809,6 @@ impl PlaneTelemetry {
     }
 }
 
-/// One named arena's counters in the snapshot.
-#[derive(Debug, Clone)]
-pub struct ArenaTelemetry {
-    /// Registered arena name (e.g. the owning lane).
-    pub name: String,
-    /// Counter snapshot.
-    pub stats: ArenaStats,
-}
-
-/// One named simulator cycle-ledger entry (virtual cycles from
-/// `sgx-sim`'s clock — e.g. total machine time, interface time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimLedgerEntry {
-    /// Account name.
-    pub name: String,
-    /// Virtual cycles accrued.
-    pub cycles: u64,
-}
-
 /// One API's row in the Table-2-style census.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ApiCensusRow {
@@ -863,38 +846,6 @@ pub struct ApiCensus {
     pub rows: Vec<ApiCensusRow>,
 }
 
-/// EPC paging counters from one simulated machine — what the paging
-/// cliff costs, made visible. Mirrors `sgx_sim::EpcStats` in
-/// telemetry-neutral terms (an eviction is an EWB, a reload an ELDU).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PagingStats {
-    /// Pages evicted from the EPC (EWB executions).
-    pub evictions: u64,
-    /// Pages reloaded into the EPC (ELDU executions).
-    pub reloads: u64,
-    /// Total cycles charged to paging (fault overhead + ELDU + EWB).
-    pub cycles: u64,
-}
-
-impl From<sgx_sim::EpcStats> for PagingStats {
-    fn from(s: sgx_sim::EpcStats) -> Self {
-        PagingStats {
-            evictions: s.ewb,
-            reloads: s.eldu,
-            cycles: s.paging_cycles,
-        }
-    }
-}
-
-/// One named machine's paging counters in a snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PagingTelemetry {
-    /// Machine / workload label.
-    pub name: String,
-    /// The counters.
-    pub stats: PagingStats,
-}
-
 /// The merged, serializable view of everything the registry knows.
 #[derive(Debug)]
 pub struct Snapshot {
@@ -904,14 +855,6 @@ pub struct Snapshot {
     pub enabled: bool,
     /// Every registered plane's telemetry.
     pub planes: Vec<PlaneTelemetry>,
-    /// Every registered arena's counters.
-    pub arenas: Vec<ArenaTelemetry>,
-    /// Per-app API censuses.
-    pub censuses: Vec<ApiCensus>,
-    /// Simulator cycle-ledger entries.
-    pub sim: Vec<SimLedgerEntry>,
-    /// EPC paging counters per simulated machine (schema v4).
-    pub paging: Vec<PagingTelemetry>,
     /// Every registered control plane's decision counters and routing
     /// table (schema v3).
     pub ctl: Vec<crate::ctl::CtlTelemetry>,
@@ -995,42 +938,6 @@ impl Snapshot {
             }
             prom_hist(&mut out, "hotcalls_reap_cycles", &pl, &p.reap);
         }
-        for a in &self.arenas {
-            let al = format!("arena=\"{}\"", a.name);
-            out.push_str(&format!(
-                "hotcalls_arena_allocs_total{{{al}}} {}\n",
-                a.stats.allocs
-            ));
-            out.push_str(&format!(
-                "hotcalls_arena_recycles_total{{{al}}} {}\n",
-                a.stats.recycles
-            ));
-            out.push_str(&format!(
-                "hotcalls_arena_inline_hits_total{{{al}}} {}\n",
-                a.stats.inline_hits
-            ));
-        }
-        for e in &self.sim {
-            out.push_str(&format!(
-                "hotcalls_sim_cycles_total{{account=\"{}\"}} {}\n",
-                e.name, e.cycles
-            ));
-        }
-        for p in &self.paging {
-            let pl = format!("epc=\"{}\"", p.name);
-            out.push_str(&format!(
-                "hotcalls_epc_evictions_total{{{pl}}} {}\n",
-                p.stats.evictions
-            ));
-            out.push_str(&format!(
-                "hotcalls_epc_reloads_total{{{pl}}} {}\n",
-                p.stats.reloads
-            ));
-            out.push_str(&format!(
-                "hotcalls_epc_paging_cycles_total{{{pl}}} {}\n",
-                p.stats.cycles
-            ));
-        }
         for c in &self.ctl {
             let cl = format!("ctl=\"{}\"", c.name);
             out.push_str(&format!(
@@ -1080,23 +987,6 @@ impl Snapshot {
                 ));
             }
         }
-        for c in &self.censuses {
-            let cl = format!("app=\"{}\",mode=\"{}\"", c.app, c.mode);
-            out.push_str(&format!(
-                "hotcalls_census_core_time_fraction{{{cl}}} {:.6}\n",
-                c.core_time_fraction
-            ));
-            for row in &c.rows {
-                out.push_str(&format!(
-                    "hotcalls_api_calls_total{{{cl},api=\"{}\"}} {}\n",
-                    row.name, row.calls
-                ));
-                out.push_str(&format!(
-                    "hotcalls_api_cycles_per_call{{{cl},api=\"{}\"}} {:.1}\n",
-                    row.name, row.cycles_per_call
-                ));
-            }
-        }
         out
     }
 }
@@ -1105,9 +995,6 @@ impl Snapshot {
 /// time (servers hand these out; they capture the plane's shared state).
 pub type PlaneProvider = Box<dyn Fn() -> PlaneTelemetry + Send + Sync>;
 
-/// An arena-counter provider polled at snapshot time.
-pub type ArenaProvider = Box<dyn Fn() -> ArenaStats + Send + Sync>;
-
 /// A control-plane provider polled at snapshot time (see
 /// [`crate::ctl::Controller::provider`]).
 pub type CtlProvider = Box<dyn Fn() -> crate::ctl::CtlTelemetry + Send + Sync>;
@@ -1115,19 +1002,14 @@ pub type CtlProvider = Box<dyn Fn() -> crate::ctl::CtlTelemetry + Send + Sync>;
 #[derive(Default)]
 struct RegistryInner {
     planes: Vec<PlaneProvider>,
-    arenas: Vec<(String, ArenaProvider)>,
-    censuses: Vec<ApiCensus>,
-    sim: Vec<SimLedgerEntry>,
-    paging: Vec<PagingTelemetry>,
     ctl: Vec<CtlProvider>,
 }
 
 /// The registry that merges every telemetry source into one
 /// [`Snapshot`].
 ///
-/// Planes and arenas register pull-style providers (polled at snapshot
-/// time, so the snapshot is always current); censuses and simulator
-/// ledger entries are pushed once their runs finish.
+/// Planes and control planes register pull-style providers, polled at
+/// snapshot time, so the snapshot is always current.
 ///
 /// # Examples
 ///
@@ -1156,8 +1038,6 @@ impl core::fmt::Debug for TelemetryRegistry {
         let inner = self.inner.lock().expect("registry lock");
         f.debug_struct("TelemetryRegistry")
             .field("planes", &inner.planes.len())
-            .field("arenas", &inner.arenas.len())
-            .field("censuses", &inner.censuses.len())
             .finish()
     }
 }
@@ -1178,59 +1058,10 @@ impl TelemetryRegistry {
             .push(provider);
     }
 
-    /// Registers a named arena-counter provider.
-    pub fn register_arena(
-        &self,
-        name: impl Into<String>,
-        provider: impl Fn() -> ArenaStats + Send + Sync + 'static,
-    ) {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .arenas
-            .push((name.into(), Box::new(provider)));
-    }
-
     /// Registers a control-plane provider (see
     /// [`crate::ctl::Controller::provider`]).
     pub fn register_ctl(&self, provider: CtlProvider) {
         self.inner.lock().expect("registry lock").ctl.push(provider);
-    }
-
-    /// Adds a finished application census.
-    pub fn add_census(&self, census: ApiCensus) {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .censuses
-            .push(census);
-    }
-
-    /// Adds one simulator cycle-ledger account.
-    pub fn add_sim_cycles(&self, name: impl Into<String>, cycles: u64) {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .sim
-            .push(SimLedgerEntry {
-                name: name.into(),
-                cycles,
-            });
-    }
-
-    /// Adds one machine's EPC paging counters (push-style, like
-    /// [`TelemetryRegistry::add_sim_cycles`]: the simulated `Machine` is
-    /// `&mut`-owned by its driver, so there is nothing for a pull provider
-    /// to capture). Accepts `sgx_sim::EpcStats` directly via `Into`.
-    pub fn add_paging(&self, name: impl Into<String>, stats: impl Into<PagingStats>) {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .paging
-            .push(PagingTelemetry {
-                name: name.into(),
-                stats: stats.into(),
-            });
     }
 
     /// Polls every provider and merges everything into one snapshot.
@@ -1240,17 +1071,6 @@ impl TelemetryRegistry {
             schema_version: TELEMETRY_SCHEMA_VERSION,
             enabled: TELEMETRY_ENABLED,
             planes: inner.planes.iter().map(|p| p()).collect(),
-            arenas: inner
-                .arenas
-                .iter()
-                .map(|(name, p)| ArenaTelemetry {
-                    name: name.clone(),
-                    stats: p(),
-                })
-                .collect(),
-            censuses: inner.censuses.clone(),
-            sim: inner.sim.clone(),
-            paging: inner.paging.clone(),
             ctl: inner.ctl.iter().map(|p| p()).collect(),
             tracer_dropped: tracer().dropped_events(),
         }
@@ -1379,67 +1199,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("governor_park"));
-    }
-
-    #[test]
-    fn registry_merges_push_sources() {
-        let reg = TelemetryRegistry::new();
-        reg.add_census(ApiCensus {
-            app: "memcached".into(),
-            mode: "sdk".into(),
-            elapsed_secs: 1.0,
-            total_calls: 10,
-            interface_cycles: 83_000,
-            core_time_fraction: 0.4,
-            rows: vec![ApiCensusRow {
-                name: "read".into(),
-                calls: 10,
-                calls_per_sec: 10.0,
-                cycles_per_call: 8_300.0,
-                share_of_interface: 1.0,
-            }],
-        });
-        reg.add_sim_cycles("machine", 123);
-        reg.register_arena("lane0", ArenaStats::default);
-        reg.add_paging(
-            "machine",
-            PagingStats {
-                evictions: 7,
-                reloads: 9,
-                cycles: 140_000,
-            },
-        );
-        let snap = reg.snapshot();
-        assert_eq!(snap.schema_version, TELEMETRY_SCHEMA_VERSION);
-        assert_eq!(snap.censuses.len(), 1);
-        assert_eq!(snap.sim[0].cycles, 123);
-        assert_eq!(snap.paging[0].stats.reloads, 9);
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("hotcalls_api_calls_total"));
-        assert!(prom.contains("app=\"memcached\""));
-        assert!(prom.contains("hotcalls_sim_cycles_total{account=\"machine\"} 123"));
-        assert!(prom.contains("hotcalls_epc_evictions_total{epc=\"machine\"} 7"));
-        assert!(prom.contains("hotcalls_epc_reloads_total{epc=\"machine\"} 9"));
-        assert!(prom.contains("hotcalls_epc_paging_cycles_total{epc=\"machine\"} 140000"));
-    }
-
-    #[test]
-    fn paging_stats_mirror_sim_counters() {
-        let from: PagingStats = sgx_sim::EpcStats {
-            ewb: 3,
-            eldu: 5,
-            resident_hits: 100,
-            paging_cycles: 60_000,
-        }
-        .into();
-        assert_eq!(
-            from,
-            PagingStats {
-                evictions: 3,
-                reloads: 5,
-                cycles: 60_000,
-            }
-        );
     }
 
     #[test]

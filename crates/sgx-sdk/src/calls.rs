@@ -161,11 +161,6 @@ impl EnclaveCtx {
         &self.stats
     }
 
-    /// Clears the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// Records one switchless (hot) ocall into the same per-name ledger
     /// the SDK path feeds, so Table-2-style censuses see every edge
     /// crossing regardless of transport. The caller measures the cycles

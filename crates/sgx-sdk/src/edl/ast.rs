@@ -119,18 +119,6 @@ pub struct Edl {
     pub untrusted: Vec<EdgeFn>,
 }
 
-impl Edl {
-    /// Finds a trusted (ecall) declaration by name.
-    pub fn trusted_fn(&self, name: &str) -> Option<&EdgeFn> {
-        self.trusted.iter().find(|f| f.name == name)
-    }
-
-    /// Finds an untrusted (ocall) declaration by name.
-    pub fn untrusted_fn(&self, name: &str) -> Option<&EdgeFn> {
-        self.untrusted.iter().find(|f| f.name == name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

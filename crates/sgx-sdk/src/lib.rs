@@ -14,8 +14,8 @@
 //!   trusted dispatch, pointer boundary checks, per-mode buffer copies
 //!   (including the byte-wise `memset` zeroing the paper dissects), `EEXIT`,
 //!   and per-call statistics for Table 2.
-//! * [`sync`] — `sgx_spin_lock`-style primitives, both real (for the
-//!   threaded HotCalls runtime) and as machine-model costs.
+//! * [`sync`] — the machine-model cost of `sgx_spin_lock`'s acquire and
+//!   release.
 //!
 //! ## Example
 //!

@@ -2,68 +2,13 @@
 //!
 //! `sgx_spin_lock` is "a straightforward busy-wait implementation and does
 //! not relate to SGX, so it can be used by both the enclave and the
-//! untrusted code" (paper §4.2). Two views are provided:
-//!
-//! * [`SpinLock`] — a real atomic spin lock usable by the threaded HotCalls
-//!   runtime;
-//! * [`sim_spin_acquire`] / [`sim_spin_release`] — the cycle-cost of the
-//!   same operations against the machine model, for simulated HotCalls.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! untrusted code" (paper §4.2). [`sim_spin_acquire`] /
+//! [`sim_spin_release`] give the cycle cost of its operations against the
+//! machine model, which simulated HotCalls charge.
 
 use sgx_sim::{Addr, Cycles, Machine};
 
 use crate::error::Result;
-
-/// A minimal test-and-test-and-set spin lock with `PAUSE` hints.
-///
-/// Unlike a mutex it never calls into the OS — which is the entire point:
-/// a POSIX mutex would defeat HotCalls by reintroducing syscalls.
-#[derive(Debug, Default)]
-pub struct SpinLock {
-    locked: AtomicBool,
-}
-
-impl SpinLock {
-    /// Creates an unlocked lock.
-    pub const fn new() -> Self {
-        SpinLock {
-            locked: AtomicBool::new(false),
-        }
-    }
-
-    /// Acquires the lock, spinning with `PAUSE` until available.
-    pub fn lock(&self) {
-        loop {
-            if !self.locked.swap(true, Ordering::Acquire) {
-                return;
-            }
-            while self.locked.load(Ordering::Relaxed) {
-                core::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Tries to acquire without spinning. Returns `true` on success.
-    pub fn try_lock(&self) -> bool {
-        !self.locked.swap(true, Ordering::Acquire)
-    }
-
-    /// Releases the lock.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the lock was held.
-    pub fn unlock(&self) {
-        debug_assert!(self.locked.load(Ordering::Relaxed), "unlock of free lock");
-        self.locked.store(false, Ordering::Release);
-    }
-
-    /// Is the lock currently held?
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
-}
 
 /// Cycle cost of acquiring an uncontended spin lock at `lock_addr` in the
 /// simulated machine: one read-modify-write of the lock's cache line.
@@ -94,42 +39,6 @@ pub fn sim_spin_release(m: &mut Machine, lock_addr: Addr) -> Result<Cycles> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn spin_lock_excludes_concurrent_increments() {
-        let lock = Arc::new(SpinLock::new());
-        let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let lock = Arc::clone(&lock);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    lock.lock();
-                    // Simulated critical section: non-atomic read-modify-write
-                    // made safe by the lock.
-                    let v = counter.load(Ordering::Relaxed);
-                    counter.store(v + 1, Ordering::Relaxed);
-                    lock.unlock();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 40_000);
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let lock = SpinLock::new();
-        assert!(lock.try_lock());
-        assert!(!lock.try_lock());
-        lock.unlock();
-        assert!(lock.try_lock());
-        lock.unlock();
-    }
 
     #[test]
     fn sim_costs_are_small_when_warm() {

@@ -65,11 +65,6 @@ impl Hierarchy {
         self.dirty.remove(line)
     }
 
-    /// Is the line dirty?
-    pub fn is_dirty(&self, line: u64) -> bool {
-        self.dirty.contains(line)
-    }
-
     /// Cache line size in bytes.
     pub fn line_size(&self) -> u64 {
         self.line_size
@@ -92,12 +87,6 @@ impl Hierarchy {
         } else {
             ServedBy::Memory
         }
-    }
-
-    /// Is the line resident anywhere in the hierarchy? Does not disturb LRU
-    /// state.
-    pub fn contains_line(&self, line: u64) -> bool {
-        self.l1.contains(line) || self.l2.contains(line) || self.llc.contains(line)
     }
 
     /// Hit latency of the level an access was served by; memory latency is

@@ -1,9 +1,10 @@
 //! HMAC-SHA-256 (RFC 2104), built on the local [`Sha256`].
 //!
 //! Used as the simulator's stand-in for the CMAC the real SGX hardware uses
-//! for report MACs, paging MACs (EWB version-array protection) and sealing
-//! key derivation. The substitution is documented in DESIGN.md; only the
-//! *shape* of the protocol matters for the reproduction.
+//! for paging MACs (EWB version-array protection), and by the apps for the
+//! tunnel's packet MACs and the store's block tags. The substitution is
+//! documented in DESIGN.md; only the *shape* of the protocol matters for
+//! the reproduction.
 
 use super::sha256::{self, Sha256, WideCompressFn, WideState, DIGEST_LEN, WIDE_LANES};
 
@@ -262,16 +263,6 @@ pub fn verify_tag(expected: &[u8; DIGEST_LEN], actual: &[u8; DIGEST_LEN]) -> boo
     diff == 0
 }
 
-/// Derives a sub-key from a master secret and a labelled context, mirroring
-/// SGX's `EGETKEY` key-derivation structure.
-pub fn derive_key(master: &[u8; DIGEST_LEN], label: &str, context: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut msg = Vec::with_capacity(label.len() + 1 + context.len());
-    msg.extend_from_slice(label.as_bytes());
-    msg.push(0);
-    msg.extend_from_slice(context);
-    hmac_sha256(master, &msg)
-}
-
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -492,18 +483,5 @@ mod tests {
         bad[13] ^= 0x40;
         assert!(verify_tag(&tag, &tag.clone()));
         assert!(!verify_tag(&tag, &bad));
-    }
-
-    #[test]
-    fn derived_keys_are_domain_separated() {
-        let master = [7u8; DIGEST_LEN];
-        let a = derive_key(&master, "seal", b"ctx");
-        let b = derive_key(&master, "report", b"ctx");
-        let c = derive_key(&master, "seal", b"other");
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        // Label/context boundary must matter: "se"+"alctx" != "seal"+"ctx".
-        let d = derive_key(&master, "se", b"alctx");
-        assert_ne!(a, d);
     }
 }

@@ -1,12 +1,12 @@
 //! Minimal cryptographic primitives for the simulator and the apps.
 //!
 //! Only what the SGX model and the ported applications need: SHA-256 for
-//! measurements, HMAC-SHA-256 as the stand-in for hardware CMACs and key
-//! derivation, ChaCha20 for the tunnel and the storage data path. These are
-//! verified against NIST / RFC test vectors but are **not** hardened
-//! implementations — they exist so the enclave lifecycle, attestation,
-//! paging and storage protocols can be executed faithfully without external
-//! crypto dependencies.
+//! the web server's content digests, HMAC-SHA-256 as the stand-in for the
+//! hardware's paging CMAC and for the apps' MACs, ChaCha20 for the tunnel
+//! and the storage data path. These are verified against NIST / RFC test
+//! vectors but are **not** hardened implementations — they exist so the
+//! paging, tunnel and storage protocols can be executed faithfully without
+//! external crypto dependencies.
 //!
 //! Each primitive has a portable kernel and, on `x86_64`, accelerated
 //! ones: SHA-NI for one SHA-256 message, a 16-lane AVX-512 multi-buffer
@@ -26,7 +26,7 @@ pub use chacha20::{
     chacha20_xor, chacha20_xor_at, chacha20_xor_offset, chacha20_xor_offset_portable, KEY_LEN,
     NONCE_LEN,
 };
-pub use hmac::{derive_key, hmac_sha256, verify_tag, HmacSha256};
+pub use hmac::{hmac_sha256, verify_tag, HmacSha256};
 pub use sha256::{Sha256, DIGEST_LEN};
 
 /// What the CPU this process runs on offers the kernels — the only input

@@ -1,9 +1,10 @@
 //! A from-scratch SHA-256 implementation (FIPS 180-4).
 //!
-//! Used for enclave measurements (`MRENCLAVE`), paging MACs, and the
-//! attestation key schedule. Implemented locally because cryptography crates
-//! are outside the approved dependency set; this is a straightforward,
-//! test-vector-verified implementation, not a hardened one.
+//! Used under HMAC for paging MACs and the apps' MACs, and directly for the
+//! web server's content digests. Implemented locally because cryptography
+//! crates are outside the approved dependency set; this is a
+//! straightforward, test-vector-verified implementation, not a hardened
+//! one.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;

@@ -1,14 +1,12 @@
-//! Enclave state: control structures, measurement, layout, and the memory
-//! footprint of entry/exit transitions.
+//! Enclave state: control structures, layout, and the memory footprint
+//! of entry/exit transitions.
 //!
 //! The [`crate::machine::Machine`] owns enclaves and drives their lifecycle;
 //! this module holds the per-enclave bookkeeping.
 
-mod measurement;
 mod structures;
 
-pub use measurement::{Measurement, MeasurementBuilder};
-pub use structures::{EnclaveState, PageType, Secs, Tcs};
+pub use structures::{EnclaveState, Secs, Tcs};
 
 use crate::error::{Result, SgxError};
 use crate::mem::{Addr, AddrRange, BumpAllocator};
@@ -36,8 +34,6 @@ pub struct Enclave {
     pub tcs: Vec<Tcs>,
     /// Secure-heap allocator over the committed heap region.
     heap: BumpAllocator,
-    builder: Option<MeasurementBuilder>,
-    measurement: Option<Measurement>,
     entry_code: Addr,
 }
 
@@ -48,74 +44,55 @@ impl Enclave {
     /// reserved for secure-heap allocations; `entry_code` the trampoline
     /// page EENTER jumps through.
     pub fn new(id: EnclaveId, secs: Secs, heap: AddrRange, entry_code: Addr) -> Self {
-        let size = secs.size;
         Enclave {
             id,
             state: EnclaveState::Building,
             secs,
             tcs: Vec::new(),
             heap: BumpAllocator::new(heap),
-            builder: Some(MeasurementBuilder::ecreate(size)),
-            measurement: None,
             entry_code,
         }
     }
 
-    /// Records an EADD into the running measurement.
+    /// Admits an EADD: pages are added only while the enclave is building.
     ///
     /// # Errors
     ///
     /// Fails if the enclave is already initialized.
-    pub fn record_eadd(&mut self, offset: u64, page_type: PageType) -> Result<()> {
-        match self.builder.as_mut() {
-            Some(b) => {
-                b.eadd(offset, page_type);
-                Ok(())
-            }
-            None => Err(SgxError::InvalidState {
-                op: "EADD",
-                state: self.state.name(),
-            }),
-        }
+    pub fn record_eadd(&self) -> Result<()> {
+        self.require_building("EADD")
     }
 
-    /// Records an EEXTEND chunk into the running measurement.
+    /// Admits an EEXTEND, under the same rule as [`Enclave::record_eadd`].
     ///
     /// # Errors
     ///
     /// Fails if the enclave is already initialized.
-    pub fn record_eextend(&mut self, offset: u64, chunk: &[u8]) -> Result<()> {
-        match self.builder.as_mut() {
-            Some(b) => {
-                b.eextend(offset, chunk);
-                Ok(())
-            }
-            None => Err(SgxError::InvalidState {
-                op: "EEXTEND",
-                state: self.state.name(),
-            }),
-        }
+    pub fn record_eextend(&self) -> Result<()> {
+        self.require_building("EEXTEND")
     }
 
-    /// Finalizes the measurement (EINIT).
+    /// EINIT: the enclave becomes enterable and takes no more pages.
     ///
     /// # Errors
     ///
     /// Fails if already initialized.
-    pub fn initialize(&mut self) -> Result<Measurement> {
-        let builder = self.builder.take().ok_or(SgxError::InvalidState {
-            op: "EINIT",
-            state: self.state.name(),
-        })?;
-        let m = builder.finalize();
-        self.measurement = Some(m);
+    pub fn initialize(&mut self) -> Result<()> {
+        self.require_building("EINIT")?;
         self.state = EnclaveState::Initialized;
-        Ok(m)
+        Ok(())
     }
 
-    /// The finalized measurement, if EINIT has run.
-    pub fn measurement(&self) -> Option<Measurement> {
-        self.measurement
+    /// Refuses `op` unless the enclave is still building.
+    pub(crate) fn require_building(&self, op: &'static str) -> Result<()> {
+        if self.state == EnclaveState::Building {
+            Ok(())
+        } else {
+            Err(SgxError::InvalidState {
+                op,
+                state: self.state.name(),
+            })
+        }
     }
 
     /// Replaces the secure-heap range (used by the standard-layout builder
@@ -214,12 +191,17 @@ mod tests {
     #[test]
     fn lifecycle_enforced() {
         let mut e = enclave();
-        e.record_eadd(0, PageType::Regular).unwrap();
-        let m = e.initialize().unwrap();
-        assert_eq!(e.measurement(), Some(m));
+        e.record_eadd().unwrap();
+        e.record_eextend().unwrap();
+        e.initialize().unwrap();
+        assert_eq!(e.state, EnclaveState::Initialized);
         assert!(matches!(
-            e.record_eadd(4096, PageType::Regular),
+            e.record_eadd(),
             Err(SgxError::InvalidState { op: "EADD", .. })
+        ));
+        assert!(matches!(
+            e.record_eextend(),
+            Err(SgxError::InvalidState { op: "EEXTEND", .. })
         ));
         assert!(matches!(
             e.initialize(),

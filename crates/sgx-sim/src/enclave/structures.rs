@@ -1,25 +1,13 @@
-//! SGX enclave management structures: SECS, TCS, and page typing.
+//! SGX enclave management structures: SECS, TCS and the lifecycle state.
 
 use crate::mem::Addr;
-
-/// Type of a page added to an enclave with EADD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum PageType {
-    /// SGX Enclave Control Structure (one per enclave, added by ECREATE).
-    Secs = 0,
-    /// Thread Control Structure — one per concurrently executing thread.
-    Tcs = 1,
-    /// Regular code/data/heap/stack page.
-    Regular = 2,
-}
 
 /// Lifecycle state of an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnclaveState {
     /// Created; pages may still be added. Cannot be entered.
     Building,
-    /// Measurement finalized by EINIT; pages can no longer be added.
+    /// EINIT has run; pages can no longer be added.
     Initialized,
 }
 
@@ -62,13 +50,6 @@ pub struct Tcs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn page_type_discriminants_are_stable() {
-        assert_eq!(PageType::Secs as u8, 0);
-        assert_eq!(PageType::Tcs as u8, 1);
-        assert_eq!(PageType::Regular as u8, 2);
-    }
 
     #[test]
     fn state_names() {

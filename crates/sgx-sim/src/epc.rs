@@ -140,7 +140,7 @@ impl Epc {
     /// # Errors
     ///
     /// Returns [`SgxError::NotEnclaveMemory`] for uncommitted pages and
-    /// [`SgxError::ReportMacMismatch`] if a swapped page's MAC fails (which
+    /// [`SgxError::PageMacMismatch`] if a swapped page's MAC fails (which
     /// would mean the untrusted OS tampered with the evicted image).
     pub fn touch(&mut self, page: u64) -> Result<PageTouch> {
         if self.resident.contains(page) {
@@ -160,7 +160,7 @@ impl Epc {
         if let Some(swapped) = image.take() {
             let expected = self.page_mac(page, swapped.version);
             if !verify_tag(&expected, &swapped.mac) {
-                return Err(SgxError::ReportMacMismatch);
+                return Err(SgxError::PageMacMismatch);
             }
         }
         cost += Cycles::new(self.config.eldu);
@@ -305,7 +305,7 @@ mod tests {
         let slot = epc.images.iter().position(Option::is_some).unwrap();
         let victim = first + slot as u64;
         assert!(epc.corrupt_swapped_page(victim));
-        assert_eq!(epc.touch(victim), Err(SgxError::ReportMacMismatch));
+        assert_eq!(epc.touch(victim), Err(SgxError::PageMacMismatch));
     }
 
     #[test]

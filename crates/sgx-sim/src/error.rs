@@ -30,8 +30,8 @@ pub enum SgxError {
     NotEnclaveMemory(Addr),
     /// An address was expected to fall outside enclave memory but does not.
     NotUntrustedMemory(Addr),
-    /// Attestation report verification failed.
-    ReportMacMismatch,
+    /// A swapped-out EPC page failed its MAC check on reload (ELDU).
+    PageMacMismatch,
     /// Entering an enclave that is already executing on this TCS.
     AlreadyEntered,
     /// Exiting an enclave that is not currently executing.
@@ -55,7 +55,7 @@ impl fmt::Display for SgxError {
             SgxError::NotUntrustedMemory(a) => {
                 write!(f, "address {a} is not outside enclave memory")
             }
-            SgxError::ReportMacMismatch => write!(f, "report MAC verification failed"),
+            SgxError::PageMacMismatch => write!(f, "swapped EPC page failed its MAC check"),
             SgxError::AlreadyEntered => write!(f, "enclave already entered on this TCS"),
             SgxError::NotEntered => write!(f, "enclave is not currently entered"),
         }
@@ -77,7 +77,7 @@ mod tests {
             SgxError::NoSuchEnclave(3),
             SgxError::TcsBusy,
             SgxError::EpcExhausted,
-            SgxError::ReportMacMismatch,
+            SgxError::PageMacMismatch,
         ];
         for e in errs {
             let s = e.to_string();

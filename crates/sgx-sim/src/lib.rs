@@ -14,10 +14,9 @@
 //!   ([`mee`]);
 //! * the **Enclave Page Cache** with EWB/ELDU paging and MACed, versioned
 //!   swap images — the libquantum cliff of Fig. 8 ([`epc`]);
-//! * the **enclave lifecycle** (ECREATE/EADD/EEXTEND/EINIT, measurements,
-//!   TCS management) and the EENTER/EEXIT/ERESUME/AEX transitions whose
-//!   warm/cold costs reproduce Table 1 rows 1-5 ([`enclave`], [`Machine`]);
-//! * **local attestation** reports ([`attest`]).
+//! * the **enclave lifecycle** (ECREATE/EADD/EEXTEND/EINIT, TCS
+//!   management) and the EENTER/EEXIT/ERESUME/AEX transitions whose
+//!   warm/cold costs reproduce Table 1 rows 1-5 ([`enclave`], [`Machine`]).
 //!
 //! Everything runs in *virtual cycles* on a 4 GHz virtual core; no wall
 //! clock is involved, so results are deterministic under a fixed seed.
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attest;
 pub mod cache;
 mod config;
 pub mod crypto;
@@ -59,19 +57,16 @@ pub mod mee;
 pub mod mem;
 #[cfg(test)]
 mod reference;
-pub mod seal;
 pub mod tlb;
 
-pub use attest::{Report, REPORT_DATA_LEN};
 pub use config::{
     CacheGeometry, EntryConfig, MeeConfig, NoiseConfig, PagingConfig, SdkCostConfig, SimConfig,
     SimConfigBuilder,
 };
 pub use cycles::{Clock, CycleFeed, CycleLedger, Cycles};
-pub use enclave::{Enclave, EnclaveId, EnclaveState, Measurement, PageType};
+pub use enclave::{Enclave, EnclaveId, EnclaveState};
 pub use epc::EpcStats;
 pub use error::{Result, SgxError};
 pub use eventloop::{VirtualEpoll, VirtualEvent};
 pub use machine::{AccessKind, EnclaveBuildOptions, Machine, Measured, Telemetry};
 pub use mem::Addr;
-pub use seal::{SealError, SealPolicy, SealedBlob};

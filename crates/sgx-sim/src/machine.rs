@@ -7,17 +7,14 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::attest::{Report, REPORT_DATA_LEN};
 use crate::cache::Hierarchy;
 use crate::config::SimConfig;
-use crate::crypto::DIGEST_LEN;
 use crate::cycles::{Clock, Cycles};
-use crate::enclave::{Enclave, EnclaveId, EnclaveState, Measurement, PageType, Secs, Tcs};
+use crate::enclave::{Enclave, EnclaveId, EnclaveState, Secs, Tcs};
 use crate::epc::{Epc, EpcStats};
 use crate::error::{Result, SgxError};
 use crate::mee::{AccessPattern, Mee};
 use crate::mem::{Addr, AddrRange, AddressSpace, PAGE_SIZE, PRM_BASE};
-use crate::seal::{self, SealError, SealPolicy, SealedBlob};
 use crate::tlb::Tlb;
 
 /// Kind of memory access.
@@ -102,7 +99,6 @@ const ECREATE_COST: u64 = 10_000;
 const EADD_COST_PER_PAGE: u64 = 1_500;
 const EEXTEND_COST_PER_CHUNK: u64 = 90;
 const EINIT_COST: u64 = 50_000;
-const EREPORT_COST: u64 = 4_000;
 
 /// The simulated machine.
 ///
@@ -132,13 +128,11 @@ pub struct Machine {
     enclaves: BTreeMap<u64, Enclave>,
     next_enclave: u64,
     last_miss_line: Option<u64>,
-    master_secret: [u8; DIGEST_LEN],
     /// Untrusted lines the entry/exit paths touch (ocall table, saved AVX
     /// state, untrusted stack).
     untrusted_entry_lines: Vec<Addr>,
     tlb: Tlb,
     aex_events: u64,
-    seal_nonce: u64,
     /// `2^64 mod (per_miss_jitter + 1)`: see [`Machine::miss_jitter`].
     miss_jitter_threshold: u64,
 }
@@ -157,9 +151,6 @@ impl Machine {
         };
         let mut seed_bytes = [0u8; 32];
         seed_bytes[..8].copy_from_slice(&config.seed.to_le_bytes());
-        let mut master_secret = [0u8; DIGEST_LEN];
-        master_secret[..8].copy_from_slice(&config.seed.to_le_bytes());
-        master_secret[8] = 0x42;
         Machine {
             tlb: Tlb::new(config.tlb_entries),
             caches: Hierarchy::new(&config),
@@ -169,10 +160,8 @@ impl Machine {
             enclaves: BTreeMap::new(),
             next_enclave: 1,
             last_miss_line: None,
-            master_secret,
             untrusted_entry_lines,
             aex_events: 0,
-            seal_nonce: 0,
             miss_jitter_threshold: {
                 let outcomes = config.noise.per_miss_jitter + 1;
                 outcomes.wrapping_neg() % outcomes
@@ -484,30 +473,16 @@ impl Machine {
         Ok(id)
     }
 
-    /// EADD + implicit EEXTENDs: measures `content` into the enclave at
-    /// `offset` pages from its base.
+    /// EADD + implicit EEXTENDs: adds `content` to the enclave at
+    /// `offset` pages from its base, charged per page and per 256-B chunk.
     ///
     /// # Errors
     ///
     /// Fails if the enclave does not exist or is already initialized.
-    pub fn eadd(
-        &mut self,
-        eid: EnclaveId,
-        page_offset: u64,
-        page_type: PageType,
-        content: &[u8],
-    ) -> Result<Addr> {
-        let enclave = self
-            .enclaves
-            .get_mut(&eid.0)
-            .ok_or(SgxError::NoSuchEnclave(eid.0))?;
-        enclave.record_eadd(page_offset * PAGE_SIZE, page_type)?;
-        let chunks = content.chunks(256);
-        let mut n_chunks = 0u64;
-        for (i, chunk) in chunks.enumerate() {
-            enclave.record_eextend(page_offset * PAGE_SIZE + i as u64 * 256, chunk)?;
-            n_chunks += 1;
-        }
+    pub fn eadd(&mut self, eid: EnclaveId, page_offset: u64, content: &[u8]) -> Result<Addr> {
+        let enclave = self.enclave(eid)?;
+        enclave.record_eadd()?;
+        let n_chunks = content.len().div_ceil(256) as u64;
         let addr = enclave.secs.base.offset(page_offset * PAGE_SIZE);
         self.charge(Cycles::new(
             EADD_COST_PER_PAGE + n_chunks * EEXTEND_COST_PER_CHUNK,
@@ -525,22 +500,17 @@ impl Machine {
             .enclaves
             .get_mut(&eid.0)
             .ok_or(SgxError::NoSuchEnclave(eid.0))?;
-        if enclave.state != EnclaveState::Building {
-            return Err(SgxError::InvalidState {
-                op: "EADD(TCS)",
-                state: enclave.state.name(),
-            });
-        }
+        enclave.require_building("EADD(TCS)")?;
         enclave.tcs.push(tcs);
         Ok(enclave.tcs.len() - 1)
     }
 
-    /// EINIT: finalizes the measurement; the enclave becomes enterable.
+    /// EINIT: the enclave becomes enterable.
     ///
     /// # Errors
     ///
     /// Fails if the enclave does not exist or was already initialized.
-    pub fn einit(&mut self, eid: EnclaveId) -> Result<Measurement> {
+    pub fn einit(&mut self, eid: EnclaveId) -> Result<()> {
         self.charge(Cycles::new(EINIT_COST));
         self.enclave_mut(eid)?.initialize()
     }
@@ -563,21 +533,20 @@ impl Machine {
 
         // Entry trampoline + code.
         for p in 0..code_pages {
-            // Synthetic deterministic "code" so measurements are stable.
-            let content = [0x90u8; 256];
-            self.eadd(eid, 1 + p, PageType::Regular, &content)?;
+            // One 256-B chunk of "code" per page: one EEXTEND charged.
+            self.eadd(eid, 1 + p, &[0x90u8; 256])?;
         }
         // TCS areas.
         let mut next_page = 1 + code_pages;
         for _ in 0..opts.tcs_count {
             let tcs_addr = base.offset(next_page * PAGE_SIZE);
-            self.eadd(eid, next_page, PageType::Tcs, &[])?;
+            self.eadd(eid, next_page, &[])?;
             let ssa = base.offset((next_page + 1) * PAGE_SIZE);
-            self.eadd(eid, next_page + 1, PageType::Regular, &[])?;
-            self.eadd(eid, next_page + 2, PageType::Regular, &[])?;
+            self.eadd(eid, next_page + 1, &[])?;
+            self.eadd(eid, next_page + 2, &[])?;
             let stack = base.offset((next_page + 3) * PAGE_SIZE);
             for sp in 0..stack_pages {
-                self.eadd(eid, next_page + 3 + sp, PageType::Regular, &[])?;
+                self.eadd(eid, next_page + 3 + sp, &[])?;
             }
             self.add_tcs(
                 eid,
@@ -593,7 +562,7 @@ impl Machine {
         }
         // Heap.
         for hp in 0..heap_pages {
-            self.eadd(eid, next_page + hp, PageType::Regular, &[])?;
+            self.eadd(eid, next_page + hp, &[])?;
         }
         let heap_range = AddrRange::new(
             base.offset(next_page * PAGE_SIZE),
@@ -782,89 +751,6 @@ impl Machine {
         self.aex_events
     }
 
-    // ----- Attestation ----------------------------------------------------------
-
-    /// EREPORT: produces a MACed report for an initialized enclave.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the enclave does not exist or is not initialized.
-    pub fn ereport(&mut self, eid: EnclaveId, data: [u8; REPORT_DATA_LEN]) -> Result<Report> {
-        self.charge(Cycles::new(EREPORT_COST));
-        let m = self
-            .enclave(eid)?
-            .measurement()
-            .ok_or(SgxError::InvalidState {
-                op: "EREPORT",
-                state: "building",
-            })?;
-        Ok(Report::create(&self.master_secret, m, data))
-    }
-
-    /// Verifies a report produced on this machine (the EGETKEY path).
-    pub fn verify_report(&mut self, report: &Report) -> bool {
-        self.charge(Cycles::new(EREPORT_COST));
-        report.verify(&self.master_secret)
-    }
-
-    // ----- Sealing ---------------------------------------------------------------
-
-    /// Seals `plaintext` for enclave `eid` under `policy` (the SDK's
-    /// `sgx_seal_data`). The blob may be stored untrusted and unsealed
-    /// after a restart by [`Machine::unseal_data`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the enclave does not exist or is not initialized.
-    pub fn seal_data(
-        &mut self,
-        eid: EnclaveId,
-        policy: SealPolicy,
-        plaintext: &[u8],
-    ) -> Result<SealedBlob> {
-        let measurement = self
-            .enclave(eid)?
-            .measurement()
-            .ok_or(SgxError::InvalidState {
-                op: "EGETKEY(seal)",
-                state: "building",
-            })?;
-        self.seal_nonce += 1;
-        let mut nonce = [0u8; 16];
-        nonce[..8].copy_from_slice(&self.seal_nonce.to_le_bytes());
-        nonce[8..].copy_from_slice(&eid.0.to_le_bytes());
-        // EGETKEY + keystream + MAC: ~5 cycles/byte of crypto.
-        self.charge(Cycles::new(2_000 + plaintext.len() as u64 * 5));
-        Ok(seal::seal(
-            &self.master_secret,
-            &measurement,
-            policy,
-            nonce,
-            plaintext,
-        ))
-    }
-
-    /// Unseals a blob inside enclave `eid`.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`SgxError::ReportMacMismatch`] if the blob was sealed
-    /// on another machine, bound to another enclave, or tampered with.
-    pub fn unseal_data(&mut self, eid: EnclaveId, blob: &SealedBlob) -> Result<Vec<u8>> {
-        let measurement = self
-            .enclave(eid)?
-            .measurement()
-            .ok_or(SgxError::InvalidState {
-                op: "EGETKEY(unseal)",
-                state: "building",
-            })?;
-        self.charge(Cycles::new(2_000 + blob.ciphertext.len() as u64 * 5));
-        seal::unseal(&self.master_secret, &measurement, blob).map_err(|e: SealError| {
-            debug_assert_eq!(e, SealError::MacMismatch);
-            SgxError::ReportMacMismatch
-        })
-    }
-
     // ----- Statistics -----------------------------------------------------------
 
     /// EPC paging statistics.
@@ -1003,6 +889,16 @@ mod tests {
     }
 
     #[test]
+    fn built_enclave_refuses_eadd() {
+        let mut m = machine();
+        let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
+        assert!(matches!(
+            m.eadd(eid, 1, &[0u8; 256]),
+            Err(SgxError::InvalidState { op: "EADD", .. })
+        ));
+    }
+
+    #[test]
     fn aex_then_eresume() {
         let mut m = machine();
         let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
@@ -1026,16 +922,6 @@ mod tests {
         assert!(!r.aex);
         assert!(r.cycles >= Cycles::new(1_000));
         assert!(r.cycles < Cycles::new(1_200));
-    }
-
-    #[test]
-    fn attestation_roundtrip() {
-        let mut m = machine();
-        let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
-        let report = m.ereport(eid, [5u8; REPORT_DATA_LEN]).unwrap();
-        assert!(m.verify_report(&report));
-        let mut other = Machine::new(SimConfig::builder().seed(999).deterministic().build());
-        assert!(!other.verify_report(&report));
     }
 
     #[test]
@@ -1092,26 +978,6 @@ mod telemetry_tests {
         assert!(t.mee_cache.0 + t.mee_cache.1 > 0, "EPC reads walk the tree");
         assert!(Telemetry::hit_rate(t.l1) > 0.0);
         assert_eq!(Telemetry::hit_rate((0, 0)), 0.0);
-    }
-
-    #[test]
-    fn sealing_roundtrip_via_machine() {
-        let mut m = Machine::new(SimConfig::builder().deterministic().build());
-        let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
-        let blob = m
-            .seal_data(eid, crate::seal::SealPolicy::MrEnclave, b"machine secret")
-            .unwrap();
-        assert_eq!(m.unseal_data(eid, &blob).unwrap(), b"machine secret");
-        // Sealing charges virtual time (EGETKEY + crypto).
-        let before = m.now();
-        let _ = m.seal_data(eid, crate::seal::SealPolicy::MrEnclave, &[0u8; 4096]);
-        assert!((m.now() - before).get() > 4_000);
-        // Unsealing inside a building enclave is rejected.
-        let building = m.ecreate(16).unwrap();
-        assert!(matches!(
-            m.unseal_data(building, &blob),
-            Err(SgxError::InvalidState { .. })
-        ));
     }
 }
 

@@ -85,11 +85,6 @@ impl Mee {
         Cycles::new(cost + refresh)
     }
 
-    /// Extra cost a demand *store* (RFO) to EPC pays over a demand load.
-    pub fn store_fill_extra(&self) -> Cycles {
-        Cycles::new(self.config.store_extra)
-    }
-
     /// Read access to the integrity tree (tests, paging MAC verification).
     pub fn tree(&self) -> &IntegrityTree {
         &self.tree

@@ -97,7 +97,7 @@ impl Epc {
     /// # Errors
     ///
     /// Returns [`SgxError::NotEnclaveMemory`] for uncommitted pages and
-    /// [`SgxError::ReportMacMismatch`] if a swapped page's MAC fails (which
+    /// [`SgxError::PageMacMismatch`] if a swapped page's MAC fails (which
     /// would mean the untrusted OS tampered with the evicted image).
     pub fn touch(&mut self, page: u64) -> Result<PageTouch> {
         if !self.committed.contains_key(&page) {
@@ -117,7 +117,7 @@ impl Epc {
         if let Some(swapped) = self.swapped.remove(&page) {
             let expected = self.page_mac(page, swapped.version);
             if !verify_tag(&expected, &swapped.mac) {
-                return Err(SgxError::ReportMacMismatch);
+                return Err(SgxError::PageMacMismatch);
             }
         }
         cost += Cycles::new(self.config.eldu);

@@ -8,7 +8,7 @@ use hotcalls_repro::hotcalls::sim::SimHotCalls;
 use hotcalls_repro::hotcalls::HotCallConfig;
 use hotcalls_repro::sgx_sdk::edl::parse_edl;
 use hotcalls_repro::sgx_sdk::{EnclaveCtx, MarshalOptions};
-use hotcalls_repro::sgx_sim::{EnclaveBuildOptions, Machine, SimConfig, REPORT_DATA_LEN};
+use hotcalls_repro::sgx_sim::{EnclaveBuildOptions, Machine, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 4 GHz Skylake-like machine with SGX.
@@ -16,18 +16,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ECREATE/EADD/EEXTEND/EINIT with a standard layout.
     let enclave = machine.build_enclave(EnclaveBuildOptions::default())?;
-    let measurement = machine
-        .enclave(enclave)?
-        .measurement()
-        .expect("initialized enclave has a measurement");
-    println!("enclave built, MRENCLAVE = {measurement}");
-
-    // Local attestation round trip.
-    let report = machine.ereport(enclave, [7u8; REPORT_DATA_LEN])?;
-    println!(
-        "attestation report verifies: {}",
-        machine.verify_report(&report)
-    );
 
     // Declare the interface in EDL, exactly as with the real SDK.
     let edl = parse_edl(

@@ -63,6 +63,11 @@ grep -q "test result: ok. 6 passed" <<<"$out" \
 echo "==> cargo run --release --example switchless_rt"
 cargo run --release -q --example switchless_rt
 
+# The simulated side as a user drives it: build an enclave, time one SDK
+# ocall and one HotCall on the machine model.
+echo "==> cargo run --release --example quickstart"
+cargo run --release -q --example quickstart
+
 # The live data plane again under optimisation: the slot `debug_assert!`s
 # only exist in debug (the pass above), the race windows only open in
 # release. Then the tests that used to fail on scheduling luck, 20 times

@@ -1,5 +1,5 @@
-//! Integration tests spanning every crate: enclave lifecycle →
-//! attestation → SDK calls → HotCalls → applications.
+//! Integration tests spanning every crate: enclave lifecycle → SDK calls
+//! → HotCalls → applications.
 
 use hotcalls_repro::apps::memcached::{self, protocol, Memcached};
 use hotcalls_repro::apps::{AppEnv, IfaceMode};
@@ -7,31 +7,15 @@ use hotcalls_repro::hotcalls::sim::SimHotCalls;
 use hotcalls_repro::hotcalls::HotCallConfig;
 use hotcalls_repro::sgx_sdk::edl::parse_edl;
 use hotcalls_repro::sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
-use hotcalls_repro::sgx_sim::{EnclaveBuildOptions, Machine, SimConfig, REPORT_DATA_LEN};
+use hotcalls_repro::sgx_sim::{EnclaveBuildOptions, EnclaveState, Machine, SimConfig};
 
 #[test]
-fn lifecycle_attestation_calls_hotcalls_end_to_end() {
+fn lifecycle_calls_hotcalls_end_to_end() {
     let mut m = Machine::new(SimConfig::builder().seed(77).build());
 
     // Lifecycle.
     let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
-    let measurement = m.enclave(eid).unwrap().measurement().unwrap();
-
-    // A second identically-built enclave has the same measurement; a
-    // differently-sized one does not.
-    let eid2 = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
-    assert_eq!(m.enclave(eid2).unwrap().measurement().unwrap(), measurement);
-    let eid3 = m
-        .build_enclave(EnclaveBuildOptions {
-            code_bytes: 128 * 1024,
-            ..EnclaveBuildOptions::default()
-        })
-        .unwrap();
-    assert_ne!(m.enclave(eid3).unwrap().measurement().unwrap(), measurement);
-
-    // Attestation.
-    let report = m.ereport(eid, [1u8; REPORT_DATA_LEN]).unwrap();
-    assert!(m.verify_report(&report));
+    assert_eq!(m.enclave(eid).unwrap().state, EnclaveState::Initialized);
 
     // SDK calls + HotCalls against the same enclave.
     let edl = parse_edl(
