@@ -32,20 +32,15 @@ use crate::porting::{generate_edl, ApiDecl};
 /// FlexSC).
 pub const SYSCALL_TRAP: u64 = 150;
 
-/// Per-shard ring capacity of the real threaded transport behind the
-/// HotCalls modes.
+/// Ring capacity of the real threaded transport behind the HotCalls
+/// modes.
 const RT_RING_CAPACITY: usize = 32;
-/// Shards of the transport's data plane (= ceiling of its responder
-/// pool: one "On Call" responder per shard). The governor parks down to
-/// one active shard when the application's call rate doesn't justify
-/// more.
-const RT_SHARDS: usize = 2;
-/// Empty polls before a pool responder parks; applications build many
+/// Empty polls before a responder dozes; applications build many
 /// environments and single-core hosts cannot afford spinning responders.
 const RT_IDLE_POLLS_BEFORE_SLEEP: u64 = 256;
 
 /// The real switchless transport carried alongside the cycle model in the
-/// HotCalls modes: a pooled, batched-drain submission ring whose responder
+/// HotCalls modes: a batched-drain submission ring whose responder
 /// threads play the untrusted "On Call" side. The simulator still charges
 /// the paper's cycle costs; this pool moves each call's marshalled payload
 /// for real through arena-backed buffers — callee-bound bytes ride in the
@@ -56,12 +51,8 @@ const RT_IDLE_POLLS_BEFORE_SLEEP: u64 = 256;
 #[derive(Debug)]
 struct RtPool {
     server: ByteRing,
-    /// One caller per shard, each pinned to its home ring by the router
-    /// — an application connection maps onto exactly one lane, so
-    /// distinct connections never contend on a head CAS.
-    lanes: Vec<ByteCaller>,
-    /// The lane the current connection's calls ride on.
-    lane: usize,
+    /// The one caller: an environment's calls come from one thread.
+    caller: ByteCaller,
     ids: BTreeMap<&'static str, u32>,
     /// Fallback id for calls outside the declared API table (and the
     /// `RunEnclaveFunction` ecall shell).
@@ -90,11 +81,10 @@ fn os_responder(req_len: usize, buf: &mut [u8]) -> usize {
 /// How the real transport is configured in the HotCalls modes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RtTransport {
-    /// The sharded multi-ring plane with work-stealing responders, one
-    /// connection lane per shard (the default; what `AppEnv::new`
-    /// builds).
+    /// One ring and one responder that dozes when idle (the default; what
+    /// `AppEnv::new` builds).
     #[default]
-    Sharded,
+    Ring,
     /// Zero-config: the plane spawns with [`HotCallConfig::auto`] /
     /// [`ResponderPolicy::auto`] and a [`Controller`] closes the loop —
     /// each API is routed to its measured break-even transport (SDK for
@@ -108,7 +98,7 @@ impl RtTransport {
     /// Census label for this transport ("hot" / "auto").
     pub fn label(&self) -> &'static str {
         match self {
-            RtTransport::Sharded => "hot",
+            RtTransport::Ring => "hot",
             RtTransport::Auto => "auto",
         }
     }
@@ -170,15 +160,13 @@ impl RtPool {
         }
         let run_fn = table.register(os_responder);
         let server = match transport {
-            // Sharded adaptive plane: RT_SHARDS independent rings with one
-            // work-stealing responder each, parked down to one active shard
-            // when the application's call rate is low — the oversubscription
-            // fix matters here because every benchmark builds several
-            // environments side by side.
-            RtTransport::Sharded => ByteRing::spawn_sharded(
+            // One responder is enough for one requester thread, and it
+            // dozes when the application's call rate is low — every
+            // benchmark builds several environments side by side.
+            RtTransport::Ring => ByteRing::spawn_pool(
                 table,
                 RT_RING_CAPACITY,
-                ResponderPolicy::elastic(1, RT_SHARDS),
+                1,
                 HotCallConfig {
                     idle_polls_before_sleep: Some(RT_IDLE_POLLS_BEFORE_SLEEP),
                     ..HotCallConfig::patient()
@@ -195,23 +183,14 @@ impl RtPool {
                 HotCallConfig::auto(),
             )?,
         };
-        let lanes = (0..server.shards())
-            .map(|s| server.caller_on(s))
-            .collect::<hotcalls::Result<Vec<_>>>()?;
+        let caller = server.caller();
         Ok(RtPool {
             server,
-            lanes,
-            lane: 0,
+            caller,
             ids,
             run_fn,
             tx_scratch: Vec::new(),
         })
-    }
-
-    /// Routes the given connection's subsequent calls onto its home lane
-    /// (and therefore its home shard).
-    fn route_connection(&mut self, conn: u64) {
-        self.lane = (conn % self.lanes.len() as u64) as usize;
     }
 
     /// Carries one call: `in_bytes` travel to the responder, `out_bytes`
@@ -220,7 +199,9 @@ impl RtPool {
     fn call(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> Result<u64> {
         let id = self.ids.get(name).copied().unwrap_or(self.run_fn);
         let req_len = self.stage_request(in_bytes, out_bytes);
-        let n = self.lanes[self.lane].call(id, &self.tx_scratch[..req_len], out_bytes as usize)?;
+        let n = self
+            .caller
+            .call(id, &self.tx_scratch[..req_len], out_bytes as usize)?;
         Ok(n as u64)
     }
 
@@ -247,32 +228,18 @@ impl RtPool {
             // Each push copies the staged request into an arena buffer, so
             // the scratch is immediately reusable for the next entry.
             bundle.push(
-                &mut self.lanes[self.lane],
+                &mut self.caller,
                 id,
                 &self.tx_scratch[..req_len],
                 out_bytes as usize,
             );
         }
-        let results = self.lanes[self.lane].call_bundle(bundle)?;
+        let results = self.caller.call_bundle(bundle)?;
         let mut produced = 0u64;
         for r in results {
             produced += r? as u64;
         }
         Ok(produced)
-    }
-
-    /// Arena counters summed over every lane (each lane owns a private
-    /// arena).
-    fn arena_stats(&self) -> ArenaStats {
-        let mut total = ArenaStats::default();
-        for lane in &self.lanes {
-            let s = lane.arena_stats();
-            total.allocs += s.allocs;
-            total.recycles += s.recycles;
-            total.inline_hits += s.inline_hits;
-            total.stale_recycles += s.stale_recycles;
-        }
-        total
     }
 }
 
@@ -814,7 +781,7 @@ impl AppEnv {
     /// inline hits, slab recycles, fresh allocations. `None` for modes
     /// that have no switchless channel.
     pub fn arena_stats(&self) -> Option<ArenaStats> {
-        self.rt.as_ref().map(RtPool::arena_stats)
+        self.rt.as_ref().map(|rt| rt.caller.arena_stats())
     }
 
     /// Responder-governor counters of the real transport (HotCalls modes
@@ -824,31 +791,11 @@ impl AppEnv {
         self.rt.as_ref().map(|rt| rt.server.governor_stats())
     }
 
-    /// Per-shard statistics of the real transport's sharded data plane
-    /// (HotCalls modes only): serviced counts, steal probes and hits,
-    /// cross-shard wakes, park state. `None` for modes that have no
-    /// switchless channel.
+    /// Ring statistics of the real transport's data plane (HotCalls modes
+    /// only): totals, governor and the ring's serviced count and
+    /// occupancy. `None` for modes that have no switchless channel.
     pub fn rt_ring_stats(&self) -> Option<RingStats> {
         self.rt.as_ref().map(|rt| rt.server.ring_stats())
-    }
-
-    /// Routes the calls that follow onto `conn`'s home lane of the
-    /// sharded transport (connections map onto shards round-robin, so
-    /// distinct connections never contend on a submission ring). A no-op
-    /// in modes without a switchless channel.
-    pub fn route_connection(&mut self, conn: u64) {
-        if let Some(rt) = self.rt.as_mut() {
-            rt.route_connection(conn);
-        }
-    }
-
-    /// Number of independent submission lanes the switchless transport
-    /// offers (one per shard of the sharded plane). Modes without a
-    /// switchless channel report 1 — everything serializes on the one
-    /// interface. The load harness uses this as the service parallelism
-    /// of its queueing model.
-    pub fn lanes(&self) -> usize {
-        self.rt.as_ref().map_or(1, |rt| rt.lanes.len().max(1))
     }
 
     /// Cycles spent inside the call interface so far (enclave modes only;
@@ -935,7 +882,7 @@ impl AppEnv {
     }
 
     /// Full telemetry of the real transport's plane (HotCalls modes only):
-    /// per-lane queue/service histograms, reap latency, shard counters.
+    /// per-lane queue/service histograms, reap latency, ring counters.
     pub fn rt_telemetry(&self, name: &str) -> Option<PlaneTelemetry> {
         self.rt.as_ref().map(|rt| rt.server.telemetry(name))
     }
@@ -1090,41 +1037,15 @@ mod tests {
         assert_eq!(hot.rt_stats().unwrap().calls, 3);
         // Governor surface exists in hot modes only.
         let g = hot.governor_stats().unwrap();
-        assert_eq!((g.min, g.max), (1, 2));
+        assert_eq!((g.min, g.max), (1, 1));
         assert!(env(IfaceMode::Native).governor_stats().is_none());
     }
 
     #[test]
-    fn route_connection_spreads_calls_over_shards() {
-        let mut hot = env(IfaceMode::HotCalls);
-        hot.enter_main().unwrap();
-        // Two connections, routed to distinct lanes of the sharded plane.
-        for conn in 0..2u64 {
-            hot.route_connection(conn);
-            for _ in 0..5 {
-                hot.api_call("getpid", &[]).unwrap();
-            }
-        }
-        let rs = hot.rt_ring_stats().expect("hot mode has a sharded plane");
-        assert_eq!(rs.shards.len(), 2);
-        assert_eq!(rs.totals.calls, 10);
-        // Each connection's submissions landed on its own shard's ring
-        // (completions may be produced by either responder via stealing,
-        // so only the *submission* placement is asserted — through the
-        // serviced totals, which cover both shards).
-        assert_eq!(rs.shards.iter().map(|s| s.serviced).sum::<u64>(), 10);
-        // Modes without a switchless channel expose no shard stats, and
-        // routing is a no-op there.
-        let mut native = env(IfaceMode::Native);
-        native.route_connection(7);
-        assert!(native.rt_ring_stats().is_none());
-    }
-
-    #[test]
-    fn new_builds_the_two_shard_elastic_byte_plane() {
+    fn new_builds_the_one_responder_byte_ring() {
         // The plane `AppEnv::new` carries HotCalls-mode calls on (the one
-        // the memcached benchmarks measure): two shards, an elastic
-        // one-to-two responder governor, and no call fused inline.
+        // the memcached benchmarks measure): one ring, one responder, and
+        // no call fused inline.
         let mut hot = env(IfaceMode::HotCalls);
         hot.enter_main().unwrap();
         for _ in 0..8 {
@@ -1132,11 +1053,14 @@ mod tests {
         }
         let t = hot.rt_telemetry("plane").unwrap();
         assert_eq!(
-            (t.kind, t.stats.shards.len(), hot.lanes()),
-            ("byte-sharded", 2, 2)
+            (t.kind, t.stats.shards.len(), t.lanes.len()),
+            ("byte-single", 1, 1)
         );
+        let rs = hot.rt_ring_stats().unwrap();
+        assert_eq!(rs.shards[0].serviced, 8);
+        assert!(env(IfaceMode::Native).rt_ring_stats().is_none());
         let g = hot.governor_stats().unwrap();
-        assert_eq!((g.min, g.max), (1, 2));
+        assert_eq!((g.min, g.max), (1, 1));
         let s = hot.rt_stats().unwrap();
         assert_eq!((s.calls, s.fused_runs, s.fused_fallbacks), (8, 0, 0));
     }
@@ -1269,7 +1193,7 @@ mod tests {
             hot.api_call("getpid", &[]).unwrap();
         }
         let t = hot.rt_telemetry("app-rt").expect("hot mode has a plane");
-        assert_eq!(t.kind, "byte-sharded");
+        assert_eq!(t.kind, "byte-single");
         assert_eq!(t.stats.totals.calls, 8);
         if hotcalls::TELEMETRY_ENABLED {
             // Every serviced call recorded one queue and one service

@@ -142,9 +142,6 @@ impl Lighttpd {
     /// in the response, not returned as `Err`.
     pub fn serve(&mut self, env: &mut AppEnv, raw_request: &[u8]) -> Result<(Bytes, Bytes)> {
         self.requests += 1;
-        // Each request arrives on its own connection: pin its edge calls
-        // to that connection's home shard of the transport.
-        env.route_connection(self.requests);
         // Pull the request off the socket: lighttpd reads into a full
         // 4 KB chunk buffer regardless of the request's size.
         env.api_call("read", &[BufArg::new(self.rx_buf, 4096)])?;

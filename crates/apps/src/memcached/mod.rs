@@ -103,9 +103,6 @@ impl Memcached {
     /// Propagates interface/protocol errors.
     pub fn serve(&mut self, env: &mut AppEnv, wire: Bytes) -> Result<Bytes> {
         self.requests += 1;
-        // Each request arrives on its own connection: pin its edge calls
-        // to that connection's home shard of the transport.
-        env.route_connection(self.requests);
         let rx = self.rx_buf;
         let tx = self.tx_buf;
         let wire_len = wire.len() as u64;
@@ -136,10 +133,6 @@ impl Memcached {
         }
         let rx = self.rx_buf;
         let tx = self.tx_buf;
-        // The epoll batch is one event-loop pass: its bundles ride the
-        // home shard of the pass's first connection (alternating passes
-        // land on alternating shards).
-        env.route_connection(self.requests);
         env.run_enclave_function(|env| {
             // Drain the ready sockets: one bundled read per connection.
             let reads: Vec<(&'static str, Option<BufArg>)> = wires
@@ -348,13 +341,12 @@ mod tests {
                 .unwrap();
         }
         let arena = e.arena_stats().expect("hot mode has an arena");
-        // Each request's `read` pulls a full RX_BUF_LEN out-buffer.
-        // Requests alternate between the two shard lanes and each lane
-        // owns a private arena, so there is one cold slab alloc per lane,
-        // then steady-state recycling. The RunEnclaveFunction shell and
-        // the small set-response `sendmsg` ride inline in the slot.
-        assert_eq!(arena.allocs, 2, "{arena:?}");
-        assert_eq!(arena.recycles, 4, "{arena:?}");
+        // Each request's `read` pulls a full RX_BUF_LEN out-buffer: one
+        // cold slab alloc in the caller's arena, then steady-state
+        // recycling. The RunEnclaveFunction shell and the small
+        // set-response `sendmsg` ride inline in the slot.
+        assert_eq!(arena.allocs, 1, "{arena:?}");
+        assert_eq!(arena.recycles, 5, "{arena:?}");
         assert!(arena.inline_hits >= 12, "{arena:?}");
     }
 

@@ -240,10 +240,6 @@ impl OpenVpn {
     ///
     /// Propagates interface errors.
     pub fn egress(&mut self, env: &mut AppEnv, plaintext: &[u8]) -> Result<Bytes> {
-        // The tunnel's two flows are its two "connections": egress rides
-        // shard lane 0, ingress lane 1, so the directions never contend
-        // on a submission ring.
-        env.route_connection(0);
         self.issue_mix(env)?;
         // The TUN read drains into a full MTU-sized buffer.
         env.api_call(
@@ -266,8 +262,6 @@ impl OpenVpn {
     ///
     /// Propagates interface and authentication errors.
     pub fn ingress(&mut self, env: &mut AppEnv, wire: &[u8]) -> Result<Bytes> {
-        // The return flow's home lane (see `egress`).
-        env.route_connection(1);
         self.issue_mix(env)?;
         // The socket receive drains into a full MTU-sized buffer.
         env.api_call(

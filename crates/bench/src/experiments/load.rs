@@ -12,10 +12,10 @@
 //! Per app (memcached, lighttpd, openVPN) × interface (`hot` = HotCalls on
 //! the Auto transport, `sdk` = the plain SDK port) it measures the
 //! per-call interface cost in *virtual cycles* from the live [`AppEnv`]
-//! ledger, then runs an open-loop M/D/c queueing model over the
+//! ledger, then runs an open-loop M/D/1 queueing model over the
 //! [`VirtualEpoll`] event loop: 100,000 simulated connections each keep
 //! one armed next-arrival timer (the loop's `peak_pending` is the
-//! witness), arrivals multiplex onto the transport's submission lanes, and
+//! witness), arrivals queue for the one interface in arrival order, and
 //! per-event latency (completion − scheduled arrival) feeds a
 //! [`CycleHist`], from which each offered rate's p50/p99/p999 row is
 //! read. The **knee** of a curve is the highest offered rate whose p99
@@ -87,11 +87,9 @@ const APPS: [AppSpec; 3] = [
     },
 ];
 
-/// A measured interface: service cost and parallelism for the queue
-/// model.
+/// A measured interface: the service cost of the queue model.
 struct ModeProbe {
     mode: &'static str,
-    lanes: usize,
     cost_cycles: f64,
 }
 
@@ -117,20 +115,15 @@ fn probe_mode(app: &AppSpec, mode: &'static str, iface: IfaceMode) -> ModeProbe 
         env.api_call(app.probe, &[]).expect("probe api");
     }
     let cost_cycles = (env.interface_cycles().get() - before) as f64 / f64::from(PROBE_SAMPLES);
-    ModeProbe {
-        mode,
-        lanes: env.lanes(),
-        cost_cycles,
-    }
+    ModeProbe { mode, cost_cycles }
 }
 
 /// Runs one open-loop point of the queue model in virtual time.
 ///
 /// Every connection keeps exactly one armed next-arrival timer in the
 /// [`VirtualEpoll`] — `peak_pending` therefore witnesses `conns`-way
-/// concurrency. When a connection's timer fires, its call is dispatched
-/// to its lane (deterministic `conn % lanes` affinity), serves for
-/// `cost` cycles behind whatever that lane already owes, and the
+/// concurrency. When a connection's timer fires, its call serves for
+/// `cost` cycles behind whatever the interface already owes, and the
 /// completion-minus-arrival latency lands in the histogram. Arrival
 /// draws are per-connection Poisson streams (the superposition is the
 /// offered Poisson rate), with each stream's warm-up arrival at t=0
@@ -138,7 +131,6 @@ fn probe_mode(app: &AppSpec, mode: &'static str, iface: IfaceMode) -> ModeProbe 
 /// 100k-connection burst.
 fn simulate_point(
     cost: u64,
-    lanes: usize,
     conns: usize,
     events_per_conn: usize,
     rate_hz: f64,
@@ -164,7 +156,7 @@ fn simulate_point(
             ep.arm(c as u64, Cycles::new(ns * CYCLES_PER_NS));
         }
     }
-    let mut lane_busy = vec![0u64; lanes.max(1)];
+    let mut busy_until = 0u64;
     let mut hist = CycleHist::new();
     loop {
         let batch = ep.wait(1_024);
@@ -176,10 +168,9 @@ fn simulate_point(
             if let Some(ns) = arrivals[conn].next() {
                 ep.arm(ev.token, Cycles::new(ns * CYCLES_PER_NS));
             }
-            let lane = conn % lane_busy.len();
-            let start = ev.at.get().max(lane_busy[lane]);
+            let start = ev.at.get().max(busy_until);
             let done = start + cost;
-            lane_busy[lane] = done;
+            busy_until = done;
             hist.record(done - ev.at.get());
         }
     }
@@ -202,7 +193,6 @@ fn sweep_mode(probe: &ModeProbe, grid: &[f64], events_per_conn: usize, seed: u64
     for (i, &rate) in grid.iter().enumerate() {
         let (hist, p) = simulate_point(
             cost,
-            probe.lanes,
             CONNS,
             events_per_conn,
             rate,
@@ -240,14 +230,13 @@ pub fn load_curves(scale: Scale) -> Outcome {
         let sdk = probe_mode(app, "sdk", IfaceMode::Sdk);
         say!(
             out,
-            "{}: `{}` costs {:.0} cycles/call hot ({} lanes) vs {:.0} sdk",
+            "{}: `{}` costs {:.0} cycles/call hot vs {:.0} sdk",
             app.name,
             app.probe,
             hot.cost_cycles,
-            hot.lanes,
             sdk.cost_cycles
         );
-        let capacities = [&hot, &sdk].map(|p| p.lanes as f64 * CYCLES_PER_SEC / p.cost_cycles);
+        let capacities = [&hot, &sdk].map(|p| CYCLES_PER_SEC / p.cost_cycles);
         let grid = rate_grid(&capacities, grid_points);
         let curves = [&hot, &sdk].map(|probe| sweep_mode(probe, &grid, events_per_conn, app.seed));
         for curve in &curves {

@@ -18,7 +18,7 @@ pub enum FusedMode {
     /// pre-fused behaviour; the default).
     #[default]
     Off,
-    /// Fuse synchronous `call`s when the home responder set is quiescent
+    /// Fuse synchronous `call`s when the active responders are quiescent
     /// (parked or dozing) and the ring holds fewer than two in-flight
     /// submissions; fall back to the pooled path the moment responders
     /// are active. Pipelined `submit`s and bundles never fuse — the
@@ -28,7 +28,7 @@ pub enum FusedMode {
 }
 
 /// Break-even occupancy for [`FusedMode::Auto`]: the fused path is only
-/// considered while the (home) ring holds fewer than this many in-flight
+/// considered while the ring holds fewer than this many in-flight
 /// submissions. Deeper backlogs mean pipelining through the pool wins.
 pub(crate) const FUSED_BELOW_OCCUPANCY: usize = 2;
 
@@ -139,20 +139,17 @@ impl HotCallConfig {
 }
 
 /// Sizing policy for a plane's responder pool (the configless-worker idea
-/// applied to the paper's "On Call" threads) — the one governor policy of
-/// every plane shape. The plane spawns `max` responder threads, of which
-/// between `min` and `max` are *active* at any moment. Requesters raise
-/// the active target when a ring backs up; the top active responder
-/// demotes itself and parks after a long useful-work drought. Parked
-/// responders cost nothing — per-call wakeups never reach them. On the
-/// sharded shape every responder homes on its own shard, so the unit of
-/// elasticity is a whole shard.
+/// applied to the paper's "On Call" threads). The plane spawns `max`
+/// responder threads on its one ring, of which between `min` and `max`
+/// are *active* at any moment. Requesters raise the active target when
+/// the ring backs up; the top active responder demotes itself and parks
+/// after a long useful-work drought. Parked responders cost nothing —
+/// per-call wakeups never reach them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResponderPolicy {
     /// Responders that are never parked (at least 1).
     pub min: usize,
-    /// Total responder threads spawned (the scale-up ceiling); on the
-    /// sharded shape also the shard count.
+    /// Total responder threads spawned (the scale-up ceiling).
     pub max: usize,
 }
 

@@ -1,12 +1,12 @@
 //! The configless control plane: per-API break-even routing and online
-//! responder/shard/bundle autosizing.
+//! responder/bundle autosizing.
 //!
 //! Without this module, every lever that decides where a call's break-even
-//! point falls — responder pool bounds, shard counts, bundle sizes,
+//! point falls — responder pool bounds, bundle sizes,
 //! hot-vs-SDK routing — is a hand-set constant.
 //! This module closes the loop the way *SGX Switchless Calls Made
 //! Configless* does: the telemetry the data plane already produces (per-API
-//! cycles/call, useful-work poll ratios, steal rates, doze wake counts)
+//! cycles/call, useful-work poll ratios, doze wake counts)
 //! feeds two controllers that move those knobs online.
 //!
 //! * [`ApiRouter`] — measures each API's observed cycles/call under the
@@ -19,7 +19,7 @@
 //!   between calls), so a low-rate API demotes itself back to the SDK
 //!   fallback exactly when `rate x (sdk - hot) cycles` stops covering the
 //!   core it keeps busy.
-//! * [`AutoSizer`] — resizes the responder pool / active-shard target and
+//! * [`AutoSizer`] — resizes the responder pool's active target and
 //!   the bundle flush threshold from a worker-efficiency metric (the
 //!   useful-work poll ratio the governor already exports), moving the
 //!   active target inside [`crate::ResponderPolicy::auto`]-style bounds.
@@ -254,9 +254,9 @@ pub struct CtlStats {
     pub explore_probes: u64,
     /// Sizer ticks evaluated.
     pub ticks: u64,
-    /// Responder/shard target raises issued by the sizer.
+    /// Active-responder target raises issued by the sizer.
     pub grows: u64,
-    /// Responder/shard target cuts issued by the sizer.
+    /// Active-responder target cuts issued by the sizer.
     pub shrinks: u64,
     /// Bundle flush-threshold changes issued by the sizer.
     pub bundle_resizes: u64,
@@ -519,7 +519,7 @@ const BUNDLE_MAX: usize = 32;
 /// What one sizer tick asks the plane to change. `None` means "hold".
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SizeDecision {
-    /// New active responder/shard target to push into the governor.
+    /// New active responder target to push into the governor.
     pub responders: Option<usize>,
     /// New bundle flush threshold for batching call sites.
     pub bundle_flush: Option<usize>,

@@ -18,22 +18,18 @@
 //!   timeout-fallback and idle-sleep mechanisms. The data plane is
 //!   lock-free (payloads in `UnsafeCell` slots guarded by the atomic state
 //!   machine, cache-line-padded hot words), and [`rt::RingServer`] scales
-//!   it out from one plane core: `S` shards — each a multi-slot submission
-//!   ring — served by `R ≥ S` responders that drain submitted slots in
-//!   batches, home shard first, siblings by stealing. A ring is the
-//!   one-shard shape ([`rt::RingServer::spawn_pool`]: every requester
-//!   shares one head word), the sharded plane the one-responder-per-shard
-//!   shape ([`rt::RingServer::spawn_sharded`]: requesters pinned to home
-//!   shards never share a head CAS); both are the same server and
-//!   requester types and the same protocol code. The plane is
-//!   *pipelined*: [`rt::RingRequester::submit`] /
+//!   it out: a plane is one multi-slot submission ring served by `R ≥ 1`
+//!   responders that drain submitted slots in batches
+//!   ([`rt::RingServer::spawn_pool`]); every requester shares its one
+//!   head word, and independent channels are independent planes. The plane
+//!   is *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester (a call returns through `call`, `wait` or `wait_any` and
 //!   nothing else), [`rt::Bundle`] packs N small calls into one submission,
-//!   and one [`ResponderPolicy`] — the same `{min, max}` for both shapes
-//!   ([`rt::RingServer::spawn_adaptive`], `spawn_sharded`) — replaces the
-//!   static pool size with a governor that parks idle responders and
-//!   wakes them on backlog. Only responders service ring slots; under
+//!   and one [`ResponderPolicy`] `{min, max}`
+//!   ([`rt::RingServer::spawn_adaptive`]) replaces the static pool size
+//!   with a governor that parks idle responders and wakes them on
+//!   backlog. Only responders service ring slots; under
 //!   [`FusedMode::Auto`] a synchronous call on a quiet plane skips the
 //!   ring and runs its handler inline. [`rt::ByteRing`] and [`rt::SgRing`] are that
 //!   plane over arena-backed byte and scatter-gather payloads. This is

@@ -1,8 +1,8 @@
 //! The byte-payload hot path: arena-backed buffers over the submission
 //! ring.
 //!
-//! [`ByteRing`] specializes [`super::RingServer`] — ring or sharded, it is
-//! one type — to `HotBuf` payloads and pairs every caller with its own [`SlabArena`]: a request buffer is
+//! [`ByteRing`] specializes [`super::RingServer`] to `HotBuf` payloads and
+//! pairs every caller with its own [`SlabArena`]: a request buffer is
 //! acquired from the arena (inline for cache-line-sized payloads, a
 //! recycled slab otherwise), travels through the ring *by value*, is
 //! transformed **in place** by the handler — the same buffer carries the
@@ -55,6 +55,9 @@ impl ByteCallTable {
         })
     }
 }
+
+/// The telemetry kind of every byte plane.
+const BYTE_KIND: &str = "byte-single";
 
 /// A running byte-payload ring: responder pool + in-place handlers.
 ///
@@ -119,28 +122,8 @@ impl ByteRing {
             .map(|server| ByteRing { server })
     }
 
-    /// Spawns the sharded shape (see [`RingServer::spawn_sharded`]):
-    /// `policy.max` independent rings of `capacity_per_shard` slots each,
-    /// one work-stealing responder per shard, callers pinned to home
-    /// shards by the router, between `policy.min` and `policy.max` shards
-    /// active.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_sharded`].
-    pub fn spawn_sharded(
-        table: ByteCallTable,
-        capacity_per_shard: usize,
-        policy: ResponderPolicy,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        RingServer::spawn_sharded(table.inner, capacity_per_shard, policy, config)
-            .map(|server| ByteRing { server })
-    }
-
     /// A caller handle with its own private arena (no cross-thread
-    /// coordination on the buffer path), pinned to a router-chosen home
-    /// shard (always shard 0 on a single-ring plane).
+    /// coordination on the buffer path).
     pub fn caller(&self) -> ByteCaller {
         ByteCaller {
             requester: self.server.requester(),
@@ -148,28 +131,9 @@ impl ByteRing {
         }
     }
 
-    /// A caller pinned to an explicit home shard — the affinity override
-    /// for workloads that partition connections themselves. On a
-    /// single-ring plane only shard 0 exists.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::HotCallError::InvalidConfig`] if `shard` is out of range.
-    pub fn caller_on(&self, shard: usize) -> Result<ByteCaller> {
-        Ok(ByteCaller {
-            requester: self.server.requester_on(shard)?,
-            arena: SlabArena::new(),
-        })
-    }
-
     /// Number of responder threads in the pool (active and parked).
     pub fn responders(&self) -> usize {
         self.server.responders()
-    }
-
-    /// Number of ring shards (1 for the single-ring plane).
-    pub fn shards(&self) -> usize {
-        self.server.shards()
     }
 
     /// Transport statistics, aggregated over the responder pool.
@@ -189,18 +153,17 @@ impl ByteRing {
         self.server.set_active(n)
     }
 
-    /// The full per-shard snapshot. A single-ring plane reports itself as
-    /// one shard (no steals, no cross-shard wakes).
+    /// The full snapshot: totals, governor and the ring's one row.
     pub fn ring_stats(&self) -> RingStats {
         self.server.ring_stats()
     }
 
     /// A full telemetry view of the byte plane: per-lane stage histograms,
-    /// reap latency, and the shard-schema stats, tagged with a byte-plane
-    /// kind so dashboards can tell payload lanes from typed rings.
+    /// reap latency, and the ring stats, tagged `"byte-single"` so
+    /// dashboards can tell payload lanes from typed rings.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
         let mut t = self.server.telemetry(name);
-        t.kind = self.plane_kind();
+        t.kind = BYTE_KIND;
         t
     }
 
@@ -208,15 +171,7 @@ impl ByteRing {
     /// capturing the plane's shared state so snapshots stay live after
     /// this handle is dropped.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        self.server.telemetry_provider_as(name, self.plane_kind())
-    }
-
-    fn plane_kind(&self) -> &'static str {
-        if self.shards() > 1 {
-            "byte-sharded"
-        } else {
-            "byte-single"
-        }
+        self.server.telemetry_provider_as(name, BYTE_KIND)
     }
 
     /// Stops the responders and joins them.
@@ -362,12 +317,6 @@ impl ByteCaller {
     /// The governor's current shape and decision counters.
     pub fn governor_stats(&self) -> GovernorStats {
         self.requester.governor_stats()
-    }
-
-    /// The home shard this caller's submissions land on (always 0 on a
-    /// single-ring plane).
-    pub fn home_shard(&self) -> usize {
-        self.requester.home()
     }
 }
 
@@ -545,14 +494,9 @@ mod tests {
         let (t, rev, _) = echo_table();
         let single = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
         let (t, _, _) = echo_table();
-        let sharded =
-            ByteRing::spawn_sharded(t, 8, ResponderPolicy::fixed(2), HotCallConfig::patient())
-                .unwrap();
-        // The affinity override reaches every shard and nothing past them.
-        for (ring, top_shard) in [(single, 0), (sharded, 1)] {
-            assert!(ring.caller_on(top_shard + 1).is_err());
-            let mut caller = ring.caller_on(top_shard).unwrap();
-            assert_eq!(caller.home_shard(), top_shard);
+        let pool = ByteRing::spawn_pool(t, 8, 2, HotCallConfig::patient()).unwrap();
+        for ring in [single, pool] {
+            let mut caller = ring.caller();
             let mut bundle = ByteBundle::with_capacity(3);
             bundle
                 .push(&mut caller, rev, b"ab", 0)
@@ -607,44 +551,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_byte_ring_roundtrips_and_reports_shards() {
+    fn byte_ring_reports_one_row_and_its_kind() {
         let (t, rev, _) = echo_table();
-        let ring =
-            ByteRing::spawn_sharded(t, 8, ResponderPolicy::fixed(2), HotCallConfig::patient())
-                .unwrap();
-        assert_eq!(ring.shards(), 2);
-        assert_eq!(ring.responders(), 2);
-        let mut a = ring.caller();
-        let mut b = ring.caller();
-        assert_ne!(a.home_shard(), b.home_shard(), "router must spread homes");
-        for _ in 0..50 {
-            a.call_with(rev, b"abc", 0, |resp| assert_eq!(resp, b"cba"))
-                .unwrap();
-            b.call_with(rev, b"wxyz", 0, |resp| assert_eq!(resp, b"zyxw"))
-                .unwrap();
-        }
-        assert_eq!(ring.stats().calls, 100);
-        let rs = ring.ring_stats();
-        assert_eq!(rs.shards.len(), 2);
-        assert_eq!(rs.shards.iter().map(|s| s.serviced).sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn single_ring_reports_one_shard() {
-        let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
-        assert_eq!(ring.shards(), 1);
+        let ring = ByteRing::spawn_pool(t, 4, 2, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
         caller.call(rev, b"ab", 0).unwrap();
-        assert!(ring.caller_on(1).is_err());
         let rs = ring.ring_stats();
         assert_eq!(rs.shards.len(), 1);
         assert_eq!(rs.shards[0].serviced, 1);
-        assert_eq!(rs.steals(), 0);
+        assert_eq!(ring.telemetry("b").kind, "byte-single");
     }
 
-    /// Calls through every caller until one whole round ran inline: each
-    /// caller's home responders then doze, and a fused call wakes nobody.
+    /// Calls through every caller until one whole round ran inline: the
+    /// responders then doze, and a fused call wakes nobody.
     fn await_fusing(ring: &ByteRing, callers: &mut [ByteCaller], id: u32) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
@@ -670,10 +589,9 @@ mod tests {
         let (t, rev, _) = echo_table();
         let single = ByteRing::spawn_pool(t, 4, 1, fused).unwrap();
         let (t, _, _) = echo_table();
-        let sharded = ByteRing::spawn_sharded(t, 8, ResponderPolicy::fixed(2), fused).unwrap();
-        for ring in [single, sharded] {
-            // Two callers: on the sharded plane the router homes them on
-            // different shards.
+        let pool = ByteRing::spawn_pool(t, 8, 2, fused).unwrap();
+        for ring in [single, pool] {
+            // Two callers sharing the one ring.
             let mut callers = [ring.caller(), ring.caller()];
             await_fusing(&ring, &mut callers, rev);
             let before = ring.stats();

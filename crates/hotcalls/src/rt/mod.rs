@@ -15,8 +15,8 @@
 //! exclusive access is granted by acquire/release edges on three words —
 //! claim, request, response — each written by one side only and on lines
 //! no other writer touches (see `slot::MailSlot`), and hot-path statistics
-//! are responder-local counters flushed with plain stores. For the queued,
-//! multi-responder, optionally sharded plane see [`RingServer`].
+//! are responder-local counters flushed with plain stores. For the queued
+//! plane — one ring, one or more responders — see [`RingServer`].
 
 pub mod arena;
 mod bytes;

@@ -1,9 +1,8 @@
-//! The plane's responder pool: batched drain with one tail CAS per batch,
-//! home shard first and siblings by stealing, governed by a
-//! [`crate::config::ResponderPolicy`].
+//! The plane's responder pool: batched drain of the one ring with one tail
+//! CAS per batch, governed by a [`crate::config::ResponderPolicy`].
 //!
 //! Every responder runs [`responder_loop`]: scan up to `drain_batch`
-//! contiguous `SUBMITTED` slots starting at a shard's `tail`, claim the
+//! contiguous `SUBMITTED` slots starting at the ring's `tail`, claim the
 //! whole run with a single CAS on `tail`, then service the claimed slots
 //! privately. Responders are the only writers of `tail` (a requester's
 //! fused call claims no slot), and the CAS is the ownership transfer —
@@ -15,11 +14,6 @@
 //! but not yet taken still reads `SUBMITTED`, one lap behind. Batching
 //! amortizes both the CAS and the wake/schedule cost of the drain, which
 //! is where switchless designs win under IO-heavy load.
-//!
-//! Responder `i` homes on shard `i % S` and drains it first; only an empty
-//! home sends it probing the `S − 1` siblings, so a busy neighbour can
-//! never starve home calls. On a ring (`S = 1`) the probe loop runs zero
-//! times and the pass is the plain pool drain.
 //!
 //! With an adaptive policy the loop grows two extra branches:
 //!
@@ -47,9 +41,9 @@ use std::sync::atomic::Ordering;
 
 use crate::config::HotCallConfig;
 use crate::error::{HotCallError, Result};
-use crate::telemetry::{now_cycles, trace, TELEMETRY_ENABLED};
+use crate::telemetry::{now_cycles, TELEMETRY_ENABLED};
 
-use super::ring::{ReqEnvelope, RespEnvelope, ResponderCell, RingShared, RingSlot, Shard};
+use super::ring::{ReqEnvelope, RespEnvelope, ResponderCell, RingShared, RingSlot};
 use super::slot::{Backoff, LocalStats};
 use super::CallTable;
 
@@ -105,8 +99,7 @@ unsafe fn service_slot<Req, Resp>(
     let (local, cell) = (&mut tally.local, &tally.cell.base);
     // Dispatch-stage edge: the time between the requester's submit stamp
     // and this pickup is the call's queueing delay. Recorded into this
-    // responder's single-writer cell — stolen slots are attributed to the
-    // stealing responder, keeping the cell single-writer.
+    // responder's single-writer cell.
     let t_dispatch = if TELEMETRY_ENABLED {
         let t = now_cycles();
         cell.stages
@@ -148,12 +141,10 @@ pub(super) fn submitted_run<Req, Resp>(
 }
 
 /// One responder's private (non-atomic) counters — the transport totals
-/// plus the stealing counters — and the cell they publish into.
+/// plus the poll count — and the cell they publish into.
 struct Tally<'a> {
     local: LocalStats,
-    home_polls: u64,
-    steals: u64,
-    steal_hits: u64,
+    polls: u64,
     cell: &'a ResponderCell,
 }
 
@@ -161,33 +152,23 @@ impl Tally<'_> {
     fn flush(&self) {
         let cell = self.cell;
         self.local.flush(&cell.base);
-        cell.home_polls.store(self.home_polls, Ordering::Relaxed);
-        cell.steals.store(self.steals, Ordering::Relaxed);
-        cell.steal_hits.store(self.steal_hits, Ordering::Relaxed);
+        cell.polls.store(self.polls, Ordering::Relaxed);
     }
 }
 
-/// The loop of responder `index` (home shard `index % S`): drain the home
-/// shard first; when it is empty, probe sibling shards in an order rotated
-/// per pass; park when the governor shrinks the active set below this
-/// responder.
+/// The loop of responder `index`: drain the ring; park when the governor
+/// shrinks the active set below this responder.
 pub(super) fn responder_loop<Req, Resp>(
     shared: &RingShared<Req, Resp>,
     index: usize,
     config: HotCallConfig,
 ) {
-    let n = shared.shards.len();
-    let home = index % n;
-    let home_shard = &shared.shards[home];
     // A batch longer than the ring would scan the same slot twice.
-    let batch = (config.drain_batch as usize).min(home_shard.slots.len());
+    let batch = (config.drain_batch as usize).min(shared.slots.len());
     let gov = &shared.governor;
-    let table = &shared.table;
     let mut tally = Tally {
         local: LocalStats::default(),
-        home_polls: 0,
-        steals: 0,
-        steal_hits: 0,
+        polls: 0,
         cell: &shared.responders[index],
     };
     let mut backoff = Backoff::new();
@@ -196,27 +177,13 @@ pub(super) fn responder_loop<Req, Resp>(
     // slot won. Never reset by doze wakeups or wins — see the module docs.
     let mut polls_since_work: u64 = 0;
     let mut parked = false;
-    // Rotates the sibling probe order so stealers don't convoy on the
-    // same victim shard.
-    let mut rotation: usize = 0;
     loop {
         if gov.adaptive() {
             let active = gov.active_target.load(Ordering::Acquire);
             if index >= active {
-                // Close the demote-after-publish window before going dark:
-                // a submission can land on the home shard between the
-                // demote CAS and this park (its `wake_for` redirect may
-                // have fired while the lowered target was not yet visible
-                // to it). If that leaves the shard with no active home
-                // responder (`home >= active`), pull the active set back
-                // up so a stealer reaps it, rather than strand the call
-                // behind everyone's probe cadence. On one shard the
-                // condition never holds (`active >= min >= 1`): a parking
-                // surplus responder of a pool must not re-raise the target
-                // it just lowered, the active ones are draining the ring.
-                if home >= active && home_shard.front_submitted() {
-                    gov.try_raise();
-                }
+                // Nothing to hand over before going dark: the target never
+                // drops below `min >= 1`, so an active responder is always
+                // left draining the ring.
                 if !parked {
                     parked = true;
                     gov.parks.fetch_add(1, Ordering::Relaxed);
@@ -245,47 +212,23 @@ pub(super) fn responder_loop<Req, Resp>(
                 backoff.reset();
             }
         }
-        // Home shard first: a busy neighbour can never starve home calls,
-        // because stealing only happens when the home shard is empty.
-        tally.home_polls += 1;
-        let mut won = drain_shard(home_shard, table, batch, &mut tally);
-        if won == 0 {
-            // Home empty: probe the siblings, rotated per pass.
-            rotation = rotation.wrapping_add(1);
-            for i in 0..n - 1 {
-                let victim = (home + rotation + i) % n;
-                if victim == home {
-                    continue;
-                }
-                tally.steals += 1;
-                let stolen = drain_shard(&shared.shards[victim], table, batch, &mut tally);
-                if stolen > 0 {
-                    tally.steal_hits += 1;
-                    trace("steal_hit", index as u64, victim as u64);
-                    won += stolen;
-                    break;
-                }
-            }
-        }
+        tally.polls += 1;
+        let won = drain(shared, batch, &mut tally);
         if won > 0 {
             idle_streak = 0;
             polls_since_work = polls_since_work.saturating_sub(won as u64 * WIN_CREDIT_POLLS);
             backoff.reset();
-            // Keep the stealing counters as fresh as the base counters:
-            // `service_slot` flushed those before the DONE hand-off, so a
-            // reader who saw the completion must also see the probe that
-            // produced it.
+            // Keep the poll count as fresh as the base counters:
+            // `service_slot` flushed those before the DONE hand-off.
             tally.flush();
             continue;
         }
-        // A full pass (home + every sibling) found nothing.
+        // An empty pass.
         if shared.shutdown.load(Ordering::Acquire) {
             // Drain-then-exit: responders keep servicing submitted work
-            // after the shutdown flag rises, and the empty full pass
-            // doubles as the final sweep — residual work on any shard,
-            // parked or not, was reaped above before we got here.
-            // Stragglers stuck mid-publish are failed by the waiter's
-            // shutdown grace instead.
+            // after the shutdown flag rises, and the empty pass doubles as
+            // the final sweep. Stragglers stuck mid-publish are failed by
+            // the waiter's shutdown grace instead.
             tally.flush();
             return;
         }
@@ -306,12 +249,11 @@ pub(super) fn responder_loop<Req, Resp>(
         if let Some(limit) = config.idle_polls_before_sleep {
             if idle_streak >= limit {
                 tally.flush();
-                // Sleep on the *home* doze, but wake for work anywhere:
-                // the predicate covers every shard so a stealable
-                // submission published before we registered as a sleeper
-                // is never slept past.
-                home_shard.doze.sleep_unless(|| {
-                    shared.shutdown.load(Ordering::Acquire) || shared.any_front_submitted()
+                // The predicate re-checks the ring front, so a submission
+                // published before we registered as a sleeper is never
+                // slept past.
+                shared.doze.sleep_unless(|| {
+                    shared.shutdown.load(Ordering::Acquire) || shared.front_submitted()
                 });
                 // `idle_streak` restarts (we just slept; spin a full
                 // streak before sleeping again) but `polls_since_work`
@@ -327,42 +269,36 @@ pub(super) fn responder_loop<Req, Resp>(
     }
 }
 
-/// Claims and services one batched run from `shard`'s ring front. Returns
-/// the number of slots serviced (0 if the shard was empty or the tail CAS
-/// was lost).
-fn drain_shard<Req, Resp>(
-    shard: &Shard<Req, Resp>,
-    table: &CallTable<Req, Resp>,
-    batch: usize,
-    tally: &mut Tally<'_>,
-) -> usize {
-    let tail = shard.tail.load(Ordering::Acquire);
-    let run = submitted_run(&shard.slots, tail, batch);
+/// Claims and services one batched run from the ring front. Returns the
+/// number of slots serviced (0 if the ring was empty or the tail CAS was
+/// lost).
+fn drain<Req, Resp>(ring: &RingShared<Req, Resp>, batch: usize, tally: &mut Tally<'_>) -> usize {
+    let tail = ring.tail.load(Ordering::Acquire);
+    let run = submitted_run(&ring.slots, tail, batch);
     if run == 0 {
         return 0;
     }
     let past_run = tail.wrapping_add(run);
-    if shard
+    if ring
         .tail
         .compare_exchange(tail, past_run, Ordering::AcqRel, Ordering::Relaxed)
         .is_err()
     {
-        // Another responder (home or stealer) claimed the run; the next
-        // pass starts from a fresh tail.
+        // Another responder claimed the run; the next pass starts from a
+        // fresh tail.
         core::hint::spin_loop();
         return 0;
     }
     for i in 0..run {
-        let slot = shard.slot(tail.wrapping_add(i));
+        let slot = ring.slot(tail.wrapping_add(i));
         // SAFETY: the tail CAS above transferred exclusive service
-        // ownership of slots [tail, tail+run) on this shard to this
-        // thread: tail was unchanged between the SUBMITTED scan and the
-        // CAS (tail is monotonic, so CAS success rules out any concurrent
-        // claim — home responder or stealer alike), and no requester can
-        // recycle these slots before they are serviced here and then
-        // redeemed. SUBMITTED was observed with Acquire, so the payload is
-        // visible.
-        unsafe { service_slot(slot, table, tally) };
+        // ownership of slots [tail, tail+run) to this thread: tail was
+        // unchanged between the SUBMITTED scan and the CAS (tail is
+        // monotonic, so CAS success rules out any concurrent claim), and
+        // no requester can recycle these slots before they are serviced
+        // here and then redeemed. SUBMITTED was observed with Acquire, so
+        // the payload is visible.
+        unsafe { service_slot(slot, &ring.table, tally) };
     }
     run
 }

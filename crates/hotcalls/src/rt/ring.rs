@@ -1,5 +1,5 @@
-//! The queued HotCalls plane: one or more multi-slot submission rings, a
-//! responder pool that drains and steals, pipelined completions, and call
+//! The queued HotCalls plane: one multi-slot submission ring, a responder
+//! pool that drains it in batches, pipelined completions, and call
 //! bundling.
 //!
 //! The paper's single mailbox serializes requesters; §4.2 observes that
@@ -12,19 +12,14 @@
 //! way the plain channel does, and payloads move through lock-free
 //! `UnsafeCell`s guarded by the slot state machine (see [`super::slot`]).
 //!
-//! **One core, two shapes.** A plane is `S` shards — each a full ring
-//! (slots, head, tail, doze line, abandon board, all cache-padded) — and
-//! `R ≥ S` responders, responder `i` homing on shard `i % S`. A *ring*
-//! ([`RingServer::spawn`], [`RingServer::spawn_pool`],
-//! [`RingServer::spawn_adaptive`]) is the `S = 1, R = max` shape: every
-//! requester shares one head word and every responder drains the one
-//! ring. A *sharded plane* ([`RingServer::spawn_sharded`]) is the
-//! `S = R = max` shape: at scale the shared head CAS becomes the new
-//! 620-cycle-class bottleneck, so each shard gets exactly one home
-//! responder and each requester is pinned to a home shard — uncontended
-//! requesters never share a head CAS with anyone. Both shapes run the same
-//! submit, wait, drain, park and shutdown code; nothing below branches on
-//! which constructor built the plane, only on the shard count it can see.
+//! **One ring, `R` responders.** A plane is one ring — slots, head, tail,
+//! doze line and abandon board, all cache-padded — drained by `R ≥ 1`
+//! responder threads ([`RingServer::spawn`] builds `R = 1`,
+//! [`RingServer::spawn_pool`] a static `R`, [`RingServer::spawn_adaptive`]
+//! an elastic one). Every requester shares the one head word and every
+//! responder drains the one ring. A layout that wants independent
+//! channels — the paper's Fig. 9 gives each call channel its own mailbox —
+//! builds one plane per channel.
 //!
 //! Three mechanisms pipeline the plane beyond the paper's synchronous
 //! protocol:
@@ -38,31 +33,13 @@
 //!   submission serviced by *one* responder dispatch: one slot claim, one
 //!   head CAS, at most one doze wakeup for the whole bundle.
 //! * **Adaptive governor** — a [`ResponderPolicy`]`{min, max}` replaces
-//!   the static pool size on either shape: requesters raise the
-//!   active-responder target when a ring backs up (or their in-flight
-//!   calls age), and the top active responder demotes itself and *parks*
-//!   after a useful-work drought.
-//!   Parked responders sleep on a doze that per-call wakeups never touch,
-//!   so surplus pollers stop burning the cores the requesters need.
-//!
-//! **Work-stealing.** A responder drains its home shard first; only when
-//! the home shard is empty does it probe sibling shards, in an order
-//! rotated per pass so the probe load spreads instead of convoying on
-//! shard 0 (see [`super::pool`]). A burst on one shard is therefore
-//! absorbed by responders that were already awake on quiet shards — no
-//! extra thread wakes for it. `steals` counts sibling probes, `steal_hits`
-//! the probes that claimed work; on one shard there is no sibling and both
-//! stay zero.
-//!
-//! **Shards and the governor.** Responders with index at or above the
-//! active target park on the shared park doze. A shard whose index is at
-//! or above the target has no active home responder: the router stops
-//! assigning new requesters to it, its residual submissions are reaped by
-//! the stealing responders (every responder's probe set covers *all*
-//! shards, parked included), and a submission to it redirects its wakeup
-//! to an active sibling — counted as `cross_shard_wakes` on the home
-//! shard. On one shard the target never drops below `min ≥ 1`, so shard 0
-//! always has an active home responder and none of that machinery runs.
+//!   the static pool size: requesters raise the active-responder target
+//!   when the ring backs up (or their in-flight calls age), and the top
+//!   active responder demotes itself and *parks* after a useful-work
+//!   drought. Parked responders sleep on a doze that per-call wakeups
+//!   never touch, so surplus pollers stop burning the cores the requesters
+//!   need. The target never drops below `min ≥ 1`, so the ring always has
+//!   an active responder.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -132,7 +109,7 @@ impl GovernorTuning {
     };
 }
 
-/// The adaptive pool's control block, shared by every shard of a plane.
+/// The adaptive pool's control block.
 /// For static pools (`min == max`) the governor is inert: no requester or
 /// responder ever branches into it.
 pub(super) struct GovernorState {
@@ -262,45 +239,56 @@ fn occupancy(head: usize, tail: usize) -> usize {
     head.wrapping_sub(tail)
 }
 
-/// One shard: a full ring with its own head, tail, doze line and abandon
-/// board. Responder `i` homes on shard `i % S`; a ring is the plane with
-/// exactly one of these.
-pub(super) struct Shard<Req, Resp> {
+/// Per-responder statistics cell: the shared transport counters plus the
+/// poll count. Only the owning responder writes any of it (plain stores,
+/// no shared RMW on the hot path).
+#[derive(Default)]
+pub(super) struct ResponderCell {
+    pub(super) base: StatCell,
+    pub(super) polls: AtomicU64,
+}
+
+pub(super) struct RingShared<Req, Resp> {
     /// Each slot is 64-byte aligned with its state word on its own line,
     /// so neighbouring slots never false-share.
     pub(super) slots: Box<[RingSlot<Req, Resp>]>,
-    /// Next slot index a requester of *this shard* claims. Padded:
-    /// requesters hammer this line; responders must not. Only this
-    /// shard's requesters touch it — the whole point of sharding.
+    /// Next slot index a requester claims. Padded: requesters hammer this
+    /// line; responders must not.
     head: CachePadded<AtomicUsize>,
-    /// Next slot index the responders service (a home responder or a
-    /// stealer). Padded likewise.
+    /// Next slot index the responders service. Padded likewise.
     pub(super) tail: CachePadded<AtomicUsize>,
-    /// This shard's own doze line: per-call wakeups on one shard never
-    /// disturb another shard's responder.
+    /// Where idle responders doze; per-call wakeups land here.
     pub(super) doze: Doze,
-    /// Submissions to this shard whose wakeup was redirected to a sibling
-    /// responder (home responder parked or saturated).
-    cross_shard_wakes: AtomicU64,
     /// Dropped-unredeemed ticket registry (see [`AbandonBoard`]): tickets
-    /// hold a clone, claimants lapping onto a marked slot reap it. One
-    /// board per shard because slot sequences are per-shard — which also
-    /// makes the board's address the ticket's proof of origin.
+    /// hold a clone, claimants lapping onto a marked slot reap it. Its
+    /// address doubles as the ticket's proof of origin.
     abandon: Arc<AbandonBoard>,
+    /// The handler table, shared with every responder thread. Holding it
+    /// here as well lets a *requester* dispatch inline on the fused
+    /// run-to-completion path without any handoff.
+    pub(super) table: CallTable<Req, Resp>,
+    pub(super) shutdown: AtomicBool,
+    /// `active_target` counts active responders; the park doze hosts the
+    /// ones above it.
+    pub(super) governor: GovernorState,
+    /// One padded statistics cell per responder; each responder writes
+    /// only its own.
+    pub(super) responders: Box<[CachePadded<ResponderCell>]>,
+    /// Completion → redeem latency (reap stage), one single-writer cell
+    /// per requester handle.
+    reaps: ReapCells,
+    // Requester-side event counters; rare, so shared RMWs are fine.
+    fallbacks: AtomicU64,
+    wakeups: AtomicU64,
+    /// Calls executed inline by requesters (fused run-to-completion).
+    /// Shared `fetch_add` cells: requesters have no single-writer stat
+    /// cell of their own, and the fused path only runs when the ring is
+    /// quiet, so contention on these lines is structurally rare.
+    fused_runs: AtomicU64,
+    fused_fallbacks: AtomicU64,
 }
 
-impl<Req, Resp> Shard<Req, Resp> {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            slots: (0..capacity).map(|_| CallSlot::new()).collect(),
-            head: CachePadded::new(AtomicUsize::new(0)),
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            doze: Doze::new(),
-            cross_shard_wakes: AtomicU64::new(0),
-            abandon: AbandonBoard::new(capacity),
-        }
-    }
-
+impl<Req, Resp> RingShared<Req, Resp> {
     /// The slot call `seq` lives in.
     #[inline]
     pub(super) fn slot(&self, seq: usize) -> &RingSlot<Req, Resp> {
@@ -316,76 +304,24 @@ impl<Req, Resp> Shard<Req, Resp> {
     }
 
     /// Is the slot at the ring front submitted (work a responder could
-    /// claim right now)?
+    /// claim right now)? The sleep predicate of every dozing responder.
     pub(super) fn front_submitted(&self) -> bool {
         let tail = self.tail.load(Ordering::Acquire);
         pool::submitted_run(&self.slots, tail, 1) > 0
     }
 
-    /// Was the ticket carrying `board` minted by this shard? A ticket is
-    /// only a sequence number; redeeming it against another shard's (or
-    /// another plane's) slots would hand out somebody else's response or
-    /// wait on a slot that never completes. The ticket's clone of the
-    /// abandon board is its proof of origin.
+    /// Was the ticket carrying `board` minted by this plane? A ticket is
+    /// only a sequence number; redeeming it against another plane's slots
+    /// would hand out somebody else's response or wait on a slot that
+    /// never completes. The ticket's clone of the abandon board is its
+    /// proof of origin.
     fn check_issuer(&self, board: &Option<Arc<AbandonBoard>>) -> Result<()> {
         match board {
             Some(board) if Arc::ptr_eq(board, &self.abandon) => Ok(()),
             _ => Err(HotCallError::InvalidConfig(
-                "ticket was issued by another plane or shard",
+                "ticket was issued by another plane",
             )),
         }
-    }
-}
-
-/// Per-responder statistics cell: the shared transport counters plus the
-/// stealing counters. Only the owning responder writes any of it (plain
-/// stores, no shared RMW on the hot path).
-#[derive(Default)]
-pub(super) struct ResponderCell {
-    pub(super) base: StatCell,
-    pub(super) home_polls: AtomicU64,
-    pub(super) steals: AtomicU64,
-    pub(super) steal_hits: AtomicU64,
-}
-
-pub(super) struct RingShared<Req, Resp> {
-    pub(super) shards: Box<[Shard<Req, Resp>]>,
-    /// The handler table, shared with every responder thread. Holding it
-    /// here as well lets a *requester* dispatch inline on the fused
-    /// run-to-completion path without any handoff.
-    pub(super) table: CallTable<Req, Resp>,
-    pub(super) shutdown: AtomicBool,
-    /// `active_target` counts active *responders*; on the sharded shape
-    /// (one responder per shard) that is also the active shard count. The
-    /// park doze hosts the responders above it.
-    pub(super) governor: GovernorState,
-    /// Round-robin cursor pinning new requesters to home shards.
-    next_home: AtomicUsize,
-    /// Rotates the sibling a redirected wakeup lands on.
-    wake_cursor: AtomicUsize,
-    /// One padded statistics cell per responder; each responder writes
-    /// only its own.
-    pub(super) responders: Box<[CachePadded<ResponderCell>]>,
-    /// Completion → redeem latency (reap stage), one single-writer cell
-    /// per requester handle.
-    reaps: ReapCells,
-    // Requester-side event counters; rare, so shared RMWs are fine.
-    fallbacks: AtomicU64,
-    wakeups: AtomicU64,
-    /// Calls executed inline by requesters (fused run-to-completion).
-    /// Shared `fetch_add` cells: requesters have no single-writer stat
-    /// cell of their own, and the fused path only runs when the home shard
-    /// is quiet, so contention on these lines is structurally rare.
-    fused_runs: AtomicU64,
-    fused_fallbacks: AtomicU64,
-}
-
-impl<Req, Resp> RingShared<Req, Resp> {
-    /// Is any shard's ring front claimable right now? The sleep predicate
-    /// of every responder: a stealer must not doze past work on a sibling
-    /// shard it could reap.
-    pub(super) fn any_front_submitted(&self) -> bool {
-        self.shards.iter().any(Shard::front_submitted)
     }
 
     fn snapshot(&self) -> HotCallStats {
@@ -420,44 +356,25 @@ impl<Req, Resp> RingShared<Req, Resp> {
         }
     }
 
-    /// One [`ShardStats`] row per shard, each summing the cells of that
-    /// shard's home responders (`shard, shard + S, …`).
+    /// The ring's one [`ShardStats`] row sums every responder's cell.
     fn ring_snapshot(&self) -> RingStats {
-        let active = self.governor.active_target.load(Ordering::Relaxed);
-        let n = self.shards.len();
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let mut row = ShardStats {
-                    shard: i,
-                    cross_shard_wakes: shard.cross_shard_wakes.load(Ordering::Relaxed),
-                    parked: i >= active,
-                    occupancy: shard.occupancy_snapshot(),
-                    ..ShardStats::default()
-                };
-                for cell in self.responders.iter().skip(i).step_by(n) {
-                    row.serviced += cell.base.calls.load(Ordering::Relaxed);
-                    row.home_polls += cell.home_polls.load(Ordering::Relaxed);
-                    row.steals += cell.steals.load(Ordering::Relaxed);
-                    row.steal_hits += cell.steal_hits.load(Ordering::Relaxed);
-                }
-                row
-            })
-            .collect();
+        let mut row = ShardStats {
+            occupancy: self.occupancy_snapshot(),
+            ..ShardStats::default()
+        };
+        for cell in self.responders.iter() {
+            row.serviced += cell.base.calls.load(Ordering::Relaxed);
+            row.home_polls += cell.polls.load(Ordering::Relaxed);
+        }
         RingStats {
             totals: self.snapshot(),
             governor: self.governor_snapshot(),
-            shards,
+            shards: vec![row],
         }
     }
 
     /// The plane's full telemetry view: counters plus one lane of stage
-    /// histograms per responder and the plane-wide reap histogram. Work a
-    /// responder stole from a sibling shard is attributed to the
-    /// *stealing* responder's lane, keeping each histogram cell
-    /// single-writer.
+    /// histograms per responder and the plane-wide reap histogram.
     fn plane_telemetry(&self, name: &str, kind: &'static str) -> PlaneTelemetry {
         PlaneTelemetry {
             name: name.to_string(),
@@ -477,95 +394,31 @@ impl<Req, Resp> RingShared<Req, Resp> {
         }
     }
 
-    /// Are `shard`'s home responders all out of the way (parked by the
-    /// governor or dozing on the shard's doze)? While this holds, no home
-    /// responder core is spinning on the ring, so a requester executing
-    /// inline steals nothing and saves the wake + cross-core transfer. A
-    /// shard above the active target has no home responder at all; an
-    /// active one counts once each of its `⌈(active − shard) / S⌉` active
-    /// home responders dozes. Stealers may still visit either way. The
-    /// check is a heuristic: a fused call claims no slot, so a responder
-    /// waking mid-decision costs the call its break-even, never its
-    /// correctness.
-    fn home_quiescent(&self, home: usize, shard: &Shard<Req, Resp>) -> bool {
+    /// Are the active responders all out of the way, dozing on the ring's
+    /// doze? (Parked ones sleep on the park doze and never count.) While
+    /// this holds, no responder core is spinning on the ring, so a
+    /// requester executing inline steals nothing and saves the wake +
+    /// cross-core transfer. The check is a heuristic: a fused call claims
+    /// no slot, so a responder waking mid-decision costs the call its
+    /// break-even, never its correctness.
+    fn quiescent(&self) -> bool {
         let active = self.governor.active_target.load(Ordering::Relaxed);
-        let homes = active.saturating_sub(home).div_ceil(self.shards.len());
-        shard.doze.sleepers.load(Ordering::Relaxed) >= homes
-    }
-
-    /// Wakes a responder for a submission just published on `shard`
-    /// (shard index `home`).
-    ///
-    /// Order of preference: the home shard's own doze (the common,
-    /// contention-free case); failing that — the home responder is awake,
-    /// busy, or parked — a sibling's doze, but only when the home shard
-    /// actually needs help (it has no active home responder, or backlog is
-    /// building behind its busy one). Redirected wakes are counted as
-    /// `cross_shard_wakes` on the home shard.
-    fn wake_for(&self, home: usize, shard: &Shard<Req, Resp>) {
-        let n = self.shards.len();
-        if n == 1 {
-            // No sibling to redirect to, so the redirect evidence below
-            // (a SeqCst target load and a read of the responder-written
-            // `tail` line) would be gathered for nothing — once per
-            // pipelined submission.
-            if shard.doze.wake() {
-                self.wakeups.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        // One coherent snapshot per submission, taken *before* the home
-        // wake attempt. `active` is loaded SeqCst so it is ordered with
-        // the governor's demote/raise CASes; the park decision and the
-        // backlog reading both come from this single snapshot. The old
-        // code re-read `active` only after a failed home wake, racing
-        // `try_demote`: the home responder could park between the wake
-        // attempt and the re-read, and the redirect then concluded
-        // "active, no backlog" for a shard that had just lost its
-        // responder — stranding the submission until the next steal probe.
-        let active = self.governor.active_target.load(Ordering::SeqCst);
-        let parked_home = home >= active;
-        // Tail before head (see `occupancy`). The caller has already
-        // published its own submission, so `> 1` means work *beyond* this
-        // call is queued behind a busy responder.
-        let backlog = shard.occupancy_snapshot() > 1;
-        if shard.doze.wake() {
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if !parked_home && !backlog {
-            return;
-        }
-        let start = self.wake_cursor.fetch_add(1, Ordering::Relaxed);
-        for i in 0..n {
-            let sibling = (start + i) % n;
-            if sibling == home {
-                continue;
-            }
-            if self.shards[sibling].doze.wake() {
-                shard.cross_shard_wakes.fetch_add(1, Ordering::Relaxed);
-                self.wakeups.fetch_add(1, Ordering::Relaxed);
-                trace("wake_redirect", home as u64, sibling as u64);
-                return;
-            }
-        }
+        self.doze.sleepers.load(Ordering::Relaxed) >= active
     }
 }
 
 impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RingShared")
-            .field("shards", &self.shards.len())
-            .field("capacity_per_shard", &self.shards[0].slots.len())
+            .field("capacity", &self.slots.len())
             .field("responders", &self.responders.len())
             .field("governor", &self.governor)
             .finish()
     }
 }
 
-/// A running plane: a pool of responder threads draining one or more
-/// multi-slot submission rings in batches, stealing across them, governed
-/// by a [`ResponderPolicy`].
+/// A running plane: a pool of responder threads draining one multi-slot
+/// submission ring in batches, governed by a [`ResponderPolicy`].
 ///
 /// # Examples
 ///
@@ -579,14 +432,13 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 /// let requester = server.requester();
 /// assert_eq!(requester.call(inc, 9).unwrap(), 10);
 ///
-/// // The same type, two shards with one work-stealing responder each.
+/// // The same type, one to two responders on one ring.
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
-/// let server =
-///     RingServer::spawn_sharded(table, 8, ResponderPolicy::fixed(2), HotCallConfig::patient())
-///         .unwrap();
+/// let policy = ResponderPolicy::elastic(1, 2);
+/// let server = RingServer::spawn_adaptive(table, 8, policy, HotCallConfig::patient()).unwrap();
 /// assert_eq!(server.requester().call(inc, 41).unwrap(), 42);
-/// assert_eq!(server.shards(), 2);
+/// assert_eq!(server.responders(), 2);
 /// ```
 #[derive(Debug)]
 pub struct RingServer<Req, Resp> {
@@ -651,43 +503,14 @@ where
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Self::spawn_plane(table, capacity, 1, policy, GovernorTuning::DEFAULT, config)
+        Self::spawn_plane(table, capacity, policy, GovernorTuning::DEFAULT, config)
     }
 
-    /// Spawns the sharded shape: `policy.max` shards of
-    /// `capacity_per_shard` slots each, one work-stealing responder thread
-    /// per shard, requesters pinned to home shards by the router. The unit
-    /// of elasticity is a whole shard: between `policy.min` and
-    /// `policy.max` shards are active, and parking a shard's responder
-    /// stops the router from assigning new requesters to it and leaves its
-    /// residual submissions to the stealers.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_adaptive`].
-    pub fn spawn_sharded(
-        table: CallTable<Req, Resp>,
-        capacity_per_shard: usize,
-        policy: ResponderPolicy,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        let tuning = GovernorTuning::DEFAULT;
-        Self::spawn_plane(
-            table,
-            capacity_per_shard,
-            policy.max,
-            policy,
-            tuning,
-            config,
-        )
-    }
-
-    /// Builds `n_shards` rings of `capacity` slots and spawns
-    /// `policy.max ≥ n_shards` responder threads over them.
+    /// Builds a ring of `capacity` slots and spawns `policy.max`
+    /// responder threads over it.
     fn spawn_plane(
         table: CallTable<Req, Resp>,
         capacity: usize,
-        n_shards: usize,
         policy: ResponderPolicy,
         tuning: GovernorTuning,
         config: HotCallConfig,
@@ -701,12 +524,14 @@ where
         config.validate()?;
         let n_responders = policy.max;
         let shared = Arc::new(RingShared {
-            shards: (0..n_shards).map(|_| Shard::new(capacity)).collect(),
+            slots: (0..capacity).map(|_| CallSlot::new()).collect(),
+            head: CachePadded::new(AtomicUsize::new(0)),
+            tail: CachePadded::new(AtomicUsize::new(0)),
+            doze: Doze::new(),
+            abandon: AbandonBoard::new(capacity),
             table,
             shutdown: AtomicBool::new(false),
             governor: GovernorState::new(policy, tuning),
-            next_home: AtomicUsize::new(0),
-            wake_cursor: AtomicUsize::new(0),
             responders: (0..n_responders)
                 .map(|_| CachePadded::new(ResponderCell::default()))
                 .collect(),
@@ -732,47 +557,14 @@ where
         })
     }
 
-    /// Creates a requester pinned to a router-chosen home shard:
-    /// round-robin over the shards that currently have an active home
-    /// responder (always shard 0 on a ring).
+    /// Creates a requester handle on the ring.
     pub fn requester(&self) -> RingRequester<Req, Resp> {
-        let shared = &self.shared;
-        let active = shared.governor.active_target.load(Ordering::Relaxed);
-        // Only shards below the governor's active target are eligible —
-        // the router never assigns to a parked shard.
-        let eligible = active.clamp(1, shared.shards.len());
-        let home = shared.next_home.fetch_add(1, Ordering::Relaxed) % eligible;
-        RingRequester::new(Arc::clone(shared), self.config, home)
-    }
-
-    /// Creates a requester pinned to an explicit home shard — the
-    /// affinity override for callers that partition work themselves. A
-    /// ring has only shard 0.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] if `shard` is out of range.
-    pub fn requester_on(&self, shard: usize) -> Result<RingRequester<Req, Resp>> {
-        if shard >= self.shared.shards.len() {
-            return Err(HotCallError::InvalidConfig(
-                "shard affinity index out of range",
-            ));
-        }
-        Ok(RingRequester::new(
-            Arc::clone(&self.shared),
-            self.config,
-            shard,
-        ))
+        RingRequester::new(Arc::clone(&self.shared), self.config)
     }
 
     /// Number of responder threads in the pool (active and parked).
     pub fn responders(&self) -> usize {
         self.shared.responders.len()
-    }
-
-    /// Number of shards in the plane (1 for a ring).
-    pub fn shards(&self) -> usize {
-        self.shared.shards.len()
     }
 
     /// Statistics so far, aggregated over the responder pool.
@@ -789,27 +581,23 @@ where
     /// Sets the active responder target directly (the `ctl` sizer's
     /// control surface), clamped into the policy's `[min, max]`, and
     /// returns the value installed. Responders converge on their next
-    /// poll: surplus ones park (on the sharded shape their shards'
-    /// residual submissions drain via stealing), and a raise wakes the
-    /// parked set. The requester-side backlog governor keeps running — it
-    /// can still raise the target above what the sizer set if a ring backs
-    /// up.
+    /// poll: surplus ones park, and a raise wakes the parked set. The
+    /// requester-side backlog governor keeps running — it can still raise
+    /// the target above what the sizer set if the ring backs up.
     pub fn set_active(&self, n: usize) -> usize {
         self.shared.governor.set_target(n)
     }
 
-    /// The full per-shard snapshot: totals, governor, and one
-    /// [`ShardStats`] row per shard (steals, steal hits, home polls,
-    /// cross-shard wakes, occupancy). A ring reports one row with no
-    /// steals.
+    /// The full snapshot: totals, governor, and the ring's one
+    /// [`ShardStats`] row (serviced calls, polls, occupancy).
     pub fn ring_stats(&self) -> RingStats {
         self.shared.ring_snapshot()
     }
 
     /// This plane's full telemetry view right now: counters plus per-lane
     /// queue/service histograms and the plane-wide reap histogram. The
-    /// plane kind is `"sharded"` with more than one shard, else `"pool"`
-    /// with more than one responder, else `"single"`.
+    /// plane kind is `"pool"` with more than one responder, else
+    /// `"single"`.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
         self.shared.plane_telemetry(name, self.plane_kind())
     }
@@ -834,9 +622,7 @@ where
     }
 
     fn plane_kind(&self) -> &'static str {
-        if self.shards() > 1 {
-            "sharded"
-        } else if self.responders() > 1 {
+        if self.responders() > 1 {
             "pool"
         } else {
             "single"
@@ -852,9 +638,7 @@ where
 impl<Req, Resp> RingServer<Req, Resp> {
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for shard in self.shared.shards.iter() {
-            shard.doze.wake_all();
-        }
+        self.shared.doze.wake_all();
         self.shared.governor.park_doze.wake_all();
         for j in self.joins.drain(..) {
             let _ = j.join();
@@ -870,11 +654,8 @@ impl<Req, Resp> Drop for RingServer<Req, Resp> {
     }
 }
 
-/// A handle submitting calls into its home shard of a [`RingServer`].
-/// Every submission goes to the home shard's ring, so two requesters on
-/// different shards never contend on a head CAS; completions may still be
-/// produced by *any* responder (home or stealer). On a ring every handle
-/// homes on shard 0.
+/// A handle submitting calls into a [`RingServer`]'s ring; completions
+/// may be produced by any of its responders.
 ///
 /// Give each thread its own clone. The handle is `Sync` and every method
 /// takes `&self`, so sharing one by reference works and loses no call, but
@@ -885,37 +666,34 @@ impl<Req, Resp> Drop for RingServer<Req, Resp> {
 pub struct RingRequester<Req, Resp> {
     shared: Arc<RingShared<Req, Resp>>,
     config: HotCallConfig,
-    home: usize,
     /// This handle's reap-stage cell; only this handle records into it.
     reap: Arc<AtomicHist>,
 }
 
 impl<Req, Resp> RingRequester<Req, Resp> {
-    fn new(shared: Arc<RingShared<Req, Resp>>, config: HotCallConfig, home: usize) -> Self {
+    fn new(shared: Arc<RingShared<Req, Resp>>, config: HotCallConfig) -> Self {
         RingRequester {
             reap: shared.reaps.register(),
             shared,
             config,
-            home,
         }
     }
 }
 
 impl<Req, Resp> Clone for RingRequester<Req, Resp> {
     fn clone(&self) -> Self {
-        Self::new(Arc::clone(&self.shared), self.config, self.home)
+        Self::new(Arc::clone(&self.shared), self.config)
     }
 }
 
 /// An in-flight call: redeem with [`RingRequester::wait`] or
 /// [`RingRequester::wait_any`].
 ///
-/// A ticket redeems only through the requester that issued it or a clone
-/// of it (same plane, same home shard); any other handle refuses it with
-/// [`HotCallError::InvalidConfig`].
+/// A ticket redeems only through a requester of the plane that issued it;
+/// another plane's handle refuses it with [`HotCallError::InvalidConfig`].
 ///
 /// Dropping a ticket unredeemed *abandons* the call: the drop marks the
-/// slot on the issuing shard's abandon board, and the next claimant
+/// slot on the issuing plane's abandon board, and the next claimant
 /// that laps onto the completed slot reaps the stale response. The
 /// response value is discarded, but the slot is released — a dropped
 /// ticket no longer wedges the ring.
@@ -923,7 +701,7 @@ impl<Req, Resp> Clone for RingRequester<Req, Resp> {
 #[must_use = "redeem the response by waiting, or drop to abandon the call"]
 pub struct Ticket {
     index: usize,
-    /// The issuing shard's abandonment registry, which doubles as the
+    /// The issuing plane's abandonment registry, which doubles as the
     /// ticket's proof of origin; `None` once the ticket has been defused
     /// (redeemed through a wait path, so drop must not mark).
     board: Option<Arc<AbandonBoard>>,
@@ -1020,7 +798,7 @@ impl<Req> Bundle<Req> {
     }
 }
 
-/// One attempt at the claim step of a submission on `shard`: `Some(seq)`
+/// One attempt at the claim step of a submission: `Some(seq)`
 /// once this caller owns slot `seq % capacity` (state `EMPTY`, ready for
 /// `publish`), `None` when the ring is full, the target slot is still
 /// occupied, or another requester won the head CAS — the caller retries.
@@ -1039,25 +817,23 @@ impl<Req> Bundle<Req> {
 /// `SUBMITTED` or a later value, so an `EMPTY` read is the one `redeem`
 /// stored with Release and the previous call's payload accesses are over
 /// before this caller writes the cells.
-fn claim_slot<Req, Resp>(shard: &Shard<Req, Resp>, gov: &GovernorState) -> Option<usize> {
-    let cap = shard.slots.len();
+fn claim_slot<Req, Resp>(ring: &RingShared<Req, Resp>) -> Option<usize> {
+    let (cap, gov) = (ring.slots.len(), &ring.governor);
     // Tail before head: a tail snapshot taken first cannot exceed the head
     // snapshot, so the subtraction cannot underflow.
-    let tail = shard.tail.load(Ordering::Acquire);
+    let tail = ring.tail.load(Ordering::Acquire);
     // Acquire: pairs with the AcqRel head CAS of the previous claimant.
-    let seq = shard.head.load(Ordering::Acquire);
+    let seq = ring.head.load(Ordering::Acquire);
     let occupancy = occupancy(seq, tail);
     // Backlog deeper than the policy threshold (or a full ring) means the
-    // active responders are outpaced: admit another (on the sharded shape
-    // that un-parks a whole shard, whose responder doubles as one more
-    // stealer).
+    // active responders are outpaced: admit another.
     if gov.adaptive() && occupancy > gov.tuning.target_occupancy {
         gov.try_raise();
     }
     if occupancy >= cap {
         return None;
     }
-    let slot = shard.slot(seq);
+    let slot = ring.slot(seq);
     // Acquire (inside `state`): pairs with the Release `EMPTY` store of
     // the previous call's `redeem`.
     match slot.state() {
@@ -1066,7 +842,7 @@ fn claim_slot<Req, Resp>(shard: &Shard<Req, Resp>, gov: &GovernorState) -> Optio
         // the lap proceeds instead of wedging. The occupant is exactly call
         // `seq - cap`, so the board's exact-sequence CAS can neither match
         // a live call nor hand the reap to two racing claimants.
-        DONE if shard.abandon.try_take(seq.wrapping_sub(cap)) => {
+        DONE if ring.abandon.try_take(seq.wrapping_sub(cap)) => {
             // SAFETY: winning the CAS transferred the dropping submitter's
             // redeem ownership to this thread; DONE was read with Acquire.
             drop(unsafe { slot.redeem() });
@@ -1081,8 +857,7 @@ fn claim_slot<Req, Resp>(shard: &Shard<Req, Resp>, gov: &GovernorState) -> Optio
     // this physical slot needs `head` to advance a full lap, which the
     // full check forbids until this submission was published and taken.
     let next = seq.wrapping_add(1);
-    shard
-        .head
+    ring.head
         .compare_exchange(seq, next, Ordering::AcqRel, Ordering::Relaxed)
         .ok()
 }
@@ -1161,35 +936,22 @@ fn poll_until<T>(
 }
 
 impl<Req, Resp> RingRequester<Req, Resp> {
-    /// The home shard this requester submits to (0 on a ring).
-    pub fn home(&self) -> usize {
-        self.home
-    }
-
-    /// The home shard, resolved once per operation: every slot, head and
-    /// tail access of a call goes through this one reference.
-    #[inline]
-    fn shard(&self) -> &Shard<Req, Resp> {
-        &self.shared.shards[self.home]
-    }
-
     /// Is the fused run-to-completion path worth taking right now?
     /// `occupancy` is the requester's latest coherent tail-before-head
-    /// snapshot of its home shard: the shard's backlog must be below the
-    /// break-even threshold and the shard must look unattended. The
-    /// caller checks the shutdown flag first, so fused configs keep the
-    /// pooled `ResponderGone` semantics.
-    fn fused_eligible(&self, shard: &Shard<Req, Resp>, occupancy: usize) -> bool {
-        occupancy < FUSED_BELOW_OCCUPANCY && self.shared.home_quiescent(self.home, shard)
+    /// snapshot: the ring's backlog must be below the break-even threshold
+    /// and the ring must look unattended. The caller checks the shutdown
+    /// flag first, so fused configs keep the pooled `ResponderGone`
+    /// semantics.
+    fn fused_eligible(&self, occupancy: usize) -> bool {
+        occupancy < FUSED_BELOW_OCCUPANCY && self.shared.quiescent()
     }
 
-    /// Claims a slot on the home shard, publishes `env` into it and wakes
-    /// a responder, returning the absolute slot sequence. On failure the
-    /// envelope is handed back so the caller can recover the request
-    /// payloads (the fallback path).
+    /// Claims a slot, publishes `env` into it and wakes a responder,
+    /// returning the absolute slot sequence. On failure the envelope is
+    /// handed back so the caller can recover the request payloads (the
+    /// fallback path).
     fn submit_envelope(
         &self,
-        shard: &Shard<Req, Resp>,
         id: u32,
         env: ReqEnvelope<Req>,
     ) -> core::result::Result<usize, (HotCallError, ReqEnvelope<Req>)> {
@@ -1200,18 +962,20 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return Err((HotCallError::ResponderGone, env));
                 }
-                let Some(head) = claim_slot(shard, &shared.governor) else {
+                let Some(head) = claim_slot(shared) else {
                     core::hint::spin_loop();
                     continue;
                 };
-                let slot = shard.slot(head);
+                let slot = shared.slot(head);
                 // SAFETY: `claim_slot` won the head CAS, which grants
                 // exclusive claim ownership of this slot; publish once.
                 unsafe { slot.publish(head, id, env) };
                 // Wake a sleeping responder (after the SUBMITTED store).
                 // One wake per submission — a bundle of N calls pays this
                 // at most once.
-                shared.wake_for(self.home, shard);
+                if shared.doze.wake() {
+                    shared.wakeups.fetch_add(1, Ordering::Relaxed);
+                }
                 return Ok(head);
             }
             backoff.snooze();
@@ -1225,16 +989,16 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         ))
     }
 
-    /// Claims a home-shard slot and submits a request without waiting.
-    /// Returns a [`Ticket`] to redeem the response — against this
-    /// requester or a clone of it (the shard is implicit in the pinning).
+    /// Claims a slot and submits a request without waiting. Returns a
+    /// [`Ticket`] to redeem the response against a requester of this
+    /// plane.
     ///
     /// An un-redeemed ticket keeps its ring slot occupied, so a
     /// submission that laps the ring onto such a slot blocks until the
     /// ticket is redeemed (or, if the ticket was dropped, reaps the
     /// abandoned response itself). Pipelined callers should keep fewer
-    /// than `capacity` calls in flight per shard and redeem a ticket whose
-    /// sequence number is one full lap behind the submission count before
+    /// than `capacity` calls in flight and redeem a ticket whose sequence
+    /// number is one full lap behind the submission count before
     /// submitting past it.
     ///
     /// # Errors
@@ -1242,36 +1006,34 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// [`HotCallError::ResponderTimeout`] if no slot frees up within the
     /// retry budget; [`HotCallError::ResponderGone`] after shutdown.
     pub fn submit(&self, id: u32, req: Req) -> Result<Ticket> {
-        let shard = self.shard();
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req)) {
+        match self.submit_envelope(id, ReqEnvelope::One(req)) {
             Ok(index) => Ok(Ticket {
                 index,
-                board: Some(Arc::clone(&shard.abandon)),
+                board: Some(Arc::clone(&self.shared.abandon)),
             }),
             Err((e, _)) => Err(e),
         }
     }
 
-    /// Spins until the home-shard slot behind `index` is DONE. While it
-    /// ages, the governor is asked for another responder (on the sharded
-    /// shape: one more stealer that can reach this shard). Returns `Err`
-    /// only on shutdown-with-grace-expired.
-    fn wait_done(&self, shard: &Shard<Req, Resp>, index: usize) -> Result<()> {
-        let slot = shard.slot(index);
+    /// Spins until the slot behind `index` is DONE. While it ages, the
+    /// governor is asked for another responder. Returns `Err` only on
+    /// shutdown-with-grace-expired.
+    fn wait_done(&self, index: usize) -> Result<()> {
+        let slot = self.shared.slot(index);
         let done = || (slot.state() == DONE).then_some(());
         poll_until(&self.shared.shutdown, &self.shared.governor, done)
     }
 
-    /// Redeems the envelope sitting DONE at `index` on the home shard.
-    /// The caller must be (or act for) the submitter and must have
-    /// observed `DONE` with Acquire.
-    fn redeem(&self, shard: &Shard<Req, Resp>, index: usize) -> Result<RespEnvelope<Resp>> {
-        let slot = shard.slot(index);
+    /// Redeems the envelope sitting DONE at `index`. The caller must be
+    /// (or act for) the submitter and must have observed `DONE` with
+    /// Acquire.
+    fn redeem(&self, index: usize) -> Result<RespEnvelope<Resp>> {
+        let slot = self.shared.slot(index);
         // Read the completion stamp before redeeming: redeem frees the
         // slot for re-claim, after which the stamp belongs to a new call.
         let completed_at = slot.completed_at();
-        // SAFETY: this requester submitted the call at `index` on its home
-        // shard (every ticket-taking caller checked the ticket's issuer)
+        // SAFETY: this requester submitted the call at `index` on this
+        // plane (every ticket-taking caller checked the ticket's issuer)
         // and observed DONE with Acquire; only the submitter redeems a
         // slot, and the previous lap's DONE was redeemed before this slot
         // could be claimed again, so this DONE is ours.
@@ -1281,8 +1043,8 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     }
 
     /// [`RingRequester::redeem`] for a single-call submission.
-    fn redeem_one(&self, shard: &Shard<Req, Resp>, index: usize) -> Result<Resp> {
-        match self.redeem(shard, index)? {
+    fn redeem_one(&self, index: usize) -> Result<Resp> {
+        match self.redeem(index)? {
             RespEnvelope::One(resp) => Ok(resp),
             RespEnvelope::Bundle(_) => {
                 unreachable!("a Ticket is only minted for single-call submissions")
@@ -1293,9 +1055,9 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// Wait + redeem by raw slot sequence: the synchronous call paths use
     /// this directly so they never mint a ticket (and never touch the
     /// abandonment board) at all.
-    fn wait_index(&self, shard: &Shard<Req, Resp>, index: usize) -> Result<Resp> {
-        self.wait_done(shard, index)?;
-        self.redeem_one(shard, index)
+    fn wait_index(&self, index: usize) -> Result<Resp> {
+        self.wait_done(index)?;
+        self.redeem_one(index)
     }
 
     /// Waits for a submitted call to complete and returns its response.
@@ -1304,27 +1066,26 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     ///
     /// [`HotCallError::ResponderGone`] if the server shut down first, the
     /// handler's own error, or [`HotCallError::InvalidConfig`] for a
-    /// ticket this requester's home shard did not issue (the call is then
-    /// abandoned on the shard that did).
+    /// ticket another plane issued (the call is then abandoned on the
+    /// plane that did).
     pub fn wait(&self, mut ticket: Ticket) -> Result<Resp> {
-        let shard = self.shard();
-        shard.check_issuer(&ticket.board)?;
-        self.wait_index(shard, ticket.defuse())
+        self.shared.check_issuer(&ticket.board)?;
+        self.wait_index(ticket.defuse())
     }
 
-    /// Waits until *any* of `tickets` (all issued by this requester's home
-    /// shard) completes, removes it from the set, and returns its sequence
-    /// number (see [`Ticket::seq`]) with the response. Completion order is
+    /// Waits until *any* of `tickets` (all issued by this plane)
+    /// completes, removes it from the set, and returns its sequence number
+    /// (see [`Ticket::seq`]) with the response. Completion order is
     /// whatever the responder pool produces — this is the batched-reap
     /// primitive that keeps a deep pipeline full.
     ///
     /// # Errors
     ///
     /// [`HotCallError::InvalidConfig`] on an empty set, or — with the set
-    /// left untouched — on one holding a ticket another plane or shard
-    /// issued; [`HotCallError::ResponderGone`] if the server shut down; a
-    /// per-call failure (e.g. unknown id) is returned as-is (the offending
-    /// ticket is consumed).
+    /// left untouched — on one holding a ticket another plane issued;
+    /// [`HotCallError::ResponderGone`] if the server shut down; a per-call
+    /// failure (e.g. unknown id) is returned as-is (the offending ticket is
+    /// consumed).
     pub fn wait_any(&self, tickets: &mut Vec<Ticket>) -> Result<(u64, Resp)> {
         if tickets.is_empty() {
             return Err(HotCallError::InvalidConfig(
@@ -1332,23 +1093,21 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             ));
         }
         let shared = &*self.shared;
-        let shard = self.shard();
         // Once per call, in the caller's own memory: a foreign ticket
-        // would be matched against the wrong shard's slots below.
+        // would be matched against the wrong plane's slots below.
         tickets
             .iter()
-            .try_for_each(|t| shard.check_issuer(&t.board))?;
-        let pick = || oldest_done(&shard.slots, tickets);
+            .try_for_each(|t| shared.check_issuer(&t.board))?;
+        let pick = || oldest_done(&shared.slots, tickets);
         let i = poll_until(&shared.shutdown, &shared.governor, pick)?;
         let mut ticket = tickets.swap_remove(i);
         let seq = ticket.seq();
-        self.redeem_one(shard, ticket.defuse())
-            .map(|resp| (seq, resp))
+        self.redeem_one(ticket.defuse()).map(|resp| (seq, resp))
     }
 
     /// Submit + wait in one step.
     ///
-    /// On a quiet home shard with fusing enabled (see
+    /// On a quiet ring with fusing enabled (see
     /// [`FusedMode`](crate::FusedMode)) the handler runs *inline on this
     /// thread* — no slot publish, no doze wake, no cross-core cache-line
     /// transfer — and falls back to the pooled submit/wait the moment
@@ -1358,13 +1117,12 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     ///
     /// As [`RingRequester::submit`] and [`RingRequester::wait`].
     pub fn call(&self, id: u32, req: Req) -> Result<Resp> {
-        let shard = self.shard();
         // Synchronous calls can skip the ring entirely: nothing to
         // pipeline, no ticket to mint, so the fused path is a plain
         // dispatch on the requester's core.
         if self.config.fused_mode != FusedMode::Off && !self.shared.shutdown.load(Ordering::Acquire)
         {
-            if self.fused_eligible(shard, shard.occupancy_snapshot()) {
+            if self.fused_eligible(self.shared.occupancy_snapshot()) {
                 let result = self
                     .shared
                     .table
@@ -1376,17 +1134,17 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             }
             // The break-even gate said no: the call rides the pool.
             self.shared.fused_fallbacks.fetch_add(1, Ordering::Relaxed);
-            trace("fused_fallback", id as u64, self.home as u64);
+            trace("fused_fallback", id as u64, 0);
         }
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req)) {
-            Ok(index) => self.wait_index(shard, index),
+        match self.submit_envelope(id, ReqEnvelope::One(req)) {
+            Ok(index) => self.wait_index(index),
             Err((e, _)) => Err(e),
         }
     }
 
-    /// Packs `bundle` into one home-shard submission — one slot claim, one
-    /// responder dispatch, at most one wakeup for all of its calls — and
-    /// waits for one result per call, in submission order.
+    /// Packs `bundle` into one submission — one slot claim, one responder
+    /// dispatch, at most one wakeup for all of its calls — and waits for
+    /// one result per call, in submission order.
     ///
     /// # Errors
     ///
@@ -1399,12 +1157,11 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 "a bundle must pack at least one call",
             ));
         }
-        let shard = self.shard();
-        trace("bundle_submit", bundle.len() as u64, self.home as u64);
+        trace("bundle_submit", bundle.len() as u64, 0);
         let env = ReqEnvelope::Bundle(bundle.calls);
-        let index = self.submit_envelope(shard, 0, env).map_err(|(e, _)| e)?;
-        self.wait_done(shard, index)?;
-        match self.redeem(shard, index)? {
+        let index = self.submit_envelope(0, env).map_err(|(e, _)| e)?;
+        self.wait_done(index)?;
+        match self.redeem(index)? {
             RespEnvelope::Bundle(results) => Ok(results),
             RespEnvelope::One(_) => unreachable!("a bundle submission completes as a bundle"),
         }
@@ -1420,9 +1177,8 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     where
         F: FnOnce(Req) -> Resp,
     {
-        let shard = self.shard();
-        match self.submit_envelope(shard, id, ReqEnvelope::One(req)) {
-            Ok(index) => self.wait_index(shard, index),
+        match self.submit_envelope(id, ReqEnvelope::One(req)) {
+            Ok(index) => self.wait_index(index),
             Err((HotCallError::ResponderTimeout { .. }, ReqEnvelope::One(req))) => {
                 Ok(fallback(req))
             }
@@ -1440,7 +1196,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         self.shared.governor_snapshot()
     }
 
-    /// The full per-shard snapshot (see [`RingServer::ring_stats`]).
+    /// The full snapshot (see [`RingServer::ring_stats`]).
     pub fn ring_stats(&self) -> RingStats {
         self.shared.ring_snapshot()
     }
@@ -1465,17 +1221,14 @@ mod tests {
 
     type Spawn = fn(CallTable<u64, u64>, usize, HotCallConfig) -> Server;
 
-    /// The plane shapes every shape-agnostic test runs over: a ring with
-    /// one responder, a ring with a pool, and one responder per shard.
-    const SHAPES: [(&str, Spawn); 3] = [
-        ("1 shard x 1 responder", |t, cap, config| {
+    /// The plane shapes every shape-agnostic test runs over: the ring with
+    /// one responder and with a pool of four.
+    const SHAPES: [(&str, Spawn); 2] = [
+        ("1 responder", |t, cap, config| {
             RingServer::spawn(t, cap, config)
         }),
-        ("1 shard x 4 responders", |t, cap, config| {
+        ("4 responders", |t, cap, config| {
             RingServer::spawn_pool(t, cap, 4, config).unwrap()
-        }),
-        ("4 shards", |t, cap, config| {
-            RingServer::spawn_sharded(t, cap, ResponderPolicy::fixed(4), config).unwrap()
         }),
     ];
 
@@ -1490,10 +1243,7 @@ mod tests {
 
     /// Blocks until every responder of `server` sleeps on a work doze.
     fn await_all_dozing(server: &Server) {
-        let dozing = || -> usize {
-            let shards = server.shared.shards.iter();
-            shards.map(|s| s.doze.sleepers.load(Ordering::SeqCst)).sum()
-        };
+        let dozing = || server.shared.doze.sleepers.load(Ordering::SeqCst);
         let deadline = Instant::now() + Duration::from_secs(10);
         while dozing() < server.responders() {
             assert!(Instant::now() < deadline, "responders never slept");
@@ -1520,7 +1270,7 @@ mod tests {
                 let (seq, resp) = r.wait_any(&mut tickets).unwrap();
                 assert!(seen.insert(seq, resp).is_none(), "{shape}: seq {seq} twice");
             }
-            // Sequence numbers are the shard's ring indices 0..10 on a
+            // Sequence numbers are the ring indices 0..10 on a
             // fresh server, and each response is the square of its
             // submission payload.
             let got: Vec<(u64, u64)> = seen.into_iter().collect();
@@ -1618,17 +1368,16 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(200));
                 x
             });
-            // Capacity-1 shard: while the slow call is in flight the shard
-            // is full, so a second call on the same shard times out and
-            // falls back.
+            // Capacity-1 ring: while the slow call is in flight the ring is
+            // full, so a second call times out and falls back.
             let config = HotCallConfig {
                 timeout_retries: 2,
                 spins_per_retry: 4,
                 ..HotCallConfig::default()
             };
             let server = spawn(t, 1, config);
-            let r1 = server.requester_on(0).unwrap();
-            let r2 = server.requester_on(0).unwrap();
+            let r1 = server.requester();
+            let r2 = server.requester();
             let blocker = std::thread::spawn(move || r1.call(slow, 7).unwrap());
             std::thread::sleep(std::time::Duration::from_millis(50));
             let v = r2.call_with_fallback(slow, 5, |x| x + 100).unwrap();
@@ -1666,86 +1415,67 @@ mod tests {
         let t = || table().0;
         rejected(RingServer::spawn_pool(t(), 0, 2, generous()));
         rejected(RingServer::spawn_pool(t(), 8, 0, generous()));
-        let inverted = ResponderPolicy::elastic(2, 1);
-        rejected(RingServer::spawn_adaptive(t(), 8, inverted, generous()));
         let two = ResponderPolicy::fixed(2);
-        rejected(RingServer::spawn_sharded(t(), 0, two, generous()));
-        for (min, shards) in [(0, 2), (3, 2)] {
-            let policy = ResponderPolicy::elastic(min, shards);
-            rejected(RingServer::spawn_sharded(t(), 8, policy, generous()));
+        rejected(RingServer::spawn_adaptive(t(), 0, two, generous()));
+        for (min, max) in [(0, 2), (2, 1)] {
+            let policy = ResponderPolicy::elastic(min, max);
+            rejected(RingServer::spawn_adaptive(t(), 8, policy, generous()));
         }
     }
 
     #[test]
-    fn one_shard_sharded_plane_is_a_one_responder_pool() {
-        // The two constructors that both mean "one ring, one responder"
-        // build the same plane: after the same call sequence every counter
-        // that does not count empty polls, and the shape of every
-        // snapshot, is identical.
-        let drive = |server: Server, sq: u32| {
-            let r = server.requester();
-            for i in 0..100u64 {
-                assert_eq!(r.call(sq, i).unwrap(), i * i);
-            }
-            let mut tickets: Vec<Ticket> = (0..4u64).map(|i| r.submit(sq, i).unwrap()).collect();
-            while !tickets.is_empty() {
-                r.wait_any(&mut tickets).unwrap();
-            }
-            let mut bundle = Bundle::new();
-            bundle.push(sq, 1).push(sq, 2).push(999, 3);
-            assert_eq!(r.call_bundle(bundle).unwrap().len(), 3);
-            assert_eq!(server.stats(), server.ring_stats().totals);
-            let t = server.telemetry("p");
-            let mut rs = t.stats;
-            rs.totals.idle_polls = 0;
-            rs.shards[0].home_polls = 0;
-            let shape = (server.shards(), server.responders(), r.home());
-            (rs, t.kind, t.lanes.len(), t.reap.count(), shape)
-        };
+    fn one_responder_snapshot_counts_every_call() {
+        // After a fixed call sequence every counter that does not count
+        // empty polls, and the shape of every snapshot, is exact.
         let (t, sq) = table();
-        let pool = drive(RingServer::spawn_pool(t, 8, 1, generous()).unwrap(), sq);
-        let (t, sq) = table();
-        let sharded = RingServer::spawn_sharded(t, 8, ResponderPolicy::fixed(1), generous());
-        assert_eq!(drive(sharded.unwrap(), sq), pool);
-        let (rs, kind, ..) = pool;
+        let server = RingServer::spawn_pool(t, 8, 1, generous()).unwrap();
+        let r = server.requester();
+        for i in 0..100u64 {
+            assert_eq!(r.call(sq, i).unwrap(), i * i);
+        }
+        let mut tickets: Vec<Ticket> = (0..4u64).map(|i| r.submit(sq, i).unwrap()).collect();
+        while !tickets.is_empty() {
+            r.wait_any(&mut tickets).unwrap();
+        }
+        let mut bundle = Bundle::new();
+        bundle.push(sq, 1).push(sq, 2).push(999, 3);
+        assert_eq!(r.call_bundle(bundle).unwrap().len(), 3);
+        assert_eq!(server.stats(), server.ring_stats().totals);
+        let t = server.telemetry("p");
+        let rs = t.stats;
         assert_eq!((rs.totals.calls, rs.totals.busy_polls), (107, 105));
         assert_eq!((rs.shards.len(), rs.shards[0].serviced), (1, 107));
-        assert_eq!(kind, "single");
+        assert_eq!((t.kind, t.lanes.len()), ("single", 1));
     }
 
-    /// Two shards of one plane and a second plane of the same payload
-    /// type, each with one completed call whose ticket is still out. Every
-    /// ticket comes paired with a handle that did *not* issue it; each of
-    /// those handles has a DONE slot of its own at the ticket's sequence,
-    /// so without the issuer check the ticket redeems somebody else's
-    /// response instead of waiting forever.
+    /// Two planes of the same payload type, on one responder and on a
+    /// pool, each with one completed call whose ticket is still out. Each
+    /// ticket comes paired with the other plane's handle, which has a DONE
+    /// slot of its own at the ticket's sequence, so without the issuer
+    /// check the ticket redeems somebody else's response instead of
+    /// waiting forever.
     #[allow(clippy::type_complexity)]
     fn foreign_tickets() -> (Vec<Server>, u32, Vec<(RingRequester<u64, u64>, Ticket)>) {
         let (t, sq) = table();
-        let sharded =
-            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(2), generous()).unwrap();
+        let single = RingServer::spawn(t, 4, generous());
         let (t, _) = table();
-        let other = RingServer::spawn(t, 4, generous());
-        let mut handles = vec![
-            sharded.requester_on(0).unwrap(),
-            sharded.requester_on(1).unwrap(),
-            other.requester(),
-        ];
+        let pool = RingServer::spawn_pool(t, 4, 2, generous()).unwrap();
+        let servers = vec![single, pool];
+        let mut handles: Vec<_> = servers.iter().map(RingServer::requester).collect();
         let tickets: Vec<Ticket> = handles
             .iter()
             .map(|r| {
                 let ticket = r.submit(sq, 3).unwrap();
-                while r.shard().slot(ticket.index).state() != DONE {
+                while r.shared.slot(ticket.index).state() != DONE {
                     std::thread::yield_now();
                 }
                 ticket
             })
             .collect();
-        // Shard 0's ticket goes to shard 1's handle, shard 1's to the
-        // other plane's, the other plane's to shard 0's.
+        // Each plane's ticket goes to the other plane's handle.
         handles.rotate_left(1);
         let cases = handles.into_iter().zip(tickets).collect();
-        (vec![sharded, other], sq, cases)
+        (servers, sq, cases)
     }
 
     fn is_foreign<T>(result: &Result<T>) -> bool {
@@ -1759,10 +1489,9 @@ mod tests {
             assert!(is_foreign(&wrong.wait(ticket)));
         }
         // The refusal dropped each ticket, and the drop marked the call on
-        // its own board: the issuing shards keep lapping their 4 slots.
-        let sharded = &servers[0];
-        let handles = [0, 1].map(|s| sharded.requester_on(s).unwrap());
-        for r in handles.iter().chain([&servers[1].requester()]) {
+        // its own board: the issuing planes keep lapping their 4 slots.
+        for server in &servers {
+            let r = server.requester();
             for i in 0..16u64 {
                 assert_eq!(r.call(sq, i).unwrap(), i * i);
             }
@@ -1921,21 +1650,15 @@ mod tests {
         };
         let policy = ResponderPolicy::elastic(1, 4);
         let (t, sq) = table();
-        let on_one_ring = RingServer::spawn_plane(t, 16, 1, policy, eager(64), config).unwrap();
-        let (t, _) = table();
-        let sharded = RingServer::spawn_plane(t, 8, 4, policy, eager(64), config).unwrap();
-        for server in [on_one_ring, sharded] {
-            assert_eq!(server.responders(), 4);
-            let r = server.requester();
-            assert_eq!(r.call(sq, 3).unwrap(), 9);
-            // With no work, the three governable responders demote
-            // themselves top-down and park.
-            await_governor(&server, |g| g.active == 1 && g.parked == 3 && g.parks >= 3);
-            // The router only assigns to the surviving active shard now,
-            // and the remaining responder still serves calls.
-            assert_eq!(server.requester().home(), 0);
-            assert_eq!(r.call(sq, 5).unwrap(), 25);
-        }
+        let server = RingServer::spawn_plane(t, 16, policy, eager(64), config).unwrap();
+        assert_eq!(server.responders(), 4);
+        let r = server.requester();
+        assert_eq!(r.call(sq, 3).unwrap(), 9);
+        // With no work, the three governable responders demote themselves
+        // top-down and park.
+        await_governor(&server, |g| g.active == 1 && g.parked == 3 && g.parks >= 3);
+        // The remaining responder still serves calls.
+        assert_eq!(r.call(sq, 5).unwrap(), 25);
     }
 
     #[test]
@@ -1950,7 +1673,7 @@ mod tests {
             target_occupancy: 1,
             park_after_idle_polls: 64,
         };
-        let server = RingServer::spawn_plane(t, 32, 1, policy, tuning, generous()).unwrap();
+        let server = RingServer::spawn_plane(t, 32, policy, tuning, generous()).unwrap();
         let r = server.requester();
         // Let the pool park down to the minimum first.
         await_governor(&server, |g| g.active == 1);
@@ -1968,43 +1691,8 @@ mod tests {
     }
 
     #[test]
-    fn router_round_robins_over_active_shards() {
-        let (t, _) = table();
-        let server =
-            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(3), generous()).unwrap();
-        let homes: Vec<usize> = (0..6).map(|_| server.requester().home()).collect();
-        assert_eq!(homes, [0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn affinity_override_pins_and_validates() {
-        let (t, sq) = table();
-        let server =
-            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(2), generous()).unwrap();
-        assert_eq!(server.shards(), 2);
-        let r1 = server.requester_on(1).unwrap();
-        assert_eq!(r1.home(), 1);
-        assert_eq!(r1.call(sq, 6).unwrap(), 36);
-        assert!(matches!(
-            server.requester_on(2),
-            Err(HotCallError::InvalidConfig(_))
-        ));
-        // The call landed on shard 1's ring.
-        let rs = server.ring_stats();
-        assert_eq!(rs.shards.len(), 2);
-        let serviced: u64 = rs.shards.iter().map(|s| s.serviced).sum();
-        assert_eq!(serviced, 1);
-        // A ring has shard 0 and nothing else.
-        let (t, _) = table();
-        let ring = RingServer::spawn_pool(t, 4, 2, generous()).unwrap();
-        assert_eq!(ring.requester_on(0).unwrap().home(), 0);
-        assert!(ring.requester_on(1).is_err());
-    }
-
-    #[test]
     fn concurrent_requesters_lose_nothing() {
-        // Four threads, one handle each: they share the one ring's head
-        // word, or (router round-robin) get a shard each and share nothing.
+        // Four threads, one handle each, sharing the one ring's head word.
         each_shape(8, generous(), |shape, server, sq| {
             let stamp = |th: u64, i: u64| th * 1_000 + i;
             let total: u64 = std::thread::scope(|s| {
@@ -2024,110 +1712,10 @@ mod tests {
     }
 
     #[test]
-    fn stealers_reap_a_skewed_shard() {
-        // Every submission lands on shard 0 while shard 1's responder has
-        // nothing of its own: the completions must still arrive, and the
-        // plane must record the steals. One responder is held inside a
-        // gated handler for the whole run, so a steal is forced whichever
-        // of the two took the gated call: either shard 1's responder stole
-        // it, or it steals everything queued behind the blocked home
-        // responder. No scheduling luck involved.
-        const GATED: u64 = u64::MAX;
-        struct OpenOnDrop(Arc<AtomicBool>);
-        impl Drop for OpenOnDrop {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let entered = Arc::new(AtomicBool::new(false));
-        let open = Arc::new(AtomicBool::new(false));
-        let (e, o) = (Arc::clone(&entered), Arc::clone(&open));
-        let mut t: CallTable<u64, u64> = CallTable::new();
-        let sq = t.register(move |x| {
-            if x == GATED {
-                e.store(true, Ordering::SeqCst);
-                while !o.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                return 0;
-            }
-            x * x
-        });
-        // 512 slots: the gated call pins its slot until the gate opens, so
-        // the 400 calls behind it must fit in one lap.
-        let server =
-            RingServer::spawn_sharded(t, 512, ResponderPolicy::fixed(2), generous()).unwrap();
-        // Declared after the server, so dropped before it: a failed
-        // assertion opens the gate instead of hanging the server's join.
-        let gate = OpenOnDrop(open);
-        let r = server.requester_on(0).unwrap();
-        let gated = r.submit(sq, GATED).unwrap();
-        while !entered.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        for round in 0..50u64 {
-            let tickets: Vec<Ticket> = (0..8u64)
-                .map(|i| r.submit(sq, round * 10 + i).unwrap())
-                .collect();
-            for (i, ticket) in tickets.into_iter().enumerate() {
-                let x = round * 10 + i as u64;
-                assert_eq!(r.wait(ticket).unwrap(), x * x);
-            }
-        }
-        // The free responder serviced all of it alone (call counts are
-        // flushed before each DONE hand-off, so this is exact).
-        let rs = server.ring_stats();
-        let serviced: Vec<u64> = rs.shards.iter().map(|s| s.serviced).collect();
-        assert!(serviced == [400, 0] || serviced == [0, 400], "{rs:?}");
-        drop(gate);
-        assert_eq!(r.wait(gated).unwrap(), 0);
-        assert_eq!(server.stats().calls, 401);
-        // Probe counters are flushed right *after* the hand-off of a win.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let rs = server.ring_stats();
-            assert_eq!(rs.shards[0].shard, 0);
-            if rs.shards[1].steal_hits > 0 && rs.shards[1].steals >= rs.shards[1].steal_hits {
-                break;
-            }
-            assert!(Instant::now() < deadline, "no steal recorded: {rs:?}");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn parked_shard_residue_is_reaped_by_stealers() {
-        let (t, sq) = table();
-        let policy = ResponderPolicy::elastic(1, 3);
-        let config = HotCallConfig {
-            idle_polls_before_sleep: Some(1_000_000),
-            ..generous()
-        };
-        let server = RingServer::spawn_plane(t, 8, 3, policy, eager(64), config).unwrap();
-        // Pin to the top shard, then let the governor park it down to one
-        // active shard.
-        let r = server.requester_on(2).unwrap();
-        assert_eq!(r.call(sq, 3).unwrap(), 9);
-        await_governor(&server, |g| g.active == 1);
-        // Shard 2 is parked; its home responder sleeps on the park doze.
-        // A call submitted there must still complete — reaped by an
-        // active stealer, woken through the cross-shard redirect.
-        for i in 0..50u64 {
-            assert_eq!(r.call(sq, i).unwrap(), i * i);
-        }
-        let rs = server.ring_stats();
-        assert!(rs.shards[2].parked, "{rs:?}");
-        assert!(
-            rs.steal_hits() > 0 || rs.shards[2].serviced > 0,
-            "residue never reaped: {rs:?}"
-        );
-    }
-
-    #[test]
     fn auto_policy_resolves_and_serves() {
         let (t, sq) = table();
-        let server = RingServer::spawn_sharded(t, 4, ResponderPolicy::auto(), generous()).unwrap();
-        assert!(server.shards() >= 1);
+        let server = RingServer::spawn_adaptive(t, 4, ResponderPolicy::auto(), generous()).unwrap();
+        assert!(server.responders() >= 1);
         let r = server.requester();
         for i in 0..100u64 {
             assert_eq!(r.call(sq, i).unwrap(), i * i);
@@ -2136,20 +1724,18 @@ mod tests {
 
     #[test]
     fn park_unpark_race_never_strands_a_submission() {
-        // Regression for the wake_for park/unpark race: the redirect
-        // decision must come from one coherent snapshot taken before the
-        // home wake attempt, and a demoting responder must re-check its
-        // shard front before going dark. Race a requester pinned to the
-        // top shard against an aggressive governor; every call must
-        // complete well inside the deadline.
+        // Race a requester against an aggressive governor that parks and
+        // re-admits responders between bursts: parking must never take
+        // the last active responder away from a published submission, so
+        // every call completes well inside the deadline.
         let (t, sq) = table();
         let policy = ResponderPolicy::elastic(1, 3);
         let config = HotCallConfig {
             idle_polls_before_sleep: Some(32),
             ..generous()
         };
-        let server = RingServer::spawn_plane(t, 4, 3, policy, eager(16), config).unwrap();
-        let r = server.requester_on(2).unwrap();
+        let server = RingServer::spawn_plane(t, 4, policy, eager(16), config).unwrap();
+        let r = server.requester();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for i in 0..3_000u64 {
             assert_eq!(r.call(sq, i).unwrap(), i * i);
@@ -2206,7 +1792,7 @@ mod tests {
         // very thread could free. This loop wraps the 8-slot ring dozens
         // of times.
         //
-        // On a pool or a sharded plane a responder descheduled mid-service
+        // On a pool a responder descheduled mid-service
         // can still hold the oldest call while others complete younger
         // ones around it, so the loop keeps `submit`'s lap rule: a ticket
         // a full lap behind is redeemed by name before submitting past it.
@@ -2248,7 +1834,7 @@ mod tests {
 
     #[test]
     fn fused_auto_uses_the_pool_when_responders_are_hot() {
-        // Spinning responders (no doze) keep the home shard attended:
+        // Spinning responders (no doze) keep the ring attended:
         // occupancy is low, but Auto must decline to fuse and count the
         // decline.
         each_shape(4, fused_auto(None), |shape, server, sq| {
@@ -2274,25 +1860,6 @@ mod tests {
             assert_eq!(s.fused_runs, 1, "{shape}: {s:?}");
             assert_eq!(s.wakeups, before_wakes, "{shape}: a fused call paid a wake");
         });
-    }
-
-    #[test]
-    fn fused_auto_fuses_once_the_home_responder_dozes() {
-        // Only the home shard has to look unattended: shard 1's responder
-        // may still be spinning.
-        let (t, sq) = table();
-        let server =
-            RingServer::spawn_sharded(t, 4, ResponderPolicy::fixed(2), fused_auto(Some(64)))
-                .unwrap();
-        let r = server.requester_on(0).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.shared.shards[0].doze.sleepers.load(Ordering::SeqCst) == 0 {
-            assert!(Instant::now() < deadline, "responder never dozed");
-            std::thread::yield_now();
-        }
-        assert_eq!(r.call(sq, 12).unwrap(), 144);
-        let s = server.stats();
-        assert_eq!(s.fused_runs, 1, "{s:?}");
     }
 
     #[test]
@@ -2324,7 +1891,7 @@ mod tests {
         // keep occupancy at zero so the plane never hands a burst to the
         // pool at all.
         each_shape(8, fused_auto(Some(64)), |shape, server, sq| {
-            let r = server.requester_on(0).unwrap();
+            let r = server.requester();
             await_all_dozing(&server);
             let mut tickets: Vec<Ticket> = (0..4u64).map(|i| r.submit(sq, i).unwrap()).collect();
             while !tickets.is_empty() {

@@ -675,9 +675,9 @@ impl Doze {
 
 /// The stage histogram cells one responder records into: queueing delay
 /// (submit stamp → responder pickup) and service time (pickup →
-/// completion). Same single-writer discipline as the counters — stolen
-/// work is attributed to the *stealing* responder's cell. Bucket-free
-/// under `telemetry-off`.
+/// completion). Same single-writer discipline as the counters — a call is
+/// recorded by the responder that serviced it. Bucket-free under
+/// `telemetry-off`.
 #[derive(Debug, Default)]
 pub(crate) struct StageCells {
     pub(crate) queue: AtomicHist,

@@ -147,7 +147,7 @@ impl SgRing {
         self.server.stats()
     }
 
-    /// The full snapshot: the ring reports itself as one shard.
+    /// The full snapshot: totals, governor and the ring's one row.
     pub fn ring_stats(&self) -> RingStats {
         self.server.ring_stats()
     }

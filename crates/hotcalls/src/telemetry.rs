@@ -13,19 +13,19 @@
 //!   **service time** are separable — the distinction behind the paper's
 //!   p78 vs p99.97 HotCall latency split (§4.3).
 //! * [`Tracer`] — a bounded ring-buffer event tracer (governor park and
-//!   raise decisions, steal hits, doze wake redirects, arena slab grows,
-//!   bundle sizes) with a `chrome://tracing`-compatible JSON exporter and
+//!   raise decisions, fused runs and declines, arena slab grows, bundle
+//!   sizes) with a `chrome://tracing`-compatible JSON exporter and
 //!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
 //!   feature.
-//! * [`TelemetryRegistry`] — merges every plane (single ring, pool,
-//!   sharded, byte lanes) and every control plane into one
+//! * [`TelemetryRegistry`] — merges every plane (single ring, pool, byte
+//!   and sg lanes) and every control plane into one
 //!   [`Snapshot`], exposed as Prometheus-style text.
 //! * [`ApiCensus`] — the Table-2-style per-application census the apps
 //!   build from their call ledgers.
 //!
 //! Everything on the hot path follows the responder-local discipline of
-//! the data plane: histogram cells are single-writer (stolen work is
-//! attributed to the *stealing* responder's cell) and updated with plain
+//! the data plane: histogram cells are single-writer (a call is recorded
+//! by the responder that serviced it) and updated with plain
 //! `Relaxed` load/store pairs — no shared read-modify-write on the call
 //! path. The reap-stage histogram follows the same rule from the other
 //! side: one cell per requester handle, merged when a snapshot is taken.
@@ -49,8 +49,12 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// Schema version of the serialized telemetry [`Snapshot`]. Bumped when a
 /// field is added, removed, renamed or changes meaning. v5 removed the
 /// `arenas`, `censuses`, `sim` and `paging` sections and their series,
-/// which nothing fed: a section returns together with its producer.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 5;
+/// which nothing fed: a section returns together with its producer. v6
+/// removed the steal-probe, steal-win, wake-redirect and parked fields of
+/// [`ShardStats`] and the steal-win series: a plane is one ring, so there
+/// is no sibling ring to steal from or redirect a wake to, and its one row
+/// is never parked.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 6;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -135,8 +139,8 @@ fn bucket_high(i: usize) -> u64 {
 /// Power-of-two octaves with [`SUB_COUNT`] sub-buckets each: the relative
 /// quantile error is bounded at 12.5% while the whole `u64` range fits in
 /// [`HIST_BUCKETS`] buckets. Merging two histograms is element-wise
-/// addition, so per-responder histograms combine into per-shard and
-/// plane-wide views without losing quantile fidelity.
+/// addition, so per-responder histograms combine into plane-wide views
+/// without losing quantile fidelity.
 ///
 /// # Examples
 ///
@@ -374,7 +378,7 @@ pub struct HotCallStats {
     /// Included in [`HotCallStats::calls`].
     pub fused_runs: u64,
     /// Synchronous calls `Auto` sent through the responder pool instead:
-    /// the break-even gate found the home responders active or the
+    /// the break-even gate found the responders active or the
     /// backlog at the break-even occupancy.
     pub fused_fallbacks: u64,
 }
@@ -391,8 +395,8 @@ impl HotCallStats {
     }
 }
 
-/// A snapshot of the adaptive governor: how many responders (or shards)
-/// are currently active vs parked, and the lifetime park/wake decision
+/// A snapshot of the adaptive governor: how many responders are
+/// currently active vs parked, and the lifetime park/wake decision
 /// counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorStats {
@@ -410,56 +414,29 @@ pub struct GovernorStats {
     pub max: usize,
 }
 
-/// Per-shard statistics of the sharded data plane.
+/// Statistics of a plane's ring.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
-    /// Shard index.
+    /// Ring index (0: a plane has one ring).
     pub shard: usize,
-    /// Calls serviced by this shard's home responders (including stolen
-    /// work they drained from siblings).
+    /// Calls the responders serviced from the ring.
     pub serviced: u64,
-    /// Polls the home responders spent on their own ring.
+    /// Polls the responders spent on the ring.
     pub home_polls: u64,
-    /// Steal probes into sibling shards.
-    pub steals: u64,
-    /// Steal probes that found work.
-    pub steal_hits: u64,
-    /// Wakes redirected to this shard's responder for another shard's
-    /// submission.
-    pub cross_shard_wakes: u64,
-    /// Is this shard currently parked by the governor?
-    pub parked: bool,
     /// Submitted-but-unserviced entries at snapshot time.
     pub occupancy: usize,
 }
 
-/// A full snapshot of a (possibly sharded) ring plane: plane-wide totals,
-/// the governor's state, and one [`ShardStats`] row per shard.
+/// A full snapshot of a ring plane: plane-wide totals, the governor's
+/// state, and the ring's [`ShardStats`] row.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RingStats {
     /// Plane-wide call/poll totals.
     pub totals: HotCallStats,
     /// Governor snapshot.
     pub governor: GovernorStats,
-    /// Per-shard rows (a single-ring plane reports one row, no steals).
+    /// One row per ring: a plane reports exactly one.
     pub shards: Vec<ShardStats>,
-}
-
-impl RingStats {
-    /// Total steal probes across all shards.
-    pub fn steals(&self) -> u64 {
-        self.shards.iter().map(|s| s.steals).sum()
-    }
-
-    /// Total successful steals across all shards.
-    pub fn steal_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.steal_hits).sum()
-    }
-
-    /// Total cross-shard wake redirects.
-    pub fn cross_shard_wakes(&self) -> u64 {
-        self.shards.iter().map(|s| s.cross_shard_wakes).sum()
-    }
 }
 
 /// Counters of one slab arena: where payload buffers came from and where
@@ -524,7 +501,7 @@ impl ArenaStats {
 pub struct TraceEvent {
     /// [`now_cycles`] at the event site.
     pub ts: u64,
-    /// Static event tag (e.g. `"governor_park"`, `"steal_hit"`,
+    /// Static event tag (e.g. `"governor_park"`, `"fused_run"`,
     /// `"arena_grow"`, `"bundle_submit"`).
     pub kind: &'static str,
     /// First argument (site-specific).
@@ -752,14 +729,12 @@ pub fn trace(kind: &'static str, a: u64, b: u64) {
 // Snapshot / registry
 // ---------------------------------------------------------------------------
 
-/// Per-lane stage histograms. A *lane* is one responder's histogram cell;
-/// on the sharded plane responder index equals shard index (one home
-/// responder per shard), so lane rows double as the per-shard view. Work
-/// a responder *stole* from a sibling shard is attributed to the stealing
-/// responder's lane (the cell stays single-writer).
+/// Per-lane stage histograms. A *lane* is one responder's histogram cell:
+/// a call is recorded in the lane of the responder that serviced it (the
+/// cell stays single-writer).
 #[derive(Debug, Clone)]
 pub struct LaneTelemetry {
-    /// Responder (== shard, on the sharded plane) index.
+    /// Responder index.
     pub lane: usize,
     /// Cycles from submit to responder pickup (queueing delay).
     pub queue: CycleHist,
@@ -774,12 +749,11 @@ pub struct PlaneTelemetry {
     /// Registered plane name.
     pub name: String,
     /// Plane kind, derived from the shape of the one plane core:
-    /// `"sharded"` with more than one shard, else `"pool"` with more than
-    /// one responder, else `"single"`. The byte and sg planes tag their
-    /// payload type instead: `"byte-single"` / `"byte-sharded"` (more
-    /// than one shard or not) and `"sg-single"` (always one shard).
+    /// `"pool"` with more than one responder, else `"single"`. The byte
+    /// and sg planes tag their payload type instead: `"byte-single"` and
+    /// `"sg-single"`, whatever their responder count.
     pub kind: &'static str,
-    /// Counter snapshot (totals, governor, per-shard rows).
+    /// Counter snapshot (totals, governor, the ring's row).
     pub stats: RingStats,
     /// Per-lane queue/service histograms.
     pub lanes: Vec<LaneTelemetry>,
@@ -925,10 +899,6 @@ impl Snapshot {
                 out.push_str(&format!(
                     "hotcalls_shard_serviced_total{{{pl},shard=\"{}\"}} {}\n",
                     s.shard, s.serviced
-                ));
-                out.push_str(&format!(
-                    "hotcalls_shard_steal_hits_total{{{pl},shard=\"{}\"}} {}\n",
-                    s.shard, s.steal_hits
                 ));
             }
             for lane in &p.lanes {
@@ -1193,37 +1163,12 @@ mod tests {
         };
         t.enable(16);
         t.record("governor_park", 1, 0);
-        t.record("steal_hit", 2, 7);
+        t.record("bundle_submit", 2, 7);
         let json = t.export_chrome_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("governor_park"));
-    }
-
-    #[test]
-    fn ring_stats_aggregates_over_shards() {
-        let stats = RingStats {
-            shards: vec![
-                ShardStats {
-                    shard: 0,
-                    steals: 3,
-                    steal_hits: 1,
-                    cross_shard_wakes: 2,
-                    ..ShardStats::default()
-                },
-                ShardStats {
-                    shard: 1,
-                    steals: 4,
-                    steal_hits: 2,
-                    ..ShardStats::default()
-                },
-            ],
-            ..RingStats::default()
-        };
-        assert_eq!(stats.steals(), 7);
-        assert_eq!(stats.steal_hits(), 3);
-        assert_eq!(stats.cross_shard_wakes(), 2);
     }
 
     #[test]

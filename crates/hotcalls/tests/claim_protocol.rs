@@ -3,15 +3,15 @@
 //! in between, `wait_any` tests the oldest ticket before it scans the
 //! rest, and each handle records reap latency into a cell of its own.
 //!
-//! Every test runs on both shapes of the plane (a pool on one ring, and
-//! one shard per responder), which are one server type and one protocol.
+//! The scenarios run on one ring with two to four responders, so the
+//! responders contend on the one tail CAS.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
-use hotcalls::{HotCallConfig, ResponderPolicy, TELEMETRY_ENABLED};
+use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
 /// A handler argument that parks its responder until the gate is opened.
 /// `entered` tells the test the responder is inside, which is what forces
@@ -70,43 +70,28 @@ fn gated_table(gates: [Arc<Gate>; 2]) -> (CallTable<u64, u64>, u32) {
 
 type Server = RingServer<u64, u64>;
 
-/// A plane shape: builds the one server type with `responders` responder
-/// threads over rings of `capacity` slots.
-type Plane = fn(CallTable<u64, u64>, usize, usize) -> Server;
-
-/// The shapes every scenario below runs on: a pool on one ring, and one
-/// shard per responder. All traffic is pinned to shard 0 ([`pinned`]), so
-/// on `SHARDED` the other responders reach the calls by stealing.
-const POOL: Plane = |table, responders, capacity| {
+/// `responders` responder threads over a ring of `capacity` slots.
+fn pool(table: CallTable<u64, u64>, responders: usize, capacity: usize) -> Server {
     RingServer::spawn_pool(table, capacity, responders, HotCallConfig::patient()).unwrap()
-};
-const SHARDED: Plane = |table, responders, capacity| {
-    let policy = ResponderPolicy::fixed(responders);
-    RingServer::spawn_sharded(table, capacity, policy, HotCallConfig::patient()).unwrap()
-};
-
-/// A requester handle for traffic on one ring of the plane.
-fn pinned(server: &Server) -> RingRequester<u64, u64> {
-    server.requester_on(0).unwrap()
 }
 
-/// Four requester handles hammer a ring of `capacity` slots drained by two
-/// responders. A lap admitted onto a claimed-but-unpublished slot, or a
+/// Four requester handles hammer a ring of `capacity` slots drained by
+/// `responders` responders. A lap admitted onto a claimed-but-unpublished slot, or a
 /// slot claimed twice, shows up as a duplicated sequence number, a wrong
 /// value, or a call that never completes. So does the responder-side twin:
 /// a responder that takes a submission its sibling owns but has not moved
 /// to `SERVICING` yet for the next lap's (every slot is its own next lap
 /// at capacity 1) services it twice and pushes `tail` past `head`, and the
 /// ring reads as full for good.
-fn tiny_ring_stress(plane: Plane, capacity: usize) {
+fn tiny_ring_stress(responders: usize, capacity: usize) {
     const REQUESTERS: u64 = 4;
     const CALLS: u64 = 3_000;
     let (table, inc) = gated_table(Default::default());
-    let server = plane(table, 2, capacity);
+    let server = pool(table, responders, capacity);
     let seqs: Vec<Vec<u64>> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..REQUESTERS)
             .map(|who| {
-                let r = pinned(&server);
+                let r = server.requester();
                 s.spawn(move || {
                     (0..CALLS)
                         .map(|i| {
@@ -142,22 +127,22 @@ fn tiny_ring_stress(plane: Plane, capacity: usize) {
 
 #[test]
 fn ring_four_requesters_on_two_slots_never_double_claim() {
-    tiny_ring_stress(POOL, 2);
+    tiny_ring_stress(2, 2);
 }
 
 #[test]
-fn sharded_four_requesters_on_two_slots_never_double_claim() {
-    tiny_ring_stress(SHARDED, 2);
+fn ring_four_requesters_on_two_slots_with_four_responders_never_double_claim() {
+    tiny_ring_stress(4, 2);
 }
 
 #[test]
 fn ring_two_responders_on_one_slot_never_double_service() {
-    tiny_ring_stress(POOL, 1);
+    tiny_ring_stress(2, 1);
 }
 
 #[test]
-fn sharded_two_responders_on_one_slot_never_double_service() {
-    tiny_ring_stress(SHARDED, 1);
+fn ring_three_responders_on_one_slot_never_double_service() {
+    tiny_ring_stress(3, 1);
 }
 
 /// `wait_any` must hand back a younger completion while the oldest ticket
@@ -175,13 +160,14 @@ fn sharded_two_responders_on_one_slot_never_double_service() {
 ///                                        wait_any -> t3   (t2 not done)
 /// open B                                 wait_any -> t2
 /// ```
-fn oldest_first_with_fallback(plane: Plane) {
+#[test]
+fn ring_wait_any_prefers_oldest_and_falls_back() {
     let gates: [Arc<Gate>; 2] = Default::default();
     let (table, inc) = gated_table(gates.clone());
-    let server = plane(table, 2, 8);
+    let server = pool(table, 2, 8);
     // Declared after the server, so dropped (opened) before its join.
     let guard = OpenOnDrop(gates.clone());
-    let r = pinned(&server);
+    let r = server.requester();
     let mut tickets: Vec<Ticket> = Vec::new();
     let reap = |tickets: &mut Vec<Ticket>| r.wait_any(tickets).unwrap();
 
@@ -213,16 +199,6 @@ fn oldest_first_with_fallback(plane: Plane) {
     drop(guard);
 }
 
-#[test]
-fn ring_wait_any_prefers_oldest_and_falls_back() {
-    oldest_first_with_fallback(POOL);
-}
-
-#[test]
-fn sharded_wait_any_prefers_oldest_and_falls_back() {
-    oldest_first_with_fallback(SHARDED);
-}
-
 /// A pipeline whose window equals the ring's capacity: every submission
 /// laps onto the slot of the oldest ticket in flight, so `wait_any` must
 /// hand that one back whenever it is DONE. Behind one in-order responder
@@ -230,10 +206,10 @@ fn sharded_wait_any_prefers_oldest_and_falls_back() {
 /// a pick that then returns a younger completion leaves the next `submit`
 /// spinning on a DONE slot only this thread can redeem, until it times
 /// out.
-fn window_equal_to_capacity(plane: Plane, responders: usize, window: usize) {
+fn window_equal_to_capacity(responders: usize, window: usize) {
     let (table, inc) = gated_table(Default::default());
-    let server = plane(table, responders, window);
-    let r = pinned(&server);
+    let server = pool(table, responders, window);
+    let r = server.requester();
     let mut tickets: Vec<Ticket> = Vec::new();
     for x in 0..100_000u64 {
         if tickets.len() == window {
@@ -249,19 +225,14 @@ fn window_equal_to_capacity(plane: Plane, responders: usize, window: usize) {
 
 #[test]
 fn ring_window_equal_to_capacity_never_wedges() {
-    window_equal_to_capacity(POOL, 1, 2);
-}
-
-#[test]
-fn sharded_window_equal_to_capacity_never_wedges() {
-    window_equal_to_capacity(SHARDED, 1, 2);
+    window_equal_to_capacity(1, 2);
 }
 
 /// The smallest plane that still has a race in it: one slot, a window of
 /// one, two responders contending for every submission over 100k wraps.
 #[test]
 fn one_slot_two_responders_survive_100k_wraps_at_window_one() {
-    window_equal_to_capacity(POOL, 2, 1);
+    window_equal_to_capacity(2, 1);
 }
 
 /// The reap histogram is one single-writer cell per requester handle.
@@ -269,11 +240,11 @@ fn one_slot_two_responders_survive_100k_wraps_at_window_one() {
 /// Threads sharing one handle by reference (it is `Sync`) race on its cell:
 /// no call is lost or miscounted, but reap *samples* may be — the count
 /// can fall short of the calls made, never exceed them.
-fn reap_samples_are_per_handle(plane: Plane) {
+fn reap_samples_are_per_handle(responders: usize) {
     const THREADS: u64 = 2;
     const CALLS: u64 = 5_000;
     let (table, inc) = gated_table(Default::default());
-    let server = &plane(table, 2, 8);
+    let server = &pool(table, responders, 8);
     let drive = |r: &RingRequester<u64, u64>| {
         (0..CALLS).for_each(|x| assert_eq!(r.wait(r.submit(inc, x).unwrap()).unwrap(), x + 1));
     };
@@ -281,7 +252,7 @@ fn reap_samples_are_per_handle(plane: Plane) {
 
     std::thread::scope(|s| {
         for _ in 0..THREADS {
-            let own = pinned(server);
+            let own = server.requester();
             s.spawn(move || drive(&own));
         }
     });
@@ -291,7 +262,7 @@ fn reap_samples_are_per_handle(plane: Plane) {
         assert_eq!(reaps(), exact, "own handles must not lose samples");
     }
 
-    let shared = pinned(server);
+    let shared = server.requester();
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| drive(&shared));
@@ -310,10 +281,10 @@ fn reap_samples_are_per_handle(plane: Plane) {
 
 #[test]
 fn ring_reap_samples_are_per_handle() {
-    reap_samples_are_per_handle(POOL);
+    reap_samples_are_per_handle(2);
 }
 
 #[test]
-fn sharded_reap_samples_are_per_handle() {
-    reap_samples_are_per_handle(SHARDED);
+fn ring_reap_samples_are_per_handle_with_four_responders() {
+    reap_samples_are_per_handle(4);
 }

@@ -1,16 +1,16 @@
-//! The live multiples: what pipelining, sharding and fusing buy on a real
-//! host, as regression guards.
+//! The live multiples: what pipelining and fusing buy on a real host, as
+//! regression guards.
 //!
 //! Each of these mechanisms wins by a *multiple* on the workload it exists
-//! for — overlapping a blocking handler across responders, giving every
-//! requester its own ring, skipping the handoff when the pool is asleep —
-//! and loses it completely if the mechanism breaks (a pipeline that
-//! serializes, shards that share a head word, an inline path that still
+//! for — overlapping a blocking handler across responders, skipping the
+//! handoff when the pool is asleep — and loses it completely if the
+//! mechanism breaks (a pipeline that serializes, an inline path that still
 //! wakes a responder). Read over 11 release runs of this file on a 2-vCPU
-//! Xeon host: pipelined 7.7–8.4× sync, 4 shards 3.8–3.9× one ring, a
-//! lone caller's `Auto` calls over a dozed responder 60–84× the pooled
-//! handoff to a spinning one, adaptive bursts 0.99–1.01× pooled bursts,
-//! sparse adaptive calls 53–194× faster than pooled ones.
+//! Xeon host: pipelined 7.7–8.4× sync, a lone caller's `Auto` calls over a
+//! dozed responder 60–84× the pooled handoff to a spinning one, sparse
+//! adaptive calls 53–194× faster than pooled ones; adaptive bursts from
+//! one submitter with 16 in flight read 1.00–1.04× pooled bursts over 3
+//! runs.
 //!
 //! Threshold discipline as in `governor_regression.rs`: the gates are
 //! multiples, not percents, and sit far below the readings, because CI
@@ -29,7 +29,7 @@ use hotcalls::{FusedMode, HotCallConfig, ResponderPolicy, TelemetryRegistry};
 type Server = RingServer<u64, u64>;
 type Requester = RingRequester<u64, u64>;
 
-/// Slots per ring (and per shard).
+/// Slots per ring.
 const RING_CAPACITY: usize = 64;
 /// One timed window.
 const MEASURE: Duration = Duration::from_millis(150);
@@ -178,32 +178,7 @@ fn pipelining_overlaps_a_blocking_handler() {
     );
 }
 
-/// Four requesters of synchronous calls on the same blocking handler:
-/// one ring with its one responder serializes them, four shards (one
-/// responder each) serve them side by side.
-#[test]
-fn four_shards_outrun_one_ring_at_four_requesters() {
-    let _timed = one_at_a_time();
-    let rate = |shards| {
-        let server = RingServer::spawn_sharded(
-            table(Duration::from_micros(200)),
-            RING_CAPACITY,
-            ResponderPolicy::fixed(shards),
-            pool_config(FusedMode::Off),
-        )
-        .unwrap();
-        plane_rate(server, 4, |r, done| sync_calls(r, IO, done))
-    };
-    let (one, four) = (rate(1), rate(4));
-    let gain = four / one;
-    eprintln!("1 shard {one:.0} calls/s, 4 shards {four:.0} calls/s ({gain:.1}x)");
-    assert!(
-        gain >= 1.5,
-        "4 shards are only {gain:.2}x one ring at 4 requesters"
-    );
-}
-
-/// Calls until one runs inline: the home responders then doze, and a
+/// Calls until one runs inline: the responders then doze, and a
 /// fused call wakes nobody, so every later call on a quiet plane fuses too.
 fn await_fusing(server: &Server) {
     let r = server.requester();
@@ -264,17 +239,17 @@ struct Phases {
     burst_rate: f64,
 }
 
-/// A 4-shard elastic plane under alternating *quiet* phases (one caller,
-/// a synchronous cpu call every 300 µs — long enough for the responders
-/// to doze in between, so each pooled call re-pays a wake and each fused
-/// call pays nothing) and *burst* phases (2 threads × 8 pipelined
-/// submissions of a 100 µs blocking handler — fewer submitters than
-/// shards, so the pool overlaps more sleeps than the submitters could run
-/// inline; pipelined submissions never fuse).
+/// A one-to-four-responder elastic plane under alternating *quiet* phases
+/// (one caller, a synchronous cpu call every 300 µs — long enough for the
+/// responders to doze in between, so each pooled call re-pays a wake and
+/// each fused call pays nothing) and *burst* phases (one thread keeping 16
+/// submissions of a 100 µs blocking handler in flight — the pool overlaps
+/// sleeps the submitter could only run one at a time inline; pipelined
+/// submissions never fuse).
 fn phase_workload(fused: FusedMode) -> Phases {
     const PAIRS: usize = 3;
     const QUIET_GAP: Duration = Duration::from_micros(300);
-    let server = RingServer::spawn_sharded(
+    let server = RingServer::spawn_adaptive(
         table(Duration::from_micros(100)),
         RING_CAPACITY,
         ResponderPolicy::elastic(1, 4),
@@ -294,16 +269,12 @@ fn phase_workload(fused: FusedMode) -> Phases {
             std::thread::sleep(QUIET_GAP);
         }
 
-        // One ring each: the quiet phase parked every shard but the
-        // first, so the router would home both submitters there — and two
-        // pipelined requesters on one ring can lap onto *each other's*
-        // unredeemed tickets, which no rule local to one of them prevents.
+        // One pipelined submitter: two on one ring could lap onto *each
+        // other's* unredeemed tickets, which no rule local to one of them
+        // prevents.
         let t0 = Instant::now();
-        let burst = vec![
-            server.requester_on(0).unwrap(),
-            server.requester_on(1).unwrap(),
-        ];
-        burst_calls += timed(burst, |r, done| pipelined_calls(r, IO, 8, done)).1;
+        let burst = vec![server.requester()];
+        burst_calls += timed(burst, |r, done| pipelined_calls(r, IO, 16, done)).1;
         burst_secs += t0.elapsed().as_secs_f64();
     }
     assert_eq!(

@@ -1,17 +1,18 @@
 //! Property tests of the lock-free ring data plane: exactly-once
 //! delivery and untorn payload handoff through the `UnsafeCell` slots,
 //! over arbitrary ring shapes, pool sizes, drain batches, and thread
-//! interleavings — including shutdown racing in-flight submissions and
-//! the active-responder count flipping under a pipelined requester.
+//! interleavings — including shutdown racing in-flight submissions, the
+//! active-responder count flipping under a pipelined requester, and calls
+//! flipping between the fused and the pooled path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use hotcalls::rt::{CallTable, RingServer, Ticket};
-use hotcalls::{HotCallConfig, HotCallError, ResponderPolicy};
+use hotcalls::{FusedMode, HotCallConfig, HotCallError, ResponderPolicy};
 
 /// A payload with internal redundancy: `check` must always equal
 /// `value ^ MAGIC`. A torn read or write through the slot's payload cells
@@ -177,6 +178,122 @@ proptest! {
         prop_assert_eq!(seen.len(), calls, "reaped != submitted");
         prop_assert!(expected.is_empty(), "tickets not conserved: {expected:?}");
         prop_assert_eq!(server.stats().calls, calls as u64);
+        server.shutdown();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Fused↔pooled flips mid-stream: requesters alternate synchronous
+    /// calls (which fuse under [`FusedMode::Auto`] whenever the
+    /// responders doze) with pipelined submits (which always ride the
+    /// pool), while a short doze fuse keeps parking responders between
+    /// bursts. The plane therefore flips service path many times per
+    /// case, at interleavings chosen by the ops vector. No flip may
+    /// lose, duplicate, or mis-deliver a ticket: every response carries
+    /// its own submission's stamp, and the fused + pooled service counts
+    /// partition the total exactly.
+    #[test]
+    fn fused_and_pooled_paths_interleave_without_losing_tickets(
+        n_responders in 1usize..4,
+        capacity in 2usize..8,
+        n_requesters in 1usize..4,
+        ops in prop::collection::vec(any::<u8>(), 16..96),
+    ) {
+        let config = HotCallConfig {
+            // Short doze fuse: responders fall quiescent inside the
+            // natural gaps of the interleaving, making the Auto gate
+            // open and close repeatedly within one case.
+            idle_polls_before_sleep: Some(64),
+            timeout_retries: 5_000,
+            fused_mode: FusedMode::Auto,
+            ..HotCallConfig::patient()
+        };
+        let mut table: CallTable<u64, u64> = CallTable::new();
+        let id = table.register(|x| x ^ MAGIC);
+        let server = RingServer::spawn_pool(table, capacity, n_responders, config).unwrap();
+        let requesters: Vec<_> = (0..n_requesters).map(|_| server.requester()).collect();
+
+        let total: u64 = std::thread::scope(|s| {
+            let handles: Vec<_> = requesters
+                .iter()
+                .enumerate()
+                .map(|(ri, r)| {
+                    let ops = &ops;
+                    s.spawn(move || {
+                        let depth = capacity - 1;
+                        let mut pending: VecDeque<(hotcalls::rt::Ticket, u64)> =
+                            VecDeque::new();
+                        let mut seq = 0u64;
+                        for &op in ops {
+                            match op % 3 {
+                                // A synchronous call: the one path the
+                                // Auto gate may run inline. Needs a free
+                                // slot of its own, so keep one in
+                                // reserve below the pipeline depth.
+                                0 if pending.len() + 1 < depth => {
+                                    let value = ((ri as u64) << 48) | seq;
+                                    match r.call(id, value) {
+                                        Ok(resp) => {
+                                            assert_eq!(resp, value ^ MAGIC);
+                                            seq += 1;
+                                        }
+                                        Err(hotcalls::HotCallError::ResponderTimeout {
+                                            ..
+                                        }) => {}
+                                        Err(e) => panic!("call failed: {e:?}"),
+                                    }
+                                }
+                                // A pipelined submit: never fuses under
+                                // Auto, so this keeps the pooled path
+                                // and the ring occupancy alive.
+                                1 if pending.len() < depth => {
+                                    let value = ((ri as u64) << 48) | seq;
+                                    match r.submit(id, value) {
+                                        Ok(t) => {
+                                            pending.push_back((t, value));
+                                            seq += 1;
+                                        }
+                                        Err(hotcalls::HotCallError::ResponderTimeout {
+                                            ..
+                                        }) => {
+                                            if let Some((t, value)) = pending.pop_front() {
+                                                assert_eq!(
+                                                    r.wait(t).unwrap(),
+                                                    value ^ MAGIC
+                                                );
+                                            }
+                                        }
+                                        Err(e) => panic!("submit failed: {e:?}"),
+                                    }
+                                }
+                                // Reap the oldest pending ticket.
+                                _ => {
+                                    if let Some((t, value)) = pending.pop_front() {
+                                        assert_eq!(r.wait(t).unwrap(), value ^ MAGIC);
+                                    }
+                                }
+                            }
+                        }
+                        while let Some((t, value)) = pending.pop_front() {
+                            assert_eq!(r.wait(t).unwrap(), value ^ MAGIC);
+                        }
+                        seq
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+
+        let rs = server.ring_stats();
+        // The fused and pooled service paths partition the total: calls
+        // run inline by requesters plus calls serviced by responder
+        // threads account for every stamped submission exactly once.
+        prop_assert_eq!(rs.totals.calls, total);
+        prop_assert_eq!(rs.totals.fused_runs + rs.shards[0].serviced, total);
+        // Nothing left in flight after every pending set drained.
+        prop_assert_eq!(rs.shards[0].occupancy, 0);
         server.shutdown();
     }
 }

@@ -10,7 +10,7 @@
 //! the plane still serves sync traffic at full capacity.
 
 use hotcalls::rt::{CallTable, RingServer};
-use hotcalls::{HotCallConfig, ResponderPolicy};
+use hotcalls::HotCallConfig;
 
 /// Spin-only config so a test failure is a fast spin, not a parked doze.
 fn spin_config() -> HotCallConfig {
@@ -30,66 +30,40 @@ const CAPACITY: usize = 4;
 /// Enough abandoned calls to wrap the ring several times over.
 const DROPS: usize = 4 * CAPACITY;
 
+/// Each test runs on one responder and on two contending for the slots.
+const RESPONDERS: [usize; 2] = [1, 2];
+
 #[test]
 fn ring_dropped_ticket_releases_its_slot() {
-    let (table, id) = table();
-    let server = RingServer::spawn_pool(table, CAPACITY, 1, spin_config()).unwrap();
-    let r = server.requester();
-    for i in 0..DROPS as u64 {
-        let ticket = r.submit(id, i).unwrap();
-        drop(ticket); // never redeemed: the old leak, many times over
+    for responders in RESPONDERS {
+        let (table, id) = table();
+        let server = RingServer::spawn_pool(table, CAPACITY, responders, spin_config()).unwrap();
+        let r = server.requester();
+        for i in 0..DROPS as u64 {
+            let ticket = r.submit(id, i).unwrap();
+            drop(ticket); // never redeemed: the old leak, many times over
+        }
+        // The ring still serves: more sync calls than slots, all correct.
+        for i in 0..(2 * CAPACITY) as u64 {
+            assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
+        }
+        server.shutdown();
     }
-    // The ring still serves: more sync calls than slots, all correct.
-    for i in 0..(2 * CAPACITY) as u64 {
-        assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
-    }
-    server.shutdown();
 }
 
 #[test]
 fn ring_interleaved_drops_and_waits_stay_correct() {
-    let (table, id) = table();
-    let server = RingServer::spawn_pool(table, CAPACITY, 1, spin_config()).unwrap();
-    let r = server.requester();
-    for round in 0..DROPS as u64 {
-        let dropped = r.submit(id, 1_000 + round).unwrap();
-        let kept = r.submit(id, round).unwrap();
-        drop(dropped);
-        // The kept ticket redeems its own response, not the orphan's.
-        assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
+    for responders in RESPONDERS {
+        let (table, id) = table();
+        let server = RingServer::spawn_pool(table, CAPACITY, responders, spin_config()).unwrap();
+        let r = server.requester();
+        for round in 0..DROPS as u64 {
+            let dropped = r.submit(id, 1_000 + round).unwrap();
+            let kept = r.submit(id, round).unwrap();
+            drop(dropped);
+            // The kept ticket redeems its own response, not the orphan's.
+            assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
+        }
+        server.shutdown();
     }
-    server.shutdown();
-}
-
-#[test]
-fn shard_dropped_ticket_releases_its_slot() {
-    let (table, id) = table();
-    let server =
-        RingServer::spawn_sharded(table, CAPACITY, ResponderPolicy::fixed(2), spin_config())
-            .unwrap();
-    let r = server.requester();
-    for i in 0..DROPS as u64 {
-        let ticket = r.submit(id, i).unwrap();
-        drop(ticket);
-    }
-    for i in 0..(2 * CAPACITY) as u64 {
-        assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
-    }
-    server.shutdown();
-}
-
-#[test]
-fn shard_interleaved_drops_and_waits_stay_correct() {
-    let (table, id) = table();
-    let server =
-        RingServer::spawn_sharded(table, CAPACITY, ResponderPolicy::fixed(2), spin_config())
-            .unwrap();
-    let r = server.requester();
-    for round in 0..DROPS as u64 {
-        let dropped = r.submit(id, 1_000 + round).unwrap();
-        let kept = r.submit(id, round).unwrap();
-        drop(dropped);
-        assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
-    }
-    server.shutdown();
 }

@@ -72,17 +72,17 @@ cargo run --release -q --example quickstart
 # only exist in debug (the pass above), the race windows only open in
 # release. Then the tests that used to fail on scheduling luck, 20 times
 # over, so a regression in any is a red check here and not folklore
-# (`ticket_drop` abandons tickets on a ring and on a sharded plane: the
-# dropped-ticket wedge; `prop_ctl` pipelines a window as deep as its ring:
-# the `wait_any` oldest-first race; `wait_any_redeems_oldest_...` laps an
-# 8-slot ring with 4 in flight: the `wait_any` wedge).
+# (`ticket_drop` abandons tickets on a ring with one and with two
+# responders: the dropped-ticket wedge; `prop_ctl` pipelines a window as
+# deep as its ring: the `wait_any` oldest-first race;
+# `wait_any_redeems_oldest_...` laps an 8-slot ring with 4 in flight: the
+# `wait_any` wedge).
 echo "==> hotcalls lib + integration suites (release); de-flaked tests x20"
 cargo test --release -q -p hotcalls --lib --tests
 # A filter that matches no test passes silently, so the named lib tests
 # are addressed by full path and the run must report exactly that many
 # passes.
 deflaked=(
-    rt::ring::tests::stealers_reap_a_skewed_shard
     rt::ring::tests::wait_any_redeems_oldest_and_never_wedges_on_wrap
 )
 for _ in $(seq 20); do
