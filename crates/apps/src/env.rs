@@ -10,11 +10,11 @@
 //! | [`IfaceMode::HotCalls`] | HotCalls (~620 cycles) |
 //! | [`IfaceMode::HotCallsNrz`] | HotCalls + No-Redundant-Zeroing |
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use hotcalls::ctl::{ApiId, CtlTelemetry, Transport};
-use hotcalls::rt::{ArenaStats, ByteBundle, ByteCallTable, ByteCaller, ByteRing};
+use hotcalls::rt::{ArenaStats, ByteCallTable, ByteCaller, ByteRing, Ticket};
 use hotcalls::sim::SimHotCalls;
 use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneTelemetry};
 use hotcalls::{
@@ -61,6 +61,8 @@ struct RtPool {
     /// header followed by the callee-bound bytes. Grows to the largest
     /// request ever sent and is never shrunk or re-zeroed.
     tx_scratch: Vec<u8>,
+    /// A batch's tickets in flight, oldest first (empty between batches).
+    window: VecDeque<Ticket>,
 }
 
 /// The untrusted responder's "OS body", shared by every API id: consume
@@ -88,9 +90,9 @@ pub enum RtTransport {
     /// Zero-config: the plane spawns with [`HotCallConfig::auto`] /
     /// [`ResponderPolicy::auto`] and a [`Controller`] closes the loop —
     /// each API is routed to its measured break-even transport (SDK for
-    /// rare calls, switchless for hot ones), the responder pool resizes
-    /// from worker efficiency, and batch flush thresholds track backlog.
-    /// No knob on this variant is chosen by the application.
+    /// rare calls, switchless for hot ones) and the responder pool resizes
+    /// from worker efficiency. No knob on this variant is chosen by the
+    /// application.
     Auto,
 }
 
@@ -190,6 +192,7 @@ impl RtPool {
             ids,
             run_fn,
             tx_scratch: Vec::new(),
+            window: VecDeque::with_capacity(RT_RING_CAPACITY),
         })
     }
 
@@ -197,8 +200,7 @@ impl RtPool {
     /// come back (written by the responder into the same buffer). Returns
     /// the caller-bound byte count actually produced.
     fn call(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> Result<u64> {
-        let id = self.ids.get(name).copied().unwrap_or(self.run_fn);
-        let req_len = self.stage_request(in_bytes, out_bytes);
+        let (id, req_len) = self.stage_request(name, in_bytes, out_bytes);
         let n = self
             .caller
             .call(id, &self.tx_scratch[..req_len], out_bytes as usize)?;
@@ -206,40 +208,30 @@ impl RtPool {
     }
 
     /// Stages one request into `tx_scratch`: 8-byte response-length header
-    /// followed by `in_bytes` of callee-bound payload. Returns the staged
-    /// length.
-    fn stage_request(&mut self, in_bytes: u64, out_bytes: u64) -> usize {
+    /// followed by `in_bytes` of callee-bound payload. Returns the call id
+    /// of `name` and the staged length.
+    fn stage_request(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> (u32, usize) {
         let req_len = 8 + in_bytes as usize;
         if self.tx_scratch.len() < req_len {
             self.tx_scratch.resize(req_len, 0);
         }
         self.tx_scratch[..8].copy_from_slice(&out_bytes.to_le_bytes());
-        req_len
+        (self.ids.get(name).copied().unwrap_or(self.run_fn), req_len)
     }
 
-    /// Carries a batch of calls as **one** ring submission (one slot
-    /// claim, one responder dispatch, at most one wakeup for the whole
-    /// batch). Returns the total caller-bound bytes produced.
-    fn call_bundle(&mut self, calls: &[(&'static str, u64, u64)]) -> Result<u64> {
-        let mut bundle = ByteBundle::with_capacity(calls.len());
-        for &(name, in_bytes, out_bytes) in calls {
-            let id = self.ids.get(name).copied().unwrap_or(self.run_fn);
-            let req_len = self.stage_request(in_bytes, out_bytes);
-            // Each push copies the staged request into an arena buffer, so
-            // the scratch is immediately reusable for the next entry.
-            bundle.push(
-                &mut self.caller,
-                id,
-                &self.tx_scratch[..req_len],
-                out_bytes as usize,
-            );
+    /// Submits one call of a batch without waiting, first redeeming the
+    /// oldest ticket when `RT_RING_CAPACITY - 1` are in flight: a
+    /// submission never laps the ring onto a ticket the batch still holds.
+    fn submit_windowed(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> Result<()> {
+        if self.window.len() == RT_RING_CAPACITY - 1 {
+            let oldest = self.window.pop_front().expect("a full window");
+            self.caller.wait_with(oldest, |_| ())?;
         }
-        let results = self.caller.call_bundle(bundle)?;
-        let mut produced = 0u64;
-        for r in results {
-            produced += r? as u64;
-        }
-        Ok(produced)
+        let (id, req_len) = self.stage_request(name, in_bytes, out_bytes);
+        let req = &self.tx_scratch[..req_len];
+        self.window
+            .push_back(self.caller.submit(id, req, out_bytes as usize)?);
+        Ok(())
     }
 }
 
@@ -594,23 +586,21 @@ impl AppEnv {
         Ok((in_bytes, out_bytes))
     }
 
-    /// Issues a batch of OS API calls at once — the bundled hot path.
+    /// Issues a batch of OS API calls at once.
     ///
-    /// In the HotCalls modes the whole batch rides the real transport as
-    /// **one** ring submission (one slot claim, one responder dispatch, at
-    /// most one wakeup), amortizing per-call ring traffic exactly the way
-    /// HotCall bundling speeds up IO-intensive enclave apps; the cycle
-    /// model still charges each call individually. Native and SDK modes
-    /// have no transport to amortize and issue the calls one by one.
+    /// In the HotCalls modes the batch rides the real transport as a
+    /// pipelined window — one ring submission per call, many in flight;
+    /// the cycle model charges each call individually. Native and SDK
+    /// modes issue the calls one by one.
     ///
     /// Each entry is `(api name, optional buffer argument)` — the shape of
-    /// the applications' Table 2 auxiliary mixes, which is what gets
-    /// bundled in practice.
+    /// the applications' Table 2 auxiliary mixes.
     ///
     /// # Errors
     ///
-    /// Propagates interface failures (a failure inside a bundled call
-    /// fails the batch).
+    /// Propagates interface failures: the first failing call stops the
+    /// batch, and its error is returned once every call already in flight
+    /// has been redeemed.
     pub fn api_call_batch(&mut self, calls: &[(&'static str, Option<BufArg>)]) -> Result<()> {
         if calls.is_empty() {
             return Ok(());
@@ -621,44 +611,34 @@ impl AppEnv {
             }
             return Ok(());
         }
-        // Stage every call's byte plan, then carry the batch as a single
-        // bundle through the real data plane.
-        let mut staged = Vec::with_capacity(calls.len());
+        let t0 = self.machine.now();
+        let mut outcome = Ok(());
         for (name, buf) in calls {
             *self.api_counts.entry(name).or_insert(0) += 1;
-            let (in_bytes, out_bytes) = self.payload_bytes(name, buf.as_slice())?;
-            staged.push((*name, in_bytes, out_bytes));
+            let plan = self.payload_bytes(name, buf.as_slice());
+            let rt = self.rt.as_mut().expect("hot mode has rt pool");
+            outcome = plan.and_then(|(i, o)| rt.submit_windowed(name, i, o));
+            if outcome.is_err() {
+                break;
+            }
         }
-        let t0 = self.machine.now();
-        // Under the Auto transport the sizer's flush threshold decides the
-        // bundle grain: small flushes keep latency low on quiet phases,
-        // backlog grows them toward one-submission batches.
-        let flush = self
-            .ctl
-            .as_ref()
-            .map(|c| c.controller.bundle_flush().max(1))
-            .unwrap_or(staged.len().max(1));
+        // Redeem every ticket still in flight, so none outlives the batch.
         let rt = self.rt.as_mut().expect("hot mode has rt pool");
-        for chunk in staged.chunks(flush) {
-            rt.call_bundle(chunk)?;
+        while let Some(ticket) = rt.window.pop_front() {
+            outcome = outcome.and(rt.caller.wait_with(ticket, |_| ()).map_err(Into::into));
         }
-        // The cycle model charges each call's paper cost individually —
-        // bundling amortizes the transport, not the simulated OS work.
+        outcome?;
         for (name, buf) in calls {
             let os_cost = self.api_costs.get(name).copied().unwrap_or(300);
             self.charge_hot_ocall(name, buf.as_slice(), os_cost)?;
         }
-        // Feed the batch back as per-call Bundled costs so the router's
-        // telemetry covers the bundled transport too (the amortized share
-        // of the batch window, not each call's solo cost).
+        // Under the Auto transport each call of the batch was one Hot
+        // submission: observe it as one, at the batch's mean cost.
         if self.ctl.is_some() {
-            let per_call = (self.machine.now() - t0).get() / staged.len().max(1) as u64;
-            let apis: Vec<ApiId> = {
-                let ctl = self.ctl.as_ref().expect("checked above");
-                staged.iter().map(|(name, _, _)| ctl.id_of(name)).collect()
-            };
-            for api in apis {
-                self.ctl_observe(api, Transport::Bundled, per_call);
+            let per_call = (self.machine.now() - t0).get() / calls.len() as u64;
+            for (name, _) in calls {
+                let api = self.ctl.as_ref().expect("checked above").id_of(name);
+                self.ctl_observe(api, Transport::Hot, per_call);
             }
         }
         Ok(())
@@ -1020,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn api_call_batch_bundles_on_the_hot_path() {
+    fn api_call_batch_submits_one_ticket_per_call() {
         let mut hot = env(IfaceMode::HotCalls);
         let data = hot.alloc_data(2048).unwrap();
         hot.enter_main().unwrap();
@@ -1030,15 +1010,31 @@ mod tests {
             ("sendmsg", Some(BufArg::new(data, 512))),
         ];
         hot.api_call_batch(&batch).unwrap();
-        // All three calls counted, all carried by the real transport.
+        // All three counted, each carried in a ring submission of its own.
         assert_eq!(hot.api_counts()["getpid"], 1);
         assert_eq!(hot.api_counts()["read"], 1);
         assert_eq!(hot.api_counts()["sendmsg"], 1);
-        assert_eq!(hot.rt_stats().unwrap().calls, 3);
+        let s = hot.rt_stats().unwrap();
+        assert_eq!((s.calls, s.busy_polls), (3, 3));
         // Governor surface exists in hot modes only.
         let g = hot.governor_stats().unwrap();
         assert_eq!((g.min, g.max), (1, 1));
         assert!(env(IfaceMode::Native).governor_stats().is_none());
+    }
+
+    #[test]
+    fn api_call_batch_laps_the_ring_without_wedging() {
+        // Three ring laps in one batch: no submission may lap a held ticket.
+        let mut hot = env(IfaceMode::HotCalls);
+        hot.enter_main().unwrap();
+        let n = 3 * RT_RING_CAPACITY;
+        hot.api_call_batch(&vec![("getpid", None); n]).unwrap();
+        // A failing call stops its batch, but no ticket outlives a batch.
+        let failing = [("getpid", None), ("undeclared", None)];
+        assert!(hot.api_call_batch(&failing).is_err());
+        assert!(hot.rt.as_ref().unwrap().window.is_empty());
+        let s = hot.rt_stats().unwrap();
+        assert_eq!((s.calls, s.busy_polls), (n as u64 + 1, n as u64 + 1));
     }
 
     #[test]
@@ -1127,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_transport_batches_by_the_flush_threshold() {
+    fn auto_transport_observes_batched_calls_as_hot() {
         let mut auto = AppEnv::with_transport(
             SimConfig::builder().deterministic().build(),
             IfaceMode::HotCalls,
@@ -1144,14 +1140,18 @@ mod tests {
             ("sendmsg", Some(BufArg::new(data, 512))),
         ];
         auto.api_call_batch(&batch).unwrap();
-        // All three calls counted and carried, whatever the chunk grain
-        // the sizer's flush threshold picked.
         assert_eq!(auto.api_counts()["getpid"], 1);
         assert_eq!(auto.rt_stats().unwrap().calls, 3);
-        // Each bundled call fed a Bundled-cost observation back.
+        // Each call was one Hot submission and fed one Hot observation back
+        // (a route row's cost is the estimate of its current transport).
         let t = auto.ctl_telemetry("b").unwrap();
-        let observed: u64 = t.routes.iter().map(|r| r.observes).sum();
-        assert!(observed >= 3, "{t:?}");
+        for api in ["getpid", "read", "sendmsg"] {
+            let r = t.routes.iter().find(|r| r.api == api).unwrap();
+            assert!(
+                r.transport == "hot" && r.observes == 1 && r.ewma_cycles > 0.0,
+                "{r:?}"
+            );
+        }
     }
 
     #[test]

@@ -148,8 +148,8 @@ impl Lighttpd {
         env.compute(60 + raw_request.len() as u64 / 8);
 
         // The Table 2 long tail: fd shuffling, epoll maintenance, accepts.
-        // Issued as one batch: the hot modes carry the whole tail in a
-        // single bundled ring submission instead of one slot per call.
+        // Issued as one batch: the hot modes pipeline the tail, one ring
+        // submission per call, all in flight at once.
         let tail: Vec<(&'static str, Option<BufArg>)> = self
             .mix
             .tick()

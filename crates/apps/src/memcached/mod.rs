@@ -118,10 +118,10 @@ impl Memcached {
     }
 
     /// Serves a batch of ready requests in one libevent callback — the
-    /// epoll-style drain loop. The hot modes carry the batch's socket
-    /// reads as **one** bundled ring submission and the responses as a
-    /// second, so a batch of N requests costs two slot claims (plus the
-    /// ecall shell) on the real transport instead of 2·N.
+    /// epoll-style drain loop. The hot modes pipeline the batch's socket
+    /// reads, then its responses, one ring submission per call, inside
+    /// one ecall shell: a batch of N requests costs one enclave callback
+    /// instead of N.
     ///
     /// # Errors
     ///
@@ -134,7 +134,7 @@ impl Memcached {
         let rx = self.rx_buf;
         let tx = self.tx_buf;
         env.run_enclave_function(|env| {
-            // Drain the ready sockets: one bundled read per connection.
+            // Drain the ready sockets: one read per connection, pipelined.
             let reads: Vec<(&'static str, Option<BufArg>)> = wires
                 .iter()
                 .map(|w| {
@@ -153,7 +153,7 @@ impl Memcached {
                 sends.push(("sendmsg", Some(BufArg::new(tx, response_wire.len() as u64))));
                 responses.push(response_wire);
             }
-            // Ship the batch's responses as one bundle.
+            // Ship the batch's responses as one pipelined batch.
             env.api_call_batch(&sends)?;
             Ok(responses)
         })
@@ -324,7 +324,7 @@ mod tests {
             let got = batched.serve_many(&mut batch_env, &wires).unwrap();
             assert_eq!(got, want, "{mode:?}");
             // The batch still issues one read + one sendmsg per request
-            // (bundled in hot modes, serial otherwise)…
+            // (pipelined in hot modes, serial otherwise)…
             assert_eq!(batch_env.api_counts()["read"], 3, "{mode:?}");
             assert_eq!(batch_env.api_counts()["sendmsg"], 3, "{mode:?}");
             // …but only one enclave callback for the whole batch.

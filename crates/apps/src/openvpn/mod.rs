@@ -278,7 +278,7 @@ impl OpenVpn {
 
     fn issue_mix(&mut self, env: &mut AppEnv) -> Result<()> {
         // The whole per-packet auxiliary mix (polls, timers, pid checks)
-        // rides one bundled ring submission in the hot modes.
+        // is one batch: pipelined on the ring in the hot modes.
         let tail: Vec<(&'static str, Option<BufArg>)> = self
             .mix
             .tick()

@@ -21,9 +21,8 @@ pub enum FusedMode {
     /// Fuse synchronous `call`s when the active responders are quiescent
     /// (parked or dozing) and the ring holds fewer than two in-flight
     /// submissions; fall back to the pooled path the moment responders
-    /// are active. Pipelined `submit`s and bundles never fuse — the
-    /// caller chose them to overlap work, which inline execution would
-    /// forfeit.
+    /// are active. Pipelined `submit`s never fuse — the caller chose
+    /// them to overlap work, which inline execution would forfeit.
     Auto,
 }
 

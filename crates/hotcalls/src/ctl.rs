@@ -1,28 +1,28 @@
 //! The configless control plane: per-API break-even routing and online
-//! responder/bundle autosizing.
+//! responder autosizing.
 //!
 //! Without this module, every lever that decides where a call's break-even
-//! point falls — responder pool bounds, bundle sizes,
-//! hot-vs-SDK routing — is a hand-set constant.
+//! point falls — responder pool bounds and hot-vs-SDK routing — is a
+//! hand-set constant.
 //! This module closes the loop the way *SGX Switchless Calls Made
 //! Configless* does: the telemetry the data plane already produces (per-API
 //! cycles/call, useful-work poll ratios, doze wake counts)
 //! feeds two controllers that move those knobs online.
 //!
 //! * [`ApiRouter`] — measures each API's observed cycles/call under the
-//!   transports it may ride ([`Transport::Sdk`], [`Transport::Hot`],
-//!   [`Transport::Bundled`]) and routes each call
-//!   site to whichever side of its measured break-even it sits on. The
+//!   transports it may ride ([`Transport::Sdk`], [`Transport::Hot`]) and
+//!   routes each call site to whichever side of its measured break-even it
+//!   sits on. The
 //!   paper's break-even argument is priced directly into the score: every
 //!   switchless transport pays a *standby tax* proportional to the API's
 //!   observed inter-arrival gap (a dedicated responder core burns cycles
 //!   between calls), so a low-rate API demotes itself back to the SDK
 //!   fallback exactly when `rate x (sdk - hot) cycles` stops covering the
 //!   core it keeps busy.
-//! * [`AutoSizer`] — resizes the responder pool's active target and
-//!   the bundle flush threshold from a worker-efficiency metric (the
-//!   useful-work poll ratio the governor already exports), moving the
-//!   active target inside [`crate::ResponderPolicy::auto`]-style bounds.
+//! * [`AutoSizer`] — resizes the responder pool's active target from a
+//!   worker-efficiency metric (the useful-work poll ratio the governor
+//!   already exports), inside [`crate::ResponderPolicy::auto`]-style
+//!   bounds. It sizes workers, not batches: one ticket is one call.
 //!
 //! Both halves are **hysteretic** — flips require a margin, a minimum
 //! sample count, and a cooldown, so a stationary workload converges to a
@@ -51,7 +51,7 @@ use crate::telemetry::{trace, RingStats};
 
 /// The transports a call site can ride, in break-even order of the
 /// paper's Table 1: the SDK fallback costs thousands of cycles but keeps
-/// no core busy; the switchless transports cost hundreds but stand a
+/// no core busy; the switchless transport costs hundreds but stands a
 /// responder up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
@@ -60,21 +60,17 @@ pub enum Transport {
     Sdk = 0,
     /// A per-call switchless submission through the ring.
     Hot = 1,
-    /// Calls packed into bundles of the sizer's flush threshold — one
-    /// slot claim and one dispatch per bundle.
-    Bundled = 2,
 }
 
 impl Transport {
     /// Every transport, in enum order.
-    pub const ALL: [Transport; 3] = [Transport::Sdk, Transport::Hot, Transport::Bundled];
+    pub const ALL: [Transport; 2] = [Transport::Sdk, Transport::Hot];
 
     /// Census/Prometheus label.
     pub fn label(&self) -> &'static str {
         match self {
             Transport::Sdk => "sdk",
             Transport::Hot => "hot",
-            Transport::Bundled => "bundled",
         }
     }
 
@@ -222,8 +218,8 @@ struct ApiSlot {
     last_flip_at: AtomicU64,
     flips: AtomicU64,
     /// EWMA cycles/call per transport, indexed by `Transport as u8`.
-    ewma: [AtomicF64; 3],
-    samples: [AtomicU64; 3],
+    ewma: [AtomicF64; 2],
+    samples: [AtomicU64; 2],
     /// EWMA of the cycle gap between consecutive observations — the
     /// inverse call rate the standby tax prices.
     interarrival: AtomicF64,
@@ -258,8 +254,6 @@ pub struct CtlStats {
     pub grows: u64,
     /// Active-responder target cuts issued by the sizer.
     pub shrinks: u64,
-    /// Bundle flush-threshold changes issued by the sizer.
-    pub bundle_resizes: u64,
 }
 
 /// One API's row in the control plane's telemetry export.
@@ -286,8 +280,6 @@ pub struct CtlTelemetry {
     pub stats: CtlStats,
     /// Current routing table, one row per API.
     pub routes: Vec<CtlRoute>,
-    /// The sizer's current bundle flush threshold.
-    pub bundle_flush: usize,
 }
 
 /// The per-API break-even router.
@@ -511,18 +503,12 @@ const SIZER_EFF_LOW: f64 = 0.20;
 /// Ticks to hold still after a resize (hysteresis: the plane needs a
 /// window at the new size before its efficiency means anything).
 const SIZER_COOLDOWN_TICKS: u32 = 2;
-/// Bundle flush threshold floor (1 = unbundled).
-const BUNDLE_MIN: usize = 1;
-/// Bundle flush threshold ceiling.
-const BUNDLE_MAX: usize = 32;
 
 /// What one sizer tick asks the plane to change. `None` means "hold".
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SizeDecision {
     /// New active responder target to push into the governor.
     pub responders: Option<usize>,
-    /// New bundle flush threshold for batching call sites.
-    pub bundle_flush: Option<usize>,
 }
 
 /// Window counters one tick compares against the last.
@@ -530,7 +516,6 @@ pub struct SizeDecision {
 struct SizerWindow {
     busy: u64,
     idle: u64,
-    calls: u64,
 }
 
 /// The online sizer: periodically fed a [`RingStats`] snapshot, it
@@ -541,11 +526,9 @@ struct SizerWindow {
 pub struct AutoSizer {
     prev: Option<SizerWindow>,
     cooldown: u32,
-    bundle_flush: usize,
     ticks: u64,
     grows: u64,
     shrinks: u64,
-    bundle_resizes: u64,
 }
 
 impl Default for AutoSizer {
@@ -555,22 +538,15 @@ impl Default for AutoSizer {
 }
 
 impl AutoSizer {
-    /// A sizer starting unbundled.
+    /// A sizer with no baseline window yet.
     pub fn new() -> Self {
         AutoSizer {
             prev: None,
             cooldown: 0,
-            bundle_flush: BUNDLE_MIN,
             ticks: 0,
             grows: 0,
             shrinks: 0,
-            bundle_resizes: 0,
         }
-    }
-
-    /// The current bundle flush threshold.
-    pub fn bundle_flush(&self) -> usize {
-        self.bundle_flush
     }
 
     /// One control tick over the plane's current [`RingStats`]. The first
@@ -580,14 +556,12 @@ impl AutoSizer {
         let window = SizerWindow {
             busy: rs.totals.busy_polls,
             idle: rs.totals.idle_polls,
-            calls: rs.totals.calls,
         };
         let Some(prev) = self.prev.replace(window) else {
             return SizeDecision::default();
         };
         let busy = window.busy.saturating_sub(prev.busy);
         let idle = window.idle.saturating_sub(prev.idle);
-        let calls = window.calls.saturating_sub(prev.calls);
         let polls = busy + idle;
         let backlog: usize = rs.shards.iter().map(|s| s.occupancy).sum();
         let active = rs.governor.active;
@@ -611,24 +585,6 @@ impl AutoSizer {
                 self.cooldown = SIZER_COOLDOWN_TICKS;
             }
         }
-
-        // Bundle sizing follows backlog: a window that keeps more calls
-        // queued than one flush carries amortizes better with bigger
-        // bundles; a quiet window pays latency for nothing and halves
-        // back toward unbundled.
-        let flush = self.bundle_flush;
-        let target = if calls > 0 && backlog > flush {
-            (flush * 2).min(BUNDLE_MAX)
-        } else if backlog == 0 && idle > busy {
-            (flush / 2).max(BUNDLE_MIN)
-        } else {
-            flush
-        };
-        if target != flush {
-            self.bundle_flush = target;
-            self.bundle_resizes += 1;
-            decision.bundle_flush = Some(target);
-        }
         decision
     }
 }
@@ -640,7 +596,7 @@ impl AutoSizer {
 /// then share it (`Arc`) with the call sites: `route`/`observe` per call,
 /// [`Controller::tick`] periodically from whichever thread drives the
 /// plane, with the returned [`SizeDecision`] pushed into the server's
-/// `set_active_*` surface.
+/// `set_active` surface.
 #[derive(Debug)]
 pub struct Controller {
     router: ApiRouter,
@@ -648,7 +604,7 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// A controller with an empty routing table and an unbundled sizer.
+    /// A controller with an empty routing table and a fresh sizer.
     pub fn auto() -> Self {
         Controller {
             router: ApiRouter::new(),
@@ -682,15 +638,7 @@ impl Controller {
         if let Some(n) = decision.responders {
             trace("ctl_resize", n as u64, rs.governor.active as u64);
         }
-        if let Some(f) = decision.bundle_flush {
-            trace("ctl_bundle_flush", f as u64, 0);
-        }
         decision
-    }
-
-    /// The current bundle flush threshold for batching call sites.
-    pub fn bundle_flush(&self) -> usize {
-        self.sizer.lock().expect("sizer lock").bundle_flush()
     }
 
     /// Decision counters so far.
@@ -705,7 +653,6 @@ impl Controller {
             ticks: sizer.ticks,
             grows: sizer.grows,
             shrinks: sizer.shrinks,
-            bundle_resizes: sizer.bundle_resizes,
         }
     }
 
@@ -715,7 +662,6 @@ impl Controller {
             name: name.to_string(),
             stats: self.stats(),
             routes: self.router.routes(),
-            bundle_flush: self.bundle_flush(),
         }
     }
 
@@ -792,7 +738,6 @@ mod tests {
         drive(&r, id, 50_000, 3_000, |t| match t {
             Transport::Sdk => 8_200,
             Transport::Hot => 620,
-            _ => 620,
         });
         // Hysteresis (margin + cooldown) bounds flips to the initial
         // settling, never an oscillation.
@@ -846,21 +791,6 @@ mod tests {
         // Idle window: polls overwhelmingly empty -> shrink.
         let d = sizer.tick(&stats_with(60_010, 1_000_000, 0, 3));
         assert_eq!(d.responders, Some(2));
-    }
-
-    #[test]
-    fn sizer_bundle_flush_tracks_backlog() {
-        let mut sizer = AutoSizer::new();
-        sizer.tick(&stats_with(0, 0, 0, 1));
-        // Backlog beyond the current flush doubles it...
-        let d = sizer.tick(&stats_with(100, 0, 6, 1));
-        assert_eq!(d.bundle_flush, Some(2));
-        let d = sizer.tick(&stats_with(200, 0, 6, 1));
-        assert_eq!(d.bundle_flush, Some(4));
-        // ...and an idle, drained window halves it back.
-        let d = sizer.tick(&stats_with(201, 10_000, 0, 1));
-        assert_eq!(d.bundle_flush, Some(2));
-        assert!(sizer.bundle_flush() == 2);
     }
 
     #[test]

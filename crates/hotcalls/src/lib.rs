@@ -25,8 +25,8 @@
 //!   is *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester (a call returns through `call`, `wait` or `wait_any` and
-//!   nothing else), [`rt::Bundle`] packs N small calls into one submission,
-//!   and one [`ResponderPolicy`] `{min, max}`
+//!   nothing else; one ticket is one call), and one [`ResponderPolicy`]
+//!   `{min, max}`
 //!   ([`rt::RingServer::spawn_adaptive`]) replaces the static pool size
 //!   with a governor that parks idle responders and wakes them on
 //!   backlog. Only responders service ring slots; under

@@ -20,7 +20,7 @@ use crate::error::Result;
 use crate::telemetry::{GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry, RingStats};
 
 use super::arena::{ArenaStats, HotBuf, SlabArena};
-use super::ring::{Bundle, RingRequester, RingServer, Ticket};
+use super::ring::{RingRequester, RingServer, Ticket};
 use super::CallTable;
 
 /// A call table whose handlers transform byte payloads in place.
@@ -266,44 +266,6 @@ impl ByteCaller {
         Ok((seq, r))
     }
 
-    /// Submits `bundle` as one ring slot and hands each response to
-    /// `read` (called with the bundle position and the response bytes) in
-    /// submission order, recycling every buffer into the arena. Per-call
-    /// failures surface as `Err` entries in the returned vector.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingRequester::call_bundle`].
-    pub fn call_bundle_with<R>(
-        &mut self,
-        bundle: ByteBundle,
-        mut read: impl FnMut(usize, &[u8]) -> R,
-    ) -> Result<Vec<Result<R>>> {
-        let results = self.requester.call_bundle(bundle.inner)?;
-        let mut out = Vec::with_capacity(results.len());
-        for (i, res) in results.into_iter().enumerate() {
-            out.push(match res {
-                Ok(buf) => {
-                    let r = read(i, buf.as_slice());
-                    self.arena.recycle(buf);
-                    Ok(r)
-                }
-                Err(e) => Err(e),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Submits `bundle` as one ring slot and returns each call's response
-    /// length (the buffers are recycled without being read).
-    ///
-    /// # Errors
-    ///
-    /// As [`ByteCaller::call_bundle_with`].
-    pub fn call_bundle(&mut self, bundle: ByteBundle) -> Result<Vec<Result<usize>>> {
-        self.call_bundle_with(bundle, |_, resp| resp.len())
-    }
-
     /// Counters of this caller's private arena.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
@@ -317,79 +279,6 @@ impl ByteCaller {
     /// The governor's current shape and decision counters.
     pub fn governor_stats(&self) -> GovernorStats {
         self.requester.governor_stats()
-    }
-}
-
-/// A bundle of byte calls staged in a caller's arena: N small calls, one
-/// ring submission, one responder dispatch, at most one wakeup.
-///
-/// Build with [`ByteBundle::push`] (which stages each request through the
-/// owning caller's arena — inline for cache-line-sized payloads), then
-/// issue with [`ByteCaller::call_bundle`] /
-/// [`ByteCaller::call_bundle_with`].
-///
-/// # Examples
-///
-/// ```
-/// use hotcalls::rt::{ByteBundle, ByteCallTable, ByteRing};
-/// use hotcalls::HotCallConfig;
-///
-/// let mut table = ByteCallTable::new();
-/// let upper = table.register(|n, buf| {
-///     buf[..n].make_ascii_uppercase();
-///     n
-/// });
-/// let ring = ByteRing::spawn_pool(table, 8, 1, HotCallConfig::patient()).unwrap();
-/// let mut caller = ring.caller();
-/// let mut bundle = ByteBundle::new();
-/// bundle
-///     .push(&mut caller, upper, b"hot", 0)
-///     .push(&mut caller, upper, b"calls", 0);
-/// let lens = caller.call_bundle(bundle).unwrap();
-/// let lens: Vec<usize> = lens.into_iter().map(|r| r.unwrap()).collect();
-/// assert_eq!(lens, [3, 5]);
-/// ```
-#[derive(Debug, Default)]
-pub struct ByteBundle {
-    inner: Bundle<HotBuf>,
-}
-
-impl ByteBundle {
-    /// An empty bundle.
-    pub fn new() -> Self {
-        ByteBundle::default()
-    }
-
-    /// An empty bundle with room for `n` calls.
-    pub fn with_capacity(n: usize) -> Self {
-        ByteBundle {
-            inner: Bundle::with_capacity(n),
-        }
-    }
-
-    /// Stages one call: `data` is copied into a buffer from `caller`'s
-    /// arena (inline when it fits a cache line) with room for a response
-    /// of up to `out_capacity` bytes.
-    pub fn push(
-        &mut self,
-        caller: &mut ByteCaller,
-        id: u32,
-        data: &[u8],
-        out_capacity: usize,
-    ) -> &mut Self {
-        let buf = caller.arena.acquire(data, out_capacity);
-        self.inner.push(id, buf);
-        self
-    }
-
-    /// Calls staged so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Nothing staged yet?
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 }
 
@@ -487,44 +376,6 @@ mod tests {
         let s = caller.arena_stats();
         assert!(s.allocs <= 8, "pipelined arena leaked allocs: {s:?}");
         assert_eq!(ring.stats().calls, 160);
-    }
-
-    #[test]
-    fn byte_bundle_roundtrips_inline_payloads() {
-        let (t, rev, _) = echo_table();
-        let single = ByteRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
-        let (t, _, _) = echo_table();
-        let pool = ByteRing::spawn_pool(t, 8, 2, HotCallConfig::patient()).unwrap();
-        for ring in [single, pool] {
-            let mut caller = ring.caller();
-            let mut bundle = ByteBundle::with_capacity(3);
-            bundle
-                .push(&mut caller, rev, b"ab", 0)
-                .push(&mut caller, rev, b"xyz", 0)
-                .push(&mut caller, rev, b"hotcalls", 0);
-            assert_eq!(bundle.len(), 3);
-            let mut seen = Vec::new();
-            let results = caller
-                .call_bundle_with(bundle, |i, resp| {
-                    seen.push((i, resp.to_vec()));
-                    resp.len()
-                })
-                .unwrap();
-            let lens: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(lens, [2, 3, 8]);
-            assert_eq!(
-                seen,
-                [
-                    (0, b"ba".to_vec()),
-                    (1, b"zyx".to_vec()),
-                    (2, b"sllactoh".to_vec())
-                ]
-            );
-            // All three payloads fit a cache line: the bundle stays
-            // heap-free on the buffer side.
-            assert_eq!(caller.arena_stats().inline_hits, 3);
-            assert_eq!(ring.stats().calls, 3);
-        }
     }
 
     #[test]

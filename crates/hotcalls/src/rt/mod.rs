@@ -27,9 +27,9 @@ mod slot;
 mod stream;
 
 pub use arena::{ArenaStats, HotBuf, SgList, SlabArena, INLINE_CAPACITY};
-pub use bytes::{ByteBundle, ByteCallTable, ByteCaller, ByteRing};
+pub use bytes::{ByteCallTable, ByteCaller, ByteRing};
 pub use calltable::CallTable;
-pub use ring::{Bundle, RingRequester, RingServer, Ticket};
+pub use ring::{RingRequester, RingServer, Ticket};
 pub use stream::{
     SgCallTable, SgRing, StreamCaller, StreamReport, DEFAULT_SEGMENT_BYTES, DEFAULT_STREAM_WINDOW,
 };

@@ -40,11 +40,11 @@
 use std::sync::atomic::Ordering;
 
 use crate::config::HotCallConfig;
-use crate::error::{HotCallError, Result};
+use crate::error::HotCallError;
 use crate::telemetry::{now_cycles, TELEMETRY_ENABLED};
 
-use super::ring::{ReqEnvelope, RespEnvelope, ResponderCell, RingShared, RingSlot};
-use super::slot::{Backoff, LocalStats};
+use super::ring::{ResponderCell, RingShared};
+use super::slot::{Backoff, CallSlot, LocalStats};
 use super::CallTable;
 
 /// Poll credit earned per slot won: a responder that wins at least one
@@ -53,34 +53,8 @@ use super::CallTable;
 /// dry.
 const WIN_CREDIT_POLLS: u64 = 64;
 
-/// Runs one envelope through the handler table: a single call, or every
-/// call of a bundle in submission order (one slot, one dispatch, N calls —
-/// a bad id fails only its own entry). Returns the response envelope and
-/// how many calls it carried.
-#[inline]
-fn dispatch_envelope<Req, Resp>(
-    table: &CallTable<Req, Resp>,
-    id: u32,
-    env: ReqEnvelope<Req>,
-) -> (Result<RespEnvelope<Resp>>, u64) {
-    let call = |id: u32, req: Req| {
-        table
-            .dispatch(id, req)
-            .ok_or(HotCallError::UnknownCallId(id))
-    };
-    match env {
-        ReqEnvelope::One(req) => (call(id, req).map(RespEnvelope::One), 1),
-        ReqEnvelope::Bundle(calls) => {
-            let n = calls.len() as u64;
-            let results = calls.into_iter().map(|(id, req)| call(id, req)).collect();
-            (Ok(RespEnvelope::Bundle(results)), n)
-        }
-    }
-}
-
-/// Services one claimed slot on a responder thread: take the request
-/// envelope, dispatch it, publish the response. Each call of a bundle
-/// counts toward `stats().calls`.
+/// Services one claimed slot on a responder thread: take the request,
+/// dispatch it, publish the response.
 ///
 /// Stats are flushed to the responder's cell *before* the `DONE` hand-off so
 /// `stats().calls` is exact the moment the waiting requester's Acquire
@@ -92,7 +66,7 @@ fn dispatch_envelope<Req, Resp>(
 /// `Acquire` and won the tail CAS covering this slot, and calls this at
 /// most once per claim.
 unsafe fn service_slot<Req, Resp>(
-    slot: &RingSlot<Req, Resp>,
+    slot: &CallSlot<Req, Resp>,
     table: &CallTable<Req, Resp>,
     tally: &mut Tally<'_>,
 ) {
@@ -111,9 +85,11 @@ unsafe fn service_slot<Req, Resp>(
     };
     // SAFETY: forwarded from the caller's contract — exclusive service
     // ownership of this slot, SUBMITTED observed with Acquire.
-    let (id, env) = unsafe { slot.take_request() };
-    let (result, n) = dispatch_envelope(table, id, env);
-    local.calls += n;
+    let (id, req) = unsafe { slot.take_request() };
+    let result = table
+        .dispatch(id, req)
+        .ok_or(HotCallError::UnknownCallId(id));
+    local.calls += 1;
     local.busy_polls += 1;
     if TELEMETRY_ENABLED {
         // Complete-stage edge: dispatch → now is the service time.
@@ -129,10 +105,10 @@ unsafe fn service_slot<Req, Resp>(
 /// Length (at most `batch`) of the contiguous run of published, untaken
 /// submissions at the ring front `tail`, for the single tail CAS that
 /// claims it. Each slot must hold the submission of *its own* sequence
-/// (see [`super::slot::CallSlot::submitted_as`]); Acquire on each, so a
+/// (see [`CallSlot::submitted_as`]); Acquire on each, so a
 /// claimed run's payloads are visible.
 pub(super) fn submitted_run<Req, Resp>(
-    slots: &[RingSlot<Req, Resp>],
+    slots: &[CallSlot<Req, Resp>],
     tail: usize,
     batch: usize,
 ) -> usize {

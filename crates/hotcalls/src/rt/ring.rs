@@ -1,6 +1,5 @@
 //! The queued HotCalls plane: one multi-slot submission ring, a responder
-//! pool that drains it in batches, pipelined completions, and call
-//! bundling.
+//! pool that drains it in batches, and pipelined completions.
 //!
 //! The paper's single mailbox serializes requesters; §4.2 observes that
 //! responder utilization "can potentially be improved by sharing the
@@ -21,17 +20,15 @@
 //! channels — the paper's Fig. 9 gives each call channel its own mailbox —
 //! builds one plane per channel.
 //!
-//! Three mechanisms pipeline the plane beyond the paper's synchronous
-//! protocol:
+//! Two mechanisms pipeline the plane beyond the paper's synchronous
+//! protocol. One ticket is one call: a slot carries one request and one
+//! response, as the paper's mailbox does.
 //!
 //! * **Pipelined completions** — [`RingRequester::submit`] returns a
 //!   [`Ticket`] immediately; [`RingRequester::wait`] and
 //!   [`RingRequester::wait_any`] reap completions in any order, so one
 //!   requester keeps many slots in flight and a blocked handler no longer
 //!   serializes the ring.
-//! * **Call bundles** — a [`Bundle`] packs N small calls into *one* ring
-//!   submission serviced by *one* responder dispatch: one slot claim, one
-//!   head CAS, at most one doze wakeup for the whole bundle.
 //! * **Adaptive governor** — a [`ResponderPolicy`]`{min, max}` replaces
 //!   the static pool size: requesters raise the active-responder target
 //!   when the ring backs up (or their in-flight calls age), and the top
@@ -65,24 +62,6 @@ const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
 /// Poll interval at which a waiter treats its in-flight call as "aging"
 /// and nudges the governor to raise the active-responder target.
 const AGE_POLLS_PER_RAISE: u32 = 4_096;
-
-/// What one ring slot carries callee-bound: a single call's request (the
-/// call id rides in the slot's id word) or a bundle of `(id, request)`
-/// pairs submitted as one unit.
-pub(super) enum ReqEnvelope<Req> {
-    One(Req),
-    Bundle(Vec<(u32, Req)>),
-}
-
-/// What comes back: the lone response, or one result per bundled call in
-/// submission order. Per-call failures (unknown id) stay inside the
-/// bundle; a slot-level `Err` means the transport itself failed.
-pub(super) enum RespEnvelope<Resp> {
-    One(Resp),
-    Bundle(Vec<Result<Resp>>),
-}
-
-pub(super) type RingSlot<Req, Resp> = CallSlot<ReqEnvelope<Req>, RespEnvelope<Resp>>;
 
 /// The governor's two thresholds. Not public: every public constructor
 /// builds the plane with [`GovernorTuning::DEFAULT`]; unit tests lower
@@ -251,7 +230,7 @@ pub(super) struct ResponderCell {
 pub(super) struct RingShared<Req, Resp> {
     /// Each slot is 64-byte aligned with its state word on its own line,
     /// so neighbouring slots never false-share.
-    pub(super) slots: Box<[RingSlot<Req, Resp>]>,
+    pub(super) slots: Box<[CallSlot<Req, Resp>]>,
     /// Next slot index a requester claims. Padded: requesters hammer this
     /// line; responders must not.
     head: CachePadded<AtomicUsize>,
@@ -291,7 +270,7 @@ pub(super) struct RingShared<Req, Resp> {
 impl<Req, Resp> RingShared<Req, Resp> {
     /// The slot call `seq` lives in.
     #[inline]
-    pub(super) fn slot(&self, seq: usize) -> &RingSlot<Req, Resp> {
+    pub(super) fn slot(&self, seq: usize) -> &CallSlot<Req, Resp> {
         &self.slots[seq % self.slots.len()]
     }
 
@@ -732,72 +711,6 @@ impl Drop for Ticket {
     }
 }
 
-/// Builder packing many small calls into one ring submission.
-///
-/// The whole bundle costs one slot claim, one head CAS and at most one
-/// responder wakeup, and is serviced by a single responder dispatch —
-/// amortizing the per-call ring traffic the way HotCall bundling does for
-/// IO-intensive enclave applications.
-///
-/// # Examples
-///
-/// ```
-/// use hotcalls::rt::{Bundle, CallTable, RingServer};
-/// use hotcalls::HotCallConfig;
-///
-/// let mut table: CallTable<u64, u64> = CallTable::new();
-/// let inc = table.register(|x| x + 1);
-/// let dbl = table.register(|x| x * 2);
-/// let server = RingServer::spawn(table, 8, HotCallConfig::patient());
-/// let r = server.requester();
-///
-/// let mut bundle = Bundle::new();
-/// bundle.push(inc, 1).push(dbl, 21).push(inc, 99);
-/// let results = r.call_bundle(bundle).unwrap();
-/// let values: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
-/// assert_eq!(values, [2, 42, 100]);
-/// ```
-#[derive(Debug)]
-pub struct Bundle<Req> {
-    calls: Vec<(u32, Req)>,
-}
-
-impl<Req> Default for Bundle<Req> {
-    fn default() -> Self {
-        Bundle::new()
-    }
-}
-
-impl<Req> Bundle<Req> {
-    /// An empty bundle.
-    pub fn new() -> Self {
-        Bundle { calls: Vec::new() }
-    }
-
-    /// An empty bundle with room for `n` calls.
-    pub fn with_capacity(n: usize) -> Self {
-        Bundle {
-            calls: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends a call to the bundle.
-    pub fn push(&mut self, id: u32, req: Req) -> &mut Self {
-        self.calls.push((id, req));
-        self
-    }
-
-    /// Calls packed so far.
-    pub fn len(&self) -> usize {
-        self.calls.len()
-    }
-
-    /// Nothing packed yet?
-    pub fn is_empty(&self) -> bool {
-        self.calls.is_empty()
-    }
-}
-
 /// One attempt at the claim step of a submission: `Some(seq)`
 /// once this caller owns slot `seq % capacity` (state `EMPTY`, ready for
 /// `publish`), `None` when the ring is full, the target slot is still
@@ -886,7 +799,7 @@ fn claim_slot<Req, Resp>(ring: &RingShared<Req, Resp>) -> Option<usize> {
 /// handed the younger one it would spin on a DONE only it can redeem. So
 /// the oldest is looked at once more before a younger one is returned; an
 /// empty scan, the spinning case, costs no extra read.
-fn oldest_done<Req, Resp>(slots: &[RingSlot<Req, Resp>], tickets: &[Ticket]) -> Option<usize> {
+fn oldest_done<Req, Resp>(slots: &[CallSlot<Req, Resp>], tickets: &[Ticket]) -> Option<usize> {
     // Acquire (inside `state`): pairs with `finish`'s Release DONE store,
     // making the response visible to the redeem that follows.
     let done = |t: &Ticket| slots[t.index % slots.len()].state() == DONE;
@@ -946,21 +859,20 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         occupancy < FUSED_BELOW_OCCUPANCY && self.shared.quiescent()
     }
 
-    /// Claims a slot, publishes `env` into it and wakes a responder,
-    /// returning the absolute slot sequence. On failure the envelope is
-    /// handed back so the caller can recover the request payloads (the
-    /// fallback path).
-    fn submit_envelope(
+    /// Claims a slot, publishes `req` into it and wakes a responder,
+    /// returning the absolute slot sequence. On failure the request is
+    /// handed back so the caller can recover it (the fallback path).
+    fn submit_request(
         &self,
         id: u32,
-        env: ReqEnvelope<Req>,
-    ) -> core::result::Result<usize, (HotCallError, ReqEnvelope<Req>)> {
+        req: Req,
+    ) -> core::result::Result<usize, (HotCallError, Req)> {
         let shared = &*self.shared;
         let mut backoff = Backoff::new();
         for _retry in 0..self.config.timeout_retries {
             for _ in 0..self.config.spins_per_retry {
                 if shared.shutdown.load(Ordering::Acquire) {
-                    return Err((HotCallError::ResponderGone, env));
+                    return Err((HotCallError::ResponderGone, req));
                 }
                 let Some(head) = claim_slot(shared) else {
                     core::hint::spin_loop();
@@ -969,10 +881,8 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 let slot = shared.slot(head);
                 // SAFETY: `claim_slot` won the head CAS, which grants
                 // exclusive claim ownership of this slot; publish once.
-                unsafe { slot.publish(head, id, env) };
+                unsafe { slot.publish(head, id, req) };
                 // Wake a sleeping responder (after the SUBMITTED store).
-                // One wake per submission — a bundle of N calls pays this
-                // at most once.
                 if shared.doze.wake() {
                     shared.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
@@ -985,7 +895,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             HotCallError::ResponderTimeout {
                 retries: self.config.timeout_retries,
             },
-            env,
+            req,
         ))
     }
 
@@ -1006,7 +916,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// [`HotCallError::ResponderTimeout`] if no slot frees up within the
     /// retry budget; [`HotCallError::ResponderGone`] after shutdown.
     pub fn submit(&self, id: u32, req: Req) -> Result<Ticket> {
-        match self.submit_envelope(id, ReqEnvelope::One(req)) {
+        match self.submit_request(id, req) {
             Ok(index) => Ok(Ticket {
                 index,
                 board: Some(Arc::clone(&self.shared.abandon)),
@@ -1024,10 +934,10 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         poll_until(&self.shared.shutdown, &self.shared.governor, done)
     }
 
-    /// Redeems the envelope sitting DONE at `index`. The caller must be
+    /// Redeems the response sitting DONE at `index`. The caller must be
     /// (or act for) the submitter and must have observed `DONE` with
     /// Acquire.
-    fn redeem(&self, index: usize) -> Result<RespEnvelope<Resp>> {
+    fn redeem(&self, index: usize) -> Result<Resp> {
         let slot = self.shared.slot(index);
         // Read the completion stamp before redeeming: redeem frees the
         // slot for re-claim, after which the stamp belongs to a new call.
@@ -1042,22 +952,12 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         result
     }
 
-    /// [`RingRequester::redeem`] for a single-call submission.
-    fn redeem_one(&self, index: usize) -> Result<Resp> {
-        match self.redeem(index)? {
-            RespEnvelope::One(resp) => Ok(resp),
-            RespEnvelope::Bundle(_) => {
-                unreachable!("a Ticket is only minted for single-call submissions")
-            }
-        }
-    }
-
     /// Wait + redeem by raw slot sequence: the synchronous call paths use
     /// this directly so they never mint a ticket (and never touch the
     /// abandonment board) at all.
     fn wait_index(&self, index: usize) -> Result<Resp> {
         self.wait_done(index)?;
-        self.redeem_one(index)
+        self.redeem(index)
     }
 
     /// Waits for a submitted call to complete and returns its response.
@@ -1102,7 +1002,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         let i = poll_until(&shared.shutdown, &shared.governor, pick)?;
         let mut ticket = tickets.swap_remove(i);
         let seq = ticket.seq();
-        self.redeem_one(ticket.defuse()).map(|resp| (seq, resp))
+        self.redeem(ticket.defuse()).map(|resp| (seq, resp))
     }
 
     /// Submit + wait in one step.
@@ -1136,34 +1036,9 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             self.shared.fused_fallbacks.fetch_add(1, Ordering::Relaxed);
             trace("fused_fallback", id as u64, 0);
         }
-        match self.submit_envelope(id, ReqEnvelope::One(req)) {
+        match self.submit_request(id, req) {
             Ok(index) => self.wait_index(index),
             Err((e, _)) => Err(e),
-        }
-    }
-
-    /// Packs `bundle` into one submission — one slot claim, one responder
-    /// dispatch, at most one wakeup for all of its calls — and waits for
-    /// one result per call, in submission order.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] for an empty bundle, otherwise as
-    /// [`RingRequester::call`]. Per-call failures stay *inside* the
-    /// returned vector.
-    pub fn call_bundle(&self, bundle: Bundle<Req>) -> Result<Vec<Result<Resp>>> {
-        if bundle.is_empty() {
-            return Err(HotCallError::InvalidConfig(
-                "a bundle must pack at least one call",
-            ));
-        }
-        trace("bundle_submit", bundle.len() as u64, 0);
-        let env = ReqEnvelope::Bundle(bundle.calls);
-        let index = self.submit_envelope(0, env).map_err(|(e, _)| e)?;
-        self.wait_done(index)?;
-        match self.redeem(index)? {
-            RespEnvelope::Bundle(results) => Ok(results),
-            RespEnvelope::One(_) => unreachable!("a bundle submission completes as a bundle"),
         }
     }
 
@@ -1172,16 +1047,15 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     ///
     /// The request is moved into the ring only after the claim succeeds,
     /// so the hot path never clones: on timeout the original request
-    /// comes back out of the envelope and goes to `fallback` as-is.
+    /// comes back out of the failed submission and goes to `fallback`
+    /// as-is.
     pub fn call_with_fallback<F>(&self, id: u32, req: Req, fallback: F) -> Result<Resp>
     where
         F: FnOnce(Req) -> Resp,
     {
-        match self.submit_envelope(id, ReqEnvelope::One(req)) {
+        match self.submit_request(id, req) {
             Ok(index) => self.wait_index(index),
-            Err((HotCallError::ResponderTimeout { .. }, ReqEnvelope::One(req))) => {
-                Ok(fallback(req))
-            }
+            Err((HotCallError::ResponderTimeout { .. }, req)) => Ok(fallback(req)),
             Err((e, _)) => Err(e),
         }
     }
@@ -1280,73 +1154,18 @@ mod tests {
     }
 
     #[test]
-    fn bundle_roundtrip_preserves_order_and_ids() {
-        for (shape, spawn) in SHAPES {
-            let mut t: CallTable<u64, u64> = CallTable::new();
-            let inc = t.register(|x| x + 1);
-            let dbl = t.register(|x| x * 2);
-            let server = spawn(t, 4, generous());
-            let r = server.requester();
-            let mut bundle = Bundle::with_capacity(5);
-            bundle
-                .push(inc, 10)
-                .push(dbl, 10)
-                .push(inc, 0)
-                .push(dbl, 0)
-                .push(inc, 41);
-            assert_eq!(bundle.len(), 5);
-            let results = r.call_bundle(bundle).unwrap();
-            let values: Vec<u64> = results.into_iter().map(|x| x.unwrap()).collect();
-            assert_eq!(values, [11, 20, 1, 0, 42], "{shape}");
-            // Each bundled call counts as a call; the bundle is one slot.
-            assert_eq!(server.stats().calls, 5, "{shape}");
-        }
-    }
-
-    #[test]
-    fn bundle_unknown_id_fails_only_that_call() {
+    fn pipelined_unknown_id_fails_only_its_ticket() {
         each_shape(4, generous(), |shape, server, sq| {
             let r = server.requester();
-            let mut bundle = Bundle::new();
-            bundle.push(sq, 3).push(999, 1).push(sq, 4);
-            let results = r.call_bundle(bundle).unwrap();
-            assert_eq!(results.len(), 3, "{shape}");
-            assert_eq!(*results[0].as_ref().unwrap(), 9);
-            assert!(matches!(results[1], Err(HotCallError::UnknownCallId(999))));
-            assert_eq!(*results[2].as_ref().unwrap(), 16);
+            let tickets = [r.submit(sq, 3), r.submit(999, 1), r.submit(sq, 4)];
+            let results = tickets.map(|t| r.wait(t.unwrap()));
+            assert_eq!(*results[0].as_ref().unwrap(), 9, "{shape}");
+            assert!(
+                matches!(results[1], Err(HotCallError::UnknownCallId(999))),
+                "{shape}"
+            );
+            assert_eq!(*results[2].as_ref().unwrap(), 16, "{shape}");
         });
-    }
-
-    #[test]
-    fn empty_bundle_is_rejected() {
-        let (t, _) = table();
-        let server = RingServer::spawn(t, 4, generous());
-        let r = server.requester();
-        assert!(matches!(
-            r.call_bundle(Bundle::new()),
-            Err(HotCallError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn bundles_interleave_with_single_calls() {
-        let (t, sq) = table();
-        let server = RingServer::spawn_pool(t, 8, 2, generous()).unwrap();
-        let r = server.requester();
-        for round in 0..50u64 {
-            let single = r.submit(sq, round).unwrap();
-            let mut bundle = Bundle::new();
-            for i in 0..4u64 {
-                bundle.push(sq, round * 10 + i);
-            }
-            let results = r.call_bundle(bundle).unwrap();
-            for (i, got) in results.into_iter().enumerate() {
-                let x = round * 10 + i as u64;
-                assert_eq!(got.unwrap(), x * x);
-            }
-            assert_eq!(r.wait(single).unwrap(), round * round);
-        }
-        assert_eq!(server.stats().calls, 250);
     }
 
     #[test]
@@ -1437,14 +1256,13 @@ mod tests {
         while !tickets.is_empty() {
             r.wait_any(&mut tickets).unwrap();
         }
-        let mut bundle = Bundle::new();
-        bundle.push(sq, 1).push(sq, 2).push(999, 3);
-        assert_eq!(r.call_bundle(bundle).unwrap().len(), 3);
+        // An unknown id is a serviced call that returns an error.
+        assert!(r.call(999, 3).is_err());
         assert_eq!(server.stats(), server.ring_stats().totals);
         let t = server.telemetry("p");
         let rs = t.stats;
-        assert_eq!((rs.totals.calls, rs.totals.busy_polls), (107, 105));
-        assert_eq!((rs.shards.len(), rs.shards[0].serviced), (1, 107));
+        assert_eq!((rs.totals.calls, rs.totals.busy_polls), (105, 105));
+        assert_eq!((rs.shards.len(), rs.shards[0].serviced), (1, 105));
         assert_eq!((t.kind, t.lanes.len()), ("single", 1));
     }
 
@@ -1545,29 +1363,6 @@ mod tests {
         assert_eq!(r.call(sq, 6).unwrap(), 36);
         let stats = server.stats();
         assert!(stats.wakeups >= 1, "wakeups not accounted: {stats:?}");
-    }
-
-    #[test]
-    fn bundle_submission_performs_at_most_one_wake() {
-        let (t, sq) = table();
-        let config = HotCallConfig {
-            idle_polls_before_sleep: Some(100),
-            ..generous()
-        };
-        let server = RingServer::spawn_pool(t, 32, 2, config).unwrap();
-        let r = server.requester();
-        assert_eq!(r.call(sq, 2).unwrap(), 4);
-        // Let every responder doze so the next submission must wake.
-        await_all_dozing(&server);
-        let before = server.stats().wakeups;
-        let mut bundle = Bundle::new();
-        for i in 0..16u64 {
-            bundle.push(sq, i);
-        }
-        let results = r.call_bundle(bundle).unwrap();
-        assert!(results.into_iter().all(|x| x.is_ok()));
-        let woke = server.stats().wakeups - before;
-        assert!(woke <= 1, "a 16-call bundle paid {woke} wakes");
     }
 
     #[test]

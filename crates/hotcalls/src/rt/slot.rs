@@ -777,14 +777,13 @@ mod tests {
 
     #[test]
     fn slot_sizes_are_pinned() {
-        use crate::rt::ring::RingSlot;
         use crate::rt::HotBuf;
         // Whole lines per slot: the state line, then stamps and payload
         // cells (a `HotBuf` ring slot: 16 B of stamps, an 80 B request and
         // a 72 B response cell). A layout change that moves a call onto a
         // different number of lines must edit this test on purpose.
         assert_eq!(core::mem::size_of::<CallSlot<u64, u64>>(), 192);
-        assert_eq!(core::mem::size_of::<RingSlot<HotBuf, HotBuf>>(), 256);
+        assert_eq!(core::mem::size_of::<CallSlot<HotBuf, HotBuf>>(), 256);
         // The mailbox slot in `rt_call`'s shape: a claim line, a request
         // half of two lines (word + a 68 B `(u32, [u8; 64])` cell) and a
         // response half of one (word + a 48 B `Result<u64>` cell).

@@ -13,8 +13,8 @@
 //!   **service time** are separable — the distinction behind the paper's
 //!   p78 vs p99.97 HotCall latency split (§4.3).
 //! * [`Tracer`] — a bounded ring-buffer event tracer (governor park and
-//!   raise decisions, fused runs and declines, arena slab grows, bundle
-//!   sizes) with a `chrome://tracing`-compatible JSON exporter and
+//!   raise decisions, fused runs and declines, arena slab grows, control
+//!   decisions) with a `chrome://tracing`-compatible JSON exporter and
 //!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
 //!   feature.
 //! * [`TelemetryRegistry`] — merges every plane (single ring, pool, byte
@@ -53,8 +53,10 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// removed the steal-probe, steal-win, wake-redirect and parked fields of
 /// [`ShardStats`] and the steal-win series: a plane is one ring, so there
 /// is no sibling ring to steal from or redirect a wake to, and its one row
-/// is never parked.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 6;
+/// is never parked. v7 removed the `ctl` section's two bundle-sizing
+/// fields, their two series and the bundle-submission trace kind: a ring
+/// slot carries one call, so there is no bundle to size.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 7;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -502,7 +504,7 @@ pub struct TraceEvent {
     /// [`now_cycles`] at the event site.
     pub ts: u64,
     /// Static event tag (e.g. `"governor_park"`, `"fused_run"`,
-    /// `"arena_grow"`, `"bundle_submit"`).
+    /// `"arena_grow"`, `"ctl_flip"`).
     pub kind: &'static str,
     /// First argument (site-specific).
     pub a: u64,
@@ -938,14 +940,6 @@ impl Snapshot {
                 "hotcalls_ctl_resizes_total{{{cl},direction=\"shrink\"}} {}\n",
                 c.stats.shrinks
             ));
-            out.push_str(&format!(
-                "hotcalls_ctl_bundle_resizes_total{{{cl}}} {}\n",
-                c.stats.bundle_resizes
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_bundle_flush{{{cl}}} {}\n",
-                c.bundle_flush
-            ));
             for r in &c.routes {
                 out.push_str(&format!(
                     "hotcalls_ctl_api_transport{{{cl},api=\"{}\",transport=\"{}\"}} 1\n",
@@ -1163,7 +1157,7 @@ mod tests {
         };
         t.enable(16);
         t.record("governor_park", 1, 0);
-        t.record("bundle_submit", 2, 7);
+        t.record("ctl_flip", 2, 7);
         let json = t.export_chrome_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -19,7 +19,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use hotcalls::rt::{ByteCallTable, ByteRing, SgCallTable, SgRing, INLINE_CAPACITY};
+use hotcalls::rt::{
+    ByteCallTable, ByteCaller, ByteRing, SgCallTable, SgRing, Ticket, INLINE_CAPACITY,
+};
 use hotcalls::sim::SimHotCalls;
 use hotcalls::{FusedMode, HotCallConfig};
 use sgx_sdk::edl::parse_edl;
@@ -178,6 +180,45 @@ fn hot_path_makes_zero_heap_allocations() {
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(delta, 0, "slab steady state allocated {delta} times");
     assert_eq!(caller.arena_stats().allocs, 1);
+
+    ring.shutdown();
+
+    // The pipelined window: 16 inline-payload tickets in flight on a
+    // 32-slot ring, each completion reaped with `wait_any_with` and
+    // replaced by a fresh `submit`. The ticket set is one reused vector,
+    // so steady state allocates nothing per call either.
+    const WINDOW: usize = 16;
+    let mut table = ByteCallTable::new();
+    let id = table.register(|n, buf| {
+        buf[..n].reverse();
+        n
+    });
+    let ring = ByteRing::spawn_pool(table, 2 * WINDOW, 1, spin_config()).unwrap();
+    let mut caller = ring.caller();
+    let data = [0x3Cu8; INLINE_CAPACITY];
+    let mut tickets = Vec::with_capacity(WINDOW);
+    for _ in 0..WINDOW {
+        tickets.push(caller.submit(id, &data, 0).unwrap());
+    }
+    let turn = |caller: &mut ByteCaller, tickets: &mut Vec<Ticket>| {
+        let (_, n) = caller.wait_any_with(tickets, |_, resp| resp.len()).unwrap();
+        assert_eq!(n, data.len());
+        tickets.push(caller.submit(id, &data, 0).unwrap());
+    };
+    for _ in 0..100 {
+        turn(&mut caller, &mut tickets);
+    }
+    let delta = allocs_in(|| {
+        for _ in 0..5_000 {
+            turn(&mut caller, &mut tickets);
+        }
+    });
+    assert_eq!(delta, 0, "pipelined window allocated {delta} times");
+    assert_eq!(caller.arena_stats().allocs, 0);
+    while !tickets.is_empty() {
+        caller.wait_any_with(&mut tickets, |_, _| ()).unwrap();
+    }
+    assert_eq!(ring.stats().calls, (WINDOW + 5_100) as u64);
 
     ring.shutdown();
 

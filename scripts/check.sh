@@ -76,7 +76,8 @@ cargo run --release -q --example quickstart
 # responders: the dropped-ticket wedge; `prop_ctl` pipelines a window as
 # deep as its ring: the `wait_any` oldest-first race;
 # `wait_any_redeems_oldest_...` laps an 8-slot ring with 4 in flight: the
-# `wait_any` wedge).
+# `wait_any` wedge; `api_call_batch_laps_the_ring_...` pipelines three
+# laps of `apps::env`'s ring in one batch: the lap rule of a window).
 echo "==> hotcalls lib + integration suites (release); de-flaked tests x20"
 cargo test --release -q -p hotcalls --lib --tests
 # A filter that matches no test passes silently, so the named lib tests
@@ -85,11 +86,18 @@ cargo test --release -q -p hotcalls --lib --tests
 deflaked=(
     rt::ring::tests::wait_any_redeems_oldest_and_never_wedges_on_wrap
 )
+deflaked_apps=(
+    env::tests::api_call_batch_laps_the_ring_without_wedging
+)
 for _ in $(seq 20); do
     out=$(cargo test --release -q -p hotcalls --lib -- --exact "${deflaked[@]}" 2>&1) \
         || { echo "$out"; exit 1; }
     grep -q "test result: ok. ${#deflaked[@]} passed" <<<"$out" \
         || { echo "expected ${#deflaked[@]} de-flaked tests to run:"; echo "$out"; exit 1; }
+    out=$(cargo test --release -q -p apps --lib -- --exact "${deflaked_apps[@]}" 2>&1) \
+        || { echo "$out"; exit 1; }
+    grep -q "test result: ok. ${#deflaked_apps[@]} passed" <<<"$out" \
+        || { echo "expected ${#deflaked_apps[@]} de-flaked apps tests to run:"; echo "$out"; exit 1; }
     cargo test --release -q -p hotcalls --test ticket_drop
     cargo test --release -q -p hotcalls --test prop_ctl
 done
