@@ -558,8 +558,7 @@ impl AppEnv {
         ctl.observed += 1;
         if ctl.observed.is_multiple_of(CTL_TICK_EVERY) {
             if let Some(rt) = &self.rt {
-                let decision = ctl.controller.tick(&rt.server.ring_stats());
-                if let Some(n) = decision.responders {
+                if let Some(n) = ctl.controller.tick(&rt.server.ring_stats()) {
                     rt.server.set_active(n);
                 }
             }
@@ -1050,7 +1049,7 @@ mod tests {
         let t = hot.rt_telemetry("plane").unwrap();
         assert_eq!(
             (t.kind, t.stats.shards.len(), t.lanes.len()),
-            ("byte-single", 1, 1)
+            ("single", 1, 1)
         );
         let rs = hot.rt_ring_stats().unwrap();
         assert_eq!(rs.shards[0].serviced, 8);
@@ -1193,7 +1192,7 @@ mod tests {
             hot.api_call("getpid", &[]).unwrap();
         }
         let t = hot.rt_telemetry("app-rt").expect("hot mode has a plane");
-        assert_eq!(t.kind, "byte-single");
+        assert_eq!(t.kind, "single");
         assert_eq!(t.stats.totals.calls, 8);
         if hotcalls::TELEMETRY_ENABLED {
             // Every serviced call recorded one queue and one service

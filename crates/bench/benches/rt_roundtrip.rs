@@ -124,7 +124,7 @@ fn bench_condvar(c: &mut Criterion) {
 
 fn bench_ring(c: &mut Criterion) {
     let (table, inc) = inc_table();
-    let server = RingServer::spawn(table, 8, spin_config());
+    let server = RingServer::spawn_pool(table, 8, 1, spin_config()).expect("valid shape");
     let requester = server.requester();
     c.bench_function("ring_rt_roundtrip", |b| {
         b.iter(|| requester.call(inc, std::hint::black_box(41)).unwrap())

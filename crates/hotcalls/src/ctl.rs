@@ -504,13 +504,6 @@ const SIZER_EFF_LOW: f64 = 0.20;
 /// window at the new size before its efficiency means anything).
 const SIZER_COOLDOWN_TICKS: u32 = 2;
 
-/// What one sizer tick asks the plane to change. `None` means "hold".
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SizeDecision {
-    /// New active responder target to push into the governor.
-    pub responders: Option<usize>,
-}
-
 /// Window counters one tick compares against the last.
 #[derive(Debug, Default, Clone, Copy)]
 struct SizerWindow {
@@ -549,43 +542,45 @@ impl AutoSizer {
         }
     }
 
-    /// One control tick over the plane's current [`RingStats`]. The first
-    /// tick only establishes the baseline window.
-    pub fn tick(&mut self, rs: &RingStats) -> SizeDecision {
+    /// One control tick over the plane's current [`RingStats`]: the new
+    /// active responder target to push into the governor, or `None` to
+    /// hold. The first tick only establishes the baseline window.
+    pub fn tick(&mut self, rs: &RingStats) -> Option<usize> {
         self.ticks += 1;
         let window = SizerWindow {
             busy: rs.totals.busy_polls,
             idle: rs.totals.idle_polls,
         };
-        let Some(prev) = self.prev.replace(window) else {
-            return SizeDecision::default();
-        };
+        let prev = self.prev.replace(window)?;
         let busy = window.busy.saturating_sub(prev.busy);
         let idle = window.idle.saturating_sub(prev.idle);
         let polls = busy + idle;
         let backlog: usize = rs.shards.iter().map(|s| s.occupancy).sum();
         let active = rs.governor.active;
 
-        let mut decision = SizeDecision::default();
         if self.cooldown > 0 {
             self.cooldown -= 1;
-        } else if polls > 0 {
-            let efficiency = busy as f64 / polls as f64;
-            if efficiency > SIZER_EFF_HIGH && backlog > active && active < rs.governor.max {
-                decision.responders = Some(active + 1);
-                self.grows += 1;
-                self.cooldown = SIZER_COOLDOWN_TICKS;
-            } else if efficiency < SIZER_EFF_LOW && backlog == 0 && active > rs.governor.min {
-                // Low poll efficiency alone is not idleness: responders
-                // blocked inside io-bound handlers poll nothing while the
-                // ring holds work, and shrinking then thrashes against the
-                // governor's raise path. Only a drained plane shrinks.
-                decision.responders = Some(active - 1);
-                self.shrinks += 1;
-                self.cooldown = SIZER_COOLDOWN_TICKS;
-            }
+            return None;
         }
-        decision
+        if polls == 0 {
+            return None;
+        }
+        let efficiency = busy as f64 / polls as f64;
+        if efficiency > SIZER_EFF_HIGH && backlog > active && active < rs.governor.max {
+            self.grows += 1;
+            self.cooldown = SIZER_COOLDOWN_TICKS;
+            Some(active + 1)
+        } else if efficiency < SIZER_EFF_LOW && backlog == 0 && active > rs.governor.min {
+            // Low poll efficiency alone is not idleness: responders
+            // blocked inside io-bound handlers poll nothing while the
+            // ring holds work, and shrinking then thrashes against the
+            // governor's raise path. Only a drained plane shrinks.
+            self.shrinks += 1;
+            self.cooldown = SIZER_COOLDOWN_TICKS;
+            Some(active - 1)
+        } else {
+            None
+        }
     }
 }
 
@@ -595,7 +590,7 @@ impl AutoSizer {
 /// Build it at setup time ([`Controller::auto`] + [`Controller::register`]),
 /// then share it (`Arc`) with the call sites: `route`/`observe` per call,
 /// [`Controller::tick`] periodically from whichever thread drives the
-/// plane, with the returned [`SizeDecision`] pushed into the server's
+/// plane, with the responder target it returns pushed into the server's
 /// `set_active` surface.
 #[derive(Debug)]
 pub struct Controller {
@@ -632,13 +627,14 @@ impl Controller {
         self.router.observe(api, transport, cycles, now);
     }
 
-    /// One sizer tick over the plane's stats.
-    pub fn tick(&self, rs: &RingStats) -> SizeDecision {
-        let decision = self.sizer.lock().expect("sizer lock").tick(rs);
-        if let Some(n) = decision.responders {
+    /// One sizer tick over the plane's stats: the new active responder
+    /// target, or `None` to hold (see [`AutoSizer::tick`]).
+    pub fn tick(&self, rs: &RingStats) -> Option<usize> {
+        let target = self.sizer.lock().expect("sizer lock").tick(rs);
+        if let Some(n) = target {
             trace("ctl_resize", n as u64, rs.governor.active as u64);
         }
-        decision
+        target
     }
 
     /// Decision counters so far.
@@ -781,16 +777,14 @@ mod tests {
     fn sizer_grows_on_saturation_and_shrinks_on_idle() {
         let mut sizer = AutoSizer::new();
         // First tick is the baseline.
-        assert_eq!(sizer.tick(&stats_with(0, 0, 0, 2)), SizeDecision::default());
+        assert_eq!(sizer.tick(&stats_with(0, 0, 0, 2)), None);
         // Saturated window: all polls busy, backlog beyond the active set.
-        let d = sizer.tick(&stats_with(10_000, 10, 8, 2));
-        assert_eq!(d.responders, Some(3));
+        assert_eq!(sizer.tick(&stats_with(10_000, 10, 8, 2)), Some(3));
         // Cooldown holds the next two ticks still even under saturation.
-        assert_eq!(sizer.tick(&stats_with(30_000, 20, 8, 3)).responders, None);
-        assert_eq!(sizer.tick(&stats_with(60_000, 30, 8, 3)).responders, None);
+        assert_eq!(sizer.tick(&stats_with(30_000, 20, 8, 3)), None);
+        assert_eq!(sizer.tick(&stats_with(60_000, 30, 8, 3)), None);
         // Idle window: polls overwhelmingly empty -> shrink.
-        let d = sizer.tick(&stats_with(60_010, 1_000_000, 0, 3));
-        assert_eq!(d.responders, Some(2));
+        assert_eq!(sizer.tick(&stats_with(60_010, 1_000_000, 0, 3)), Some(2));
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //!   with a governor that parks idle responders and wakes them on
 //!   backlog. Only responders service ring slots; under
 //!   [`FusedMode::Auto`] a synchronous call on a quiet plane skips the
-//!   ring and runs its handler inline. [`rt::ByteRing`] and [`rt::SgRing`] are that
-//!   plane over arena-backed byte and scatter-gather payloads. This is
-//!   usable as a general low-latency inter-thread call primitive.
+//!   ring and runs its handler inline. A payload is the server's type
+//!   parameter: [`rt::ByteRing`] and [`rt::SgRing`] *are* that
+//!   `RingServer`, at arena-backed byte and scatter-gather payloads. This
+//!   is usable as a general low-latency inter-thread call primitive.
 //! * [`ctl`] — the **configless control plane**: a per-API break-even
 //!   router and an online worker-efficiency sizer that close the loop
 //!   from [`telemetry`] back into the data plane's knobs, with time

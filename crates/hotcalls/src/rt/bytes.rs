@@ -1,7 +1,8 @@
 //! The byte-payload hot path: arena-backed buffers over the submission
 //! ring.
 //!
-//! [`ByteRing`] specializes [`super::RingServer`] to `HotBuf` payloads and
+//! A byte plane *is* a [`RingServer`]: [`ByteRing`] names it at `HotBuf`
+//! payloads, and its one payload-specific method, [`ByteRing::caller`],
 //! pairs every caller with its own [`SlabArena`]: a request buffer is
 //! acquired from the arena (inline for cache-line-sized payloads, a
 //! recycled slab otherwise), travels through the ring *by value*, is
@@ -15,9 +16,7 @@
 //! whatever the previous call left there — the NRZ discipline: write your
 //! response, report its length, and nobody pays for zeroing in between.
 
-use crate::config::{HotCallConfig, ResponderPolicy};
 use crate::error::Result;
-use crate::telemetry::{GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry, RingStats};
 
 use super::arena::{ArenaStats, HotBuf, SlabArena};
 use super::ring::{RingRequester, RingServer, Ticket};
@@ -56,10 +55,14 @@ impl ByteCallTable {
     }
 }
 
-/// The telemetry kind of every byte plane.
-const BYTE_KIND: &str = "byte-single";
+impl From<ByteCallTable> for CallTable<HotBuf, HotBuf> {
+    fn from(table: ByteCallTable) -> Self {
+        table.inner
+    }
+}
 
-/// A running byte-payload ring: responder pool + in-place handlers.
+/// A running byte-payload ring: the one plane server at `HotBuf`
+/// payloads, with in-place handlers from a [`ByteCallTable`].
 ///
 /// # Examples
 ///
@@ -82,101 +85,18 @@ const BYTE_KIND: &str = "byte-single";
 ///     .unwrap();
 /// assert_eq!(n, 8);
 /// assert_eq!(caller.arena_stats().inline_hits, 1);
+/// assert_eq!(ring.stats().calls, 1);
 /// ```
-#[derive(Debug)]
-pub struct ByteRing {
-    server: RingServer<HotBuf, HotBuf>,
-}
+pub type ByteRing = RingServer<HotBuf, HotBuf>;
 
-impl ByteRing {
-    /// Spawns `n_responders` threads draining a ring of `capacity` slots.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_pool`].
-    pub fn spawn_pool(
-        table: ByteCallTable,
-        capacity: usize,
-        n_responders: usize,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        RingServer::spawn_pool(table.inner, capacity, n_responders, config)
-            .map(|server| ByteRing { server })
-    }
-
-    /// Spawns an adaptive pool governed by `policy` (see
-    /// [`RingServer::spawn_adaptive`]): between `policy.min` and
-    /// `policy.max` responders active, surplus parked when idle, woken on
-    /// backlog.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_adaptive`].
-    pub fn spawn_adaptive(
-        table: ByteCallTable,
-        capacity: usize,
-        policy: ResponderPolicy,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        RingServer::spawn_adaptive(table.inner, capacity, policy, config)
-            .map(|server| ByteRing { server })
-    }
-
+impl RingServer<HotBuf, HotBuf> {
     /// A caller handle with its own private arena (no cross-thread
     /// coordination on the buffer path).
     pub fn caller(&self) -> ByteCaller {
         ByteCaller {
-            requester: self.server.requester(),
+            requester: self.requester(),
             arena: SlabArena::new(),
         }
-    }
-
-    /// Number of responder threads in the pool (active and parked).
-    pub fn responders(&self) -> usize {
-        self.server.responders()
-    }
-
-    /// Transport statistics, aggregated over the responder pool.
-    pub fn stats(&self) -> HotCallStats {
-        self.server.stats()
-    }
-
-    /// The governor's current shape and decision counters.
-    pub fn governor_stats(&self) -> GovernorStats {
-        self.server.governor_stats()
-    }
-
-    /// Sets the plane's active responder target (the `ctl` sizer's
-    /// control surface), clamped into the policy's bounds, and returns
-    /// the value installed. See [`RingServer::set_active`].
-    pub fn set_active(&self, n: usize) -> usize {
-        self.server.set_active(n)
-    }
-
-    /// The full snapshot: totals, governor and the ring's one row.
-    pub fn ring_stats(&self) -> RingStats {
-        self.server.ring_stats()
-    }
-
-    /// A full telemetry view of the byte plane: per-lane stage histograms,
-    /// reap latency, and the ring stats, tagged `"byte-single"` so
-    /// dashboards can tell payload lanes from typed rings.
-    pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        let mut t = self.server.telemetry(name);
-        t.kind = BYTE_KIND;
-        t
-    }
-
-    /// A boxed provider for [`crate::TelemetryRegistry::register_plane`],
-    /// capturing the plane's shared state so snapshots stay live after
-    /// this handle is dropped.
-    pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        self.server.telemetry_provider_as(name, BYTE_KIND)
-    }
-
-    /// Stops the responders and joins them.
-    pub fn shutdown(self) {
-        self.server.shutdown()
     }
 }
 
@@ -270,21 +190,12 @@ impl ByteCaller {
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
     }
-
-    /// Transport statistics, aggregated over the responder pool.
-    pub fn stats(&self) -> HotCallStats {
-        self.requester.stats()
-    }
-
-    /// The governor's current shape and decision counters.
-    pub fn governor_stats(&self) -> GovernorStats {
-        self.requester.governor_stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{HotCallConfig, ResponderPolicy};
 
     fn echo_table() -> (ByteCallTable, u32, u32) {
         let mut t = ByteCallTable::new();
@@ -410,7 +321,7 @@ mod tests {
         let rs = ring.ring_stats();
         assert_eq!(rs.shards.len(), 1);
         assert_eq!(rs.shards[0].serviced, 1);
-        assert_eq!(ring.telemetry("b").kind, "byte-single");
+        assert_eq!(ring.telemetry("b").kind, "pool");
     }
 
     /// Calls through every caller until one whole round ran inline: the

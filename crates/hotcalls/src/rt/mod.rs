@@ -16,7 +16,9 @@
 //! claim, request, response — each written by one side only and on lines
 //! no other writer touches (see `slot::MailSlot`), and hot-path statistics
 //! are responder-local counters flushed with plain stores. For the queued
-//! plane — one ring, one or more responders — see [`RingServer`].
+//! plane — one ring, one or more responders — see [`RingServer`]; a byte
+//! or scatter-gather plane is that same server at `HotBuf` or `SgList`
+//! payloads ([`ByteRing`], [`SgRing`]).
 
 pub mod arena;
 mod bytes;

@@ -13,12 +13,14 @@
 //!
 //! **One ring, `R` responders.** A plane is one ring — slots, head, tail,
 //! doze line and abandon board, all cache-padded — drained by `R ≥ 1`
-//! responder threads ([`RingServer::spawn`] builds `R = 1`,
-//! [`RingServer::spawn_pool`] a static `R`, [`RingServer::spawn_adaptive`]
-//! an elastic one). Every requester shares the one head word and every
-//! responder drains the one ring. A layout that wants independent
-//! channels — the paper's Fig. 9 gives each call channel its own mailbox —
-//! builds one plane per channel.
+//! responder threads ([`RingServer::spawn_pool`] builds a static `R`,
+//! [`RingServer::spawn_adaptive`] an elastic one). Every requester shares
+//! the one head word and every responder drains the one ring. A layout
+//! that wants independent channels — the paper's Fig. 9 gives each call
+//! channel its own mailbox — builds one plane per channel. The payload is
+//! the server's type parameter: a typed plane is `RingServer<Req, Resp>`,
+//! and the byte and scatter-gather planes are the same server at `HotBuf`
+//! and `SgList` payloads ([`super::ByteRing`], [`super::SgRing`]).
 //!
 //! Two mechanisms pipeline the plane beyond the paper's synchronous
 //! protocol. One ticket is one call: a slot carries one request and one
@@ -352,12 +354,22 @@ impl<Req, Resp> RingShared<Req, Resp> {
         }
     }
 
+    /// The plane's shape: `"pool"` with more than one responder, else
+    /// `"single"`, whatever its payload type.
+    fn plane_kind(&self) -> &'static str {
+        if self.responders.len() > 1 {
+            "pool"
+        } else {
+            "single"
+        }
+    }
+
     /// The plane's full telemetry view: counters plus one lane of stage
     /// histograms per responder and the plane-wide reap histogram.
-    fn plane_telemetry(&self, name: &str, kind: &'static str) -> PlaneTelemetry {
+    fn plane_telemetry(&self, name: &str) -> PlaneTelemetry {
         PlaneTelemetry {
             name: name.to_string(),
-            kind,
+            kind: self.plane_kind(),
             stats: self.ring_snapshot(),
             lanes: self
                 .responders
@@ -407,7 +419,7 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 ///
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
-/// let server = RingServer::spawn(table, 8, HotCallConfig::default());
+/// let server = RingServer::spawn_pool(table, 8, 1, HotCallConfig::default()).unwrap();
 /// let requester = server.requester();
 /// assert_eq!(requester.call(inc, 9).unwrap(), 10);
 ///
@@ -431,28 +443,18 @@ where
     Req: Send + 'static,
     Resp: Send + 'static,
 {
-    /// Spawns a single responder over `table` with a ring of `capacity`
-    /// slots (the original single-responder configuration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn spawn(table: CallTable<Req, Resp>, capacity: usize, config: HotCallConfig) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Self::spawn_pool(table, capacity, 1, config).expect("capacity and pool size validated")
-    }
-
     /// Spawns a static pool of `n_responders` always-active threads
     /// draining one shared ring of `capacity` slots. Each responder
     /// claims up to [`HotCallConfig::drain_batch`] contiguous submissions
-    /// per tail advance.
+    /// per tail advance. `table` is a [`CallTable`] or a payload's own
+    /// table ([`super::ByteCallTable`], [`super::SgCallTable`]).
     ///
     /// # Errors
     ///
     /// [`HotCallError::InvalidConfig`] if `capacity` or `n_responders` is
     /// zero.
     pub fn spawn_pool(
-        table: CallTable<Req, Resp>,
+        table: impl Into<CallTable<Req, Resp>>,
         capacity: usize,
         n_responders: usize,
         config: HotCallConfig,
@@ -477,12 +479,18 @@ where
     /// or config fail their [`ResponderPolicy::validate`] /
     /// [`HotCallConfig::validate`] checks.
     pub fn spawn_adaptive(
-        table: CallTable<Req, Resp>,
+        table: impl Into<CallTable<Req, Resp>>,
         capacity: usize,
         policy: ResponderPolicy,
         config: HotCallConfig,
     ) -> Result<Self> {
-        Self::spawn_plane(table, capacity, policy, GovernorTuning::DEFAULT, config)
+        Self::spawn_plane(
+            table.into(),
+            capacity,
+            policy,
+            GovernorTuning::DEFAULT,
+            config,
+        )
     }
 
     /// Builds a ring of `capacity` slots and spawns `policy.max`
@@ -576,36 +584,18 @@ where
     /// This plane's full telemetry view right now: counters plus per-lane
     /// queue/service histograms and the plane-wide reap histogram. The
     /// plane kind is `"pool"` with more than one responder, else
-    /// `"single"`.
+    /// `"single"`, whatever the payload type.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        self.shared.plane_telemetry(name, self.plane_kind())
+        self.shared.plane_telemetry(name)
     }
 
     /// A [`PlaneProvider`] for [`crate::telemetry::TelemetryRegistry`]:
     /// the registry polls it at snapshot time, so the snapshot is always
     /// current. The provider holds the plane's shared state alive.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        self.telemetry_provider_as(name, self.plane_kind())
-    }
-
-    /// [`RingServer::telemetry_provider`] under a caller-chosen kind tag
-    /// (the byte and sg planes label their payload type).
-    pub(super) fn telemetry_provider_as(
-        &self,
-        name: impl Into<String>,
-        kind: &'static str,
-    ) -> PlaneProvider {
         let shared = Arc::clone(&self.shared);
         let name = name.into();
-        Box::new(move || shared.plane_telemetry(&name, kind))
-    }
-
-    fn plane_kind(&self) -> &'static str {
-        if self.responders() > 1 {
-            "pool"
-        } else {
-            "single"
-        }
+        Box::new(move || shared.plane_telemetry(&name))
     }
 
     /// Stops the responders and joins them.
@@ -1059,21 +1049,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             Err((e, _)) => Err(e),
         }
     }
-
-    /// Statistics so far, aggregated over the responder pool.
-    pub fn stats(&self) -> HotCallStats {
-        self.shared.snapshot()
-    }
-
-    /// The governor's current shape and decision counters.
-    pub fn governor_stats(&self) -> GovernorStats {
-        self.shared.governor_snapshot()
-    }
-
-    /// The full snapshot (see [`RingServer::ring_stats`]).
-    pub fn ring_stats(&self) -> RingStats {
-        self.shared.ring_snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -1099,7 +1074,7 @@ mod tests {
     /// one responder and with a pool of four.
     const SHAPES: [(&str, Spawn); 2] = [
         ("1 responder", |t, cap, config| {
-            RingServer::spawn(t, cap, config)
+            RingServer::spawn_pool(t, cap, 1, config).unwrap()
         }),
         ("4 responders", |t, cap, config| {
             RingServer::spawn_pool(t, cap, 4, config).unwrap()
@@ -1201,7 +1176,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
             let v = r2.call_with_fallback(slow, 5, |x| x + 100).unwrap();
             assert_eq!(v, 105, "{shape}");
-            assert!(r2.stats().fallbacks >= 1, "{shape}");
+            assert!(server.stats().fallbacks >= 1, "{shape}");
             assert_eq!(blocker.join().unwrap(), 7, "{shape}");
         }
     }
@@ -1217,13 +1192,6 @@ mod tests {
                 "{shape}"
             );
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let (t, _) = table();
-        let _ = RingServer::spawn(t, 0, generous());
     }
 
     #[test]
@@ -1275,7 +1243,7 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn foreign_tickets() -> (Vec<Server>, u32, Vec<(RingRequester<u64, u64>, Ticket)>) {
         let (t, sq) = table();
-        let single = RingServer::spawn(t, 4, generous());
+        let single = RingServer::spawn_pool(t, 4, 1, generous()).unwrap();
         let (t, _) = table();
         let pool = RingServer::spawn_pool(t, 4, 2, generous()).unwrap();
         let servers = vec![single, pool];

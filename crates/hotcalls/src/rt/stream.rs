@@ -2,12 +2,13 @@
 //!
 //! [`ByteRing`](super::ByteRing) optimizes for call *latency* — one
 //! arena buffer per call, in-place transformation. This module optimizes
-//! for *bandwidth*: a logical transfer of any size rides the ring as an
-//! [`SgList`] of uniform arena segments (no coalescing copy anywhere on
-//! the path), and [`StreamCaller::stream`] pipelines a large object
-//! through the plane as a sequence of chunks under a credit window, so
-//! the responder processes chunk *k* while the caller marshals chunk
-//! *k + 1*. [`StreamCaller::stream_gated`] puts a caller-supplied
+//! for *bandwidth*. An sg plane is the same [`RingServer`] at [`SgList`]
+//! payloads ([`SgRing`]): a logical transfer of any size rides the ring
+//! as an [`SgList`] of uniform arena segments (no coalescing copy
+//! anywhere on the path), and [`StreamCaller::stream`] pipelines a large
+//! object through the plane as a sequence of chunks under a credit
+//! window, so the responder processes chunk *k* while the caller marshals
+//! chunk *k + 1*. [`StreamCaller::stream_gated`] puts a caller-supplied
 //! **pre-submit gate** in front of every chunk: per-chunk work the caller
 //! must finish before a chunk may cross (authenticate it, fingerprint it)
 //! runs there, on the requester thread, overlapped with the responder's
@@ -27,9 +28,7 @@
 use std::collections::VecDeque;
 use std::ops::{ControlFlow, Range};
 
-use crate::config::HotCallConfig;
 use crate::error::Result;
-use crate::telemetry::{HotCallStats, PlaneProvider, PlaneTelemetry, RingStats};
 
 use super::arena::{ArenaStats, SgList, SlabArena};
 use super::ring::{RingRequester, RingServer, Ticket};
@@ -78,11 +77,14 @@ impl SgCallTable {
     }
 }
 
-/// Telemetry kind of every [`SgRing`] (a scatter-gather plane is one
-/// ring).
-const PLANE_KIND: &str = "sg-single";
+impl From<SgCallTable> for CallTable<SgList, SgList> {
+    fn from(table: SgCallTable) -> Self {
+        table.inner
+    }
+}
 
-/// A running scatter-gather ring: responder pool + chunk handlers.
+/// A running scatter-gather ring: the one plane server at [`SgList`]
+/// payloads, with chunk handlers from an [`SgCallTable`].
 ///
 /// # Examples
 ///
@@ -109,67 +111,15 @@ const PLANE_KIND: &str = "sg-single";
 ///     })
 ///     .unwrap();
 /// assert_eq!(gathered, b"HOTCALLS");
+/// assert_eq!(ring.stats().calls, 1);
 /// ```
-#[derive(Debug)]
-pub struct SgRing {
-    server: RingServer<SgList, SgList>,
-}
+pub type SgRing = RingServer<SgList, SgList>;
 
-impl SgRing {
-    /// Spawns `n_responders` threads draining a ring of `capacity` slots.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingServer::spawn_pool`].
-    pub fn spawn_pool(
-        table: SgCallTable,
-        capacity: usize,
-        n_responders: usize,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        RingServer::spawn_pool(table.inner, capacity, n_responders, config)
-            .map(|server| SgRing { server })
-    }
-
+impl RingServer<SgList, SgList> {
     /// A caller handle with its own private arena and reusable stream
     /// state.
     pub fn caller(&self) -> StreamCaller {
-        StreamCaller::new(self.server.requester())
-    }
-
-    /// Number of responder threads in the pool.
-    pub fn responders(&self) -> usize {
-        self.server.responders()
-    }
-
-    /// Transport statistics, aggregated over the responder pool.
-    pub fn stats(&self) -> HotCallStats {
-        self.server.stats()
-    }
-
-    /// The full snapshot: totals, governor and the ring's one row.
-    pub fn ring_stats(&self) -> RingStats {
-        self.server.ring_stats()
-    }
-
-    /// A full telemetry view of the plane, tagged with the sg-plane kind
-    /// so dashboards can tell bandwidth lanes from byte and typed rings.
-    pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
-        let mut t = self.server.telemetry(name);
-        t.kind = PLANE_KIND;
-        t
-    }
-
-    /// A boxed provider for [`crate::TelemetryRegistry::register_plane`],
-    /// capturing the plane's shared state so snapshots stay live after
-    /// this handle is dropped.
-    pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
-        self.server.telemetry_provider_as(name, PLANE_KIND)
-    }
-
-    /// Stops the responders and joins them.
-    pub fn shutdown(self) {
-        self.server.shutdown()
+        StreamCaller::new(self.requester())
     }
 }
 
@@ -220,11 +170,6 @@ impl StreamCaller {
         }
     }
 
-    /// The arena segment size scatter-gather lists are built from.
-    pub fn segment_bytes(&self) -> usize {
-        self.segment_bytes
-    }
-
     /// Overrides the arena segment size (power of two recommended — the
     /// arena rounds capacities up to its size classes anyway).
     pub fn set_segment_bytes(&mut self, bytes: usize) {
@@ -233,24 +178,15 @@ impl StreamCaller {
     }
 
     /// Issues one scatter-gather call carrying `data` (split into arena
-    /// segments, no coalescing copy) and returns the response length.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingRequester::call`]. On error the in-flight list is lost
-    /// to the slot (freed on shutdown), not recycled.
-    pub fn call_sg(&mut self, id: u32, data: &[u8]) -> Result<usize> {
-        self.call_sg_with(id, data, SgList::len)
-    }
-
-    /// Issues one scatter-gather call and hands the response list to
+    /// segments, no coalescing copy) and hands the response list to
     /// `read` before its segments are recycled — the zero-copy way to
     /// consume a response ([`SgList::gather_into`] is available when a
     /// contiguous copy is genuinely wanted).
     ///
     /// # Errors
     ///
-    /// As [`RingRequester::call`].
+    /// As [`RingRequester::call`]. On error the in-flight list is lost
+    /// to the slot (freed on shutdown), not recycled.
     pub fn call_sg_with<R>(
         &mut self,
         id: u32,
@@ -399,16 +335,12 @@ impl StreamCaller {
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
     }
-
-    /// Transport statistics, aggregated over the responder pool.
-    pub fn stats(&self) -> HotCallStats {
-        self.requester.stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HotCallConfig;
 
     /// Handlers for the tests: xor every request byte with 0x5A in place
     /// (an involution — applying it twice restores the input), and a
@@ -598,8 +530,8 @@ mod tests {
     fn sg_plane_kind_tags_telemetry() {
         let (t, _, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
-        assert_eq!(ring.telemetry("bw").kind, "sg-single");
+        assert_eq!(ring.telemetry("bw").kind, "single");
         let provider = ring.telemetry_provider("bw");
-        assert_eq!(provider().kind, "sg-single");
+        assert_eq!(provider().kind, "single");
     }
 }

@@ -55,8 +55,11 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// is no sibling ring to steal from or redirect a wake to, and its one row
 /// is never parked. v7 removed the `ctl` section's two bundle-sizing
 /// fields, their two series and the bundle-submission trace kind: a ring
-/// slot carries one call, so there is no bundle to size.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 7;
+/// slot carries one call, so there is no bundle to size. v8 changed the
+/// meaning of a plane's `kind`: it names the plane's shape only, so a
+/// one-responder byte or sg plane reads `"single"` where its kind also
+/// named the payload — every payload rides the same server.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 8;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -751,9 +754,8 @@ pub struct PlaneTelemetry {
     /// Registered plane name.
     pub name: String,
     /// Plane kind, derived from the shape of the one plane core:
-    /// `"pool"` with more than one responder, else `"single"`. The byte
-    /// and sg planes tag their payload type instead: `"byte-single"` and
-    /// `"sg-single"`, whatever their responder count.
+    /// `"pool"` with more than one responder, else `"single"`, whatever
+    /// the plane's payload type.
     pub kind: &'static str,
     /// Counter snapshot (totals, governor, the ring's row).
     pub stats: RingStats,
@@ -984,7 +986,7 @@ struct RegistryInner {
 ///
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
-/// let server = RingServer::spawn(table, 8, HotCallConfig::default());
+/// let server = RingServer::spawn_pool(table, 8, 1, HotCallConfig::default()).unwrap();
 /// let reg = TelemetryRegistry::new();
 /// reg.register_plane(server.telemetry_provider("rt"));
 /// server.requester().call(inc, 1).unwrap();

@@ -205,7 +205,7 @@ proptest! {
                 flag.store(false, Ordering::SeqCst);
             }
             let k = refuse % seen.len();
-            let calls = caller.stats().calls;
+            let calls = ring.stats().calls;
             let (mut asked, mut sunk) = (0usize, 0u64);
             let mut it = schedule.iter().cycle();
             let report = caller
@@ -231,7 +231,7 @@ proptest! {
             prop_assert_eq!((report.chunks, report.submitted, report.redeemed), (k as u64, k as u64, k as u64));
             prop_assert_eq!(report.bytes_in, seen[k].start as u64);
             prop_assert!(sunk <= k as u64);
-            prop_assert_eq!(caller.stats().calls - calls, k as u64);
+            prop_assert_eq!(ring.stats().calls - calls, k as u64);
 
             let allocs = caller.arena_stats().allocs;
             let mut it = schedule.iter().cycle();
