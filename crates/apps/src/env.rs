@@ -35,9 +35,6 @@ pub const SYSCALL_TRAP: u64 = 150;
 /// Ring capacity of the real threaded transport behind the HotCalls
 /// modes.
 const RT_RING_CAPACITY: usize = 32;
-/// Empty polls before a responder dozes; applications build many
-/// environments and single-core hosts cannot afford spinning responders.
-const RT_IDLE_POLLS_BEFORE_SLEEP: u64 = 256;
 
 /// The real switchless transport carried alongside the cycle model in the
 /// HotCalls modes: a batched-drain submission ring whose responder
@@ -83,8 +80,11 @@ fn os_responder(req_len: usize, buf: &mut [u8]) -> usize {
 /// How the real transport is configured in the HotCalls modes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RtTransport {
-    /// One ring and one responder that dozes when idle (the default; what
-    /// `AppEnv::new` builds).
+    /// One ring and one responder built from [`HotCallConfig::auto`]
+    /// (the default; what `AppEnv::new` builds). The responder dozes when
+    /// the application stops feeding it, and from then on each
+    /// synchronous call runs inline on the application's thread and wakes
+    /// nobody; a batch's pipelined submissions still ride the responder.
     #[default]
     Ring,
     /// Zero-config: the plane spawns with [`HotCallConfig::auto`] /
@@ -164,20 +164,14 @@ impl RtPool {
         let server = match transport {
             // One responder is enough for one requester thread, and it
             // dozes when the application's call rate is low — every
-            // benchmark builds several environments side by side.
-            RtTransport::Ring => ByteRing::spawn_pool(
-                table,
-                RT_RING_CAPACITY,
-                1,
-                HotCallConfig {
-                    idle_polls_before_sleep: Some(RT_IDLE_POLLS_BEFORE_SLEEP),
-                    ..HotCallConfig::patient()
-                },
-            )?,
+            // benchmark builds several environments side by side, and a
+            // dozed plane runs the synchronous calls inline.
+            RtTransport::Ring => {
+                ByteRing::spawn_pool(table, RT_RING_CAPACITY, 1, HotCallConfig::auto())?
+            }
             // Zero-config: the auto policies size the pool to the host
-            // (the governor and the controller's sizer park the excess)
-            // and fusing stays on its measured break-even occupancy. The
-            // per-API routing rides in `AutoCtl`, outside the plane.
+            // (the governor and the controller's sizer park the excess).
+            // The per-API routing rides in `AutoCtl`, outside the plane.
             RtTransport::Auto => ByteRing::spawn_adaptive(
                 table,
                 RT_RING_CAPACITY,
@@ -1040,7 +1034,8 @@ mod tests {
     fn new_builds_the_one_responder_byte_ring() {
         // The plane `AppEnv::new` carries HotCalls-mode calls on (the one
         // the memcached benchmarks measure): one ring, one responder, and
-        // no call fused inline.
+        // every call either serviced by it or — once it has dozed — run
+        // inline.
         let mut hot = env(IfaceMode::HotCalls);
         hot.enter_main().unwrap();
         for _ in 0..8 {
@@ -1052,12 +1047,12 @@ mod tests {
             ("single", 1, 1)
         );
         let rs = hot.rt_ring_stats().unwrap();
-        assert_eq!(rs.shards[0].serviced, 8);
+        let s = hot.rt_stats().unwrap();
+        assert_eq!(s.calls, 8, "{s:?}");
+        assert_eq!(rs.shards[0].serviced + s.fused_runs, 8, "{rs:?}");
         assert!(env(IfaceMode::Native).rt_ring_stats().is_none());
         let g = hot.governor_stats().unwrap();
         assert_eq!((g.min, g.max), (1, 1));
-        let s = hot.rt_stats().unwrap();
-        assert_eq!((s.calls, s.fused_runs, s.fused_fallbacks), (8, 0, 0));
     }
 
     #[test]
@@ -1188,9 +1183,10 @@ mod tests {
     fn rt_telemetry_separates_queue_and_service() {
         let mut hot = env(IfaceMode::HotCalls);
         hot.enter_main().unwrap();
-        for _ in 0..8 {
-            hot.api_call("getpid", &[]).unwrap();
-        }
+        // One batch: its submissions always ride the responder, where a
+        // synchronous call on the dozed plane would run inline and record
+        // no stage sample.
+        hot.api_call_batch(&[("getpid", None); 8]).unwrap();
         let t = hot.rt_telemetry("app-rt").expect("hot mode has a plane");
         assert_eq!(t.kind, "single");
         assert_eq!(t.stats.totals.calls, 8);

@@ -351,6 +351,63 @@ mod tests {
     }
 
     #[test]
+    fn a_dozed_responder_leaves_sync_calls_inline_and_batches_on_the_ring() {
+        use std::time::{Duration, Instant};
+        let mut e = env(IfaceMode::HotCalls);
+        let mut mc = Memcached::new(&mut e, 64, 2048).unwrap();
+        // Serve until a call runs inline: the responder has then dozed, and
+        // an inline call wakes nobody, so it stays asleep from here on.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let before = e.rt_stats().unwrap().fused_runs;
+            mc.serve(&mut e, protocol::encode_noop(0)).unwrap();
+            if e.rt_stats().unwrap().fused_runs > before {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the responder never dozed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let serviced = |e: &AppEnv| e.rt_ring_stats().unwrap().shards[0].serviced;
+        let (before, serviced_before) = (e.rt_stats().unwrap(), serviced(&e));
+
+        // Every served request comes back byte-correct, each of its three
+        // edge calls (`RunEnclaveFunction`, `read`, `sendmsg`) runs inline,
+        // and none of them wakes the responder.
+        for i in 0..8u8 {
+            let key = [b'k', i];
+            let value = [i.wrapping_mul(37); 2048];
+            let resp = mc
+                .serve(&mut e, protocol::encode_set(&key, &value, u32::from(i)))
+                .unwrap();
+            assert_eq!(protocol::parse_response(resp).unwrap().status, Status::Ok);
+            let resp = mc
+                .serve(&mut e, protocol::encode_get(&key, u32::from(i)))
+                .unwrap();
+            let got = protocol::parse_response(resp).unwrap();
+            assert_eq!((got.status, got.opaque), (Status::Ok, u32::from(i)));
+            assert_eq!(&got.value[..], &value[..]);
+        }
+        let after = e.rt_stats().unwrap();
+        assert_eq!(after.fused_runs - before.fused_runs, 16 * 3, "{after:?}");
+        assert_eq!(
+            after.wakeups, before.wakeups,
+            "an inline call woke the responder"
+        );
+        let serviced_after = serviced(&e);
+        assert_eq!(serviced_after, serviced_before);
+
+        // A pipelined batch still rides the ring: its submissions wake the
+        // responder and it services every one of them.
+        let rx = e.alloc_data(2048).unwrap();
+        let batch = [("read", Some(BufArg::new(rx, 2048))); 6];
+        e.api_call_batch(&batch).unwrap();
+        let s = e.rt_stats().unwrap();
+        assert_eq!(serviced(&e) - serviced_after, 6);
+        assert_eq!(s.fused_runs, after.fused_runs, "{s:?}");
+        assert!(s.wakeups > after.wakeups, "{s:?}");
+    }
+
+    #[test]
     fn sdk_mode_is_much_slower_per_request_than_native() {
         let per_request = |mode| {
             let mut e = env(mode);

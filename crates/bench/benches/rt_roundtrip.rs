@@ -272,7 +272,9 @@ const CALLS_PER_SAMPLE: u64 = 64;
 fn bench_ring_pool(c: &mut Criterion) {
     // Idle sleep ON for the pool: with more threads than cores, extra
     // responders must doze rather than burn the core (and this is the
-    // deployment shape the pool targets).
+    // deployment shape the pool targets). Each call is a submission
+    // redeemed at once, so it rides the pool even when every responder
+    // dozes (a synchronous `call` would then run inline).
     let pool_config = HotCallConfig {
         idle_polls_before_sleep: Some(256),
         ..HotCallConfig::patient()
@@ -291,10 +293,8 @@ fn bench_ring_pool(c: &mut Criterion) {
                             s.spawn(move |_| {
                                 for i in 0..CALLS_PER_SAMPLE {
                                     let x = t * 10_000 + i;
-                                    assert_eq!(
-                                        r.call(inc, std::hint::black_box(x)).unwrap(),
-                                        x + 1
-                                    );
+                                    let ticket = r.submit(inc, std::hint::black_box(x)).unwrap();
+                                    assert_eq!(r.wait(ticket).unwrap(), x + 1);
                                 }
                             });
                         }

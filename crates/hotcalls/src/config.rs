@@ -2,33 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-/// When a synchronous `call` may run its handler inline on the
-/// requester's thread instead of publishing it to the responder pool.
-///
-/// A fused call is a plain dispatch through the call table: it claims no
-/// ring slot, so it skips the publish, the doze wake and the cross-core
-/// cache-line transfer, and the handler keeps the requester's data hot.
-/// That wins exactly when no second core is already spinning on the ring;
-/// the moment responders are active, handing off and pipelining wins
-/// instead. `Auto` makes that break-even decision per call. Ring slots
-/// are only ever serviced by responders, in every mode.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FusedMode {
-    /// Never fuse: every call goes through the responder pool (the
-    /// pre-fused behaviour; the default).
-    #[default]
-    Off,
-    /// Fuse synchronous `call`s when the active responders are quiescent
-    /// (parked or dozing) and the ring holds fewer than two in-flight
-    /// submissions; fall back to the pooled path the moment responders
-    /// are active. Pipelined `submit`s never fuse — the caller chose
-    /// them to overlap work, which inline execution would forfeit.
-    Auto,
-}
-
-/// Break-even occupancy for [`FusedMode::Auto`]: the fused path is only
-/// considered while the ring holds fewer than this many in-flight
-/// submissions. Deeper backlogs mean pipelining through the pool wins.
+/// Break-even occupancy of the fused path: a synchronous `call` on a
+/// plane whose responders all doze runs inline only while the ring holds
+/// fewer than this many in-flight submissions. Deeper backlogs mean
+/// pipelining through the pool wins.
 pub(crate) const FUSED_BELOW_OCCUPANCY: usize = 2;
 
 /// Configuration shared by the simulated and threaded HotCalls variants.
@@ -44,15 +21,18 @@ pub struct HotCallConfig {
     /// Consecutive empty polls after which the responder sets its `sleep`
     /// flag and blocks on a condition variable to conserve CPU (§4.2,
     /// "Conserving resources at idle times"). `None` polls forever.
+    ///
+    /// On a ring plane this also decides the fused path: once every
+    /// active responder dozes, a synchronous `call` runs its handler
+    /// inline on the requester's thread — no slot, no wake, no cross-core
+    /// transfer — so a dozing plane costs its caller neither a wake nor a
+    /// second CPU. A plane built with `None` never dozes and never fuses.
     pub idle_polls_before_sleep: Option<u64>,
     /// Maximum submitted ring slots a responder claims per tail advance
     /// (batched drain, at least 1). Larger batches amortize the tail CAS
     /// and the wake/schedule cost under bursty load; `1` reproduces the
     /// original one-at-a-time drain.
     pub drain_batch: u32,
-    /// When the requester may execute handlers inline instead of handing
-    /// them to the responder pool. See [`FusedMode`].
-    pub fused_mode: FusedMode,
 }
 
 impl Default for HotCallConfig {
@@ -62,7 +42,6 @@ impl Default for HotCallConfig {
             spins_per_retry: 16,
             idle_polls_before_sleep: None,
             drain_batch: 8,
-            fused_mode: FusedMode::Off,
         }
     }
 }
@@ -87,14 +66,13 @@ impl HotCallConfig {
         }
     }
 
-    /// The zero-config configuration the control plane starts from: a
-    /// patient retry budget, idle-sleeping responders, and the fused
-    /// break-even left to [`FusedMode::Auto`]. The `ctl` controller then
-    /// tunes the rest online.
+    /// The zero-config configuration: a patient retry budget and
+    /// responders that doze after 256 empty polls, so a ring plane runs
+    /// synchronous calls inline whenever its pool has dozed off. A `ctl`
+    /// controller, where one is attached, tunes the rest online.
     pub fn auto() -> Self {
         HotCallConfig {
             idle_polls_before_sleep: Some(256),
-            fused_mode: FusedMode::Auto,
             ..Self::patient()
         }
     }
@@ -205,8 +183,6 @@ mod tests {
         assert_eq!(c.timeout_retries, 10);
         assert!(c.idle_polls_before_sleep.is_none());
         assert!(c.drain_batch >= 1);
-        // The fused path is strictly opt-in.
-        assert_eq!(c.fused_mode, FusedMode::Off);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   `{min, max}`
 //!   ([`rt::RingServer::spawn_adaptive`]) replaces the static pool size
 //!   with a governor that parks idle responders and wakes them on
-//!   backlog. Only responders service ring slots; under
-//!   [`FusedMode::Auto`] a synchronous call on a quiet plane skips the
-//!   ring and runs its handler inline. A payload is the server's type
+//!   backlog. Only responders service ring slots; once a plane's
+//!   responders all doze (`HotCallConfig::idle_polls_before_sleep`), a
+//!   synchronous call skips the ring and runs its handler inline, so an
+//!   idle plane holds no second CPU. A payload is the server's type
 //!   parameter: [`rt::ByteRing`] and [`rt::SgRing`] *are* that
 //!   `RingServer`, at arena-backed byte and scatter-gather payloads. This
 //!   is usable as a general low-latency inter-thread call primitive.
@@ -67,7 +68,7 @@ pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
-pub use config::{FusedMode, HotCallConfig, ResponderPolicy};
+pub use config::{HotCallConfig, ResponderPolicy};
 pub use ctl::{ApiRouter, ChunkSizer, Controller, CtlStats, Transport};
 pub use error::{HotCallError, Result};
 pub use telemetry::{

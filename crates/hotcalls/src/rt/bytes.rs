@@ -344,7 +344,6 @@ mod tests {
     #[test]
     fn fused_byte_calls_run_inline_and_recycle() {
         let fused = HotCallConfig {
-            fused_mode: crate::config::FusedMode::Auto,
             idle_polls_before_sleep: Some(64),
             ..HotCallConfig::patient()
         };

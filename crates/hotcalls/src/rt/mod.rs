@@ -79,7 +79,6 @@ impl<Req, Resp> Shared<Req, Resp> {
             // The single mailbox has no fused path: its one responder is
             // the whole plane.
             fused_runs: 0,
-            fused_fallbacks: 0,
         }
     }
 }

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::config::{FusedMode, HotCallConfig, ResponderPolicy, FUSED_BELOW_OCCUPANCY};
+use crate::config::{HotCallConfig, ResponderPolicy, FUSED_BELOW_OCCUPANCY};
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
     now_cycles, trace, AtomicHist, GovernorStats, HotCallStats, LaneTelemetry, PlaneProvider,
@@ -266,7 +266,6 @@ pub(super) struct RingShared<Req, Resp> {
     /// cell of their own, and the fused path only runs when the ring is
     /// quiet, so contention on these lines is structurally rare.
     fused_runs: AtomicU64,
-    fused_fallbacks: AtomicU64,
 }
 
 impl<Req, Resp> RingShared<Req, Resp> {
@@ -316,7 +315,6 @@ impl<Req, Resp> RingShared<Req, Resp> {
             idle_polls: 0,
             busy_polls: 0,
             fused_runs,
-            fused_fallbacks: self.fused_fallbacks.load(Ordering::Relaxed),
         };
         for cell in self.responders.iter() {
             s.calls += cell.base.calls.load(Ordering::Relaxed);
@@ -526,7 +524,6 @@ where
             fallbacks: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             fused_runs: AtomicU64::new(0),
-            fused_fallbacks: AtomicU64::new(0),
         });
         let joins = (0..n_responders)
             .map(|index| {
@@ -839,14 +836,20 @@ fn poll_until<T>(
 }
 
 impl<Req, Resp> RingRequester<Req, Resp> {
-    /// Is the fused run-to-completion path worth taking right now?
-    /// `occupancy` is the requester's latest coherent tail-before-head
-    /// snapshot: the ring's backlog must be below the break-even threshold
-    /// and the ring must look unattended. The caller checks the shutdown
-    /// flag first, so fused configs keep the pooled `ResponderGone`
-    /// semantics.
-    fn fused_eligible(&self, occupancy: usize) -> bool {
-        occupancy < FUSED_BELOW_OCCUPANCY && self.shared.quiescent()
+    /// Is the fused run-to-completion path worth taking right now? The
+    /// plane must be able to doze, its active responders must all doze and
+    /// the ring's backlog must be below the break-even threshold. A plane
+    /// that cannot doze stops at its own config; quiescence is read next:
+    /// on a plane whose responders are awake it fails on two rarely
+    /// written words, so an active plane never reads the
+    /// responder-written `tail` line here. A plane shutting down takes the
+    /// pooled path, which reports `ResponderGone`.
+    fn fused_eligible(&self) -> bool {
+        let shared = &*self.shared;
+        self.config.idle_polls_before_sleep.is_some()
+            && shared.quiescent()
+            && !shared.shutdown.load(Ordering::Acquire)
+            && shared.occupancy_snapshot() < FUSED_BELOW_OCCUPANCY
     }
 
     /// Claims a slot, publishes `req` into it and wakes a responder,
@@ -997,11 +1000,11 @@ impl<Req, Resp> RingRequester<Req, Resp> {
 
     /// Submit + wait in one step.
     ///
-    /// On a quiet ring with fusing enabled (see
-    /// [`FusedMode`](crate::FusedMode)) the handler runs *inline on this
-    /// thread* — no slot publish, no doze wake, no cross-core cache-line
-    /// transfer — and falls back to the pooled submit/wait the moment
-    /// responders are active.
+    /// On a plane whose responders can doze (`idle_polls_before_sleep`
+    /// is set), once they all have and the ring is near empty, the handler
+    /// runs *inline on this thread* — no slot publish, no doze wake, no
+    /// cross-core cache-line transfer. Any other time the call rides the
+    /// pool. A plane that cannot doze never consults this gate.
     ///
     /// # Errors
     ///
@@ -1010,21 +1013,15 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         // Synchronous calls can skip the ring entirely: nothing to
         // pipeline, no ticket to mint, so the fused path is a plain
         // dispatch on the requester's core.
-        if self.config.fused_mode != FusedMode::Off && !self.shared.shutdown.load(Ordering::Acquire)
-        {
-            if self.fused_eligible(self.shared.occupancy_snapshot()) {
-                let result = self
-                    .shared
-                    .table
-                    .dispatch(id, req)
-                    .ok_or(HotCallError::UnknownCallId(id));
-                self.shared.fused_runs.fetch_add(1, Ordering::Relaxed);
-                trace("fused_run", id as u64, 1);
-                return result;
-            }
-            // The break-even gate said no: the call rides the pool.
-            self.shared.fused_fallbacks.fetch_add(1, Ordering::Relaxed);
-            trace("fused_fallback", id as u64, 0);
+        if self.fused_eligible() {
+            let result = self
+                .shared
+                .table
+                .dispatch(id, req)
+                .ok_or(HotCallError::UnknownCallId(id));
+            self.shared.fused_runs.fetch_add(1, Ordering::Relaxed);
+            trace("fused_run", id as u64, 1);
+            return result;
         }
         match self.submit_request(id, req) {
             Ok(index) => self.wait_index(index),
@@ -1326,9 +1323,10 @@ mod tests {
         let server = RingServer::spawn_pool(t, 8, 2, config).unwrap();
         let r = server.requester();
         assert_eq!(r.call(sq, 5).unwrap(), 25);
-        // Let both responders doze off, then prove a call still lands.
+        // Let both responders doze off, then prove a submission still
+        // lands (a synchronous call would now run inline and wake nobody).
         await_all_dozing(&server);
-        assert_eq!(r.call(sq, 6).unwrap(), 36);
+        assert_eq!(r.wait(r.submit(sq, 6).unwrap()).unwrap(), 36);
         let stats = server.stats();
         assert!(stats.wakeups >= 1, "wakeups not accounted: {stats:?}");
     }
@@ -1420,8 +1418,8 @@ mod tests {
         // With no work, the three governable responders demote themselves
         // top-down and park.
         await_governor(&server, |g| g.active == 1 && g.parked == 3 && g.parks >= 3);
-        // The remaining responder still serves calls.
-        assert_eq!(r.call(sq, 5).unwrap(), 25);
+        // The remaining responder still serves submissions.
+        assert_eq!(r.wait(r.submit(sq, 5).unwrap()).unwrap(), 25);
     }
 
     #[test]
@@ -1490,7 +1488,9 @@ mod tests {
         // Race a requester against an aggressive governor that parks and
         // re-admits responders between bursts: parking must never take
         // the last active responder away from a published submission, so
-        // every call completes well inside the deadline.
+        // every call completes well inside the deadline. Submit + wait,
+        // not `call`: a synchronous call on the dozed plane would run
+        // inline and publish nothing.
         let (t, sq) = table();
         let policy = ResponderPolicy::elastic(1, 3);
         let config = HotCallConfig {
@@ -1501,7 +1501,7 @@ mod tests {
         let r = server.requester();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for i in 0..3_000u64 {
-            assert_eq!(r.call(sq, i).unwrap(), i * i);
+            assert_eq!(r.wait(r.submit(sq, i).unwrap()).unwrap(), i * i);
             assert!(
                 std::time::Instant::now() < deadline,
                 "stranded after {i} calls: {:?}",
@@ -1516,11 +1516,10 @@ mod tests {
         assert_eq!(server.stats().calls, 3_000);
     }
 
-    /// `Auto` fusing over responders that doze after `idle` empty polls
-    /// (`None`: they spin forever).
-    fn fused_auto(idle: Option<u64>) -> HotCallConfig {
+    /// A patient plane whose responders doze after `idle` empty polls
+    /// (`None`: they spin forever, so no call ever runs inline).
+    fn dozing(idle: Option<u64>) -> HotCallConfig {
         HotCallConfig {
-            fused_mode: FusedMode::Auto,
             idle_polls_before_sleep: idle,
             ..HotCallConfig::patient()
         }
@@ -1528,7 +1527,7 @@ mod tests {
 
     #[test]
     fn unknown_id_propagates_pooled_and_fused() {
-        for (config, fused) in [(generous(), 0), (fused_auto(Some(64)), 1)] {
+        for (config, fused) in [(generous(), 0), (dozing(Some(64)), 1)] {
             each_shape(4, config, |shape, server, _| {
                 let r = server.requester();
                 if fused == 1 {
@@ -1596,23 +1595,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_auto_uses_the_pool_when_responders_are_hot() {
+    fn a_plane_that_cannot_doze_uses_the_pool() {
         // Spinning responders (no doze) keep the ring attended:
-        // occupancy is low, but Auto must decline to fuse and count the
-        // decline.
-        each_shape(4, fused_auto(None), |shape, server, sq| {
+        // occupancy is low, but the call must not run inline — the pool
+        // services it.
+        each_shape(4, dozing(None), |shape, server, sq| {
             let r = server.requester();
             assert_eq!(r.call(sq, 9).unwrap(), 81, "{shape}");
             let s = server.stats();
             assert_eq!(s.calls, 1, "{shape}");
             assert_eq!(s.fused_runs, 0, "{shape}: {s:?}");
-            assert_eq!(s.fused_fallbacks, 1, "{shape}: {s:?}");
+            let rs = server.ring_stats();
+            assert_eq!(rs.shards[0].serviced, 1, "{shape}: {rs:?}");
         });
     }
 
     #[test]
-    fn fused_auto_fuses_once_responders_doze() {
-        each_shape(8, fused_auto(Some(64)), |shape, server, sq| {
+    fn calls_fuse_once_responders_doze() {
+        each_shape(8, dozing(Some(64)), |shape, server, sq| {
             let r = server.requester();
             await_all_dozing(&server);
             let before_wakes = server.stats().wakeups;
@@ -1627,7 +1627,7 @@ mod tests {
 
     #[test]
     fn fused_and_pooled_paths_interleave_without_loss() {
-        each_shape(8, fused_auto(Some(64)), |shape, server, sq| {
+        each_shape(8, dozing(Some(64)), |shape, server, sq| {
             let r = server.requester();
             // Alternate quiet single calls (fuse once responders doze)
             // with pipelined bursts (occupancy pushes past break-even →
@@ -1647,13 +1647,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_auto_submissions_ride_the_pool() {
-        // Pipelined submissions never fuse under `Auto`, even with the
+    fn submissions_ride_the_pool_on_a_dozing_plane() {
+        // Pipelined submissions never fuse, even with the
         // break-even gate wide open (dozing responders, empty ring): the
         // pipelined caller asked for overlap, and an inline completion would
         // keep occupancy at zero so the plane never hands a burst to the
         // pool at all.
-        each_shape(8, fused_auto(Some(64)), |shape, server, sq| {
+        each_shape(8, dozing(Some(64)), |shape, server, sq| {
             let r = server.requester();
             await_all_dozing(&server);
             let mut tickets: Vec<Ticket> = (0..4u64).map(|i| r.submit(sq, i).unwrap()).collect();

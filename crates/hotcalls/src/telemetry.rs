@@ -13,7 +13,7 @@
 //!   **service time** are separable — the distinction behind the paper's
 //!   p78 vs p99.97 HotCall latency split (§4.3).
 //! * [`Tracer`] — a bounded ring-buffer event tracer (governor park and
-//!   raise decisions, fused runs and declines, arena slab grows, control
+//!   raise decisions, fused runs, arena slab grows, control
 //!   decisions) with a `chrome://tracing`-compatible JSON exporter and
 //!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
 //!   feature.
@@ -58,8 +58,11 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// slot carries one call, so there is no bundle to size. v8 changed the
 /// meaning of a plane's `kind`: it names the plane's shape only, so a
 /// one-responder byte or sg plane reads `"single"` where its kind also
-/// named the payload — every payload rides the same server.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 8;
+/// named the payload — every payload rides the same server. v9 removed
+/// the `fused_fallbacks` field and its series: a synchronous call runs
+/// inline whenever a dozing plane's gate opens, so there is no opt-in
+/// mode whose declines to count.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 9;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -379,13 +382,11 @@ pub struct HotCallStats {
     /// Responder poll iterations that serviced a call.
     pub busy_polls: u64,
     /// Synchronous calls the requester executed inline on its own core
-    /// under [`crate::FusedMode::Auto`] (no slot, no handoff, no wake).
-    /// Included in [`HotCallStats::calls`].
+    /// (no slot, no handoff, no wake) because every active responder of
+    /// the ring was dozing and the ring was near empty. Included in
+    /// [`HotCallStats::calls`]; always 0 on a plane whose responders
+    /// cannot doze.
     pub fused_runs: u64,
-    /// Synchronous calls `Auto` sent through the responder pool instead:
-    /// the break-even gate found the responders active or the
-    /// backlog at the break-even occupancy.
-    pub fused_fallbacks: u64,
 }
 
 impl HotCallStats {
@@ -886,10 +887,6 @@ impl Snapshot {
             out.push_str(&format!(
                 "hotcalls_fused_runs_total{{{pl}}} {}\n",
                 p.stats.totals.fused_runs
-            ));
-            out.push_str(&format!(
-                "hotcalls_fused_fallbacks_total{{{pl}}} {}\n",
-                p.stats.totals.fused_fallbacks
             ));
             out.push_str(&format!(
                 "hotcalls_governor_active{{{pl}}} {}\n",

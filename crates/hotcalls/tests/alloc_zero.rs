@@ -23,7 +23,7 @@ use hotcalls::rt::{
     ByteCallTable, ByteCaller, ByteRing, SgCallTable, SgRing, Ticket, INLINE_CAPACITY,
 };
 use hotcalls::sim::SimHotCalls;
-use hotcalls::{FusedMode, HotCallConfig};
+use hotcalls::HotCallConfig;
 use sgx_sdk::edl::parse_edl;
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
 use sgx_sim::{EnclaveBuildOptions, Machine, SimConfig};
@@ -222,8 +222,8 @@ fn hot_path_makes_zero_heap_allocations() {
 
     ring.shutdown();
 
-    // Fused run-to-completion: once the responder dozes, `Auto` runs each
-    // call's handler inline on the requester's core, so the path is
+    // Fused run-to-completion: once the responder dozes, each call's
+    // handler runs inline on the requester's core, so the path is
     // shorter still — and must be just as heap-free.
     let mut table = ByteCallTable::new();
     let id = table.register(|n, buf| {
@@ -231,7 +231,6 @@ fn hot_path_makes_zero_heap_allocations() {
         n
     });
     let fused_config = HotCallConfig {
-        fused_mode: FusedMode::Auto,
         idle_polls_before_sleep: Some(64),
         ..HotCallConfig::patient()
     };

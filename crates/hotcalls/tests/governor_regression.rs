@@ -29,7 +29,10 @@ fn pool_config() -> HotCallConfig {
     }
 }
 
-/// Single-requester CPU-workload throughput under the given policy.
+/// Single-requester CPU-workload throughput under the given policy. Each
+/// call is a submission redeemed at once: a synchronous `call` on a plane
+/// whose responders all doze runs inline, and this guard is about the
+/// pool's wakes.
 fn cpu_calls_per_sec(policy: ResponderPolicy) -> f64 {
     let (cps, stats) = cpu_run(policy);
     eprintln!("policy {policy:?}: {cps:.0} calls/s, governor {stats:?}");
@@ -45,7 +48,7 @@ fn cpu_run(policy: ResponderPolicy) -> (f64, hotcalls::GovernorStats) {
     let deadline = Instant::now() + WARMUP;
     let mut i = 0u64;
     while Instant::now() < deadline {
-        assert_eq!(r.call(id, i).unwrap(), i + 1);
+        assert_eq!(r.wait(r.submit(id, i).unwrap()).unwrap(), i + 1);
         i += 1;
     }
 
@@ -53,7 +56,7 @@ fn cpu_run(policy: ResponderPolicy) -> (f64, hotcalls::GovernorStats) {
     let deadline = start + MEASURE;
     let mut calls = 0u64;
     while Instant::now() < deadline {
-        assert_eq!(r.call(id, calls).unwrap(), calls + 1);
+        assert_eq!(r.wait(r.submit(id, calls).unwrap()).unwrap(), calls + 1);
         calls += 1;
     }
     let secs = start.elapsed().as_secs_f64();

@@ -5,12 +5,12 @@
 //! for — overlapping a blocking handler across responders, skipping the
 //! handoff when the pool is asleep — and loses it completely if the
 //! mechanism breaks (a pipeline that serializes, an inline path that still
-//! wakes a responder). Read over 11 release runs of this file on a 2-vCPU
-//! Xeon host: pipelined 7.7–8.4× sync, a lone caller's `Auto` calls over a
-//! dozed responder 60–84× the pooled handoff to a spinning one, sparse
-//! adaptive calls 53–194× faster than pooled ones; adaptive bursts from
-//! one submitter with 16 in flight read 1.00–1.04× pooled bursts over 3
-//! runs.
+//! wakes a responder). Read over 6 release runs of this file on a 2-vCPU
+//! Xeon host: pipelined 7.9–11.0× sync, a lone caller's fused calls over a
+//! dozed responder 79–550× the pooled handoff to a responder that cannot
+//! doze, sparse calls on a dozing plane 4.7–36× faster than on one that
+//! cannot doze; bursts from one submitter with 16 in flight read
+//! 0.87–1.02× the other plane's bursts.
 //!
 //! Threshold discipline as in `governor_regression.rs`: the gates are
 //! multiples, not percents, and sit far below the readings, because CI
@@ -24,7 +24,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
-use hotcalls::{FusedMode, HotCallConfig, ResponderPolicy, TelemetryRegistry};
+use hotcalls::{HotCallConfig, ResponderPolicy, TelemetryRegistry};
 
 type Server = RingServer<u64, u64>;
 type Requester = RingRequester<u64, u64>;
@@ -58,14 +58,21 @@ fn table(io_sleep: Duration) -> CallTable<u64, u64> {
     table
 }
 
-/// Responders doze quickly when idle, so the ones a workload cannot feed
-/// release the core; `drain_batch: 1` keeps each blocking call on its own
-/// responder (a batch of N claimed slots is N serialized sleeps).
-fn pool_config(fused_mode: FusedMode) -> HotCallConfig {
+/// Responders that doze quickly when idle: the ones a workload cannot
+/// feed release the core, and once all of them doze a synchronous call
+/// runs inline.
+const DOZING: Option<u64> = Some(256);
+/// Responders that never doze: every call rides the pool.
+const SPINNING: Option<u64> = None;
+
+/// A plane whose responders doze after `idle_polls_before_sleep` empty
+/// polls ([`DOZING`] or [`SPINNING`]); `drain_batch: 1` keeps each
+/// blocking call on its own responder (a batch of N claimed slots is N
+/// serialized sleeps).
+fn pool_config(idle_polls_before_sleep: Option<u64>) -> HotCallConfig {
     HotCallConfig {
-        idle_polls_before_sleep: Some(256),
+        idle_polls_before_sleep,
         drain_batch: 1,
-        fused_mode,
         ..HotCallConfig::patient()
     }
 }
@@ -154,7 +161,8 @@ fn plane_rate(
 }
 
 /// One requester, 8 responders, a handler that blocks 200 µs. `call` in a
-/// loop keeps one request in flight and seven responders dozing;
+/// loop keeps one request in flight and seven responders dozing (and runs
+/// inline, one 200 µs sleep at a time, whenever the eighth dozes too);
 /// `submit`/`wait_any` with 16 tickets lets the pool overlap the waits.
 #[test]
 fn pipelining_overlaps_a_blocking_handler() {
@@ -164,7 +172,7 @@ fn pipelining_overlaps_a_blocking_handler() {
             table(Duration::from_micros(200)),
             RING_CAPACITY,
             ResponderPolicy::fixed(8),
-            pool_config(FusedMode::Off),
+            pool_config(DOZING),
         )
         .unwrap()
     };
@@ -195,29 +203,29 @@ fn await_fusing(server: &Server) {
 }
 
 /// One requester, one responder, a trivial handler: once the responder
-/// has dozed, the `Auto` call is a function call plus a few loads and
-/// counter bumps, the pooled (`Off`) call a full publish/transfer round
+/// has dozed, the call is a function call plus a few loads and counter
+/// bumps; on a plane that cannot doze it is a full publish/transfer round
 /// trip to a spinning responder. The inline runs must also show up where
 /// operators look for them.
 #[test]
-fn fused_auto_beats_the_pooled_handoff() {
+fn fused_calls_beat_the_pooled_handoff() {
     let _timed = one_at_a_time();
     let registry = TelemetryRegistry::new();
-    let rate = |mode| {
+    let rate = |name: &str, idle| {
         let server = RingServer::spawn_adaptive(
             table(Duration::ZERO),
             RING_CAPACITY,
             ResponderPolicy::fixed(1),
-            pool_config(mode),
+            pool_config(idle),
         )
         .unwrap();
-        registry.register_plane(server.telemetry_provider(format!("single-{mode:?}")));
-        if mode == FusedMode::Auto {
+        registry.register_plane(server.telemetry_provider(format!("single-{name}")));
+        if idle == DOZING {
             await_fusing(&server);
         }
         plane_rate(server, 1, |r, done| sync_calls(r, CPU, done))
     };
-    let (pooled, fused) = (rate(FusedMode::Off), rate(FusedMode::Auto));
+    let (pooled, fused) = (rate("spinning", SPINNING), rate("dozing", DOZING));
     let gain = fused / pooled;
     eprintln!("pooled {pooled:.0} calls/s, fused {fused:.0} calls/s ({gain:.1}x)");
     assert!(
@@ -226,12 +234,12 @@ fn fused_auto_beats_the_pooled_handoff() {
     );
     let exposition = registry.snapshot().to_prometheus();
     assert!(
-        exposition.contains("hotcalls_fused_runs_total{plane=\"single-Auto\""),
+        exposition.contains("hotcalls_fused_runs_total{plane=\"single-dozing\""),
         "fused runs missing from the exposition:\n{exposition}"
     );
 }
 
-/// What one fused mode made of the phase-shifting workload.
+/// What one plane made of the phase-shifting workload.
 struct Phases {
     /// Median in-call latency of the sparse quiet calls.
     quiet_ns: f64,
@@ -240,20 +248,20 @@ struct Phases {
 }
 
 /// A one-to-four-responder elastic plane under alternating *quiet* phases
-/// (one caller, a synchronous cpu call every 300 µs — long enough for the
-/// responders to doze in between, so each pooled call re-pays a wake and
-/// each fused call pays nothing) and *burst* phases (one thread keeping 16
-/// submissions of a 100 µs blocking handler in flight — the pool overlaps
-/// sleeps the submitter could only run one at a time inline; pipelined
-/// submissions never fuse).
-fn phase_workload(fused: FusedMode) -> Phases {
+/// (one caller, a synchronous cpu call every 300 µs — long enough for
+/// dozing responders to doze in between, so each call runs inline and
+/// pays nothing, while a plane that cannot doze hands each one off) and
+/// *burst* phases (one thread keeping 16 submissions of a 100 µs blocking
+/// handler in flight — the pool overlaps sleeps the submitter could only
+/// run one at a time inline; pipelined submissions never fuse).
+fn phase_workload(idle_polls_before_sleep: Option<u64>) -> Phases {
     const PAIRS: usize = 3;
     const QUIET_GAP: Duration = Duration::from_micros(300);
     let server = RingServer::spawn_adaptive(
         table(Duration::from_micros(100)),
         RING_CAPACITY,
         ResponderPolicy::elastic(1, 4),
-        pool_config(fused),
+        pool_config(idle_polls_before_sleep),
     )
     .unwrap();
     let mut quiet_ns: Vec<u64> = Vec::new();
@@ -280,7 +288,7 @@ fn phase_workload(fused: FusedMode) -> Phases {
     assert_eq!(
         server.stats().calls,
         quiet_ns.len() as u64 + burst_calls,
-        "{fused:?}: tickets were lost or run twice across the fused/pooled flip"
+        "{idle_polls_before_sleep:?}: tickets were lost or run twice across the fused/pooled flip"
     );
     server.shutdown();
     // Median, not mean: only a few hundred paced calls land per run, and
@@ -292,24 +300,25 @@ fn phase_workload(fused: FusedMode) -> Phases {
     }
 }
 
-/// `FusedMode::Auto` takes the better side of the break-even in both
-/// phases: it hands bursts to the pool exactly as `Off` does, and runs
-/// sparse calls inline, which `Off` pays a doze wake for.
+/// A dozing plane takes the better side of the break-even in both
+/// phases: it hands bursts to the pool exactly as a plane that cannot doze
+/// does, and runs sparse calls inline, which the other plane pays a
+/// handoff for.
 #[test]
-fn fused_auto_wins_both_sides_of_the_break_even() {
+fn a_dozing_plane_wins_both_sides_of_the_break_even() {
     let _timed = one_at_a_time();
-    let auto = phase_workload(FusedMode::Auto);
-    let off = phase_workload(FusedMode::Off);
-    let burst_ratio = auto.burst_rate / off.burst_rate;
-    let quiet_gain = off.quiet_ns / auto.quiet_ns;
+    let dozing = phase_workload(DOZING);
+    let spinning = phase_workload(SPINNING);
+    let burst_ratio = dozing.burst_rate / spinning.burst_rate;
+    let quiet_gain = spinning.quiet_ns / dozing.quiet_ns;
     eprintln!(
-        "bursts: auto {:.0} vs off {:.0} calls/s ({burst_ratio:.2}x); sparse call: \
-         off {:.0} vs auto {:.0} ns ({quiet_gain:.1}x)",
-        auto.burst_rate, off.burst_rate, off.quiet_ns, auto.quiet_ns
+        "bursts: dozing {:.0} vs spinning {:.0} calls/s ({burst_ratio:.2}x); sparse call: \
+         spinning {:.0} vs dozing {:.0} ns ({quiet_gain:.1}x)",
+        dozing.burst_rate, spinning.burst_rate, spinning.quiet_ns, dozing.quiet_ns
     );
     assert!(
         burst_ratio >= 0.5,
-        "adaptive bursts run at only {burst_ratio:.2}x the pooled bursts"
+        "dozing-plane bursts run at only {burst_ratio:.2}x the pooled bursts"
     );
     assert!(
         quiet_gain >= 2.0,

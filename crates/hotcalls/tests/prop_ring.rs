@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use hotcalls::rt::{CallTable, RingServer, Ticket};
-use hotcalls::{FusedMode, HotCallConfig, HotCallError, ResponderPolicy};
+use hotcalls::{HotCallConfig, HotCallError, ResponderPolicy};
 
 /// A payload with internal redundancy: `check` must always equal
 /// `value ^ MAGIC`. A torn read or write through the slot's payload cells
@@ -186,7 +186,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Fused↔pooled flips mid-stream: requesters alternate synchronous
-    /// calls (which fuse under [`FusedMode::Auto`] whenever the
+    /// calls (which run inline whenever the
     /// responders doze) with pipelined submits (which always ride the
     /// pool), while a short doze fuse keeps parking responders between
     /// bursts. The plane therefore flips service path many times per
@@ -203,11 +203,10 @@ proptest! {
     ) {
         let config = HotCallConfig {
             // Short doze fuse: responders fall quiescent inside the
-            // natural gaps of the interleaving, making the Auto gate
+            // natural gaps of the interleaving, making the fused gate
             // open and close repeatedly within one case.
             idle_polls_before_sleep: Some(64),
             timeout_retries: 5_000,
-            fused_mode: FusedMode::Auto,
             ..HotCallConfig::patient()
         };
         let mut table: CallTable<u64, u64> = CallTable::new();
@@ -229,7 +228,7 @@ proptest! {
                         for &op in ops {
                             match op % 3 {
                                 // A synchronous call: the one path the
-                                // Auto gate may run inline. Needs a free
+                                // fused gate may run inline. Needs a free
                                 // slot of its own, so keep one in
                                 // reserve below the pipeline depth.
                                 0 if pending.len() + 1 < depth => {
@@ -245,9 +244,9 @@ proptest! {
                                         Err(e) => panic!("call failed: {e:?}"),
                                     }
                                 }
-                                // A pipelined submit: never fuses under
-                                // Auto, so this keeps the pooled path
-                                // and the ring occupancy alive.
+                                // A pipelined submit: never fuses, so
+                                // this keeps the pooled path and the
+                                // ring occupancy alive.
                                 1 if pending.len() < depth => {
                                     let value = ((ri as u64) << 48) | seq;
                                     match r.submit(id, value) {

@@ -28,6 +28,11 @@
 
 #![warn(missing_docs)]
 
+// README.md's code blocks run as this crate's doc-tests, so an example
+// that stops compiling, or names a deleted API, fails the test suite.
+#[doc = include_str!("../README.md")]
+mod readme {}
+
 pub use apps;
 pub use hotcalls;
 pub use sgx_sdk;
