@@ -13,13 +13,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use hotcalls::ctl::{ApiId, CtlTelemetry, Transport};
+use hotcalls::ctl::{ApiId, ApiRouter, CtlTelemetry, Transport};
 use hotcalls::rt::{ArenaStats, ByteCallTable, ByteCaller, ByteRing, Ticket};
 use hotcalls::sim::SimHotCalls;
 use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneTelemetry};
-use hotcalls::{
-    Controller, CtlStats, GovernorStats, HotCallConfig, HotCallStats, ResponderPolicy, RingStats,
-};
+use hotcalls::{CtlStats, GovernorStats, HotCallConfig, HotCallStats, RingStats};
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
@@ -87,11 +85,10 @@ pub enum RtTransport {
     /// nobody; a batch's pipelined submissions still ride the responder.
     #[default]
     Ring,
-    /// Zero-config: the plane spawns with [`HotCallConfig::auto`] /
-    /// [`ResponderPolicy::auto`] and a [`Controller`] closes the loop —
-    /// each API is routed to its measured break-even transport (SDK for
-    /// rare calls, switchless for hot ones) and the responder pool resizes
-    /// from worker efficiency. No knob on this variant is chosen by the
+    /// Zero-config: the same one-responder [`HotCallConfig::auto`] plane
+    /// as [`RtTransport::Ring`], plus an [`ApiRouter`] that sends each API
+    /// over its measured break-even transport (SDK for rare calls,
+    /// switchless for hot ones). No knob on this variant is chosen by the
     /// application.
     Auto,
 }
@@ -106,45 +103,36 @@ impl RtTransport {
     }
 }
 
-/// How many routed calls between sizer ticks in the Auto transport. Each
-/// tick reads one [`RingStats`] snapshot and may resize the responder
-/// pool, so the cadence amortizes snapshot cost without letting the
-/// controller fall behind a phase shift.
-const CTL_TICK_EVERY: u64 = 64;
-
 /// The control half of the Auto transport: the break-even router plus the
 /// registered API ids it routes between.
 #[derive(Debug)]
 struct AutoCtl {
-    /// Shared so telemetry providers can hold the controller alive.
-    controller: Arc<Controller>,
+    /// Shared so telemetry providers can hold the router alive.
+    router: Arc<ApiRouter>,
     ids: BTreeMap<&'static str, ApiId>,
     /// The `RunEnclaveFunction` ecall shell (also the fallback for calls
     /// outside the declared table). Pinned to the hot plane — an ecall
     /// has no SDK-ocall shape to demote to.
     run_fn: ApiId,
-    /// Routed calls observed so far; drives the sizer-tick cadence.
-    observed: u64,
 }
 
 impl AutoCtl {
     fn new(apis: &[ApiDecl]) -> Self {
-        let mut controller = Controller::auto();
+        let mut router = ApiRouter::new();
         let mut ids = BTreeMap::new();
         for api in apis {
             // Every declared API may ride switchless or fall back to the
             // SDK ocall path; the router decides from measured cycles.
             ids.insert(
                 api.name,
-                controller.register(api.name, Transport::Hot, &[Transport::Sdk, Transport::Hot]),
+                router.register(api.name, Transport::Hot, &[Transport::Sdk, Transport::Hot]),
             );
         }
-        let run_fn = controller.register("RunEnclaveFunction", Transport::Hot, &[Transport::Hot]);
+        let run_fn = router.register("RunEnclaveFunction", Transport::Hot, &[Transport::Hot]);
         AutoCtl {
-            controller: Arc::new(controller),
+            router: Arc::new(router),
             ids,
             run_fn,
-            observed: 0,
         }
     }
 
@@ -154,31 +142,19 @@ impl AutoCtl {
 }
 
 impl RtPool {
-    fn new(apis: &[ApiDecl], transport: RtTransport) -> Result<Self> {
+    fn new(apis: &[ApiDecl]) -> Result<Self> {
         let mut table = ByteCallTable::new();
         let mut ids = BTreeMap::new();
         for api in apis {
             ids.insert(api.name, table.register(os_responder));
         }
         let run_fn = table.register(os_responder);
-        let server = match transport {
-            // One responder is enough for one requester thread, and it
-            // dozes when the application's call rate is low — every
-            // benchmark builds several environments side by side, and a
-            // dozed plane runs the synchronous calls inline.
-            RtTransport::Ring => {
-                ByteRing::spawn_pool(table, RT_RING_CAPACITY, 1, HotCallConfig::auto())?
-            }
-            // Zero-config: the auto policies size the pool to the host
-            // (the governor and the controller's sizer park the excess).
-            // The per-API routing rides in `AutoCtl`, outside the plane.
-            RtTransport::Auto => ByteRing::spawn_adaptive(
-                table,
-                RT_RING_CAPACITY,
-                ResponderPolicy::auto(),
-                HotCallConfig::auto(),
-            )?,
-        };
+        // One responder is enough for one requester thread, and it dozes
+        // when the application's call rate is low — every benchmark builds
+        // several environments side by side, and a dozed plane runs the
+        // synchronous calls inline. Both transports ride this plane; the
+        // Auto transport's per-API routing lives in `AutoCtl`, outside it.
+        let server = ByteRing::spawn_pool(table, RT_RING_CAPACITY, 1, HotCallConfig::auto())?;
         let caller = server.caller();
         Ok(RtPool {
             server,
@@ -311,7 +287,7 @@ pub struct AppEnv {
     hot: Option<SimHotCalls>,
     /// Real pooled transport (HotCalls modes only).
     rt: Option<RtPool>,
-    /// Break-even router + sizer loop ([`RtTransport::Auto`] only).
+    /// Break-even router ([`RtTransport::Auto`] only).
     ctl: Option<AutoCtl>,
     /// How the transport is configured (its census label).
     transport: RtTransport,
@@ -382,7 +358,7 @@ impl AppEnv {
                         &ctx,
                         HotCallConfig::default(),
                     )?),
-                    Some(RtPool::new(apis, transport)?),
+                    Some(RtPool::new(apis)?),
                     ctl,
                 )
             } else {
@@ -485,7 +461,7 @@ impl AppEnv {
                 // the call's measured cost feeds back into the router.
                 let routed = self.ctl.as_ref().map(|ctl| {
                     let api = ctl.id_of(name);
-                    (api, ctl.controller.route(api))
+                    (api, ctl.router.route(api))
                 });
                 let route = routed.map_or(Transport::Hot, |(_, route)| route);
                 let t0 = self.machine.now();
@@ -542,21 +518,11 @@ impl AppEnv {
         Ok(())
     }
 
-    /// Feeds one measured call into the controller and, on the tick
-    /// cadence, lets the sizer resize the responder pool from the plane's
-    /// own efficiency counters.
-    fn ctl_observe(&mut self, api: ApiId, transport: Transport, cycles: u64) {
+    /// Feeds one measured call into the router.
+    fn ctl_observe(&self, api: ApiId, transport: Transport, cycles: u64) {
         let stamp = self.machine.now().get();
-        let ctl = self.ctl.as_mut().expect("routed call has a controller");
-        ctl.controller.observe(api, transport, cycles, stamp);
-        ctl.observed += 1;
-        if ctl.observed.is_multiple_of(CTL_TICK_EVERY) {
-            if let Some(rt) = &self.rt {
-                if let Some(n) = ctl.controller.tick(&rt.server.ring_stats()) {
-                    rt.server.set_active(n);
-                }
-            }
-        }
+        let ctl = self.ctl.as_ref().expect("routed call has a router");
+        ctl.router.observe(api, transport, cycles, stamp);
     }
 
     /// Callee-bound and caller-bound byte totals of one call, from the
@@ -627,11 +593,10 @@ impl AppEnv {
         }
         // Under the Auto transport each call of the batch was one Hot
         // submission: observe it as one, at the batch's mean cost.
-        if self.ctl.is_some() {
+        if let Some(ctl) = &self.ctl {
             let per_call = (self.machine.now() - t0).get() / calls.len() as u64;
             for (name, _) in calls {
-                let api = self.ctl.as_ref().expect("checked above").id_of(name);
-                self.ctl_observe(api, Transport::Hot, per_call);
+                self.ctl_observe(ctl.id_of(name), Transport::Hot, per_call);
             }
         }
         Ok(())
@@ -692,9 +657,8 @@ impl AppEnv {
                 // is trusted work, not interface) even though the ecall is
                 // pinned hot — the row keeps the census complete.
                 if let Some(ctl) = &self.ctl {
-                    let api = ctl.run_fn;
                     let cycles = (self.machine.now() - t0).get();
-                    self.ctl_observe(api, Transport::Hot, cycles);
+                    self.ctl_observe(ctl.run_fn, Transport::Hot, cycles);
                 }
                 // ...then the trusted body. Under the Auto transport the
                 // router may send one of the body's API calls down the SDK
@@ -757,16 +721,16 @@ impl AppEnv {
         self.rt.as_ref().map(|rt| rt.caller.arena_stats())
     }
 
-    /// Responder-governor counters of the real transport (HotCalls modes
-    /// only): active/parked responders and park/wake decisions. `None`
-    /// for modes that have no switchless channel.
+    /// The real transport's responder pool in [`GovernorStats`] form
+    /// (HotCalls modes only): the pool is fixed, so `active == min ==
+    /// max` responders and the park/wake counters read zero. `None` for
+    /// modes that have no switchless channel.
     pub fn governor_stats(&self) -> Option<GovernorStats> {
         self.rt.as_ref().map(|rt| rt.server.governor_stats())
     }
 
     /// Ring statistics of the real transport's data plane (HotCalls modes
-    /// only): totals, governor and the ring's serviced count and
-    /// occupancy. `None` for modes that have no switchless channel.
+    /// only): totals and the ring's serviced count and occupancy. `None` for modes that have no switchless channel.
     pub fn rt_ring_stats(&self) -> Option<RingStats> {
         self.rt.as_ref().map(|rt| rt.server.ring_stats())
     }
@@ -860,22 +824,23 @@ impl AppEnv {
         self.rt.as_ref().map(|rt| rt.server.telemetry(name))
     }
 
-    /// Decision counters of the zero-config control loop — route flips,
-    /// SDK demotions, sizer grows/shrinks ([`RtTransport::Auto`] only).
+    /// Decision counters of the zero-config router — decisions, route
+    /// flips, SDK demotions, promotions and exploration probes
+    /// ([`RtTransport::Auto`] only).
     pub fn ctl_stats(&self) -> Option<CtlStats> {
-        self.ctl.as_ref().map(|c| c.controller.stats())
+        self.ctl.as_ref().map(|c| c.router.stats())
     }
 
     /// The control plane's telemetry section: per-API routes and EWMA
     /// costs plus the decision counters ([`RtTransport::Auto`] only).
     pub fn ctl_telemetry(&self, name: &str) -> Option<CtlTelemetry> {
-        self.ctl.as_ref().map(|c| c.controller.telemetry(name))
+        self.ctl.as_ref().map(|c| c.router.telemetry(name))
     }
 
     /// A provider for [`hotcalls::TelemetryRegistry::register_ctl`]
-    /// holding the controller alive ([`RtTransport::Auto`] only).
+    /// holding the router alive ([`RtTransport::Auto`] only).
     pub fn ctl_provider(&self, name: impl Into<String>) -> Option<CtlProvider> {
-        self.ctl.as_ref().map(|c| c.controller.provider(name))
+        self.ctl.as_ref().map(|c| c.router.provider(name))
     }
 }
 
@@ -1096,22 +1061,20 @@ mod tests {
         assert_eq!(env(IfaceMode::Sdk).census_mode(), "sdk");
         assert_eq!(env(IfaceMode::Native).census_mode(), "native");
         assert_eq!(auto.api_counts()["getpid"], 80);
-        // Modes/transports without a controller expose no ctl surface.
+        // Modes/transports without a router expose no ctl surface.
         assert!(env(IfaceMode::HotCalls).ctl_stats().is_none());
         assert!(env(IfaceMode::Sdk).ctl_provider("x").is_none());
-        let stats = auto.ctl_stats().expect("auto transport has a controller");
+        let stats = auto.ctl_stats().expect("auto transport has a router");
         let t = auto.ctl_telemetry("app-ctl").unwrap();
         assert_eq!(t.name, "app-ctl");
         // Every declared API plus the ecall shell has a route row, each on
         // an allowed transport.
         assert_eq!(t.routes.len(), 4);
-        // 83 routed calls crossed several decide windows and at least one
-        // sizer tick.
+        // 83 routed calls crossed several decide windows.
         assert!(stats.decisions >= 1, "{stats:?}");
-        assert!(stats.ticks >= 1, "{stats:?}");
         let getpid = t.routes.iter().find(|r| r.api == "getpid").unwrap();
         assert!(getpid.observes >= 80, "{getpid:?}");
-        // The provider snapshot matches the live controller.
+        // The provider snapshot matches the live router.
         let provider = auto.ctl_provider("prov").unwrap();
         assert_eq!(provider().routes.len(), 4);
     }

@@ -23,7 +23,7 @@ pub struct HotCallConfig {
     /// "Conserving resources at idle times"). `None` polls forever.
     ///
     /// On a ring plane this also decides the fused path: once every
-    /// active responder dozes, a synchronous `call` runs its handler
+    /// responder dozes, a synchronous `call` runs its handler
     /// inline on the requester's thread — no slot, no wake, no cross-core
     /// transfer — so a dozing plane costs its caller neither a wake nor a
     /// second CPU. A plane built with `None` never dozes and never fuses.
@@ -69,7 +69,7 @@ impl HotCallConfig {
     /// The zero-config configuration: a patient retry budget and
     /// responders that doze after 256 empty polls, so a ring plane runs
     /// synchronous calls inline whenever its pool has dozed off. A `ctl`
-    /// controller, where one is attached, tunes the rest online.
+    /// router, where one is attached, picks each API's transport online.
     pub fn auto() -> Self {
         HotCallConfig {
             idle_polls_before_sleep: Some(256),
@@ -78,9 +78,8 @@ impl HotCallConfig {
     }
 
     /// Rejects contradictory knob combinations before a plane is built on
-    /// them. Called at plane construction, so a controller mutating knobs
-    /// online can never hand the data plane a config that silently
-    /// misbehaves.
+    /// them. Called at plane construction, so the data plane never runs
+    /// on a config that silently misbehaves.
     ///
     /// # Errors
     ///
@@ -110,64 +109,6 @@ impl HotCallConfig {
             return Err(InvalidConfig(
                 "idle_polls_before_sleep of zero would sleep responders before they poll once",
             ));
-        }
-        Ok(())
-    }
-}
-
-/// Sizing policy for a plane's responder pool (the configless-worker idea
-/// applied to the paper's "On Call" threads). The plane spawns `max`
-/// responder threads on its one ring, of which between `min` and `max`
-/// are *active* at any moment. Requesters raise the active target when
-/// the ring backs up; the top active responder demotes itself and parks
-/// after a long useful-work drought. Parked responders cost nothing —
-/// per-call wakeups never reach them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResponderPolicy {
-    /// Responders that are never parked (at least 1).
-    pub min: usize,
-    /// Total responder threads spawned (the scale-up ceiling).
-    pub max: usize,
-}
-
-impl ResponderPolicy {
-    /// A static pool of exactly `n` always-active responders (the governor
-    /// is disabled; this reproduces the old `spawn_pool` behaviour).
-    pub fn fixed(n: usize) -> Self {
-        ResponderPolicy { min: n, max: n }
-    }
-
-    /// An elastic pool between `min` and `max` active responders.
-    pub fn elastic(min: usize, max: usize) -> Self {
-        ResponderPolicy { min, max }
-    }
-
-    /// The zero-config pool: elastic between one responder and the host's
-    /// available parallelism, leaving the active target to the governor
-    /// and the `ctl` sizer.
-    pub fn auto() -> Self {
-        let max = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::elastic(1, max.max(1))
-    }
-
-    /// Rejects contradictory pool bounds before threads are spawned on
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::HotCallError::InvalidConfig`] when `min` is zero (the pool
-    /// would keep no thread alive) or `max < min` (an empty active range).
-    pub fn validate(&self) -> crate::error::Result<()> {
-        use crate::error::HotCallError::InvalidConfig;
-        if self.min == 0 {
-            return Err(InvalidConfig(
-                "responder pool must keep at least one active thread",
-            ));
-        }
-        if self.max < self.min {
-            return Err(InvalidConfig("responder policy max must be at least min"));
         }
         Ok(())
     }
@@ -209,16 +150,5 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn validate_rejects_contradictory_policies() {
-        assert!(ResponderPolicy::fixed(4).validate().is_ok());
-        assert!(ResponderPolicy::elastic(1, 4).validate().is_ok());
-        assert!(ResponderPolicy::auto().validate().is_ok());
-        assert!(ResponderPolicy::auto().max >= 1);
-        assert!(ResponderPolicy::fixed(0).validate().is_err());
-        assert!(ResponderPolicy::elastic(0, 2).validate().is_err());
-        assert!(ResponderPolicy::elastic(3, 2).validate().is_err());
     }
 }

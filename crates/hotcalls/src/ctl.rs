@@ -1,53 +1,47 @@
-//! The configless control plane: per-API break-even routing and online
-//! responder autosizing.
+//! The configless control plane: per-API break-even routing.
 //!
-//! Without this module, every lever that decides where a call's break-even
-//! point falls — responder pool bounds and hot-vs-SDK routing — is a
-//! hand-set constant.
-//! This module closes the loop the way *SGX Switchless Calls Made
-//! Configless* does: the telemetry the data plane already produces (per-API
-//! cycles/call, useful-work poll ratios, doze wake counts)
-//! feeds two controllers that move those knobs online.
+//! Without this module, the lever that decides where a call's break-even
+//! point falls — hot-vs-SDK routing — is a hand-set constant. This module
+//! closes the loop the way *SGX Switchless Calls Made Configless* does:
+//! the per-API cycles/call and inter-arrival gaps the caller measures feed
+//! one router that moves each call site online.
 //!
-//! * [`ApiRouter`] — measures each API's observed cycles/call under the
-//!   transports it may ride ([`Transport::Sdk`], [`Transport::Hot`]) and
-//!   routes each call site to whichever side of its measured break-even it
-//!   sits on. The
-//!   paper's break-even argument is priced directly into the score: every
-//!   switchless transport pays a *standby tax* proportional to the API's
-//!   observed inter-arrival gap (a dedicated responder core burns cycles
-//!   between calls), so a low-rate API demotes itself back to the SDK
-//!   fallback exactly when `rate x (sdk - hot) cycles` stops covering the
-//!   core it keeps busy.
-//! * [`AutoSizer`] — resizes the responder pool's active target from a
-//!   worker-efficiency metric (the useful-work poll ratio the governor
-//!   already exports), inside [`crate::ResponderPolicy::auto`]-style
-//!   bounds. It sizes workers, not batches: one ticket is one call.
+//! [`ApiRouter`] measures each API's observed cycles/call under the
+//! transports it may ride ([`Transport::Sdk`], [`Transport::Hot`]) and
+//! routes each call site to whichever side of its measured break-even it
+//! sits on. The paper's break-even argument is priced directly into the
+//! score: every switchless transport pays a *standby tax* proportional to
+//! the API's observed inter-arrival gap (a dedicated responder core burns
+//! cycles between calls), so a low-rate API demotes itself back to the
+//! SDK fallback exactly when `rate x (sdk - hot) cycles` stops covering
+//! the core it keeps busy. How many responders a plane runs is not the
+//! router's business: a plane is a fixed pool whose responders doze when
+//! idle.
 //!
-//! Both halves are **hysteretic** — flips require a margin, a minimum
+//! The router is **hysteretic** — flips require a margin, a minimum
 //! sample count, and a cooldown, so a stationary workload converges to a
-//! stable routing table with a bounded number of flips — and **observable**:
-//! every decision bumps a [`CtlStats`] counter, emits a `ctl_*` trace
-//! event, and is exported as `hotcalls_ctl_*` Prometheus lines through the
-//! telemetry snapshot's `ctl` section. Nothing configures either half:
-//! their time constants are the private constants below.
+//! stable routing table with a bounded number of flips — and
+//! **observable**: every decision bumps a [`CtlStats`] counter, emits a
+//! `ctl_flip` trace event, and is exported as `hotcalls_ctl_*` Prometheus
+//! lines through the telemetry snapshot's `ctl` section. Nothing
+//! configures it: its time constants are the private constants below.
 //!
-//! [`ChunkSizer`] stands apart from the [`Controller`]: a one-way ratchet
-//! that halves a streaming chunk while the EPC's paging bill per streamed
-//! byte stays high.
+//! [`ChunkSizer`] stands apart from the router: a one-way ratchet that
+//! halves a streaming chunk while the EPC's paging bill per streamed byte
+//! stays high.
 //!
 //! Every input here is handed in by the caller — cycles per call (RDTSC
-//! or a simulator clock), a [`RingStats`] snapshot, paging counters — so
-//! the decisions run the same in every build: the `telemetry-off` feature
-//! compiles out the trace events, not the routing and sizing.
+//! or a simulator clock), paging counters — so the decisions run the same
+//! in every build: the `telemetry-off` feature compiles out the trace
+//! events, not the routing.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{HotCallError, Result};
-use crate::telemetry::{trace, RingStats};
+use crate::telemetry::trace;
 
 /// The transports a call site can ride, in break-even order of the
 /// paper's Table 1: the SDK fallback costs thousands of cycles but keeps
@@ -233,7 +227,7 @@ impl ApiSlot {
     }
 }
 
-/// Counter snapshot of everything the controller has decided so far.
+/// Counter snapshot of everything the router has decided so far.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CtlStats {
     /// Routing decisions evaluated (most conclude "stay").
@@ -248,12 +242,6 @@ pub struct CtlStats {
     /// Calls deliberately routed off the current transport to refresh a
     /// stale estimate.
     pub explore_probes: u64,
-    /// Sizer ticks evaluated.
-    pub ticks: u64,
-    /// Active-responder target raises issued by the sizer.
-    pub grows: u64,
-    /// Active-responder target cuts issued by the sizer.
-    pub shrinks: u64,
 }
 
 /// One API's row in the control plane's telemetry export.
@@ -274,7 +262,7 @@ pub struct CtlRoute {
 /// The control plane's section of a telemetry snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CtlTelemetry {
-    /// Registered controller name.
+    /// Registered router name.
     pub name: String,
     /// Decision counters.
     pub stats: CtlStats,
@@ -287,7 +275,10 @@ pub struct CtlTelemetry {
 /// Register each API once with its default transport and the set it may
 /// ride; on the hot path, ask [`ApiRouter::route`] where this call goes
 /// and report what it cost with [`ApiRouter::observe`]. Decisions run
-/// every 32nd observation of an API, off the per-call path.
+/// every 32nd observation of an API, off the per-call path. Share it
+/// (`Arc`) with the call sites once registration is done; its counters
+/// and routing table export through [`ApiRouter::telemetry`] and
+/// [`ApiRouter::provider`].
 ///
 /// # Examples
 ///
@@ -492,181 +483,33 @@ impl ApiRouter {
             })
             .collect()
     }
-}
-
-/// Useful-work poll ratio above which the sizer grows the active set (the
-/// workers are all earning their keep and backlog is building).
-const SIZER_EFF_HIGH: f64 = 0.75;
-/// Ratio below which the sizer shrinks the active set (workers mostly poll
-/// empty — the Configless paper's "worker not efficient" rule).
-const SIZER_EFF_LOW: f64 = 0.20;
-/// Ticks to hold still after a resize (hysteresis: the plane needs a
-/// window at the new size before its efficiency means anything).
-const SIZER_COOLDOWN_TICKS: u32 = 2;
-
-/// Window counters one tick compares against the last.
-#[derive(Debug, Default, Clone, Copy)]
-struct SizerWindow {
-    busy: u64,
-    idle: u64,
-}
-
-/// The online sizer: periodically fed a [`RingStats`] snapshot, it
-/// returns resize decisions derived from the delta since its previous
-/// tick. Single-owner by design (the driver loop that ticks it); the
-/// [`Controller`] wraps it in a mutex for shared use.
-#[derive(Debug)]
-pub struct AutoSizer {
-    prev: Option<SizerWindow>,
-    cooldown: u32,
-    ticks: u64,
-    grows: u64,
-    shrinks: u64,
-}
-
-impl Default for AutoSizer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AutoSizer {
-    /// A sizer with no baseline window yet.
-    pub fn new() -> Self {
-        AutoSizer {
-            prev: None,
-            cooldown: 0,
-            ticks: 0,
-            grows: 0,
-            shrinks: 0,
-        }
-    }
-
-    /// One control tick over the plane's current [`RingStats`]: the new
-    /// active responder target to push into the governor, or `None` to
-    /// hold. The first tick only establishes the baseline window.
-    pub fn tick(&mut self, rs: &RingStats) -> Option<usize> {
-        self.ticks += 1;
-        let window = SizerWindow {
-            busy: rs.totals.busy_polls,
-            idle: rs.totals.idle_polls,
-        };
-        let prev = self.prev.replace(window)?;
-        let busy = window.busy.saturating_sub(prev.busy);
-        let idle = window.idle.saturating_sub(prev.idle);
-        let polls = busy + idle;
-        let backlog: usize = rs.shards.iter().map(|s| s.occupancy).sum();
-        let active = rs.governor.active;
-
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return None;
-        }
-        if polls == 0 {
-            return None;
-        }
-        let efficiency = busy as f64 / polls as f64;
-        if efficiency > SIZER_EFF_HIGH && backlog > active && active < rs.governor.max {
-            self.grows += 1;
-            self.cooldown = SIZER_COOLDOWN_TICKS;
-            Some(active + 1)
-        } else if efficiency < SIZER_EFF_LOW && backlog == 0 && active > rs.governor.min {
-            // Low poll efficiency alone is not idleness: responders
-            // blocked inside io-bound handlers poll nothing while the
-            // ring holds work, and shrinking then thrashes against the
-            // governor's raise path. Only a drained plane shrinks.
-            self.shrinks += 1;
-            self.cooldown = SIZER_COOLDOWN_TICKS;
-            Some(active - 1)
-        } else {
-            None
-        }
-    }
-}
-
-/// The control plane: one [`ApiRouter`] plus one [`AutoSizer`], sharable
-/// across threads, exporting a [`CtlTelemetry`] section.
-///
-/// Build it at setup time ([`Controller::auto`] + [`Controller::register`]),
-/// then share it (`Arc`) with the call sites: `route`/`observe` per call,
-/// [`Controller::tick`] periodically from whichever thread drives the
-/// plane, with the responder target it returns pushed into the server's
-/// `set_active` surface.
-#[derive(Debug)]
-pub struct Controller {
-    router: ApiRouter,
-    sizer: Mutex<AutoSizer>,
-}
-
-impl Controller {
-    /// A controller with an empty routing table and a fresh sizer.
-    pub fn auto() -> Self {
-        Controller {
-            router: ApiRouter::new(),
-            sizer: Mutex::new(AutoSizer::new()),
-        }
-    }
-
-    /// Registers an API (setup time — see [`ApiRouter::register`]).
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        default: Transport,
-        allowed: &[Transport],
-    ) -> ApiId {
-        self.router.register(name, default, allowed)
-    }
-
-    /// Routes one call (see [`ApiRouter::route`]).
-    pub fn route(&self, api: ApiId) -> Transport {
-        self.router.route(api)
-    }
-
-    /// Reports one call's cost (see [`ApiRouter::observe`]).
-    pub fn observe(&self, api: ApiId, transport: Transport, cycles: u64, now: u64) {
-        self.router.observe(api, transport, cycles, now);
-    }
-
-    /// One sizer tick over the plane's stats: the new active responder
-    /// target, or `None` to hold (see [`AutoSizer::tick`]).
-    pub fn tick(&self, rs: &RingStats) -> Option<usize> {
-        let target = self.sizer.lock().expect("sizer lock").tick(rs);
-        if let Some(n) = target {
-            trace("ctl_resize", n as u64, rs.governor.active as u64);
-        }
-        target
-    }
 
     /// Decision counters so far.
     pub fn stats(&self) -> CtlStats {
-        let sizer = self.sizer.lock().expect("sizer lock");
         CtlStats {
-            decisions: self.router.decisions.load(Ordering::Relaxed),
-            flips: self.router.flips.load(Ordering::Relaxed),
-            sdk_demotions: self.router.sdk_demotions.load(Ordering::Relaxed),
-            promotions: self.router.promotions.load(Ordering::Relaxed),
-            explore_probes: self.router.explore_probes.load(Ordering::Relaxed),
-            ticks: sizer.ticks,
-            grows: sizer.grows,
-            shrinks: sizer.shrinks,
+            decisions: self.decisions.load(Ordering::Relaxed),
+            flips: self.flips.load(Ordering::Relaxed),
+            sdk_demotions: self.sdk_demotions.load(Ordering::Relaxed),
+            promotions: self.promotions.load(Ordering::Relaxed),
+            explore_probes: self.explore_probes.load(Ordering::Relaxed),
         }
     }
 
-    /// This controller's telemetry section right now.
+    /// This router's telemetry section right now.
     pub fn telemetry(&self, name: &str) -> CtlTelemetry {
         CtlTelemetry {
             name: name.to_string(),
             stats: self.stats(),
-            routes: self.router.routes(),
+            routes: self.routes(),
         }
     }
 
     /// A provider for [`crate::TelemetryRegistry::register_ctl`], holding
-    /// the controller alive.
+    /// the router alive.
     pub fn provider(self: &Arc<Self>, name: impl Into<String>) -> crate::telemetry::CtlProvider {
-        let ctl = Arc::clone(self);
+        let router = Arc::clone(self);
         let name = name.into();
-        Box::new(move || ctl.telemetry(&name))
+        Box::new(move || router.telemetry(&name))
     }
 }
 
@@ -751,42 +594,6 @@ mod tests {
         assert!(r.slots[0].samples[Transport::Hot as usize].load(Ordering::Relaxed) > 0);
     }
 
-    fn stats_with(busy: u64, idle: u64, occupancy: usize, active: usize) -> RingStats {
-        use crate::telemetry::{GovernorStats, HotCallStats, ShardStats};
-        RingStats {
-            totals: HotCallStats {
-                calls: busy,
-                busy_polls: busy,
-                idle_polls: idle,
-                ..HotCallStats::default()
-            },
-            governor: GovernorStats {
-                active,
-                min: 1,
-                max: 4,
-                ..GovernorStats::default()
-            },
-            shards: vec![ShardStats {
-                occupancy,
-                ..ShardStats::default()
-            }],
-        }
-    }
-
-    #[test]
-    fn sizer_grows_on_saturation_and_shrinks_on_idle() {
-        let mut sizer = AutoSizer::new();
-        // First tick is the baseline.
-        assert_eq!(sizer.tick(&stats_with(0, 0, 0, 2)), None);
-        // Saturated window: all polls busy, backlog beyond the active set.
-        assert_eq!(sizer.tick(&stats_with(10_000, 10, 8, 2)), Some(3));
-        // Cooldown holds the next two ticks still even under saturation.
-        assert_eq!(sizer.tick(&stats_with(30_000, 20, 8, 3)), None);
-        assert_eq!(sizer.tick(&stats_with(60_000, 30, 8, 3)), None);
-        // Idle window: polls overwhelmingly empty -> shrink.
-        assert_eq!(sizer.tick(&stats_with(60_010, 1_000_000, 0, 3)), Some(2));
-    }
-
     #[test]
     fn chunk_sizer_is_a_one_way_ratchet() {
         const MAX: usize = 1 << 20;
@@ -828,17 +635,14 @@ mod tests {
     }
 
     #[test]
-    fn controller_counts_decisions_and_exports_routes() {
-        let mut ctl = Controller::auto();
-        let id = ctl.register("read", Transport::Hot, &[Transport::Sdk, Transport::Hot]);
-        let t = ctl.route(id);
-        ctl.observe(id, t, 620, 1_000);
-        ctl.tick(&stats_with(0, 0, 0, 1));
-        let tel = ctl.telemetry("unit");
+    fn router_counts_decisions_and_exports_routes() {
+        let (r, id) = two_way_router();
+        drive(&r, id, DECIDE_EVERY, 2_000, |_| 620);
+        let tel = Arc::new(r).provider("unit")();
         assert_eq!(tel.name, "unit");
         assert_eq!(tel.routes.len(), 1);
         assert_eq!(tel.routes[0].api, "read");
-        assert_eq!(tel.stats.ticks, 1);
-        assert_eq!(tel.routes[0].observes, 1);
+        assert_eq!(tel.stats.decisions, 1);
+        assert_eq!(tel.routes[0].observes, DECIDE_EVERY);
     }
 }

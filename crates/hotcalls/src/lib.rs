@@ -25,24 +25,22 @@
 //!   is *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester (a call returns through `call`, `wait` or `wait_any` and
-//!   nothing else; one ticket is one call), and one [`ResponderPolicy`]
-//!   `{min, max}`
-//!   ([`rt::RingServer::spawn_adaptive`]) replaces the static pool size
-//!   with a governor that parks idle responders and wakes them on
-//!   backlog. Only responders service ring slots; once a plane's
-//!   responders all doze (`HotCallConfig::idle_polls_before_sleep`), a
-//!   synchronous call skips the ring and runs its handler inline, so an
-//!   idle plane holds no second CPU. A payload is the server's type
+//!   nothing else; one ticket is one call). The pool is fixed for the
+//!   plane's life, and the paper's doze is its one idle mechanism: only
+//!   responders service ring slots, and once a plane's responders all
+//!   doze (`HotCallConfig::idle_polls_before_sleep`), a synchronous call
+//!   skips the ring and runs its handler inline, so an idle plane holds
+//!   no second CPU. A payload is the server's type
 //!   parameter: [`rt::ByteRing`] and [`rt::SgRing`] *are* that
 //!   `RingServer`, at arena-backed byte and scatter-gather payloads. This
 //!   is usable as a general low-latency inter-thread call primitive.
 //! * [`ctl`] — the **configless control plane**: a per-API break-even
-//!   router and an online worker-efficiency sizer that close the loop
-//!   from [`telemetry`] back into the data plane's knobs, with time
+//!   [`ApiRouter`] that sends each call site over the SDK or the
+//!   switchless path from its measured cycles and call rate, with time
 //!   constants nobody sets. It is opt-in: the demo apps' default plane
-//!   runs without a [`Controller`]; `apps`' `RtTransport::Auto` attaches
-//!   one. Beside it, [`ChunkSizer`] ratchets a streaming chunk down the
-//!   EPC paging cliff.
+//!   runs without a router; `apps`' `RtTransport::Auto` attaches one.
+//!   Beside it, [`ChunkSizer`] ratchets a streaming chunk down the EPC
+//!   paging cliff.
 //!
 //! ## Threaded quick start
 //!
@@ -68,8 +66,8 @@ pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
-pub use config::{HotCallConfig, ResponderPolicy};
-pub use ctl::{ApiRouter, ChunkSizer, Controller, CtlStats, Transport};
+pub use config::HotCallConfig;
+pub use ctl::{ApiRouter, ChunkSizer, CtlStats, Transport};
 pub use error::{HotCallError, Result};
 pub use telemetry::{
     GovernorStats, HotCallStats, RingStats, ShardStats, Snapshot, TelemetryRegistry,

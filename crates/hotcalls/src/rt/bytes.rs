@@ -195,7 +195,7 @@ impl ByteCaller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HotCallConfig, ResponderPolicy};
+    use crate::config::HotCallConfig;
 
     fn echo_table() -> (ByteCallTable, u32, u32) {
         let mut t = ByteCallTable::new();
@@ -290,15 +290,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_byte_ring_serves_and_reports_governor() {
+    fn pooled_byte_ring_serves_and_reports_governor() {
         let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_adaptive(
-            t,
-            8,
-            ResponderPolicy::elastic(1, 3),
-            HotCallConfig::patient(),
-        )
-        .unwrap();
+        let ring = ByteRing::spawn_pool(t, 8, 3, HotCallConfig::patient()).unwrap();
         assert_eq!(ring.responders(), 3);
         let mut caller = ring.caller();
         for _ in 0..100 {
@@ -307,8 +301,7 @@ mod tests {
                 .unwrap();
         }
         let g = ring.governor_stats();
-        assert_eq!((g.min, g.max), (1, 3));
-        assert!(g.active >= 1 && g.active <= 3, "{g:?}");
+        assert_eq!((g.active, g.min, g.max, g.parks), (3, 3, 3, 0));
         assert_eq!(ring.stats().calls, 100);
     }
 

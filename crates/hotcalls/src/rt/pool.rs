@@ -1,5 +1,5 @@
 //! The plane's responder pool: batched drain of the one ring with one tail
-//! CAS per batch, governed by a [`crate::config::ResponderPolicy`].
+//! CAS per batch.
 //!
 //! Every responder runs [`responder_loop`]: scan up to `drain_batch`
 //! contiguous `SUBMITTED` slots starting at the ring's `tail`, claim the
@@ -15,27 +15,10 @@
 //! amortizes both the CAS and the wake/schedule cost of the drain, which
 //! is where switchless designs win under IO-heavy load.
 //!
-//! With an adaptive policy the loop grows two extra branches:
-//!
-//! * **Park** — a responder whose index is at or above the governor's
-//!   active target sleeps on the *park* doze, which per-call wakeups never
-//!   touch. This is what fixes the oversubscription regression: a parked
-//!   responder costs nothing, whereas an idle-dozing one is woken on every
-//!   submission, loses the tail race, spins a full idle streak, and
-//!   re-dozes — stealing the requester's core the whole time.
-//! * **Demote** — `polls_since_work` tracks this responder's useful-work
-//!   ratio: every empty pass adds one, every slot won subtracts a bounded
-//!   credit ([`WIN_CREDIT_POLLS`]). Unlike the doze `idle_streak`, it is
-//!   NOT reset by waking from the doze, and deliberately NOT zeroed by a
-//!   win either: in a saturated one-requester stream every churning
-//!   responder wins scraps every few calls, and a plain drought counter
-//!   never ripens — which is exactly how the 1×4 oversubscription
-//!   regression survived idleness detection. Once the deficit passes
-//!   the governor's park threshold, the top active responder lowers the
-//!   target by one and parks itself on the next iteration. Lower indices
-//!   inherit "top" status with their counters already ripe, so an
-//!   overprovisioned pool cascades down to its demand point quickly (the
-//!   occupancy- and age-triggered raises pull it back up).
+//! The pool is fixed: every responder drains for the plane's life. Its
+//! one idle mechanism is the doze — after
+//! [`HotCallConfig::idle_polls_before_sleep`] empty polls in a row a
+//! responder sleeps on the ring's doze until a submission wakes it.
 
 use std::sync::atomic::Ordering;
 
@@ -46,12 +29,6 @@ use crate::telemetry::{now_cycles, TELEMETRY_ENABLED};
 use super::ring::{ResponderCell, RingShared};
 use super::slot::{Backoff, CallSlot, LocalStats};
 use super::CallTable;
-
-/// Poll credit earned per slot won: a responder that wins at least one
-/// slot per this many polls is earning its keep; one that mostly loses
-/// the tail race ripens toward demotion even though it never goes fully
-/// dry.
-const WIN_CREDIT_POLLS: u64 = 64;
 
 /// Services one claimed slot on a responder thread: take the request,
 /// dispatch it, publish the response.
@@ -132,8 +109,7 @@ impl Tally<'_> {
     }
 }
 
-/// The loop of responder `index`: drain the ring; park when the governor
-/// shrinks the active set below this responder.
+/// The loop of responder `index`: drain the ring, dozing when idle.
 pub(super) fn responder_loop<Req, Resp>(
     shared: &RingShared<Req, Resp>,
     index: usize,
@@ -141,7 +117,6 @@ pub(super) fn responder_loop<Req, Resp>(
 ) {
     // A batch longer than the ring would scan the same slot twice.
     let batch = (config.drain_batch as usize).min(shared.slots.len());
-    let gov = &shared.governor;
     let mut tally = Tally {
         local: LocalStats::default(),
         polls: 0,
@@ -149,50 +124,11 @@ pub(super) fn responder_loop<Req, Resp>(
     };
     let mut backoff = Backoff::new();
     let mut idle_streak: u64 = 0;
-    // Useful-work deficit: +1 per empty full pass, -WIN_CREDIT_POLLS per
-    // slot won. Never reset by doze wakeups or wins — see the module docs.
-    let mut polls_since_work: u64 = 0;
-    let mut parked = false;
     loop {
-        if gov.adaptive() {
-            let active = gov.active_target.load(Ordering::Acquire);
-            if index >= active {
-                // Nothing to hand over before going dark: the target never
-                // drops below `min >= 1`, so an active responder is always
-                // left draining the ring.
-                if !parked {
-                    parked = true;
-                    gov.parks.fetch_add(1, Ordering::Relaxed);
-                    gov.parked_now.fetch_add(1, Ordering::Relaxed);
-                    tally.flush();
-                }
-                gov.park_doze.sleep_unless(|| {
-                    shared.shutdown.load(Ordering::Acquire)
-                        || index < gov.active_target.load(Ordering::Acquire)
-                });
-                if shared.shutdown.load(Ordering::Acquire) {
-                    // Parked responders exit directly; the active set
-                    // performs the drain-then-exit sweep below.
-                    gov.parked_now.fetch_sub(1, Ordering::Relaxed);
-                    tally.flush();
-                    return;
-                }
-                if index >= gov.active_target.load(Ordering::Acquire) {
-                    // A raise woke everyone; we were not the one admitted.
-                    continue;
-                }
-                parked = false;
-                gov.parked_now.fetch_sub(1, Ordering::Relaxed);
-                idle_streak = 0;
-                polls_since_work = 0;
-                backoff.reset();
-            }
-        }
         tally.polls += 1;
         let won = drain(shared, batch, &mut tally);
         if won > 0 {
             idle_streak = 0;
-            polls_since_work = polls_since_work.saturating_sub(won as u64 * WIN_CREDIT_POLLS);
             backoff.reset();
             // Keep the poll count as fresh as the base counters:
             // `service_slot` flushed those before the DONE hand-off.
@@ -209,18 +145,9 @@ pub(super) fn responder_loop<Req, Resp>(
             return;
         }
         idle_streak += 1;
-        polls_since_work += 1;
         tally.local.idle_polls += 1;
         if tally.local.idle_polls.is_multiple_of(1024) {
             tally.flush();
-        }
-        // Useful-work drought: the top active responder bows out. The
-        // park branch above catches the lowered target next iteration.
-        if gov.adaptive()
-            && polls_since_work >= gov.tuning.park_after_idle_polls
-            && gov.try_demote(index)
-        {
-            continue;
         }
         if let Some(limit) = config.idle_polls_before_sleep {
             if idle_streak >= limit {
@@ -231,11 +158,7 @@ pub(super) fn responder_loop<Req, Resp>(
                 shared.doze.sleep_unless(|| {
                     shared.shutdown.load(Ordering::Acquire) || shared.front_submitted()
                 });
-                // `idle_streak` restarts (we just slept; spin a full
-                // streak before sleeping again) but `polls_since_work`
-                // deliberately does not: a responder that keeps being
-                // woken without ever winning work must still ripen
-                // toward demotion.
+                // We just slept: spin a full streak before sleeping again.
                 idle_streak = 0;
                 backoff.reset();
                 continue;

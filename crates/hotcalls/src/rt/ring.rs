@@ -13,38 +13,34 @@
 //!
 //! **One ring, `R` responders.** A plane is one ring — slots, head, tail,
 //! doze line and abandon board, all cache-padded — drained by `R ≥ 1`
-//! responder threads ([`RingServer::spawn_pool`] builds a static `R`,
-//! [`RingServer::spawn_adaptive`] an elastic one). Every requester shares
-//! the one head word and every responder drains the one ring. A layout
+//! responder threads, all spawned by [`RingServer::spawn_pool`] and all
+//! draining for the plane's life. Every requester shares the one head
+//! word and every responder drains the one ring. A layout
 //! that wants independent channels — the paper's Fig. 9 gives each call
 //! channel its own mailbox — builds one plane per channel. The payload is
 //! the server's type parameter: a typed plane is `RingServer<Req, Resp>`,
 //! and the byte and scatter-gather planes are the same server at `HotBuf`
 //! and `SgList` payloads ([`super::ByteRing`], [`super::SgRing`]).
 //!
-//! Two mechanisms pipeline the plane beyond the paper's synchronous
-//! protocol. One ticket is one call: a slot carries one request and one
-//! response, as the paper's mailbox does.
+//! Beyond the paper's synchronous protocol the plane *pipelines*
+//! completions: [`RingRequester::submit`] returns a [`Ticket`]
+//! immediately; [`RingRequester::wait`] and [`RingRequester::wait_any`]
+//! reap completions in any order, so one requester keeps many slots in
+//! flight and a blocked handler no longer serializes the ring. One ticket
+//! is one call: a slot carries one request and one response, as the
+//! paper's mailbox does.
 //!
-//! * **Pipelined completions** — [`RingRequester::submit`] returns a
-//!   [`Ticket`] immediately; [`RingRequester::wait`] and
-//!   [`RingRequester::wait_any`] reap completions in any order, so one
-//!   requester keeps many slots in flight and a blocked handler no longer
-//!   serializes the ring.
-//! * **Adaptive governor** — a [`ResponderPolicy`]`{min, max}` replaces
-//!   the static pool size: requesters raise the active-responder target
-//!   when the ring backs up (or their in-flight calls age), and the top
-//!   active responder demotes itself and *parks* after a useful-work
-//!   drought. Parked responders sleep on a doze that per-call wakeups
-//!   never touch, so surplus pollers stop burning the cores the requesters
-//!   need. The target never drops below `min ≥ 1`, so the ring always has
-//!   an active responder.
+//! The doze (§4.2, "Conserving resources at idle times") is the plane's
+//! only idle mechanism: a responder that finds no work for
+//! [`HotCallConfig::idle_polls_before_sleep`] polls sleeps until a
+//! submission wakes it, and once every responder dozes a synchronous
+//! [`RingRequester::call`] runs its handler inline.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::config::{HotCallConfig, ResponderPolicy, FUSED_BELOW_OCCUPANCY};
+use crate::config::{HotCallConfig, FUSED_BELOW_OCCUPANCY};
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
     now_cycles, trace, AtomicHist, GovernorStats, HotCallStats, LaneTelemetry, PlaneProvider,
@@ -60,155 +56,6 @@ use super::CallTable;
 /// Grace polls a waiter grants the shutdown sweep before giving up on a
 /// slot that will never complete (its payload is freed by the slot Drop).
 const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
-
-/// Poll interval at which a waiter treats its in-flight call as "aging"
-/// and nudges the governor to raise the active-responder target.
-const AGE_POLLS_PER_RAISE: u32 = 4_096;
-
-/// The governor's two thresholds. Not public: every public constructor
-/// builds the plane with [`GovernorTuning::DEFAULT`]; unit tests lower
-/// them to make parking and raising observable within milliseconds.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct GovernorTuning {
-    /// Queued-submission count above which a requester raises the active
-    /// target (at least 1). The paper's responder has no queue; this is
-    /// the ring generalization: backlog deeper than this means the active
-    /// responders are not keeping up.
-    pub(super) target_occupancy: usize,
-    /// Consecutive polls without useful work after which the top active
-    /// responder demotes itself and parks (at least 1). Counted across
-    /// idle-doze wakeups, so a responder that is woken per-call but never
-    /// wins work (the oversubscription churn) still accumulates toward
-    /// parking.
-    pub(super) park_after_idle_polls: u64,
-}
-
-impl GovernorTuning {
-    pub(super) const DEFAULT: GovernorTuning = GovernorTuning {
-        target_occupancy: 2,
-        park_after_idle_polls: 2_048,
-    };
-}
-
-/// The adaptive pool's control block.
-/// For static pools (`min == max`) the governor is inert: no requester or
-/// responder ever branches into it.
-pub(super) struct GovernorState {
-    pub(super) policy: ResponderPolicy,
-    pub(super) tuning: GovernorTuning,
-    /// Responders with index below this are active; the rest park. Only
-    /// moves inside `[min, max]`.
-    pub(super) active_target: CachePadded<AtomicUsize>,
-    /// Where parked responders sleep. Separate from the work doze on
-    /// purpose: per-call wakeups must never reach a parked responder —
-    /// that churn is exactly the oversubscription regression the governor
-    /// exists to fix.
-    pub(super) park_doze: Doze,
-    /// Responders currently parked (gauge).
-    pub(super) parked_now: AtomicUsize,
-    /// Park decisions taken (a responder left the active set).
-    pub(super) parks: AtomicU64,
-    /// Wake decisions taken (the target was raised on backlog).
-    pub(super) wakes: AtomicU64,
-}
-
-impl GovernorState {
-    pub(super) fn new(policy: ResponderPolicy, tuning: GovernorTuning) -> Self {
-        // Start wide: all `max` responders active, and let idleness park
-        // the surplus. Cold-start backlog never waits on a governor
-        // decision this way; quiet periods converge to `min` within one
-        // park threshold per surplus responder.
-        GovernorState {
-            policy,
-            tuning,
-            active_target: CachePadded::new(AtomicUsize::new(policy.max)),
-            park_doze: Doze::new(),
-            parked_now: AtomicUsize::new(0),
-            parks: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-        }
-    }
-
-    /// Is there anything to govern?
-    #[inline]
-    pub(super) fn adaptive(&self) -> bool {
-        self.policy.max > self.policy.min
-    }
-
-    /// Raises the active target by one (up to `max`) and wakes the parked
-    /// responders so the newly admitted one starts draining. Called by
-    /// requesters when they observe backlog or in-flight age.
-    pub(super) fn try_raise(&self) -> bool {
-        let t = self.active_target.load(Ordering::Relaxed);
-        if t >= self.policy.max {
-            return false;
-        }
-        if self
-            .active_target
-            .compare_exchange(t, t + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        self.wakes.fetch_add(1, Ordering::Relaxed);
-        trace("governor_raise", (t + 1) as u64, self.policy.max as u64);
-        // Wake *all* parked responders: each re-checks its index against
-        // the new target and the surplus re-parks. notify_one could hand
-        // the wake to a responder that stays parked, stranding the one
-        // the raise admitted.
-        self.park_doze.wake_all();
-        true
-    }
-
-    /// Lowers the active target by one. Only the *top* active responder
-    /// (`index == target - 1`) may demote, so the active set stays the
-    /// contiguous prefix `0..target` and parking is deterministic.
-    pub(super) fn try_demote(&self, index: usize) -> bool {
-        if index < self.policy.min {
-            return false;
-        }
-        let t = self.active_target.load(Ordering::Relaxed);
-        if t <= self.policy.min || index != t - 1 {
-            return false;
-        }
-        let demoted = self
-            .active_target
-            .compare_exchange(t, t - 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok();
-        if demoted {
-            trace("governor_park", index as u64, (t - 1) as u64);
-        }
-        demoted
-    }
-
-    /// Sets the active target directly, clamped into `[min, max]`, and
-    /// returns the value installed. The external control surface for the
-    /// `ctl` sizer: responders notice the new target on their next poll —
-    /// surplus ones park themselves, and a raise wakes the parked set so
-    /// newly admitted responders start draining.
-    pub(super) fn set_target(&self, n: usize) -> usize {
-        let n = n.clamp(self.policy.min, self.policy.max);
-        let prev = self.active_target.swap(n, Ordering::AcqRel);
-        if n > prev {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            trace("governor_raise", n as u64, self.policy.max as u64);
-            self.park_doze.wake_all();
-        } else if n < prev {
-            trace("governor_park", prev as u64, n as u64);
-        }
-        n
-    }
-}
-
-impl core::fmt::Debug for GovernorState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("GovernorState")
-            .field("policy", &self.policy)
-            .field("active", &self.active_target.load(Ordering::Relaxed))
-            .field("parked", &self.parked_now.load(Ordering::Relaxed))
-            .finish()
-    }
-}
 
 /// Slots currently between claim and service. `head` and `tail` are
 /// monotonic with `head >= tail` at every instant, but two separate
@@ -249,9 +96,6 @@ pub(super) struct RingShared<Req, Resp> {
     /// run-to-completion path without any handoff.
     pub(super) table: CallTable<Req, Resp>,
     pub(super) shutdown: AtomicBool,
-    /// `active_target` counts active responders; the park doze hosts the
-    /// ones above it.
-    pub(super) governor: GovernorState,
     /// One padded statistics cell per responder; each responder writes
     /// only its own.
     pub(super) responders: Box<[CachePadded<ResponderCell>]>,
@@ -324,17 +168,6 @@ impl<Req, Resp> RingShared<Req, Resp> {
         s
     }
 
-    fn governor_snapshot(&self) -> GovernorStats {
-        GovernorStats {
-            active: self.governor.active_target.load(Ordering::Relaxed),
-            parked: self.governor.parked_now.load(Ordering::Relaxed),
-            parks: self.governor.parks.load(Ordering::Relaxed),
-            wakes: self.governor.wakes.load(Ordering::Relaxed),
-            min: self.governor.policy.min,
-            max: self.governor.policy.max,
-        }
-    }
-
     /// The ring's one [`ShardStats`] row sums every responder's cell.
     fn ring_snapshot(&self) -> RingStats {
         let mut row = ShardStats {
@@ -347,7 +180,6 @@ impl<Req, Resp> RingShared<Req, Resp> {
         }
         RingStats {
             totals: self.snapshot(),
-            governor: self.governor_snapshot(),
             shards: vec![row],
         }
     }
@@ -383,16 +215,14 @@ impl<Req, Resp> RingShared<Req, Resp> {
         }
     }
 
-    /// Are the active responders all out of the way, dozing on the ring's
-    /// doze? (Parked ones sleep on the park doze and never count.) While
-    /// this holds, no responder core is spinning on the ring, so a
+    /// Are the responders all out of the way, dozing on the ring's doze?
+    /// While this holds, no responder core is spinning on the ring, so a
     /// requester executing inline steals nothing and saves the wake +
     /// cross-core transfer. The check is a heuristic: a fused call claims
     /// no slot, so a responder waking mid-decision costs the call its
     /// break-even, never its correctness.
     fn quiescent(&self) -> bool {
-        let active = self.governor.active_target.load(Ordering::Relaxed);
-        self.doze.sleepers.load(Ordering::Relaxed) >= active
+        self.doze.sleepers.load(Ordering::Relaxed) >= self.responders.len()
     }
 }
 
@@ -401,19 +231,18 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
         f.debug_struct("RingShared")
             .field("capacity", &self.slots.len())
             .field("responders", &self.responders.len())
-            .field("governor", &self.governor)
             .finish()
     }
 }
 
-/// A running plane: a pool of responder threads draining one multi-slot
-/// submission ring in batches, governed by a [`ResponderPolicy`].
+/// A running plane: a fixed pool of responder threads draining one
+/// multi-slot submission ring in batches.
 ///
 /// # Examples
 ///
 /// ```
 /// use hotcalls::rt::{CallTable, RingServer};
-/// use hotcalls::{HotCallConfig, ResponderPolicy};
+/// use hotcalls::HotCallConfig;
 ///
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
@@ -421,11 +250,10 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 /// let requester = server.requester();
 /// assert_eq!(requester.call(inc, 9).unwrap(), 10);
 ///
-/// // The same type, one to two responders on one ring.
+/// // The same type, two responders on one ring.
 /// let mut table: CallTable<u64, u64> = CallTable::new();
 /// let inc = table.register(|x| x + 1);
-/// let policy = ResponderPolicy::elastic(1, 2);
-/// let server = RingServer::spawn_adaptive(table, 8, policy, HotCallConfig::patient()).unwrap();
+/// let server = RingServer::spawn_pool(table, 8, 2, HotCallConfig::patient()).unwrap();
 /// assert_eq!(server.requester().call(inc, 41).unwrap(), 42);
 /// assert_eq!(server.responders(), 2);
 /// ```
@@ -441,63 +269,22 @@ where
     Req: Send + 'static,
     Resp: Send + 'static,
 {
-    /// Spawns a static pool of `n_responders` always-active threads
-    /// draining one shared ring of `capacity` slots. Each responder
-    /// claims up to [`HotCallConfig::drain_batch`] contiguous submissions
-    /// per tail advance. `table` is a [`CallTable`] or a payload's own
-    /// table ([`super::ByteCallTable`], [`super::SgCallTable`]).
+    /// Spawns a pool of `n_responders` threads draining one shared ring
+    /// of `capacity` slots for the plane's life. Each responder claims up
+    /// to [`HotCallConfig::drain_batch`] contiguous submissions per tail
+    /// advance and dozes when idle per
+    /// [`HotCallConfig::idle_polls_before_sleep`]. `table` is a
+    /// [`CallTable`] or a payload's own table ([`super::ByteCallTable`],
+    /// [`super::SgCallTable`]).
     ///
     /// # Errors
     ///
     /// [`HotCallError::InvalidConfig`] if `capacity` or `n_responders` is
-    /// zero.
+    /// zero, or the config fails [`HotCallConfig::validate`].
     pub fn spawn_pool(
         table: impl Into<CallTable<Req, Resp>>,
         capacity: usize,
         n_responders: usize,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        Self::spawn_adaptive(
-            table,
-            capacity,
-            ResponderPolicy::fixed(n_responders),
-            config,
-        )
-    }
-
-    /// Spawns an adaptive pool on one ring: `policy.max` responder threads
-    /// of which between `policy.min` and `policy.max` are active at any
-    /// moment. Requesters raise the active target when the ring backs up
-    /// (or their in-flight calls age without completing); the top active
-    /// responder demotes itself and parks after a useful-work drought.
-    ///
-    /// # Errors
-    ///
-    /// [`HotCallError::InvalidConfig`] if `capacity` is zero or the policy
-    /// or config fail their [`ResponderPolicy::validate`] /
-    /// [`HotCallConfig::validate`] checks.
-    pub fn spawn_adaptive(
-        table: impl Into<CallTable<Req, Resp>>,
-        capacity: usize,
-        policy: ResponderPolicy,
-        config: HotCallConfig,
-    ) -> Result<Self> {
-        Self::spawn_plane(
-            table.into(),
-            capacity,
-            policy,
-            GovernorTuning::DEFAULT,
-            config,
-        )
-    }
-
-    /// Builds a ring of `capacity` slots and spawns `policy.max`
-    /// responder threads over it.
-    fn spawn_plane(
-        table: CallTable<Req, Resp>,
-        capacity: usize,
-        policy: ResponderPolicy,
-        tuning: GovernorTuning,
         config: HotCallConfig,
     ) -> Result<Self> {
         if capacity == 0 {
@@ -505,18 +292,20 @@ where
                 "ring capacity must be positive",
             ));
         }
-        policy.validate()?;
+        if n_responders == 0 {
+            return Err(HotCallError::InvalidConfig(
+                "responder pool must keep at least one thread",
+            ));
+        }
         config.validate()?;
-        let n_responders = policy.max;
         let shared = Arc::new(RingShared {
             slots: (0..capacity).map(|_| CallSlot::new()).collect(),
             head: CachePadded::new(AtomicUsize::new(0)),
             tail: CachePadded::new(AtomicUsize::new(0)),
             doze: Doze::new(),
             abandon: AbandonBoard::new(capacity),
-            table,
+            table: table.into(),
             shutdown: AtomicBool::new(false),
-            governor: GovernorState::new(policy, tuning),
             responders: (0..n_responders)
                 .map(|_| CachePadded::new(ResponderCell::default()))
                 .collect(),
@@ -546,7 +335,7 @@ where
         RingRequester::new(Arc::clone(&self.shared), self.config)
     }
 
-    /// Number of responder threads in the pool (active and parked).
+    /// Number of responder threads in the pool.
     pub fn responders(&self) -> usize {
         self.shared.responders.len()
     }
@@ -556,23 +345,20 @@ where
         self.shared.snapshot()
     }
 
-    /// The governor's current shape and decision counters. For static
-    /// pools `active == min == max` and the counters stay zero.
+    /// The pool's shape in the [`GovernorStats`] form: every responder
+    /// is active for the plane's life, so `active == min == max ==`
+    /// [`RingServer::responders`] and the park/wake counters stay zero.
     pub fn governor_stats(&self) -> GovernorStats {
-        self.shared.governor_snapshot()
+        let n = self.responders();
+        GovernorStats {
+            active: n,
+            min: n,
+            max: n,
+            ..GovernorStats::default()
+        }
     }
 
-    /// Sets the active responder target directly (the `ctl` sizer's
-    /// control surface), clamped into the policy's `[min, max]`, and
-    /// returns the value installed. Responders converge on their next
-    /// poll: surplus ones park, and a raise wakes the parked set. The
-    /// requester-side backlog governor keeps running — it can still raise
-    /// the target above what the sizer set if the ring backs up.
-    pub fn set_active(&self, n: usize) -> usize {
-        self.shared.governor.set_target(n)
-    }
-
-    /// The full snapshot: totals, governor, and the ring's one
+    /// The full snapshot: totals and the ring's one
     /// [`ShardStats`] row (serviced calls, polls, occupancy).
     pub fn ring_stats(&self) -> RingStats {
         self.shared.ring_snapshot()
@@ -605,7 +391,6 @@ impl<Req, Resp> RingServer<Req, Resp> {
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.doze.wake_all();
-        self.shared.governor.park_doze.wake_all();
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
@@ -718,19 +503,13 @@ impl Drop for Ticket {
 /// stored with Release and the previous call's payload accesses are over
 /// before this caller writes the cells.
 fn claim_slot<Req, Resp>(ring: &RingShared<Req, Resp>) -> Option<usize> {
-    let (cap, gov) = (ring.slots.len(), &ring.governor);
+    let cap = ring.slots.len();
     // Tail before head: a tail snapshot taken first cannot exceed the head
     // snapshot, so the subtraction cannot underflow.
     let tail = ring.tail.load(Ordering::Acquire);
     // Acquire: pairs with the AcqRel head CAS of the previous claimant.
     let seq = ring.head.load(Ordering::Acquire);
-    let occupancy = occupancy(seq, tail);
-    // Backlog deeper than the policy threshold (or a full ring) means the
-    // active responders are outpaced: admit another.
-    if gov.adaptive() && occupancy > gov.tuning.target_occupancy {
-        gov.try_raise();
-    }
-    if occupancy >= cap {
+    if occupancy(seq, tail) >= cap {
         return None;
     }
     let slot = ring.slot(seq);
@@ -803,14 +582,9 @@ fn oldest_done<Req, Resp>(slots: &[CallSlot<Req, Resp>], tickets: &[Ticket]) -> 
 
 /// The wait loop shared by every blocking redeem path: polls `ready` until
 /// it yields, or the plane shut down and the grace ran out.
-fn poll_until<T>(
-    shutdown: &AtomicBool,
-    gov: &GovernorState,
-    mut ready: impl FnMut() -> Option<T>,
-) -> Result<T> {
+fn poll_until<T>(shutdown: &AtomicBool, mut ready: impl FnMut() -> Option<T>) -> Result<T> {
     let mut backoff = Backoff::new();
     let mut grace: u32 = 0;
-    let mut polls: u32 = 0;
     loop {
         if let Some(hit) = ready() {
             return Ok(hit);
@@ -825,19 +599,13 @@ fn poll_until<T>(
                 return Err(HotCallError::ResponderGone);
             }
         }
-        // In-flight age: a call that spins this long without completing
-        // is stuck behind busy responders — ask the governor for another.
-        polls = polls.wrapping_add(1);
-        if gov.adaptive() && polls.is_multiple_of(AGE_POLLS_PER_RAISE) {
-            gov.try_raise();
-        }
         backoff.snooze();
     }
 }
 
 impl<Req, Resp> RingRequester<Req, Resp> {
     /// Is the fused run-to-completion path worth taking right now? The
-    /// plane must be able to doze, its active responders must all doze and
+    /// plane must be able to doze, its responders must all doze and
     /// the ring's backlog must be below the break-even threshold. A plane
     /// that cannot doze stops at its own config; quiescence is read next:
     /// on a plane whose responders are awake it fails on two rarely
@@ -918,13 +686,12 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         }
     }
 
-    /// Spins until the slot behind `index` is DONE. While it ages, the
-    /// governor is asked for another responder. Returns `Err` only on
+    /// Spins until the slot behind `index` is DONE. Returns `Err` only on
     /// shutdown-with-grace-expired.
     fn wait_done(&self, index: usize) -> Result<()> {
         let slot = self.shared.slot(index);
         let done = || (slot.state() == DONE).then_some(());
-        poll_until(&self.shared.shutdown, &self.shared.governor, done)
+        poll_until(&self.shared.shutdown, done)
     }
 
     /// Redeems the response sitting DONE at `index`. The caller must be
@@ -992,7 +759,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             .iter()
             .try_for_each(|t| shared.check_issuer(&t.board))?;
         let pick = || oldest_done(&shared.slots, tickets);
-        let i = poll_until(&shared.shutdown, &shared.governor, pick)?;
+        let i = poll_until(&shared.shutdown, pick)?;
         let mut ticket = tickets.swap_remove(i);
         let seq = ticket.seq();
         self.redeem(ticket.defuse()).map(|resp| (seq, resp))
@@ -1199,12 +966,6 @@ mod tests {
         let t = || table().0;
         rejected(RingServer::spawn_pool(t(), 0, 2, generous()));
         rejected(RingServer::spawn_pool(t(), 8, 0, generous()));
-        let two = ResponderPolicy::fixed(2);
-        rejected(RingServer::spawn_adaptive(t(), 0, two, generous()));
-        for (min, max) in [(0, 2), (2, 1)] {
-            let policy = ResponderPolicy::elastic(min, max);
-            rejected(RingServer::spawn_adaptive(t(), 8, policy, generous()));
-        }
     }
 
     #[test]
@@ -1381,76 +1142,6 @@ mod tests {
         assert_eq!((g.min, g.max), (3, 3));
     }
 
-    /// The default governor with a park threshold low enough to watch it
-    /// work within milliseconds.
-    fn eager(park_after_idle_polls: u64) -> GovernorTuning {
-        GovernorTuning {
-            park_after_idle_polls,
-            ..GovernorTuning::DEFAULT
-        }
-    }
-
-    /// Spins until the governor's snapshot satisfies `settled`.
-    fn await_governor(server: &Server, settled: impl Fn(&GovernorStats) -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let g = server.governor_stats();
-            if settled(&g) {
-                return;
-            }
-            assert!(Instant::now() < deadline, "never settled: {g:?}");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn governor_parks_surplus_responders_when_idle() {
-        let config = HotCallConfig {
-            idle_polls_before_sleep: Some(1_000_000),
-            ..generous()
-        };
-        let policy = ResponderPolicy::elastic(1, 4);
-        let (t, sq) = table();
-        let server = RingServer::spawn_plane(t, 16, policy, eager(64), config).unwrap();
-        assert_eq!(server.responders(), 4);
-        let r = server.requester();
-        assert_eq!(r.call(sq, 3).unwrap(), 9);
-        // With no work, the three governable responders demote themselves
-        // top-down and park.
-        await_governor(&server, |g| g.active == 1 && g.parked == 3 && g.parks >= 3);
-        // The remaining responder still serves submissions.
-        assert_eq!(r.wait(r.submit(sq, 5).unwrap()).unwrap(), 25);
-    }
-
-    #[test]
-    fn governor_wakes_parked_responders_on_backlog() {
-        let mut t: CallTable<u64, u64> = CallTable::new();
-        let slow = t.register(|x| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            x + 1
-        });
-        let policy = ResponderPolicy::elastic(1, 4);
-        let tuning = GovernorTuning {
-            target_occupancy: 1,
-            park_after_idle_polls: 64,
-        };
-        let server = RingServer::spawn_plane(t, 32, policy, tuning, generous()).unwrap();
-        let r = server.requester();
-        // Let the pool park down to the minimum first.
-        await_governor(&server, |g| g.active == 1);
-        // Pipeline a burst of blocking calls: occupancy builds behind the
-        // single active responder, requesters raise the target, parked
-        // responders wake and help.
-        let mut tickets: Vec<Ticket> = (0..24u64).map(|i| r.submit(slow, i).unwrap()).collect();
-        while !tickets.is_empty() {
-            let (_, resp) = r.wait_any(&mut tickets).unwrap();
-            assert!(resp >= 1);
-        }
-        let g = server.governor_stats();
-        assert!(g.wakes >= 1, "backlog never raised the target: {g:?}");
-        assert_eq!(server.stats().calls, 24);
-    }
-
     #[test]
     fn concurrent_requesters_lose_nothing() {
         // Four threads, one handle each, sharing the one ring's head word.
@@ -1473,31 +1164,19 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_resolves_and_serves() {
+    fn doze_vs_submit_race_never_strands_a_submission() {
+        // Race a requester against a responder that dozes after 32 empty
+        // polls: a submission published while the responder is deciding
+        // to sleep must still wake it (the doze predicate re-checks the
+        // ring front), so every call completes well inside the deadline.
+        // Submit + wait, not `call`: a synchronous call on the dozed
+        // plane would run inline and publish nothing.
         let (t, sq) = table();
-        let server = RingServer::spawn_adaptive(t, 4, ResponderPolicy::auto(), generous()).unwrap();
-        assert!(server.responders() >= 1);
-        let r = server.requester();
-        for i in 0..100u64 {
-            assert_eq!(r.call(sq, i).unwrap(), i * i);
-        }
-    }
-
-    #[test]
-    fn park_unpark_race_never_strands_a_submission() {
-        // Race a requester against an aggressive governor that parks and
-        // re-admits responders between bursts: parking must never take
-        // the last active responder away from a published submission, so
-        // every call completes well inside the deadline. Submit + wait,
-        // not `call`: a synchronous call on the dozed plane would run
-        // inline and publish nothing.
-        let (t, sq) = table();
-        let policy = ResponderPolicy::elastic(1, 3);
         let config = HotCallConfig {
             idle_polls_before_sleep: Some(32),
             ..generous()
         };
-        let server = RingServer::spawn_plane(t, 4, policy, eager(16), config).unwrap();
+        let server = RingServer::spawn_pool(t, 4, 1, config).unwrap();
         let r = server.requester();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for i in 0..3_000u64 {
@@ -1508,8 +1187,8 @@ mod tests {
                 server.ring_stats()
             );
             if i % 64 == 0 {
-                // Let demotions ripen between bursts so the parked window
-                // is actually exercised.
+                // Let the responder doze off between bursts so the
+                // doze-vs-submit window is actually exercised.
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
         }

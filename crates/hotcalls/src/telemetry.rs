@@ -12,9 +12,8 @@
 //!   submit→dispatch→complete→reap stage edges so **queueing delay** and
 //!   **service time** are separable — the distinction behind the paper's
 //!   p78 vs p99.97 HotCall latency split (§4.3).
-//! * [`Tracer`] — a bounded ring-buffer event tracer (governor park and
-//!   raise decisions, fused runs, arena slab grows, control
-//!   decisions) with a `chrome://tracing`-compatible JSON exporter and
+//! * [`Tracer`] — a bounded ring-buffer event tracer (fused runs, arena
+//!   slab grows, routing and chunk decisions) with a `chrome://tracing`-compatible JSON exporter and
 //!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
 //!   feature.
 //! * [`TelemetryRegistry`] — merges every plane (single ring, pool, byte
@@ -61,8 +60,14 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// named the payload — every payload rides the same server. v9 removed
 /// the `fused_fallbacks` field and its series: a synchronous call runs
 /// inline whenever a dozing plane's gate opens, so there is no opt-in
-/// mode whose declines to count.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 9;
+/// mode whose declines to count. v10 removed a plane's `governor` section,
+/// the `hotcalls_governor_{active,parks_total}` and
+/// `hotcalls_ctl_resizes_total` series, the `ctl` section's `ticks`,
+/// `grows` and `shrinks` fields and the `governor_raise`,
+/// `governor_park` and `ctl_resize` trace kinds: a plane is one fixed
+/// pool whose only idle mechanism is the doze, so there is no active set
+/// to govern or resize.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 10;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -382,10 +387,15 @@ pub struct HotCallStats {
     /// Responder poll iterations that serviced a call.
     pub busy_polls: u64,
     /// Synchronous calls the requester executed inline on its own core
-    /// (no slot, no handoff, no wake) because every active responder of
-    /// the ring was dozing and the ring was near empty. Included in
+    /// (no slot, no handoff, no wake) because every responder of the ring
+    /// was dozing and the ring was near empty. Included in
     /// [`HotCallStats::calls`]; always 0 on a plane whose responders
     /// cannot doze.
+    ///
+    /// An inline run records no queue or service sample: the stage
+    /// histograms of a plane's lanes (and every per-stage figure built on
+    /// them) describe its pooled calls only, so on a plane that runs most
+    /// calls inline they cover a minority of [`HotCallStats::calls`].
     pub fused_runs: u64,
 }
 
@@ -401,22 +411,23 @@ impl HotCallStats {
     }
 }
 
-/// A snapshot of the adaptive governor: how many responders are
-/// currently active vs parked, and the lifetime park/wake decision
-/// counts.
+/// A plane's responder pool in the shape the repository benchmark
+/// reads: a pool is fixed, so `active == min == max` responders, none
+/// parked, and the park/wake counters stay zero (see
+/// `RingServer::governor_stats`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorStats {
     /// Responders currently in the active set.
     pub active: usize,
-    /// Responders currently parked by the governor.
+    /// Responders currently parked (always 0).
     pub parked: usize,
-    /// Lifetime park (demote) decisions.
+    /// Lifetime park decisions (always 0).
     pub parks: u64,
-    /// Lifetime unpark (raise) decisions.
+    /// Lifetime unpark decisions (always 0).
     pub wakes: u64,
-    /// Policy floor.
+    /// Pool floor (the pool size).
     pub min: usize,
-    /// Policy ceiling.
+    /// Pool ceiling (the pool size).
     pub max: usize,
 }
 
@@ -433,14 +444,12 @@ pub struct ShardStats {
     pub occupancy: usize,
 }
 
-/// A full snapshot of a ring plane: plane-wide totals, the governor's
-/// state, and the ring's [`ShardStats`] row.
+/// A full snapshot of a ring plane: plane-wide totals and the ring's
+/// [`ShardStats`] row.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RingStats {
     /// Plane-wide call/poll totals.
     pub totals: HotCallStats,
-    /// Governor snapshot.
-    pub governor: GovernorStats,
     /// One row per ring: a plane reports exactly one.
     pub shards: Vec<ShardStats>,
 }
@@ -507,7 +516,7 @@ impl ArenaStats {
 pub struct TraceEvent {
     /// [`now_cycles`] at the event site.
     pub ts: u64,
-    /// Static event tag (e.g. `"governor_park"`, `"fused_run"`,
+    /// Static event tag (e.g. `"fused_run"`,
     /// `"arena_grow"`, `"ctl_flip"`).
     pub kind: &'static str,
     /// First argument (site-specific).
@@ -758,7 +767,7 @@ pub struct PlaneTelemetry {
     /// `"pool"` with more than one responder, else `"single"`, whatever
     /// the plane's payload type.
     pub kind: &'static str,
-    /// Counter snapshot (totals, governor, the ring's row).
+    /// Counter snapshot (totals and the ring's row).
     pub stats: RingStats,
     /// Per-lane queue/service histograms.
     pub lanes: Vec<LaneTelemetry>,
@@ -888,14 +897,6 @@ impl Snapshot {
                 "hotcalls_fused_runs_total{{{pl}}} {}\n",
                 p.stats.totals.fused_runs
             ));
-            out.push_str(&format!(
-                "hotcalls_governor_active{{{pl}}} {}\n",
-                p.stats.governor.active
-            ));
-            out.push_str(&format!(
-                "hotcalls_governor_parks_total{{{pl}}} {}\n",
-                p.stats.governor.parks
-            ));
             for s in &p.stats.shards {
                 out.push_str(&format!(
                     "hotcalls_shard_serviced_total{{{pl},shard=\"{}\"}} {}\n",
@@ -931,14 +932,6 @@ impl Snapshot {
                 "hotcalls_ctl_explore_probes_total{{{cl}}} {}\n",
                 c.stats.explore_probes
             ));
-            out.push_str(&format!(
-                "hotcalls_ctl_resizes_total{{{cl},direction=\"grow\"}} {}\n",
-                c.stats.grows
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_resizes_total{{{cl},direction=\"shrink\"}} {}\n",
-                c.stats.shrinks
-            ));
             for r in &c.routes {
                 out.push_str(&format!(
                     "hotcalls_ctl_api_transport{{{cl},api=\"{}\",transport=\"{}\"}} 1\n",
@@ -959,7 +952,7 @@ impl Snapshot {
 pub type PlaneProvider = Box<dyn Fn() -> PlaneTelemetry + Send + Sync>;
 
 /// A control-plane provider polled at snapshot time (see
-/// [`crate::ctl::Controller::provider`]).
+/// [`crate::ctl::ApiRouter::provider`]).
 pub type CtlProvider = Box<dyn Fn() -> crate::ctl::CtlTelemetry + Send + Sync>;
 
 #[derive(Default)]
@@ -1022,7 +1015,7 @@ impl TelemetryRegistry {
     }
 
     /// Registers a control-plane provider (see
-    /// [`crate::ctl::Controller::provider`]).
+    /// [`crate::ctl::ApiRouter::provider`]).
     pub fn register_ctl(&self, provider: CtlProvider) {
         self.inner.lock().expect("registry lock").ctl.push(provider);
     }
@@ -1155,13 +1148,13 @@ mod tests {
             }),
         };
         t.enable(16);
-        t.record("governor_park", 1, 0);
+        t.record("fused_run", 1, 0);
         t.record("ctl_flip", 2, 7);
         let json = t.export_chrome_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("governor_park"));
+        assert!(json.contains("fused_run"));
     }
 
     #[test]

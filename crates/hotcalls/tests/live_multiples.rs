@@ -6,15 +6,16 @@
 //! handoff when the pool is asleep — and loses it completely if the
 //! mechanism breaks (a pipeline that serializes, an inline path that still
 //! wakes a responder). Read over 6 release runs of this file on a 2-vCPU
-//! Xeon host: pipelined 7.9–11.0× sync, a lone caller's fused calls over a
-//! dozed responder 79–550× the pooled handoff to a responder that cannot
-//! doze, sparse calls on a dozing plane 4.7–36× faster than on one that
-//! cannot doze; bursts from one submitter with 16 in flight read
-//! 0.87–1.02× the other plane's bursts.
+//! Xeon host: pipelined 7.9–8.3× sync, a lone caller's fused calls over a
+//! dozed responder 70–563× the pooled handoff to a responder that cannot
+//! doze, sparse calls on a dozing four-responder pool 10.9–54× faster
+//! than on one that cannot doze; bursts from one submitter with 16 in
+//! flight read 0.99–1.00× the other pool's bursts.
 //!
-//! Threshold discipline as in `governor_regression.rs`: the gates are
-//! multiples, not percents, and sit far below the readings, because CI
-//! machines are noisy and this also runs unoptimized. The blocking-handler
+//! Threshold discipline: the gates are multiples, not percents, and sit
+//! far below the readings, because CI machines are noisy and this also
+//! runs unoptimized; the regressions they guard against cost a multiple
+//! (a mechanism that breaks loses its whole win), never a few percent. The blocking-handler
 //! wins hold even on one hardware thread — blocked responders hold no
 //! core. Every section also checks conservation: the plane executed
 //! exactly the calls the requesters saw complete.
@@ -24,7 +25,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
-use hotcalls::{HotCallConfig, ResponderPolicy, TelemetryRegistry};
+use hotcalls::{HotCallConfig, TelemetryRegistry};
 
 type Server = RingServer<u64, u64>;
 type Requester = RingRequester<u64, u64>;
@@ -168,10 +169,10 @@ fn plane_rate(
 fn pipelining_overlaps_a_blocking_handler() {
     let _timed = one_at_a_time();
     let server = || {
-        RingServer::spawn_adaptive(
+        RingServer::spawn_pool(
             table(Duration::from_micros(200)),
             RING_CAPACITY,
-            ResponderPolicy::fixed(8),
+            8,
             pool_config(DOZING),
         )
         .unwrap()
@@ -212,13 +213,9 @@ fn fused_calls_beat_the_pooled_handoff() {
     let _timed = one_at_a_time();
     let registry = TelemetryRegistry::new();
     let rate = |name: &str, idle| {
-        let server = RingServer::spawn_adaptive(
-            table(Duration::ZERO),
-            RING_CAPACITY,
-            ResponderPolicy::fixed(1),
-            pool_config(idle),
-        )
-        .unwrap();
+        let server =
+            RingServer::spawn_pool(table(Duration::ZERO), RING_CAPACITY, 1, pool_config(idle))
+                .unwrap();
         registry.register_plane(server.telemetry_provider(format!("single-{name}")));
         if idle == DOZING {
             await_fusing(&server);
@@ -247,7 +244,7 @@ struct Phases {
     burst_rate: f64,
 }
 
-/// A one-to-four-responder elastic plane under alternating *quiet* phases
+/// A four-responder plane under alternating *quiet* phases
 /// (one caller, a synchronous cpu call every 300 µs — long enough for
 /// dozing responders to doze in between, so each call runs inline and
 /// pays nothing, while a plane that cannot doze hands each one off) and
@@ -257,10 +254,10 @@ struct Phases {
 fn phase_workload(idle_polls_before_sleep: Option<u64>) -> Phases {
     const PAIRS: usize = 3;
     const QUIET_GAP: Duration = Duration::from_micros(300);
-    let server = RingServer::spawn_adaptive(
+    let server = RingServer::spawn_pool(
         table(Duration::from_micros(100)),
         RING_CAPACITY,
-        ResponderPolicy::elastic(1, 4),
+        4,
         pool_config(idle_polls_before_sleep),
     )
     .unwrap();

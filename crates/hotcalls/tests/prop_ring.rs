@@ -1,8 +1,8 @@
 //! Property tests of the lock-free ring data plane: exactly-once
 //! delivery and untorn payload handoff through the `UnsafeCell` slots,
 //! over arbitrary ring shapes, pool sizes, drain batches, and thread
-//! interleavings — including shutdown racing in-flight submissions, the
-//! active-responder count flipping under a pipelined requester, and calls
+//! interleavings — including shutdown racing in-flight submissions, two
+//! responders racing for `tail` under a pipelined requester, and calls
 //! flipping between the fused and the pooled path.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use hotcalls::rt::{CallTable, RingServer, Ticket};
-use hotcalls::{HotCallConfig, HotCallError, ResponderPolicy};
+use hotcalls::{HotCallConfig, HotCallError};
 
 /// A payload with internal redundancy: `check` must always equal
 /// `value ^ MAGIC`. A torn read or write through the slot's payload cells
@@ -133,24 +133,24 @@ proptest! {
         .unwrap();
     }
 
-    /// Ticket conservation across governor flips: a pipelined requester
-    /// on an adaptive pool whose active-responder target flips between
-    /// one and two every `flip_every` submissions (the `ctl` sizer's
-    /// control surface) reaps every submission exactly once, each with
-    /// its own response. At most `capacity / 2` calls are in flight, so
-    /// the requester never laps the ring onto a ticket it still holds.
+    /// Ticket conservation under two responders racing for `tail`: a
+    /// pipelined requester on a two-responder pool reaps every submission
+    /// exactly once, each with its own response, whichever responder
+    /// completed it and in whatever order. Every `reap_every` submissions
+    /// it drains its window, so the responders alternate between racing
+    /// over a backlog and idling on an empty ring. At most `capacity / 2`
+    /// calls are in flight, so the requester never laps the ring onto a
+    /// ticket it still holds.
     #[test]
-    fn wait_any_conserves_across_responder_flips(
+    fn wait_any_conserves_across_racing_responders(
         capacity in 2usize..8,
         calls in 1usize..160,
-        flip_every in 1usize..24,
+        reap_every in 1usize..24,
     ) {
         let mut table: CallTable<u64, u64> = CallTable::new();
         let id = table.register(|x| x.wrapping_mul(3));
         let config = HotCallConfig { idle_polls_before_sleep: None, ..HotCallConfig::patient() };
-        let server =
-            RingServer::spawn_adaptive(table, capacity, ResponderPolicy::elastic(1, 2), config)
-                .unwrap();
+        let server = RingServer::spawn_pool(table, capacity, 2, config).unwrap();
         let r = server.requester();
         let mut inflight: Vec<Ticket> = Vec::new();
         let mut expected: HashMap<u64, u64> = HashMap::new();
@@ -161,8 +161,10 @@ proptest! {
             assert_eq!(Some(resp), expected.remove(&seq), "crossed wires at seq {seq}");
         };
         for i in 0..calls {
-            if i % flip_every == 0 {
-                server.set_active(1 + (i / flip_every) % 2);
+            if i % reap_every == 0 {
+                while !inflight.is_empty() {
+                    reap(&mut inflight, &mut expected);
+                }
             }
             while inflight.len() >= capacity / 2 {
                 reap(&mut inflight, &mut expected);

@@ -28,8 +28,8 @@ RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
     -p hotcalls-repro -p sgx-sim -p sgx-sdk -p hotcalls -p apps -p workloads -p bench
 
 # Telemetry-off compiles out instrumentation, not decisions: the router
-# and the sizer decide from what their callers hand them, so the ctl
-# property tests must see the same flips and convergence in this build.
+# decides from what its callers hand it, so the ctl property tests must
+# see the same flips and convergence in this build.
 # The two lib suites run the instrumentation-free paths of every plane
 # (and `apps::env`'s stage-histogram guard), which clippy only lints.
 echo "==> cargo test -p hotcalls --test prop_ctl --features telemetry-off"
