@@ -721,16 +721,17 @@ impl AppEnv {
         self.rt.as_ref().map(|rt| rt.caller.arena_stats())
     }
 
-    /// The real transport's responder pool in [`GovernorStats`] form
-    /// (HotCalls modes only): the pool is fixed, so `active == min ==
-    /// max` responders and the park/wake counters read zero. `None` for
+    /// The real transport's responder in [`GovernorStats`] form
+    /// (HotCalls modes only): a plane has one responder, so `active ==
+    /// min == max == 1` and the park/wake counters read zero. `None` for
     /// modes that have no switchless channel.
     pub fn governor_stats(&self) -> Option<GovernorStats> {
         self.rt.as_ref().map(|rt| rt.server.governor_stats())
     }
 
     /// Ring statistics of the real transport's data plane (HotCalls modes
-    /// only): totals and the ring's serviced count and occupancy. `None` for modes that have no switchless channel.
+    /// only): totals and the ring's occupancy. `None` for modes that have
+    /// no switchless channel.
     pub fn rt_ring_stats(&self) -> Option<RingStats> {
         self.rt.as_ref().map(|rt| rt.server.ring_stats())
     }
@@ -819,7 +820,7 @@ impl AppEnv {
     }
 
     /// Full telemetry of the real transport's plane (HotCalls modes only):
-    /// per-lane queue/service histograms, reap latency, ring counters.
+    /// queue/service histograms, reap latency, ring counters.
     pub fn rt_telemetry(&self, name: &str) -> Option<PlaneTelemetry> {
         self.rt.as_ref().map(|rt| rt.server.telemetry(name))
     }
@@ -1007,14 +1008,11 @@ mod tests {
             hot.api_call("getpid", &[]).unwrap();
         }
         let t = hot.rt_telemetry("plane").unwrap();
-        assert_eq!(
-            (t.kind, t.stats.shards.len(), t.lanes.len()),
-            ("single", 1, 1)
-        );
+        assert_eq!((t.name.as_str(), t.stats.occupancy), ("plane", 0));
         let rs = hot.rt_ring_stats().unwrap();
         let s = hot.rt_stats().unwrap();
         assert_eq!(s.calls, 8, "{s:?}");
-        assert_eq!(rs.shards[0].serviced + s.fused_runs, 8, "{rs:?}");
+        assert_eq!(rs.totals.busy_polls + s.fused_runs, 8, "{rs:?}");
         assert!(env(IfaceMode::Native).rt_ring_stats().is_none());
         let g = hot.governor_stats().unwrap();
         assert_eq!((g.min, g.max), (1, 1));
@@ -1151,7 +1149,7 @@ mod tests {
         // no stage sample.
         hot.api_call_batch(&[("getpid", None); 8]).unwrap();
         let t = hot.rt_telemetry("app-rt").expect("hot mode has a plane");
-        assert_eq!(t.kind, "single");
+        assert_eq!(t.name, "app-rt");
         assert_eq!(t.stats.totals.calls, 8);
         if hotcalls::TELEMETRY_ENABLED {
             // Every serviced call recorded one queue and one service

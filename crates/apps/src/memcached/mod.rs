@@ -367,7 +367,10 @@ mod tests {
             assert!(Instant::now() < deadline, "the responder never dozed");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let serviced = |e: &AppEnv| e.rt_ring_stats().unwrap().shards[0].serviced;
+        let serviced = |e: &AppEnv| {
+            let s = e.rt_stats().unwrap();
+            s.calls - s.fused_runs
+        };
         let (before, serviced_before) = (e.rt_stats().unwrap(), serviced(&e));
 
         // Every served request comes back byte-correct, each of its three

@@ -361,8 +361,8 @@ pub struct SecureStore {
 impl SecureStore {
     /// Builds a store keyed by `secret`: derives data/MAC/dedup keys,
     /// registers the offset-keyed stream cipher as the enclave-side
-    /// handler, and spawns `n_responders` over a ring of `capacity`
-    /// slots.
+    /// handler, and spawns the responder over a ring of `capacity` slots
+    /// (`n_responders` must be 1: a plane has one responder).
     ///
     /// # Errors
     ///
@@ -605,7 +605,7 @@ impl SecureStore {
         self.ring.telemetry_provider(NAME)
     }
 
-    /// Stops the responder pool and joins it.
+    /// Stops the responder and joins it.
     pub fn shutdown(self) {
         self.ring.shutdown();
     }
@@ -635,7 +635,7 @@ mod tests {
     use super::*;
 
     fn store() -> SecureStore {
-        SecureStore::new(&[0x33u8; 32], 16, 2, HotCallConfig::patient()).unwrap()
+        SecureStore::new(&[0x33u8; 32], 16, 1, HotCallConfig::patient()).unwrap()
     }
 
     fn pattern(len: usize) -> Vec<u8> {
@@ -661,7 +661,7 @@ mod tests {
         let secret = [0x44u8; 32];
         let data = pattern(1_000_001); // odd length: partial tail block
         let mut coarse = SecureStore::new(&secret, 16, 1, HotCallConfig::patient()).unwrap();
-        let mut fine = SecureStore::new(&secret, 16, 2, HotCallConfig::patient()).unwrap();
+        let mut fine = SecureStore::new(&secret, 16, 1, HotCallConfig::patient()).unwrap();
         coarse.put("obj", &data, 1, || 1 << 20).unwrap();
         // Odd chunk size, deeper window: same object must come out.
         fine.put("obj", &data, 3, || 70_001).unwrap();

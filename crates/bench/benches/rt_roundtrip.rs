@@ -7,9 +7,9 @@
 //!
 //! Beyond the single round trips:
 //!
-//! * `ring_pool/...` — the pooled MPMC ring across a requesters ×
-//!   responders matrix (1/2/4/8 × 1/2/4), each sample pushing a fixed
-//!   batch of calls through scoped requester threads.
+//! * `ring_pool/...` — the multi-requester ring with its one responder
+//!   under 1/2/4/8 requesters, each sample pushing a fixed batch of calls
+//!   through scoped requester threads.
 //! * `pipe_1k_w16/...` — the repo benchmark's `rt_pipe` shape (1 KiB
 //!   copied in, XORed in place by the other thread, word-summed on the
 //!   way back, 16 calls in flight over 64 slots) on the `ByteRing` and on
@@ -262,7 +262,7 @@ fn bench_pipe(c: &mut Criterion) {
     worker.join().unwrap();
 }
 
-// ---- Pooled ring matrix ------------------------------------------------------
+// ---- Shared ring -------------------------------------------------------------
 
 /// Calls pushed per requester thread per criterion sample. Small enough to
 /// keep samples fast on a shared-core host, large enough to amortize the
@@ -270,40 +270,36 @@ fn bench_pipe(c: &mut Criterion) {
 const CALLS_PER_SAMPLE: u64 = 64;
 
 fn bench_ring_pool(c: &mut Criterion) {
-    // Idle sleep ON for the pool: with more threads than cores, extra
-    // responders must doze rather than burn the core (and this is the
-    // deployment shape the pool targets). Each call is a submission
-    // redeemed at once, so it rides the pool even when every responder
-    // dozes (a synchronous `call` would then run inline).
-    let pool_config = HotCallConfig {
+    // Idle sleep ON: with more threads than cores, the responder must
+    // doze rather than burn the core between samples. Each call is a
+    // submission redeemed at once, so it rides the ring even when the
+    // responder dozes (a synchronous `call` would then run inline).
+    let config = HotCallConfig {
         idle_polls_before_sleep: Some(256),
         ..HotCallConfig::patient()
     };
-    for &n_responders in &[1usize, 2, 4] {
-        for &n_requesters in &[1usize, 2, 4, 8] {
-            let (table, inc) = inc_table();
-            let server = RingServer::spawn_pool(table, 32, n_responders, pool_config)
-                .expect("pool shape is valid");
-            let name = format!("ring_pool/{n_requesters}req_{n_responders}resp");
-            c.bench_function(&name, |b| {
-                b.iter(|| {
-                    crossbeam::thread::scope(|s| {
-                        for t in 0..n_requesters as u64 {
-                            let r = server.requester();
-                            s.spawn(move |_| {
-                                for i in 0..CALLS_PER_SAMPLE {
-                                    let x = t * 10_000 + i;
-                                    let ticket = r.submit(inc, std::hint::black_box(x)).unwrap();
-                                    assert_eq!(r.wait(ticket).unwrap(), x + 1);
-                                }
-                            });
-                        }
-                    })
-                    .unwrap();
+    for &n_requesters in &[1usize, 2, 4, 8] {
+        let (table, inc) = inc_table();
+        let server = RingServer::spawn_pool(table, 32, 1, config).expect("valid shape");
+        let name = format!("ring_pool/{n_requesters}req");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                crossbeam::thread::scope(|s| {
+                    for t in 0..n_requesters as u64 {
+                        let r = server.requester();
+                        s.spawn(move |_| {
+                            for i in 0..CALLS_PER_SAMPLE {
+                                let x = t * 10_000 + i;
+                                let ticket = r.submit(inc, std::hint::black_box(x)).unwrap();
+                                assert_eq!(r.wait(ticket).unwrap(), x + 1);
+                            }
+                        });
+                    }
                 })
-            });
-            server.shutdown();
-        }
+                .unwrap();
+            })
+        });
+        server.shutdown();
     }
 }
 

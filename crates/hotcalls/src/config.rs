@@ -3,9 +3,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Break-even occupancy of the fused path: a synchronous `call` on a
-/// plane whose responders all doze runs inline only while the ring holds
+/// plane whose responder dozes runs inline only while the ring holds
 /// fewer than this many in-flight submissions. Deeper backlogs mean
-/// pipelining through the pool wins.
+/// pipelining through the ring wins.
 pub(crate) const FUSED_BELOW_OCCUPANCY: usize = 2;
 
 /// Configuration shared by the simulated and threaded HotCalls variants.
@@ -22,17 +22,12 @@ pub struct HotCallConfig {
     /// flag and blocks on a condition variable to conserve CPU (§4.2,
     /// "Conserving resources at idle times"). `None` polls forever.
     ///
-    /// On a ring plane this also decides the fused path: once every
+    /// On a ring plane this also decides the fused path: once the
     /// responder dozes, a synchronous `call` runs its handler
     /// inline on the requester's thread — no slot, no wake, no cross-core
     /// transfer — so a dozing plane costs its caller neither a wake nor a
     /// second CPU. A plane built with `None` never dozes and never fuses.
     pub idle_polls_before_sleep: Option<u64>,
-    /// Maximum submitted ring slots a responder claims per tail advance
-    /// (batched drain, at least 1). Larger batches amortize the tail CAS
-    /// and the wake/schedule cost under bursty load; `1` reproduces the
-    /// original one-at-a-time drain.
-    pub drain_batch: u32,
 }
 
 impl Default for HotCallConfig {
@@ -41,7 +36,6 @@ impl Default for HotCallConfig {
             timeout_retries: 10,
             spins_per_retry: 16,
             idle_polls_before_sleep: None,
-            drain_batch: 8,
         }
     }
 }
@@ -66,9 +60,9 @@ impl HotCallConfig {
         }
     }
 
-    /// The zero-config configuration: a patient retry budget and
-    /// responders that doze after 256 empty polls, so a ring plane runs
-    /// synchronous calls inline whenever its pool has dozed off. A `ctl`
+    /// The zero-config configuration: a patient retry budget and a
+    /// responder that dozes after 256 empty polls, so a ring plane runs
+    /// synchronous calls inline whenever its responder has dozed off. A `ctl`
     /// router, where one is attached, picks each API's transport online.
     pub fn auto() -> Self {
         HotCallConfig {
@@ -83,11 +77,10 @@ impl HotCallConfig {
     ///
     /// # Errors
     ///
-    /// [`crate::HotCallError::InvalidConfig`] when the retry, spin or
-    /// drain budget is zero (the availability handshake would never be
-    /// attempted, or a responder would never claim a slot), or when
-    /// idle-sleep is enabled with a zero poll budget (responders would
-    /// sleep before ever polling).
+    /// [`crate::HotCallError::InvalidConfig`] when the retry or spin
+    /// budget is zero (the availability handshake would never be
+    /// attempted), or when idle-sleep is enabled with a zero poll budget
+    /// (responders would sleep before ever polling).
     pub fn validate(&self) -> crate::error::Result<()> {
         use crate::error::HotCallError::InvalidConfig;
         if self.timeout_retries == 0 {
@@ -98,11 +91,6 @@ impl HotCallConfig {
         if self.spins_per_retry == 0 {
             return Err(InvalidConfig(
                 "spins_per_retry must be positive: zero spins never checks availability",
-            ));
-        }
-        if self.drain_batch == 0 {
-            return Err(InvalidConfig(
-                "drain_batch must be positive: a zero batch never claims a slot",
             ));
         }
         if self.idle_polls_before_sleep == Some(0) {
@@ -123,7 +111,6 @@ mod tests {
         let c = HotCallConfig::default();
         assert_eq!(c.timeout_retries, 10);
         assert!(c.idle_polls_before_sleep.is_none());
-        assert!(c.drain_batch >= 1);
     }
 
     #[test]
@@ -137,10 +124,6 @@ mod tests {
             },
             HotCallConfig {
                 spins_per_retry: 0,
-                ..HotCallConfig::default()
-            },
-            HotCallConfig {
-                drain_batch: 0,
                 ..HotCallConfig::default()
             },
             HotCallConfig {

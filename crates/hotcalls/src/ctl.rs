@@ -14,9 +14,8 @@
 //! the API's observed inter-arrival gap (a dedicated responder core burns
 //! cycles between calls), so a low-rate API demotes itself back to the
 //! SDK fallback exactly when `rate x (sdk - hot) cycles` stops covering
-//! the core it keeps busy. How many responders a plane runs is not the
-//! router's business: a plane is a fixed pool whose responders doze when
-//! idle.
+//! the core it keeps busy. When the responder runs is not the router's
+//! business: a plane has one responder, which dozes when idle.
 //!
 //! The router is **hysteretic** — flips require a margin, a minimum
 //! sample count, and a cooldown, so a stationary workload converges to a

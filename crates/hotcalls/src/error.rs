@@ -20,8 +20,8 @@ pub enum HotCallError {
     /// No function is registered at the requested call id.
     UnknownCallId(u32),
     /// A constructor was given an unusable parameter (zero ring capacity,
-    /// empty responder pool, a config [`crate::HotCallConfig::validate`]
-    /// rejects).
+    /// a responder count other than one, a config
+    /// [`crate::HotCallConfig::validate`] rejects).
     InvalidConfig(&'static str),
     /// The underlying SDK layer failed (simulated variant only).
     Sdk(sgx_sdk::SdkError),

@@ -17,20 +17,21 @@
 //!   polling responder, [`rt::Requester`] issues calls, with the paper's
 //!   timeout-fallback and idle-sleep mechanisms. The data plane is
 //!   lock-free (payloads in `UnsafeCell` slots guarded by the atomic state
-//!   machine, cache-line-padded hot words), and [`rt::RingServer`] scales
-//!   it out: a plane is one multi-slot submission ring served by `R ≥ 1`
-//!   responders that drain submitted slots in batches
+//!   machine, cache-line-padded hot words), and [`rt::RingServer`] shares
+//!   the responder among several requesters (§4.2): a plane is one
+//!   multi-slot submission ring served by one responder that drains
+//!   submitted slots in sequence order, a batch at a time
 //!   ([`rt::RingServer::spawn_pool`]); every requester shares its one
 //!   head word, and independent channels are independent planes. The plane
 //!   is *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester (a call returns through `call`, `wait` or `wait_any` and
-//!   nothing else; one ticket is one call). The pool is fixed for the
+//!   nothing else; one ticket is one call). The responder drains for the
 //!   plane's life, and the paper's doze is its one idle mechanism: only
-//!   responders service ring slots, and once a plane's responders all
-//!   doze (`HotCallConfig::idle_polls_before_sleep`), a synchronous call
-//!   skips the ring and runs its handler inline, so an idle plane holds
-//!   no second CPU. A payload is the server's type
+//!   the responder services ring slots, and while it dozes
+//!   (`HotCallConfig::idle_polls_before_sleep`) a synchronous call skips
+//!   the ring and runs its handler inline, so an idle plane holds no
+//!   second CPU. A payload is the server's type
 //!   parameter: [`rt::ByteRing`] and [`rt::SgRing`] *are* that
 //!   `RingServer`, at arena-backed byte and scatter-gather payloads. This
 //!   is usable as a general low-latency inter-thread call primitive.
@@ -70,6 +71,5 @@ pub use config::HotCallConfig;
 pub use ctl::{ApiRouter, ChunkSizer, CtlStats, Transport};
 pub use error::{HotCallError, Result};
 pub use telemetry::{
-    GovernorStats, HotCallStats, RingStats, ShardStats, Snapshot, TelemetryRegistry,
-    TELEMETRY_ENABLED,
+    GovernorStats, HotCallStats, RingStats, Snapshot, TelemetryRegistry, TELEMETRY_ENABLED,
 };

@@ -16,7 +16,7 @@
 //! claim, request, response — each written by one side only and on lines
 //! no other writer touches (see `slot::MailSlot`), and hot-path statistics
 //! are responder-local counters flushed with plain stores. For the queued
-//! plane — one ring, one or more responders — see [`RingServer`]; a byte
+//! plane — one ring, one responder — see [`RingServer`]; a byte
 //! or scatter-gather plane is that same server at `HotBuf` or `SgList`
 //! payloads ([`ByteRing`], [`SgRing`]).
 
@@ -126,8 +126,8 @@ where
     /// # Panics
     ///
     /// Panics with [`HotCallConfig::validate`]'s message when it rejects
-    /// `config` (a zero retry, spin or drain budget, or a zero idle-poll
-    /// budget), and if the responder thread cannot be spawned.
+    /// `config` (a zero retry or spin budget, or a zero idle-poll budget),
+    /// and if the responder thread cannot be spawned.
     pub fn spawn(table: CallTable<Req, Resp>, config: HotCallConfig) -> Self {
         if let Err(e) = config.validate() {
             panic!("{e}");
@@ -408,15 +408,6 @@ mod tests {
     fn spawn_rejects_zero_spins_per_retry() {
         spawn_with(HotCallConfig {
             spins_per_retry: 0,
-            ..HotCallConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "drain_batch must be positive")]
-    fn spawn_rejects_zero_drain_batch() {
-        spawn_with(HotCallConfig {
-            drain_batch: 0,
             ..HotCallConfig::default()
         });
     }

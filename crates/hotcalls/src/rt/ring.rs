@@ -1,39 +1,40 @@
-//! The queued HotCalls plane: one multi-slot submission ring, a responder
-//! pool that drains it in batches, and pipelined completions.
+//! The queued HotCalls plane: one multi-slot submission ring, one
+//! responder that drains it in batches, and pipelined completions.
 //!
 //! The paper's single mailbox serializes requesters; §4.2 observes that
 //! responder utilization "can potentially be improved by sharing the
 //! responder thread with several requesters". [`RingServer`] realizes
 //! that: a fixed ring of request slots lets several requesters have calls
-//! in flight simultaneously while one *or more* responders drain them in
-//! order. Each slot is its own little mailbox (CLAIM → SUBMIT → DONE) on
-//! its own cache lines, so requesters never contend on a single word the
-//! way the plain channel does, and payloads move through lock-free
-//! `UnsafeCell`s guarded by the slot state machine (see [`super::slot`]).
+//! in flight simultaneously while one responder drains them in order.
+//! Each slot is its own little mailbox (CLAIM → SUBMIT → DONE) on its own
+//! cache lines, so requesters never contend on a single word the way the
+//! plain channel does, and payloads move through lock-free `UnsafeCell`s
+//! guarded by the slot state machine (see [`super::slot`]).
 //!
-//! **One ring, `R` responders.** A plane is one ring — slots, head, tail,
-//! doze line and abandon board, all cache-padded — drained by `R ≥ 1`
-//! responder threads, all spawned by [`RingServer::spawn_pool`] and all
-//! draining for the plane's life. Every requester shares the one head
-//! word and every responder drains the one ring. A layout
-//! that wants independent channels — the paper's Fig. 9 gives each call
-//! channel its own mailbox — builds one plane per channel. The payload is
-//! the server's type parameter: a typed plane is `RingServer<Req, Resp>`,
-//! and the byte and scatter-gather planes are the same server at `HotBuf`
-//! and `SgList` payloads ([`super::ByteRing`], [`super::SgRing`]).
+//! **One ring, one responder.** A plane is one ring — slots, head, tail,
+//! doze line and abandon board, all cache-padded — drained by one
+//! responder thread, spawned by [`RingServer::spawn_pool`] and draining
+//! for the plane's life. Every requester shares the one head word; the
+//! responder is the only writer of `tail` and services slots in sequence
+//! order. A layout that wants independent channels — the paper's Fig. 9
+//! gives each call channel its own mailbox — builds one plane per
+//! channel. The payload is the server's type parameter: a typed plane is
+//! `RingServer<Req, Resp>`, and the byte and scatter-gather planes are the
+//! same server at `HotBuf` and `SgList` payloads ([`super::ByteRing`],
+//! [`super::SgRing`]).
 //!
 //! Beyond the paper's synchronous protocol the plane *pipelines*
 //! completions: [`RingRequester::submit`] returns a [`Ticket`]
-//! immediately; [`RingRequester::wait`] and [`RingRequester::wait_any`]
-//! reap completions in any order, so one requester keeps many slots in
-//! flight and a blocked handler no longer serializes the ring. One ticket
-//! is one call: a slot carries one request and one response, as the
-//! paper's mailbox does.
+//! immediately, and [`RingRequester::wait`] and
+//! [`RingRequester::wait_any`] reap completions later, so one requester
+//! keeps many slots in flight and overlaps its own work with the
+//! responder's. One ticket is one call: a slot carries one request and one
+//! response, as the paper's mailbox does.
 //!
 //! The doze (§4.2, "Conserving resources at idle times") is the plane's
 //! only idle mechanism: a responder that finds no work for
 //! [`HotCallConfig::idle_polls_before_sleep`] polls sleeps until a
-//! submission wakes it, and once every responder dozes a synchronous
+//! submission wakes it, and while it dozes a synchronous
 //! [`RingRequester::call`] runs its handler inline.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,8 +44,8 @@ use std::thread::JoinHandle;
 use crate::config::{HotCallConfig, FUSED_BELOW_OCCUPANCY};
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
-    now_cycles, trace, AtomicHist, GovernorStats, HotCallStats, LaneTelemetry, PlaneProvider,
-    PlaneTelemetry, RingStats, ShardStats,
+    now_cycles, trace, AtomicHist, GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry,
+    RingStats,
 };
 
 use super::pool;
@@ -67,38 +68,29 @@ fn occupancy(head: usize, tail: usize) -> usize {
     head.wrapping_sub(tail)
 }
 
-/// Per-responder statistics cell: the shared transport counters plus the
-/// poll count. Only the owning responder writes any of it (plain stores,
-/// no shared RMW on the hot path).
-#[derive(Default)]
-pub(super) struct ResponderCell {
-    pub(super) base: StatCell,
-    pub(super) polls: AtomicU64,
-}
-
 pub(super) struct RingShared<Req, Resp> {
     /// Each slot is 64-byte aligned with its state word on its own line,
     /// so neighbouring slots never false-share.
     pub(super) slots: Box<[CallSlot<Req, Resp>]>,
     /// Next slot index a requester claims. Padded: requesters hammer this
-    /// line; responders must not.
+    /// line; the responder must not.
     head: CachePadded<AtomicUsize>,
-    /// Next slot index the responders service. Padded likewise.
+    /// Next slot index the responder services; only the responder writes
+    /// it. Padded likewise.
     pub(super) tail: CachePadded<AtomicUsize>,
-    /// Where idle responders doze; per-call wakeups land here.
+    /// Where the idle responder dozes; per-call wakeups land here.
     pub(super) doze: Doze,
     /// Dropped-unredeemed ticket registry (see [`AbandonBoard`]): tickets
     /// hold a clone, claimants lapping onto a marked slot reap it. Its
     /// address doubles as the ticket's proof of origin.
     abandon: Arc<AbandonBoard>,
-    /// The handler table, shared with every responder thread. Holding it
-    /// here as well lets a *requester* dispatch inline on the fused
+    /// The handler table, shared with the responder thread. Holding it
+    /// here lets a *requester* dispatch inline on the fused
     /// run-to-completion path without any handoff.
     pub(super) table: CallTable<Req, Resp>,
     pub(super) shutdown: AtomicBool,
-    /// One padded statistics cell per responder; each responder writes
-    /// only its own.
-    pub(super) responders: Box<[CachePadded<ResponderCell>]>,
+    /// The responder's padded statistics cell; only it writes there.
+    pub(super) responder: CachePadded<StatCell>,
     /// Completion → redeem latency (reap stage), one single-writer cell
     /// per requester handle.
     reaps: ReapCells,
@@ -127,8 +119,8 @@ impl<Req, Resp> RingShared<Req, Resp> {
         occupancy(head, tail)
     }
 
-    /// Is the slot at the ring front submitted (work a responder could
-    /// claim right now)? The sleep predicate of every dozing responder.
+    /// Is the slot at the ring front submitted (work the responder could
+    /// take right now)? The sleep predicate of the dozing responder.
     pub(super) fn front_submitted(&self) -> bool {
         let tail = self.tail.load(Ordering::Acquire);
         pool::submitted_run(&self.slots, tail, 1) > 0
@@ -150,79 +142,47 @@ impl<Req, Resp> RingShared<Req, Resp> {
 
     fn snapshot(&self) -> HotCallStats {
         let fused_runs = self.fused_runs.load(Ordering::Relaxed);
-        let mut s = HotCallStats {
-            // Fused calls never pass through a responder cell, so the
-            // plane-wide call count starts from them.
-            calls: fused_runs,
+        let cell = &self.responder;
+        // Fused calls never pass through the responder's cell, so the
+        // plane-wide call count adds them.
+        HotCallStats {
+            calls: fused_runs + cell.calls.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             wakeups: self.wakeups.load(Ordering::Relaxed),
-            idle_polls: 0,
-            busy_polls: 0,
+            idle_polls: cell.idle_polls.load(Ordering::Relaxed),
+            busy_polls: cell.busy_polls.load(Ordering::Relaxed),
             fused_runs,
-        };
-        for cell in self.responders.iter() {
-            s.calls += cell.base.calls.load(Ordering::Relaxed);
-            s.idle_polls += cell.base.idle_polls.load(Ordering::Relaxed);
-            s.busy_polls += cell.base.busy_polls.load(Ordering::Relaxed);
         }
-        s
     }
 
-    /// The ring's one [`ShardStats`] row sums every responder's cell.
     fn ring_snapshot(&self) -> RingStats {
-        let mut row = ShardStats {
-            occupancy: self.occupancy_snapshot(),
-            ..ShardStats::default()
-        };
-        for cell in self.responders.iter() {
-            row.serviced += cell.base.calls.load(Ordering::Relaxed);
-            row.home_polls += cell.polls.load(Ordering::Relaxed);
-        }
         RingStats {
             totals: self.snapshot(),
-            shards: vec![row],
+            occupancy: self.occupancy_snapshot(),
         }
     }
 
-    /// The plane's shape: `"pool"` with more than one responder, else
-    /// `"single"`, whatever its payload type.
-    fn plane_kind(&self) -> &'static str {
-        if self.responders.len() > 1 {
-            "pool"
-        } else {
-            "single"
-        }
-    }
-
-    /// The plane's full telemetry view: counters plus one lane of stage
-    /// histograms per responder and the plane-wide reap histogram.
+    /// The plane's full telemetry view: counters plus the responder's
+    /// stage histograms and the plane-wide reap histogram.
     fn plane_telemetry(&self, name: &str) -> PlaneTelemetry {
+        let stages = &self.responder.stages;
         PlaneTelemetry {
             name: name.to_string(),
-            kind: self.plane_kind(),
             stats: self.ring_snapshot(),
-            lanes: self
-                .responders
-                .iter()
-                .enumerate()
-                .map(|(lane, cell)| LaneTelemetry {
-                    lane,
-                    queue: cell.base.stages.queue.snapshot(),
-                    service: cell.base.stages.service.snapshot(),
-                })
-                .collect(),
+            queue: stages.queue.snapshot(),
+            service: stages.service.snapshot(),
             reap: self.reaps.snapshot(),
         }
     }
 
-    /// Are the responders all out of the way, dozing on the ring's doze?
-    /// While this holds, no responder core is spinning on the ring, so a
+    /// Is the responder out of the way, dozing on the ring's doze? While
+    /// this holds, no responder core is spinning on the ring, so a
     /// requester executing inline steals nothing and saves the wake +
     /// cross-core transfer. The check is a heuristic: a fused call claims
     /// no slot, so a responder waking mid-decision costs the call its
     /// break-even, never its correctness.
     fn quiescent(&self) -> bool {
-        self.doze.sleepers.load(Ordering::Relaxed) >= self.responders.len()
+        self.doze.sleepers.load(Ordering::Relaxed) != 0
     }
 }
 
@@ -230,13 +190,12 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RingShared")
             .field("capacity", &self.slots.len())
-            .field("responders", &self.responders.len())
             .finish()
     }
 }
 
-/// A running plane: a fixed pool of responder threads draining one
-/// multi-slot submission ring in batches.
+/// A running plane: one responder thread draining one multi-slot
+/// submission ring in batches.
 ///
 /// # Examples
 ///
@@ -250,18 +209,17 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 /// let requester = server.requester();
 /// assert_eq!(requester.call(inc, 9).unwrap(), 10);
 ///
-/// // The same type, two responders on one ring.
-/// let mut table: CallTable<u64, u64> = CallTable::new();
-/// let inc = table.register(|x| x + 1);
-/// let server = RingServer::spawn_pool(table, 8, 2, HotCallConfig::patient()).unwrap();
-/// assert_eq!(server.requester().call(inc, 41).unwrap(), 42);
-/// assert_eq!(server.responders(), 2);
+/// // Pipelined: two calls in flight, reaped oldest first.
+/// let a = requester.submit(inc, 1).unwrap();
+/// let b = requester.submit(inc, 2).unwrap();
+/// let (seq, resp) = requester.wait_any(&mut vec![b, a]).unwrap();
+/// assert_eq!((seq, resp), (1, 2));
 /// ```
 #[derive(Debug)]
 pub struct RingServer<Req, Resp> {
     shared: Arc<RingShared<Req, Resp>>,
     config: HotCallConfig,
-    joins: Vec<JoinHandle<()>>,
+    join: Option<JoinHandle<()>>,
 }
 
 impl<Req, Resp> RingServer<Req, Resp>
@@ -269,18 +227,19 @@ where
     Req: Send + 'static,
     Resp: Send + 'static,
 {
-    /// Spawns a pool of `n_responders` threads draining one shared ring
-    /// of `capacity` slots for the plane's life. Each responder claims up
-    /// to [`HotCallConfig::drain_batch`] contiguous submissions per tail
-    /// advance and dozes when idle per
+    /// Spawns the responder thread draining one shared ring of `capacity`
+    /// slots for the plane's life. It takes a batch of contiguous
+    /// submissions per `tail` advance and dozes when idle per
     /// [`HotCallConfig::idle_polls_before_sleep`]. `table` is a
     /// [`CallTable`] or a payload's own table ([`super::ByteCallTable`],
-    /// [`super::SgCallTable`]).
+    /// [`super::SgCallTable`]). A plane has exactly one responder, so
+    /// `n_responders` must be 1.
     ///
     /// # Errors
     ///
-    /// [`HotCallError::InvalidConfig`] if `capacity` or `n_responders` is
-    /// zero, or the config fails [`HotCallConfig::validate`].
+    /// [`HotCallError::InvalidConfig`] if `capacity` is zero,
+    /// `n_responders` is not 1, or the config fails
+    /// [`HotCallConfig::validate`].
     pub fn spawn_pool(
         table: impl Into<CallTable<Req, Resp>>,
         capacity: usize,
@@ -292,9 +251,9 @@ where
                 "ring capacity must be positive",
             ));
         }
-        if n_responders == 0 {
+        if n_responders != 1 {
             return Err(HotCallError::InvalidConfig(
-                "responder pool must keep at least one thread",
+                "a ring plane has one responder",
             ));
         }
         config.validate()?;
@@ -306,27 +265,21 @@ where
             abandon: AbandonBoard::new(capacity),
             table: table.into(),
             shutdown: AtomicBool::new(false),
-            responders: (0..n_responders)
-                .map(|_| CachePadded::new(ResponderCell::default()))
-                .collect(),
+            responder: CachePadded::default(),
             reaps: ReapCells::default(),
             fallbacks: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             fused_runs: AtomicU64::new(0),
         });
-        let joins = (0..n_responders)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hotcalls-ring-responder-{index}"))
-                    .spawn(move || pool::responder_loop(&shared, index, config))
-                    .expect("spawn ring responder")
-            })
-            .collect();
+        let responder = Arc::clone(&shared);
+        let join = std::thread::Builder::new()
+            .name("hotcalls-ring-responder".to_string())
+            .spawn(move || pool::responder_loop(&responder, config))
+            .expect("spawn ring responder");
         Ok(RingServer {
             shared,
             config,
-            joins,
+            join: Some(join),
         })
     }
 
@@ -335,39 +288,31 @@ where
         RingRequester::new(Arc::clone(&self.shared), self.config)
     }
 
-    /// Number of responder threads in the pool.
-    pub fn responders(&self) -> usize {
-        self.shared.responders.len()
-    }
-
-    /// Statistics so far, aggregated over the responder pool.
+    /// Statistics so far: the responder's counters plus the calls
+    /// requesters ran inline.
     pub fn stats(&self) -> HotCallStats {
         self.shared.snapshot()
     }
 
-    /// The pool's shape in the [`GovernorStats`] form: every responder
-    /// is active for the plane's life, so `active == min == max ==`
-    /// [`RingServer::responders`] and the park/wake counters stay zero.
+    /// The responder in the [`GovernorStats`] form: one responder is
+    /// active for the plane's life, so `active == min == max == 1` and
+    /// the park/wake counters stay zero.
     pub fn governor_stats(&self) -> GovernorStats {
-        let n = self.responders();
         GovernorStats {
-            active: n,
-            min: n,
-            max: n,
+            active: 1,
+            min: 1,
+            max: 1,
             ..GovernorStats::default()
         }
     }
 
-    /// The full snapshot: totals and the ring's one
-    /// [`ShardStats`] row (serviced calls, polls, occupancy).
+    /// The full snapshot: totals and the ring's occupancy.
     pub fn ring_stats(&self) -> RingStats {
         self.shared.ring_snapshot()
     }
 
-    /// This plane's full telemetry view right now: counters plus per-lane
-    /// queue/service histograms and the plane-wide reap histogram. The
-    /// plane kind is `"pool"` with more than one responder, else
-    /// `"single"`, whatever the payload type.
+    /// This plane's full telemetry view right now: counters plus the
+    /// queue, service and reap histograms.
     pub fn telemetry(&self, name: &str) -> PlaneTelemetry {
         self.shared.plane_telemetry(name)
     }
@@ -381,7 +326,7 @@ where
         Box::new(move || shared.plane_telemetry(&name))
     }
 
-    /// Stops the responders and joins them.
+    /// Stops the responder and joins it.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -391,22 +336,21 @@ impl<Req, Resp> RingServer<Req, Resp> {
     fn shutdown_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.doze.wake_all();
-        for j in self.joins.drain(..) {
-            let _ = j.join();
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
         }
     }
 }
 
 impl<Req, Resp> Drop for RingServer<Req, Resp> {
     fn drop(&mut self) {
-        if !self.joins.is_empty() {
+        if self.join.is_some() {
             self.shutdown_inner();
         }
     }
 }
 
-/// A handle submitting calls into a [`RingServer`]'s ring; completions
-/// may be produced by any of its responders.
+/// A handle submitting calls into a [`RingServer`]'s ring.
 ///
 /// Give each thread its own clone. The handle is `Sync` and every method
 /// takes `&self`, so sharing one by reference works and loses no call, but
@@ -490,18 +434,18 @@ impl Drop for Ticket {
 ///
 /// **Who guards a lap.** Slot `seq % capacity` was last used by call
 /// `seq - capacity`. The full check admits `seq` only after `tail` passed
-/// `seq - capacity`, i.e. after a responder took that call — which it only
-/// does once the call was published. A claimed but still unpublished slot
+/// `seq - capacity`, i.e. after the responder took that call — which it
+/// only does once the call was published. A claimed but still unpublished slot
 /// (state `EMPTY`: rings have no `CLAIMED` mark) is therefore never lapped
 /// onto. The `EMPTY` check below then waits out the rest of that call's
 /// life (`SERVICING`, un-redeemed `DONE`).
 ///
-/// **Happens-before.** The Acquire `tail` load pairs with the AcqRel tail
-/// CAS of the responder that took call `seq - capacity` after reading its
-/// slot `SUBMITTED`; by coherence the state load below sees that
-/// `SUBMITTED` or a later value, so an `EMPTY` read is the one `redeem`
-/// stored with Release and the previous call's payload accesses are over
-/// before this caller writes the cells.
+/// **Happens-before.** The Acquire `tail` load pairs with the Release
+/// `tail` store the responder made after reading slot `seq - capacity`
+/// `SUBMITTED`; by coherence the state load below sees that `SUBMITTED` or
+/// a later value, so an `EMPTY` read is the one `redeem` stored with
+/// Release and the previous call's payload accesses are over before this
+/// caller writes the cells.
 fn claim_slot<Req, Resp>(ring: &RingShared<Req, Resp>) -> Option<usize> {
     let cap = ring.slots.len();
     // Tail before head: a tail snapshot taken first cannot exceed the head
@@ -541,45 +485,6 @@ fn claim_slot<Req, Resp>(ring: &RingShared<Req, Resp>) -> Option<usize> {
         .ok()
 }
 
-/// The reap pick of `wait_any`: the position in
-/// `tickets` of the *oldest* completed call, or `None` if none completed.
-///
-/// Oldest, never first-found: when the responders complete calls faster
-/// than the caller redeems them (a cheap handler, a batched drain), every
-/// ticket of the set is DONE at scan time, and a first-found scan keeps
-/// redeeming whichever ticket `swap_remove` rotated to the front — always
-/// the youngest — while older DONE slots sit un-redeemed until the head
-/// laps onto one and `submit` spins on a slot only this very caller could
-/// free. Oldest-first bounds an un-redeemed completion's age by the
-/// caller's in-flight window.
-///
-/// The minimum-sequence ticket is found in the caller's own memory and
-/// its slot is tested first: if it is DONE it *is* the oldest completed
-/// call, for one shared state line read instead of one per ticket (lines
-/// the responder is about to write). Only when it is not are the others
-/// scanned, which still returns a younger completion stuck behind a slow
-/// older one. A younger hit is not trusted over the oldest, though: the
-/// oldest may have completed while the scan ran (behind a single in-order
-/// responder a younger DONE proves it has), and a caller whose window
-/// equals the capacity submits next onto exactly the oldest ticket's slot —
-/// handed the younger one it would spin on a DONE only it can redeem. So
-/// the oldest is looked at once more before a younger one is returned; an
-/// empty scan, the spinning case, costs no extra read.
-fn oldest_done<Req, Resp>(slots: &[CallSlot<Req, Resp>], tickets: &[Ticket]) -> Option<usize> {
-    // Acquire (inside `state`): pairs with `finish`'s Release DONE store,
-    // making the response visible to the redeem that follows.
-    let done = |t: &Ticket| slots[t.index % slots.len()].state() == DONE;
-    let by_age = |(_, t): &(usize, &Ticket)| t.index;
-    let (first, oldest) = tickets.iter().enumerate().min_by_key(by_age)?;
-    if done(oldest) {
-        return Some(first);
-    }
-    let younger_done = |(i, t): &(usize, &Ticket)| *i != first && done(t);
-    let completed = tickets.iter().enumerate().filter(younger_done);
-    let (younger, _) = completed.min_by_key(by_age)?;
-    Some(if done(oldest) { first } else { younger })
-}
-
 /// The wait loop shared by every blocking redeem path: polls `ready` until
 /// it yields, or the plane shut down and the grace ran out.
 fn poll_until<T>(shutdown: &AtomicBool, mut ready: impl FnMut() -> Option<T>) -> Result<T> {
@@ -589,7 +494,7 @@ fn poll_until<T>(shutdown: &AtomicBool, mut ready: impl FnMut() -> Option<T>) ->
         if let Some(hit) = ready() {
             return Ok(hit);
         }
-        // The pool drains submitted work before exiting, but a submission
+        // The responder drains submitted work before exiting, but a submission
         // that raced the shutdown flag (or sits behind a neighbour stuck
         // mid-publish) may never be serviced; give up after a bounded
         // grace. The slot stays occupied and its payload is freed by Drop.
@@ -605,13 +510,13 @@ fn poll_until<T>(shutdown: &AtomicBool, mut ready: impl FnMut() -> Option<T>) ->
 
 impl<Req, Resp> RingRequester<Req, Resp> {
     /// Is the fused run-to-completion path worth taking right now? The
-    /// plane must be able to doze, its responders must all doze and
-    /// the ring's backlog must be below the break-even threshold. A plane
-    /// that cannot doze stops at its own config; quiescence is read next:
-    /// on a plane whose responders are awake it fails on two rarely
-    /// written words, so an active plane never reads the
-    /// responder-written `tail` line here. A plane shutting down takes the
-    /// pooled path, which reports `ResponderGone`.
+    /// plane must be able to doze, its responder must doze and the ring's
+    /// backlog must be below the break-even threshold. A plane that cannot
+    /// doze stops at its own config; quiescence is read next: on a plane
+    /// whose responder is awake it fails on one rarely written word, so an
+    /// active plane never reads the responder-written `tail` line here. A
+    /// plane shutting down takes the ring path, which reports
+    /// `ResponderGone`.
     fn fused_eligible(&self) -> bool {
         let shared = &*self.shared;
         self.config.idle_polls_before_sleep.is_some()
@@ -620,7 +525,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             && shared.occupancy_snapshot() < FUSED_BELOW_OCCUPANCY
     }
 
-    /// Claims a slot, publishes `req` into it and wakes a responder,
+    /// Claims a slot, publishes `req` into it and wakes the responder,
     /// returning the absolute slot sequence. On failure the request is
     /// handed back so the caller can recover it (the fallback path).
     fn submit_request(
@@ -643,7 +548,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 // SAFETY: `claim_slot` won the head CAS, which grants
                 // exclusive claim ownership of this slot; publish once.
                 unsafe { slot.publish(head, id, req) };
-                // Wake a sleeping responder (after the SUBMITTED store).
+                // Wake the sleeping responder (after the SUBMITTED store).
                 if shared.doze.wake() {
                     shared.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
@@ -733,11 +638,16 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         self.wait_index(ticket.defuse())
     }
 
-    /// Waits until *any* of `tickets` (all issued by this plane)
-    /// completes, removes it from the set, and returns its sequence number
-    /// (see [`Ticket::seq`]) with the response. Completion order is
-    /// whatever the responder pool produces — this is the batched-reap
-    /// primitive that keeps a deep pipeline full.
+    /// Waits for the oldest of `tickets` (all issued by this plane) to
+    /// complete, removes it from the set, and returns its sequence number
+    /// (see [`Ticket::seq`]) with the response — the reap primitive that
+    /// keeps a deep pipeline full.
+    ///
+    /// Redeeming oldest first keeps a window of up to `capacity - 1`
+    /// tickets from lapping the ring onto a slot only this caller could
+    /// free. It also costs no latency: the responder completes calls in
+    /// submission order, so no younger ticket of the set is ever done
+    /// while the oldest is still pending.
     ///
     /// # Errors
     ///
@@ -747,31 +657,29 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// failure (e.g. unknown id) is returned as-is (the offending ticket is
     /// consumed).
     pub fn wait_any(&self, tickets: &mut Vec<Ticket>) -> Result<(u64, Resp)> {
-        if tickets.is_empty() {
+        // In the caller's own memory: a foreign ticket would be matched
+        // against the wrong plane's slots below.
+        tickets
+            .iter()
+            .try_for_each(|t| self.shared.check_issuer(&t.board))?;
+        let Some((oldest, _)) = tickets.iter().enumerate().min_by_key(|(_, t)| t.index) else {
             return Err(HotCallError::InvalidConfig(
                 "wait_any needs at least one ticket",
             ));
-        }
-        let shared = &*self.shared;
-        // Once per call, in the caller's own memory: a foreign ticket
-        // would be matched against the wrong plane's slots below.
-        tickets
-            .iter()
-            .try_for_each(|t| shared.check_issuer(&t.board))?;
-        let pick = || oldest_done(&shared.slots, tickets);
-        let i = poll_until(&shared.shutdown, pick)?;
-        let mut ticket = tickets.swap_remove(i);
+        };
+        self.wait_done(tickets[oldest].index)?;
+        let mut ticket = tickets.swap_remove(oldest);
         let seq = ticket.seq();
         self.redeem(ticket.defuse()).map(|resp| (seq, resp))
     }
 
     /// Submit + wait in one step.
     ///
-    /// On a plane whose responders can doze (`idle_polls_before_sleep`
-    /// is set), once they all have and the ring is near empty, the handler
-    /// runs *inline on this thread* — no slot publish, no doze wake, no
+    /// On a plane whose responder can doze (`idle_polls_before_sleep` is
+    /// set), once it has and the ring is near empty, the handler runs
+    /// *inline on this thread* — no slot publish, no doze wake, no
     /// cross-core cache-line transfer. Any other time the call rides the
-    /// pool. A plane that cannot doze never consults this gate.
+    /// ring. A plane that cannot doze never consults this gate.
     ///
     /// # Errors
     ///
@@ -818,6 +726,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TELEMETRY_ENABLED;
     use std::time::{Duration, Instant};
 
     fn table() -> (CallTable<u64, u64>, u32) {
@@ -832,130 +741,101 @@ mod tests {
 
     type Server = RingServer<u64, u64>;
 
-    type Spawn = fn(CallTable<u64, u64>, usize, HotCallConfig) -> Server;
-
-    /// The plane shapes every shape-agnostic test runs over: the ring with
-    /// one responder and with a pool of four.
-    const SHAPES: [(&str, Spawn); 2] = [
-        ("1 responder", |t, cap, config| {
-            RingServer::spawn_pool(t, cap, 1, config).unwrap()
-        }),
-        ("4 responders", |t, cap, config| {
-            RingServer::spawn_pool(t, cap, 4, config).unwrap()
-        }),
-    ];
-
-    /// Runs `test` once per shape over a fresh squaring table; `shape`
-    /// names the plane in assertion messages.
-    fn each_shape(capacity: usize, config: HotCallConfig, test: impl Fn(&str, Server, u32)) {
-        for (shape, spawn) in SHAPES {
-            let (t, sq) = table();
-            test(shape, spawn(t, capacity, config), sq);
-        }
+    /// A plane of `capacity` slots over a fresh squaring table.
+    fn plane(capacity: usize, config: HotCallConfig) -> (Server, u32) {
+        let (t, sq) = table();
+        (RingServer::spawn_pool(t, capacity, 1, config).unwrap(), sq)
     }
 
-    /// Blocks until every responder of `server` sleeps on a work doze.
-    fn await_all_dozing(server: &Server) {
+    /// Blocks until the responder of `server` sleeps on its doze.
+    fn await_dozing(server: &Server) {
         let dozing = || server.shared.doze.sleepers.load(Ordering::SeqCst);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while dozing() < server.responders() {
-            assert!(Instant::now() < deadline, "responders never slept");
+        while dozing() == 0 {
+            assert!(Instant::now() < deadline, "the responder never slept");
             std::thread::yield_now();
         }
     }
 
     #[test]
     fn call_roundtrip() {
-        each_shape(4, generous(), |shape, server, sq| {
-            let r = server.requester();
-            assert_eq!(r.call(sq, 7).unwrap(), 49, "{shape}");
-            assert_eq!(server.stats().calls, 1, "{shape}");
-        });
+        let (server, sq) = plane(4, generous());
+        let r = server.requester();
+        assert_eq!(r.call(sq, 7).unwrap(), 49);
+        assert_eq!(server.stats().calls, 1);
     }
 
     #[test]
-    fn wait_any_reaps_out_of_order() {
-        each_shape(16, generous(), |shape, server, sq| {
-            let r = server.requester();
-            let mut tickets: Vec<Ticket> = (0..10u64).map(|i| r.submit(sq, i).unwrap()).collect();
-            let mut seen = std::collections::BTreeMap::new();
-            while !tickets.is_empty() {
-                let (seq, resp) = r.wait_any(&mut tickets).unwrap();
-                assert!(seen.insert(seq, resp).is_none(), "{shape}: seq {seq} twice");
-            }
-            // Sequence numbers are the ring indices 0..10 on a
-            // fresh server, and each response is the square of its
-            // submission payload.
-            let got: Vec<(u64, u64)> = seen.into_iter().collect();
-            let want: Vec<(u64, u64)> = (0..10u64).map(|i| (i, i * i)).collect();
-            assert_eq!(got, want, "{shape}");
-        });
+    fn wait_any_reaps_every_ticket_oldest_first() {
+        let (server, sq) = plane(16, generous());
+        let r = server.requester();
+        let mut tickets: Vec<Ticket> = (0..10u64).map(|i| r.submit(sq, i).unwrap()).collect();
+        // Shuffle the set: the pick is by sequence, not by position.
+        tickets.reverse();
+        tickets.swap(2, 7);
+        let mut got = Vec::new();
+        while !tickets.is_empty() {
+            got.push(r.wait_any(&mut tickets).unwrap());
+        }
+        // Sequence numbers are the ring indices 0..10 on a fresh server,
+        // and each response is the square of its submission payload.
+        let want: Vec<(u64, u64)> = (0..10u64).map(|i| (i, i * i)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn pipelined_unknown_id_fails_only_its_ticket() {
-        each_shape(4, generous(), |shape, server, sq| {
-            let r = server.requester();
-            let tickets = [r.submit(sq, 3), r.submit(999, 1), r.submit(sq, 4)];
-            let results = tickets.map(|t| r.wait(t.unwrap()));
-            assert_eq!(*results[0].as_ref().unwrap(), 9, "{shape}");
-            assert!(
-                matches!(results[1], Err(HotCallError::UnknownCallId(999))),
-                "{shape}"
-            );
-            assert_eq!(*results[2].as_ref().unwrap(), 16, "{shape}");
-        });
+        let (server, sq) = plane(4, generous());
+        let r = server.requester();
+        let tickets = [r.submit(sq, 3), r.submit(999, 1), r.submit(sq, 4)];
+        let results = tickets.map(|t| r.wait(t.unwrap()));
+        assert_eq!(*results[0].as_ref().unwrap(), 9);
+        assert!(matches!(results[1], Err(HotCallError::UnknownCallId(999))));
+        assert_eq!(*results[2].as_ref().unwrap(), 16);
     }
 
     #[test]
     fn wraps_many_times() {
-        each_shape(2, generous(), |shape, server, sq| {
-            let r = server.requester();
-            for i in 0..5_000u64 {
-                assert_eq!(r.call(sq, i).unwrap(), i * i, "{shape}");
-            }
-            assert_eq!(server.stats().calls, 5_000, "{shape}");
-        });
+        let (server, sq) = plane(2, generous());
+        let r = server.requester();
+        for i in 0..5_000u64 {
+            assert_eq!(r.call(sq, i).unwrap(), i * i);
+        }
+        assert_eq!(server.stats().calls, 5_000);
     }
 
     #[test]
     fn fallback_runs_locally_on_timeout() {
-        for (shape, spawn) in SHAPES {
-            let mut t: CallTable<u64, u64> = CallTable::new();
-            let slow = t.register(|x| {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                x
-            });
-            // Capacity-1 ring: while the slow call is in flight the ring is
-            // full, so a second call times out and falls back.
-            let config = HotCallConfig {
-                timeout_retries: 2,
-                spins_per_retry: 4,
-                ..HotCallConfig::default()
-            };
-            let server = spawn(t, 1, config);
-            let r1 = server.requester();
-            let r2 = server.requester();
-            let blocker = std::thread::spawn(move || r1.call(slow, 7).unwrap());
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            let v = r2.call_with_fallback(slow, 5, |x| x + 100).unwrap();
-            assert_eq!(v, 105, "{shape}");
-            assert!(server.stats().fallbacks >= 1, "{shape}");
-            assert_eq!(blocker.join().unwrap(), 7, "{shape}");
-        }
+        let mut t: CallTable<u64, u64> = CallTable::new();
+        let slow = t.register(|x| {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            x
+        });
+        // Capacity-1 ring: while the slow call is in flight the ring is
+        // full, so a second call times out and falls back.
+        let config = HotCallConfig {
+            timeout_retries: 2,
+            spins_per_retry: 4,
+            ..HotCallConfig::default()
+        };
+        let server = RingServer::spawn_pool(t, 1, 1, config).unwrap();
+        let r1 = server.requester();
+        let r2 = server.requester();
+        let blocker = std::thread::spawn(move || r1.call(slow, 7).unwrap());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let v = r2.call_with_fallback(slow, 5, |x| x + 100).unwrap();
+        assert_eq!(v, 105);
+        assert!(server.stats().fallbacks >= 1);
+        assert_eq!(blocker.join().unwrap(), 7);
     }
 
     #[test]
     fn shutdown_fails_inflight_and_future_calls() {
-        each_shape(2, generous(), |shape, server, sq| {
-            let r = server.requester();
-            assert_eq!(r.call(sq, 3).unwrap(), 9, "{shape}");
-            server.shutdown();
-            assert!(
-                matches!(r.submit(sq, 1), Err(HotCallError::ResponderGone)),
-                "{shape}"
-            );
-        });
+        let (server, sq) = plane(2, generous());
+        let r = server.requester();
+        assert_eq!(r.call(sq, 3).unwrap(), 9);
+        server.shutdown();
+        assert!(matches!(r.submit(sq, 1), Err(HotCallError::ResponderGone)));
     }
 
     #[test]
@@ -964,16 +844,23 @@ mod tests {
             assert!(matches!(server, Err(HotCallError::InvalidConfig(_))));
         };
         let t = || table().0;
-        rejected(RingServer::spawn_pool(t(), 0, 2, generous()));
+        rejected(RingServer::spawn_pool(t(), 0, 1, generous()));
         rejected(RingServer::spawn_pool(t(), 8, 0, generous()));
+        // A plane has exactly one responder.
+        let two = RingServer::spawn_pool(t(), 8, 2, generous());
+        assert!(matches!(
+            two,
+            Err(HotCallError::InvalidConfig(
+                "a ring plane has one responder"
+            ))
+        ));
     }
 
     #[test]
     fn one_responder_snapshot_counts_every_call() {
         // After a fixed call sequence every counter that does not count
-        // empty polls, and the shape of every snapshot, is exact.
-        let (t, sq) = table();
-        let server = RingServer::spawn_pool(t, 8, 1, generous()).unwrap();
+        // empty polls, and every stage histogram, is exact.
+        let (server, sq) = plane(8, generous());
         let r = server.requester();
         for i in 0..100u64 {
             assert_eq!(r.call(sq, i).unwrap(), i * i);
@@ -988,23 +875,26 @@ mod tests {
         let t = server.telemetry("p");
         let rs = t.stats;
         assert_eq!((rs.totals.calls, rs.totals.busy_polls), (105, 105));
-        assert_eq!((rs.shards.len(), rs.shards[0].serviced), (1, 105));
-        assert_eq!((t.kind, t.lanes.len()), ("single", 1));
+        assert_eq!(
+            (rs.totals.calls - rs.totals.fused_runs, rs.occupancy),
+            (105, 0)
+        );
+        if TELEMETRY_ENABLED {
+            let counts = (t.queue.count(), t.service.count(), t.reap.count());
+            assert_eq!(counts, (105, 105, 105));
+        }
     }
 
-    /// Two planes of the same payload type, on one responder and on a
-    /// pool, each with one completed call whose ticket is still out. Each
-    /// ticket comes paired with the other plane's handle, which has a DONE
-    /// slot of its own at the ticket's sequence, so without the issuer
-    /// check the ticket redeems somebody else's response instead of
-    /// waiting forever.
+    /// Two planes of the same payload type, each with one completed call
+    /// whose ticket is still out. Each ticket comes paired with the other
+    /// plane's handle, which has a DONE slot of its own at the ticket's
+    /// sequence, so without the issuer check the ticket redeems somebody
+    /// else's response instead of waiting forever.
     #[allow(clippy::type_complexity)]
     fn foreign_tickets() -> (Vec<Server>, u32, Vec<(RingRequester<u64, u64>, Ticket)>) {
-        let (t, sq) = table();
-        let single = RingServer::spawn_pool(t, 4, 1, generous()).unwrap();
-        let (t, _) = table();
-        let pool = RingServer::spawn_pool(t, 4, 2, generous()).unwrap();
-        let servers = vec![single, pool];
+        let (first, sq) = plane(4, generous());
+        let (second, _) = plane(4, generous());
+        let servers = vec![first, second];
         let mut handles: Vec<_> = servers.iter().map(RingServer::requester).collect();
         let tickets: Vec<Ticket> = handles
             .iter()
@@ -1054,39 +944,27 @@ mod tests {
 
     #[test]
     fn pool_batched_drain_handles_bursts() {
-        // A tiny drain batch and a large one must both preserve
-        // exactly-once results over pipelined bursts.
-        for batch in [1u32, 4, 64] {
-            let (t, sq) = table();
-            let config = HotCallConfig {
-                drain_batch: batch,
-                ..generous()
-            };
-            let server = RingServer::spawn_pool(t, 8, 2, config).unwrap();
-            let r = server.requester();
-            for _ in 0..50 {
-                let tickets: Vec<Ticket> = (0..8u64).map(|i| r.submit(sq, i).unwrap()).collect();
-                for (i, t) in tickets.into_iter().enumerate() {
-                    assert_eq!(r.wait(t).unwrap(), (i * i) as u64, "batch={batch}");
-                }
+        // Bursts as deep as the ring, drained a batch at a time, keep
+        // exactly-once results.
+        let (server, sq) = plane(8, generous());
+        let r = server.requester();
+        for _ in 0..50 {
+            let tickets: Vec<Ticket> = (0..8u64).map(|i| r.submit(sq, i).unwrap()).collect();
+            for (i, t) in tickets.into_iter().enumerate() {
+                assert_eq!(r.wait(t).unwrap(), (i * i) as u64);
             }
-            assert_eq!(server.stats().calls, 400);
         }
+        assert_eq!(server.stats().calls, 400);
     }
 
     #[test]
     fn pool_idle_sleep_wakes_on_submit() {
-        let (t, sq) = table();
-        let config = HotCallConfig {
-            idle_polls_before_sleep: Some(200),
-            ..generous()
-        };
-        let server = RingServer::spawn_pool(t, 8, 2, config).unwrap();
+        let (server, sq) = plane(8, dozing(Some(200)));
         let r = server.requester();
         assert_eq!(r.call(sq, 5).unwrap(), 25);
-        // Let both responders doze off, then prove a submission still
-        // lands (a synchronous call would now run inline and wake nobody).
-        await_all_dozing(&server);
+        // Let the responder doze off, then prove a submission still lands
+        // (a synchronous call would now run inline and wake nobody).
+        await_dozing(&server);
         assert_eq!(r.wait(r.submit(sq, 6).unwrap()).unwrap(), 36);
         let stats = server.stats();
         assert!(stats.wakeups >= 1, "wakeups not accounted: {stats:?}");
@@ -1108,10 +986,9 @@ mod tests {
     #[test]
     fn stale_head_stress_on_tiny_ring() {
         // Maximize head/tail snapshot races: capacity-1 ring, several
-        // requesters, responders constantly advancing tail. With the old
-        // head-then-tail load order this underflowed in debug builds.
-        let (t, sq) = table();
-        let server = RingServer::spawn_pool(t, 1, 2, generous()).unwrap();
+        // requesters, the responder constantly advancing tail. With the
+        // old head-then-tail load order this underflowed in debug builds.
+        let (server, sq) = plane(1, generous());
         let mut handles = Vec::new();
         for th in 0..4u64 {
             let r = server.requester();
@@ -1130,37 +1007,35 @@ mod tests {
 
     #[test]
     fn static_pool_governor_is_inert() {
-        let (t, sq) = table();
-        let server = RingServer::spawn_pool(t, 8, 3, generous()).unwrap();
+        let (server, sq) = plane(8, generous());
         let r = server.requester();
         for i in 0..500u64 {
             assert_eq!(r.call(sq, i).unwrap(), i * i);
         }
         let g = server.governor_stats();
-        assert_eq!((g.active, g.parked), (3, 0));
+        assert_eq!((g.active, g.parked), (1, 0));
         assert_eq!((g.parks, g.wakes), (0, 0));
-        assert_eq!((g.min, g.max), (3, 3));
+        assert_eq!((g.min, g.max), (1, 1));
     }
 
     #[test]
     fn concurrent_requesters_lose_nothing() {
         // Four threads, one handle each, sharing the one ring's head word.
-        each_shape(8, generous(), |shape, server, sq| {
-            let stamp = |th: u64, i: u64| th * 1_000 + i;
-            let total: u64 = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..4u64)
-                    .map(|th| {
-                        let r = server.requester();
-                        let calls = move |i| r.call(sq, stamp(th, i)).unwrap();
-                        s.spawn(move || (0..400).map(calls).sum::<u64>())
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().unwrap()).sum::<u64>()
-            });
-            let squares = |th| (0..400).map(move |i| stamp(th, i) * stamp(th, i));
-            assert_eq!(total, (0..4).flat_map(squares).sum::<u64>(), "{shape}");
-            assert_eq!(server.stats().calls, 1_600, "{shape}");
+        let (server, sq) = plane(8, generous());
+        let stamp = |th: u64, i: u64| th * 1_000 + i;
+        let total: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|th| {
+                    let r = server.requester();
+                    let calls = move |i| r.call(sq, stamp(th, i)).unwrap();
+                    s.spawn(move || (0..400).map(calls).sum::<u64>())
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum::<u64>()
         });
+        let squares = |th| (0..400).map(move |i| stamp(th, i) * stamp(th, i));
+        assert_eq!(total, (0..4).flat_map(squares).sum::<u64>());
+        assert_eq!(server.stats().calls, 1_600);
     }
 
     #[test]
@@ -1171,12 +1046,7 @@ mod tests {
         // ring front), so every call completes well inside the deadline.
         // Submit + wait, not `call`: a synchronous call on the dozed
         // plane would run inline and publish nothing.
-        let (t, sq) = table();
-        let config = HotCallConfig {
-            idle_polls_before_sleep: Some(32),
-            ..generous()
-        };
-        let server = RingServer::spawn_pool(t, 4, 1, config).unwrap();
+        let (server, sq) = plane(4, dozing(Some(32)));
         let r = server.requester();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for i in 0..3_000u64 {
@@ -1195,8 +1065,8 @@ mod tests {
         assert_eq!(server.stats().calls, 3_000);
     }
 
-    /// A patient plane whose responders doze after `idle` empty polls
-    /// (`None`: they spin forever, so no call ever runs inline).
+    /// A patient plane whose responder dozes after `idle` empty polls
+    /// (`None`: it spins forever, so no call ever runs inline).
     fn dozing(idle: Option<u64>) -> HotCallConfig {
         HotCallConfig {
             idle_polls_before_sleep: idle,
@@ -1207,24 +1077,23 @@ mod tests {
     #[test]
     fn unknown_id_propagates_pooled_and_fused() {
         for (config, fused) in [(generous(), 0), (dozing(Some(64)), 1)] {
-            each_shape(4, config, |shape, server, _| {
-                let r = server.requester();
-                if fused == 1 {
-                    await_all_dozing(&server);
-                }
-                assert!(
-                    matches!(r.call(42, 1), Err(HotCallError::UnknownCallId(42))),
-                    "{shape}"
-                );
-                let s = server.stats();
-                assert_eq!(s.fused_runs, fused, "{shape}: {s:?}");
-            });
+            let (server, _) = plane(4, config);
+            let r = server.requester();
+            if fused == 1 {
+                await_dozing(&server);
+            }
+            assert!(matches!(
+                r.call(42, 1),
+                Err(HotCallError::UnknownCallId(42))
+            ));
+            let s = server.stats();
+            assert_eq!(s.fused_runs, fused, "{s:?}");
         }
     }
 
     #[test]
     fn wait_any_redeems_oldest_and_never_wedges_on_wrap() {
-        // Regression: when the responders complete a window faster than
+        // Regression: when the responder completes a window faster than
         // the caller redeems it, every outstanding ticket is DONE at scan
         // time, and a first-found `wait_any` kept redeeming whichever
         // ticket `swap_remove` had rotated to the front — always the
@@ -1233,115 +1102,105 @@ mod tests {
         // very thread could free. This loop wraps the 8-slot ring dozens
         // of times.
         //
-        // On a pool a responder descheduled mid-service
-        // can still hold the oldest call while others complete younger
-        // ones around it, so the loop keeps `submit`'s lap rule: a ticket
-        // a full lap behind is redeemed by name before submitting past it.
-        // Behind one in-order responder that rule never has to fire —
-        // oldest-first hands back the oldest ticket whenever any is done —
+        // The loop keeps `submit`'s lap rule — a ticket a full lap behind
+        // is redeemed by name before submitting past it — and counts how
+        // often it fires: behind the one in-order responder, oldest-first
+        // hands back the oldest ticket every time, so it never must,
         // while a first-found pick strands older DONE tickets until it
         // must.
         const CAPACITY: u64 = 8;
-        let in_order = SHAPES[0].0;
-        each_shape(CAPACITY as usize, generous(), |shape, server, sq| {
-            let r = server.requester();
-            let mut tickets: Vec<Ticket> = Vec::new();
-            let (mut submitted, mut redeemed, mut lapped) = (0u64, 0u64, 0u64);
-            while redeemed < 500 {
-                while tickets.len() < 4 {
-                    let behind = |t: &Ticket| t.seq() + CAPACITY <= submitted;
-                    if let Some(at) = tickets.iter().position(behind) {
-                        r.wait(tickets.swap_remove(at)).unwrap();
-                        (redeemed, lapped) = (redeemed + 1, lapped + 1);
-                    }
-                    tickets.push(r.submit(sq, submitted).unwrap());
-                    submitted += 1;
+        let (server, sq) = plane(CAPACITY as usize, generous());
+        let r = server.requester();
+        let mut tickets: Vec<Ticket> = Vec::new();
+        let (mut submitted, mut redeemed, mut lapped) = (0u64, 0u64, 0u64);
+        while redeemed < 500 {
+            while tickets.len() < 4 {
+                let behind = |t: &Ticket| t.seq() + CAPACITY <= submitted;
+                if let Some(at) = tickets.iter().position(behind) {
+                    r.wait(tickets.swap_remove(at)).unwrap();
+                    (redeemed, lapped) = (redeemed + 1, lapped + 1);
                 }
-                let (_, resp) = r.wait_any(&mut tickets).unwrap();
-                assert!(resp <= (submitted - 1) * (submitted - 1), "{shape}");
-                redeemed += 1;
+                tickets.push(r.submit(sq, submitted).unwrap());
+                submitted += 1;
             }
-            while !tickets.is_empty() {
-                r.wait_any(&mut tickets).unwrap();
-                redeemed += 1;
-            }
-            assert_eq!(redeemed, submitted, "{shape}");
-            assert_eq!(server.stats().calls, submitted, "{shape}");
-            if shape == in_order {
-                assert_eq!(lapped, 0, "{shape}: wait_any skipped the oldest");
-            }
-        });
+            let (_, resp) = r.wait_any(&mut tickets).unwrap();
+            assert!(resp <= (submitted - 1) * (submitted - 1));
+            redeemed += 1;
+        }
+        while !tickets.is_empty() {
+            r.wait_any(&mut tickets).unwrap();
+            redeemed += 1;
+        }
+        assert_eq!(redeemed, submitted);
+        assert_eq!(server.stats().calls, submitted);
+        assert_eq!(lapped, 0, "wait_any skipped the oldest");
     }
 
     #[test]
     fn a_plane_that_cannot_doze_uses_the_pool() {
-        // Spinning responders (no doze) keep the ring attended:
-        // occupancy is low, but the call must not run inline — the pool
-        // services it.
-        each_shape(4, dozing(None), |shape, server, sq| {
-            let r = server.requester();
-            assert_eq!(r.call(sq, 9).unwrap(), 81, "{shape}");
-            let s = server.stats();
-            assert_eq!(s.calls, 1, "{shape}");
-            assert_eq!(s.fused_runs, 0, "{shape}: {s:?}");
-            let rs = server.ring_stats();
-            assert_eq!(rs.shards[0].serviced, 1, "{shape}: {rs:?}");
-        });
+        // A spinning responder (no doze) keeps the ring attended:
+        // occupancy is low, but the call must not run inline — the
+        // responder services it.
+        let (server, sq) = plane(4, dozing(None));
+        let r = server.requester();
+        assert_eq!(r.call(sq, 9).unwrap(), 81);
+        let s = server.stats();
+        assert_eq!(s.calls, 1);
+        assert_eq!(s.fused_runs, 0, "{s:?}");
+        let rs = server.ring_stats();
+        assert_eq!(rs.totals.calls - rs.totals.fused_runs, 1, "{rs:?}");
     }
 
     #[test]
     fn calls_fuse_once_responders_doze() {
-        each_shape(8, dozing(Some(64)), |shape, server, sq| {
-            let r = server.requester();
-            await_all_dozing(&server);
-            let before_wakes = server.stats().wakeups;
-            // Quiet plane, every responder dozing: the call runs inline
-            // and pays no wake.
-            assert_eq!(r.call(sq, 12).unwrap(), 144, "{shape}");
-            let s = server.stats();
-            assert_eq!(s.fused_runs, 1, "{shape}: {s:?}");
-            assert_eq!(s.wakeups, before_wakes, "{shape}: a fused call paid a wake");
-        });
+        let (server, sq) = plane(8, dozing(Some(64)));
+        let r = server.requester();
+        await_dozing(&server);
+        let before_wakes = server.stats().wakeups;
+        // Quiet plane, responder dozing: the call runs inline and pays no
+        // wake.
+        assert_eq!(r.call(sq, 12).unwrap(), 144);
+        let s = server.stats();
+        assert_eq!(s.fused_runs, 1, "{s:?}");
+        assert_eq!(s.wakeups, before_wakes, "a fused call paid a wake");
     }
 
     #[test]
     fn fused_and_pooled_paths_interleave_without_loss() {
-        each_shape(8, dozing(Some(64)), |shape, server, sq| {
-            let r = server.requester();
-            // Alternate quiet single calls (fuse once responders doze)
-            // with pipelined bursts (occupancy pushes past break-even →
-            // pooled). Exact conservation across the mixed paths is the
-            // invariant.
-            for round in 0..50u64 {
-                assert_eq!(r.call(sq, round).unwrap(), round * round, "{shape}");
-                let mut tickets: Vec<Ticket> = (0..4u64)
-                    .map(|i| r.submit(sq, round * 10 + i).unwrap())
-                    .collect();
-                while !tickets.is_empty() {
-                    r.wait_any(&mut tickets).unwrap();
-                }
+        let (server, sq) = plane(8, dozing(Some(64)));
+        let r = server.requester();
+        // Alternate quiet single calls (fuse once the responder dozes)
+        // with pipelined bursts (occupancy pushes past break-even →
+        // the ring). Exact conservation across the mixed paths is the
+        // invariant.
+        for round in 0..50u64 {
+            assert_eq!(r.call(sq, round).unwrap(), round * round);
+            let mut tickets: Vec<Ticket> = (0..4u64)
+                .map(|i| r.submit(sq, round * 10 + i).unwrap())
+                .collect();
+            while !tickets.is_empty() {
+                r.wait_any(&mut tickets).unwrap();
             }
-            assert_eq!(server.stats().calls, 250, "{shape}");
-        });
+        }
+        assert_eq!(server.stats().calls, 250);
     }
 
     #[test]
     fn submissions_ride_the_pool_on_a_dozing_plane() {
-        // Pipelined submissions never fuse, even with the
-        // break-even gate wide open (dozing responders, empty ring): the
-        // pipelined caller asked for overlap, and an inline completion would
-        // keep occupancy at zero so the plane never hands a burst to the
-        // pool at all.
-        each_shape(8, dozing(Some(64)), |shape, server, sq| {
-            let r = server.requester();
-            await_all_dozing(&server);
-            let mut tickets: Vec<Ticket> = (0..4u64).map(|i| r.submit(sq, i).unwrap()).collect();
-            while !tickets.is_empty() {
-                r.wait_any(&mut tickets).unwrap();
-            }
-            let s = server.stats();
-            assert_eq!(s.calls, 4, "{shape}");
-            assert_eq!(s.fused_runs, 0, "{shape}: {s:?}");
-        });
+        // Pipelined submissions never fuse, even with the break-even gate
+        // wide open (dozing responder, empty ring): the pipelined caller
+        // asked for overlap, and an inline completion would keep occupancy
+        // at zero so the plane never hands a burst to the responder at
+        // all.
+        let (server, sq) = plane(8, dozing(Some(64)));
+        let r = server.requester();
+        await_dozing(&server);
+        let mut tickets: Vec<Ticket> = (0..4u64).map(|i| r.submit(sq, i).unwrap()).collect();
+        while !tickets.is_empty() {
+            r.wait_any(&mut tickets).unwrap();
+        }
+        let s = server.stats();
+        assert_eq!(s.calls, 4);
+        assert_eq!(s.fused_runs, 0, "{s:?}");
     }
 }

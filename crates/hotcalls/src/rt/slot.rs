@@ -85,9 +85,8 @@ const fn word(seq: usize, phase: usize) -> usize {
 /// * The claim — the ring's head-counter CAS, which leaves the word
 ///   `EMPTY` — grants the winning requester exclusive write access to
 ///   `req`.
-/// * `SUBMITTED` observed with `Acquire` *plus* service ownership (single
-///   responder, or winning the ring's tail CAS) grants a responder
-///   exclusive access to take `req` and write `resp`.
+/// * `SUBMITTED` observed with `Acquire` by the ring's one responder
+///   grants it exclusive access to take `req` and write `resp`.
 /// * `DONE` observed with `Acquire` by the submitting requester grants it
 ///   exclusive access to take `resp` and release the slot.
 ///
@@ -150,13 +149,13 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     }
 
     /// Is the request of ring sequence `seq` published here and not yet
-    /// taken? This, not `state() == SUBMITTED`, is what a responder scans
-    /// for: the winner of a tail CAS owns its slots *before* it moves them
-    /// to `SERVICING`, and in that window a second scanner reaching the
-    /// same physical slot one lap later (`seq + capacity`) would take the
-    /// still-`SUBMITTED` word for a fresh submission, claim it as well,
-    /// service the call twice and push `tail` past `head`. The sequence in
-    /// the word tells the laps apart. `Acquire` as in [`Self::state`].
+    /// taken? This, not `state() == SUBMITTED`, is what the responder
+    /// scans for: the sequence in the word tells the laps of one physical
+    /// slot apart, so a word left from an earlier lap can never read as a
+    /// fresh submission. Behind one in-order responder none is left (it
+    /// moves a slot to `SERVICING` before it scans past it); the tag makes
+    /// that an invariant the scan checks rather than assumes. `Acquire` as
+    /// in [`Self::state`].
     #[inline]
     pub(crate) fn submitted_as(&self, seq: usize) -> bool {
         self.state.load(Ordering::Acquire) == word(seq, SUBMITTED)
@@ -194,9 +193,9 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     ///
     /// Caller must own servicing of this slot: it observed `SUBMITTED`
     /// with `Acquire` (so the payload written by [`Self::publish`] is
-    /// visible) *and* is the designated responder (the only responder, or
-    /// the winner of the ring's tail CAS covering this slot). Ownership
-    /// makes the payload read exclusive and unrepeatable.
+    /// visible) *and* is the ring's one responder, the only writer of its
+    /// `tail`. Ownership makes the payload read exclusive and
+    /// unrepeatable.
     #[inline]
     pub(crate) unsafe fn take_request(&self) -> (u32, Req) {
         debug_assert_eq!(self.state.load(Ordering::Relaxed) & PHASE_MASK, SUBMITTED);

@@ -269,7 +269,7 @@ impl StreamCaller {
         while offset < data.len() || !self.inflight.is_empty() {
             // Marshal up to the credit limit, then redeem the oldest
             // chunk: submission order is completion order at the sink,
-            // and while we wait the responders chew on the rest of the
+            // and while we wait the responder chews on the rest of the
             // window.
             if offset < data.len() && self.inflight.len() < window {
                 let chunk = chunk_bytes().max(1);
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn stream_reassembles_in_order_and_conserves_tickets() {
         let (t, xor, _) = xor_table();
-        let ring = SgRing::spawn_pool(t, 16, 2, HotCallConfig::patient()).unwrap();
+        let ring = SgRing::spawn_pool(t, 16, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
         caller.set_segment_bytes(8 << 10);
         let data = pattern(1 << 20);
@@ -422,8 +422,8 @@ mod tests {
         assert_eq!(report.resizes, 0);
         assert_eq!(ring.stats().calls, 16);
         let rs = ring.ring_stats();
-        assert_eq!(rs.shards.len(), 1);
-        assert_eq!(rs.shards[0].serviced, 16);
+        assert_eq!(rs.occupancy, 0);
+        assert_eq!(rs.totals.calls - rs.totals.fused_runs, 16);
     }
 
     #[test]
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn mid_stream_resize_is_counted_and_lossless() {
         let (t, xor, _) = xor_table();
-        let ring = SgRing::spawn_pool(t, 16, 2, HotCallConfig::patient()).unwrap();
+        let ring = SgRing::spawn_pool(t, 16, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
         caller.set_segment_bytes(4 << 10);
         let data = pattern(300_000);
@@ -527,11 +527,11 @@ mod tests {
     }
 
     #[test]
-    fn sg_plane_kind_tags_telemetry() {
+    fn sg_plane_names_its_telemetry() {
         let (t, _, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
-        assert_eq!(ring.telemetry("bw").kind, "single");
+        assert_eq!(ring.telemetry("bw").name, "bw");
         let provider = ring.telemetry_provider("bw");
-        assert_eq!(provider().kind, "single");
+        assert_eq!(provider().name, "bw");
     }
 }

@@ -394,14 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn new_rejects_zero_drain_batch() {
-        assert_rejected(HotCallConfig {
-            drain_batch: 0,
-            ..HotCallConfig::default()
-        });
-    }
-
-    #[test]
     fn new_rejects_zero_idle_polls_before_sleep() {
         assert_rejected(HotCallConfig {
             idle_polls_before_sleep: Some(0),

@@ -16,9 +16,9 @@
 //!   slab grows, routing and chunk decisions) with a `chrome://tracing`-compatible JSON exporter and
 //!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
 //!   feature.
-//! * [`TelemetryRegistry`] — merges every plane (single ring, pool, byte
-//!   and sg lanes) and every control plane into one
-//!   [`Snapshot`], exposed as Prometheus-style text.
+//! * [`TelemetryRegistry`] — merges every plane (typed, byte and sg) and
+//!   every control plane into one [`Snapshot`], exposed as
+//!   Prometheus-style text.
 //! * [`ApiCensus`] — the Table-2-style per-application census the apps
 //!   build from their call ledgers.
 //!
@@ -50,7 +50,7 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// `arenas`, `censuses`, `sim` and `paging` sections and their series,
 /// which nothing fed: a section returns together with its producer. v6
 /// removed the steal-probe, steal-win, wake-redirect and parked fields of
-/// [`ShardStats`] and the steal-win series: a plane is one ring, so there
+/// the ring's row and the steal-win series: a plane is one ring, so there
 /// is no sibling ring to steal from or redirect a wake to, and its one row
 /// is never parked. v7 removed the `ctl` section's two bundle-sizing
 /// fields, their two series and the bundle-submission trace kind: a ring
@@ -66,8 +66,14 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// `grows` and `shrinks` fields and the `governor_raise`,
 /// `governor_park` and `ctl_resize` trace kinds: a plane is one fixed
 /// pool whose only idle mechanism is the doze, so there is no active set
-/// to govern or resize.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 10;
+/// to govern or resize. v11 removed a plane's `kind` and its per-lane
+/// histograms (a plane holds one `queue` and one `service` histogram),
+/// the ring's one-row `shards` list (its `occupancy` moved onto
+/// [`RingStats`]; `serviced` is `calls - fused_runs`), the `kind` and
+/// `lane` labels and the `hotcalls_shard_serviced_total` series: a plane
+/// has exactly one responder, so every plane was one lane, one row and
+/// kind `"single"`.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 11;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -152,7 +158,7 @@ fn bucket_high(i: usize) -> u64 {
 /// Power-of-two octaves with [`SUB_COUNT`] sub-buckets each: the relative
 /// quantile error is bounded at 12.5% while the whole `u64` range fits in
 /// [`HIST_BUCKETS`] buckets. Merging two histograms is element-wise
-/// addition, so per-responder histograms combine into plane-wide views
+/// addition, so per-thread histograms combine into plane-wide views
 /// without losing quantile fidelity.
 ///
 /// # Examples
@@ -387,15 +393,15 @@ pub struct HotCallStats {
     /// Responder poll iterations that serviced a call.
     pub busy_polls: u64,
     /// Synchronous calls the requester executed inline on its own core
-    /// (no slot, no handoff, no wake) because every responder of the ring
-    /// was dozing and the ring was near empty. Included in
-    /// [`HotCallStats::calls`]; always 0 on a plane whose responders
-    /// cannot doze.
+    /// (no slot, no handoff, no wake) because the ring's responder was
+    /// dozing and the ring was near empty. Included in
+    /// [`HotCallStats::calls`]; always 0 on a plane whose responder
+    /// cannot doze. `calls - fused_runs` is what the responder serviced.
     ///
     /// An inline run records no queue or service sample: the stage
-    /// histograms of a plane's lanes (and every per-stage figure built on
-    /// them) describe its pooled calls only, so on a plane that runs most
-    /// calls inline they cover a minority of [`HotCallStats::calls`].
+    /// histograms of a plane (and every per-stage figure built on them)
+    /// describe its ring calls only, so on a plane that runs most calls
+    /// inline they cover a minority of [`HotCallStats::calls`].
     pub fused_runs: u64,
 }
 
@@ -411,9 +417,9 @@ impl HotCallStats {
     }
 }
 
-/// A plane's responder pool in the shape the repository benchmark
-/// reads: a pool is fixed, so `active == min == max` responders, none
-/// parked, and the park/wake counters stay zero (see
+/// A plane's responder in the shape the repository benchmark reads: a
+/// ring plane has one responder for its life, so `active == min == max
+/// == 1`, none parked, and the park/wake counters stay zero (see
 /// `RingServer::governor_stats`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorStats {
@@ -425,33 +431,20 @@ pub struct GovernorStats {
     pub parks: u64,
     /// Lifetime unpark decisions (always 0).
     pub wakes: u64,
-    /// Pool floor (the pool size).
+    /// Responder floor (1).
     pub min: usize,
-    /// Pool ceiling (the pool size).
+    /// Responder ceiling (1).
     pub max: usize,
 }
 
-/// Statistics of a plane's ring.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Ring index (0: a plane has one ring).
-    pub shard: usize,
-    /// Calls the responders serviced from the ring.
-    pub serviced: u64,
-    /// Polls the responders spent on the ring.
-    pub home_polls: u64,
-    /// Submitted-but-unserviced entries at snapshot time.
-    pub occupancy: usize,
-}
-
 /// A full snapshot of a ring plane: plane-wide totals and the ring's
-/// [`ShardStats`] row.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+/// occupancy.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RingStats {
     /// Plane-wide call/poll totals.
     pub totals: HotCallStats,
-    /// One row per ring: a plane reports exactly one.
-    pub shards: Vec<ShardStats>,
+    /// Submitted-but-unserviced entries at snapshot time.
+    pub occupancy: usize,
 }
 
 /// Counters of one slab arena: where payload buffers came from and where
@@ -744,33 +737,20 @@ pub fn trace(kind: &'static str, a: u64, b: u64) {
 // Snapshot / registry
 // ---------------------------------------------------------------------------
 
-/// Per-lane stage histograms. A *lane* is one responder's histogram cell:
-/// a call is recorded in the lane of the responder that serviced it (the
-/// cell stays single-writer).
-#[derive(Debug, Clone)]
-pub struct LaneTelemetry {
-    /// Responder index.
-    pub lane: usize,
-    /// Cycles from submit to responder pickup (queueing delay).
-    pub queue: CycleHist,
-    /// Cycles from pickup to completion (service time).
-    pub service: CycleHist,
-}
-
-/// One plane's full telemetry: counter snapshot plus per-lane stage
-/// histograms and the plane-wide reap histogram.
+/// One plane's full telemetry: counter snapshot plus the stage
+/// histograms.
 #[derive(Debug, Clone)]
 pub struct PlaneTelemetry {
     /// Registered plane name.
     pub name: String,
-    /// Plane kind, derived from the shape of the one plane core:
-    /// `"pool"` with more than one responder, else `"single"`, whatever
-    /// the plane's payload type.
-    pub kind: &'static str,
-    /// Counter snapshot (totals and the ring's row).
+    /// Counter snapshot (totals and occupancy).
     pub stats: RingStats,
-    /// Per-lane queue/service histograms.
-    pub lanes: Vec<LaneTelemetry>,
+    /// Cycles from submit to responder pickup (queueing delay), recorded
+    /// by the plane's responder.
+    pub queue: CycleHist,
+    /// Cycles from pickup to completion (service time), recorded by the
+    /// plane's responder.
+    pub service: CycleHist,
     /// Cycles from completion to the requester reaping the response: one
     /// single-writer cell per requester handle, merged here. Exact when
     /// every thread redeems through its own handle (see `RingRequester`).
@@ -778,22 +758,16 @@ pub struct PlaneTelemetry {
 }
 
 impl PlaneTelemetry {
-    /// All lanes' queueing histograms merged into one.
+    /// The plane's queueing histogram (a copy of
+    /// [`PlaneTelemetry::queue`]).
     pub fn merged_queue(&self) -> CycleHist {
-        let mut h = CycleHist::new();
-        for lane in &self.lanes {
-            h.merge(&lane.queue);
-        }
-        h
+        self.queue.clone()
     }
 
-    /// All lanes' service histograms merged into one.
+    /// The plane's service histogram (a copy of
+    /// [`PlaneTelemetry::service`]).
     pub fn merged_service(&self) -> CycleHist {
-        let mut h = CycleHist::new();
-        for lane in &self.lanes {
-            h.merge(&lane.service);
-        }
-        h
+        self.service.clone()
     }
 }
 
@@ -880,7 +854,7 @@ impl Snapshot {
             self.tracer_dropped
         ));
         for p in &self.planes {
-            let pl = format!("plane=\"{}\",kind=\"{}\"", p.name, p.kind);
+            let pl = format!("plane=\"{}\"", p.name);
             out.push_str(&format!(
                 "hotcalls_calls_total{{{pl}}} {}\n",
                 p.stats.totals.calls
@@ -897,17 +871,8 @@ impl Snapshot {
                 "hotcalls_fused_runs_total{{{pl}}} {}\n",
                 p.stats.totals.fused_runs
             ));
-            for s in &p.stats.shards {
-                out.push_str(&format!(
-                    "hotcalls_shard_serviced_total{{{pl},shard=\"{}\"}} {}\n",
-                    s.shard, s.serviced
-                ));
-            }
-            for lane in &p.lanes {
-                let ll = format!("{pl},lane=\"{}\"", lane.lane);
-                prom_hist(&mut out, "hotcalls_queue_cycles", &ll, &lane.queue);
-                prom_hist(&mut out, "hotcalls_service_cycles", &ll, &lane.service);
-            }
+            prom_hist(&mut out, "hotcalls_queue_cycles", &pl, &p.queue);
+            prom_hist(&mut out, "hotcalls_service_cycles", &pl, &p.service);
             prom_hist(&mut out, "hotcalls_reap_cycles", &pl, &p.reap);
         }
         for c in &self.ctl {

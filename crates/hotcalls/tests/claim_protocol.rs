@@ -1,21 +1,22 @@
 //! The ring claim and reap protocol under the conditions it is built for:
 //! a requester publishes a slot `EMPTY → SUBMITTED` with no `CLAIMED` mark
-//! in between, `wait_any` tests the oldest ticket before it scans the
-//! rest, and each handle records reap latency into a cell of its own.
+//! in between, `wait_any` hands back the oldest ticket of its set, and
+//! each handle records reap latency into a cell of its own.
 //!
-//! The scenarios run on one ring with two to four responders, so the
-//! responders contend on the one tail CAS.
+//! The scenarios run several requesters against the ring's one responder,
+//! so the requesters contend on the one head CAS.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
 use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
-/// A handler argument that parks its responder until the gate is opened.
+/// A handler argument that parks the responder until the gate is opened.
 /// `entered` tells the test the responder is inside, which is what forces
-/// the interleavings below (no sleeps).
+/// the interleavings below.
 #[derive(Default)]
 struct Gate {
     entered: AtomicBool,
@@ -41,27 +42,24 @@ impl Gate {
     }
 }
 
-/// Opens the gates when the test unwinds, so a failed assertion reports
+/// Opens the gate when the test unwinds, so a failed assertion reports
 /// itself instead of hanging the server's join on a parked responder.
-struct OpenOnDrop([Arc<Gate>; 2]);
+struct OpenOnDrop(Arc<Gate>);
 
 impl Drop for OpenOnDrop {
     fn drop(&mut self) {
-        self.0.iter().for_each(|g| g.open());
+        self.0.open();
     }
 }
 
-const GATE_A: u64 = 1_000_001;
-const GATE_B: u64 = 1_000_002;
+const GATE: u64 = 1_000_001;
 
-/// `x -> x + 1`, except that `GATE_A` / `GATE_B` first park on their gate.
-fn gated_table(gates: [Arc<Gate>; 2]) -> (CallTable<u64, u64>, u32) {
+/// `x -> x + 1`, except that `GATE` first parks on the gate.
+fn gated_table(gate: Arc<Gate>) -> (CallTable<u64, u64>, u32) {
     let mut table = CallTable::new();
     let inc = table.register(move |x| {
-        match x {
-            GATE_A => gates[0].hold(),
-            GATE_B => gates[1].hold(),
-            _ => {}
+        if x == GATE {
+            gate.hold();
         }
         x + 1
     });
@@ -70,24 +68,20 @@ fn gated_table(gates: [Arc<Gate>; 2]) -> (CallTable<u64, u64>, u32) {
 
 type Server = RingServer<u64, u64>;
 
-/// `responders` responder threads over a ring of `capacity` slots.
-fn pool(table: CallTable<u64, u64>, responders: usize, capacity: usize) -> Server {
-    RingServer::spawn_pool(table, capacity, responders, HotCallConfig::patient()).unwrap()
+/// The one responder over a ring of `capacity` slots.
+fn plane(table: CallTable<u64, u64>, capacity: usize) -> Server {
+    RingServer::spawn_pool(table, capacity, 1, HotCallConfig::patient()).unwrap()
 }
 
-/// Four requester handles hammer a ring of `capacity` slots drained by
-/// `responders` responders. A lap admitted onto a claimed-but-unpublished slot, or a
-/// slot claimed twice, shows up as a duplicated sequence number, a wrong
-/// value, or a call that never completes. So does the responder-side twin:
-/// a responder that takes a submission its sibling owns but has not moved
-/// to `SERVICING` yet for the next lap's (every slot is its own next lap
-/// at capacity 1) services it twice and pushes `tail` past `head`, and the
-/// ring reads as full for good.
-fn tiny_ring_stress(responders: usize, capacity: usize) {
+/// Four requester handles hammer a ring of `capacity` slots. A lap
+/// admitted onto a claimed-but-unpublished slot, or a slot claimed twice,
+/// shows up as a duplicated sequence number, a wrong value, or a call that
+/// never completes.
+fn tiny_ring_stress(capacity: usize) {
     const REQUESTERS: u64 = 4;
     const CALLS: u64 = 3_000;
     let (table, inc) = gated_table(Default::default());
-    let server = pool(table, responders, capacity);
+    let server = plane(table, capacity);
     let seqs: Vec<Vec<u64>> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..REQUESTERS)
             .map(|who| {
@@ -127,88 +121,67 @@ fn tiny_ring_stress(responders: usize, capacity: usize) {
 
 #[test]
 fn ring_four_requesters_on_two_slots_never_double_claim() {
-    tiny_ring_stress(2, 2);
+    tiny_ring_stress(2);
 }
 
-#[test]
-fn ring_four_requesters_on_two_slots_with_four_responders_never_double_claim() {
-    tiny_ring_stress(4, 2);
-}
-
-#[test]
-fn ring_two_responders_on_one_slot_never_double_service() {
-    tiny_ring_stress(2, 1);
-}
-
-#[test]
-fn ring_three_responders_on_one_slot_never_double_service() {
-    tiny_ring_stress(3, 1);
-}
-
-/// `wait_any` must hand back a younger completion while the oldest ticket
-/// is stuck (the fallback scan), and the oldest completed one whenever it
-/// is done (the first probe) — in a fully forced order:
+/// A gated oldest ticket holds `wait_any` until the gate opens, then the
+/// completions come back in submission order:
 ///
 /// ```text
-/// t0 = GATE_A   parks responder X
-/// t1            serviced by Y            wait_any -> t1   (t0 not done)
-/// t2 = GATE_B   parks Y
-/// open A        X finishes t0
-/// t3, t4        only X is free: it completes t0, t3, t4 in that order
-/// wait(t4)      => t0 and t3 are visibly DONE
-///                                        wait_any -> t0   (oldest, done)
-///                                        wait_any -> t3   (t2 not done)
-/// open B                                 wait_any -> t2
+/// t0 = GATE     parks the responder; t1, t2 queue behind it
+/// reaper        wait_any({t0, t1, t2}) -> blocks: t0 is not done
+/// open          the responder completes t0, t1, t2 in that order
+///                                        wait_any -> t0, t1, t2
 /// ```
 #[test]
-fn ring_wait_any_prefers_oldest_and_falls_back() {
-    let gates: [Arc<Gate>; 2] = Default::default();
-    let (table, inc) = gated_table(gates.clone());
-    let server = pool(table, 2, 8);
+fn ring_wait_any_holds_for_a_gated_oldest_then_returns_in_order() {
+    let gate = Arc::new(Gate::default());
+    let (table, inc) = gated_table(Arc::clone(&gate));
+    let server = plane(table, 8);
     // Declared after the server, so dropped (opened) before its join.
-    let guard = OpenOnDrop(gates.clone());
+    let guard = OpenOnDrop(Arc::clone(&gate));
     let r = server.requester();
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let reap = |tickets: &mut Vec<Ticket>| r.wait_any(tickets).unwrap();
 
-    tickets.push(r.submit(inc, GATE_A).unwrap());
-    gates[0].await_entered();
-    tickets.push(r.submit(inc, 10).unwrap());
-    let (t0, t1) = (tickets[0].seq(), tickets[1].seq());
-    assert_eq!(
-        reap(&mut tickets),
-        (t1, 11),
-        "younger completion not returned"
-    );
+    let t0 = r.submit(inc, GATE).unwrap();
+    gate.await_entered();
+    let mut tickets = vec![r.submit(inc, 10).unwrap(), r.submit(inc, 20).unwrap()];
+    let seqs = [t0.seq(), tickets[0].seq(), tickets[1].seq()];
+    // The oldest goes last: the pick is by sequence, not set position.
+    tickets.push(t0);
 
-    tickets.push(r.submit(inc, GATE_B).unwrap());
-    gates[1].await_entered();
-    gates[0].open();
-    tickets.push(r.submit(inc, 30).unwrap());
-    let (t2, t3) = (tickets[1].seq(), tickets[2].seq());
-    let t4 = r.submit(inc, 40).unwrap();
-    assert_eq!(r.wait(t4).unwrap(), 41);
-    assert!(t0 < t2 && t2 < t3);
-    assert_eq!(reap(&mut tickets), (t0, GATE_A + 1), "oldest-first broken");
-    assert_eq!(reap(&mut tickets), (t3, 31), "fallback scan broken");
-
-    gates[1].open();
-    assert_eq!(reap(&mut tickets), (t2, GATE_B + 1));
+    let returned = AtomicBool::new(false);
+    let reaped = std::thread::scope(|s| {
+        let reaper = s.spawn(|| {
+            let first = r.wait_any(&mut tickets).unwrap();
+            returned.store(true, Ordering::SeqCst);
+            first
+        });
+        // Nothing behind the gated call can complete, so the reaper has
+        // nothing to return while the gate is shut.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !returned.load(Ordering::SeqCst),
+            "wait_any skipped the oldest"
+        );
+        gate.open();
+        reaper.join().unwrap()
+    });
+    assert_eq!(reaped, (seqs[0], GATE + 1));
+    assert_eq!(r.wait_any(&mut tickets).unwrap(), (seqs[1], 11));
+    assert_eq!(r.wait_any(&mut tickets).unwrap(), (seqs[2], 21));
     assert!(tickets.is_empty());
-    assert_eq!(server.stats().calls, 5);
+    assert_eq!(server.stats().calls, 3);
     drop(guard);
 }
 
 /// A pipeline whose window equals the ring's capacity: every submission
 /// laps onto the slot of the oldest ticket in flight, so `wait_any` must
-/// hand that one back whenever it is DONE. Behind one in-order responder
-/// the oldest can complete between the first probe and the fallback scan;
-/// a pick that then returns a younger completion leaves the next `submit`
-/// spinning on a DONE slot only this thread can redeem, until it times
-/// out.
-fn window_equal_to_capacity(responders: usize, window: usize) {
+/// hand that one back. A pick that returned a younger completion would
+/// leave the next `submit` spinning on a DONE slot only this thread can
+/// redeem, until it times out.
+fn window_equal_to_capacity(window: usize) {
     let (table, inc) = gated_table(Default::default());
-    let server = pool(table, responders, window);
+    let server = plane(table, window);
     let r = server.requester();
     let mut tickets: Vec<Ticket> = Vec::new();
     for x in 0..100_000u64 {
@@ -225,14 +198,7 @@ fn window_equal_to_capacity(responders: usize, window: usize) {
 
 #[test]
 fn ring_window_equal_to_capacity_never_wedges() {
-    window_equal_to_capacity(1, 2);
-}
-
-/// The smallest plane that still has a race in it: one slot, a window of
-/// one, two responders contending for every submission over 100k wraps.
-#[test]
-fn one_slot_two_responders_survive_100k_wraps_at_window_one() {
-    window_equal_to_capacity(2, 1);
+    window_equal_to_capacity(2);
 }
 
 /// The reap histogram is one single-writer cell per requester handle.
@@ -240,11 +206,12 @@ fn one_slot_two_responders_survive_100k_wraps_at_window_one() {
 /// Threads sharing one handle by reference (it is `Sync`) race on its cell:
 /// no call is lost or miscounted, but reap *samples* may be — the count
 /// can fall short of the calls made, never exceed them.
-fn reap_samples_are_per_handle(responders: usize) {
+#[test]
+fn ring_reap_samples_are_per_handle() {
     const THREADS: u64 = 2;
     const CALLS: u64 = 5_000;
     let (table, inc) = gated_table(Default::default());
-    let server = &pool(table, responders, 8);
+    let server = &plane(table, 8);
     let drive = |r: &RingRequester<u64, u64>| {
         (0..CALLS).for_each(|x| assert_eq!(r.wait(r.submit(inc, x).unwrap()).unwrap(), x + 1));
     };
@@ -277,14 +244,4 @@ fn reap_samples_are_per_handle(responders: usize) {
         let sampled = reaps() - exact;
         assert!((1..=exact).contains(&sampled), "{sampled} of {exact}");
     }
-}
-
-#[test]
-fn ring_reap_samples_are_per_handle() {
-    reap_samples_are_per_handle(2);
-}
-
-#[test]
-fn ring_reap_samples_are_per_handle_with_four_responders() {
-    reap_samples_are_per_handle(4);
 }

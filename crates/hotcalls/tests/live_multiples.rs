@@ -1,24 +1,23 @@
-//! The live multiples: what pipelining and fusing buy on a real host, as
-//! regression guards.
+//! The live multiples: what fusing buys on a real host, as regression
+//! guards.
 //!
 //! Each of these mechanisms wins by a *multiple* on the workload it exists
-//! for — overlapping a blocking handler across responders, skipping the
-//! handoff when the pool is asleep — and loses it completely if the
-//! mechanism breaks (a pipeline that serializes, an inline path that still
-//! wakes a responder). Read over 6 release runs of this file on a 2-vCPU
-//! Xeon host: pipelined 7.9–8.3× sync, a lone caller's fused calls over a
-//! dozed responder 70–563× the pooled handoff to a responder that cannot
-//! doze, sparse calls on a dozing four-responder pool 10.9–54× faster
-//! than on one that cannot doze; bursts from one submitter with 16 in
-//! flight read 0.99–1.00× the other pool's bursts.
+//! for — skipping the handoff when the responder is asleep, serving
+//! bursts through the ring either way — and loses it completely if the
+//! mechanism breaks (an inline path that still wakes the responder, a
+//! dozing plane that stops draining bursts). Read over 6 release runs of
+//! this file on a 2-vCPU Xeon host: a lone caller's fused calls over a
+//! dozed responder 13.9–116× the handoff to a responder that cannot doze,
+//! sparse calls on a dozing plane 3.2–30.1× faster than on one that
+//! cannot doze; bursts from one submitter with 16 in flight read
+//! 0.69–1.19× the other plane's bursts.
 //!
 //! Threshold discipline: the gates are multiples, not percents, and sit
 //! far below the readings, because CI machines are noisy and this also
 //! runs unoptimized; the regressions they guard against cost a multiple
-//! (a mechanism that breaks loses its whole win), never a few percent. The blocking-handler
-//! wins hold even on one hardware thread — blocked responders hold no
-//! core. Every section also checks conservation: the plane executed
-//! exactly the calls the requesters saw complete.
+//! (a mechanism that breaks loses its whole win), never a few percent.
+//! Every section also checks conservation: the plane executed exactly
+//! the calls the requesters saw complete.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -59,21 +58,18 @@ fn table(io_sleep: Duration) -> CallTable<u64, u64> {
     table
 }
 
-/// Responders that doze quickly when idle: the ones a workload cannot
-/// feed release the core, and once all of them doze a synchronous call
-/// runs inline.
+/// A responder that dozes quickly when idle: it releases the core when a
+/// workload cannot feed it, and while it dozes a synchronous call runs
+/// inline.
 const DOZING: Option<u64> = Some(256);
-/// Responders that never doze: every call rides the pool.
+/// A responder that never dozes: every call rides the ring.
 const SPINNING: Option<u64> = None;
 
-/// A plane whose responders doze after `idle_polls_before_sleep` empty
-/// polls ([`DOZING`] or [`SPINNING`]); `drain_batch: 1` keeps each
-/// blocking call on its own responder (a batch of N claimed slots is N
-/// serialized sleeps).
-fn pool_config(idle_polls_before_sleep: Option<u64>) -> HotCallConfig {
+/// A plane whose responder dozes after `idle_polls_before_sleep` empty
+/// polls ([`DOZING`] or [`SPINNING`]).
+fn plane_config(idle_polls_before_sleep: Option<u64>) -> HotCallConfig {
     HotCallConfig {
         idle_polls_before_sleep,
-        drain_batch: 1,
         ..HotCallConfig::patient()
     }
 }
@@ -91,29 +87,20 @@ fn sync_calls(r: &Requester, id: u32, done: impl Fn() -> bool) -> u64 {
 /// `depth` submissions kept in flight until `done()`, then drained so
 /// every submission is completed and counted; returns the count.
 ///
-/// `wait_any` hands completions back in pool order, so a ticket whose
-/// responder was descheduled can fall behind while younger ones cycle.
-/// A submission that lapped the ring onto that ticket's slot would wait
-/// for a redeem only this thread can perform, so a ticket half a ring
-/// old is redeemed by name first (the lap rule in `submit`'s docs).
+/// `wait_any` hands back the oldest ticket, so the window stays the
+/// `depth` most recent submissions and never laps the ring onto a ticket
+/// it still holds.
 fn pipelined_calls(r: &Requester, id: u32, depth: usize, done: impl Fn() -> bool) -> u64 {
-    assert!(depth <= RING_CAPACITY / 2);
-    let (mut submitted, mut completed, mut newest) = (0, 0, 0);
+    assert!(depth < RING_CAPACITY);
+    let (mut submitted, mut completed) = (0, 0);
     let mut tickets: Vec<Ticket> = Vec::with_capacity(depth);
     while !done() {
         while tickets.len() < depth {
-            let ticket = r.submit(id, submitted).unwrap();
-            newest = ticket.seq();
-            tickets.push(ticket);
+            tickets.push(r.submit(id, submitted).unwrap());
             submitted += 1;
         }
         r.wait_any(&mut tickets).unwrap();
         completed += 1;
-        let lapping = |t: &Ticket| t.seq() + RING_CAPACITY as u64 / 2 <= newest;
-        while let Some(at) = tickets.iter().position(lapping) {
-            r.wait(tickets.swap_remove(at)).unwrap();
-            completed += 1;
-        }
     }
     while !tickets.is_empty() {
         r.wait_any(&mut tickets).unwrap();
@@ -161,34 +148,8 @@ fn plane_rate(
     rate
 }
 
-/// One requester, 8 responders, a handler that blocks 200 µs. `call` in a
-/// loop keeps one request in flight and seven responders dozing (and runs
-/// inline, one 200 µs sleep at a time, whenever the eighth dozes too);
-/// `submit`/`wait_any` with 16 tickets lets the pool overlap the waits.
-#[test]
-fn pipelining_overlaps_a_blocking_handler() {
-    let _timed = one_at_a_time();
-    let server = || {
-        RingServer::spawn_pool(
-            table(Duration::from_micros(200)),
-            RING_CAPACITY,
-            8,
-            pool_config(DOZING),
-        )
-        .unwrap()
-    };
-    let sync = plane_rate(server(), 1, |r, done| sync_calls(r, IO, done));
-    let pipelined = plane_rate(server(), 1, |r, done| pipelined_calls(r, IO, 16, done));
-    let gain = pipelined / sync;
-    eprintln!("sync {sync:.0} calls/s, pipelined {pipelined:.0} calls/s ({gain:.1}x)");
-    assert!(
-        gain >= 2.0,
-        "pipelined submit/wait_any is only {gain:.2}x sync call on a blocking handler"
-    );
-}
-
-/// Calls until one runs inline: the responders then doze, and a
-/// fused call wakes nobody, so every later call on a quiet plane fuses too.
+/// Calls until one runs inline: the responder then dozes, and a fused
+/// call wakes nobody, so every later call on a quiet plane fuses too.
 fn await_fusing(server: &Server) {
     let r = server.requester();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -198,7 +159,7 @@ fn await_fusing(server: &Server) {
         if server.stats().fused_runs > fused {
             return;
         }
-        assert!(Instant::now() < deadline, "the responders never dozed");
+        assert!(Instant::now() < deadline, "the responder never dozed");
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -214,7 +175,7 @@ fn fused_calls_beat_the_pooled_handoff() {
     let registry = TelemetryRegistry::new();
     let rate = |name: &str, idle| {
         let server =
-            RingServer::spawn_pool(table(Duration::ZERO), RING_CAPACITY, 1, pool_config(idle))
+            RingServer::spawn_pool(table(Duration::ZERO), RING_CAPACITY, 1, plane_config(idle))
                 .unwrap();
         registry.register_plane(server.telemetry_provider(format!("single-{name}")));
         if idle == DOZING {
@@ -244,21 +205,21 @@ struct Phases {
     burst_rate: f64,
 }
 
-/// A four-responder plane under alternating *quiet* phases
-/// (one caller, a synchronous cpu call every 300 µs — long enough for
-/// dozing responders to doze in between, so each call runs inline and
-/// pays nothing, while a plane that cannot doze hands each one off) and
-/// *burst* phases (one thread keeping 16 submissions of a 100 µs blocking
-/// handler in flight — the pool overlaps sleeps the submitter could only
-/// run one at a time inline; pipelined submissions never fuse).
+/// A plane under alternating *quiet* phases (one caller, a synchronous
+/// cpu call every 300 µs — long enough for a dozing responder to doze in
+/// between, so each call runs inline and pays nothing, while a plane that
+/// cannot doze hands each one off) and *burst* phases (one thread keeping
+/// 16 submissions of a 100 µs blocking handler in flight — pipelined
+/// submissions never fuse, so the responder serves the burst on either
+/// plane).
 fn phase_workload(idle_polls_before_sleep: Option<u64>) -> Phases {
     const PAIRS: usize = 3;
     const QUIET_GAP: Duration = Duration::from_micros(300);
     let server = RingServer::spawn_pool(
         table(Duration::from_micros(100)),
         RING_CAPACITY,
-        4,
-        pool_config(idle_polls_before_sleep),
+        1,
+        plane_config(idle_polls_before_sleep),
     )
     .unwrap();
     let mut quiet_ns: Vec<u64> = Vec::new();
@@ -298,8 +259,8 @@ fn phase_workload(idle_polls_before_sleep: Option<u64>) -> Phases {
 }
 
 /// A dozing plane takes the better side of the break-even in both
-/// phases: it hands bursts to the pool exactly as a plane that cannot doze
-/// does, and runs sparse calls inline, which the other plane pays a
+/// phases: it hands bursts to the responder exactly as a plane that cannot
+/// doze does, and runs sparse calls inline, which the other plane pays a
 /// handoff for.
 #[test]
 fn a_dozing_plane_wins_both_sides_of_the_break_even() {

@@ -1,7 +1,8 @@
 //! Property tests of pipelined byte calls: arbitrary interleavings of
 //! `submit` and `wait_any` keep the slab arena's generation tags honest.
 //!
-//! Each in-flight call owns an arena buffer; reaping out of order recycles
+//! Each in-flight call owns an arena buffer; reaping out of order (a
+//! ticket redeemed by name from the middle of the in-flight set) recycles
 //! buffers in a different order than they were acquired, which is exactly
 //! the traffic pattern that would surface a generation-tag bug (a stale
 //! handle landing a buffer back on a free list it no longer owns, and a
@@ -47,7 +48,25 @@ fn verify_response(resp: &[u8], value: u64, len: usize) {
     }
 }
 
-/// Reaps whichever in-flight call completes first and verifies it.
+/// Redeems the in-flight ticket at `pick` (modulo the set) by name and
+/// verifies it. Any position but the oldest recycles its buffer ahead of
+/// older calls still holding theirs.
+fn reap_named(
+    caller: &mut ByteCaller,
+    tickets: &mut Vec<Ticket>,
+    pending: &mut HashMap<u64, (u64, usize)>,
+    pick: usize,
+) {
+    let ticket = tickets.swap_remove(pick % tickets.len());
+    let (value, len) = pending
+        .remove(&ticket.seq())
+        .expect("redeemed an unknown ticket");
+    caller
+        .wait_with(ticket, |resp| verify_response(resp, value, len))
+        .unwrap();
+}
+
+/// Reaps the oldest in-flight call through `wait_any` and verifies it.
 fn reap_any(
     caller: &mut ByteCaller,
     tickets: &mut Vec<Ticket>,
@@ -63,7 +82,7 @@ fn reap_any(
 }
 
 proptest! {
-    // Every case spawns a responder pool; keep the case count modest.
+    // Every case spawns a responder thread; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Arbitrary ring shapes and submit/reap interleavings, payload sizes
@@ -72,9 +91,7 @@ proptest! {
     #[test]
     fn pipelined_reaps_recycle_without_stale_payloads(
         capacity in 2usize..8,
-        n_responders in 1usize..4,
-        drain_batch in 1u32..8,
-        ops in prop::collection::vec((any::<bool>(), 0usize..120), 1..160),
+        ops in prop::collection::vec((0u8..3, 0usize..120), 1..160),
     ) {
         let mut table = ByteCallTable::new();
         let id = table.register(|n, buf| {
@@ -90,8 +107,7 @@ proptest! {
             buf[..8].copy_from_slice(&(value ^ MAGIC).to_le_bytes());
             n
         });
-        let config = HotCallConfig { drain_batch, ..HotCallConfig::patient() };
-        let ring = ByteRing::spawn_pool(table, capacity, n_responders, config).unwrap();
+        let ring = ByteRing::spawn_pool(table, capacity, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
 
         // Un-redeemed DONE slots keep their ring slots occupied, so the
@@ -101,30 +117,18 @@ proptest! {
         let mut pending: HashMap<u64, (u64, usize)> = HashMap::new();
         let mut next_value = 0u64;
 
-        for (submit, extra_len) in ops {
-            if (submit || tickets.is_empty()) && tickets.len() < depth {
-                // Out-of-order reaping can starve one ticket while the
-                // monotonic head laps the ring; a submission landing on
-                // that still-occupied slot would block until it is
-                // redeemed. Redeem any collider first — the reap-before-
-                // wrapping discipline pipelined callers must follow.
-                let next_slot = next_value as usize % capacity;
-                if let Some(pos) = tickets
-                    .iter()
-                    .position(|t| t.seq() as usize % capacity == next_slot)
-                {
-                    let t = tickets.swap_remove(pos);
-                    let (value, len) = pending.remove(&t.seq()).unwrap();
-                    caller
-                        .wait_with(t, |resp| verify_response(resp, value, len))
-                        .unwrap();
-                }
+        // action 0 submits, 1 reaps through `wait_any`, 2 redeems the
+        // ticket `extra_len` picks by name — out of acquisition order.
+        for (action, extra_len) in ops {
+            if (action == 0 || tickets.is_empty()) && tickets.len() < depth {
                 let len = 8 + extra_len;
                 let data = encode(next_value, len);
                 let ticket = caller.submit(id, &data, 0).unwrap();
                 pending.insert(ticket.seq(), (next_value, len));
                 tickets.push(ticket);
                 next_value += 1;
+            } else if action == 2 {
+                reap_named(&mut caller, &mut tickets, &mut pending, extra_len);
             } else {
                 reap_any(&mut caller, &mut tickets, &mut pending);
             }

@@ -1,13 +1,13 @@
 //! Property tests of the lock-free ring data plane: exactly-once
 //! delivery and untorn payload handoff through the `UnsafeCell` slots,
-//! over arbitrary ring shapes, pool sizes, drain batches, and thread
-//! interleavings — including shutdown racing in-flight submissions, two
-//! responders racing for `tail` under a pipelined requester, and calls
-//! flipping between the fused and the pooled path.
+//! over arbitrary ring capacities and thread interleavings — including
+//! shutdown racing in-flight submissions, pipelined requesters sharing the
+//! one in-order responder, and calls flipping between the fused and the
+//! ring path.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -28,16 +28,14 @@ proptest! {
     // Every case spawns a thread pool; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Arbitrary (capacity × responders × requesters × drain batch)
-    /// shapes: every submitted payload arrives exactly once, untorn, and
-    /// every response returns to the requester that submitted it.
+    /// Arbitrary (capacity × requesters) shapes: every submitted payload
+    /// arrives exactly once, untorn, and every response returns to the
+    /// requester that submitted it.
     #[test]
     fn pool_delivers_exactly_once_untorn(
         capacity in 1usize..8,
-        n_responders in 1usize..4,
         n_requesters in 1usize..5,
         per_thread in 1usize..60,
-        drain_batch in 1u32..16,
     ) {
         let delivered = Arc::new(AtomicU64::new(0));
         let mut table: CallTable<(u64, u64), u64> = CallTable::new();
@@ -49,8 +47,7 @@ proptest! {
                 value.wrapping_mul(3)
             })
         };
-        let config = HotCallConfig { drain_batch, ..HotCallConfig::patient() };
-        let server = RingServer::spawn_pool(table, capacity, n_responders, config).unwrap();
+        let server = RingServer::spawn_pool(table, capacity, 1, HotCallConfig::patient()).unwrap();
 
         crossbeam::thread::scope(|s| {
             for th in 0..n_requesters as u64 {
@@ -79,7 +76,6 @@ proptest! {
     #[test]
     fn shutdown_races_inflight_submissions_cleanly(
         capacity in 1usize..6,
-        n_responders in 1usize..3,
         n_requesters in 1usize..4,
         busy_calls in 1usize..40,
     ) {
@@ -88,13 +84,7 @@ proptest! {
             assert_eq!(check, value ^ MAGIC, "torn payload through the slot");
             value.wrapping_mul(3)
         });
-        let server = RingServer::spawn_pool(
-            table,
-            capacity,
-            n_responders,
-            HotCallConfig::patient(),
-        )
-        .unwrap();
+        let server = RingServer::spawn_pool(table, capacity, 1, HotCallConfig::patient()).unwrap();
 
         crossbeam::thread::scope(|s| {
             let mut handles = Vec::new();
@@ -133,53 +123,87 @@ proptest! {
         .unwrap();
     }
 
-    /// Ticket conservation under two responders racing for `tail`: a
-    /// pipelined requester on a two-responder pool reaps every submission
-    /// exactly once, each with its own response, whichever responder
-    /// completed it and in whatever order. Every `reap_every` submissions
-    /// it drains its window, so the responders alternate between racing
-    /// over a backlog and idling on an empty ring. At most `capacity / 2`
-    /// calls are in flight, so the requester never laps the ring onto a
-    /// ticket it still holds.
+    /// The one responder services calls in submission order: for any
+    /// capacity, per-requester window up to `capacity - 1` and one to
+    /// three pipelined requesters, the handler's log of the values it
+    /// serviced, in the order it serviced them, equals every submitted
+    /// value sorted by its ticket's sequence number. Each `wait_any`
+    /// response must still be its own ticket's. Requesters sharing a
+    /// ring can lap onto each other's unredeemed tickets, which no window
+    /// local to one of them prevents, so a short retry budget turns such
+    /// a lap into a `ResponderTimeout`; the requester then redeems its
+    /// oldest and submits again.
     #[test]
-    fn wait_any_conserves_across_racing_responders(
-        capacity in 2usize..8,
-        calls in 1usize..160,
-        reap_every in 1usize..24,
+    fn responder_services_in_submission_order(
+        capacity in 2usize..9,
+        window_pick in 0usize..8,
+        n_requesters in 1usize..4,
+        calls in 1usize..120,
     ) {
+        let window = 1 + window_pick % (capacity - 1);
+        let serviced = Arc::new(Mutex::new(Vec::new()));
         let mut table: CallTable<u64, u64> = CallTable::new();
-        let id = table.register(|x| x.wrapping_mul(3));
-        let config = HotCallConfig { idle_polls_before_sleep: None, ..HotCallConfig::patient() };
-        let server = RingServer::spawn_pool(table, capacity, 2, config).unwrap();
-        let r = server.requester();
-        let mut inflight: Vec<Ticket> = Vec::new();
-        let mut expected: HashMap<u64, u64> = HashMap::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut reap = |inflight: &mut Vec<Ticket>, expected: &mut HashMap<u64, u64>| {
-            let (seq, resp) = r.wait_any(inflight).unwrap();
-            assert!(seen.insert(seq), "seq {seq} reaped twice");
-            assert_eq!(Some(resp), expected.remove(&seq), "crossed wires at seq {seq}");
+        let id = {
+            let serviced = Arc::clone(&serviced);
+            table.register(move |x| {
+                serviced.lock().unwrap().push(x);
+                x ^ MAGIC
+            })
         };
-        for i in 0..calls {
-            if i % reap_every == 0 {
-                while !inflight.is_empty() {
-                    reap(&mut inflight, &mut expected);
-                }
-            }
-            while inflight.len() >= capacity / 2 {
-                reap(&mut inflight, &mut expected);
-            }
-            let x = i as u64;
-            let ticket = r.submit(id, x).unwrap();
-            expected.insert(ticket.seq(), x.wrapping_mul(3));
-            inflight.push(ticket);
-        }
-        while !inflight.is_empty() {
-            reap(&mut inflight, &mut expected);
-        }
-        prop_assert_eq!(seen.len(), calls, "reaped != submitted");
-        prop_assert!(expected.is_empty(), "tickets not conserved: {expected:?}");
-        prop_assert_eq!(server.stats().calls, calls as u64);
+        let config = HotCallConfig {
+            idle_polls_before_sleep: None,
+            timeout_retries: 5_000,
+            ..HotCallConfig::patient()
+        };
+        let server = RingServer::spawn_pool(table, capacity, 1, config).unwrap();
+        let mut submitted: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n_requesters as u64)
+                .map(|ri| {
+                    let r = server.requester();
+                    s.spawn(move || {
+                        let mut tickets: Vec<Ticket> = Vec::new();
+                        let mut values: HashMap<u64, u64> = HashMap::new();
+                        let mut submitted = Vec::with_capacity(calls);
+                        let reap = |tickets: &mut Vec<Ticket>, values: &mut HashMap<u64, u64>| {
+                            let (seq, resp) = r.wait_any(tickets).unwrap();
+                            let value = values.remove(&seq).expect("reaped an unknown ticket");
+                            assert_eq!(resp, value ^ MAGIC, "response from another call");
+                        };
+                        let mut i = 0;
+                        while i < calls {
+                            if tickets.len() == window {
+                                reap(&mut tickets, &mut values);
+                            }
+                            let value = (ri << 48) | i as u64;
+                            match r.submit(id, value) {
+                                Ok(t) => {
+                                    values.insert(t.seq(), value);
+                                    submitted.push((t.seq(), value));
+                                    tickets.push(t);
+                                    i += 1;
+                                }
+                                Err(HotCallError::ResponderTimeout { .. }) if !tickets.is_empty() => {
+                                    reap(&mut tickets, &mut values);
+                                }
+                                Err(HotCallError::ResponderTimeout { .. }) => {}
+                                Err(e) => panic!("submit failed: {e:?}"),
+                            }
+                        }
+                        while !tickets.is_empty() {
+                            reap(&mut tickets, &mut values);
+                        }
+                        submitted
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        submitted.sort_unstable_by_key(|&(seq, _)| seq);
+        let in_seq_order: Vec<u64> = submitted.into_iter().map(|(_, value)| value).collect();
+        prop_assert_eq!(&*serviced.lock().unwrap(), &in_seq_order);
+        let rs = server.ring_stats();
+        prop_assert_eq!(rs.totals.calls, (n_requesters * calls) as u64);
+        prop_assert_eq!(rs.occupancy, 0);
         server.shutdown();
     }
 }
@@ -188,23 +212,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Fused↔pooled flips mid-stream: requesters alternate synchronous
-    /// calls (which run inline whenever the
-    /// responders doze) with pipelined submits (which always ride the
-    /// pool), while a short doze fuse keeps parking responders between
-    /// bursts. The plane therefore flips service path many times per
+    /// calls (which run inline whenever the responder dozes) with
+    /// pipelined submits (which always ride the ring), while a short doze
+    /// fuse keeps parking the responder between bursts. The plane therefore flips service path many times per
     /// case, at interleavings chosen by the ops vector. No flip may
     /// lose, duplicate, or mis-deliver a ticket: every response carries
     /// its own submission's stamp, and the fused + pooled service counts
     /// partition the total exactly.
     #[test]
     fn fused_and_pooled_paths_interleave_without_losing_tickets(
-        n_responders in 1usize..4,
         capacity in 2usize..8,
         n_requesters in 1usize..4,
         ops in prop::collection::vec(any::<u8>(), 16..96),
     ) {
         let config = HotCallConfig {
-            // Short doze fuse: responders fall quiescent inside the
+            // Short doze fuse: the responder falls quiescent inside the
             // natural gaps of the interleaving, making the fused gate
             // open and close repeatedly within one case.
             idle_polls_before_sleep: Some(64),
@@ -213,7 +235,7 @@ proptest! {
         };
         let mut table: CallTable<u64, u64> = CallTable::new();
         let id = table.register(|x| x ^ MAGIC);
-        let server = RingServer::spawn_pool(table, capacity, n_responders, config).unwrap();
+        let server = RingServer::spawn_pool(table, capacity, 1, config).unwrap();
         let requesters: Vec<_> = (0..n_requesters).map(|_| server.requester()).collect();
 
         let total: u64 = std::thread::scope(|s| {
@@ -288,13 +310,13 @@ proptest! {
         });
 
         let rs = server.ring_stats();
-        // The fused and pooled service paths partition the total: calls
-        // run inline by requesters plus calls serviced by responder
-        // threads account for every stamped submission exactly once.
+        // The fused and ring service paths partition the total: calls run
+        // inline by requesters plus calls the responder serviced (one busy
+        // poll each) account for every stamped submission exactly once.
         prop_assert_eq!(rs.totals.calls, total);
-        prop_assert_eq!(rs.totals.fused_runs + rs.shards[0].serviced, total);
+        prop_assert_eq!(rs.totals.fused_runs + rs.totals.busy_polls, total);
         // Nothing left in flight after every pending set drained.
-        prop_assert_eq!(rs.shards[0].occupancy, 0);
+        prop_assert_eq!(rs.occupancy, 0);
         server.shutdown();
     }
 }

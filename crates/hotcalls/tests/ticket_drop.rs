@@ -30,40 +30,33 @@ const CAPACITY: usize = 4;
 /// Enough abandoned calls to wrap the ring several times over.
 const DROPS: usize = 4 * CAPACITY;
 
-/// Each test runs on one responder and on two contending for the slots.
-const RESPONDERS: [usize; 2] = [1, 2];
-
 #[test]
 fn ring_dropped_ticket_releases_its_slot() {
-    for responders in RESPONDERS {
-        let (table, id) = table();
-        let server = RingServer::spawn_pool(table, CAPACITY, responders, spin_config()).unwrap();
-        let r = server.requester();
-        for i in 0..DROPS as u64 {
-            let ticket = r.submit(id, i).unwrap();
-            drop(ticket); // never redeemed: the old leak, many times over
-        }
-        // The ring still serves: more sync calls than slots, all correct.
-        for i in 0..(2 * CAPACITY) as u64 {
-            assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
-        }
-        server.shutdown();
+    let (table, id) = table();
+    let server = RingServer::spawn_pool(table, CAPACITY, 1, spin_config()).unwrap();
+    let r = server.requester();
+    for i in 0..DROPS as u64 {
+        let ticket = r.submit(id, i).unwrap();
+        drop(ticket); // never redeemed: the old leak, many times over
     }
+    // The ring still serves: more sync calls than slots, all correct.
+    for i in 0..(2 * CAPACITY) as u64 {
+        assert_eq!(r.call(id, i).unwrap(), i.wrapping_add(7));
+    }
+    server.shutdown();
 }
 
 #[test]
 fn ring_interleaved_drops_and_waits_stay_correct() {
-    for responders in RESPONDERS {
-        let (table, id) = table();
-        let server = RingServer::spawn_pool(table, CAPACITY, responders, spin_config()).unwrap();
-        let r = server.requester();
-        for round in 0..DROPS as u64 {
-            let dropped = r.submit(id, 1_000 + round).unwrap();
-            let kept = r.submit(id, round).unwrap();
-            drop(dropped);
-            // The kept ticket redeems its own response, not the orphan's.
-            assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
-        }
-        server.shutdown();
+    let (table, id) = table();
+    let server = RingServer::spawn_pool(table, CAPACITY, 1, spin_config()).unwrap();
+    let r = server.requester();
+    for round in 0..DROPS as u64 {
+        let dropped = r.submit(id, 1_000 + round).unwrap();
+        let kept = r.submit(id, round).unwrap();
+        drop(dropped);
+        // The kept ticket redeems its own response, not the orphan's.
+        assert_eq!(r.wait(kept).unwrap(), round.wrapping_add(7));
     }
+    server.shutdown();
 }

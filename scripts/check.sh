@@ -72,8 +72,8 @@ cargo run --release -q --example quickstart
 # only exist in debug (the pass above), the race windows only open in
 # release. Then the tests that used to fail on scheduling luck, 20 times
 # over, so a regression in any is a red check here and not folklore
-# (`ticket_drop` abandons tickets on a ring with one and with two
-# responders: the dropped-ticket wedge; `prop_ctl` pipelines a window as
+# (`ticket_drop` abandons tickets on a one-responder ring: the
+# dropped-ticket wedge; `prop_ctl` pipelines a window as
 # deep as its ring: the `wait_any` oldest-first race;
 # `wait_any_redeems_oldest_...` laps an 8-slot ring with 4 in flight: the
 # `wait_any` wedge; `api_call_batch_laps_the_ring_...` pipelines three
