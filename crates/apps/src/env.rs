@@ -11,13 +11,11 @@
 //! | [`IfaceMode::HotCallsNrz`] | HotCalls + No-Redundant-Zeroing |
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
-use hotcalls::ctl::{ApiId, ApiRouter, CtlTelemetry, Transport};
 use hotcalls::rt::{ArenaStats, ByteCallTable, ByteCaller, ByteRing, Ticket};
 use hotcalls::sim::SimHotCalls;
-use hotcalls::telemetry::{ApiCensus, ApiCensusRow, CtlProvider, PlaneTelemetry};
-use hotcalls::{CtlStats, GovernorStats, HotCallConfig, HotCallStats, RingStats};
+use hotcalls::telemetry::{ApiCensus, ApiCensusRow, PlaneTelemetry};
+use hotcalls::{GovernorStats, HotCallConfig, HotCallStats, RingStats};
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
@@ -35,8 +33,8 @@ pub const SYSCALL_TRAP: u64 = 150;
 const RT_RING_CAPACITY: usize = 32;
 
 /// The real switchless transport carried alongside the cycle model in the
-/// HotCalls modes: a batched-drain submission ring whose responder
-/// threads play the untrusted "On Call" side. The simulator still charges
+/// HotCalls modes: a batched-drain submission ring whose one responder
+/// thread plays the untrusted "On Call" side. The simulator still charges
 /// the paper's cycle costs; this pool moves each call's marshalled payload
 /// for real through arena-backed buffers — callee-bound bytes ride in the
 /// request, the "OS" writes caller-bound bytes into the same buffer in
@@ -75,72 +73,6 @@ fn os_responder(req_len: usize, buf: &mut [u8]) -> usize {
     want
 }
 
-/// How the real transport is configured in the HotCalls modes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RtTransport {
-    /// One ring and one responder built from [`HotCallConfig::auto`]
-    /// (the default; what `AppEnv::new` builds). The responder dozes when
-    /// the application stops feeding it, and from then on each
-    /// synchronous call runs inline on the application's thread and wakes
-    /// nobody; a batch's pipelined submissions still ride the responder.
-    #[default]
-    Ring,
-    /// Zero-config: the same one-responder [`HotCallConfig::auto`] plane
-    /// as [`RtTransport::Ring`], plus an [`ApiRouter`] that sends each API
-    /// over its measured break-even transport (SDK for rare calls,
-    /// switchless for hot ones). No knob on this variant is chosen by the
-    /// application.
-    Auto,
-}
-
-impl RtTransport {
-    /// Census label for this transport ("hot" / "auto").
-    pub fn label(&self) -> &'static str {
-        match self {
-            RtTransport::Ring => "hot",
-            RtTransport::Auto => "auto",
-        }
-    }
-}
-
-/// The control half of the Auto transport: the break-even router plus the
-/// registered API ids it routes between.
-#[derive(Debug)]
-struct AutoCtl {
-    /// Shared so telemetry providers can hold the router alive.
-    router: Arc<ApiRouter>,
-    ids: BTreeMap<&'static str, ApiId>,
-    /// The `RunEnclaveFunction` ecall shell (also the fallback for calls
-    /// outside the declared table). Pinned to the hot plane — an ecall
-    /// has no SDK-ocall shape to demote to.
-    run_fn: ApiId,
-}
-
-impl AutoCtl {
-    fn new(apis: &[ApiDecl]) -> Self {
-        let mut router = ApiRouter::new();
-        let mut ids = BTreeMap::new();
-        for api in apis {
-            // Every declared API may ride switchless or fall back to the
-            // SDK ocall path; the router decides from measured cycles.
-            ids.insert(
-                api.name,
-                router.register(api.name, Transport::Hot, &[Transport::Sdk, Transport::Hot]),
-            );
-        }
-        let run_fn = router.register("RunEnclaveFunction", Transport::Hot, &[Transport::Hot]);
-        AutoCtl {
-            router: Arc::new(router),
-            ids,
-            run_fn,
-        }
-    }
-
-    fn id_of(&self, name: &str) -> ApiId {
-        self.ids.get(name).copied().unwrap_or(self.run_fn)
-    }
-}
-
 impl RtPool {
     fn new(apis: &[ApiDecl]) -> Result<Self> {
         let mut table = ByteCallTable::new();
@@ -152,8 +84,7 @@ impl RtPool {
         // One responder is enough for one requester thread, and it dozes
         // when the application's call rate is low — every benchmark builds
         // several environments side by side, and a dozed plane runs the
-        // synchronous calls inline. Both transports ride this plane; the
-        // Auto transport's per-API routing lives in `AutoCtl`, outside it.
+        // synchronous calls inline.
         let server = ByteRing::spawn_pool(table, RT_RING_CAPACITY, 1, HotCallConfig::auto())?;
         let caller = server.caller();
         Ok(RtPool {
@@ -287,10 +218,6 @@ pub struct AppEnv {
     hot: Option<SimHotCalls>,
     /// Real pooled transport (HotCalls modes only).
     rt: Option<RtPool>,
-    /// Break-even router ([`RtTransport::Auto`] only).
-    ctl: Option<AutoCtl>,
-    /// How the transport is configured (its census label).
-    transport: RtTransport,
     api_costs: BTreeMap<&'static str, u64>,
     api_counts: BTreeMap<&'static str, u64>,
     /// Untrusted bounce buffer used as the native syscall copy target.
@@ -312,23 +239,6 @@ impl AppEnv {
         apis: &[ApiDecl],
         heap_bytes: u64,
     ) -> Result<Self> {
-        Self::with_transport(config, mode, apis, heap_bytes, RtTransport::default())
-    }
-
-    /// As [`AppEnv::new`], but choosing how the real transport is
-    /// configured — [`RtTransport::Auto`] adds the zero-config control
-    /// loop.
-    ///
-    /// # Errors
-    ///
-    /// Fails if EDL generation/parsing or enclave construction fails.
-    pub fn with_transport(
-        config: SimConfig,
-        mode: IfaceMode,
-        apis: &[ApiDecl],
-        heap_bytes: u64,
-        transport: RtTransport,
-    ) -> Result<Self> {
         let mut machine = Machine::new(config);
         let edl_src = generate_edl(apis);
         let edl = parse_edl(&edl_src).map_err(sgx_sdk::SdkError::Edl)?;
@@ -336,7 +246,7 @@ impl AppEnv {
         let api_costs = apis.iter().map(|a| (a.name, a.os_cost)).collect();
         let native_bounce = machine.alloc_untrusted(64 * 1024, 4096);
 
-        let (ctx, hot, rt, ctl) = if mode.in_enclave() {
+        let (ctx, hot, rt) = if mode.in_enclave() {
             let eid = machine.build_enclave(EnclaveBuildOptions {
                 heap_bytes: heap_bytes + (4 << 20), // app data + SDK scratch
                 ..EnclaveBuildOptions::default()
@@ -346,12 +256,7 @@ impl AppEnv {
                 optimized_memset: false,
             };
             let ctx = EnclaveCtx::new(&mut machine, eid, &edl, options)?;
-            let (hot, rt, ctl) = if matches!(mode, IfaceMode::HotCalls | IfaceMode::HotCallsNrz) {
-                let ctl = if transport == RtTransport::Auto {
-                    Some(AutoCtl::new(apis))
-                } else {
-                    None
-                };
+            let (hot, rt) = if matches!(mode, IfaceMode::HotCalls | IfaceMode::HotCallsNrz) {
                 (
                     Some(SimHotCalls::new(
                         &mut machine,
@@ -359,14 +264,13 @@ impl AppEnv {
                         HotCallConfig::default(),
                     )?),
                     Some(RtPool::new(apis)?),
-                    ctl,
                 )
             } else {
-                (None, None, None)
+                (None, None)
             };
-            (Some(ctx), hot, rt, ctl)
+            (Some(ctx), hot, rt)
         } else {
-            (None, None, None, None)
+            (None, None, None)
         };
 
         let start = machine.now();
@@ -377,8 +281,6 @@ impl AppEnv {
             ctx,
             hot,
             rt,
-            ctl,
-            transport,
             api_costs,
             api_counts: BTreeMap::new(),
             native_bounce,
@@ -454,28 +356,7 @@ impl AppEnv {
                 Ok(())
             }
             IfaceMode::Sdk => self.sdk_ocall(name, bufs, os_cost),
-            IfaceMode::HotCalls | IfaceMode::HotCallsNrz => {
-                // Under the Auto transport the break-even router picks the
-                // road: `Sdk` takes the plain ocall (no ring traffic, no
-                // responder standby — the loss side for rare calls), and
-                // the call's measured cost feeds back into the router.
-                let routed = self.ctl.as_ref().map(|ctl| {
-                    let api = ctl.id_of(name);
-                    (api, ctl.router.route(api))
-                });
-                let route = routed.map_or(Transport::Hot, |(_, route)| route);
-                let t0 = self.machine.now();
-                if route == Transport::Sdk {
-                    self.sdk_ocall(name, bufs, os_cost)?;
-                } else {
-                    self.hot_ocall(name, bufs, os_cost)?;
-                }
-                if let Some((api, _)) = routed {
-                    let cycles = (self.machine.now() - t0).get();
-                    self.ctl_observe(api, route, cycles);
-                }
-                Ok(())
-            }
+            IfaceMode::HotCalls | IfaceMode::HotCallsNrz => self.hot_ocall(name, bufs, os_cost),
         }
     }
 
@@ -516,13 +397,6 @@ impl AppEnv {
             Ok(())
         })?;
         Ok(())
-    }
-
-    /// Feeds one measured call into the router.
-    fn ctl_observe(&self, api: ApiId, transport: Transport, cycles: u64) {
-        let stamp = self.machine.now().get();
-        let ctl = self.ctl.as_ref().expect("routed call has a router");
-        ctl.router.observe(api, transport, cycles, stamp);
     }
 
     /// Callee-bound and caller-bound byte totals of one call, from the
@@ -570,7 +444,6 @@ impl AppEnv {
             }
             return Ok(());
         }
-        let t0 = self.machine.now();
         let mut outcome = Ok(());
         for (name, buf) in calls {
             *self.api_counts.entry(name).or_insert(0) += 1;
@@ -590,14 +463,6 @@ impl AppEnv {
         for (name, buf) in calls {
             let os_cost = self.api_costs.get(name).copied().unwrap_or(300);
             self.charge_hot_ocall(name, buf.as_slice(), os_cost)?;
-        }
-        // Under the Auto transport each call of the batch was one Hot
-        // submission: observe it as one, at the batch's mean cost.
-        if let Some(ctl) = &self.ctl {
-            let per_call = (self.machine.now() - t0).get() / calls.len() as u64;
-            for (name, _) in calls {
-                self.ctl_observe(ctl.id_of(name), Transport::Hot, per_call);
-            }
         }
         Ok(())
     }
@@ -638,7 +503,6 @@ impl AppEnv {
             IfaceMode::HotCalls | IfaceMode::HotCallsNrz => {
                 // The real data plane carries the ecall shell (the 8-byte
                 // routine pointer rides inline in the slot)...
-                let t0 = self.machine.now();
                 let rt = self.rt.as_mut().expect("hot mode has rt pool");
                 rt.call("RunEnclaveFunction", 8, 0)?;
                 let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
@@ -653,29 +517,8 @@ impl AppEnv {
                     &[routine],
                     |_, _, _| Ok(()),
                 )?;
-                // The Auto transport observes the shell's cost (the body
-                // is trusted work, not interface) even though the ecall is
-                // pinned hot — the row keeps the census complete.
-                if let Some(ctl) = &self.ctl {
-                    let cycles = (self.machine.now() - t0).get();
-                    self.ctl_observe(ctl.run_fn, Transport::Hot, cycles);
-                }
-                // ...then the trusted body. Under the Auto transport the
-                // router may send one of the body's API calls down the SDK
-                // ocall path, which exits and re-enters on a current TCS:
-                // hold one for the body unless the caller already did
-                // (`enter_main`).
-                let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-                let enter = self.ctl.is_some() && !ctx.in_enclave();
-                if enter {
-                    ctx.enter_main(&mut self.machine)?;
-                }
-                let r = body(self);
-                if enter {
-                    let ctx = self.ctx.as_mut().expect("enclave mode has ctx");
-                    ctx.leave_main(&mut self.machine)?;
-                }
-                r
+                // ...then the trusted body.
+                body(self)
             }
         }
     }
@@ -746,13 +589,12 @@ impl AppEnv {
     }
 
     /// The label this environment's census rows file under: `native`,
-    /// `sdk`, or — in the HotCalls modes — the transport's label (`hot`,
-    /// or `auto` under the zero-config transport).
+    /// `sdk`, or `hot` in both HotCalls modes.
     pub fn census_mode(&self) -> &'static str {
         match self.mode {
             IfaceMode::Native => "native",
             IfaceMode::Sdk => "sdk",
-            IfaceMode::HotCalls | IfaceMode::HotCallsNrz => self.transport.label(),
+            IfaceMode::HotCalls | IfaceMode::HotCallsNrz => "hot",
         }
     }
 
@@ -823,25 +665,6 @@ impl AppEnv {
     /// queue/service histograms, reap latency, ring counters.
     pub fn rt_telemetry(&self, name: &str) -> Option<PlaneTelemetry> {
         self.rt.as_ref().map(|rt| rt.server.telemetry(name))
-    }
-
-    /// Decision counters of the zero-config router — decisions, route
-    /// flips, SDK demotions, promotions and exploration probes
-    /// ([`RtTransport::Auto`] only).
-    pub fn ctl_stats(&self) -> Option<CtlStats> {
-        self.ctl.as_ref().map(|c| c.router.stats())
-    }
-
-    /// The control plane's telemetry section: per-API routes and EWMA
-    /// costs plus the decision counters ([`RtTransport::Auto`] only).
-    pub fn ctl_telemetry(&self, name: &str) -> Option<CtlTelemetry> {
-        self.ctl.as_ref().map(|c| c.router.telemetry(name))
-    }
-
-    /// A provider for [`hotcalls::TelemetryRegistry::register_ctl`]
-    /// holding the router alive ([`RtTransport::Auto`] only).
-    pub fn ctl_provider(&self, name: impl Into<String>) -> Option<CtlProvider> {
-        self.ctl.as_ref().map(|c| c.router.provider(name))
     }
 }
 
@@ -1032,84 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_transport_routes_observes_and_censuses_as_auto() {
-        let mut auto = AppEnv::with_transport(
-            SimConfig::builder().deterministic().build(),
-            IfaceMode::HotCalls,
-            &apis(),
-            1 << 20,
-            RtTransport::Auto,
-        )
-        .unwrap();
-        let data = auto.alloc_data(2048).unwrap();
-        auto.enter_main().unwrap();
-        for _ in 0..80 {
-            auto.api_call("getpid", &[]).unwrap();
-        }
-        auto.api_call("read", &[BufArg::new(data, 1024)]).unwrap();
-        auto.run_enclave_function(|e| {
-            e.api_call("sendmsg", &[BufArg::new(data, 64)])?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(auto.census_mode(), "auto");
-        // The default transport censuses as "hot"; sdk/native keep their
-        // own labels regardless of transport.
-        assert_eq!(env(IfaceMode::HotCalls).census_mode(), "hot");
-        assert_eq!(env(IfaceMode::Sdk).census_mode(), "sdk");
-        assert_eq!(env(IfaceMode::Native).census_mode(), "native");
-        assert_eq!(auto.api_counts()["getpid"], 80);
-        // Modes/transports without a router expose no ctl surface.
-        assert!(env(IfaceMode::HotCalls).ctl_stats().is_none());
-        assert!(env(IfaceMode::Sdk).ctl_provider("x").is_none());
-        let stats = auto.ctl_stats().expect("auto transport has a router");
-        let t = auto.ctl_telemetry("app-ctl").unwrap();
-        assert_eq!(t.name, "app-ctl");
-        // Every declared API plus the ecall shell has a route row, each on
-        // an allowed transport.
-        assert_eq!(t.routes.len(), 4);
-        // 83 routed calls crossed several decide windows.
-        assert!(stats.decisions >= 1, "{stats:?}");
-        let getpid = t.routes.iter().find(|r| r.api == "getpid").unwrap();
-        assert!(getpid.observes >= 80, "{getpid:?}");
-        // The provider snapshot matches the live router.
-        let provider = auto.ctl_provider("prov").unwrap();
-        assert_eq!(provider().routes.len(), 4);
-    }
-
-    #[test]
-    fn auto_transport_observes_batched_calls_as_hot() {
-        let mut auto = AppEnv::with_transport(
-            SimConfig::builder().deterministic().build(),
-            IfaceMode::HotCalls,
-            &apis(),
-            1 << 20,
-            RtTransport::Auto,
-        )
-        .unwrap();
-        let data = auto.alloc_data(2048).unwrap();
-        auto.enter_main().unwrap();
-        let batch: Vec<(&'static str, Option<BufArg>)> = vec![
-            ("getpid", None),
-            ("read", Some(BufArg::new(data, 1024))),
-            ("sendmsg", Some(BufArg::new(data, 512))),
-        ];
-        auto.api_call_batch(&batch).unwrap();
-        assert_eq!(auto.api_counts()["getpid"], 1);
-        assert_eq!(auto.rt_stats().unwrap().calls, 3);
-        // Each call was one Hot submission and fed one Hot observation back
-        // (a route row's cost is the estimate of its current transport).
-        let t = auto.ctl_telemetry("b").unwrap();
-        for api in ["getpid", "read", "sendmsg"] {
-            let r = t.routes.iter().find(|r| r.api == api).unwrap();
-            assert!(
-                r.transport == "hot" && r.observes == 1 && r.ewma_cycles > 0.0,
-                "{r:?}"
-            );
-        }
-    }
-
-    #[test]
     fn api_census_reports_counts_rates_and_shares() {
         let mut sdk = env(IfaceMode::Sdk);
         let data = sdk.alloc_data(1024).unwrap();
@@ -1138,6 +883,12 @@ mod tests {
             (share_sum - 1.0).abs() < 1e-9,
             "shares sum to 1: {share_sum}"
         );
+        // Both HotCalls modes census as "hot"; sdk and native keep their
+        // own labels.
+        assert_eq!(env(IfaceMode::HotCalls).census_mode(), "hot");
+        assert_eq!(env(IfaceMode::HotCallsNrz).census_mode(), "hot");
+        assert_eq!(env(IfaceMode::Sdk).census_mode(), "sdk");
+        assert_eq!(env(IfaceMode::Native).census_mode(), "native");
     }
 
     #[test]

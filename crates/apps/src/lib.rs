@@ -46,5 +46,5 @@ pub mod porting;
 pub mod storage;
 
 pub use api::OsApi;
-pub use env::{ApiMix, AppEnv, IfaceMode, RtTransport};
+pub use env::{ApiMix, AppEnv, IfaceMode};
 pub use error::{AppError, Result};

@@ -7,7 +7,6 @@
 //! the model, not about the host.
 
 pub mod ablations;
-pub mod ctl;
 pub mod figures;
 pub mod load;
 pub mod storage;
@@ -117,7 +116,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("api_census", ablations::api_census),
     ("load_curves", load::load_curves),
     ("ablation_storage", storage::ablation_storage),
-    ("ablation_ctl", ctl::ablation_ctl),
 ];
 
 /// Looks an experiment up by name.

@@ -10,7 +10,7 @@
 //! silently throttling the load.
 //!
 //! Per app (memcached, lighttpd, openVPN) × interface (`hot` = HotCalls on
-//! the Auto transport, `sdk` = the plain SDK port) it measures the
+//! the app environment's one plane, `sdk` = the plain SDK port) it measures the
 //! per-call interface cost in *virtual cycles* from the live [`AppEnv`]
 //! ledger, then runs an open-loop M/D/1 queueing model over the
 //! [`VirtualEpoll`] event loop: 100,000 simulated connections each keep
@@ -25,7 +25,7 @@
 //! reproducible across hosts.
 
 use apps::porting::ApiDecl;
-use apps::{lighttpd, memcached, openvpn, AppEnv, IfaceMode, RtTransport};
+use apps::{lighttpd, memcached, openvpn, AppEnv, IfaceMode};
 use hotcalls::telemetry::CycleHist;
 use sgx_sim::{Cycles, SimConfig, VirtualEpoll};
 use workloads::openloop::OpenLoopPlan;
@@ -40,8 +40,8 @@ const CONNS: usize = 100_000;
 const CYCLES_PER_SEC: f64 = 4e9;
 /// Cycles per nanosecond on the 4 GHz virtual core.
 const CYCLES_PER_NS: u64 = 4;
-/// Warm-up calls before the per-call cost probes (routes settle, rings
-/// warm — the paper measures warm costs too).
+/// Warm-up calls before the per-call cost probes (the rings warm up —
+/// the paper measures warm costs too).
 const PROBE_WARMUP: u32 = 32;
 /// Measured calls per cost probe.
 const PROBE_SAMPLES: u32 = 256;
@@ -98,12 +98,11 @@ struct ModeProbe {
 /// host-independent.
 fn probe_mode(app: &AppSpec, mode: &'static str, iface: IfaceMode) -> ModeProbe {
     let table = (app.api_table)();
-    let mut env = AppEnv::with_transport(
+    let mut env = AppEnv::new(
         SimConfig::builder().seed(app.seed).build(),
         iface,
         &table,
         app.heap,
-        RtTransport::Auto,
     )
     .expect("app env builds");
     env.enter_main().expect("enter main");

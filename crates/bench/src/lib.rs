@@ -24,7 +24,6 @@
 //! | `api_census` | Table-2-style census per interface configuration |
 //! | `load_curves` | latency vs offered load, 100k connections |
 //! | `ablation_storage` | scatter-gather bandwidth ladder + EPC-aware chunking |
-//! | `ablation_ctl` | break-even routing by the control plane |
 //! | `all` | everything above in sequence |
 //!
 //! Each prints the paper's reference value next to the measured one where

@@ -62,8 +62,8 @@ impl HotCallConfig {
 
     /// The zero-config configuration: a patient retry budget and a
     /// responder that dozes after 256 empty polls, so a ring plane runs
-    /// synchronous calls inline whenever its responder has dozed off. A `ctl`
-    /// router, where one is attached, picks each API's transport online.
+    /// synchronous calls inline whenever its responder has dozed off. It is
+    /// the plane every HotCalls-mode application environment runs on.
     pub fn auto() -> Self {
         HotCallConfig {
             idle_polls_before_sleep: Some(256),

@@ -35,13 +35,8 @@
 //!   parameter: [`rt::ByteRing`] and [`rt::SgRing`] *are* that
 //!   `RingServer`, at arena-backed byte and scatter-gather payloads. This
 //!   is usable as a general low-latency inter-thread call primitive.
-//! * [`ctl`] — the **configless control plane**: a per-API break-even
-//!   [`ApiRouter`] that sends each call site over the SDK or the
-//!   switchless path from its measured cycles and call rate, with time
-//!   constants nobody sets. It is opt-in: the demo apps' default plane
-//!   runs without a router; `apps`' `RtTransport::Auto` attaches one.
-//!   Beside it, [`ChunkSizer`] ratchets a streaming chunk down the EPC
-//!   paging cliff.
+//! * [`ctl`] — [`ChunkSizer`], a one-way ratchet that halves a streaming
+//!   chunk while the EPC's paging bill per streamed byte stays high.
 //!
 //! ## Threaded quick start
 //!
@@ -68,7 +63,7 @@ pub mod sim;
 pub mod telemetry;
 
 pub use config::HotCallConfig;
-pub use ctl::{ApiRouter, ChunkSizer, CtlStats, Transport};
+pub use ctl::ChunkSizer;
 pub use error::{HotCallError, Result};
 pub use telemetry::{
     GovernorStats, HotCallStats, RingStats, Snapshot, TelemetryRegistry, TELEMETRY_ENABLED,

@@ -13,12 +13,11 @@
 //!   **service time** are separable — the distinction behind the paper's
 //!   p78 vs p99.97 HotCall latency split (§4.3).
 //! * [`Tracer`] — a bounded ring-buffer event tracer (fused runs, arena
-//!   slab grows, routing and chunk decisions) with a `chrome://tracing`-compatible JSON exporter and
-//!   the cheap [`trace`] hook that compiles out under the `telemetry-off`
-//!   feature.
-//! * [`TelemetryRegistry`] — merges every plane (typed, byte and sg) and
-//!   every control plane into one [`Snapshot`], exposed as
-//!   Prometheus-style text.
+//!   slab grows, chunk decisions) with a `chrome://tracing`-compatible
+//!   JSON exporter and the cheap [`trace`] hook that compiles out under
+//!   the `telemetry-off` feature.
+//! * [`TelemetryRegistry`] — merges every plane (typed, byte and sg) into
+//!   one [`Snapshot`], exposed as Prometheus-style text.
 //! * [`ApiCensus`] — the Table-2-style per-application census the apps
 //!   build from their call ledgers.
 //!
@@ -72,8 +71,10 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// [`RingStats`]; `serviced` is `calls - fused_runs`), the `kind` and
 /// `lane` labels and the `hotcalls_shard_serviced_total` series: a plane
 /// has exactly one responder, so every plane was one lane, one row and
-/// kind `"single"`.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 11;
+/// kind `"single"`. v12 removed the snapshot's `ctl` section, the
+/// `hotcalls_ctl_*` series and the `ctl_flip` trace kind: no per-API
+/// router exists, so there is no routing table or decision to export.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 12;
 
 /// Reads the current cycle counter (`RDTSC` on x86-64, a monotonic
 /// nanosecond clock elsewhere). Returns 0 under `telemetry-off` so stage
@@ -509,8 +510,7 @@ impl ArenaStats {
 pub struct TraceEvent {
     /// [`now_cycles`] at the event site.
     pub ts: u64,
-    /// Static event tag (e.g. `"fused_run"`,
-    /// `"arena_grow"`, `"ctl_flip"`).
+    /// Static event tag (e.g. `"fused_run"`, `"arena_grow"`).
     pub kind: &'static str,
     /// First argument (site-specific).
     pub a: u64,
@@ -610,8 +610,8 @@ struct TracerInner {
     calib: Option<Calibration>,
 }
 
-/// Default event capacity used by [`Tracer::enable`] callers that take
-/// the default (e.g. `paper ablation_ctl`).
+/// Default event capacity for [`Tracer::enable`] callers that take the
+/// default.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 static TRACER: Tracer = Tracer {
@@ -817,9 +817,6 @@ pub struct Snapshot {
     pub enabled: bool,
     /// Every registered plane's telemetry.
     pub planes: Vec<PlaneTelemetry>,
-    /// Every registered control plane's decision counters and routing
-    /// table (schema v3).
-    pub ctl: Vec<crate::ctl::CtlTelemetry>,
     /// Events the process tracer has dropped so far.
     pub tracer_dropped: u64,
 }
@@ -875,39 +872,6 @@ impl Snapshot {
             prom_hist(&mut out, "hotcalls_service_cycles", &pl, &p.service);
             prom_hist(&mut out, "hotcalls_reap_cycles", &pl, &p.reap);
         }
-        for c in &self.ctl {
-            let cl = format!("ctl=\"{}\"", c.name);
-            out.push_str(&format!(
-                "hotcalls_ctl_decisions_total{{{cl}}} {}\n",
-                c.stats.decisions
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_route_flips_total{{{cl}}} {}\n",
-                c.stats.flips
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_sdk_demotions_total{{{cl}}} {}\n",
-                c.stats.sdk_demotions
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_promotions_total{{{cl}}} {}\n",
-                c.stats.promotions
-            ));
-            out.push_str(&format!(
-                "hotcalls_ctl_explore_probes_total{{{cl}}} {}\n",
-                c.stats.explore_probes
-            ));
-            for r in &c.routes {
-                out.push_str(&format!(
-                    "hotcalls_ctl_api_transport{{{cl},api=\"{}\",transport=\"{}\"}} 1\n",
-                    r.api, r.transport
-                ));
-                out.push_str(&format!(
-                    "hotcalls_ctl_api_flips_total{{{cl},api=\"{}\"}} {}\n",
-                    r.api, r.flips
-                ));
-            }
-        }
         out
     }
 }
@@ -916,21 +880,16 @@ impl Snapshot {
 /// time (servers hand these out; they capture the plane's shared state).
 pub type PlaneProvider = Box<dyn Fn() -> PlaneTelemetry + Send + Sync>;
 
-/// A control-plane provider polled at snapshot time (see
-/// [`crate::ctl::ApiRouter::provider`]).
-pub type CtlProvider = Box<dyn Fn() -> crate::ctl::CtlTelemetry + Send + Sync>;
-
 #[derive(Default)]
 struct RegistryInner {
     planes: Vec<PlaneProvider>,
-    ctl: Vec<CtlProvider>,
 }
 
 /// The registry that merges every telemetry source into one
 /// [`Snapshot`].
 ///
-/// Planes and control planes register pull-style providers, polled at
-/// snapshot time, so the snapshot is always current.
+/// Planes register pull-style providers, polled at snapshot time, so the
+/// snapshot is always current.
 ///
 /// # Examples
 ///
@@ -979,12 +938,6 @@ impl TelemetryRegistry {
             .push(provider);
     }
 
-    /// Registers a control-plane provider (see
-    /// [`crate::ctl::ApiRouter::provider`]).
-    pub fn register_ctl(&self, provider: CtlProvider) {
-        self.inner.lock().expect("registry lock").ctl.push(provider);
-    }
-
     /// Polls every provider and merges everything into one snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().expect("registry lock");
@@ -992,7 +945,6 @@ impl TelemetryRegistry {
             schema_version: TELEMETRY_SCHEMA_VERSION,
             enabled: TELEMETRY_ENABLED,
             planes: inner.planes.iter().map(|p| p()).collect(),
-            ctl: inner.ctl.iter().map(|p| p()).collect(),
             tracer_dropped: tracer().dropped_events(),
         }
     }
@@ -1114,7 +1066,7 @@ mod tests {
         };
         t.enable(16);
         t.record("fused_run", 1, 0);
-        t.record("ctl_flip", 2, 7);
+        t.record("fused_run", 2, 7);
         let json = t.export_chrome_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

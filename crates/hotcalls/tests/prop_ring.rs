@@ -127,8 +127,12 @@ proptest! {
     /// capacity, per-requester window up to `capacity - 1` and one to
     /// three pipelined requesters, the handler's log of the values it
     /// serviced, in the order it serviced them, equals every submitted
-    /// value sorted by its ticket's sequence number. Each `wait_any`
-    /// response must still be its own ticket's. Requesters sharing a
+    /// value sorted by its ticket's sequence number. Each `wait_any` must
+    /// return the requester's oldest ticket with that ticket's own
+    /// response. A lone requester's window may be as deep as the ring:
+    /// every submission then reuses the slot of the oldest ticket, so a
+    /// younger pick would leave the next `submit` lapping onto a ticket
+    /// the requester still holds. Requesters sharing a
     /// ring can lap onto each other's unredeemed tickets, which no window
     /// local to one of them prevents, so a short retry budget turns such
     /// a lap into a `ResponderTimeout`; the requester then redeems its
@@ -140,7 +144,11 @@ proptest! {
         n_requesters in 1usize..4,
         calls in 1usize..120,
     ) {
-        let window = 1 + window_pick % (capacity - 1);
+        let window = if n_requesters == 1 {
+            1 + window_pick % capacity
+        } else {
+            1 + window_pick % (capacity - 1)
+        };
         let serviced = Arc::new(Mutex::new(Vec::new()));
         let mut table: CallTable<u64, u64> = CallTable::new();
         let id = {
@@ -165,7 +173,9 @@ proptest! {
                         let mut values: HashMap<u64, u64> = HashMap::new();
                         let mut submitted = Vec::with_capacity(calls);
                         let reap = |tickets: &mut Vec<Ticket>, values: &mut HashMap<u64, u64>| {
+                            let oldest = *values.keys().min().expect("a ticket in flight");
                             let (seq, resp) = r.wait_any(tickets).unwrap();
+                            assert_eq!(seq, oldest, "wait_any skipped the oldest ticket");
                             let value = values.remove(&seq).expect("reaped an unknown ticket");
                             assert_eq!(resp, value ^ MAGIC, "response from another call");
                         };

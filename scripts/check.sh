@@ -27,13 +27,11 @@ echo "==> cargo doc --no-deps (first-party packages) with -D warnings"
 RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
     -p hotcalls-repro -p sgx-sim -p sgx-sdk -p hotcalls -p apps -p workloads -p bench
 
-# Telemetry-off compiles out instrumentation, not decisions: the router
-# decides from what its callers hand it, so the ctl property tests must
-# see the same flips and convergence in this build.
-# The two lib suites run the instrumentation-free paths of every plane
-# (and `apps::env`'s stage-histogram guard), which clippy only lints.
-echo "==> cargo test -p hotcalls --test prop_ctl --features telemetry-off"
-cargo test -p hotcalls --test prop_ctl --features telemetry-off -q
+# Telemetry-off compiles out instrumentation, not decisions: the chunk
+# sizer decides from what its callers hand it, so its unit test must see
+# the same ratchet in this build. The two lib suites run the
+# instrumentation-free paths of every plane (and `apps::env`'s
+# stage-histogram guard), which clippy only lints.
 echo "==> cargo test -p hotcalls --lib --features telemetry-off"
 cargo test -q -p hotcalls --lib --features telemetry-off
 echo "==> cargo test -p apps --lib --features hotcalls/telemetry-off"
@@ -73,8 +71,9 @@ cargo run --release -q --example quickstart
 # release. Then the tests that used to fail on scheduling luck, 20 times
 # over, so a regression in any is a red check here and not folklore
 # (`ticket_drop` abandons tickets on a one-responder ring: the
-# dropped-ticket wedge; `prop_ctl` pipelines a window as
-# deep as its ring: the `wait_any` oldest-first race;
+# dropped-ticket wedge; `responder_services_in_submission_order` and
+# `ring_window_equal_to_capacity_never_wedges` pipeline windows as deep as
+# their ring: the `wait_any` oldest-first pick;
 # `wait_any_redeems_oldest_...` laps an 8-slot ring with 4 in flight: the
 # `wait_any` wedge; `api_call_batch_laps_the_ring_...` pipelines three
 # laps of `apps::env`'s ring in one batch: the lap rule of a window).
@@ -89,6 +88,11 @@ deflaked=(
 deflaked_apps=(
     env::tests::api_call_batch_laps_the_ring_without_wedging
 )
+# Integration tests by exact name, one suite each: (suite, test).
+deflaked_suites=(
+    "prop_ring responder_services_in_submission_order"
+    "claim_protocol ring_window_equal_to_capacity_never_wedges"
+)
 for _ in $(seq 20); do
     out=$(cargo test --release -q -p hotcalls --lib -- --exact "${deflaked[@]}" 2>&1) \
         || { echo "$out"; exit 1; }
@@ -99,7 +103,13 @@ for _ in $(seq 20); do
     grep -q "test result: ok. ${#deflaked_apps[@]} passed" <<<"$out" \
         || { echo "expected ${#deflaked_apps[@]} de-flaked apps tests to run:"; echo "$out"; exit 1; }
     cargo test --release -q -p hotcalls --test ticket_drop
-    cargo test --release -q -p hotcalls --test prop_ctl
+    for entry in "${deflaked_suites[@]}"; do
+        read -r suite name <<<"$entry"
+        out=$(cargo test --release -q -p hotcalls --test "$suite" -- --exact "$name" 2>&1) \
+            || { echo "$out"; exit 1; }
+        grep -q "test result: ok. 1 passed" <<<"$out" \
+            || { echo "expected $suite::$name to run:"; echo "$out"; exit 1; }
+    done
 done
 
 echo "==> all checks passed"

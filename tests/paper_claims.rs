@@ -46,5 +46,5 @@ macro_rules! claims {
 claims! {
     table1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table2 fig10 fig11
     ablation_hotcall ablation_memset ablation_mee ablation_epc ablation_nrz
-    api_census load_curves ablation_storage ablation_ctl
+    api_census load_curves ablation_storage
 }

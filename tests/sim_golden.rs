@@ -8,7 +8,7 @@
 //! benchmark. A deliberate model change updates the constants and says so.
 
 use hotcalls_repro::apps::memcached::{self, protocol, Memcached};
-use hotcalls_repro::apps::{AppEnv, IfaceMode, RtTransport};
+use hotcalls_repro::apps::{AppEnv, IfaceMode};
 use hotcalls_repro::hotcalls::sim::SimHotCalls;
 use hotcalls_repro::hotcalls::HotCallConfig;
 use hotcalls_repro::sgx_sdk::edl::parse_edl;
@@ -185,13 +185,12 @@ fn serve_mixed(env: &mut AppEnv, requests: u32) {
     }
 }
 
-fn memcached_env(mode: IfaceMode, transport: RtTransport) -> AppEnv {
-    AppEnv::with_transport(
+fn memcached_env(mode: IfaceMode) -> AppEnv {
+    AppEnv::new(
         SimConfig::builder().seed(31).build(),
         mode,
         &memcached::api_table(),
         64 << 20,
-        transport,
     )
     .unwrap()
 }
@@ -202,20 +201,8 @@ fn memcached_elapsed_after_2000_requests() {
         (IfaceMode::Sdk, 93_703_188),
         (IfaceMode::HotCallsNrz, 40_397_062),
     ] {
-        let mut env = memcached_env(mode, RtTransport::default());
+        let mut env = memcached_env(mode);
         serve_mixed(&mut env, 2_000);
         assert_eq!(env.elapsed().get(), golden, "{mode:?}");
     }
-}
-
-/// Regression: under `RtTransport::Auto` the router may send an API down
-/// the SDK ocall path, which needs a current TCS; `run_enclave_function`
-/// used to run the body without one and `serve` failed with
-/// `Sdk(NotInEnclave)`. Not a golden value — the route depends on what the
-/// controller has observed — but the replies must be right.
-#[test]
-fn memcached_serves_under_the_auto_transport() {
-    let mut env = memcached_env(IfaceMode::HotCallsNrz, RtTransport::Auto);
-    serve_mixed(&mut env, 1_500);
-    assert!(env.ctl_stats().is_some(), "Auto transport has a controller");
 }
