@@ -10,9 +10,9 @@
 //! silently throttling the load.
 //!
 //! Per app (memcached, lighttpd, openVPN) × interface (`hot` = HotCalls on
-//! the app environment's one plane, `sdk` = the plain SDK port) it measures the
-//! per-call interface cost in *virtual cycles* from the live [`AppEnv`]
-//! ledger, then runs an open-loop M/D/1 queueing model over the
+//! the plane [`AppEnv::new`] builds, `sdk` = the plain SDK port) it
+//! measures the per-call interface cost in *virtual cycles* from the live
+//! [`AppEnv`] ledger, then runs an open-loop M/D/1 queueing model over the
 //! [`VirtualEpoll`] event loop: 100,000 simulated connections each keep
 //! one armed next-arrival timer (the loop's `peak_pending` is the
 //! witness), arrivals queue for the one interface in arrival order, and
