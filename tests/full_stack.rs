@@ -4,6 +4,7 @@
 use hotcalls_repro::apps::memcached::{self, protocol, Memcached};
 use hotcalls_repro::apps::{AppEnv, IfaceMode};
 use hotcalls_repro::hotcalls::sim::SimHotCalls;
+use hotcalls_repro::hotcalls::telemetry::ApiCensus;
 use hotcalls_repro::hotcalls::HotCallConfig;
 use hotcalls_repro::sgx_sdk::edl::parse_edl;
 use hotcalls_repro::sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
@@ -125,6 +126,57 @@ fn memcached_end_to_end_all_modes_yield_identical_payloads() {
         match &reference {
             None => reference = Some(payload),
             Some(r) => assert_eq!(&payload, r, "{mode:?} diverged"),
+        }
+    }
+}
+
+/// `serve_many` pipelines a batch's socket calls. In both HotCalls modes
+/// each of them rides the plane, and each socket API is priced as a
+/// HotCall: below half of what the same API costs through the SDK.
+#[test]
+fn memcached_batches_ride_the_plane_in_both_hot_modes() {
+    let serve = |mode| {
+        let mut env = AppEnv::new(
+            SimConfig::builder().deterministic().build(),
+            mode,
+            &memcached::api_table(),
+            64 << 20,
+        )
+        .unwrap();
+        let mut server = Memcached::new(&mut env, 256, 2048).unwrap();
+        let key = |i: u32| format!("key-{i}");
+        let sets: Vec<_> = (0..8)
+            .map(|i| protocol::encode_set(key(i).as_bytes(), &[i as u8; 512], i))
+            .collect();
+        let gets: Vec<_> = (0..8)
+            .map(|i| protocol::encode_get(key(i).as_bytes(), 100 + i))
+            .collect();
+        for _ in 0..4 {
+            server.serve_many(&mut env, &sets).unwrap();
+            for (i, reply) in (0..).zip(server.serve_many(&mut env, &gets).unwrap()) {
+                let reply = protocol::parse_response(reply).unwrap();
+                assert_eq!(reply.status, protocol::Status::Ok, "{mode:?}");
+                assert_eq!(reply.opaque, 100 + i, "{mode:?}");
+                assert_eq!(reply.value.as_ref(), &[i as u8; 512][..], "{mode:?}");
+            }
+        }
+        env
+    };
+    let sdk = serve(IfaceMode::Sdk).api_census("memcached");
+    for mode in [IfaceMode::HotCalls, IfaceMode::HotCallsNrz] {
+        let env = serve(mode);
+        let plane = env.rt_stats().expect("a HotCalls mode has a plane");
+        assert_eq!(plane.calls, env.total_calls(), "{mode:?}");
+        assert_eq!(plane.fallbacks, 0, "{mode:?}");
+        let hot = env.api_census("memcached");
+        for api in ["read", "sendmsg"] {
+            let per_call = |census: &ApiCensus| {
+                let row = census.rows.iter().find(|r| r.name == api).unwrap();
+                assert_eq!(row.calls, 64, "{mode:?} {api}");
+                row.cycles_per_call
+            };
+            let (hot, sdk) = (per_call(&hot), per_call(&sdk));
+            assert!(2.0 * hot < sdk, "{mode:?} {api}: {hot:.0} vs SDK {sdk:.0}");
         }
     }
 }

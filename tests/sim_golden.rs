@@ -206,3 +206,19 @@ fn memcached_elapsed_after_2000_requests() {
         assert_eq!(env.elapsed().get(), golden, "{mode:?}");
     }
 }
+
+/// In both HotCalls modes every call `serve` issues — the libevent ecall
+/// shell and each socket ocall — rides the real plane: none leaves it for
+/// the SDK path. Not a golden value, but the replies must be right and
+/// the plane's call count must equal the application's.
+#[test]
+fn memcached_hot_modes_carry_every_call_on_the_plane() {
+    for mode in [IfaceMode::HotCalls, IfaceMode::HotCallsNrz] {
+        let mut env = memcached_env(mode);
+        serve_mixed(&mut env, 1_500);
+        let plane = env.rt_stats().expect("a HotCalls mode has a plane");
+        assert_eq!(plane.calls, env.total_calls(), "{mode:?}");
+        assert_eq!(plane.fallbacks, 0, "{mode:?}");
+        assert_eq!(env.api_census("memcached").mode, "hot", "{mode:?}");
+    }
+}
