@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use hotcalls::rt::{ArenaStats, ByteCallTable, ByteCaller, ByteRing, Ticket};
 use hotcalls::sim::SimHotCalls;
-use hotcalls::telemetry::{ApiCensus, ApiCensusRow, PlaneTelemetry};
+use hotcalls::telemetry::PlaneTelemetry;
 use hotcalls::{GovernorStats, HotCallConfig, HotCallStats, RingStats};
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
@@ -205,6 +205,45 @@ impl ApiMix {
         }
         fire
     }
+}
+
+/// One API's row in the Table-2-style census.
+#[derive(Debug, Clone)]
+pub struct ApiCensusRow {
+    /// API (edge function) name.
+    pub name: String,
+    /// Invocations.
+    pub calls: u64,
+    /// Calls per (virtual) second.
+    pub calls_per_sec: f64,
+    /// Mean interface cycles per call.
+    pub cycles_per_call: f64,
+    /// This API's share of all interface cycles, in `[0, 1]`.
+    pub share_of_interface: f64,
+}
+
+/// A Table-2-style census of one application under one interface mode
+/// ([`AppEnv::api_census`]): which APIs were called, how often, at what
+/// per-call cycle cost, and what fraction of core time the interface
+/// consumed.
+#[derive(Debug, Clone)]
+pub struct ApiCensus {
+    /// Application name (`memcached`, `lighttpd`, `openvpn`).
+    pub app: String,
+    /// Interface mode label ([`AppEnv::census_mode`]: `native`, `sdk` or
+    /// `hot`).
+    pub mode: String,
+    /// Virtual seconds the measured window spanned.
+    pub elapsed_secs: f64,
+    /// Total API calls issued.
+    pub total_calls: u64,
+    /// Total cycles spent inside the call interface.
+    pub interface_cycles: u64,
+    /// Fraction of elapsed core time spent in the interface (Table 2's
+    /// "Core Time" column).
+    pub core_time_fraction: f64,
+    /// Per-API rows, most frequent first.
+    pub rows: Vec<ApiCensusRow>,
 }
 
 /// One machine + one application interface.

@@ -599,8 +599,9 @@ impl SecureStore {
         self.ring.stats()
     }
 
-    /// A telemetry provider for the store's data plane (register with
-    /// [`hotcalls::TelemetryRegistry::register_plane`]).
+    /// A telemetry provider for the store's data plane: call it for the
+    /// plane's counters and stage histograms, also after
+    /// [`SecureStore::shutdown`] (it holds the plane's state alive).
     pub fn telemetry_provider(&self) -> hotcalls::telemetry::PlaneProvider {
         self.ring.telemetry_provider(NAME)
     }

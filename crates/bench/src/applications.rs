@@ -1,10 +1,10 @@
 //! Application-level runners for Table 2 and Figures 10/11.
 
+use apps::env::ApiCensus;
 use apps::lighttpd::{self, Lighttpd};
 use apps::memcached::{self, Memcached};
 use apps::openvpn::{self, OpenVpn};
 use apps::{AppEnv, IfaceMode};
-use hotcalls::telemetry::ApiCensus;
 use sgx_sim::SimConfig;
 use workloads::{http_load, iperf, memtier, ping, RunResult};
 

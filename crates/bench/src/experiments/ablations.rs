@@ -3,8 +3,8 @@
 //! No-Redundant-Zeroing across transfer modes, and the per-interface API
 //! census.
 
+use apps::env::ApiCensus;
 use hotcalls::sim::SimHotCalls;
-use hotcalls::telemetry::ApiCensus;
 use hotcalls::HotCallConfig;
 use sgx_sdk::edl::parse_edl;
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};

@@ -3,11 +3,9 @@
 //! [`ChunkSizer`] is a one-way ratchet that halves a streaming chunk while
 //! the EPC's paging bill per streamed byte stays high. Every input is
 //! handed in by the caller — the paging counters of each streamed window
-//! — so it decides the same in every build: the `telemetry-off` feature
-//! compiles out its trace event, not the ratchet.
+//! — so it decides the same in every build.
 
 use crate::error::{HotCallError, Result};
-use crate::telemetry::trace;
 
 /// Paging cycles per streamed byte above which the chunk sizer halves the
 /// chunk.
@@ -84,7 +82,6 @@ impl ChunkSizer {
         self.chunk = (self.chunk / 2).max(self.floor);
         self.shrinks += 1;
         self.hold = CHUNK_HOLD_WINDOWS;
-        trace("ctl_chunk_resize", self.chunk as u64, paging_cycles);
         Some(self.chunk)
     }
 }

@@ -37,6 +37,9 @@
 //!   is usable as a general low-latency inter-thread call primitive.
 //! * [`ctl`] — [`ChunkSizer`], a one-way ratchet that halves a streaming
 //!   chunk while the EPC's paging bill per streamed byte stays high.
+//! * [`telemetry`] — what a plane measures about itself: its counters and
+//!   its queue, service and reap cycle histograms, read per plane with
+//!   `stats()` and `telemetry(name)`.
 //!
 //! ## Threaded quick start
 //!
@@ -65,6 +68,4 @@ pub mod telemetry;
 pub use config::HotCallConfig;
 pub use ctl::ChunkSizer;
 pub use error::{HotCallError, Result};
-pub use telemetry::{
-    GovernorStats, HotCallStats, RingStats, Snapshot, TelemetryRegistry, TELEMETRY_ENABLED,
-};
+pub use telemetry::{GovernorStats, HotCallStats, RingStats, TELEMETRY_ENABLED};

@@ -24,11 +24,9 @@
 //! travel *by value* through the ring and come back with the response, so
 //! no lock or atomic is needed on the alloc/recycle path.
 
-use crate::telemetry::trace;
-
-// The counter schema lives in the telemetry module so arena traffic merges
-// into [`crate::Snapshot`]s next to the ring planes; re-exported here so
-// `rt::ArenaStats` stays a valid path for existing callers.
+// The counter struct lives in the telemetry module next to the plane's
+// other stats structs; re-exported here so `rt::ArenaStats` stays a valid
+// path for existing callers.
 pub use crate::telemetry::ArenaStats;
 
 /// Payloads at or below this many bytes ride inline in the message — one
@@ -323,7 +321,6 @@ impl SlabArena {
             }
             None => {
                 self.stats.allocs += 1;
-                trace("arena_grow", class as u64, self.stats.allocs);
                 vec![0u8; class].into_boxed_slice()
             }
         };
@@ -362,11 +359,6 @@ impl SlabArena {
             .is_some_and(|&g| g == handle.generation);
         if !valid {
             self.stats.stale_recycles += 1;
-            trace(
-                "arena_stale_recycle",
-                handle.index as u64,
-                handle.generation as u64,
-            );
             return;
         }
         self.generations[handle.index as usize] = handle.generation.wrapping_add(1);

@@ -44,8 +44,7 @@ use std::thread::JoinHandle;
 use crate::config::{HotCallConfig, FUSED_BELOW_OCCUPANCY};
 use crate::error::{HotCallError, Result};
 use crate::telemetry::{
-    now_cycles, trace, AtomicHist, GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry,
-    RingStats,
+    now_cycles, AtomicHist, GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry, RingStats,
 };
 
 use super::pool;
@@ -317,9 +316,9 @@ where
         self.shared.plane_telemetry(name)
     }
 
-    /// A [`PlaneProvider`] for [`crate::telemetry::TelemetryRegistry`]:
-    /// the registry polls it at snapshot time, so the snapshot is always
-    /// current. The provider holds the plane's shared state alive.
+    /// A [`PlaneProvider`]: a closure that reads this plane's telemetry
+    /// whenever it is called. It holds the plane's shared state alive, so
+    /// it still reads the final counters after the server shuts down.
     pub fn telemetry_provider(&self, name: impl Into<String>) -> PlaneProvider {
         let shared = Arc::clone(&self.shared);
         let name = name.into();
@@ -695,7 +694,6 @@ impl<Req, Resp> RingRequester<Req, Resp> {
                 .dispatch(id, req)
                 .ok_or(HotCallError::UnknownCallId(id));
             self.shared.fused_runs.fetch_add(1, Ordering::Relaxed);
-            trace("fused_run", id as u64, 1);
             return result;
         }
         match self.submit_request(id, req) {

@@ -19,7 +19,7 @@ use sgx_sim::{Addr, Cycles, Machine};
 
 use crate::config::HotCallConfig;
 use crate::error::Result;
-use crate::telemetry::{trace, HotCallStats};
+use crate::telemetry::HotCallStats;
 
 /// Bytes of shared (un-encrypted) memory reserved for marshalled data.
 const SHARED_BYTES: u64 = 1 << 20;
@@ -201,7 +201,6 @@ impl SimHotCalls {
         if !self.acquire_responder(m)? {
             // Timeout: fall back to the regular SDK call (§4.2).
             self.stats.fallbacks += 1;
-            trace("sim_fallback", self.stats.fallbacks, m.now().get());
             return match kind {
                 Kind::Ecall => ctx.ecall(m, name, bufs, body).map_err(Into::into),
                 Kind::Ocall => ctx.ocall(m, name, bufs, body).map_err(Into::into),
@@ -271,7 +270,6 @@ impl SimHotCalls {
             {
                 m.charge(Cycles::new(WAKE_COST));
                 self.stats.wakeups += 1;
-                trace("sim_wake", self.stats.wakeups, m.now().get());
             }
         }
     }

@@ -24,7 +24,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
-use hotcalls::{HotCallConfig, TelemetryRegistry};
+use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
 type Server = RingServer<u64, u64>;
 type Requester = RingRequester<u64, u64>;
@@ -168,33 +168,46 @@ fn await_fusing(server: &Server) {
 /// has dozed, the call is a function call plus a few loads and counter
 /// bumps; on a plane that cannot doze it is a full publish/transfer round
 /// trip to a spinning responder. The inline runs must also show up where
-/// operators look for them.
+/// operators look for them: in the plane's telemetry, read through a
+/// provider taken before the plane shut down.
 #[test]
 fn fused_calls_beat_the_pooled_handoff() {
     let _timed = one_at_a_time();
-    let registry = TelemetryRegistry::new();
-    let rate = |name: &str, idle| {
+    let rate = |idle| {
         let server =
             RingServer::spawn_pool(table(Duration::ZERO), RING_CAPACITY, 1, plane_config(idle))
                 .unwrap();
-        registry.register_plane(server.telemetry_provider(format!("single-{name}")));
+        let telemetry = server.telemetry_provider("single");
         if idle == DOZING {
             await_fusing(&server);
         }
-        plane_rate(server, 1, |r, done| sync_calls(r, CPU, done))
+        let rate = plane_rate(server, 1, |r, done| sync_calls(r, CPU, done));
+        (rate, telemetry())
     };
-    let (pooled, fused) = (rate("spinning", SPINNING), rate("dozing", DOZING));
+    let ((pooled, spinning), (fused, dozing)) = (rate(SPINNING), rate(DOZING));
     let gain = fused / pooled;
     eprintln!("pooled {pooled:.0} calls/s, fused {fused:.0} calls/s ({gain:.1}x)");
     assert!(
         gain >= 1.2,
         "fused single-requester rate is only {gain:.2}x the pooled rate"
     );
-    let exposition = registry.snapshot().to_prometheus();
-    assert!(
-        exposition.contains("hotcalls_fused_runs_total{plane=\"single-dozing\""),
-        "fused runs missing from the exposition:\n{exposition}"
+    assert!(dozing.stats.totals.fused_runs > 0, "{:?}", dozing.stats);
+    assert_eq!(
+        spinning.stats.totals.fused_runs, 0,
+        "a spinning plane fused"
     );
+    if TELEMETRY_ENABLED {
+        // An inline run records no stage sample: the responder's queue
+        // histogram holds exactly the calls that rode the ring.
+        for t in [&spinning, &dozing] {
+            let totals = t.stats.totals;
+            assert_eq!(
+                t.queue.count(),
+                totals.calls - totals.fused_runs,
+                "{totals:?}"
+            );
+        }
+    }
 }
 
 /// What one plane made of the phase-shifting workload.

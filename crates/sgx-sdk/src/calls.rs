@@ -180,11 +180,6 @@ impl EnclaveCtx {
         &self.proxies
     }
 
-    /// Is the virtual thread currently executing inside the enclave?
-    pub fn in_enclave(&self) -> bool {
-        self.current_tcs.is_some()
-    }
-
     fn find_free_tcs(&self, m: &Machine) -> Result<usize> {
         let enclave = m.enclave(self.eid)?;
         enclave

@@ -16,8 +16,7 @@ echo "==> cargo clippy --all-targets --workspace -- -D warnings"
 cargo clippy --all-targets --workspace -- -D warnings
 
 # The telemetry-off feature must keep lint-clean, not just building: the
-# cfg'd-out trace, clock and histogram paths are code only this pass ever
-# lints.
+# cfg'd-out clock and histogram paths are code only this pass ever lints.
 echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings"
 cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings
 
@@ -27,11 +26,10 @@ echo "==> cargo doc --no-deps (first-party packages) with -D warnings"
 RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
     -p hotcalls-repro -p sgx-sim -p sgx-sdk -p hotcalls -p apps -p workloads -p bench
 
-# Telemetry-off compiles out instrumentation, not decisions: the chunk
-# sizer decides from what its callers hand it, so its unit test must see
-# the same ratchet in this build. The two lib suites run the
-# instrumentation-free paths of every plane (and `apps::env`'s
-# stage-histogram guard), which clippy only lints.
+# Telemetry-off compiles out the stage histograms and the cycle clock
+# (`now_cycles` reads 0, `AtomicHist` holds no buckets), not decisions:
+# the two lib suites run those instrumentation-free paths of every plane
+# (and `apps::env`'s stage-histogram guard), which clippy only lints.
 echo "==> cargo test -p hotcalls --lib --features telemetry-off"
 cargo test -q -p hotcalls --lib --features telemetry-off
 echo "==> cargo test -p apps --lib --features hotcalls/telemetry-off"

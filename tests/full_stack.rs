@@ -1,10 +1,10 @@
 //! Integration tests spanning every crate: enclave lifecycle → SDK calls
 //! → HotCalls → applications.
 
+use hotcalls_repro::apps::env::ApiCensus;
 use hotcalls_repro::apps::memcached::{self, protocol, Memcached};
 use hotcalls_repro::apps::{AppEnv, IfaceMode};
 use hotcalls_repro::hotcalls::sim::SimHotCalls;
-use hotcalls_repro::hotcalls::telemetry::ApiCensus;
 use hotcalls_repro::hotcalls::HotCallConfig;
 use hotcalls_repro::sgx_sdk::edl::parse_edl;
 use hotcalls_repro::sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
