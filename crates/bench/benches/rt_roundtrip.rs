@@ -7,6 +7,12 @@
 //!
 //! Beyond the single round trips:
 //!
+//! * `mailbox/pingpong_floor` — the host's floor for a synchronous
+//!   cross-core call: two flags, each on its own 128-B line pair, one
+//!   thread storing a sequence number into one and spinning (one PAUSE per
+//!   poll) until the other thread echoes it through the other. No payload,
+//!   no handler, no slot protocol: `mailbox/lock_free` ÷ this row is what
+//!   the mailbox costs above two cache lines changing hands.
 //! * `ring_pool/...` — the multi-requester ring with its one responder
 //!   under 1/2/4/8 requesters, each sample pushing a fixed batch of calls
 //!   through scoped requester threads.
@@ -18,7 +24,7 @@
 //!   what the plane costs on top of the work.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,7 +58,43 @@ fn bench_mailbox(c: &mut Criterion) {
         b.iter(|| requester.call(inc, std::hint::black_box(41)).unwrap())
     });
     server.shutdown();
+
+    let flags = Arc::new([PairFlag(AtomicU64::new(0)), PairFlag(AtomicU64::new(0))]);
+    let worker_flags = Arc::clone(&flags);
+    let worker = std::thread::spawn(move || {
+        let [ping, pong] = &*worker_flags;
+        let mut echoed = 0;
+        loop {
+            let seq = ping.0.load(Ordering::Acquire);
+            if seq == echoed {
+                std::hint::spin_loop();
+            } else if seq == u64::MAX {
+                return;
+            } else {
+                pong.0.store(seq, Ordering::Release);
+                echoed = seq;
+            }
+        }
+    });
+    let [ping, pong] = &*flags;
+    let mut seq = 0;
+    c.bench_function("mailbox/pingpong_floor", |b| {
+        b.iter(|| {
+            seq += 1;
+            ping.0.store(seq, Ordering::Release);
+            while pong.0.load(Ordering::Acquire) != seq {
+                std::hint::spin_loop();
+            }
+        })
+    });
+    ping.0.store(u64::MAX, Ordering::Release);
+    worker.join().unwrap();
 }
+
+/// A flag alone on a 128-B pair of lines, the unit the adjacent-line
+/// prefetcher fetches: the two flags of the ping-pong floor never share one.
+#[repr(align(128))]
+struct PairFlag(AtomicU64);
 
 // ---- OS-assisted alternatives ----------------------------------------------
 

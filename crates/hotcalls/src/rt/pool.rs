@@ -46,9 +46,14 @@ unsafe fn service_slot<Req, Resp>(
     local: &mut LocalStats,
     cell: &StatCell,
 ) {
-    // Dispatch-stage edge: the time between the requester's submit stamp
-    // and this pickup is the call's queueing delay. Recorded into the
-    // responder's single-writer cell.
+    // SAFETY: forwarded from the caller's contract — exclusive service
+    // ownership of this slot, SUBMITTED observed with Acquire.
+    let (id, req) = unsafe { slot.take_request() };
+    // Dispatch-stage edge, once the request is in hand: the time between
+    // the requester's submit stamp and here is the call's queueing delay
+    // (the cross-core read of the request cell included), so the service
+    // stage below is the handler alone. Recorded into the responder's
+    // single-writer cell.
     let t_dispatch = if TELEMETRY_ENABLED {
         let t = now_cycles();
         cell.stages
@@ -58,9 +63,6 @@ unsafe fn service_slot<Req, Resp>(
     } else {
         0
     };
-    // SAFETY: forwarded from the caller's contract — exclusive service
-    // ownership of this slot, SUBMITTED observed with Acquire.
-    let (id, req) = unsafe { slot.take_request() };
     let result = table
         .dispatch(id, req)
         .ok_or(HotCallError::UnknownCallId(id));

@@ -93,6 +93,15 @@ fn simulator_steady_state() {
         m.write(enc.offset((r >> 24) % (ENC - 2048)), 2048).unwrap();
         m.write(plain.offset((r >> 32) % (PLAIN - 512)), 512)
             .unwrap();
+        // A span of three pages and more, and scattered single-line loads
+        // whose tree walks miss up to the top: the span path and the MEE
+        // node cache's random victims.
+        m.read(enc.offset((r >> 20) % (ENC - (12 << 10))), 12 << 10)
+            .unwrap();
+        for k in 0..8 {
+            m.read(enc.offset((r >> (4 * k)) % (ENC - 8)), 8).unwrap();
+            m.reset_stream_detector();
+        }
         if i.is_multiple_of(64) {
             m.clflush_span(enc.offset((r >> 24) % (ENC - 2048)), 2048);
         }

@@ -32,7 +32,8 @@ pub struct Hierarchy {
     l2: SetAssocCache,
     llc: SetAssocCache,
     dirty: BlockSet,
-    line_size: u64,
+    /// log2 of the line size: a line number is an address shifted right.
+    line_bits: u32,
     l1_hit: u64,
     l2_hit: u64,
     llc_hit: u64,
@@ -40,13 +41,21 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the hierarchy described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line size is not a power of two.
     pub fn new(config: &SimConfig) -> Self {
+        assert!(
+            config.l1.line.is_power_of_two(),
+            "line size must be a power of two"
+        );
         Hierarchy {
             l1: SetAssocCache::new(&config.l1),
             l2: SetAssocCache::new(&config.l2),
             llc: SetAssocCache::new(&config.llc),
             dirty: BlockSet::new(config.l1.line),
-            line_size: config.l1.line,
+            line_bits: config.l1.line.trailing_zeros(),
             l1_hit: config.l1.hit_latency,
             l2_hit: config.l2.hit_latency,
             llc_hit: config.llc.hit_latency,
@@ -67,12 +76,12 @@ impl Hierarchy {
 
     /// Cache line size in bytes.
     pub fn line_size(&self) -> u64 {
-        self.line_size
+        1 << self.line_bits
     }
 
     /// Converts a byte address to a line number.
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_size
+        addr >> self.line_bits
     }
 
     /// Performs one line-granular access: returns the serving level and

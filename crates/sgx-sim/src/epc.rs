@@ -176,6 +176,13 @@ impl Epc {
         })
     }
 
+    /// Counts `n` more resident hits: touches of a page known to be
+    /// resident, such as the other missing lines of a span's page after the
+    /// first.
+    pub(crate) fn count_resident_hits(&mut self, n: u64) {
+        self.stats.resident_hits += n;
+    }
+
     /// Inserts `page` into the resident set, evicting the FIFO victim if
     /// the EPC is at capacity. Returns the EWB cost (zero if no eviction)
     /// and the victim page, if any.

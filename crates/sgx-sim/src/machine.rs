@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::cache::Hierarchy;
+use crate::cache::{Hierarchy, ServedBy};
 use crate::config::SimConfig;
 use crate::cycles::{Clock, Cycles};
 use crate::enclave::{Enclave, EnclaveId, EnclaveState, Secs, Tcs};
@@ -289,42 +289,85 @@ impl Machine {
             return Ok(Cycles::ZERO);
         }
         let line_size = self.caches.line_size();
-        let first = addr.get() / line_size;
-        let last = (addr.get() + len - 1) / line_size;
+        let last = self.caches.line_of(addr.get() + len - 1);
         let mut total = Cycles::ZERO;
-        for line in first..=last {
-            total += self.access_line(line, kind)?;
+        let mut line = self.caches.line_of(addr.get());
+        loop {
+            let page = Addr::new(line * line_size).page();
+            let end = last.min(self.caches.line_of((page + 1) * PAGE_SIZE - 1));
+            total += self.access_page(page, line, end, kind)?;
+            if end == last {
+                return Ok(total);
+            }
+            line = end + 1;
         }
-        Ok(total)
     }
 
-    /// One access to cache line number `line` through the full model.
-    fn access_line(&mut self, line: u64, kind: AccessKind) -> Result<Cycles> {
-        let line_addr = Addr::new(line * self.caches.line_size());
-        let mut tlb_cost = Cycles::ZERO;
-        if !self.tlb.touch(line_addr.page()) {
-            tlb_cost = Cycles::new(self.config.tlb_miss);
-        }
-        let served = self.caches.access_line(line);
-        let cost = tlb_cost
-            + match self.caches.hit_latency(served) {
-                Some(latency) => Cycles::new(latency),
-                None => self.miss_cost(line_addr, line, kind)?,
+    /// Lines `first..=last`, all on `page`, through the full model. The
+    /// first line probes the TLB, and the first that misses to DRAM in the
+    /// EPC checks the page's residency; either leaves the page present, and
+    /// a hit in the FIFO TLB or on a resident page changes nothing but a hit
+    /// count, so the page's other lines only add to those counts.
+    fn access_page(
+        &mut self,
+        page: u64,
+        first: u64,
+        last: u64,
+        kind: AccessKind,
+    ) -> Result<Cycles> {
+        let mut tlb_cost = if self.tlb.touch(page) {
+            Cycles::ZERO
+        } else {
+            Cycles::new(self.config.tlb_miss)
+        };
+        let in_epc = self.space.is_epc(Addr::new(page * PAGE_SIZE));
+        let mut epc_misses = 0;
+        let mut total = Cycles::ZERO;
+        let mut line = first;
+        let outcome = loop {
+            let cost = match self.caches.access_line(line) {
+                ServedBy::Memory => {
+                    match self.miss_cost(line, kind, in_epc.then_some(&mut epc_misses)) {
+                        Ok(cost) => cost,
+                        Err(e) => break Err(e),
+                    }
+                }
+                served => Cycles::new(self.caches.hit_latency(served).unwrap_or_default()),
             };
-        if kind == AccessKind::Store {
-            self.caches.mark_dirty(line);
+            if kind == AccessKind::Store {
+                self.caches.mark_dirty(line);
+            }
+            total += tlb_cost + cost;
+            tlb_cost = Cycles::ZERO;
+            if line == last {
+                break Ok(total);
+            }
+            line += 1;
+        };
+        if line > first {
+            self.tlb.count_hits(line - first);
         }
-        self.charge(cost);
-        Ok(cost)
+        if epc_misses > 1 {
+            self.epc.count_resident_hits(epc_misses - 1);
+        }
+        self.charge(total);
+        outcome
     }
 
     /// Cost of a miss that reached DRAM, split by region and pattern.
+    /// `epc_misses` counts the misses to this line's page so far in the
+    /// span (`None` outside the EPC): the first checks the page's residency.
     ///
     /// Loads expose full DRAM (+MEE) latency. Store misses are absorbed by
     /// the store buffer: they cost only a few cycles here, and the real
     /// write-back price is charged when the line is forced out with
     /// `clflush` — exactly how the paper's write benchmark observes it.
-    fn miss_cost(&mut self, line_addr: Addr, line: u64, kind: AccessKind) -> Result<Cycles> {
+    fn miss_cost(
+        &mut self,
+        line: u64,
+        kind: AccessKind,
+        epc_misses: Option<&mut u64>,
+    ) -> Result<Cycles> {
         let streamed = self.last_miss_line == Some(line.wrapping_sub(1));
         self.last_miss_line = Some(line);
         let pattern = if streamed {
@@ -334,12 +377,15 @@ impl Machine {
         };
 
         let mut cost = Cycles::ZERO;
-        let in_epc = self.space.is_epc(line_addr);
-        if in_epc {
+        let line_addr = Addr::new(line * self.caches.line_size());
+        let in_epc = epc_misses.is_some();
+        if let Some(misses) = epc_misses {
             // Residency first: a paged-out page costs a fault + ELDU (+EWB).
             // Page faults cannot be hidden by the store buffer.
-            let touch = self.epc.touch(line_addr.page())?;
-            cost += touch.cost;
+            if *misses == 0 {
+                cost += self.epc.touch(line_addr.page())?.cost;
+            }
+            *misses += 1;
         }
 
         match kind {
@@ -402,7 +448,7 @@ impl Machine {
     /// Flushes the line containing `addr` from the whole hierarchy, paying
     /// the demand write-back price if it was dirty.
     pub fn clflush(&mut self, addr: Addr) {
-        let line = addr.get() / self.caches.line_size();
+        let line = self.caches.line_of(addr.get());
         self.caches.clflush(addr.get());
         if self.caches.clear_dirty(line) {
             let wb = self.writeback_cost(addr, AccessPattern::Demand);
@@ -415,8 +461,8 @@ impl Machine {
     /// costs for dirty lines (the write benchmark's flush loop).
     pub fn clflush_span(&mut self, addr: Addr, len: u64) {
         let line_size = self.caches.line_size();
-        let first = addr.get() / line_size;
-        let last = (addr.get() + len.max(1) - 1) / line_size;
+        let first = self.caches.line_of(addr.get());
+        let last = self.caches.line_of(addr.get() + len.max(1) - 1);
         for line in first..=last {
             self.caches.clflush(line * line_size);
             if self.caches.clear_dirty(line) {
@@ -698,8 +744,8 @@ impl Machine {
         };
         // The structure lines are demand accesses, not a stream.
         self.reset_stream_detector();
-        for addr in &footprint[..epc_share] {
-            self.access_line(self.caches.line_of(addr.get()), AccessKind::Load)?;
+        for &addr in &footprint[..epc_share] {
+            self.access_span(addr, 1, AccessKind::Load)?;
             self.reset_stream_detector();
         }
         let untrusted_share = match t {
@@ -707,8 +753,7 @@ impl Machine {
             _ => self.untrusted_entry_lines.len().min(2),
         };
         for i in 0..untrusted_share {
-            let line = self.caches.line_of(self.untrusted_entry_lines[i].get());
-            self.access_line(line, AccessKind::Load)?;
+            self.access_span(self.untrusted_entry_lines[i], 1, AccessKind::Load)?;
             self.reset_stream_detector();
         }
         Ok(self.now() - start)
@@ -1021,7 +1066,7 @@ mod reference_tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::mee::{NodeId, Replacement};
+    use crate::mee::NodeId;
     use crate::reference::{epc, mee_cache, set_assoc, tlb};
 
     /// The memory model and EENTER/EEXIT of the old `Machine`, verbatim but
@@ -1062,7 +1107,7 @@ mod reference_tests {
                 tlb: tlb::Tlb::new(config.tlb_entries),
                 mee_cache: mee_cache::MeeCache::with_policy(
                     config.mee.cache_entries,
-                    Replacement::Random(0x4D45_4531),
+                    mee_cache::Replacement::Random(0x4D45_4531),
                 ),
                 mee_levels: m.mee.tree().levels(),
                 epc,
@@ -1266,8 +1311,10 @@ mod reference_tests {
     }
 
     /// Runs `ops` on a machine with `epc_pages` of EPC and on its mirror,
-    /// comparing after every operation.
-    fn run(seed: u64, epc_pages: u64, ops: &[(u8, bool, u64, u64)]) {
+    /// comparing after every operation. Spans are at most `max_len` bytes;
+    /// with `spans`, every other read is at once read again and the
+    /// counters are compared after every operation, not only at the end.
+    fn run(seed: u64, epc_pages: u64, ops: &[(u8, bool, u64, u64)], max_len: u64, spans: bool) {
         const REGION: u64 = 96 * PAGE_SIZE;
         let mut m = Machine::new(
             SimConfig::builder()
@@ -1288,12 +1335,17 @@ mod reference_tests {
         let plain = m.alloc_untrusted(REGION, PAGE_SIZE);
         let mut inside = false;
         for &(op, in_enclave, offset, len) in ops {
-            let addr = if in_enclave { enc } else { plain }.offset(offset % (REGION - 600));
+            let addr = if in_enclave { enc } else { plain }.offset(offset % (REGION - max_len));
             match op {
-                0..=5 => assert_eq!(
-                    m.read(addr, len),
-                    r.access_span(addr, len, AccessKind::Load)
-                ),
+                0..=5 => {
+                    let rereads = if spans && op % 2 == 0 { 2 } else { 1 };
+                    for _ in 0..rereads {
+                        assert_eq!(
+                            m.read(addr, len),
+                            r.access_span(addr, len, AccessKind::Load)
+                        );
+                    }
+                }
                 6..=9 => assert_eq!(
                     m.write(addr, len),
                     r.access_span(addr, len, AccessKind::Store)
@@ -1321,6 +1373,10 @@ mod reference_tests {
                 }
             }
             assert_eq!(m.now(), r.now);
+            if spans {
+                assert_eq!(m.telemetry(), r.telemetry());
+                assert_eq!(m.epc_stats(), r.epc.stats());
+            }
         }
         assert_eq!(m.telemetry(), r.telemetry());
         assert_eq!(m.epc_stats(), r.epc.stats());
@@ -1334,7 +1390,7 @@ mod reference_tests {
             seed in any::<u64>(),
             ops in proptest::collection::vec((0u8..14, any::<bool>(), any::<u64>(), 1u64..600), 1..400),
         ) {
-            run(seed, 4096, &ops);
+            run(seed, 4096, &ops, 600, false);
         }
 
         /// 96 + 8 pages committed to 48 of EPC: the stream pages in and
@@ -1344,7 +1400,21 @@ mod reference_tests {
             seed in any::<u64>(),
             ops in proptest::collection::vec((0u8..14, any::<bool>(), any::<u64>(), 1u64..600), 1..400),
         ) {
-            run(seed, 48, &ops);
+            run(seed, 48, &ops, 600, false);
+        }
+
+        /// Spans of 1 B to 12 KiB, which cross pages and 8-line MEE groups
+        /// (the span path's per-page TLB probe and residency check, the
+        /// node cache's leaf memo), every other read read again at once
+        /// (the L1-hit path), on an EPC that does and one that does not
+        /// page; the counters are compared after every operation.
+        #[test]
+        fn long_spans_match_reference(
+            seed in any::<u64>(),
+            overcommitted in any::<bool>(),
+            ops in proptest::collection::vec((0u8..14, any::<bool>(), any::<u64>(), 1u64..=12 << 10), 1..200),
+        ) {
+            run(seed, if overcommitted { 48 } else { 4096 }, &ops, 12 << 10, true);
         }
     }
 }

@@ -35,12 +35,17 @@ pub struct IntegrityTree {
 }
 
 impl IntegrityTree {
+    /// A tree has fewer levels than this (up to 2^30 lines, 64 GB, at
+    /// arity 2): a walk keeps a level per bit of a `u32`, the top one free.
+    pub(crate) const MAX_LEVELS: usize = 32;
+
     /// Builds a tree covering `epc_bytes` of protected memory in 64 B lines.
     ///
     /// # Panics
     ///
     /// Panics if `arity` is not a power of two of at least 2 (the walk steps
-    /// up a level by a shift).
+    /// up a level by a shift), or if the tree would be taller than
+    /// `MAX_LEVELS`.
     pub fn new(epc_bytes: u64, arity: u64) -> Self {
         assert!(arity > 1 && arity.is_power_of_two());
         let lines = epc_bytes / 64;
@@ -50,6 +55,10 @@ impl IntegrityTree {
             covered = covered.saturating_mul(arity);
             levels += 1;
         }
+        assert!(
+            usize::from(levels) + 1 < Self::MAX_LEVELS,
+            "integrity tree too tall"
+        );
         IntegrityTree {
             arity_bits: arity.trailing_zeros(),
             levels: levels + 1,

@@ -10,7 +10,7 @@ mod integrity_tree;
 mod mee_cache;
 
 pub use integrity_tree::{IntegrityTree, NodeId};
-pub use mee_cache::{MeeCache, Replacement};
+pub use mee_cache::MeeCache;
 
 use crate::config::MeeConfig;
 use crate::cycles::Cycles;
@@ -37,28 +37,20 @@ pub struct Mee {
 
 impl Mee {
     /// Builds the MEE protecting `epc_bytes` of memory. The node cache uses
-    /// deterministic pseudo-random replacement (see [`Replacement`]).
+    /// deterministic pseudo-random replacement (see [`MeeCache`]).
     pub fn new(epc_bytes: u64, config: MeeConfig) -> Self {
         Mee {
             tree: IntegrityTree::new(epc_bytes, config.arity),
-            cache: MeeCache::with_policy(config.cache_entries, Replacement::Random(0x4D45_4531)),
+            cache: MeeCache::new(config.cache_entries, 0x4D45_4531),
             config,
         }
     }
 
-    /// Walks the tree for `line` (EPC-relative line index) until a node
-    /// hits the MEE cache; installs missed nodes. Returns the number of
-    /// node fetches performed.
-    fn walk(&mut self, line: u64) -> u64 {
-        let Mee { tree, cache, .. } = self;
-        tree.path(line)
-            .take_while(|&node| !cache.access(node))
-            .count() as u64
-    }
-
-    /// Cost the MEE adds to a *load* of an EPC line that missed the LLC.
+    /// Cost the MEE adds to a *load* of an EPC line (EPC-relative line
+    /// index) that missed the LLC: the tree walk's node fetches (nodes
+    /// installed up to the first one the node cache holds) plus the crypto.
     pub fn load_cost(&mut self, line: u64, pattern: AccessPattern) -> Cycles {
-        let fetched = self.walk(line);
+        let fetched = self.cache.walk(&self.tree, line);
         let crypto = match pattern {
             AccessPattern::Streamed => self.config.crypto_stream,
             AccessPattern::Demand => self.config.crypto_load,

@@ -1,7 +1,18 @@
 //! `MeeCache` as of commit e06e1df, unchanged: the reference the differential
-//! tests in [`super`] hold the current implementation to.
+//! tests in [`super`] hold the current implementation to. `Replacement` was
+//! public in `crate::mee` then; the live cache has only the random policy
+//! now, so the enum lives here with the code that still matches on it.
 
-use crate::mee::{NodeId, Replacement};
+use crate::mee::NodeId;
+
+/// Victim selection policy for the MEE node cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replacement {
+    /// True least-recently-used.
+    Lru,
+    /// Pseudo-random victim (deterministic, seeded).
+    Random(u64),
+}
 
 /// Fully-associative cache of tree-node identities.
 #[derive(Debug, Clone)]
@@ -22,6 +33,7 @@ impl MeeCache {
     ///
     /// Panics if `capacity` is zero — the root is held on-die, but a
     /// zero-entry node cache cannot terminate walks below the root.
+    #[allow(dead_code)] // kept verbatim; the live cache has no LRU policy
     pub fn new(capacity: usize) -> Self {
         Self::with_policy(capacity, Replacement::Lru)
     }

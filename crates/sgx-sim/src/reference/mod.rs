@@ -13,7 +13,7 @@ pub(crate) mod tlb;
 use proptest::prelude::*;
 
 use crate::config::{CacheGeometry, PagingConfig};
-use crate::mee::{NodeId, Replacement};
+use crate::mee::NodeId;
 use crate::mem::{PAGE_SIZE, PRM_BASE, REGULAR_BASE};
 
 /// A small key that collides often, in any of the three address windows.
@@ -74,27 +74,20 @@ proptest! {
     }
 
     /// Capacities up to 9, the machine's 24 and `ablation_mee`'s sweep up
-    /// to 256; three levels of nodes number about twice the capacity.
+    /// to 256; three levels of nodes number about twice the capacity. A
+    /// tree walk is the old walk's probe-then-insert up a three-level
+    /// path over the same nodes.
     #[test]
     fn mee_cache_matches_reference(
         capacity in prop_oneof![1usize..10, Just(24usize), 4usize..=256],
-        lru in any::<bool>(),
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..10, 0u8..3, any::<u64>()), 1..1200),
+        ops in proptest::collection::vec((0u8..12, 0u8..3, any::<u64>()), 1..1200),
     ) {
         let indexes = capacity as u64 * 2 / 3 + 2;
-        let (mut new, mut old) = if lru {
-            (
-                crate::mee::MeeCache::new(capacity),
-                mee_cache::MeeCache::new(capacity),
-            )
-        } else {
-            let policy = Replacement::Random(seed);
-            (
-                crate::mee::MeeCache::with_policy(capacity, policy),
-                mee_cache::MeeCache::with_policy(capacity, policy),
-            )
-        };
+        let tree = crate::mee::IntegrityTree::new(512 * 64, 8);
+        let mut new = crate::mee::MeeCache::new(capacity, seed);
+        let mut old =
+            mee_cache::MeeCache::with_policy(capacity, mee_cache::Replacement::Random(seed));
         for (op, level, index) in ops {
             let index = index % indexes;
             let node = NodeId { level, index };
@@ -111,11 +104,23 @@ proptest! {
                     }
                     prop_assert_eq!(new.access(node), hit);
                 }
-                _ if index == 0 => {
+                9 if index == 0 => {
                     new.clear();
                     old.clear();
                 }
-                _ => {}
+                9 => {}
+                _ => {
+                    let line = index * 8 + u64::from(level);
+                    let mut fetched = 0;
+                    for node in tree.path(line) {
+                        if old.probe(node) {
+                            break;
+                        }
+                        old.insert(node);
+                        fetched += 1;
+                    }
+                    prop_assert_eq!(new.walk(&tree, line), fetched);
+                }
             }
             prop_assert_eq!(new.stats(), old.stats());
             prop_assert_eq!(new.len(), old.len());

@@ -55,6 +55,12 @@ impl Tlb {
         false
     }
 
+    /// Counts `n` more hits: touches of a page known to be present, such as
+    /// the other lines of a span's page after its first.
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.hits += n;
+    }
+
     /// Drops every translation (the cold-cache experiment's side effect).
     pub fn flush(&mut self) {
         for page in self.fifo.drain(..) {

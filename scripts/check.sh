@@ -47,12 +47,13 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # The simulator's differential proptests again under optimisation: the
 # tag store's recency-order moves and the reciprocal remainder of the MEE
 # cache's victim draw only take their final form there. The filter matches the four
-# structure tests in `reference` and the two whole-`Machine` streams; a
-# filter that matches nothing passes silently, so the count is checked.
+# structure tests in `reference` and the three whole-`Machine` streams (the
+# third with spans up to 12 KiB, for the per-page span path); a filter that
+# matches nothing passes silently, so the count is checked.
 echo "==> sgx-sim reference proptests (release)"
 out=$(cargo test --release -q -p sgx-sim --lib reference 2>&1) || { echo "$out"; exit 1; }
-grep -q "test result: ok. 6 passed" <<<"$out" \
-    || { echo "expected 6 sgx-sim reference tests to run:"; echo "$out"; exit 1; }
+grep -q "test result: ok. 7 passed" <<<"$out" \
+    || { echo "expected 7 sgx-sim reference tests to run:"; echo "$out"; exit 1; }
 
 # The mailbox end to end as a user drives it: round trips, a second call
 # id, `call_with_fallback` and the stats. Clippy only compiles examples.
