@@ -10,9 +10,9 @@
 //! | [`IfaceMode::HotCalls`] | HotCalls (~620 cycles) |
 //! | [`IfaceMode::HotCallsNrz`] | HotCalls + No-Redundant-Zeroing |
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use hotcalls::rt::{ArenaStats, ByteCallTable, ByteCaller, ByteRing, Ticket};
+use hotcalls::rt::{ArenaStats, ByteCallTable, ByteRing, HotBuf, SlabArena, Window};
 use hotcalls::sim::SimHotCalls;
 use hotcalls::telemetry::PlaneTelemetry;
 use hotcalls::{GovernorStats, HotCallConfig, HotCallStats, RingStats};
@@ -44,8 +44,12 @@ const RT_RING_CAPACITY: usize = 32;
 #[derive(Debug)]
 struct RtPool {
     server: ByteRing,
-    /// The one caller: an environment's calls come from one thread.
-    caller: ByteCaller,
+    /// The one caller's handle, as a window that carries a batch's calls
+    /// (empty between batches): an environment's calls come from one
+    /// thread.
+    window: Window<HotBuf, HotBuf>,
+    /// The arena every payload buffer cycles through.
+    arena: SlabArena,
     ids: BTreeMap<&'static str, u32>,
     /// Fallback id for calls outside the declared API table (and the
     /// `RunEnclaveFunction` ecall shell).
@@ -54,8 +58,6 @@ struct RtPool {
     /// header followed by the callee-bound bytes. Grows to the largest
     /// request ever sent and is never shrunk or re-zeroed.
     tx_scratch: Vec<u8>,
-    /// A batch's tickets in flight, oldest first (empty between batches).
-    window: VecDeque<Ticket>,
 }
 
 /// The untrusted responder's "OS body", shared by every API id: consume
@@ -86,14 +88,16 @@ impl RtPool {
         // several environments side by side, and a dozed plane runs the
         // synchronous calls inline.
         let server = ByteRing::spawn_pool(table, RT_RING_CAPACITY, 1, HotCallConfig::auto())?;
-        let caller = server.caller();
+        // One below the capacity: the batch depth the app figures are
+        // measured at (a window may be as deep as the ring).
+        let window = server.requester().window(RT_RING_CAPACITY - 1)?;
         Ok(RtPool {
             server,
-            caller,
+            window,
+            arena: SlabArena::new(),
             ids,
             run_fn,
             tx_scratch: Vec::new(),
-            window: VecDeque::with_capacity(RT_RING_CAPACITY),
         })
     }
 
@@ -101,37 +105,36 @@ impl RtPool {
     /// come back (written by the responder into the same buffer). Returns
     /// the caller-bound byte count actually produced.
     fn call(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> Result<u64> {
-        let (id, req_len) = self.stage_request(name, in_bytes, out_bytes);
-        let n = self
-            .caller
-            .call(id, &self.tx_scratch[..req_len], out_bytes as usize)?;
-        Ok(n as u64)
+        let (id, req) = self.stage_request(name, in_bytes, out_bytes);
+        let resp = self.window.requester().call(id, req)?;
+        let n = resp.len() as u64;
+        self.arena.recycle(resp);
+        Ok(n)
     }
 
-    /// Stages one request into `tx_scratch`: 8-byte response-length header
-    /// followed by `in_bytes` of callee-bound payload. Returns the call id
-    /// of `name` and the staged length.
-    fn stage_request(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> (u32, usize) {
+    /// Stages one request into an arena buffer with room for `out_bytes`
+    /// of response: 8-byte response-length header followed by `in_bytes`
+    /// of callee-bound payload, assembled in `tx_scratch`. Returns the
+    /// call id of `name` and the buffer.
+    fn stage_request(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> (u32, HotBuf) {
         let req_len = 8 + in_bytes as usize;
         if self.tx_scratch.len() < req_len {
             self.tx_scratch.resize(req_len, 0);
         }
         self.tx_scratch[..8].copy_from_slice(&out_bytes.to_le_bytes());
-        (self.ids.get(name).copied().unwrap_or(self.run_fn), req_len)
+        let req = self
+            .arena
+            .acquire(&self.tx_scratch[..req_len], out_bytes as usize);
+        (self.ids.get(name).copied().unwrap_or(self.run_fn), req)
     }
 
-    /// Submits one call of a batch without waiting, first redeeming the
-    /// oldest ticket when `RT_RING_CAPACITY - 1` are in flight: a
-    /// submission never laps the ring onto a ticket the batch still holds.
+    /// Submits one call of a batch without waiting; a full window first
+    /// redeems its oldest call.
     fn submit_windowed(&mut self, name: &str, in_bytes: u64, out_bytes: u64) -> Result<()> {
-        if self.window.len() == RT_RING_CAPACITY - 1 {
-            let oldest = self.window.pop_front().expect("a full window");
-            self.caller.wait_with(oldest, |_| ())?;
+        let (id, req) = self.stage_request(name, in_bytes, out_bytes);
+        if let Some(oldest) = self.window.submit(id, req)? {
+            self.arena.recycle(oldest);
         }
-        let (id, req_len) = self.stage_request(name, in_bytes, out_bytes);
-        let req = &self.tx_scratch[..req_len];
-        self.window
-            .push_back(self.caller.submit(id, req, out_bytes as usize)?);
         Ok(())
     }
 }
@@ -493,12 +496,11 @@ impl AppEnv {
                 break;
             }
         }
-        // Redeem every ticket still in flight, so none outlives the batch.
+        // Redeem every call still in flight, so none outlives the batch.
         let rt = self.rt.as_mut().expect("hot mode has rt pool");
-        while let Some(ticket) = rt.window.pop_front() {
-            outcome = outcome.and(rt.caller.wait_with(ticket, |_| ()).map_err(Into::into));
-        }
-        outcome?;
+        let arena = &mut rt.arena;
+        let drained = rt.window.drain(|resp| arena.recycle(resp));
+        outcome.and(drained.map_err(Into::into))?;
         for (name, buf) in calls {
             let os_cost = self.api_costs.get(name).copied().unwrap_or(300);
             self.charge_hot_ocall(name, buf.as_slice(), os_cost)?;
@@ -600,7 +602,7 @@ impl AppEnv {
     /// inline hits, slab recycles, fresh allocations. `None` for modes
     /// that have no switchless channel.
     pub fn arena_stats(&self) -> Option<ArenaStats> {
-        self.rt.as_ref().map(|rt| rt.caller.arena_stats())
+        self.rt.as_ref().map(|rt| rt.arena.stats())
     }
 
     /// The real transport's responder in [`GovernorStats`] form

@@ -412,7 +412,8 @@ impl SecureStore {
     /// Ingests `data` as object `name`: streams it through the enclave
     /// cipher in pipelined chunks of `chunk_bytes()` bytes (re-read per
     /// chunk — wire it to [`hotcalls::ChunkSizer::chunk_bytes`] for
-    /// EPC-aware sizing) under a credit window of `window`, dedup-indexes
+    /// EPC-aware sizing) under a credit window of `window` (clamped to
+    /// the ring's capacity; see [`StreamCaller::stream`]), dedup-indexes
     /// its content blocks in the stream's pre-submit gate — each chunk's
     /// blocks are fingerprinted while the responder encrypts the chunks
     /// before it — and authenticates the ciphertext block-wise as it
@@ -500,15 +501,16 @@ impl SecureStore {
     }
 
     /// Reads object `name` back: streams the stored ciphertext through
-    /// the enclave cipher (its own inverse) with tag verification running
-    /// ahead of it in the stream's pre-submit gate. Before a chunk is
-    /// submitted, every 4 KiB block it touches has had its tag recomputed
-    /// and compared with the stored one; before the chunk that touches
-    /// the last block is submitted, the tag count and the chained object
-    /// tag have verified too. Chunks admitted earlier are decrypted while
-    /// later blocks are still unverified — into a buffer that is returned
-    /// only if the whole object verified and the stream ran to its end,
-    /// and dropped otherwise.
+    /// the enclave cipher (its own inverse) under a credit window of
+    /// `window` (clamped to the ring's capacity, as in `put`) with tag
+    /// verification running ahead of it in the stream's pre-submit gate.
+    /// Before a chunk is submitted, every 4 KiB block it touches has had
+    /// its tag recomputed and compared with the stored one; before the
+    /// chunk that touches the last block is submitted, the tag count and
+    /// the chained object tag have verified too. Chunks admitted earlier
+    /// are decrypted while later blocks are still unverified — into a
+    /// buffer that is returned only if the whole object verified and the
+    /// stream ran to its end, and dropped otherwise.
     ///
     /// # Errors
     ///

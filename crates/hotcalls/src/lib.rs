@@ -26,7 +26,9 @@
 //!   is *pipelined*: [`rt::RingRequester::submit`] /
 //!   [`rt::RingRequester::wait_any`] keep many calls in flight per
 //!   requester (a call returns through `call`, `wait` or `wait_any` and
-//!   nothing else; one ticket is one call). The responder drains for the
+//!   nothing else; one ticket is one call), and [`rt::Window`] keeps such a
+//!   pipeline, reaping oldest first, without ever lapping the ring onto a
+//!   call it still holds. The responder drains for the
 //!   plane's life, and the paper's doze is its one idle mechanism: only
 //!   the responder services ring slots, and while it dozes
 //!   (`HotCallConfig::idle_polls_before_sleep`) a synchronous call skips

@@ -16,9 +16,9 @@
 //! claim, request, response — each written by one side only and on lines
 //! no other writer touches (see `slot::MailSlot`), and hot-path statistics
 //! are responder-local counters flushed with plain stores. For the queued
-//! plane — one ring, one responder — see [`RingServer`]; a byte
-//! or scatter-gather plane is that same server at `HotBuf` or `SgList`
-//! payloads ([`ByteRing`], [`SgRing`]).
+//! plane — one ring, one responder — see [`RingServer`], and [`Window`]
+//! for a pipeline of calls on it; a byte or scatter-gather plane is that
+//! same server at `HotBuf` or `SgList` payloads ([`ByteRing`], [`SgRing`]).
 
 pub mod arena;
 mod bytes;
@@ -31,10 +31,8 @@ mod stream;
 pub use arena::{ArenaStats, HotBuf, SgList, SlabArena, INLINE_CAPACITY};
 pub use bytes::{ByteCallTable, ByteCaller, ByteRing};
 pub use calltable::CallTable;
-pub use ring::{RingRequester, RingServer, Ticket};
-pub use stream::{
-    SgCallTable, SgRing, StreamCaller, StreamReport, DEFAULT_SEGMENT_BYTES, DEFAULT_STREAM_WINDOW,
-};
+pub use ring::{RingRequester, RingServer, Ticket, Window};
+pub use stream::{SgCallTable, SgRing, StreamCaller, StreamReport, DEFAULT_SEGMENT_BYTES};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -28,8 +28,9 @@
 //! immediately, and [`RingRequester::wait`] and
 //! [`RingRequester::wait_any`] reap completions later, so one requester
 //! keeps many slots in flight and overlaps its own work with the
-//! responder's. One ticket is one call: a slot carries one request and one
-//! response, as the paper's mailbox does.
+//! responder's; a [`Window`] keeps such a pipeline without lapping the
+//! ring onto a call it still holds. One ticket is one call: a slot carries
+//! one request and one response, as the paper's mailbox does.
 //!
 //! The doze (§4.2, "Conserving resources at idle times") is the plane's
 //! only idle mechanism: a responder that finds no work for
@@ -37,6 +38,7 @@
 //! submission wakes it, and while it dozes a synchronous
 //! [`RingRequester::call`] runs its handler inline.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -571,10 +573,9 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// An un-redeemed ticket keeps its ring slot occupied, so a
     /// submission that laps the ring onto such a slot blocks until the
     /// ticket is redeemed (or, if the ticket was dropped, reaps the
-    /// abandoned response itself). Pipelined callers should keep fewer
-    /// than `capacity` calls in flight and redeem a ticket whose sequence
-    /// number is one full lap behind the submission count before
-    /// submitting past it.
+    /// abandoned response itself). A pipelining caller keeps its tickets
+    /// in a [`Window`] ([`RingRequester::window`]), which never submits
+    /// past a ticket it still holds a full lap behind.
     ///
     /// # Errors
     ///
@@ -642,10 +643,10 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// (see [`Ticket::seq`]) with the response — the reap primitive that
     /// keeps a deep pipeline full.
     ///
-    /// Redeeming oldest first keeps a window of up to `capacity - 1`
-    /// tickets from lapping the ring onto a slot only this caller could
-    /// free. It also costs no latency: the responder completes calls in
-    /// submission order, so no younger ticket of the set is ever done
+    /// Redeeming oldest first keeps a set from lapping the ring onto a
+    /// slot only this caller could free: a lone window may be as deep as
+    /// the ring. It also costs no latency: the responder completes calls
+    /// in submission order, so no younger ticket of the set is ever done
     /// while the oldest is still pending.
     ///
     /// # Errors
@@ -718,6 +719,115 @@ impl<Req, Resp> RingRequester<Req, Resp> {
             Err((HotCallError::ResponderTimeout { .. }, req)) => Ok(fallback(req)),
             Err((e, _)) => Err(e),
         }
+    }
+
+    /// This handle as a [`Window`] of up to `depth` calls in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`HotCallError::InvalidConfig`] if `depth` is 0 or exceeds the
+    /// ring's capacity.
+    pub fn window(self, depth: usize) -> Result<Window<Req, Resp>> {
+        if depth == 0 || depth > self.capacity() {
+            return Err(HotCallError::InvalidConfig(
+                "a window holds 1 to capacity calls",
+            ));
+        }
+        let inflight = VecDeque::with_capacity(depth);
+        Ok(Window {
+            requester: self,
+            inflight,
+            depth,
+        })
+    }
+
+    pub(super) fn capacity(&self) -> usize {
+        self.shared.slots.len()
+    }
+}
+
+/// Up to `depth` calls in flight on one requester, redeemed oldest first:
+/// the ring's lap rule in a type. A submission laps onto the slot of the
+/// call `capacity` sequences before it; a window of `depth ≤ capacity` has
+/// redeemed that call by then, and waiting on the oldest costs nothing,
+/// since the one responder completes calls in submission order. The rule
+/// holds while the window is the ring's only pipelining requester: other
+/// requesters' submissions between its own can still lap a window onto a
+/// call it holds. Dropping a window abandons its calls in flight (see
+/// [`Ticket`]).
+///
+/// ```
+/// use hotcalls::rt::{CallTable, RingServer};
+/// use hotcalls::HotCallConfig;
+///
+/// let mut table: CallTable<u64, u64> = CallTable::new();
+/// let inc = table.register(|x| x + 1);
+/// let server = RingServer::spawn_pool(table, 4, 1, HotCallConfig::default()).unwrap();
+/// let mut window = server.requester().window(4).unwrap();
+/// // The fifth submission first redeems the oldest call.
+/// let reaped: Vec<_> = (0..5).filter_map(|x| window.submit(inc, x).unwrap()).collect();
+/// assert_eq!(reaped, [1]);
+/// assert_eq!(window.drain(|resp| assert!(resp > 1)).unwrap(), 4);
+/// ```
+#[derive(Debug)]
+pub struct Window<Req, Resp> {
+    requester: RingRequester<Req, Resp>,
+    /// Tickets in flight, oldest first.
+    inflight: VecDeque<Ticket>,
+    depth: usize,
+}
+
+impl<Req, Resp> Window<Req, Resp> {
+    /// The handle the window submits through, for synchronous calls.
+    pub fn requester(&self) -> &RingRequester<Req, Resp> {
+        &self.requester
+    }
+
+    /// Calls in flight.
+    pub fn len(&self) -> usize {
+        self.inflight.len()
+    }
+
+    /// Is nothing in flight?
+    pub fn is_empty(&self) -> bool {
+        self.inflight.is_empty()
+    }
+
+    /// Submits a call without waiting. A full window first redeems its
+    /// oldest call and returns that response.
+    ///
+    /// # Errors
+    ///
+    /// As [`RingRequester::wait`] for the oldest call (`req` is then
+    /// dropped unsubmitted), or as [`RingRequester::submit`].
+    pub fn submit(&mut self, id: u32, req: Req) -> Result<Option<Resp>> {
+        let full = self.inflight.len() == self.depth;
+        let reaped = if full { self.reap().transpose()? } else { None };
+        self.inflight.push_back(self.requester.submit(id, req)?);
+        Ok(reaped)
+    }
+
+    /// Redeems the oldest call in flight; `None` when nothing is.
+    pub(super) fn reap(&mut self) -> Option<Result<Resp>> {
+        let ticket = self.inflight.pop_front()?;
+        Some(self.requester.wait(ticket))
+    }
+
+    /// Redeems every call in flight, oldest first, passing each response
+    /// to `f`; returns how many it passed.
+    ///
+    /// # Errors
+    ///
+    /// The first failed call's error, once every call is redeemed.
+    pub fn drain(&mut self, mut f: impl FnMut(Resp)) -> Result<u64> {
+        let (mut passed, mut failed) = (0, None);
+        while let Some(result) = self.reap() {
+            match result.map(&mut f) {
+                Ok(()) => passed += 1,
+                Err(e) => failed = failed.or(Some(e)),
+            }
+        }
+        failed.map_or(Ok(passed), Err)
     }
 }
 
@@ -852,6 +962,12 @@ mod tests {
                 "a ring plane has one responder"
             ))
         ));
+        // A window holds 1 to capacity calls.
+        let (server, _) = plane(4, generous());
+        for (depth, ok) in [(0, false), (1, true), (4, true), (5, false)] {
+            let window = server.requester().window(depth);
+            assert_eq!(window.is_ok(), ok, "depth {depth}");
+        }
     }
 
     #[test]

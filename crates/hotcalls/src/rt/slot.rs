@@ -114,6 +114,9 @@ pub(crate) struct CallSlot<Req, Resp> {
 // the state machine designates (see the struct docs); sending the payloads
 // across threads is what the slot is for, hence `Req: Send`/`Resp: Send`.
 unsafe impl<Req: Send, Resp: Send> Sync for CallSlot<Req, Resp> {}
+// SAFETY: moving a slot to another thread moves the request and response
+// its cells may hold and nothing else (its other fields are atomics), so
+// the slot is `Send` whenever those payloads are.
 unsafe impl<Req: Send, Resp: Send> Send for CallSlot<Req, Resp> {}
 
 impl<Req, Resp> CallSlot<Req, Resp> {

@@ -25,23 +25,18 @@
 //! response length. Same NRZ discipline as the byte path: capacity past
 //! the response is unspecified garbage and nobody pays to zero it.
 
-use std::collections::VecDeque;
 use std::ops::{ControlFlow, Range};
 
 use crate::error::Result;
 
 use super::arena::{ArenaStats, SgList, SlabArena};
-use super::ring::{RingRequester, RingServer, Ticket};
+use super::ring::{RingRequester, RingServer, Window};
 use super::CallTable;
 
 /// Default arena segment size for scatter-gather transfers: big enough
 /// to amortize per-segment bookkeeping, small enough that a handful of
 /// size classes cover every stream.
 pub const DEFAULT_SEGMENT_BYTES: usize = 16 << 10;
-
-/// Default credit window: double-buffered — the responder works on one
-/// chunk while the caller marshals the next.
-pub const DEFAULT_STREAM_WINDOW: usize = 2;
 
 /// A call table whose handlers transform scatter-gather chunks in place.
 #[derive(Debug, Default)]
@@ -146,27 +141,25 @@ pub struct StreamReport {
     pub refused_at: Option<u64>,
 }
 
-/// A streaming handle owning the arena its chunks cycle through plus the
-/// reusable in-flight window, so steady-state streaming allocates
+/// A streaming handle owning the arena its chunks cycle through plus a
+/// [`Window`] as deep as the ring, so steady-state streaming allocates
 /// nothing per chunk.
 #[derive(Debug)]
 pub struct StreamCaller {
-    requester: RingRequester<SgList, SgList>,
+    /// In-flight chunks, redeemed oldest first so responses reach the sink
+    /// in object order while the window keeps the plane busy.
+    window: Window<SgList, SgList>,
     arena: SlabArena,
     segment_bytes: usize,
-    /// In-flight chunks in submission order; redeemed FIFO so responses
-    /// reach the sink in object order while the window keeps the plane
-    /// busy. Reused across streams.
-    inflight: VecDeque<(u64, Ticket)>,
 }
 
 impl StreamCaller {
     fn new(requester: RingRequester<SgList, SgList>) -> Self {
+        let depth = requester.capacity();
         StreamCaller {
-            requester,
+            window: requester.window(depth).expect("capacity is a valid depth"),
             arena: SlabArena::new(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            inflight: VecDeque::new(),
         }
     }
 
@@ -194,15 +187,16 @@ impl StreamCaller {
         read: impl FnOnce(&SgList) -> R,
     ) -> Result<R> {
         let sg = self.arena.acquire_sg(data, self.segment_bytes);
-        let resp = self.requester.call(id, sg)?;
+        let resp = self.window.requester().call(id, sg)?;
         let r = read(&resp);
         self.arena.recycle_sg(resp);
         Ok(r)
     }
 
     /// Streams `data` through handler `id` as pipelined chunks under a
-    /// credit window of `window` in-flight chunks (clamped to ≥ 1;
-    /// [`DEFAULT_STREAM_WINDOW`] double-buffers).
+    /// credit window of `window` in-flight chunks, clamped to between 1
+    /// and the ring's capacity (2 double-buffers: the responder works on
+    /// one chunk while the caller marshals the next).
     ///
     /// `chunk_bytes` is re-read before each chunk is marshalled — return
     /// a constant for static chunking, or wire it to
@@ -247,11 +241,12 @@ impl StreamCaller {
     ///
     /// # Errors
     ///
-    /// As [`RingRequester::submit`] / [`RingRequester::wait`]. The chunks
-    /// in flight at the failure point are drained like a refusal drains
-    /// them — each is waited for, and the segments of those that complete
-    /// go back to the arena; only a chunk whose own wait fails is dropped
-    /// instead of recycled.
+    /// As [`RingRequester::submit`] / [`RingRequester::wait`], including
+    /// while a refusal drains the window. The chunks in flight at the
+    /// failure point are drained like a refusal drains them — each is
+    /// waited for, and the segments of those that complete go back to the
+    /// arena; only a chunk whose own wait fails is dropped instead of
+    /// recycled.
     pub fn stream_gated(
         &mut self,
         id: u32,
@@ -261,22 +256,22 @@ impl StreamCaller {
         mut gate: impl FnMut(Range<usize>) -> ControlFlow<()>,
         mut on_chunk: impl FnMut(u64, &SgList),
     ) -> Result<StreamReport> {
-        let window = window.max(1);
+        let window = window.clamp(1, self.window.requester().capacity());
         let mut report = StreamReport::default();
         let mut offset = 0usize;
         let mut last_chunk = 0usize;
-        debug_assert!(self.inflight.is_empty());
-        while offset < data.len() || !self.inflight.is_empty() {
+        debug_assert!(self.window.is_empty());
+        while offset < data.len() || !self.window.is_empty() {
             // Marshal up to the credit limit, then redeem the oldest
             // chunk: submission order is completion order at the sink,
             // and while we wait the responder chews on the rest of the
             // window.
-            if offset < data.len() && self.inflight.len() < window {
+            if offset < data.len() && self.window.len() < window {
                 let chunk = chunk_bytes().max(1);
                 let end = offset.saturating_add(chunk).min(data.len());
                 if gate(offset..end).is_break() {
                     report.refused_at = Some(offset as u64);
-                    report.redeemed += self.abandon_inflight();
+                    report.redeemed += self.drain()?;
                     break;
                 }
                 if report.chunks > 0 && chunk != last_chunk {
@@ -287,48 +282,38 @@ impl StreamCaller {
                     .arena
                     .acquire_sg(&data[offset..end], self.segment_bytes);
                 sg.set_meta(offset as u64);
-                let ticket = match self.requester.submit(id, sg) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        self.abandon_inflight();
-                        return Err(e);
-                    }
-                };
-                self.inflight.push_back((offset as u64, ticket));
+                // Below the window's depth, so nothing is reaped here.
+                if let Err(e) = self.window.submit(id, sg) {
+                    let _ = self.drain();
+                    return Err(e);
+                }
                 report.chunks += 1;
                 report.submitted += 1;
                 report.bytes_in += (end - offset) as u64;
                 offset = end;
                 continue;
             }
-            let (chunk_offset, ticket) = self.inflight.pop_front().expect("window is non-empty");
-            let resp = match self.requester.wait(ticket) {
+            let resp = match self.window.reap().expect("window is non-empty") {
                 Ok(r) => r,
                 Err(e) => {
-                    self.abandon_inflight();
+                    let _ = self.drain();
                     return Err(e);
                 }
             };
             report.redeemed += 1;
             report.bytes_out += resp.len() as u64;
-            on_chunk(chunk_offset, &resp);
+            on_chunk(resp.meta(), &resp);
             self.arena.recycle_sg(resp);
         }
         Ok(report)
     }
 
-    /// Drains the window after a refusal or a mid-stream error: redeem
-    /// what completes so the arena gets its segments back, drop what
-    /// doesn't. Returns the number redeemed.
-    fn abandon_inflight(&mut self) -> u64 {
-        let mut redeemed = 0;
-        while let Some((_, ticket)) = self.inflight.pop_front() {
-            if let Ok(resp) = self.requester.wait(ticket) {
-                self.arena.recycle_sg(resp);
-                redeemed += 1;
-            }
-        }
-        redeemed
+    /// Drains the window after a refusal or a mid-stream error: what
+    /// completes goes back to the arena, what fails is dropped. Returns
+    /// the number recycled, or the first failure.
+    fn drain(&mut self) -> Result<u64> {
+        let arena = &mut self.arena;
+        self.window.drain(|resp| arena.recycle_sg(resp))
     }
 
     /// Counters of this caller's private arena.
@@ -404,7 +389,7 @@ mod tests {
             .stream(
                 xor,
                 &data,
-                DEFAULT_STREAM_WINDOW,
+                2,
                 || 64 << 10,
                 |off, sg| {
                     let mut piece = Vec::new();

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
+use hotcalls::rt::{CallTable, RingRequester, RingServer};
 use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
 /// A handler argument that parks the responder until the gate is opened.
@@ -174,31 +174,27 @@ fn ring_wait_any_holds_for_a_gated_oldest_then_returns_in_order() {
     drop(guard);
 }
 
-/// A pipeline whose window equals the ring's capacity: every submission
-/// laps onto the slot of the oldest ticket in flight, so `wait_any` must
-/// hand that one back. A pick that returned a younger completion would
-/// leave the next `submit` spinning on a DONE slot only this thread can
-/// redeem, until it times out.
-fn window_equal_to_capacity(window: usize) {
-    let (table, inc) = gated_table(Default::default());
-    let server = plane(table, window);
-    let r = server.requester();
-    let mut tickets: Vec<Ticket> = Vec::new();
-    for x in 0..100_000u64 {
-        if tickets.len() == window {
-            let (seq, resp) = r.wait_any(&mut tickets).unwrap();
-            assert_eq!(resp, seq + 1);
-        }
-        // The value is the sequence the call is about to get.
-        let ticket = r.submit(inc, x).expect("lapped onto an un-redeemed slot");
-        assert_eq!(ticket.seq(), x);
-        tickets.push(ticket);
-    }
-}
-
+/// A window as deep as the ring: every submission laps onto the slot of
+/// the oldest call in flight, so the window must redeem that one first. A
+/// reap that returned a younger completion would leave the next `submit`
+/// spinning on a DONE slot only this thread can redeem, until it times
+/// out.
 #[test]
 fn ring_window_equal_to_capacity_never_wedges() {
-    window_equal_to_capacity(2);
+    let (table, inc) = gated_table(Default::default());
+    let server = plane(table, 2);
+    let mut window = server.requester().window(2).unwrap();
+    // Responses come back in submission order: the k-th is k + 1.
+    let mut expected = 1..;
+    let mut check = |resp: u64| assert_eq!(Some(resp), expected.next());
+    for x in 0..100_000u64 {
+        let reaped = window
+            .submit(inc, x)
+            .expect("lapped onto an un-redeemed slot");
+        reaped.into_iter().for_each(&mut check);
+    }
+    assert_eq!(window.drain(&mut check).unwrap(), 2);
+    assert_eq!(expected.next(), Some(100_001));
 }
 
 /// The reap histogram is one single-writer cell per requester handle.

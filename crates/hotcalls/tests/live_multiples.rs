@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use hotcalls::rt::{CallTable, RingRequester, RingServer, Ticket};
+use hotcalls::rt::{CallTable, RingRequester, RingServer};
 use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
 type Server = RingServer<u64, u64>;
@@ -84,29 +84,16 @@ fn sync_calls(r: &Requester, id: u32, done: impl Fn() -> bool) -> u64 {
     calls
 }
 
-/// `depth` submissions kept in flight until `done()`, then drained so
-/// every submission is completed and counted; returns the count.
-///
-/// `wait_any` hands back the oldest ticket, so the window stays the
-/// `depth` most recent submissions and never laps the ring onto a ticket
-/// it still holds.
+/// A window of `depth` submissions kept in flight until `done()`, then
+/// drained so every submission is completed and counted; returns the
+/// count.
 fn pipelined_calls(r: &Requester, id: u32, depth: usize, done: impl Fn() -> bool) -> u64 {
-    assert!(depth < RING_CAPACITY);
-    let (mut submitted, mut completed) = (0, 0);
-    let mut tickets: Vec<Ticket> = Vec::with_capacity(depth);
+    let mut window = r.clone().window(depth).unwrap();
+    let mut completed = 0;
     while !done() {
-        while tickets.len() < depth {
-            tickets.push(r.submit(id, submitted).unwrap());
-            submitted += 1;
-        }
-        r.wait_any(&mut tickets).unwrap();
-        completed += 1;
+        completed += u64::from(window.submit(id, completed).unwrap().is_some());
     }
-    while !tickets.is_empty() {
-        r.wait_any(&mut tickets).unwrap();
-        completed += 1;
-    }
-    completed
+    completed + window.drain(drop).unwrap()
 }
 
 /// Runs `drive` on one thread per requester for [`MEASURE`]; returns the

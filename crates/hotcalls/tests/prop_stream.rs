@@ -54,7 +54,7 @@ proptest! {
         // rounds capacities up to its power-of-two size classes.
         segment_bytes in (6u32..13).prop_map(|p| 1usize << p),
         schedule in proptest::collection::vec(1usize..6000, 1..8),
-        window in 1usize..5,
+        window in 1usize..17,
     ) {
         let mut table = SgCallTable::new();
         let id = register_xform(&mut table);
@@ -103,7 +103,7 @@ proptest! {
     fn stream_conserves_tickets_across_resizes(
         len in 0usize..40_000,
         schedule in proptest::collection::vec(1usize..9000, 1..10),
-        window in 1usize..5,
+        window in 1usize..17,
     ) {
         let mut table = SgCallTable::new();
         let echo = table.register(|sg| sg.len());
@@ -149,7 +149,7 @@ proptest! {
     fn gate_runs_once_per_chunk_before_its_handler_and_may_refuse(
         len in 0usize..40_000,
         schedule in proptest::collection::vec(1usize..9000, 1..10),
-        window in 1usize..5,
+        window in 1usize..17,
         refuse in any::<usize>(),
     ) {
         // One flag per object offset, set by the gate for the offset its

@@ -12,13 +12,14 @@ bash -n scripts/pairs.sh
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --all-targets --workspace -- -D warnings"
-cargo clippy --all-targets --workspace -- -D warnings
+# Every `unsafe` block and impl carries its own `// SAFETY:` comment.
+echo "==> cargo clippy --all-targets --workspace -- -D warnings -W clippy::undocumented_unsafe_blocks"
+cargo clippy --all-targets --workspace -- -D warnings -W clippy::undocumented_unsafe_blocks
 
 # The telemetry-off feature must keep lint-clean, not just building: the
 # cfg'd-out clock and histogram paths are code only this pass ever lints.
-echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings"
-cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings
+echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks"
+cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
 
 # Rustdoc over the first-party packages (the vendored stand-ins are not
 # ours to lint): a doc link to a deleted or private item fails the gate.
@@ -72,7 +73,7 @@ cargo run --release -q --example quickstart
 # (`ticket_drop` abandons tickets on a one-responder ring: the
 # dropped-ticket wedge; `responder_services_in_submission_order` and
 # `ring_window_equal_to_capacity_never_wedges` pipeline windows as deep as
-# their ring: the `wait_any` oldest-first pick;
+# their ring: the `wait_any` oldest-first pick and `rt::Window`'s reap;
 # `wait_any_redeems_oldest_...` laps an 8-slot ring with 4 in flight: the
 # `wait_any` wedge; `api_call_batch_laps_the_ring_...` pipelines three
 # laps of `apps::env`'s ring in one batch: the lap rule of a window).
