@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use hotcalls::rt::{ArenaStats, ByteCallTable, ByteRing, HotBuf, SlabArena, Window};
 use hotcalls::sim::SimHotCalls;
 use hotcalls::telemetry::PlaneTelemetry;
-use hotcalls::{GovernorStats, HotCallConfig, HotCallStats, RingStats};
+use hotcalls::{GovernorStats, HotCallConfig, HotCallStats};
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
@@ -613,19 +613,12 @@ impl AppEnv {
         self.rt.as_ref().map(|rt| rt.server.governor_stats())
     }
 
-    /// Ring statistics of the real transport's data plane (HotCalls modes
-    /// only): totals and the ring's occupancy. `None` for modes that have
-    /// no switchless channel.
-    pub fn rt_ring_stats(&self) -> Option<RingStats> {
-        self.rt.as_ref().map(|rt| rt.server.ring_stats())
-    }
-
     /// Cycles spent inside the call interface so far (enclave modes only;
     /// zero natively). Drives Table 2's "Core Time" column.
     pub fn interface_cycles(&self) -> Cycles {
-        match (&self.ctx, &self.hot) {
-            (Some(ctx), _) => ctx.stats().total_cycles(),
-            _ => Cycles::ZERO,
+        match &self.ctx {
+            Some(ctx) => ctx.stats().total_cycles(),
+            None => Cycles::ZERO,
         }
     }
 
@@ -873,11 +866,11 @@ mod tests {
         }
         let t = hot.rt_telemetry("plane").unwrap();
         assert_eq!((t.name.as_str(), t.stats.occupancy), ("plane", 0));
-        let rs = hot.rt_ring_stats().unwrap();
+        let rs = t.stats;
         let s = hot.rt_stats().unwrap();
         assert_eq!(s.calls, 8, "{s:?}");
         assert_eq!(rs.totals.busy_polls + s.fused_runs, 8, "{rs:?}");
-        assert!(env(IfaceMode::Native).rt_ring_stats().is_none());
+        assert!(env(IfaceMode::Native).rt_telemetry("plane").is_none());
         let g = hot.governor_stats().unwrap();
         assert_eq!((g.min, g.max), (1, 1));
     }

@@ -1,6 +1,8 @@
 //! The responder's call table: `call_ID` → handler, mirroring the SDK's
 //! ocall-table indexing the paper reuses for HotCalls.
 
+use crate::error::{HotCallError, Result};
+
 /// A table of request handlers indexed by call id.
 pub struct CallTable<Req, Resp> {
     handlers: Vec<Box<dyn Fn(Req) -> Resp + Send + Sync>>,
@@ -47,9 +49,18 @@ impl<Req, Resp> CallTable<Req, Resp> {
         self.handlers.is_empty()
     }
 
-    /// Dispatches a request; `None` for unknown ids.
-    pub fn dispatch(&self, id: u32, req: Req) -> Option<Resp> {
-        self.handlers.get(id as usize).map(|h| h(req))
+    /// Runs the handler registered as `id` on `req`: the one dispatch of
+    /// both planes' responders and of a ring's inline call.
+    ///
+    /// # Errors
+    ///
+    /// [`HotCallError::UnknownCallId`] if no handler has that id.
+    #[inline]
+    pub fn call(&self, id: u32, req: Req) -> Result<Resp> {
+        match self.handlers.get(id as usize) {
+            Some(handler) => Ok(handler(req)),
+            None => Err(HotCallError::UnknownCallId(id)),
+        }
     }
 }
 
@@ -63,9 +74,9 @@ mod tests {
         let a = t.register(|x| x + 1);
         let b = t.register(|x| x * 2);
         assert_eq!((a, b), (0, 1));
-        assert_eq!(t.dispatch(a, 5), Some(6));
-        assert_eq!(t.dispatch(b, 5), Some(10));
-        assert_eq!(t.dispatch(9, 5), None);
+        assert_eq!(t.call(a, 5).unwrap(), 6);
+        assert_eq!(t.call(b, 5).unwrap(), 10);
+        assert!(matches!(t.call(9, 5), Err(HotCallError::UnknownCallId(9))));
         assert_eq!(t.len(), 2);
     }
 }

@@ -1,39 +1,37 @@
-//! The plane's responder: one thread that drains the ring in sequence
-//! order.
+//! The ring's responder half: one thread that drains the ring in
+//! sequence order.
 //!
-//! The responder runs [`responder_loop`]: scan up to [`DRAIN_BATCH`]
-//! contiguous `SUBMITTED` slots starting at the ring's `tail`, advance
-//! `tail` past the run with one Release store, then service the run's
-//! slots in order. The responder is the only writer of `tail` (a
-//! requester's fused call claims no slot), so no claim races it, and
-//! requesters cannot recycle a slot until it is serviced *and* redeemed,
-//! which itself requires `tail` to advance. Each slot's `SUBMITTED` word
-//! must name the sequence scanned for ([`submitted_run`]). Batching
-//! amortizes the `tail` store and the wake/schedule cost of the drain.
+//! The responder runs [`responder_loop`], the plane core's
+//! [`super::plane::respond`] loop with a drain as its poll: scan up to
+//! [`DRAIN_BATCH`] contiguous `SUBMITTED` slots starting at the ring's
+//! `tail`, advance `tail` past the run with one Release store, then
+//! service the run's slots in order. The responder is the only writer of
+//! `tail` (a requester's fused call claims no slot), so no claim races it,
+//! and requesters cannot recycle a slot until it is serviced *and*
+//! redeemed, which itself requires `tail` to advance. Each slot's
+//! `SUBMITTED` word must name the sequence scanned for
+//! ([`submitted_run`]). Batching amortizes the `tail` store and the
+//! wake/schedule cost of the drain.
 //!
-//! The responder drains for the plane's life. Its one idle mechanism is
-//! the doze — after [`HotCallConfig::idle_polls_before_sleep`] empty polls
-//! in a row it sleeps on the ring's doze until a submission wakes it.
+//! The responder drains for the plane's life; its idle ladder, doze and
+//! exit are the core's. The ring needs no sweep of its own: the core exits
+//! on the first empty drain after shutdown.
 
 use std::sync::atomic::Ordering;
 
 use crate::config::HotCallConfig;
-use crate::error::HotCallError;
 use crate::telemetry::{now_cycles, TELEMETRY_ENABLED};
 
+use super::plane;
 use super::ring::RingShared;
-use super::slot::{Backoff, CallSlot, LocalStats, StatCell};
+use super::slot::{CallSlot, LocalStats, StatCell};
 use super::CallTable;
 
 /// Maximum submitted slots the responder takes per `tail` advance.
 const DRAIN_BATCH: usize = 8;
 
 /// Services one claimed slot on the responder thread: take the request,
-/// dispatch it, publish the response.
-///
-/// Stats are flushed to the responder's cell *before* the `DONE` hand-off so
-/// `stats().calls` is exact the moment the waiting requester's Acquire
-/// sees the completion.
+/// dispatch it, count it, publish the response.
 ///
 /// # Safety
 ///
@@ -63,18 +61,14 @@ unsafe fn service_slot<Req, Resp>(
     } else {
         0
     };
-    let result = table
-        .dispatch(id, req)
-        .ok_or(HotCallError::UnknownCallId(id));
-    local.calls += 1;
-    local.busy_polls += 1;
+    let result = table.call(id, req);
     if TELEMETRY_ENABLED {
         // Complete-stage edge: dispatch → now is the service time.
         cell.stages
             .service
             .record(now_cycles().saturating_sub(t_dispatch));
     }
-    local.flush(cell);
+    local.serviced(cell);
     // SAFETY: this thread took the request for this slot above.
     unsafe { slot.finish(result) };
 }
@@ -96,47 +90,13 @@ pub(super) fn submitted_run<Req, Resp>(
 pub(super) fn responder_loop<Req, Resp>(shared: &RingShared<Req, Resp>, config: HotCallConfig) {
     // A batch longer than the ring would scan the same slot twice.
     let batch = DRAIN_BATCH.min(shared.slots.len());
-    let cell = &*shared.responder;
-    let mut local = LocalStats::default();
-    let mut backoff = Backoff::new();
-    let mut idle_streak: u64 = 0;
-    loop {
-        if drain(shared, batch, &mut local) > 0 {
-            idle_streak = 0;
-            backoff.reset();
-            continue;
-        }
-        // An empty pass.
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Drain-then-exit: the responder keeps servicing submitted
-            // work after the shutdown flag rises, and the empty pass
-            // doubles as the final sweep. Stragglers stuck mid-publish are
-            // failed by the waiter's shutdown grace instead.
-            local.flush(cell);
-            return;
-        }
-        idle_streak += 1;
-        local.idle_polls += 1;
-        if local.idle_polls.is_multiple_of(1024) {
-            local.flush(cell);
-        }
-        if let Some(limit) = config.idle_polls_before_sleep {
-            if idle_streak >= limit {
-                local.flush(cell);
-                // The predicate re-checks the ring front, so a submission
-                // published before we registered as a sleeper is never
-                // slept past.
-                shared.doze.sleep_unless(|| {
-                    shared.shutdown.load(Ordering::Acquire) || shared.front_submitted()
-                });
-                // We just slept: spin a full streak before sleeping again.
-                idle_streak = 0;
-                backoff.reset();
-                continue;
-            }
-        }
-        backoff.snooze();
-    }
+    plane::respond(
+        &shared.core,
+        config,
+        |local| drain(shared, batch, local) > 0,
+        || shared.front_submitted(),
+        || {},
+    );
 }
 
 /// Takes and services one batched run from the ring front. Returns the
@@ -160,7 +120,7 @@ fn drain<Req, Resp>(ring: &RingShared<Req, Resp>, batch: usize, local: &mut Loca
         // visible) and moved `tail` past them, and no requester can
         // recycle these slots before they are serviced here and then
         // redeemed.
-        unsafe { service_slot(slot, &ring.table, local, &ring.responder) };
+        unsafe { service_slot(slot, &ring.table, local, &ring.core.stats) };
     }
     run
 }

@@ -32,16 +32,17 @@
 //! ring onto a call it still holds. One ticket is one call: a slot carries
 //! one request and one response, as the paper's mailbox does.
 //!
-//! The doze (§4.2, "Conserving resources at idle times") is the plane's
-//! only idle mechanism: a responder that finds no work for
-//! [`HotCallConfig::idle_polls_before_sleep`] polls sleeps until a
-//! submission wakes it, and while it dozes a synchronous
+//! This file is the ring's slot protocol (claim, lap and abandon rules,
+//! tickets and their redeem) and its requester half; the retry budget,
+//! the completion wait, the doze and the responder's lifecycle are the
+//! plane core's (`plane.rs`), shared with the mailbox. While the
+//! responder dozes (§4.2, "Conserving resources at idle times", after
+//! [`HotCallConfig::idle_polls_before_sleep`] empty polls) a synchronous
 //! [`RingRequester::call`] runs its handler inline.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crate::config::{HotCallConfig, FUSED_BELOW_OCCUPANCY};
 use crate::error::{HotCallError, Result};
@@ -49,15 +50,10 @@ use crate::telemetry::{
     now_cycles, AtomicHist, GovernorStats, HotCallStats, PlaneProvider, PlaneTelemetry, RingStats,
 };
 
+use super::plane::{Core, ResponderThread};
 use super::pool;
-use super::slot::{
-    AbandonBoard, Backoff, CachePadded, CallSlot, Doze, ReapCells, StatCell, DONE, EMPTY,
-};
+use super::slot::{AbandonBoard, CachePadded, CallSlot, ReapCells, DONE, EMPTY};
 use super::CallTable;
-
-/// Grace polls a waiter grants the shutdown sweep before giving up on a
-/// slot that will never complete (its payload is freed by the slot Drop).
-const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
 
 /// Slots currently between claim and service. `head` and `tail` are
 /// monotonic with `head >= tail` at every instant, but two separate
@@ -79,8 +75,9 @@ pub(super) struct RingShared<Req, Resp> {
     /// Next slot index the responder services; only the responder writes
     /// it. Padded likewise.
     pub(super) tail: CachePadded<AtomicUsize>,
-    /// Where the idle responder dozes; per-call wakeups land here.
-    pub(super) doze: Doze,
+    /// Shutdown flag, doze, the responder's stat cell and the requesters'
+    /// wakeup and fallback counters.
+    pub(super) core: Core,
     /// Dropped-unredeemed ticket registry (see [`AbandonBoard`]): tickets
     /// hold a clone, claimants lapping onto a marked slot reap it. Its
     /// address doubles as the ticket's proof of origin.
@@ -89,15 +86,9 @@ pub(super) struct RingShared<Req, Resp> {
     /// here lets a *requester* dispatch inline on the fused
     /// run-to-completion path without any handoff.
     pub(super) table: CallTable<Req, Resp>,
-    pub(super) shutdown: AtomicBool,
-    /// The responder's padded statistics cell; only it writes there.
-    pub(super) responder: CachePadded<StatCell>,
     /// Completion → redeem latency (reap stage), one single-writer cell
     /// per requester handle.
     reaps: ReapCells,
-    // Requester-side event counters; rare, so shared RMWs are fine.
-    fallbacks: AtomicU64,
-    wakeups: AtomicU64,
     /// Calls executed inline by requesters (fused run-to-completion).
     /// Shared `fetch_add` cells: requesters have no single-writer stat
     /// cell of their own, and the fused path only runs when the ring is
@@ -142,18 +133,7 @@ impl<Req, Resp> RingShared<Req, Resp> {
     }
 
     fn snapshot(&self) -> HotCallStats {
-        let fused_runs = self.fused_runs.load(Ordering::Relaxed);
-        let cell = &self.responder;
-        // Fused calls never pass through the responder's cell, so the
-        // plane-wide call count adds them.
-        HotCallStats {
-            calls: fused_runs + cell.calls.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            idle_polls: cell.idle_polls.load(Ordering::Relaxed),
-            busy_polls: cell.busy_polls.load(Ordering::Relaxed),
-            fused_runs,
-        }
+        self.core.snapshot(self.fused_runs.load(Ordering::Relaxed))
     }
 
     fn ring_snapshot(&self) -> RingStats {
@@ -166,7 +146,7 @@ impl<Req, Resp> RingShared<Req, Resp> {
     /// The plane's full telemetry view: counters plus the responder's
     /// stage histograms and the plane-wide reap histogram.
     fn plane_telemetry(&self, name: &str) -> PlaneTelemetry {
-        let stages = &self.responder.stages;
+        let stages = &self.core.stats.stages;
         PlaneTelemetry {
             name: name.to_string(),
             stats: self.ring_snapshot(),
@@ -183,7 +163,7 @@ impl<Req, Resp> RingShared<Req, Resp> {
     /// no slot, so a responder waking mid-decision costs the call its
     /// break-even, never its correctness.
     fn quiescent(&self) -> bool {
-        self.doze.sleepers.load(Ordering::Relaxed) != 0
+        self.core.doze.sleepers.load(Ordering::Relaxed) != 0
     }
 }
 
@@ -220,7 +200,7 @@ impl<Req, Resp> core::fmt::Debug for RingShared<Req, Resp> {
 pub struct RingServer<Req, Resp> {
     shared: Arc<RingShared<Req, Resp>>,
     config: HotCallConfig,
-    join: Option<JoinHandle<()>>,
+    responder: ResponderThread,
 }
 
 impl<Req, Resp> RingServer<Req, Resp>
@@ -262,25 +242,20 @@ where
             slots: (0..capacity).map(|_| CallSlot::new()).collect(),
             head: CachePadded::new(AtomicUsize::new(0)),
             tail: CachePadded::new(AtomicUsize::new(0)),
-            doze: Doze::new(),
+            core: Core::default(),
             abandon: AbandonBoard::new(capacity),
             table: table.into(),
-            shutdown: AtomicBool::new(false),
-            responder: CachePadded::default(),
             reaps: ReapCells::default(),
-            fallbacks: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
             fused_runs: AtomicU64::new(0),
         });
-        let responder = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
-            .name("hotcalls-ring-responder".to_string())
-            .spawn(move || pool::responder_loop(&responder, config))
-            .expect("spawn ring responder");
+        let responder_shared = Arc::clone(&shared);
+        let responder = ResponderThread::spawn("hotcalls-ring-responder", move || {
+            pool::responder_loop(&responder_shared, config)
+        });
         Ok(RingServer {
             shared,
             config,
-            join: Some(join),
+            responder,
         })
     }
 
@@ -328,26 +303,14 @@ where
     }
 
     /// Stops the responder and joins it.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-}
-
-impl<Req, Resp> RingServer<Req, Resp> {
-    fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.doze.wake_all();
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl<Req, Resp> Drop for RingServer<Req, Resp> {
     fn drop(&mut self) {
-        if self.join.is_some() {
-            self.shutdown_inner();
-        }
+        self.responder.stop(&self.shared.core);
     }
 }
 
@@ -486,29 +449,6 @@ fn claim_slot<Req, Resp>(ring: &RingShared<Req, Resp>) -> Option<usize> {
         .ok()
 }
 
-/// The wait loop shared by every blocking redeem path: polls `ready` until
-/// it yields, or the plane shut down and the grace ran out.
-fn poll_until<T>(shutdown: &AtomicBool, mut ready: impl FnMut() -> Option<T>) -> Result<T> {
-    let mut backoff = Backoff::new();
-    let mut grace: u32 = 0;
-    loop {
-        if let Some(hit) = ready() {
-            return Ok(hit);
-        }
-        // The responder drains submitted work before exiting, but a submission
-        // that raced the shutdown flag (or sits behind a neighbour stuck
-        // mid-publish) may never be serviced; give up after a bounded
-        // grace. The slot stays occupied and its payload is freed by Drop.
-        if shutdown.load(Ordering::Acquire) {
-            grace += 1;
-            if grace > SHUTDOWN_GRACE_POLLS {
-                return Err(HotCallError::ResponderGone);
-            }
-        }
-        backoff.snooze();
-    }
-}
-
 impl<Req, Resp> RingRequester<Req, Resp> {
     /// Is the fused run-to-completion path worth taking right now? The
     /// plane must be able to doze, its responder must doze and the ring's
@@ -522,48 +462,22 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         let shared = &*self.shared;
         self.config.idle_polls_before_sleep.is_some()
             && shared.quiescent()
-            && !shared.shutdown.load(Ordering::Acquire)
+            && !shared.core.shutdown.load(Ordering::Acquire)
             && shared.occupancy_snapshot() < FUSED_BELOW_OCCUPANCY
     }
 
-    /// Claims a slot, publishes `req` into it and wakes the responder,
-    /// returning the absolute slot sequence. On failure the request is
-    /// handed back so the caller can recover it (the fallback path).
-    fn submit_request(
-        &self,
-        id: u32,
-        req: Req,
-    ) -> core::result::Result<usize, (HotCallError, Req)> {
+    /// Claims a slot within the retry budget, publishes `req` into it and
+    /// wakes the responder, returning the absolute slot sequence.
+    fn submit_request(&self, id: u32, req: Req) -> Result<usize> {
         let shared = &*self.shared;
-        let mut backoff = Backoff::new();
-        for _retry in 0..self.config.timeout_retries {
-            for _ in 0..self.config.spins_per_retry {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return Err((HotCallError::ResponderGone, req));
-                }
-                let Some(head) = claim_slot(shared) else {
-                    core::hint::spin_loop();
-                    continue;
-                };
-                let slot = shared.slot(head);
-                // SAFETY: `claim_slot` won the head CAS, which grants
-                // exclusive claim ownership of this slot; publish once.
-                unsafe { slot.publish(head, id, req) };
-                // Wake the sleeping responder (after the SUBMITTED store).
-                if shared.doze.wake() {
-                    shared.wakeups.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(head);
-            }
-            backoff.snooze();
-        }
-        shared.fallbacks.fetch_add(1, Ordering::Relaxed);
-        Err((
-            HotCallError::ResponderTimeout {
-                retries: self.config.timeout_retries,
-            },
-            req,
-        ))
+        let head = shared.core.claim(&self.config, || claim_slot(shared))?;
+        let slot = shared.slot(head);
+        // SAFETY: `claim_slot` won the head CAS, which grants exclusive
+        // claim ownership of this slot; publish once.
+        unsafe { slot.publish(head, id, req) };
+        // Wake the sleeping responder (after the SUBMITTED store).
+        shared.core.wake();
+        Ok(head)
     }
 
     /// Claims a slot and submits a request without waiting. Returns a
@@ -582,13 +496,11 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     /// [`HotCallError::ResponderTimeout`] if no slot frees up within the
     /// retry budget; [`HotCallError::ResponderGone`] after shutdown.
     pub fn submit(&self, id: u32, req: Req) -> Result<Ticket> {
-        match self.submit_request(id, req) {
-            Ok(index) => Ok(Ticket {
-                index,
-                board: Some(Arc::clone(&self.shared.abandon)),
-            }),
-            Err((e, _)) => Err(e),
-        }
+        let index = self.submit_request(id, req)?;
+        Ok(Ticket {
+            index,
+            board: Some(Arc::clone(&self.shared.abandon)),
+        })
     }
 
     /// Spins until the slot behind `index` is DONE. Returns `Err` only on
@@ -596,7 +508,7 @@ impl<Req, Resp> RingRequester<Req, Resp> {
     fn wait_done(&self, index: usize) -> Result<()> {
         let slot = self.shared.slot(index);
         let done = || (slot.state() == DONE).then_some(());
-        poll_until(&self.shared.shutdown, done)
+        self.shared.core.poll_until(done)
     }
 
     /// Redeems the response sitting DONE at `index`. The caller must be
@@ -689,36 +601,12 @@ impl<Req, Resp> RingRequester<Req, Resp> {
         // pipeline, no ticket to mint, so the fused path is a plain
         // dispatch on the requester's core.
         if self.fused_eligible() {
-            let result = self
-                .shared
-                .table
-                .dispatch(id, req)
-                .ok_or(HotCallError::UnknownCallId(id));
+            let result = self.shared.table.call(id, req);
             self.shared.fused_runs.fetch_add(1, Ordering::Relaxed);
             return result;
         }
-        match self.submit_request(id, req) {
-            Ok(index) => self.wait_index(index),
-            Err((e, _)) => Err(e),
-        }
-    }
-
-    /// Issues a call, running `fallback` locally if the fast path times
-    /// out — the paper's SDK-call fallback, generalized to the ring.
-    ///
-    /// The request is moved into the ring only after the claim succeeds,
-    /// so the hot path never clones: on timeout the original request
-    /// comes back out of the failed submission and goes to `fallback`
-    /// as-is.
-    pub fn call_with_fallback<F>(&self, id: u32, req: Req, fallback: F) -> Result<Resp>
-    where
-        F: FnOnce(Req) -> Resp,
-    {
-        match self.submit_request(id, req) {
-            Ok(index) => self.wait_index(index),
-            Err((HotCallError::ResponderTimeout { .. }, req)) => Ok(fallback(req)),
-            Err((e, _)) => Err(e),
-        }
+        let index = self.submit_request(id, req)?;
+        self.wait_index(index)
     }
 
     /// This handle as a [`Window`] of up to `depth` calls in flight.
@@ -857,7 +745,7 @@ mod tests {
 
     /// Blocks until the responder of `server` sleeps on its doze.
     fn await_dozing(server: &Server) {
-        let dozing = || server.shared.doze.sleepers.load(Ordering::SeqCst);
+        let dozing = || server.shared.core.doze.sleepers.load(Ordering::SeqCst);
         let deadline = Instant::now() + Duration::from_secs(10);
         while dozing() == 0 {
             assert!(Instant::now() < deadline, "the responder never slept");
@@ -910,31 +798,6 @@ mod tests {
             assert_eq!(r.call(sq, i).unwrap(), i * i);
         }
         assert_eq!(server.stats().calls, 5_000);
-    }
-
-    #[test]
-    fn fallback_runs_locally_on_timeout() {
-        let mut t: CallTable<u64, u64> = CallTable::new();
-        let slow = t.register(|x| {
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            x
-        });
-        // Capacity-1 ring: while the slow call is in flight the ring is
-        // full, so a second call times out and falls back.
-        let config = HotCallConfig {
-            timeout_retries: 2,
-            spins_per_retry: 4,
-            ..HotCallConfig::default()
-        };
-        let server = RingServer::spawn_pool(t, 1, 1, config).unwrap();
-        let r1 = server.requester();
-        let r2 = server.requester();
-        let blocker = std::thread::spawn(move || r1.call(slow, 7).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let v = r2.call_with_fallback(slow, 5, |x| x + 100).unwrap();
-        assert_eq!(v, 105);
-        assert!(server.stats().fallbacks >= 1);
-        assert_eq!(blocker.join().unwrap(), 7);
     }
 
     #[test]

@@ -609,7 +609,7 @@ impl Backoff {
 
 /// Sleep/wake rendezvous for idle responders (paper §4.2, "Conserving
 /// resources at idle times"), shared by the mailbox and the ring pool.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Doze {
     /// How many responders are in (or entering) the sleep protocol.
     /// Requesters read it to skip the mutex on the hot path.
@@ -620,14 +620,6 @@ pub(crate) struct Doze {
 }
 
 impl Doze {
-    pub(crate) fn new() -> Self {
-        Doze {
-            sleepers: AtomicUsize::new(0),
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Parks the calling responder until a wake is posted or `work`
     /// reports something to do.
     ///
@@ -762,6 +754,16 @@ impl LocalStats {
         cell.calls.store(self.calls, Ordering::Relaxed);
         cell.busy_polls.store(self.busy_polls, Ordering::Relaxed);
         cell.idle_polls.store(self.idle_polls, Ordering::Relaxed);
+    }
+
+    /// Counts one serviced call (one busy poll) and flushes. Called before
+    /// the call's `DONE` hand-off: the Release there orders these stores,
+    /// so `stats().calls` is exact the moment the call returns.
+    #[inline]
+    pub(crate) fn serviced(&mut self, cell: &StatCell) {
+        self.calls += 1;
+        self.busy_polls += 1;
+        self.flush(cell);
     }
 }
 
@@ -946,7 +948,7 @@ mod tests {
     fn doze_wakes_a_sleeper() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        let doze = Arc::new(Doze::new());
+        let doze = Arc::new(Doze::default());
         let go = Arc::new(AtomicBool::new(false));
         let (d, g) = (Arc::clone(&doze), Arc::clone(&go));
         let t = std::thread::spawn(move || d.sleep_unless(|| g.load(Ordering::SeqCst)));

@@ -164,115 +164,6 @@ impl Clock {
     }
 }
 
-/// Named accounts of where virtual cycles went.
-///
-/// The cost model reports everything as one [`Cycles`] total; the ledger
-/// splits that total into labelled accounts ("ecall-crossing",
-/// "enclave-compute", "epc-paging", ...) so a telemetry snapshot can say
-/// *which* part of the simulated machine burned the time. Accounts are
-/// ordered (BTreeMap) so serialized ledgers are deterministic, and ledgers
-/// merge by account name so per-worker ledgers roll up like histograms.
-///
-/// # Examples
-///
-/// ```
-/// use sgx_sim::{CycleLedger, Cycles};
-///
-/// let mut ledger = CycleLedger::new();
-/// ledger.credit("ecall-crossing", Cycles::new(8_000));
-/// ledger.credit("enclave-compute", Cycles::new(1_000));
-/// ledger.credit("ecall-crossing", Cycles::new(8_000));
-/// assert_eq!(ledger.get("ecall-crossing"), Cycles::new(16_000));
-/// assert_eq!(ledger.total(), Cycles::new(17_000));
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CycleLedger {
-    accounts: std::collections::BTreeMap<String, Cycles>,
-}
-
-impl CycleLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `amount` to the named account, creating it at zero first.
-    pub fn credit(&mut self, account: &str, amount: Cycles) {
-        // The name is copied only the first time an account is seen.
-        match self.accounts.get_mut(account) {
-            Some(balance) => *balance += amount,
-            None => drop(self.accounts.insert(account.to_string(), amount)),
-        }
-    }
-
-    /// The balance of one account (zero if it was never credited).
-    pub fn get(&self, account: &str) -> Cycles {
-        self.accounts.get(account).copied().unwrap_or(Cycles::ZERO)
-    }
-
-    /// All accounts in name order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, Cycles)> {
-        self.accounts.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Sum over every account.
-    pub fn total(&self) -> Cycles {
-        self.accounts.values().copied().sum()
-    }
-
-    /// Adds every account of `other` into `self` by name.
-    pub fn merge(&mut self, other: &CycleLedger) {
-        for (name, cycles) in other.entries() {
-            self.credit(name, cycles);
-        }
-    }
-}
-
-/// Window-delta tracker over a virtual clock: the cycle feed a control
-/// loop samples between decisions.
-///
-/// A controller that acts every N calls needs "cycles spent since my last
-/// look", not absolute time. `CycleFeed` remembers the clock reading of
-/// the previous sample and returns the delta, monotone-proofed (a clock
-/// that was swapped or reset yields zero rather than a huge bogus
-/// window).
-///
-/// # Examples
-///
-/// ```
-/// use sgx_sim::{CycleFeed, Cycles};
-///
-/// let mut feed = CycleFeed::new(Cycles::new(1_000));
-/// assert_eq!(feed.delta(Cycles::new(1_750)), 750);
-/// assert_eq!(feed.delta(Cycles::new(1_750)), 0);
-/// // A rewound clock is treated as an empty window, not an underflow.
-/// assert_eq!(feed.delta(Cycles::new(500)), 0);
-/// assert_eq!(feed.delta(Cycles::new(900)), 400);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleFeed {
-    last: Cycles,
-}
-
-impl CycleFeed {
-    /// A feed anchored at the clock's current reading.
-    pub fn new(now: Cycles) -> Self {
-        CycleFeed { last: now }
-    }
-
-    /// Cycles elapsed since the previous sample; re-anchors at `now`.
-    pub fn delta(&mut self, now: Cycles) -> u64 {
-        let d = now.saturating_sub(self.last).get();
-        self.last = now;
-        d
-    }
-
-    /// The clock reading of the previous sample.
-    pub fn last(&self) -> Cycles {
-        self.last
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,21 +206,5 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert_eq!(Cycles::new(42).to_string(), "42 cycles");
-    }
-
-    #[test]
-    fn ledger_merges_by_account_in_name_order() {
-        let mut a = CycleLedger::new();
-        a.credit("ocall", Cycles::new(10));
-        a.credit("ecall", Cycles::new(5));
-        let mut b = CycleLedger::new();
-        b.credit("ocall", Cycles::new(7));
-        b.credit("aex", Cycles::new(1));
-        a.merge(&b);
-        assert_eq!(a.get("ocall"), Cycles::new(17));
-        assert_eq!(a.get("never-credited"), Cycles::ZERO);
-        assert_eq!(a.total(), Cycles::new(23));
-        let names: Vec<&str> = a.entries().map(|(n, _)| n).collect();
-        assert_eq!(names, ["aex", "ecall", "ocall"]);
     }
 }

@@ -63,7 +63,7 @@ pub use config::{
     CacheGeometry, EntryConfig, MeeConfig, NoiseConfig, PagingConfig, SdkCostConfig, SimConfig,
     SimConfigBuilder,
 };
-pub use cycles::{Clock, CycleFeed, CycleLedger, Cycles};
+pub use cycles::{Clock, Cycles};
 pub use enclave::{Enclave, EnclaveId, EnclaveState};
 pub use epc::EpcStats;
 pub use error::{Result, SgxError};

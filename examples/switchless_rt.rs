@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use hotcalls_repro::hotcalls::rt::{CallTable, HotCallServer};
-use hotcalls_repro::hotcalls::HotCallConfig;
+use hotcalls_repro::hotcalls::{HotCallConfig, HotCallError};
 
 fn main() {
     // Register the "ocalls": a call table exactly like the SDK's.
@@ -41,11 +41,14 @@ fn main() {
     let total: usize = requester.call(sum_id, vec![1u8; 128]).unwrap();
     println!("dispatched a second call id too: sum = {total}");
 
-    // Timeout fallback: a requester that cannot get the responder falls
-    // back to doing the work locally (the paper's SDK-call fallback).
-    let v = requester
-        .call_with_fallback(write_id, vec![0u8; 32], |buf| buf.len())
-        .unwrap();
+    // Timeout fallback: a call that cannot get the responder within its
+    // retry budget returns `ResponderTimeout`, and the caller does the work
+    // itself — the paper's fallback to a regular SDK call.
+    let buf = vec![0u8; 32];
+    let v = match requester.call(write_id, buf.clone()) {
+        Err(HotCallError::ResponderTimeout { .. }) => buf.len(),
+        other => other.unwrap(),
+    };
     println!("fallback-capable call returned {v}");
 
     let stats = server.stats();

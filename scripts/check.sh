@@ -57,7 +57,7 @@ grep -q "test result: ok. 7 passed" <<<"$out" \
     || { echo "expected 7 sgx-sim reference tests to run:"; echo "$out"; exit 1; }
 
 # The mailbox end to end as a user drives it: round trips, a second call
-# id, `call_with_fallback` and the stats. Clippy only compiles examples.
+# id, the timeout fallback and the stats. Clippy only compiles examples.
 echo "==> cargo run --release --example switchless_rt"
 cargo run --release -q --example switchless_rt
 
