@@ -13,9 +13,6 @@
 //!   poll) until the other thread echoes it through the other. No payload,
 //!   no handler, no slot protocol: `mailbox/lock_free` ÷ this row is what
 //!   the mailbox costs above two cache lines changing hands.
-//! * `ring_pool/...` — the multi-requester ring with its one responder
-//!   under 1/2/4/8 requesters, each sample pushing a fixed batch of calls
-//!   through scoped requester threads.
 //! * `pipe_1k_w16/...` — the repo benchmark's `rt_pipe` shape (1 KiB
 //!   copied in, XORed in place by the other thread, word-summed on the
 //!   way back, 16 calls in flight over 64 slots) on the `ByteRing` and on
@@ -304,47 +301,6 @@ fn bench_pipe(c: &mut Criterion) {
     worker.join().unwrap();
 }
 
-// ---- Shared ring -------------------------------------------------------------
-
-/// Calls pushed per requester thread per criterion sample. Small enough to
-/// keep samples fast on a shared-core host, large enough to amortize the
-/// scoped-thread spawn.
-const CALLS_PER_SAMPLE: u64 = 64;
-
-fn bench_ring_pool(c: &mut Criterion) {
-    // Idle sleep ON: with more threads than cores, the responder must
-    // doze rather than burn the core between samples. Each call is a
-    // submission redeemed at once, so it rides the ring even when the
-    // responder dozes (a synchronous `call` would then run inline).
-    let config = HotCallConfig {
-        idle_polls_before_sleep: Some(256),
-        ..HotCallConfig::patient()
-    };
-    for &n_requesters in &[1usize, 2, 4, 8] {
-        let (table, inc) = inc_table();
-        let server = RingServer::spawn_pool(table, 32, 1, config).expect("valid shape");
-        let name = format!("ring_pool/{n_requesters}req");
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                crossbeam::thread::scope(|s| {
-                    for t in 0..n_requesters as u64 {
-                        let r = server.requester();
-                        s.spawn(move |_| {
-                            for i in 0..CALLS_PER_SAMPLE {
-                                let x = t * 10_000 + i;
-                                let ticket = r.submit(inc, std::hint::black_box(x)).unwrap();
-                                assert_eq!(r.wait(ticket).unwrap(), x + 1);
-                            }
-                        });
-                    }
-                })
-                .unwrap();
-            })
-        });
-        server.shutdown();
-    }
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -355,6 +311,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_mailbox, bench_mpsc, bench_condvar, bench_ring, bench_pipe, bench_ring_pool
+    targets = bench_mailbox, bench_mpsc, bench_condvar, bench_ring, bench_pipe
 }
 criterion_main!(benches);

@@ -17,16 +17,19 @@
 //!   polling responder, [`rt::Requester`] issues calls, with the paper's
 //!   timeout-fallback and idle-sleep mechanisms. The data plane is
 //!   lock-free (payloads in `UnsafeCell` slots guarded by the atomic state
-//!   machine, cache-line-padded hot words), and [`rt::RingServer`] shares
-//!   the responder among several requesters (§4.2): a plane is one
-//!   multi-slot submission ring served by one responder that drains
-//!   submitted slots in sequence order, a batch at a time
-//!   ([`rt::RingServer::spawn_pool`]); every requester shares its one
-//!   head word, and independent channels are independent planes. The plane
-//!   is *pipelined*: [`rt::RingRequester::submit`] /
-//!   [`rt::RingRequester::wait_any`] keep many calls in flight per
-//!   requester (a call returns through `call`, `wait` or `wait_any` and
-//!   nothing else; one ticket is one call), and [`rt::Window`] keeps such a
+//!   machine, cache-line-padded hot words). The mailbox takes several
+//!   requesters through its claim lock, as the paper's Fig. 9 does;
+//!   [`rt::RingServer`] instead gives one requester many calls in flight
+//!   (§4.2's better-utilized responder): a plane is one multi-slot
+//!   submission ring served by one responder that drains submitted slots
+//!   in sequence order, a batch at a time ([`rt::RingServer::spawn_pool`]).
+//!   The ring's one [`rt::RingRequester`] is a `Send + !Sync` lease, the
+//!   only writer of the ring's head; concurrent requesters and independent
+//!   channels are independent planes. The plane is *pipelined*:
+//!   [`rt::RingRequester::submit`] / [`rt::RingRequester::wait_any`] keep
+//!   many calls in flight (a call returns through `call`, `wait` or
+//!   `wait_any` and nothing else; one ticket is one call), and
+//!   [`rt::Window`] keeps such a
 //!   pipeline, reaping oldest first, without ever lapping the ring onto a
 //!   call it still holds. The responder drains for the
 //!   plane's life, and the paper's doze is its one idle mechanism: only

@@ -153,13 +153,6 @@ pub struct SgList {
 }
 
 impl SgList {
-    /// A descriptor over already-acquired segments (test and adapter
-    /// surface; the zero-copy production path is
-    /// [`SlabArena::acquire_sg`]).
-    pub fn from_segments(segments: Vec<HotBuf>) -> Self {
-        SgList { segments, meta: 0 }
-    }
-
     /// Logical length: the sum of the segments' valid bytes.
     pub fn len(&self) -> usize {
         self.segments.iter().map(HotBuf::len).sum()

@@ -3,13 +3,13 @@
 //!
 //! A byte plane *is* a [`RingServer`]: [`ByteRing`] names it at `HotBuf`
 //! payloads, and its one payload-specific method, [`ByteRing::caller`],
-//! pairs every caller with its own [`SlabArena`]: a request buffer is
-//! acquired from the arena (inline for cache-line-sized payloads, a
-//! recycled slab otherwise), travels through the ring *by value*, is
-//! transformed **in place** by the handler — the same buffer carries the
-//! response back — and returns to the arena when redeemed. Steady state
-//! does zero per-call heap work: small payloads never touch the heap,
-//! large ones cycle through the per-size-class free lists.
+//! pairs the ring's one requester with its own [`SlabArena`]: a request
+//! buffer is acquired from the arena (inline for cache-line-sized
+//! payloads, a recycled slab otherwise), travels through the ring *by
+//! value*, is transformed **in place** by the handler — the same buffer
+//! carries the response back — and returns to the arena when redeemed.
+//! Steady state does zero per-call heap work: small payloads never touch
+//! the heap, large ones cycle through the per-size-class free lists.
 //!
 //! Handlers see `(request_len, &mut [u8])` over the buffer's full capacity
 //! and return the response length. Capacity beyond the request holds
@@ -90,8 +90,13 @@ impl From<ByteCallTable> for CallTable<HotBuf, HotBuf> {
 pub type ByteRing = RingServer<HotBuf, HotBuf>;
 
 impl RingServer<HotBuf, HotBuf> {
-    /// A caller handle with its own private arena (no cross-thread
-    /// coordination on the buffer path).
+    /// The ring's one requester handle (see [`RingServer::requester`])
+    /// with its own private arena (no cross-thread coordination on the
+    /// buffer path).
+    ///
+    /// # Panics
+    ///
+    /// As [`RingServer::requester`]: if a handle of this plane is alive.
     pub fn caller(&self) -> ByteCaller {
         ByteCaller {
             requester: self.requester(),
@@ -143,7 +148,7 @@ impl ByteCaller {
     /// Submits a call without waiting: the pipelined byte path. The
     /// request is staged into an arena buffer (inline for small payloads)
     /// and travels through the ring while the caller keeps working; redeem
-    /// with [`ByteCaller::wait_with`] or [`ByteCaller::wait_any_with`].
+    /// with [`ByteCaller::wait_any_with`].
     ///
     /// # Errors
     ///
@@ -152,19 +157,6 @@ impl ByteCaller {
     pub fn submit(&mut self, id: u32, data: &[u8], out_capacity: usize) -> Result<Ticket> {
         let buf = self.arena.acquire(data, out_capacity);
         self.requester.submit(id, buf)
-    }
-
-    /// Waits for a submitted call, hands the response bytes to `read`,
-    /// and recycles the buffer into the arena.
-    ///
-    /// # Errors
-    ///
-    /// As [`RingRequester::wait`].
-    pub fn wait_with<R>(&mut self, ticket: Ticket, read: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        let resp = self.requester.wait(ticket)?;
-        let r = read(resp.as_slice());
-        self.arena.recycle(resp);
-        Ok(r)
     }
 
     /// Waits for the oldest of `tickets` to complete (removing it from the
@@ -317,16 +309,14 @@ mod tests {
         assert_eq!(ring.telemetry("b").name, "b");
     }
 
-    /// Calls through every caller until one whole round ran inline: the
-    /// responder then dozes, and a fused call wakes nobody.
-    fn await_fusing(ring: &ByteRing, callers: &mut [ByteCaller], id: u32) {
+    /// Calls until one ran inline: the responder then dozes, and a fused
+    /// call wakes nobody.
+    fn await_fusing(ring: &ByteRing, caller: &mut ByteCaller, id: u32) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
             let before = ring.stats().fused_runs;
-            for caller in callers.iter_mut() {
-                caller.call(id, b"ab", 0).unwrap();
-            }
-            if ring.stats().fused_runs - before == callers.len() as u64 {
+            caller.call(id, b"ab", 0).unwrap();
+            if ring.stats().fused_runs > before {
                 return;
             }
             assert!(std::time::Instant::now() < deadline, "never fused");
@@ -345,49 +335,21 @@ mod tests {
         let (t, _, _) = echo_table();
         let large = ByteRing::spawn_pool(t, 8, 1, fused).unwrap();
         for ring in [small, large] {
-            // Two callers sharing the one ring.
-            let mut callers = [ring.caller(), ring.caller()];
-            await_fusing(&ring, &mut callers, rev);
+            let mut caller = ring.caller();
+            await_fusing(&ring, &mut caller, rev);
             let before = ring.stats();
-            let hits_before = callers.each_ref().map(|c| c.arena_stats().inline_hits);
-            for _ in 0..50 {
-                for caller in &mut callers {
-                    caller
-                        .call_with(rev, b"abcdef", 0, |resp| assert_eq!(resp, b"fedcba"))
-                        .unwrap();
-                }
+            let hits_before = caller.arena_stats().inline_hits;
+            for _ in 0..100 {
+                caller
+                    .call_with(rev, b"abcdef", 0, |resp| assert_eq!(resp, b"fedcba"))
+                    .unwrap();
             }
-            for (caller, hits_before) in callers.iter().zip(hits_before) {
-                let stats = caller.arena_stats();
-                assert_eq!(stats.inline_hits - hits_before, 50);
-                assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
-            }
+            let stats = caller.arena_stats();
+            assert_eq!(stats.inline_hits - hits_before, 100);
+            assert_eq!(stats.allocs, 0, "fused path must stay heap-free too");
             let s = ring.stats();
             assert_eq!(s.calls - before.calls, 100);
             assert_eq!(s.fused_runs - before.fused_runs, 100, "{s:?}");
         }
-    }
-
-    #[test]
-    fn concurrent_callers_have_independent_arenas() {
-        let (t, rev, _) = echo_table();
-        let ring = ByteRing::spawn_pool(t, 8, 1, HotCallConfig::patient()).unwrap();
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let mut caller = ring.caller();
-            handles.push(std::thread::spawn(move || {
-                let data = vec![3u8; 300];
-                for _ in 0..200 {
-                    caller.call(rev, &data, 0).unwrap();
-                }
-                caller.arena_stats()
-            }));
-        }
-        for h in handles {
-            let s = h.join().unwrap();
-            assert_eq!(s.allocs, 1);
-            assert_eq!(s.recycles, 199);
-        }
-        assert_eq!(ring.stats().calls, 600);
     }
 }

@@ -8,16 +8,17 @@
 //! plane core (`plane.rs`) that both planes share; each plane keeps only
 //! its slot protocol and its shutdown sweep.
 //!
-//! [`HotCallServer`] is Fig. 9's mailbox: the requester acquires the
+//! [`HotCallServer`] is Fig. 9's mailbox, and like it takes any number
+//! of requesters: a requester acquires the
 //! (logical) lock by CASing the claim word, writes the request, signals
 //! "go", and spins for completion; the responder polls, executes via the
 //! call table, and signals "done". Payloads live in `UnsafeCell`s whose
 //! exclusive access is granted by acquire/release edges on those three
 //! words, each written by one side only and on lines no other writer
 //! touches (`slot::MailSlot`). For the queued plane — one ring, one
-//! responder — see [`RingServer`], and [`Window`] for a pipeline of calls
-//! on it; a byte or scatter-gather plane is that same server at `HotBuf`
-//! or `SgList` payloads ([`ByteRing`], [`SgRing`]).
+//! requester, one responder — see [`RingServer`], and [`Window`] for a
+//! pipeline of calls on it; a byte or scatter-gather plane is that same
+//! server at `HotBuf` or `SgList` payloads ([`ByteRing`], [`SgRing`]).
 
 pub mod arena;
 mod bytes;

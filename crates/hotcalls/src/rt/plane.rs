@@ -47,9 +47,9 @@ pub(super) struct Core {
 }
 
 impl Core {
-    /// The plane's counters. `fused_runs` are the calls requesters ran
-    /// inline: they never pass through the responder's cell, so the
-    /// plane-wide call count adds them.
+    /// The plane's counters. `fused_runs` are the calls a ring's
+    /// requester ran inline: they never pass through the responder's
+    /// cell, so the plane-wide call count adds them.
     pub(super) fn snapshot(&self, fused_runs: u64) -> HotCallStats {
         let cell = &self.stats;
         HotCallStats {
@@ -251,19 +251,28 @@ mod tests {
     use super::super::{CallTable, HotCallServer, RingServer};
     use crate::{HotCallConfig, HotCallError, Result};
 
-    enum Plane {
-        Mailbox(HotCallServer<u64, u64>),
-        Ring(RingServer<u64, u64>),
-    }
-
-    type Caller = Box<dyn Fn(u32, u64) -> Result<u64> + Send + Sync>;
-
+    /// On the mailbox a second requester blocks behind the held call; on
+    /// a ring the one requester fills the slots the held call leaves free.
+    /// Either way the next call finds no slot, times out once and counts
+    /// a fallback; after shutdown a call reports the responder gone.
     #[test]
     fn a_held_responder_times_a_call_out_once_then_shutdown_reports_gone() {
         let config = HotCallConfig {
             timeout_retries: 2,
             spins_per_retry: 4,
             ..HotCallConfig::default()
+        };
+        let timed_out = |capacity: usize, result: Result<u64>| {
+            assert!(
+                matches!(result, Err(HotCallError::ResponderTimeout { retries: 2 })),
+                "capacity {capacity}: {result:?}"
+            );
+        };
+        let gone = |capacity: usize, result: Result<u64>| {
+            assert!(
+                matches!(result, Err(HotCallError::ResponderGone)),
+                "capacity {capacity}: {result:?}"
+            );
         };
         // 0 is the mailbox; the others are ring capacities.
         for capacity in [0, 1, 4] {
@@ -279,57 +288,42 @@ mod tests {
                 x * 10
             });
             let echo = table.register(|x| x);
-            let (plane, call): (Plane, Caller) = if capacity == 0 {
-                let server = HotCallServer::spawn(table, config);
-                let r = server.requester();
-                (Plane::Mailbox(server), Box::new(move |id, x| r.call(id, x)))
-            } else {
-                let server = RingServer::spawn_pool(table, capacity, 1, config).unwrap();
-                let r = server.requester();
-                (Plane::Ring(server), Box::new(move |id, x| r.call(id, x)))
-            };
-            let fallbacks = || match &plane {
-                Plane::Mailbox(server) => server.stats().fallbacks,
-                Plane::Ring(server) => server.stats().fallbacks,
-            };
-            let ring = match &plane {
-                Plane::Ring(server) => Some(server.requester()),
-                Plane::Mailbox(_) => None,
-            };
-            std::thread::scope(|s| {
-                let holder = s.spawn(|| call(held, 7));
+            let await_held = || {
                 while gate.load(Ordering::Acquire) == 0 {
                     std::thread::yield_now();
                 }
-                // Fill the ring slots the held call leaves free.
+            };
+            if capacity == 0 {
+                let server = HotCallServer::spawn(table, config);
+                let r = server.requester();
+                std::thread::scope(|s| {
+                    let holder = s.spawn(|| r.call(held, 7));
+                    await_held();
+                    timed_out(capacity, r.call(echo, 1));
+                    assert_eq!(server.stats().fallbacks, 1);
+                    gate.store(2, Ordering::Release);
+                    assert_eq!(holder.join().unwrap().unwrap(), 70);
+                });
+                server.shutdown();
+                gone(capacity, r.call(echo, 1));
+            } else {
+                let server = RingServer::spawn_pool(table, capacity, 1, config).unwrap();
+                let r = server.requester();
+                let held_ticket = r.submit(held, 7).unwrap();
+                await_held();
                 let queued: Vec<_> = (1..capacity as u64)
-                    .map(|x| (x, ring.as_ref().unwrap().submit(echo, x).unwrap()))
+                    .map(|x| (x, r.submit(echo, x).unwrap()))
                     .collect();
-                let before = fallbacks();
-                let timed_out = call(echo, 1);
-                assert!(
-                    matches!(
-                        timed_out,
-                        Err(HotCallError::ResponderTimeout { retries: 2 })
-                    ),
-                    "capacity {capacity}: {timed_out:?}"
-                );
-                assert_eq!(fallbacks(), before + 1, "capacity {capacity}");
+                timed_out(capacity, r.call(echo, 1));
+                assert_eq!(server.stats().fallbacks, 1, "capacity {capacity}");
                 gate.store(2, Ordering::Release);
-                assert_eq!(holder.join().unwrap().unwrap(), 70, "capacity {capacity}");
+                assert_eq!(r.wait(held_ticket).unwrap(), 70, "capacity {capacity}");
                 for (x, ticket) in queued {
-                    assert_eq!(ring.as_ref().unwrap().wait(ticket).unwrap(), x);
+                    assert_eq!(r.wait(ticket).unwrap(), x);
                 }
-            });
-            match plane {
-                Plane::Mailbox(server) => server.shutdown(),
-                Plane::Ring(server) => server.shutdown(),
+                server.shutdown();
+                gone(capacity, r.call(echo, 1));
             }
-            let gone = call(echo, 1);
-            assert!(
-                matches!(gone, Err(HotCallError::ResponderGone)),
-                "capacity {capacity}: {gone:?}"
-            );
         }
     }
 }

@@ -6,8 +6,8 @@
 //! [`DRAIN_BATCH`] contiguous `SUBMITTED` slots starting at the ring's
 //! `tail`, advance `tail` past the run with one Release store, then
 //! service the run's slots in order. The responder is the only writer of
-//! `tail` (a requester's fused call claims no slot), so no claim races it,
-//! and requesters cannot recycle a slot until it is serviced *and*
+//! `tail` (the requester's fused call claims no slot), so no claim races
+//! it, and the requester cannot recycle a slot until it is serviced *and*
 //! redeemed, which itself requires `tail` to advance. Each slot's
 //! `SUBMITTED` word must name the sequence scanned for
 //! ([`submitted_run`]). Batching amortizes the `tail` store and the

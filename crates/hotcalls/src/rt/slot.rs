@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::Result;
-use crate::telemetry::{now_cycles, AtomicHist, CycleHist, TELEMETRY_ENABLED};
+use crate::telemetry::{now_cycles, AtomicHist, TELEMETRY_ENABLED};
 
 /// Pads and aligns a value to a cache line so neighbouring values never
 /// share one (the classic crossbeam `CachePadded`). 64 bytes covers x86-64
@@ -82,9 +82,9 @@ const fn word(seq: usize, phase: usize) -> usize {
 /// The payload cells carry no synchronization of their own. Exclusive
 /// access is granted by state-machine transitions:
 ///
-/// * The claim — the ring's head-counter CAS, which leaves the word
-///   `EMPTY` — grants the winning requester exclusive write access to
-///   `req`.
+/// * The claim — the ring's one requester moving its single-writer head
+///   counter past the slot, which leaves the word `EMPTY` — grants it
+///   exclusive write access to `req`.
 /// * `SUBMITTED` observed with `Acquire` by the ring's one responder
 ///   grants it exclusive access to take `req` and write `resp`.
 /// * `DONE` observed with `Acquire` by the submitting requester grants it
@@ -92,9 +92,9 @@ const fn word(seq: usize, phase: usize) -> usize {
 ///
 /// Each `unsafe fn` below names the edge that makes it sound.
 pub(crate) struct CallSlot<Req, Resp> {
-    /// Isolated on its own line: requesters and responders spin on this
-    /// word, and sharing it with payload bytes would ping-pong the line on
-    /// every payload write.
+    /// Isolated on its own line: the requester and the responder spin on
+    /// this word, and sharing it with payload bytes would ping-pong the
+    /// line on every payload write.
     state: CachePadded<AtomicUsize>,
     /// Cycle stamp taken in [`Self::publish`], read by the servicing
     /// responder to separate queueing delay from service time. Written
@@ -167,17 +167,17 @@ impl<Req, Resp> CallSlot<Req, Resp> {
     /// Publishes the request as ring sequence `seq`: `EMPTY → SUBMITTED`.
     /// A ring slot's state line is therefore written once per submission,
     /// and the line an idle responder spins on is not invalidated by an
-    /// advisory mark first. Nothing needs the mark: a second claimant
-    /// reaches this physical slot only one lap later, and the tail-based
+    /// advisory mark first. Nothing needs the mark: the requester reaches
+    /// this physical slot again only one lap later, and the tail-based
     /// full check in `ring::claim_slot` refuses that lap until this very
     /// submission has been published and taken.
     ///
     /// # Safety
     ///
-    /// Caller must hold the claim (won the ring's head CAS) and call this
-    /// at most once per claim. That claim is exclusive, so no other thread
-    /// reads or writes `req` until the Release store below hands the slot
-    /// over.
+    /// Caller must hold the claim (the ring's requester moved its head
+    /// past this slot) and call this at most once per claim. That claim is
+    /// exclusive, so no other thread reads or writes `req` until the
+    /// Release store below hands the slot over.
     #[inline]
     pub(crate) unsafe fn publish(&self, seq: usize, id: u32, req: Req) {
         debug_assert_eq!(self.state.load(Ordering::Relaxed), EMPTY);
@@ -507,18 +507,18 @@ impl<Req, Resp> core::fmt::Debug for MailSlot<Req, Resp> {
 /// Dropped-unredeemed ticket registry, one cell per physical ring slot.
 ///
 /// A ticket dropped without being waited used to wedge its slot forever:
-/// the call completes to `DONE`, nobody redeems it, and every claimant
-/// that laps onto the slot spins on the `EMPTY` check until shutdown. The
-/// board makes abandonment explicit: [`Ticket::drop`] marks the cell with
-/// the call's sequence number, and the claimant that next laps onto the
-/// slot reaps the stale response itself.
+/// the call completes to `DONE`, nobody redeems it, and the requester
+/// lapping onto the slot spins on the `EMPTY` check until shutdown. The
+/// board makes abandonment explicit: dropping a `Ticket` (on any thread)
+/// marks the cell with the call's sequence number, and the ring's one
+/// claimant, its requester, reaps the stale response itself when it next
+/// laps onto the slot.
 ///
-/// The cell stores `seq + 1` (`0` = no abandonment). Reaping is an
-/// exact-sequence CAS: the occupant of slot `head % cap` at claim
-/// sequence `head` is exactly `head - cap`, so a mark from any *earlier*
-/// lap can never falsely match, and at most one racing claimant wins the
-/// CAS — the redeem ownership the dropper relinquished transfers to
-/// exactly one thread.
+/// The cell stores `seq + 1` (`0` = no abandonment). Reaping checks the
+/// exact sequence: the occupant of slot `head % cap` at claim sequence
+/// `head` is exactly `head - cap`, so a mark from any *earlier* lap can
+/// never falsely match. Each cell has one marking drop and one reaping
+/// claimant per lap, so the clear needs no read-modify-write.
 #[derive(Debug)]
 pub(crate) struct AbandonBoard {
     cells: Box<[AtomicUsize]>,
@@ -538,12 +538,19 @@ impl AbandonBoard {
     }
 
     /// Claims the reap of abandoned call `seq`; `true` transfers the
-    /// dropper's redeem ownership to the caller (exactly once).
+    /// dropper's redeem ownership to the caller, the ring's one claimant
+    /// (exactly once: the cell is cleared).
     #[inline]
     pub(crate) fn try_take(&self, seq: usize) -> bool {
-        self.cells[seq % self.cells.len()]
-            .compare_exchange(seq.wrapping_add(1), 0, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
+        let cell = &self.cells[seq % self.cells.len()];
+        // Acquire: pairs with `mark`'s Release, so the drop is over.
+        let marked = cell.load(Ordering::Acquire) == seq.wrapping_add(1);
+        if marked {
+            // Relaxed: the cell's next mark is for call `seq + cap`, whose
+            // ticket the claimant mints after this store.
+            cell.store(0, Ordering::Relaxed);
+        }
+        marked
     }
 }
 
@@ -676,50 +683,6 @@ impl Doze {
 pub(crate) struct StageCells {
     pub(crate) queue: AtomicHist,
     pub(crate) service: AtomicHist,
-}
-
-/// The reap-stage histogram (completion → redeem) of one plane: one cell
-/// per requester handle, recorded **single-writer** by that handle exactly
-/// like the responders' [`StageCells`], so redeeming a call does no shared
-/// read-modify-write. [`ReapCells::snapshot`] merges the cells.
-#[derive(Debug, Default)]
-pub(crate) struct ReapCells {
-    /// `.0` holds the samples of handles that are gone, `.1` the cells of
-    /// the live ones. Locked only when a handle is minted or a snapshot
-    /// is taken — never on the call path.
-    cells: Mutex<(CycleHist, Vec<Arc<AtomicHist>>)>,
-}
-
-impl ReapCells {
-    /// Mints the cell of a new requester handle. Cells whose handle was
-    /// dropped are folded into the retired histogram here, so the registry
-    /// stays as large as the set of live handles. `Arc::get_mut` is the
-    /// uniqueness test because it acquires the dropped handle's last
-    /// (Relaxed) records along with the reference count.
-    pub(crate) fn register(&self) -> Arc<AtomicHist> {
-        let mut cells = self.cells.lock();
-        let (retired, live) = &mut *cells;
-        live.retain_mut(|cell| match Arc::get_mut(cell) {
-            Some(orphan) => {
-                retired.merge(&orphan.snapshot());
-                false
-            }
-            None => true,
-        });
-        let cell = Arc::new(AtomicHist::new());
-        live.push(Arc::clone(&cell));
-        cell
-    }
-
-    /// Every reap recorded on the plane so far, over all handles.
-    pub(crate) fn snapshot(&self) -> CycleHist {
-        let cells = self.cells.lock();
-        let mut merged = cells.0.clone();
-        for cell in &cells.1 {
-            merged.merge(&cell.snapshot());
-        }
-        merged
-    }
 }
 
 /// A responder-owned statistics cell. Only its responder writes it (plain

@@ -33,9 +33,9 @@ use super::arena::{ArenaStats, SgList, SlabArena};
 use super::ring::{RingRequester, RingServer, Window};
 use super::CallTable;
 
-/// Default arena segment size for scatter-gather transfers: big enough
-/// to amortize per-segment bookkeeping, small enough that a handful of
-/// size classes cover every stream.
+/// Arena segment size of every scatter-gather transfer: big enough to
+/// amortize per-segment bookkeeping, small enough that a handful of size
+/// classes cover every stream.
 pub const DEFAULT_SEGMENT_BYTES: usize = 16 << 10;
 
 /// A call table whose handlers transform scatter-gather chunks in place.
@@ -111,8 +111,12 @@ impl From<SgCallTable> for CallTable<SgList, SgList> {
 pub type SgRing = RingServer<SgList, SgList>;
 
 impl RingServer<SgList, SgList> {
-    /// A caller handle with its own private arena and reusable stream
-    /// state.
+    /// The ring's one requester handle (see [`RingServer::requester`])
+    /// with its own private arena and reusable stream state.
+    ///
+    /// # Panics
+    ///
+    /// As [`RingServer::requester`]: if a handle of this plane is alive.
     pub fn caller(&self) -> StreamCaller {
         StreamCaller::new(self.requester())
     }
@@ -150,7 +154,6 @@ pub struct StreamCaller {
     /// in object order while the window keeps the plane busy.
     window: Window<SgList, SgList>,
     arena: SlabArena,
-    segment_bytes: usize,
 }
 
 impl StreamCaller {
@@ -159,15 +162,7 @@ impl StreamCaller {
         StreamCaller {
             window: requester.window(depth).expect("capacity is a valid depth"),
             arena: SlabArena::new(),
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
         }
-    }
-
-    /// Overrides the arena segment size (power of two recommended — the
-    /// arena rounds capacities up to its size classes anyway).
-    pub fn set_segment_bytes(&mut self, bytes: usize) {
-        assert!(bytes > 0, "segment size must be positive");
-        self.segment_bytes = bytes;
     }
 
     /// Issues one scatter-gather call carrying `data` (split into arena
@@ -186,7 +181,7 @@ impl StreamCaller {
         data: &[u8],
         read: impl FnOnce(&SgList) -> R,
     ) -> Result<R> {
-        let sg = self.arena.acquire_sg(data, self.segment_bytes);
+        let sg = self.arena.acquire_sg(data, DEFAULT_SEGMENT_BYTES);
         let resp = self.window.requester().call(id, sg)?;
         let r = read(&resp);
         self.arena.recycle_sg(resp);
@@ -280,7 +275,7 @@ impl StreamCaller {
                 last_chunk = chunk;
                 let mut sg = self
                     .arena
-                    .acquire_sg(&data[offset..end], self.segment_bytes);
+                    .acquire_sg(&data[offset..end], DEFAULT_SEGMENT_BYTES);
                 sg.set_meta(offset as u64);
                 // Below the window's depth, so nothing is reaped here.
                 if let Err(e) = self.window.submit(id, sg) {
@@ -362,11 +357,11 @@ mod tests {
         let (t, xor, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
-        caller.set_segment_bytes(4 << 10);
         let data = pattern(100_000);
         let gathered = caller
             .call_sg_with(xor, &data, |resp| {
-                assert_eq!(resp.segment_count(), 100_000_usize.div_ceil(4 << 10));
+                let segments = 100_000_usize.div_ceil(DEFAULT_SEGMENT_BYTES);
+                assert_eq!(resp.segment_count(), segments);
                 let mut out = Vec::new();
                 resp.gather_into(&mut out);
                 out
@@ -382,7 +377,6 @@ mod tests {
         let (t, xor, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 16, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
-        caller.set_segment_bytes(8 << 10);
         let data = pattern(1 << 20);
         let mut out = vec![0u8; data.len()];
         let report = caller
@@ -416,7 +410,6 @@ mod tests {
         let (t, xor, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 16, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
-        caller.set_segment_bytes(16 << 10);
         let data = pattern(512 << 10);
         let mut sink = |_off: u64, _sg: &SgList| {};
         caller
@@ -441,11 +434,11 @@ mod tests {
         let (t, xor, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 16, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
-        caller.set_segment_bytes(4 << 10);
         let data = pattern(300_000);
         // Shrink the chunk every submission: 64 KiB, 32 KiB, 16 KiB, ...
         // floored at 4 KiB — the shape an EPC-pressure chunker produces
-        // crossing the paging cliff.
+        // crossing the paging cliff. The first chunks span several
+        // segments, the last ones part of one.
         let mut next = 64 << 10;
         let chunker = move || {
             let c = next;

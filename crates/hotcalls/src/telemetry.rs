@@ -21,7 +21,7 @@
 //! by the responder that serviced it) and updated with plain
 //! `Relaxed` load/store pairs — no shared read-modify-write on the call
 //! path. The reap-stage histogram follows the same rule from the other
-//! side: one cell per requester handle, merged when the plane is read.
+//! side: the ring's one requester is its only writer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -238,8 +238,8 @@ impl CycleHist {
 ///
 /// Bucket updates match the plane's ownership discipline:
 /// [`AtomicHist::record`] is **single-writer** (plain `Relaxed` load +
-/// store, no RMW — a responder owns its stage cells and a requester handle
-/// its reap cell, exactly like `LocalStats` counter flushes). Readers on
+/// store, no RMW — a responder owns its stage cells and a ring's one
+/// requester its reap cell, exactly like `LocalStats` counter flushes). Readers on
 /// other threads take a [`AtomicHist::snapshot`].
 ///
 /// Under the `telemetry-off` feature the cell allocates no buckets and
@@ -447,9 +447,8 @@ pub struct PlaneTelemetry {
     /// Cycles from pickup to completion (service time), recorded by the
     /// plane's responder.
     pub service: CycleHist,
-    /// Cycles from completion to the requester reaping the response: one
-    /// single-writer cell per requester handle, merged here. Exact when
-    /// every thread redeems through its own handle (see `RingRequester`).
+    /// Cycles from completion to the requester reaping the response,
+    /// recorded by the ring's one requester.
     pub reap: CycleHist,
 }
 

@@ -1,17 +1,17 @@
 //! The ring claim and reap protocol under the conditions it is built for:
-//! a requester publishes a slot `EMPTY → SUBMITTED` with no `CLAIMED` mark
-//! in between, `wait_any` hands back the oldest ticket of its set, and
-//! each handle records reap latency into a cell of its own.
-//!
-//! The scenarios run several requesters against the ring's one responder,
-//! so the requesters contend on the one head CAS.
+//! the ring's one requester publishes a slot `EMPTY → SUBMITTED` with no
+//! `CLAIMED` mark in between, `wait_any` hands back the oldest ticket of
+//! its set, and the requester handle is a lease that records every reap.
 
-use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hotcalls::rt::{CallTable, RingRequester, RingServer};
+use hotcalls::rt::{
+    ByteCallTable, ByteRing, CallTable, HotBuf, RingServer, SgCallTable, SgList, SgRing, SlabArena,
+    DEFAULT_SEGMENT_BYTES,
+};
 use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
 /// A handler argument that parks the responder until the gate is opened.
@@ -73,57 +73,6 @@ fn plane(table: CallTable<u64, u64>, capacity: usize) -> Server {
     RingServer::spawn_pool(table, capacity, 1, HotCallConfig::patient()).unwrap()
 }
 
-/// Four requester handles hammer a ring of `capacity` slots. A lap
-/// admitted onto a claimed-but-unpublished slot, or a slot claimed twice,
-/// shows up as a duplicated sequence number, a wrong value, or a call that
-/// never completes.
-fn tiny_ring_stress(capacity: usize) {
-    const REQUESTERS: u64 = 4;
-    const CALLS: u64 = 3_000;
-    let (table, inc) = gated_table(Default::default());
-    let server = plane(table, capacity);
-    let seqs: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..REQUESTERS)
-            .map(|who| {
-                let r = server.requester();
-                s.spawn(move || {
-                    (0..CALLS)
-                        .map(|i| {
-                            // One ticket at a time: a requester holding an
-                            // un-redeemed ticket must not submit on a ring
-                            // this small (it could lap onto itself).
-                            let x = who * CALLS + i;
-                            let ticket = r.submit(inc, x).unwrap();
-                            let seq = ticket.seq();
-                            assert_eq!(r.wait(ticket).unwrap(), x + 1, "seq {seq}");
-                            seq
-                        })
-                        .collect::<Vec<u64>>()
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    });
-    let total = REQUESTERS * CALLS;
-    let distinct: BTreeSet<u64> = seqs.iter().flatten().copied().collect();
-    assert_eq!(
-        distinct.len() as u64,
-        total,
-        "a sequence was handed out twice"
-    );
-    assert_eq!(
-        distinct.last().copied(),
-        Some(total - 1),
-        "a sequence was skipped"
-    );
-    assert_eq!(server.stats().calls, total);
-}
-
-#[test]
-fn ring_four_requesters_on_two_slots_never_double_claim() {
-    tiny_ring_stress(2);
-}
-
 /// A gated oldest ticket holds `wait_any` until the gate opens, then the
 /// completions come back in submission order:
 ///
@@ -149,12 +98,14 @@ fn ring_wait_any_holds_for_a_gated_oldest_then_returns_in_order() {
     // The oldest goes last: the pick is by sequence, not set position.
     tickets.push(t0);
 
-    let returned = AtomicBool::new(false);
-    let reaped = std::thread::scope(|s| {
-        let reaper = s.spawn(|| {
+    let returned = &AtomicBool::new(false);
+    // The handle moves into the reaper (it is `Send`, not `Sync`) and
+    // comes back with the set.
+    let (r, mut tickets, reaped) = std::thread::scope(|s| {
+        let reaper = s.spawn(move || {
             let first = r.wait_any(&mut tickets).unwrap();
             returned.store(true, Ordering::SeqCst);
-            first
+            (r, tickets, first)
         });
         // Nothing behind the gated call can complete, so the reaper has
         // nothing to return while the gate is shut.
@@ -197,47 +148,84 @@ fn ring_window_equal_to_capacity_never_wedges() {
     assert_eq!(expected.next(), Some(100_001));
 }
 
-/// The reap histogram is one single-writer cell per requester handle.
-/// Threads that each redeem through their own clone get an exact count.
-/// Threads sharing one handle by reference (it is `Sync`) race on its cell:
-/// no call is lost or miscounted, but reap *samples* may be — the count
-/// can fall short of the calls made, never exceed them.
+/// A second handle is refused while one is alive; see [`lease_row`].
 #[test]
-fn ring_reap_samples_are_per_handle() {
-    const THREADS: u64 = 2;
-    const CALLS: u64 = 5_000;
+fn one_requester_per_ring_is_a_lease() {
+    let config = HotCallConfig::patient();
     let (table, inc) = gated_table(Default::default());
-    let server = &plane(table, 8);
-    let drive = |r: &RingRequester<u64, u64>| {
-        (0..CALLS).for_each(|x| assert_eq!(r.wait(r.submit(inc, x).unwrap()).unwrap(), x + 1));
+    let typed = RingServer::spawn_pool(table, 4, 1, config).unwrap();
+    lease_row("u64", typed, inc, |x| x, |x| x, RingServer::requester);
+
+    // The byte and sg rows carry the `u64` in their first 8 bytes.
+    let bump = |bytes: &mut [u8]| {
+        let x = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        bytes[..8].copy_from_slice(&(x + 1).to_le_bytes());
+        8
     };
-    let reaps = || server.telemetry("t").reap.count();
+    let mut table = ByteCallTable::new();
+    let inc = table.register(move |_, buf| bump(buf));
+    let bytes = ByteRing::spawn_pool(table, 4, 1, config).unwrap();
+    let encode = |x: u64| SlabArena::new().acquire(&x.to_le_bytes(), 8);
+    let decode = |buf: HotBuf| u64::from_le_bytes(buf.as_slice().try_into().unwrap());
+    lease_row("bytes", bytes, inc, encode, decode, ByteRing::caller);
 
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            let own = server.requester();
-            s.spawn(move || drive(&own));
-        }
-    });
-    let exact = THREADS * CALLS;
-    assert_eq!(server.stats().calls, exact);
-    if TELEMETRY_ENABLED {
-        assert_eq!(reaps(), exact, "own handles must not lose samples");
+    let mut table = SgCallTable::new();
+    let inc = table.register(move |sg| bump(sg.segments_mut()[0].raw_mut()));
+    let sg = SgRing::spawn_pool(table, 4, 1, config).unwrap();
+    let encode = |x: u64| SlabArena::new().acquire_sg(&x.to_le_bytes(), DEFAULT_SEGMENT_BYTES);
+    let decode = |sg: SgList| {
+        let mut out = Vec::new();
+        sg.gather_into(&mut out);
+        u64::from_le_bytes(out[..8].try_into().unwrap())
+    };
+    lease_row("sg", sg, inc, encode, decode, SgRing::caller);
+}
+
+/// One row of the lease table: `server` at payload `P` with the `x + 1`
+/// handler `inc`, `encode`/`decode` between a `u64` and `P`, and `caller`
+/// the payload's own handle. While a handle is alive, a second
+/// `requester()` or `caller()` panics; after it drops, the next handle
+/// redeems a ticket the old one issued, and the reap histogram holds every
+/// call of both handles.
+fn lease_row<P: Send + 'static, H>(
+    row: &str,
+    server: RingServer<P, P>,
+    inc: u32,
+    encode: impl Fn(u64) -> P,
+    decode: impl Fn(P) -> u64,
+    caller: impl Fn(&RingServer<P, P>) -> H,
+) {
+    const CALLS: u64 = 100;
+    let refused = |what: &str, take: &dyn Fn()| {
+        let err = catch_unwind(AssertUnwindSafe(take)).expect_err(what);
+        let msg = err.downcast_ref::<&str>().copied();
+        let msg = msg.or_else(|| err.downcast_ref::<String>().map(String::as_str));
+        assert!(
+            msg.is_some_and(|m| m.contains("one plane per requester")),
+            "{row}: {what}: {msg:?}"
+        );
+    };
+    let held = caller(&server);
+    refused("requester() beside a caller", &|| drop(server.requester()));
+    refused("caller() beside a caller", &|| drop(caller(&server)));
+    drop(held);
+
+    let first = server.requester();
+    refused("caller() beside a requester", &|| drop(caller(&server)));
+    for x in 0..CALLS {
+        assert_eq!(decode(first.call(inc, encode(x)).unwrap()), x + 1, "{row}");
     }
+    let ticket = first.submit(inc, encode(CALLS)).unwrap();
+    drop(first);
 
-    let shared = server.requester();
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            s.spawn(|| drive(&shared));
-        }
-    });
-    assert_eq!(
-        server.stats().calls,
-        2 * exact,
-        "a shared handle lost calls"
-    );
+    let second = server.requester();
+    assert_eq!(decode(second.wait(ticket).unwrap()), CALLS + 1, "{row}");
+    for x in 0..CALLS {
+        assert_eq!(decode(second.call(inc, encode(x)).unwrap()), x + 1, "{row}");
+    }
+    let calls = 2 * CALLS + 1;
+    assert_eq!(server.stats().calls, calls, "{row}");
     if TELEMETRY_ENABLED {
-        let sampled = reaps() - exact;
-        assert!((1..=exact).contains(&sampled), "{sampled} of {exact}");
+        assert_eq!(server.telemetry(row).reap.count(), calls, "{row}");
     }
 }

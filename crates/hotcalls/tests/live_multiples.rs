@@ -87,8 +87,8 @@ fn sync_calls(r: &Requester, id: u32, done: impl Fn() -> bool) -> u64 {
 /// A window of `depth` submissions kept in flight until `done()`, then
 /// drained so every submission is completed and counted; returns the
 /// count.
-fn pipelined_calls(r: &Requester, id: u32, depth: usize, done: impl Fn() -> bool) -> u64 {
-    let mut window = r.clone().window(depth).unwrap();
+fn pipelined_calls(r: Requester, id: u32, depth: usize, done: impl Fn() -> bool) -> u64 {
+    let mut window = r.window(depth).unwrap();
     let mut completed = 0;
     while !done() {
         completed += u64::from(window.submit(id, completed).unwrap().is_some());
@@ -96,22 +96,20 @@ fn pipelined_calls(r: &Requester, id: u32, depth: usize, done: impl Fn() -> bool
     completed + window.drain(drop).unwrap()
 }
 
-/// Runs `drive` on one thread per requester for [`MEASURE`]; returns the
-/// completed-call rate and the completions counted.
+/// Runs `drive` with the plane's requester on a thread of its own for
+/// [`MEASURE`]; returns the completed-call rate and the completions
+/// counted.
 fn timed(
-    requesters: Vec<Requester>,
-    drive: impl Fn(&Requester, &dyn Fn() -> bool) -> u64 + Sync,
+    requester: Requester,
+    drive: impl FnOnce(Requester, &dyn Fn() -> bool) -> u64 + Send,
 ) -> (f64, u64) {
     let stop = AtomicBool::new(false);
     let start = Instant::now();
     let completed: u64 = std::thread::scope(|s| {
-        let handles: Vec<_> = requesters
-            .iter()
-            .map(|r| s.spawn(|| drive(r, &|| stop.load(Ordering::Relaxed))))
-            .collect();
+        let handle = s.spawn(|| drive(requester, &|| stop.load(Ordering::Relaxed)));
         std::thread::sleep(MEASURE);
         stop.store(true, Ordering::Relaxed);
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+        handle.join().unwrap()
     });
     (completed as f64 / start.elapsed().as_secs_f64(), completed)
 }
@@ -120,12 +118,10 @@ fn timed(
 /// shut down, rate returned.
 fn plane_rate(
     server: Server,
-    requesters: usize,
-    drive: impl Fn(&Requester, &dyn Fn() -> bool) -> u64 + Sync,
+    drive: impl FnOnce(Requester, &dyn Fn() -> bool) -> u64 + Send,
 ) -> f64 {
-    let handles = (0..requesters).map(|_| server.requester()).collect();
     let before = server.stats().calls;
-    let (rate, completed) = timed(handles, drive);
+    let (rate, completed) = timed(server.requester(), drive);
     assert_eq!(
         server.stats().calls - before,
         completed,
@@ -168,7 +164,7 @@ fn fused_calls_beat_the_pooled_handoff() {
         if idle == DOZING {
             await_fusing(&server);
         }
-        let rate = plane_rate(server, 1, |r, done| sync_calls(r, CPU, done));
+        let rate = plane_rate(server, |r, done| sync_calls(&r, CPU, done));
         (rate, telemetry())
     };
     let ((pooled, spinning), (fused, dozing)) = (rate(SPINNING), rate(DOZING));
@@ -235,12 +231,8 @@ fn phase_workload(idle_polls_before_sleep: Option<u64>) -> Phases {
             std::thread::sleep(QUIET_GAP);
         }
 
-        // One pipelined submitter: two on one ring could lap onto *each
-        // other's* unredeemed tickets, which no rule local to one of them
-        // prevents.
         let t0 = Instant::now();
-        let burst = vec![server.requester()];
-        burst_calls += timed(burst, |r, done| pipelined_calls(r, IO, 16, done)).1;
+        burst_calls += timed(r, |r, done| pipelined_calls(r, IO, 16, done)).1;
         burst_secs += t0.elapsed().as_secs_f64();
     }
     assert_eq!(

@@ -1,6 +1,7 @@
 //! Property tests of the streaming scatter-gather path: chunked
 //! reassembly equivalence and ticket conservation under arbitrary chunk
-//! schedules, window depths, and segment sizes — and the pre-submit
+//! schedules and window depths, chunks spanning several arena segments
+//! or part of one — and the pre-submit
 //! gate's contract: once per chunk, in order, before the chunk's handler,
 //! and a refusal that leaves the plane whole.
 
@@ -42,25 +43,21 @@ proptest! {
     // Each case spawns a responder thread; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Streaming an object as pipelined chunks — odd lengths, odd
-    /// segment sizes, arbitrary chunk schedules, any window depth —
-    /// reassembles byte-identically to pushing the whole buffer through
-    /// one scatter-gather call.
+    /// Streaming an object as pipelined chunks — odd lengths, arbitrary
+    /// chunk schedules with chunks up to several segments
+    /// ([`hotcalls::rt::DEFAULT_SEGMENT_BYTES`], 16 KiB) long, any window
+    /// depth — reassembles byte-identically to pushing the whole buffer
+    /// through one scatter-gather call.
     #[test]
     fn chunked_stream_reassembles_byte_identical(
-        data in proptest::collection::vec(any::<u8>(), 0..8192),
-        // Power-of-two, per the `set_segment_bytes` contract: in-place
-        // handlers need segment capacity == segment size, and the arena
-        // rounds capacities up to its power-of-two size classes.
-        segment_bytes in (6u32..13).prop_map(|p| 1usize << p),
-        schedule in proptest::collection::vec(1usize..6000, 1..8),
+        data in proptest::collection::vec(any::<u8>(), 0..72_000),
+        schedule in proptest::collection::vec(1usize..40_000, 1..8),
         window in 1usize..17,
     ) {
         let mut table = SgCallTable::new();
         let id = register_xform(&mut table);
         let ring = SgRing::spawn_pool(table, 8, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
-        caller.set_segment_bytes(segment_bytes);
         let expected = xform_expected(&data);
 
         // Single-buffer path: the whole object in one call.

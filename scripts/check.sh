@@ -22,9 +22,10 @@ echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D 
 cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
 
 # Rustdoc over the first-party packages (the vendored stand-ins are not
-# ours to lint): a doc link to a deleted or private item fails the gate.
-echo "==> cargo doc --no-deps (first-party packages) with -D warnings"
-RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
+# ours to lint), private items included: a doc link to a deleted or
+# private item fails the gate, in a private module too.
+echo "==> cargo doc --no-deps --document-private-items (first-party packages) with -D warnings"
+RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps --document-private-items -q \
     -p hotcalls-repro -p sgx-sim -p sgx-sdk -p hotcalls -p apps -p workloads -p bench
 
 # Telemetry-off compiles out the stage histograms and the cycle clock
@@ -70,8 +71,9 @@ cargo run --release -q --example quickstart
 # only exist in debug (the pass above), the race windows only open in
 # release. Then the tests that used to fail on scheduling luck, 20 times
 # over, so a regression in any is a red check here and not folklore
-# (`ticket_drop` abandons tickets on a one-responder ring: the
-# dropped-ticket wedge; `responder_services_in_submission_order` and
+# (every ring has one requester and one responder; `ticket_drop` abandons
+# tickets on a ring: the dropped-ticket wedge;
+# `responder_services_in_submission_order` and
 # `ring_window_equal_to_capacity_never_wedges` pipeline windows as deep as
 # their ring: the `wait_any` oldest-first pick and `rt::Window`'s reap;
 # `wait_any_redeems_oldest_...` laps an 8-slot ring with 4 in flight: the
