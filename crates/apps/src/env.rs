@@ -330,11 +330,6 @@ impl AppEnv {
         })
     }
 
-    /// The active mode.
-    pub fn mode(&self) -> IfaceMode {
-        self.mode
-    }
-
     /// Allocates application data: enclave heap in enclave modes, regular
     /// memory natively.
     ///

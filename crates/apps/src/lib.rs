@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod api;
 pub mod env;
 mod error;
 pub mod lighttpd;
@@ -45,6 +44,5 @@ pub mod openvpn;
 pub mod porting;
 pub mod storage;
 
-pub use api::OsApi;
 pub use env::{ApiMix, AppEnv, IfaceMode};
 pub use error::{AppError, Result};

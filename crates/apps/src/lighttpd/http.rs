@@ -87,11 +87,6 @@ pub fn mime_type(path: &str) -> &'static str {
     }
 }
 
-/// Builds a 200 response head for a body of `len` bytes.
-pub fn response_ok_head(len: usize, keep_alive: bool) -> Bytes {
-    response_ok_head_full(len, keep_alive, "application/octet-stream", None)
-}
-
 /// Builds a 200 response head with content type and optional ETag.
 pub fn response_ok_head_full(
     len: usize,
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn ok_head_contains_length() {
-        let head = response_ok_head(20480, true);
+        let head = response_ok_head_full(20480, true, "text/html", None);
         let text = core::str::from_utf8(&head).unwrap();
         assert!(text.contains("Content-Length: 20480"));
         assert!(text.contains("keep-alive"));

@@ -86,7 +86,6 @@ pub struct Lighttpd {
     rx_buf: Addr,
     tx_buf: Addr,
     mix: ApiMix,
-    requests: u64,
 }
 
 impl Lighttpd {
@@ -101,7 +100,6 @@ impl Lighttpd {
             rx_buf: env.alloc_data(8 * 1024)?,
             tx_buf: env.alloc_data(64 * 1024)?,
             mix: table2_mix(),
-            requests: 0,
         })
     }
 
@@ -141,7 +139,6 @@ impl Lighttpd {
     /// Interface errors propagate; HTTP-level errors (404/405) are encoded
     /// in the response, not returned as `Err`.
     pub fn serve(&mut self, env: &mut AppEnv, raw_request: &[u8]) -> Result<(Bytes, Bytes)> {
-        self.requests += 1;
         // Pull the request off the socket: lighttpd reads into a full
         // 4 KB chunk buffer regardless of the request's size.
         env.api_call("read", &[BufArg::new(self.rx_buf, 4096)])?;
@@ -206,11 +203,6 @@ impl Lighttpd {
         let body = file.content.clone();
         env.api_call("sendfile64", &[BufArg::new(self.tx_buf, body.len() as u64)])?;
         Ok((head, body))
-    }
-
-    /// Requests served so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests
     }
 }
 

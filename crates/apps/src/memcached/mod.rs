@@ -240,11 +240,6 @@ impl Memcached {
             }),
         }
     }
-
-    /// Requests served so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests
-    }
 }
 
 #[cfg(test)]

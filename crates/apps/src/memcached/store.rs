@@ -77,18 +77,10 @@ impl KvStore {
         (self.hits, self.misses, self.evictions)
     }
 
-    /// Stores a value, evicting the LRU item if at capacity. Charges the
-    /// memory model for writing the value into its slab.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine-model errors.
-    pub fn set(&mut self, env: &mut AppEnv, key: Bytes, value: Bytes) -> Result<()> {
-        self.set_with(env, key, value, 0, 0)
-    }
-
     /// Stores a value with client flags and a relative expiry in seconds
-    /// of *virtual* time (0 = never).
+    /// of *virtual* time (0 = never), evicting the LRU item if at
+    /// capacity. Charges the memory model for writing the value into its
+    /// slab.
     ///
     /// # Errors
     ///
@@ -244,10 +236,12 @@ mod tests {
         let mut env = env();
         let mut store = KvStore::new(&mut env, 16, 2048).unwrap();
         store
-            .set(
+            .set_with(
                 &mut env,
                 Bytes::from_static(b"k"),
                 Bytes::from(vec![7; 100]),
+                0,
+                0,
             )
             .unwrap();
         let v = store.get(&mut env, &Bytes::from_static(b"k")).unwrap();
@@ -272,13 +266,25 @@ mod tests {
         let mut store = KvStore::new(&mut env, 3, 2048).unwrap();
         for i in 0..3u8 {
             store
-                .set(&mut env, Bytes::from(vec![i]), Bytes::from(vec![i; 10]))
+                .set_with(
+                    &mut env,
+                    Bytes::from(vec![i]),
+                    Bytes::from(vec![i; 10]),
+                    0,
+                    0,
+                )
                 .unwrap();
         }
         // Touch key 0 so key 1 is LRU.
         store.get(&mut env, &Bytes::from(vec![0u8])).unwrap();
         store
-            .set(&mut env, Bytes::from(vec![9u8]), Bytes::from(vec![9; 10]))
+            .set_with(
+                &mut env,
+                Bytes::from(vec![9u8]),
+                Bytes::from(vec![9; 10]),
+                0,
+                0,
+            )
             .unwrap();
         assert_eq!(store.len(), 3);
         assert!(store
@@ -297,10 +303,22 @@ mod tests {
         let mut env = env();
         let mut store = KvStore::new(&mut env, 2, 2048).unwrap();
         store
-            .set(&mut env, Bytes::from_static(b"k"), Bytes::from(vec![1; 10]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"k"),
+                Bytes::from(vec![1; 10]),
+                0,
+                0,
+            )
             .unwrap();
         store
-            .set(&mut env, Bytes::from_static(b"k"), Bytes::from(vec![2; 20]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"k"),
+                Bytes::from(vec![2; 20]),
+                0,
+                0,
+            )
             .unwrap();
         assert_eq!(store.len(), 1);
         let v = store
@@ -355,10 +373,22 @@ mod expiry_tests {
         assert_eq!(store.len(), 0);
         // The freed slab is reusable: fill to capacity again.
         store
-            .set(&mut env, Bytes::from_static(b"a"), Bytes::from(vec![2; 10]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"a"),
+                Bytes::from(vec![2; 10]),
+                0,
+                0,
+            )
             .unwrap();
         store
-            .set(&mut env, Bytes::from_static(b"b"), Bytes::from(vec![3; 10]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"b"),
+                Bytes::from(vec![3; 10]),
+                0,
+                0,
+            )
             .unwrap();
         assert_eq!(store.len(), 2);
         assert_eq!(store.stats().2, 0, "no LRU eviction needed");
@@ -369,7 +399,13 @@ mod expiry_tests {
         let mut env = env();
         let mut store = KvStore::new(&mut env, 2, 2048).unwrap();
         store
-            .set(&mut env, Bytes::from_static(b"k"), Bytes::from(vec![1; 8]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"k"),
+                Bytes::from(vec![1; 8]),
+                0,
+                0,
+            )
             .unwrap();
         env.machine.charge(Cycles::new(100_000_000_000));
         assert!(store
@@ -404,13 +440,25 @@ mod expiry_tests {
         let mut env = env();
         let mut store = KvStore::new(&mut env, 1, 2048).unwrap();
         store
-            .set(&mut env, Bytes::from_static(b"k"), Bytes::from(vec![1; 8]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"k"),
+                Bytes::from(vec![1; 8]),
+                0,
+                0,
+            )
             .unwrap();
         assert!(store.delete(&mut env, &Bytes::from_static(b"k")).unwrap());
         assert!(!store.delete(&mut env, &Bytes::from_static(b"k")).unwrap());
         // Slab freed: a new item fits without LRU eviction.
         store
-            .set(&mut env, Bytes::from_static(b"n"), Bytes::from(vec![2; 8]))
+            .set_with(
+                &mut env,
+                Bytes::from_static(b"n"),
+                Bytes::from(vec![2; 8]),
+                0,
+                0,
+            )
             .unwrap();
         assert_eq!(store.stats().2, 0);
     }

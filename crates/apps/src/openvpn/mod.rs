@@ -124,7 +124,6 @@ pub struct OpenVpn {
     tun_buf: Addr,
     sock_buf: Addr,
     mix: ApiMix,
-    rekeys: u64,
 }
 
 impl OpenVpn {
@@ -145,7 +144,6 @@ impl OpenVpn {
             tun_buf: env.alloc_data(4 * 1024)?,
             sock_buf: env.alloc_data(4 * 1024)?,
             mix: table2_mix(),
-            rekeys: 0,
         })
     }
 
@@ -168,17 +166,11 @@ impl OpenVpn {
         self.mac_key = mac_key;
         self.seq = 0;
         self.replay = ReplayWindow::default();
-        self.rekeys += 1;
     }
 
     /// Current key epoch (bumped by [`OpenVpn::rekey`]).
     pub fn key_epoch(&self) -> u32 {
         self.key_epoch
-    }
-
-    /// Rekeys performed.
-    pub fn rekeys(&self) -> u64 {
-        self.rekeys
     }
 
     fn nonce_for(seq: u64) -> [u8; NONCE_LEN] {

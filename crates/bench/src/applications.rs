@@ -53,39 +53,41 @@ fn sim_config(seed: u64) -> SimConfig {
     SimConfig::builder().seed(seed).build()
 }
 
-/// One application measurement under one interface mode.
-#[derive(Debug, Clone)]
-pub struct AppRun {
-    /// Interface configuration.
-    pub mode: IfaceMode,
-    /// Workload outcome.
-    pub result: RunResult,
-}
-
-/// Runs memtier against memcached under `mode`.
-pub fn run_memcached(mode: IfaceMode, requests: u64) -> AppRun {
-    let mut env = AppEnv::new(sim_config(101), mode, &memcached::api_table(), 64 << 20)
+/// Runs memtier against memcached under `mode` on a machine seeded with
+/// `seed`. Returns the environment, the virtual seconds it had elapsed
+/// when the driver started (Table 2 times everything after, memtier's
+/// prefill included), and the run.
+fn memtier_run(
+    mode: IfaceMode,
+    seed: u64,
+    keyspace: u64,
+    requests: u64,
+) -> (AppEnv, f64, RunResult) {
+    let mut env = AppEnv::new(sim_config(seed), mode, &memcached::api_table(), 64 << 20)
         .expect("memcached env");
     let mut server = Memcached::new(&mut env, 8_192, 2_048).expect("server");
+    let before = env.elapsed_secs();
     let result = memtier::run(
         &mut env,
         &mut server,
         memtier::MemtierConfig {
             requests,
-            keyspace: 2_048,
+            keyspace,
             ..memtier::MemtierConfig::default()
         },
     )
     .expect("memtier run");
-    AppRun { mode, result }
+    (env, before, result)
 }
 
-/// Runs http_load against lighttpd under `mode`.
-pub fn run_lighttpd(mode: IfaceMode, fetches: u64) -> AppRun {
-    let mut env =
-        AppEnv::new(sim_config(102), mode, &lighttpd::api_table(), 64 << 20).expect("lighttpd env");
+/// Runs http_load against lighttpd under `mode` on a machine seeded with
+/// `seed`; returns what [`memtier_run`] does.
+fn http_load_run(mode: IfaceMode, seed: u64, fetches: u64) -> (AppEnv, f64, RunResult) {
+    let mut env = AppEnv::new(sim_config(seed), mode, &lighttpd::api_table(), 64 << 20)
+        .expect("lighttpd env");
     env.enter_main().expect("enter");
     let mut server = Lighttpd::new(&mut env).expect("server");
+    let before = env.elapsed_secs();
     let result = http_load::run(
         &mut env,
         &mut server,
@@ -96,7 +98,31 @@ pub fn run_lighttpd(mode: IfaceMode, fetches: u64) -> AppRun {
         },
     )
     .expect("http_load run");
-    AppRun { mode, result }
+    (env, before, result)
+}
+
+/// Runs iperf through the tunnel under `mode`, the endpoint's machine
+/// seeded with `seed` and its native peer's with `seed + 1`; returns what
+/// [`memtier_run`] does.
+fn iperf_run(mode: IfaceMode, seed: u64, packets: u64) -> (AppEnv, f64, RunResult) {
+    let (mut env, mut endpoint, _peer_env, mut peer) = vpn_pair(mode, seed);
+    let before = env.elapsed_secs();
+    let cfg = iperf::IperfConfig {
+        packets,
+        ..iperf::IperfConfig::default()
+    };
+    let result = iperf::run(&mut env, &mut endpoint, &mut peer, cfg).expect("iperf run");
+    (env, before, result)
+}
+
+/// Runs memtier against memcached under `mode`.
+pub fn run_memcached(mode: IfaceMode, requests: u64) -> RunResult {
+    memtier_run(mode, 101, 2_048, requests).2
+}
+
+/// Runs http_load against lighttpd under `mode`.
+pub fn run_lighttpd(mode: IfaceMode, fetches: u64) -> RunResult {
+    http_load_run(mode, 102, fetches).2
 }
 
 fn vpn_pair(mode: IfaceMode, seed: u64) -> (AppEnv, OpenVpn, AppEnv, OpenVpn) {
@@ -118,21 +144,16 @@ fn vpn_pair(mode: IfaceMode, seed: u64) -> (AppEnv, OpenVpn, AppEnv, OpenVpn) {
 
 /// Runs iperf through the tunnel under `mode`; returns the run plus the
 /// achieved bandwidth in Mbit/s.
-pub fn run_openvpn_iperf(mode: IfaceMode, packets: u64) -> (AppRun, f64) {
-    let (mut env, mut endpoint, _peer_env, mut peer) = vpn_pair(mode, 103);
-    let cfg = iperf::IperfConfig {
-        packets,
-        ..iperf::IperfConfig::default()
-    };
-    let result = iperf::run(&mut env, &mut endpoint, &mut peer, cfg).expect("iperf run");
-    let mbps = iperf::bandwidth_mbps(&result, cfg.payload_bytes);
-    (AppRun { mode, result }, mbps)
+pub fn run_openvpn_iperf(mode: IfaceMode, packets: u64) -> (RunResult, f64) {
+    let result = iperf_run(mode, 103, packets).2;
+    let mbps = iperf::bandwidth_mbps(&result, iperf::IperfConfig::default().payload_bytes);
+    (result, mbps)
 }
 
 /// Runs the flood ping through the tunnel under `mode`.
-pub fn run_openvpn_ping(mode: IfaceMode, count: u64) -> AppRun {
+pub fn run_openvpn_ping(mode: IfaceMode, count: u64) -> RunResult {
     let (mut env, mut endpoint, _peer_env, mut peer) = vpn_pair(mode, 105);
-    let result = ping::run(
+    ping::run(
         &mut env,
         &mut endpoint,
         &mut peer,
@@ -141,8 +162,7 @@ pub fn run_openvpn_ping(mode: IfaceMode, count: u64) -> AppRun {
             ..ping::PingConfig::default()
         },
     )
-    .expect("ping run");
-    AppRun { mode, result }
+    .expect("ping run")
 }
 
 /// One application's Table 2 row.
@@ -181,159 +201,43 @@ fn table2_row(app: &'static str, env: &AppEnv, elapsed_secs: f64, top: usize) ->
 /// Reproduces Table 2: API-call frequencies of the three *unoptimized*
 /// SGX ports at peak load.
 pub fn table2(scale: AppScale) -> Vec<Table2Row> {
-    let mut rows = Vec::new();
-
-    {
-        let mut env = AppEnv::new(
-            sim_config(201),
-            IfaceMode::Sdk,
-            &memcached::api_table(),
-            64 << 20,
-        )
-        .expect("env");
-        let mut server = Memcached::new(&mut env, 8_192, 2_048).expect("server");
-        let before = env.elapsed_secs();
-        memtier::run(
-            &mut env,
-            &mut server,
-            memtier::MemtierConfig {
-                requests: scale.memcached_requests,
-                keyspace: 1_024,
-                ..memtier::MemtierConfig::default()
-            },
-        )
-        .expect("memtier");
-        rows.push(table2_row(
+    let row = |app, (env, before, _): (AppEnv, f64, RunResult), top| {
+        table2_row(app, &env, env.elapsed_secs() - before, top)
+    };
+    vec![
+        row(
             "Memcached",
-            &env,
-            env.elapsed_secs() - before,
+            memtier_run(IfaceMode::Sdk, 201, 1_024, scale.memcached_requests),
             3,
-        ));
-    }
-    {
-        let (mut env, mut endpoint, _pe, mut peer) = vpn_pair(IfaceMode::Sdk, 202);
-        let before = env.elapsed_secs();
-        iperf::run(
-            &mut env,
-            &mut endpoint,
-            &mut peer,
-            iperf::IperfConfig {
-                packets: scale.openvpn_packets,
-                ..iperf::IperfConfig::default()
-            },
-        )
-        .expect("iperf");
-        rows.push(table2_row("OpenVPN", &env, env.elapsed_secs() - before, 7));
-    }
-    {
-        let mut env = AppEnv::new(
-            sim_config(203),
-            IfaceMode::Sdk,
-            &lighttpd::api_table(),
-            64 << 20,
-        )
-        .expect("env");
-        env.enter_main().expect("enter");
-        let mut server = Lighttpd::new(&mut env).expect("server");
-        let before = env.elapsed_secs();
-        http_load::run(
-            &mut env,
-            &mut server,
-            http_load::HttpLoadConfig {
-                fetches: scale.lighttpd_fetches,
-                pages: 32,
-                ..http_load::HttpLoadConfig::default()
-            },
-        )
-        .expect("http_load");
-        rows.push(table2_row(
+        ),
+        row(
+            "OpenVPN",
+            iperf_run(IfaceMode::Sdk, 202, scale.openvpn_packets),
+            7,
+        ),
+        row(
             "Lighttpd",
-            &env,
-            env.elapsed_secs() - before,
+            http_load_run(IfaceMode::Sdk, 203, scale.lighttpd_fetches),
             14,
-        ));
-    }
-    rows
+        ),
+    ]
 }
 
 /// The interface configurations the census compares: the plain SDK port
 /// and HotCalls over the plane [`AppEnv::new`] builds ("hot").
 pub const CENSUS_MODES: [IfaceMode; 2] = [IfaceMode::Sdk, IfaceMode::HotCalls];
 
-/// Drives memtier against memcached under one mode and returns the
-/// environment's Table-2-style census.
-pub fn census_memcached(mode: IfaceMode, requests: u64) -> ApiCensus {
-    let mut env = AppEnv::new(sim_config(301), mode, &memcached::api_table(), 64 << 20)
-        .expect("memcached env");
-    let mut server = Memcached::new(&mut env, 8_192, 2_048).expect("server");
-    memtier::run(
-        &mut env,
-        &mut server,
-        memtier::MemtierConfig {
-            requests,
-            keyspace: 1_024,
-            ..memtier::MemtierConfig::default()
-        },
-    )
-    .expect("memtier run");
-    env.api_census(memcached::NAME)
-}
-
-/// Drives http_load against lighttpd under one mode.
-pub fn census_lighttpd(mode: IfaceMode, fetches: u64) -> ApiCensus {
-    let mut env =
-        AppEnv::new(sim_config(302), mode, &lighttpd::api_table(), 64 << 20).expect("lighttpd env");
-    env.enter_main().expect("enter");
-    let mut server = Lighttpd::new(&mut env).expect("server");
-    http_load::run(
-        &mut env,
-        &mut server,
-        http_load::HttpLoadConfig {
-            fetches,
-            pages: 32,
-            ..http_load::HttpLoadConfig::default()
-        },
-    )
-    .expect("http_load run");
-    env.api_census(lighttpd::NAME)
-}
-
-/// Drives iperf through the openVPN tunnel under one mode.
-pub fn census_openvpn(mode: IfaceMode, packets: u64) -> ApiCensus {
-    let secret = [0x5Au8; 32];
-    let mut env =
-        AppEnv::new(sim_config(303), mode, &openvpn::api_table(), 16 << 20).expect("vpn env");
-    env.enter_main().expect("enter");
-    let mut endpoint = OpenVpn::new(&mut env, &secret).expect("endpoint");
-    let mut peer_env = AppEnv::new(
-        sim_config(304),
-        IfaceMode::Native,
-        &openvpn::api_table(),
-        1 << 20,
-    )
-    .expect("peer env");
-    let mut peer = OpenVpn::new(&mut peer_env, &secret).expect("peer");
-    iperf::run(
-        &mut env,
-        &mut endpoint,
-        &mut peer,
-        iperf::IperfConfig {
-            packets,
-            ..iperf::IperfConfig::default()
-        },
-    )
-    .expect("iperf run");
-    env.api_census(openvpn::NAME)
-}
-
 /// The full API census: all three applications under each of
 /// [`CENSUS_MODES`] — six Table-2-style reports.
 pub fn api_census_all(scale: AppScale) -> Vec<ApiCensus> {
     let mut out = Vec::with_capacity(CENSUS_MODES.len() * 3);
     for mode in CENSUS_MODES {
-        out.push(census_memcached(mode, scale.memcached_requests));
-        out.push(census_openvpn(mode, scale.openvpn_packets));
-        out.push(census_lighttpd(mode, scale.lighttpd_fetches));
+        let (env, ..) = memtier_run(mode, 301, 1_024, scale.memcached_requests);
+        out.push(env.api_census(memcached::NAME));
+        let (env, ..) = iperf_run(mode, 303, scale.openvpn_packets);
+        out.push(env.api_census(openvpn::NAME));
+        let (env, ..) = http_load_run(mode, 302, scale.lighttpd_fetches);
+        out.push(env.api_census(lighttpd::NAME));
     }
     out
 }
@@ -347,7 +251,7 @@ mod tests {
     fn fig10_shape_memcached() {
         let rps: Vec<f64> = IfaceMode::ALL
             .iter()
-            .map(|&mode| run_memcached(mode, 800).result.ops_per_sec)
+            .map(|&mode| run_memcached(mode, 800).ops_per_sec)
             .collect();
         // Normalized shape: native 1.0 > nrz >= hot > sdk.
         assert!(
@@ -370,7 +274,11 @@ mod tests {
     fn census_covers_both_modes_with_separable_interface_cost() {
         let censuses: Vec<ApiCensus> = CENSUS_MODES
             .iter()
-            .map(|&mode| census_memcached(mode, 400))
+            .map(|&mode| {
+                memtier_run(mode, 301, 1_024, 400)
+                    .0
+                    .api_census(memcached::NAME)
+            })
             .collect();
         assert_eq!(
             censuses.iter().map(|c| c.mode.as_str()).collect::<Vec<_>>(),

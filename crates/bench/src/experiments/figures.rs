@@ -538,7 +538,7 @@ pub fn fig10(scale: Scale) -> Outcome {
     series(
         "memcached",
         "requests/s",
-        per_mode(|m| run_memcached(m, s.memcached_requests).result.ops_per_sec),
+        per_mode(|m| run_memcached(m, s.memcached_requests).ops_per_sec),
         &paper::MEMCACHED_RPS,
     );
     series(
@@ -550,7 +550,7 @@ pub fn fig10(scale: Scale) -> Outcome {
     series(
         "lighttpd",
         "pages/s",
-        per_mode(|m| run_lighttpd(m, s.lighttpd_fetches).result.ops_per_sec),
+        per_mode(|m| run_lighttpd(m, s.lighttpd_fetches).ops_per_sec),
         &paper::LIGHTTPD_RPS,
     );
     out
@@ -583,17 +583,17 @@ pub fn fig11(scale: Scale) -> Outcome {
 
     series(
         "memcached",
-        per_mode(|m| run_memcached(m, s.memcached_requests).result.latency_ms),
+        per_mode(|m| run_memcached(m, s.memcached_requests).latency_ms),
         &paper::MEMCACHED_LAT_MS,
     );
     series(
         "openVPN ping RTT",
-        per_mode(|m| run_openvpn_ping(m, s.ping_count).result.latency_ms),
+        per_mode(|m| run_openvpn_ping(m, s.ping_count).latency_ms),
         &paper::OPENVPN_RTT_MS,
     );
     series(
         "lighttpd",
-        per_mode(|m| run_lighttpd(m, s.lighttpd_fetches).result.latency_ms),
+        per_mode(|m| run_lighttpd(m, s.lighttpd_fetches).latency_ms),
         &paper::LIGHTTPD_LAT_MS,
     );
     out

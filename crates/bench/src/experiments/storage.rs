@@ -272,8 +272,8 @@ fn cliff_run(
     let slots: Vec<_> = (0..CLIFF_WINDOW)
         .map(|_| m.alloc_enclave_heap(eid, staging_cap, 4096).expect("heap"))
         .collect();
-    let specs = cliff_ramp(g.epc as usize, 11);
-    let max_obj = specs.iter().map(|s| s.bytes).max().expect("ramp") as u64;
+    let sizes = cliff_ramp(g.epc as usize);
+    let max_obj = *sizes.iter().max().expect("ramp") as u64;
     let src = m.alloc_untrusted(max_obj, 4096);
     // Warm the index to steady residency before measuring.
     m.read(index, g.cliff_index).expect("warm");
@@ -283,8 +283,8 @@ fn cliff_run(
     let mut total = 0u64;
     let start = m.now();
     for _ in 0..rounds {
-        for spec in &specs {
-            let len = spec.bytes as u64;
+        for &size in &sizes {
+            let len = size as u64;
             let mut off = 0u64;
             while off < len {
                 let chunk = chunk_of().max(1).min(len - off);

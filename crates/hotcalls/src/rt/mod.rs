@@ -6,7 +6,7 @@
 //! paper's practical considerations — timeout fallback, idle sleep on a
 //! condition variable, utilization accounting — are written once, in the
 //! plane core (`plane.rs`) that both planes share; each plane keeps only
-//! its slot protocol and its shutdown sweep.
+//! its slot protocol.
 //!
 //! [`HotCallServer`] is Fig. 9's mailbox, and like it takes any number
 //! of requesters: a requester acquires the
@@ -39,7 +39,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::config::HotCallConfig;
-use crate::error::{HotCallError, Result};
+use crate::error::Result;
 use crate::telemetry::HotCallStats;
 
 use plane::{Core, ResponderThread};
@@ -160,19 +160,7 @@ fn responder_loop<Req, Resp>(
         next_seq.set(next_seq.get() + 1);
         true
     };
-    // Final sweep: fail a request published after the last empty poll so
-    // its requester unblocks instead of spinning on a dead mailbox.
-    let sweep = || {
-        if submitted() {
-            // SAFETY: SUBMITTED(next_seq) read with Acquire just above,
-            // this thread is the mailbox's only responder, and it has not
-            // taken `next_seq` yet.
-            let (servicing, (_, stranded)) = unsafe { slot.take_request(next_seq.get()) };
-            drop(stranded);
-            servicing.finish(Err(HotCallError::ResponderGone));
-        }
-    };
-    plane::respond(&shared.core, config, poll, submitted, sweep);
+    plane::respond(&shared.core, config, poll, submitted);
 }
 
 /// A handle for issuing HotCalls.
@@ -196,10 +184,11 @@ impl<Req, Resp> Requester<Req, Resp> {
     ///
     /// # Errors
     ///
-    /// [`HotCallError::ResponderTimeout`] if the responder stayed busy
-    /// beyond the configured retries (fall back to your slow path, as the
-    /// paper prescribes); [`HotCallError::ResponderGone`] if it shut down;
-    /// [`HotCallError::UnknownCallId`] for unregistered ids.
+    /// [`crate::HotCallError::ResponderTimeout`] if the responder stayed
+    /// busy beyond the configured retries (fall back to your slow path, as
+    /// the paper prescribes); [`crate::HotCallError::ResponderGone`] if it
+    /// shut down; [`crate::HotCallError::UnknownCallId`] for unregistered
+    /// ids.
     pub fn call(&self, id: u32, req: Req) -> Result<Resp> {
         let Shared { slot, core } = &*self.shared;
         let seq = core.claim(&self.config, || slot.try_claim())?;
@@ -226,6 +215,7 @@ impl<Req, Resp> Requester<Req, Resp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HotCallError;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
@@ -388,8 +378,10 @@ mod tests {
     fn shutdown_with_inflight_call_frees_payloads() {
         // A request that is stranded mid-flight at shutdown must be failed
         // (or completed), and its payload dropped exactly once: by the
-        // handler, by the final sweep, or by the slot's Drop — whichever
-        // state the race left it in.
+        // handler, or by the slot's Drop — whichever state the race left it
+        // in. A request published after the responder's last empty poll is
+        // never taken: its requester gets `ResponderGone` once the
+        // shutdown grace runs out, and the slot's Drop frees the request.
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         for race in 1..=8 {
             let mut t: CallTable<Counted, u64> = CallTable::new();

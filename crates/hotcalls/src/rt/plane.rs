@@ -10,7 +10,7 @@
 //! | [`Core`]: shutdown flag, doze, the responder's stat cell, wakeup and fallback counters, [`Core::snapshot`] | the slot protocol: `MailSlot` (mailbox) or `CallSlot` + head/tail/abandon board (ring) |
 //! | [`Core::claim`]: `timeout_retries × spins_per_retry`, then `ResponderTimeout` | the try-claim, passed as a closure |
 //! | [`Core::poll_until`]: the completion wait with its shutdown grace | the readiness check |
-//! | [`respond`]: the responder loop and its idle ladder | the poll that services work, and the shutdown sweep |
+//! | [`respond`]: the responder loop, its idle ladder and its exit | the poll that services work |
 //! | [`super::CallTable::call`]: dispatch, `UnknownCallId` for a missing id | |
 //! | [`ResponderThread`]: spawn; stop = flag, `wake_all`, join | |
 
@@ -24,7 +24,7 @@ use crate::telemetry::HotCallStats;
 use super::slot::{Backoff, CachePadded, Doze, LocalStats, StatCell};
 
 /// How long (in poll iterations) a requester keeps waiting for its call
-/// after it has observed shutdown, in case the responder's final sweep is
+/// after it has observed shutdown, in case the draining responder is
 /// still completing it.
 const SHUTDOWN_GRACE_POLLS: u32 = 100_000;
 
@@ -138,13 +138,13 @@ impl Core {
 
 /// The responder's loop on either plane: `poll` services whatever work it
 /// finds and says whether it found any; on an empty poll the responder
-/// climbs the idle ladder. `has_work` is the dozing responder's re-check,
-/// and `sweep` the plane's shutdown sweep.
+/// climbs the idle ladder. `has_work` is the dozing responder's re-check.
 ///
 /// Drain-then-exit: the responder keeps servicing submitted work after
-/// the shutdown flag rises, and exits on the first empty poll after it,
-/// running `sweep` first. Stragglers stuck mid-publish are failed by the
-/// waiter's shutdown grace ([`Core::poll_until`]) instead.
+/// the shutdown flag rises, and exits on the first empty poll after it.
+/// A call published after that poll is never serviced: its waiter's
+/// shutdown grace ([`Core::poll_until`]) fails it with `ResponderGone`,
+/// and the slot's `Drop` frees its request.
 ///
 /// The ladder: every empty poll is counted (flushed every 1024); after
 /// `idle_polls_before_sleep` empty polls in a row the responder sleeps on
@@ -157,7 +157,6 @@ pub(super) fn respond(
     config: HotCallConfig,
     mut poll: impl FnMut(&mut LocalStats) -> bool,
     has_work: impl Fn() -> bool,
-    sweep: impl FnOnce(),
 ) {
     let cell = &*core.stats;
     let mut local = LocalStats::default();
@@ -171,7 +170,6 @@ pub(super) fn respond(
         }
         // An empty pass.
         if core.shutdown.load(Ordering::Acquire) {
-            sweep();
             local.flush(cell);
             return;
         }

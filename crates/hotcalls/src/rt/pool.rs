@@ -14,8 +14,7 @@
 //! wake/schedule cost of the drain.
 //!
 //! The responder drains for the plane's life; its idle ladder, doze and
-//! exit are the core's. The ring needs no sweep of its own: the core exits
-//! on the first empty drain after shutdown.
+//! exit are the core's: it exits on the first empty drain after shutdown.
 
 use std::sync::atomic::Ordering;
 
@@ -95,7 +94,6 @@ pub(super) fn responder_loop<Req, Resp>(shared: &RingShared<Req, Resp>, config: 
         config,
         |local| drain(shared, batch, local) > 0,
         || shared.front_submitted(),
-        || {},
     );
 }
 

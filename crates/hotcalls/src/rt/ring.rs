@@ -355,12 +355,7 @@ impl<Req, Resp> Drop for RingServer<Req, Resp> {
 /// The handle is `Send`, so it may move to the thread that calls, but not
 /// `Sync`, so one thread at a time claims slots through it: the ring's
 /// head, its inline-call count and its reap histogram each have one
-/// writer.
-///
-/// ```compile_fail,E0277
-/// fn shared_across_threads<T: Sync>() {}
-/// shared_across_threads::<hotcalls::rt::RingRequester<u64, u64>>();
-/// ```
+/// writer (`tests/claim_protocol.rs` asserts both bounds at compile time).
 #[derive(Debug)]
 pub struct RingRequester<Req, Resp> {
     shared: Arc<RingShared<Req, Resp>>,

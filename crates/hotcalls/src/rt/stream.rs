@@ -98,12 +98,9 @@ impl From<SgCallTable> for CallTable<SgList, SgList> {
 /// });
 /// let ring = SgRing::spawn_pool(table, 8, 1, HotCallConfig::patient()).unwrap();
 /// let mut caller = ring.caller();
-/// let gathered = caller
-///     .call_sg_with(upper, b"hotcalls", |resp| {
-///         let mut out = Vec::new();
-///         resp.gather_into(&mut out);
-///         out
-///     })
+/// let mut gathered = Vec::new();
+/// caller
+///     .stream(upper, b"hotcalls", 1, || 8, |_, resp| resp.gather_into(&mut gathered))
 ///     .unwrap();
 /// assert_eq!(gathered, b"HOTCALLS");
 /// assert_eq!(ring.stats().calls, 1);
@@ -163,29 +160,6 @@ impl StreamCaller {
             window: requester.window(depth).expect("capacity is a valid depth"),
             arena: SlabArena::new(),
         }
-    }
-
-    /// Issues one scatter-gather call carrying `data` (split into arena
-    /// segments, no coalescing copy) and hands the response list to
-    /// `read` before its segments are recycled — the zero-copy way to
-    /// consume a response ([`SgList::gather_into`] is available when a
-    /// contiguous copy is genuinely wanted).
-    ///
-    /// # Errors
-    ///
-    /// As [`RingRequester::call`]. On error the in-flight list is lost
-    /// to the slot (freed on shutdown), not recycled.
-    pub fn call_sg_with<R>(
-        &mut self,
-        id: u32,
-        data: &[u8],
-        read: impl FnOnce(&SgList) -> R,
-    ) -> Result<R> {
-        let sg = self.arena.acquire_sg(data, DEFAULT_SEGMENT_BYTES);
-        let resp = self.window.requester().call(id, sg)?;
-        let r = read(&resp);
-        self.arena.recycle_sg(resp);
-        Ok(r)
     }
 
     /// Streams `data` through handler `id` as pipelined chunks under a
@@ -353,19 +327,24 @@ mod tests {
     }
 
     #[test]
-    fn call_sg_splits_without_coalescing_and_roundtrips() {
+    fn one_chunk_stream_splits_without_coalescing_and_roundtrips() {
         let (t, xor, _) = xor_table();
         let ring = SgRing::spawn_pool(t, 4, 1, HotCallConfig::patient()).unwrap();
         let mut caller = ring.caller();
         let data = pattern(100_000);
-        let gathered = caller
-            .call_sg_with(xor, &data, |resp| {
-                let segments = 100_000_usize.div_ceil(DEFAULT_SEGMENT_BYTES);
-                assert_eq!(resp.segment_count(), segments);
-                let mut out = Vec::new();
-                resp.gather_into(&mut out);
-                out
-            })
+        let mut gathered = Vec::new();
+        caller
+            .stream(
+                xor,
+                &data,
+                1,
+                || data.len(),
+                |_, resp| {
+                    let segments = 100_000_usize.div_ceil(DEFAULT_SEGMENT_BYTES);
+                    assert_eq!(resp.segment_count(), segments);
+                    resp.gather_into(&mut gathered);
+                },
+            )
             .unwrap();
         let expect: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
         assert_eq!(gathered, expect);

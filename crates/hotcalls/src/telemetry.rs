@@ -6,8 +6,7 @@
 //!
 //! * [`CycleHist`] / [`AtomicHist`] — HDR-style log-bucketed cycle
 //!   histograms (power-of-two buckets with [`SUB_COUNT`] sub-buckets per
-//!   octave, ~12.5% relative resolution), mergeable, with percentile
-//!   extraction. The ring planes record them at the
+//!   octave, ~12.5% relative resolution), with percentile extraction. The ring planes record them at the
 //!   submit→dispatch→complete→reap stage edges so **queueing delay** and
 //!   **service time** are separable — the distinction behind the paper's
 //!   p78 vs p99.97 HotCall latency split (§4.3).
@@ -116,13 +115,11 @@ fn bucket_high(i: usize) -> u64 {
     }
 }
 
-/// A mergeable log-bucketed cycle histogram (plain, single-threaded).
+/// A log-bucketed cycle histogram (plain, single-threaded).
 ///
 /// Power-of-two octaves with [`SUB_COUNT`] sub-buckets each: the relative
 /// quantile error is bounded at 12.5% while the whole `u64` range fits in
-/// [`HIST_BUCKETS`] buckets. Merging two histograms is element-wise
-/// addition, so per-thread histograms combine into plane-wide views
-/// without losing quantile fidelity.
+/// [`HIST_BUCKETS`] buckets.
 ///
 /// # Examples
 ///
@@ -182,26 +179,9 @@ impl CycleHist {
         self.max = self.max.max(v);
     }
 
-    /// Adds all of `other`'s samples into `self`. Merge is associative
-    /// and commutative: any merge order yields the histogram of the
-    /// concatenated sample streams.
-    pub fn merge(&mut self, other: &CycleHist) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Largest sample recorded (exact, not bucketed).
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Mean of all samples (exact sum over exact count).
@@ -290,7 +270,7 @@ impl AtomicHist {
         }
     }
 
-    /// Copies the cell into a plain mergeable histogram.
+    /// Copies the cell into a plain histogram.
     pub fn snapshot(&self) -> CycleHist {
         let mut h = CycleHist::new();
         for (dst, src) in h.counts.iter_mut().zip(self.counts.iter()) {
@@ -406,27 +386,6 @@ impl ArenaStats {
             self.inline_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of *slab* acquisitions served by recycling.
-    pub fn recycle_rate(&self) -> f64 {
-        let slab = self.allocs + self.recycles;
-        if slab == 0 {
-            0.0
-        } else {
-            self.recycles as f64 / slab as f64
-        }
-    }
-
-    /// Fresh allocations per acquisition — the steady-state zero-alloc
-    /// claim is `allocs_per_op -> 0`.
-    pub fn allocs_per_op(&self) -> f64 {
-        let total = self.acquires();
-        if total == 0 {
-            0.0
-        } else {
-            self.allocs as f64 / total as f64
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -517,7 +476,7 @@ mod tests {
         }
         let q = [0.5, 0.9, 0.99, 0.999].map(|q| h.percentile(q));
         assert!(q.windows(2).all(|w| w[0] <= w[1]), "{q:?}");
-        assert!(q[3] <= h.max());
+        assert!(q[3] <= h.percentile(1.0));
         assert_eq!(h.count(), 60);
     }
 
@@ -550,7 +509,7 @@ mod tests {
             let s = a.snapshot();
             assert_eq!(s.count(), p.count());
             assert_eq!(s.percentile(0.5), p.percentile(0.5));
-            assert_eq!(s.max(), p.max());
+            assert_eq!(s.percentile(1.0), p.percentile(1.0));
         }
     }
 

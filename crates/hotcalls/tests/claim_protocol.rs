@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hotcalls::rt::{
-    ByteCallTable, ByteRing, CallTable, HotBuf, RingServer, SgCallTable, SgList, SgRing, SlabArena,
-    DEFAULT_SEGMENT_BYTES,
+    ByteCallTable, ByteRing, CallTable, HotBuf, RingRequester, RingServer, SgCallTable, SgList,
+    SgRing, SlabArena, DEFAULT_SEGMENT_BYTES,
 };
 use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
 
@@ -146,6 +146,28 @@ fn ring_window_equal_to_capacity_never_wedges() {
     }
     assert_eq!(window.drain(&mut check).unwrap(), 2);
     assert_eq!(expected.next(), Some(100_001));
+}
+
+/// `some_item` resolves for a type that is not `Sync` (one impl applies)
+/// and is ambiguous for one that is (both apply: E0283), so naming it is a
+/// compile-time `!Sync` assertion that fails only for that reason.
+trait AmbiguousIfSync<Marker> {
+    fn some_item() {}
+}
+
+impl<T: ?Sized> AmbiguousIfSync<()> for T {}
+
+impl<T: ?Sized + Sync> AmbiguousIfSync<u8> for T {}
+
+fn assert_send<T: Send>() {}
+
+/// The requester handle may move to the thread that calls (`Send`) but
+/// not be shared between threads (`!Sync`): the ring's head has one
+/// writer. This file stops compiling if either bound changes.
+#[test]
+fn the_requester_handle_is_send_and_not_sync() {
+    assert_send::<RingRequester<u64, u64>>();
+    <RingRequester<u64, u64> as AmbiguousIfSync<_>>::some_item();
 }
 
 /// A second handle is refused while one is alive; see [`lease_row`].

@@ -1,15 +1,15 @@
 //! Property tests of pipelined byte calls: arbitrary interleavings of
-//! `submit` and `wait_any` keep the slab arena's generation tags honest.
+//! `submit` and `wait_any` keep the slab arena's free lists honest.
 //!
 //! Each in-flight call owns an arena buffer; reaping while submitting
 //! recycles a buffer onto its free list while younger calls still hold
 //! theirs, and the next submission of that size takes it back — the
-//! traffic pattern that would surface a generation-tag bug (a stale
-//! handle landing a buffer back on a free list it no longer owns, and a
-//! later call reading the previous payload through it). The handler and
-//! the reaper both verify every byte of every payload, and the arena's
-//! `stale_recycles` counter must stay zero: under single-caller
-//! pipelining every redeemed handle is current by construction.
+//! traffic pattern that would surface a recycling bug (a buffer landing
+//! on a free list while a call still holds it, and a later call reading
+//! the previous payload through it). The handler and the reaper both
+//! verify every byte of every payload, and the arena's `stale_recycles`
+//! counter must stay zero: under single-caller pipelining every redeemed
+//! slab is the caller's own arena's.
 
 use std::collections::HashMap;
 

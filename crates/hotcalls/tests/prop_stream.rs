@@ -47,7 +47,7 @@ proptest! {
     /// chunk schedules with chunks up to several segments
     /// ([`hotcalls::rt::DEFAULT_SEGMENT_BYTES`], 16 KiB) long, any window
     /// depth — reassembles byte-identically to pushing the whole buffer
-    /// through one scatter-gather call.
+    /// through as one chunk.
     #[test]
     fn chunked_stream_reassembles_byte_identical(
         data in proptest::collection::vec(any::<u8>(), 0..72_000),
@@ -60,13 +60,10 @@ proptest! {
         let mut caller = ring.caller();
         let expected = xform_expected(&data);
 
-        // Single-buffer path: the whole object in one call.
-        let single = caller
-            .call_sg_with(id, &data, |resp| {
-                let mut out = Vec::new();
-                resp.gather_into(&mut out);
-                out
-            })
+        // Single-buffer path: the whole object in one chunk.
+        let mut single = Vec::new();
+        caller
+            .stream(id, &data, 1, || data.len(), |_, resp| resp.gather_into(&mut single))
             .unwrap();
         prop_assert_eq!(&single, &expected);
 

@@ -151,11 +151,6 @@ impl EnclaveCtx {
         self.options
     }
 
-    /// Replaces the marshalling options (e.g. toggling NRZ between runs).
-    pub fn set_options(&mut self, options: MarshalOptions) {
-        self.options = options;
-    }
-
     /// Call statistics collected so far.
     pub fn stats(&self) -> &CallStats {
         &self.stats
@@ -549,24 +544,31 @@ mod tests {
 
     #[test]
     fn nrz_makes_ocall_out_cheaper() {
-        let (mut m, mut ctx) = setup();
-        let secure = m.alloc_enclave_heap(ctx.eid, 2048, 64).unwrap();
-        ctx.enter_main(&mut m).unwrap();
-        let run = |m: &mut Machine, ctx: &mut EnclaveCtx| {
-            let s = m.now();
-            ctx.ocall(m, "ocall_out", &[BufArg::new(secure, 2048)], |_, _, _| {
-                Ok(0u64)
-            })
-            .unwrap();
-            (m.now() - s).get()
+        // The same warm 2 KB `out` ocall on two deterministic machines,
+        // one context built with the SDK's zeroing and one with NRZ.
+        let cost = |options: MarshalOptions| {
+            let mut m = Machine::new(SimConfig::builder().deterministic().build());
+            let eid = m.build_enclave(EnclaveBuildOptions::default()).unwrap();
+            let edl = parse_edl(TEST_EDL).unwrap();
+            let mut ctx = EnclaveCtx::new(&mut m, eid, &edl, options).unwrap();
+            let secure = m.alloc_enclave_heap(eid, 2048, 64).unwrap();
+            ctx.enter_main(&mut m).unwrap();
+            let mut run = || {
+                let s = m.now();
+                ctx.ocall(
+                    &mut m,
+                    "ocall_out",
+                    &[BufArg::new(secure, 2048)],
+                    |_, _, _| Ok(0u64),
+                )
+                .unwrap();
+                (m.now() - s).get()
+            };
+            run(); // warm
+            run()
         };
-        run(&mut m, &mut ctx); // warm
-        let with_zeroing = run(&mut m, &mut ctx);
-        ctx.set_options(MarshalOptions {
-            no_redundant_zeroing: true,
-            optimized_memset: false,
-        });
-        let without = run(&mut m, &mut ctx);
+        let with_zeroing = cost(MarshalOptions::default());
+        let without = cost(MarshalOptions::nrz());
         assert!(
             with_zeroing > without + 1_500,
             "NRZ should save ~2k cycles on 2 KB: {with_zeroing} vs {without}"

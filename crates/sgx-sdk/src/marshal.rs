@@ -65,14 +65,6 @@ impl ZeroLedger {
             _ => {}
         }
     }
-
-    /// Merges another ledger into this one.
-    pub fn absorb(&mut self, other: ZeroLedger) {
-        self.zeroed_out += other.zeroed_out;
-        self.zeroed_inout += other.zeroed_inout;
-        self.elided_out += other.elided_out;
-        self.elided_inout += other.elided_inout;
-    }
 }
 
 /// A bump region staging buffers are carved from (secure heap scratch for

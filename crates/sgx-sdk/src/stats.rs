@@ -88,20 +88,6 @@ impl CallStats {
         }
     }
 
-    /// The most frequent calls, descending, as (name, count) — the shape of
-    /// Table 2's "Frequent Calls" column.
-    pub fn top_calls(&self, n: usize) -> Vec<(String, u64)> {
-        let mut all: Vec<(String, u64)> = self
-            .ecalls
-            .iter()
-            .chain(self.ocalls.iter())
-            .map(|(k, v)| (k.clone(), v.count))
-            .collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
-    }
-
     /// Ecalls and ocalls folded into one per-name map — the shape the
     /// Table-2 census wants, where a row is an API function regardless of
     /// crossing direction. A name used in both directions (rare, but legal)
@@ -115,12 +101,6 @@ impl CallStats {
         }
         all
     }
-
-    /// Clears all counters.
-    pub fn reset(&mut self) {
-        self.ecalls.clear();
-        self.ocalls.clear();
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +108,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_ranks() {
+    fn records_and_totals() {
         let mut s = CallStats::new();
         for _ in 0..5 {
             s.record_ocall("read", Cycles::new(100));
@@ -137,7 +117,6 @@ mod tests {
         s.record_ecall("run", Cycles::new(10));
         assert_eq!(s.total_calls(), 7);
         assert_eq!(s.total_cycles(), Cycles::new(560));
-        assert_eq!(s.top_calls(2)[0], ("read".into(), 5));
     }
 
     #[test]
@@ -169,13 +148,5 @@ mod tests {
         assert_eq!(m["process"].count, 2);
         assert_eq!(m["process"].cycles, Cycles::new(40));
         assert_eq!(m["read"].count, 1);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut s = CallStats::new();
-        s.record_ecall("x", Cycles::new(1));
-        s.reset();
-        assert_eq!(s.total_calls(), 0);
     }
 }

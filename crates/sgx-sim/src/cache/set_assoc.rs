@@ -117,23 +117,10 @@ impl SetAssocCache {
             .is_some_and(|set| set.contains(&key))
     }
 
-    /// Installs a line, evicting the LRU way if the set is full. Returns the
-    /// evicted line number, if any.
-    pub fn insert(&mut self, line: u64) -> Option<u64> {
-        if self.lookup(line) {
-            return None;
-        }
-        let (block, first, key) = self.locate(line);
-        match self.install_at(block, first, key) {
-            0 => None,
-            evicted => Some(((evicted - 1) << self.set_bits) | (line & self.set_mask)),
-        }
-    }
-
-    /// [`probe`](Self::probe) and, on a miss, [`insert`](Self::insert) —
-    /// same statistics and victim — locating the set once. Returns `true`
-    /// on hit.
-    pub(crate) fn access(&mut self, line: u64) -> bool {
+    /// [`probe`](Self::probe) and, on a miss, installs the line in its
+    /// set's least recently used way — locating the set once. Returns
+    /// `true` on hit.
+    pub fn access(&mut self, line: u64) -> bool {
         let (block, first, key) = self.locate(line);
         if self
             .set(block, first)
@@ -213,8 +200,7 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.probe(100));
-        c.insert(100);
+        assert!(!c.access(100));
         assert!(c.probe(100));
         assert_eq!(c.stats(), (1, 1));
     }
@@ -223,29 +209,28 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut c = tiny();
         // Lines 0, 4, 8 all map to set 0 (4 sets).
-        c.insert(0);
-        c.insert(4);
+        c.access(0);
+        c.access(4);
         assert!(c.probe(0)); // 0 becomes MRU; 4 is now LRU.
-        let evicted = c.insert(8);
-        assert_eq!(evicted, Some(4));
+        c.access(8);
         assert!(c.contains(0));
         assert!(!c.contains(4));
         assert!(c.contains(8));
     }
 
     #[test]
-    fn insert_existing_line_does_not_evict() {
+    fn access_to_a_cached_line_does_not_evict() {
         let mut c = tiny();
-        c.insert(0);
-        c.insert(4);
-        assert_eq!(c.insert(0), None);
+        c.access(0);
+        c.access(4);
+        assert!(c.access(0));
         assert!(c.contains(4));
     }
 
     #[test]
     fn invalidate_removes_line() {
         let mut c = tiny();
-        c.insert(12);
+        c.access(12);
         assert!(c.invalidate(12));
         assert!(!c.contains(12));
         assert!(!c.invalidate(12));
@@ -255,7 +240,7 @@ mod tests {
     fn clear_empties_cache() {
         let mut c = tiny();
         for l in 0..8 {
-            c.insert(l);
+            c.access(l);
         }
         assert!(c.occupancy() > 0);
         c.clear();
@@ -267,19 +252,10 @@ mod tests {
         let mut c = tiny();
         // Lines 0..4 map to distinct sets.
         for l in 0..4 {
-            c.insert(l);
+            c.access(l);
         }
         for l in 0..4 {
             assert!(c.contains(l));
         }
-    }
-
-    #[test]
-    fn eviction_reconstructs_correct_line_number() {
-        let mut c = tiny();
-        c.insert(1); // set 1
-        c.insert(5); // set 1
-        let evicted = c.insert(9); // set 1, evicts line 1
-        assert_eq!(evicted, Some(1));
     }
 }

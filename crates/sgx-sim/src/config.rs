@@ -331,21 +331,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the core frequency in GHz.
-    pub fn core_ghz(mut self, ghz: f64) -> Self {
-        self.config.core_ghz = ghz;
-        self
-    }
-
     /// Sets the usable EPC capacity in bytes.
     pub fn epc_bytes(mut self, bytes: u64) -> Self {
         self.config.paging.epc_bytes = bytes;
-        self
-    }
-
-    /// Sets the MEE-internal cache size in entries.
-    pub fn mee_cache_entries(mut self, entries: usize) -> Self {
-        self.config.mee.cache_entries = entries;
         self
     }
 
@@ -397,14 +385,9 @@ mod tests {
 
     #[test]
     fn builder_overrides_fields() {
-        let c = SimConfig::builder()
-            .seed(9)
-            .core_ghz(3.5)
-            .mee_cache_entries(64)
-            .build();
+        let c = SimConfig::builder().seed(9).epc_bytes(32 << 20).build();
         assert_eq!(c.seed, 9);
-        assert!((c.core_ghz - 3.5).abs() < f64::EPSILON);
-        assert_eq!(c.mee.cache_entries, 64);
+        assert_eq!(c.paging.epc_bytes, 32 << 20);
     }
 
     #[test]

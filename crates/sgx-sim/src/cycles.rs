@@ -47,17 +47,6 @@ impl Cycles {
         self.0
     }
 
-    /// Converts to nanoseconds at the given core frequency in GHz.
-    ///
-    /// ```
-    /// use sgx_sim::Cycles;
-    /// assert_eq!(Cycles::new(4_000).as_nanos(4.0), 1_000.0);
-    /// ```
-    #[inline]
-    pub fn as_nanos(self, ghz: f64) -> f64 {
-        self.0 as f64 / ghz
-    }
-
     /// Converts to seconds at the given core frequency in GHz.
     #[inline]
     pub fn as_secs(self, ghz: f64) -> f64 {
@@ -187,11 +176,6 @@ mod tests {
     #[test]
     fn saturating_sub_clamps_to_zero() {
         assert_eq!(Cycles::new(5).saturating_sub(Cycles::new(9)), Cycles::ZERO);
-    }
-
-    #[test]
-    fn nanos_at_4ghz() {
-        assert!((Cycles::new(8_000).as_nanos(4.0) - 2_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! use sgx_sim::{Cycles, VirtualEpoll};
 //!
 //! let mut ep = VirtualEpoll::new();
-//! ep.arm_after(7, Cycles::new(4_000)); // connection 7 ready in 1 µs
-//! ep.arm_after(3, Cycles::new(2_000)); // connection 3 ready in 500 ns
+//! ep.arm(7, Cycles::new(4_000)); // connection 7 ready at 1 µs
+//! ep.arm(3, Cycles::new(2_000)); // connection 3 ready at 500 ns
 //!
 //! let batch = ep.wait(64);
 //! assert_eq!(batch.len(), 1);
@@ -98,12 +98,6 @@ impl VirtualEpoll {
         self.peak_pending = self.peak_pending.max(self.timers.len());
     }
 
-    /// Registers `token` as ready `delay` cycles from now.
-    pub fn arm_after(&mut self, token: u64, delay: Cycles) {
-        let at = self.clock.now() + delay;
-        self.arm(token, at);
-    }
-
     /// Models work done by the loop thread itself: pushes virtual time
     /// forward by `delta` (events that become ready in the interval are
     /// delivered by the next `wait`).
@@ -167,7 +161,7 @@ mod tests {
     #[test]
     fn wait_advances_time_instead_of_spinning() {
         let mut ep = VirtualEpoll::new();
-        ep.arm_after(1, Cycles::new(1_000_000));
+        ep.arm(1, Cycles::new(1_000_000));
         assert_eq!(ep.wait(1).len(), 1);
         assert_eq!(ep.now(), Cycles::new(1_000_000));
         // Nothing armed: no events, no time travel.

@@ -81,18 +81,6 @@ pub struct Telemetry {
     pub aex_events: u64,
 }
 
-impl Telemetry {
-    /// Overall hit rate of one (hits, misses) pair.
-    pub fn hit_rate(pair: (u64, u64)) -> f64 {
-        let total = pair.0 + pair.1;
-        if total == 0 {
-            0.0
-        } else {
-            pair.0 as f64 / total as f64
-        }
-    }
-}
-
 /// One-time lifecycle instruction costs (not on any hot path the paper
 /// times, so plain constants rather than configuration).
 const ECREATE_COST: u64 = 10_000;
@@ -1021,8 +1009,6 @@ mod telemetry_tests {
         assert!(t.llc.1 > 0, "cold pass must miss LLC");
         assert!(t.tlb.1 > 0, "first touch misses the TLB");
         assert!(t.mee_cache.0 + t.mee_cache.1 > 0, "EPC reads walk the tree");
-        assert!(Telemetry::hit_rate(t.l1) > 0.0);
-        assert_eq!(Telemetry::hit_rate((0, 0)), 0.0);
     }
 }
 

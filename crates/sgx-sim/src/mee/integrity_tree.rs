@@ -28,7 +28,6 @@ pub struct IntegrityTree {
     /// log2 of the arity: a level up is a shift, not a division.
     arity_bits: u32,
     levels: u8,
-    lines: u64,
     /// Version of every line up to the highest one ever written back
     /// (lines are EPC-relative, and the EPC is allocated from its base up).
     versions: Vec<u64>,
@@ -62,7 +61,6 @@ impl IntegrityTree {
         IntegrityTree {
             arity_bits: arity.trailing_zeros(),
             levels: levels + 1,
-            lines,
             versions: Vec::new(),
         }
     }
@@ -113,11 +111,6 @@ impl IntegrityTree {
     /// versions.
     pub fn verify_version(&self, line: u64, claimed: u64) -> bool {
         self.version(line) == claimed
-    }
-
-    /// Total data lines covered.
-    pub fn lines(&self) -> u64 {
-        self.lines
     }
 }
 

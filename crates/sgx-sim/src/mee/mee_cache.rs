@@ -101,17 +101,9 @@ impl MeeCache {
         hit
     }
 
-    /// Installs a node unless it is cached, evicting a random node if full.
-    pub fn insert(&mut self, node: NodeId) {
-        let key = key(node);
-        if self.find(key).is_none() {
-            self.install(key);
-        }
-    }
-
-    /// [`probe`](Self::probe) and, on a miss, [`insert`](Self::insert) —
-    /// same statistics and victim — without searching a second time.
-    /// Returns `true` on hit.
+    /// [`probe`](Self::probe) and, on a miss, installs the node, evicting
+    /// a random node if full — without searching a second time. Returns
+    /// `true` on hit.
     pub(crate) fn access(&mut self, node: NodeId) -> bool {
         let hit = self.probe(node);
         if !hit {
@@ -223,8 +215,7 @@ mod tests {
     #[test]
     fn probe_miss_then_hit() {
         let mut c = MeeCache::new(4, 1);
-        assert!(!c.probe(node(0, 1)));
-        c.insert(node(0, 1));
+        assert!(!c.access(node(0, 1)));
         assert!(c.probe(node(0, 1)));
         assert_eq!(c.stats(), (1, 1));
     }
@@ -232,19 +223,18 @@ mod tests {
     #[test]
     fn levels_are_distinct_namespaces() {
         let mut c = MeeCache::new(4, 1);
-        c.insert(node(0, 5));
+        c.access(node(0, 5));
         assert!(!c.probe(node(1, 5)));
         // Level 0, index 0 is a valid node, not an invalid way.
-        assert!(!c.probe(node(0, 0)));
-        c.insert(node(0, 0));
+        assert!(!c.access(node(0, 0)));
         assert!(c.probe(node(0, 0)));
     }
 
     #[test]
-    fn reinsert_refreshes_instead_of_duplicating() {
+    fn reaccess_hits_instead_of_duplicating() {
         let mut c = MeeCache::new(2, 1);
-        c.insert(node(0, 1));
-        c.insert(node(0, 1));
+        assert!(!c.access(node(0, 1)));
+        assert!(c.access(node(0, 1)));
         assert_eq!(c.len(), 1);
     }
 

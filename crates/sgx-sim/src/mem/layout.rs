@@ -158,16 +158,6 @@ impl BumpAllocator {
         self.next = end;
         Some(Addr::new(aligned))
     }
-
-    /// Bytes still available (ignoring alignment padding).
-    pub fn remaining(&self) -> u64 {
-        self.range.end.get() - self.next
-    }
-
-    /// The range this allocator hands out addresses from.
-    pub fn range(&self) -> AddrRange {
-        self.range
-    }
 }
 
 #[cfg(test)]

@@ -47,12 +47,6 @@ impl AddressSpace {
         self.regular.alloc(size, align)
     }
 
-    /// The virtual EPC window. Page residency itself lives in
-    /// [`crate::epc::Epc`]; this is only the address classification.
-    pub fn epc_range(&self) -> AddrRange {
-        self.epc_range
-    }
-
     /// Is `addr` inside the encrypted EPC window?
     pub fn is_epc(&self, addr: Addr) -> bool {
         self.epc_range.contains(addr)

@@ -102,7 +102,7 @@ proptest! {
         prop_assert!(protocol::parse_request(truncated).is_err());
     }
 
-    /// Cache invariant: after inserting a line it is present; after
+    /// Cache invariant: after accessing a line it is present; after
     /// invalidating it, absent. Presence never exceeds capacity.
     #[test]
     fn cache_presence_and_capacity(
@@ -114,9 +114,9 @@ proptest! {
             line: 64,
             hit_latency: 1,
         });
-        for (insert, line) in ops {
-            if insert {
-                c.insert(line);
+        for (access, line) in ops {
+            if access {
+                c.access(line);
                 prop_assert!(c.contains(line));
             } else {
                 c.invalidate(line);
