@@ -12,10 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use hotcalls::rt::{ArenaStats, ByteCallTable, ByteRing, HotBuf, SlabArena, Window};
+use hotcalls::rt::{ByteCallTable, ByteRing, HotBuf, SlabArena, Window};
 use hotcalls::sim::SimHotCalls;
-use hotcalls::telemetry::PlaneTelemetry;
-use hotcalls::{GovernorStats, HotCallConfig, HotCallStats};
+use hotcalls::telemetry::{ArenaStats, GovernorStats, HotCallStats, PlaneTelemetry};
+use hotcalls::HotCallConfig;
 use sgx_sdk::edger8r::{edger8r, Proxies};
 use sgx_sdk::edl::{parse_edl, Direction};
 use sgx_sdk::{BufArg, EnclaveCtx, MarshalOptions};
@@ -26,7 +26,7 @@ use crate::porting::{generate_edl, ApiDecl};
 
 /// Cost of a plain Linux syscall trap (paper cites ~150 cycles, after
 /// FlexSC).
-pub const SYSCALL_TRAP: u64 = 150;
+pub(crate) const SYSCALL_TRAP: u64 = 150;
 
 /// Ring capacity of the real threaded transport behind the HotCalls
 /// modes.
@@ -172,7 +172,7 @@ impl IfaceMode {
     }
 
     /// Does this mode run inside an enclave?
-    pub fn in_enclave(&self) -> bool {
+    pub(crate) fn in_enclave(&self) -> bool {
         !matches!(self, IfaceMode::Native)
     }
 }
@@ -184,20 +184,20 @@ impl IfaceMode {
 /// accumulates fractional credits and fires a call each time a credit
 /// crosses 1.0, reproducing the aggregate rates exactly.
 #[derive(Debug, Clone)]
-pub struct ApiMix {
+pub(crate) struct ApiMix {
     entries: Vec<(&'static str, f64, f64)>,
 }
 
 impl ApiMix {
     /// Builds a mix from (name, calls-per-event) pairs.
-    pub fn new(rates: &[(&'static str, f64)]) -> Self {
+    pub(crate) fn new(rates: &[(&'static str, f64)]) -> Self {
         ApiMix {
             entries: rates.iter().map(|&(n, r)| (n, r, 0.0)).collect(),
         }
     }
 
     /// Advances one event (request/packet); returns the calls to issue.
-    pub fn tick(&mut self) -> Vec<&'static str> {
+    pub(crate) fn tick(&mut self) -> Vec<&'static str> {
         let mut fire = Vec::new();
         for (name, rate, acc) in &mut self.entries {
             *acc += *rate;
@@ -233,7 +233,7 @@ pub struct ApiCensusRow {
 pub struct ApiCensus {
     /// Application name (`memcached`, `lighttpd`, `openvpn`).
     pub app: String,
-    /// Interface mode label ([`AppEnv::census_mode`]: `native`, `sdk` or
+    /// Interface mode label (`AppEnv::census_mode`: `native`, `sdk` or
     /// `hot`).
     pub mode: String,
     /// Virtual seconds the measured window spanned.
@@ -471,7 +471,10 @@ impl AppEnv {
     /// Propagates interface failures: the first failing call stops the
     /// batch, and its error is returned once every call already in flight
     /// has been redeemed.
-    pub fn api_call_batch(&mut self, calls: &[(&'static str, Option<BufArg>)]) -> Result<()> {
+    pub(crate) fn api_call_batch(
+        &mut self,
+        calls: &[(&'static str, Option<BufArg>)],
+    ) -> Result<()> {
         if calls.is_empty() {
             return Ok(());
         }
@@ -510,7 +513,7 @@ impl AppEnv {
     /// # Errors
     ///
     /// Propagates interface failures or `body` errors.
-    pub fn run_enclave_function<R>(
+    pub(crate) fn run_enclave_function<R>(
         &mut self,
         body: impl FnOnce(&mut AppEnv) -> Result<R>,
     ) -> Result<R> {
@@ -560,7 +563,7 @@ impl AppEnv {
     }
 
     /// Charges pure application compute.
-    pub fn compute(&mut self, cycles: u64) {
+    pub(crate) fn compute(&mut self, cycles: u64) {
         self.machine.charge(Cycles::new(cycles));
     }
 
@@ -619,7 +622,7 @@ impl AppEnv {
 
     /// The label this environment's census rows file under: `native`,
     /// `sdk`, or `hot` in both HotCalls modes.
-    pub fn census_mode(&self) -> &'static str {
+    pub(crate) fn census_mode(&self) -> &'static str {
         match self.mode {
             IfaceMode::Native => "native",
             IfaceMode::Sdk => "sdk",
@@ -931,7 +934,7 @@ mod tests {
         let t = hot.rt_telemetry("app-rt").expect("hot mode has a plane");
         assert_eq!(t.name, "app-rt");
         assert_eq!(t.stats.totals.calls, 8);
-        if hotcalls::TELEMETRY_ENABLED {
+        if hotcalls::telemetry::TELEMETRY_ENABLED {
             // Every serviced call recorded one queue and one service
             // sample; every redeemed call one reap sample.
             assert_eq!(t.merged_queue().count(), 8);

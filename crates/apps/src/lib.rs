@@ -15,7 +15,7 @@
 //! and edger8r.
 //!
 //! ```
-//! use apps::env::{AppEnv, IfaceMode};
+//! use apps::{AppEnv, IfaceMode};
 //! use apps::memcached::{self, protocol, Memcached};
 //! use sgx_sim::SimConfig;
 //!
@@ -36,7 +36,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod env;
+mod env;
 mod error;
 pub mod lighttpd;
 pub mod memcached;
@@ -44,5 +44,5 @@ pub mod openvpn;
 pub mod porting;
 pub mod storage;
 
-pub use env::{ApiMix, AppEnv, IfaceMode};
+pub use env::{ApiCensus, ApiCensusRow, AppEnv, IfaceMode};
 pub use error::{AppError, Result};

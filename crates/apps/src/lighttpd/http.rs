@@ -7,15 +7,15 @@ use crate::error::{AppError, Result};
 
 /// A parsed HTTP request line + the headers we care about.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+pub(crate) struct HttpRequest {
     /// Request method (GET and HEAD are served).
-    pub method: String,
+    pub(crate) method: String,
     /// Request path.
-    pub path: String,
+    pub(crate) path: String,
     /// Keep-alive requested?
-    pub keep_alive: bool,
+    pub(crate) keep_alive: bool,
     /// `If-None-Match` validator, if the client sent one.
-    pub if_none_match: Option<String>,
+    pub(crate) if_none_match: Option<String>,
 }
 
 /// Parses the request head.
@@ -24,7 +24,7 @@ pub struct HttpRequest {
 ///
 /// Returns [`AppError::Protocol`] for malformed request lines or missing
 /// terminators.
-pub fn parse_request(raw: &[u8]) -> Result<HttpRequest> {
+pub(crate) fn parse_request(raw: &[u8]) -> Result<HttpRequest> {
     let text =
         core::str::from_utf8(raw).map_err(|_| AppError::Protocol("request is not UTF-8".into()))?;
     let head_end = text
@@ -70,7 +70,7 @@ pub fn parse_request(raw: &[u8]) -> Result<HttpRequest> {
 
 /// Guesses a Content-Type from the path extension, as lighttpd's
 /// mimetype.assign does.
-pub fn mime_type(path: &str) -> &'static str {
+pub(crate) fn mime_type(path: &str) -> &'static str {
     match path.rsplit('.').next() {
         Some("html") | Some("htm") => "text/html",
         Some("css") => "text/css",
@@ -88,7 +88,7 @@ pub fn mime_type(path: &str) -> &'static str {
 }
 
 /// Builds a 200 response head with content type and optional ETag.
-pub fn response_ok_head_full(
+pub(crate) fn response_ok_head_full(
     len: usize,
     keep_alive: bool,
     content_type: &str,
@@ -110,7 +110,7 @@ pub fn response_ok_head_full(
 }
 
 /// Builds a 304 Not Modified head (validator hit; no body).
-pub fn response_not_modified(etag: &str, keep_alive: bool) -> Bytes {
+pub(crate) fn response_not_modified(etag: &str, keep_alive: bool) -> Bytes {
     Bytes::from(format!(
         "HTTP/1.1 304 Not Modified\r\nETag: \"{etag}\"\r\nConnection: {}\r\n\r\n",
         if keep_alive { "keep-alive" } else { "close" }
@@ -118,7 +118,7 @@ pub fn response_not_modified(etag: &str, keep_alive: bool) -> Bytes {
 }
 
 /// Builds an error response (404 / 405).
-pub fn response_error(status: u16, reason: &str) -> Bytes {
+pub(crate) fn response_error(status: u16, reason: &str) -> Bytes {
     Bytes::from(format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
     ))

@@ -23,7 +23,7 @@ use crate::porting::{pad_api_table, ApiDecl};
 pub const NAME: &str = "lighttpd";
 
 /// The frequent API calls of Table 2's lighttpd row.
-pub fn frequent_apis() -> Vec<ApiDecl> {
+pub(crate) fn frequent_apis() -> Vec<ApiDecl> {
     vec![
         ApiDecl::receives("read", 600),
         ApiDecl::plain("fcntl", 180),

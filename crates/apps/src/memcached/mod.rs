@@ -10,7 +10,7 @@
 pub mod protocol;
 mod store;
 
-pub use store::KvStore;
+use store::KvStore;
 
 use bytes::Bytes;
 use sgx_sdk::BufArg;
@@ -26,7 +26,7 @@ use protocol::{Opcode, Request, Response, Status};
 pub const NAME: &str = "memcached";
 
 /// The frequent API calls of Table 2's memcached row.
-pub fn frequent_apis() -> Vec<ApiDecl> {
+pub(crate) fn frequent_apis() -> Vec<ApiDecl> {
     vec![
         ApiDecl::receives("read", 600),
         ApiDecl::sends("sendmsg", 750),

@@ -6,9 +6,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::error::{AppError, Result};
 
 /// Request magic byte.
-pub const MAGIC_REQUEST: u8 = 0x80;
+pub(crate) const MAGIC_REQUEST: u8 = 0x80;
 /// Response magic byte.
-pub const MAGIC_RESPONSE: u8 = 0x81;
+pub(crate) const MAGIC_RESPONSE: u8 = 0x81;
 
 /// Binary protocol opcodes (subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +60,9 @@ pub struct Request {
     /// Opaque token echoed in the response.
     pub opaque: u32,
     /// Client flags stored with the item (SET extras).
-    pub flags: u32,
+    pub(crate) flags: u32,
     /// Relative expiry in seconds; 0 = never (SET extras).
-    pub expiry: u32,
+    pub(crate) expiry: u32,
 }
 
 /// A response to encode.

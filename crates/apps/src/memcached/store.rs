@@ -24,12 +24,11 @@ struct Entry {
 
 /// A bounded LRU key-value store.
 #[derive(Debug)]
-pub struct KvStore {
+pub(crate) struct KvStore {
     entries: HashMap<Bytes, Entry>,
     /// Free simulated slabs (fixed-size, like memcached's slab classes).
     free_slabs: Vec<Addr>,
     slab_size: u64,
-    capacity: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -44,7 +43,7 @@ impl KvStore {
     /// # Errors
     ///
     /// Fails if the data arena cannot be allocated.
-    pub fn new(env: &mut AppEnv, capacity: usize, slab_size: u64) -> Result<Self> {
+    pub(crate) fn new(env: &mut AppEnv, capacity: usize, slab_size: u64) -> Result<Self> {
         let arena = env.alloc_data(capacity as u64 * slab_size)?;
         let free_slabs = (0..capacity as u64)
             .rev()
@@ -54,7 +53,6 @@ impl KvStore {
             entries: HashMap::with_capacity(capacity),
             free_slabs,
             slab_size,
-            capacity,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -63,17 +61,14 @@ impl KvStore {
     }
 
     /// Number of stored items.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// (hits, misses, evictions).
-    pub fn stats(&self) -> (u64, u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
     }
 
@@ -85,7 +80,7 @@ impl KvStore {
     /// # Errors
     ///
     /// Propagates machine-model errors.
-    pub fn set_with(
+    pub(crate) fn set_with(
         &mut self,
         env: &mut AppEnv,
         key: Bytes,
@@ -143,7 +138,7 @@ impl KvStore {
     /// # Errors
     ///
     /// Propagates machine-model errors.
-    pub fn delete(&mut self, env: &mut AppEnv, key: &Bytes) -> Result<bool> {
+    pub(crate) fn delete(&mut self, env: &mut AppEnv, key: &Bytes) -> Result<bool> {
         self.tick += 1;
         env.compute(60 + key.len() as u64 / 8);
         match self.entries.remove(key) {
@@ -162,7 +157,7 @@ impl KvStore {
     /// # Errors
     ///
     /// Propagates machine-model errors.
-    pub fn get(&mut self, env: &mut AppEnv, key: &Bytes) -> Result<Option<Bytes>> {
+    pub(crate) fn get(&mut self, env: &mut AppEnv, key: &Bytes) -> Result<Option<Bytes>> {
         Ok(self.get_with(env, key)?.map(|(v, _flags)| v))
     }
 
@@ -171,7 +166,11 @@ impl KvStore {
     /// # Errors
     ///
     /// Propagates machine-model errors.
-    pub fn get_with(&mut self, env: &mut AppEnv, key: &Bytes) -> Result<Option<(Bytes, u32)>> {
+    pub(crate) fn get_with(
+        &mut self,
+        env: &mut AppEnv,
+        key: &Bytes,
+    ) -> Result<Option<(Bytes, u32)>> {
         self.tick += 1;
         env.compute(60 + key.len() as u64 / 8);
         let now = env.machine.now().get();
@@ -206,11 +205,6 @@ impl KvStore {
         self.hits += 1;
         env.machine.read(addr, len)?;
         Ok(Some((value, flags)))
-    }
-
-    /// Capacity in items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 

@@ -8,11 +8,9 @@
 //! invokes `getpid` whenever a cryptographic context is used — is
 //! reproduced through the call mix.
 
-pub use sgx_sim::crypto::{chacha20_xor, chacha20_xor_at, chacha20_xor_offset, KEY_LEN, NONCE_LEN};
-
 use bytes::{BufMut, Bytes, BytesMut};
 use sgx_sdk::BufArg;
-use sgx_sim::crypto::{hmac_sha256, verify_tag};
+use sgx_sim::crypto::{chacha20_xor, hmac_sha256, verify_tag, KEY_LEN, NONCE_LEN};
 use sgx_sim::Addr;
 
 use crate::env::{ApiMix, AppEnv};
@@ -21,15 +19,15 @@ use crate::porting::{pad_api_table, ApiDecl};
 
 /// Truncated MAC tag length (openVPN's default SHA-1 HMAC is 20 bytes; we
 /// truncate SHA-256 to 16).
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 /// Per-packet header: 8-byte sequence number (also the nonce seed).
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// The application's name as Table 2 and the census spell it.
 pub const NAME: &str = "openvpn";
 
 /// The frequent API calls of Table 2's openVPN row.
-pub fn frequent_apis() -> Vec<ApiDecl> {
+pub(crate) fn frequent_apis() -> Vec<ApiDecl> {
     vec![
         ApiDecl::plain("poll", 450),
         ApiDecl::plain("time", 60),
@@ -110,7 +108,7 @@ impl ReplayWindow {
 /// Rekey interval: openVPN renegotiates data keys periodically; here,
 /// after this many sealed packets (a packet-count trigger like
 /// `--reneg-pkts`).
-pub const REKEY_AFTER_PACKETS: u64 = 1 << 20;
+pub(crate) const REKEY_AFTER_PACKETS: u64 = 1 << 20;
 
 /// The tunnel endpoint.
 #[derive(Debug)]
@@ -159,7 +157,7 @@ impl OpenVpn {
 
     /// Rotates to the next data-key epoch (openVPN's renegotiation).
     /// Resets the sequence space and replay window under the new keys.
-    pub fn rekey(&mut self) {
+    pub(crate) fn rekey(&mut self) {
         self.key_epoch += 1;
         let (key, mac_key) = Self::derive_epoch_keys(&self.secret, self.key_epoch);
         self.key = key;
@@ -168,7 +166,7 @@ impl OpenVpn {
         self.replay = ReplayWindow::default();
     }
 
-    /// Current key epoch (bumped by [`OpenVpn::rekey`]).
+    /// Current key epoch (bumped by `OpenVpn::rekey`).
     pub fn key_epoch(&self) -> u32 {
         self.key_epoch
     }
@@ -180,7 +178,7 @@ impl OpenVpn {
     }
 
     /// Encrypts + MACs a plaintext packet (pure crypto; no edge calls).
-    /// Automatically rotates keys after [`REKEY_AFTER_PACKETS`] packets.
+    /// Automatically rotates keys after `REKEY_AFTER_PACKETS` packets.
     pub fn seal(&mut self, plaintext: &[u8]) -> Bytes {
         if self.seq >= REKEY_AFTER_PACKETS {
             self.rekey();

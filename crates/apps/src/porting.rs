@@ -13,7 +13,7 @@ use sgx_sdk::edl::Direction;
 
 /// Buffer behaviour of one API parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApiBuffer {
+pub(crate) enum ApiBuffer {
     /// No buffer parameters (e.g. `time`, `getpid`).
     None,
     /// One buffer with the given EDL direction (sized by a `size_t` length
@@ -27,18 +27,18 @@ pub enum ApiBuffer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApiDecl {
     /// The libc/OS symbol name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Buffer behaviour (the part the framework sometimes cannot infer
     /// "programmatically" and allows overriding by hand, §6.1).
-    pub buffer: ApiBuffer,
+    pub(crate) buffer: ApiBuffer,
     /// Cycles the OS spends servicing the call (beyond the bare syscall
     /// trap), charged by the untrusted landing function.
-    pub os_cost: u64,
+    pub(crate) os_cost: u64,
 }
 
 impl ApiDecl {
     /// A call with no buffers.
-    pub const fn plain(name: &'static str, os_cost: u64) -> Self {
+    pub(crate) const fn plain(name: &'static str, os_cost: u64) -> Self {
         ApiDecl {
             name,
             buffer: ApiBuffer::None,
@@ -47,7 +47,7 @@ impl ApiDecl {
     }
 
     /// A call that sends a buffer out of the enclave.
-    pub const fn sends(name: &'static str, os_cost: u64) -> Self {
+    pub(crate) const fn sends(name: &'static str, os_cost: u64) -> Self {
         ApiDecl {
             name,
             buffer: ApiBuffer::Single(Direction::In),
@@ -56,7 +56,7 @@ impl ApiDecl {
     }
 
     /// A call that receives a buffer into the enclave.
-    pub const fn receives(name: &'static str, os_cost: u64) -> Self {
+    pub(crate) const fn receives(name: &'static str, os_cost: u64) -> Self {
         ApiDecl {
             name,
             buffer: ApiBuffer::Single(Direction::Out),
@@ -111,7 +111,7 @@ pub fn generate_edl(apis: &[ApiDecl]) -> String {
 /// reference counts the paper reports (93 / 131 / 144). These are real
 /// symbols a wholesale port drags in; they are declared (and costed) but
 /// called rarely or never by the workloads.
-pub const COMMON_LIBC: &[&str] = &[
+pub(crate) const COMMON_LIBC: &[&str] = &[
     "fopen",
     "fclose",
     "fread",
@@ -268,7 +268,7 @@ pub const COMMON_LIBC: &[&str] = &[
 ///
 /// Panics if `total` is smaller than the frequent list or exceeds the
 /// available filler pool.
-pub fn pad_api_table(frequent: &[ApiDecl], total: usize) -> Vec<ApiDecl> {
+pub(crate) fn pad_api_table(frequent: &[ApiDecl], total: usize) -> Vec<ApiDecl> {
     assert!(total >= frequent.len(), "total below frequent-call count");
     let filler_needed = total - frequent.len();
     assert!(

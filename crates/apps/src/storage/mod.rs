@@ -62,13 +62,14 @@ use std::ops::ControlFlow;
 
 use hotcalls::rt::{SgCallTable, SgList, SgRing, StreamCaller, StreamReport};
 use hotcalls::HotCallConfig;
-use sgx_sim::crypto::{hmac_sha256, verify_tag, HmacSha256};
+use sgx_sim::crypto::{
+    chacha20_xor_offset, hmac_sha256, verify_tag, HmacSha256, KEY_LEN, NONCE_LEN,
+};
 
 use crate::error::{AppError, Result};
-use crate::openvpn::{chacha20_xor_offset, KEY_LEN, NONCE_LEN};
 
 /// The application's name as the census and benches spell it.
-pub const NAME: &str = "storage";
+pub(crate) const NAME: &str = "storage";
 
 /// Authentication / dedup block size. Chunk sizes need not align to it —
 /// the block accumulator straddles chunk boundaries.
@@ -100,25 +101,15 @@ impl StoredObject {
     pub fn object_tag(&self) -> [u8; 32] {
         self.object_tag
     }
-
-    /// Object length in bytes.
-    pub fn len(&self) -> usize {
-        self.cipher.len()
-    }
-
-    /// Is the object empty?
-    pub fn is_empty(&self) -> bool {
-        self.cipher.is_empty()
-    }
 }
 
 /// Running totals of the store's work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Objects ingested.
-    pub puts: u64,
+    pub(crate) puts: u64,
     /// Objects read back.
-    pub gets: u64,
+    pub(crate) gets: u64,
     /// Plaintext bytes ingested.
     pub bytes_in: u64,
     /// Plaintext bytes served.
@@ -139,7 +130,7 @@ pub struct PutReceipt {
     /// The streaming run's ticket/byte accounting.
     pub report: StreamReport,
     /// Content blocks the object was indexed into.
-    pub blocks: u64,
+    pub(crate) blocks: u64,
     /// Blocks already present in the dedup index.
     pub dedup_hits: u64,
     /// The stored object's chained tag.
@@ -411,8 +402,8 @@ impl SecureStore {
 
     /// Ingests `data` as object `name`: streams it through the enclave
     /// cipher in pipelined chunks of `chunk_bytes()` bytes (re-read per
-    /// chunk — wire it to [`hotcalls::ChunkSizer::chunk_bytes`] for
-    /// EPC-aware sizing) under a credit window of `window` (clamped to
+    /// chunk — wire it to a closure that reads the EPC's paging pressure
+    /// for EPC-aware sizing) under a credit window of `window` (clamped to
     /// the ring's capacity; see [`StreamCaller::stream`]), dedup-indexes
     /// its content blocks in the stream's pre-submit gate — each chunk's
     /// blocks are fingerprinted while the responder encrypts the chunks
@@ -592,12 +583,12 @@ impl SecureStore {
     }
 
     /// Counters of the caller's private arena (the zero-alloc evidence).
-    pub fn arena_stats(&self) -> hotcalls::rt::ArenaStats {
+    pub fn arena_stats(&self) -> hotcalls::telemetry::ArenaStats {
         self.caller.arena_stats()
     }
 
     /// Transport statistics of the underlying sg plane.
-    pub fn ring_stats(&self) -> hotcalls::HotCallStats {
+    pub fn ring_stats(&self) -> hotcalls::telemetry::HotCallStats {
         self.ring.stats()
     }
 
@@ -842,7 +833,7 @@ mod tests {
             let err = s.get("victim", WINDOW, schedule()).unwrap_err();
             assert!(matches!(err, AppError::Protocol(_)), "{what}: {err:?}");
             let reached_cipher = s.ring_stats().calls - before.1;
-            let edited_len = s.object("victim").unwrap().len();
+            let edited_len = s.object("victim").unwrap().cipher.len();
             assert_eq!(
                 reached_cipher,
                 first_chunk_touching(&SCHEDULE, edited_len, block),

@@ -13,11 +13,10 @@
 
 use proptest::prelude::*;
 
-use apps::openvpn::chacha20_xor;
 use apps::storage::{SecureStore, BLOCK_LEN, TAG_LEN};
 use apps::AppError;
 use hotcalls::HotCallConfig;
-use sgx_sim::crypto::hmac_sha256;
+use sgx_sim::crypto::{chacha20_xor, hmac_sha256};
 
 const SECRET: [u8; 32] = [9u8; 32];
 

@@ -13,10 +13,10 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use apps::openvpn::chacha20_xor;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sgx_sim::crypto::{
-    chacha20_xor_offset, chacha20_xor_offset_portable, hmac_sha256, HmacSha256, Sha256,
+    chacha20_xor, chacha20_xor_offset, chacha20_xor_offset_portable, hmac_sha256, HmacSha256,
+    Sha256,
 };
 
 /// The storage path's authentication block.

@@ -1,9 +1,9 @@
 //! Application-level runners for Table 2 and Figures 10/11.
 
-use apps::env::ApiCensus;
 use apps::lighttpd::{self, Lighttpd};
 use apps::memcached::{self, Memcached};
 use apps::openvpn::{self, OpenVpn};
+use apps::ApiCensus;
 use apps::{AppEnv, IfaceMode};
 use sgx_sim::SimConfig;
 use workloads::{http_load, iperf, memtier, ping, RunResult};
@@ -16,21 +16,21 @@ const TABLE2_CYCLES_PER_CALL: f64 = 8_300.0;
 /// runs so the full harness finishes quickly; rates are insensitive to
 /// duration).
 #[derive(Debug, Clone, Copy)]
-pub struct AppScale {
+pub(crate) struct AppScale {
     /// memtier requests.
-    pub memcached_requests: u64,
+    pub(crate) memcached_requests: u64,
     /// http_load fetches.
-    pub lighttpd_fetches: u64,
+    pub(crate) lighttpd_fetches: u64,
     /// iperf packet events.
-    pub openvpn_packets: u64,
+    pub(crate) openvpn_packets: u64,
     /// flood-ping echoes.
-    pub ping_count: u64,
+    pub(crate) ping_count: u64,
 }
 
 impl AppScale {
     /// The `--smoke` scale: enough requests for every rate and ordering
     /// to settle, few enough for tier-1.
-    pub const SMOKE: AppScale = AppScale {
+    pub(crate) const SMOKE: AppScale = AppScale {
         memcached_requests: 400,
         lighttpd_fetches: 200,
         openvpn_packets: 200,
@@ -116,12 +116,12 @@ fn iperf_run(mode: IfaceMode, seed: u64, packets: u64) -> (AppEnv, f64, RunResul
 }
 
 /// Runs memtier against memcached under `mode`.
-pub fn run_memcached(mode: IfaceMode, requests: u64) -> RunResult {
+pub(crate) fn run_memcached(mode: IfaceMode, requests: u64) -> RunResult {
     memtier_run(mode, 101, 2_048, requests).2
 }
 
 /// Runs http_load against lighttpd under `mode`.
-pub fn run_lighttpd(mode: IfaceMode, fetches: u64) -> RunResult {
+pub(crate) fn run_lighttpd(mode: IfaceMode, fetches: u64) -> RunResult {
     http_load_run(mode, 102, fetches).2
 }
 
@@ -144,14 +144,14 @@ fn vpn_pair(mode: IfaceMode, seed: u64) -> (AppEnv, OpenVpn, AppEnv, OpenVpn) {
 
 /// Runs iperf through the tunnel under `mode`; returns the run plus the
 /// achieved bandwidth in Mbit/s.
-pub fn run_openvpn_iperf(mode: IfaceMode, packets: u64) -> (RunResult, f64) {
+pub(crate) fn run_openvpn_iperf(mode: IfaceMode, packets: u64) -> (RunResult, f64) {
     let result = iperf_run(mode, 103, packets).2;
     let mbps = iperf::bandwidth_mbps(&result, iperf::IperfConfig::default().payload_bytes);
     (result, mbps)
 }
 
 /// Runs the flood ping through the tunnel under `mode`.
-pub fn run_openvpn_ping(mode: IfaceMode, count: u64) -> RunResult {
+pub(crate) fn run_openvpn_ping(mode: IfaceMode, count: u64) -> RunResult {
     let (mut env, mut endpoint, _peer_env, mut peer) = vpn_pair(mode, 105);
     ping::run(
         &mut env,
@@ -167,16 +167,16 @@ pub fn run_openvpn_ping(mode: IfaceMode, count: u64) -> RunResult {
 
 /// One application's Table 2 row.
 #[derive(Debug, Clone)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// Application name.
-    pub app: &'static str,
+    pub(crate) app: &'static str,
     /// (call name, thousands of calls per second), most frequent first.
-    pub frequent: Vec<(String, f64)>,
+    pub(crate) frequent: Vec<(String, f64)>,
     /// Total calls ×1000/s.
-    pub total_kcalls: f64,
+    pub(crate) total_kcalls: f64,
     /// Fraction of core time spent facilitating calls, by the paper's
     /// `N_calls × 8,300 / 4 GHz` estimate.
-    pub core_time: f64,
+    pub(crate) core_time: f64,
 }
 
 fn table2_row(app: &'static str, env: &AppEnv, elapsed_secs: f64, top: usize) -> Table2Row {
@@ -200,7 +200,7 @@ fn table2_row(app: &'static str, env: &AppEnv, elapsed_secs: f64, top: usize) ->
 
 /// Reproduces Table 2: API-call frequencies of the three *unoptimized*
 /// SGX ports at peak load.
-pub fn table2(scale: AppScale) -> Vec<Table2Row> {
+pub(crate) fn table2(scale: AppScale) -> Vec<Table2Row> {
     let row = |app, (env, before, _): (AppEnv, f64, RunResult), top| {
         table2_row(app, &env, env.elapsed_secs() - before, top)
     };
@@ -225,11 +225,11 @@ pub fn table2(scale: AppScale) -> Vec<Table2Row> {
 
 /// The interface configurations the census compares: the plain SDK port
 /// and HotCalls over the plane [`AppEnv::new`] builds ("hot").
-pub const CENSUS_MODES: [IfaceMode; 2] = [IfaceMode::Sdk, IfaceMode::HotCalls];
+pub(crate) const CENSUS_MODES: [IfaceMode; 2] = [IfaceMode::Sdk, IfaceMode::HotCalls];
 
 /// The full API census: all three applications under each of
 /// [`CENSUS_MODES`] — six Table-2-style reports.
-pub fn api_census_all(scale: AppScale) -> Vec<ApiCensus> {
+pub(crate) fn api_census_all(scale: AppScale) -> Vec<ApiCensus> {
     let mut out = Vec::with_capacity(CENSUS_MODES.len() * 3);
     for mode in CENSUS_MODES {
         let (env, ..) = memtier_run(mode, 301, 1_024, scale.memcached_requests);

@@ -6,10 +6,10 @@
 //! runs in deterministic virtual cycles, so its checks are claims about
 //! the model, not about the host.
 
-pub mod ablations;
-pub mod figures;
-pub mod load;
-pub mod storage;
+mod ablations;
+mod figures;
+mod load;
+mod storage;
 
 /// How much work an experiment does — the two controls the harness has
 /// always had.
@@ -26,7 +26,7 @@ pub struct Scale {
 
 impl Scale {
     /// `full`, or `smoke` under `--smoke`.
-    pub fn pick<T>(&self, full: T, smoke: T) -> T {
+    pub(crate) fn pick<T>(&self, full: T, smoke: T) -> T {
         if self.smoke {
             smoke
         } else {
@@ -35,7 +35,7 @@ impl Scale {
     }
 
     /// The sample count: `N` when given, else [`Scale::pick`].
-    pub fn samples(&self, full: usize, smoke: usize) -> usize {
+    pub(crate) fn samples(&self, full: usize, smoke: usize) -> usize {
         self.n.unwrap_or(self.pick(full, smoke))
     }
 }
@@ -61,7 +61,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// An outcome whose table opens with a section banner.
-    pub fn titled(title: &str) -> Self {
+    pub(crate) fn titled(title: &str) -> Self {
         Outcome {
             table: format!("\n=== {title} ===\n"),
             checks: Vec::new(),
@@ -69,7 +69,7 @@ impl Outcome {
     }
 
     /// Records one claim.
-    pub fn check(&mut self, pass: bool, name: String) {
+    pub(crate) fn check(&mut self, pass: bool, name: String) {
         self.checks.push(Check { name, pass });
     }
 

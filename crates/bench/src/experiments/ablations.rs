@@ -3,7 +3,7 @@
 //! No-Redundant-Zeroing across transfer modes, and the per-interface API
 //! census.
 
-use apps::env::ApiCensus;
+use apps::ApiCensus;
 use hotcalls::sim::SimHotCalls;
 use hotcalls::HotCallConfig;
 use sgx_sdk::edl::parse_edl;
@@ -39,7 +39,7 @@ fn rig(
 
 /// The HotCalls design knobs (§4.2): responder contention, the
 /// timeout-retry budget, and idle sleep against the duty cycle.
-pub fn hotcall(scale: Scale) -> Outcome {
+pub(crate) fn hotcall(scale: Scale) -> Outcome {
     let n = scale.samples(3_000, 300) as u64;
     let hot_rig = |seed, config| {
         let (mut m, mut ctx, hot) = rig(
@@ -161,7 +161,7 @@ fn mean_cycles(m: &mut Machine, n: usize, mut one: impl FnMut(&mut Machine)) -> 
 /// The paper's §3.5 "further optimization": a word-wise `memset` for the
 /// zeroing that is required (ecall `out` staging on the secure heap),
 /// against No-Redundant-Zeroing for the zeroing that is not.
-pub fn memset(scale: Scale) -> Outcome {
+pub(crate) fn memset(scale: Scale) -> Outcome {
     const SIZES: [u64; 4] = [1024, 2048, 8192, 32768];
     let n = scale.samples(800, 50);
     let ocall_out = |bytes: u64, options: MarshalOptions, seed: u64| {
@@ -251,7 +251,7 @@ pub fn memset(scale: Scale) -> Outcome {
 /// The MEE node-cache capacity — the lever behind Fig. 6's
 /// footprint-dependent read overhead. Sweeping it shows where each buffer
 /// size's tree working set stops fitting.
-pub fn mee(scale: Scale) -> Outcome {
+pub(crate) fn mee(scale: Scale) -> Outcome {
     let n = scale.samples(400, 20);
     let mut out =
         Outcome::titled("Ablation: MEE node-cache capacity vs encrypted-read overhead (%)");
@@ -295,7 +295,7 @@ pub fn mee(scale: Scale) -> Outcome {
 /// Fig. 8. The slowdown is flat while the register fits and explodes the
 /// moment it does not. Under smoke the register and every EPC size
 /// shrink fourfold together, so the cliff stays in the same row.
-pub fn epc(scale: Scale) -> Outcome {
+pub(crate) fn epc(scale: Scale) -> Outcome {
     let mb: u64 = scale.pick(1 << 20, 1 << 18);
     let mut out = Outcome::titled("Ablation: EPC capacity vs 24MB streaming working set");
     let lq = LibquantumConfig {
@@ -349,7 +349,7 @@ pub fn epc(scale: Scale) -> Outcome {
 /// marshalling) and over HotCalls+NRZ (the security-pointless zeroing of
 /// untrusted staging elided). NRZ must be strictly cheaper than plain
 /// HotCalls at every mode and size, and save at least 20 % at 4 KiB.
-pub fn nrz(scale: Scale) -> Outcome {
+pub(crate) fn nrz(scale: Scale) -> Outcome {
     const SIZES: [u64; 4] = [256, 1024, 4096, 16384];
     const EDL: &str = "enclave { untrusted {
         void o_out([out, size=n] uint8_t* b, size_t n);
@@ -432,7 +432,7 @@ const MIN_SDK_RATIO: f64 = 2.0;
 /// each of [`CENSUS_MODES`]: which API, how often, and how much core time
 /// the interface burns. Per application the SDK port must pay at least
 /// 2× the per-call interface cycles of HotCalls.
-pub fn api_census(scale: Scale) -> Outcome {
+pub(crate) fn api_census(scale: Scale) -> Outcome {
     let censuses = api_census_all(scale.pick(AppScale::default(), AppScale::SMOKE));
     let mut out = Outcome::titled(&format!(
         "api_census: Table-2-style API census, {} modes",

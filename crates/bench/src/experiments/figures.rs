@@ -25,7 +25,7 @@ use crate::stats::Samples;
 /// reads 1.19: the marshalling model charges the generated proxy's
 /// whole-frame `memset` on `in&out` ocall staging too (the zeroing NRZ
 /// exists to remove), and the paper's 9,801 cycles do not show it.
-pub fn table1(scale: Scale) -> Outcome {
+pub(crate) fn table1(scale: Scale) -> Outcome {
     const BAND: f64 = 0.10;
     const TO_AND_FROM_BAND: f64 = 0.20;
     let n = scale.samples(4_000, 400);
@@ -131,7 +131,7 @@ fn say_cdf(out: &mut Outcome, s: &Samples) {
 }
 
 /// Figure 2 — CDFs of ecall/ocall latency, warm and cold.
-pub fn fig2(scale: Scale) -> Outcome {
+pub(crate) fn fig2(scale: Scale) -> Outcome {
     let n = scale.samples(8_000, 500);
     let mut out = Outcome::titled("Figure 2: ecall / ocall latency CDFs");
     say!(out, "({n} measurements per curve; paper used 200,000)");
@@ -167,7 +167,7 @@ pub fn fig2(scale: Scale) -> Outcome {
 
 /// Figure 3 — CDFs of HotEcall and HotOcall latency. The paper's
 /// headline: more than 78 % of HotCalls complete within 620 cycles.
-pub fn fig3(scale: Scale) -> Outcome {
+pub(crate) fn fig3(scale: Scale) -> Outcome {
     let n = scale.samples(10_000, 1_000);
     let mut out = Outcome::titled("Figure 3: HotCalls latency CDFs");
     say!(out, "({n} measurements per curve; paper used 200,000)");
@@ -224,7 +224,7 @@ fn say_buffer_rows(out: &mut Outcome, measure: impl Fn(TransferMode, u64) -> Sam
 }
 
 /// Figure 4 — ecall + buffer transfer latency vs buffer size.
-pub fn fig4(scale: Scale) -> Outcome {
+pub(crate) fn fig4(scale: Scale) -> Outcome {
     let n = scale.samples(2_000, 50);
     let mut out = Outcome::titled("Figure 4: ecall + buffer in/out/in&out vs size (median cycles)");
     say!(
@@ -245,7 +245,7 @@ pub fn fig4(scale: Scale) -> Outcome {
 }
 
 /// Figure 5 — ocall + buffer transfer latency vs buffer size.
-pub fn fig5(scale: Scale) -> Outcome {
+pub(crate) fn fig5(scale: Scale) -> Outcome {
     let n = scale.samples(2_000, 50);
     let mut out =
         Outcome::titled("Figure 5: ocall + buffer to/from/to&from vs size (median cycles)");
@@ -280,7 +280,7 @@ fn region_overhead(
 /// Figure 6 — consecutive-read latency, encrypted vs plaintext. The
 /// overhead must grow with the footprint (the MEE node cache thrashing),
 /// 2 KiB through 32 KiB.
-pub fn fig6(scale: Scale) -> Outcome {
+pub(crate) fn fig6(scale: Scale) -> Outcome {
     const SIZES: [u64; 5] = [2048, 4096, 8192, 16384, 32768];
     let n = scale.samples(1_500, 60);
     let mut out = Outcome::titled("Figure 6: consecutive memory reads (median cycles)");
@@ -312,7 +312,7 @@ pub fn fig6(scale: Scale) -> Outcome {
 /// Figure 7 — consecutive-write latency, encrypted vs plaintext. The
 /// write-back encryption hides behind the forced evictions: under 10 %
 /// from 1 KiB up (paper: ~6 %).
-pub fn fig7(scale: Scale) -> Outcome {
+pub(crate) fn fig7(scale: Scale) -> Outcome {
     const SIZES: [u64; 6] = [1024, 2048, 4096, 8192, 16384, 32768];
     let n = scale.samples(1_500, 60);
     let mut out = Outcome::titled("Figure 7: consecutive memory writes (median cycles)");
@@ -357,7 +357,7 @@ where
 /// libquantum cliff and its control are asserted in
 /// `tests/paper_shapes.rs`. Under smoke the kernels and the EPC shrink
 /// eightfold together, which keeps the register-over-EPC ratio.
-pub fn fig8(scale: Scale) -> Outcome {
+pub(crate) fn fig8(scale: Scale) -> Outcome {
     let n = scale.samples(1_500, 200);
     let shrink: u64 = scale.pick(1, 8);
     let mut out = Outcome::titled("Figure 8: encrypted-memory slowdown, normalized to plaintext");
@@ -449,7 +449,7 @@ fn app_scale(scale: Scale) -> AppScale {
 }
 
 /// Table 2 — API-call frequencies of the unoptimized SGX ports.
-pub fn table2(scale: Scale) -> Outcome {
+pub(crate) fn table2(scale: Scale) -> Outcome {
     let rows = crate::applications::table2(app_scale(scale));
     let mut out = Outcome::titled("Table 2: API calls (x1000/second) in non-optimized SGX ports");
     for (row, (paper_total, paper_core)) in rows.iter().zip(
@@ -500,7 +500,7 @@ fn check_mode_order(out: &mut Outcome, what: &str, series: &[f64], better: fn(f6
 /// Figure 10 — application throughput under the four interface modes,
 /// normalized to native. For all three applications the order is native
 /// > +NRZ > +HotCalls > SDK.
-pub fn fig10(scale: Scale) -> Outcome {
+pub(crate) fn fig10(scale: Scale) -> Outcome {
     let s = app_scale(scale);
     let mut out = Outcome::titled("Figure 10: throughput, normalized to running without SGX");
     let mut series = |app: &str, unit: &str, measured: Vec<f64>, reference: &[f64; 4]| {
@@ -558,7 +558,7 @@ pub fn fig10(scale: Scale) -> Outcome {
 
 /// Figure 11 — application latency under the four interface modes: the
 /// reverse of Fig. 10's order, native < +NRZ < +HotCalls < SDK.
-pub fn fig11(scale: Scale) -> Outcome {
+pub(crate) fn fig11(scale: Scale) -> Outcome {
     let s = app_scale(scale);
     let mut out = Outcome::titled("Figure 11: response latency / ping RTT");
     let mut series = |app: &str, measured: Vec<f64>, reference: &[f64; 4]| {

@@ -215,7 +215,7 @@ fn sweep_mode(probe: &ModeProbe, grid: &[f64], events_per_conn: usize, seed: u64
 
 /// The knee curves, one app at a time, both interfaces on a shared grid
 /// so their knees are directly comparable.
-pub fn load_curves(scale: Scale) -> Outcome {
+pub(crate) fn load_curves(scale: Scale) -> Outcome {
     let (grid_points, events_per_conn) = scale.pick((12usize, 4usize), (6, 2));
     let mut out = Outcome::titled("load_curves: latency vs offered load (open loop)");
     say!(

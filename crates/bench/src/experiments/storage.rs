@@ -11,7 +11,7 @@
 //!   hold at least 2× the SDK bandwidth at every size.
 //! * **Cliff chunking** — a `workloads::stress::cliff_ramp` object stream
 //!   is ingested under static chunk sizes and under the EPC-aware
-//!   [`hotcalls::ChunkSizer`], whose watermark on paging cycles per
+//!   [`ChunkSizer`], whose watermark on paging cycles per
 //!   streamed byte shrinks the chunk when the enclave-side footprint
 //!   (windowed staging + resident dedup index) crosses the EPC. The
 //!   adaptive chunker must hold at least 0.9× the best static chunk.
@@ -22,7 +22,7 @@
 use std::cell::RefCell;
 
 use hotcalls::sim::SimHotCalls;
-use hotcalls::{ChunkSizer, HotCallConfig};
+use hotcalls::HotCallConfig;
 use sgx_sdk::edl::{parse_edl, Direction};
 use sgx_sdk::marshal::{stage_sg, unstage, CallerSide, StagingArea};
 use sgx_sdk::memops::sdk_memcpy;
@@ -245,6 +245,74 @@ impl CliffRun {
     }
 }
 
+/// Paging cycles per streamed byte above which the chunk sizer halves the
+/// chunk.
+const CHUNK_SHRINK_ABOVE: f64 = 0.5;
+/// The chunk sizer's floor is the max chunk divided by this.
+const CHUNK_FLOOR_DIVISOR: usize = 16;
+/// Windows the chunk sizer holds still after a move: the paging counters
+/// need a window at the new size (the post-shrink refault transient has
+/// to drain) before they mean anything.
+const CHUNK_HOLD_WINDOWS: u32 = 2;
+
+/// The EPC-aware streaming chunk sizer, a one-way ratchet. The rule is a
+/// bandwidth break-even: a streamed chunk that fits the resident EPC
+/// costs only its marshalling, while one that pushes the enclave's
+/// working set past the paging cliff pays EWB/ELDU per byte. Fed each
+/// window's paging-cycle bill and byte count, the sizer starts at the
+/// max chunk and halves it while the bill exceeds 0.5 cycles per
+/// streamed byte, down to a floor of a sixteenth of the max, holding two
+/// windows after each move. It never grows: a probed cliff is never
+/// re-entered. Every input is handed in by the caller, so it decides the
+/// same in every build.
+#[derive(Debug)]
+struct ChunkSizer {
+    /// The chunk size the next submission should use.
+    chunk: usize,
+    floor: usize,
+    hold: u32,
+    /// Halvings so far.
+    shrinks: u64,
+}
+
+impl ChunkSizer {
+    /// A sizer starting at `max_chunk` bytes.
+    ///
+    /// # Panics
+    ///
+    /// On a zero `max_chunk`.
+    fn new(max_chunk: usize) -> Self {
+        assert!(max_chunk > 0, "chunk sizer needs a positive max chunk");
+        ChunkSizer {
+            chunk: max_chunk,
+            floor: (max_chunk / CHUNK_FLOOR_DIVISOR).max(1),
+            hold: 0,
+            shrinks: 0,
+        }
+    }
+
+    /// Reports one streamed window: `paging_cycles` charged by the EPC
+    /// while `bytes` moved. Returns the new chunk size if the window
+    /// halved it, `None` otherwise. Zero-byte windows are ignored (no
+    /// rate to read) and do not count toward a hold.
+    fn observe(&mut self, paging_cycles: u64, bytes: u64) -> Option<usize> {
+        if bytes == 0 {
+            return None;
+        }
+        if self.hold > 0 {
+            self.hold -= 1;
+            return None;
+        }
+        if paging_cycles as f64 / bytes as f64 <= CHUNK_SHRINK_ABOVE || self.chunk == self.floor {
+            return None;
+        }
+        self.chunk = (self.chunk / 2).max(self.floor);
+        self.shrinks += 1;
+        self.hold = CHUNK_HOLD_WINDOWS;
+        Some(self.chunk)
+    }
+}
+
 /// Streams `rounds` repetitions of the cliff ramp into the enclave under
 /// the given chunk policy: every chunk is staged vectored into secure
 /// memory (windowed slots), handed off switchlessly, and dedup-probed
@@ -327,7 +395,7 @@ fn cliff_run(
 }
 
 /// The bandwidth ladder and the cliff, with their claims.
-pub fn ablation_storage(scale: Scale) -> Outcome {
+pub(crate) fn ablation_storage(scale: Scale) -> Outcome {
     let g = Geometry::new(scale.pick(FULL_EPC, FULL_EPC / 8));
     let n = scale.samples(3, 2);
 
@@ -404,12 +472,11 @@ pub fn ablation_storage(scale: Scale) -> Outcome {
     // paging cost per byte stays over its watermark, and hold whatever
     // the EPC tolerates (no grow-back, so a probed cliff is never
     // re-entered).
-    let sizer =
-        RefCell::new(ChunkSizer::new(g.cliff_max_chunk as usize).expect("positive max chunk"));
+    let sizer = RefCell::new(ChunkSizer::new(g.cliff_max_chunk as usize));
     let adaptive = cliff_run(
         g,
         rounds,
-        || sizer.borrow().chunk_bytes() as u64,
+        || sizer.borrow().chunk as u64,
         |paging, bytes| {
             sizer.borrow_mut().observe(paging, bytes);
         },
@@ -422,8 +489,8 @@ pub fn ablation_storage(scale: Scale) -> Outcome {
         adaptive.bytes as f64 / (1 << 20) as f64,
         adaptive.cycles as f64 / 1e6,
         adaptive.mib_s(),
-        sizer.shrinks(),
-        sizer.chunk_bytes() >> 10,
+        sizer.shrinks,
+        sizer.chunk >> 10,
     );
     let best = statics.iter().copied().fold(0.0f64, f64::max);
     let worst = statics.iter().copied().fold(f64::INFINITY, f64::min);
@@ -435,10 +502,10 @@ pub fn ablation_storage(scale: Scale) -> Outcome {
         ),
     );
     out.check(
-        sizer.shrinks() > 0,
+        sizer.shrinks > 0,
         format!(
             "the adaptive chunker shrank across the cliff ({} shrinks)",
-            sizer.shrinks()
+            sizer.shrinks
         ),
     );
     out.check(
@@ -449,4 +516,54 @@ pub fn ablation_storage(scale: Scale) -> Outcome {
         ),
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chunk_sizer_is_a_one_way_ratchet() {
+        const MAX: usize = 1 << 20;
+        // 600 paging cycles per 1 000 bytes: over the 0.5 watermark.
+        const THRASH: u64 = 600;
+        let mut sizer = ChunkSizer::new(MAX);
+        assert_eq!(sizer.chunk, MAX, "starts at max");
+        // One window per row: its paging cycles and bytes, the chunk after
+        // it, and the rule the row pins. `observe` must answer the new
+        // chunk exactly when it moved.
+        let table: &[(u64, u64, usize, &str)] = &[
+            (THRASH, 1_000, MAX / 2, "a window above 0.5 halves"),
+            (THRASH, 1_000, MAX / 2, "hold 1 of 2"),
+            (10_000, 0, MAX / 2, "a zero-byte window is no hold"),
+            (THRASH, 1_000, MAX / 2, "hold 2 of 2"),
+            (THRASH, 1_000, MAX / 4, "halves right after the hold"),
+            (0, 1_000, MAX / 4, "hold 1 of 2"),
+            (0, 1_000, MAX / 4, "hold 2 of 2"),
+            (0, 1_000, MAX / 4, "a zero-paging window never grows"),
+            (500, 1_000, MAX / 4, "exactly 0.5 is not above it"),
+            (THRASH, 1_000, MAX / 8, "halves"),
+            (THRASH, 1_000, MAX / 8, "hold 1 of 2"),
+            (THRASH, 1_000, MAX / 8, "hold 2 of 2"),
+            (THRASH, 1_000, MAX / 16, "halves onto the floor"),
+            (THRASH, 1_000, MAX / 16, "hold 1 of 2"),
+            (THRASH, 1_000, MAX / 16, "hold 2 of 2"),
+            (5_000_000, 1_000, MAX / 16, "the floor holds"),
+            (5_000_000, 1_000, MAX / 16, "and stays"),
+        ];
+        for (i, &(paging, bytes, chunk, rule)) in table.iter().enumerate() {
+            let moved = (chunk != sizer.chunk).then_some(chunk);
+            assert_eq!(sizer.observe(paging, bytes), moved, "row {i}: {rule}");
+            assert_eq!(sizer.chunk, chunk, "row {i}: {rule}");
+        }
+        assert_eq!(sizer.shrinks, 4);
+        let mut tiny = ChunkSizer::new(2);
+        assert_eq!(tiny.observe(THRASH, 1_000), Some(1), "floor of 1, not 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "positive max chunk")]
+    fn chunk_sizer_refuses_a_zero_max() {
+        ChunkSizer::new(0);
+    }
 }

@@ -6,6 +6,7 @@ use sgx_sdk::edl::parse_edl;
 use sgx_sdk::{EnclaveCtx, MarshalOptions};
 use sgx_sim::{EnclaveBuildOptions, Machine, SgxError, SimConfig};
 
+use crate::micro::collect;
 use crate::stats::Samples;
 
 const HOT_EDL: &str = "enclave {
@@ -15,7 +16,7 @@ const HOT_EDL: &str = "enclave {
 
 /// Which direction of HotCall to measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotKind {
+pub(crate) enum HotKind {
     /// HotEcall (untrusted requester, trusted responder).
     Ecall,
     /// HotOcall (trusted requester, untrusted responder).
@@ -24,7 +25,7 @@ pub enum HotKind {
 
 impl HotKind {
     /// Label for output.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             HotKind::Ecall => "HotEcall",
             HotKind::Ocall => "HotOcall",
@@ -33,7 +34,7 @@ impl HotKind {
 }
 
 /// Measures `n` empty HotCalls of the given kind (Fig. 3's CDF).
-pub fn hotcall_latency(kind: HotKind, n: usize, seed: u64) -> Samples {
+pub(crate) fn hotcall_latency(kind: HotKind, n: usize, seed: u64) -> Samples {
     let mut m = Machine::new(SimConfig::builder().seed(seed).build());
     let eid = m
         .build_enclave(EnclaveBuildOptions::default())
@@ -49,18 +50,12 @@ pub fn hotcall_latency(kind: HotKind, n: usize, seed: u64) -> Samples {
         issue(&mut m, &mut ctx, &mut hot, kind).expect("warmup");
     }
 
-    let mut samples = Samples::default();
-    for _ in 0..n {
-        let measured = m
-            .measure(|m| issue(m, &mut ctx, &mut hot, kind).map_err(|_| SgxError::NotEntered))
-            .expect("measure");
-        if measured.aex {
-            samples.discarded_aex += 1;
-        } else {
-            samples.values.push(measured.cycles.get());
-        }
-    }
-    samples
+    collect(
+        &mut m,
+        n,
+        |_| {},
+        |m| issue(m, &mut ctx, &mut hot, kind).map_err(|_| SgxError::NotEntered),
+    )
 }
 
 fn issue(

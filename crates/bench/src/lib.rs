@@ -41,9 +41,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod applications;
+mod applications;
 pub mod experiments;
-pub mod hot;
-pub mod micro;
-pub mod report;
-pub mod stats;
+mod hot;
+mod micro;
+mod report;
+mod stats;

@@ -34,7 +34,7 @@ const MICRO_EDL: &str = "enclave {
 
 /// Buffer transfer mode under test (paper's EDL attribute names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferMode {
+pub(crate) enum TransferMode {
     /// `[in]`
     In,
     /// `[out]`
@@ -47,7 +47,7 @@ pub enum TransferMode {
 
 impl TransferMode {
     /// The three copying modes of Figs. 4/5, in plot order.
-    pub const COPYING: [TransferMode; 3] =
+    pub(crate) const COPYING: [TransferMode; 3] =
         [TransferMode::In, TransferMode::Out, TransferMode::InOut];
 
     fn ecall_name(&self) -> &'static str {
@@ -69,7 +69,7 @@ impl TransferMode {
     }
 
     /// Label used in tables.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TransferMode::In => "in",
             TransferMode::Out => "out",
@@ -89,12 +89,18 @@ fn setup(seed: u64) -> (Machine, EnclaveCtx) {
     (m, ctx)
 }
 
-fn collect<F>(m: &mut Machine, n: usize, mut iteration: F) -> Samples
+/// Takes `n` samples of `iteration`, each timed by [`Machine::measure`]
+/// after an untimed `prep` (the cache evictions and fences that set up the
+/// next measurement). Samples an AEX interrupted are counted and dropped,
+/// as the paper's RDTSCP methodology does.
+pub(crate) fn collect<P, F>(m: &mut Machine, n: usize, mut prep: P, mut iteration: F) -> Samples
 where
+    P: FnMut(&mut Machine),
     F: FnMut(&mut Machine) -> Result<(), SgxError>,
 {
     let mut samples = Samples::default();
     for _ in 0..n {
+        prep(m);
         let measured = m.measure(|m| iteration(m)).expect("measurement");
         if measured.aex {
             samples.discarded_aex += 1;
@@ -106,44 +112,54 @@ where
 }
 
 /// Microbenchmarks 1 & 2: empty ecall latency, warm or cold cache.
-pub fn ecall_latency(cold: bool, n: usize, seed: u64) -> Samples {
+pub(crate) fn ecall_latency(cold: bool, n: usize, seed: u64) -> Samples {
     let (mut m, mut ctx) = setup(seed);
     for _ in 0..10 {
         ctx.ecall(&mut m, "ecall_empty", &[], |_, _, _| Ok(()))
             .expect("warmup");
     }
-    collect(&mut m, n, |m| {
-        if cold {
-            m.flush_all_caches();
-        }
-        ctx.ecall(m, "ecall_empty", &[], |_, _, _| Ok(()))
-            .map_err(|_| SgxError::NotEntered)?;
-        Ok(())
-    })
+    collect(
+        &mut m,
+        n,
+        |_| {},
+        |m| {
+            if cold {
+                m.flush_all_caches();
+            }
+            ctx.ecall(m, "ecall_empty", &[], |_, _, _| Ok(()))
+                .map_err(|_| SgxError::NotEntered)?;
+            Ok(())
+        },
+    )
 }
 
 /// Microbenchmarks 4 & 5: empty ocall latency, warm or cold cache.
-pub fn ocall_latency(cold: bool, n: usize, seed: u64) -> Samples {
+pub(crate) fn ocall_latency(cold: bool, n: usize, seed: u64) -> Samples {
     let (mut m, mut ctx) = setup(seed);
     ctx.enter_main(&mut m).expect("enter");
     for _ in 0..10 {
         ctx.ocall(&mut m, "ocall_empty", &[], |_, _, _| Ok(()))
             .expect("warmup");
     }
-    collect(&mut m, n, |m| {
-        if cold {
-            m.flush_all_caches();
-        }
-        ctx.ocall(m, "ocall_empty", &[], |_, _, _| Ok(()))
-            .map_err(|_| SgxError::NotEntered)?;
-        Ok(())
-    })
+    collect(
+        &mut m,
+        n,
+        |_| {},
+        |m| {
+            if cold {
+                m.flush_all_caches();
+            }
+            ctx.ocall(m, "ocall_empty", &[], |_, _, _| Ok(()))
+                .map_err(|_| SgxError::NotEntered)?;
+            Ok(())
+        },
+    )
 }
 
 /// Microbenchmark 3 / Fig. 4: ecall + buffer transfer of `bytes` under
 /// `mode`. The transferred buffers are flushed from the cache before every
 /// measurement (§3.2.1), while the call structures stay warm.
-pub fn ecall_buffer(mode: TransferMode, bytes: u64, n: usize, seed: u64) -> Samples {
+pub(crate) fn ecall_buffer(mode: TransferMode, bytes: u64, n: usize, seed: u64) -> Samples {
     let (mut m, mut ctx) = setup(seed);
     let buf = m.alloc_untrusted(bytes.max(64), 64);
     let args = [BufArg::new(buf, bytes)];
@@ -151,32 +167,27 @@ pub fn ecall_buffer(mode: TransferMode, bytes: u64, n: usize, seed: u64) -> Samp
         ctx.ecall(&mut m, mode.ecall_name(), &args, |_, _, _| Ok(()))
             .expect("warmup");
     }
-    let mut samples = Samples::default();
-    for _ in 0..n {
+    collect(
+        &mut m,
+        n,
         // Evict the transferred buffer outside the timed window (§3.2.1).
-        m.clflush_span(buf, bytes);
-        m.mfence();
-        m.reset_stream_detector();
-        let measured = m
-            .measure(|m| {
-                ctx.ecall(m, mode.ecall_name(), &args, |_, _, _| Ok(()))
-                    .map_err(|_| SgxError::NotEntered)?;
-                Ok(())
-            })
-            .expect("measure");
-        if measured.aex {
-            samples.discarded_aex += 1;
-        } else {
-            samples.values.push(measured.cycles.get());
-        }
-    }
-    samples
+        |m| {
+            m.clflush_span(buf, bytes);
+            m.mfence();
+            m.reset_stream_detector();
+        },
+        |m| {
+            ctx.ecall(m, mode.ecall_name(), &args, |_, _, _| Ok(()))
+                .map_err(|_| SgxError::NotEntered)?;
+            Ok(())
+        },
+    )
 }
 
 /// Microbenchmark 6 / Fig. 5: ocall + buffer transfer of `bytes`. The
 /// source buffers stay warm (the enclave just produced them), matching the
 /// paper's lower `to`-mode numbers.
-pub fn ocall_buffer(mode: TransferMode, bytes: u64, n: usize, seed: u64) -> Samples {
+pub(crate) fn ocall_buffer(mode: TransferMode, bytes: u64, n: usize, seed: u64) -> Samples {
     let (mut m, mut ctx) = setup(seed);
     let buf = m
         .alloc_enclave_heap(ctx.eid, bytes.max(64), 64)
@@ -187,16 +198,21 @@ pub fn ocall_buffer(mode: TransferMode, bytes: u64, n: usize, seed: u64) -> Samp
         ctx.ocall(&mut m, mode.ocall_name(), &args, |_, _, _| Ok(()))
             .expect("warmup");
     }
-    collect(&mut m, n, |m| {
-        ctx.ocall(m, mode.ocall_name(), &args, |_, _, _| Ok(()))
-            .map_err(|_| SgxError::NotEntered)?;
-        Ok(())
-    })
+    collect(
+        &mut m,
+        n,
+        |_| {},
+        |m| {
+            ctx.ocall(m, mode.ocall_name(), &args, |_, _, _| Ok(()))
+                .map_err(|_| SgxError::NotEntered)?;
+            Ok(())
+        },
+    )
 }
 
 /// Where a memory microbenchmark's buffer lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Region {
+pub(crate) enum Region {
     /// Ordinary plaintext memory.
     Plain,
     /// Encrypted enclave memory.
@@ -205,10 +221,10 @@ pub enum Region {
 
 impl Region {
     /// Both regions in the order the paper tabulates (encrypted first).
-    pub const BOTH: [Region; 2] = [Region::Encrypted, Region::Plain];
+    pub(crate) const BOTH: [Region; 2] = [Region::Encrypted, Region::Plain];
 
     /// Label for output.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Region::Plain => "plaintext",
             Region::Encrypted => "encrypted",
@@ -235,116 +251,97 @@ fn region_buffer(m: &mut Machine, region: Region, bytes: u64) -> Addr {
 /// `bytes`. The buffer is evicted from the cache before each measurement
 /// (outside the timed window), and an `mfence` precedes the closing
 /// RDTSCP, as in §3.4.
-pub fn memory_read_windowed(region: Region, bytes: u64, n: usize, seed: u64) -> Samples {
+pub(crate) fn memory_read_windowed(region: Region, bytes: u64, n: usize, seed: u64) -> Samples {
     memory_read_windowed_on(SimConfig::builder().seed(seed).build(), region, bytes, n)
 }
 
 /// [`memory_read_windowed`] on a machine built from `config` (the MEE
 /// ablation overrides the node-cache capacity).
-pub fn memory_read_windowed_on(config: SimConfig, region: Region, bytes: u64, n: usize) -> Samples {
+pub(crate) fn memory_read_windowed_on(
+    config: SimConfig,
+    region: Region,
+    bytes: u64,
+    n: usize,
+) -> Samples {
     let mut m = Machine::new(config);
     let buf = region_buffer(&mut m, region, bytes);
     m.read(buf, bytes).expect("warm");
-    let mut samples = Samples::default();
-    for _ in 0..n {
-        m.clflush_span(buf, bytes);
-        m.mfence();
-        m.reset_stream_detector();
-        let measured = m
-            .measure(|m| {
-                m.read(buf, bytes)?;
-                m.mfence();
-                Ok(())
-            })
-            .expect("measure");
-        if measured.aex {
-            samples.discarded_aex += 1;
-        } else {
-            samples.values.push(measured.cycles.get());
-        }
-    }
-    samples
+    collect(
+        &mut m,
+        n,
+        |m| {
+            m.clflush_span(buf, bytes);
+            m.mfence();
+            m.reset_stream_detector();
+        },
+        |m| {
+            m.read(buf, bytes)?;
+            m.mfence();
+            Ok(())
+        },
+    )
 }
 
 /// Microbenchmark 8 / Fig. 7: consecutive 64-bit writes; the measurement
 /// is completed by `clflush`ing the buffer + `mfence` (§3.4), so the
 /// forced write-backs are inside the timed window.
-pub fn memory_write_windowed(region: Region, bytes: u64, n: usize, seed: u64) -> Samples {
+pub(crate) fn memory_write_windowed(region: Region, bytes: u64, n: usize, seed: u64) -> Samples {
     let mut m = Machine::new(SimConfig::builder().seed(seed).build());
     let buf = region_buffer(&mut m, region, bytes);
     m.write(buf, bytes).expect("warm");
     m.clflush_span(buf, bytes);
-    let mut samples = Samples::default();
-    for _ in 0..n {
-        m.reset_stream_detector();
-        let measured = m
-            .measure(|m| {
-                m.write(buf, bytes)?;
-                m.clflush_span(buf, bytes);
-                m.mfence();
-                Ok(())
-            })
-            .expect("measure");
-        if measured.aex {
-            samples.discarded_aex += 1;
-        } else {
-            samples.values.push(measured.cycles.get());
-        }
-    }
-    samples
+    collect(
+        &mut m,
+        n,
+        |m| m.reset_stream_detector(),
+        |m| {
+            m.write(buf, bytes)?;
+            m.clflush_span(buf, bytes);
+            m.mfence();
+            Ok(())
+        },
+    )
 }
 
 /// Microbenchmark 9: one 8-byte load from a line evicted from the LLC.
-pub fn cache_load_miss(region: Region, n: usize, seed: u64) -> Samples {
+pub(crate) fn cache_load_miss(region: Region, n: usize, seed: u64) -> Samples {
     let mut m = Machine::new(SimConfig::builder().seed(seed).build());
     let buf = region_buffer(&mut m, region, 64);
     m.read(buf, 8).expect("warm");
-    let mut samples = Samples::default();
-    for _ in 0..n {
-        m.clflush(buf);
-        m.mfence();
-        m.reset_stream_detector();
-        let measured = m
-            .measure(|m| {
-                m.read(buf, 8)?;
-                m.mfence();
-                Ok(())
-            })
-            .expect("measure");
-        if measured.aex {
-            samples.discarded_aex += 1;
-        } else {
-            samples.values.push(measured.cycles.get());
-        }
-    }
-    samples
+    collect(
+        &mut m,
+        n,
+        |m| {
+            m.clflush(buf);
+            m.mfence();
+            m.reset_stream_detector();
+        },
+        |m| {
+            m.read(buf, 8)?;
+            m.mfence();
+            Ok(())
+        },
+    )
 }
 
 /// Microbenchmark 10: one 8-byte store, completed by `clflush` + `mfence`
 /// inside the timed window.
-pub fn cache_store_miss(region: Region, n: usize, seed: u64) -> Samples {
+pub(crate) fn cache_store_miss(region: Region, n: usize, seed: u64) -> Samples {
     let mut m = Machine::new(SimConfig::builder().seed(seed).build());
     let buf = region_buffer(&mut m, region, 64);
     m.write(buf, 8).expect("warm");
     m.clflush(buf);
-    let mut samples = Samples::default();
-    for _ in 0..n {
-        m.reset_stream_detector();
-        let measured = m
-            .measure(|m| {
-                m.write(buf, 8)?;
-                m.clflush(buf);
-                m.mfence();
-                Ok(())
-            })
-            .expect("measure");
-        if measured.aex {
-            samples.discarded_aex += 1;
-        } else {
-            samples.values.push(measured.cycles.get());
-        }
-    }
-    samples
+    collect(
+        &mut m,
+        n,
+        |m| m.reset_stream_detector(),
+        |m| {
+            m.write(buf, 8)?;
+            m.clflush(buf);
+            m.mfence();
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]

@@ -3,12 +3,12 @@
 /// A set of latency samples plus the count of AEX-contaminated runs that
 /// were discarded (the paper's methodology, §3.1).
 #[derive(Debug, Clone, Default)]
-pub struct Samples {
+pub(crate) struct Samples {
     /// Clean measurements, in cycles.
-    pub values: Vec<u64>,
+    pub(crate) values: Vec<u64>,
     /// Measurements discarded because an Asynchronous Exit landed inside
     /// the timed window.
-    pub discarded_aex: usize,
+    pub(crate) discarded_aex: usize,
 }
 
 /// Raw cycle counts with nothing discarded.
@@ -23,17 +23,12 @@ impl FromIterator<u64> for Samples {
 
 impl Samples {
     /// Number of clean samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// Any samples at all?
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Median (p50).
-    pub fn median(&self) -> u64 {
+    pub(crate) fn median(&self) -> u64 {
         self.percentile(50.0)
     }
 
@@ -42,7 +37,7 @@ impl Samples {
     /// # Panics
     ///
     /// Panics on an empty sample set or `p` outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         assert!(!self.values.is_empty(), "no samples");
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
         let mut sorted = self.values.clone();
@@ -53,7 +48,7 @@ impl Samples {
 
     /// CDF points at the canonical probe percentiles the paper's Fig. 2/3
     /// discussion references.
-    pub fn cdf_summary(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cdf_summary(&self) -> Vec<(f64, u64)> {
         [0.1, 10.0, 25.0, 50.0, 75.0, 78.0, 90.0, 99.0, 99.9, 99.97]
             .iter()
             .map(|&p| (p, self.percentile(p)))
@@ -61,7 +56,7 @@ impl Samples {
     }
 
     /// Fraction of samples at or below `threshold`.
-    pub fn fraction_below(&self, threshold: u64) -> f64 {
+    pub(crate) fn fraction_below(&self, threshold: u64) -> f64 {
         if self.values.is_empty() {
             return 0.0;
         }
@@ -72,15 +67,15 @@ impl Samples {
 /// One row of a latency-vs-load curve: an offered rate and the latency
 /// percentiles observed at it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
+pub(crate) struct CurvePoint {
     /// Offered load at this row, events per second.
-    pub offered_per_sec: f64,
+    pub(crate) offered_per_sec: f64,
     /// Median latency at this rate, nanoseconds.
-    pub p50_ns: u64,
+    pub(crate) p50_ns: u64,
     /// 99th-percentile latency, nanoseconds.
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
     /// 99.9th-percentile latency, nanoseconds.
-    pub p999_ns: u64,
+    pub(crate) p999_ns: u64,
 }
 
 /// The knee of a latency-vs-load curve: the highest offered rate on the
@@ -88,7 +83,7 @@ pub struct CurvePoint {
 /// Points are expected in ascending offered-rate order; the scan stops at
 /// the first departure so a tail that dips back under the threshold after
 /// collapse cannot fake headroom.
-pub fn knee_of(points: &[CurvePoint], p99_factor: f64) -> f64 {
+pub(crate) fn knee_of(points: &[CurvePoint], p99_factor: f64) -> f64 {
     let floor = points.first().map_or(1, |p| p.p99_ns.max(1)) as f64;
     points
         .iter()
@@ -101,7 +96,7 @@ pub fn knee_of(points: &[CurvePoint], p99_factor: f64) -> f64 {
 /// workload: from well under the slowest interface's capacity (5%) to
 /// past the fastest one's (2×), so every knee falls strictly inside the
 /// sweep.
-pub fn rate_grid(capacities: &[f64], points: usize) -> Vec<f64> {
+pub(crate) fn rate_grid(capacities: &[f64], points: usize) -> Vec<f64> {
     let lo = 0.05 * capacities.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = 2.0 * capacities.iter().copied().fold(0.0, f64::max);
     geometric_grid(lo, hi, points)
@@ -110,7 +105,7 @@ pub fn rate_grid(capacities: &[f64], points: usize) -> Vec<f64> {
 /// `points` values from `lo` to `hi` inclusive, geometrically spaced —
 /// the canonical sweep shape for anything spanning decades (offered
 /// rates, buffer sizes). A single-point grid is just `[lo]`.
-pub fn geometric_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
+pub(crate) fn geometric_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
     let step = (hi / lo).powf(1.0 / (points.saturating_sub(1)).max(1) as f64);
     (0..points).map(|i| lo * step.powi(i as i32)).collect()
 }

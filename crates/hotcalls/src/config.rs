@@ -81,7 +81,7 @@ impl HotCallConfig {
     /// budget is zero (the availability handshake would never be
     /// attempted), or when idle-sleep is enabled with a zero poll budget
     /// (responders would sleep before ever polling).
-    pub fn validate(&self) -> crate::error::Result<()> {
+    pub(crate) fn validate(&self) -> crate::error::Result<()> {
         use crate::error::HotCallError::InvalidConfig;
         if self.timeout_retries == 0 {
             return Err(InvalidConfig(

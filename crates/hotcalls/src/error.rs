@@ -21,7 +21,7 @@ pub enum HotCallError {
     UnknownCallId(u32),
     /// A constructor was given an unusable parameter (zero ring capacity,
     /// a responder count other than one, a config
-    /// [`crate::HotCallConfig::validate`] rejects).
+    /// `crate::HotCallConfig::validate` rejects).
     InvalidConfig(&'static str),
     /// The underlying SDK layer failed (simulated variant only).
     Sdk(sgx_sdk::SdkError),

@@ -40,8 +40,6 @@
 //!   parameter: [`rt::ByteRing`] and [`rt::SgRing`] *are* that
 //!   `RingServer`, at arena-backed byte and scatter-gather payloads. This
 //!   is usable as a general low-latency inter-thread call primitive.
-//! * [`ctl`] — [`ChunkSizer`], a one-way ratchet that halves a streaming
-//!   chunk while the EPC's paging bill per streamed byte stays high.
 //! * [`telemetry`] — what a plane measures about itself: its counters and
 //!   its queue, service and reap cycle histograms, read per plane with
 //!   `stats()` and `telemetry(name)`.
@@ -64,13 +62,10 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
-pub mod ctl;
 mod error;
 pub mod rt;
 pub mod sim;
 pub mod telemetry;
 
 pub use config::HotCallConfig;
-pub use ctl::ChunkSizer;
 pub use error::{HotCallError, Result};
-pub use telemetry::{GovernorStats, HotCallStats, RingStats, TELEMETRY_ENABLED};

@@ -24,12 +24,9 @@
 //! travel *by value* through the ring and come back with the response, so
 //! no lock or atomic is needed on the alloc/recycle path.
 
-// The counter struct lives in the telemetry module next to the plane's
-// other stats structs; re-exported here so `rt::ArenaStats` stays a valid
-// path for existing callers.
-pub use crate::telemetry::ArenaStats;
-
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::telemetry::ArenaStats;
 
 /// Payloads at or below this many bytes ride inline in the message — one
 /// cache line, the same granularity the slot state machine pads to.
@@ -81,7 +78,7 @@ impl HotBuf {
     }
 
     /// Total writable capacity (inline line or slab class size).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         match &self.repr {
             Repr::Inline { .. } => INLINE_CAPACITY,
             Repr::Slab { bytes, .. } => bytes.len(),
@@ -117,7 +114,7 @@ impl HotBuf {
     /// # Panics
     ///
     /// Panics if `len` exceeds [`HotBuf::capacity`].
-    pub fn set_len(&mut self, len: usize) {
+    pub(crate) fn set_len(&mut self, len: usize) {
         assert!(
             len <= self.capacity(),
             "len {len} exceeds capacity {}",
@@ -140,7 +137,7 @@ impl HotBuf {
 ///
 /// Segments may be zero-length (a degenerate but legal descriptor), and
 /// the logical length may be re-declared up to the *capacity* sum with
-/// [`SgList::set_len`] — a response can grow into a segment's size-class
+/// `SgList::set_len` — a response can grow into a segment's size-class
 /// slack exactly like a [`HotBuf`] response can.
 #[derive(Debug, Default)]
 pub struct SgList {
@@ -160,7 +157,7 @@ impl SgList {
     }
 
     /// Total writable capacity across segments.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.segments.iter().map(HotBuf::capacity).sum()
     }
 
@@ -175,7 +172,7 @@ impl SgList {
     }
 
     /// The segments, mutably — the handler-side surface for in-place
-    /// transforms. Length bookkeeping stays with [`SgList::set_len`].
+    /// transforms. Length bookkeeping stays with `SgList::set_len`.
     pub fn segments_mut(&mut self) -> &mut [HotBuf] {
         &mut self.segments
     }
@@ -187,7 +184,7 @@ impl SgList {
     }
 
     /// Sets the metadata word.
-    pub fn set_meta(&mut self, meta: u64) {
+    pub(crate) fn set_meta(&mut self, meta: u64) {
         self.meta = meta;
     }
 
@@ -209,7 +206,7 @@ impl SgList {
     /// # Panics
     ///
     /// Panics if `len` exceeds [`SgList::capacity`].
-    pub fn set_len(&mut self, len: usize) {
+    pub(crate) fn set_len(&mut self, len: usize) {
         assert!(
             len <= self.capacity(),
             "len {len} exceeds sg capacity {}",
@@ -364,7 +361,7 @@ impl SlabArena {
     /// arena-segment copy per piece, never a coalescing copy of the
     /// whole. Empty `data` yields a descriptor with one empty segment (a
     /// stream's zero-length tail chunk is still a chunk). The segment
-    /// vector itself is drawn from the pool [`SlabArena::recycle_sg`]
+    /// vector itself is drawn from the pool `SlabArena::recycle_sg`
     /// refills, so a warm stream's per-chunk heap traffic is exactly its
     /// segments' recycled slabs: zero allocations.
     ///
@@ -390,7 +387,7 @@ impl SlabArena {
     /// Returns a descriptor's segments to their free lists (see
     /// [`SlabArena::recycle`]) and pools the emptied segment vector for
     /// the next [`SlabArena::acquire_sg`].
-    pub fn recycle_sg(&mut self, mut sg: SgList) {
+    pub(crate) fn recycle_sg(&mut self, mut sg: SgList) {
         for seg in sg.segments.drain(..) {
             self.recycle(seg);
         }

@@ -17,8 +17,9 @@
 //! response, report its length, and nobody pays for zeroing in between.
 
 use crate::error::Result;
+use crate::telemetry::ArenaStats;
 
-use super::arena::{ArenaStats, HotBuf, SlabArena};
+use super::arena::{HotBuf, SlabArena};
 use super::ring::{RingRequester, RingServer, Ticket};
 use super::CallTable;
 

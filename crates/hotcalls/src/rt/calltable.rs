@@ -39,16 +39,6 @@ impl<Req, Resp> CallTable<Req, Resp> {
         (self.handlers.len() - 1) as u32
     }
 
-    /// Number of registered handlers.
-    pub fn len(&self) -> usize {
-        self.handlers.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.handlers.is_empty()
-    }
-
     /// Runs the handler registered as `id` on `req`: the one dispatch of
     /// both planes' responders and of a ring's inline call.
     ///
@@ -56,7 +46,7 @@ impl<Req, Resp> CallTable<Req, Resp> {
     ///
     /// [`HotCallError::UnknownCallId`] if no handler has that id.
     #[inline]
-    pub fn call(&self, id: u32, req: Req) -> Result<Resp> {
+    pub(crate) fn call(&self, id: u32, req: Req) -> Result<Resp> {
         match self.handlers.get(id as usize) {
             Some(handler) => Ok(handler(req)),
             None => Err(HotCallError::UnknownCallId(id)),
@@ -77,6 +67,5 @@ mod tests {
         assert_eq!(t.call(a, 5).unwrap(), 6);
         assert_eq!(t.call(b, 5).unwrap(), 10);
         assert!(matches!(t.call(9, 5), Err(HotCallError::UnknownCallId(9))));
-        assert_eq!(t.len(), 2);
     }
 }

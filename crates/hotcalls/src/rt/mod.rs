@@ -20,7 +20,7 @@
 //! pipeline of calls on it; a byte or scatter-gather plane is that same
 //! server at `HotBuf` or `SgList` payloads ([`ByteRing`], [`SgRing`]).
 
-pub mod arena;
+mod arena;
 mod bytes;
 mod calltable;
 mod plane;
@@ -29,7 +29,7 @@ mod ring;
 mod slot;
 mod stream;
 
-pub use arena::{ArenaStats, HotBuf, SgList, SlabArena, INLINE_CAPACITY};
+pub use arena::{HotBuf, SgList, SlabArena, INLINE_CAPACITY};
 pub use bytes::{ByteCallTable, ByteCaller, ByteRing};
 pub use calltable::CallTable;
 pub use ring::{RingRequester, RingServer, Ticket, Window};
@@ -86,7 +86,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics with [`HotCallConfig::validate`]'s message when it rejects
+    /// Panics with `HotCallConfig::validate`'s message when it rejects
     /// `config` (a zero retry or spin budget, or a zero idle-poll budget),
     /// and if the responder thread cannot be spawned.
     pub fn spawn(table: CallTable<Req, Resp>, config: HotCallConfig) -> Self {
@@ -204,11 +204,6 @@ impl<Req, Resp> Requester<Req, Resp> {
         // DONE(seq) with Acquire, which grants exclusive access to the
         // response.
         unsafe { slot.redeem(seq) }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> HotCallStats {
-        self.shared.core.snapshot(0)
     }
 }
 

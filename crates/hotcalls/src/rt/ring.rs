@@ -237,7 +237,7 @@ where
     ///
     /// [`HotCallError::InvalidConfig`] if `capacity` is zero,
     /// `n_responders` is not 1, or the config fails
-    /// [`HotCallConfig::validate`].
+    /// `HotCallConfig::validate`.
     pub fn spawn_pool(
         table: impl Into<CallTable<Req, Resp>>,
         capacity: usize,
@@ -704,7 +704,7 @@ impl<Req, Resp> Window<Req, Resp> {
     }
 
     /// Calls in flight.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inflight.len()
     }
 

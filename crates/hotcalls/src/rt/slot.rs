@@ -30,7 +30,7 @@ use crate::telemetry::{now_cycles, AtomicHist, TELEMETRY_ENABLED};
 /// still far better than the unpadded worst case.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub(crate) struct CachePadded<T>(pub T);
+pub(crate) struct CachePadded<T>(pub(crate) T);
 
 impl<T> CachePadded<T> {
     pub(crate) const fn new(value: T) -> Self {

@@ -16,8 +16,8 @@
 //! ends the stream before the chunk it was shown is marshalled.
 //!
 //! The chunk size is re-read from a caller-supplied closure between
-//! chunks — wire it to [`crate::ChunkSizer::chunk_bytes`] and the stream
-//! resizes itself mid-flight as EPC paging pressure shifts.
+//! chunks — wire it to a closure that reads the EPC's paging pressure and
+//! the stream resizes itself mid-flight as that pressure shifts.
 //!
 //! Handlers see the whole chunk as an `&mut SgList` — request bytes in
 //! the segments, the chunk's absolute object offset in
@@ -28,8 +28,9 @@
 use std::ops::{ControlFlow, Range};
 
 use crate::error::Result;
+use crate::telemetry::ArenaStats;
 
-use super::arena::{ArenaStats, SgList, SlabArena};
+use super::arena::{SgList, SlabArena};
 use super::ring::{RingRequester, RingServer, Window};
 use super::CallTable;
 
@@ -168,9 +169,9 @@ impl StreamCaller {
     /// one chunk while the caller marshals the next).
     ///
     /// `chunk_bytes` is re-read before each chunk is marshalled — return
-    /// a constant for static chunking, or wire it to
-    /// [`crate::ChunkSizer::chunk_bytes`] so EPC paging pressure resizes
-    /// the stream mid-flight. `on_chunk` receives each response in
+    /// a constant for static chunking, or wire it to a closure that reads
+    /// the EPC's paging pressure so that pressure resizes the stream
+    /// mid-flight. `on_chunk` receives each response in
     /// object order: the chunk's absolute offset and the response list
     /// (also carrying that offset in [`SgList::meta`]).
     ///

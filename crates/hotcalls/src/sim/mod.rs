@@ -101,7 +101,7 @@ impl SimHotCalls {
     /// # Errors
     ///
     /// [`crate::HotCallError::InvalidConfig`] for a config
-    /// [`HotCallConfig::validate`] rejects; otherwise fails if the enclave
+    /// `HotCallConfig::validate` rejects; otherwise fails if the enclave
     /// heap cannot hold the secure scratch.
     pub fn new(m: &mut Machine, ctx: &EnclaveCtx, config: HotCallConfig) -> Result<Self> {
         config.validate()?;

@@ -4,8 +4,8 @@
 //! per-application call frequencies, Figures 10/11 core-cycle fractions —
 //! and this module holds what the call planes measure about themselves:
 //!
-//! * [`CycleHist`] / [`AtomicHist`] — HDR-style log-bucketed cycle
-//!   histograms (power-of-two buckets with [`SUB_COUNT`] sub-buckets per
+//! * [`CycleHist`] / `AtomicHist` — HDR-style log-bucketed cycle
+//!   histograms (power-of-two buckets with `SUB_COUNT` sub-buckets per
 //!   octave, ~12.5% relative resolution), with percentile extraction. The ring planes record them at the
 //!   submit→dispatch→complete→reap stage edges so **queueing delay** and
 //!   **service time** are separable — the distinction behind the paper's
@@ -41,7 +41,7 @@ pub const TELEMETRY_ENABLED: bool = cfg!(not(feature = "telemetry-off"));
 /// `telemetry-off` so stage stamps vanish from the instruction stream
 /// together with the records.
 #[inline]
-pub fn now_cycles() -> u64 {
+pub(crate) fn now_cycles() -> u64 {
     #[cfg(feature = "telemetry-off")]
     {
         0
@@ -72,9 +72,9 @@ const SUB_BITS: u32 = 3;
 /// Sub-buckets per octave: each octave above the linear range splits into
 /// this many equal-width buckets, bounding relative error at
 /// `1 / SUB_COUNT` (12.5%).
-pub const SUB_COUNT: usize = 1 << SUB_BITS;
+pub(crate) const SUB_COUNT: usize = 1 << SUB_BITS;
 /// Total bucket count covering the full `u64` range.
-pub const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_COUNT;
+pub(crate) const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_COUNT;
 
 /// Bucket index of a value (monotone in the value).
 #[inline]
@@ -117,9 +117,9 @@ fn bucket_high(i: usize) -> u64 {
 
 /// A log-bucketed cycle histogram (plain, single-threaded).
 ///
-/// Power-of-two octaves with [`SUB_COUNT`] sub-buckets each: the relative
+/// Power-of-two octaves with `SUB_COUNT` sub-buckets each: the relative
 /// quantile error is bounded at 12.5% while the whole `u64` range fits in
-/// [`HIST_BUCKETS`] buckets.
+/// `HIST_BUCKETS` buckets.
 ///
 /// # Examples
 ///
@@ -185,7 +185,7 @@ impl CycleHist {
     }
 
     /// Mean of all samples (exact sum over exact count).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -225,7 +225,7 @@ impl CycleHist {
 /// Under the `telemetry-off` feature the cell allocates no buckets and
 /// `record` is empty.
 #[derive(Debug)]
-pub struct AtomicHist {
+pub(crate) struct AtomicHist {
     counts: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -240,7 +240,7 @@ impl Default for AtomicHist {
 
 impl AtomicHist {
     /// Creates an empty cell (bucket-free under `telemetry-off`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let buckets = if TELEMETRY_ENABLED { HIST_BUCKETS } else { 0 };
         AtomicHist {
             counts: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
@@ -253,7 +253,7 @@ impl AtomicHist {
     /// Records one sample. **Single-writer**: only the cell's owning
     /// thread may call this (plain load+store, no RMW).
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         if !TELEMETRY_ENABLED {
             return;
         }
@@ -271,7 +271,7 @@ impl AtomicHist {
     }
 
     /// Copies the cell into a plain histogram.
-    pub fn snapshot(&self) -> CycleHist {
+    pub(crate) fn snapshot(&self) -> CycleHist {
         let mut h = CycleHist::new();
         for (dst, src) in h.counts.iter_mut().zip(self.counts.iter()) {
             *dst = src.load(Ordering::Relaxed);
@@ -334,13 +334,13 @@ impl HotCallStats {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GovernorStats {
     /// Responders currently in the active set.
-    pub active: usize,
+    pub(crate) active: usize,
     /// Responders currently parked (always 0).
-    pub parked: usize,
+    pub(crate) parked: usize,
     /// Lifetime park decisions (always 0).
     pub parks: u64,
     /// Lifetime unpark decisions (always 0).
-    pub wakes: u64,
+    pub(crate) wakes: u64,
     /// Responder floor (1).
     pub min: usize,
     /// Responder ceiling (1).
@@ -405,7 +405,7 @@ pub struct PlaneTelemetry {
     pub queue: CycleHist,
     /// Cycles from pickup to completion (service time), recorded by the
     /// plane's responder.
-    pub service: CycleHist,
+    pub(crate) service: CycleHist,
     /// Cycles from completion to the requester reaping the response,
     /// recorded by the ring's one requester.
     pub reap: CycleHist,
@@ -419,7 +419,7 @@ impl PlaneTelemetry {
     }
 
     /// The plane's service histogram (a copy of
-    /// [`PlaneTelemetry::service`]).
+    /// `PlaneTelemetry::service`).
     pub fn merged_service(&self) -> CycleHist {
         self.service.clone()
     }

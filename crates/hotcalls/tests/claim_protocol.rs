@@ -12,7 +12,8 @@ use hotcalls::rt::{
     ByteCallTable, ByteRing, CallTable, HotBuf, RingRequester, RingServer, SgCallTable, SgList,
     SgRing, SlabArena, DEFAULT_SEGMENT_BYTES,
 };
-use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
+use hotcalls::telemetry::TELEMETRY_ENABLED;
+use hotcalls::HotCallConfig;
 
 /// A handler argument that parks the responder until the gate is opened.
 /// `entered` tells the test the responder is inside, which is what forces

@@ -24,7 +24,8 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hotcalls::rt::{CallTable, RingRequester, RingServer};
-use hotcalls::{HotCallConfig, TELEMETRY_ENABLED};
+use hotcalls::telemetry::TELEMETRY_ENABLED;
+use hotcalls::HotCallConfig;
 
 type Server = RingServer<u64, u64>;
 type Requester = RingRequester<u64, u64>;
@@ -193,79 +194,107 @@ fn fused_calls_beat_the_pooled_handoff() {
     }
 }
 
-/// What one plane made of the phase-shifting workload.
+/// What one plane made of one quiet+burst pair of the phase-shifting
+/// workload.
 struct Phases {
     /// Median in-call latency of the sparse quiet calls.
     quiet_ns: f64,
-    /// Completed-call rate of the bursts.
+    /// Completed-call rate of the burst.
     burst_rate: f64,
 }
 
-/// A plane under alternating *quiet* phases (one caller, a synchronous
-/// cpu call every 300 µs — long enough for a dozing responder to doze in
-/// between, so each call runs inline and pays nothing, while a plane that
-/// cannot doze hands each one off) and *burst* phases (one thread keeping
-/// 16 submissions of a 100 µs blocking handler in flight — pipelined
-/// submissions never fuse, so the responder serves the burst on either
-/// plane).
-fn phase_workload(idle_polls_before_sleep: Option<u64>) -> Phases {
-    const PAIRS: usize = 3;
+/// On a plane whose [`IO`] handler blocks for 100 µs: one *quiet* phase
+/// (one caller, a synchronous cpu call every 300 µs — long enough for a
+/// dozing responder to doze in between, so each call runs inline and pays
+/// nothing, while a plane that cannot doze hands each one off) then one
+/// *burst* phase (one thread keeping 16 submissions of the blocking
+/// handler in flight — pipelined submissions never fuse, so the responder
+/// serves the burst on either plane). Returns the pair's readings and the
+/// calls it completed.
+fn phase_pair(server: &Server) -> (Phases, u64) {
     const QUIET_GAP: Duration = Duration::from_micros(300);
-    let server = RingServer::spawn_pool(
-        table(Duration::from_micros(100)),
-        RING_CAPACITY,
-        1,
-        plane_config(idle_polls_before_sleep),
-    )
-    .unwrap();
+    let r = server.requester();
     let mut quiet_ns: Vec<u64> = Vec::new();
-    let (mut burst_calls, mut burst_secs) = (0, 0.0);
-    for _ in 0..PAIRS {
-        let r = server.requester();
-        let deadline = Instant::now() + MEASURE;
-        while Instant::now() < deadline {
-            let x = quiet_ns.len() as u64;
-            let t0 = Instant::now();
-            assert_eq!(r.call(CPU, x).unwrap(), x + 1);
-            quiet_ns.push(t0.elapsed().as_nanos() as u64);
-            std::thread::sleep(QUIET_GAP);
-        }
-
+    let deadline = Instant::now() + MEASURE;
+    while Instant::now() < deadline {
+        let x = quiet_ns.len() as u64;
         let t0 = Instant::now();
-        burst_calls += timed(r, |r, done| pipelined_calls(r, IO, 16, done)).1;
-        burst_secs += t0.elapsed().as_secs_f64();
+        assert_eq!(r.call(CPU, x).unwrap(), x + 1);
+        quiet_ns.push(t0.elapsed().as_nanos() as u64);
+        std::thread::sleep(QUIET_GAP);
     }
-    assert_eq!(
-        server.stats().calls,
-        quiet_ns.len() as u64 + burst_calls,
-        "{idle_polls_before_sleep:?}: tickets were lost or run twice across the fused/pooled flip"
-    );
-    server.shutdown();
-    // Median, not mean: only a few hundred paced calls land per run, and
-    // one scheduler stall would otherwise swing the figure.
+
+    let t0 = Instant::now();
+    let burst_calls = timed(r, |r, done| pipelined_calls(r, IO, 16, done)).1;
+    let burst_secs = t0.elapsed().as_secs_f64();
+    // Median, not mean: only a few hundred paced calls land per phase,
+    // and one scheduler stall would otherwise swing the figure.
     quiet_ns.sort_unstable();
-    Phases {
+    let phases = Phases {
         quiet_ns: quiet_ns[quiet_ns.len() / 2].max(1) as f64,
         burst_rate: burst_calls as f64 / burst_secs,
-    }
+    };
+    (phases, quiet_ns.len() as u64 + burst_calls)
+}
+
+/// The middle value of an odd number of readings.
+fn median(mut readings: Vec<f64>) -> f64 {
+    readings.sort_by(f64::total_cmp);
+    readings[readings.len() / 2]
 }
 
 /// A dozing plane takes the better side of the break-even in both
 /// phases: it hands bursts to the responder exactly as a plane that cannot
 /// doze does, and runs sparse calls inline, which the other plane pays a
 /// handoff for.
+///
+/// The two planes take turns, one quiet+burst pair each per round, so a
+/// load episode on the host lands in one round's readings rather than in
+/// all of one plane's, and the median of the per-round ratios drops it.
+/// Each pair runs on a plane of its own, built for it: a spinning plane
+/// kept alive through the dozing plane's turn would be one more runnable
+/// thread in the readings it is compared against. The dozing plane's
+/// quiet phase starts once its responder has dozed, which on a loaded
+/// host takes up to a second of idle polls that yield the core.
 #[test]
 fn a_dozing_plane_wins_both_sides_of_the_break_even() {
+    const ROUNDS: usize = 3;
+    const IDLE: [Option<u64>; 2] = [DOZING, SPINNING];
     let _timed = one_at_a_time();
-    let dozing = phase_workload(DOZING);
-    let spinning = phase_workload(SPINNING);
-    let burst_ratio = dozing.burst_rate / spinning.burst_rate;
-    let quiet_gain = spinning.quiet_ns / dozing.quiet_ns;
-    eprintln!(
-        "bursts: dozing {:.0} vs spinning {:.0} calls/s ({burst_ratio:.2}x); sparse call: \
-         spinning {:.0} vs dozing {:.0} ns ({quiet_gain:.1}x)",
-        dozing.burst_rate, spinning.burst_rate, spinning.quiet_ns, dozing.quiet_ns
-    );
+    let (mut burst_ratios, mut quiet_gains) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let [dozing, spinning] = IDLE.map(|idle| {
+            let server = RingServer::spawn_pool(
+                table(Duration::from_micros(100)),
+                RING_CAPACITY,
+                1,
+                plane_config(idle),
+            )
+            .unwrap();
+            if idle == DOZING {
+                await_fusing(&server);
+            }
+            let before = server.stats().calls;
+            let (phases, calls) = phase_pair(&server);
+            assert_eq!(
+                server.stats().calls - before,
+                calls,
+                "{idle:?}: tickets were lost or run twice across the fused/pooled flip"
+            );
+            server.shutdown();
+            phases
+        });
+        burst_ratios.push(dozing.burst_rate / spinning.burst_rate);
+        quiet_gains.push(spinning.quiet_ns / dozing.quiet_ns);
+        eprintln!(
+            "bursts: dozing {:.0} vs spinning {:.0} calls/s; sparse call: spinning {:.0} vs \
+             dozing {:.0} ns",
+            dozing.burst_rate, spinning.burst_rate, spinning.quiet_ns, dozing.quiet_ns
+        );
+    }
+    let burst_ratio = median(burst_ratios);
+    let quiet_gain = median(quiet_gains);
+    eprintln!("median per round: bursts {burst_ratio:.2}x, sparse call {quiet_gain:.1}x");
     assert!(
         burst_ratio >= 0.5,
         "dozing-plane bursts run at only {burst_ratio:.2}x the pooled bursts"

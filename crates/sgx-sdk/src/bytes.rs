@@ -22,7 +22,7 @@
 use crate::edl::Direction;
 
 /// The poison byte used for never-touched scratch memory.
-pub const POISON: u8 = 0xA5;
+pub(crate) const POISON: u8 = 0xA5;
 
 /// A reusable untrusted staging region holding real bytes.
 ///

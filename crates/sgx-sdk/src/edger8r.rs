@@ -17,40 +17,40 @@ use crate::error::{Result, SdkError};
 pub struct MarshalStep {
     /// Which declared parameter this step handles (index into the EDL
     /// declaration).
-    pub param_index: usize,
+    pub(crate) param_index: usize,
     /// Parameter name (diagnostics).
-    pub param_name: String,
+    pub(crate) param_name: String,
     /// Transfer mode.
     pub direction: Direction,
     /// Declared size source (validated against the EDL at generation time;
     /// the runtime length always comes from the caller, as in the SDK).
-    pub size: SizeSpec,
+    pub(crate) size: SizeSpec,
 }
 
 /// The generated proxy for one edge function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProxyPlan {
     /// Edge-function name.
-    pub name: String,
+    pub(crate) name: String,
     /// Index in the call table (the SDK's `ocall_index` / ecall table slot,
     /// which HotCalls reuses as its `call_ID`).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Bytes of the marshalled parameter struct.
     pub struct_bytes: u64,
     /// Buffer steps in declaration order.
     pub steps: Vec<MarshalStep>,
     /// Does the function produce a return value (adds 8 bytes to the
     /// marshalled struct on the way back)?
-    pub returns_value: bool,
+    pub(crate) returns_value: bool,
 }
 
 /// The full output of generation: ecall and ocall tables with name lookup.
 #[derive(Debug, Clone, Default)]
 pub struct Proxies {
     /// Trusted-side table (ecalls).
-    pub ecalls: Vec<ProxyPlan>,
+    pub(crate) ecalls: Vec<ProxyPlan>,
     /// Untrusted-side table (ocalls).
-    pub ocalls: Vec<ProxyPlan>,
+    pub(crate) ocalls: Vec<ProxyPlan>,
     ecall_index: HashMap<String, usize>,
     ocall_index: HashMap<String, usize>,
 }

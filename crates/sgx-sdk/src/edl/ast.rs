@@ -85,7 +85,7 @@ pub struct EdgeFn {
 
 impl EdgeFn {
     /// Indexes of the buffer parameters, in declaration order.
-    pub fn buffer_params(&self) -> impl Iterator<Item = (usize, &Param)> {
+    pub(crate) fn buffer_params(&self) -> impl Iterator<Item = (usize, &Param)> {
         self.params
             .iter()
             .enumerate()
@@ -98,7 +98,7 @@ impl EdgeFn {
     }
 
     /// Total bytes of by-value parameters (the marshalled struct payload).
-    pub fn value_bytes(&self) -> u64 {
+    pub(crate) fn value_bytes(&self) -> u64 {
         self.params
             .iter()
             .map(|p| match p.kind {

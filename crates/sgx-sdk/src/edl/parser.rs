@@ -25,9 +25,9 @@ use super::ast::{Direction, EdgeFn, Edl, Param, ParamKind, SizeSpec};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdlError {
     /// Line the error was detected on.
-    pub line: usize,
+    pub(crate) line: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for EdlError {

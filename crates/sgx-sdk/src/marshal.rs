@@ -25,7 +25,7 @@ pub struct Staged {
     /// Length in bytes.
     pub len: u64,
     /// Transfer mode.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
 }
 
 /// Running totals of staging-buffer zeroing work: how many bytes the
@@ -35,14 +35,14 @@ pub struct Staged {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ZeroLedger {
     /// Bytes zeroed for `out` staging regions.
-    pub zeroed_out: u64,
+    pub(crate) zeroed_out: u64,
     /// Bytes zeroed for `in&out` staging regions (the generated proxy's
     /// whole-frame `memset`, immediately overwritten by the copy-in).
-    pub zeroed_inout: u64,
+    pub(crate) zeroed_inout: u64,
     /// Bytes whose zeroing NRZ elided for `out` regions.
-    pub elided_out: u64,
+    pub(crate) elided_out: u64,
     /// Bytes whose zeroing NRZ elided for `in&out` regions.
-    pub elided_inout: u64,
+    pub(crate) elided_inout: u64,
 }
 
 impl ZeroLedger {

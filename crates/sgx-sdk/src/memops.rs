@@ -31,7 +31,7 @@ pub fn sdk_memcpy(m: &mut Machine, dst: Addr, src: Addr, len: u64) -> Result<Cyc
 /// # Errors
 ///
 /// Propagates memory-model errors.
-pub fn sdk_memset(m: &mut Machine, dst: Addr, len: u64, optimized: bool) -> Result<Cycles> {
+pub(crate) fn sdk_memset(m: &mut Machine, dst: Addr, len: u64, optimized: bool) -> Result<Cycles> {
     let start = m.now();
     let compute = if optimized {
         len.div_ceil(8) * m.config().sdk.memcpy_per_word
@@ -45,7 +45,7 @@ pub fn sdk_memset(m: &mut Machine, dst: Addr, len: u64, optimized: bool) -> Resu
 
 /// What happened to one staging region's pre-call zeroing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZeroOutcome {
+pub(crate) enum ZeroOutcome {
     /// The region was zeroed (`memset`): bytes written.
     Zeroed(u64),
     /// No-Redundant-Zeroing elided the `memset`: bytes *not* written. Only
@@ -63,7 +63,7 @@ pub enum ZeroOutcome {
 /// # Errors
 ///
 /// Propagates memory-model errors from the `memset` write.
-pub fn sdk_zero_staging(
+pub(crate) fn sdk_zero_staging(
     m: &mut Machine,
     dst: Addr,
     len: u64,

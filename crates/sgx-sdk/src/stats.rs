@@ -39,17 +39,17 @@ fn record(calls: &mut BTreeMap<String, CallStat>, name: &str, cycles: Cycles) {
 
 impl CallStats {
     /// Creates empty statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one ecall.
-    pub fn record_ecall(&mut self, name: &str, cycles: Cycles) {
+    pub(crate) fn record_ecall(&mut self, name: &str, cycles: Cycles) {
         record(&mut self.ecalls, name, cycles);
     }
 
     /// Records one ocall.
-    pub fn record_ocall(&mut self, name: &str, cycles: Cycles) {
+    pub(crate) fn record_ocall(&mut self, name: &str, cycles: Cycles) {
         record(&mut self.ocalls, name, cycles);
     }
 

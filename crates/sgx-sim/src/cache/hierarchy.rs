@@ -14,7 +14,7 @@ use super::set_assoc::SetAssocCache;
 
 /// Which component ultimately served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ServedBy {
+pub(crate) enum ServedBy {
     /// Hit in the L1 data cache.
     L1,
     /// Hit in the unified L2.
@@ -27,7 +27,7 @@ pub enum ServedBy {
 
 /// L1/L2/LLC tag hierarchy with fill-on-miss and whole-hierarchy flush.
 #[derive(Debug, Clone)]
-pub struct Hierarchy {
+pub(crate) struct Hierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
     llc: SetAssocCache,
@@ -45,7 +45,7 @@ impl Hierarchy {
     /// # Panics
     ///
     /// Panics if the line size is not a power of two.
-    pub fn new(config: &SimConfig) -> Self {
+    pub(crate) fn new(config: &SimConfig) -> Self {
         assert!(
             config.l1.line.is_power_of_two(),
             "line size must be a power of two"
@@ -65,28 +65,28 @@ impl Hierarchy {
     /// Marks a line dirty (a store touched it). Write-back cost is charged
     /// when the line is *forced* out (clflush + fence), matching how store
     /// buffers hide write-miss latency on real hardware.
-    pub fn mark_dirty(&mut self, line: u64) {
+    pub(crate) fn mark_dirty(&mut self, line: u64) {
         self.dirty.insert(line);
     }
 
     /// Clears a line's dirty bit, reporting whether it was set.
-    pub fn clear_dirty(&mut self, line: u64) -> bool {
+    pub(crate) fn clear_dirty(&mut self, line: u64) -> bool {
         self.dirty.remove(line)
     }
 
     /// Cache line size in bytes.
-    pub fn line_size(&self) -> u64 {
+    pub(crate) fn line_size(&self) -> u64 {
         1 << self.line_bits
     }
 
     /// Converts a byte address to a line number.
-    pub fn line_of(&self, addr: u64) -> u64 {
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_bits
     }
 
     /// Performs one line-granular access: returns the serving level and
     /// installs the line in every level above it.
-    pub fn access_line(&mut self, line: u64) -> ServedBy {
+    pub(crate) fn access_line(&mut self, line: u64) -> ServedBy {
         if self.l1.access(line) {
             ServedBy::L1
         } else if self.l2.access(line) {
@@ -100,7 +100,7 @@ impl Hierarchy {
 
     /// Hit latency of the level an access was served by; memory latency is
     /// supplied by the memory engine instead.
-    pub fn hit_latency(&self, served: ServedBy) -> Option<u64> {
+    pub(crate) fn hit_latency(&self, served: ServedBy) -> Option<u64> {
         match served {
             ServedBy::L1 => Some(self.l1_hit),
             ServedBy::L2 => Some(self.l2_hit),
@@ -110,7 +110,7 @@ impl Hierarchy {
     }
 
     /// `clflush` of the line containing `addr` from every level.
-    pub fn clflush(&mut self, addr: u64) {
+    pub(crate) fn clflush(&mut self, addr: u64) {
         let line = self.line_of(addr);
         self.l1.invalidate(line);
         self.l2.invalidate(line);
@@ -121,20 +121,21 @@ impl Hierarchy {
     /// setup ("the entire 8 MB LLC cache was flushed prior to every
     /// experiment"). Dirty state is dropped without cost: the flush happens
     /// outside the measured window.
-    pub fn flush_all(&mut self) {
+    pub(crate) fn flush_all(&mut self) {
         self.l1.clear();
         self.l2.clear();
         self.llc.clear();
         self.dirty.clear();
     }
 
-    /// Total valid lines across all levels (diagnostics).
-    pub fn occupancy(&self) -> usize {
+    /// Total valid lines across all levels.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> usize {
         self.l1.occupancy() + self.l2.occupancy() + self.llc.occupancy()
     }
 
     /// Per-level (hits, misses) since construction: [L1, L2, LLC].
-    pub fn level_stats(&self) -> [(u64, u64); 3] {
+    pub(crate) fn level_stats(&self) -> [(u64, u64); 3] {
         [self.l1.stats(), self.l2.stats(), self.llc.stats()]
     }
 }

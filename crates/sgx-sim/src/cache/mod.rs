@@ -1,10 +1,10 @@
 //! Simulated cache hierarchy.
 //!
-//! [`SetAssocCache`] is a single LRU tag store; [`Hierarchy`] composes three
+//! [`SetAssocCache`] is a single LRU tag store; `Hierarchy` composes three
 //! of them into the Skylake-like L1D/L2/LLC stack the paper's machine had.
 
 mod hierarchy;
 mod set_assoc;
 
-pub use hierarchy::{Hierarchy, ServedBy};
+pub(crate) use hierarchy::{Hierarchy, ServedBy};
 pub use set_assoc::SetAssocCache;

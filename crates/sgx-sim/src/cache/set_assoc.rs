@@ -71,6 +71,7 @@ impl SetAssocCache {
 
     /// Whether `line` is held; if it is, its way becomes the most recent of
     /// its set.
+    #[cfg(test)]
     fn lookup(&mut self, line: u64) -> bool {
         let (block, first, key) = self.locate(line);
         self.set(block, first)
@@ -98,7 +99,8 @@ impl SetAssocCache {
 
     /// Looks up a line; on hit, refreshes its LRU position. Returns `true`
     /// on hit.
-    pub fn probe(&mut self, line: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn probe(&mut self, line: u64) -> bool {
         let hit = self.lookup(line);
         if hit {
             self.hits += 1;
@@ -117,9 +119,9 @@ impl SetAssocCache {
             .is_some_and(|set| set.contains(&key))
     }
 
-    /// [`probe`](Self::probe) and, on a miss, installs the line in its
-    /// set's least recently used way — locating the set once. Returns
-    /// `true` on hit.
+    /// Looks up a line: on a hit its way becomes the most recent of its
+    /// set, on a miss the line is installed in the set's least recently
+    /// used way. Returns `true` on hit.
     pub fn access(&mut self, line: u64) -> bool {
         let (block, first, key) = self.locate(line);
         if self
@@ -152,7 +154,7 @@ impl SetAssocCache {
     }
 
     /// Invalidates everything (the cold-cache experiment setup).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for block in &mut self.blocks {
             block.fill(0);
         }
@@ -160,7 +162,7 @@ impl SetAssocCache {
     }
 
     /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 

@@ -27,7 +27,7 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero line size or ways).
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         assert!(self.line > 0 && self.ways > 0, "degenerate cache geometry");
         self.capacity / (self.line * u64::from(self.ways))
     }
@@ -43,17 +43,17 @@ pub struct MeeConfig {
     /// 32 KB in Fig. 6).
     pub cache_entries: usize,
     /// Arity of the integrity tree (children per node). SGX uses 8.
-    pub arity: u64,
+    pub(crate) arity: u64,
     /// Cycles to decrypt + MAC-check one 64 B line on a demand (random) load.
     pub crypto_load: u64,
     /// Cycles of crypto exposed per line on a *streamed* (prefetched) load.
-    pub crypto_stream: u64,
+    pub(crate) crypto_stream: u64,
     /// Cycles of crypto exposed per line on a streamed write-back.
-    pub crypto_writeback: u64,
+    pub(crate) crypto_writeback: u64,
     /// Cycles to fetch one missed integrity-tree node during a walk.
     pub node_fetch: u64,
     /// Extra cycles a demand store (RFO to EPC) pays over a demand load.
-    pub store_extra: u64,
+    pub(crate) store_extra: u64,
 }
 
 /// Costs of EPC paging (EWB / ELDU leaf functions).
@@ -74,24 +74,24 @@ pub struct PagingConfig {
 /// layers around it. Memory accesses made by these paths go through the
 /// simulated cache hierarchy, so only *compute* bases are listed here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EntryConfig {
+pub(crate) struct EntryConfig {
     /// EENTER microcode base (checks of SECS/TCS, debug suppression,
     /// register save/restore) excluding its memory accesses.
-    pub eenter_base: u64,
+    pub(crate) eenter_base: u64,
     /// EEXIT microcode base.
-    pub eexit_base: u64,
+    pub(crate) eexit_base: u64,
     /// ERESUME microcode base (slightly heavier than EENTER: restores the
     /// full SSA frame).
-    pub eresume_base: u64,
+    pub(crate) eresume_base: u64,
     /// AEX microcode base (synchronous part of an asynchronous exit).
-    pub aex_base: u64,
+    pub(crate) aex_base: u64,
     /// Number of distinct EPC cache lines the microcode touches per
     /// entry/exit pair (SECS, TCS, SSA/GPRSGX, trusted stack, entry
     /// trampoline code).
-    pub epc_lines_touched: u64,
+    pub(crate) epc_lines_touched: u64,
     /// Number of regular-memory lines touched (untrusted stack, ocall
     /// tables, saved AVX state).
-    pub regular_lines_touched: u64,
+    pub(crate) regular_lines_touched: u64,
 }
 
 /// Per-measurement noise model, reproducing the spread of the paper's CDFs.
@@ -125,12 +125,12 @@ pub struct NoiseConfig {
 /// use sgx_sim::SimConfig;
 ///
 /// let config = SimConfig::builder().seed(7).build();
-/// assert_eq!(config.seed, 7);
+/// assert_eq!(config.core_ghz, 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// RNG seed for reproducible jitter and AEX injection.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Core frequency in GHz (4.0 on the paper's machine).
     pub core_ghz: f64,
     /// L1 data cache geometry.
@@ -140,41 +140,41 @@ pub struct SimConfig {
     /// Last-level cache geometry.
     pub llc: CacheGeometry,
     /// DRAM latency for a demand (random) access, cycles.
-    pub dram_random: u64,
+    pub(crate) dram_random: u64,
     /// Effective per-line DRAM cost for streamed (prefetched) accesses.
-    pub dram_stream: u64,
+    pub(crate) dram_stream: u64,
     /// Cycles a store miss occupies the store buffer. Write misses do not
     /// stall the pipeline; their real cost surfaces only when a line is
     /// forced out (clflush + mfence), which is how the paper's write
     /// benchmark measures them.
-    pub store_buffer: u64,
+    pub(crate) store_buffer: u64,
     /// Per-line cost of a *forced* write-back during a sequential flush
     /// (the write benchmark's clflush loop).
-    pub writeback_stream: u64,
+    pub(crate) writeback_stream: u64,
     /// Cost of a forced write-back of a single (demand) dirty line.
-    pub writeback_demand: u64,
+    pub(crate) writeback_demand: u64,
     /// MEE cost model.
     pub mee: MeeConfig,
     /// EPC paging cost model.
     pub paging: PagingConfig,
     /// Entry/exit cost decomposition.
-    pub entry: EntryConfig,
+    pub(crate) entry: EntryConfig,
     /// SDK software-layer compute bases (cycles, excluding memory accesses).
     pub sdk: SdkCostConfig,
     /// Noise model.
-    pub noise: NoiseConfig,
+    pub(crate) noise: NoiseConfig,
     /// Cost of the RDTSCP instruction pair bracketing a measurement. The
     /// paper's numbers include this harness overhead.
-    pub rdtscp: u64,
+    pub(crate) rdtscp: u64,
     /// Cost of an MFENCE.
-    pub mfence: u64,
+    pub(crate) mfence: u64,
     /// Cost of a PAUSE (Skylake pre-errata value used in spin loops).
     pub pause: u64,
     /// TLB capacity in page translations (Skylake L2 STLB: 1536).
-    pub tlb_entries: usize,
+    pub(crate) tlb_entries: usize,
     /// Cycles of page-walk latency on a TLB miss (page tables are read
     /// through the — possibly cold — cache).
-    pub tlb_miss: u64,
+    pub(crate) tlb_miss: u64,
 }
 
 /// Compute bases of the (simulated) Intel SGX SDK software layers.

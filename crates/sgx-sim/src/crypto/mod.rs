@@ -27,7 +27,8 @@ pub use chacha20::{
     NONCE_LEN,
 };
 pub use hmac::{hmac_sha256, verify_tag, HmacSha256};
-pub use sha256::{Sha256, DIGEST_LEN};
+pub use sha256::Sha256;
+pub(crate) use sha256::DIGEST_LEN;
 
 /// What the CPU this process runs on offers the kernels — the only input
 /// to kernel selection. Compiled for `x86_64` only (and not under Miri):

@@ -130,25 +130,25 @@ impl Sum for Cycles {
 /// (the cost of the `RDTSCP` instruction itself is charged by the CPU model,
 /// not by the clock).
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct Clock {
+pub(crate) struct Clock {
     now: Cycles,
 }
 
 impl Clock {
     /// Creates a clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current virtual time.
     #[inline]
-    pub fn now(&self) -> Cycles {
+    pub(crate) fn now(&self) -> Cycles {
         self.now
     }
 
     /// Advances virtual time by `delta`.
     #[inline]
-    pub fn advance(&mut self, delta: Cycles) {
+    pub(crate) fn advance(&mut self, delta: Cycles) {
         self.now += delta;
     }
 }

@@ -6,7 +6,8 @@
 
 mod structures;
 
-pub use structures::{EnclaveState, Secs, Tcs};
+pub(crate) use structures::Secs;
+pub use structures::{EnclaveState, Tcs};
 
 use crate::error::{Result, SgxError};
 use crate::mem::{Addr, AddrRange, BumpAllocator};
@@ -24,12 +25,10 @@ impl core::fmt::Display for EnclaveId {
 /// A fully described enclave instance.
 #[derive(Debug, Clone)]
 pub struct Enclave {
-    /// This enclave's id.
-    pub id: EnclaveId,
     /// Lifecycle state.
     pub state: EnclaveState,
     /// Control structure.
-    pub secs: Secs,
+    pub(crate) secs: Secs,
     /// Thread control structures.
     pub tcs: Vec<Tcs>,
     /// Secure-heap allocator over the committed heap region.
@@ -43,9 +42,8 @@ impl Enclave {
     /// `base`/`size` describe the committed EPC span; `heap` the sub-range
     /// reserved for secure-heap allocations; `entry_code` the trampoline
     /// page EENTER jumps through.
-    pub fn new(id: EnclaveId, secs: Secs, heap: AddrRange, entry_code: Addr) -> Self {
+    pub(crate) fn new(secs: Secs, heap: AddrRange, entry_code: Addr) -> Self {
         Enclave {
-            id,
             state: EnclaveState::Building,
             secs,
             tcs: Vec::new(),
@@ -59,11 +57,11 @@ impl Enclave {
     /// # Errors
     ///
     /// Fails if the enclave is already initialized.
-    pub fn record_eadd(&self) -> Result<()> {
+    pub(crate) fn record_eadd(&self) -> Result<()> {
         self.require_building("EADD")
     }
 
-    /// Admits an EEXTEND, under the same rule as [`Enclave::record_eadd`].
+    /// Admits an EEXTEND, under the same rule as `Enclave::record_eadd`.
     ///
     /// # Errors
     ///
@@ -77,7 +75,7 @@ impl Enclave {
     /// # Errors
     ///
     /// Fails if already initialized.
-    pub fn initialize(&mut self) -> Result<()> {
+    pub(crate) fn initialize(&mut self) -> Result<()> {
         self.require_building("EINIT")?;
         self.state = EnclaveState::Initialized;
         Ok(())
@@ -106,7 +104,7 @@ impl Enclave {
     /// # Errors
     ///
     /// Fails with [`SgxError::EnclaveRangeExhausted`] when the heap is full.
-    pub fn alloc_heap(&mut self, size: u64, align: u64) -> Result<Addr> {
+    pub(crate) fn alloc_heap(&mut self, size: u64, align: u64) -> Result<Addr> {
         self.heap
             .alloc(size, align)
             .ok_or(SgxError::EnclaveRangeExhausted)
@@ -146,7 +144,7 @@ impl Enclave {
     /// SECS (2 lines), TCS (1), SSA frame (2), trusted stack top (2), entry
     /// trampoline code (1). These all live in the EPC, which is why a cold
     /// cache makes enclave transitions so much more expensive (Fig. 2).
-    pub fn entry_footprint(&self, tcs_index: usize) -> Result<[Addr; 8]> {
+    pub(crate) fn entry_footprint(&self, tcs_index: usize) -> Result<[Addr; 8]> {
         let t = self
             .tcs
             .get(tcs_index)
@@ -171,13 +169,9 @@ mod tests {
 
     fn enclave() -> Enclave {
         let base = Addr::new(PRM_BASE);
-        let secs = Secs {
-            addr: base,
-            base,
-            size: 64 * 4096,
-        };
+        let secs = Secs { addr: base, base };
         let heap = AddrRange::new(base.offset(16 * 4096), base.offset(64 * 4096));
-        let mut e = Enclave::new(EnclaveId(1), secs, heap, base.offset(4096));
+        let mut e = Enclave::new(secs, heap, base.offset(4096));
         e.tcs.push(Tcs {
             addr: base.offset(2 * 4096),
             ssa: base.offset(3 * 4096),

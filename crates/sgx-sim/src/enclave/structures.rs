@@ -13,7 +13,7 @@ pub enum EnclaveState {
 
 impl EnclaveState {
     /// Human-readable name used in error messages.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EnclaveState::Building => "building",
             EnclaveState::Initialized => "initialized",
@@ -23,28 +23,26 @@ impl EnclaveState {
 
 /// The SGX Enclave Control Structure.
 #[derive(Debug, Clone)]
-pub struct Secs {
+pub(crate) struct Secs {
     /// Address of the SECS page itself (inside the EPC).
-    pub addr: Addr,
+    pub(crate) addr: Addr,
     /// Base of the enclave's committed range.
-    pub base: Addr,
-    /// Committed bytes.
-    pub size: u64,
+    pub(crate) base: Addr,
 }
 
 /// One Thread Control Structure and its associated save area / stack.
 #[derive(Debug, Clone)]
 pub struct Tcs {
     /// Address of the TCS page.
-    pub addr: Addr,
+    pub(crate) addr: Addr,
     /// Base of the State Save Area frames for this thread.
-    pub ssa: Addr,
+    pub(crate) ssa: Addr,
     /// Base of the trusted stack for this thread.
-    pub stack: Addr,
+    pub(crate) stack: Addr,
     /// Is a logical processor currently executing on this TCS?
     pub busy: bool,
     /// Is there a preserved SSA frame (set by AEX, consumed by ERESUME)?
-    pub interrupted: bool,
+    pub(crate) interrupted: bool,
 }
 
 #[cfg(test)]

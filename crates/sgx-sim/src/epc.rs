@@ -23,7 +23,7 @@ pub struct PageTouch {
     /// Did the touch trigger an ELDU (page-in)?
     pub paged_in: bool,
     /// Did making room trigger an EWB (page-out) of a victim?
-    pub evicted: Option<u64>,
+    pub(crate) evicted: Option<u64>,
 }
 
 /// The image EWB left in regular RAM, until ELDU consumes it.

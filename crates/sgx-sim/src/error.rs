@@ -65,7 +65,7 @@ impl fmt::Display for SgxError {
 impl std::error::Error for SgxError {}
 
 /// Convenience alias for simulator results.
-pub type Result<T> = core::result::Result<T, SgxError>;
+pub(crate) type Result<T> = core::result::Result<T, SgxError>;
 
 #[cfg(test)]
 mod tests {

@@ -13,10 +13,10 @@
 //!   footprint-dependent encrypted-read overhead of the paper's Fig. 6
 //!   ([`mee`]);
 //! * the **Enclave Page Cache** with EWB/ELDU paging and MACed, versioned
-//!   swap images — the libquantum cliff of Fig. 8 ([`epc`]);
+//!   swap images — the libquantum cliff of Fig. 8 ([`Epc`]);
 //! * the **enclave lifecycle** (ECREATE/EADD/EEXTEND/EINIT, TCS
 //!   management) and the EENTER/EEXIT/ERESUME/AEX transitions whose
-//!   warm/cold costs reproduce Table 1 rows 1-5 ([`enclave`], [`Machine`]).
+//!   warm/cold costs reproduce Table 1 rows 1-5 ([`Enclave`], [`Machine`]).
 //!
 //! Everything runs in *virtual cycles* on a 4 GHz virtual core; no wall
 //! clock is involved, so results are deterministic under a fixed seed.
@@ -48,25 +48,24 @@ pub mod cache;
 mod config;
 pub mod crypto;
 mod cycles;
-pub mod enclave;
-pub mod epc;
+mod enclave;
+mod epc;
 mod error;
-pub mod eventloop;
+mod eventloop;
 mod machine;
 pub mod mee;
-pub mod mem;
+mod mem;
 #[cfg(test)]
 mod reference;
 pub mod tlb;
 
 pub use config::{
-    CacheGeometry, EntryConfig, MeeConfig, NoiseConfig, PagingConfig, SdkCostConfig, SimConfig,
-    SimConfigBuilder,
+    CacheGeometry, MeeConfig, NoiseConfig, PagingConfig, SdkCostConfig, SimConfig, SimConfigBuilder,
 };
-pub use cycles::{Clock, Cycles};
-pub use enclave::{Enclave, EnclaveId, EnclaveState};
-pub use epc::EpcStats;
-pub use error::{Result, SgxError};
+pub use cycles::Cycles;
+pub use enclave::{Enclave, EnclaveId, EnclaveState, Tcs};
+pub use epc::{Epc, EpcStats, PageTouch};
+pub use error::SgxError;
 pub use eventloop::{VirtualEpoll, VirtualEvent};
 pub use machine::{AccessKind, EnclaveBuildOptions, Machine, Measured, Telemetry};
-pub use mem::Addr;
+pub use mem::{Addr, PAGE_SIZE};

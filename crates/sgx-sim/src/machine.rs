@@ -176,7 +176,7 @@ impl Machine {
     }
 
     /// Executes RDTSCP: charges its cost and returns the new timestamp.
-    pub fn rdtscp(&mut self) -> Cycles {
+    pub(crate) fn rdtscp(&mut self) -> Cycles {
         self.charge(Cycles::new(self.config.rdtscp / 2));
         self.now()
     }
@@ -485,7 +485,7 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the EPC virtual window is exhausted.
-    pub fn ecreate(&mut self, pages: u64) -> Result<EnclaveId> {
+    pub(crate) fn ecreate(&mut self, pages: u64) -> Result<EnclaveId> {
         let id = EnclaveId(self.next_enclave);
         // SECS page + requested pages.
         let (base, paging_cost) = self.epc.commit(id.0, pages + 1)?;
@@ -493,7 +493,6 @@ impl Machine {
         let secs = Secs {
             addr: base,
             base: base.offset(PAGE_SIZE),
-            size: pages * PAGE_SIZE,
         };
         // The heap is carved later by `build_enclave`; raw ecreate leaves the
         // whole span heap-addressable after its first page of entry code.
@@ -501,7 +500,7 @@ impl Machine {
             base.offset(2 * PAGE_SIZE),
             base.offset((pages + 1) * PAGE_SIZE),
         );
-        let enclave = Enclave::new(id, secs, heap, base.offset(PAGE_SIZE));
+        let enclave = Enclave::new(secs, heap, base.offset(PAGE_SIZE));
         self.enclaves.insert(id.0, enclave);
         self.next_enclave += 1;
         Ok(id)
@@ -513,7 +512,12 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the enclave does not exist or is already initialized.
-    pub fn eadd(&mut self, eid: EnclaveId, page_offset: u64, content: &[u8]) -> Result<Addr> {
+    pub(crate) fn eadd(
+        &mut self,
+        eid: EnclaveId,
+        page_offset: u64,
+        content: &[u8],
+    ) -> Result<Addr> {
         let enclave = self.enclave(eid)?;
         enclave.record_eadd()?;
         let n_chunks = content.len().div_ceil(256) as u64;
@@ -529,7 +533,7 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the enclave does not exist or is initialized.
-    pub fn add_tcs(&mut self, eid: EnclaveId, tcs: Tcs) -> Result<usize> {
+    pub(crate) fn add_tcs(&mut self, eid: EnclaveId, tcs: Tcs) -> Result<usize> {
         let enclave = self
             .enclaves
             .get_mut(&eid.0)
@@ -544,7 +548,7 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the enclave does not exist or was already initialized.
-    pub fn einit(&mut self, eid: EnclaveId) -> Result<()> {
+    pub(crate) fn einit(&mut self, eid: EnclaveId) -> Result<()> {
         self.charge(Cycles::new(EINIT_COST));
         self.enclave_mut(eid)?.initialize()
     }
@@ -623,7 +627,7 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the id is unknown.
-    pub fn enclave_mut(&mut self, eid: EnclaveId) -> Result<&mut Enclave> {
+    pub(crate) fn enclave_mut(&mut self, eid: EnclaveId) -> Result<&mut Enclave> {
         self.enclaves
             .get_mut(&eid.0)
             .ok_or(SgxError::NoSuchEnclave(eid.0))

@@ -13,12 +13,12 @@ use serde::{Deserialize, Serialize};
 
 /// Identity of one integrity-tree node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct NodeId {
+pub(crate) struct NodeId {
     /// Tree level; 0 covers `arity` data lines, each higher level covers
     /// `arity`× more.
-    pub level: u8,
+    pub(crate) level: u8,
     /// Index within the level.
-    pub index: u64,
+    pub(crate) index: u64,
 }
 
 /// The tree's static shape plus the per-line version counters that provide
@@ -45,7 +45,7 @@ impl IntegrityTree {
     /// Panics if `arity` is not a power of two of at least 2 (the walk steps
     /// up a level by a shift), or if the tree would be taller than
     /// `MAX_LEVELS`.
-    pub fn new(epc_bytes: u64, arity: u64) -> Self {
+    pub(crate) fn new(epc_bytes: u64, arity: u64) -> Self {
         assert!(arity > 1 && arity.is_power_of_two());
         let lines = epc_bytes / 64;
         let mut levels = 0u8;
@@ -72,7 +72,7 @@ impl IntegrityTree {
 
     /// The node at `level` covering data line `line` (line index within the
     /// EPC, not a global address).
-    pub fn node_for(&self, line: u64, level: u8) -> NodeId {
+    pub(crate) fn node_for(&self, line: u64, level: u8) -> NodeId {
         NodeId {
             level,
             index: line >> (self.arity_bits * (u32::from(level) + 1)),
@@ -80,7 +80,7 @@ impl IntegrityTree {
     }
 
     /// The bottom-to-top path of nodes covering `line`.
-    pub fn path(&self, line: u64) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn path(&self, line: u64) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.levels).scan(line, move |index, level| {
             *index >>= self.arity_bits;
             Some(NodeId {
@@ -97,7 +97,7 @@ impl IntegrityTree {
 
     /// Records a write-back of `line`: bumps its counter, as hardware does
     /// when an EPC line leaves the LLC.
-    pub fn record_writeback(&mut self, line: u64) -> u64 {
+    pub(crate) fn record_writeback(&mut self, line: u64) -> u64 {
         let line = line as usize;
         if line >= self.versions.len() {
             self.versions.resize(line + 1, 0);

@@ -18,7 +18,7 @@ use super::integrity_tree::{IntegrityTree, NodeId};
 /// a place. Nothing but [`clear`](Self::clear) invalidates a way, so the
 /// valid ways are always the first `valid` and a fill takes way `valid`.
 #[derive(Debug, Clone)]
-pub struct MeeCache {
+pub(crate) struct MeeCache {
     /// The key of every way (see [`key`]; 0 if invalid).
     ways: Box<[u64]>,
     valid: usize,
@@ -55,7 +55,7 @@ impl MeeCache {
     ///
     /// Panics if `capacity` is zero — the root is held on-die, but a
     /// zero-entry node cache cannot terminate walks below the root.
-    pub fn new(capacity: usize, seed: u64) -> Self {
+    pub(crate) fn new(capacity: usize, seed: u64) -> Self {
         assert!(capacity > 0, "MEE cache capacity must be positive");
         MeeCache {
             ways: vec![0; capacity].into_boxed_slice(),
@@ -91,7 +91,7 @@ impl MeeCache {
     }
 
     /// Probes for a node, counting the hit or miss.
-    pub fn probe(&mut self, node: NodeId) -> bool {
+    pub(crate) fn probe(&mut self, node: NodeId) -> bool {
         let hit = self.find(key(node)).is_some();
         if hit {
             self.hits += 1;
@@ -173,23 +173,25 @@ impl MeeCache {
     }
 
     /// Drops everything (machine reset). The victim stream continues.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.ways.fill(0);
         self.valid = 0;
     }
 
     /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// Number of cached nodes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.valid
     }
 
     /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -3,14 +3,16 @@
 //! Every LLC miss whose target lies in the EPC passes through the MEE: the
 //! line is decrypted and its integrity verified against the counter tree
 //! ([`IntegrityTree`]), walking upward until a node hits the MEE-internal
-//! cache ([`MeeCache`]). Writes are encrypted on eviction and bump version
+//! cache (`MeeCache`). Writes are encrypted on eviction and bump version
 //! counters. The per-event costs come from [`MeeConfig`].
 
 mod integrity_tree;
 mod mee_cache;
 
-pub use integrity_tree::{IntegrityTree, NodeId};
-pub use mee_cache::MeeCache;
+pub use integrity_tree::IntegrityTree;
+#[cfg(test)]
+pub(crate) use integrity_tree::NodeId;
+pub(crate) use mee_cache::MeeCache;
 
 use crate::config::MeeConfig;
 use crate::cycles::Cycles;
@@ -37,7 +39,7 @@ pub struct Mee {
 
 impl Mee {
     /// Builds the MEE protecting `epc_bytes` of memory. The node cache uses
-    /// deterministic pseudo-random replacement (see [`MeeCache`]).
+    /// deterministic pseudo-random replacement (see `MeeCache`).
     pub fn new(epc_bytes: u64, config: MeeConfig) -> Self {
         Mee {
             tree: IntegrityTree::new(epc_bytes, config.arity),
@@ -83,13 +85,13 @@ impl Mee {
     }
 
     /// MEE cache statistics: (hits, misses).
-    pub fn cache_stats(&self) -> (u64, u64) {
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
     }
 
     /// Clears the node cache (machine reset; the version tree survives, as
     /// counters live in protected DRAM, not in the cache).
-    pub fn reset_cache(&mut self) {
+    pub(crate) fn reset_cache(&mut self) {
         self.cache.clear();
     }
 }

@@ -11,9 +11,9 @@ use core::fmt;
 use serde::{Deserialize, Serialize};
 
 /// Base of ordinary (untrusted, unencrypted) allocations.
-pub const REGULAR_BASE: u64 = 0x0000_1000_0000;
+pub(crate) const REGULAR_BASE: u64 = 0x0000_1000_0000;
 /// Base of the Processor Reserved Memory window.
-pub const PRM_BASE: u64 = 0x2000_0000_0000;
+pub(crate) const PRM_BASE: u64 = 0x2000_0000_0000;
 /// Size of a page, for EPC management.
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -25,9 +25,9 @@ pub const PAGE_SIZE: u64 = 4096;
 /// # Examples
 ///
 /// ```
-/// use sgx_sim::mem::Addr;
+/// use sgx_sim::Addr;
 ///
-/// let a = Addr::new(0x1000);
+/// let a = Addr::default().offset(0x1000);
 /// assert_eq!(a.offset(0x20).get(), 0x1020);
 /// ```
 #[derive(
@@ -39,7 +39,7 @@ pub struct Addr(u64);
 impl Addr {
     /// Creates an address from a raw value.
     #[inline]
-    pub const fn new(raw: u64) -> Self {
+    pub(crate) const fn new(raw: u64) -> Self {
         Addr(raw)
     }
 
@@ -82,11 +82,11 @@ impl From<Addr> for u64 {
 
 /// A half-open address range `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct AddrRange {
+pub(crate) struct AddrRange {
     /// Inclusive start.
-    pub start: Addr,
+    pub(crate) start: Addr,
     /// Exclusive end.
-    pub end: Addr,
+    pub(crate) end: Addr,
 }
 
 impl AddrRange {
@@ -95,33 +95,23 @@ impl AddrRange {
     /// # Panics
     ///
     /// Panics if `end < start`.
-    pub fn new(start: Addr, end: Addr) -> Self {
+    pub(crate) fn new(start: Addr, end: Addr) -> Self {
         assert!(end.get() >= start.get(), "inverted address range");
         AddrRange { start, end }
     }
 
-    /// Range length in bytes.
-    pub fn len(&self) -> u64 {
-        self.end.get() - self.start.get()
-    }
-
-    /// Is the range empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Does the range contain `addr`?
-    pub fn contains(&self, addr: Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Addr) -> bool {
         addr >= self.start && addr < self.end
     }
 
     /// Does the whole `[addr, addr+len)` span fall inside this range?
-    pub fn contains_span(&self, addr: Addr, len: u64) -> bool {
+    pub(crate) fn contains_span(&self, addr: Addr, len: u64) -> bool {
         self.contains(addr) && addr.get() + len <= self.end.get()
     }
 
     /// Does `[addr, addr+len)` overlap this range at all?
-    pub fn overlaps_span(&self, addr: Addr, len: u64) -> bool {
+    pub(crate) fn overlaps_span(&self, addr: Addr, len: u64) -> bool {
         addr.get() < self.end.get() && addr.get() + len > self.start.get()
     }
 }
@@ -132,14 +122,14 @@ impl AddrRange {
 /// whole machine instead), so bump allocation keeps the layout deterministic
 /// and reproducible across runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BumpAllocator {
+pub(crate) struct BumpAllocator {
     range: AddrRange,
     next: u64,
 }
 
 impl BumpAllocator {
     /// Creates an allocator over `range`.
-    pub fn new(range: AddrRange) -> Self {
+    pub(crate) fn new(range: AddrRange) -> Self {
         BumpAllocator {
             next: range.start.get(),
             range,
@@ -148,7 +138,7 @@ impl BumpAllocator {
 
     /// Allocates `size` bytes aligned to `align` (which must be a power of
     /// two). Returns `None` when the range is exhausted.
-    pub fn alloc(&mut self, size: u64, align: u64) -> Option<Addr> {
+    pub(crate) fn alloc(&mut self, size: u64, align: u64) -> Option<Addr> {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let aligned = (self.next + align - 1) & !(align - 1);
         let end = aligned.checked_add(size)?;

@@ -4,7 +4,8 @@ mod block_set;
 mod layout;
 
 pub(crate) use block_set::BlockSet;
-pub use layout::{Addr, AddrRange, BumpAllocator, PAGE_SIZE, PRM_BASE, REGULAR_BASE};
+pub use layout::{Addr, PAGE_SIZE};
+pub(crate) use layout::{AddrRange, BumpAllocator, PRM_BASE, REGULAR_BASE};
 
 use serde::{Deserialize, Serialize};
 
@@ -12,14 +13,14 @@ use serde::{Deserialize, Serialize};
 /// physical EPC holds — the surplus lives paged-out in regular RAM (EWB) and
 /// is paged back on demand (ELDU), which is exactly the libquantum cliff the
 /// paper measures. Physical capacity is enforced by [`crate::epc::Epc`].
-pub const EPC_WINDOW: u64 = 4 << 30;
+pub(crate) const EPC_WINDOW: u64 = 4 << 30;
 
 /// Tracks the machine's two allocation arenas: regular DRAM and the EPC
 /// window inside PRM. Classification of an address into "encrypted EPC" vs
 /// "plaintext DRAM" — the distinction the whole cost model revolves
 /// around — happens here.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AddressSpace {
+pub(crate) struct AddressSpace {
     regular: BumpAllocator,
     epc_range: AddrRange,
 }
@@ -32,7 +33,7 @@ impl Default for AddressSpace {
 
 impl AddressSpace {
     /// Builds the address space: a 1 GB regular arena and the EPC window.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AddressSpace {
             regular: BumpAllocator::new(AddrRange::new(
                 Addr::new(REGULAR_BASE),
@@ -43,23 +44,23 @@ impl AddressSpace {
     }
 
     /// Allocates plaintext (untrusted) memory.
-    pub fn alloc_regular(&mut self, size: u64, align: u64) -> Option<Addr> {
+    pub(crate) fn alloc_regular(&mut self, size: u64, align: u64) -> Option<Addr> {
         self.regular.alloc(size, align)
     }
 
     /// Is `addr` inside the encrypted EPC window?
-    pub fn is_epc(&self, addr: Addr) -> bool {
+    pub(crate) fn is_epc(&self, addr: Addr) -> bool {
         self.epc_range.contains(addr)
     }
 
     /// Does the whole span lie inside the EPC window?
-    pub fn span_in_epc(&self, addr: Addr, len: u64) -> bool {
+    pub(crate) fn span_in_epc(&self, addr: Addr, len: u64) -> bool {
         self.epc_range.contains_span(addr, len)
     }
 
     /// Does the span lie entirely *outside* the EPC (the SDK's
     /// `sgx_is_outside_enclave` check)?
-    pub fn span_outside_epc(&self, addr: Addr, len: u64) -> bool {
+    pub(crate) fn span_outside_epc(&self, addr: Addr, len: u64) -> bool {
         !self.epc_range.overlaps_span(addr, len)
     }
 }

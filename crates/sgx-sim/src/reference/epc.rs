@@ -19,7 +19,7 @@ struct SwappedPage {
 /// The EPC manager: committed pages, physical residency, FIFO eviction, and
 /// the EWB/ELDU protocol with versioned MACs.
 #[derive(Debug, Clone)]
-pub struct Epc {
+pub(crate) struct Epc {
     allocator: BumpAllocator,
     committed: HashMap<u64, u64>, // page number -> owning enclave id
     resident: HashSet<u64>,
@@ -34,7 +34,7 @@ pub struct Epc {
 
 impl Epc {
     /// Builds an EPC with the physical capacity from `config`.
-    pub fn new(config: PagingConfig) -> Self {
+    pub(crate) fn new(config: PagingConfig) -> Self {
         Epc {
             allocator: BumpAllocator::new(AddrRange::new(
                 Addr::new(PRM_BASE),
@@ -53,24 +53,24 @@ impl Epc {
     }
 
     /// Physical capacity in pages.
-    pub fn capacity_pages(&self) -> u64 {
+    pub(crate) fn capacity_pages(&self) -> u64 {
         self.capacity_pages
     }
 
     /// Currently resident pages.
-    pub fn resident_pages(&self) -> u64 {
+    pub(crate) fn resident_pages(&self) -> u64 {
         self.resident.len() as u64
     }
 
     /// Paging statistics so far.
-    pub fn stats(&self) -> EpcStats {
+    pub(crate) fn stats(&self) -> EpcStats {
         self.stats
     }
 
     /// Commits `pages` contiguous pages for enclave `enclave_id` (the EADD
     /// path). The pages start resident; committing may evict other pages.
     /// Returns the base address and the paging cost incurred.
-    pub fn commit(&mut self, enclave_id: u64, pages: u64) -> Result<(Addr, Cycles)> {
+    pub(crate) fn commit(&mut self, enclave_id: u64, pages: u64) -> Result<(Addr, Cycles)> {
         let base = self
             .allocator
             .alloc(pages * PAGE_SIZE, PAGE_SIZE)
@@ -87,7 +87,7 @@ impl Epc {
     }
 
     /// Is this page committed to an enclave?
-    pub fn is_committed(&self, page: u64) -> bool {
+    pub(crate) fn is_committed(&self, page: u64) -> bool {
         self.committed.contains_key(&page)
     }
 
@@ -99,7 +99,7 @@ impl Epc {
     /// Returns [`SgxError::NotEnclaveMemory`] for uncommitted pages and
     /// [`SgxError::PageMacMismatch`] if a swapped page's MAC fails (which
     /// would mean the untrusted OS tampered with the evicted image).
-    pub fn touch(&mut self, page: u64) -> Result<PageTouch> {
+    pub(crate) fn touch(&mut self, page: u64) -> Result<PageTouch> {
         if !self.committed.contains_key(&page) {
             return Err(SgxError::NotEnclaveMemory(Addr::new(page * PAGE_SIZE)));
         }
@@ -170,7 +170,7 @@ impl Epc {
     /// Test hook: corrupt the stored MAC of a swapped-out page, modelling an
     /// OS that tampers with the evicted image.
     #[doc(hidden)]
-    pub fn corrupt_swapped_page(&mut self, page: u64) -> bool {
+    pub(crate) fn corrupt_swapped_page(&mut self, page: u64) -> bool {
         if let Some(s) = self.swapped.get_mut(&page) {
             s.mac[0] ^= 0xFF;
             true

@@ -7,7 +7,7 @@ use crate::mee::NodeId;
 
 /// Victim selection policy for the MEE node cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Replacement {
+pub(crate) enum Replacement {
     /// True least-recently-used.
     Lru,
     /// Pseudo-random victim (deterministic, seeded).
@@ -16,7 +16,7 @@ pub enum Replacement {
 
 /// Fully-associative cache of tree-node identities.
 #[derive(Debug, Clone)]
-pub struct MeeCache {
+pub(crate) struct MeeCache {
     entries: Vec<(NodeId, u64)>,
     capacity: usize,
     tick: u64,
@@ -34,7 +34,7 @@ impl MeeCache {
     /// Panics if `capacity` is zero — the root is held on-die, but a
     /// zero-entry node cache cannot terminate walks below the root.
     #[allow(dead_code)] // kept verbatim; the live cache has no LRU policy
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self::with_policy(capacity, Replacement::Lru)
     }
 
@@ -43,7 +43,7 @@ impl MeeCache {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_policy(capacity: usize, policy: Replacement) -> Self {
+    pub(crate) fn with_policy(capacity: usize, policy: Replacement) -> Self {
         assert!(capacity > 0, "MEE cache capacity must be positive");
         let seed = match policy {
             Replacement::Random(s) => s | 1,
@@ -70,7 +70,7 @@ impl MeeCache {
     }
 
     /// Probes for a node; refreshes its LRU position on hit.
-    pub fn probe(&mut self, node: NodeId) -> bool {
+    pub(crate) fn probe(&mut self, node: NodeId) -> bool {
         self.tick += 1;
         if let Some(entry) = self.entries.iter_mut().find(|(n, _)| *n == node) {
             entry.1 = self.tick;
@@ -83,7 +83,7 @@ impl MeeCache {
     }
 
     /// Installs a node, evicting the LRU entry if full.
-    pub fn insert(&mut self, node: NodeId) {
+    pub(crate) fn insert(&mut self, node: NodeId) {
         self.tick += 1;
         if let Some(entry) = self.entries.iter_mut().find(|(n, _)| *n == node) {
             entry.1 = self.tick;
@@ -111,22 +111,22 @@ impl MeeCache {
     }
 
     /// Drops everything (machine reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// Number of cached nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }

@@ -15,7 +15,7 @@ struct Way {
 /// Addresses supplied to the cache are *line numbers* (byte address divided
 /// by the line size), which keeps the arithmetic uniform across levels.
 #[derive(Debug, Clone)]
-pub struct SetAssocCache {
+pub(crate) struct SetAssocCache {
     sets: Vec<Vec<Way>>,
     set_mask: u64,
     tick: u64,
@@ -30,7 +30,7 @@ impl SetAssocCache {
     ///
     /// Panics if the number of sets is not a power of two (real caches index
     /// with address bits; simulated ones here do the same).
-    pub fn new(geometry: &CacheGeometry) -> Self {
+    pub(crate) fn new(geometry: &CacheGeometry) -> Self {
         let sets = geometry.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         SetAssocCache {
@@ -56,7 +56,7 @@ impl SetAssocCache {
 
     /// Looks up a line; on hit, refreshes its LRU position. Returns `true`
     /// on hit.
-    pub fn probe(&mut self, line: u64) -> bool {
+    pub(crate) fn probe(&mut self, line: u64) -> bool {
         self.tick += 1;
         let tag = self.tag_of(line);
         let set_idx = self.set_of(line);
@@ -74,7 +74,7 @@ impl SetAssocCache {
 
     /// Inspects whether a line is present without touching LRU state or
     /// statistics.
-    pub fn contains(&self, line: u64) -> bool {
+    pub(crate) fn contains(&self, line: u64) -> bool {
         let tag = self.tag_of(line);
         self.sets[self.set_of(line)]
             .iter()
@@ -83,7 +83,7 @@ impl SetAssocCache {
 
     /// Installs a line, evicting the LRU way if the set is full. Returns the
     /// evicted line number, if any.
-    pub fn insert(&mut self, line: u64) -> Option<u64> {
+    pub(crate) fn insert(&mut self, line: u64) -> Option<u64> {
         self.tick += 1;
         let tag = self.tag_of(line);
         let set_idx = self.set_of(line);
@@ -118,7 +118,7 @@ impl SetAssocCache {
 
     /// Invalidates a single line (the `clflush` path). Returns `true` if it
     /// was present.
-    pub fn invalidate(&mut self, line: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, line: u64) -> bool {
         let tag = self.tag_of(line);
         let set_idx = self.set_of(line);
         for way in &mut self.sets[set_idx] {
@@ -131,7 +131,7 @@ impl SetAssocCache {
     }
 
     /// Invalidates everything (the cold-cache experiment setup).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for set in &mut self.sets {
             for way in set.iter_mut() {
                 way.valid = false;
@@ -140,12 +140,12 @@ impl SetAssocCache {
     }
 
     /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// Number of currently valid lines.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.sets
             .iter()
             .map(|s| s.iter().filter(|w| w.valid).count())

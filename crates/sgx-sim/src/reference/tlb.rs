@@ -5,7 +5,7 @@ use std::collections::{HashSet, VecDeque};
 
 /// A FIFO TLB of fixed capacity (Skylake's L2 STLB holds 1536 entries).
 #[derive(Debug, Clone)]
-pub struct Tlb {
+pub(crate) struct Tlb {
     present: HashSet<u64>,
     fifo: VecDeque<u64>,
     capacity: usize,
@@ -19,7 +19,7 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         Tlb {
             present: HashSet::with_capacity(capacity),
@@ -32,7 +32,7 @@ impl Tlb {
 
     /// Touches a page; returns `true` on hit, installing the translation
     /// (and evicting the oldest) on miss.
-    pub fn touch(&mut self, page: u64) -> bool {
+    pub(crate) fn touch(&mut self, page: u64) -> bool {
         if self.present.contains(&page) {
             self.hits += 1;
             return true;
@@ -49,13 +49,13 @@ impl Tlb {
     }
 
     /// Drops every translation (the cold-cache experiment's side effect).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.present.clear();
         self.fifo.clear();
     }
 
     /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }

@@ -62,14 +62,14 @@ impl Tlb {
     }
 
     /// Drops every translation (the cold-cache experiment's side effect).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for page in self.fifo.drain(..) {
             self.present.remove(page);
         }
     }
 
     /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }

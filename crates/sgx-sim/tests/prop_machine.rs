@@ -118,9 +118,9 @@ fn access_kind_is_plain_data() {
 
 mod epc_properties {
     use proptest::prelude::*;
-    use sgx_sim::epc::Epc;
-    use sgx_sim::mem::PAGE_SIZE;
+    use sgx_sim::Epc;
     use sgx_sim::PagingConfig;
+    use sgx_sim::PAGE_SIZE;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

@@ -34,6 +34,4 @@ mod result;
 pub mod spec;
 pub mod stress;
 
-pub use link::LinkModel;
-pub use openloop::{OpenLoopPlan, PoissonArrivals};
 pub use result::{KernelResult, RunResult};

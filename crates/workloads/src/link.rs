@@ -10,9 +10,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkModel {
     /// Achievable TCP bandwidth ceiling, Mbit/s.
-    pub bandwidth_mbps: f64,
+    pub(crate) bandwidth_mbps: f64,
     /// One-way propagation + switching delay, milliseconds.
-    pub one_way_ms: f64,
+    pub(crate) one_way_ms: f64,
 }
 
 impl Default for LinkModel {
@@ -27,17 +27,17 @@ impl Default for LinkModel {
 
 impl LinkModel {
     /// Caps a compute-limited throughput at the link ceiling.
-    pub fn cap(&self, mbps: f64) -> f64 {
+    pub(crate) fn cap(&self, mbps: f64) -> f64 {
         mbps.min(self.bandwidth_mbps)
     }
 
     /// Base round-trip time contributed by the wire itself.
-    pub fn base_rtt_ms(&self) -> f64 {
+    pub(crate) fn base_rtt_ms(&self) -> f64 {
         2.0 * self.one_way_ms
     }
 
     /// Serialization delay of one packet, milliseconds.
-    pub fn serialization_ms(&self, bytes: u64) -> f64 {
+    pub(crate) fn serialization_ms(&self, bytes: u64) -> f64 {
         bytes as f64 * 8.0 / (self.bandwidth_mbps * 1e3)
     }
 }

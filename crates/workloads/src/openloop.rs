@@ -41,14 +41,14 @@ fn xorshift(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopPlan {
     /// RNG seed for the exponential inter-arrival draws.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Offered arrival rate, events per second.
-    pub rate_hz: f64,
+    pub(crate) rate_hz: f64,
     /// Total arrivals in the schedule.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Logical connections the arrivals round-robin over (event `i`
     /// belongs to connection `i % conns`).
-    pub conns: usize,
+    pub(crate) conns: usize,
 }
 
 impl OpenLoopPlan {

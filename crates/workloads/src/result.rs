@@ -8,7 +8,7 @@ pub struct RunResult {
     /// Operations (requests / pages / packets) completed.
     pub operations: u64,
     /// Virtual seconds elapsed.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Operations per second.
     pub ops_per_sec: f64,
     /// Average end-to-end latency in milliseconds (Little's law over the
@@ -18,12 +18,12 @@ pub struct RunResult {
     /// Total edge calls issued by the application during the run.
     pub edge_calls: u64,
     /// Fraction of core time spent in the call interface.
-    pub interface_fraction: f64,
+    pub(crate) interface_fraction: f64,
 }
 
 impl RunResult {
     /// Derives a result from raw counters.
-    pub fn from_counts(
+    pub(crate) fn from_counts(
         operations: u64,
         elapsed_secs: f64,
         outstanding: f64,
@@ -52,7 +52,7 @@ impl RunResult {
     }
 
     /// Throughput in megabits/second given bytes moved per operation.
-    pub fn mbits_per_sec(&self, bytes_per_op: u64) -> f64 {
+    pub(crate) fn mbits_per_sec(&self, bytes_per_op: u64) -> f64 {
         self.ops_per_sec * bytes_per_op as f64 * 8.0 / 1e6
     }
 }
@@ -61,16 +61,16 @@ impl RunResult {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KernelResult {
     /// Kernel operations performed.
-    pub operations: u64,
+    pub(crate) operations: u64,
     /// Virtual cycles consumed.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Cycles per operation.
     pub cycles_per_op: f64,
 }
 
 impl KernelResult {
     /// Builds a result from counters.
-    pub fn new(operations: u64, cycles: u64) -> Self {
+    pub(crate) fn new(operations: u64, cycles: u64) -> Self {
         KernelResult {
             operations,
             cycles,

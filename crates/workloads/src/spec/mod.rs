@@ -27,16 +27,6 @@ pub enum Placement {
     Enclave,
 }
 
-impl Placement {
-    /// Label for benchmark output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Placement::Plain => "plaintext",
-            Placement::Enclave => "encrypted",
-        }
-    }
-}
-
 /// Builds a machine and allocates a kernel working set of `bytes` under
 /// the given placement. Enclave placement commits real EPC pages, so a
 /// working set beyond the EPC capacity will page (EWB/ELDU).

@@ -11,7 +11,7 @@
 
 /// Content block size of a stress object (matches the storage app's
 /// dedup/auth block): the smallest object a ramp emits.
-pub const STRESS_BLOCK: usize = 4096;
+pub(crate) const STRESS_BLOCK: usize = 4096;
 
 /// Working sets that cross the EPC paging cliff mid-run: object sizes in
 /// bytes, doubling from `epc_bytes / 8` until they exceed

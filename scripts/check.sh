@@ -12,14 +12,16 @@ bash -n scripts/pairs.sh
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# Every `unsafe` block and impl carries its own `// SAFETY:` comment.
-echo "==> cargo clippy --all-targets --workspace -- -D warnings -W clippy::undocumented_unsafe_blocks"
-cargo clippy --all-targets --workspace -- -D warnings -W clippy::undocumented_unsafe_blocks
+# Every `unsafe` block and impl carries its own `// SAFETY:` comment, and
+# an item no path from outside its crate reaches is declared `pub(crate)`,
+# so `pub` marks exactly what a crate exports.
+echo "==> cargo clippy --all-targets --workspace -- -D warnings -W clippy::undocumented_unsafe_blocks -W unreachable_pub"
+cargo clippy --all-targets --workspace -- -D warnings -W clippy::undocumented_unsafe_blocks -W unreachable_pub
 
 # The telemetry-off feature must keep lint-clean, not just building: the
 # cfg'd-out clock and histogram paths are code only this pass ever lints.
-echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks"
-cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
+echo "==> cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks -W unreachable_pub"
+cargo clippy -p hotcalls --features telemetry-off --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks -W unreachable_pub
 
 # Rustdoc over the first-party packages (the vendored stand-ins are not
 # ours to lint), private items included: a doc link to a deleted or

@@ -1,8 +1,8 @@
 //! Integration tests spanning every crate: enclave lifecycle → SDK calls
 //! → HotCalls → applications.
 
-use hotcalls_repro::apps::env::ApiCensus;
 use hotcalls_repro::apps::memcached::{self, protocol, Memcached};
+use hotcalls_repro::apps::ApiCensus;
 use hotcalls_repro::apps::{AppEnv, IfaceMode};
 use hotcalls_repro::hotcalls::sim::SimHotCalls;
 use hotcalls_repro::hotcalls::HotCallConfig;
@@ -217,7 +217,7 @@ fn cold_cache_ratio_holds_at_the_call_level() {
 fn epc_tamper_detection_reaches_the_app_level() {
     // A paged-out page whose swap image is corrupted must fail its MAC on
     // reload — visible as an error from a plain memory read.
-    use hotcalls_repro::sgx_sim::mem::PAGE_SIZE;
+    use hotcalls_repro::sgx_sim::PAGE_SIZE;
     let mut m = Machine::new(
         SimConfig::builder()
             .deterministic()

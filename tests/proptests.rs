@@ -3,9 +3,8 @@
 use proptest::prelude::*;
 
 use hotcalls_repro::apps::memcached::protocol;
-use hotcalls_repro::apps::openvpn::{chacha20_xor, KEY_LEN, NONCE_LEN};
 use hotcalls_repro::sgx_sim::cache::SetAssocCache;
-use hotcalls_repro::sgx_sim::crypto::{hmac_sha256, Sha256};
+use hotcalls_repro::sgx_sim::crypto::{chacha20_xor, hmac_sha256, Sha256, KEY_LEN, NONCE_LEN};
 use hotcalls_repro::sgx_sim::tlb::Tlb;
 use hotcalls_repro::sgx_sim::CacheGeometry;
 
